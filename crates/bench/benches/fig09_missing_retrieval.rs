@@ -14,7 +14,7 @@ fn main() {
     header("Figure 9: a case of missing retrieval", "");
     println!("Question: {}", cs.question);
     println!("Options:  {:?} (correct: {})\n", cs.options, cs.options[cs.correct_option]);
-    println!("{:<5} {:<14} {}", "K", "picked", "outcome");
+    println!("{:<5} {:<14} outcome", "K", "picked");
     for p in &cs.sweep {
         println!(
             "{:<5} {:<14} {}",

@@ -18,26 +18,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
-/// The workspace root: benches run from the repo checkout, but fall back
-/// to CARGO_MANIFEST_DIR's grandparent when invoked elsewhere (the env
-/// var is absent under the offline bare-rustc harness, hence option_env).
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    if cwd.join("crates").is_dir() {
-        return cwd;
-    }
-    option_env!("CARGO_MANIFEST_DIR")
-        .and_then(|m| Path::new(m).ancestors().nth(2).map(Path::to_path_buf))
-        .unwrap_or(cwd)
-}
-
 fn bench_lint(c: &mut Criterion) {
-    let root = workspace_root();
+    // The workspace root: two levels above this package's manifest.
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     // Gather sources once so the token_scan cell measures analysis, not IO.
-    let analysis = sage::lint::workspace_analysis(&root).expect("workspace scan");
+    let analysis = sage::lint::workspace_analysis(root).expect("workspace scan");
     assert!(analysis.report.files_scanned > 0, "no sources under {}", root.display());
     let sources: Vec<(String, String, String)> = {
         let mut out = Vec::new();
@@ -57,13 +45,13 @@ fn bench_lint(c: &mut Criterion) {
         })
     });
     group.bench_function("full_analysis", |b| {
-        b.iter(|| black_box(sage::lint::workspace_analysis(&root).expect("workspace scan")))
+        b.iter(|| black_box(sage::lint::workspace_analysis(root).expect("workspace scan")))
     });
     group.finish();
 
     // Direct readout for the acceptance target.
     let start = Instant::now();
-    let analysis = black_box(sage::lint::workspace_analysis(&root).expect("workspace scan"));
+    let analysis = black_box(sage::lint::workspace_analysis(root).expect("workspace scan"));
     let full = start.elapsed();
     println!("\n=== lint overhead ===");
     for (phase, ns) in &analysis.report.timings {

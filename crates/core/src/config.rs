@@ -1,10 +1,8 @@
 //! SAGE configuration — the paper's §VII-A hyper-parameters and the module
 //! toggles used by the Table IV ablation.
 
-use serde::{Deserialize, Serialize};
-
 /// Which first-stage retriever a system uses (paper §VII-A "Retrievers").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetrieverKind {
     /// OpenAI `text-embedding-3-small` analog (feature-hashed encoder) —
     /// SAGE's default retriever.
@@ -35,7 +33,7 @@ impl RetrieverKind {
 }
 
 /// Full pipeline configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SageConfig {
     /// Segmentation score threshold `ss` (§IV-D). Default 0.55.
     pub segmentation_threshold: f32,

@@ -1,10 +1,8 @@
 //! LLM inference cost (paper Eq. 1) and cost-efficiency (Eq. 2).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-token prices in dollars (the paper quotes GPT-4 at $10/M input and
 /// $30/M output).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceTable {
     /// Dollars per input token (`c_i`).
     pub input_per_token: f64,
@@ -36,7 +34,7 @@ impl PriceTable {
 }
 
 /// Accumulated token usage for a sequence of LLM calls.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Cost {
     /// Total input tokens (`I_t`).
     pub input_tokens: u64,

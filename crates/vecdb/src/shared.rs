@@ -2,14 +2,13 @@
 //!
 //! The scalability experiment (Tables VIII/IX) drives 5x/10x concurrent
 //! question streams against one shared vector database. `SharedIndex` wraps
-//! any [`VectorIndex`] in a `parking_lot::RwLock`: searches take read locks
+//! any [`VectorIndex`] in a `std::sync::RwLock`: searches take read locks
 //! (fully concurrent), inserts take the write lock, and a query counter
 //! exposes throughput to the harness.
 
 use crate::{Hit, VectorIndex};
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A cloneable, thread-safe handle to a vector index.
 pub struct SharedIndex<I> {
@@ -29,21 +28,31 @@ impl<I: VectorIndex> SharedIndex<I> {
         Self { inner: Arc::new(RwLock::new(index)), queries: Arc::new(AtomicU64::new(0)) }
     }
 
+    // A panicking holder does not poison the handle for every other
+    // thread: the guard is recovered, and the index is used as it was left.
+    fn read(&self) -> RwLockReadGuard<'_, I> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, I> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Insert a vector (exclusive lock).
     pub fn add(&self, vector: Vec<f32>) -> usize {
-        self.inner.write().add(vector)
+        self.write().add(vector)
     }
 
     /// Search (shared lock — concurrent readers run in parallel).
     pub fn search(&self, query: &[f32], n: usize) -> Vec<Hit> {
         // sage-lint: allow(relaxed-atomics-confined) - monotonic telemetry-style query counter; no other memory is published under it
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.inner.read().search(query, n)
+        self.read().search(query, n)
     }
 
     /// Number of vectors.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.read().len()
     }
 
     /// Whether the index is empty.
@@ -59,7 +68,7 @@ impl<I: VectorIndex> SharedIndex<I> {
 
     /// Approximate resident memory of the wrapped index.
     pub fn memory_bytes(&self) -> usize {
-        self.inner.read().memory_bytes()
+        self.read().memory_bytes()
     }
 }
 

@@ -29,8 +29,8 @@ fn main() {
     for task in &dataset.tasks {
         let single = answer_singlehop(&system, task);
         let multi = answer_multihop(&system, task);
-        single_f1 += f1_match(&single.answer.text, &[task.answer.clone()]);
-        multi_f1 += f1_match(&multi.answer.text, &[task.answer.clone()]);
+        single_f1 += f1_match(&single.answer.text, std::slice::from_ref(&task.answer));
+        multi_f1 += f1_match(&multi.answer.text, std::slice::from_ref(&task.answer));
         println!(
             "Q: {}\n  gold: {:<12} single-hop: {:<16} multi-hop: {}",
             task.question, task.answer, single.answer.text, multi.answer.text

@@ -2,16 +2,16 @@
 # Tier-1 gate: the checks every PR must keep green.
 #
 #   scripts/check.sh            # build + tests + clippy + telemetry smoke
-#   scripts/check.sh fast       # skip clippy and the smoke test
+#   scripts/check.sh fast       # skip clippy, the all-targets build and the smokes
 #
-# Offline environments without the crates.io dependencies can use
-# scripts/offline/buildws.sh instead (bare-rustc harness with functional
-# stubs for rand/bytes/parking_lot/serde/proptest/criterion).
+# Every dependency is a path crate of this repository, so this runs with an
+# empty registry and no network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "=== cargo build --release"
-cargo build --release --workspace
+cargo build --release
+sage=target/release/sage
 
 echo "=== sage-lint (workspace static analysis + ratchet)"
 # Replaces the old println grep: sage-lint enforces the token rules
@@ -23,15 +23,15 @@ echo "=== sage-lint (workspace static analysis + ratchet)"
 # regresses — or loosens without a justification (run
 # `sage lint --baseline lint-baseline.json --update-baseline` after an
 # intentional cleanup).
-cargo run -q --release -p sage-cli -- lint --root . --baseline lint-baseline.json
+"$sage" lint --root . --baseline lint-baseline.json
 
 echo "=== sage-lint SARIF smoke (emit is machine-readable)"
 # Render the same run as SARIF 2.1.0 and parse it back through the
 # validator: a malformed emit must fail here, not at upload time.
 lint_tmp=$(mktemp -d)
-cargo run -q --release -p sage-cli -- lint --root . --format sarif \
+"$sage" lint --root . --format sarif \
   > "$lint_tmp/lint.sarif"
-cargo run -q --release -p sage-cli -- lint --validate-sarif "$lint_tmp/lint.sarif" \
+"$sage" lint --validate-sarif "$lint_tmp/lint.sarif" \
   || { echo "FAIL: emitted SARIF does not validate"; rm -rf "$lint_tmp"; exit 1; }
 rm -rf "$lint_tmp"
 
@@ -47,18 +47,21 @@ fi
 echo "pipeline.rs at $pipeline_lines lines (< 700)"
 
 echo "=== cargo test -q"
-cargo test -q --workspace
+cargo test -q
 
 if [ "${1:-}" != fast ]; then
-  echo "=== cargo clippy --all-targets -- -D warnings"
+  echo "=== cargo clippy --workspace --all-targets -- -D warnings"
   cargo clippy --workspace --all-targets -- -D warnings
+
+  echo "=== cargo build --workspace --all-targets (every bench and example compiles)"
+  cargo build --workspace --all-targets
 
   echo "=== telemetry smoke (exporters well-formed)"
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"' EXIT
   printf 'Whiskers is a playful tabby cat. He has bright green eyes.\n\nDorinwick was well known in the region. He lives in Ashford.\n' \
     > "$tmp/corpus.txt"
-  cargo run -q --release -p sage-cli -- ask \
+  "$sage" ask \
     --file "$tmp/corpus.txt" \
     --question "What is the color of Whiskers's eyes?" \
     --telemetry --metrics-out "$tmp/metrics.prom" --trace-out "$tmp/trace.jsonl" \
@@ -85,10 +88,10 @@ if [ "${1:-}" != fast ]; then
   # Two runs with the same seed must produce bit-identical event logs,
   # complete queries, and shed zero panics (the command itself exits
   # nonzero on any soak-invariant violation).
-  cargo run -q --release -p sage-cli -- soak \
+  "$sage" soak \
     --seed 42 --duration 10 --qps 3 --docs 1 \
     > "$tmp/soak_a.log" 2> "$tmp/soak_a.err"
-  cargo run -q --release -p sage-cli -- soak \
+  "$sage" soak \
     --seed 42 --duration 10 --qps 3 --docs 1 \
     > "$tmp/soak_b.log" 2> /dev/null
   diff -q "$tmp/soak_a.log" "$tmp/soak_b.log" \
@@ -101,7 +104,7 @@ if [ "${1:-}" != fast ]; then
   # The cross-query slot scheduler is a wall-clock knob only: the same
   # soak served through 4 scheduler workers per dispatch wave must print
   # the exact event log the sequential path prints, byte for byte.
-  cargo run -q --release -p sage-cli -- soak \
+  "$sage" soak \
     --seed 42 --duration 10 --qps 3 --docs 1 --exec-workers 4 \
     > "$tmp/soak_w4.log" 2> "$tmp/soak_w4.err"
   diff -q "$tmp/soak_a.log" "$tmp/soak_w4.log" \
@@ -116,10 +119,10 @@ if [ "${1:-}" != fast ]; then
   # Scatter-gather must be invisible when healthy: the same question
   # served through 4 shards must print the exact answer the unsharded
   # scan does (the deterministic merge is byte-identical at every N).
-  cargo run -q --release -p sage-cli -- ask \
+  "$sage" ask \
     --file "$tmp/corpus.txt" --question "What is the color of Whiskers's eyes?" \
     > "$tmp/ask_unsharded.txt" 2> /dev/null
-  cargo run -q --release -p sage-cli -- ask \
+  "$sage" ask \
     --file "$tmp/corpus.txt" --question "What is the color of Whiskers's eyes?" \
     --shards 4 \
     > "$tmp/ask_sharded.txt" 2> /dev/null
@@ -129,11 +132,11 @@ if [ "${1:-}" != fast ]; then
   # query must serve from the three survivors under a documented
   # shard-partial rung, with zero panics and zero errors, and the event
   # log must replay byte-for-byte.
-  cargo run -q --release -p sage-cli -- soak \
+  "$sage" soak \
     --seed 42 --duration 10 --qps 3 --docs 1 \
     --shards 4 --resilience --faults "shard:1:down" \
     > "$tmp/shard_a.log" 2> "$tmp/shard_a.err"
-  cargo run -q --release -p sage-cli -- soak \
+  "$sage" soak \
     --seed 42 --duration 10 --qps 3 --docs 1 \
     --shards 4 --resilience --faults "shard:1:down" \
     > "$tmp/shard_b.log" 2> /dev/null
@@ -153,11 +156,11 @@ if [ "${1:-}" != fast ]; then
   # invariant violation), and two runs with the same seeds must produce
   # byte-identical logs even in different directories — the log carries
   # no wall-clock times or paths.
-  cargo run -q --release -p sage-cli -- soak --live \
+  "$sage" soak --live \
     --live-dir "$tmp/live_a" --ops 12 --seed 42 \
     --crash "pre-rename:0.4,pre-manifest-commit:0.3" --crash-seed 7 \
     > "$tmp/live_a.log" 2> "$tmp/live_a.err"
-  cargo run -q --release -p sage-cli -- soak --live \
+  "$sage" soak --live \
     --live-dir "$tmp/live_b" --ops 12 --seed 42 \
     --crash "pre-rename:0.4,pre-manifest-commit:0.3" --crash-seed 7 \
     > "$tmp/live_b.log" 2> /dev/null
@@ -168,7 +171,7 @@ if [ "${1:-}" != fast ]; then
   grep -q 'violations=0 ' "$tmp/live_a.log" \
     || { echo "FAIL: live soak saw invariant violations"; exit 1; }
   # Reload the survivor store: it must reopen cleanly at its last epoch.
-  cargo run -q --release -p sage-cli -- soak --live \
+  "$sage" soak --live \
     --live-dir "$tmp/live_a" --ops 0 --seed 43 \
     > "$tmp/live_reopen.log" 2> /dev/null
   grep -Eq '^open epoch=[1-9]' "$tmp/live_reopen.log" \
@@ -178,14 +181,14 @@ if [ "${1:-}" != fast ]; then
   echo "=== explain smoke (resolved plan rendering)"
   # The plan printer must show the full SAGE stage graph and the rewrite
   # each brownout rung applies; the naive plan must not judge answers.
-  cargo run -q --release -p sage-cli -- explain "why is the sky blue" \
+  "$sage" explain "why is the sky blue" \
     > "$tmp/explain_sage.txt"
   for needle in "embed" "retrieve-dense" "select (gradient)" "feedback" \
                 "rung DropFeedback" "rung FlatTopK" "middleware"; do
     grep -q "$needle" "$tmp/explain_sage.txt" \
       || { echo "FAIL: explain output missing '$needle'"; cat "$tmp/explain_sage.txt"; exit 1; }
   done
-  cargo run -q --release -p sage-cli -- explain --naive --retriever bm25 \
+  "$sage" explain --naive --retriever bm25 \
     > "$tmp/explain_naive.txt"
   grep -q "retrieve-bm25" "$tmp/explain_naive.txt" \
     || { echo "FAIL: naive explain missing bm25 stage"; exit 1; }
@@ -200,10 +203,10 @@ if [ "${1:-}" != fast ]; then
   # tolerance bands of the committed BENCH_scenarios.json; the command
   # itself exits nonzero and prints one `regression:` line per metric
   # outside its band.
-  cargo run -q --release -p sage-cli -- scenarios run scenarios.toml \
+  "$sage" scenarios run scenarios.toml \
     --filter smoke --out "$tmp/scen_a.json" 2> /dev/null \
     || { echo "FAIL: smoke cells regressed against BENCH_scenarios.json"; exit 1; }
-  cargo run -q --release -p sage-cli -- scenarios run scenarios.toml \
+  "$sage" scenarios run scenarios.toml \
     --filter smoke --out "$tmp/scen_b.json" 2> /dev/null
   cmp -s "$tmp/scen_a.json" "$tmp/scen_b.json" \
     || { echo "FAIL: scenario rows are not byte-identical across runs"; exit 1; }
@@ -221,7 +224,7 @@ docs = 1
 duration_s = 4
 qps = 2
 HOSTILE
-  cargo run -q --release -p sage-cli -- scenarios run "$tmp/hostile.toml" \
+  "$sage" scenarios run "$tmp/hostile.toml" \
     --baseline "$tmp/hostile_base.json" --metrics-out "$tmp/hostile.prom" \
     > /dev/null 2> /dev/null
   grep -q 'cell="smoke\\\\hostile"' "$tmp/hostile.prom" \

@@ -1,9 +1,16 @@
-//! Functional stand-in for the `bytes` crate (offline typecheck/test
-//! harness). Implements the surface this workspace uses: Bytes, BytesMut,
+//! Byte buffers for the workspace's blob framing, under the `bytes`
+//! crate's library name. Implements the surface this workspace uses:
+//! Bytes, BytesMut,
 //! Buf::{remaining, advance, get_u8, get_u32_le, get_u64_le, get_f32_le},
 //! BufMut::{put_u8, put_u32_le, put_u64_le, put_f32_le, put_slice},
 //! Bytes::{from, from_static, split_to, slice}, BytesMut::{new,
-//! with_capacity, freeze}. Semantics match the real crate for these calls.
+//! with_capacity, freeze}. Semantics match the upstream crate for these
+//! calls, including the panic on reading past the end.
+//!
+//! Limits: `Bytes` is an `Arc<[u8]>` plus a window, so `From<Vec<u8>>` and
+//! `from_static` copy once (upstream does not); clones and `split_to` /
+//! `slice` share the allocation. `BytesMut` is a plain `Vec<u8>` and cannot
+//! be split.
 
 use std::ops::Deref;
 use std::sync::Arc;

@@ -1,7 +1,17 @@
-//! Minimal functional stand-in for the `proptest` crate, sufficient to
-//! compile and smoke-run `tests/properties.rs` offline. Deterministic
-//! sampling (SplitMix64 keyed on test name + case index), a fixed case
-//! count, no shrinking. The real crate is used by the CI build.
+//! The workspace's property-test runner, under the `proptest` crate's
+//! library name and with the slice of its API the tests use (`proptest!`,
+//! `prop_assert*!`, `prop_assume!`, `prop_oneof!`, ranges, regex-like
+//! string patterns, `collection::vec`, tuples, `Just`, `prop_map`).
+//!
+//! Limits: case `i` of a property is sampled from SplitMix64 seeded with
+//! the test's name and `i`, so every run tries the same inputs. The case
+//! count is fixed (16, or `ProptestConfig::with_cases`). A failing case is
+//! not shrunk, and no `*.proptest-regressions` file is read or written: the
+//! runner reports the failing case index, `Rng::for_case(name, index)`
+//! regenerates its inputs, and a case worth keeping is pinned as an
+//! ordinary `#[test]`. `prop_assume!` skips the case without replacing it.
+//! String patterns support only literals and `[...]` classes with `{m}` /
+//! `{m,n}` repeats.
 
 /// Deterministic generator handed to strategies during sampling.
 pub struct Rng(u64);
@@ -294,6 +304,24 @@ impl Default for ProptestConfig {
     }
 }
 
+/// Run `body` on cases `0..cases` of the property `name`. A panicking case
+/// is re-raised with its index in the message, which is all that is needed
+/// to replay it: `Rng::for_case(name, index)`.
+pub fn run_cases(name: &str, cases: u32, body: impl Fn(&mut Rng)) {
+    for case in 0..cases {
+        let mut rng = Rng::for_case(name, case);
+        let run = std::panic::AssertUnwindSafe(|| body(&mut rng));
+        if let Err(cause) = std::panic::catch_unwind(run) {
+            let why = cause
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| cause.downcast_ref::<&str>().copied())
+                .unwrap_or("panic");
+            panic!("property `{name}` failed at case {case} of {cases}: {why}");
+        }
+    }
+}
+
 pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest};
     pub use crate::{Just, ProptestConfig, Strategy};
@@ -321,15 +349,10 @@ macro_rules! __proptest_impl {
         $(
             $(#[$meta])*
             fn $name() {
-                let __pt_cases: u32 = ($cfg).cases;
-                for __pt_i in 0..__pt_cases {
-                    let mut __pt_rng = $crate::Rng::for_case(stringify!($name), __pt_i);
-                    let __pt_body = |__pt_rng: &mut $crate::Rng| {
-                        $(let $p = $crate::Strategy::sample(&($strat), __pt_rng);)*
-                        $body
-                    };
-                    __pt_body(&mut __pt_rng);
-                }
+                $crate::run_cases(stringify!($name), ($cfg).cases, |__pt_rng: &mut $crate::Rng| {
+                    $(let $p = $crate::Strategy::sample(&($strat), __pt_rng);)*
+                    $body
+                });
             }
         )*
     };
@@ -366,4 +389,50 @@ macro_rules! prop_assume {
             return;
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample_case(name: &str, case: u32) -> (Vec<u32>, String) {
+        let strategy = (collection::vec(0u32..1000, 0..8), "[a-z]{1,6}");
+        strategy.sample(&mut Rng::for_case(name, case))
+    }
+
+    #[test]
+    fn same_name_and_case_yield_the_same_sample() {
+        for case in 0..16 {
+            assert_eq!(sample_case("some_property", case), sample_case("some_property", case));
+        }
+        assert_ne!(sample_case("some_property", 0), sample_case("some_property", 1));
+        assert_ne!(sample_case("some_property", 0), sample_case("other_property", 0));
+    }
+
+    #[test]
+    fn failing_property_reports_the_case_to_replay() {
+        let draw = |case| (0u32..4).sample(&mut Rng::for_case("fails_on_three", case));
+        let first_three = (0..64).find(|&case| draw(case) == 3).expect("a 3 within 64 cases");
+        let failure = std::panic::catch_unwind(|| {
+            run_cases("fails_on_three", 64, |rng| {
+                let x = (0u32..4).sample(rng);
+                prop_assert!(x != 3, "drew {x}");
+            })
+        })
+        .expect_err("the property does not hold");
+        let message = failure.downcast_ref::<String>().expect("formatted message");
+        assert_eq!(
+            message,
+            &format!("property `fails_on_three` failed at case {first_three} of 64: drew 3")
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn macro_samples_every_argument(a in 1u8..5, text in "[x-z]{2,3}") {
+            prop_assert!((1..5).contains(&a));
+            prop_assert!((2..=3).contains(&text.len()), "{text}");
+            prop_assert!(text.chars().all(|c| ('x'..='z').contains(&c)));
+        }
+    }
 }

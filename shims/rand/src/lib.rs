@@ -1,8 +1,16 @@
-//! Functional stand-in for the `rand` crate (offline typecheck/test harness).
-//! API-compatible for the surface this workspace uses: StdRng, SeedableRng,
-//! Rng::{random_range, random_bool}. The stream differs from real StdRng
-//! (SplitMix64 here), which is fine for tests that assert internal
-//! consistency rather than golden ChaCha output.
+//! The workspace's seeded PRNG, under the `rand` crate's library name and
+//! with the slice of its API the workspace calls: `StdRng`, `SeedableRng`,
+//! `Rng::{random_range, random_bool}`.
+//!
+//! Limits: `StdRng` is SplitMix64, not ChaCha — not cryptographic, and its
+//! stream is not upstream `rand`'s. There is no OS entropy and no
+//! `thread_rng`: every generator is seeded explicitly. Integer ranges are
+//! sampled by modulo, so spans that do not divide 2^64 carry a bias of at
+//! most span / 2^64.
+//!
+//! The stream and the seed constant are frozen: every corpus, trained
+//! model, golden log and committed `BENCH_*.json` row was generated from
+//! them (`stream_is_frozen` below pins the first outputs).
 
 pub mod rngs {
     #[derive(Debug, Clone)]
@@ -111,3 +119,23 @@ macro_rules! float_uniform {
     )*};
 }
 float_uniform!(f32, f64);
+
+#[cfg(test)]
+mod tests {
+    use super::rngs::StdRng;
+    use super::{Rng, SeedableRng};
+
+    #[test]
+    fn stream_is_frozen() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let first: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            first,
+            [18144196621771586521, 6231806935032981823, 11603016375683525844, 4769594796501383271]
+        );
+        assert_eq!(rng.random_range(0..1000usize), 957);
+        assert_eq!(rng.random_range(-5..=5i32), 4);
+        assert_eq!(rng.random_range(0.0..1.0f64).to_bits(), 0x3fe9_d2db_1a9e_639d);
+        assert!(rng.random_bool(0.5));
+    }
+}

@@ -24,26 +24,94 @@ fn text_strategy() -> impl Strategy<Value = String> {
     .prop_map(|words| words.join(" "))
 }
 
+// Properties that once produced a counterexample are plain functions, so
+// `recorded_counterexamples` can feed them that input on every run.
+
+fn tokens_are_lowercase_nonempty(text: &str) {
+    for tok in tokenize(text) {
+        assert!(!tok.is_empty());
+        assert_eq!(tok.clone(), tok.to_lowercase());
+    }
+}
+
+fn tokenize_survives_join(text: &str) {
+    let once = tokenize(text);
+    let again = tokenize(&once.join(" "));
+    assert_eq!(once, again);
+}
+
+fn normalize_is_a_fixpoint(text: &str) {
+    let once = normalize(text);
+    assert_eq!(normalize(&once), once);
+}
+
+fn sentences_nonempty_and_bounded(text: &str) {
+    let sentences = split_sentences(text);
+    let words = text.split_whitespace().count();
+    assert!(sentences.len() <= words + 1);
+    for s in &sentences {
+        assert!(!s.trim().is_empty());
+    }
+}
+
+fn segmenter_preserves_words(text: &str, budget: usize) {
+    // Sentence counts can legitimately merge for unterminated
+    // fragments, but the word sequence must survive exactly.
+    let seg = SentenceSegmenter { max_tokens: budget };
+    let chunks = seg.segment(text);
+    let original: Vec<&str> = text.split_whitespace().collect();
+    let rejoined = chunks.join(" ");
+    let after: Vec<&str> = rejoined.split_whitespace().collect();
+    assert_eq!(original, after);
+}
+
+fn metrics_perfect_on_identity(text: &str) {
+    let refs = vec![text.to_string()];
+    for metric in [rouge_l(text, &refs), f1_match(text, &refs)] {
+        assert!((0.0..=1.0).contains(&metric));
+        assert!(metric > 0.9, "identity should score ~1, got {metric}");
+    }
+    assert!(bleu(text, &refs, 1) > 0.9);
+    // METEOR's fragmentation penalty caps very short identical strings
+    // (a single matched token in a single chunk scores 0.5, as in the
+    // reference implementation); only require near-1 on longer texts.
+    let m = meteor(text, &refs);
+    assert!((0.0..=1.0).contains(&m));
+    if tokenize(text).len() >= 3 {
+        assert!(m > 0.9, "identity meteor on long text: {m}");
+    } else {
+        assert!(m >= 0.5, "identity meteor on short text: {m}");
+    }
+}
+
+/// Shrunk counterexamples these properties produced in the past. The
+/// runner's seeded sampling will not draw inputs this small again, so they
+/// are explicit. `text = "a"` is in the domain of every single-text
+/// property, so all of them take it.
+#[test]
+fn recorded_counterexamples() {
+    tokens_are_lowercase_nonempty("a");
+    tokenize_survives_join("a");
+    normalize_is_a_fixpoint("a");
+    sentences_nonempty_and_bounded("a");
+    metrics_perfect_on_identity("a");
+    segmenter_preserves_words("a \n A", 5);
+}
+
 proptest! {
     #[test]
     fn tokenize_yields_lowercase_nonempty(text in text_strategy()) {
-        for tok in tokenize(&text) {
-            prop_assert!(!tok.is_empty());
-            prop_assert_eq!(tok.clone(), tok.to_lowercase());
-        }
+        tokens_are_lowercase_nonempty(&text);
     }
 
     #[test]
     fn tokenize_is_idempotent_through_join(text in text_strategy()) {
-        let once = tokenize(&text);
-        let again = tokenize(&once.join(" "));
-        prop_assert_eq!(once, again);
+        tokenize_survives_join(&text);
     }
 
     #[test]
     fn normalize_is_idempotent(text in text_strategy()) {
-        let once = normalize(&text);
-        prop_assert_eq!(normalize(&once), once);
+        normalize_is_a_fixpoint(&text);
     }
 
     #[test]
@@ -64,12 +132,7 @@ proptest! {
 
     #[test]
     fn sentences_are_nonempty_and_bounded(text in text_strategy()) {
-        let sentences = split_sentences(&text);
-        let words = text.split_whitespace().count();
-        prop_assert!(sentences.len() <= words + 1);
-        for s in &sentences {
-            prop_assert!(!s.trim().is_empty());
-        }
+        sentences_nonempty_and_bounded(&text);
     }
 
     #[test]
@@ -77,14 +140,7 @@ proptest! {
         text in text_strategy(),
         budget in 5usize..200,
     ) {
-        // Sentence counts can legitimately merge for unterminated
-        // fragments, but the word sequence must survive exactly.
-        let seg = SentenceSegmenter { max_tokens: budget };
-        let chunks = seg.segment(&text);
-        let original: Vec<&str> = text.split_whitespace().collect();
-        let rejoined = chunks.join(" ");
-        let after: Vec<&str> = rejoined.split_whitespace().collect();
-        prop_assert_eq!(original, after);
+        segmenter_preserves_words(&text, budget);
     }
 
     #[test]
@@ -135,22 +191,7 @@ proptest! {
     #[test]
     fn metrics_bounded_and_perfect_on_identity(text in "[a-z ]{1,40}") {
         prop_assume!(!tokenize(&text).is_empty());
-        let refs = vec![text.clone()];
-        for metric in [rouge_l(&text, &refs), f1_match(&text, &refs)] {
-            prop_assert!((0.0..=1.0).contains(&metric));
-            prop_assert!(metric > 0.9, "identity should score ~1, got {metric}");
-        }
-        prop_assert!(bleu(&text, &refs, 1) > 0.9);
-        // METEOR's fragmentation penalty caps very short identical strings
-        // (a single matched token in a single chunk scores 0.5, as in the
-        // reference implementation); only require near-1 on longer texts.
-        let m = meteor(&text, &refs);
-        prop_assert!((0.0..=1.0).contains(&m));
-        if tokenize(&text).len() >= 3 {
-            prop_assert!(m > 0.9, "identity meteor on long text: {m}");
-        } else {
-            prop_assert!(m >= 0.5, "identity meteor on short text: {m}");
-        }
+        metrics_perfect_on_identity(&text);
     }
 
     #[test]

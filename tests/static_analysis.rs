@@ -23,11 +23,9 @@ use sage::lint::{
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The workspace root: Cargo sets the manifest dir when running under
-/// `cargo test`; the offline harness runs test binaries from the repo
-/// root, where `.` is correct.
+/// The workspace root: the facade package's manifest directory.
 fn workspace_root() -> &'static Path {
-    Path::new(option_env!("CARGO_MANIFEST_DIR").unwrap_or("."))
+    Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
 #[test]
@@ -245,5 +243,76 @@ fn analysis_phases_are_timed() {
         phases,
         ["scan", "callgraph", "panic-reachability", "determinism-taint", "stale-suppression"],
         "phase timing list changed shape"
+    );
+}
+
+/// Every manifest the build reads: the root, the workspace members and the
+/// benchmark package.
+fn manifests(root: &Path) -> Vec<PathBuf> {
+    let mut found = vec![root.join("Cargo.toml"), root.join("benchmark/Cargo.toml")];
+    for members in ["crates", "shims"] {
+        for entry in std::fs::read_dir(root.join(members)).expect("member directory readable") {
+            let manifest = entry.expect("directory entry").path().join("Cargo.toml");
+            if manifest.is_file() {
+                found.push(manifest);
+            }
+        }
+    }
+    found.sort();
+    found
+}
+
+/// `(section, key, value)` for each `key = value` line of a dependency table.
+fn dependency_entries(manifest: &str) -> Vec<(String, String, String)> {
+    let mut section = String::new();
+    let mut entries = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[') {
+            section = header.trim_end_matches(']').trim().to_string();
+            // `[dependencies.name]` would hide a requirement from the scan below.
+            assert!(!section.contains("dependencies."), "write [{section}] as an inline table");
+        } else if section.ends_with("dependencies") && !line.starts_with('#') {
+            if let Some((key, value)) = line.split_once('=') {
+                entries.push((section.clone(), key.trim().to_string(), value.trim().to_string()));
+            }
+        }
+    }
+    entries
+}
+
+#[test]
+fn every_dependency_is_a_path_inside_the_repository() {
+    let root = workspace_root().canonicalize().expect("workspace root exists");
+    let manifests = manifests(&root);
+    assert!(manifests.len() > 20, "manifest walk found only {}", manifests.len());
+    let read = |m: &Path| std::fs::read_to_string(m).expect("manifest readable");
+    let shared: Vec<String> = dependency_entries(&read(&root.join("Cargo.toml")))
+        .into_iter()
+        .filter(|(section, _, _)| section == "workspace.dependencies")
+        .map(|(_, key, _)| key)
+        .collect();
+    let mut offenders = Vec::new();
+    for manifest in &manifests {
+        let dir = manifest.parent().expect("manifest has a directory");
+        for (section, key, value) in dependency_entries(&read(manifest)) {
+            let local = match key.strip_suffix(".workspace") {
+                // Inherited: the root's own entry is checked on its turn.
+                Some(name) => value == "true" && shared.iter().any(|s| s == name),
+                None => value
+                    .split_once("path")
+                    .and_then(|(_, rest)| rest.split('"').nth(1))
+                    .and_then(|rel| dir.join(rel).canonicalize().ok())
+                    .is_some_and(|target| manifests.contains(&target.join("Cargo.toml"))),
+            };
+            if !local {
+                offenders.push(format!("{}: [{section}] {key} = {value}", manifest.display()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "dependencies that are not path crates of this repository (the build must \
+         resolve with an empty registry and no network):\n  {}",
+        offenders.join("\n  ")
     );
 }
