@@ -36,16 +36,18 @@ fn bench_segmentation(c: &mut Criterion) {
 
 fn bench_vecdb(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
-    let dim = 64;
-    let mut group = c.benchmark_group("vecdb_query");
-    for &n in &[1_000usize, 10_000] {
-        let vectors: Vec<Vec<f32>> = (0..n)
+    let mut unit_vectors = |n: usize, dim: usize| -> Vec<Vec<f32>> {
+        (0..n)
             .map(|_| {
                 let mut v: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
                 sage::nn::matrix::l2_normalize(&mut v);
                 v
             })
-            .collect();
+            .collect()
+    };
+    let mut group = c.benchmark_group("vecdb_query");
+    for &n in &[1_000usize, 10_000] {
+        let vectors = unit_vectors(n, 64);
         let mut flat = FlatIndex::cosine();
         let mut hnsw = HnswIndex::cosine();
         let mut ivf = IvfIndex::cosine();
@@ -65,6 +67,19 @@ fn bench_vecdb(c: &mut Criterion) {
             b.iter(|| black_box(ivf.search(black_box(&query), 10)))
         });
     }
+    // The repo benchmark's `ask_dense` shape (23k chunks x 256-d, top 32):
+    // a 24 MB arena, where the scan runs at memory speed, not cache speed.
+    let n = 23_000usize;
+    let vectors = unit_vectors(n, 256);
+    let query = vectors[n / 2].clone();
+    let mut flat = FlatIndex::cosine();
+    flat.reserve(n);
+    for v in vectors {
+        flat.add(v);
+    }
+    group.bench_with_input(BenchmarkId::new("flat_top32", n), &n, |b, _| {
+        b.iter(|| black_box(flat.search(black_box(&query), 32)))
+    });
     group.finish();
 }
 

@@ -94,6 +94,7 @@ impl<E: Embedder, I: VectorIndex> Retriever for DenseRetriever<E, I> {
     fn index(&mut self, chunks: &[String]) {
         // Rebuild from scratch: chunk ids must equal slice indices.
         self.index.clear();
+        self.index.reserve(chunks.len());
         self.indexed = 0;
         for chunk in chunks {
             let v = self.embedder.embed(chunk);

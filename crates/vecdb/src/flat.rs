@@ -1,39 +1,16 @@
-//! Exact brute-force index over a contiguous vector arena.
+//! Exact brute-force index: one scan of the crate's row arena per query.
 //!
-//! Scan + binary-heap top-N. At the paper's corpus sizes (thousands of
-//! chunks per document) an exact scan is microseconds, so this is the
-//! default index for accuracy experiments; the `micro_vecdb` bench
-//! quantifies where [`crate::HnswIndex`] overtakes it.
+//! One dot product and one divide per row, and a bounded top-N that a row
+//! enters only by beating the current worst. A per-document index
+//! (thousands of chunks) scans in microseconds; the corpus-wide benchmark
+//! index (23k rows x 256-d, 24 MB) takes milliseconds and is bound by
+//! memory bandwidth. The default index for accuracy experiments; the
+//! `micro` bench quantifies where [`crate::HnswIndex`] overtakes it.
 
+use crate::arena::Arena;
 use crate::metric::Metric;
 use crate::{Hit, VectorIndex};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// Min-heap entry so the heap evicts the *worst* of the current top-N.
-#[derive(PartialEq)]
-struct HeapHit(Hit);
-
-impl Eq for HeapHit {}
-
-impl PartialOrd for HeapHit {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapHit {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse on score => BinaryHeap::peek is the smallest score.
-        // NaN-safe: total_cmp. Ties broken by id for determinism.
-        other
-            .0
-            .score
-            .total_cmp(&self.0.score)
-            .then_with(|| self.0.id.cmp(&other.0.id))
-    }
-}
 
 /// Exact top-N index backed by one contiguous `Vec<f32>` arena.
 ///
@@ -48,16 +25,14 @@ impl Ord for HeapHit {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlatIndex {
-    metric: Metric,
-    dim: usize,
-    data: Vec<f32>,
+    arena: Arena,
 }
 
 impl FlatIndex {
     /// Empty index with the given metric; the dimensionality is fixed by
     /// the first insert.
     pub fn new(metric: Metric) -> Self {
-        Self { metric, dim: 0, data: Vec::new() }
+        Self { arena: Arena::new(metric) }
     }
 
     /// Empty cosine index (the paper default).
@@ -67,32 +42,28 @@ impl FlatIndex {
 
     /// Borrow the vector with internal id `id`.
     pub fn vector(&self, id: usize) -> Option<&[f32]> {
-        if self.dim == 0 || id >= self.len() {
-            return None;
-        }
-        // sage-lint: allow(panic-reachability) - the id >= len guard above makes the dim-wide row slice valid
-        Some(&self.data[id * self.dim..(id + 1) * self.dim])
+        self.arena.row(id).map(|row| row.vector)
     }
 
     /// Serialize to a compact binary blob (little-endian):
     /// `[metric u8][dim u32][count u32][f32 * dim * count]`.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(9 + self.data.len() * 4);
-        buf.put_u8(match self.metric {
+        let mut buf = BytesMut::with_capacity(9 + self.len() * self.dim() * 4);
+        buf.put_u8(match self.arena.metric() {
             Metric::Cosine => 0,
             Metric::Dot => 1,
             Metric::NegEuclidean => 2,
         });
-        buf.put_u32_le(self.dim as u32);
+        buf.put_u32_le(self.dim() as u32);
         buf.put_u32_le(self.len() as u32);
-        for &v in &self.data {
+        for &v in self.arena.rows().flat_map(|row| row.vector) {
             buf.put_f32_le(v);
         }
         buf.freeze()
     }
 
-    /// Deserialize a blob produced by [`FlatIndex::to_bytes`].
-    /// Returns `None` on malformed input.
+    /// Deserialize a blob produced by [`FlatIndex::to_bytes`]; the norms
+    /// are taken again from the rows. Returns `None` on malformed input.
     pub fn from_bytes(mut bytes: Bytes) -> Option<Self> {
         if bytes.remaining() < 9 {
             return None;
@@ -106,14 +77,33 @@ impl FlatIndex {
         let dim = bytes.get_u32_le() as usize;
         let count = bytes.get_u32_le() as usize;
         let need = dim.checked_mul(count)?.checked_mul(4)?;
-        if bytes.remaining() != need {
+        if bytes.remaining() != need || (dim == 0 && count > 0) {
             return None;
         }
-        let mut data = Vec::with_capacity(dim * count);
-        for _ in 0..dim * count {
-            data.push(bytes.get_f32_le());
+        let mut index = Self::new(metric);
+        index.reserve(count);
+        for _ in 0..count {
+            let row: Vec<f32> = (0..dim).map(|_| bytes.get_f32_le()).collect();
+            index.arena.push(&row);
         }
-        Some(Self { metric, dim, data })
+        Some(index)
+    }
+
+    /// Exact top-N among the rows `keep` admits ([`VectorIndex::search`]
+    /// admits all; [`crate::MutableIndex`] leaves out tombstones).
+    pub(crate) fn search_where(
+        &self,
+        query: &[f32],
+        n: usize,
+        keep: impl Fn(&usize) -> bool,
+    ) -> Vec<Hit> {
+        if self.is_empty() || n == 0 {
+            return Vec::new();
+        }
+        let (hits, scored) = self.arena.top_n(query, n, (0..self.len()).filter(keep));
+        sage_telemetry::metrics::VECDB_FLAT_SEARCHES.inc();
+        sage_telemetry::metrics::VECDB_FLAT_DISTANCE_EVALS.add(scored);
+        hits
     }
 
     /// Exact top-N over many queries concurrently (one scoped thread per
@@ -157,53 +147,31 @@ impl FlatIndex {
 
 impl VectorIndex for FlatIndex {
     fn add(&mut self, vector: Vec<f32>) -> usize {
-        if self.dim == 0 {
-            assert!(!vector.is_empty(), "cannot index empty vectors");
-            self.dim = vector.len();
-        }
-        assert_eq!(vector.len(), self.dim, "vector dim {} != index dim {}", vector.len(), self.dim);
-        let id = self.len();
-        self.data.extend_from_slice(&vector);
-        id
+        self.arena.push(&vector)
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.arena.reserve(additional);
     }
 
     fn search(&self, query: &[f32], n: usize) -> Vec<Hit> {
-        if self.dim == 0 || n == 0 {
-            return Vec::new();
-        }
-        assert_eq!(query.len(), self.dim, "query dim mismatch");
-        sage_telemetry::metrics::VECDB_FLAT_SEARCHES.inc();
-        sage_telemetry::metrics::VECDB_FLAT_DISTANCE_EVALS.add(self.len() as u64);
-        let mut heap: BinaryHeap<HeapHit> = BinaryHeap::with_capacity(n + 1);
-        for id in 0..self.len() {
-            // sage-lint: allow(panic-reachability) - ids iterate 0..len over rows sized dim*len at insert
-            let v = &self.data[id * self.dim..(id + 1) * self.dim];
-            let score = self.metric.similarity(query, v);
-            heap.push(HeapHit(Hit { id, score }));
-            if heap.len() > n {
-                heap.pop();
-            }
-        }
-        let mut hits: Vec<Hit> = heap.into_iter().map(|h| h.0).collect();
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
-        hits
+        self.search_where(query, n, |_| true)
     }
 
     fn clear(&mut self) {
-        self.dim = 0;
-        self.data.clear();
+        self.arena.clear();
     }
 
     fn len(&self) -> usize {
-        self.data.len().checked_div(self.dim).unwrap_or(0)
+        self.arena.len()
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.arena.dim()
     }
 
     fn memory_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<f32>() + std::mem::size_of::<Self>()
+        self.arena.memory_bytes() + std::mem::size_of::<Self>()
     }
 }
 
@@ -279,6 +247,24 @@ mod tests {
         assert!(FlatIndex::from_bytes(Bytes::from_static(b"xx")).is_none());
         assert!(FlatIndex::from_bytes(Bytes::from_static(b"\x09\x01\x00\x00\x00\x01\x00\x00\x00"))
             .is_none());
+        // dim 0 with a row count: no payload to miss, but no rows either.
+        assert!(FlatIndex::from_bytes(Bytes::from_static(b"\x00\x00\x00\x00\x00\x05\x00\x00\x00"))
+            .is_none());
+    }
+
+    #[test]
+    fn search_is_identical_after_a_bytes_roundtrip() {
+        for metric in [Metric::Cosine, Metric::Dot, Metric::NegEuclidean] {
+            let mut idx = FlatIndex::new(metric);
+            for i in 0..40 {
+                idx.add((0..19).map(|j| ((i * 19 + j) as f32 * 0.37).sin()).collect());
+            }
+            let back = FlatIndex::from_bytes(idx.to_bytes()).expect("roundtrip");
+            for q in 0..5 {
+                let query: Vec<f32> = (0..19).map(|j| ((q * 7 + j) as f32 * 0.91).cos()).collect();
+                assert_eq!(back.search(&query, 7), idx.search(&query, 7), "{metric:?}");
+            }
+        }
     }
 
     #[test]
@@ -300,7 +286,19 @@ mod tests {
         for _ in 0..100 {
             idx.add(vec![0.0; 64]);
         }
-        assert!(idx.memory_bytes() >= 100 * 64 * 4);
+        assert!(idx.memory_bytes() >= 100 * (64 + 1) * 4, "rows and their norms");
+    }
+
+    #[test]
+    fn reserve_before_the_first_add_allocates_once() {
+        let mut idx = FlatIndex::cosine();
+        idx.reserve(100);
+        idx.add(vec![0.5; 64]);
+        let reserved = idx.memory_bytes();
+        for _ in 1..100 {
+            idx.add(vec![0.5; 64]);
+        }
+        assert_eq!(idx.memory_bytes(), reserved);
     }
 
     #[test]

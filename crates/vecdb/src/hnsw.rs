@@ -12,7 +12,8 @@
 
 // sage-lint: allow-file(panic-reachability) - node ids are assigned densely at insert and links/visited are sized to the node count before search
 
-use crate::metric::Metric;
+use crate::arena::Arena;
+use crate::metric::{Metric, Normed};
 use crate::{Hit, VectorIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,9 +64,7 @@ impl Ord for Candidate {
 #[derive(Debug, Clone)]
 pub struct HnswIndex {
     cfg: HnswConfig,
-    metric: Metric,
-    dim: usize,
-    vectors: Vec<f32>,
+    arena: Arena,
     /// `links[id][layer]` = neighbour ids of `id` at `layer`.
     links: Vec<Vec<Vec<u32>>>,
     entry: Option<usize>,
@@ -78,9 +77,7 @@ impl HnswIndex {
         Self {
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
-            metric,
-            dim: 0,
-            vectors: Vec::new(),
+            arena: Arena::new(metric),
             links: Vec::new(),
             entry: None,
         }
@@ -89,16 +86,6 @@ impl HnswIndex {
     /// Cosine index with default parameters.
     pub fn cosine() -> Self {
         Self::new(Metric::Cosine, HnswConfig::default())
-    }
-
-    #[inline]
-    fn vec_of(&self, id: usize) -> &[f32] {
-        &self.vectors[id * self.dim..(id + 1) * self.dim]
-    }
-
-    #[inline]
-    fn sim(&self, query: &[f32], id: usize) -> f32 {
-        self.metric.similarity(query, self.vec_of(id))
     }
 
     /// Geometric level assignment: P(level ≥ l) = (1/m)^l.
@@ -118,14 +105,14 @@ impl HnswIndex {
 
     /// Greedy hill-climb toward `query` at `layer`, starting from `start`.
     /// `evals` counts similarity evaluations for the caller's telemetry.
-    fn greedy_step(&self, query: &[f32], start: usize, layer: usize, evals: &mut u64) -> usize {
+    fn greedy_step(&self, query: Normed<'_>, start: usize, layer: usize, evals: &mut u64) -> usize {
         let mut best = start;
-        let mut best_score = self.sim(query, best);
+        let mut best_score = self.arena.score(query, best);
         *evals += 1;
         loop {
             let mut improved = false;
             for &nb in &self.links[best][layer] {
-                let s = self.sim(query, nb as usize);
+                let s = self.arena.score(query, nb as usize);
                 *evals += 1;
                 if s > best_score {
                     best = nb as usize;
@@ -143,7 +130,7 @@ impl HnswIndex {
     /// sorted best-first.
     fn beam_search(
         &self,
-        query: &[f32],
+        query: Normed<'_>,
         start: usize,
         layer: usize,
         ef: usize,
@@ -151,7 +138,7 @@ impl HnswIndex {
     ) -> Vec<Candidate> {
         let mut visited = vec![false; self.links.len()];
         visited[start] = true;
-        let s0 = self.sim(query, start);
+        let s0 = self.arena.score(query, start);
         *evals += 1;
         // Frontier: best-first. Results: keep the ef best seen (min at top
         // via Reverse ordering trick — we store negated comparison by
@@ -170,7 +157,7 @@ impl HnswIndex {
                     continue;
                 }
                 visited[nb] = true;
-                let s = self.sim(query, nb);
+                let s = self.arena.score(query, nb);
                 *evals += 1;
                 if results.len() < ef || s > worst(&results) {
                     frontier.push(Candidate { score: s, id: nb });
@@ -201,10 +188,10 @@ impl HnswIndex {
             self.links[nb][layer].push(id as u32);
             if self.links[nb][layer].len() > max {
                 // Prune: keep the `max` most similar neighbours of nb.
-                let nb_vec: Vec<f32> = self.vec_of(nb).to_vec();
+                let Some(nb_row) = self.arena.row(nb) else { continue };
                 let mut scored: Vec<(f32, u32)> = self.links[nb][layer]
                     .iter()
-                    .map(|&x| (self.metric.similarity(&nb_vec, self.vec_of(x as usize)), x))
+                    .map(|&x| (self.arena.score(nb_row, x as usize), x))
                     .collect();
                 scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
                 scored.truncate(max);
@@ -216,21 +203,15 @@ impl HnswIndex {
 
 impl VectorIndex for HnswIndex {
     fn add(&mut self, vector: Vec<f32>) -> usize {
-        if self.dim == 0 {
-            assert!(!vector.is_empty(), "cannot index empty vectors");
-            self.dim = vector.len();
-        }
-        assert_eq!(vector.len(), self.dim, "vector dim mismatch");
-        let id = self.links.len();
+        let id = self.arena.push(&vector);
         let level = self.random_level();
-        self.vectors.extend_from_slice(&vector);
         self.links.push(vec![Vec::new(); level + 1]);
 
         let Some(entry) = self.entry else {
             self.entry = Some(id);
             return id;
         };
-        let query = self.vec_of(id).to_vec();
+        let query = self.arena.query(&vector);
         let entry_level = self.links[entry].len() - 1;
 
         // Phase 1: greedy descent through layers above `level`.
@@ -239,7 +220,7 @@ impl VectorIndex for HnswIndex {
         let mut ep = entry;
         let mut layer = entry_level;
         while layer > level {
-            ep = self.greedy_step(&query, ep, layer, &mut build_evals);
+            ep = self.greedy_step(query, ep, layer, &mut build_evals);
             layer -= 1;
         }
         // Phase 2: beam search + connect on each layer from min(level,
@@ -247,7 +228,7 @@ impl VectorIndex for HnswIndex {
         let top = level.min(entry_level);
         for l in (0..=top).rev() {
             let candidates =
-                self.beam_search(&query, ep, l, self.cfg.ef_construction, &mut build_evals);
+                self.beam_search(query, ep, l, self.cfg.ef_construction, &mut build_evals);
             ep = candidates.first().map_or(ep, |c| c.id);
             self.connect(id, &candidates, l);
         }
@@ -265,7 +246,7 @@ impl VectorIndex for HnswIndex {
         if n == 0 {
             return Vec::new();
         }
-        assert_eq!(query.len(), self.dim, "query dim mismatch");
+        let query = self.arena.query(query);
         let mut evals = 0u64;
         let mut ep = entry;
         let entry_level = self.links[entry].len() - 1;
@@ -280,8 +261,7 @@ impl VectorIndex for HnswIndex {
     }
 
     fn clear(&mut self) {
-        self.dim = 0;
-        self.vectors.clear();
+        self.arena.clear();
         self.links.clear();
         self.entry = None;
         self.rng = StdRng::seed_from_u64(self.cfg.seed);
@@ -292,11 +272,11 @@ impl VectorIndex for HnswIndex {
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.arena.dim()
     }
 
     fn memory_bytes(&self) -> usize {
-        let vec_bytes = self.vectors.capacity() * 4;
+        let vec_bytes = self.arena.memory_bytes();
         let link_bytes: usize = self
             .links
             .iter()

@@ -7,8 +7,9 @@
 //! memory locality (arena per cell), HNSW is incremental with per-node
 //! links. The `micro` bench compares all three index types.
 
-// sage-lint: allow-file(panic-reachability) - cell ids come from nearest_centroid over self.cells and vector rows are sized dim*count at build
+// sage-lint: allow-file(panic-reachability) - cell ids come from nearest_centroid and the k-means assignment, both over self.cells
 
+use crate::arena::Arena;
 use crate::metric::Metric;
 use crate::{Hit, VectorIndex};
 use sage_nn::cluster::{kmeans, squared_distance};
@@ -37,15 +38,12 @@ impl Default for IvfConfig {
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
     cfg: IvfConfig,
-    metric: Metric,
-    dim: usize,
-    /// All vectors, contiguous, in insertion order (ids are offsets).
-    vectors: Vec<f32>,
+    /// All vectors in insertion order (ids are offsets).
+    arena: Arena,
     /// Trained centroids (empty until `train_size` inserts).
     centroids: Vec<Vec<f32>>,
     /// Per-cell member ids.
     cells: Vec<Vec<u32>>,
-    count: usize,
 }
 
 impl IvfIndex {
@@ -53,12 +51,9 @@ impl IvfIndex {
     pub fn new(metric: Metric, cfg: IvfConfig) -> Self {
         Self {
             cfg,
-            metric,
-            dim: 0,
-            vectors: Vec::new(),
+            arena: Arena::new(metric),
             centroids: Vec::new(),
             cells: Vec::new(),
-            count: 0,
         }
     }
 
@@ -70,11 +65,6 @@ impl IvfIndex {
     /// Whether the coarse quantiser has been trained yet.
     pub fn is_trained(&self) -> bool {
         !self.centroids.is_empty()
-    }
-
-    #[inline]
-    fn vec_of(&self, id: usize) -> &[f32] {
-        &self.vectors[id * self.dim..(id + 1) * self.dim]
     }
 
     fn nearest_cell(&self, v: &[f32]) -> usize {
@@ -93,7 +83,7 @@ impl IvfIndex {
     /// Train the quantiser on everything inserted so far and assign all
     /// vectors to cells.
     fn train(&mut self) {
-        let all: Vec<Vec<f32>> = (0..self.count).map(|i| self.vec_of(i).to_vec()).collect();
+        let all: Vec<Vec<f32>> = self.arena.rows().map(|row| row.vector.to_vec()).collect();
         let k = self.cfg.nlist.min(all.len()).max(1);
         let km = kmeans(&all, k, self.cfg.train_iters);
         self.centroids = km.centroids;
@@ -102,88 +92,62 @@ impl IvfIndex {
             self.cells[cell].push(id as u32);
         }
     }
-
-    fn score_ids<'a>(
-        &self,
-        query: &[f32],
-        ids: impl Iterator<Item = &'a u32>,
-        n: usize,
-    ) -> Vec<Hit> {
-        let mut hits: Vec<Hit> = ids
-            .map(|&id| Hit {
-                id: id as usize,
-                score: self.metric.similarity(query, self.vec_of(id as usize)),
-            })
-            .collect();
-        sage_telemetry::metrics::VECDB_IVF_DISTANCE_EVALS.add(hits.len() as u64);
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
-        hits.truncate(n);
-        hits
-    }
 }
 
 impl VectorIndex for IvfIndex {
     fn add(&mut self, vector: Vec<f32>) -> usize {
-        if self.dim == 0 {
-            assert!(!vector.is_empty(), "cannot index empty vectors");
-            self.dim = vector.len();
-        }
-        assert_eq!(vector.len(), self.dim, "vector dim mismatch");
-        let id = self.count;
-        self.vectors.extend_from_slice(&vector);
-        self.count += 1;
+        let id = self.arena.push(&vector);
         if self.is_trained() {
-            let cell = self.nearest_cell(self.vec_of(id));
+            let cell = self.nearest_cell(&vector);
             self.cells[cell].push(id as u32);
-        } else if self.count >= self.cfg.train_size {
+        } else if self.len() >= self.cfg.train_size {
             self.train();
         }
         id
     }
 
     fn search(&self, query: &[f32], n: usize) -> Vec<Hit> {
-        if self.count == 0 || n == 0 {
+        if self.is_empty() || n == 0 {
             return Vec::new();
         }
-        assert_eq!(query.len(), self.dim, "query dim mismatch");
         sage_telemetry::metrics::VECDB_IVF_SEARCHES.inc();
-        if !self.is_trained() {
+        let (hits, scored) = if self.is_trained() {
+            // Probe the nprobe nearest cells.
+            let mut cell_order: Vec<(f32, usize)> = self
+                .centroids
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (squared_distance(query, c), i))
+                .collect();
+            cell_order.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            let nprobe = self.cfg.nprobe.max(1).min(cell_order.len());
+            sage_telemetry::metrics::VECDB_IVF_CELLS_PROBED.add(nprobe as u64);
+            let probed = cell_order.iter().take(nprobe).flat_map(|&(_, cell)| &self.cells[cell]);
+            self.arena.top_n(query, n, probed.map(|&id| id as usize))
+        } else {
             // Exact scan over the pre-training buffer.
-            let all: Vec<u32> = (0..self.count as u32).collect();
-            return self.score_ids(query, all.iter(), n);
-        }
-        // Probe the nprobe nearest cells.
-        let mut cell_order: Vec<(f32, usize)> = self
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (squared_distance(query, c), i))
-            .collect();
-        cell_order.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        let nprobe = self.cfg.nprobe.max(1).min(cell_order.len());
-        sage_telemetry::metrics::VECDB_IVF_CELLS_PROBED.add(nprobe as u64);
-        let probed = cell_order.iter().take(nprobe).flat_map(|&(_, cell)| self.cells[cell].iter());
-        self.score_ids(query, probed, n)
+            self.arena.top_n(query, n, 0..self.len())
+        };
+        sage_telemetry::metrics::VECDB_IVF_DISTANCE_EVALS.add(scored);
+        hits
     }
 
     fn clear(&mut self) {
-        self.dim = 0;
-        self.vectors.clear();
+        self.arena.clear();
         self.centroids.clear();
         self.cells.clear();
-        self.count = 0;
     }
 
     fn len(&self) -> usize {
-        self.count
+        self.arena.len()
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.arena.dim()
     }
 
     fn memory_bytes(&self) -> usize {
-        self.vectors.capacity() * 4
+        self.arena.memory_bytes()
             + self.centroids.iter().map(|c| c.capacity() * 4 + 24).sum::<usize>()
             + self.cells.iter().map(|c| c.capacity() * 4 + 24).sum::<usize>()
             + std::mem::size_of::<Self>()
@@ -217,7 +181,7 @@ mod tests {
         let q = random_unit(&mut rng, 8);
         let mut flat = FlatIndex::cosine();
         for i in 0..50 {
-            flat.add(idx.vec_of(i).to_vec());
+            flat.add(idx.arena.row(i).unwrap().vector.to_vec());
         }
         assert_eq!(idx.search(&q, 5), flat.search(&q, 5), "pre-training must be exact");
     }

@@ -17,15 +17,18 @@
 //! side of `sage-core`'s live-corpus writer. All mutation of it is
 //! confined to that writer by the `mutation-behind-writer` lint rule.
 //!
-//! All three assign sequential internal ids in insertion order, which is exactly
-//! the paper's "record of the mapping between the index of each chunk in 𝕋
-//! and its corresponding vector" (§III-A): insert chunks in order and the
-//! internal id *is* the chunk index.
+//! All three keep their rows in one arena type (a norm per row, taken at
+//! insert) and score through one `dot`, so a (query, row) pair gets the same
+//! bits from each. All three assign sequential internal ids in insertion
+//! order, which is exactly the paper's "record of the mapping between the
+//! index of each chunk in 𝕋 and its corresponding vector" (§III-A): insert
+//! chunks in order and the internal id *is* the chunk index.
 //!
 //! [`SharedIndex`] wraps any index for concurrent query workloads
 //! (scalability experiment), and [`flat::FlatIndex::to_bytes`] provides a
 //! compact persistence format.
 
+mod arena;
 pub mod flat;
 pub mod hnsw;
 pub mod ivf;
@@ -57,6 +60,10 @@ pub trait VectorIndex: Send + Sync {
     ///
     /// Panics if the vector dimensionality differs from earlier inserts.
     fn add(&mut self, vector: Vec<f32>) -> usize;
+
+    /// Hint that `additional` more vectors are coming, so an index that
+    /// stores rows contiguously can allocate for them once.
+    fn reserve(&mut self, _additional: usize) {}
 
     /// Remove all vectors, keeping configuration (metric, parameters).
     fn clear(&mut self);

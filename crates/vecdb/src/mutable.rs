@@ -3,9 +3,10 @@
 //! Deletion in an append-only vector index is logical: [`MutableIndex`]
 //! keeps every inserted vector in a [`FlatIndex`] arena (optionally
 //! shadowed by an [`HnswIndex`] ANN tier), marks deleted slots in a
-//! tombstone bitmap, filters tombstones out of search results, and
-//! periodically [`compact`](MutableIndex::compact)s — rebuilding both tiers
-//! from the survivors so the dead mass does not grow without bound.
+//! tombstone bitmap, skips tombstoned rows while scanning (the HNSW tier
+//! cannot, so it over-fetches and filters), and periodically
+//! [`compact`](MutableIndex::compact)s — rebuilding both tiers from the
+//! survivors so the dead mass does not grow without bound.
 //!
 //! Compaction is deterministic: survivors are re-inserted in id order and
 //! the HNSW tier is rebuilt from a fresh seeded RNG, so two stores that
@@ -170,13 +171,12 @@ impl VectorIndex for MutableIndex {
         if n == 0 || self.live_len() == 0 {
             return Vec::new();
         }
-        // Over-fetch by the tombstone count so n live hits survive the
-        // filter even if every dead slot outranks them.
-        let fetch = n.saturating_add(self.dead_count);
-        let raw = match &self.hnsw {
-            Some(h) => h.search(query, fetch),
-            None => self.flat.search(query, fetch),
+        let Some(hnsw) = &self.hnsw else {
+            return self.flat.search_where(query, n, |&id| !self.dead[id]);
         };
+        // The graph cannot skip slots: over-fetch by the tombstone count so
+        // n live hits survive the filter even if every dead slot outranks them.
+        let raw = hnsw.search(query, n.saturating_add(self.dead_count));
         let mut hits: Vec<Hit> = raw.into_iter().filter(|h| !self.dead[h.id]).collect();
         hits.truncate(n);
         hits
