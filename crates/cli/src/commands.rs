@@ -477,44 +477,13 @@ fn live_soak(flags: &Flags) -> Result<(), String> {
 /// `sage lint` — run the workspace static analyzer (`sage-lint`) over a
 /// source tree. Exits nonzero when violations survive suppression or
 /// when the `--baseline` ratchet deviates, so `scripts/check.sh` and CI
-/// can gate on it. `--format sarif` emits SARIF 2.1.0 for code-scanning
-/// viewers, `--validate-sarif` parses such a file back as a
-/// well-formedness smoke, and `--metrics-out` exports per-phase analysis
-/// cost for `sage top`.
+/// can gate on it.
 pub fn lint(flags: &Flags) -> Result<(), String> {
     let root = flags.get_or("root", ".");
-
-    // Standalone mode: check a previously emitted SARIF file for the
-    // invariants the renderer promises, then exit.
-    if let Some(path) = flags.get("validate-sarif").filter(|p| !p.is_empty()) {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read SARIF file {path}: {e}"))?;
-        let n = sage::lint::sarif::validate(&text).map_err(|e| format!("{path}: {e}"))?;
-        println!("{path}: well-formed SARIF with {n} result(s)");
-        return Ok(());
-    }
-
-    let analysis = sage::lint::workspace_analysis(std::path::Path::new(root))
+    let report = &sage::lint::workspace_report(std::path::Path::new(root))
         .map_err(|e| format!("cannot scan {root}: {e}"))?;
-    let report = &analysis.report;
     if report.files_scanned == 0 {
         return Err(format!("{root} has no workspace sources (expected src/ or crates/*/src/)"));
-    }
-
-    if let Some(path) = flags.get("callgraph").filter(|p| !p.is_empty()) {
-        std::fs::write(path, analysis.graph.to_json(&analysis.workspace))
-            .map_err(|e| format!("cannot write call graph {path}: {e}"))?;
-        eprintln!("wrote call graph -> {path}");
-    }
-    if let Some(path) = flags.get("metrics-out").filter(|p| !p.is_empty()) {
-        std::fs::write(path, sage::telemetry::export::lint_phases(&report.timings))
-            .map_err(|e| format!("cannot write metrics file {path}: {e}"))?;
-        eprintln!("wrote lint metrics -> {path}");
-    }
-    if flags.has("timings") {
-        for (phase, ns) in &report.timings {
-            eprintln!("lint phase {phase:<22} {:8.1}ms", *ns as f64 / 1e6);
-        }
     }
 
     // `--json` predates `--format` and stays as an alias.
@@ -522,8 +491,7 @@ pub fn lint(flags: &Flags) -> Result<(), String> {
     match format {
         "human" => print!("{}", sage::lint::render_human(report)),
         "json" => println!("{}", sage::lint::render_json(report)),
-        "sarif" => println!("{}", sage::lint::sarif::render(report)),
-        other => return Err(format!("unknown --format `{other}` (expected human, json, or sarif)")),
+        other => return Err(format!("unknown --format `{other}` (expected human or json)")),
     }
 
     if let Some(path) = flags.get("baseline").filter(|p| !p.is_empty()) {
@@ -919,9 +887,8 @@ USAGE:
   sage soak --live [--live-dir <dir>] [--ops 24] [--batch 4] [--docs 16]
                [--queries 2] [--seed 42] [--retriever hashed|hnsw|bm25]
                [--crash <spec>] [--crash-seed 7]
-  sage lint    [--root <path>] [--format human|json|sarif] [--json]
-               [--baseline <path>] [--update-baseline] [--callgraph <path>]
-               [--timings] [--metrics-out <path>] [--validate-sarif <path>]
+  sage lint    [--root <path>] [--format human|json] [--json]
+               [--baseline <path>] [--update-baseline]
   sage explain [\"question\"] [--retriever R] [--naive] [--shards N] [--quorum Q]
                [--concurrency N [--exec-workers 2]]
                # print the resolved query plan: stages, middleware order,
@@ -1019,25 +986,17 @@ SCENARIOS:
 
 LINT:
   sage lint walks src/ and crates/*/src/ under --root (default: the
-  current directory) and enforces the workspace invariants: the token
-  rules (no-print, no-panic-serving, deterministic-iteration,
-  no-wallclock, layering, relaxed-atomics-confined, unwind-boundary,
-  mutation-behind-writer, recorder-behind-obs) plus the whole-program
-  rules built on the item parser and call graph: panic-reachability
-  (serving entry points must not transitively reach a panic source
-  outside a catch_unwind boundary), determinism-taint (wall-clock and
-  hash-order values must not flow into serialized outputs), and
-  stale-suppression (markers that no longer suppress anything are
-  errors). Suppressions are inline comment markers carrying a
-  justification (see DESIGN.md §9).
-  --format human|json|sarif picks the output (--json is an alias for
-  --format json; sarif emits SARIF 2.1.0). --baseline <path> enforces
-  the lint-baseline.json ratchet (per-rule counts must match exactly,
-  or carry a justification for slack); --update-baseline rewrites it.
-  --callgraph <path> dumps the resolved call graph as deterministic
-  JSON. --timings prints per-phase analysis cost; --metrics-out writes
-  it as Prometheus gauges that `sage top` renders. --validate-sarif
-  <path> re-parses an emitted SARIF file as a well-formedness smoke.
+  current directory) and enforces the workspace invariants with five
+  token rules over every library crate (no-print, no-panic-serving,
+  deterministic-iteration, no-wallclock, relaxed-atomics-confined)
+  plus stale-suppression (markers that no longer suppress anything
+  are errors) and bad-allow (malformed or unjustified markers).
+  Suppressions are inline comment markers carrying a justification
+  (see DESIGN.md §9).
+  --format human|json picks the output (--json is an alias for
+  --format json). --baseline <path> enforces the lint-baseline.json
+  ratchet (per-rule counts must match exactly, or carry a
+  justification for slack); --update-baseline rewrites it.
   Exit status is nonzero on violations or ratchet deviation.
 
 Corpus files: paragraphs separated by blank lines."

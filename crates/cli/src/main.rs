@@ -13,9 +13,8 @@
 //!              [--token-budget 50000] [--no-budget]
 //!              [--docs N | --file F --question "..."]
 //!              [--faults SPEC] [--fault-seed N] [--max-shed-rate 0.9]
-//! sage lint    [--root PATH] [--format human|json|sarif] [--baseline F]
-//!              [--update-baseline] [--callgraph F] [--timings]
-//!              [--metrics-out F] [--validate-sarif F]
+//! sage lint    [--root PATH] [--format human|json] [--baseline F]
+//!              [--update-baseline]
 //! sage explain ["question"] [--retriever R] [--naive]
 //!              [--concurrency N [--exec-workers 2]]
 //! sage top     --from metrics.prom

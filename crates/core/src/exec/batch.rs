@@ -148,14 +148,6 @@ impl RagSystem {
     /// resolved plan yields for `queries` in-flight questions on
     /// `workers` workers (the engine behind `sage explain --concurrency`).
     pub fn explain_schedule(&self, queries: usize, workers: usize) -> String {
-        let mut plan = super::QueryPlan::resolve(
-            &self.config,
-            self.retriever.is_dense(),
-            self.scorer.is_some(),
-        );
-        if let Some(ss) = &self.shards {
-            plan = plan.with_fanout(ss.fanout);
-        }
-        sched::render_schedule(&plan, queries, workers, SCHED_SEED)
+        sched::render_schedule(&self.resolve_plan(), queries, workers, SCHED_SEED)
     }
 }

@@ -35,7 +35,7 @@ use crate::resilience::QueryGuards;
 use crate::QueryResult;
 use sage_admission::{CostModel, PlanStage, QueryBudget};
 use sage_rerank::RankedChunk;
-use sage_resilience::{Fallback, SageError};
+use sage_resilience::SageError;
 use sage_telemetry::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -120,6 +120,19 @@ fn finalize(sys: &RagSystem, mut ctx: QueryCtx<'_>, total: Duration) -> QueryRes
     result
 }
 
+impl RagSystem {
+    /// The query plan this system's configuration resolves to, with the
+    /// scatter-gather fan-out attached when sharded serving is on.
+    pub(crate) fn resolve_plan(&self) -> QueryPlan {
+        let plan =
+            QueryPlan::resolve(&self.config, self.retriever.is_dense(), self.scorer.is_some());
+        match &self.shards {
+            Some(ss) => plan.with_fanout(ss.fanout),
+            None => plan,
+        }
+    }
+}
+
 /// Resolve the plan and assemble the fresh context for one query — the
 /// shared setup behind [`execute`] and the scheduler's admission step:
 /// plan resolution (with shard fan-out), guard arming, trace opening, and
@@ -131,11 +144,7 @@ pub(crate) fn prepare<'a>(
     options: Option<&'a [String]>,
     budget: Option<QueryBudget>,
 ) -> (QueryPlan, QueryCtx<'a>) {
-    let mut plan =
-        QueryPlan::resolve(&sys.config, sys.retriever.is_dense(), sys.scorer.is_some());
-    if let Some(ss) = &sys.shards {
-        plan = plan.with_fanout(ss.fanout);
-    }
+    let mut plan = sys.resolve_plan();
     let guards = sys.resilience.as_ref().map(QueryGuards::new);
     let qt = sys.telemetry.as_ref().map(|_| Trace::start(question));
     let bctl = budget.map(|b| {
@@ -178,13 +187,8 @@ pub(crate) fn execute_caught(
     options: Option<&[String]>,
     budget: Option<QueryBudget>,
 ) -> Result<QueryResult, SageError> {
-    catch_unwind(AssertUnwindSafe(|| execute(sys, question, options, budget))).map_err(|payload| {
-        let err = SageError::from_panic(payload);
-        if let Some(state) = &sys.resilience {
-            state.counters.record(Fallback::PanicIsolated);
-        }
-        err
-    })
+    catch_unwind(AssertUnwindSafe(|| execute(sys, question, options, budget)))
+        .map_err(|payload| sched::panic_error(sys, payload))
 }
 
 /// Execute the fixed-context plan: one generation call over explicit
@@ -205,7 +209,6 @@ pub(crate) fn execute_fixed(
     // placeholder.
     let assemble_start = Instant::now();
     ctx.selected = chunk_ids.to_vec();
-    // sage-lint: allow(panic-reachability) - chunk ids were produced against sys.chunks by this run's retriever
     ctx.context = chunk_ids.iter().map(|&id| sys.chunks[id].clone()).collect();
     ctx.retrieval_latency = assemble_start.elapsed();
     sched::drive_from(sys, plan, ctx, query_start)
@@ -216,11 +219,7 @@ pub(crate) fn execute_fixed(
 /// [`crate::RagSystem::rerank_scores`]. Histogram stages still record when
 /// a hub is attached, but no span trace is kept.
 pub(crate) fn run_prelude(sys: &RagSystem, question: &str) -> (Vec<usize>, Vec<RankedChunk>) {
-    let mut plan =
-        QueryPlan::resolve(&sys.config, sys.retriever.is_dense(), sys.scorer.is_some());
-    if let Some(ss) = &sys.shards {
-        plan = plan.with_fanout(ss.fanout);
-    }
+    let mut plan = sys.resolve_plan();
     let mut ctx = QueryCtx::new(question, None, None, None, None, sys.config.min_k);
     run_prelude_slots(sys, &mut plan, &mut ctx);
     (ctx.cand_ids, ctx.ranked)

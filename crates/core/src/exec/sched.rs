@@ -309,8 +309,9 @@ pub(crate) fn worker_of(seed: u64, query_seq: usize, slot_index: usize, workers:
 }
 
 /// Convert a caught panic into the structured per-query error, counted on
-/// the resilience ledger exactly as the sequential boundary counts it.
-fn panic_error(sys: &RagSystem, payload: Box<dyn std::any::Any + Send>) -> SageError {
+/// the resilience ledger — shared with the sequential boundary
+/// ([`super::execute_caught`]).
+pub(super) fn panic_error(sys: &RagSystem, payload: Box<dyn std::any::Any + Send>) -> SageError {
     let err = SageError::from_panic(payload);
     if let Some(state) = &sys.resilience {
         state.counters.record(Fallback::PanicIsolated);

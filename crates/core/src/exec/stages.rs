@@ -5,8 +5,6 @@
 //! the middleware — a stage never touches the meter or the span trace
 //! except to append degrade events.
 
-// sage-lint: allow-file(panic-reachability) - candidate ids are positions into sys.chunks produced by this run's retrieval stages
-
 use super::ctx::{QueryCtx, RoundAnswer};
 use super::middleware::push_event;
 use super::plan::{RerankMode, SelectMode, StageOp};

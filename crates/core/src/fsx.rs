@@ -14,8 +14,6 @@
 //! ([`sage_resilience::CrashPlan`]) for its recovery drills. Production
 //! callers use [`commit_bytes`], whose hook is a no-op.
 
-// sage-lint: allow-file(panic-reachability) - frame trailer offsets are guarded by the explicit TRAILER_LEN length check before each access; crc table indices are masked to 8 bits
-
 use sage_resilience::CrashPoint;
 use std::io::Write;
 use std::path::{Path, PathBuf};

@@ -332,7 +332,6 @@ impl LiveState {
         let mut survivors: Vec<ChunkSlot> = Vec::with_capacity(self.chunks.len() - self.dead);
         for (old, slot) in self.chunks.iter().enumerate() {
             if slot.live {
-                // sage-lint: allow(panic-reachability) - old indexes the remap table sized to the previous id space just above
                 remap[old] = Some(survivors.len() as u32);
                 survivors.push(slot.clone());
             }

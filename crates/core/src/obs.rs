@@ -1,10 +1,10 @@
 //! Core ↔ `sage-obs` bridge: the single place the pipeline touches the
 //! flight recorder.
 //!
-//! The `recorder-behind-obs` lint rule confines recorder mutation
-//! (`capture_query`/`capture_shed`/`roll_window`) to the `sage-obs` crate
-//! and to `obs`-named modules like this one; the executor and the soak
-//! harness call the narrow helpers below instead. Two capture paths feed
+//! The attached recorder is a private field of [`ObsState`], so recorder
+//! mutation (`capture_query`/`capture_shed`/`roll_window`) happens only
+//! here; the executor and the soak harness call the narrow helpers below
+//! instead. Two capture paths feed
 //! the recorder:
 //!
 //! - **Ad-hoc queries** (`answer_open` and friends): the executor's

@@ -67,17 +67,7 @@ impl RagSystem {
     ) -> Self {
         // 1. Segmentation (Figure 2 (A) steps 1-2).
         let seg_start = Instant::now();
-        let chunks: Vec<String> = if config.use_segmentation {
-            let segmenter = SemanticSegmenter::with_params(
-                models.segmentation.clone(),
-                config.segmentation_threshold,
-                config.coarse_tokens,
-            );
-            corpus.iter().flat_map(|doc| segmenter.segment(doc)).collect()
-        } else {
-            let segmenter = SentenceSegmenter { max_tokens: config.naive_chunk_tokens };
-            corpus.iter().flat_map(|doc| segmenter.segment(doc)).collect()
-        };
+        let chunks = Self::segment_corpus(models, &config, corpus);
         let segmentation_time = seg_start.elapsed();
 
         // 2. Index construction (steps 3-4).
@@ -119,6 +109,39 @@ impl RagSystem {
             corpus_tokens,
             memory_bytes,
         };
+        Self::assemble(config, kind, chunks, retriever, scorer, profile, stats)
+    }
+
+    /// Segment `corpus` with the strategy `config` selects: the semantic
+    /// model, or sentence-aligned chunks up to the naive token budget.
+    fn segment_corpus(
+        models: &TrainedModels,
+        config: &SageConfig,
+        corpus: &[String],
+    ) -> Vec<String> {
+        if config.use_segmentation {
+            let segmenter = SemanticSegmenter::with_params(
+                models.segmentation.clone(),
+                config.segmentation_threshold,
+                config.coarse_tokens,
+            );
+            corpus.iter().flat_map(|doc| segmenter.segment(doc)).collect()
+        } else {
+            let segmenter = SentenceSegmenter { max_tokens: config.naive_chunk_tokens };
+            corpus.iter().flat_map(|doc| segmenter.segment(doc)).collect()
+        }
+    }
+
+    /// The one struct literal: every runtime-only layer starts detached.
+    fn assemble(
+        config: SageConfig,
+        kind: RetrieverKind,
+        chunks: Vec<String>,
+        retriever: AnyRetriever,
+        scorer: Option<CrossScorer>,
+        profile: LlmProfile,
+        stats: BuildStats,
+    ) -> Self {
         Self {
             config,
             kind,
@@ -136,23 +159,14 @@ impl RagSystem {
     }
 
     /// Incrementally add documents to a built system: new text is
-    /// segmented with the same strategy, appended to the chunk store,
-    /// indexed (dense indexes extend in place; BM25 rebuilds its postings,
-    /// which costs milliseconds), and the reranker's IDF is refitted.
+    /// segmented with the same strategy, appended to the chunk store, and
+    /// the enlarged store is re-indexed from scratch (a dense retriever
+    /// clears its index and re-embeds every chunk so ids stay equal to
+    /// chunk positions; BM25 rebuilds its postings) before the reranker's
+    /// IDF is refitted.
     pub fn add_documents(&mut self, models: &TrainedModels, corpus: &[String]) {
-        let new_chunks: Vec<String> = if self.config.use_segmentation {
-            let segmenter = SemanticSegmenter::with_params(
-                models.segmentation.clone(),
-                self.config.segmentation_threshold,
-                self.config.coarse_tokens,
-            );
-            corpus.iter().flat_map(|doc| segmenter.segment(doc)).collect()
-        } else {
-            let segmenter = SentenceSegmenter { max_tokens: self.config.naive_chunk_tokens };
-            corpus.iter().flat_map(|doc| segmenter.segment(doc)).collect()
-        };
+        let new_chunks = Self::segment_corpus(models, &self.config, corpus);
         self.chunks.extend(new_chunks);
-        // Dense indexes append; BM25 rebuilds.
         self.retriever.index_chunks(&self.chunks);
         if let Some(scorer) = &mut self.scorer {
             scorer.fit_idf(&self.chunks);
@@ -341,20 +355,7 @@ impl RagSystem {
             corpus_tokens,
             memory_bytes,
         };
-        Self {
-            config,
-            kind,
-            chunks,
-            retriever,
-            scorer,
-            llm: SimLlm::new(profile),
-            stats,
-            resilience: None,
-            telemetry: None,
-            admission: None,
-            obs: None,
-            shards: None,
-        }
+        Self::assemble(config, kind, chunks, retriever, scorer, profile, stats)
     }
 
     /// The chunk store.
@@ -425,16 +426,6 @@ impl RagSystem {
     /// decisions bit-for-bit.
     pub fn answer_open_budgeted(&self, question: &str, budget: QueryBudget) -> QueryResult {
         crate::exec::execute(self, question, None, Some(budget))
-    }
-
-    /// [`RagSystem::answer_open_budgeted`] with panic isolation, mirroring
-    /// [`RagSystem::try_answer_open`].
-    pub fn try_answer_open_budgeted(
-        &self,
-        question: &str,
-        budget: QueryBudget,
-    ) -> Result<QueryResult, SageError> {
-        crate::exec::execute_caught(self, question, None, Some(budget))
     }
 
     /// Answer a multiple-choice question under a deadline/token budget.

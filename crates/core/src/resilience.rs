@@ -135,7 +135,6 @@ impl<'a> QueryGuards<'a> {
             plan: &self.state.config.plan,
             policy: &self.state.config.retry,
             clock: &self.clock,
-            // sage-lint: allow(panic-reachability) - component.idx() is a dense enum index into the fixed breaker array
             breaker: &self.breakers[component.idx()],
         }
     }

@@ -307,8 +307,8 @@ struct SimState<'a> {
     base_budget: Option<QueryBudget>,
     /// Routes each job to its home server pool (identity at one shard).
     router: ShardRouter,
-    /// Real scheduler threads per dispatch wave (`<= 1` keeps the exact
-    /// historical sequential path).
+    /// Real scheduler threads per dispatch wave (`<= 1` runs each wave
+    /// inline on the simulation thread).
     exec_workers: usize,
     /// Soak seed, reused as the scheduler's worker-assignment seed.
     seed: u64,
@@ -398,25 +398,14 @@ impl SimState<'_> {
     /// `now`, in FIFO order. A job starts when the earliest-free server of
     /// its *home shard's* pool is available *and* the job has arrived.
     ///
-    /// With `exec_workers > 1` the same FIFO sequence is cut into
-    /// *dispatch waves* — maximal prefixes whose placements are mutually
-    /// independent — and each wave's pipelines run interleaved through the
-    /// cross-query slot scheduler, with all bookkeeping replayed in FIFO
-    /// order afterwards. Virtual time never notices: logs, observations,
-    /// and reports are byte-identical to the sequential path.
+    /// The FIFO sequence is cut into *dispatch waves* — maximal prefixes
+    /// whose placements are mutually independent — and each wave's
+    /// pipelines run interleaved through the cross-query slot scheduler
+    /// (inline on this thread at `exec_workers <= 1`), with all
+    /// bookkeeping replayed in FIFO order afterwards. Virtual time never
+    /// notices: logs, observations, and reports are byte-identical at
+    /// every worker count.
     fn dispatch_until(&mut self, now: Duration) {
-        if self.exec_workers <= 1 {
-            while let Some(job) = self.pending.front() {
-                let (start, home, slot) = self.place(job);
-                if start >= now {
-                    break;
-                }
-                let Some(job) = self.pending.pop_front() else { break };
-                self.queue.release();
-                self.start(job, start, home, slot);
-            }
-            return;
-        }
         while self.dispatch_wave(now) {}
     }
 
@@ -448,8 +437,7 @@ impl SimState<'_> {
             return false;
         }
         // Run the wave's live pipelines interleaved through the slot
-        // scheduler (budgets fixed at placement time, exactly as the
-        // sequential path computes them).
+        // scheduler, budgets fixed at placement time.
         let questions: &[String] = self.questions;
         let specs: Vec<BatchSpec<'_>> = wave
             .iter()
@@ -467,8 +455,8 @@ impl SimState<'_> {
             .collect();
         let mut outcomes =
             sched::run_interleaved(self.sys, &specs, self.exec_workers, self.seed).into_iter();
-        // Replay all bookkeeping in FIFO order: horizons, logs, and
-        // observations land exactly as the sequential path writes them.
+        // Replay all bookkeeping in FIFO order, so horizons, logs, and
+        // observations never depend on how the wave was executed.
         for (job, start, home, slot, expired) in wave {
             let wait = start.saturating_sub(job.at);
             if expired {
@@ -480,28 +468,6 @@ impl SimState<'_> {
             }
         }
         true
-    }
-
-    /// Run one job at virtual time `start` on server `slot` of pool
-    /// `home` — the sequential path: execute the pipeline inline, then
-    /// settle the bookkeeping.
-    fn start(&mut self, job: Job, start: Duration, home: usize, slot: usize) {
-        let wait = start.saturating_sub(job.at);
-        if job.deadline.is_some_and(|d| start >= d) {
-            self.expire(job, start, wait);
-            return;
-        }
-        let questions: &[String] = self.questions;
-        let question = &questions[job.seq % questions.len()];
-        let outcome = match (self.base_budget, job.deadline) {
-            (Some(base), Some(deadline)) => {
-                let remaining = deadline.saturating_sub(start);
-                self.sys
-                    .try_answer_open_budgeted(question, QueryBudget::new(remaining, base.max_tokens))
-            }
-            _ => self.sys.try_answer_open(question),
-        };
-        self.settle(job, start, home, slot, outcome);
     }
 
     /// Bookkeeping for a job whose deadline passed while it queued.
@@ -533,9 +499,7 @@ impl SimState<'_> {
 
     /// Fold one finished pipeline outcome into the simulation: advance the
     /// server's busy horizon by the virtual service time and write the
-    /// job's log line and observation. Shared verbatim by the sequential
-    /// and wave paths — the outcome's deterministic fields are identical
-    /// either way, so the bookkeeping is too.
+    /// job's log line and observation.
     fn settle(
         &mut self,
         job: Job,

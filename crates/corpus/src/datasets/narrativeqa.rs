@@ -35,10 +35,8 @@ pub fn generate(cfg: SizeConfig) -> Dataset {
             order.swap(i, j);
         }
         for &idx in order.iter().take(cfg.questions_per_doc) {
-            // sage-lint: allow(panic-reachability) - idx is rng.random_range bounded by singles.len()
             let mut item = factoid_item(singles[idx], &mut rng);
             // Second human-style reference phrasing.
-            // sage-lint: allow(panic-reachability) - answers holds the gold answer pushed by factoid_item
             item.answers.push(format!("the {}", item.answers[0]));
             tasks.push(QaTask { doc: doc_id, item });
         }

@@ -64,7 +64,6 @@ pub fn generate(cfg: SizeConfig) -> Dataset {
                     continue;
                 }
             }
-            // sage-lint: allow(panic-reachability) - idx is rng.random_range bounded by singles.len()
             let item = factoid_item(singles[idx], &mut rng);
             tasks.push(QaTask { doc: doc_id, item });
             picked += 1;

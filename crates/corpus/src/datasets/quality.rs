@@ -41,7 +41,6 @@ pub fn generate(cfg: SizeConfig) -> Dataset {
             if picked >= cfg.questions_per_doc {
                 break;
             }
-            // sage-lint: allow(panic-reachability) - idx is rng.random_range bounded by singles.len()
             let item = multiple_choice_item(singles[idx], &generated.records, &mut rng);
             tasks.push(QaTask { doc: doc_id, item });
             picked += 1;

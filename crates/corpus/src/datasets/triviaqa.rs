@@ -37,7 +37,6 @@ pub fn generate(cfg: SizeConfig) -> Dataset {
             order.swap(i, j);
         }
         for &idx in order.iter().take(cfg.questions_per_doc) {
-            // sage-lint: allow(panic-reachability) - idx is rng.random_range bounded by singles.len()
             let item = factoid_item(singles[idx], &mut rng);
             tasks.push(QaTask { doc: doc_id, item });
         }

@@ -14,8 +14,6 @@
 //! * every fact sentence is recorded in a [`FactRecord`] with its exact
 //!   evidence, so experiments can check retrieval against ground truth.
 
-// sage-lint: allow-file(panic-reachability) - relation and entity indices are RELATIONS/entities positions computed in the same scope and bounded by construction
-
 // sage-lint: allow-file(deterministic-iteration) - sets/maps are uniqueness and membership guards during assembly; document text order comes from the ordered fact records, never from container iteration
 
 use crate::facts::{relations_for, Entity, EntityKind, Fact, RELATIONS};
@@ -148,7 +146,7 @@ pub fn generate_document(id: usize, spec: &DocSpec, rng: &mut StdRng) -> Generat
         let single: Vec<usize> = rels
             .iter()
             .filter(|r| !r.multi_valued)
-            .map(|r| RELATIONS.iter().position(|x| std::ptr::eq(x, *r)).unwrap())
+            .filter_map(|r| RELATIONS.iter().position(|x| std::ptr::eq(x, *r)))
             .collect();
         let n = spec.facts_per_entity.min(single.len());
         let mut chosen: Vec<usize> = single.clone();
@@ -179,6 +177,7 @@ pub fn generate_document(id: usize, spec: &DocSpec, rng: &mut StdRng) -> Generat
     let mut multi_facts: Vec<Fact> = Vec::new();
     if spec.multi_fact_count > 0 {
         if let Some(holder_idx) = entities.iter().position(|e| e.kind == EntityKind::Person) {
+            // sage-lint: allow(no-panic-serving) - RELATIONS is a static table that contains a multi-valued relation
             let rel = RELATIONS.iter().position(|r| r.multi_valued).expect("multi relation");
             let pool = RELATIONS[rel].pool.words();
             let n = spec.multi_fact_count.min(pool.len().saturating_sub(2));

@@ -330,14 +330,12 @@ pub struct Fact {
 impl Fact {
     /// The relation spec.
     pub fn spec(&self) -> &'static RelationSpec {
-        // sage-lint: allow(panic-reachability) - self.relation is a RELATIONS position by construction
         &RELATIONS[self.relation]
     }
 
     /// Draw a random fact for `entity` over `relation` (an index into
     /// [`RELATIONS`]).
     pub fn sample(entity: &Entity, relation: usize, rng: &mut StdRng) -> Self {
-        // sage-lint: allow(panic-reachability) - relation ids are RELATIONS positions by construction
         let spec = &RELATIONS[relation];
         debug_assert!(spec.applies_to.contains(&entity.kind));
         let value = Lexicon::pick(rng, spec.pool.words()).to_string();

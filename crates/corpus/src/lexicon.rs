@@ -6,8 +6,6 @@
 //! has realistic collision structure (several entities share a value pool,
 //! which is what makes distractors confusable).
 
-// sage-lint: allow-file(panic-reachability) - every index is rng.random_range bounded by the pool length on the same line
-
 use rand::rngs::StdRng;
 use rand::Rng;
 

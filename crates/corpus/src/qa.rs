@@ -11,8 +11,6 @@
 //!   retrieval case);
 //! * [`QuestionKind::Unanswerable`] — QASPER style, no supporting evidence.
 
-// sage-lint: allow-file(panic-reachability) - record slices are pre-checked for arity before head indexing; relation ids are RELATIONS positions
-
 // sage-lint: allow-file(deterministic-iteration) - sets are dedup/membership guards; questions and options are emitted in fact-record and RNG order, never by iterating these sets
 
 use crate::document::FactRecord;
@@ -203,7 +201,7 @@ pub fn unanswerable_item(doc_records: &[FactRecord], rng: &mut StdRng) -> Option
         let unused: Vec<usize> = relations_for(e.kind)
             .iter()
             .filter(|r| !r.multi_valued)
-            .map(|r| RELATIONS.iter().position(|x| std::ptr::eq(x, *r)).unwrap())
+            .filter_map(|r| RELATIONS.iter().position(|x| std::ptr::eq(x, *r)))
             .filter(|idx| !used.contains(idx))
             .collect();
         if let Some(&rel) = unused.first() {

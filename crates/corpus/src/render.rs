@@ -5,8 +5,6 @@
 //! entity-form sentence). Fixed-length segmentation that separates the two
 //! reproduces the paper's Figure 3-B failure exactly.
 
-// sage-lint: allow-file(panic-reachability) - variant is reduced modulo the template pool length on the same line
-
 use crate::facts::Fact;
 use rand::rngs::StdRng;
 use rand::Rng;

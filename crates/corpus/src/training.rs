@@ -21,6 +21,7 @@ fn random_fact(rng: &mut StdRng) -> Fact {
     let entity = if rng.random_bool(0.5) { Entity::person(rng) } else { Entity::pet(rng) };
     let rels = relations_for(entity.kind);
     let spec = rels[rng.random_range(0..rels.len())];
+    // sage-lint: allow(no-panic-serving) - relations_for returns references into RELATIONS, so the position exists
     let rel = RELATIONS.iter().position(|r| std::ptr::eq(r, spec)).unwrap();
     Fact::sample(&entity, rel, rng)
 }
@@ -118,7 +119,9 @@ pub fn segmentation_pairs(docs: &[Document], limit: usize, seed: u64) -> Vec<(St
             .filter(|s| !s.is_empty())
             .collect();
         for w in paragraphs.windows(2) {
-            negatives.push((w[0].last().unwrap().clone(), w[1][0].clone(), 0.0));
+            if let (Some(last), Some(first)) = (w[0].last(), w[1].first()) {
+                negatives.push((last.clone(), first.clone(), 0.0));
+            }
         }
         for para in &paragraphs {
             for w in para.windows(2) {

@@ -53,7 +53,6 @@ impl Embedder for HashedEmbedder {
     fn embed(&self, text: &str) -> Vec<f32> {
         let mut v = vec![0.0f32; self.dim];
         for (bucket, signed_weight) in sentence_features(text, self.dim, self.seed) {
-            // sage-lint: allow(panic-reachability) - sentence_features emits buckets reduced modulo self.dim
             v[bucket as usize] += signed_weight;
         }
         l2_normalize(&mut v);

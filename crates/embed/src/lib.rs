@@ -9,7 +9,6 @@
 //! | OpenAI `text-embedding-3-small` | [`HashedEmbedder`] | untrained, feature-hashed |
 //! | SBERT | [`SiameseEncoder`] | trainable siamese encoder |
 //! | DPR | [`DualEncoder`] | trainable dual-tower encoder |
-//! | (TF-IDF baseline) | [`TfIdfEmbedder`] | corpus-fitted sparse-to-dense |
 //!
 //! All models implement [`Embedder`]: text in, unit-L2 `f32` vector out.
 //! Dual-tower models distinguish `embed` (passage tower) from
@@ -22,13 +21,11 @@ pub mod dual;
 pub mod features;
 pub mod hashed;
 pub mod siamese;
-pub mod tfidf;
 
 pub use dual::{DualEncoder, TripletExample};
 pub use features::sentence_features;
 pub use hashed::HashedEmbedder;
 pub use siamese::{PairExample, SiameseEncoder};
-pub use tfidf::TfIdfEmbedder;
 
 /// A sentence/passage embedding model. Outputs are L2-normalised so cosine
 /// similarity reduces to a dot product in the vector database.

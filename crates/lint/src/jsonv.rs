@@ -1,8 +1,7 @@
 //! A minimal, dependency-free JSON reader.
 //!
 //! Exists so the lint crate can parse its own machine outputs back —
-//! the SARIF well-formedness smoke in `scripts/check.sh` and the
-//! `lint-baseline.json` ratchet both need a reader, and the workspace
+//! the `lint-baseline.json` ratchet needs a reader, and the workspace
 //! bans external deps in `crates/lint`. Supports the full JSON value
 //! grammar with a recursion cap; numbers are kept as `f64`, which is
 //! exact for every count the lint engine writes.

@@ -18,9 +18,7 @@
 //! exactly enough lexical structure to never confuse program text with
 //! literal text. Numeric literals are consumed as opaque blobs; generic
 //! angle brackets, pattern syntax, and macro bodies all flow through as
-//! plain punctuation, which is sufficient for the token-pattern rules,
-//! and the item parser ([`crate::parser`]) recovers fn/impl/mod/use
-//! structure from the same stream for the whole-program analyses.
+//! plain punctuation, which is sufficient for the token-pattern rules.
 
 /// What kind of token this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,8 +392,9 @@ fn skip_char_or_lifetime(chars: &[char], i: usize, pos: &mut Pos) -> usize {
     let len = chars.len();
     match chars.get(i + 1) {
         Some('\\') => {
-            // Escaped char literal: scan to the closing quote.
-            let mut j = i + 2;
+            // Escaped char literal: scan to the closing quote, starting on
+            // the backslash so `'\\'` ends at its own quote.
+            let mut j = i + 1;
             while j < len {
                 match chars[j] {
                     '\\' => {
@@ -601,6 +600,10 @@ mod tests {
         let src = "let q = '\"'; let n = '\\n'; let p = '('; tail();";
         let ids = idents(src);
         assert_eq!(ids, vec!["let", "q", "let", "n", "let", "p", "tail"]);
+        // An escaped backslash or quote ends at its own closing quote, so
+        // the code after it stays visible.
+        let src = "let b = '\\\\'; let s = '\\''; let u = '\\u{1F600}'; tail();";
+        assert_eq!(idents(src), vec!["let", "b", "let", "s", "let", "u", "tail"]);
     }
 
     #[test]

@@ -1,22 +1,13 @@
 //! `sage-lint` — dependency-free static analysis for the SAGE workspace.
 //!
-//! Two layers share one engine:
-//!
-//! * **Token rules.** The analyzer lexes every `.rs` file with its own
-//!   minimal Rust lexer ([`lexer`]) — comments, strings, raw strings,
-//!   and char literals are skipped, so rules can never fire on text
-//!   content — and runs nine token-pattern rules ([`rules`]) enforcing
-//!   the invariants SAGE's evaluation rests on: determinism,
-//!   panic-freedom on the serving path, the inter-crate layering DAG,
-//!   and the confinement of mutation/recorder/unwind surfaces.
-//! * **Whole-program rules.** An item-level parser ([`parser`]) lifts
-//!   the token stream into fn/impl/mod/use trees, symbol resolution
-//!   ([`resolve`]) honours the same crate DAG the layering rule
-//!   enforces, and a call graph ([`callgraph`]) feeds two reachability
-//!   analyses ([`semantic`]): panic-reachability (serving entry points
-//!   never transitively reach a panic site outside an unwind boundary)
-//!   and determinism-taint (wall-clock / RandomState / Relaxed values
-//!   never flow into byte-compared serialized outputs).
+//! The analyzer lexes every `.rs` file with its own minimal Rust lexer
+//! ([`lexer`]) — comments, strings, raw strings, and char literals are
+//! skipped, so rules can never fire on text content — and runs five
+//! token-pattern rules ([`rules`]) enforcing the invariants SAGE's
+//! evaluation rests on: determinism (no prints, no `RandomState`
+//! containers, no wall-clock reads, no `Relaxed` atomics outside
+//! telemetry) and panic-freedom in every library crate a query links.
+//! Module privacy and the crate DAG are left to the compiler and cargo.
 //!
 //! A violation can be suppressed with an inline comment marker naming
 //! the rule and carrying a justification (the exact grammar is
@@ -26,30 +17,20 @@
 //! suppresses anything is reported as `stale-suppression` — neither can
 //! be suppressed, which keeps the marker inventory honest.
 //!
-//! Machine consumers get JSON ([`render_json`]), SARIF 2.1.0
-//! ([`sarif`]), and a committed per-rule ratchet ([`ratchet`]) that CI
-//! asserts non-increasing. Four consumers share this crate: the
-//! `sage-cli lint` subcommand, the tier-1 tests in
-//! `tests/static_analysis.rs`, the `scripts/check.sh` gate, and the
-//! `lint_overhead` bench.
+//! Machine consumers get JSON ([`render_json`]) and a committed per-rule
+//! ratchet ([`ratchet`]) that CI asserts non-increasing. Three consumers
+//! share this crate: the `sage-cli lint` subcommand, the tier-1 tests in
+//! `tests/static_analysis.rs`, and the `scripts/check.sh` gate.
 
-// sage-lint: allow-file(no-wallclock) - phase-cost metering surfaced to `sage top`; analysis results never depend on elapsed time
-
-pub mod callgraph;
 pub mod jsonv;
 pub mod lexer;
-pub mod parser;
 pub mod ratchet;
-pub mod resolve;
 pub mod rules;
-pub mod sarif;
-pub mod semantic;
 
 use lexer::AllowMarker;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// One rule violation at a specific source location.
 #[derive(Debug, Clone)]
@@ -92,11 +73,6 @@ pub struct Report {
     pub suppressed: usize,
     /// Suppressions broken down by rule — the ratchet's raw material.
     pub suppressed_by_rule: BTreeMap<String, usize>,
-    /// Wall-clock cost of each analysis phase in nanoseconds, in run
-    /// order. Reported out-of-band (CLI `--timings`, telemetry gauges);
-    /// never part of the JSON/SARIF documents, which must be
-    /// byte-stable for identical inputs.
-    pub timings: Vec<(&'static str, u64)>,
 }
 
 impl Report {
@@ -166,25 +142,39 @@ fn marker_hits(m: &AllowMarker, rule: &str, line: u32) -> bool {
     m.rules.iter().any(|r| r == rule) && (m.file_level || m.line == line || m.line + 1 == line)
 }
 
-/// Lint a single file's source text with the token rules only — the
-/// whole-program rules need the full workspace. `crate_key` is the
+/// One file through the engine: the violations that survive suppression
+/// (with `bad-allow` findings, unsorted), the rule of each suppressed
+/// violation, and the valid markers that suppressed nothing.
+fn lint_file(
+    crate_key: &str,
+    file: &str,
+    source: &str,
+) -> (Vec<Violation>, Vec<&'static str>, Vec<AllowMarker>) {
+    let lexed = lexer::lex(source);
+    let (valid, mut out) = validate_markers(file, &lexed.markers);
+    let mut used = vec![false; valid.len()];
+    let mut suppressed = Vec::new();
+    for v in rules::check_file(crate_key, file, &lexed.tokens) {
+        match valid.iter().position(|m| marker_hits(m, v.rule, v.line)) {
+            Some(mi) => {
+                used[mi] = true;
+                suppressed.push(v.rule);
+            }
+            None => out.push(v),
+        }
+    }
+    let unused = valid.into_iter().zip(used).filter(|(_, used)| !used).map(|(m, _)| m).collect();
+    (out, suppressed, unused)
+}
+
+/// Lint a single file's source text; staleness of its markers is judged
+/// by [`workspace_report`] only. `crate_key` is the
 /// workspace crate the file belongs to (`"core"`, `"text"`, …, or
 /// `"sage"` for the facade); `file` is the path used in diagnostics.
 pub fn lint_source(crate_key: &str, file: &str, source: &str) -> FileReport {
-    let lexed = lexer::lex(source);
-    let raw = rules::check_file(crate_key, file, &lexed.tokens);
-    let (valid, mut out) = validate_markers(file, &lexed.markers);
-
-    let mut suppressed = 0usize;
-    for v in raw {
-        if valid.iter().any(|m| marker_hits(m, v.rule, v.line)) {
-            suppressed += 1;
-        } else {
-            out.push(v);
-        }
-    }
-    out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
-    FileReport { violations: out, suppressed }
+    let (mut violations, suppressed, _) = lint_file(crate_key, file, source);
+    violations.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
+    FileReport { violations, suppressed: suppressed.len() }
 }
 
 /// Map a workspace-relative path to its crate key: `crates/<key>/src/…`
@@ -221,25 +211,10 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The full result of a workspace analysis: the report plus the symbol
-/// table and call graph it was derived from (for `--callgraph` and the
-/// tier-1 spec-drift tests).
-pub struct Analysis {
-    pub report: Report,
-    pub workspace: resolve::Workspace,
-    pub graph: callgraph::Graph,
-}
-
-/// Lint every workspace crate under `root` with both layers: `src/`
-/// (the facade) and each `crates/<name>/src/`. Integration tests under
-/// `tests/` are not scanned — they are test code, which the rules
-/// exempt anyway.
+/// Lint every workspace crate under `root`: `src/` (the facade) and each
+/// `crates/<name>/src/`. Integration tests under `tests/` are not
+/// scanned — they are test code, which the rules exempt anyway.
 pub fn workspace_report(root: &Path) -> std::io::Result<Report> {
-    workspace_analysis(root).map(|a| a.report)
-}
-
-/// [`workspace_report`], keeping the symbol table and call graph.
-pub fn workspace_analysis(root: &Path) -> std::io::Result<Analysis> {
     let mut files: Vec<PathBuf> = Vec::new();
     let facade = root.join("src");
     if facade.is_dir() {
@@ -260,15 +235,7 @@ pub fn workspace_analysis(root: &Path) -> std::io::Result<Analysis> {
         }
     }
 
-    let mut timings: Vec<(&'static str, u64)> = Vec::new();
-    let t_scan = Instant::now();
-
-    // Phase 1: lex, parse, validate markers, run token rules.
-    let mut units: Vec<resolve::FileUnit> = Vec::new();
-    let mut file_markers: Vec<Vec<AllowMarker>> = Vec::new();
-    let mut raw: Vec<Violation> = Vec::new();
-    let mut unsuppressible: Vec<Violation> = Vec::new();
-    let mut files_scanned = 0usize;
+    let mut report = Report::default();
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -276,80 +243,29 @@ pub fn workspace_analysis(root: &Path) -> std::io::Result<Analysis> {
             .to_string_lossy()
             .replace('\\', "/");
         let Some(key) = crate_key_of(&rel) else { continue };
-        let key = key.to_string();
         let source = std::fs::read_to_string(&path)?;
-        let lexed = lexer::lex(&source);
-        let (valid, bad) = validate_markers(&rel, &lexed.markers);
-        unsuppressible.extend(bad);
-        raw.extend(rules::check_file(&key, &rel, &lexed.tokens));
-        let items = parser::parse_items(&lexed.tokens);
-        units.push(resolve::FileUnit { rel, key, tokens: lexed.tokens, items });
-        file_markers.push(valid);
-        files_scanned += 1;
-    }
-    timings.push(("scan", t_scan.elapsed().as_nanos() as u64));
-
-    // Phase 2: symbol table and call graph.
-    let t_graph = Instant::now();
-    let workspace = resolve::Workspace::build(units);
-    let graph = callgraph::Graph::build(&workspace);
-    timings.push(("callgraph", t_graph.elapsed().as_nanos() as u64));
-
-    // Phase 3: the whole-program rules.
-    let t_pr = Instant::now();
-    raw.extend(semantic::panic_reachability(&workspace, &graph, &file_markers));
-    timings.push(("panic-reachability", t_pr.elapsed().as_nanos() as u64));
-    let t_dt = Instant::now();
-    raw.extend(semantic::determinism_taint(&workspace, &graph));
-    timings.push(("determinism-taint", t_dt.elapsed().as_nanos() as u64));
-
-    // Phase 4: suppression with per-marker usage accounting, then the
-    // stale-suppression sweep over markers that earned nothing.
-    let t_stale = Instant::now();
-    let file_idx: BTreeMap<&str, usize> = workspace
-        .files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.rel.as_str(), i))
-        .collect();
-    let mut usage: Vec<Vec<u32>> = file_markers.iter().map(|ms| vec![0; ms.len()]).collect();
-    let mut report = Report { files_scanned, ..Report::default() };
-    for v in raw {
-        let hit = file_idx.get(v.file.as_str()).and_then(|&fi| {
-            file_markers[fi]
-                .iter()
-                .position(|m| marker_hits(m, v.rule, v.line))
-                .map(|mi| (fi, mi))
-        });
-        match hit {
-            Some((fi, mi)) => {
-                usage[fi][mi] += 1;
-                report.suppressed += 1;
-                *report.suppressed_by_rule.entry(v.rule.to_string()).or_insert(0) += 1;
-            }
-            None => report.violations.push(v),
+        let (violations, suppressed, unused) = lint_file(key, &rel, &source);
+        report.files_scanned += 1;
+        report.violations.extend(violations);
+        report.suppressed += suppressed.len();
+        for rule in suppressed {
+            *report.suppressed_by_rule.entry(rule.to_string()).or_insert(0) += 1;
+        }
+        for m in unused {
+            report.violations.push(Violation::new(
+                rules::STALE_SUPPRESSION,
+                &rel,
+                m.line,
+                m.col,
+                format!(
+                    "suppression marker for `{}` no longer suppresses anything; \
+                     the code it justified moved or was fixed — delete the marker \
+                     or re-justify it where the violation lives now",
+                    m.rules.join(", ")
+                ),
+            ));
         }
     }
-    report.violations.append(&mut unsuppressible);
-    for (fi, ms) in file_markers.iter().enumerate() {
-        for (mi, m) in ms.iter().enumerate() {
-            if usage[fi][mi] == 0 {
-                report.violations.push(Violation::new(
-                    rules::STALE_SUPPRESSION,
-                    &workspace.files[fi].rel,
-                    m.line,
-                    m.col,
-                    format!(
-                        "suppression marker for `{}` no longer suppresses anything; \
-                         the code it justified moved or was fixed — delete the marker \
-                         or re-justify it where the violation lives now",
-                        m.rules.join(", ")
-                    ),
-                ));
-            }
-        }
-    }
-    timings.push(("stale-suppression", t_stale.elapsed().as_nanos() as u64));
 
     report.violations.sort_by(|a, b| {
         a.file
@@ -358,8 +274,7 @@ pub fn workspace_analysis(root: &Path) -> std::io::Result<Analysis> {
             .then_with(|| a.col.cmp(&b.col))
             .then_with(|| a.rule.cmp(b.rule))
     });
-    report.timings = timings;
-    Ok(Analysis { report, workspace, graph })
+    Ok(report)
 }
 
 /// Render a report for terminals: one `file:line:col: [rule] message`
@@ -406,8 +321,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 }
 
 /// Render a report as a single JSON object (machine consumers: CI and
-/// the check.sh gate). Timings are deliberately excluded — the document
-/// is byte-stable for identical inputs.
+/// the check.sh gate), byte-stable for identical inputs.
 pub fn render_json(report: &Report) -> String {
     let mut s = String::new();
     s.push_str("{\"files_scanned\":");
@@ -513,16 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn new_whole_program_rules_are_marker_nameable() {
-        for rule in ["panic-reachability", "determinism-taint"] {
-            let m = format!("sage-lint: allow({rule}) - a perfectly sincere justification");
-            let src = format!("fn f() {{}} // {m}\n");
-            let fr = lint_source(KEY, "x.rs", &src);
-            // Valid marker, nothing to suppress at token level — but no
-            // bad-allow either (staleness is a workspace-level concern).
-            assert!(fr.violations.is_empty(), "{:?}", fr.violations);
-        }
-        // stale-suppression and bad-allow are engine rules, not nameable.
+    fn engine_rules_are_not_marker_nameable() {
         let m = "sage-lint: allow(stale-suppression) - trying to suppress the meta rule";
         let fr = lint_source(KEY, "x.rs", &format!("fn f() {{}} // {m}\n"));
         assert_eq!(fr.violations.len(), 1);
@@ -566,10 +471,10 @@ mod tests {
         assert!(j.contains("a\\\"b.rs"));
     }
 
-    /// End-to-end over a synthetic workspace on disk: all three
-    /// whole-program rules fire through `workspace_report`.
+    /// End-to-end over a synthetic workspace on disk: a token rule and
+    /// the staleness sweep both fire through `workspace_report`.
     #[test]
-    fn workspace_pipeline_runs_semantic_rules_and_staleness() {
+    fn workspace_pipeline_runs_token_rules_and_staleness() {
         let dir = std::env::temp_dir().join(format!("sage_lint_ws_{}", std::process::id()));
         let src_dir = dir.join("crates/vecdb/src");
         std::fs::create_dir_all(&src_dir).unwrap();
@@ -579,7 +484,7 @@ mod tests {
              impl Flat {\n\
              pub fn search(&self, q: &[f32]) -> f32 { helper(q) }\n\
              }\n\
-             fn helper(q: &[f32]) -> f32 { q[0] }\n\
+             fn helper(q: &[f32]) -> f32 { *q.first().unwrap() }\n\
              // sage-lint: allow(no-print) - nothing here prints; marker is dead on purpose\n\
              fn quiet() {}\n",
         )
@@ -587,9 +492,8 @@ mod tests {
         let report = workspace_report(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         let rules_seen: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();
-        assert!(rules_seen.contains(&rules::PANIC_REACHABILITY), "{rules_seen:?}");
+        assert!(rules_seen.contains(&rules::NO_PANIC_SERVING), "{rules_seen:?}");
         assert!(rules_seen.contains(&rules::STALE_SUPPRESSION), "{rules_seen:?}");
         assert_eq!(report.files_scanned, 1);
-        assert_eq!(report.timings.len(), 5, "{:?}", report.timings);
     }
 }

@@ -220,11 +220,11 @@ mod tests {
 
     #[test]
     fn render_is_deterministic_and_sorted() {
-        let r = report(&[(rules::NO_WALLCLOCK, 1), (rules::LAYERING, 2)], &[]);
+        let r = report(&[(rules::NO_WALLCLOCK, 1), (rules::NO_PRINT, 2)], &[]);
         let a = render(&r);
         assert_eq!(a, render(&r));
-        let lay = a.find("layering").unwrap();
+        let print = a.find("no-print").unwrap();
         let wall = a.find("no-wallclock").unwrap();
-        assert!(lay < wall);
+        assert!(print < wall);
     }
 }

@@ -1,4 +1,4 @@
-//! The nine workspace rules, expressed as token-pattern checks.
+//! The five workspace rules, expressed as token-pattern checks.
 //!
 //! Each check walks the lexed token stream of one file. Tokens inside
 //! test-only regions (`in_test`) are exempt from every rule: tests may
@@ -11,71 +11,20 @@ use crate::Violation;
 
 /// Determinism: no stdout/stderr writes from library crates.
 pub const NO_PRINT: &str = "no-print";
-/// Robustness: the serving path must not be able to abort the process.
+/// Robustness: no `.unwrap()`/`.expect()`/`panic!`-family macro in any
+/// library crate a query links — the serving path must not be able to
+/// abort the process.
 pub const NO_PANIC_SERVING: &str = "no-panic-serving";
 /// Determinism: no RandomState-ordered containers feeding ordered output.
 pub const DETERMINISTIC_ITERATION: &str = "deterministic-iteration";
 /// Reproducibility: no wall-clock reads outside the telemetry layer.
 pub const NO_WALLCLOCK: &str = "no-wallclock";
-/// Architecture: the inter-crate dependency DAG is enforced, not advisory.
-pub const LAYERING: &str = "layering";
 /// Memory-model hygiene: Relaxed atomics only in telemetry-style counters.
 pub const RELAXED_ATOMICS: &str = "relaxed-atomics-confined";
-/// Architecture: in the orchestrator crate, panic-recovery boundaries
-/// (`catch_unwind`) live only in the execution engine (`core/src/exec/`)
-/// — scattering them re-creates the per-entry-point stitching the engine
-/// replaced and hides where panics are absorbed.
-pub const UNWIND_BOUNDARY: &str = "unwind-boundary";
-/// Architecture: corpus mutation stays behind the single writer. The
-/// tombstone/delta surfaces (`MutableIndex`, BM25's `push_live_chunk` /
-/// `tombstone_chunk`) are only sound under one mutator with epoch
-/// snapshots; any other call site bypasses the commit protocol and can
-/// serve half-applied state.
-pub const MUTATION_BEHIND_WRITER: &str = "mutation-behind-writer";
-/// Architecture: flight-recorder mutation stays behind the obs layer.
-/// The recorder's capture/eviction surface (`capture_query`,
-/// `capture_shed`, `roll_window`) encodes the tail-based retention
-/// policy; call sites scattered elsewhere could double-count a query or
-/// seal windows off-grid, silently skewing what `sage report` retains.
-pub const RECORDER_BEHIND_OBS: &str = "recorder-behind-obs";
-/// Architecture: shard routing state stays confined. The partition
-/// surfaces (`ShardRouter`, `ShardedFlat`, `merge_hits`,
-/// `retrieve_shard`) live in `sage-vecdb`/`sage-retrieval` and are only
-/// consumed by the scatter-gather executor (`core/src/exec/`) and the
-/// soak harness's per-shard server pools (`src/soak.rs`). Per-shard
-/// handles held anywhere else could serve a stale partition after
-/// `add_documents` rebuilds the shards, or merge with a different
-/// tie-break than the executor — silently breaking the
-/// sharded==unsharded equivalence the drills rely on.
-pub const SHARD_STATE_CONFINED: &str = "shard-state-confined";
-/// Architecture: cross-query scheduler state stays confined. The slot
-/// scheduler's working surfaces (`QueryRun`, `BatchSpec`,
-/// `run_interleaved`, `profile_interleaved`, `worker_of`) carry
-/// mid-flight query positions and the deterministic worker assignment;
-/// they are only consumed by the execution engine (`core/src/exec/`)
-/// and the soak harness's dispatch waves (`src/soak.rs`). Held anywhere
-/// else, a `QueryRun` could outlive its tick or re-enter a stage with a
-/// different assignment seed — silently breaking the byte-identity the
-/// interleaved==sequential proofs rely on. The read-only reporting
-/// surfaces (`ScheduleStats`, `render_schedule`) stay public.
-pub const SCHEDULER_STATE_CONFINED: &str = "scheduler-state-confined";
-/// Whole-program rule: a serving entry point (executor stages, vecdb /
-/// retriever search, the live apply path) must not *transitively* reach
-/// a panic site — `panic!`-family macros, `.unwrap()`/`.expect()`, or a
-/// slice index — except through a `catch_unwind` boundary fn. The
-/// token-level `no-panic-serving` rule sees only direct occurrences;
-/// this one walks the intra-workspace call graph.
-pub const PANIC_REACHABILITY: &str = "panic-reachability";
-/// Whole-program rule: values derived from wall-clock reads, `HashMap`/
-/// `HashSet` iteration, or Relaxed atomics must not flow into
-/// byte-comparable serialized outputs (soak event logs, BENCH_*.json,
-/// segment/manifest bytes). Checked as call-graph reachability from the
-/// declared sink fns to nondeterminism source tokens.
-pub const DETERMINISM_TAINT: &str = "determinism-taint";
 /// Engine-level rule: a valid `allow`/`allow-file` marker that no longer
-/// suppresses any live violation (token or semantic) is itself an error,
-/// keeping the suppression inventory honest across refactors. Not
-/// suppressible and not a valid name inside a marker.
+/// suppresses any live violation is itself an error, keeping the
+/// suppression inventory honest across refactors. Not suppressible and
+/// not a valid name inside a marker.
 pub const STALE_SUPPRESSION: &str = "stale-suppression";
 /// Engine-level rule for malformed or unjustified suppression markers.
 /// Not suppressible and not a valid name inside a marker.
@@ -87,15 +36,7 @@ pub const ALL_RULES: &[&str] = &[
     NO_PANIC_SERVING,
     DETERMINISTIC_ITERATION,
     NO_WALLCLOCK,
-    LAYERING,
     RELAXED_ATOMICS,
-    UNWIND_BOUNDARY,
-    MUTATION_BEHIND_WRITER,
-    RECORDER_BEHIND_OBS,
-    SHARD_STATE_CONFINED,
-    SCHEDULER_STATE_CONFINED,
-    PANIC_REACHABILITY,
-    DETERMINISM_TAINT,
 ];
 
 /// Every rule the engine can report, suppressible or not — the ratchet
@@ -105,106 +46,14 @@ pub const REPORTABLE_RULES: &[&str] = &[
     NO_PANIC_SERVING,
     DETERMINISTIC_ITERATION,
     NO_WALLCLOCK,
-    LAYERING,
     RELAXED_ATOMICS,
-    UNWIND_BOUNDARY,
-    MUTATION_BEHIND_WRITER,
-    RECORDER_BEHIND_OBS,
-    SHARD_STATE_CONFINED,
-    SCHEDULER_STATE_CONFINED,
-    PANIC_REACHABILITY,
-    DETERMINISM_TAINT,
     STALE_SUPPRESSION,
     BAD_ALLOW,
-];
-
-/// Crates on the query serving path, where a panic is an outage.
-pub const SERVING_CRATES: &[&str] = &["core", "llm", "retrieval", "vecdb", "rerank", "admission"];
-
-/// Every workspace member, by key. The layering rule only fires on
-/// `sage_<key>` idents for keys in this list, so local names that merely
-/// start with `sage_` (e.g. a `sage_selected` counter) are not imports.
-pub const WORKSPACE_CRATES: &[&str] = &[
-    "text", "nn", "telemetry", "resilience", "lint", "embed", "vecdb", "retrieval",
-    "corpus", "segment", "rerank", "eval", "llm", "core", "admission", "obs",
 ];
 
 /// Crates exempt from library rules entirely: binaries own their stdout
 /// and may stitch any crates together.
 pub const BINARY_CRATES: &[&str] = &["cli", "bench"];
-
-/// The allowed `sage_*` imports for each crate, i.e. the dependency DAG.
-/// `None` means the crate is exempt from the layering rule (binaries and
-/// the facade, which re-exports everything by design).
-///
-/// `telemetry` and `resilience` are leaf-importable: any non-leaf crate
-/// may additionally depend on them (see [`layering_allows`]).
-fn base_allowed(crate_key: &str) -> Option<&'static [&'static str]> {
-    Some(match crate_key {
-        // Leaves: no sage dependencies at all.
-        "text" | "nn" | "telemetry" | "resilience" | "lint" => &[],
-        "embed" => &["text", "nn"],
-        "vecdb" => &["nn"],
-        "retrieval" => &["text", "embed", "vecdb"],
-        "corpus" => &["text"],
-        "segment" => &["text", "nn", "embed"],
-        "rerank" => &["text", "nn", "embed"],
-        // eval may reach for core's pipeline types when scoring end-to-end.
-        "eval" => &["text", "core"],
-        "llm" => &["text", "eval", "corpus"],
-        // Admission control sits on the resilience substrate only.
-        "admission" => &["resilience"],
-        // Observability sits on telemetry alone: it consumes observation
-        // streams and scrapes, never the pipeline.
-        "obs" => &["telemetry"],
-        // The orchestrator composes everything below it — never lint.
-        "core" => &[
-            "text", "nn", "embed", "vecdb", "retrieval", "corpus", "segment", "rerank",
-            "eval", "llm", "admission", "obs",
-        ],
-        // Binaries and the facade are exempt.
-        "cli" | "bench" | "sage" => return None,
-        // Unknown crate key: stay quiet rather than guess a policy.
-        _ => return None,
-    })
-}
-
-/// Whether `crate_key` may depend on `dep` (both without the `sage_`
-/// prefix, e.g. `("retrieval", "vecdb")`).
-pub fn layering_allows(crate_key: &str, dep: &str) -> Option<bool> {
-    let base = base_allowed(crate_key)?;
-    if base.contains(&dep) {
-        return Some(true);
-    }
-    // Leaf-importable crates: telemetry and resilience may be pulled in
-    // anywhere except by the leaves themselves (which must stay leaves).
-    let is_leaf = base_allowed(crate_key).is_some_and(|a| a.is_empty());
-    if !is_leaf && (dep == "telemetry" || dep == "resilience") {
-        return Some(true);
-    }
-    Some(false)
-}
-
-/// Every crate `crate_key` may directly depend on, per the same DAG the
-/// layering rule enforces. Symbol resolution uses this to bound which
-/// crates a call can resolve into. Binaries and the facade may reach
-/// everything.
-pub fn allowed_deps(crate_key: &str) -> Vec<&'static str> {
-    match base_allowed(crate_key) {
-        Some(base) => {
-            let mut out: Vec<&'static str> = base.to_vec();
-            if !base.is_empty() {
-                for leaf in ["telemetry", "resilience"] {
-                    if !out.contains(&leaf) {
-                        out.push(leaf);
-                    }
-                }
-            }
-            out
-        }
-        None => WORKSPACE_CRATES.to_vec(),
-    }
-}
 
 fn punct(t: &Tok) -> Option<char> {
     if t.kind == TokKind::Punct {
@@ -217,7 +66,8 @@ fn punct(t: &Tok) -> Option<char> {
 /// Run every applicable rule over one file's token stream.
 pub fn check_file(crate_key: &str, file: &str, tokens: &[Tok]) -> Vec<Violation> {
     let library = !BINARY_CRATES.contains(&crate_key);
-    let serving = SERVING_CRATES.contains(&crate_key);
+    // Every library crate is linked into a query; the linter itself is not.
+    let serving = library && crate_key != "lint";
     let telemetry = crate_key == "telemetry";
     let mut out: Vec<Violation> = Vec::new();
     let mut in_use = false;
@@ -317,136 +167,6 @@ pub fn check_file(crate_key: &str, file: &str, tokens: &[Tok]) -> Vec<Violation>
                 ));
             }
         }
-
-        // The mutation surfaces' home crates (vecdb defines MutableIndex,
-        // retrieval defines the BM25 delta methods) and sage-core's live
-        // module (the single writer) are the only legal non-test users.
-        // `use` lines are exempt so facades may re-export the types.
-        let mutation_home =
-            matches!(crate_key, "vecdb" | "retrieval") || file.contains("/live/");
-        if library
-            && !mutation_home
-            && !in_use
-            && matches!(word, "MutableIndex" | "push_live_chunk" | "tombstone_chunk")
-        {
-            out.push(Violation::new(
-                MUTATION_BEHIND_WRITER,
-                file,
-                t.line,
-                t.col,
-                format!(
-                    "`{word}` outside sage-core's live module: corpus mutation is \
-                     only sound behind the single CorpusWriter (epoch snapshots, \
-                     durable segments); route changes through live::CorpusWriter"
-                ),
-            ));
-        }
-
-        // The recorder's mutation surface lives in sage-obs; sage-core's
-        // obs module (the bridge that owns the attached recorder) is the
-        // only legal non-test caller elsewhere. `use` lines stay exempt
-        // for re-exports.
-        let recorder_home = crate_key == "obs" || file.contains("/obs");
-        if library
-            && !recorder_home
-            && !in_use
-            && matches!(word, "capture_query" | "capture_shed" | "roll_window")
-        {
-            out.push(Violation::new(
-                RECORDER_BEHIND_OBS,
-                file,
-                t.line,
-                t.col,
-                format!(
-                    "`{word}` outside the obs layer: flight-recorder capture and \
-                     window sealing encode the retention policy; route observations \
-                     through sage-core's obs bridge"
-                ),
-            ));
-        }
-
-        // Shard routing state stays with its owners: the partition's home
-        // crates (vecdb defines the router and sharded index, retrieval
-        // the per-shard BM25 filter), the scatter-gather executor, and
-        // the soak harness's per-shard virtual server pools. `use` lines
-        // stay exempt for facade re-exports.
-        let shard_home = matches!(crate_key, "vecdb" | "retrieval")
-            || file.contains("/exec/")
-            || file.ends_with("/src/soak.rs");
-        if library
-            && !shard_home
-            && !in_use
-            && matches!(word, "ShardRouter" | "ShardedFlat" | "merge_hits" | "retrieve_shard")
-        {
-            out.push(Violation::new(
-                SHARD_STATE_CONFINED,
-                file,
-                t.line,
-                t.col,
-                format!(
-                    "`{word}` outside the shard layer (vecdb/retrieval, core/src/exec/, \
-                     the soak pools): per-shard handles elsewhere can outlive a \
-                     partition rebuild or merge with a different tie-break; route \
-                     shard work through RagSystem::enable_sharding and the executor"
-                ),
-            ));
-        }
-
-        // Scheduler working state stays with its owners: the execution
-        // engine defines the slot scheduler, and the soak harness's
-        // dispatch waves are the one external consumer. `use` lines stay
-        // exempt for facade re-exports; the reporting surfaces
-        // (ScheduleStats, render_schedule) are deliberately not listed.
-        let sched_home = file.contains("/exec/") || file.ends_with("/src/soak.rs");
-        if library
-            && !sched_home
-            && !in_use
-            && matches!(
-                word,
-                "QueryRun" | "BatchSpec" | "run_interleaved" | "profile_interleaved" | "worker_of"
-            )
-        {
-            out.push(Violation::new(
-                SCHEDULER_STATE_CONFINED,
-                file,
-                t.line,
-                t.col,
-                format!(
-                    "`{word}` outside the scheduler layer (core/src/exec/, the soak \
-                     dispatch waves): mid-flight scheduler state held elsewhere can \
-                     re-enter a stage off-schedule and break the batched/sequential \
-                     byte-identity; go through answer_batch/profile_batch"
-                ),
-            ));
-        }
-
-        if crate_key == "core" && word == "catch_unwind" && !file.contains("/exec/") {
-            out.push(Violation::new(
-                UNWIND_BOUNDARY,
-                file,
-                t.line,
-                t.col,
-                "`catch_unwind` in sage-core outside src/exec/: panic-recovery \
-                 boundaries belong to the execution engine; route the call through \
-                 exec::execute_caught"
-                    .to_string(),
-            ));
-        }
-
-        if let Some(dep) = word.strip_prefix("sage_") {
-            if WORKSPACE_CRATES.contains(&dep) && layering_allows(crate_key, dep) == Some(false) {
-                out.push(Violation::new(
-                    LAYERING,
-                    file,
-                    t.line,
-                    t.col,
-                    format!(
-                        "crate `{crate_key}` must not depend on `sage_{dep}`: the \
-                         workspace DAG keeps layers acyclic and leaves leaf-importable"
-                    ),
-                ));
-            }
-        }
     }
     out
 }
@@ -479,8 +199,12 @@ mod tests {
     #[test]
     fn panics_flagged_only_on_serving_crates() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        assert_eq!(rules_of(&run("core", src)), vec![NO_PANIC_SERVING]);
-        assert!(run("text", src).is_empty());
+        for key in ["core", "text", "telemetry", "nn", "sage"] {
+            assert_eq!(rules_of(&run(key, src)), vec![NO_PANIC_SERVING], "{key}");
+        }
+        for key in ["cli", "bench", "lint"] {
+            assert!(run(key, src).is_empty(), "{key}");
+        }
         let src2 = "fn g() { unreachable!() }";
         assert_eq!(rules_of(&run("vecdb", src2)), vec![NO_PANIC_SERVING]);
     }
@@ -513,137 +237,6 @@ mod tests {
         let src = "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }";
         assert_eq!(rules_of(&run("resilience", src)), vec![RELAXED_ATOMICS]);
         assert!(run("telemetry", src).is_empty());
-    }
-
-    #[test]
-    fn layering_dag_enforced() {
-        // text is a leaf: importing anything sage_* is a violation.
-        assert_eq!(rules_of(&run("text", "use sage_core::pipeline::Sage;")), vec![LAYERING]);
-        // retrieval may import vecdb and telemetry, never core.
-        assert!(run("retrieval", "use sage_vecdb::FlatIndex;").is_empty());
-        assert!(run("retrieval", "use sage_telemetry::span;").is_empty());
-        assert_eq!(rules_of(&run("retrieval", "use sage_core::x;")), vec![LAYERING]);
-        // leaves must stay leaves: telemetry cannot import resilience.
-        assert_eq!(rules_of(&run("telemetry", "use sage_resilience::x;")), vec![LAYERING]);
-        // binaries and the facade are exempt.
-        assert!(run("cli", "use sage_core::pipeline::Sage;").is_empty());
-        assert!(run("sage", "pub use sage_core as core;").is_empty());
-        // local names that merely start with sage_ are not imports.
-        assert!(run("text", "let sage_selected = 3; let sage_cfg = 4;").is_empty());
-    }
-
-    #[test]
-    fn catch_unwind_confined_to_core_exec() {
-        let src = "fn f() { let _ = std::panic::catch_unwind(|| 1); }";
-        // Anywhere in core outside src/exec/ is a violation…
-        let vs = check_file("core", "crates/core/src/pipeline.rs", &lex(src).tokens);
-        assert_eq!(rules_of(&vs), vec![UNWIND_BOUNDARY]);
-        // …inside the execution engine it is the designed boundary…
-        assert!(check_file("core", "crates/core/src/exec/mod.rs", &lex(src).tokens).is_empty());
-        // …and other crates own their local isolation policy (vecdb's
-        // batch search isolates poisoned queries itself).
-        assert!(check_file("vecdb", "crates/vecdb/src/flat.rs", &lex(src).tokens).is_empty());
-    }
-
-    #[test]
-    fn mutation_surfaces_confined_to_live_writer() {
-        let src = "fn f(m: &mut MutableIndex) { m.tombstone(0); }";
-        // Library code outside the live module may not touch the type…
-        let vs = check_file("core", "crates/core/src/pipeline.rs", &lex(src).tokens);
-        assert_eq!(rules_of(&vs), vec![MUTATION_BEHIND_WRITER]);
-        // …the live module is the single writer…
-        assert!(check_file("core", "crates/core/src/live/mod.rs", &lex(src).tokens).is_empty());
-        // …the defining crates are exempt (they implement the surface)…
-        assert!(check_file("vecdb", "crates/vecdb/src/mutable.rs", &lex(src).tokens).is_empty());
-        let delta = "fn g(r: &mut Bm25Retriever) { r.push_live_chunk(\"x\"); }";
-        assert!(check_file("retrieval", "crates/retrieval/src/bm25.rs", &lex(delta).tokens)
-            .is_empty());
-        assert_eq!(
-            rules_of(&check_file("llm", "crates/llm/src/lib.rs", &lex(delta).tokens)),
-            vec![MUTATION_BEHIND_WRITER]
-        );
-        // …re-exports and binaries stay legal.
-        assert!(run("sage", "pub use sage_vecdb::{MutableIndex, VectorIndex};").is_empty());
-        assert!(run("cli", "fn f(m: &mut MutableIndex) { m.tombstone(0); }").is_empty());
-    }
-
-    #[test]
-    fn recorder_surface_confined_to_obs_layer() {
-        let src = "fn f(r: &mut FlightRecorder, o: &QueryObs) { r.capture_query(o); r.roll_window(4); }";
-        // Library code outside the obs layer may not capture…
-        let vs = check_file("llm", "crates/llm/src/reader.rs", &lex(src).tokens);
-        assert_eq!(rules_of(&vs), vec![RECORDER_BEHIND_OBS, RECORDER_BEHIND_OBS]);
-        // …the defining crate implements the surface…
-        assert!(check_file("obs", "crates/obs/src/recorder.rs", &lex(src).tokens).is_empty());
-        // …core's obs bridge owns the attached recorder…
-        assert!(check_file("core", "crates/core/src/obs.rs", &lex(src).tokens).is_empty());
-        // …but the rest of core is fenced out.
-        let shed = "fn g(r: &mut FlightRecorder) { r.capture_shed(0, \"batch\", 1, false, \"full\"); }";
-        assert_eq!(
-            rules_of(&check_file("core", "crates/core/src/soak.rs", &lex(shed).tokens)),
-            vec![RECORDER_BEHIND_OBS]
-        );
-        // Re-exports and binaries stay legal.
-        assert!(run("sage", "pub use sage_obs::{FlightRecorder, RecorderConfig};").is_empty());
-        assert!(run("cli", src).is_empty());
-    }
-
-    #[test]
-    fn shard_state_confined_to_its_layer() {
-        let src = "fn f(r: ShardRouter, s: &ShardedFlat) -> Vec<Hit> \
-                   { merge_hits(&[s.search_shard(r.route_id(0), &[0.0], 4)], 4) }";
-        // Library code outside the shard layer may not hold routing state…
-        let vs = check_file("core", "crates/core/src/pipeline.rs", &lex(src).tokens);
-        assert_eq!(rules_of(&vs), vec![SHARD_STATE_CONFINED; 3]);
-        assert_eq!(
-            rules_of(&check_file("llm", "crates/llm/src/reader.rs", &lex(src).tokens)),
-            vec![SHARD_STATE_CONFINED; 3]
-        );
-        // …the defining crates implement the surface…
-        assert!(check_file("vecdb", "crates/vecdb/src/shard.rs", &lex(src).tokens).is_empty());
-        let delta = "fn g(r: &Bm25Retriever) { r.retrieve_shard(\"q\", 4, 0, &[]); }";
-        assert!(check_file("retrieval", "crates/retrieval/src/bm25.rs", &lex(delta).tokens)
-            .is_empty());
-        // …the scatter-gather executor and the soak pools consume it…
-        assert!(check_file("core", "crates/core/src/exec/scatter.rs", &lex(src).tokens).is_empty());
-        assert!(check_file("core", "crates/core/src/soak.rs", &lex(src).tokens).is_empty());
-        // …re-exports and binaries stay legal.
-        assert!(run("sage", "pub use sage_vecdb::{merge_hits, ShardRouter, ShardedFlat};")
-            .is_empty());
-        assert!(run("cli", src).is_empty());
-    }
-
-    #[test]
-    fn scheduler_state_confined_to_its_layer() {
-        let src = "fn f(r: &mut QueryRun, specs: &[BatchSpec]) \
-                   { let w = worker_of(1, 0, 2, 4); run_interleaved(sys, specs, w, 7); }";
-        // Library code outside the scheduler layer may not hold run state…
-        let vs = check_file("core", "crates/core/src/pipeline.rs", &lex(src).tokens);
-        assert_eq!(rules_of(&vs), vec![SCHEDULER_STATE_CONFINED; 4]);
-        assert_eq!(
-            rules_of(&check_file("llm", "crates/llm/src/reader.rs", &lex(src).tokens)),
-            vec![SCHEDULER_STATE_CONFINED; 4]
-        );
-        // …the execution engine defines the surface…
-        assert!(check_file("core", "crates/core/src/exec/sched.rs", &lex(src).tokens).is_empty());
-        assert!(check_file("core", "crates/core/src/exec/batch.rs", &lex(src).tokens).is_empty());
-        // …the soak dispatch waves are the one external consumer…
-        assert!(check_file("core", "crates/core/src/soak.rs", &lex(src).tokens).is_empty());
-        // …the reporting surfaces stay unconfined everywhere…
-        let report = "fn g(s: &ScheduleStats) -> String { render_schedule(p, 2, 4, 7) }";
-        assert!(check_file("core", "crates/core/src/pipeline.rs", &lex(report).tokens).is_empty());
-        // …re-exports and binaries stay legal.
-        assert!(run("core", "use sched::{self, BatchSpec};").is_empty());
-        assert!(run("cli", src).is_empty());
-    }
-
-    #[test]
-    fn obs_layering_sits_on_telemetry_alone() {
-        assert!(run("obs", "use sage_telemetry::export::escape_label_value;").is_empty());
-        assert_eq!(rules_of(&run("obs", "use sage_core::soak::SoakReport;")), vec![LAYERING]);
-        assert!(run("core", "use sage_obs::QueryObs;").is_empty());
-        // Leaves must stay leaves: telemetry cannot grow an obs dependency.
-        assert_eq!(rules_of(&run("telemetry", "use sage_obs::QueryObs;")), vec![LAYERING]);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The simulated reader: candidate extraction + temperature sampling.
 
-// sage-lint: allow-file(panic-reachability) - candidate and option vectors are checked non-empty before head indexing in each scoring branch; pool ids are phrase-table positions
-
 // sage-lint: allow-file(deterministic-iteration) - sets here are membership guards and the candidate map is drained into a Vec that is fully sorted (score, then lexicographic) before any sampling; the expectations map is get()-only
 
 use crate::profile::LlmProfile;

@@ -4,8 +4,6 @@
 //! coarse quantiser. Deterministic: initialisation is farthest-point from
 //! vector 0, ties broken by index, so identical inputs cluster identically.
 
-// sage-lint: allow-file(panic-reachability) - k-means indexes vectors/centroids/counts sized together at entry; vectors is checked non-empty before use
-
 /// Squared Euclidean distance.
 #[inline]
 pub fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
@@ -45,6 +43,7 @@ pub fn kmeans(vectors: &[Vec<f32>], k: usize, iterations: usize) -> KMeans {
                 (i, d)
             })
             .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+            // sage-lint: allow(no-panic-serving) - empty input returned on entry, so the maximum over vectors exists
             .expect("nonempty");
         centroids.push(vectors[far_idx].clone());
     }

@@ -55,7 +55,6 @@ impl EmbeddingTable {
     pub fn row(&self, bucket: u32) -> &[f32] {
         let b = bucket as usize;
         assert!(b < self.buckets, "bucket {b} out of range {}", self.buckets);
-        // sage-lint: allow(panic-reachability) - the assert on the previous line proves b is inside the row table
         &self.rows[b * self.dim..(b + 1) * self.dim]
     }
 

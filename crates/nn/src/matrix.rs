@@ -6,8 +6,6 @@
 //! and `cols = feature dim`. Weight matrices are `in_dim x out_dim`, so the
 //! forward pass of a linear layer is `X · W`.
 
-// sage-lint: allow-file(panic-reachability) - row slices derive from the dims the matrix was allocated with; multiply asserts shape agreement at entry
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -52,6 +52,7 @@ impl Mlp {
 
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
+        // sage-lint: allow(no-panic-serving) - both constructors reject an empty layer list
         self.layers.last().unwrap().out_dim()
     }
 

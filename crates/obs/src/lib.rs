@@ -10,9 +10,9 @@
 //! so soak replays and CI reruns are byte-comparable.
 //!
 //! - [`recorder`]: bounded, allocation-recycling ring of recent query
-//!   observations with tail-based retention. Mutation is confined to this
-//!   crate by the `recorder-behind-obs` lint rule; `sage-core` exposes a
-//!   single bridge in its `obs` module.
+//!   observations with tail-based retention. `sage-core` keeps the
+//!   attached recorder in a private field behind a single bridge, its
+//!   `obs` module.
 //! - [`slo`]: declarative SLO specs, multi-window burn-rate alerts.
 //! - [`scenario`]: scenario-file grammar, baseline rendering/parsing,
 //!   tolerance-band regression diffs.

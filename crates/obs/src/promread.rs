@@ -295,25 +295,6 @@ pub fn dashboard(scrape: &Scrape) -> String {
         }
     }
 
-    // Lint phase cost, if the scrape came from `sage lint --metrics-out`.
-    let mut lint_lines = Vec::new();
-    let mut lint_total = 0.0;
-    for s in &scrape.samples {
-        if s.name == "sage_lint_phase_ns" {
-            if let Some(phase) = s.label("phase") {
-                lint_lines.push(format!("  lint {phase:<20} {}", fmt_ns(s.value)));
-                lint_total += s.value;
-            }
-        }
-    }
-    if !lint_lines.is_empty() {
-        out.push_str(&format!("lint phase cost (total {})\n", fmt_ns(lint_total)));
-        for l in lint_lines {
-            out.push_str(&l);
-            out.push('\n');
-        }
-    }
-
     if scrape.skipped > 0 {
         out.push_str(&format!("({} unparseable line(s) skipped)\n", scrape.skipped));
     }
@@ -375,17 +356,6 @@ sage_slo_burn_rate{objective=\"shed\"} 1.50
         assert!(text.contains("query latency  p50 1.02us"), "{text}");
         assert!(text.contains("shed 3"), "{text}");
         assert!(text.contains("slo shed"), "{text}");
-    }
-
-    #[test]
-    fn dashboard_shows_lint_phase_cost_when_present() {
-        let plain = dashboard(&parse_scrape(SCRAPE));
-        assert!(!plain.contains("lint phase cost"), "{plain}");
-        let metrics = sage_telemetry::export::lint_phases(&[("scan", 2_000_000), ("callgraph", 500_000)]);
-        let text = dashboard(&parse_scrape(&metrics));
-        assert!(text.contains("lint phase cost (total 2.50ms)"), "{text}");
-        assert!(text.contains("lint scan"), "{text}");
-        assert!(text.contains("2.00ms"), "{text}");
     }
 
     #[test]

@@ -24,8 +24,6 @@
 //! their `String` buffers are reused by later captures, so a long soak
 //! settles into a steady state with no per-query allocation.
 
-// sage-lint: allow-file(panic-reachability) - record indices come from enumerate and sort permutations over self.records in the same function
-
 use std::fmt::Write as _;
 
 /// Outcome of one observed query.
@@ -145,8 +143,8 @@ pub struct RecorderStats {
 /// Bounded, allocation-recycling ring of recent query observations.
 ///
 /// Mutation happens through [`capture_query`](Self::capture_query) /
-/// [`capture_shed`](Self::capture_shed) only (enforced by the
-/// `recorder-behind-obs` lint rule); everything else is read-only.
+/// [`capture_shed`](Self::capture_shed) only; everything else is
+/// read-only.
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
     cfg: RecorderConfig,

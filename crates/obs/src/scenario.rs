@@ -220,7 +220,9 @@ pub fn parse_scenarios(text: &str) -> Result<ScenarioFile, String> {
                             .map_err(|e| format!("line {line_no}: {e}"))?;
                     }
                     Section::Cell => {
-                        raw_cells.last_mut().unwrap().push((key, value, line_no));
+                        if let Some(cell) = raw_cells.last_mut() {
+                            cell.push((key, value, line_no));
+                        }
                     }
                     Section::Tolerance => match value {
                         Value::Num(n) if (0.0..=1.0).contains(&n) => {

@@ -4,8 +4,6 @@
 //! chunk *i* while `S[i] > S[i-1] * g`): the paper's pseudocode as printed
 //! is unsatisfiable for descending scores, and the prose pins this reading.
 
-// sage-lint: allow-file(panic-reachability) - take is clamped to ranked.len() before slicing and window indexing touches the two elements windows(2) guarantees
-
 use crate::RankedChunk;
 
 /// Parameters of Algorithm 2.

@@ -162,7 +162,6 @@ impl CrashPlan {
     /// Decide whether the commit identified by `key` (typically
     /// `"epoch:<n>"`) crashes at `point`. Pure in `(seed, point, key)`.
     pub fn crashes_at(&self, point: CrashPoint, key: &str) -> bool {
-        // sage-lint: allow(panic-reachability) - point.idx() is a dense enum index into the fixed rates array
         let rate = self.rates[point.idx()];
         if rate <= 0.0 {
             return false;

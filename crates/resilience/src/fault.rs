@@ -327,7 +327,6 @@ impl FaultPlan {
     /// Decide whether the call identified by `(component, key, attempt)`
     /// faults, and how.
     pub fn inject(&self, component: Component, key: &str, attempt: u32) -> Option<FaultKind> {
-        // sage-lint: allow(panic-reachability) - component.idx() is a dense enum index into the fixed rates array
         let rates = self.rates[component.idx()];
         if rates.total() <= 0.0 {
             return None;

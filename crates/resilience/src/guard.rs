@@ -66,7 +66,7 @@ impl Guard<'_> {
             let fault = self.plan.inject(component, key, attempt);
             let outcome: Result<T, SageError> = match fault {
                 Some(FaultKind::Panic) => {
-                    // sage-lint: allow(panic-reachability) - fault injection panics on purpose; serving callers catch it at the unwind boundary
+                    // sage-lint: allow(no-panic-serving) - the fault injector's deliberate panic: it is what the catch_unwind boundaries are drilled against
                     panic!("injected panic at {component} for call {key:?}")
                 }
                 Some(FaultKind::Transient) => {
@@ -127,7 +127,7 @@ impl Guard<'_> {
                 }
             }
         }
-        // sage-lint: allow(panic-reachability) - every loop arm returns a value or a Failure; this line only documents that
+        // sage-lint: allow(no-panic-serving) - max_attempts >= 1 and the last attempt returns on every arm
         unreachable!("loop always returns");
     }
 }

@@ -197,7 +197,6 @@ impl FallbackCounters {
     /// Record every event of `trace`.
     pub fn absorb(&self, trace: &DegradeTrace) {
         for e in &trace.events {
-            // sage-lint: allow(panic-reachability) - fallback.idx() is a dense enum index into the fixed counts array
             self.counts[e.fallback.idx()].fetch_add(1, Ordering::Relaxed);
         }
     }

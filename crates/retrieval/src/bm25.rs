@@ -4,8 +4,6 @@
 //! weight toward zero naturally, and dropping them would distort document
 //! length normalisation.
 
-// sage-lint: allow-file(panic-reachability) - chunk ids are range-checked against deleted.len() before the parallel per-chunk arrays are read
-
 // sage-lint: allow-file(deterministic-iteration) - posting maps are accumulated in query-term order and every result list is fully sorted with an index tie-break before returning; ordering cannot leak
 
 use crate::{Retriever, ScoredChunk};

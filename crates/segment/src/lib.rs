@@ -15,11 +15,8 @@
 //!   budget — the paper's Naive RAG uses this at 200 tokens),
 //!   [`SemanticSegmenter`] (Figure 3-D / §IV-E: coarse ~l-token chunks
 //!   refined by the model at threshold `ss`).
-//! * [`parallel::score_pairs_parallel`] — the batched inference path
-//!   (§IV-D runs batches of 512 pairs on a GPU; we use a thread pool).
 
 pub mod model;
-pub mod parallel;
 pub mod segmenter;
 
 pub use model::{FeatureConfig, SegmentationModel, TrainReport};

@@ -1,8 +1,6 @@
 //! Segmenters — the three strategies of the paper's Figure 3 plus the
 //! semantic strategy of Figure 3-D.
 
-// sage-lint: allow-file(panic-reachability) - sentences is checked non-empty at entry and pair windows always hold exactly two sentences
-
 use crate::model::SegmentationModel;
 use sage_text::{count_tokens, split_paragraphs, split_sentences};
 

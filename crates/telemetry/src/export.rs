@@ -175,28 +175,6 @@ pub fn escape_label_value(v: &str) -> String {
     out
 }
 
-/// Render lint analysis phase timings as Prometheus gauges, one
-/// `sage_lint_phase_ns{phase="..."}` sample per phase. The lint engine
-/// keeps timings out of its own machine outputs so those stay
-/// byte-stable; this is the sanctioned path for surfacing per-rule cost
-/// to `--metrics-out` files and the `sage top` dashboard.
-pub fn lint_phases(timings: &[(&str, u64)]) -> String {
-    let mut out = String::new();
-    push_meta(
-        &mut out,
-        "sage_lint_phase_ns",
-        "gauge",
-        "Nanoseconds spent per lint analysis phase in the last run",
-    );
-    for (phase, ns) in timings {
-        out.push_str(&format!(
-            "sage_lint_phase_ns{{phase=\"{}\"}} {ns}\n",
-            escape_label_value(phase)
-        ));
-    }
-    out
-}
-
 fn push_histogram(out: &mut String, name: &str, labels: &[(&str, &str)], snap: &HistogramSnapshot) {
     let extra = |more: &str| -> String {
         let mut parts: Vec<String> =
@@ -355,14 +333,6 @@ mod tests {
     use super::*;
     use crate::BuildRecord;
     use std::time::Duration;
-
-    #[test]
-    fn lint_phases_renders_one_gauge_per_phase() {
-        let text = lint_phases(&[("scan", 1_500_000), ("callgraph", 250)]);
-        assert!(text.contains("# TYPE sage_lint_phase_ns gauge"));
-        assert!(text.contains("sage_lint_phase_ns{phase=\"scan\"} 1500000"));
-        assert!(text.contains("sage_lint_phase_ns{phase=\"callgraph\"} 250"));
-    }
 
     fn hub() -> Telemetry {
         let t = Telemetry::new();

@@ -4,8 +4,6 @@
 //! does the same per [`Stage`] so exporters can show where tokens (and
 //! simulated dollars) go. Updates are lock-free relaxed adds.
 
-// sage-lint: allow-file(panic-reachability) - stage.idx() is a dense enum index into fixed-size per-stage cells
-
 use crate::Stage;
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -175,7 +175,6 @@ impl Telemetry {
 
     /// Record one observation of `d` wall-clock in `stage`.
     pub fn record_stage(&self, stage: Stage, d: Duration) {
-        // sage-lint: allow(panic-reachability) - stage.idx() is a dense enum index sized to the stage_ns array
         self.stage_ns[stage.idx()].record(d.as_nanos() as u64);
     }
 

@@ -120,7 +120,6 @@ impl Trace {
     pub fn exit(&mut self, id: usize) {
         let now = self.elapsed_ns();
         while let Some(top) = self.stack.pop() {
-            // sage-lint: allow(panic-reachability) - stack entries are indices handed out by push onto self.spans
             let span = &mut self.spans[top];
             span.dur_ns = now.saturating_sub(span.start_ns);
             if top == id {
@@ -131,7 +130,6 @@ impl Trace {
 
     /// Attach a key=value field to span `id`.
     pub fn field(&mut self, id: usize, key: &'static str, value: impl Into<FieldValue>) {
-        // sage-lint: allow(panic-reachability) - span ids are indices handed out by push onto self.spans
         self.spans[id].fields.push((key, value.into()));
     }
 

@@ -5,8 +5,6 @@
 //! sentences, whether they belong in the same chunk. This module provides
 //! both splits.
 
-// sage-lint: allow-file(panic-reachability) - char positions are produced and bounds-checked by the same scan loops over the chars vec
-
 /// Abbreviations after which a period does *not* end a sentence.
 const ABBREVIATIONS: &[&str] = &[
     "mr", "mrs", "ms", "dr", "prof", "sr", "jr", "st", "vs", "etc", "e.g", "i.e", "fig", "eq",

@@ -6,8 +6,6 @@
 //! words like `sing` or `red` are left intact. BM25, METEOR-lite, and the
 //! cross-feature reranker all match stems rather than surface forms.
 
-// sage-lint: allow-file(panic-reachability) - byte positions are bounded by the explicit length guards in each suffix rule
-
 /// Return `true` if the character is an English vowel (with `y` treated as
 /// a vowel when not word-initial, a simplification of Porter's rule).
 fn is_vowel(bytes: &[u8], i: usize) -> bool {

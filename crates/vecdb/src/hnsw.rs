@@ -10,8 +10,6 @@
 //! Determinism: levels come from a seeded RNG and all tie-breaks are by id,
 //! so a build with the same seed and insertion order is bit-reproducible.
 
-// sage-lint: allow-file(panic-reachability) - node ids are assigned densely at insert and links/visited are sized to the node count before search
-
 use crate::arena::Arena;
 use crate::metric::{Metric, Normed};
 use crate::{Hit, VectorIndex};

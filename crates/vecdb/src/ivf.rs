@@ -7,8 +7,6 @@
 //! memory locality (arena per cell), HNSW is incremental with per-node
 //! links. The `micro` bench compares all three index types.
 
-// sage-lint: allow-file(panic-reachability) - cell ids come from nearest_centroid and the k-means assignment, both over self.cells
-
 use crate::arena::Arena;
 use crate::metric::Metric;
 use crate::{Hit, VectorIndex};

@@ -14,8 +14,8 @@
 //!
 //! [`MutableIndex`] layers logical deletion (tombstones + deterministic
 //! compaction) over a flat arena with an optional HNSW tier — the vector
-//! side of `sage-core`'s live-corpus writer. All mutation of it is
-//! confined to that writer by the `mutation-behind-writer` lint rule.
+//! side of `sage-core`'s live-corpus writer, which holds it in a private
+//! field.
 //!
 //! All three keep their rows in one arena type (a norm per row, taken at
 //! insert) and score through one `dot`, so a (query, row) pair gets the same
@@ -24,9 +24,7 @@
 //! index of each chunk in 𝕋 and its corresponding vector" (§III-A): insert
 //! chunks in order and the internal id *is* the chunk index.
 //!
-//! [`SharedIndex`] wraps any index for concurrent query workloads
-//! (scalability experiment), and [`flat::FlatIndex::to_bytes`] provides a
-//! compact persistence format.
+//! [`flat::FlatIndex::to_bytes`] provides a compact persistence format.
 
 mod arena;
 pub mod flat;
@@ -35,7 +33,6 @@ pub mod ivf;
 pub mod metric;
 pub mod mutable;
 pub mod shard;
-pub mod shared;
 
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
@@ -43,7 +40,6 @@ pub use mutable::MutableIndex;
 pub use ivf::{IvfConfig, IvfIndex};
 pub use metric::Metric;
 pub use shard::{merge_hits, ShardRouter, ShardedFlat};
-pub use shared::SharedIndex;
 
 /// A search hit: internal vector id plus similarity score (higher = closer).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -11,10 +11,8 @@
 //! Compaction is deterministic: survivors are re-inserted in id order and
 //! the HNSW tier is rebuilt from a fresh seeded RNG, so two stores that
 //! applied the same operations compact to bit-identical indexes. The
-//! single-writer invariant (`sage-lint` rule `mutation-behind-writer`)
-//! keeps all mutation of this type inside `sage-core`'s `live` module.
-
-// sage-lint: allow-file(panic-reachability) - ids are range-checked against dead.len() before tombstone reads and writes
+//! one serving instance is a private field of `sage-core`'s `CorpusWriter`,
+//! so all mutation of it stays inside that crate's `live` module.
 
 use crate::metric::Metric;
 use crate::{FlatIndex, Hit, HnswConfig, HnswIndex, VectorIndex};

@@ -12,9 +12,9 @@
 //! exactness is what lets the serving layer drop shards and still reason
 //! about what the survivors contribute.
 //!
-//! Routing state (`ShardRouter`, `ShardedFlat`, `merge_hits`) is confined
-//! to this crate and `core/src/exec/` by the `shard-state-confined` lint
-//! rule: nothing else in the workspace may hold per-shard handles.
+//! The serving layer's routing state (`ShardRouter`, `ShardedFlat`) lives
+//! in a crate-private field of `sage-core`'s `RagSystem`, so nothing outside
+//! that crate holds its per-shard handles.
 
 use crate::flat::FlatIndex;
 use crate::{Hit, VectorIndex};
@@ -130,12 +130,10 @@ impl ShardedFlat {
         if index.is_empty() {
             return Vec::new();
         }
-        // sage-lint: allow(panic-reachability) - the shards.get above bounds s; global_ids is built in lockstep with shards
         let ids = &self.global_ids[s as usize];
         index
             .search(query, k)
             .into_iter()
-            // sage-lint: allow(panic-reachability) - FlatIndex::search returns local ids < len, and global_ids is built in lockstep with the shard
             .map(|h| Hit { id: ids[h.id], score: h.score })
             .collect()
     }

@@ -14,26 +14,15 @@ cargo build --release
 sage=target/release/sage
 
 echo "=== sage-lint (workspace static analysis + ratchet)"
-# Replaces the old println grep: sage-lint enforces the token rules
-# (no-panic-serving, deterministic-iteration, no-wallclock, layering,
-# relaxed-atomics-confined, unwind-boundary, ...) plus the whole-program
-# rules (panic-reachability, determinism-taint, stale-suppression), with
-# justified inline suppressions (DESIGN.md §9). The committed
-# lint-baseline.json ratchet fails the gate when any per-rule count
-# regresses — or loosens without a justification (run
+# sage-lint enforces five token rules over every library crate (no-print,
+# no-panic-serving, deterministic-iteration, no-wallclock,
+# relaxed-atomics-confined) plus stale-suppression and bad-allow over the
+# markers, with justified inline suppressions (DESIGN.md §9). The
+# committed lint-baseline.json ratchet fails the gate when any per-rule
+# count regresses — or loosens without a justification (run
 # `sage lint --baseline lint-baseline.json --update-baseline` after an
 # intentional cleanup).
 "$sage" lint --root . --baseline lint-baseline.json
-
-echo "=== sage-lint SARIF smoke (emit is machine-readable)"
-# Render the same run as SARIF 2.1.0 and parse it back through the
-# validator: a malformed emit must fail here, not at upload time.
-lint_tmp=$(mktemp -d)
-"$sage" lint --root . --format sarif \
-  > "$lint_tmp/lint.sarif"
-"$sage" lint --validate-sarif "$lint_tmp/lint.sarif" \
-  || { echo "FAIL: emitted SARIF does not validate"; rm -rf "$lint_tmp"; exit 1; }
-rm -rf "$lint_tmp"
 
 echo "=== module-size ceiling (pipeline stays a thin plan-builder layer)"
 # The stage-graph executor (core/src/exec/) owns query execution;

@@ -26,7 +26,7 @@
 //! | [`admission`] | `sage-admission` | admission control, deadline budgets, brownout ladder |
 //! | [`telemetry`] | `sage-telemetry` | spans, stage histograms, cost ledger, exporters |
 //! | [`obs`] | `sage-obs` | flight recorder, SLO burn rates, scenario-matrix diffing |
-//! | [`lint`] | `sage-lint` | workspace static analysis (determinism/panic/layering rules) |
+//! | [`lint`] | `sage-lint` | workspace static analysis (determinism and panic-freedom rules) |
 //! | [`core`] | `sage-core` | the assembled pipeline, baselines, experiment harnesses |
 //!
 //! ## Quickstart

@@ -954,8 +954,6 @@ fn lint_trigger() -> impl Strategy<Value = String> {
         1 => Just("Instant::now()".to_string()),
         1 => Just("SystemTime::now()".to_string()),
         1 => Just("Ordering::Relaxed".to_string()),
-        1 => Just("use sage_core::pipeline::RagSystem;".to_string()),
-        1 => Just("use sage_lint::rules;".to_string()),
     ]
 }
 
@@ -1380,187 +1378,6 @@ mod live_corpus {
             prop_assert_eq!(w.digest(), digest, "recovered state diverged at {}", point);
             prop_assert!(w.snapshot().doc_fingerprint("doc-crash").is_none());
             std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-}
-
-// --- Lint semantic engine -------------------------------------------------
-//
-// The item parser, call-graph export, and panic-reachability analysis
-// must be structure-preserving and deterministic on arbitrary generated
-// workspaces, not just the fixtures in the lint crate's unit suite.
-
-mod lint_semantics {
-    use proptest::prelude::*;
-    use sage::lint::parser::{parse_items, walk, ItemKind};
-    use sage::lint::{lexer, render_human, rules, workspace_analysis, workspace_report};
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    static WS_COUNTER: AtomicUsize = AtomicUsize::new(0);
-
-    /// Materialize files into a unique throwaway workspace root.
-    fn synth_workspace(files: &[(&str, String)]) -> PathBuf {
-        let id = WS_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("sage_lint_prop_{}_{id}", std::process::id()));
-        for (rel, text) in files {
-            let path = dir.join(rel);
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(path, text).unwrap();
-        }
-        dir
-    }
-
-    #[derive(Debug, Clone)]
-    enum Shape {
-        Fn,
-        Mod,
-        Impl,
-    }
-
-    fn shape() -> impl Strategy<Value = Shape> {
-        prop_oneof![Just(Shape::Fn), Just(Shape::Mod), Just(Shape::Impl)]
-    }
-
-    /// Identifier-safe names; the `w` prefix keeps keywords out.
-    fn ident() -> impl Strategy<Value = String> {
-        "[a-z]{3,8}".prop_map(|s| format!("w{s}"))
-    }
-
-    proptest! {
-        #[test]
-        fn parser_item_spans_round_trip(
-            spec in proptest::collection::vec((shape(), ident()), 1..12),
-        ) {
-            let mut src = String::new();
-            let mut expect: Vec<(ItemKind, String)> = Vec::new();
-            for (i, (shape, n)) in spec.iter().enumerate() {
-                match shape {
-                    Shape::Fn => {
-                        src.push_str(&format!("fn {n}_{i}(x: u32) -> u32 {{ x + 1 }}\n"));
-                        expect.push((ItemKind::Fn, format!("{n}_{i}")));
-                    }
-                    Shape::Mod => {
-                        src.push_str(&format!(
-                            "mod {n}_{i} {{ fn inner_{i}() {{ let y = 2; }} }}\n"
-                        ));
-                        expect.push((ItemKind::Mod, format!("{n}_{i}")));
-                        expect.push((ItemKind::Fn, format!("inner_{i}")));
-                    }
-                    Shape::Impl => {
-                        src.push_str(&format!(
-                            "struct T{i};\nimpl T{i} {{ fn {n}_{i}(&self) -> u8 {{ 3 }} }}\n"
-                        ));
-                        expect.push((ItemKind::Impl, format!("T{i}")));
-                        expect.push((ItemKind::Fn, format!("{n}_{i}")));
-                    }
-                }
-            }
-            let lexed = lexer::lex(&src);
-            let parsed = parse_items(&lexed.tokens);
-            let mut got: Vec<(ItemKind, String)> = Vec::new();
-            walk(&parsed, &mut |it, _| got.push((it.kind, it.name.clone())));
-            prop_assert_eq!(&got, &expect, "items diverged for source:\n{}", src);
-
-            // Span round-trip: every item's token range ends at its own
-            // closer, and fn body interiors nest inside it brace-balanced.
-            let toks = &lexed.tokens;
-            let mut span_err: Option<String> = None;
-            walk(&parsed, &mut |it, _| {
-                if span_err.is_some() {
-                    return;
-                }
-                if it.tok_end == 0 || it.tok_end > toks.len() || it.tok_start >= it.tok_end {
-                    span_err = Some(format!("bad span {}..{} for {}", it.tok_start, it.tok_end, it.name));
-                    return;
-                }
-                let last = &toks[it.tok_end - 1].text;
-                if last != "}" && last != ";" {
-                    span_err = Some(format!("item {} ends at `{last}`", it.name));
-                    return;
-                }
-                if let Some((b0, b1)) = it.body {
-                    if !(it.tok_start < b0 && b0 <= b1 && b1 < it.tok_end) {
-                        span_err = Some(format!("body {b0}..{b1} escapes item span for {}", it.name));
-                        return;
-                    }
-                    let depth: i64 = toks[b0..b1]
-                        .iter()
-                        .map(|t| match t.text.as_str() { "{" => 1, "}" => -1, _ => 0 })
-                        .sum();
-                    if depth != 0 {
-                        span_err = Some(format!("unbalanced body for {}", it.name));
-                    }
-                }
-            });
-            prop_assert!(span_err.is_none(), "{} in source:\n{}", span_err.unwrap(), src);
-        }
-
-        #[test]
-        fn callgraph_json_identical_across_runs_and_directories(
-            n in 2usize..8,
-            cross in proptest::bool::ANY,
-        ) {
-            // A call chain w0 -> w1 -> ... across one or two crates; the
-            // exported call graph must be byte-identical for the same
-            // sources regardless of which directory they sit in.
-            let mut core = String::new();
-            for i in 0..n {
-                let next = if i + 1 < n { format!("w{}(x)", i + 1) } else { "x + 1".to_string() }
-;
-                core.push_str(&format!("pub fn w{i}(x: u32) -> u32 {{ {next} }}\n"));
-            }
-            let mut files: Vec<(&str, String)> =
-                vec![("crates/text/src/lib.rs", core)];
-            if cross {
-                files.push((
-                    "crates/core/src/extra.rs",
-                    "pub fn caller(x: u32) -> u32 { w0(x) }\n".to_string(),
-                ));
-            }
-            let dir_a = synth_workspace(&files);
-            let dir_b = synth_workspace(&files);
-            let a = workspace_analysis(&dir_a).unwrap();
-            let a2 = workspace_analysis(&dir_a).unwrap();
-            let b = workspace_analysis(&dir_b).unwrap();
-            let ja = a.graph.to_json(&a.workspace);
-            let ja2 = a2.graph.to_json(&a2.workspace);
-            let jb = b.graph.to_json(&b.workspace);
-            std::fs::remove_dir_all(&dir_a).ok();
-            std::fs::remove_dir_all(&dir_b).ok();
-            prop_assert!(ja.contains("\"text::w0\""), "graph export lost fns: {}", ja);
-            prop_assert_eq!(&ja, &ja2, "same directory, different bytes");
-            prop_assert_eq!(&ja, &jb, "same sources in a different directory changed the export");
-        }
-
-        #[test]
-        fn test_only_panics_never_reach_serving(k in 1usize..6) {
-            // Panic sources confined to #[cfg(test)] code must not count
-            // against the serving-path reachability rule.
-            let mut src = String::from(
-                "pub struct Flat;\n\
-                 impl Flat {\n\
-                     pub fn search(&self, q: &[f32]) -> f32 { helper(q) }\n\
-                 }\n\
-                 fn helper(q: &[f32]) -> f32 { q.iter().sum() }\n\
-                 #[cfg(test)]\n\
-                 mod tests {\n",
-            );
-            for i in 0..k {
-                src.push_str(&format!(
-                    "    #[test]\n    fn t{i}() {{ assert_eq!(Some({i}).unwrap(), {i}); }}\n"
-                ));
-            }
-            src.push_str("}\n");
-            let dir = synth_workspace(&[("crates/vecdb/src/lib.rs", src.clone())]);
-            let report = workspace_report(&dir).unwrap();
-            std::fs::remove_dir_all(&dir).ok();
-            prop_assert!(
-                !report.violations.iter().any(|v| v.rule == rules::PANIC_REACHABILITY),
-                "test-only panic leaked into serving reachability:\n{}\nsource:\n{}",
-                render_human(&report),
-                src
-            );
         }
     }
 }
