@@ -32,12 +32,6 @@ pub struct SoakConfig {
     /// borrowing capacity from healthy shards. `1` (the default) is the
     /// single-pool model and replays historical logs byte-for-byte.
     pub shards: u32,
-    /// Real executor threads driving each virtual-time dispatch wave
-    /// through the cross-query slot scheduler. Purely a *how fast does the
-    /// harness run* knob: virtual timestamps, logs, and reports are
-    /// byte-identical at every value. `0` and `1` both mean the
-    /// historical sequential execution path.
-    pub exec_workers: usize,
     /// Per-class early-drop ramp starts (see `AdmissionConfig`).
     pub ramp_start: [f64; Priority::COUNT],
     /// Relative class weights `[interactive, batch, background]`.
@@ -55,7 +49,6 @@ impl Default for SoakConfig {
             capacity: 8,
             concurrency: 2,
             shards: 1,
-            exec_workers: 1,
             ramp_start: [1.0, 0.85, 0.70],
             class_weights: [0.5, 0.3, 0.2],
             budget: Some(QueryBudget::new(Duration::from_secs(8), 4_000)),

@@ -50,11 +50,9 @@ fn bench_vecdb(c: &mut Criterion) {
         let vectors = unit_vectors(n, 64);
         let mut flat = FlatIndex::cosine();
         let mut hnsw = HnswIndex::cosine();
-        let mut ivf = IvfIndex::cosine();
         for v in &vectors {
             flat.add(v.clone());
             hnsw.add(v.clone());
-            ivf.add(v.clone());
         }
         let query = vectors[n / 2].clone();
         group.bench_with_input(BenchmarkId::new("flat_top10", n), &n, |b, _| {
@@ -62,9 +60,6 @@ fn bench_vecdb(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("hnsw_top10", n), &n, |b, _| {
             b.iter(|| black_box(hnsw.search(black_box(&query), 10)))
-        });
-        group.bench_with_input(BenchmarkId::new("ivf_top10", n), &n, |b, _| {
-            b.iter(|| black_box(ivf.search(black_box(&query), 10)))
         });
     }
     // The repo benchmark's `ask_dense` shape (23k chunks x 256-d, top 32):

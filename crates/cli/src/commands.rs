@@ -361,7 +361,6 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
         capacity: flags.get_parse("capacity", 8usize)?,
         concurrency: flags.get_parse("concurrency", 2usize)?,
         shards: flags.get_parse("shards", 1u32)?,
-        exec_workers: flags.get_parse("exec-workers", 1usize)?,
         budget: if flags.has("no-budget") {
             None
         } else {
@@ -381,17 +380,12 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
     }
 
     eprintln!(
-        "soak: seed {} | {:.0?} virtual @ {} qps | capacity {} | {} server(s){}{} | {}",
+        "soak: seed {} | {:.0?} virtual @ {} qps | capacity {} | {} server(s){} | {}",
         cfg.seed,
         cfg.duration,
         cfg.qps,
         cfg.capacity,
         cfg.concurrency,
-        if cfg.exec_workers > 1 {
-            format!(" | {} exec workers", cfg.exec_workers)
-        } else {
-            String::new()
-        },
         match system.shard_fanout() {
             Some(f) => format!(" | {} shards (quorum {})", f.shards, f.quorum),
             None => String::new(),
@@ -589,22 +583,8 @@ pub fn explain(flags: &Flags) -> Result<(), String> {
     if concurrency > 1 {
         let workers: usize = flags.get_parse("exec-workers", 2usize)?;
         println!();
-        print!("{}", sage::core::exec::render_schedule(&plan, concurrency, workers, 0x5A9E_0001));
+        print!("{}", sage::core::exec::render_schedule(&plan, concurrency, workers));
     }
-    Ok(())
-}
-
-/// `sage top --from <metrics>` — summarize a Prometheus text dump (as
-/// written by `--metrics-out`) into a one-screen serving dashboard:
-/// query/stage latency quantiles, shed and brownout pressure, cost.
-pub fn top(flags: &Flags) -> Result<(), String> {
-    let path = flags
-        .require("from")
-        .map_err(|_| "sage top needs --from <metrics-file> (see --metrics-out)".to_string())?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read metrics file {path}: {e}"))?;
-    let scrape = sage::obs::parse_scrape(&text);
-    print!("{}", sage::obs::dashboard(&scrape));
     Ok(())
 }
 
@@ -613,7 +593,8 @@ pub fn top(flags: &Flags) -> Result<(), String> {
 /// histograms and cost ledger, and a reconciliation section proving the
 /// layers agree (recorder captures vs the observation stream, SLO shed /
 /// brownout counts vs the admission counters, ledger tokens vs per-query
-/// observations). The bundle is one JSON object on stdout (or `--out`).
+/// observations). The bundle is one JSON object on stdout (or `--out`);
+/// the telemetry summary and the SLO summary go to stderr.
 pub fn report(flags: &Flags) -> Result<(), String> {
     let docs: usize = flags.get_parse("docs", 2usize)?;
     let seed: u64 = flags.get_parse("seed", 42u64)?;
@@ -648,7 +629,6 @@ pub fn report(flags: &Flags) -> Result<(), String> {
     let mut system =
         RagSystem::build(resolve_models(flags)?, retriever, SageConfig::sage(), profile, &corpus);
     let hub = system.enable_telemetry();
-    system.enable_recorder(recorder_cfg);
 
     // The shed/brownout counters are process-global; reconcile against
     // this run's deltas, not absolute values.
@@ -661,6 +641,12 @@ pub fn report(flags: &Flags) -> Result<(), String> {
         cfg.seed, cfg.duration, cfg.qps, recorder_cfg.capacity
     );
     let soak = run_soak(&system, &questions, &cfg);
+    // The recorder and the SLO accounting are two folds over the soak's
+    // one observation stream.
+    let mut recorder = sage::obs::FlightRecorder::new(recorder_cfg);
+    for o in &soak.obs {
+        recorder.capture_query(o);
+    }
     let slo = sage::obs::evaluate_slo(&slo_spec, &soak.obs);
     if let Some(t) = slo.alert_trace() {
         // Alert history travels with the trace stream.
@@ -670,11 +656,9 @@ pub fn report(flags: &Flags) -> Result<(), String> {
     let shed_delta: Vec<u64> =
         (0..Priority::COUNT).map(|i| SHED_TOTAL.get(i) - shed0[i]).collect();
     let brownout_delta = BROWNOUT_TOTAL.total() - brownout0;
-    let stats = system.recorder_stats().ok_or("recorder detached mid-run")?;
+    let stats = recorder.stats();
     let flagged_total = soak.obs.iter().filter(|o| o.flagged()).count();
-    let flagged_retained = system
-        .with_recorder(|r| r.records().iter().filter(|rec| rec.obs.flagged()).count())
-        .unwrap_or(0);
+    let flagged_retained = recorder.records().iter().filter(|rec| rec.obs.flagged()).count();
     let brownout_steps: u64 =
         soak.obs.iter().filter(|o| o.outcome == sage::obs::Outcome::Done).map(|o| u64::from(o.brownout)).sum();
     let obs_tokens: u64 = soak.obs.iter().map(|o| o.tokens).sum();
@@ -707,7 +691,7 @@ pub fn report(flags: &Flags) -> Result<(), String> {
     bundle.push_u64("recorder_evicted", stats.evicted);
     bundle.push_u64("recorder_recycled", stats.recycled);
     bundle.push_u64("recorder_windows_sealed", stats.windows_sealed);
-    bundle.push_jsonl("recorder_tail", &system.recorder_jsonl().unwrap_or_default());
+    bundle.push_jsonl("recorder_tail", &recorder.to_jsonl());
     bundle.push_str("slo_summary", &slo.summary());
     bundle.push_raw(
         "slo_alerts",
@@ -741,16 +725,17 @@ pub fn report(flags: &Flags) -> Result<(), String> {
         }
         None => print!("{rendered}"),
     }
+    let prices = sage::telemetry::export::Prices {
+        input_per_token: profile.prices.input_per_token,
+        output_per_token: profile.prices.output_per_token,
+    };
     if let Some(path) = flags.get("metrics-out").filter(|p| !p.is_empty()) {
-        let prices = sage::telemetry::export::Prices {
-            input_per_token: profile.prices.input_per_token,
-            output_per_token: profile.prices.output_per_token,
-        };
         let mut text = sage::telemetry::export::prometheus(&hub, Some(prices));
         text.push_str(&slo.gauges());
         std::fs::write(path, text).map_err(|e| format!("cannot write metrics file {path}: {e}"))?;
         eprintln!("wrote metrics (with SLO gauges) -> {path}");
     }
+    eprint!("{}", sage::telemetry::export::summary(&hub, Some(prices)));
     eprint!("{}", slo.summary());
     if !reconciliation.clean() {
         return Err(format!("report reconciliation failed: {}", reconciliation.to_json()));
@@ -876,8 +861,7 @@ USAGE:
   sage query   --index <index> --question \"...\" [--llm L]
   sage train   --out <path>         # save the trained model bundle
   sage soak    [--seed 42] [--qps 4] [--duration 30] [--capacity 8]
-               [--concurrency 2] [--exec-workers 1] [--deadline-ms 8000]
-               [--token-budget 50000]
+               [--concurrency 2] [--deadline-ms 8000] [--token-budget 50000]
                [--no-budget] [--docs N | --file <path> --question \"...\"]
                [--max-shed-rate 0.9] [--faults <spec>] [--fault-seed <n>]
                [--shards N] [--quorum Q]   # scatter-gather serving with
@@ -897,7 +881,6 @@ USAGE:
                # (with --concurrency) the cross-query slot schedule: per
                # tick, the coalesced same-stage batch op and the seeded
                # round-robin worker assignment
-  sage top     --from <metrics>           # dashboard over a Prometheus dump
   sage report  [--seed 42] [--qps 4] [--duration 30] [--docs N]
                [--slo <spec>] [--recorder-capacity 256] [--out <bundle>]
                [--metrics-out <path>] [--strict-slo]
@@ -927,7 +910,9 @@ TELEMETRY (ask, query):
                         the token/dollar cost ledger, and counters
   --trace-out <path>    write per-query span traces as JSON Lines
                         (one trace object per query; spans carry parent
-                        links, start/duration in ns, and key=value fields)
+                        links, start/duration in ns, and key=value fields);
+                        the most recent 4,096 are kept, older ones are
+                        dropped and counted on the summary's last line
   --metrics-out <path>  write a Prometheus text-format dump of all
                         counters, histograms, and cost gauges
   Any telemetry flag attaches the recorder; overhead when none is given
@@ -945,9 +930,6 @@ SOAK:
   skip rerank -> flat top-k) instead of failing them. Exits nonzero if
   a soak invariant is violated (panics, excess shed, out-of-order
   brownout, unbounded p99). Fault flags compose with the soak.
-  --exec-workers N drives each virtual-time dispatch wave through the
-  cross-query slot scheduler on N real threads; logs and reports stay
-  byte-identical at every value (diff them to prove it).
 
 LIVE SOAK:
   sage soak --live drives the live-corpus writer (epoch snapshots,
@@ -971,8 +953,9 @@ OBSERVABILITY:
   declarative spec, e.g. \"latency_ms=250,shed_rate=0.2,burn=2\"
   (keys: latency_ms|interactive_ms|shed_rate|brownout_rung|
   min_confidence|short_s|long_s|burn|budget; value `off` disables an
-  objective). --metrics-out appends SLO burn gauges to the Prometheus
-  dump; sage top --from <that file> renders the dashboard.
+  objective). The one-screen dashboard (stage latency quantiles, cost
+  ledger, counters, SLO burn) goes to stderr; --metrics-out writes the
+  Prometheus dump with the SLO burn gauges appended.
 
 SCENARIOS:
   sage scenarios run <grid.toml> executes a declarative matrix of

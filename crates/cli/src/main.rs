@@ -9,7 +9,7 @@
 //!              [--docs N] [--questions M] [--llm L]
 //! sage train   --out models.bin
 //! sage soak    [--seed 42] [--qps 4] [--duration 30] [--capacity 8]
-//!              [--concurrency 2] [--exec-workers 1] [--deadline-ms 8000]
+//!              [--concurrency 2] [--deadline-ms 8000]
 //!              [--token-budget 50000] [--no-budget]
 //!              [--docs N | --file F --question "..."]
 //!              [--faults SPEC] [--fault-seed N] [--max-shed-rate 0.9]
@@ -17,7 +17,6 @@
 //!              [--update-baseline]
 //! sage explain ["question"] [--retriever R] [--naive]
 //!              [--concurrency N [--exec-workers 2]]
-//! sage top     --from metrics.prom
 //! sage report  [--seed 42] [--qps 4] [--duration 30] [--slo SPEC]
 //!              [--out bundle.json] [--metrics-out F] [--strict-slo]
 //! sage scenarios run scenarios.toml [--baseline F] [--filter S] [--update]
@@ -74,7 +73,6 @@ fn main() -> ExitCode {
         "index" => commands::index(&parsed),
         "query" => commands::query(&parsed),
         "soak" => commands::soak(&parsed),
-        "top" => commands::top(&parsed),
         "report" => commands::report(&parsed),
         "scenarios" => commands::scenarios(&parsed),
         "lint" => commands::lint(&parsed),

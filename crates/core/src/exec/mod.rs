@@ -20,12 +20,12 @@ mod ctx;
 mod middleware;
 mod plan;
 pub(crate) mod scatter;
-pub(crate) mod sched;
+mod sched;
 mod stages;
 
 pub(crate) use ctx::QueryCtx;
 pub use plan::{Fanout, QueryPlan, RerankMode, SelectMode, StageOp};
-pub use sched::{render_schedule, ScheduleStats};
+pub use sched::render_schedule;
 use plan::Loc;
 use stages::dispatch;
 
@@ -71,18 +71,6 @@ fn exec_slot(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>, loc:
     flow
 }
 
-/// Run the prelude slots (retrieval + rerank) of `plan` over `ctx`.
-fn run_prelude_slots(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>) {
-    let mut i = 0;
-    while i < plan.prelude.len() {
-        let flow = exec_slot(sys, plan, ctx, Loc::Prelude(i));
-        if flow == Flow::FallbackToBm25 {
-            plan.on_bm25_fallback(i + 1);
-        }
-        i += 1;
-    }
-}
-
 /// Finalize: stamp the degradation trace into the result, absorb it into
 /// the resilience counters, and flush the query's telemetry (degrade
 /// events folded into the span trace, query histogram, trace ring).
@@ -113,10 +101,6 @@ fn finalize(sys: &RagSystem, mut ctx: QueryCtx<'_>, total: Duration) -> QueryRes
         hub.record_query(total);
         hub.push_trace(t);
     }
-    // Flight-recorder hook: one ad-hoc observation per query when a
-    // recorder is attached (suppressed while an external driver like the
-    // soak loop supplies its own, richer observations).
-    crate::obs::observe_adhoc(sys, ctx.question, &result);
     result
 }
 
@@ -219,8 +203,7 @@ pub(crate) fn execute_fixed(
 /// [`crate::RagSystem::rerank_scores`]. Histogram stages still record when
 /// a hub is attached, but no span trace is kept.
 pub(crate) fn run_prelude(sys: &RagSystem, question: &str) -> (Vec<usize>, Vec<RankedChunk>) {
-    let mut plan = sys.resolve_plan();
-    let mut ctx = QueryCtx::new(question, None, None, None, None, sys.config.min_k);
-    run_prelude_slots(sys, &mut plan, &mut ctx);
+    let ctx = QueryCtx::new(question, None, None, None, None, sys.config.min_k);
+    let ctx = sched::drive_prelude(sys, sys.resolve_plan(), ctx);
     (ctx.cand_ids, ctx.ranked)
 }

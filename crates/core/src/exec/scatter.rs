@@ -95,11 +95,6 @@ impl RagSystem {
         self.shards = None;
     }
 
-    /// Whether sharded serving is active.
-    pub fn sharding_enabled(&self) -> bool {
-        self.shards.is_some()
-    }
-
     /// The resolved fan-out, when sharding is active.
     pub fn shard_fanout(&self) -> Option<Fanout> {
         self.shards.as_ref().map(|s| s.fanout)

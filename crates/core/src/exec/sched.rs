@@ -5,8 +5,8 @@
 //! Every query is a [`QueryRun`] — a resumable cursor over its
 //! [`QueryPlan`] that executes exactly one slot (the full middleware
 //! sandwich) per [`QueryRun::advance`]. The scheduler keeps the ready-set
-//! (each live run exposes exactly one ready slot), groups it by stage
-//! kind, and assigns slots to workers with a *deterministic* policy:
+//! (each live run exposes exactly one ready slot), batches its ready
+//! embed slots, and assigns slots to workers with a *deterministic* policy:
 //! seeded round-robin keyed on `(query_seq, slot_index)` — never
 //! wall-clock, never thread id — so the schedule replays identically at
 //! any machine speed and any worker count.
@@ -39,10 +39,9 @@ use super::stages::dispatch;
 use super::{exec_slot, finalize, Flow, QueryCtx};
 use crate::pipeline::RagSystem;
 use crate::QueryResult;
-use sage_admission::QueryBudget;
 use sage_resilience::{Fallback, SageError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Where a run's single ready slot sits in its plan.
 #[derive(Debug, Clone, Copy)]
@@ -112,23 +111,6 @@ impl<'a> QueryRun<'a> {
             }
             _ => StageOp::Fuse,
         }
-    }
-
-    /// The second half of the worker assignment key.
-    pub(crate) fn slot_index(&self) -> usize {
-        self.slots_run
-    }
-
-    /// The question this run answers.
-    pub(crate) fn question(&self) -> &'a str {
-        self.ctx.question
-    }
-
-    /// Stash a coalesced-embed result for the pending embed slot to
-    /// consume (see [`super::stages`]; identical to what the slot would
-    /// compute, by the `EmbedBatch` element-wise contract).
-    pub(crate) fn prefetch_embedding(&mut self, v: Vec<f32>) {
-        self.ctx.prefetched_query_vec = Some(v);
     }
 
     /// Round-completion bookkeeping, verbatim from the sequential loop: a
@@ -232,62 +214,24 @@ fn drive_run(sys: &RagSystem, mut run: QueryRun<'_>) -> QueryResult {
     run.finish(sys)
 }
 
-/// One query's admission into the scheduler: the question plus the
-/// per-query execution inputs the entry points resolve.
-pub(crate) struct BatchSpec<'a> {
-    /// The question to answer.
-    pub question: &'a str,
-    /// Multiple-choice options, when in that mode.
-    pub options: Option<&'a [String]>,
-    /// Per-query deadline/token budget, when one applies.
-    pub budget: Option<QueryBudget>,
-}
-
-impl<'a> BatchSpec<'a> {
-    /// An open-ended unbudgeted question.
-    pub(crate) fn open(question: &'a str) -> Self {
-        BatchSpec { question, options: None, budget: None }
+/// Drive a run through its prelude slots (retrieval + rerank) only and
+/// hand back the context they filled.
+pub(crate) fn drive_prelude<'a>(
+    sys: &RagSystem,
+    plan: QueryPlan,
+    ctx: QueryCtx<'a>,
+) -> QueryCtx<'a> {
+    let mut run = QueryRun::start(plan, ctx);
+    while matches!(run.pos, Pos::Prelude(_)) {
+        run.advance(sys);
     }
+    run.ctx
 }
 
-/// What one scheduled batch did: coalescing counts plus per-worker busy
-/// attribution. `worker_busy_ns[w]` sums the measured slot times the
-/// deterministic policy assigned to worker `w`; on a single-core host
-/// those are exactly the times a real worker fleet would overlap, so
-/// [`ScheduleStats::critical_path`] models the batch's parallel makespan
-/// the same way the shard bench models fan-out overlap.
-#[derive(Debug, Clone)]
-pub struct ScheduleStats {
-    /// Queries admitted to the scheduler.
-    pub queries: usize,
-    /// Worker count after the degenerate-count clamps.
-    pub workers: usize,
-    /// Scheduler ticks (each live query steps one slot per tick).
-    pub ticks: usize,
-    /// Coalesced same-stage groups executed (including groups of one).
-    pub batch_ops: usize,
-    /// Slots that ran inside a group of two or more.
-    pub coalesced_slots: usize,
-    /// Largest same-stage group observed.
-    pub max_group: usize,
-    /// Per-worker sums of measured slot durations (profiling mode only).
-    pub worker_busy_ns: Vec<u64>,
-    /// Wall-clock of the whole scheduled run.
-    pub wall_ns: u64,
-}
-
-impl ScheduleStats {
-    /// The modeled parallel makespan: the busiest worker's attributed
-    /// time.
-    pub fn critical_path(&self) -> Duration {
-        Duration::from_nanos(self.worker_busy_ns.iter().copied().max().unwrap_or(0))
-    }
-
-    /// Total attributed work across all workers.
-    pub fn busy_total(&self) -> Duration {
-        Duration::from_nanos(self.worker_busy_ns.iter().sum())
-    }
-}
+/// The seed of the deterministic worker-assignment policy. A fixed
+/// constant, so a batch's schedule is a pure function of `(batch size,
+/// worker count)` — replayable across processes and runs.
+const SCHED_SEED: u64 = 0x5A9E_0001;
 
 /// Deterministic worker assignment: seeded round-robin keyed on
 /// `(query_seq, slot_index)`. The slot index rotates the round-robin
@@ -319,68 +263,30 @@ pub(super) fn panic_error(sys: &RagSystem, payload: Box<dyn std::any::Any + Send
     err
 }
 
-/// Run many queries through the scheduler with `workers` real threads.
-/// Results align with input order and are byte-identical (in every
-/// deterministic field) to a sequential loop over the same specs, at any
-/// worker count.
+/// Run many open-ended questions through the scheduler with `workers`
+/// real threads. Results align with input order and are byte-identical
+/// (in every deterministic field) to a sequential loop over the same
+/// questions, at any worker count.
 pub(crate) fn run_interleaved<'a>(
     sys: &'a RagSystem,
-    specs: &[BatchSpec<'a>],
+    questions: &[&'a str],
     workers: usize,
-    seed: u64,
 ) -> Vec<Result<QueryResult, SageError>> {
-    run_scheduler(sys, specs, workers, seed, false).0
-}
-
-/// [`run_interleaved`] in profiling mode: slots execute sequentially on
-/// the caller's thread (results unchanged — the assignment never affects
-/// outputs) while each measured slot duration is attributed to the worker
-/// the deterministic policy picked. This is the measurement engine behind
-/// the `throughput_scaling` bench.
-pub(crate) fn profile_interleaved<'a>(
-    sys: &'a RagSystem,
-    specs: &[BatchSpec<'a>],
-    workers: usize,
-    seed: u64,
-) -> (Vec<Result<QueryResult, SageError>>, ScheduleStats) {
-    run_scheduler(sys, specs, workers, seed, true)
-}
-
-fn run_scheduler<'a>(
-    sys: &'a RagSystem,
-    specs: &[BatchSpec<'a>],
-    workers: usize,
-    seed: u64,
-    profiled: bool,
-) -> (Vec<Result<QueryResult, SageError>>, ScheduleStats) {
-    let n = specs.len();
-    let mut stats = ScheduleStats {
-        queries: n,
-        workers: 0,
-        ticks: 0,
-        batch_ops: 0,
-        coalesced_slots: 0,
-        max_group: 0,
-        worker_busy_ns: Vec::new(),
-        wall_ns: 0,
-    };
+    let n = questions.len();
     if n == 0 {
-        return (Vec::new(), stats);
+        return Vec::new();
     }
     // Degenerate worker counts: zero clamps to one, and more workers than
     // queries would only spawn idle threads, so cap at the batch length.
     let workers = workers.clamp(1, n);
-    stats.workers = workers;
-    stats.worker_busy_ns = vec![0; workers];
-    let wall = Instant::now();
 
-    // Admit every spec in input order, under the same panic boundary the
-    // sequential path puts around setup.
+    // Admit every question in input order, under the same panic boundary
+    // the sequential path puts around setup.
     let mut out: Vec<Option<Result<QueryResult, SageError>>> = (0..n).map(|_| None).collect();
     let mut runs: Vec<Option<QueryRun<'a>>> = Vec::with_capacity(n);
-    for (i, spec) in specs.iter().enumerate() {
+    for (i, &question) in questions.iter().enumerate() {
         match catch_unwind(AssertUnwindSafe(|| {
-            let (plan, ctx) = super::prepare(sys, spec.question, spec.options, spec.budget);
+            let (plan, ctx) = super::prepare(sys, question, None, None);
             QueryRun::start(plan, ctx)
         })) {
             Ok(run) => runs.push(Some(run)),
@@ -396,27 +302,10 @@ fn run_scheduler<'a>(
         if live.is_empty() {
             break;
         }
-        coalesce_tick(sys, &mut runs, &live, &mut stats);
+        coalesce_embeds(sys, &mut runs, &live);
 
-        // Assign this tick's ready slots to workers.
-        let assigned: Vec<(usize, usize)> = live
-            .iter()
-            .map(|&i| {
-                let slot = runs[i].as_ref().map_or(0, QueryRun::slot_index);
-                (i, worker_of(seed, i, slot, workers))
-            })
-            .collect();
-
-        if profiled {
-            // Sequential execution, virtual attribution: byte-identical
-            // results with per-worker overlap numbers.
-            for &(i, w) in &assigned {
-                let t0 = Instant::now();
-                advance_caught(sys, &mut runs[i], &mut out[i]);
-                stats.worker_busy_ns[w] += t0.elapsed().as_nanos() as u64;
-            }
-        } else if workers == 1 {
-            for &(i, _) in &assigned {
+        if workers == 1 {
+            for &i in &live {
                 advance_caught(sys, &mut runs[i], &mut out[i]);
             }
         } else {
@@ -425,9 +314,9 @@ fn run_scheduler<'a>(
             // slot fails only its own query.
             let mut buckets: Vec<Vec<(usize, QueryRun<'a>)>> =
                 (0..workers).map(|_| Vec::new()).collect();
-            for &(i, w) in &assigned {
+            for &i in &live {
                 if let Some(run) = runs[i].take() {
-                    buckets[w].push((i, run));
+                    buckets[worker_of(SCHED_SEED, i, run.slots_run, workers)].push((i, run));
                 }
             }
             std::thread::scope(|s| {
@@ -477,19 +366,15 @@ fn run_scheduler<'a>(
                 }
             }
         }
-        stats.ticks += 1;
     }
 
-    stats.wall_ns = wall.elapsed().as_nanos() as u64;
-    let results = out
-        .into_iter()
+    out.into_iter()
         .map(|r| {
             r.unwrap_or(Err(SageError::Panicked {
                 detail: "answer worker died before reporting".to_string(),
             }))
         })
-        .collect();
-    (results, stats)
+        .collect()
 }
 
 /// Step one run behind the per-slot panic boundary; a panic retires the
@@ -506,43 +391,29 @@ fn advance_caught<'a>(
     }
 }
 
-/// Group the tick's ready-set into same-stage batch ops and execute the
-/// coalescable ones through the batch surfaces. Groups keep query order;
-/// the embed group goes through one `EmbedBatch` call when no fault plan
-/// is armed (injection is keyed per question *inside* the guard, so
-/// guarded runs keep the per-slot path — which is itself a batch of one
-/// at the model layer).
-fn coalesce_tick<'a>(
-    sys: &RagSystem,
-    runs: &mut [Option<QueryRun<'a>>],
-    live: &[usize],
-    stats: &mut ScheduleStats,
-) {
-    let mut groups: Vec<(&'static str, Vec<usize>)> = Vec::new();
-    for &i in live {
-        let Some(run) = runs[i].as_ref() else { continue };
-        let name = run.next_op().name();
-        match groups.iter_mut().find(|(k, _)| *k == name) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((name, vec![i])),
-        }
+/// Coalesce the tick's ready embed slots into one `EmbedBatch` call when
+/// no fault plan is armed (injection is keyed per question *inside* the
+/// guard, so guarded runs keep the per-slot path — which is itself a
+/// batch of one at the model layer). Members keep query order.
+fn coalesce_embeds(sys: &RagSystem, runs: &mut [Option<QueryRun<'_>>], live: &[usize]) {
+    if sys.resilience.is_some() {
+        return;
     }
-    stats.batch_ops += groups.len();
-    for (kind, members) in &groups {
-        stats.max_group = stats.max_group.max(members.len());
-        if members.len() < 2 {
-            continue;
-        }
-        stats.coalesced_slots += members.len();
-        if *kind == "embed" && sys.resilience.is_none() {
-            let texts: Vec<&str> =
-                members.iter().filter_map(|&i| runs[i].as_ref().map(QueryRun::question)).collect();
-            if let Some(vecs) = sys.retriever.embed_query_batch(&texts) {
-                for (&i, v) in members.iter().zip(vecs) {
-                    if let Some(run) = runs[i].as_mut() {
-                        run.prefetch_embedding(v);
-                    }
-                }
+    let ready = |i: &usize| {
+        runs[*i].as_ref().is_some_and(|run| matches!(run.next_op(), StageOp::Embed))
+    };
+    let members: Vec<usize> = live.iter().copied().filter(ready).collect();
+    if members.len() < 2 {
+        return;
+    }
+    let texts: Vec<&str> =
+        members.iter().filter_map(|&i| runs[i].as_ref().map(|run| run.ctx.question)).collect();
+    if let Some(vecs) = sys.retriever.embed_query_batch(&texts) {
+        for (&i, v) in members.iter().zip(vecs) {
+            if let Some(run) = runs[i].as_mut() {
+                // Identical to what the slot would compute, by the
+                // `EmbedBatch` element-wise contract (see [`super::stages`]).
+                run.ctx.prefetched_query_vec = Some(v);
             }
         }
     }
@@ -553,19 +424,14 @@ fn coalesce_tick<'a>(
 /// the seeded round-robin worker assignment. Static resolution — no
 /// models, no corpus — so it shows the first feedback round and notes
 /// where runtime divergence (early exits, brownout rewrites) begins.
-pub fn render_schedule(
-    plan: &QueryPlan,
-    queries: usize,
-    workers: usize,
-    seed: u64,
-) -> String {
+pub fn render_schedule(plan: &QueryPlan, queries: usize, workers: usize) -> String {
     use std::fmt::Write as _;
     let queries = queries.max(1);
     let workers = workers.clamp(1, queries);
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "schedule: {queries} in-flight quer{} x {workers} worker{} (seeded round-robin, seed {seed})",
+        "schedule: {queries} in-flight quer{} x {workers} worker{} (seeded round-robin, seed {SCHED_SEED})",
         if queries == 1 { "y" } else { "ies" },
         if workers == 1 { "" } else { "s" },
     );
@@ -577,7 +443,7 @@ pub fn render_schedule(
     for (tick, op) in ops.iter().enumerate() {
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); workers];
         for q in 0..queries {
-            buckets[worker_of(seed, q, tick, workers)].push(q);
+            buckets[worker_of(SCHED_SEED, q, tick, workers)].push(q);
         }
         let lanes: Vec<String> = buckets
             .iter()
@@ -634,14 +500,14 @@ mod tests {
     fn schedule_rendering_is_deterministic() {
         let config = crate::config::SageConfig::sage();
         let plan = QueryPlan::resolve(&config, true, true);
-        let a = render_schedule(&plan, 4, 2, 42);
-        let b = render_schedule(&plan, 4, 2, 42);
+        let a = render_schedule(&plan, 4, 2);
+        let b = render_schedule(&plan, 4, 2);
         assert_eq!(a, b);
         assert!(a.contains("4 in-flight queries"), "{a}");
         assert!(a.contains("embed"), "{a}");
         assert!(a.contains("fuse"), "{a}");
         // Workers clamp to the in-flight count.
-        let c = render_schedule(&plan, 2, 8, 42);
+        let c = render_schedule(&plan, 2, 8);
         assert!(c.contains("x 2 worker"), "{c}");
     }
 }

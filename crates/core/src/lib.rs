@@ -46,7 +46,6 @@ pub mod fsx;
 pub mod live;
 pub mod models;
 pub mod multihop;
-pub mod obs;
 pub mod persist;
 pub mod pipeline;
 pub mod resilience;

@@ -47,9 +47,6 @@ pub struct RagSystem {
     /// stay deterministic, and the critical section is a few arithmetic
     /// ops.
     pub(crate) admission: Option<Mutex<AdmissionQueue>>,
-    /// Runtime-only flight recorder state (see `crate::obs`); `None`
-    /// records nothing.
-    pub(crate) obs: Option<crate::obs::ObsState>,
     /// Runtime-only sharded-serving state (see `crate::exec::scatter`);
     /// `None` serves from the monolithic index.
     pub(crate) shards: Option<crate::exec::scatter::ShardState>,
@@ -153,7 +150,6 @@ impl RagSystem {
             resilience: None,
             telemetry: None,
             admission: None,
-            obs: None,
             shards: None,
         }
     }
@@ -195,11 +191,6 @@ impl RagSystem {
     pub fn enable_resilience(&mut self, config: ResilienceConfig) {
         self.resilience =
             Some(ResilienceState::build(config, &self.chunks, self.retriever.flat_ref()));
-    }
-
-    /// Turn the resilience layer off (drops fallback tiers and counters).
-    pub fn disable_resilience(&mut self) {
-        self.resilience = None;
     }
 
     /// Whether the resilience layer is active.
@@ -263,16 +254,6 @@ impl RagSystem {
     /// same submission sequence sheds the same slots.
     pub fn enable_admission(&mut self, config: AdmissionConfig) {
         self.admission = Some(Mutex::new(AdmissionQueue::new(config)));
-    }
-
-    /// Turn admission control off (drops the queue and its counters).
-    pub fn disable_admission(&mut self) {
-        self.admission = None;
-    }
-
-    /// Whether admission control is active.
-    pub fn admission_enabled(&self) -> bool {
-        self.admission.is_some()
     }
 
     /// Admission report since [`RagSystem::enable_admission`]: admitted
@@ -426,16 +407,6 @@ impl RagSystem {
     /// decisions bit-for-bit.
     pub fn answer_open_budgeted(&self, question: &str, budget: QueryBudget) -> QueryResult {
         crate::exec::execute(self, question, None, Some(budget))
-    }
-
-    /// Answer a multiple-choice question under a deadline/token budget.
-    pub fn answer_multiple_choice_budgeted(
-        &self,
-        question: &str,
-        options: &[String],
-        budget: QueryBudget,
-    ) -> QueryResult {
-        crate::exec::execute(self, question, Some(options), Some(budget))
     }
 }
 

@@ -21,7 +21,7 @@
 //! admission queue shrinks the deadline budget its pipeline run receives,
 //! and deeper queues push queries further down the brownout ladder.
 
-use crate::exec::sched::{self, BatchSpec};
+use crate::exec::execute_caught;
 use crate::pipeline::RagSystem;
 use sage_admission::{
     arrival_plan, AdmissionConfig, AdmissionQueue, Decision, Priority, QueryBudget, ShedReason,
@@ -73,8 +73,9 @@ pub struct SoakReport {
     /// Deterministic event log, one line per arrival/start/finish.
     pub log: Vec<String>,
     /// Per-query observations in terminal-event order (shed, expiry,
-    /// completion, error) — the stream the flight recorder and the SLO
-    /// accounting consume. Virtual quantities only, so it replays
+    /// completion, error) — the one stream both the flight recorder
+    /// (`FlightRecorder::capture_query`) and the SLO accounting
+    /// (`evaluate_slo`) fold over. Virtual quantities only, so it replays
     /// bit-for-bit like the log.
     pub obs: Vec<QueryObs>,
 }
@@ -220,6 +221,11 @@ struct Job {
     deadline: Option<Duration>,
 }
 
+/// Reader confidence as milli-units in `[0, 1000]`.
+fn confidence_milli(confidence: f32) -> u32 {
+    (confidence.clamp(0.0, 1.0) * 1000.0).round() as u32
+}
+
 /// Fixed-width virtual timestamp (micros), so logs diff cleanly.
 fn fmt_t(d: Duration) -> String {
     format!("{}.{:06}s", d.as_secs(), d.subsec_micros())
@@ -270,8 +276,6 @@ pub fn run_soak(sys: &RagSystem, questions: &[String], cfg: &SoakConfig) -> Soak
         questions,
         base_budget: cfg.budget,
         router,
-        exec_workers: cfg.exec_workers,
-        seed: cfg.seed,
         queue: &mut queue,
         pending: &mut pending,
         free_at: &mut free_at,
@@ -279,17 +283,12 @@ pub fn run_soak(sys: &RagSystem, questions: &[String], cfg: &SoakConfig) -> Soak
         report: &mut report,
     };
 
-    // The soak loop owns observation while it runs: the executor's ad-hoc
-    // recorder hook is suppressed and every terminal event below feeds the
-    // recorder (when attached) with full arrival/class/deadline context.
-    crate::obs::set_driven(sys, true);
     for (seq, arrival) in plan.iter().enumerate() {
         state.dispatch_until(arrival.at);
         state.offer(seq, arrival.at, arrival.class);
     }
     // Drain: virtual time runs on until every queued job started.
     state.dispatch_until(Duration::MAX);
-    crate::obs::set_driven(sys, false);
 
     sojourns.sort_unstable();
     if !sojourns.is_empty() {
@@ -307,11 +306,6 @@ struct SimState<'a> {
     base_budget: Option<QueryBudget>,
     /// Routes each job to its home server pool (identity at one shard).
     router: ShardRouter,
-    /// Real scheduler threads per dispatch wave (`<= 1` runs each wave
-    /// inline on the simulation thread).
-    exec_workers: usize,
-    /// Soak seed, reused as the scheduler's worker-assignment seed.
-    seed: u64,
     queue: &'a mut AdmissionQueue,
     pending: &'a mut VecDeque<Job>,
     /// Per-shard pools of virtual-server busy horizons.
@@ -321,13 +315,6 @@ struct SimState<'a> {
 }
 
 impl SimState<'_> {
-    /// Record one terminal observation: into the report's stream always,
-    /// and into the system's flight recorder when one is attached.
-    fn record_obs(&mut self, o: QueryObs) {
-        crate::obs::observe(self.sys, &o);
-        self.report.obs.push(o);
-    }
-
     /// Offer one arrival to the admission queue.
     fn offer(&mut self, seq: usize, at: Duration, class: Priority) {
         match self.queue.admit(class) {
@@ -359,7 +346,7 @@ impl SimState<'_> {
                     label,
                     self.queue.depth()
                 ));
-                self.record_obs(QueryObs {
+                self.report.obs.push(QueryObs {
                     seq: seq as u64,
                     class: class.label(),
                     arrival_us: at.as_micros() as u64,
@@ -396,82 +383,38 @@ impl SimState<'_> {
 
     /// Start every pending job whose virtual start time lands before
     /// `now`, in FIFO order. A job starts when the earliest-free server of
-    /// its *home shard's* pool is available *and* the job has arrived.
-    ///
-    /// The FIFO sequence is cut into *dispatch waves* — maximal prefixes
-    /// whose placements are mutually independent — and each wave's
-    /// pipelines run interleaved through the cross-query slot scheduler
-    /// (inline on this thread at `exec_workers <= 1`), with all
-    /// bookkeeping replayed in FIFO order afterwards. Virtual time never
-    /// notices: logs, observations, and reports are byte-identical at
-    /// every worker count.
+    /// its *home shard's* pool is available *and* the job has arrived; its
+    /// pipeline runs to completion on this thread before the next job is
+    /// placed.
     fn dispatch_until(&mut self, now: Duration) {
-        while self.dispatch_wave(now) {}
-    }
-
-    /// Collect and run one dispatch wave: the maximal FIFO prefix of
-    /// startable jobs whose placements don't depend on each other. A job's
-    /// placement reads only its home pool's busy horizons, and only a
-    /// *completed* job writes them — so the wave closes at the first job
-    /// whose home pool an earlier wave member already claimed (its
-    /// placement must see that member's finish first). Expiring jobs claim
-    /// nothing and ride along in wave position. Returns whether anything
-    /// was dispatched.
-    fn dispatch_wave(&mut self, now: Duration) -> bool {
-        let mut wave: Vec<(Job, Duration, usize, usize, bool)> = Vec::new();
-        let mut claimed = vec![false; self.free_at.len()];
         while let Some(job) = self.pending.front() {
             let (start, home, slot) = self.place(job);
-            if claimed[home] || start >= now {
+            if start >= now {
                 break;
             }
             let Some(job) = self.pending.pop_front() else { break };
             self.queue.release();
-            let expired = job.deadline.is_some_and(|d| start >= d);
-            if !expired {
-                claimed[home] = true;
+            if job.deadline.is_some_and(|d| start >= d) {
+                self.expire(job, start);
+                continue;
             }
-            wave.push((job, start, home, slot, expired));
+            // The budget is fixed at placement time: whatever the queue
+            // wait left of the absolute deadline.
+            let budget = match (self.base_budget, job.deadline) {
+                (Some(base), Some(deadline)) => {
+                    Some(QueryBudget::new(deadline.saturating_sub(start), base.max_tokens))
+                }
+                _ => None,
+            };
+            let question = &self.questions[job.seq % self.questions.len()];
+            let outcome = execute_caught(self.sys, question, None, budget);
+            self.settle(job, start, home, slot, outcome);
         }
-        if wave.is_empty() {
-            return false;
-        }
-        // Run the wave's live pipelines interleaved through the slot
-        // scheduler, budgets fixed at placement time.
-        let questions: &[String] = self.questions;
-        let specs: Vec<BatchSpec<'_>> = wave
-            .iter()
-            .filter(|(_, _, _, _, expired)| !expired)
-            .map(|(job, start, _, _, _)| BatchSpec {
-                question: &questions[job.seq % questions.len()],
-                options: None,
-                budget: match (self.base_budget, job.deadline) {
-                    (Some(base), Some(deadline)) => {
-                        Some(QueryBudget::new(deadline.saturating_sub(*start), base.max_tokens))
-                    }
-                    _ => None,
-                },
-            })
-            .collect();
-        let mut outcomes =
-            sched::run_interleaved(self.sys, &specs, self.exec_workers, self.seed).into_iter();
-        // Replay all bookkeeping in FIFO order, so horizons, logs, and
-        // observations never depend on how the wave was executed.
-        for (job, start, home, slot, expired) in wave {
-            let wait = start.saturating_sub(job.at);
-            if expired {
-                self.expire(job, start, wait);
-            } else if let Some(outcome) = outcomes.next() {
-                // One outcome per live wave member, by construction: the
-                // spec list was built from exactly the non-expired jobs.
-                self.settle(job, start, home, slot, outcome);
-            }
-        }
-        true
     }
 
     /// Bookkeeping for a job whose deadline passed while it queued.
-    fn expire(&mut self, job: Job, start: Duration, wait: Duration) {
+    fn expire(&mut self, job: Job, start: Duration) {
+        let wait = start.saturating_sub(job.at);
         self.report.expired += 1;
         self.report.log.push(format!(
             "[{}] expire q={} class={} waited={}",
@@ -480,7 +423,7 @@ impl SimState<'_> {
             job.class,
             fmt_t(wait)
         ));
-        self.record_obs(QueryObs {
+        self.report.obs.push(QueryObs {
             seq: job.seq as u64,
             class: job.class.label(),
             arrival_us: job.at.as_micros() as u64,
@@ -552,7 +495,7 @@ impl SimState<'_> {
                     r.cost.input_tokens + r.cost.output_tokens,
                     rung
                 ));
-                self.record_obs(QueryObs {
+                self.report.obs.push(QueryObs {
                     seq: job.seq as u64,
                     class: job.class.label(),
                     arrival_us: job.at.as_micros() as u64,
@@ -564,7 +507,7 @@ impl SimState<'_> {
                     degraded: r.degraded.events.len() as u32,
                     deadline_missed: job.deadline.is_some_and(|d| finish > d),
                     tokens: r.cost.input_tokens + r.cost.output_tokens,
-                    confidence_milli: crate::obs::confidence_milli(r.answer.confidence),
+                    confidence_milli: confidence_milli(r.answer.confidence),
                     question: question.clone(),
                 });
             }
@@ -582,7 +525,7 @@ impl SimState<'_> {
                     job.class,
                     e
                 ));
-                self.record_obs(QueryObs {
+                self.report.obs.push(QueryObs {
                     seq: job.seq as u64,
                     class: job.class.label(),
                     arrival_us: job.at.as_micros() as u64,
@@ -670,22 +613,27 @@ mod tests {
         assert_eq!(count(Outcome::Expired), r.expired);
         assert_eq!(count(Outcome::Error), r.errors);
         assert_eq!(count(Outcome::Panicked), r.panics);
+        // The flight recorder is a fold over the same stream: it captures
+        // every observation, retains flagged ones up to capacity, and a
+        // replayed run folds to the same bytes.
+        let rec_cfg = sage_obs::RecorderConfig { capacity: 8, window: 4, topk: 1 };
+        let fold = |obs: &[QueryObs]| {
+            let mut rec = sage_obs::FlightRecorder::new(rec_cfg);
+            for o in obs {
+                rec.capture_query(o);
+            }
+            rec
+        };
+        let rec = fold(&r.obs);
+        assert_eq!(rec.stats().captured as usize, r.obs.len());
+        let flagged = r.obs.iter().filter(|o| o.flagged()).count();
+        let retained = rec.records().iter().filter(|x| x.obs.flagged()).count();
+        assert_eq!(retained, flagged.min(rec_cfg.capacity));
+        assert_eq!(rec.to_jsonl(), fold(&run_soak(&sys, &questions(), &cfg).obs).to_jsonl());
         let js = r.json_summary(&r.check_invariants(&cfg, 0.9));
         assert!(js.starts_with("{\"tool\": \"soak\""), "{js}");
         assert!(js.contains("\"violations\": []"), "{js}");
         assert!(!js.contains('\n'), "summary must be one line");
-    }
-
-    #[test]
-    fn attached_recorder_does_not_change_the_log() {
-        let cfg = quick_cfg();
-        let detached = run_soak(&system(), &questions(), &cfg);
-        let mut sys = system();
-        sys.enable_recorder(sage_obs::RecorderConfig::default());
-        let attached = run_soak(&sys, &questions(), &cfg);
-        assert_eq!(detached.log, attached.log, "recorder must be invisible to the log");
-        let stats = sys.recorder_stats().unwrap();
-        assert_eq!(stats.captured as usize, attached.obs.len());
     }
 
     #[test]
@@ -772,36 +720,6 @@ mod tests {
         );
         // Determinism holds under faults too.
         assert_eq!(r, run_soak(&sys, &questions(), &cfg));
-    }
-
-    #[test]
-    fn exec_workers_replay_byte_identically() {
-        // The scheduler threads are a wall-clock knob only: every virtual
-        // quantity — log lines, observations, the whole report — must be
-        // byte-identical at any worker count.
-        let sys = system();
-        let base = run_soak(&sys, &questions(), &quick_cfg());
-        for w in [2usize, 4, 8] {
-            let cfg = SoakConfig { exec_workers: w, ..quick_cfg() };
-            let r = run_soak(&sys, &questions(), &cfg);
-            assert_eq!(base, r, "exec_workers={w} changed the report");
-        }
-    }
-
-    #[test]
-    fn exec_workers_replay_under_shards_and_faults() {
-        use crate::resilience::ResilienceConfig;
-        use sage_resilience::{FaultPlan, Rates};
-        let mut sys = system();
-        sys.enable_resilience(ResilienceConfig::with_plan(
-            FaultPlan::seeded(7).with_shard(1, Rates { timeout: 1.0, ..Rates::default() }),
-        ));
-        sys.enable_sharding(4, None);
-        let cfg = SoakConfig { shards: 4, ..quick_cfg() };
-        let base = run_soak(&sys, &questions(), &cfg);
-        let waved = run_soak(&sys, &questions(), &SoakConfig { exec_workers: 4, ..cfg });
-        assert_eq!(base, waved, "faulted sharded soak must be exec_workers-invariant");
-        assert!(base.shard_partial > 0, "fault must actually bite: {}", base.summary());
     }
 
     #[test]

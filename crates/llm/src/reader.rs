@@ -284,11 +284,6 @@ impl SimLlm {
         Self { profile, seed: 0x51A9E }
     }
 
-    /// Override the sampling seed (for error-bar studies).
-    pub fn with_seed(profile: LlmProfile, seed: u64) -> Self {
-        Self { profile, seed }
-    }
-
     /// The behavioural profile.
     pub fn profile(&self) -> &LlmProfile {
         &self.profile

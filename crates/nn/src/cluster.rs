@@ -1,8 +1,8 @@
 //! Lloyd's k-means with deterministic farthest-point initialisation.
 //!
-//! Used by the RAPTOR baseline's summary tree and by the IVF vector index's
-//! coarse quantiser. Deterministic: initialisation is farthest-point from
-//! vector 0, ties broken by index, so identical inputs cluster identically.
+//! Used by the RAPTOR baseline's summary tree. Deterministic:
+//! initialisation is farthest-point from vector 0, ties broken by index,
+//! so identical inputs cluster identically.
 
 /// Squared Euclidean distance.
 #[inline]

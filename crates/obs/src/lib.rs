@@ -10,25 +10,20 @@
 //! so soak replays and CI reruns are byte-comparable.
 //!
 //! - [`recorder`]: bounded, allocation-recycling ring of recent query
-//!   observations with tail-based retention. `sage-core` keeps the
-//!   attached recorder in a private field behind a single bridge, its
-//!   `obs` module.
+//!   observations with tail-based retention — a fold over the soak's
+//!   observation stream (`SoakReport::obs`), like the SLO evaluator.
 //! - [`slo`]: declarative SLO specs, multi-window burn-rate alerts.
 //! - [`scenario`]: scenario-file grammar, baseline rendering/parsing,
 //!   tolerance-band regression diffs.
-//! - [`promread`]: read-side of the Prometheus text format + the
-//!   `sage top` dashboard.
 //! - [`bundle`]: `sage report` diagnostics-bundle assembly and the
 //!   cross-layer reconciliation checks.
 
 pub mod bundle;
-pub mod promread;
 pub mod recorder;
 pub mod scenario;
 pub mod slo;
 
 pub use bundle::{Bundle, Reconciliation};
-pub use promread::{dashboard, parse_scrape, Scrape};
 pub use recorder::{FlightRecorder, Outcome, QueryObs, RecorderConfig, RecorderStats};
 pub use scenario::{
     diff_rows, parse_rows, parse_scenarios, render_rows, BenchRow, ScenarioCell, ScenarioFile,

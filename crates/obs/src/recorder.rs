@@ -4,7 +4,7 @@
 //! The recorder answers "what did the slowest or strangest recent queries
 //! actually do?" after the fact without keeping every trace. Retention is
 //! a pure function of the observation stream — never of wall-clock time or
-//! arrival rate — so a soak replay with the recorder attached retains
+//! arrival rate — so folding a replayed soak's observation stream retains
 //! byte-identical records across runs:
 //!
 //! 1. **Flagged queries always survive** (until capacity forces the oldest

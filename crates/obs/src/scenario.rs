@@ -57,10 +57,6 @@ pub struct ScenarioCell {
     /// Shard fault domains (scatter-gather serving + per-shard soak
     /// pools); 1 = unsharded.
     pub shards: u64,
-    /// Real executor threads per soak dispatch wave (cross-query slot
-    /// scheduler); 1 = sequential. Never changes measured metrics — the
-    /// axis exists to pin that invariance into the committed baseline.
-    pub exec_workers: u64,
     /// Per-query deadline budget, milliseconds.
     pub deadline_ms: u64,
     /// Per-query token budget.
@@ -81,7 +77,6 @@ impl Default for ScenarioCell {
             capacity: 8,
             concurrency: 2,
             shards: 1,
-            exec_workers: 1,
             deadline_ms: 8_000,
             max_tokens: 4_000,
         }
@@ -152,7 +147,6 @@ fn apply(cell: &mut ScenarioCell, key: &str, v: &Value) -> Result<(), String> {
         "capacity" => cell.capacity = as_u64(v, key)?,
         "concurrency" => cell.concurrency = as_u64(v, key)?,
         "shards" => cell.shards = as_u64(v, key)?,
-        "exec_workers" => cell.exec_workers = as_u64(v, key)?,
         "deadline_ms" => cell.deadline_ms = as_u64(v, key)?,
         "max_tokens" => cell.max_tokens = as_u64(v, key)?,
         other => return Err(format!("unknown cell key `{other}`")),

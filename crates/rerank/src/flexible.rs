@@ -11,7 +11,7 @@
 //! chunk with prefix-breaking feature patterns can be dropped and a
 //! lower-ranked one kept.
 
-use crate::{gradient_select, RankedChunk, SelectionConfig};
+use crate::RankedChunk;
 use sage_nn::layer::Activation;
 use sage_nn::matrix::Matrix;
 use sage_nn::Mlp;
@@ -116,12 +116,6 @@ pub fn training_examples(
         }
     }
     out
-}
-
-/// Convenience baseline for ablation benches: Algorithm-2 selection with
-/// the same signature as [`FlexibleSelector::select`].
-pub fn gradient_baseline(ranked: &[RankedChunk], cfg: SelectionConfig) -> Vec<RankedChunk> {
-    gradient_select(ranked, cfg)
 }
 
 #[cfg(test)]

@@ -42,11 +42,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries: one attempt, no backoff.
-    pub fn no_retry() -> Self {
-        Self { max_attempts: 1, ..Self::default() }
-    }
-
     /// The backoff to charge after failed attempt `attempt` (0-based):
     /// `base * 2^attempt`, capped at `max_delay`, scaled by deterministic
     /// jitter from `rng`.

@@ -38,11 +38,6 @@ impl<E: Embedder, I: VectorIndex> DenseRetriever<E, I> {
         &self.embedder
     }
 
-    /// Mutably borrow the embedder.
-    pub fn embedder_mut(&mut self) -> &mut E {
-        &mut self.embedder
-    }
-
     /// Borrow the vector index.
     pub fn index_ref(&self) -> &I {
         &self.index

@@ -91,11 +91,6 @@ impl SegmentationModel {
         Self::new(2048, 32, 32, FeatureConfig::default(), 0x5E6)
     }
 
-    /// The feature configuration.
-    pub fn feature_config(&self) -> FeatureConfig {
-        self.feat
-    }
-
     /// Sentence featurization for the segmentation task: the shared hashed
     /// bag-of-features plus high-weight *leading-token* features. Sentence
     /// openings carry most of the boundary signal (pronoun-initial

@@ -296,9 +296,10 @@ pub fn summary(t: &Telemetry, prices: Option<Prices>) -> String {
         out.push_str(&format!("counters: {}\n", moved.join(" ")));
     }
     out.push_str(&format!(
-        "queries: {} | traces: {} | degrade events: {}\n",
+        "queries: {} | traces: {} held, {} dropped | degrade events: {}\n",
         t.query_count(),
         t.trace_count(),
+        t.traces_dropped(),
         t.degrade_count()
     ));
     out

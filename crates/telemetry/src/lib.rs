@@ -36,6 +36,7 @@ pub use ledger::{CostLedger, StageCost};
 pub use metrics::Counter;
 pub use span::{FieldValue, SpanRec, Trace};
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -137,19 +138,24 @@ pub struct BuildRecord {
     pub index_ns: u64,
 }
 
+/// Finished traces the hub holds at once (see [`Telemetry::push_trace`]).
+const TRACE_CAP: usize = 4096;
+
 /// Aggregation hub attached to a `RagSystem`.
 ///
 /// Collects per-stage latency histograms, an end-to-end query histogram,
-/// the token-cost ledger, finished query traces, and build records. All
-/// methods take `&self`; histogram/ledger updates are lock-free and the
-/// trace list takes a short mutex only when a query finishes.
+/// the token-cost ledger, the most recent finished query traces, and
+/// build records. All methods take `&self`; histogram/ledger updates are
+/// lock-free and the trace ring takes a short mutex only when a query
+/// finishes.
 pub struct Telemetry {
     stage_ns: [Histogram; Stage::COUNT],
     query_ns: Histogram,
     ledger: CostLedger,
     queries: AtomicU64,
     degrade_events: AtomicU64,
-    traces: Mutex<Vec<Trace>>,
+    traces: Mutex<VecDeque<Trace>>,
+    traces_dropped: AtomicU64,
     builds: Mutex<Vec<BuildRecord>>,
 }
 
@@ -168,7 +174,8 @@ impl Telemetry {
             ledger: CostLedger::new(),
             queries: AtomicU64::new(0),
             degrade_events: AtomicU64::new(0),
-            traces: Mutex::new(Vec::new()),
+            traces: Mutex::new(VecDeque::new()),
+            traces_dropped: AtomicU64::new(0),
             builds: Mutex::new(Vec::new()),
         }
     }
@@ -201,9 +208,17 @@ impl Telemetry {
         self.builds.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(rec);
     }
 
-    /// Store a finished query trace.
+    /// Store a finished query trace. The ring keeps the most recent
+    /// [`TRACE_CAP`] traces: past that, each push drops (and counts) the
+    /// oldest, so a long-lived process holds a bounded number of span
+    /// trees.
     pub fn push_trace(&self, t: Trace) {
-        self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(t);
+        let mut traces = self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if traces.len() == TRACE_CAP {
+            traces.pop_front();
+            self.traces_dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        traces.push_back(t);
     }
 
     /// Snapshot of one stage's latency histogram (nanoseconds).
@@ -236,7 +251,7 @@ impl Telemetry {
         self.builds.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
     }
 
-    /// All finished traces serialised as JSON lines (one trace per line).
+    /// The held traces serialised as JSON lines (one trace per line).
     pub fn traces_jsonl(&self) -> String {
         let traces = self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut out = String::new();
@@ -252,9 +267,14 @@ impl Telemetry {
         self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
     }
 
-    /// Run `f` over each finished trace.
+    /// Traces dropped from the ring to stay within its capacity.
+    pub fn traces_dropped(&self) -> u64 {
+        self.traces_dropped.load(Ordering::Relaxed)
+    }
+
+    /// Run `f` over the held traces, oldest first.
     pub fn with_traces<R>(&self, f: impl FnOnce(&[Trace]) -> R) -> R {
-        f(&self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+        f(self.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner).make_contiguous())
     }
 }
 
@@ -286,6 +306,21 @@ mod tests {
         assert_eq!(total.input_tokens, 130);
         assert_eq!(total.output_tokens, 25);
         assert_eq!(total.calls, 2);
+    }
+
+    #[test]
+    fn trace_ring_keeps_the_most_recent_and_counts_the_rest() {
+        let t = Telemetry::new();
+        for i in 0..TRACE_CAP + 3 {
+            t.push_trace(Trace::start(format!("q{i}")));
+        }
+        assert_eq!(t.trace_count(), TRACE_CAP);
+        assert_eq!(t.traces_dropped(), 3);
+        let jsonl = t.traces_jsonl();
+        assert_eq!(jsonl.lines().count(), TRACE_CAP);
+        assert!(!jsonl.contains("\"q2\""), "the oldest traces are the ones dropped");
+        assert!(jsonl.lines().next().is_some_and(|l| l.contains("\"q3\"")), "oldest held first");
+        assert!(jsonl.contains(&format!("\"q{}\"", TRACE_CAP + 2)));
     }
 
     #[test]

@@ -71,19 +71,6 @@ pub static VECDB_HNSW_DISTANCE_EVALS: Counter = Counter::new(
 /// HNSW index searches served.
 pub static VECDB_HNSW_SEARCHES: Counter =
     Counter::new("sage_vecdb_hnsw_searches_total", "Searches served by the HNSW index");
-/// Inverted-file cells probed by IVF searches.
-pub static VECDB_IVF_CELLS_PROBED: Counter = Counter::new(
-    "sage_vecdb_ivf_cells_probed_total",
-    "Inverted-list cells probed by IVF searches",
-);
-/// Similarity evaluations inside probed IVF cells (plus centroid scoring).
-pub static VECDB_IVF_DISTANCE_EVALS: Counter = Counter::new(
-    "sage_vecdb_ivf_distance_evals_total",
-    "Similarity evaluations performed by IVF searches (centroids + probed cells)",
-);
-/// IVF index searches served.
-pub static VECDB_IVF_SEARCHES: Counter =
-    Counter::new("sage_vecdb_ivf_searches_total", "Searches served by the IVF index");
 /// BM25 retrievals served.
 pub static BM25_SEARCHES: Counter =
     Counter::new("sage_bm25_searches_total", "Queries served by the BM25 retriever");
@@ -279,15 +266,12 @@ pub fn labeled() -> [&'static LabeledCounter; 2] {
 }
 
 /// Every registered counter, for the exporters.
-pub fn all() -> [&'static Counter; 30] {
+pub fn all() -> [&'static Counter; 27] {
     [
         &VECDB_FLAT_DISTANCE_EVALS,
         &VECDB_FLAT_SEARCHES,
         &VECDB_HNSW_DISTANCE_EVALS,
         &VECDB_HNSW_SEARCHES,
-        &VECDB_IVF_CELLS_PROBED,
-        &VECDB_IVF_DISTANCE_EVALS,
-        &VECDB_IVF_SEARCHES,
         &BM25_SEARCHES,
         &BM25_POSTINGS_SCANNED,
         &DENSE_QUERY_EMBEDS,

@@ -1,6 +1,6 @@
 //! # sage-vecdb
 //!
-//! The vector-database substrate (the paper uses Faiss, §VII-A). Three index
+//! The vector-database substrate (the paper uses Faiss, §VII-A). Two index
 //! types behind one [`VectorIndex`] trait:
 //!
 //! * [`FlatIndex`] — exact brute-force top-N search. The default for all
@@ -8,18 +8,15 @@
 //! * [`HnswIndex`] — Hierarchical Navigable Small World approximate index,
 //!   used at TriviaQA scale (Tables VIII/IX) and in the flat-vs-ANN
 //!   micro-benchmarks.
-//! * [`IvfIndex`] — inverted-file index with a k-means coarse quantiser
-//!   (Faiss's other workhorse design), trading a training phase for
-//!   cell-local scans.
 //!
 //! [`MutableIndex`] layers logical deletion (tombstones + deterministic
 //! compaction) over a flat arena with an optional HNSW tier — the vector
 //! side of `sage-core`'s live-corpus writer, which holds it in a private
 //! field.
 //!
-//! All three keep their rows in one arena type (a norm per row, taken at
+//! Both keep their rows in one arena type (a norm per row, taken at
 //! insert) and score through one `dot`, so a (query, row) pair gets the same
-//! bits from each. All three assign sequential internal ids in insertion
+//! bits from each. Both assign sequential internal ids in insertion
 //! order, which is exactly the paper's "record of the mapping between the
 //! index of each chunk in 𝕋 and its corresponding vector" (§III-A): insert
 //! chunks in order and the internal id *is* the chunk index.
@@ -29,7 +26,6 @@
 mod arena;
 pub mod flat;
 pub mod hnsw;
-pub mod ivf;
 pub mod metric;
 pub mod mutable;
 pub mod shard;
@@ -37,7 +33,6 @@ pub mod shard;
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use mutable::MutableIndex;
-pub use ivf::{IvfConfig, IvfIndex};
 pub use metric::Metric;
 pub use shard::{merge_hits, ShardRouter, ShardedFlat};
 

@@ -94,11 +94,6 @@ impl MutableIndex {
         true
     }
 
-    /// Whether slot `id` is tombstoned.
-    pub fn is_dead(&self, id: usize) -> bool {
-        self.dead.get(id).copied().unwrap_or(false)
-    }
-
     /// Number of live (non-tombstoned) vectors.
     pub fn live_len(&self) -> usize {
         self.dead.len() - self.dead_count

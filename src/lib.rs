@@ -117,5 +117,5 @@ pub mod prelude {
     pub use sage_retrieval::{Bm25Retriever, DenseRetriever, Retriever};
     pub use sage_segment::{SegmentationModel, Segmenter, SemanticSegmenter, SentenceSegmenter};
     pub use sage_telemetry::{HistogramSnapshot, Stage, Telemetry};
-    pub use sage_vecdb::{FlatIndex, HnswIndex, IvfIndex, MutableIndex, VectorIndex};
+    pub use sage_vecdb::{FlatIndex, HnswIndex, MutableIndex, VectorIndex};
 }

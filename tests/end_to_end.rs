@@ -808,7 +808,6 @@ fn slo_report_reconciles_with_recorder_counters_and_ledger() {
         &corpus,
     );
     let hub = system.enable_telemetry();
-    system.enable_recorder(sage::obs::RecorderConfig { capacity: 16, window: 8, topk: 2 });
 
     // Offered load past capacity with a tight deadline so the run sheds
     // and browns out — the interesting reconciliation cases.
@@ -847,16 +846,18 @@ fn slo_report_reconciles_with_recorder_counters_and_ledger() {
         .sum();
     assert!(BROWNOUT_TOTAL.total() - brownout0 >= brownout_steps);
 
-    // The recorder saw every observation, stayed within capacity, and
-    // kept every flagged record up to capacity (tail-based retention).
-    let stats = system.recorder_stats().expect("recorder attached");
-    assert_eq!(stats.captured, soak.obs.len() as u64);
-    let retained = system.with_recorder(|r| r.len()).unwrap();
-    assert!(retained <= 16);
+    // The recorder is a fold over the same stream: it sees every
+    // observation, stays within capacity, and keeps every flagged record
+    // up to capacity (tail-based retention).
+    let mut recorder =
+        sage::obs::FlightRecorder::new(sage::obs::RecorderConfig { capacity: 16, window: 8, topk: 2 });
+    for o in &soak.obs {
+        recorder.capture_query(o);
+    }
+    assert_eq!(recorder.stats().captured, soak.obs.len() as u64);
+    assert!(recorder.len() <= 16);
     let flagged_total = soak.obs.iter().filter(|o| o.flagged()).count();
-    let flagged_retained = system
-        .with_recorder(|r| r.records().iter().filter(|rec| rec.obs.flagged()).count())
-        .unwrap();
+    let flagged_retained = recorder.records().iter().filter(|rec| rec.obs.flagged()).count();
     assert_eq!(flagged_retained, flagged_total.min(16));
 
     // This system's cost ledger attributes exactly the tokens the

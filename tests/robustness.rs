@@ -266,7 +266,11 @@ fn hnsw_fault_degrades_to_flat_and_batch_completes() {
         "Where does Dorinwick live?".into(),
         "What is Dorinwick's profession?".into(),
     ];
-    let results = system.answer_batch(&questions, 2);
+    let results: Vec<QueryResult> = system
+        .try_answer_batch(&questions, 2)
+        .into_iter()
+        .map(|r| r.expect("the flat tier absorbs every fault"))
+        .collect();
     assert_eq!(results.len(), questions.len());
     for r in &results {
         assert!(r.degraded.fired(Fallback::HnswToFlat), "trace: {:?}", r.degraded);
@@ -608,7 +612,7 @@ fn soak_brownout_mass_is_monotone_across_budgets() {
 }
 
 #[test]
-fn answer_batch_matches_serial() {
+fn try_answer_batch_matches_serial() {
     let system = build(&[
         "Whiskers is a tabby cat. He has bright green eyes.\n\
          Dorinwick was well known in the region. He lives in Ashford."
@@ -623,13 +627,13 @@ fn answer_batch_matches_serial() {
         questions.iter().map(|q| system.answer_open(q).answer.text).collect();
     for workers in [1usize, 2, 8] {
         let batch: Vec<String> = system
-            .answer_batch(&questions, workers)
+            .try_answer_batch(&questions, workers)
             .into_iter()
-            .map(|r| r.answer.text)
+            .map(|r| r.expect("no faults, no panics").answer.text)
             .collect();
         assert_eq!(batch, serial, "workers={workers}");
     }
-    assert!(system.answer_batch(&[], 4).is_empty());
+    assert!(system.try_answer_batch(&[], 4).is_empty());
 }
 
 // ---------------------------------------------------------------------------
