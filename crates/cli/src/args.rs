@@ -37,6 +37,16 @@ impl Flags {
             Some(raw) => raw.parse().map_err(|_| format!("invalid value for --{key}: {raw}")),
         }
     }
+
+    /// Fail on any flag outside `known` — the list of flags `command`
+    /// reads — so a typo or a removed flag is an error instead of a
+    /// silently ignored setting.
+    pub fn reject_unknown(&self, command: &str, known: &[&str]) -> Result<(), String> {
+        match self.values.keys().filter(|k| !known.contains(&k.as_str())).min() {
+            None => Ok(()),
+            Some(key) => Err(format!("unknown flag --{key} for `sage {command}`")),
+        }
+    }
 }
 
 /// Parse `--flag [value]` sequences. A flag followed by another flag (or by
@@ -87,6 +97,22 @@ mod tests {
         assert_eq!(f.get_or("llm", "gpt4o-mini"), "gpt4o-mini");
         assert!(f.require("question").is_ok());
         assert!(f.require("file").is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_known_ones_pass() {
+        let f = parse_flags(&argv(&["--shards", "4", "--naive", "--question", "q"])).unwrap();
+        assert!(f.reject_unknown("explain", &["question", "naive", "shards", "quorum"]).is_ok());
+        // A typo, a removed flag and a bare unknown switch all fail, and
+        // the message names the first offender and the command.
+        let typo = parse_flags(&argv(&["--shard", "4", "--concurrency", "3"])).unwrap();
+        assert_eq!(
+            typo.reject_unknown("explain", &["question", "naive", "shards", "quorum"]),
+            Err("unknown flag --concurrency for `sage explain`".to_string())
+        );
+        let switch = parse_flags(&argv(&["--bogus"])).unwrap();
+        assert!(switch.reject_unknown("demo", &[]).is_err());
+        assert!(parse_flags(&[]).unwrap().reject_unknown("demo", &[]).is_ok());
     }
 
     #[test]

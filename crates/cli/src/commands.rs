@@ -35,6 +35,7 @@ fn resolve_models(flags: &Flags) -> Result<&'static TrainedModels, String> {
 
 /// `sage index` — build a system over a corpus file and save it.
 pub fn index(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown("index", &["file", "out", "retriever", "naive", "models"])?;
     let corpus = load_corpus(flags.require("file")?)?;
     let out = flags.require("out")?;
     let retriever = parse_retriever(flags.get_or("retriever", "openai"))?;
@@ -57,6 +58,13 @@ pub fn index(flags: &Flags) -> Result<(), String> {
 
 /// `sage query` — answer a question against a saved index.
 pub fn query(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown(
+        "query",
+        &[
+            "index", "question", "llm", "resilience", "faults", "fault-seed", "hnsw", "telemetry",
+            "trace-out", "metrics-out",
+        ],
+    )?;
     let path = flags.require("index")?;
     let question = flags.require("question")?;
     let profile = parse_llm(flags.get_or("llm", "gpt4o-mini"))?;
@@ -80,6 +88,7 @@ pub fn query(flags: &Flags) -> Result<(), String> {
 
 /// `sage train` — train the model bundle and save it for reuse.
 pub fn train(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown("train", &["out"])?;
     let out = flags.require("out")?;
     let m = models();
     m.save(std::path::Path::new(out)).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -200,6 +209,7 @@ fn parse_llm(name: &str) -> Result<LlmProfile, String> {
 
 /// `sage segment` — show the semantic chunks of a corpus file.
 pub fn segment(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown("segment", &["file", "threshold", "coarse", "naive", "models"])?;
     let corpus = load_corpus(flags.require("file")?)?;
     let threshold: f32 = flags.get_parse("threshold", 0.55)?;
     let coarse: usize = flags.get_parse("coarse", 400)?;
@@ -223,6 +233,14 @@ pub fn segment(flags: &Flags) -> Result<(), String> {
 
 /// `sage ask` — answer a question over a corpus file.
 pub fn ask(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown(
+        "ask",
+        &[
+            "file", "question", "retriever", "llm", "naive", "show-context", "shards", "quorum",
+            "models", "resilience", "faults", "fault-seed", "hnsw", "telemetry", "trace-out",
+            "metrics-out",
+        ],
+    )?;
     let corpus = load_corpus(flags.require("file")?)?;
     let question = flags.require("question")?;
     let retriever = parse_retriever(flags.get_or("retriever", "openai"))?;
@@ -258,6 +276,10 @@ pub fn ask(flags: &Flags) -> Result<(), String> {
 
 /// `sage eval` — run a method over a generated dataset and print metrics.
 pub fn eval(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown(
+        "eval",
+        &["dataset", "method", "docs", "questions", "retriever", "llm", "seed", "models"],
+    )?;
     let dataset_name = flags.get_or("dataset", "quality");
     let docs: usize = flags.get_parse("docs", 6)?;
     let questions: usize = flags.get_parse("questions", 4)?;
@@ -329,6 +351,15 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
     if flags.has("live") {
         return live_soak(flags);
     }
+    flags.reject_unknown(
+        "soak",
+        &[
+            "seed", "qps", "duration", "capacity", "concurrency", "deadline-ms", "token-budget",
+            "no-budget", "docs", "file", "question", "max-shed-rate", "shards", "quorum",
+            "retriever", "llm", "models", "resilience", "faults", "fault-seed", "hnsw", "telemetry",
+            "trace-out", "metrics-out",
+        ],
+    )?;
     let (corpus, questions): (Vec<String>, Vec<String>) = match flags.get("file") {
         Some(path) if !path.is_empty() => {
             let corpus = load_corpus(path)?;
@@ -423,6 +454,13 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
 /// are byte-identical even in different `--live-dir`s; the summary goes
 /// to stderr. Exits nonzero on invariant violations.
 fn live_soak(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown(
+        "soak --live",
+        &[
+            "live", "live-dir", "ops", "batch", "docs", "queries", "seed", "retriever", "crash",
+            "crash-seed",
+        ],
+    )?;
     let seed: u64 = flags.get_parse("seed", 42u64)?;
     let dir = match flags.get("live-dir") {
         Some(d) if !d.is_empty() => std::path::PathBuf::from(d),
@@ -473,6 +511,7 @@ fn live_soak(flags: &Flags) -> Result<(), String> {
 /// when the `--baseline` ratchet deviates, so `scripts/check.sh` and CI
 /// can gate on it.
 pub fn lint(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown("lint", &["root", "format", "json", "baseline", "update-baseline"])?;
     let root = flags.get_or("root", ".");
     let report = &sage::lint::workspace_report(std::path::Path::new(root))
         .map_err(|e| format!("cannot scan {root}: {e}"))?;
@@ -552,12 +591,10 @@ fn parse_quorum(flags: &Flags) -> Result<Option<u32>, String> {
 /// resolved stages, the per-slot middleware order, and the rewrite each
 /// brownout rung applies. `--shards N [--quorum Q]` resolves the
 /// scatter-gather fan-out the retrieval slots would execute, exactly as
-/// [`RagSystem::enable_sharding`] would arm it. `--concurrency N` appends
-/// the cross-query slot schedule N in-flight copies of the plan would
-/// execute (coalesced same-stage batch ops, deterministic worker
-/// assignment). Pure plan resolution — no models are trained and no index
-/// is built.
+/// [`RagSystem::enable_sharding`] would arm it. Pure plan resolution — no
+/// models are trained and no index is built.
 pub fn explain(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown("explain", &["question", "retriever", "naive", "shards", "quorum"])?;
     let retriever = parse_retriever(flags.get_or("retriever", "openai"))?;
     let config = if flags.has("naive") { SageConfig::naive_rag() } else { SageConfig::sage() };
     if let Some(q) = flags.get("question").filter(|q| !q.is_empty()) {
@@ -575,16 +612,6 @@ pub fn explain(flags: &Flags) -> Result<(), String> {
             .with_fanout(Fanout::new(shards, parse_quorum(flags)?, CostModel::default().search_time));
     }
     print!("{}", plan.explain());
-    // `--concurrency N` additionally renders the cross-query schedule the
-    // slot scheduler would execute for N in-flight copies of this plan:
-    // per tick, the coalesced same-stage batch op and the deterministic
-    // (seeded round-robin) worker assignment.
-    let concurrency: usize = flags.get_parse("concurrency", 1usize)?;
-    if concurrency > 1 {
-        let workers: usize = flags.get_parse("exec-workers", 2usize)?;
-        println!();
-        print!("{}", sage::core::exec::render_schedule(&plan, concurrency, workers));
-    }
     Ok(())
 }
 
@@ -596,6 +623,14 @@ pub fn explain(flags: &Flags) -> Result<(), String> {
 /// observations). The bundle is one JSON object on stdout (or `--out`);
 /// the telemetry summary and the SLO summary go to stderr.
 pub fn report(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown(
+        "report",
+        &[
+            "seed", "qps", "duration", "capacity", "concurrency", "deadline-ms", "token-budget",
+            "docs", "slo", "recorder-capacity", "out", "metrics-out", "strict-slo", "retriever",
+            "llm", "models",
+        ],
+    )?;
     let docs: usize = flags.get_parse("docs", 2usize)?;
     let seed: u64 = flags.get_parse("seed", 42u64)?;
     let dataset = quality::generate(SizeConfig { num_docs: docs.max(1), questions_per_doc: 4, seed });
@@ -751,6 +786,10 @@ pub fn report(flags: &Flags) -> Result<(), String> {
 /// per-metric tolerance bands. Exits nonzero on regression. `--update`
 /// (or a missing baseline) rewrites the baseline instead of diffing.
 pub fn scenarios(flags: &Flags) -> Result<(), String> {
+    flags.reject_unknown(
+        "scenarios",
+        &["file", "baseline", "filter", "update", "out", "metrics-out", "models"],
+    )?;
     let file = flags
         .require("file")
         .map_err(|_| "usage: sage scenarios run <scenarios.toml> [--baseline F] [--filter S] [--update]".to_string())?;
@@ -874,13 +913,9 @@ USAGE:
   sage lint    [--root <path>] [--format human|json] [--json]
                [--baseline <path>] [--update-baseline]
   sage explain [\"question\"] [--retriever R] [--naive] [--shards N] [--quorum Q]
-               [--concurrency N [--exec-workers 2]]
                # print the resolved query plan: stages, middleware order,
-               # the rewrite each brownout rung applies, (with --shards)
-               # the scatter-gather fan-out of the retrieval slots, and
-               # (with --concurrency) the cross-query slot schedule: per
-               # tick, the coalesced same-stage batch op and the seeded
-               # round-robin worker assignment
+               # the rewrite each brownout rung applies and (with --shards)
+               # the scatter-gather fan-out of the retrieval slots
   sage report  [--seed 42] [--qps 4] [--duration 30] [--docs N]
                [--slo <spec>] [--recorder-capacity 256] [--out <bundle>]
                [--metrics-out <path>] [--strict-slo]
@@ -889,10 +924,11 @@ USAGE:
   sage demo
   sage help
 
-All commands accept --models <path> to reuse a saved bundle instead of
-training at startup.
+Commands that train models at startup (segment, ask, eval, index, soak,
+report, scenarios) accept --models <path> to reuse a saved bundle. A flag
+a command does not read is an error, not ignored.
 
-RESILIENCE (ask, query):
+RESILIENCE (ask, query, soak):
   --resilience          guard component boundaries (retry + circuit breaker)
                         and degrade instead of failing
   --faults <spec>       inject deterministic faults, e.g.
@@ -904,7 +940,7 @@ RESILIENCE (ask, query):
                         that degrades to the exact flat scan on failure
   Degraded-mode events and fallback counters are reported on stderr.
 
-TELEMETRY (ask, query):
+TELEMETRY (ask, query, soak):
   --telemetry           print a serving-path summary on stderr after the
                         answer: per-stage latency histograms (p50/p90/p99),
                         the token/dollar cost ledger, and counters

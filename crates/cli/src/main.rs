@@ -15,8 +15,8 @@
 //!              [--faults SPEC] [--fault-seed N] [--max-shed-rate 0.9]
 //! sage lint    [--root PATH] [--format human|json] [--baseline F]
 //!              [--update-baseline]
-//! sage explain ["question"] [--retriever R] [--naive]
-//!              [--concurrency N [--exec-workers 2]]
+//! sage explain ["question"] [--retriever R] [--naive] [--shards N]
+//!              [--quorum Q]
 //! sage report  [--seed 42] [--qps 4] [--duration 30] [--slo SPEC]
 //!              [--out bundle.json] [--metrics-out F] [--strict-slo]
 //! sage scenarios run scenarios.toml [--baseline F] [--filter S] [--update]
@@ -76,7 +76,7 @@ fn main() -> ExitCode {
         "report" => commands::report(&parsed),
         "scenarios" => commands::scenarios(&parsed),
         "lint" => commands::lint(&parsed),
-        "demo" => commands::demo(),
+        "demo" => parsed.reject_unknown("demo", &[]).and_then(|()| commands::demo()),
         "help" | "--help" | "-h" => {
             commands::print_help();
             Ok(())

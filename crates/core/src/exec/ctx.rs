@@ -1,5 +1,5 @@
 //! The mutable state a query plan executes over: the typed blackboard
-//! every [`super::Stage`] reads its input from and writes its output to.
+//! every stage function reads its input from and writes its output to.
 
 // sage-lint: allow-file(no-wallclock) - holds the stage/retrieve timing anchors the telemetry middleware reads; no control flow branches on them
 
@@ -41,11 +41,6 @@ pub(crate) struct QueryCtx<'a> {
     pub bctl: Option<BrownoutCtl>,
 
     // --- prelude outputs ---
-    /// A query embedding computed ahead of the embed slot by the slot
-    /// scheduler's cross-query `EmbedBatch` coalescing. The embed stage
-    /// consumes it in place of its own embedder call; by the batch
-    /// surface's element-wise contract the bytes are identical either way.
-    pub prefetched_query_vec: Option<Vec<f32>>,
     /// The embedded question (dense systems; `None` before embed or on
     /// BM25 paths).
     pub query_vec: Option<Vec<f32>>,
@@ -129,7 +124,6 @@ impl<'a> QueryCtx<'a> {
             trace: DegradeTrace::new(),
             qt,
             bctl,
-            prefetched_query_vec: None,
             query_vec: None,
             hits: Vec::new(),
             cand_ids: Vec::new(),

@@ -20,14 +20,11 @@ mod ctx;
 mod middleware;
 mod plan;
 pub(crate) mod scatter;
-mod sched;
 mod stages;
 
 pub(crate) use ctx::QueryCtx;
 pub use plan::{Fanout, QueryPlan, RerankMode, SelectMode, StageOp};
-pub use sched::render_schedule;
 use plan::Loc;
-use stages::dispatch;
 
 use crate::brownout::BrownoutCtl;
 use crate::pipeline::RagSystem;
@@ -35,7 +32,7 @@ use crate::resilience::QueryGuards;
 use crate::QueryResult;
 use sage_admission::{CostModel, PlanStage, QueryBudget};
 use sage_rerank::RankedChunk;
-use sage_resilience::SageError;
+use sage_resilience::{Fallback, SageError};
 use sage_telemetry::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -63,12 +60,58 @@ fn exec_slot(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>, loc:
     }
     let op = plan.get(loc);
     middleware::tel_before(sys, ctx, op);
-    let flow = dispatch(op).run(sys, ctx, op);
+    let flow = stages::run(sys, ctx, op);
     middleware::tel_after(sys, ctx, op, flow);
     if let Some(level) = middleware::budget_after(ctx, op, flow) {
         plan.apply_rung(level);
     }
     flow
+}
+
+/// Run the prelude slots (retrieval + rerank) of `plan` over `ctx`.
+fn run_prelude_slots(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>) {
+    let mut i = 0;
+    // Re-check the length each step: fallback splices may have rewritten
+    // the remaining prelude.
+    while i < plan.prelude.len() {
+        if exec_slot(sys, plan, ctx, Loc::Prelude(i)) == Flow::FallbackToBm25 {
+            plan.on_bm25_fallback(i + 1);
+        }
+        i += 1;
+    }
+}
+
+/// Run a full plan to a fused result on `ctx.result`: the prelude once,
+/// the round template up to `max_rounds` times, then the bare fuse.
+fn run_plan(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>) {
+    if !plan.prelude.is_empty() {
+        let prelude_start = Instant::now();
+        run_prelude_slots(sys, plan, ctx);
+        ctx.retrieval_latency = prelude_start.elapsed();
+    }
+    'rounds: for round in 0..plan.max_rounds {
+        ctx.round = round;
+        let mut j = 0;
+        // Re-checked each step: a brownout rewrite may drop the feedback
+        // slot from the round being run.
+        while j < plan.round.len() {
+            if exec_slot(sys, plan, ctx, Loc::Round(j)) == Flow::Done {
+                break 'rounds;
+            }
+            j += 1;
+        }
+        // A completed round with no judging left in the plan (feedback
+        // off, or browned out by a rewrite) is final: without a score
+        // there is nothing to compare further rounds by.
+        if !plan.has_feedback() {
+            if ctx.best.is_none() {
+                ctx.unjudged = ctx.current.take();
+            }
+            break 'rounds;
+        }
+    }
+    // The terminal fuse runs bare (no middleware).
+    stages::run(sys, ctx, StageOp::Fuse);
 }
 
 /// Finalize: stamp the degradation trace into the result, absorb it into
@@ -117,12 +160,11 @@ impl RagSystem {
     }
 }
 
-/// Resolve the plan and assemble the fresh context for one query — the
-/// shared setup behind [`execute`] and the scheduler's admission step:
-/// plan resolution (with shard fan-out), guard arming, trace opening, and
-/// the brownout admission gate (replan once before any work so a hopeless
+/// Resolve the plan and assemble the fresh context for one query: plan
+/// resolution (with shard fan-out), guard arming, trace opening, and the
+/// brownout admission gate (replan once before any work so a hopeless
 /// budget walks the ladder immediately).
-pub(crate) fn prepare<'a>(
+fn prepare<'a>(
     sys: &'a RagSystem,
     question: &'a str,
     options: Option<&'a [String]>,
@@ -148,31 +190,53 @@ pub(crate) fn prepare<'a>(
     (plan, ctx)
 }
 
+/// Prepare and run one query to its fused context, timing the plan run —
+/// everything but [`finalize`], which a batch defers so its cross-query
+/// effects land in input order.
+fn run_query<'a>(
+    sys: &'a RagSystem,
+    question: &'a str,
+    options: Option<&'a [String]>,
+    budget: Option<QueryBudget>,
+) -> (QueryCtx<'a>, Duration) {
+    let (mut plan, mut ctx) = prepare(sys, question, options, budget);
+    let query_start = Instant::now();
+    run_plan(sys, &mut plan, &mut ctx);
+    (ctx, query_start.elapsed())
+}
+
 /// Execute the full query plan for `question`: the one entry point behind
-/// `answer_open`, `answer_multiple_choice`, and the `*_budgeted` pair. A
-/// batch of one through the slot scheduler's stepper — the same code that
-/// runs interleaved cross-query batches.
+/// `answer_open`, `answer_multiple_choice`, and the `*_budgeted` pair.
 pub(crate) fn execute(
     sys: &RagSystem,
     question: &str,
     options: Option<&[String]>,
     budget: Option<QueryBudget>,
 ) -> QueryResult {
-    let (plan, ctx) = prepare(sys, question, options, budget);
-    sched::drive(sys, plan, ctx)
+    let (ctx, total) = run_query(sys, question, options, budget);
+    finalize(sys, ctx, total)
+}
+
+/// Run `f` with panic isolation: a panic becomes
+/// `Err(SageError::Panicked)` and is counted on the resilience ledger.
+fn caught<T>(sys: &RagSystem, f: impl FnOnce() -> T) -> Result<T, SageError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(state) = &sys.resilience {
+            state.counters.record(Fallback::PanicIsolated);
+        }
+        SageError::from_panic(payload)
+    })
 }
 
 /// [`execute`] with panic isolation: a panic anywhere in the pipeline
-/// becomes `Err(SageError::Panicked)` and is counted on the resilience
-/// ledger.
+/// becomes `Err(SageError::Panicked)`.
 pub(crate) fn execute_caught(
     sys: &RagSystem,
     question: &str,
     options: Option<&[String]>,
     budget: Option<QueryBudget>,
 ) -> Result<QueryResult, SageError> {
-    catch_unwind(AssertUnwindSafe(|| execute(sys, question, options, budget)))
-        .map_err(|payload| sched::panic_error(sys, payload))
+    caught(sys, || execute(sys, question, options, budget))
 }
 
 /// Execute the fixed-context plan: one generation call over explicit
@@ -183,7 +247,7 @@ pub(crate) fn execute_fixed(
     chunk_ids: &[usize],
     options: Option<&[String]>,
 ) -> QueryResult {
-    let plan = QueryPlan::fixed();
+    let mut plan = QueryPlan::fixed();
     let qt = sys.telemetry.as_ref().map(|_| Trace::start(question));
     let mut ctx = QueryCtx::new(question, options, None, qt, None, sys.config.min_k);
     ctx.fixed = true;
@@ -192,10 +256,13 @@ pub(crate) fn execute_fixed(
     // (real, measured) context-assembly time rather than a zero
     // placeholder.
     let assemble_start = Instant::now();
-    ctx.selected = chunk_ids.to_vec();
-    ctx.context = chunk_ids.iter().map(|&id| sys.chunks[id].clone()).collect();
+    // The ids are the caller's: skip any the chunk store does not hold,
+    // so `selected` lists exactly the chunks the reader saw.
+    ctx.selected = chunk_ids.iter().copied().filter(|&id| id < sys.chunks.len()).collect();
+    ctx.context = ctx.selected.iter().map(|&id| sys.chunks[id].clone()).collect();
     ctx.retrieval_latency = assemble_start.elapsed();
-    sched::drive_from(sys, plan, ctx, query_start)
+    run_plan(sys, &mut plan, &mut ctx);
+    finalize(sys, ctx, query_start.elapsed())
 }
 
 /// Execute only the prelude (retrieval + rerank) unguarded and unbudgeted:
@@ -203,7 +270,7 @@ pub(crate) fn execute_fixed(
 /// [`crate::RagSystem::rerank_scores`]. Histogram stages still record when
 /// a hub is attached, but no span trace is kept.
 pub(crate) fn run_prelude(sys: &RagSystem, question: &str) -> (Vec<usize>, Vec<RankedChunk>) {
-    let ctx = QueryCtx::new(question, None, None, None, None, sys.config.min_k);
-    let ctx = sched::drive_prelude(sys, sys.resolve_plan(), ctx);
+    let mut ctx = QueryCtx::new(question, None, None, None, None, sys.config.min_k);
+    run_prelude_slots(sys, &mut sys.resolve_plan(), &mut ctx);
     (ctx.cand_ids, ctx.ranked)
 }

@@ -620,6 +620,25 @@ mod tests {
     }
 
     #[test]
+    fn answer_with_chunks_skips_ids_outside_the_chunk_store() {
+        let sys = RagSystem::build(
+            models(),
+            RetrieverKind::Bm25,
+            SageConfig::sage(),
+            LlmProfile::gpt4o_mini(),
+            &corpus(),
+        );
+        let q = "What is the color of Whiskers's eyes?";
+        let r = sys.answer_with_chunks(q, &[0, usize::MAX], None);
+        assert_eq!(r.selected, vec![0], "only the id actually read is reported");
+        assert_eq!(r.answer.text, sys.answer_with_chunks(q, &[0], None).answer.text);
+        // All ids unknown: the reader sees the empty context.
+        let none = sys.answer_with_chunks(q, &[usize::MAX], None);
+        assert!(none.selected.is_empty());
+        assert_eq!(none.answer.text, sys.answer_with_chunks(q, &[], None).answer.text);
+    }
+
+    #[test]
     fn all_retriever_kinds_build() {
         for kind in RetrieverKind::all() {
             let sys = RagSystem::build(

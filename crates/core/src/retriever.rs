@@ -57,20 +57,6 @@ impl AnyRetriever {
         }
     }
 
-    /// Embed many queries with the dense embedder in one coalesced
-    /// [`sage_embed::EmbedBatch`] call (`None` for BM25). Element `i` is
-    /// bit-identical to `embed_query(queries[i])` — the scheduler relies
-    /// on that to coalesce cross-query embed slots without changing any
-    /// result.
-    pub(crate) fn embed_query_batch(&self, queries: &[&str]) -> Option<Vec<Vec<f32>>> {
-        match self {
-            AnyRetriever::Hashed(r) => Some(r.embed_query_batch(queries)),
-            AnyRetriever::Sbert(r) => Some(r.embed_query_batch(queries)),
-            AnyRetriever::Dpr(r) => Some(r.embed_query_batch(queries)),
-            AnyRetriever::Bm25(_) => None,
-        }
-    }
-
     /// Exact flat-index search over an already-embedded query (`None` for
     /// BM25) — the second half of `retrieve`.
     pub(crate) fn search_dense(&self, query: &[f32], n: usize) -> Option<Vec<ScoredChunk>> {

@@ -133,41 +133,26 @@ pub fn run_cell(
     dataset: &Dataset,
     concurrency: usize,
 ) -> ScalabilityRow {
-    assert!(concurrency >= 1);
     let corpus: Vec<String> = dataset.documents.iter().map(|d| d.text()).collect();
     let system = method.build(models, profile, &corpus);
     let stats = *system.build_stats();
 
-    // Concurrent query phase.
-    let tasks: Vec<(&str, &[String])> = dataset
-        .tasks
+    // Concurrent query phase: one batch, `concurrency` worker threads.
+    let questions: Vec<String> = dataset.tasks.iter().map(|t| t.item.question.clone()).collect();
+    let results: Vec<(f32, Duration, Duration, Duration)> = system
+        .try_answer_batch(&questions, concurrency)
         .iter()
-        .map(|t| (t.item.question.as_str(), t.item.answers.as_slice()))
+        .zip(&dataset.tasks)
+        .map(|(r, task)| match r {
+            Ok(r) => {
+                let f1 = f1_match(&r.answer.text, &task.item.answers);
+                (f1, r.retrieval_latency, r.feedback_latency, r.answer_latency)
+            }
+            // One question's panic must not abort the cell: score it
+            // zero and keep measuring the rest.
+            Err(_) => (0.0, Duration::ZERO, Duration::ZERO, Duration::ZERO),
+        })
         .collect();
-    let results: Vec<(f32, Duration, Duration, Duration)> = std::thread::scope(|s| {
-        let system = &system;
-        let mut handles = Vec::new();
-        for w in 0..concurrency {
-            let my: Vec<(&str, &[String])> =
-                tasks.iter().skip(w).step_by(concurrency).copied().collect();
-            handles.push(s.spawn(move || {
-                my.into_iter()
-                    .map(|(q, answers)| {
-                        // One question's panic must not abort the cell:
-                        // score it zero and keep measuring the rest.
-                        match system.try_answer_open(q) {
-                            Ok(r) => {
-                                let f1 = f1_match(&r.answer.text, answers);
-                                (f1, r.retrieval_latency, r.feedback_latency, r.answer_latency)
-                            }
-                            Err(_) => (0.0, Duration::ZERO, Duration::ZERO, Duration::ZERO),
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles.into_iter().flat_map(|h| h.join().unwrap_or_default()).collect()
-    });
 
     let n = results.len().max(1) as u32;
     let f1 = results.iter().map(|r| r.0).sum::<f32>() / n as f32;

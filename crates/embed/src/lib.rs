@@ -45,49 +45,3 @@ pub trait Embedder: Send + Sync {
     /// Short identifier used in experiment tables ("SBERT", "BM25", ...).
     fn name(&self) -> &'static str;
 }
-
-/// Cross-query batched embedding: the surface the slot scheduler coalesces
-/// same-stage embed work through. The contract is *element-wise identity*:
-/// `embed_query_batch(&[a, b])` must equal
-/// `[embed_query(a), embed_query(b)]` bit for bit, so batching never
-/// changes a result — a real GPU backend would amortize the forward pass
-/// under the same contract, while the deterministic models here amortize
-/// only call overhead. The blanket impl guarantees the identity by
-/// construction for every [`Embedder`].
-pub trait EmbedBatch {
-    /// Embed many passages; element `i` equals `embed(texts[i])` exactly.
-    fn embed_batch(&self, texts: &[&str]) -> Vec<Vec<f32>>;
-
-    /// Embed many queries; element `i` equals `embed_query(texts[i])`
-    /// exactly.
-    fn embed_query_batch(&self, texts: &[&str]) -> Vec<Vec<f32>>;
-}
-
-impl<E: Embedder + ?Sized> EmbedBatch for E {
-    fn embed_batch(&self, texts: &[&str]) -> Vec<Vec<f32>> {
-        texts.iter().map(|t| self.embed(t)).collect()
-    }
-
-    fn embed_query_batch(&self, texts: &[&str]) -> Vec<Vec<f32>> {
-        texts.iter().map(|t| self.embed_query(t)).collect()
-    }
-}
-
-#[cfg(test)]
-mod batch_tests {
-    use super::*;
-
-    #[test]
-    fn batch_is_elementwise_identical_to_singles() {
-        let e = HashedEmbedder::new(32, 7);
-        let texts = ["a cat sat", "the dog ran far", "quantum tea"];
-        let batch = e.embed_query_batch(&texts);
-        for (t, b) in texts.iter().zip(&batch) {
-            assert_eq!(b, &e.embed_query(t), "batch diverged for {t:?}");
-        }
-        let batch = e.embed_batch(&texts);
-        for (t, b) in texts.iter().zip(&batch) {
-            assert_eq!(b, &e.embed(t), "passage batch diverged for {t:?}");
-        }
-    }
-}

@@ -53,25 +53,8 @@ pub fn feedback_prompt(question: &str, context: &[String], answer: &str) -> Stri
 }
 
 impl SimLlm {
-    /// Run the self-feedback evaluation of Figure 6. A batch of one
-    /// through [`crate::LlmBatch`], so the single-call and cross-query
-    /// coalesced paths are the same code.
+    /// Run the self-feedback evaluation of Figure 6.
     pub fn self_feedback(
-        &self,
-        question: &str,
-        context: &[String],
-        answer: &Answer,
-    ) -> FeedbackOutcome {
-        use crate::LlmBatch;
-        // The batch surface returns exactly one outcome per input; the
-        // fallback to the primitive is unreachable but keeps this panic-free.
-        self.self_feedback_batch(&[(question, context, answer)])
-            .pop()
-            .unwrap_or_else(|| self.self_feedback_one(question, context, answer))
-    }
-
-    /// The per-item feedback primitive behind [`crate::LlmBatch`].
-    pub(crate) fn self_feedback_one(
         &self,
         question: &str,
         context: &[String],

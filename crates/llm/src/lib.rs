@@ -39,40 +39,3 @@ pub use profile::LlmProfile;
 pub use prompt::{mc_prompt, open_prompt, PROMPT_OVERHEAD_TOKENS};
 pub use reader::{Answer, SimLlm};
 pub use segmenter::LlmSegmenter;
-
-/// Cross-query batched generation: the surface the slot scheduler
-/// coalesces same-stage read/feedback work through. The contract is
-/// element-wise identity — result `i` of a batch call must be
-/// bit-identical to the corresponding single call — which [`SimLlm`]
-/// guarantees for free because every call is seeded per `(question,
-/// context shape)`, never per process or per call order. The single-call
-/// methods are batches of one, so both paths are the same code.
-pub trait LlmBatch {
-    /// Answer many open-ended `(question, context)` requests.
-    fn answer_open_batch(&self, items: &[(&str, &[String])]) -> Vec<Answer>;
-
-    /// Answer many `(question, options, context)` multiple-choice
-    /// requests; each result carries the picked option index.
-    fn answer_mc_batch(&self, items: &[(&str, &[String], &[String])]) -> Vec<(usize, Answer)>;
-
-    /// Judge many `(question, context, answer)` triples with the Figure-6
-    /// self-feedback evaluation.
-    fn self_feedback_batch(&self, items: &[(&str, &[String], &Answer)]) -> Vec<FeedbackOutcome>;
-}
-
-impl LlmBatch for SimLlm {
-    fn answer_open_batch(&self, items: &[(&str, &[String])]) -> Vec<Answer> {
-        items.iter().map(|&(q, ctx)| self.answer_open_one(q, ctx)).collect()
-    }
-
-    fn answer_mc_batch(&self, items: &[(&str, &[String], &[String])]) -> Vec<(usize, Answer)> {
-        items
-            .iter()
-            .map(|&(q, opts, ctx)| self.answer_multiple_choice_one(q, opts, ctx))
-            .collect()
-    }
-
-    fn self_feedback_batch(&self, items: &[(&str, &[String], &Answer)]) -> Vec<FeedbackOutcome> {
-        items.iter().map(|&(q, ctx, a)| self.self_feedback_one(q, ctx, a)).collect()
-    }
-}

@@ -508,21 +508,9 @@ impl SimLlm {
         scores.len() - 1
     }
 
-    /// Answer an open-ended question from retrieved context chunks. A
-    /// batch of one through [`crate::LlmBatch`], so the single-call and
-    /// cross-query coalesced paths are the same code.
+    /// Answer an open-ended question from retrieved context chunks.
+    /// Seeded per call, so the result is independent of call order.
     pub fn answer_open(&self, question: &str, context: &[String]) -> Answer {
-        use crate::LlmBatch;
-        // Exactly one answer comes back per input; the fallback keeps
-        // the serving path panic-free.
-        self.answer_open_batch(&[(question, context)])
-            .pop()
-            .unwrap_or_else(|| self.answer_open_one(question, context))
-    }
-
-    /// The per-item open-answer primitive behind [`crate::LlmBatch`].
-    /// Seeded per call, so the result is independent of batch position.
-    pub(crate) fn answer_open_one(&self, question: &str, context: &[String]) -> Answer {
         let prompt = open_prompt(question, context);
         let input_tokens = prompt_tokens(&prompt);
         let q = analyze_question(question);
@@ -582,25 +570,9 @@ impl SimLlm {
     }
 
     /// Answer a multiple-choice question; returns the chosen option index
-    /// and the bookkeeping answer (text = option text). A batch of one
-    /// through [`crate::LlmBatch`].
+    /// and the bookkeeping answer (text = option text). Seeded per call,
+    /// so the result is independent of call order.
     pub fn answer_multiple_choice(
-        &self,
-        question: &str,
-        options: &[String],
-        context: &[String],
-    ) -> (usize, Answer) {
-        use crate::LlmBatch;
-        // Exactly one answer comes back per input; the fallback keeps
-        // the serving path panic-free.
-        self.answer_mc_batch(&[(question, options, context)])
-            .pop()
-            .unwrap_or_else(|| self.answer_multiple_choice_one(question, options, context))
-    }
-
-    /// The per-item multiple-choice primitive behind [`crate::LlmBatch`].
-    /// Seeded per call, so the result is independent of batch position.
-    pub(crate) fn answer_multiple_choice_one(
         &self,
         question: &str,
         options: &[String],

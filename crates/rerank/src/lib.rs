@@ -42,16 +42,3 @@ pub struct RankedChunk {
     /// Relevance score in `[0, 1]`, higher = more relevant.
     pub score: f32,
 }
-
-/// Cross-query batched reranking: the surface the slot scheduler coalesces
-/// same-stage rerank work through. One request is a `(question, candidate
-/// chunks)` pair; the contract is element-wise identity — result `i` of
-/// `rerank_batch` must be bit-identical to `rerank(batch[i].0,
-/// batch[i].1)` — so coalescing queries never changes any ranking. The
-/// [`CrossScorer`] implementation makes the batch path the primitive and
-/// the single-call path a batch of one.
-pub trait RerankBatch {
-    /// Rerank many `(question, chunks)` requests; element `i` equals the
-    /// single-call reranking of request `i` exactly.
-    fn rerank_batch(&self, batch: &[(&str, &[&str])]) -> Vec<Vec<RankedChunk>>;
-}

@@ -178,33 +178,17 @@ impl CrossScorer {
     }
 
     /// Score all candidate chunks and return them sorted best-first
-    /// (paper §III-B steps 5–6). A batch of one through
-    /// [`crate::RerankBatch`], so the single-call and coalesced paths are
-    /// the same code.
+    /// (paper §III-B steps 5–6).
     pub fn rerank(&self, question: &str, chunks: &[&str]) -> Vec<RankedChunk> {
-        use crate::RerankBatch;
-        self.rerank_batch(&[(question, chunks)]).pop().unwrap_or_default()
-    }
-}
-
-impl crate::RerankBatch for CrossScorer {
-    fn rerank_batch(&self, batch: &[(&str, &[&str])]) -> Vec<Vec<RankedChunk>> {
-        batch
+        sage_telemetry::metrics::RERANK_CALLS.inc();
+        sage_telemetry::metrics::RERANK_PAIRS_SCORED.add(chunks.len() as u64);
+        let mut ranked: Vec<RankedChunk> = chunks
             .iter()
-            .map(|&(question, chunks)| {
-                sage_telemetry::metrics::RERANK_CALLS.inc();
-                sage_telemetry::metrics::RERANK_PAIRS_SCORED.add(chunks.len() as u64);
-                let mut ranked: Vec<RankedChunk> = chunks
-                    .iter()
-                    .enumerate()
-                    .map(|(index, chunk)| RankedChunk { index, score: self.score(question, chunk) })
-                    .collect();
-                ranked.sort_by(|a, b| {
-                    b.score.total_cmp(&a.score).then_with(|| a.index.cmp(&b.index))
-                });
-                ranked
-            })
-            .collect()
+            .enumerate()
+            .map(|(index, chunk)| RankedChunk { index, score: self.score(question, chunk) })
+            .collect();
+        ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.index.cmp(&b.index)));
+        ranked
     }
 }
 

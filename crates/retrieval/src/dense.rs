@@ -55,19 +55,10 @@ impl<E: Embedder, I: VectorIndex> DenseRetriever<E, I> {
 
     /// Embed a query without searching — the first half of
     /// [`Retriever::retrieve`], split out so callers can guard the
-    /// embedding and the index lookup as separate failure domains. A
-    /// batch of one through [`embed_query_batch`](Self::embed_query_batch).
+    /// embedding and the index lookup as separate failure domains.
     pub fn embed_query(&self, query: &str) -> Vec<f32> {
-        self.embed_query_batch(&[query]).pop().unwrap_or_default()
-    }
-
-    /// Embed many queries through the [`sage_embed::EmbedBatch`] surface —
-    /// the slot scheduler's coalesced-embed path. Element `i` is
-    /// bit-identical to `embed_query(queries[i])`.
-    pub fn embed_query_batch(&self, queries: &[&str]) -> Vec<Vec<f32>> {
-        use sage_embed::EmbedBatch;
-        sage_telemetry::metrics::DENSE_QUERY_EMBEDS.add(queries.len() as u64);
-        self.embedder.embed_query_batch(queries)
+        sage_telemetry::metrics::DENSE_QUERY_EMBEDS.inc();
+        self.embedder.embed_query(query)
     }
 
     /// Search with an already-embedded query — the second half of

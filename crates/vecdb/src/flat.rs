@@ -105,44 +105,6 @@ impl FlatIndex {
         sage_telemetry::metrics::VECDB_FLAT_DISTANCE_EVALS.add(scored);
         hits
     }
-
-    /// Exact top-N over many queries concurrently (one scoped thread per
-    /// worker; queries are striped). Used by the scalability experiment to
-    /// model concurrent retrieval load.
-    pub fn search_batch(&self, queries: &[Vec<f32>], n: usize, workers: usize) -> Vec<Vec<Hit>> {
-        let workers = workers.clamp(1, queries.len().max(1));
-        let mut results: Vec<Vec<Hit>> = vec![Vec::new(); queries.len()];
-        let chunks: Vec<(usize, &Vec<f32>)> = queries.iter().enumerate().collect();
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let my: Vec<(usize, &Vec<f32>)> =
-                    chunks.iter().skip(w).step_by(workers).cloned().collect();
-                handles.push(s.spawn(move || {
-                    my.into_iter()
-                        .map(|(i, q)| {
-                            // Isolate a panicking query (e.g. a poisoned
-                            // vector): its slot stays empty, the batch
-                            // completes.
-                            let hits = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                || self.search(q, n),
-                            ))
-                            .unwrap_or_default();
-                            (i, hits)
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                if let Ok(batch) = h.join() {
-                    for (i, hits) in batch {
-                        results[i] = hits;
-                    }
-                }
-            }
-        });
-        results
-    }
 }
 
 impl VectorIndex for FlatIndex {
@@ -264,19 +226,6 @@ mod tests {
                 let query: Vec<f32> = (0..19).map(|j| ((q * 7 + j) as f32 * 0.91).cos()).collect();
                 assert_eq!(back.search(&query, 7), idx.search(&query, 7), "{metric:?}");
             }
-        }
-    }
-
-    #[test]
-    fn batch_matches_sequential() {
-        let mut idx = FlatIndex::cosine();
-        for i in 0..50 {
-            idx.add(unit(i as f32 * 0.13));
-        }
-        let queries: Vec<Vec<f32>> = (0..7).map(|i| unit(i as f32 * 0.31)).collect();
-        let batch = idx.search_batch(&queries, 5, 4);
-        for (q, got) in queries.iter().zip(&batch) {
-            assert_eq!(got, &idx.search(q, 5));
         }
     }
 

@@ -184,6 +184,14 @@ if [ "${1:-}" != fast ]; then
   if grep -q "^  feedback" "$tmp/explain_naive.txt"; then
     echo "FAIL: naive plan still judges answers"; exit 1
   fi
+  # No command ignores a flag it does not read: `--concurrency` is not an
+  # explain flag (there is no schedule to render), so it must fail rather
+  # than silently do nothing.
+  if "$sage" explain --concurrency 3 > /dev/null 2> "$tmp/explain_unknown.err"; then
+    echo "FAIL: explain accepted a flag it does not read"; exit 1
+  fi
+  grep -q 'unknown flag' "$tmp/explain_unknown.err" \
+    || { echo "FAIL: no 'unknown flag' error"; cat "$tmp/explain_unknown.err"; exit 1; }
   echo "explain smoke ok"
 
   echo "=== scenario-matrix smoke (committed trajectory holds)"

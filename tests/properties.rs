@@ -547,18 +547,18 @@ proptest! {
     }
 }
 
-// --- Cross-query slot scheduler ------------------------------------------
+// --- Batches --------------------------------------------------------------
 //
-// `try_answer_batch` runs many queries through the slot scheduler, which
-// interleaves their stages and coalesces same-stage slots into cross-query
-// batch ops. The interleaving must be invisible: every deterministic
-// output field and the telemetry cost ledger must be byte-identical to a
-// plain sequential loop over `try_answer_open`, at every worker count,
-// every batch size, and under any fault plan — including injected panics,
-// which fail exactly their own slot.
+// `try_answer_batch` answers many queries on strided run-to-completion
+// worker threads. How the OS schedules those threads against each other
+// must be invisible: every deterministic output field and the telemetry
+// cost ledger must be byte-identical to a plain sequential loop over
+// `try_answer_open`, at every worker count, every batch size, and under
+// any fault plan — including injected panics, which fail exactly their
+// own slot.
 
-/// A batch cycling over the corpus facts: repeats stress the coalescer
-/// (identical slots in one group) without changing any single answer.
+/// A batch cycling over the corpus facts: repeats put identical queries
+/// on different workers without changing any single answer.
 fn scheduler_questions() -> Vec<String> {
     let pool = [
         "What is the color of Whiskers's eyes?",
@@ -636,7 +636,7 @@ fn batched_answers_equal_sequential_at_every_grid_point() {
     }
 }
 
-/// Rates with panic mass: scheduler slots must fail independently.
+/// Rates with panic mass: batch slots must fail independently.
 fn panicky_rates_strategy() -> impl Strategy<Value = Rates> {
     (0.0f64..0.3, 0.0f64..0.2, 0.0f64..0.2, 0.0f64..0.25).prop_map(
         |(transient, timeout, corrupt, panic)| Rates { panic, corrupt, timeout, transient },

@@ -636,6 +636,28 @@ fn try_answer_batch_matches_serial() {
     assert!(system.try_answer_batch(&[], 4).is_empty());
 }
 
+#[test]
+fn batch_traces_land_in_input_order() {
+    // Queries that finish at different times (one to three feedback
+    // rounds, four threads) must still reach the trace ring in input
+    // order: finalize runs on the caller's thread, not the workers'.
+    use sage::corpus::datasets::{narrativeqa, SizeConfig};
+    let ds = narrativeqa::generate(SizeConfig { num_docs: 2, questions_per_doc: 6, seed: 42 });
+    let corpus: Vec<String> = ds.documents.iter().map(|d| d.text()).collect();
+    let mut system = build(&corpus);
+    let hub = system.enable_telemetry();
+    let questions: Vec<String> = ds.tasks.iter().map(|t| t.item.question.clone()).collect();
+    let results = system.try_answer_batch(&questions, 4);
+    let rounds: Vec<usize> =
+        results.iter().map(|r| r.as_ref().expect("no faults").feedback_rounds).collect();
+    assert!(rounds.iter().any(|&r| r != rounds[0]), "queries must differ in length: {rounds:?}");
+    let traces = hub.traces_jsonl();
+    assert_eq!(traces.lines().count(), questions.len());
+    for (line, q) in traces.lines().zip(&questions) {
+        assert!(line.starts_with(&format!("{{\"trace\":\"{q}\"")), "{q} out of order: {line}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Live corpus: torn and orphaned files are discarded, never served
 // ---------------------------------------------------------------------------
