@@ -28,6 +28,8 @@
 //! Like `sage-resilience` and `sage-telemetry`, this crate has no external
 //! dependencies; it reuses the resilience crate's deterministic RNG.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod budget;
 pub mod queue;
 pub mod soak;

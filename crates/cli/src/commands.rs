@@ -188,13 +188,14 @@ fn report_degradation(trace: &DegradeTrace, system: &RagSystem) {
 }
 
 fn parse_retriever(name: &str) -> Result<RetrieverKind, String> {
-    match name {
-        "openai" | "hashed" => Ok(RetrieverKind::OpenAiSim),
-        "sbert" => Ok(RetrieverKind::Sbert),
-        "dpr" => Ok(RetrieverKind::Dpr),
-        "bm25" => Ok(RetrieverKind::Bm25),
-        other => Err(format!("unknown retriever `{other}` (openai|sbert|dpr|bm25)")),
-    }
+    RetrieverKind::parse(name)
+        .ok_or_else(|| format!("unknown retriever `{name}` (openai|sbert|dpr|bm25)"))
+}
+
+/// `--duration <seconds>` (default 30) of `soak` and `report`.
+fn parse_duration(flags: &Flags) -> Result<std::time::Duration, String> {
+    std::time::Duration::try_from_secs_f64(flags.get_parse("duration", 30.0f64)?)
+        .map_err(|_| "--duration must be a finite, non-negative number of seconds".to_string())
 }
 
 fn parse_llm(name: &str) -> Result<LlmProfile, String> {
@@ -387,7 +388,7 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
     let token_budget: u64 = flags.get_parse("token-budget", 50_000u64)?;
     let cfg = SoakConfig {
         seed: flags.get_parse("seed", 42u64)?,
-        duration: std::time::Duration::from_secs_f64(flags.get_parse("duration", 30.0f64)?),
+        duration: parse_duration(flags)?,
         qps: flags.get_parse("qps", 4.0f64)?,
         capacity: flags.get_parse("capacity", 8usize)?,
         concurrency: flags.get_parse("concurrency", 2usize)?,
@@ -506,51 +507,6 @@ fn live_soak(flags: &Flags) -> Result<(), String> {
     }
 }
 
-/// `sage lint` — run the workspace static analyzer (`sage-lint`) over a
-/// source tree. Exits nonzero when violations survive suppression or
-/// when the `--baseline` ratchet deviates, so `scripts/check.sh` and CI
-/// can gate on it.
-pub fn lint(flags: &Flags) -> Result<(), String> {
-    flags.reject_unknown("lint", &["root", "format", "json", "baseline", "update-baseline"])?;
-    let root = flags.get_or("root", ".");
-    let report = &sage::lint::workspace_report(std::path::Path::new(root))
-        .map_err(|e| format!("cannot scan {root}: {e}"))?;
-    if report.files_scanned == 0 {
-        return Err(format!("{root} has no workspace sources (expected src/ or crates/*/src/)"));
-    }
-
-    // `--json` predates `--format` and stays as an alias.
-    let format = if flags.has("json") { "json" } else { flags.get_or("format", "human") };
-    match format {
-        "human" => print!("{}", sage::lint::render_human(report)),
-        "json" => println!("{}", sage::lint::render_json(report)),
-        other => return Err(format!("unknown --format `{other}` (expected human or json)")),
-    }
-
-    if let Some(path) = flags.get("baseline").filter(|p| !p.is_empty()) {
-        if flags.has("update-baseline") {
-            std::fs::write(path, sage::lint::ratchet::render(report))
-                .map_err(|e| format!("cannot write baseline {path}: {e}"))?;
-            eprintln!("wrote baseline -> {path}");
-        } else {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-            let baseline = sage::lint::ratchet::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-            let errors = sage::lint::ratchet::compare(&baseline, report);
-            if !errors.is_empty() {
-                return Err(format!("lint ratchet failed:\n  {}", errors.join("\n  ")));
-            }
-            eprintln!("ratchet ok: per-rule counts match {path}");
-        }
-    }
-
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(format!("{} lint violation(s)", report.violations.len()))
-    }
-}
-
 /// `sage demo` — the quickstart corpus, end to end.
 pub fn demo() -> Result<(), String> {
     let corpus = vec![
@@ -641,7 +597,7 @@ pub fn report(flags: &Flags) -> Result<(), String> {
     let token_budget: u64 = flags.get_parse("token-budget", 50_000u64)?;
     let cfg = SoakConfig {
         seed,
-        duration: std::time::Duration::from_secs_f64(flags.get_parse("duration", 30.0f64)?),
+        duration: parse_duration(flags)?,
         qps: flags.get_parse("qps", 4.0f64)?,
         capacity: flags.get_parse("capacity", 8usize)?,
         concurrency: flags.get_parse("concurrency", 2usize)?,
@@ -724,7 +680,6 @@ pub fn report(flags: &Flags) -> Result<(), String> {
     bundle.push_raw("soak", soak.json_summary(&soak.check_invariants(&cfg, 1.0)));
     bundle.push_u64("recorder_captured", stats.captured);
     bundle.push_u64("recorder_evicted", stats.evicted);
-    bundle.push_u64("recorder_recycled", stats.recycled);
     bundle.push_u64("recorder_windows_sealed", stats.windows_sealed);
     bundle.push_jsonl("recorder_tail", &recorder.to_jsonl());
     bundle.push_str("slo_summary", &slo.summary());
@@ -910,8 +865,6 @@ USAGE:
   sage soak --live [--live-dir <dir>] [--ops 24] [--batch 4] [--docs 16]
                [--queries 2] [--seed 42] [--retriever hashed|hnsw|bm25]
                [--crash <spec>] [--crash-seed 7]
-  sage lint    [--root <path>] [--format human|json] [--json]
-               [--baseline <path>] [--update-baseline]
   sage explain [\"question\"] [--retriever R] [--naive] [--shards N] [--quorum Q]
                # print the resolved query plan: stages, middleware order,
                # the rewrite each brownout rung applies and (with --shards)
@@ -1003,21 +956,6 @@ SCENARIOS:
   --update (or a missing baseline) rewrites the baseline. Rows are
   virtual-clock quantities: same grid, same bytes.
 
-LINT:
-  sage lint walks src/ and crates/*/src/ under --root (default: the
-  current directory) and enforces the workspace invariants with five
-  token rules over every library crate (no-print, no-panic-serving,
-  deterministic-iteration, no-wallclock, relaxed-atomics-confined)
-  plus stale-suppression (markers that no longer suppress anything
-  are errors) and bad-allow (malformed or unjustified markers).
-  Suppressions are inline comment markers carrying a justification
-  (see DESIGN.md §9).
-  --format human|json picks the output (--json is an alias for
-  --format json). --baseline <path> enforces the lint-baseline.json
-  ratchet (per-rule counts must match exactly, or carry a
-  justification for slack); --update-baseline rewrites it.
-  Exit status is nonzero on violations or ratchet deviation.
-
 Corpus files: paragraphs separated by blank lines."
     );
 }
@@ -1033,6 +971,23 @@ mod tests {
         assert_eq!(parse_retriever("dpr").unwrap(), RetrieverKind::Dpr);
         assert_eq!(parse_retriever("bm25").unwrap(), RetrieverKind::Bm25);
         assert!(parse_retriever("faiss").is_err());
+    }
+
+    #[test]
+    fn duration_flag_rejects_what_a_duration_cannot_hold() {
+        let parse = |value: &str| {
+            let argv = ["--duration".to_string(), value.to_string()];
+            parse_duration(&crate::args::parse_flags(&argv).unwrap())
+        };
+        for bad in ["-1", "nan", "1e30"] {
+            assert_eq!(
+                parse(bad).unwrap_err(),
+                "--duration must be a finite, non-negative number of seconds",
+                "--duration {bad}"
+            );
+        }
+        assert_eq!(parse("10").unwrap(), std::time::Duration::from_secs(10));
+        assert_eq!(parse("abc").unwrap_err(), "invalid value for --duration: abc");
     }
 
     #[test]

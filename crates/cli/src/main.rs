@@ -13,8 +13,6 @@
 //!              [--token-budget 50000] [--no-budget]
 //!              [--docs N | --file F --question "..."]
 //!              [--faults SPEC] [--fault-seed N] [--max-shed-rate 0.9]
-//! sage lint    [--root PATH] [--format human|json] [--baseline F]
-//!              [--update-baseline]
 //! sage explain ["question"] [--retriever R] [--naive] [--shards N]
 //!              [--quorum Q]
 //! sage report  [--seed 42] [--qps 4] [--duration 30] [--slo SPEC]
@@ -75,7 +73,6 @@ fn main() -> ExitCode {
         "soak" => commands::soak(&parsed),
         "report" => commands::report(&parsed),
         "scenarios" => commands::scenarios(&parsed),
-        "lint" => commands::lint(&parsed),
         "demo" => parsed.reject_unknown("demo", &[]).and_then(|()| commands::demo()),
         "help" | "--help" | "-h" => {
             commands::print_help();

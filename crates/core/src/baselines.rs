@@ -179,7 +179,10 @@ impl DocSystem {
                 answer_with_context(llm, question, options, context.clone(), Duration::ZERO)
             }
             DocSystem::Colisa { sentences, llm, keep } => {
-                // sage-lint: allow(no-wallclock) - retrieval latency bookkeeping feeding QueryResult, mirroring the pipeline's timing; nothing branches on it
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "retrieval latency bookkeeping feeding QueryResult, mirroring the pipeline's timing; nothing branches on it"
+                )]
                 let start = Instant::now();
                 let context = colisa_select(sentences, question, options, *keep);
                 let retrieval = start.elapsed();

@@ -16,6 +16,17 @@ pub enum RetrieverKind {
 }
 
 impl RetrieverKind {
+    /// Parse a CLI / scenario-grid token ("openai" | "sbert" | "dpr" | "bm25").
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "openai" | "hashed" => Some(Self::OpenAiSim),
+            "sbert" => Some(Self::Sbert),
+            "dpr" => Some(Self::Dpr),
+            "bm25" => Some(Self::Bm25),
+            _ => None,
+        }
+    }
+
     /// Display name used in the paper's tables.
     pub fn label(self) -> &'static str {
         match self {

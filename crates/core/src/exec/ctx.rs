@@ -1,8 +1,6 @@
 //! The mutable state a query plan executes over: the typed blackboard
 //! every stage function reads its input from and writes its output to.
 
-// sage-lint: allow-file(no-wallclock) - holds the stage/retrieve timing anchors the telemetry middleware reads; no control flow branches on them
-
 use crate::brownout::BrownoutCtl;
 use crate::resilience::QueryGuards;
 use sage_eval::Cost;

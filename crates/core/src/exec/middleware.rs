@@ -4,7 +4,10 @@
 //! with no budget and no telemetry hub executes the identical stage
 //! sequence with every hook a no-op.
 
-// sage-lint: allow-file(no-wallclock) - this module IS the latency measurement layer: stage timings feed the telemetry histograms and QueryResult latency fields; no control flow branches on the readings
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this module IS the latency measurement layer: stage timings feed the telemetry histograms and QueryResult latency fields; no control flow branches on the readings"
+)]
 
 use super::ctx::QueryCtx;
 use super::plan::{RerankMode, StageOp};

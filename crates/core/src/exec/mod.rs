@@ -13,8 +13,6 @@
 //! budget-before → rung rewrite → op re-fetch → telemetry-open → stage →
 //! telemetry-close → budget-after → rung rewrite.
 
-// sage-lint: allow-file(no-wallclock) - the executor owns the query/prelude latency measurement previously inlined in pipeline.rs; no control flow branches on the readings
-
 mod batch;
 mod ctx;
 mod middleware;
@@ -83,6 +81,10 @@ fn run_prelude_slots(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'
 
 /// Run a full plan to a fused result on `ctx.result`: the prelude once,
 /// the round template up to `max_rounds` times, then the bare fuse.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the executor owns the query/prelude latency measurement previously inlined in pipeline.rs; no control flow branches on the readings"
+)]
 fn run_plan(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>) {
     if !plan.prelude.is_empty() {
         let prelude_start = Instant::now();
@@ -193,6 +195,10 @@ fn prepare<'a>(
 /// Prepare and run one query to its fused context, timing the plan run —
 /// everything but [`finalize`], which a batch defers so its cross-query
 /// effects land in input order.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the executor owns the query/prelude latency measurement previously inlined in pipeline.rs; no control flow branches on the readings"
+)]
 fn run_query<'a>(
     sys: &'a RagSystem,
     question: &'a str,
@@ -241,6 +247,10 @@ pub(crate) fn execute_caught(
 
 /// Execute the fixed-context plan: one generation call over explicit
 /// chunk ids (no retrieval, no selection, no feedback loop).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the executor owns the query/prelude latency measurement previously inlined in pipeline.rs; no control flow branches on the readings"
+)]
 pub(crate) fn execute_fixed(
     sys: &RagSystem,
     question: &str,

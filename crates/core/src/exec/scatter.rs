@@ -123,13 +123,17 @@ pub(crate) enum Scattered {
     /// Survivors fell below quorum: the caller degrades down the ordinary
     /// BM25/flat fallback chain.
     QuorumFailed {
-        /// Shards lost after the hedged probe. The serving path degrades
-        /// regardless of the count (tests assert on it), hence the
-        /// non-test `dead_code` allowance.
-        #[cfg_attr(not(test), allow(dead_code))]
+        /// Shards lost after the hedged probe.
+        #[cfg_attr(
+            not(test),
+            allow(dead_code, reason = "the serving path degrades regardless of the count; tests assert on it")
+        )]
         lost: u8,
         /// Shards fanned out to.
-        #[cfg_attr(not(test), allow(dead_code))]
+        #[cfg_attr(
+            not(test),
+            allow(dead_code, reason = "the serving path degrades regardless of the count; tests assert on it")
+        )]
         total: u8,
         /// Probes issued (primaries + hedges).
         attempts: u32,

@@ -64,31 +64,32 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 
 /// Verify and strip the trailer of `raw`, returning the payload.
 ///
-/// A trailer whose CRC does not match the payload is an
-/// [`std::io::ErrorKind::InvalidData`] error naming `what` ("torn write or
-/// bit rot"). Files without the `SAGECRC1` suffix predate the trailer and
-/// pass through unchecked.
+/// Both failures are [`std::io::ErrorKind::InvalidData`] errors naming
+/// `what`: a missing `SAGECRC1` suffix (a file cut short loses its trailer
+/// first) and a CRC that does not match the payload ("torn write or bit
+/// rot").
 pub fn unframe(mut raw: Vec<u8>, what: &str) -> std::io::Result<Vec<u8>> {
-    if raw.len() >= TRAILER_LEN && raw[raw.len() - TRAILER_MAGIC.len()..] == TRAILER_MAGIC[..] {
-        let body_end = raw.len() - TRAILER_LEN;
-        let stored = u32::from_le_bytes([
-            raw[body_end],
-            raw[body_end + 1],
-            raw[body_end + 2],
-            raw[body_end + 3],
-        ]);
-        let actual = crc32(&raw[..body_end]);
-        if stored != actual {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "checksum mismatch in {what} (stored {stored:#010x}, \
-                     computed {actual:#010x}): torn write or bit rot"
-                ),
-            ));
-        }
-        raw.truncate(body_end);
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    if raw.len() < TRAILER_LEN || raw[raw.len() - TRAILER_MAGIC.len()..] != TRAILER_MAGIC[..] {
+        return Err(invalid(format!(
+            "missing SAGECRC1 trailer in {what}: truncated or not a SAGE file"
+        )));
     }
+    let body_end = raw.len() - TRAILER_LEN;
+    let stored = u32::from_le_bytes([
+        raw[body_end],
+        raw[body_end + 1],
+        raw[body_end + 2],
+        raw[body_end + 3],
+    ]);
+    let actual = crc32(&raw[..body_end]);
+    if stored != actual {
+        return Err(invalid(format!(
+            "checksum mismatch in {what} (stored {stored:#010x}, \
+             computed {actual:#010x}): torn write or bit rot"
+        )));
+    }
+    raw.truncate(body_end);
     Ok(raw)
 }
 
@@ -176,9 +177,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bytes_pass_through_unchecked() {
-        let raw = b"no trailer here".to_vec();
-        assert_eq!(unframe(raw.clone(), "x").unwrap(), raw);
+    fn missing_trailer_is_an_error() {
+        // Never framed, cut inside the trailer, and shorter than a trailer.
+        let mut cut = frame(b"hello sage");
+        cut.truncate(cut.len() - 1);
+        for raw in [b"no trailer here".to_vec(), cut, b"short".to_vec()] {
+            let err = unframe(raw, "test file").unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert_eq!(
+                err.to_string(),
+                "missing SAGECRC1 trailer in test file: truncated or not a SAGE file"
+            );
+        }
     }
 
     #[test]

@@ -36,6 +36,8 @@
 //!   framing and the atomic tmp+fsync+rename+dir-fsync protocol used by
 //!   [`persist`], [`models`], and the live store.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod baselines;
 mod brownout;
 pub mod case_studies;

@@ -136,8 +136,8 @@ impl TrainedModels {
     /// Load models from a file saved by [`TrainedModels::save`].
     ///
     /// A torn write or bit rot surfaces as a distinct checksum-mismatch
-    /// [`std::io::ErrorKind::InvalidData`] error; pre-trailer files load
-    /// unchecked.
+    /// [`std::io::ErrorKind::InvalidData`] error, a file cut short of its
+    /// trailer as a missing-trailer one.
     pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
         let raw = crate::fsx::unframe(std::fs::read(path)?, "SAGE model file")?;
         Self::from_bytes(bytes::Bytes::from(raw)).ok_or_else(|| {
@@ -262,26 +262,19 @@ mod tests {
         let mut raw = std::fs::read(&path).expect("read back");
         let mid = raw.len() / 2;
         raw[mid] ^= 0x08;
-        std::fs::write(&path, &raw).expect("write corrupt");
-        let err = match TrainedModels::load(&path) {
-            Ok(_) => panic!("corrupt model file must not load"),
-            Err(e) => e,
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("checksum mismatch in SAGE model file"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_model_files_without_trailer_still_load() {
-        let m = TrainedModels::train(TrainBudget::tiny());
-        let path = std::env::temp_dir().join("sage_models_legacy_test.bin");
-        std::fs::write(&path, m.to_bytes()).expect("write legacy");
-        let back = TrainedModels::load(&path).expect("legacy load");
-        assert_eq!(
-            m.segmentation.score_pair("a b", "c d"),
-            back.segmentation.score_pair("a b", "c d")
-        );
+        let cut = raw[..raw.len() - crate::fsx::TRAILER_LEN].to_vec();
+        for (bytes, message) in [
+            (raw, "checksum mismatch in SAGE model file"),
+            (cut, "missing SAGECRC1 trailer in SAGE model file"),
+        ] {
+            std::fs::write(&path, &bytes).expect("write corrupt");
+            let err = match TrainedModels::load(&path) {
+                Ok(_) => panic!("corrupt model file must not load"),
+                Err(e) => e,
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(message), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -209,11 +209,11 @@ impl RagSystem {
 
     /// Load a system from a file saved by [`RagSystem::save`].
     ///
-    /// Corruption surfaces as two distinct [`std::io::ErrorKind::InvalidData`]
-    /// errors: `"checksum mismatch ..."` when the CRC-32 trailer does not
-    /// match the payload (torn write or bit rot), `"malformed ..."` when
-    /// the payload itself fails to parse. Files written before the trailer
-    /// existed carry no `SAGECRC1` suffix and are parsed unchecked.
+    /// Corruption surfaces as three distinct [`std::io::ErrorKind::InvalidData`]
+    /// errors: `"missing SAGECRC1 trailer ..."` when the file is cut short
+    /// or was never a SAGE file, `"checksum mismatch ..."` when the CRC-32
+    /// trailer does not match the payload (torn write or bit rot),
+    /// `"malformed ..."` when the payload itself fails to parse.
     pub fn load(path: &std::path::Path, profile: LlmProfile) -> std::io::Result<Self> {
         let raw = fsx::unframe(std::fs::read(path)?, "SAGE system file")?;
         Self::from_bytes(Bytes::from(raw), profile).ok_or_else(|| {
@@ -324,23 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_files_without_trailer_still_load() {
-        let system = RagSystem::build(
-            models(),
-            RetrieverKind::OpenAiSim,
-            SageConfig::sage(),
-            LlmProfile::gpt4o_mini(),
-            &corpus(),
-        );
-        let path = std::env::temp_dir().join("sage_system_legacy_test.bin");
-        // A pre-trailer file is just the raw payload.
-        std::fs::write(&path, system.to_bytes()).expect("write legacy");
-        let back = RagSystem::load(&path, LlmProfile::gpt4o_mini()).expect("legacy load");
-        assert_eq!(system.chunks(), back.chunks());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn truncated_file_is_rejected_with_malformed_error() {
         let system = RagSystem::build(
             models(),
@@ -352,12 +335,14 @@ mod tests {
         let path = std::env::temp_dir().join("sage_system_trunc_test.bin");
         system.save(&path).expect("save");
         let clean = std::fs::read(&path).expect("read back");
-        // Chop the trailer and part of the payload: no SAGECRC1 suffix, so
-        // it parses as a legacy payload and fails structurally.
-        std::fs::write(&path, &clean[..clean.len() - TRAILER_LEN - 7]).expect("truncate");
-        let err = load_err(&path);
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("malformed"), "got: {err}");
+        // Chop the trailer alone, then the trailer and part of the
+        // payload: no SAGECRC1 suffix, so the CRC cannot be checked.
+        for cut in [TRAILER_LEN, TRAILER_LEN + 7] {
+            std::fs::write(&path, &clean[..clean.len() - cut]).expect("truncate");
+            let err = load_err(&path);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("missing SAGECRC1 trailer"), "got: {err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -6,7 +6,10 @@
 //! here resolves a [`crate::exec::QueryPlan`] and hands it to the one
 //! deterministic executor.
 
-// sage-lint: allow-file(no-wallclock) - this file IS the build-time latency measurement layer: segment/index stage timings feed BuildStats and the telemetry build record; no control flow branches on the readings
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this file IS the build-time latency measurement layer: segment/index stage timings feed BuildStats and the telemetry build record; no control flow branches on the readings"
+)]
 
 use crate::config::{RetrieverKind, SageConfig};
 use crate::models::TrainedModels;

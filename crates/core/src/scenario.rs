@@ -25,17 +25,6 @@ use sage_obs::{BenchRow, ScenarioCell};
 use sage_resilience::FaultPlan;
 use std::time::Duration;
 
-/// Resolve a cell's retriever axis.
-fn parse_retriever(name: &str) -> Result<RetrieverKind, String> {
-    match name {
-        "openai" | "hashed" => Ok(RetrieverKind::OpenAiSim),
-        "sbert" => Ok(RetrieverKind::Sbert),
-        "dpr" => Ok(RetrieverKind::Dpr),
-        "bm25" => Ok(RetrieverKind::Bm25),
-        other => Err(format!("unknown retriever `{other}` (openai|sbert|dpr|bm25)")),
-    }
-}
-
 /// Resolve a cell's dataset axis.
 fn generate_dataset(cell: &ScenarioCell) -> Result<Dataset, String> {
     let cfg = SizeConfig {
@@ -74,7 +63,8 @@ fn soak_config(cell: &ScenarioCell) -> SoakConfig {
 /// [`BenchRow`]. All metrics are virtual-clock quantities; floats are
 /// rendered at fixed precision so the row is byte-stable.
 pub fn run_cell(models: &TrainedModels, cell: &ScenarioCell) -> Result<BenchRow, String> {
-    let retriever = parse_retriever(&cell.retriever)?;
+    let retriever = RetrieverKind::parse(&cell.retriever)
+        .ok_or_else(|| format!("unknown retriever `{}` (openai|sbert|dpr|bm25)", cell.retriever))?;
     let dataset = generate_dataset(cell)?;
     let profile = LlmProfile::gpt4o_mini();
 

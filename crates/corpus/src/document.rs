@@ -14,7 +14,10 @@
 //! * every fact sentence is recorded in a [`FactRecord`] with its exact
 //!   evidence, so experiments can check retrieval against ground truth.
 
-// sage-lint: allow-file(deterministic-iteration) - sets/maps are uniqueness and membership guards during assembly; document text order comes from the ordered fact records, never from container iteration
+#![expect(
+    clippy::disallowed_types,
+    reason = "sets/maps are uniqueness and membership guards during assembly; document text order comes from the ordered fact records, never from container iteration"
+)]
 
 use crate::facts::{relations_for, Entity, EntityKind, Fact, RELATIONS};
 use crate::lexicon::Lexicon;
@@ -177,7 +180,10 @@ pub fn generate_document(id: usize, spec: &DocSpec, rng: &mut StdRng) -> Generat
     let mut multi_facts: Vec<Fact> = Vec::new();
     if spec.multi_fact_count > 0 {
         if let Some(holder_idx) = entities.iter().position(|e| e.kind == EntityKind::Person) {
-            // sage-lint: allow(no-panic-serving) - RELATIONS is a static table that contains a multi-valued relation
+            #[expect(
+                clippy::expect_used,
+                reason = "RELATIONS is a static table that contains a multi-valued relation"
+            )]
             let rel = RELATIONS.iter().position(|r| r.multi_valued).expect("multi relation");
             let pool = RELATIONS[rel].pool.words();
             let n = spec.multi_fact_count.min(pool.len().saturating_sub(2));

@@ -25,6 +25,8 @@
 //! (paraphrase pairs, DPR triples, segmentation sentence pairs) in
 //! [`training`]. Everything is deterministic given a seed.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod datasets;
 pub mod document;
 pub mod facts;

@@ -11,7 +11,10 @@
 //!   retrieval case);
 //! * [`QuestionKind::Unanswerable`] — QASPER style, no supporting evidence.
 
-// sage-lint: allow-file(deterministic-iteration) - sets are dedup/membership guards; questions and options are emitted in fact-record and RNG order, never by iterating these sets
+#![expect(
+    clippy::disallowed_types,
+    reason = "sets are dedup/membership guards; questions and options are emitted in fact-record and RNG order, never by iterating these sets"
+)]
 
 use crate::document::FactRecord;
 use crate::lexicon::Lexicon;

@@ -21,7 +21,10 @@ fn random_fact(rng: &mut StdRng) -> Fact {
     let entity = if rng.random_bool(0.5) { Entity::person(rng) } else { Entity::pet(rng) };
     let rels = relations_for(entity.kind);
     let spec = rels[rng.random_range(0..rels.len())];
-    // sage-lint: allow(no-panic-serving) - relations_for returns references into RELATIONS, so the position exists
+    #[expect(
+        clippy::unwrap_used,
+        reason = "relations_for returns references into RELATIONS, so the position exists"
+    )]
     let rel = RELATIONS.iter().position(|r| std::ptr::eq(r, spec)).unwrap();
     Fact::sample(&entity, rel, rng)
 }

@@ -17,7 +17,10 @@ use sage_text::{bigrams, hash_token, stem, tokenize};
 /// `seed` decorrelates hash functions between towers/models.
 pub fn sentence_features(text: &str, buckets: usize, seed: u64) -> Vec<(u32, f32)> {
     // Capitalised surface forms (lowercased, possessive-stripped).
-    // sage-lint: allow(deterministic-iteration) - membership probes only (contains); feature emission walks the token sequence, not this set
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership probes only (contains); feature emission walks the token sequence, not this set"
+    )]
     let proper: std::collections::HashSet<String> = text
         .split_whitespace()
         .filter(|w| w.chars().next().is_some_and(char::is_uppercase))

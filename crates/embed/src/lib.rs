@@ -17,6 +17,8 @@
 //! Everything is deterministic given the construction seed; the trainable
 //! encoders converge in a few seconds of CPU time on the synthetic corpora.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod dual;
 pub mod features;
 pub mod hashed;

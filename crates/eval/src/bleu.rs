@@ -4,20 +4,22 @@
 //! columns sit around 1%).
 
 use sage_text::{ngrams, tokenize};
-use std::collections::HashMap;
 
 /// Clipped n-gram precision of candidate tokens against one reference.
+#[expect(
+    clippy::disallowed_types,
+    reason = "integer n-gram multiset; clipped counts are a commutative sum, order-independent"
+)]
 fn clipped_precision(c: &[String], r: &[String], n: usize) -> (usize, usize) {
+    use std::collections::HashMap;
     let c_ngrams = ngrams(c, n);
     if c_ngrams.is_empty() {
         return (0, 0);
     }
-    // sage-lint: allow(deterministic-iteration) - integer n-gram multiset; clipped counts are a commutative sum, order-independent
     let mut ref_counts: HashMap<String, usize> = HashMap::new();
     for g in ngrams(r, n) {
         *ref_counts.entry(g).or_insert(0) += 1;
     }
-    // sage-lint: allow(deterministic-iteration) - integer n-gram multiset; clipped counts are a commutative sum, order-independent
     let mut cand_counts: HashMap<&str, usize> = HashMap::new();
     for g in &c_ngrams {
         *cand_counts.entry(g).or_insert(0) += 1;

@@ -13,7 +13,6 @@ use crate::reader::{Answer, SimLlm};
 use rand::Rng;
 use sage_eval::Cost;
 use sage_text::{is_stopword, split_sentences, stem, tokenize};
-use std::collections::HashSet;
 use std::time::Duration;
 
 /// Result of one self-feedback call.
@@ -76,8 +75,11 @@ impl SimLlm {
             .filter(|t| !is_stopword(t))
             .map(|t| stem(t))
             .collect();
-        // sage-lint: allow(deterministic-iteration) - membership probes only (contains); the set is never iterated, so RandomState order cannot reach any output
-        let q_stems: HashSet<String> = tokenize(question)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership probes only (contains); the set is never iterated, so RandomState order cannot reach any output"
+        )]
+        let q_stems: std::collections::HashSet<String> = tokenize(question)
             .iter()
             .filter(|t| !is_stopword(t))
             .map(|t| stem(t))
@@ -88,8 +90,11 @@ impl SimLlm {
         for chunk in context {
             for sentence in split_sentences(chunk) {
                 total_sentences += 1;
-                // sage-lint: allow(deterministic-iteration) - intersection is counted (order-free commutative sum of usize), never enumerated into output
-                let stems: HashSet<String> = tokenize(&sentence)
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "intersection is counted (order-free commutative sum of usize), never enumerated into output"
+                )]
+                let stems: std::collections::HashSet<String> = tokenize(&sentence)
                     .iter()
                     .filter(|t| !is_stopword(t))
                     .map(|t| stem(t))

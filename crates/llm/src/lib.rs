@@ -26,6 +26,8 @@
 //! [`feedback`] implements the paper's Figure-6 self-feedback judge;
 //! [`segmenter::LlmSegmenter`] prices GPT-4-as-segmenter for Figure 7.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod feedback;
 pub mod finetune;
 pub mod profile;

@@ -1,6 +1,9 @@
 //! The simulated reader: candidate extraction + temperature sampling.
 
-// sage-lint: allow-file(deterministic-iteration) - sets here are membership guards and the candidate map is drained into a Vec that is fully sorted (score, then lexicographic) before any sampling; the expectations map is get()-only
+#![expect(
+    clippy::disallowed_types,
+    reason = "sets here are membership guards and the candidate map is drained into a Vec that is fully sorted (score, then lexicographic) before any sampling; the expectations map is get()-only"
+)]
 
 use crate::profile::LlmProfile;
 use crate::prompt::{mc_prompt, open_prompt, prompt_tokens};

@@ -32,6 +32,10 @@ pub fn kmeans(vectors: &[Vec<f32>], k: usize, iterations: usize) -> KMeans {
     // Farthest-point initialisation from vector 0.
     let mut centroids: Vec<Vec<f32>> = vec![vectors[0].clone()];
     while centroids.len() < k {
+        #[expect(
+            clippy::expect_used,
+            reason = "empty input returned on entry, so the maximum over vectors exists"
+        )]
         let (far_idx, _) = vectors
             .iter()
             .enumerate()
@@ -43,7 +47,6 @@ pub fn kmeans(vectors: &[Vec<f32>], k: usize, iterations: usize) -> KMeans {
                 (i, d)
             })
             .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-            // sage-lint: allow(no-panic-serving) - empty input returned on entry, so the maximum over vectors exists
             .expect("nonempty");
         centroids.push(vectors[far_idx].clone());
     }

@@ -112,9 +112,15 @@ impl Linear {
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // sage-lint: allow(no-panic-serving) - training-only and documented above: calling backward before forward is a caller bug
+        #[expect(
+            clippy::expect_used,
+            reason = "training-only and documented above: calling backward before forward is a caller bug"
+        )]
         let x = self.cached_input.as_ref().expect("backward before forward");
-        // sage-lint: allow(no-panic-serving) - as above; both caches are written together by forward
+        #[expect(
+            clippy::expect_used,
+            reason = "as above; both caches are written together by forward"
+        )]
         let a = self.cached_output.as_ref().expect("backward before forward");
         // dZ = dA * act'(A)
         let mut dz = grad_out.clone();

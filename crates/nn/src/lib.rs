@@ -16,6 +16,8 @@
 //! implements exactly the forward/backward passes they require, in plain
 //! Rust, with deterministic seeded initialisation. Everything is `f32`.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod cluster;
 pub mod io;
 pub mod embedding;

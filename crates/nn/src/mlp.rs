@@ -51,8 +51,8 @@ impl Mlp {
     }
 
     /// Output dimensionality.
+    #[expect(clippy::unwrap_used, reason = "both constructors reject an empty layer list")]
     pub fn out_dim(&self) -> usize {
-        // sage-lint: allow(no-panic-serving) - both constructors reject an empty layer list
         self.layers.last().unwrap().out_dim()
     }
 

@@ -9,7 +9,7 @@
 //! windows, and diffs are pure functions of virtual-clock observations,
 //! so soak replays and CI reruns are byte-comparable.
 //!
-//! - [`recorder`]: bounded, allocation-recycling ring of recent query
+//! - [`recorder`]: bounded ring of recent query
 //!   observations with tail-based retention — a fold over the soak's
 //!   observation stream (`SoakReport::obs`), like the SLO evaluator.
 //! - [`slo`]: declarative SLO specs, multi-window burn-rate alerts.
@@ -17,6 +17,8 @@
 //!   tolerance-band regression diffs.
 //! - [`bundle`]: `sage report` diagnostics-bundle assembly and the
 //!   cross-layer reconciliation checks.
+
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
 
 pub mod bundle;
 pub mod recorder;

@@ -19,10 +19,6 @@
 //! 3. **Eviction order** is `(tier, seq)`: plain sealed records go first,
 //!    then unsealed, then top-K, then flagged — oldest first within a
 //!    tier.
-//!
-//! Allocations are recycled: evicted records return to a free pool and
-//! their `String` buffers are reused by later captures, so a long soak
-//! settles into a steady state with no per-query allocation.
 
 use std::fmt::Write as _;
 
@@ -134,23 +130,18 @@ pub struct RecorderStats {
     pub captured: u64,
     /// Records evicted to stay within capacity.
     pub evicted: u64,
-    /// Captures that reused an evicted record's allocations.
-    pub recycled: u64,
     /// Windows sealed so far.
     pub windows_sealed: u64,
 }
 
-/// Bounded, allocation-recycling ring of recent query observations.
+/// Bounded ring of recent query observations.
 ///
-/// Mutation happens through [`capture_query`](Self::capture_query) /
-/// [`capture_shed`](Self::capture_shed) only; everything else is
-/// read-only.
+/// Mutation happens through [`capture_query`](Self::capture_query) only;
+/// everything else is read-only.
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
     cfg: RecorderConfig,
     records: Vec<QueryRecord>,
-    /// Evicted records whose allocations the next capture reuses.
-    free: Vec<QueryRecord>,
     stats: RecorderStats,
 }
 
@@ -162,7 +153,7 @@ impl FlightRecorder {
             window: cfg.window.max(1),
             topk: cfg.topk.max(1),
             };
-        Self { cfg, records: Vec::new(), free: Vec::new(), stats: RecorderStats::default() }
+        Self { cfg, records: Vec::new(), stats: RecorderStats::default() }
     }
 
     /// The sizing in effect.
@@ -170,25 +161,13 @@ impl FlightRecorder {
         self.cfg
     }
 
-    /// Capture one completed/errored observation. Returns whether the
-    /// record survived the insert (it may be evicted immediately when the
+    /// Capture one observation (it may be evicted immediately when the
     /// buffer is full of higher-tier records).
-    pub fn capture_query(&mut self, obs: &QueryObs) -> bool {
+    pub fn capture_query(&mut self, obs: &QueryObs) {
         let capture = self.stats.captured;
         self.stats.captured += 1;
         let tier = if obs.flagged() { 3 } else { 1 };
-        let mut rec = match self.free.pop() {
-            Some(mut r) => {
-                self.stats.recycled += 1;
-                r.obs.copy_from(obs);
-                r
-            }
-            None => QueryRecord { obs: obs.clone(), capture: 0, tier: 0 },
-        };
-        rec.capture = capture;
-        rec.tier = tier;
-        let seq = rec.obs.seq;
-        self.records.push(rec);
+        self.records.push(QueryRecord { obs: obs.clone(), capture, tier });
         // Seal the window this capture completed, if any.
         if (capture + 1).is_multiple_of(self.cfg.window as u64) {
             self.roll_window(capture / self.cfg.window as u64);
@@ -196,43 +175,12 @@ impl FlightRecorder {
         while self.records.len() > self.cfg.capacity {
             self.evict_one();
         }
-        self.records.iter().any(|r| r.obs.seq == seq && r.capture == capture)
-    }
-
-    /// Capture a query that was refused before running (shed/expired).
-    /// Shorthand over [`capture_query`](Self::capture_query) for call
-    /// sites that only have the admission decision.
-    pub fn capture_shed(
-        &mut self,
-        seq: u64,
-        class: &'static str,
-        at_us: u64,
-        expired: bool,
-        note: &str,
-    ) -> bool {
-        let obs = QueryObs {
-            seq,
-            class,
-            arrival_us: at_us,
-            end_us: at_us,
-            sojourn_ns: 0,
-            service_ns: 0,
-            outcome: if expired { Outcome::Expired } else { Outcome::Shed },
-            brownout: 0,
-            degraded: 0,
-            deadline_missed: expired,
-            tokens: 0,
-            confidence_milli: 0,
-            question: note.to_string(),
-        };
-        self.capture_query(&obs)
     }
 
     /// Seal window `w`: among its unsealed (tier-1) records, promote the
     /// `topk` highest virtual latencies to tier 2 and demote the rest to
-    /// tier 0. Pure in the capture stream — called automatically by
-    /// [`capture_query`](Self::capture_query) when a window fills.
-    pub fn roll_window(&mut self, w: u64) {
+    /// tier 0. Pure in the capture stream.
+    fn roll_window(&mut self, w: u64) {
         let window = self.cfg.window as u64;
         let lo = w * window;
         let hi = lo + window;
@@ -261,13 +209,8 @@ impl FlightRecorder {
         else {
             return;
         };
-        let rec = self.records.swap_remove(victim);
+        self.records.swap_remove(victim);
         self.stats.evicted += 1;
-        // Recycle the allocation; cap the pool so a burst cannot pin
-        // unbounded memory.
-        if self.free.len() < self.cfg.capacity {
-            self.free.push(rec);
-        }
     }
 
     /// Retained records in capture order (oldest first).
@@ -301,28 +244,6 @@ impl FlightRecorder {
             out.push('\n');
         }
         out
-    }
-}
-
-impl QueryObs {
-    /// Copy `src` into `self`, reusing `self.question`'s allocation
-    /// (the recycling path: no new heap allocation when the reused buffer
-    /// has capacity).
-    fn copy_from(&mut self, src: &QueryObs) {
-        self.question.clear();
-        self.question.push_str(&src.question);
-        self.seq = src.seq;
-        self.class = src.class;
-        self.arrival_us = src.arrival_us;
-        self.end_us = src.end_us;
-        self.sojourn_ns = src.sojourn_ns;
-        self.service_ns = src.service_ns;
-        self.outcome = src.outcome;
-        self.brownout = src.brownout;
-        self.degraded = src.degraded;
-        self.deadline_missed = src.deadline_missed;
-        self.tokens = src.tokens;
-        self.confidence_milli = src.confidence_milli;
     }
 }
 
@@ -420,31 +341,6 @@ mod tests {
             r.to_jsonl()
         };
         assert_eq!(run(), run(), "same capture stream must retain identically");
-    }
-
-    #[test]
-    fn allocations_are_recycled() {
-        let mut r = FlightRecorder::new(RecorderConfig { capacity: 4, window: 2, topk: 1 });
-        for s in 0..50 {
-            r.capture_query(&obs(s, 100));
-        }
-        let st = r.stats();
-        assert_eq!(st.captured, 50);
-        assert_eq!(st.evicted, 46);
-        assert!(st.recycled > 0, "evicted buffers must be reused: {st:?}");
-        assert_eq!(r.len(), 4);
-    }
-
-    #[test]
-    fn capture_shed_is_flagged() {
-        let mut r = FlightRecorder::new(RecorderConfig::default());
-        r.capture_shed(9, "interactive", 1234, false, "queue-full");
-        r.capture_shed(10, "batch", 2000, true, "deadline");
-        let recs = r.records();
-        assert_eq!(recs[0].tier, 3);
-        assert_eq!(recs[0].obs.outcome, Outcome::Shed);
-        assert_eq!(recs[1].obs.outcome, Outcome::Expired);
-        assert!(recs[1].obs.deadline_missed);
     }
 
     #[test]

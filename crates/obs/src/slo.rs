@@ -66,6 +66,8 @@ impl SloSpec {
     /// `min_confidence=500,short_s=5,long_s=30,burn=2,budget=0.01`.
     /// Omitted keys keep their defaults; `off` disables an objective.
     pub fn parse(spec: &str) -> Result<SloSpec, String> {
+        // Milliseconds and seconds are scaled by 10^6 when judged.
+        const MAX_TIME: u64 = u64::MAX / 1_000_000;
         let mut out = SloSpec::default();
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) = part
@@ -74,23 +76,45 @@ impl SloSpec {
             let (key, value) = (key.trim(), value.trim());
             let off = value == "off";
             let num = |v: &str| -> Result<f64, String> {
-                v.parse::<f64>().map_err(|_| format!("bad SLO value `{v}` for `{key}`"))
+                v.parse::<f64>()
+                    .ok()
+                    .filter(|n| n.is_finite())
+                    .ok_or_else(|| format!("bad SLO value `{v}` for `{key}`"))
+            };
+            // A whole number in `[0, max]`.
+            let whole = |max: u64| -> Result<u64, String> {
+                let n = num(value)?;
+                if n < 0.0 || n.fract() != 0.0 || n > max as f64 {
+                    return Err(format!("SLO {key} must be a whole number in [0, {max}], got {n}"));
+                }
+                Ok(n as u64)
             };
             match key {
-                "latency_ms" => out.latency_ms = if off { None } else { Some(num(value)? as u64) },
+                "latency_ms" => out.latency_ms = (!off).then(|| whole(MAX_TIME)).transpose()?,
                 "interactive_ms" => {
-                    out.interactive_ms = if off { None } else { Some(num(value)? as u64) }
+                    out.interactive_ms = (!off).then(|| whole(MAX_TIME)).transpose()?
                 }
-                "shed_rate" => out.shed_rate = if off { None } else { Some(num(value)?) },
+                "shed_rate" => {
+                    out.shed_rate = (!off).then(|| num(value)).transpose()?;
+                    if out.shed_rate.is_some_and(|r| r <= 0.0 || r > 1.0) {
+                        return Err(format!("SLO shed_rate must be in (0, 1], got {value}"));
+                    }
+                }
                 "brownout_rung" => {
-                    out.brownout_rung = if off { None } else { Some(num(value)? as u8) }
+                    out.brownout_rung = (!off).then(|| whole(4)).transpose()?.map(|n| n as u8)
                 }
                 "min_confidence" => {
-                    out.min_confidence_milli = if off { None } else { Some(num(value)? as u32) }
+                    out.min_confidence_milli =
+                        (!off).then(|| whole(1000)).transpose()?.map(|n| n as u32)
                 }
-                "short_s" => out.short_s = (num(value)? as u64).max(1),
-                "long_s" => out.long_s = (num(value)? as u64).max(1),
-                "burn" => out.burn_threshold = num(value)?,
+                "short_s" => out.short_s = whole(MAX_TIME)?.max(1),
+                "long_s" => out.long_s = whole(MAX_TIME)?.max(1),
+                "burn" => {
+                    out.burn_threshold = num(value)?;
+                    if out.burn_threshold <= 0.0 {
+                        return Err(format!("SLO burn must be > 0, got {value}"));
+                    }
+                }
                 "budget" => {
                     let b = num(value)?;
                     if b <= 0.0 || b > 1.0 {
@@ -450,6 +474,37 @@ mod tests {
         assert!(SloSpec::parse("nope=1").is_err());
         assert!(SloSpec::parse("budget=0").is_err());
         assert!(SloSpec::parse("short_s=10,long_s=5").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_values_that_would_silently_disable_alerting() {
+        // A NaN threshold compares false forever, `-5 as u64` is a 0 ms
+        // ceiling and a negative shed budget becomes epsilon.
+        for (clause, names) in [
+            ("burn=nan", "`burn`"),
+            ("latency_ms=-5", "SLO latency_ms must be a whole number"),
+            ("shed_rate=-1", "SLO shed_rate must be in (0, 1]"),
+            ("burn=0", "SLO burn must be > 0"),
+            ("budget=nan", "`budget`"),
+            ("shed_rate=inf", "`shed_rate`"),
+            ("interactive_ms=2.5", "SLO interactive_ms must be a whole number"),
+            ("short_s=1e30", "SLO short_s must be a whole number"),
+            ("brownout_rung=5", "SLO brownout_rung must be a whole number in [0, 4]"),
+            ("min_confidence=1001", "SLO min_confidence must be a whole number in [0, 1000]"),
+        ] {
+            let err = SloSpec::parse(clause).unwrap_err();
+            assert!(err.contains(names), "{clause}: {err}");
+        }
+        // Every clause of the doc comment's example still parses.
+        let s = SloSpec::parse(
+            "latency_ms=250,interactive_ms=100,shed_rate=0.2,brownout_rung=2,\
+             min_confidence=500,short_s=5,long_s=30,burn=2,budget=0.01",
+        )
+        .unwrap();
+        assert_eq!((s.latency_ms, s.interactive_ms), (Some(250), Some(100)));
+        assert_eq!((s.shed_rate, s.brownout_rung), (Some(0.2), Some(2)));
+        assert_eq!((s.min_confidence_milli, s.short_s, s.long_s), (Some(500), 5, 30));
+        assert_eq!((s.burn_threshold, s.budget), (2.0, 0.01));
     }
 
     #[test]

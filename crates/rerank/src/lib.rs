@@ -26,6 +26,8 @@
 //! reading selects 3 chunks for Figure 5's Article-1 and keeps extending
 //! through Article-2's smooth slope, exactly as the paper describes.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod flexible;
 pub mod scorer;
 pub mod select;

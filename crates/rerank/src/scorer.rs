@@ -1,6 +1,9 @@
 //! The cross-feature reranking model.
 
-// sage-lint: allow-file(deterministic-iteration) - term/bigram sets feed commutative overlap counts (order-free sums); ranked output is sorted by score with index tie-break
+#![expect(
+    clippy::disallowed_types,
+    reason = "term/bigram sets feed commutative overlap counts (order-free sums); ranked output is sorted by score with index tie-break"
+)]
 
 use crate::RankedChunk;
 use sage_embed::{Embedder, HashedEmbedder};

@@ -45,6 +45,10 @@ impl Guard<'_> {
     /// design: panic isolation is the *batch* layer's job (`catch_unwind`
     /// around each question), and the panic must travel through the whole
     /// stack to prove that layer works.
+    #[expect(
+        clippy::unreachable,
+        reason = "max_attempts >= 1 and the last attempt returns on every arm"
+    )]
     pub fn run<T>(
         &self,
         component: Component,
@@ -65,8 +69,11 @@ impl Guard<'_> {
             }
             let fault = self.plan.inject(component, key, attempt);
             let outcome: Result<T, SageError> = match fault {
+                #[expect(
+                    clippy::panic,
+                    reason = "the fault injector's deliberate panic: it is what the catch_unwind boundaries are drilled against"
+                )]
                 Some(FaultKind::Panic) => {
-                    // sage-lint: allow(no-panic-serving) - the fault injector's deliberate panic: it is what the catch_unwind boundaries are drilled against
                     panic!("injected panic at {component} for call {key:?}")
                 }
                 Some(FaultKind::Transient) => {
@@ -127,7 +134,6 @@ impl Guard<'_> {
                 }
             }
         }
-        // sage-lint: allow(no-panic-serving) - max_attempts >= 1 and the last attempt returns on every arm
         unreachable!("loop always returns");
     }
 }

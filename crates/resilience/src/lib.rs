@@ -34,6 +34,8 @@
 //! `sage-core`, which owns the components; this crate is the dependency-
 //! free substrate they all share.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod breaker;
 pub mod crash;
 pub mod error;

@@ -7,7 +7,9 @@
 //! speed. Jitter comes from the fault plan's deterministic per-call RNG,
 //! never from entropy.
 
-// sage-lint: allow-file(relaxed-atomics-confined) - the virtual clock is a single-writer accumulator per query (no cross-thread handoff); counters are telemetry-style monotonic totals
+// `Relaxed` is confined by `relaxed_ordering_is_confined` (tests/static_analysis.rs).
+// Here: the virtual clock is a single-writer accumulator per query (no
+// cross-thread handoff); counters are telemetry-style monotonic totals.
 
 use crate::rng::DetRng;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,6 +1,9 @@
 //! Degradation bookkeeping: per-query traces and system-wide counters.
 
-// sage-lint: allow-file(relaxed-atomics-confined) - monotonic fallback counters in the telemetry style: single value per event, no other memory published under them, totals may be approximate under contention
+// `Relaxed` is confined by `relaxed_ordering_is_confined` (tests/static_analysis.rs).
+// Here: monotonic fallback counters in the telemetry style: single value per
+// event, no other memory published under them, totals may be approximate
+// under contention.
 
 use crate::error::SageError;
 use crate::fault::Component;

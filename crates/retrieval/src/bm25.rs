@@ -4,7 +4,10 @@
 //! weight toward zero naturally, and dropping them would distort document
 //! length normalisation.
 
-// sage-lint: allow-file(deterministic-iteration) - posting maps are accumulated in query-term order and every result list is fully sorted with an index tie-break before returning; ordering cannot leak
+#![expect(
+    clippy::disallowed_types,
+    reason = "posting maps are accumulated in query-term order and every result list is fully sorted with an index tie-break before returning; ordering cannot leak"
+)]
 
 use crate::{Retriever, ScoredChunk};
 use sage_text::{stem, tokenize, Vocab};

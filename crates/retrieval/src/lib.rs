@@ -15,6 +15,8 @@
 //! Both implement [`Retriever`]: index a chunk list once, then answer
 //! top-N queries over it.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod bm25;
 pub mod dense;
 

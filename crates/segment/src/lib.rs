@@ -16,6 +16,8 @@
 //!   [`SemanticSegmenter`] (Figure 3-D / §IV-E: coarse ~l-token chunks
 //!   refined by the model at threshold `ss`).
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod model;
 pub mod segmenter;
 

@@ -25,6 +25,12 @@
 //! no allocation, formatting, or locking happens anywhere on the serving
 //! path.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "telemetry is the measurement layer: the one library crate that reads the wall clock"
+)]
+#![cfg_attr(test, allow(clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod export;
 pub mod hist;
 pub mod ledger;

@@ -22,6 +22,8 @@
 //! - [`ngram`] — n-gram extraction and stable feature hashing
 //! - [`vocab`] — string interning / vocabulary management
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 pub mod ngram;
 pub mod sentence;
 pub mod stem;

@@ -4,14 +4,15 @@
 //! `u32` ids rather than strings. `Vocab` provides the bidirectional map and
 //! document-frequency bookkeeping needed for IDF weighting.
 
-use std::collections::HashMap;
-
 /// A growable vocabulary interning strings to dense ids, with optional
 /// document-frequency counts.
 #[derive(Debug, Default, Clone)]
 pub struct Vocab {
-    // sage-lint: allow(deterministic-iteration) - id lookup table only; every enumeration goes through the id-ordered `terms` Vec
-    by_term: HashMap<String, u32>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "id lookup table only; every enumeration goes through the id-ordered `terms` Vec"
+    )]
+    by_term: std::collections::HashMap<String, u32>,
     terms: Vec<String>,
     doc_freq: Vec<u32>,
     num_docs: u32,
@@ -95,8 +96,11 @@ impl Vocab {
         if terms.len() != doc_freq.len() {
             return None;
         }
-        // sage-lint: allow(deterministic-iteration) - rebuilt lookup table for the same id-ordered `terms` Vec; never iterated
-        let mut by_term = HashMap::with_capacity(terms.len());
+        #[expect(
+            clippy::disallowed_types,
+            reason = "rebuilt lookup table for the same id-ordered `terms` Vec; never iterated"
+        )]
+        let mut by_term = std::collections::HashMap::with_capacity(terms.len());
         for (id, term) in terms.iter().enumerate() {
             if by_term.insert(term.clone(), id as u32).is_some() {
                 return None;

@@ -23,6 +23,8 @@
 //!
 //! [`flat::FlatIndex::to_bytes`] provides a compact persistence format.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
+
 mod arena;
 pub mod flat;
 pub mod hnsw;

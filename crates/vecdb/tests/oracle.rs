@@ -4,6 +4,8 @@
 //! sort by (score descending under `total_cmp`, id ascending), truncate".
 //! Hits are compared as `(id, score bits)`, so a NaN score compares too.
 
+#![allow(clippy::disallowed_types, reason = "tests may time and hash freely")]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sage_vecdb::{

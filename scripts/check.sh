@@ -1,8 +1,17 @@
 #!/bin/bash
 # Tier-1 gate: the checks every PR must keep green.
 #
-#   scripts/check.sh            # build + tests + clippy + telemetry smoke
-#   scripts/check.sh fast       # skip clippy, the all-targets build and the smokes
+#   scripts/check.sh            # build + lint rules + tests + clippy + smokes
+#   scripts/check.sh fast       # skip the all-targets clippy and build, and the smokes
+#
+# The lint rules are clippy lints (clippy.toml + the root manifest's
+# [workspace.lints.clippy], DESIGN.md §9) over the 15 library crates:
+# print_stdout / print_stderr / dbg_macro; unwrap_used / expect_used / panic /
+# unreachable / todo / unimplemented; disallowed_types (HashMap, HashSet);
+# disallowed_methods (Instant::now, SystemTime::now);
+# allow_attributes_without_reason. A suppression is an
+# `#[expect(clippy::<lint>, reason = "...")]`, which fails once it suppresses
+# nothing.
 #
 # Every dependency is a path crate of this repository, so this runs with an
 # empty registry and no network.
@@ -13,16 +22,8 @@ echo "=== cargo build --release"
 cargo build --release
 sage=target/release/sage
 
-echo "=== sage-lint (workspace static analysis + ratchet)"
-# sage-lint enforces five token rules over every library crate (no-print,
-# no-panic-serving, deterministic-iteration, no-wallclock,
-# relaxed-atomics-confined) plus stale-suppression and bad-allow over the
-# markers, with justified inline suppressions (DESIGN.md §9). The
-# committed lint-baseline.json ratchet fails the gate when any per-rule
-# count regresses — or loosens without a justification (run
-# `sage lint --baseline lint-baseline.json --update-baseline` after an
-# intentional cleanup).
-"$sage" lint --root . --baseline lint-baseline.json
+echo "=== cargo clippy --workspace --lib -- -D warnings (the lint rules)"
+cargo clippy --workspace --lib -- -D warnings
 
 echo "=== module-size ceiling (pipeline stays a thin plan-builder layer)"
 # The stage-graph executor (core/src/exec/) owns query execution;
@@ -192,6 +193,12 @@ if [ "${1:-}" != fast ]; then
   fi
   grep -q 'unknown flag' "$tmp/explain_unknown.err" \
     || { echo "FAIL: no 'unknown flag' error"; cat "$tmp/explain_unknown.err"; exit 1; }
+  # Nor is a removed command accepted: the lint rules run under clippy.
+  if "$sage" lint > /dev/null 2> "$tmp/lint_unknown.err"; then
+    echo "FAIL: sage accepted the removed lint command"; exit 1
+  fi
+  grep -q 'unknown command' "$tmp/lint_unknown.err" \
+    || { echo "FAIL: no 'unknown command' error"; cat "$tmp/lint_unknown.err"; exit 1; }
   echo "explain smoke ok"
 
   echo "=== scenario-matrix smoke (committed trajectory holds)"

@@ -26,7 +26,6 @@
 //! | [`admission`] | `sage-admission` | admission control, deadline budgets, brownout ladder |
 //! | [`telemetry`] | `sage-telemetry` | spans, stage histograms, cost ledger, exporters |
 //! | [`obs`] | `sage-obs` | flight recorder, SLO burn rates, scenario-matrix diffing |
-//! | [`lint`] | `sage-lint` | workspace static analysis (determinism and panic-freedom rules) |
 //! | [`core`] | `sage-core` | the assembled pipeline, baselines, experiment harnesses |
 //!
 //! ## Quickstart
@@ -70,7 +69,6 @@ pub use sage_core as core;
 pub use sage_corpus as corpus;
 pub use sage_embed as embed;
 pub use sage_eval as eval;
-pub use sage_lint as lint;
 pub use sage_llm as llm;
 pub use sage_nn as nn;
 pub use sage_obs as obs;

@@ -934,80 +934,6 @@ fn telemetry_traces_are_deterministic_modulo_wallclock() {
     assert_ne!(strip_wallclock(&a), a);
 }
 
-// ---------------------------------------------------------------------------
-// sage-lint lexer: rule-trigger tokens hidden inside comments, strings, and
-// raw strings must be invisible to every rule (zero false positives).
-
-/// Code fragments that would each fire a lint rule if they appeared as real
-/// tokens in a serving-path library crate.
-fn lint_trigger() -> impl Strategy<Value = String> {
-    prop_oneof![
-        1 => Just("x.unwrap()".to_string()),
-        1 => Just("opt.expect(\"present\")".to_string()),
-        1 => Just("panic!(\"boom\")".to_string()),
-        1 => Just("unreachable!()".to_string()),
-        1 => Just("println!(\"debug {v}\")".to_string()),
-        1 => Just("eprintln!(\"oops\")".to_string()),
-        1 => Just("dbg!(value)".to_string()),
-        1 => Just("HashMap::new()".to_string()),
-        1 => Just("let s: HashSet<u32> = HashSet::new();".to_string()),
-        1 => Just("Instant::now()".to_string()),
-        1 => Just("SystemTime::now()".to_string()),
-        1 => Just("Ordering::Relaxed".to_string()),
-    ]
-}
-
-/// Hide a trigger in non-code text: a line comment, a (nested) block
-/// comment, an escaped string literal, or a raw string literal.
-fn hidden_trigger() -> impl Strategy<Value = String> {
-    (lint_trigger(), 0usize..4).prop_map(|(snippet, mode)| match mode {
-        0 => format!("    // note: {snippet}\n"),
-        1 => format!("    /* outer /* {snippet} */ still comment */\n"),
-        2 => {
-            let escaped = snippet.replace('\\', "\\\\").replace('"', "\\\"");
-            format!("    let _s = \"{escaped}\";\n")
-        }
-        _ => format!("    let _r = r#\"{snippet}\"#;\n"),
-    })
-}
-
-proptest! {
-    #[test]
-    fn lint_lexer_ignores_triggers_in_text_content(
-        hidden in proptest::collection::vec(hidden_trigger(), 1..8),
-    ) {
-        let mut src = String::from("//! Module docs mentioning panic! safely.\nfn harmless() {\n");
-        for h in &hidden {
-            src.push_str(h);
-        }
-        src.push_str("    let _done = 1;\n}\n");
-        // "core" is the strictest crate key: library + serving rules all
-        // apply, so any leak from text content would surface here.
-        let fr = sage::lint::lint_source("core", "generated.rs", &src);
-        prop_assert!(
-            fr.violations.is_empty(),
-            "false positives from generated source:\n{}\n{:?}",
-            src,
-            fr.violations
-        );
-        prop_assert_eq!(fr.suppressed, 0);
-    }
-
-    #[test]
-    fn lint_flags_the_same_triggers_as_real_code(trigger in lint_trigger()) {
-        // The converse guard: the exact snippets the lexer must ignore in
-        // text DO fire when they are real tokens (otherwise the test
-        // above would pass vacuously against a lexer that sees nothing).
-        let src = format!("fn live() {{\n    {trigger}\n}}\n");
-        let fr = sage::lint::lint_source("core", "generated.rs", &src);
-        prop_assert!(
-            !fr.violations.is_empty(),
-            "trigger compiled to no violation:\n{}",
-            src
-        );
-    }
-}
-
 // --- Admission control ----------------------------------------------------
 //
 // The load-shedding decision is a pure function of (seed, sequence number,
@@ -1180,8 +1106,8 @@ proptest! {
     ) {
         let clean = saved_system_file();
         // Restrict flips to the payload + stored-CRC region (the last 8
-        // bytes are the trailer magic; flipping those downgrades the file
-        // to the legacy no-trailer path, covered by a unit test below).
+        // bytes are the trailer magic; flipping those is the missing-
+        // trailer error, covered by the test below).
         let region = clean.len() - 8;
         let pos = ((pos_frac * region as f64) as usize).min(region - 1);
         let mut torn = clean.clone();
@@ -1206,13 +1132,16 @@ fn clean_saved_file_roundtrips_and_magic_flips_fail_closed() {
     let path = std::env::temp_dir().join("sage_prop_persist_clean.bin");
     std::fs::write(&path, clean).expect("write");
     assert!(RagSystem::load(&path, LlmProfile::gpt4o_mini()).is_ok(), "clean file must load");
-    // Corrupt the trailer magic itself: the file falls back to the legacy
-    // (no-trailer) parse, whose 12 trailing junk bytes make it malformed.
+    // Corrupt the trailer magic itself: without it the CRC cannot be
+    // checked, so the file is refused as having no trailer.
     let mut torn = clean.clone();
     let magic_pos = clean.len() - 3;
     torn[magic_pos] ^= 0x20;
     std::fs::write(&path, &torn).expect("write");
-    assert!(RagSystem::load(&path, LlmProfile::gpt4o_mini()).is_err());
+    match RagSystem::load(&path, LlmProfile::gpt4o_mini()) {
+        Ok(_) => panic!("a file without the trailer magic must not load"),
+        Err(e) => assert!(e.to_string().contains("missing SAGECRC1 trailer"), "got: {e}"),
+    }
     std::fs::remove_file(&path).ok();
 }
 
