@@ -2,12 +2,12 @@
 //!
 //! ## Determinism
 //!
-//! A [`BudgetMeter`] never reads the wall clock. Time charges come from a
-//! fixed [`CostModel`] (per-stage virtual costs) plus the deterministic
-//! virtual delays the resilience layer accumulates for retries, and the
-//! simulated LLM's own deterministic latencies where the pipeline chooses
-//! to charge them. The same query with the same budget therefore replays
-//! the same brownout decisions bit-for-bit, regardless of machine load.
+//! A [`BudgetMeter`] never reads the wall clock. Both what a stage is
+//! *estimated* to cost ([`CostModel`]) and what the meter *charges* once it
+//! runs ([`BudgetMeter::checkpoint`]) are the same fixed per-stage virtual
+//! costs, defined in this file and nowhere else. The same query with the
+//! same budget therefore replays the same brownout decisions bit-for-bit,
+//! regardless of machine load.
 //!
 //! ## Monotonicity
 //!
@@ -97,8 +97,9 @@ impl std::fmt::Display for BrownoutLevel {
     }
 }
 
-/// Pipeline checkpoints where the meter replans; each names the work that
-/// is still *ahead* of it.
+/// Pipeline checkpoints where the meter charges and replans
+/// ([`BudgetMeter::checkpoint`]); each names the work that is still
+/// *ahead* of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanStage {
     /// Before retrieval: the whole query is ahead.
@@ -109,7 +110,8 @@ pub enum PlanStage {
     Select,
     /// After selection, before the reader call.
     Read,
-    /// After a read, deciding whether a feedback round is affordable.
+    /// After a read that produced an answer, deciding whether a feedback
+    /// round is affordable.
     Feedback,
 }
 
@@ -155,9 +157,9 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Estimated rerank cost at `level` over `candidates` candidates. Also
-    /// the amount the pipeline charges once the rerank stage runs, so the
-    /// plan and the spend agree.
-    pub fn rerank_cost(&self, level: BrownoutLevel, candidates: usize) -> Duration {
+    /// the amount charged once the rerank stage runs, so the plan and the
+    /// spend agree.
+    fn rerank_cost(&self, level: BrownoutLevel, candidates: usize) -> Duration {
         let pairs = match level {
             BrownoutLevel::None | BrownoutLevel::DropFeedback => candidates,
             BrownoutLevel::ShrinkRerank => candidates / 2,
@@ -168,7 +170,7 @@ impl CostModel {
 
     /// Model tokens of one reader call at `level` (deeper levels select
     /// smaller contexts). Also the per-read token charge.
-    pub fn read_tokens_at(&self, level: BrownoutLevel) -> u64 {
+    fn read_tokens_at(&self, level: BrownoutLevel) -> u64 {
         match level {
             BrownoutLevel::None | BrownoutLevel::DropFeedback => self.read_tokens,
             BrownoutLevel::ShrinkRerank => self.read_tokens * 3 / 4,
@@ -192,7 +194,7 @@ impl CostModel {
 
     /// Estimated virtual time of everything ahead of `stage` at `level`.
     /// Non-increasing in `level` at every stage.
-    pub fn time_from(
+    fn time_from(
         &self,
         stage: PlanStage,
         level: BrownoutLevel,
@@ -230,7 +232,7 @@ impl CostModel {
     /// Estimated tokens of everything ahead of `stage` at `level`.
     /// Non-increasing in `level` at every stage (deeper levels select
     /// smaller contexts).
-    pub fn tokens_from(
+    fn tokens_from(
         &self,
         stage: PlanStage,
         level: BrownoutLevel,
@@ -258,61 +260,31 @@ impl CostModel {
 pub struct BudgetMeter {
     budget: QueryBudget,
     model: CostModel,
+    /// Candidate-pool size the rerank estimate and charge are taken over.
+    candidates: usize,
+    /// Feedback rounds the configuration would run at full fidelity.
+    planned_rounds: u32,
+    /// Feedback rounds settled so far.
+    executed_feedback: u32,
     spent_time: Duration,
     spent_tokens: u64,
     level: BrownoutLevel,
 }
 
 impl BudgetMeter {
-    /// A fresh meter at [`BrownoutLevel::None`].
-    pub fn new(budget: QueryBudget, model: CostModel) -> Self {
+    /// A fresh meter at [`BrownoutLevel::None`] for a query that reranks
+    /// `candidates` chunks and would judge up to `planned_rounds` answers.
+    pub fn new(budget: QueryBudget, candidates: usize, planned_rounds: u32) -> Self {
         Self {
             budget,
-            model,
+            model: CostModel::default(),
+            candidates,
+            planned_rounds,
+            executed_feedback: 0,
             spent_time: Duration::ZERO,
             spent_tokens: 0,
             level: BrownoutLevel::None,
         }
-    }
-
-    /// The budget this meter enforces.
-    pub fn budget(&self) -> QueryBudget {
-        self.budget
-    }
-
-    /// The cost model in use.
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// Charge virtual time.
-    pub fn charge_time(&mut self, d: Duration) {
-        self.spent_time += d;
-    }
-
-    /// Charge LLM tokens (input + output).
-    pub fn charge_tokens(&mut self, n: u64) {
-        self.spent_tokens += n;
-    }
-
-    /// Virtual time still available.
-    pub fn remaining_time(&self) -> Duration {
-        self.budget.deadline.saturating_sub(self.spent_time)
-    }
-
-    /// Tokens still available.
-    pub fn remaining_tokens(&self) -> u64 {
-        self.budget.max_tokens.saturating_sub(self.spent_tokens)
-    }
-
-    /// Virtual time spent so far.
-    pub fn spent_time(&self) -> Duration {
-        self.spent_time
-    }
-
-    /// Tokens spent so far.
-    pub fn spent_tokens(&self) -> u64 {
-        self.spent_tokens
     }
 
     /// The current (ratcheted) brownout level.
@@ -320,17 +292,77 @@ impl BudgetMeter {
         self.level
     }
 
+    /// Run the checkpoint at `stage`: charge the work the stage settles at
+    /// the cost model and replan. Returns the ratcheted level.
+    ///
+    /// The charge/replan order per stage is load-bearing. Rerank charges
+    /// the first-stage work, *then* replans, *then* charges its own work at
+    /// the level just decided; selection replans first and charges only
+    /// when the gradient pass will actually run; a read is charged after it
+    /// produced an answer, at the `Feedback` checkpoint that decides
+    /// whether the loop may still afford judging it.
+    pub fn checkpoint(&mut self, stage: PlanStage) -> BrownoutLevel {
+        let model = self.model;
+        match stage {
+            PlanStage::Start | PlanStage::Read => self.replan(stage),
+            PlanStage::Rerank => {
+                self.charge_time(model.embed_time + model.search_time);
+                let level = self.replan(stage);
+                self.charge_time(model.rerank_cost(level, self.candidates));
+                level
+            }
+            PlanStage::Select => {
+                let level = self.replan(stage);
+                if level < BrownoutLevel::FlatTopK {
+                    self.charge_time(model.select_time);
+                }
+                level
+            }
+            PlanStage::Feedback => {
+                self.charge_time(model.read_time);
+                self.charge_tokens(model.read_tokens_at(self.level));
+                self.replan(stage)
+            }
+        }
+    }
+
+    /// Settle one finished feedback round: charge the judge call and count
+    /// the round against the planned ones.
+    pub fn settle_feedback(&mut self) {
+        self.charge_time(self.model.feedback_round_time);
+        self.charge_tokens(self.model.feedback_round_tokens);
+        self.executed_feedback += 1;
+    }
+
+    fn charge_time(&mut self, d: Duration) {
+        self.spent_time += d;
+    }
+
+    fn charge_tokens(&mut self, n: u64) {
+        self.spent_tokens += n;
+    }
+
+    fn remaining_time(&self) -> Duration {
+        self.budget.deadline.saturating_sub(self.spent_time)
+    }
+
+    fn remaining_tokens(&self) -> u64 {
+        self.budget.max_tokens.saturating_sub(self.spent_tokens)
+    }
+
     /// Re-plan at a checkpoint: ratchet to the shallowest level — at or
-    /// above the current one — whose estimated remaining cost fits the
-    /// remaining budget; [`BrownoutLevel::FlatTopK`] if none fits.
-    pub fn replan(&mut self, stage: PlanStage, candidates: usize, rounds: u32) -> BrownoutLevel {
+    /// above the current one — whose estimated remaining cost (with the
+    /// judge calls still ahead) fits the remaining budget;
+    /// [`BrownoutLevel::FlatTopK`] if none fits.
+    fn replan(&mut self, stage: PlanStage) -> BrownoutLevel {
+        let rounds = self.planned_rounds.saturating_sub(self.executed_feedback);
         let time_left = self.remaining_time();
         let tokens_left = self.remaining_tokens();
         for level in BrownoutLevel::ALL {
             if level < self.level {
                 continue;
             }
-            let fits = self.model.time_from(stage, level, candidates, rounds) <= time_left
+            let fits = self.model.time_from(stage, level, self.candidates, rounds) <= time_left
                 && self.model.tokens_from(stage, level, rounds) <= tokens_left;
             if fits {
                 self.level = level;
@@ -347,29 +379,26 @@ mod tests {
     use super::*;
 
     fn meter(deadline_ms: u64, tokens: u64) -> BudgetMeter {
-        BudgetMeter::new(
-            QueryBudget::new(Duration::from_millis(deadline_ms), tokens),
-            CostModel::default(),
-        )
+        BudgetMeter::new(QueryBudget::new(Duration::from_millis(deadline_ms), tokens), 32, 3)
     }
 
     #[test]
     fn generous_budget_plans_full_fidelity() {
-        let mut m = BudgetMeter::new(QueryBudget::generous(), CostModel::default());
-        assert_eq!(m.replan(PlanStage::Start, 32, 3), BrownoutLevel::None);
+        let mut m = BudgetMeter::new(QueryBudget::generous(), 32, 3);
+        assert_eq!(m.replan(PlanStage::Start), BrownoutLevel::None);
     }
 
     #[test]
     fn tight_deadline_walks_the_ladder() {
         // Full fidelity with 3 rounds estimates ~2s(read) + 3*2s(fb) +
         // 2*2s(extra reads) ≈ 12s; drop-feedback ≈ 2s; flat ≈ 2s.
-        assert_eq!(meter(60_000, u64::MAX).replan(PlanStage::Start, 32, 3), BrownoutLevel::None);
+        assert_eq!(meter(60_000, u64::MAX).replan(PlanStage::Start), BrownoutLevel::None);
         assert_eq!(
-            meter(5_000, u64::MAX).replan(PlanStage::Start, 32, 3),
+            meter(5_000, u64::MAX).replan(PlanStage::Start),
             BrownoutLevel::DropFeedback
         );
         assert_eq!(
-            meter(500, u64::MAX).replan(PlanStage::Start, 32, 3),
+            meter(500, u64::MAX).replan(PlanStage::Start),
             BrownoutLevel::FlatTopK,
             "deadline below one read bottoms out the ladder"
         );
@@ -379,18 +408,18 @@ mod tests {
     fn token_budget_alone_can_drop_feedback() {
         // 3 rounds ≈ 500 + 3*500 + 2*500 = 3000 tokens; one read ≈ 500.
         let mut m = meter(600_000, 1_000);
-        assert_eq!(m.replan(PlanStage::Start, 32, 3), BrownoutLevel::DropFeedback);
+        assert_eq!(m.replan(PlanStage::Start), BrownoutLevel::DropFeedback);
     }
 
     #[test]
     fn level_only_ratchets_upward() {
         let mut m = meter(5_000, u64::MAX);
-        assert_eq!(m.replan(PlanStage::Start, 32, 3), BrownoutLevel::DropFeedback);
+        assert_eq!(m.replan(PlanStage::Start), BrownoutLevel::DropFeedback);
         // Budget is still fine for a single read at every later stage; the
         // level must not fall back to None.
-        assert_eq!(m.replan(PlanStage::Read, 32, 3), BrownoutLevel::DropFeedback);
+        assert_eq!(m.replan(PlanStage::Read), BrownoutLevel::DropFeedback);
         m.charge_time(Duration::from_secs(4));
-        assert!(m.replan(PlanStage::Read, 32, 3) >= BrownoutLevel::DropFeedback);
+        assert!(m.replan(PlanStage::Read) >= BrownoutLevel::DropFeedback);
     }
 
     #[test]
@@ -434,8 +463,8 @@ mod tests {
         for &(ms_a, tok_a) in &grid {
             for &(ms_b, tok_b) in &grid {
                 if ms_a <= ms_b && tok_a <= tok_b {
-                    let a = meter(ms_a, tok_a).replan(PlanStage::Start, 32, 3);
-                    let b = meter(ms_b, tok_b).replan(PlanStage::Start, 32, 3);
+                    let a = meter(ms_a, tok_a).replan(PlanStage::Start);
+                    let b = meter(ms_b, tok_b).replan(PlanStage::Start);
                     assert!(
                         a >= b,
                         "budget ({ms_a}ms,{tok_a}tok) planned {a:?}, \
@@ -457,6 +486,46 @@ mod tests {
         m.charge_tokens(1_000);
         assert_eq!(m.remaining_time(), Duration::ZERO);
         assert_eq!(m.remaining_tokens(), 0);
-        assert_eq!(m.spent_tokens(), 1_040);
+        assert_eq!(m.spent_tokens, 1_040);
+    }
+
+    #[test]
+    fn checkpoints_charge_the_schedule_of_a_three_round_query() {
+        // One full-fidelity query, 20 candidates, three judged rounds,
+        // through every checkpoint in executor order.
+        let c = CostModel::default();
+        let mut m = BudgetMeter::new(QueryBudget::generous(), 20, 3);
+        m.checkpoint(PlanStage::Start);
+        assert_eq!((m.spent_time, m.spent_tokens), (Duration::ZERO, 0), "Start only plans");
+        m.checkpoint(PlanStage::Rerank);
+        assert_eq!(m.spent_time, c.embed_time + c.search_time + c.rerank_pair_time * 20);
+        for round in 1..=3u32 {
+            m.checkpoint(PlanStage::Select);
+            m.checkpoint(PlanStage::Read);
+            let before_read = m.spent_time;
+            m.checkpoint(PlanStage::Feedback);
+            assert_eq!(m.spent_time - before_read, c.read_time, "the read settles at Feedback");
+            m.settle_feedback();
+            assert_eq!(m.planned_rounds - m.executed_feedback, 3 - round);
+        }
+        assert_eq!(m.level(), BrownoutLevel::None);
+        assert_eq!(
+            m.spent_time,
+            c.embed_time
+                + c.search_time
+                + c.rerank_pair_time * 20
+                + (c.select_time + c.read_time + c.feedback_round_time) * 3
+        );
+        assert_eq!(m.spent_tokens, (c.read_tokens + c.feedback_round_tokens) * 3);
+
+        // The same walk at the bottom of the ladder: no rerank pairs, no
+        // gradient pass, a half-size read and no judge.
+        let mut m = BudgetMeter::new(QueryBudget::new(Duration::from_millis(100), u64::MAX), 20, 3);
+        assert_eq!(m.checkpoint(PlanStage::Start), BrownoutLevel::FlatTopK);
+        for stage in [PlanStage::Rerank, PlanStage::Select, PlanStage::Read, PlanStage::Feedback] {
+            m.checkpoint(stage);
+        }
+        assert_eq!(m.spent_time, c.embed_time + c.search_time + c.read_time);
+        assert_eq!(m.spent_tokens, c.read_tokens / 2);
     }
 }

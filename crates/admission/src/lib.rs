@@ -13,9 +13,9 @@
 //!   function of `(seed, admission sequence number, occupancy, class)`, so
 //!   the same arrival sequence reproduces the same decisions bit-for-bit.
 //! * [`QueryBudget`] + [`BudgetMeter`] — per-query deadline and token
-//!   budgets. Time is *virtual*: stages are charged from a deterministic
-//!   [`CostModel`] (plus the resilience layer's virtual retry delays), so
-//!   budget decisions never read the wall clock and replay identically.
+//!   budgets. Time is *virtual*: the meter charges each stage from a
+//!   deterministic [`CostModel`] at its own checkpoints, so budget
+//!   decisions never read the wall clock and replay identically.
 //! * [`BrownoutLevel`] — the brownout ladder the pipeline walks when a
 //!   budget runs short: drop feedback rounds → shrink rerank → skip rerank
 //!   → flat top-k. The meter only ever *ratchets* the level upward, and

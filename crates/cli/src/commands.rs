@@ -125,11 +125,7 @@ fn apply_resilience(flags: &Flags, system: &mut RagSystem) -> Result<(), String>
         Some(spec) if !spec.is_empty() => FaultPlan::parse_spec(spec, seed)?,
         _ => FaultPlan::none(),
     };
-    system.enable_resilience(ResilienceConfig {
-        plan,
-        use_hnsw: flags.has("hnsw"),
-        ..ResilienceConfig::default()
-    });
+    system.enable_resilience(ResilienceConfig { plan, use_hnsw: flags.has("hnsw") });
     Ok(())
 }
 
@@ -361,45 +357,7 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
             "trace-out", "metrics-out",
         ],
     )?;
-    let (corpus, questions): (Vec<String>, Vec<String>) = match flags.get("file") {
-        Some(path) if !path.is_empty() => {
-            let corpus = load_corpus(path)?;
-            let question = flags
-                .require("question")
-                .map_err(|_| "--file needs --question \"...\" (replayed per arrival)".to_string())?;
-            (corpus, vec![question.to_string()])
-        }
-        _ => {
-            let docs: usize = flags.get_parse("docs", 2usize)?;
-            let seed: u64 = flags.get_parse("seed", 42u64)?;
-            let dataset = quality::generate(SizeConfig {
-                num_docs: docs.max(1),
-                questions_per_doc: 4,
-                seed,
-            });
-            let corpus: Vec<String> = dataset.documents.iter().map(|d| d.text()).collect();
-            let questions: Vec<String> =
-                dataset.tasks.iter().map(|t| t.item.question.clone()).collect();
-            (corpus, questions)
-        }
-    };
-
-    let deadline_ms: u64 = flags.get_parse("deadline-ms", 8_000u64)?;
-    let token_budget: u64 = flags.get_parse("token-budget", 50_000u64)?;
-    let cfg = SoakConfig {
-        seed: flags.get_parse("seed", 42u64)?,
-        duration: parse_duration(flags)?,
-        qps: flags.get_parse("qps", 4.0f64)?,
-        capacity: flags.get_parse("capacity", 8usize)?,
-        concurrency: flags.get_parse("concurrency", 2usize)?,
-        shards: flags.get_parse("shards", 1u32)?,
-        budget: if flags.has("no-budget") {
-            None
-        } else {
-            Some(QueryBudget::new(std::time::Duration::from_millis(deadline_ms), token_budget))
-        },
-        ..SoakConfig::default()
-    };
+    let (corpus, questions, cfg) = soak_run(flags)?;
 
     let retriever = parse_retriever(flags.get_or("retriever", "openai"))?;
     let profile = parse_llm(flags.get_or("llm", "gpt4o-mini"))?;
@@ -444,6 +402,53 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
     } else {
         Err(format!("soak invariants violated: {}", violations.join("; ")))
     }
+}
+
+/// The run `sage soak` and `sage report` share: the corpus and the
+/// questions replayed over it (`--file <path>` with `--question "..."`, or
+/// a generated QuALITY-analog corpus of `--docs N`), and the soak
+/// configuration from the load-shape and budget flags. Each command's
+/// `reject_unknown` list decides which of these flags it accepts.
+fn soak_run(flags: &Flags) -> Result<(Vec<String>, Vec<String>, SoakConfig), String> {
+    let seed: u64 = flags.get_parse("seed", 42u64)?;
+    let (corpus, questions): (Vec<String>, Vec<String>) = match flags.get("file") {
+        Some(path) if !path.is_empty() => {
+            let corpus = load_corpus(path)?;
+            let question = flags
+                .require("question")
+                .map_err(|_| "--file needs --question \"...\" (replayed per arrival)".to_string())?;
+            (corpus, vec![question.to_string()])
+        }
+        _ => {
+            let docs: usize = flags.get_parse("docs", 2usize)?;
+            let dataset = quality::generate(SizeConfig {
+                num_docs: docs.max(1),
+                questions_per_doc: 4,
+                seed,
+            });
+            let corpus: Vec<String> = dataset.documents.iter().map(|d| d.text()).collect();
+            let questions: Vec<String> =
+                dataset.tasks.iter().map(|t| t.item.question.clone()).collect();
+            (corpus, questions)
+        }
+    };
+    let deadline_ms: u64 = flags.get_parse("deadline-ms", 8_000u64)?;
+    let token_budget: u64 = flags.get_parse("token-budget", 50_000u64)?;
+    let cfg = SoakConfig {
+        seed,
+        duration: parse_duration(flags)?,
+        qps: flags.get_parse("qps", 4.0f64)?,
+        capacity: flags.get_parse("capacity", 8usize)?,
+        concurrency: flags.get_parse("concurrency", 2usize)?,
+        shards: flags.get_parse("shards", 1u32)?,
+        budget: if flags.has("no-budget") {
+            None
+        } else {
+            Some(QueryBudget::new(std::time::Duration::from_millis(deadline_ms), token_budget))
+        },
+        ..SoakConfig::default()
+    };
+    Ok((corpus, questions, cfg))
 }
 
 /// `sage soak --live` — drive the live-corpus writer through a seeded
@@ -564,8 +569,7 @@ pub fn explain(flags: &Flags) -> Result<(), String> {
     let mut plan = QueryPlan::for_kind(&config, retriever);
     let shards: u32 = flags.get_parse("shards", 1u32)?;
     if shards > 1 {
-        plan = plan
-            .with_fanout(Fanout::new(shards, parse_quorum(flags)?, CostModel::default().search_time));
+        plan = plan.with_fanout(Fanout::new(shards, parse_quorum(flags)?));
     }
     print!("{}", plan.explain());
     Ok(())
@@ -587,23 +591,7 @@ pub fn report(flags: &Flags) -> Result<(), String> {
             "llm", "models",
         ],
     )?;
-    let docs: usize = flags.get_parse("docs", 2usize)?;
-    let seed: u64 = flags.get_parse("seed", 42u64)?;
-    let dataset = quality::generate(SizeConfig { num_docs: docs.max(1), questions_per_doc: 4, seed });
-    let corpus: Vec<String> = dataset.documents.iter().map(|d| d.text()).collect();
-    let questions: Vec<String> = dataset.tasks.iter().map(|t| t.item.question.clone()).collect();
-
-    let deadline_ms: u64 = flags.get_parse("deadline-ms", 8_000u64)?;
-    let token_budget: u64 = flags.get_parse("token-budget", 50_000u64)?;
-    let cfg = SoakConfig {
-        seed,
-        duration: parse_duration(flags)?,
-        qps: flags.get_parse("qps", 4.0f64)?,
-        capacity: flags.get_parse("capacity", 8usize)?,
-        concurrency: flags.get_parse("concurrency", 2usize)?,
-        budget: Some(QueryBudget::new(std::time::Duration::from_millis(deadline_ms), token_budget)),
-        ..SoakConfig::default()
-    };
+    let (corpus, questions, cfg) = soak_run(flags)?;
     let slo_spec = match flags.get("slo") {
         Some(spec) if !spec.is_empty() => {
             SloSpec::parse(spec).map_err(|e| format!("bad --slo spec: {e}"))?
@@ -669,12 +657,14 @@ pub fn report(flags: &Flags) -> Result<(), String> {
         "run",
         format!(
             "{{\"seed\": {}, \"qps\": {}, \"duration_s\": {}, \"capacity\": {}, \
-             \"concurrency\": {}, \"deadline_ms\": {deadline_ms}, \"docs\": {docs}}}",
+             \"concurrency\": {}, \"deadline_ms\": {}, \"docs\": {}}}",
             cfg.seed,
             cfg.qps,
             cfg.duration.as_secs(),
             cfg.capacity,
-            cfg.concurrency
+            cfg.concurrency,
+            cfg.budget.map_or(0, |b| b.deadline.as_millis()),
+            corpus.len()
         ),
     );
     bundle.push_raw("soak", soak.json_summary(&soak.check_invariants(&cfg, 1.0)));
@@ -737,26 +727,26 @@ pub fn report(flags: &Flags) -> Result<(), String> {
 }
 
 /// `sage scenarios run <grid.toml>` — execute a declarative scenario
-/// matrix and diff the measured rows against a committed baseline under
-/// per-metric tolerance bands. Exits nonzero on regression. `--update`
-/// (or a missing baseline) rewrites the baseline instead of diffing.
+/// matrix and print one metrics row per cell (or write them to `--out`).
+/// With `--baseline F` every measured row must occur byte for byte in `F`
+/// — and an unfiltered run must render `F` exactly — or the command
+/// prints the differing lines and exits nonzero. Re-baselining is
+/// `--out BENCH_scenarios.json`.
 pub fn scenarios(flags: &Flags) -> Result<(), String> {
     flags.reject_unknown(
         "scenarios",
-        &["file", "baseline", "filter", "update", "out", "metrics-out", "models"],
+        &["file", "baseline", "filter", "out", "metrics-out", "models"],
     )?;
-    let file = flags
-        .require("file")
-        .map_err(|_| "usage: sage scenarios run <scenarios.toml> [--baseline F] [--filter S] [--update]".to_string())?;
+    let file = flags.require("file").map_err(|_| {
+        "usage: sage scenarios run <scenarios.toml> [--filter S] [--out F] [--baseline F]"
+            .to_string()
+    })?;
     let text = std::fs::read_to_string(file)
         .map_err(|e| format!("cannot read scenario grid {file}: {e}"))?;
     let grid = parse_scenarios(&text).map_err(|e| format!("{file}: {e}"))?;
     let filter = flags.get("filter").filter(|f| !f.is_empty());
-    let cells: Vec<&ScenarioCell> = grid
-        .cells
-        .iter()
-        .filter(|c| filter.is_none_or(|f| c.name.contains(f)))
-        .collect();
+    let cells: Vec<&ScenarioCell> =
+        grid.iter().filter(|c| filter.is_none_or(|f| c.name.contains(f))).collect();
     if cells.is_empty() {
         return Err(match filter {
             Some(f) => format!("no cell in {file} matches --filter {f}"),
@@ -774,7 +764,7 @@ pub fn scenarios(flags: &Flags) -> Result<(), String> {
         );
         rows.push(run_cell(models, cell)?);
     }
-    let rendered = sage::obs::render_rows(&rows);
+    let rendered = render_rows(&rows);
     if let Some(path) = flags.get("out").filter(|p| !p.is_empty()) {
         std::fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote measured rows -> {path}");
@@ -798,42 +788,49 @@ pub fn scenarios(flags: &Flags) -> Result<(), String> {
         eprintln!("wrote scenario gauges -> {path}");
     }
 
-    let baseline_path = flags.get_or("baseline", "BENCH_scenarios.json");
-    let bootstrap = !std::path::Path::new(baseline_path).exists();
-    if flags.has("update") || bootstrap {
-        if filter.is_some() {
-            return Err("refusing to write a filtered run as the baseline (drop --filter)".to_string());
+    if let Some(path) = flags.get("baseline").filter(|p| !p.is_empty()) {
+        check_baseline(path, &rows, filter.is_some())?;
+        eprintln!("scenarios: {} cell(s) byte-identical to {path}", rows.len());
+    }
+    Ok(())
+}
+
+/// Require every row of `rows` to occur byte for byte in the committed
+/// file at `path`, and an unfiltered run to render that file exactly. The
+/// error lists each differing row as its `- committed` / `+ measured` line
+/// pair.
+fn check_baseline(path: &str, rows: &[BenchRow], filtered: bool) -> Result<(), String> {
+    let baseline =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let committed: Vec<&str> = baseline
+        .lines()
+        .map(|l| l.trim().trim_end_matches(','))
+        .filter(|l| l.starts_with('{'))
+        .collect();
+    let mut diff = Vec::new();
+    for row in rows {
+        let measured = row.to_json();
+        if committed.contains(&measured.as_str()) {
+            continue;
         }
-        std::fs::write(baseline_path, &rendered)
-            .map_err(|e| format!("cannot write baseline {baseline_path}: {e}"))?;
-        eprintln!(
-            "{} baseline {baseline_path} ({} cell(s))",
-            if bootstrap { "bootstrapped" } else { "updated" },
-            rows.len()
-        );
+        // `{"name": "<name>"` — the closing quote makes the prefix unambiguous.
+        let named = BenchRow::new(&row.name).to_json();
+        if let Some(old) = committed.iter().find(|l| l.starts_with(named.trim_end_matches('}'))) {
+            diff.push(format!("- {old}"));
+        }
+        diff.push(format!("+ {measured}"));
+    }
+    if !filtered && diff.is_empty() && render_rows(rows) != baseline {
+        diff.push("(the file holds every measured row, and other rows or another order)".to_string());
+    }
+    if diff.is_empty() {
         return Ok(());
     }
-    let baseline_text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline =
-        sage::obs::parse_rows(&baseline_text).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let diffs = sage::obs::diff_rows(&baseline, &rows, &grid.tolerance, filter.is_some());
-    if diffs.is_empty() {
-        eprintln!(
-            "scenarios: {} cell(s) within tolerance of {baseline_path}",
-            rows.len()
-        );
-        Ok(())
-    } else {
-        for line in &diffs {
-            eprintln!("regression: {line}");
-        }
-        Err(format!(
-            "{} metric(s) outside the committed trajectory in {baseline_path} \
-             (re-baseline with --update if intentional)",
-            diffs.len()
-        ))
-    }
+    Err(format!(
+        "measured rows differ from {path} (if intended, re-baseline with --out and read \
+         `git diff`):\n{}",
+        diff.join("\n")
+    ))
 }
 
 /// Print usage.
@@ -872,8 +869,8 @@ USAGE:
   sage report  [--seed 42] [--qps 4] [--duration 30] [--docs N]
                [--slo <spec>] [--recorder-capacity 256] [--out <bundle>]
                [--metrics-out <path>] [--strict-slo]
-  sage scenarios run <grid.toml> [--baseline <path>] [--filter <substr>]
-               [--update] [--out <path>] [--metrics-out <path>]
+  sage scenarios run <grid.toml> [--filter <substr>] [--out <path>]
+               [--metrics-out <path>] [--baseline <path>]
   sage demo
   sage help
 
@@ -949,12 +946,12 @@ OBSERVABILITY:
 SCENARIOS:
   sage scenarios run <grid.toml> executes a declarative matrix of
   dataset x retriever x fault-plan x budget x load-shape cells
-  ([defaults] / [[cell]] / [tolerance] sections) through the soak and
-  eval machinery, renders one metrics row per cell, and diffs the rows
-  against a committed baseline (default BENCH_scenarios.json) under
-  per-metric relative tolerance bands. Exits nonzero on regression;
-  --update (or a missing baseline) rewrites the baseline. Rows are
-  virtual-clock quantities: same grid, same bytes.
+  ([defaults] / [[cell]] sections) through the soak and eval machinery
+  and prints one metrics row per cell. Rows are modeled virtual-clock
+  quantities: same grid, same bytes. --baseline <path> requires every
+  measured row to occur byte for byte in that file (the whole file,
+  when unfiltered) and exits nonzero with the differing lines
+  otherwise; --out BENCH_scenarios.json re-baselines.
 
 Corpus files: paragraphs separated by blank lines."
     );
@@ -1040,6 +1037,43 @@ mod tests {
         // Malformed specs surface as CLI errors, not panics.
         let bad = crate::args::parse_flags(&argv(&["--faults", "reader=warp:0.5"])).unwrap();
         assert!(apply_resilience(&bad, &mut system).is_err());
+    }
+
+    #[test]
+    fn baseline_check_is_byte_exact() {
+        let row = |name: &str, p99: u64| {
+            let mut r = BenchRow::new(name);
+            r.push_u64("p99_us", p99);
+            r
+        };
+        let committed = [row("a", 10), row("b", 20)];
+        let path = std::env::temp_dir().join("sage_cli_test_baseline.json");
+        let path = path.to_str().unwrap();
+        std::fs::write(path, render_rows(&committed)).unwrap();
+
+        // Match: the full grid renders the file; a filtered run needs only
+        // its own rows to occur in it.
+        assert_eq!(check_baseline(path, &committed, false), Ok(()));
+        assert_eq!(check_baseline(path, &committed[1..], true), Ok(()));
+
+        // Mismatch: the smallest drift fails, and the error carries the
+        // committed and the measured line of the row that moved.
+        let err = check_baseline(path, &[row("a", 10), row("b", 21)], false).unwrap_err();
+        assert!(err.contains("- {\"name\": \"b\", \"p99_us\": 20}"), "{err}");
+        assert!(err.contains("+ {\"name\": \"b\", \"p99_us\": 21}"), "{err}");
+        assert!(!err.contains("\"a\""), "unchanged rows stay out of the diff: {err}");
+        // An unfiltered run that measures fewer rows than are committed,
+        // or a row the file does not have, is a mismatch too.
+        let err = check_baseline(path, &committed[..1], false).unwrap_err();
+        assert!(err.contains("and other rows"), "{err}");
+        let err = check_baseline(path, &[row("c", 1)], true).unwrap_err();
+        assert!(err.contains("+ {\"name\": \"c\", \"p99_us\": 1}") && !err.contains("\n- "), "{err}");
+        std::fs::remove_file(path).ok();
+
+        // Missing file: an error, never a silently created baseline.
+        let err = check_baseline(path, &committed, false).unwrap_err();
+        assert!(err.starts_with("cannot read baseline"), "{err}");
+        assert!(!std::path::Path::new(path).exists());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!              [--quorum Q]
 //! sage report  [--seed 42] [--qps 4] [--duration 30] [--slo SPEC]
 //!              [--out bundle.json] [--metrics-out F] [--strict-slo]
-//! sage scenarios run scenarios.toml [--baseline F] [--filter S] [--update]
-//!              [--out F] [--metrics-out F]
+//! sage scenarios run scenarios.toml [--filter S] [--out F] [--metrics-out F]
+//!              [--baseline F]
 //! sage demo
 //! sage help
 //! ```

@@ -1,8 +1,8 @@
 //! The mutable state a query plan executes over: the typed blackboard
 //! every stage function reads its input from and writes its output to.
 
-use crate::brownout::BrownoutCtl;
 use crate::resilience::QueryGuards;
+use sage_admission::BudgetMeter;
 use sage_eval::Cost;
 use sage_llm::{Answer, FeedbackOutcome};
 use sage_rerank::RankedChunk;
@@ -35,8 +35,9 @@ pub(crate) struct QueryCtx<'a> {
     pub trace: DegradeTrace,
     /// The query's telemetry span trace, when a hub is attached.
     pub qt: Option<Trace>,
-    /// Brownout controller, when the query runs under a budget.
-    pub bctl: Option<BrownoutCtl>,
+    /// Budget meter (virtual spend + ratcheted brownout level), when the
+    /// query runs under a budget.
+    pub bctl: Option<BudgetMeter>,
 
     // --- prelude outputs ---
     /// The embedded question (dense systems; `None` before embed or on
@@ -112,7 +113,7 @@ impl<'a> QueryCtx<'a> {
         options: Option<&'a [String]>,
         guards: Option<QueryGuards<'a>>,
         qt: Option<Trace>,
-        bctl: Option<BrownoutCtl>,
+        bctl: Option<BudgetMeter>,
         min_k: usize,
     ) -> Self {
         QueryCtx {

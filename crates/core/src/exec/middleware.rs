@@ -1,8 +1,10 @@
-//! Cross-cutting middleware applied around every executor slot: budget
-//! checkpoint charging (before/after) and telemetry span + histogram
-//! recording. Both are pure observers of the stage contract — a plan run
-//! with no budget and no telemetry hub executes the identical stage
-//! sequence with every hook a no-op.
+//! Cross-cutting middleware applied around every executor slot: the budget
+//! checkpoints (which stage runs which [`PlanStage`] of the meter, and the
+//! one place a newly crossed brownout rung is recorded) and telemetry span
+//! and histogram recording. Both are pure observers of the stage contract:
+//! a plan run with no budget and no telemetry hub executes the identical
+//! stage sequence with every hook a no-op. What a checkpoint charges is
+//! the meter's business (`sage_admission::budget`), not this module's.
 
 #![expect(
     clippy::disallowed_methods,
@@ -13,8 +15,8 @@ use super::ctx::QueryCtx;
 use super::plan::{RerankMode, StageOp};
 use super::Flow;
 use crate::pipeline::RagSystem;
-use sage_admission::{BrownoutLevel, PlanStage};
-use sage_resilience::{Component, DegradeEvent, DegradeTrace, Failure, Fallback};
+use sage_admission::{BrownoutLevel, BudgetMeter, PlanStage};
+use sage_resilience::{Component, DegradeEvent, DegradeTrace, Failure, Fallback, SageError};
 use sage_telemetry::{Stage, Trace};
 use std::time::{Duration, Instant};
 
@@ -50,68 +52,95 @@ fn elapsed(start: Option<Instant>) -> Duration {
     start.map(|t| t.elapsed()).unwrap_or(Duration::ZERO)
 }
 
-/// Budget middleware, entry side: charge the work about to run at the
-/// deterministic cost model and replan at the stage's checkpoint. Returns
-/// the ratcheted level the executor rewrites the remaining plan with.
-///
-/// The charge/checkpoint order per stage is load-bearing and mirrors the
-/// pre-executor inline accounting exactly: rerank charges the first-stage
-/// work *then* replans *then* charges its own work at the level just
-/// decided; selection replans first and only charges when it will actually
-/// run the gradient pass.
-pub(crate) fn budget_before(ctx: &mut QueryCtx<'_>, op: StageOp) -> Option<BrownoutLevel> {
-    let ctl = ctx.bctl.as_mut()?;
-    match op {
-        StageOp::Rerank(_) => {
-            let model = *ctl.meter.model();
-            ctl.meter.charge_time(model.embed_time + model.search_time);
-            let left = ctl.rounds_left(0);
-            let level = ctl.checkpoint(PlanStage::Rerank, left, &mut ctx.trace);
-            // Charge the rerank work at the level just decided; the plan
-            // and the spend use the same model values.
-            ctl.meter.charge_time(model.rerank_cost(level, ctl.candidates));
-            Some(level)
-        }
-        StageOp::Select(_) => {
-            let left = ctl.rounds_left(ctx.executed_feedback);
-            let level = ctl.checkpoint(PlanStage::Select, left, &mut ctx.trace);
-            if level < BrownoutLevel::FlatTopK {
-                let d = ctl.meter.model().select_time;
-                ctl.meter.charge_time(d);
-            }
-            Some(level)
-        }
-        StageOp::Read => {
-            let left = ctl.rounds_left(ctx.executed_feedback);
-            Some(ctl.checkpoint(PlanStage::Read, left, &mut ctx.trace))
-        }
-        _ => None,
+/// Run the meter's checkpoint at `stage` and record every ladder step it
+/// newly crossed — `(level before, level after]`, so a jump over several
+/// rungs reports each one: the ladder is cumulative and all of those
+/// mitigations are in effect. Returns the ratcheted level the executor
+/// rewrites the remaining plan with.
+pub(crate) fn checkpoint(
+    meter: &mut BudgetMeter,
+    stage: PlanStage,
+    trace: &mut DegradeTrace,
+) -> BrownoutLevel {
+    let before = meter.level();
+    let after = meter.checkpoint(stage);
+    for rung in BrownoutLevel::ALL.into_iter().filter(|r| before < *r && *r <= after) {
+        record_rung(rung, trace);
     }
+    after
 }
 
-/// Budget middleware, exit side: settle a completed stage's spend and run
-/// the post-read feedback checkpoint (the rung that decides whether the
-/// loop may still afford judging — its rewrite drops the feedback op).
+/// The single recording point for a newly crossed brownout rung: the
+/// degradation-trace entry (the same trace the fault-driven fallback chain
+/// writes to, so one report explains both) and the
+/// `sage_brownout_total{stage=...}` counter bump happen here and nowhere
+/// else. The per-query telemetry span event is derived from the trace
+/// entry in `exec::finalize`, so all three sinks stay reconciled by
+/// construction.
+///
+/// Rungs reuse the existing [`Component`] set — the resilience layer sizes
+/// its per-query guard and fault-plan arrays by `Component::COUNT`, and
+/// budget pressure is not a component fault: feedback drops attribute to
+/// the `Reader` (the calls being skipped), rerank steps to the `Reranker`,
+/// flat selection to `IndexSearch` (the stage whose order the flat prefix
+/// preserves).
+fn record_rung(rung: BrownoutLevel, trace: &mut DegradeTrace) {
+    let (component, fallback, stage) = match rung {
+        BrownoutLevel::DropFeedback => {
+            (Component::Reader, Fallback::BrownoutDropFeedback, "feedback")
+        }
+        BrownoutLevel::ShrinkRerank => {
+            (Component::Reranker, Fallback::BrownoutShrinkRerank, "rerank")
+        }
+        BrownoutLevel::SkipRerank => {
+            (Component::Reranker, Fallback::BrownoutSkipRerank, "rerank")
+        }
+        BrownoutLevel::FlatTopK => {
+            (Component::IndexSearch, Fallback::BrownoutFlatTopK, "selection")
+        }
+        // `None` is not a rung; nothing to record.
+        BrownoutLevel::None => return,
+    };
+    trace.events.push(DegradeEvent {
+        component,
+        fallback,
+        error: SageError::BudgetExhausted { stage },
+        attempts: 0,
+        delay: Duration::ZERO,
+    });
+    sage_telemetry::metrics::BROWNOUT_TOTAL.inc(rung.idx().saturating_sub(1));
+}
+
+/// Budget middleware, entry side: the checkpoint a stage passes before it
+/// runs.
+pub(crate) fn budget_before(ctx: &mut QueryCtx<'_>, op: StageOp) -> Option<BrownoutLevel> {
+    let meter = ctx.bctl.as_mut()?;
+    let stage = match op {
+        StageOp::Rerank(_) => PlanStage::Rerank,
+        StageOp::Select(_) => PlanStage::Select,
+        StageOp::Read => PlanStage::Read,
+        _ => return None,
+    };
+    Some(checkpoint(meter, stage, &mut ctx.trace))
+}
+
+/// Budget middleware, exit side: the post-read feedback checkpoint (the
+/// rung that decides whether the loop may still afford judging — its
+/// rewrite drops the feedback op) and the settle of a finished judge call.
 pub(crate) fn budget_after(
     ctx: &mut QueryCtx<'_>,
     op: StageOp,
     flow: Flow,
 ) -> Option<BrownoutLevel> {
-    let ctl = ctx.bctl.as_mut()?;
+    let meter = ctx.bctl.as_mut()?;
     match (op, flow) {
         // A read that produced nothing charges nothing: the reader
         // exhausted its fallbacks and the loop stops here.
         (StageOp::Read, Flow::Continue) => {
-            let model = *ctl.meter.model();
-            ctl.meter.charge_time(model.read_time);
-            ctl.meter.charge_tokens(model.read_tokens_at(ctl.meter.level()));
-            let left = ctl.rounds_left(ctx.executed_feedback);
-            Some(ctl.checkpoint(PlanStage::Feedback, left, &mut ctx.trace))
+            Some(checkpoint(meter, PlanStage::Feedback, &mut ctx.trace))
         }
         (StageOp::Feedback, _) => {
-            let model = *ctl.meter.model();
-            ctl.meter.charge_time(model.feedback_round_time);
-            ctl.meter.charge_tokens(model.feedback_round_tokens);
+            meter.settle_feedback();
             None
         }
         _ => None,
@@ -219,5 +248,44 @@ pub(crate) fn tel_after(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp, _f
             }
         }
         _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sage_admission::QueryBudget;
+
+    #[test]
+    fn a_jump_reports_every_intermediate_step() {
+        // A deadline below one read forces FlatTopK straight from None;
+        // all four ladder steps must land in the trace, in ladder order.
+        let mut meter =
+            BudgetMeter::new(QueryBudget::new(Duration::from_millis(100), u64::MAX), 20, 3);
+        let mut trace = DegradeTrace::new();
+        let level = checkpoint(&mut meter, PlanStage::Start, &mut trace);
+        assert_eq!(level, BrownoutLevel::FlatTopK);
+        let steps: Vec<u8> =
+            trace.events.iter().filter_map(|e| e.fallback.brownout_step()).collect();
+        assert_eq!(steps, vec![1, 2, 3, 4]);
+        // A later checkpoint at the same level reports nothing new.
+        checkpoint(&mut meter, PlanStage::Read, &mut trace);
+        assert_eq!(trace.events.len(), 4);
+    }
+
+    #[test]
+    fn generous_budget_reports_nothing() {
+        let mut meter = BudgetMeter::new(QueryBudget::generous(), 20, 3);
+        let mut trace = DegradeTrace::new();
+        for stage in [
+            PlanStage::Start,
+            PlanStage::Rerank,
+            PlanStage::Select,
+            PlanStage::Read,
+            PlanStage::Feedback,
+        ] {
+            assert_eq!(checkpoint(&mut meter, stage, &mut trace), BrownoutLevel::None);
+        }
+        assert!(trace.is_clean());
     }
 }

@@ -24,11 +24,10 @@ pub(crate) use ctx::QueryCtx;
 pub use plan::{Fanout, QueryPlan, RerankMode, SelectMode, StageOp};
 use plan::Loc;
 
-use crate::brownout::BrownoutCtl;
 use crate::pipeline::RagSystem;
 use crate::resilience::QueryGuards;
 use crate::QueryResult;
-use sage_admission::{CostModel, PlanStage, QueryBudget};
+use sage_admission::{BudgetMeter, PlanStage, QueryBudget};
 use sage_rerank::RankedChunk;
 use sage_resilience::{Fallback, SageError};
 use sage_telemetry::Trace;
@@ -175,19 +174,12 @@ fn prepare<'a>(
     let mut plan = sys.resolve_plan();
     let guards = sys.resilience.as_ref().map(QueryGuards::new);
     let qt = sys.telemetry.as_ref().map(|_| Trace::start(question));
-    let bctl = budget.map(|b| {
-        BrownoutCtl::new(
-            b,
-            CostModel::default(),
-            sys.config.candidates,
-            if sys.config.use_feedback { sys.config.max_feedback_rounds as u32 } else { 0 },
-        )
-    });
+    let planned_rounds =
+        if sys.config.use_feedback { sys.config.max_feedback_rounds as u32 } else { 0 };
+    let bctl = budget.map(|b| BudgetMeter::new(b, sys.config.candidates, planned_rounds));
     let mut ctx = QueryCtx::new(question, options, guards, qt, bctl, sys.config.min_k);
-    if let Some(ctl) = ctx.bctl.as_mut() {
-        let rounds = ctl.rounds_left(0);
-        let level = ctl.checkpoint(PlanStage::Start, rounds, &mut ctx.trace);
-        plan.apply_rung(level);
+    if let Some(meter) = ctx.bctl.as_mut() {
+        plan.apply_rung(middleware::checkpoint(meter, PlanStage::Start, &mut ctx.trace));
     }
     (plan, ctx)
 }

@@ -14,7 +14,7 @@
 //! behaviour bit for bit.
 
 use crate::config::{RetrieverKind, SageConfig};
-use sage_admission::BrownoutLevel;
+use sage_admission::{BrownoutLevel, CostModel};
 
 /// How the rerank stage scores the candidate pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,12 +120,13 @@ pub struct Fanout {
 }
 
 impl Fanout {
-    /// A fan-out over `shards` domains with the default majority quorum
-    /// and the cost-model search slice.
-    pub fn new(shards: u32, quorum: Option<u32>, slice: std::time::Duration) -> Self {
+    /// A fan-out over `shards` domains with the default majority quorum.
+    /// The per-probe slice is the cost model's search time — the same
+    /// deterministic constant the budget meter charges for the stage.
+    pub fn new(shards: u32, quorum: Option<u32>) -> Self {
         let shards = shards.max(1);
         let quorum = quorum.unwrap_or(shards / 2 + 1).clamp(1, shards);
-        Self { shards, quorum, slice }
+        Self { shards, quorum, slice: CostModel::default().search_time }
     }
 }
 
@@ -390,10 +391,10 @@ mod tests {
 
     #[test]
     fn fanout_resolves_quorum_and_renders() {
-        let f = Fanout::new(4, None, std::time::Duration::from_millis(3));
+        let f = Fanout::new(4, None);
         assert_eq!((f.shards, f.quorum), (4, 3), "default quorum is a majority");
-        assert_eq!(Fanout::new(0, None, f.slice).shards, 1, "clamped to one shard");
-        assert_eq!(Fanout::new(4, Some(9), f.slice).quorum, 4, "quorum clamped to shards");
+        assert_eq!(Fanout::new(0, None).shards, 1, "clamped to one shard");
+        assert_eq!(Fanout::new(4, Some(9)).quorum, 4, "quorum clamped to shards");
         let plan = QueryPlan::resolve(&SageConfig::sage(), true, true).with_fanout(f);
         let text = plan.explain();
         assert!(text.contains("fan-out"), "{text}");

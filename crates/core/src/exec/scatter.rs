@@ -13,8 +13,7 @@
 //! 2. A faulted probe burns its full virtual budget slice and triggers a
 //!    *hedged* re-probe (attempt 1) against the shard's replica — an
 //!    independent fault draw, so transient faults clear on the hedge
-//!    exactly like a component retry. The per-shard breaker can veto the
-//!    hedge when the shard has already proven itself down.
+//!    exactly like a component retry.
 //! 3. A shard whose hedge also faults is *lost* for this query.
 //!
 //! Gather: survivors merge with [`sage_vecdb::merge_hits`] — score
@@ -26,15 +25,13 @@
 //! query walks the ordinary BM25/flat fallback chain instead.
 //!
 //! Determinism: fault draws are a pure function of `(seed, shard, question,
-//! attempt)`; the virtual clock and per-shard breakers are scoped to the
-//! single scatter call (per query), mirroring the per-query breaker rule
-//! of `crate::resilience`. No wall clock, no thread-order dependence.
+//! attempt)` and the burned slices are summed per scatter call (per
+//! query). No wall clock, no thread-order dependence.
 
 use super::plan::Fanout;
 use crate::pipeline::RagSystem;
 use crate::retriever::AnyRetriever;
-use sage_admission::CostModel;
-use sage_resilience::{BreakerConfig, CircuitBreaker, FaultPlan, VirtualClock};
+use sage_resilience::FaultPlan;
 use sage_retrieval::ScoredChunk;
 use sage_telemetry::metrics;
 use sage_vecdb::{merge_hits, Hit, ShardRouter, ShardedFlat, VectorIndex};
@@ -54,9 +51,7 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    /// Partition `retriever`'s corpus across `shards` fault domains. The
-    /// per-probe budget slice is the cost model's search time — the same
-    /// deterministic constant the brownout meter charges for the stage.
+    /// Partition `retriever`'s corpus across `shards` fault domains.
     pub(crate) fn build(
         retriever: &AnyRetriever,
         chunk_count: usize,
@@ -64,7 +59,7 @@ impl ShardState {
         quorum: Option<u32>,
     ) -> Self {
         let router = ShardRouter::new(shards);
-        let fanout = Fanout::new(shards, quorum, CostModel::default().search_time);
+        let fanout = Fanout::new(shards, quorum);
         let dense = retriever.flat_ref().map(|flat| {
             let vectors: Vec<&[f32]> = (0..flat.len()).filter_map(|id| flat.vector(id)).collect();
             ShardedFlat::build(router, vectors)
@@ -149,19 +144,16 @@ pub(crate) enum Scattered {
 fn run_scatter(
     fanout: Fanout,
     plan: Option<&FaultPlan>,
-    breaker_cfg: BreakerConfig,
     question: &str,
     k: usize,
     probe: impl Fn(u32) -> Vec<Hit>,
 ) -> Scattered {
     let total = fanout.shards;
-    let clock = VirtualClock::new();
     let mut parts: Vec<Vec<Hit>> = Vec::with_capacity(total as usize);
     let mut lost: u32 = 0;
     let mut attempts: u32 = 0;
     let mut delay = Duration::ZERO;
     for s in 0..total {
-        let breaker = CircuitBreaker::new(breaker_cfg);
         metrics::SHARD_PROBES.inc();
         attempts += 1;
         if plan.and_then(|p| p.inject_shard(s, question, 0)).is_none() {
@@ -169,24 +161,16 @@ fn run_scatter(
             continue;
         }
         // The primary probe overran its slice (or failed outright): charge
-        // the slice and hedge against the replica, unless the shard's
-        // breaker already proved it down.
-        breaker.record_failure(clock.now());
-        clock.advance(fanout.slice);
+        // the slice and hedge against the replica.
         delay += fanout.slice;
-        let hedge_allowed = !breaker.is_open(&clock);
-        if hedge_allowed {
-            metrics::SHARD_HEDGES.inc();
-            metrics::SHARD_PROBES.inc();
-            attempts += 1;
-            if plan.and_then(|p| p.inject_shard(s, question, 1)).is_none() {
-                parts.push(probe(s));
-                continue;
-            }
-            breaker.record_failure(clock.now());
-            clock.advance(fanout.slice);
-            delay += fanout.slice;
+        metrics::SHARD_HEDGES.inc();
+        metrics::SHARD_PROBES.inc();
+        attempts += 1;
+        if plan.and_then(|p| p.inject_shard(s, question, 1)).is_none() {
+            parts.push(probe(s));
+            continue;
         }
+        delay += fanout.slice;
         lost += 1;
         metrics::SHARD_LOST.inc();
     }
@@ -223,14 +207,13 @@ fn run_scatter(
 pub(crate) fn scatter_dense(
     sys: &RagSystem,
     plan: Option<&FaultPlan>,
-    breaker_cfg: BreakerConfig,
     question: &str,
     query_vec: &[f32],
     k: usize,
 ) -> Option<Scattered> {
     let state = sys.shards.as_ref()?;
     let sharded = state.dense.as_ref()?;
-    Some(run_scatter(state.fanout, plan, breaker_cfg, question, k, |s| {
+    Some(run_scatter(state.fanout, plan, question, k, |s| {
         sharded.search_shard(s, query_vec, k)
     }))
 }
@@ -243,13 +226,12 @@ pub(crate) fn scatter_dense(
 pub(crate) fn scatter_bm25(
     sys: &RagSystem,
     plan: Option<&FaultPlan>,
-    breaker_cfg: BreakerConfig,
     question: &str,
     k: usize,
 ) -> Option<Scattered> {
     let state = sys.shards.as_ref()?;
     let AnyRetriever::Bm25(bm25) = &sys.retriever else { return None };
-    Some(run_scatter(state.fanout, plan, breaker_cfg, question, k, |s| {
+    Some(run_scatter(state.fanout, plan, question, k, |s| {
         bm25.retrieve_shard(question, k, s, &state.assignment)
             .into_iter()
             .map(|c| Hit { id: c.index, score: c.score })
@@ -263,7 +245,7 @@ mod tests {
     use sage_resilience::Rates;
 
     fn fanout(shards: u32, quorum: u32) -> Fanout {
-        Fanout::new(shards, Some(quorum), Duration::from_millis(3))
+        Fanout::new(shards, Some(quorum))
     }
 
     fn fake_probe(s: u32) -> Vec<Hit> {
@@ -272,7 +254,7 @@ mod tests {
 
     #[test]
     fn clean_scatter_merges_all_shards() {
-        let out = run_scatter(fanout(4, 3), None, BreakerConfig::default(), "q", 10, fake_probe);
+        let out = run_scatter(fanout(4, 3), None, "q", 10, fake_probe);
         match out {
             Scattered::Clean(hits) => {
                 assert_eq!(hits.len(), 4);
@@ -285,21 +267,14 @@ mod tests {
     #[test]
     fn one_lost_shard_serves_partial_with_quorum_intact() {
         let plan = FaultPlan::seeded(7).with_shard(2, Rates { transient: 1.0, ..Rates::default() });
-        let out = run_scatter(
-            fanout(4, 3),
-            Some(&plan),
-            BreakerConfig::default(),
-            "q",
-            10,
-            fake_probe,
-        );
+        let out = run_scatter(fanout(4, 3), Some(&plan), "q", 10, fake_probe);
         match out {
             Scattered::Partial { hits, lost, total, attempts, delay } => {
                 assert_eq!((lost, total), (1, 4));
                 assert!(hits.iter().all(|h| h.index != 2), "lost shard contributed no hits");
                 assert_eq!(hits.len(), 3);
                 assert_eq!(attempts, 5, "4 primaries + 1 hedge");
-                assert_eq!(delay, Duration::from_millis(6), "two faulted probes x slice");
+                assert_eq!(delay, fanout(4, 3).slice * 2, "two faulted probes x slice");
             }
             _ => panic!("one loss at quorum 3/4 must serve partial"),
         }
@@ -311,14 +286,7 @@ mod tests {
         for s in 0..3 {
             plan = plan.with_shard(s, Rates { transient: 1.0, ..Rates::default() });
         }
-        let out = run_scatter(
-            fanout(4, 3),
-            Some(&plan),
-            BreakerConfig::default(),
-            "q",
-            10,
-            fake_probe,
-        );
+        let out = run_scatter(fanout(4, 3), Some(&plan), "q", 10, fake_probe);
         match out {
             Scattered::QuorumFailed { lost, total, .. } => {
                 assert_eq!((lost, total), (3, 4));
@@ -338,14 +306,7 @@ mod tests {
             let faulted0 = plan.inject_shard(1, "q", 0).is_some();
             let faulted1 = plan.inject_shard(1, "q", 1).is_some();
             if faulted0 && !faulted1 {
-                let out = run_scatter(
-                    fanout(2, 1),
-                    Some(&plan),
-                    BreakerConfig::default(),
-                    "q",
-                    10,
-                    fake_probe,
-                );
+                let out = run_scatter(fanout(2, 1), Some(&plan), "q", 10, fake_probe);
                 assert!(
                     matches!(out, Scattered::Clean(_)),
                     "seed {seed}: hedge cleared the fault, scatter must be clean"
@@ -369,22 +330,8 @@ mod tests {
                 format!("quorum:{lost}/{total}:{attempts}:{delay:?}")
             }
         };
-        let a = describe(run_scatter(
-            fanout(4, 3),
-            Some(&plan),
-            BreakerConfig::default(),
-            "same question",
-            5,
-            fake_probe,
-        ));
-        let b = describe(run_scatter(
-            fanout(4, 3),
-            Some(&plan),
-            BreakerConfig::default(),
-            "same question",
-            5,
-            fake_probe,
-        ));
+        let a = describe(run_scatter(fanout(4, 3), Some(&plan), "same question", 5, fake_probe));
+        let b = describe(run_scatter(fanout(4, 3), Some(&plan), "same question", 5, fake_probe));
         assert_eq!(a, b);
     }
 }

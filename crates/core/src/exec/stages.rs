@@ -17,9 +17,7 @@ use sage_admission::BrownoutLevel;
 use sage_eval::Cost;
 use sage_llm::Answer;
 use sage_rerank::{gradient_select, RankedChunk, SelectionConfig};
-use sage_resilience::{
-    BreakerConfig, Component, DegradeTrace, Failure, Fallback, SageError,
-};
+use sage_resilience::{Component, DegradeTrace, Failure, Fallback, SageError};
 use sage_retrieval::{Retriever, ScoredChunk};
 use sage_vecdb::VectorIndex;
 use std::time::Duration;
@@ -117,14 +115,10 @@ fn gather_scattered(
     }
 }
 
-/// The fault plan and breaker tuning the scatter path probes under (no
-/// guards means no plan, which means no shard faults can fire).
-fn scatter_policies<'c>(
-    ctx: &'c QueryCtx<'_>,
-) -> (Option<&'c sage_resilience::FaultPlan>, BreakerConfig) {
-    let plan = ctx.guards.as_ref().map(|g| &g.state.config.plan);
-    let breaker = ctx.guards.as_ref().map_or_else(BreakerConfig::default, |g| g.state.config.breaker);
-    (plan, breaker)
+/// The fault plan the scatter path probes under (no guards means no plan,
+/// which means no shard faults can fire).
+fn scatter_plan<'c>(ctx: &'c QueryCtx<'_>) -> Option<&'c sage_resilience::FaultPlan> {
+    ctx.guards.as_ref().map(|g| &g.state.config.plan)
 }
 
 fn finite_scores(hits: &[ScoredChunk]) -> bool {
@@ -146,12 +140,10 @@ fn retrieve_dense(sys: &RagSystem, ctx: &mut QueryCtx<'_>) -> Flow {
     // (HNSW/flat) search when sharding is enabled. Quorum failure
     // abandons the dense shard set for the sparse tier — the same
     // DenseToBm25 rung a failed monolithic search records.
-    let scattered = {
-        let (plan, breaker) = scatter_policies(ctx);
-        ctx.query_vec
-            .as_ref()
-            .and_then(|qv| scatter::scatter_dense(sys, plan, breaker, ctx.question, qv, n))
-    };
+    let scattered = ctx
+        .query_vec
+        .as_ref()
+        .and_then(|qv| scatter::scatter_dense(sys, scatter_plan(ctx), ctx.question, qv, n));
     if let Some(outcome) = scattered {
         let hits = gather_scattered(ctx, outcome, Fallback::DenseToBm25).unwrap_or_else(
             || match ctx.guards.as_ref() {
@@ -253,11 +245,7 @@ fn retrieve_bm25(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp) -> Flow {
     // substitution path — the fallback tier IS the degradation target
     // and stays monolithic). Quorum failure serves the unsharded scan.
     if !fallback {
-        let scattered = {
-            let (plan, breaker) = scatter_policies(ctx);
-            scatter::scatter_bm25(sys, plan, breaker, ctx.question, n)
-        };
-        if let Some(outcome) = scattered {
+        if let Some(outcome) = scatter::scatter_bm25(sys, scatter_plan(ctx), ctx.question, n) {
             let hits = gather_scattered(ctx, outcome, Fallback::ShardQuorumLost)
                 .unwrap_or_else(|| sys.retriever.retrieve(ctx.question, n));
             ctx.cand_ids = hits.iter().map(|h| h.index).collect();
@@ -545,8 +533,7 @@ fn fuse(ctx: &mut QueryCtx<'_>) -> Flow {
         }
         return Flow::Done;
     }
-    let brownout =
-        ctx.bctl.as_ref().map_or(BrownoutLevel::None, |c| c.meter.level());
+    let brownout = ctx.bctl.as_ref().map_or(BrownoutLevel::None, |m| m.level());
     let (score, answer, picked, selected) = if let Some(u) = ctx.unjudged.take() {
         // A completed round that was never judged (feedback off, or
         // browned out) is final as-is, with no score.

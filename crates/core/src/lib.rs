@@ -39,7 +39,6 @@
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
 
 pub mod baselines;
-mod brownout;
 pub mod case_studies;
 pub mod config;
 pub mod exec;

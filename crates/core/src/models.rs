@@ -12,7 +12,6 @@ use sage_embed::{DualEncoder, PairExample, SiameseEncoder, TripletExample};
 use sage_rerank::CrossScorer;
 use sage_nn::BytesSerialize;
 use sage_segment::{FeatureConfig, SegmentationModel};
-use std::sync::OnceLock;
 
 /// Bundle of trained models shared by pipelines and baselines.
 #[derive(Debug, Clone)]
@@ -88,13 +87,6 @@ impl TrainedModels {
         dual.train(&dpr_triples, 0.3, budget.epochs.min(6) + 2);
 
         Self { segmentation, scorer, siamese, dual }
-    }
-
-    /// Process-wide cached default-budget models (the experiment harnesses
-    /// reuse one training run across tables).
-    pub fn shared() -> &'static TrainedModels {
-        static SHARED: OnceLock<TrainedModels> = OnceLock::new();
-        SHARED.get_or_init(|| TrainedModels::train(TrainBudget::default()))
     }
 
     /// Serialize all four trained models to one binary blob

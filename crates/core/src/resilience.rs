@@ -32,10 +32,6 @@ pub struct ResilienceConfig {
     /// The fault plan (default: [`FaultPlan::none`] — machinery on, no
     /// injected faults).
     pub plan: FaultPlan,
-    /// Retry/backoff policy at every guarded boundary.
-    pub retry: RetryPolicy,
-    /// Per-component circuit-breaker tuning.
-    pub breaker: BreakerConfig,
     /// Build an HNSW tier over the dense index and search it first,
     /// falling back to the exact flat scan on failure. Off by default:
     /// ANN results are approximate, so enabling it changes (slightly)
@@ -45,12 +41,7 @@ pub struct ResilienceConfig {
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
-        Self {
-            plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
-            use_hnsw: false,
-        }
+        Self { plan: FaultPlan::none(), use_hnsw: false }
     }
 }
 
@@ -113,9 +104,11 @@ fn hnsw_from_flat(flat: &FlatIndex) -> HnswIndex {
 
 /// Per-query guard context: one circuit breaker per component and a fresh
 /// virtual clock, so a query's degradation trace cannot depend on thread
-/// interleaving within a batch.
+/// interleaving within a batch. Retry and breaker tuning are the
+/// resilience crate's defaults.
 pub(crate) struct QueryGuards<'a> {
     pub(crate) state: &'a ResilienceState,
+    retry: RetryPolicy,
     clock: VirtualClock,
     breakers: [CircuitBreaker; 4],
 }
@@ -124,8 +117,9 @@ impl<'a> QueryGuards<'a> {
     pub(crate) fn new(state: &'a ResilienceState) -> Self {
         Self {
             state,
+            retry: RetryPolicy::default(),
             clock: VirtualClock::new(),
-            breakers: std::array::from_fn(|_| CircuitBreaker::new(state.config.breaker)),
+            breakers: std::array::from_fn(|_| CircuitBreaker::new(BreakerConfig::default())),
         }
     }
 
@@ -133,7 +127,7 @@ impl<'a> QueryGuards<'a> {
     pub(crate) fn guard(&self, component: Component) -> Guard<'_> {
         Guard {
             plan: &self.state.config.plan,
-            policy: &self.state.config.retry,
+            policy: &self.retry,
             clock: &self.clock,
             breaker: &self.breakers[component.idx()],
         }
@@ -176,7 +170,7 @@ mod tests {
         let a = QueryGuards::new(&state);
         let b = QueryGuards::new(&state);
         // Tripping one query's breaker leaves the other's closed.
-        for _ in 0..state.config.breaker.failure_threshold {
+        for _ in 0..BreakerConfig::default().failure_threshold {
             a.breakers[0].record_failure(a.clock.now());
         }
         assert!(a.breakers[0].is_open(&a.clock));

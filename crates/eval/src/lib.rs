@@ -9,7 +9,6 @@
 //! * [`meteor`] — METEOR-lite: stem-aware unigram alignment with a
 //!   fragmentation penalty;
 //! * [`f1_match`] — token-level F1 (QASPER / TriviaQA "F1-Match");
-//! * [`exact_match`] / multiple-choice accuracy helpers;
 //! * [`cost::Cost`] — Eq. 1 token pricing and Eq. 2 cost-efficiency.
 //!
 //! All text comparisons are case-insensitive over word tokens; metrics with
@@ -32,7 +31,7 @@ pub use retrieval::{hit_rate_at_k, ndcg_at_k, precision_at_k, recall_at_k, recip
 pub use rouge::rouge_l;
 pub use stats::{bootstrap_mean_ci, MeanCi};
 
-use sage_text::{normalize, tokenize};
+use sage_text::tokenize;
 
 /// Token-level F1 between a candidate and the best-matching reference — the
 /// paper's "F1-Match" metric [38].
@@ -78,13 +77,6 @@ fn f1_single(candidate: &str, reference: &str) -> f32 {
     let precision = overlap as f32 / c.len() as f32;
     let recall = overlap as f32 / r.len() as f32;
     2.0 * precision * recall / (precision + recall)
-}
-
-/// Whether the candidate exactly matches any reference after
-/// normalisation.
-pub fn exact_match(candidate: &str, references: &[String]) -> bool {
-    let c = normalize(candidate);
-    references.iter().any(|r| normalize(r) == c)
 }
 
 /// Mean of a score list (0 for empty input).
@@ -140,12 +132,6 @@ mod tests {
         let f1 = f1_match("green green", &refs(&["green"]));
         // overlap 1, precision 1/2, recall 1 -> 2/3
         assert!((f1 - 2.0 / 3.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn exact_match_normalises() {
-        assert!(exact_match("  Green  Eyes ", &refs(&["green eyes"])));
-        assert!(!exact_match("green eye", &refs(&["green eyes"])));
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl Bundle {
         self.sections.push((key.to_string(), v.to_string()));
     }
 
-    /// Add a boolean section.
-    pub fn push_bool(&mut self, key: &str, v: bool) {
-        self.sections.push((key.to_string(), v.to_string()));
-    }
-
     /// Add a JSONL blob as a JSON array (one element per line).
     pub fn push_jsonl(&mut self, key: &str, jsonl: &str) {
         let lines: Vec<&str> = jsonl.lines().filter(|l| !l.trim().is_empty()).collect();
@@ -152,7 +147,6 @@ mod tests {
         let mut b = Bundle::new();
         b.push_str("tool", "sage report");
         b.push_u64("seed", 42);
-        b.push_bool("ok", true);
         b.push_raw("soak", "{\"arrivals\": 3}");
         b.push_jsonl("traces", "{\"a\":1}\n{\"b\":2}\n");
         let out = b.render();

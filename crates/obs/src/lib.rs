@@ -3,18 +3,16 @@
 //! Where `sage-telemetry` collects (histograms, counters, traces, the
 //! cost ledger), this crate *interprets*: it keeps the evidence for the
 //! queries that matter (the flight recorder), judges the stream against
-//! declared objectives (SLO burn-rate accounting), and gates changes
-//! against a committed perf trajectory (the scenario-matrix harness).
-//! Everything here is deterministic by construction — retention,
-//! windows, and diffs are pure functions of virtual-clock observations,
-//! so soak replays and CI reruns are byte-comparable.
+//! declared objectives (SLO burn-rate accounting), and assembles both into
+//! the `sage report` bundle. Everything here is deterministic by
+//! construction — retention and windows are pure functions of
+//! virtual-clock observations, so soak replays and CI reruns are
+//! byte-comparable.
 //!
 //! - [`recorder`]: bounded ring of recent query
 //!   observations with tail-based retention — a fold over the soak's
 //!   observation stream (`SoakReport::obs`), like the SLO evaluator.
 //! - [`slo`]: declarative SLO specs, multi-window burn-rate alerts.
-//! - [`scenario`]: scenario-file grammar, baseline rendering/parsing,
-//!   tolerance-band regression diffs.
 //! - [`bundle`]: `sage report` diagnostics-bundle assembly and the
 //!   cross-layer reconciliation checks.
 
@@ -22,12 +20,8 @@
 
 pub mod bundle;
 pub mod recorder;
-pub mod scenario;
 pub mod slo;
 
 pub use bundle::{Bundle, Reconciliation};
 pub use recorder::{FlightRecorder, Outcome, QueryObs, RecorderConfig, RecorderStats};
-pub use scenario::{
-    diff_rows, parse_rows, parse_scenarios, render_rows, BenchRow, ScenarioCell, ScenarioFile,
-};
 pub use slo::{evaluate_slo, Objective, SloAlert, SloReport, SloSpec};

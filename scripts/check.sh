@@ -13,6 +13,11 @@
 # `#[expect(clippy::<lint>, reason = "...")]`, which fails once it suppresses
 # nothing.
 #
+# Byte-identity checks among the smokes: same-seed replays of the soak, the
+# shard-loss soak and the live soak (two runs, `diff`); 4-shard ask ==
+# unsharded ask; and the full scenario grid == the committed
+# BENCH_scenarios.json (one run; `cargo test` asserts the same equality).
+#
 # Every dependency is a path crate of this repository, so this runs with an
 # empty registry and no network.
 set -euo pipefail
@@ -201,18 +206,14 @@ if [ "${1:-}" != fast ]; then
     || { echo "FAIL: no 'unknown command' error"; cat "$tmp/lint_unknown.err"; exit 1; }
   echo "explain smoke ok"
 
-  echo "=== scenario-matrix smoke (committed trajectory holds)"
-  # The smoke cells must replay byte-for-byte and sit inside the
-  # tolerance bands of the committed BENCH_scenarios.json; the command
-  # itself exits nonzero and prints one `regression:` line per metric
-  # outside its band.
+  echo "=== scenario-matrix smoke (the grid renders the committed rows)"
+  # Every cell of the grid, byte for byte against BENCH_scenarios.json; on
+  # a mismatch the command prints each differing row as its `- committed` /
+  # `+ measured` line pair and exits nonzero. Equality with a committed
+  # file is also the replay check: a second run could only repeat it.
   "$sage" scenarios run scenarios.toml \
-    --filter smoke --out "$tmp/scen_a.json" 2> /dev/null \
-    || { echo "FAIL: smoke cells regressed against BENCH_scenarios.json"; exit 1; }
-  "$sage" scenarios run scenarios.toml \
-    --filter smoke --out "$tmp/scen_b.json" 2> /dev/null
-  cmp -s "$tmp/scen_a.json" "$tmp/scen_b.json" \
-    || { echo "FAIL: scenario rows are not byte-identical across runs"; exit 1; }
+    --baseline BENCH_scenarios.json > /dev/null 2> "$tmp/scen.err" \
+    || { echo "FAIL: scenario rows differ from BENCH_scenarios.json"; cat "$tmp/scen.err"; exit 1; }
   echo "scenario-matrix smoke ok"
 
   echo "=== hostile-label smoke (Prometheus escaping)"
@@ -228,7 +229,7 @@ duration_s = 4
 qps = 2
 HOSTILE
   "$sage" scenarios run "$tmp/hostile.toml" \
-    --baseline "$tmp/hostile_base.json" --metrics-out "$tmp/hostile.prom" \
+    --metrics-out "$tmp/hostile.prom" \
     > /dev/null 2> /dev/null
   grep -q 'cell="smoke\\\\hostile"' "$tmp/hostile.prom" \
     || { echo "FAIL: backslash not escaped in label value"; cat "$tmp/hostile.prom"; exit 1; }

@@ -25,7 +25,7 @@
 //! | [`resilience`] | `sage-resilience` | deterministic fault injection, retries, breakers |
 //! | [`admission`] | `sage-admission` | admission control, deadline budgets, brownout ladder |
 //! | [`telemetry`] | `sage-telemetry` | spans, stage histograms, cost ledger, exporters |
-//! | [`obs`] | `sage-obs` | flight recorder, SLO burn rates, scenario-matrix diffing |
+//! | [`obs`] | `sage-obs` | flight recorder, SLO burn rates, the `sage report` bundle |
 //! | [`core`] | `sage-core` | the assembled pipeline, baselines, experiment harnesses |
 //!
 //! ## Quickstart
@@ -97,12 +97,11 @@ pub mod prelude {
     pub use sage_core::models::{TrainBudget, TrainedModels};
     pub use sage_core::pipeline::{BuildStats, QueryResult, RagSystem};
     pub use sage_core::resilience::ResilienceConfig;
-    pub use sage_core::scenario::run_cell;
+    pub use sage_core::scenario::{parse_scenarios, render_rows, run_cell, BenchRow, ScenarioCell};
     pub use sage_core::soak::{run_soak, SoakReport};
     pub use sage_corpus::datasets::SizeConfig;
     pub use sage_obs::{
-        diff_rows, evaluate_slo, parse_rows, parse_scenarios, BenchRow, FlightRecorder, Outcome,
-        QueryObs, RecorderConfig, ScenarioCell, ScenarioFile, SloReport, SloSpec,
+        evaluate_slo, FlightRecorder, Outcome, QueryObs, RecorderConfig, SloReport, SloSpec,
     };
     pub use sage_resilience::{
         BreakerConfig, Component, CrashPlan, CrashPoint, DegradeTrace, Fallback, FaultKind,

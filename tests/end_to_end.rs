@@ -723,73 +723,45 @@ fn live_corpus_metrics_reconcile_with_commit_reports() {
 }
 
 // ---------------------------------------------------------------------------
-// Observability: scenario replay, baseline diffing, and SLO reconciliation
+// Observability: scenario replay, the committed rows, and SLO reconciliation
 // ---------------------------------------------------------------------------
 
-/// A scenario cell small enough for the test suite: one document, a few
-/// seconds of virtual time.
-fn tiny_cell() -> sage::obs::ScenarioCell {
-    sage::obs::ScenarioCell {
+#[test]
+fn scenario_cells_replay_byte_for_byte_through_the_facade() {
+    // A cell small enough to run twice: one document, a few seconds of
+    // virtual time.
+    let tiny = ScenarioCell {
         name: "e2e-tiny".to_string(),
         docs: 1,
         duration_s: 6,
         qps: 2,
-        ..sage::obs::ScenarioCell::default()
-    }
-}
-
-#[test]
-fn scenario_cells_replay_byte_for_byte_through_the_facade() {
-    let a = run_cell(models(), &tiny_cell()).expect("cell runs");
-    let b = run_cell(models(), &tiny_cell()).expect("cell runs");
+        ..ScenarioCell::default()
+    };
+    let a = run_cell(models(), &tiny).expect("cell runs");
+    let b = run_cell(models(), &tiny).expect("cell runs");
     // Every metric is a virtual-clock quantity: the rendered rows must be
-    // byte-identical across runs, which is what lets CI diff them against
-    // a committed baseline.
+    // byte-identical across runs, which is what lets the gate compare
+    // them to a committed file.
     assert_eq!(a.to_json(), b.to_json());
-    // And the render/parse pair round-trips the row exactly.
-    let parsed = sage::obs::parse_rows(&sage::obs::render_rows(std::slice::from_ref(&a))).expect("parses");
-    assert_eq!(parsed.len(), 1);
-    assert_eq!(parsed[0].to_json(), a.to_json());
 }
 
 #[test]
-fn scenario_diff_flags_out_of_band_metrics_with_a_readable_line() {
-    use std::collections::BTreeMap;
-    let base = run_cell(models(), &tiny_cell()).expect("cell runs");
-
-    // Identical rows diff clean under any tolerance.
-    let mut tolerance = BTreeMap::new();
-    assert!(sage::obs::diff_rows(std::slice::from_ref(&base), std::slice::from_ref(&base), &tolerance, false).is_empty());
-
-    // Perturb one banded metric past its band and one exact-match metric
-    // by the smallest possible amount: both must be reported, each line
-    // naming the row, the metric, and both values.
-    tolerance.insert("p50_sojourn_us".to_string(), 0.10);
-    let mut bad = base.clone();
-    for (key, value) in &mut bad.metrics {
-        if key == "p50_sojourn_us" {
-            let v: f64 = value.parse().unwrap();
-            *value = format!("{:.0}", v * 2.0);
-        }
-        if key == "errors" {
-            *value = "1".to_string();
-        }
+fn scenario_grid_renders_the_committed_rows_byte_for_byte() {
+    // The whole grid, under the models the CLI trains by default: what
+    // `sage scenarios run scenarios.toml` prints is BENCH_scenarios.json.
+    // Every field is modeled (virtual clock, `CostModel` constants), so a
+    // change to any of them shows up here as the row it moved;
+    // re-baseline with `--out BENCH_scenarios.json` and explain the diff.
+    let models = TrainedModels::train(TrainBudget::default());
+    let cells = parse_scenarios(include_str!("../scenarios.toml")).expect("grid parses");
+    let rows: Vec<BenchRow> =
+        cells.iter().map(|cell| run_cell(&models, cell).expect("cell runs")).collect();
+    let measured = render_rows(&rows);
+    let committed = include_str!("../BENCH_scenarios.json");
+    for (m, c) in measured.lines().zip(committed.lines()) {
+        assert!(m == c, "BENCH_scenarios.json differs from a fresh run:\n- {c}\n+ {m}");
     }
-    let diff = sage::obs::diff_rows(std::slice::from_ref(&base), &[bad], &tolerance, false);
-    assert_eq!(diff.len(), 2, "diff: {diff:?}");
-    assert!(diff.iter().all(|l| l.contains("`e2e-tiny`")), "diff: {diff:?}");
-    assert!(diff.iter().any(|l| l.contains("p50_sojourn_us") && l.contains("tolerance")));
-    assert!(diff.iter().any(|l| l.contains("errors") && l.contains("baseline 0")));
-
-    // In-band drift stays quiet: +5% on a 10% band is not a regression.
-    let mut ok = base.clone();
-    for (key, value) in &mut ok.metrics {
-        if key == "p50_sojourn_us" {
-            let v: f64 = value.parse().unwrap();
-            *value = format!("{:.0}", v * 1.05);
-        }
-    }
-    assert!(sage::obs::diff_rows(&[base], &[ok], &tolerance, false).is_empty());
+    assert_eq!(measured, committed);
 }
 
 #[test]

@@ -229,7 +229,7 @@ fn resilient(plan: FaultPlan, use_hnsw: bool) -> RagSystem {
         LlmProfile::gpt4o_mini(),
         &fault_corpus(),
     );
-    system.enable_resilience(ResilienceConfig { plan, use_hnsw, ..ResilienceConfig::default() });
+    system.enable_resilience(ResilienceConfig { plan, use_hnsw });
     system
 }
 
