@@ -24,7 +24,7 @@ use sage_corpus::Document;
 use sage_embed::{Embedder, HashedEmbedder};
 use sage_llm::{LlmProfile, SimLlm};
 use sage_segment::Segmenter;
-use sage_text::{count_tokens, is_stopword, split_sentences, stem, tokenize};
+use sage_text::{count_tokens, is_capitalized, is_stopword, split_sentences, stem, tokenize};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -260,7 +260,7 @@ fn flatten_coreference(text: &str) -> String {
             }
             // Update the running subject from capitalised tokens.
             for (i, w) in words.iter().enumerate() {
-                if w.chars().next().is_some_and(char::is_uppercase) {
+                if is_capitalized(w) {
                     let t = w.trim_matches(|c: char| !c.is_alphanumeric()).to_string();
                     let lower = t.to_lowercase();
                     if !lower.is_empty()
@@ -323,7 +323,7 @@ pub fn recursive_summary(text: &str, budget: usize) -> Vec<String> {
                     // is *rare* in the document (boilerplate sentence
                     // openers repeat; character names do not).
                     let has_proper = s.split_whitespace().any(|w| {
-                        w.chars().next().is_some_and(char::is_uppercase) && {
+                        is_capitalized(w) && {
                             let lower = w
                                 .trim_matches(|c: char| !c.is_alphanumeric())
                                 .to_lowercase();

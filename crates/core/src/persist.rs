@@ -465,6 +465,39 @@ mod tests {
     }
 
     #[test]
+    fn scorer_embedder_width_is_not_read_from_the_blob() {
+        // The scorer is the blob's tail: MLP ‖ embedder (dim u32, seed u64)
+        // ‖ IDF table. A patched dim would size every embedding the loaded
+        // scorer makes (2²⁸ floats is 1 GiB per text), so only the width
+        // `CrossScorer::new` uses may load.
+        let system = RagSystem::build(
+            models(),
+            RetrieverKind::Bm25,
+            SageConfig::sage(),
+            LlmProfile::gpt4o_mini(),
+            &corpus(),
+        );
+        let blob = system.to_bytes().to_vec();
+        let mut fitted = BytesMut::new();
+        system.scorer_ref().expect("the sage config fits a scorer").write(&mut fitted);
+        // An unfitted scorer ends in its 12-byte embedder and an empty IDF
+        // table (two zero counts), which locates the end of the MLP.
+        let mut unfitted = BytesMut::new();
+        models().scorer.write(&mut unfitted);
+        let dim_at = blob.len() - fitted.len() + unfitted.len() - 20;
+        assert_eq!(blob[dim_at..dim_at + 4], 256u32.to_le_bytes());
+        for dim in [1u32 << 28, u32::MAX, 255, 257, 0] {
+            let mut patched = blob.clone();
+            patched[dim_at..dim_at + 4].copy_from_slice(&dim.to_le_bytes());
+            assert!(
+                RagSystem::from_bytes(Bytes::from(patched), LlmProfile::gpt4o_mini()).is_none(),
+                "dim {dim} must not load"
+            );
+        }
+        assert!(RagSystem::from_bytes(Bytes::from(blob), LlmProfile::gpt4o_mini()).is_some());
+    }
+
+    #[test]
     fn config_roundtrip() {
         let cfg = SageConfig { min_k: 3, gradient: 0.42, use_feedback: false, ..SageConfig::sage() };
         let mut buf = BytesMut::new();

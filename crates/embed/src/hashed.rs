@@ -6,7 +6,7 @@
 //! share vocabulary and phrases land close in cosine space — the only
 //! property the retrieval pipeline relies on.
 
-use crate::features::sentence_features;
+use crate::features::Analysis;
 use crate::Embedder;
 use sage_nn::matrix::l2_normalize;
 
@@ -27,6 +27,18 @@ impl HashedEmbedder {
     /// The paper-default configuration used by experiment presets.
     pub fn default_model() -> Self {
         Self::new(256, 0x0A1)
+    }
+
+    /// [`embed`](Embedder::embed) of an already analysed text into a
+    /// caller's vector (overwritten): the caller that also reads the tokens
+    /// analyses once, and a loop over many texts reuses both buffers.
+    pub fn embed_analysis(&self, analysis: &mut Analysis, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(self.dim, 0.0);
+        analysis.for_each_feature(self.dim, self.seed, |bucket, signed_weight| {
+            out[bucket as usize] += signed_weight;
+        });
+        l2_normalize(out);
     }
 }
 
@@ -51,11 +63,8 @@ impl Embedder for HashedEmbedder {
     }
 
     fn embed(&self, text: &str) -> Vec<f32> {
-        let mut v = vec![0.0f32; self.dim];
-        for (bucket, signed_weight) in sentence_features(text, self.dim, self.seed) {
-            v[bucket as usize] += signed_weight;
-        }
-        l2_normalize(&mut v);
+        let mut v = Vec::new();
+        self.embed_analysis(&mut Analysis::of(text), &mut v);
         v
     }
 

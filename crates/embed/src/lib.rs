@@ -25,7 +25,7 @@ pub mod hashed;
 pub mod siamese;
 
 pub use dual::{DualEncoder, TripletExample};
-pub use features::sentence_features;
+pub use features::{sentence_features, Analysis};
 pub use hashed::HashedEmbedder;
 pub use siamese::{PairExample, SiameseEncoder};
 

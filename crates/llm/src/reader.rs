@@ -12,7 +12,10 @@ use rand::{Rng, SeedableRng};
 use sage_corpus::datasets::{wiki, SizeConfig};
 use sage_eval::Cost;
 use sage_text::ngram::fnv1a;
-use sage_text::{count_tokens, is_stopword, split_sentences, stem, tokenize, Vocab};
+use sage_text::{
+    count_tokens, is_capitalized, is_stopword, proper_nouns, split_sentences, stem, tokenize, Vocab,
+    WordSet,
+};
 use std::collections::HashSet;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -191,7 +194,7 @@ fn strip_possessive(token: &str) -> &str {
 fn analyze_question(question: &str) -> QuestionInfo {
     let mut entity_terms = HashSet::new();
     for word in question.split_whitespace() {
-        if word.chars().next().is_some_and(char::is_uppercase) {
+        if is_capitalized(word) {
             let cleaned = word.trim_matches(|c: char| !c.is_alphanumeric() && c != '\'');
             let lower = cleaned.to_lowercase();
             let base = strip_possessive(&lower).to_string();
@@ -320,17 +323,10 @@ impl SimLlm {
             // "Mossy is the tortoise…" to "Mossy has amber eyes" when the
             // question asks about the tortoise.
             let mut anchors: HashSet<String> = HashSet::new();
+            let mut proper = WordSet::new();
             for sentence in split_sentences(chunk) {
                 let tokens = tokenize(&sentence);
-                let proper: Vec<String> = sentence
-                    .split_whitespace()
-                    .filter(|w| w.chars().next().is_some_and(char::is_uppercase))
-                    .map(|w| {
-                        let t = w.trim_matches(|c: char| !c.is_alphanumeric()).to_lowercase();
-                        strip_possessive(&t).to_string()
-                    })
-                    .filter(|w| !w.is_empty() && !is_stopword(w))
-                    .collect();
+                proper_nouns(&sentence, &mut proper);
                 let has_entity = tokens
                     .iter()
                     .any(|t| q.entity_terms.contains(strip_possessive(t)));
@@ -363,7 +359,7 @@ impl SimLlm {
                     .iter()
                     .any(|qs| stems.contains(qs) && self.stem_idf_norm(qs) >= 0.5);
                 if credit > 0.0 || (rel >= 0.3 && informative_overlap) {
-                    anchors.extend(proper);
+                    anchors.extend(proper.iter().map(str::to_string));
                 }
                 let score = entity_weight * credit + 2.0 * rel;
                 out.push(ScoredSentence { tokens, stems, score, grounded: credit > 0.0 });

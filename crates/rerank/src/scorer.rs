@@ -1,22 +1,24 @@
 //! The cross-feature reranking model.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "term/bigram sets feed commutative overlap counts (order-free sums); ranked output is sorted by score with index tie-break"
-)]
-
 use crate::RankedChunk;
-use sage_embed::{Embedder, HashedEmbedder};
+use sage_embed::{Analysis, Embedder, HashedEmbedder};
 use sage_nn::layer::Activation;
 use sage_nn::matrix::{cosine, Matrix};
 use sage_nn::Mlp;
-use sage_text::{bigrams, count_tokens, stem, tokenize, tokenize_filtered, Vocab};
-use std::collections::HashSet;
+use sage_text::{count_tokens, TokenBuf, Vocab, WordSet};
 
 /// Number of cross features fed to the MLP head.
 pub const NUM_FEATURES: usize = 7;
 
+/// Width of the hashed embedding behind the cosine feature.
+const EMBED_DIM: usize = 256;
+
 /// A trainable cross-encoder-style reranker over engineered features.
+///
+/// Each text is analysed once: the question once per call (a [`Question`]),
+/// each chunk once per pair into the call's [`Scratch`]. Nothing is kept
+/// per chunk between calls: on a corpus-wide index the heap peaks at its
+/// steady state after the build, so every byte stored per chunk is peak.
 #[derive(Debug, Clone)]
 pub struct CrossScorer {
     mlp: Mlp,
@@ -25,12 +27,46 @@ pub struct CrossScorer {
     idf: Vocab,
 }
 
+/// The question's side of every pair it is scored against.
+struct Question {
+    /// Content stems in question order (duplicates included), each with its
+    /// IDF weight and whether it is that stem's first occurrence.
+    stems: Vec<(String, f32, bool)>,
+    /// Sum of the weights, in question order.
+    idf_total: f32,
+    /// Distinct adjacent token pairs, sorted.
+    bigrams: Vec<(String, String)>,
+    /// Capitalised surface forms.
+    caps: WordSet,
+    embedding: Vec<f32>,
+}
+
+/// Buffers refilled for each chunk of one call.
+#[derive(Default)]
+struct Scratch {
+    chunk: Analysis,
+    /// The chunk's distinct content stems.
+    stems: WordSet,
+    /// Which of the question's bigrams the chunk contains.
+    bigram_hit: Vec<bool>,
+    embedding: Vec<f32>,
+}
+
+/// `part / whole`, 0 for an empty whole.
+fn ratio(part: usize, whole: usize) -> f32 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f32 / whole as f32
+    }
+}
+
 impl CrossScorer {
     /// Untrained scorer with seeded initialisation.
     pub fn new(seed: u64) -> Self {
         Self {
             mlp: Mlp::new(&[NUM_FEATURES, 12, 1], Activation::Tanh, Activation::Sigmoid, seed),
-            embedder: HashedEmbedder::new(256, seed ^ 0xEE),
+            embedder: HashedEmbedder::new(EMBED_DIM, seed ^ 0xEE),
             idf: Vocab::new(),
         }
     }
@@ -39,9 +75,12 @@ impl CrossScorer {
     /// without it, overlap features fall back to uniform weights).
     pub fn fit_idf(&mut self, chunks: &[String]) {
         self.idf = Vocab::new();
+        let mut tokens = TokenBuf::new();
+        let mut ids = Vec::new();
         for chunk in chunks {
-            let ids: Vec<u32> =
-                tokenize(chunk).iter().map(|t| self.idf.intern(&stem(t))).collect();
+            tokens.fill(chunk);
+            ids.clear();
+            tokens.for_each_stem(|stem| ids.push(self.idf.intern(stem)));
             self.idf.record_document(&ids);
         }
     }
@@ -52,6 +91,87 @@ impl CrossScorer {
             // Unseen terms (or unfitted scorer): neutral weight.
             None => 1.0,
         }
+    }
+
+    fn analyse(&self, question: &str) -> Question {
+        let mut text = Analysis::of(question);
+        let tokens = &mut text.tokens;
+        let mut stems: Vec<(String, f32, bool)> = Vec::new();
+        let mut idf_total = 0.0;
+        for i in 0..tokens.len() {
+            if tokens.is_stop(i) {
+                continue;
+            }
+            let stem = tokens.with_stem(i).1;
+            let w = self.idf_weight(stem);
+            idf_total += w;
+            let first = !stems.iter().any(|(seen, ..)| seen == stem);
+            stems.push((stem.to_string(), w, first));
+        }
+        let mut bigrams: Vec<(String, String)> = (1..tokens.len())
+            .map(|i| (tokens.get(i - 1).to_string(), tokens.get(i).to_string()))
+            .collect();
+        bigrams.sort_unstable();
+        bigrams.dedup();
+        let mut embedding = Vec::new();
+        self.embedder.embed_analysis(&mut text, &mut embedding);
+        Question { stems, idf_total, bigrams, caps: text.proper, embedding }
+    }
+
+    /// The cross features of one pair (see [`features`](Self::features)),
+    /// from one pass over the chunk.
+    fn pair_features(&self, q: &Question, chunk: &str, s: &mut Scratch) -> [f32; NUM_FEATURES] {
+        s.chunk.fill(chunk);
+        let tokens = &mut s.chunk.tokens;
+        s.stems.clear();
+        for i in 0..tokens.len() {
+            if !tokens.is_stop(i) {
+                s.stems.insert(tokens.with_stem(i).1);
+            }
+        }
+
+        // 0/1/6: question coverage and specificity.
+        let mut idf_hit = 0.0;
+        let mut hit = 0usize;
+        let mut distinct_hit = 0usize;
+        for (stem, w, first) in &q.stems {
+            if s.stems.contains(stem) {
+                idf_hit += w;
+                hit += 1;
+                distinct_hit += usize::from(*first);
+            }
+        }
+        let f0 = if q.idf_total > 0.0 { idf_hit / q.idf_total } else { 0.0 };
+        let f1 = ratio(hit, q.stems.len());
+        let f6 = ratio(distinct_hit, s.stems.len());
+
+        // 2: bigram overlap. A token holds no `_`, so a joined bigram is
+        // equal exactly when the pair is.
+        s.bigram_hit.clear();
+        s.bigram_hit.resize(q.bigrams.len(), false);
+        if !q.bigrams.is_empty() {
+            for i in 1..tokens.len() {
+                let pair = (tokens.get(i - 1), tokens.get(i));
+                if let Ok(at) =
+                    q.bigrams.binary_search_by(|(a, b)| (a.as_str(), b.as_str()).cmp(&pair))
+                {
+                    s.bigram_hit[at] = true;
+                }
+            }
+        }
+        let f2 = ratio(s.bigram_hit.iter().filter(|&&hit| hit).count(), q.bigrams.len());
+
+        // 3: embedding cosine (shifted from [-1,1] to [0,1]).
+        self.embedder.embed_analysis(&mut s.chunk, &mut s.embedding);
+        let f3 = (cosine(&q.embedding, &s.embedding) + 1.0) / 2.0;
+
+        // 4: entity match — capitalised words shared (proper names).
+        let f4 = ratio(q.caps.iter().filter(|w| s.chunk.proper.contains(w)).count(), q.caps.len());
+
+        // 5: length prior.
+        let f5 = (count_tokens(chunk) as f32 / 200.0).min(1.0);
+
+        [f0, f1, f2, f3, f4, f5, f6]
     }
 
     /// Compute the cross features for a (question, chunk) pair.
@@ -66,79 +186,7 @@ impl CrossScorer {
     /// 6. fraction of chunk stems that also occur in the question
     ///    (specificity — penalises chunks about everything)
     pub fn features(&self, question: &str, chunk: &str) -> [f32; NUM_FEATURES] {
-        let q_tokens = tokenize_filtered(question);
-        let q_stems: Vec<String> = q_tokens.iter().map(|t| stem(t)).collect();
-        let c_tokens_all = tokenize(chunk);
-        let c_stem_set: HashSet<String> =
-            tokenize_filtered(chunk).iter().map(|t| stem(t)).collect();
-
-        // 0/1: question coverage.
-        let mut idf_hit = 0.0;
-        let mut idf_total = 0.0;
-        let mut hit = 0usize;
-        for s in &q_stems {
-            let w = self.idf_weight(s);
-            idf_total += w;
-            if c_stem_set.contains(s) {
-                idf_hit += w;
-                hit += 1;
-            }
-        }
-        let f0 = if idf_total > 0.0 { idf_hit / idf_total } else { 0.0 };
-        let f1 = if q_stems.is_empty() { 0.0 } else { hit as f32 / q_stems.len() as f32 };
-
-        // 2: bigram overlap.
-        let q_bi: HashSet<String> = bigrams(&tokenize(question)).into_iter().collect();
-        let c_bi: HashSet<String> = bigrams(&c_tokens_all).into_iter().collect();
-        let f2 = if q_bi.is_empty() {
-            0.0
-        } else {
-            q_bi.intersection(&c_bi).count() as f32 / q_bi.len() as f32
-        };
-
-        // 3: embedding cosine (shifted from [-1,1] to [0,1]).
-        let qe = self.embedder.embed(question);
-        let ce = self.embedder.embed(chunk);
-        let f3 = (cosine(&qe, &ce) + 1.0) / 2.0;
-
-        // 4: entity match — capitalised words shared (proper names).
-        let caps = |text: &str| -> HashSet<String> {
-            text.split_whitespace()
-                .filter(|w| w.chars().next().is_some_and(char::is_uppercase))
-                .map(|w| {
-                    // Normalize possessives: "Whiskers'" / "Whiskers's" →
-                    // "whiskers", so entity mentions match across forms.
-                    let mut t =
-                        w.trim_matches(|c: char| !c.is_alphanumeric()).to_lowercase();
-                    if let Some(base) = t.strip_suffix("'s") {
-                        t = base.to_string();
-                    }
-                    t
-                })
-                .filter(|w| !w.is_empty() && !sage_text::is_stopword(w))
-                .collect()
-        };
-        let q_caps = caps(question);
-        let c_caps = caps(chunk);
-        let f4 = if q_caps.is_empty() {
-            0.0
-        } else {
-            q_caps.intersection(&c_caps).count() as f32 / q_caps.len() as f32
-        };
-
-        // 5: length prior.
-        let f5 = (count_tokens(chunk) as f32 / 200.0).min(1.0);
-
-        // 6: specificity.
-        let q_stem_set: HashSet<&String> = q_stems.iter().collect();
-        let f6 = if c_stem_set.is_empty() {
-            0.0
-        } else {
-            c_stem_set.iter().filter(|s| q_stem_set.contains(s)).count() as f32
-                / c_stem_set.len() as f32
-        };
-
-        [f0, f1, f2, f3, f4, f5, f6]
+        self.pair_features(&self.analyse(question), chunk, &mut Scratch::default())
     }
 
     /// Relevance score in `[0, 1]`.
@@ -150,19 +198,12 @@ impl CrossScorer {
     /// Train on labelled `(question, chunk, relevance ∈ {0,1})` examples;
     /// returns mean loss per epoch.
     pub fn train(&mut self, examples: &[(String, String, f32)], lr: f32, epochs: usize) -> Vec<f32> {
-        let mut losses = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            let mut total = 0.0;
-            for (q, c, label) in examples {
-                let f = self.features(q, c);
-                let x = Matrix::from_row(&f);
-                let y = Matrix::from_vec(1, 1, vec![*label]);
-                let (loss, _) = self.mlp.train_batch_mse(&x, &y, lr);
-                total += loss;
-            }
-            losses.push(total / examples.len().max(1) as f32);
-        }
-        losses
+        let mut s = Scratch::default();
+        let rows: Vec<_> = examples
+            .iter()
+            .map(|(q, c, label)| (self.pair_features(&self.analyse(q), c, &mut s), *label))
+            .collect();
+        self.fit(&rows, lr, epochs)
     }
 
     /// Convenience: train from (question, positive, negative) triples.
@@ -172,24 +213,52 @@ impl CrossScorer {
         lr: f32,
         epochs: usize,
     ) -> Vec<f32> {
-        let mut examples = Vec::with_capacity(triples.len() * 2);
+        let mut s = Scratch::default();
+        let mut rows = Vec::with_capacity(triples.len() * 2);
         for (q, p, n) in triples {
-            examples.push((q.clone(), p.clone(), 1.0));
-            examples.push((q.clone(), n.clone(), 0.0));
+            let q = self.analyse(q);
+            rows.push((self.pair_features(&q, p, &mut s), 1.0));
+            rows.push((self.pair_features(&q, n, &mut s), 0.0));
         }
-        self.train(&examples, lr, epochs)
+        self.fit(&rows, lr, epochs)
+    }
+
+    /// One SGD step per row per epoch. The features read neither the MLP
+    /// nor anything training changes, so they are computed before the loop.
+    fn fit(&mut self, rows: &[([f32; NUM_FEATURES], f32)], lr: f32, epochs: usize) -> Vec<f32> {
+        let mut losses = Vec::with_capacity(epochs);
+        for _ in 0..epochs {
+            let mut total = 0.0;
+            for (f, label) in rows {
+                let x = Matrix::from_row(f);
+                let y = Matrix::from_vec(1, 1, vec![*label]);
+                let (loss, _) = self.mlp.train_batch_mse(&x, &y, lr);
+                total += loss;
+            }
+            losses.push(total / rows.len().max(1) as f32);
+        }
+        losses
     }
 
     /// Score all candidate chunks and return them sorted best-first
-    /// (paper §III-B steps 5–6).
+    /// (paper §III-B steps 5–6): one question analysis, one pass per chunk,
+    /// one `n × 7` forward (row `i` of a batched forward is bit for bit the
+    /// single-row forward of row `i`).
     pub fn rerank(&self, question: &str, chunks: &[&str]) -> Vec<RankedChunk> {
         sage_telemetry::metrics::RERANK_CALLS.inc();
         sage_telemetry::metrics::RERANK_PAIRS_SCORED.add(chunks.len() as u64);
-        let mut ranked: Vec<RankedChunk> = chunks
-            .iter()
-            .enumerate()
-            .map(|(index, chunk)| RankedChunk { index, score: self.score(question, chunk) })
-            .collect();
+        if chunks.is_empty() {
+            return Vec::new();
+        }
+        let q = self.analyse(question);
+        let mut s = Scratch::default();
+        let mut rows = Vec::with_capacity(chunks.len() * NUM_FEATURES);
+        for chunk in chunks {
+            rows.extend_from_slice(&self.pair_features(&q, chunk, &mut s));
+        }
+        let scores = self.mlp.infer(&Matrix::from_vec(chunks.len(), NUM_FEATURES, rows));
+        let mut ranked: Vec<RankedChunk> =
+            (0..chunks.len()).map(|index| RankedChunk { index, score: scores.get(index, 0) }).collect();
         ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.index.cmp(&b.index)));
         ranked
     }
@@ -214,6 +283,11 @@ impl sage_nn::BytesSerialize for CrossScorer {
         use sage_nn::io::{get_string, get_u32};
         let mlp = Mlp::read(buf)?;
         let embedder = HashedEmbedder::read(buf)?;
+        // The width is not a degree of freedom of the format: a corrupted
+        // one would size every later embedding.
+        if embedder.dim() != EMBED_DIM {
+            return None;
+        }
         let n = get_u32(buf)? as usize;
         // Untrusted count: each entry needs at least a 4-byte string
         // length plus a 4-byte doc frequency, so bound it by the bytes
@@ -240,6 +314,7 @@ impl sage_nn::BytesSerialize for CrossScorer {
 mod tests {
     use super::*;
     use sage_corpus::training::retrieval_triples;
+    use std::collections::HashSet;
 
     fn trained() -> CrossScorer {
         let mut scorer = CrossScorer::new(7);
@@ -335,5 +410,25 @@ mod tests {
         let rare = scorer.features("zyzzyva", "a rare zyzzyva appeared")[0];
         let common = scorer.features("cat", "the cat sat on the mat")[0];
         assert!(rare >= common);
+    }
+
+    #[test]
+    fn read_rejects_any_other_embedder_width() {
+        use bytes::{BufMut, BytesMut};
+        use sage_nn::BytesSerialize;
+        let scorer = CrossScorer::new(9);
+        let mut blob = BytesMut::new();
+        scorer.write(&mut blob);
+        assert!(CrossScorer::read(&mut blob.clone().freeze()).is_some());
+        // MLP ‖ dim ‖ seed ‖ IDF table: rewrite the tail with another dim.
+        let mut mlp = BytesMut::new();
+        scorer.mlp.write(&mut mlp);
+        for dim in [1u32 << 28, u32::MAX, 255, 0] {
+            let mut patched = BytesMut::new();
+            patched.put_slice(&blob[..mlp.len()]);
+            patched.put_u32_le(dim);
+            patched.put_slice(&blob[mlp.len() + 4..]);
+            assert!(CrossScorer::read(&mut patched.freeze()).is_none(), "dim {dim}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 )]
 
 use crate::{Retriever, ScoredChunk};
-use sage_text::{stem, tokenize, Vocab};
+use sage_text::{TokenBuf, Vocab};
 use std::collections::HashMap;
 
 /// BM25 hyper-parameters (standard Okapi defaults).
@@ -80,28 +80,31 @@ impl Bm25Retriever {
         }
     }
 
-    fn terms(text: &str) -> Vec<String> {
-        tokenize(text).iter().map(|t| stem(t)).collect()
+    /// Append the postings of `text` as the next chunk, tokenised through
+    /// `tokens`; returns its term count.
+    fn post_chunk(&mut self, text: &str, tokens: &mut TokenBuf) -> u32 {
+        let ci = self.chunk_len.len() as u32;
+        tokens.fill(text);
+        let mut tf: HashMap<u32, u32> = HashMap::new();
+        tokens.for_each_stem(|term| *tf.entry(self.vocab.intern(term)).or_insert(0) += 1);
+        let ids: Vec<u32> = tf.keys().copied().collect();
+        self.vocab.record_document(&ids);
+        for (id, freq) in tf {
+            self.postings.entry(id).or_default().push((ci, freq));
+        }
+        let len = tokens.len() as u32;
+        self.chunk_len.push(len);
+        len
     }
 
     /// Append one chunk's postings without rebuilding (the live writer's
     /// delta path). Returns the new chunk's index.
     pub fn push_live_chunk(&mut self, text: &str) -> usize {
         let ci = self.chunk_len.len();
-        let terms = Self::terms(text);
-        self.chunk_len.push(terms.len() as u32);
+        let len = self.post_chunk(text, &mut TokenBuf::new());
         self.deleted.push(false);
-        self.live_total_len += terms.len() as u64;
+        self.live_total_len += u64::from(len);
         self.live_count += 1;
-        let mut tf: HashMap<u32, u32> = HashMap::new();
-        for term in &terms {
-            *tf.entry(self.vocab.intern(term)).or_insert(0) += 1;
-        }
-        let ids: Vec<u32> = tf.keys().copied().collect();
-        self.vocab.record_document(&ids);
-        for (id, freq) in tf {
-            self.postings.entry(id).or_default().push((ci as u32, freq));
-        }
         self.recompute_avg_len();
         ci
     }
@@ -170,9 +173,11 @@ impl Bm25Retriever {
         }
         sage_telemetry::metrics::BM25_SEARCHES.inc();
         let mut scores: HashMap<u32, f32> = HashMap::new();
-        for term in Self::terms(query) {
-            let Some(id) = self.vocab.get(&term) else { continue };
-            let Some(postings) = self.postings.get(&id) else { continue };
+        let mut tokens = TokenBuf::new();
+        tokens.fill(query);
+        tokens.for_each_stem(|term| {
+            let Some(id) = self.vocab.get(term) else { return };
+            let Some(postings) = self.postings.get(&id) else { return };
             sage_telemetry::metrics::BM25_POSTINGS_SCANNED.add(postings.len() as u64);
             let idf = self.vocab.idf(id);
             for &(chunk, tf) in postings {
@@ -186,7 +191,7 @@ impl Bm25Retriever {
                 let term_score = idf * tf * (self.params.k1 + 1.0) / denom;
                 *scores.entry(chunk).or_insert(0.0) += term_score;
             }
-        }
+        });
         let mut hits: Vec<ScoredChunk> = scores
             .into_iter()
             .map(|(chunk, score)| ScoredChunk { index: chunk as usize, score })
@@ -204,19 +209,9 @@ impl Retriever for Bm25Retriever {
         self.chunk_len.clear();
         self.deleted.clear();
         let mut total_len = 0u64;
-        for (ci, chunk) in chunks.iter().enumerate() {
-            let terms = Self::terms(chunk);
-            total_len += terms.len() as u64;
-            self.chunk_len.push(terms.len() as u32);
-            let mut tf: HashMap<u32, u32> = HashMap::new();
-            for term in &terms {
-                *tf.entry(self.vocab.intern(term)).or_insert(0) += 1;
-            }
-            let ids: Vec<u32> = tf.keys().copied().collect();
-            self.vocab.record_document(&ids);
-            for (id, freq) in tf {
-                self.postings.entry(id).or_default().push((ci as u32, freq));
-            }
+        let mut tokens = TokenBuf::new();
+        for chunk in chunks {
+            total_len += u64::from(self.post_chunk(chunk, &mut tokens));
         }
         self.deleted.resize(chunks.len(), false);
         self.live_total_len = total_len;

@@ -20,20 +20,23 @@
 //! - [`stem`] — a Porter-style suffix stripper used by BM25 and METEOR
 //! - [`stopwords`] — a small English stopword list
 //! - [`ngram`] — n-gram extraction and stable feature hashing
+//! - [`proper`] — capitalised surface forms (entity mentions)
 //! - [`vocab`] — string interning / vocabulary management
 
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
 
 pub mod ngram;
+pub mod proper;
 pub mod sentence;
 pub mod stem;
 pub mod stopwords;
 pub mod token;
 pub mod vocab;
 
-pub use ngram::{bigrams, hash_token, ngrams, HashedFeature};
+pub use ngram::{bigrams, hash_bigram, hash_token, ngrams, HashedFeature};
+pub use proper::{is_capitalized, proper_nouns, WordSet};
 pub use sentence::{split_paragraphs, split_sentences};
-pub use stem::stem;
+pub use stem::{stem, stem_into};
 pub use stopwords::is_stopword;
-pub use token::{count_tokens, normalize, tokenize, tokenize_filtered};
+pub use token::{count_tokens, normalize, tokenize, tokenize_filtered, TokenBuf};
 pub use vocab::Vocab;

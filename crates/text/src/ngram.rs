@@ -18,27 +18,60 @@ pub struct HashedFeature {
     pub sign: f32,
 }
 
-/// FNV-1a 64-bit hash of a byte string, seeded.
+/// FNV-1a 64-bit hash state, seeded. Folding a string piece by piece gives
+/// the hash of the concatenation, so an n-gram is hashed without joining it.
 ///
 /// `seed` lets different embedding models (question tower vs. passage tower
 /// of the DPR analog) use decorrelated hash functions.
-pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325 ^ seed.wrapping_mul(0x100000001b3);
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100000001b3);
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The empty string's state under `seed`.
+    pub fn new(seed: u64) -> Self {
+        Self(0xcbf29ce484222325 ^ seed.wrapping_mul(0x100000001b3))
     }
-    hash
+
+    /// The state after `bytes` more.
+    #[must_use]
+    pub fn fold(mut self, bytes: &[u8]) -> Self {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+        self
+    }
+
+    /// The hash of everything folded so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a 64-bit hash of a byte string, seeded.
+pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
+    Fnv1a::new(seed).fold(bytes).finish()
+}
+
+impl HashedFeature {
+    fn from_hash(h: u64, dim: usize) -> Self {
+        debug_assert!(dim > 0);
+        let bucket = (h % dim as u64) as u32;
+        // Use a high bit (independent of the modulus) for the sign.
+        let sign = if (h >> 62) & 1 == 0 { 1.0 } else { -1.0 };
+        Self { bucket, sign }
+    }
 }
 
 /// Hash a token into one of `dim` buckets with a deterministic sign.
 pub fn hash_token(token: &str, dim: usize, seed: u64) -> HashedFeature {
-    debug_assert!(dim > 0);
-    let h = fnv1a(token.as_bytes(), seed);
-    let bucket = (h % dim as u64) as u32;
-    // Use a high bit (independent of the modulus) for the sign.
-    let sign = if (h >> 62) & 1 == 0 { 1.0 } else { -1.0 };
-    HashedFeature { bucket, sign }
+    HashedFeature::from_hash(fnv1a(token.as_bytes(), seed), dim)
+}
+
+/// [`hash_token`] of the bigram `a_b` as [`bigrams`] would join it.
+pub fn hash_bigram(a: &str, b: &str, dim: usize, seed: u64) -> HashedFeature {
+    let h = Fnv1a::new(seed).fold(a.as_bytes()).fold(b"_").fold(b.as_bytes()).finish();
+    HashedFeature::from_hash(h, dim)
 }
 
 /// Produce word n-grams of order `n` from a token slice, joined with `_`.
@@ -88,6 +121,16 @@ mod tests {
         let words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"];
         let pos = words.iter().filter(|w| hash_token(w, 64, 0).sign > 0.0).count();
         assert!(pos > 0 && pos < words.len(), "signs should not be constant");
+    }
+
+    #[test]
+    fn bigram_hash_equals_hash_of_the_joined_bigram() {
+        let t = toks(&["whiskers's", "state-of-the-art", "é"]);
+        for (pair, joined) in t.windows(2).zip(bigrams(&t)) {
+            for (dim, seed) in [(7, 0), (256, 0xEE), (4096, u64::MAX)] {
+                assert_eq!(hash_bigram(&pair[0], &pair[1], dim, seed), hash_token(&joined, dim, seed));
+            }
+        }
     }
 
     #[test]

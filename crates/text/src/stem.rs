@@ -24,29 +24,35 @@ fn has_vowel(bytes: &[u8]) -> bool {
 /// Stem a lowercase token. Tokens shorter than 4 characters are returned
 /// unchanged; unknown suffixes are left intact.
 pub fn stem(word: &str) -> String {
-    let mut w = word.to_string();
+    let mut out = String::new();
+    stem_into(word, &mut out);
+    out
+}
+
+/// [`stem`] into a caller's buffer (overwritten), so a loop over many
+/// tokens reuses one allocation. Every step edits the tail of `w` in place.
+pub fn stem_into(word: &str, w: &mut String) {
+    w.clear();
+    w.push_str(word);
     if w.len() < 4 || !w.is_ascii() {
-        return w;
+        return;
     }
 
     // Step 1: plurals and -es/-ies
-    if let Some(base) = w.strip_suffix("sses") {
-        w = format!("{base}ss");
-    } else if let Some(base) = w.strip_suffix("ies") {
-        w = format!("{base}i");
+    if w.ends_with("sses") || w.ends_with("ies") {
+        w.truncate(w.len() - 2);
     } else if w.ends_with('s') && !w.ends_with("ss") && !w.ends_with("us") {
         w.pop();
     }
 
     // Step 2: -ed / -ing (only when a vowel remains in the stem)
-    if let Some(base) = w.strip_suffix("ing") {
-        if has_vowel(base.as_bytes()) && base.len() >= 3 {
-            w = undouble(base);
-        }
-    } else if let Some(base) = w.strip_suffix("ed") {
-        if has_vowel(base.as_bytes()) && base.len() >= 3 {
-            w = undouble(base);
-        }
+    let stripped = w
+        .strip_suffix("ing")
+        .or_else(|| w.strip_suffix("ed"))
+        .filter(|base| has_vowel(base.as_bytes()) && base.len() >= 3)
+        .map(|base| undoubled_len(base.as_bytes()));
+    if let Some(len) = stripped {
+        w.truncate(len);
     }
 
     // Step 3: adverbial/nominal suffixes
@@ -67,7 +73,8 @@ pub fn stem(word: &str) -> String {
     ] {
         if let Some(base) = w.strip_suffix(suffix) {
             if base.len() >= 3 {
-                w = format!("{base}{replacement}");
+                w.truncate(base.len());
+                w.push_str(replacement);
             }
             break;
         }
@@ -78,19 +85,18 @@ pub fn stem(word: &str) -> String {
         w.pop();
         w.push('i');
     }
-    w
 }
 
-/// Collapse a doubled final consonant left by -ed/-ing removal
-/// (`hopping` → `hop`), except for l/s/z which legitimately double.
-fn undouble(base: &str) -> String {
-    let b = base.as_bytes();
+/// Length of `base` once a doubled final consonant left by -ed/-ing removal
+/// is collapsed (`hopping` → `hop`), except for l/s/z which legitimately
+/// double.
+fn undoubled_len(b: &[u8]) -> usize {
     let n = b.len();
     if n >= 2 && b[n - 1] == b[n - 2] && !matches!(b[n - 1], b'l' | b's' | b'z') && !is_vowel(b, n - 1)
     {
-        base[..n - 1].to_string()
+        n - 1
     } else {
-        base.to_string()
+        n
     }
 }
 

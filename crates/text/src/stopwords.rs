@@ -20,9 +20,35 @@ const STOPWORDS: &[&str] = &[
     "your", "yours", "yourself", "yourselves",
 ];
 
+/// A word of at most 15 bytes as one integer: its bytes big-endian and
+/// zero-padded, then its length, so integer order is the byte-string order
+/// of [`STOPWORDS`] and equal keys mean equal words.
+const fn pack(word: &[u8]) -> u128 {
+    let mut key = 0u128;
+    let mut i = 0;
+    while i < 15 {
+        key = (key << 8) | if i < word.len() { word[i] as u128 } else { 0 };
+        i += 1;
+    }
+    (key << 8) | word.len() as u128
+}
+
+/// [`STOPWORDS`] packed: the tokenizer asks about every token, and a search
+/// over integers costs a fraction of one over string slices.
+const PACKED: [u128; STOPWORDS.len()] = {
+    let mut keys = [0u128; STOPWORDS.len()];
+    let mut i = 0;
+    while i < keys.len() {
+        assert!(STOPWORDS[i].len() <= 15);
+        keys[i] = pack(STOPWORDS[i].as_bytes());
+        i += 1;
+    }
+    keys
+};
+
 /// Return `true` if `word` (already lowercase) is a stopword.
 pub fn is_stopword(word: &str) -> bool {
-    STOPWORDS.binary_search(&word).is_ok()
+    word.len() <= 15 && PACKED.binary_search(&pack(word.as_bytes())).is_ok()
 }
 
 #[cfg(test)]
@@ -34,6 +60,21 @@ mod tests {
         for w in STOPWORDS.windows(2) {
             assert!(w[0] < w[1], "{} >= {}", w[0], w[1]);
         }
+    }
+
+    #[test]
+    fn packed_lookup_is_the_list_and_nothing_else() {
+        for w in STOPWORDS {
+            assert!(is_stopword(w), "{w}");
+            assert!(!is_stopword(&w[..w.len() - 1]) || STOPWORDS.contains(&&w[..w.len() - 1]));
+            for suffix in ["\0", "s", "-", "é"] {
+                let longer = format!("{w}{suffix}");
+                assert_eq!(is_stopword(&longer), STOPWORDS.contains(&longer.as_str()), "{longer:?}");
+            }
+        }
+        assert!(!is_stopword(""));
+        assert!(!is_stopword("themselvesthemselves"));
+        assert!(PACKED.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

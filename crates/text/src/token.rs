@@ -4,6 +4,7 @@
 //! kept (`cat's` → `cat's`) so that possessives survive as a single token,
 //! matching how the paper's motivating examples treat "my cat's eyes".
 
+use crate::stem::stem_into;
 use crate::stopwords::is_stopword;
 
 /// Lowercase a string and collapse internal whitespace to single spaces.
@@ -31,43 +32,124 @@ pub fn normalize(text: &str) -> String {
     out
 }
 
-/// Split `text` into lowercase word tokens.
+/// A reusable buffer of lowercase word tokens: one `String` arena holding
+/// the tokens back to back, an end offset and a stopword flag per token.
+/// [`fill`](Self::fill) overwrites it in place, so analysing many texts
+/// through one buffer allocates only while the buffer is still growing.
 ///
 /// A token is a maximal run of alphanumeric characters, possibly containing
 /// single embedded apostrophes or hyphens (`state-of-the-art` is one token).
 /// Punctuation is dropped.
-pub fn tokenize(text: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    let chars: Vec<char> = text.chars().collect();
-    for (i, &ch) in chars.iter().enumerate() {
-        if ch.is_alphanumeric() {
-            for lc in ch.to_lowercase() {
-                current.push(lc);
+#[derive(Debug, Default, Clone)]
+pub struct TokenBuf {
+    text: String,
+    /// Per token: where it ends in `text` (it starts where the previous one
+    /// ends) and whether it is a stopword.
+    tokens: Vec<(usize, bool)>,
+    /// Scratch for [`with_stem`](Self::with_stem).
+    stem: String,
+}
+
+impl TokenBuf {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replace the buffer's contents with the tokens of `text`.
+    pub fn fill(&mut self, text: &str) {
+        self.text.clear();
+        self.tokens.clear();
+        let mut start = 0;
+        let mut chars = text.chars().peekable();
+        while let Some(ch) = chars.next() {
+            if ch.is_ascii_alphanumeric() {
+                self.text.push(ch.to_ascii_lowercase());
+            } else if ch.is_alphanumeric() {
+                self.text.extend(ch.to_lowercase());
+            } else if (ch == '\'' || ch == '-')
+                && self.text.len() > start
+                && chars.peek().is_some_and(|c| c.is_alphanumeric())
+            {
+                // keep intra-word apostrophes and hyphens
+                self.text.push(ch);
+            } else if self.text.len() > start {
+                start = self.close_token(start);
             }
-        } else if (ch == '\'' || ch == '-')
-            && !current.is_empty()
-            && chars.get(i + 1).is_some_and(|c| c.is_alphanumeric())
-        {
-            // keep intra-word apostrophes and hyphens
-            current.push(ch);
-        } else if !current.is_empty() {
-            tokens.push(std::mem::take(&mut current));
+        }
+        if self.text.len() > start {
+            self.close_token(start);
         }
     }
-    if !current.is_empty() {
-        tokens.push(current);
+
+    /// End the token that began at `start`; returns where the next begins.
+    fn close_token(&mut self, start: usize) -> usize {
+        let end = self.text.len();
+        self.tokens.push((end, is_stopword(&self.text[start..end])));
+        end
     }
-    tokens
+
+    /// Number of tokens.
+    pub fn len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// Whether the text had no tokens.
+    pub fn is_empty(&self) -> bool {
+        self.tokens.is_empty()
+    }
+
+    /// Where token `i` lies in `text`.
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let start = if i == 0 { 0 } else { self.tokens[i - 1].0 };
+        start..self.tokens[i].0
+    }
+
+    /// Token `i`. Panics when out of range.
+    pub fn get(&self, i: usize) -> &str {
+        &self.text[self.span(i)]
+    }
+
+    /// Whether token `i` is a stopword. Panics when out of range.
+    pub fn is_stop(&self, i: usize) -> bool {
+        self.tokens[i].1
+    }
+
+    /// The tokens in text order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Token `i` and its [`stem`](crate::stem()). The stem lives in the
+    /// buffer's scratch until the next call.
+    pub fn with_stem(&mut self, i: usize) -> (&str, &str) {
+        let token = &self.text[self.span(i)];
+        stem_into(token, &mut self.stem);
+        (token, &self.stem)
+    }
+
+    /// Visit the stem of every token (stopwords included) in text order —
+    /// the term stream of BM25 and of the reranker's IDF table.
+    pub fn for_each_stem(&mut self, mut visit: impl FnMut(&str)) {
+        for i in 0..self.len() {
+            visit(self.with_stem(i).1);
+        }
+    }
+}
+
+/// Split `text` into lowercase word tokens (the grammar is [`TokenBuf`]'s).
+pub fn tokenize(text: &str) -> Vec<String> {
+    let mut buf = TokenBuf::new();
+    buf.fill(text);
+    buf.iter().map(str::to_string).collect()
 }
 
 /// Tokenize and drop stopwords. Used by retrieval scoring where function
 /// words carry no signal.
 pub fn tokenize_filtered(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| !is_stopword(t))
-        .collect()
+    let mut buf = TokenBuf::new();
+    buf.fill(text);
+    (0..buf.len()).filter(|&i| !buf.is_stop(i)).map(|i| buf.get(i).to_string()).collect()
 }
 
 /// Approximate the number of LLM tokens in `text`.

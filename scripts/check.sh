@@ -1,8 +1,8 @@
 #!/bin/bash
 # Tier-1 gate: the checks every PR must keep green.
 #
-#   scripts/check.sh            # build + lint rules + tests + clippy + smokes
-#   scripts/check.sh fast       # skip the all-targets clippy and build, and the smokes
+#   scripts/check.sh            # build + lint rules + tests + clippy + benchmark package + smokes
+#   scripts/check.sh fast       # skip the all-targets clippy and build, the benchmark package and the smokes
 #
 # The lint rules are clippy lints (clippy.toml + the root manifest's
 # [workspace.lints.clippy], DESIGN.md §9) over the 15 library crates:
@@ -50,6 +50,12 @@ if [ "${1:-}" != fast ]; then
 
   echo "=== cargo build --workspace --all-targets (every bench and example compiles)"
   cargo build --workspace --all-targets
+
+  echo "=== benchmark package (outside the workspace: builds offline, self-tests, manifest)"
+  # The benchmark calls the facade from its own package, so nothing above
+  # compiles it: a change that drifts from benchmark/README.md's "Pinned
+  # API surface" would pass here and fail only at the driver.
+  CARGO_TARGET_DIR=target/bench bash benchmark/run.sh --test
 
   echo "=== telemetry smoke (exporters well-formed)"
   tmp=$(mktemp -d)
