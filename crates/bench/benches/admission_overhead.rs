@@ -1,19 +1,16 @@
 //! Admission-layer benchmarks: what budget tracking costs when nothing
 //! is under pressure.
 //!
-//! Two cells over the same corpus and question mix:
+//! Two paths over the same corpus and question mix:
 //! - `budget_off` — baseline `answer_open`, no budget meter threaded
 //!   through the pipeline.
 //! - `budget_on` — `answer_open_budgeted` with a generous budget: every
 //!   checkpoint runs (replan, charge, ladder check) but no rung is ever
 //!   taken. The acceptance target is < 5% overhead over `budget_off`.
 //!
-//! A summary line after the Criterion runs prints the measured overhead
-//! directly, plus a micro readout of the admission queue's admit/release
-//! fast path, so the targets are visible without digging through
-//! Criterion's report.
+//! Prints the measured overhead, plus a micro readout of the admission
+//! queue's admit/release fast path.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use sage::corpus::datasets::{wiki, SizeConfig};
 use sage::prelude::*;
 use std::hint::black_box;
@@ -43,28 +40,10 @@ fn build_system() -> RagSystem {
     )
 }
 
-fn bench_admission(c: &mut Criterion) {
+fn main() {
     let system = build_system();
     let qs = questions();
     let generous = QueryBudget::generous();
-
-    let mut group = c.benchmark_group("admission_overhead");
-    group.throughput(criterion::Throughput::Elements(qs.len() as u64));
-    group.bench_function("budget_off", |b| {
-        b.iter(|| {
-            for q in &qs {
-                black_box(system.answer_open(black_box(q)));
-            }
-        })
-    });
-    group.bench_function("budget_on", |b| {
-        b.iter(|| {
-            for q in &qs {
-                black_box(system.answer_open_budgeted(black_box(q), generous));
-            }
-        })
-    });
-    group.finish();
 
     // Direct overhead readout for the acceptance target. A generous
     // budget must change nothing about the answers, only add checkpoint
@@ -116,12 +95,3 @@ fn bench_admission(c: &mut Criterion) {
     println!("queue admit+release: {ns:.2} ns/pair at zero pressure");
 }
 
-criterion_group! {
-    name = admission_overhead;
-    config = Criterion::default()
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_admission
-}
-criterion_main!(admission_overhead);

@@ -1,21 +1,18 @@
 //! Execution-engine benchmarks: what the stage-graph executor costs over
 //! a hand-inlined call path.
 //!
-//! Two cells over the same fixed context and question mix:
+//! Two paths over the same fixed context and question mix:
 //! - `inline_read` — the reader invoked directly (`SimLlm::answer_open`
 //!   over a preassembled context): the work with zero engine machinery.
 //! - `engine_read` — the same single-read work routed through the
 //!   executor (`answer_with_chunks`: plan build, context setup, slot
 //!   dispatch, middleware hooks, fuse, finalize).
 //!
-//! The delta between the cells is pure engine overhead — plan
+//! The delta between the two is pure engine overhead — plan
 //! construction plus per-slot dispatch — and the acceptance target is
-//! < 5% over `inline_read`. A summary line after the Criterion runs
-//! prints the measured overhead directly, plus a micro readout of
-//! `QueryPlan::resolve` itself, so the targets are visible without
-//! digging through Criterion's report.
+//! < 5% over `inline_read`. Prints the measured overhead, plus a micro
+//! readout of `QueryPlan::resolve` itself.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use sage::corpus::datasets::{wiki, SizeConfig};
 use sage::prelude::*;
 use std::hint::black_box;
@@ -45,31 +42,13 @@ fn build_system() -> RagSystem {
     )
 }
 
-fn bench_executor(c: &mut Criterion) {
+fn main() {
     let system = build_system();
     let qs = questions();
     // A small fixed context, as `answer_with_chunks` callers use: the
-    // engine and inline cells read exactly the same chunks.
+    // engine and inline paths read exactly the same chunks.
     let chunk_ids: Vec<usize> = (0..system.chunks().len().min(4)).collect();
     let context: Vec<String> = chunk_ids.iter().map(|&id| system.chunks()[id].clone()).collect();
-
-    let mut group = c.benchmark_group("executor_overhead");
-    group.throughput(criterion::Throughput::Elements(qs.len() as u64));
-    group.bench_function("inline_read", |b| {
-        b.iter(|| {
-            for q in &qs {
-                black_box(system.llm().answer_open(black_box(q), &context));
-            }
-        })
-    });
-    group.bench_function("engine_read", |b| {
-        b.iter(|| {
-            for q in &qs {
-                black_box(system.answer_with_chunks(black_box(q), &chunk_ids, None));
-            }
-        })
-    });
-    group.finish();
 
     // Direct overhead readout for the acceptance target: the engine wraps
     // the identical read in plan build + dispatch + middleware + fuse.
@@ -121,12 +100,3 @@ fn bench_executor(c: &mut Criterion) {
     println!("plan resolve: {ns:.2} ns/query");
 }
 
-criterion_group! {
-    name = executor_overhead;
-    config = Criterion::default()
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_executor
-}
-criterion_main!(executor_overhead);

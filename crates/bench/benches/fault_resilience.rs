@@ -1,19 +1,17 @@
 //! Resilience-layer benchmarks: the cost of guarding the serving path.
 //!
-//! Three cells over the same corpus and question mix:
+//! Three systems over the same corpus and question mix:
 //! - `unguarded` — baseline `answer_open`, no resilience state.
 //! - `guarded_no_faults` — resilience enabled with an empty fault plan; the
 //!   target is < 5% overhead over `unguarded` (the guard adds one plan
 //!   lookup, one validity check, and per-query breaker/clock setup).
 //! - `guarded_fault_storm` — every component faulting transiently at 30%;
-//!   measures the degraded-serving cost (retries + fallback tiers),
-//!   reported for context rather than gated.
+//!   one pass over the questions, whose fallback counters are reported
+//!   for context rather than gated.
 //!
-//! A summary line after the Criterion runs prints the measured overhead of
-//! the no-fault guard directly, so the < 5% acceptance target is visible
-//! without digging through Criterion's report.
+//! Prints the measured overhead of the no-fault guard against the < 5%
+//! acceptance target.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use sage::corpus::datasets::{wiki, SizeConfig};
 use sage::prelude::*;
 use std::hint::black_box;
@@ -52,7 +50,7 @@ fn storm_plan() -> FaultPlan {
         .with(Component::Reader, transient)
 }
 
-fn bench_serving(c: &mut Criterion) {
+fn main() {
     let unguarded = build_system();
 
     let mut guarded = build_system();
@@ -62,30 +60,9 @@ fn bench_serving(c: &mut Criterion) {
     storm.enable_resilience(ResilienceConfig::with_plan(storm_plan()));
 
     let qs = questions();
-    let mut group = c.benchmark_group("fault_resilience");
-    group.throughput(criterion::Throughput::Elements(qs.len() as u64));
-    group.bench_function("unguarded", |b| {
-        b.iter(|| {
-            for q in &qs {
-                black_box(unguarded.answer_open(black_box(q)));
-            }
-        })
-    });
-    group.bench_function("guarded_no_faults", |b| {
-        b.iter(|| {
-            for q in &qs {
-                black_box(guarded.answer_open(black_box(q)));
-            }
-        })
-    });
-    group.bench_function("guarded_fault_storm", |b| {
-        b.iter(|| {
-            for q in &qs {
-                black_box(storm.answer_open(black_box(q)));
-            }
-        })
-    });
-    group.finish();
+    for q in &qs {
+        black_box(storm.answer_open(black_box(q)));
+    }
 
     // Direct overhead readout for the acceptance target.
     let time = |system: &RagSystem| {
@@ -119,12 +96,3 @@ fn bench_serving(c: &mut Criterion) {
     }
 }
 
-criterion_group! {
-    name = fault_resilience;
-    config = Criterion::default()
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_serving
-}
-criterion_main!(fault_resilience);

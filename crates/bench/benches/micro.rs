@@ -1,14 +1,31 @@
-//! Criterion micro-benchmarks for the performance-critical substrates:
+//! Micro-benchmarks for the performance-critical substrates:
 //! segmentation throughput (the paper's tokens/s column), vector-index
 //! query latency (flat vs HNSW), BM25 query throughput, reranker scoring,
-//! sentence embedding, and metric computation.
+//! sentence embedding, and metric computation. One row per cell: the
+//! median wall time of [`RUNS`] calls after one warm-up call.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sage::corpus::datasets::{wiki, SizeConfig};
 use sage::prelude::*;
 use std::hint::black_box;
+use std::time::Instant;
+
+/// Timed calls per cell.
+const RUNS: usize = 31;
+
+fn cell<R>(name: &str, mut f: impl FnMut() -> R) {
+    black_box(f());
+    let mut secs: Vec<f64> = (0..RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    println!("{name:<40} {:>12.2} us", 1e6 * secs[RUNS / 2]);
+}
 
 fn corpus_chunks(n_docs: usize) -> Vec<String> {
     let ds = wiki::generate(SizeConfig { num_docs: n_docs, questions_per_doc: 0, seed: 0xBE7C });
@@ -16,25 +33,18 @@ fn corpus_chunks(n_docs: usize) -> Vec<String> {
     ds.documents.iter().flat_map(|d| seg.segment(&d.text())).collect()
 }
 
-fn bench_segmentation(c: &mut Criterion) {
+fn bench_segmentation() {
     let models = sage_bench::models();
     let ds = wiki::generate(SizeConfig { num_docs: 2, questions_per_doc: 0, seed: 1 });
     let text = ds.documents[0].text();
-    let tokens = sage::text::count_tokens(&text) as u64;
+    let tokens = sage::text::count_tokens(&text);
     let segmenter = SemanticSegmenter::new(models.segmentation.clone());
-    let mut group = c.benchmark_group("segmentation");
-    group.throughput(criterion::Throughput::Elements(tokens));
-    group.bench_function("semantic_segment_document", |b| {
-        b.iter(|| black_box(segmenter.segment(black_box(&text))))
-    });
-    group.bench_function("sentence_segment_document", |b| {
-        let seg = SentenceSegmenter::naive_rag();
-        b.iter(|| black_box(seg.segment(black_box(&text))))
-    });
-    group.finish();
+    cell(&format!("semantic_segment_document ({tokens} tok)"), || segmenter.segment(black_box(&text)));
+    let seg = SentenceSegmenter::naive_rag();
+    cell("sentence_segment_document", || seg.segment(black_box(&text)));
 }
 
-fn bench_vecdb(c: &mut Criterion) {
+fn bench_vecdb() {
     let mut rng = StdRng::seed_from_u64(2);
     let mut unit_vectors = |n: usize, dim: usize| -> Vec<Vec<f32>> {
         (0..n)
@@ -45,7 +55,6 @@ fn bench_vecdb(c: &mut Criterion) {
             })
             .collect()
     };
-    let mut group = c.benchmark_group("vecdb_query");
     for &n in &[1_000usize, 10_000] {
         let vectors = unit_vectors(n, 64);
         let mut flat = FlatIndex::cosine();
@@ -55,12 +64,8 @@ fn bench_vecdb(c: &mut Criterion) {
             hnsw.add(v.clone());
         }
         let query = vectors[n / 2].clone();
-        group.bench_with_input(BenchmarkId::new("flat_top10", n), &n, |b, _| {
-            b.iter(|| black_box(flat.search(black_box(&query), 10)))
-        });
-        group.bench_with_input(BenchmarkId::new("hnsw_top10", n), &n, |b, _| {
-            b.iter(|| black_box(hnsw.search(black_box(&query), 10)))
-        });
+        cell(&format!("flat_top10/{n}"), || flat.search(black_box(&query), 10));
+        cell(&format!("hnsw_top10/{n}"), || hnsw.search(black_box(&query), 10));
     }
     // The repo benchmark's `ask_dense` shape (23k chunks x 256-d, top 32):
     // a 24 MB arena, where the scan runs at memory speed, not cache speed.
@@ -72,71 +77,52 @@ fn bench_vecdb(c: &mut Criterion) {
     for v in vectors {
         flat.add(v);
     }
-    group.bench_with_input(BenchmarkId::new("flat_top32", n), &n, |b, _| {
-        b.iter(|| black_box(flat.search(black_box(&query), 32)))
-    });
-    group.finish();
+    cell(&format!("flat_top32/{n}"), || flat.search(black_box(&query), 32));
 }
 
-fn bench_bm25(c: &mut Criterion) {
+fn bench_bm25() {
     let chunks = corpus_chunks(20);
     let mut retriever = Bm25Retriever::new();
     retriever.index(&chunks);
-    let mut group = c.benchmark_group("bm25");
-    group.bench_function(format!("query_{}_chunks", chunks.len()), |b| {
-        b.iter(|| {
-            black_box(retriever.retrieve(black_box("where does the baker live in town"), 20))
-        })
+    cell(&format!("bm25 query_{}_chunks", chunks.len()), || {
+        retriever.retrieve(black_box("where does the baker live in town"), 20)
     });
-    group.finish();
 }
 
-fn bench_rerank(c: &mut Criterion) {
+fn bench_rerank() {
     let models = sage_bench::models();
     let chunks = corpus_chunks(4);
     let refs: Vec<&str> = chunks.iter().map(String::as_str).collect();
-    let mut group = c.benchmark_group("rerank");
-    group.throughput(criterion::Throughput::Elements(refs.len() as u64));
-    group.bench_function(format!("score_{}_chunks", refs.len()), |b| {
-        b.iter(|| {
-            black_box(
-                models.scorer.rerank(black_box("What is the color of the cat's eyes?"), &refs),
-            )
-        })
+    cell(&format!("rerank score_{}_chunks", refs.len()), || {
+        models.scorer.rerank(black_box("What is the color of the cat's eyes?"), &refs)
     });
-    group.finish();
 }
 
-fn bench_embed(c: &mut Criterion) {
+fn bench_embed() {
     use sage::embed::{Embedder, HashedEmbedder};
     let models = sage_bench::models();
     let hashed = HashedEmbedder::default_model();
     let sentence = "The quick brown fox jumped over the lazy dog near the harbor town.";
-    let mut group = c.benchmark_group("embed_sentence");
-    group.bench_function("hashed_256d", |b| b.iter(|| black_box(hashed.embed(black_box(sentence)))));
-    group.bench_function("siamese_48d", |b| {
-        b.iter(|| black_box(models.siamese.embed(black_box(sentence))))
-    });
-    group.bench_function("dual_query_48d", |b| {
-        b.iter(|| black_box(models.dual.embed_query(black_box(sentence))))
-    });
-    group.finish();
+    cell("embed_sentence hashed_256d", || hashed.embed(black_box(sentence)));
+    cell("embed_sentence siamese_48d", || models.siamese.embed(black_box(sentence)));
+    cell("embed_sentence dual_query_48d", || models.dual.embed_query(black_box(sentence)));
 }
 
-fn bench_metrics(c: &mut Criterion) {
+fn bench_metrics() {
     let candidate = "the cat has bright green eyes and sleeps all day in the sun";
     let refs = vec!["a bright green eyed cat that sleeps in the sunshine all day".to_string()];
-    let mut group = c.benchmark_group("metrics");
-    group.bench_function("rouge_l", |b| b.iter(|| black_box(rouge_l(candidate, &refs))));
-    group.bench_function("bleu4", |b| b.iter(|| black_box(bleu(candidate, &refs, 4))));
-    group.bench_function("meteor", |b| b.iter(|| black_box(meteor(candidate, &refs))));
-    group.bench_function("f1_match", |b| b.iter(|| black_box(f1_match(candidate, &refs))));
-    group.finish();
+    cell("rouge_l", || rouge_l(candidate, &refs));
+    cell("bleu4", || bleu(candidate, &refs, 4));
+    cell("meteor", || meteor(candidate, &refs));
+    cell("f1_match", || f1_match(candidate, &refs));
 }
 
-criterion_group! {
-    name = micro;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_segmentation, bench_vecdb, bench_bm25, bench_rerank, bench_embed, bench_metrics
+fn main() {
+    sage_bench::header("micro", &format!("{:<40} {:>15}", "cell", "median"));
+    bench_segmentation();
+    bench_vecdb();
+    bench_bm25();
+    bench_rerank();
+    bench_embed();
+    bench_metrics();
 }
-criterion_main!(micro);

@@ -1,6 +1,6 @@
 //! Telemetry-layer benchmarks: the cost of observing the serving path.
 //!
-//! Two cells over the same corpus and question mix:
+//! Two systems over the same corpus and question mix:
 //! - `telemetry_off` — baseline `answer_open`, no telemetry hub attached
 //!   and the global flag left off; counters short-circuit on one relaxed
 //!   atomic load, so this must match an uninstrumented build.
@@ -8,11 +8,9 @@
 //!   spans, stage histograms, the cost ledger, and a JSONL trace. The
 //!   acceptance target is < 5% overhead over `telemetry_off`.
 //!
-//! A summary line after the Criterion runs prints the measured overhead
-//! directly, plus a micro readout of the disabled-counter fast path, so
-//! the targets are visible without digging through Criterion's report.
+//! Prints the measured overhead, plus a micro readout of the
+//! disabled-counter fast path.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use sage::corpus::datasets::{wiki, SizeConfig};
 use sage::prelude::*;
 use std::hint::black_box;
@@ -42,34 +40,14 @@ fn build_system() -> RagSystem {
     )
 }
 
-fn bench_serving(c: &mut Criterion) {
-    // enable_telemetry() flips the process-global flag, so each cell
-    // sets the flag explicitly rather than relying on build order.
+fn main() {
+    // enable_telemetry() flips the process-global flag, so each timed
+    // pass sets the flag explicitly rather than relying on build order.
     let plain = build_system();
     let mut instrumented = build_system();
     let hub = instrumented.enable_telemetry();
 
     let qs = questions();
-    let mut group = c.benchmark_group("telemetry_overhead");
-    group.throughput(criterion::Throughput::Elements(qs.len() as u64));
-    group.bench_function("telemetry_off", |b| {
-        sage::telemetry::set_enabled(false);
-        b.iter(|| {
-            for q in &qs {
-                black_box(plain.answer_open(black_box(q)));
-            }
-        })
-    });
-    group.bench_function("telemetry_on", |b| {
-        sage::telemetry::set_enabled(true);
-        b.iter(|| {
-            for q in &qs {
-                black_box(instrumented.answer_open(black_box(q)));
-            }
-        })
-    });
-    group.finish();
-
     // Direct overhead readout for the acceptance target.
     let time = |system: &RagSystem, on: bool| {
         sage::telemetry::set_enabled(on);
@@ -117,12 +95,3 @@ fn bench_serving(c: &mut Criterion) {
     println!("counter.add: disabled {off_ns:.2} ns/call | enabled {on_ns:.2} ns/call");
 }
 
-criterion_group! {
-    name = telemetry_overhead;
-    config = Criterion::default()
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_serving
-}
-criterion_main!(telemetry_overhead);

@@ -11,11 +11,10 @@
 //! real multi-machine deployment would overlap, so the JSON series doubles
 //! as the scaling trajectory for ROADMAP perf tracking.
 //!
-//! Besides the Criterion cells, the run emits `BENCH_throughput.json`
-//! (one object per shard count: measured QPS, µs/query, and the shard
-//! fan-out it resolved) for machine-readable regression tracking.
+//! The run emits `BENCH_throughput.json` (one object per shard count:
+//! measured QPS, µs/query, and the shard fan-out it resolved) for
+//! machine-readable regression tracking.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sage::corpus::datasets::{quality, SizeConfig};
 use sage::prelude::*;
 use std::hint::black_box;
@@ -40,27 +39,10 @@ fn build_inputs() -> (RagSystem, Vec<String>) {
     (system, questions)
 }
 
-fn bench_shard_throughput(c: &mut Criterion) {
+fn main() {
     let (mut system, questions) = build_inputs();
-    let mut group = c.benchmark_group("shard_throughput");
-    for &n in &SHARD_COUNTS {
-        if n == 1 {
-            system.disable_sharding();
-        } else {
-            system.enable_sharding(n, None);
-        }
-        let mut i = 0usize;
-        group.bench_with_input(BenchmarkId::new("shards", n), &n, |b, _| {
-            b.iter(|| {
-                let q = &questions[i % questions.len()];
-                i += 1;
-                black_box(system.candidates(q));
-            })
-        });
-    }
-    group.finish();
 
-    // Direct QPS readout + the JSON series.
+    // QPS readout + the JSON series.
     let mut rows = Vec::new();
     let mut qps_series = Vec::new();
     for &n in &SHARD_COUNTS {
@@ -105,9 +87,3 @@ fn bench_shard_throughput(c: &mut Criterion) {
     );
 }
 
-criterion_group! {
-    name = throughput_scaling;
-    config = Criterion::default().sample_size(10);
-    targets = bench_shard_throughput
-}
-criterion_main!(throughput_scaling);

@@ -7,11 +7,9 @@
 //! directly: per-commit time at the largest corpus must stay within a
 //! small factor of the smallest, nowhere near the corpus-size ratio.
 //!
-//! Besides the Criterion cells, the run emits `BENCH_live_corpus.json`
-//! (one object per corpus size) so the perf trajectory ROADMAP item 5
+//! The run emits `BENCH_live_corpus.json` (one object per corpus size) so the perf trajectory ROADMAP item 5
 //! expects has a machine-readable series to track across commits.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sage::core::live::{CorpusWriter, LiveConfig, LiveOp};
 use std::hint::black_box;
 use std::time::Instant;
@@ -33,8 +31,8 @@ fn doc_text(doc: usize, rev: usize) -> String {
 
 fn seeded_store(dir: &std::path::Path, docs: usize) -> CorpusWriter {
     std::fs::remove_dir_all(dir).ok();
-    // Compaction off (threshold unreachable) so cells measure the pure
-    // delta path, not amortized rebuilds.
+    // Compaction off (threshold unreachable) so the commits measure the
+    // pure delta path, not amortized rebuilds.
     let cfg = LiveConfig {
         compact_dead_fraction: 1.1,
         compact_min_dead: usize::MAX,
@@ -60,24 +58,8 @@ fn update_batch(docs: usize, rev: usize) -> Vec<LiveOp> {
         .collect()
 }
 
-fn bench_updates(c: &mut Criterion) {
-    let mut group = c.benchmark_group("live_update_throughput");
-    group.throughput(criterion::Throughput::Elements(BATCH as u64));
-    for &docs in &SIZES {
-        let dir = std::env::temp_dir().join(format!("sage_bench_live_{docs}"));
-        let mut w = seeded_store(&dir, docs);
-        let mut rev = 0usize;
-        group.bench_with_input(BenchmarkId::new("docs", docs), &docs, |b, &docs| {
-            b.iter(|| {
-                rev += 1;
-                black_box(w.commit(&update_batch(docs, rev)).expect("commit"));
-            })
-        });
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    group.finish();
-
-    // Direct sublinearity readout + the JSON series.
+fn main() {
+    // Sublinearity readout + the JSON series.
     let mut rows = Vec::new();
     let mut per_commit_us = Vec::new();
     for &docs in &SIZES {
@@ -125,12 +107,3 @@ fn bench_updates(c: &mut Criterion) {
     );
 }
 
-criterion_group! {
-    name = update_throughput;
-    config = Criterion::default()
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_updates
-}
-criterion_main!(update_throughput);

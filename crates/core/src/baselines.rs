@@ -449,16 +449,10 @@ fn build_raptor(models: &TrainedModels, profile: LlmProfile, doc: &Document) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::TrainBudget;
+    use crate::models::tiny_models as models;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sage_corpus::document::{generate_document, DocSpec};
-    use std::sync::OnceLock;
-
-    fn models() -> &'static TrainedModels {
-        static M: OnceLock<TrainedModels> = OnceLock::new();
-        M.get_or_init(|| TrainedModels::train(TrainBudget::tiny()))
-    }
 
     fn doc() -> Document {
         let mut rng = StdRng::seed_from_u64(77);

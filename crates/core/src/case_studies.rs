@@ -219,13 +219,7 @@ pub fn incomplete_chunks_case(models: &TrainedModels, profile: LlmProfile) -> Se
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::TrainBudget;
-    use std::sync::OnceLock;
-
-    fn models() -> &'static TrainedModels {
-        static M: OnceLock<TrainedModels> = OnceLock::new();
-        M.get_or_init(|| TrainedModels::train(TrainBudget::tiny()))
-    }
+    use crate::models::tiny_models as models;
 
     #[test]
     fn noisy_sweep_correct_at_low_k() {

@@ -130,14 +130,8 @@ pub fn evaluate(
 mod tests {
     use super::*;
     use crate::config::RetrieverKind;
-    use crate::models::TrainBudget;
+    use crate::models::tiny_models as models;
     use sage_corpus::datasets::{narrativeqa, quality, SizeConfig};
-    use std::sync::OnceLock;
-
-    fn models() -> &'static TrainedModels {
-        static M: OnceLock<TrainedModels> = OnceLock::new();
-        M.get_or_init(|| TrainedModels::train(TrainBudget::tiny()))
-    }
 
     fn tiny() -> SizeConfig {
         SizeConfig { num_docs: 3, questions_per_doc: 2, seed: 15 }

@@ -43,6 +43,8 @@ pub mod case_studies;
 pub mod config;
 pub mod exec;
 pub mod experiment;
+#[cfg(test)]
+mod format_goldens;
 pub mod fsx;
 pub mod live;
 pub mod models;

@@ -38,6 +38,7 @@ use sage_retrieval::{Bm25Retriever, Retriever};
 use sage_segment::{Segmenter, SentenceSegmenter};
 use sage_telemetry::metrics;
 use sage_telemetry::{Telemetry, Trace};
+use sage_text::ngram::Fnv1a;
 use sage_vecdb::{MutableIndex, VectorIndex};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -383,28 +384,19 @@ impl LiveState {
     /// documents, live chunks). Two stores that applied the same op
     /// history digest identically — the recovery-drill equivalence check.
     fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&self.epoch.to_le_bytes());
+        let mut h = Fnv1a::new(0).fold(&self.epoch.to_le_bytes());
         for (doc, meta) in &self.docs {
-            eat(doc.as_bytes());
-            eat(&meta.fingerprint.to_le_bytes());
+            h = h.fold(doc.as_bytes()).fold(&meta.fingerprint.to_le_bytes());
             for &c in &meta.chunks {
-                eat(&c.to_le_bytes());
+                h = h.fold(&c.to_le_bytes());
             }
         }
         for (i, slot) in self.chunks.iter().enumerate() {
             if slot.live {
-                eat(&(i as u32).to_le_bytes());
-                eat(slot.text.as_bytes());
+                h = h.fold(&(i as u32).to_le_bytes()).fold(slot.text.as_bytes());
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -735,6 +727,8 @@ mod tests {
         w.commit(&[doc(1, 0), doc(2, 0), doc(3, 0)]).unwrap();
         w.commit(&[doc(2, 1), LiveOp::Delete { doc_id: "doc-3".into() }]).unwrap();
         let (epoch, digest) = (w.epoch(), w.digest());
+        // The live-soak golden logs print digests: the value is pinned.
+        assert_eq!(digest, 0x7F61_8FC5_2A50_4A0B);
         let hits = w.snapshot().search("lighthouses", 4);
         drop(w);
         let (w2, rec) = CorpusWriter::open(&dir, cfg).unwrap();

@@ -22,8 +22,7 @@
 //! order, and deletes stray `.tmp` scratch files and unlisted segments.
 
 use super::{LiveConfig, LiveError, LiveOp, LiveRetrieverKind, LiveState};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use sage_nn::io::{get_string, get_u32, get_u64, get_u8, put_string};
+use sage_nn::io::{put_string, put_u32, put_u64, Reader};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -74,88 +73,74 @@ pub(crate) fn segment_name(epoch: u64) -> String {
 
 /// Encode one epoch's op batch (unframed payload).
 pub(crate) fn encode_segment(epoch: u64, ops: &[LiveOp]) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(SEGMENT_MAGIC);
-    buf.put_u64_le(epoch);
-    buf.put_u32_le(ops.len() as u32);
+    let mut buf = SEGMENT_MAGIC.to_vec();
+    put_u64(&mut buf, epoch);
+    put_u32(&mut buf, ops.len() as u32);
     for op in ops {
         match op {
             LiveOp::Upsert { doc_id, text } => {
-                buf.put_u8(0);
+                buf.push(0);
                 put_string(&mut buf, doc_id);
                 put_string(&mut buf, text);
             }
             LiveOp::Delete { doc_id } => {
-                buf.put_u8(1);
+                buf.push(1);
                 put_string(&mut buf, doc_id);
             }
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Decode a segment payload; `None` on malformed input.
-pub(crate) fn decode_segment(payload: Vec<u8>) -> Option<(u64, Vec<LiveOp>)> {
-    let mut bytes = Bytes::from(payload);
-    if bytes.remaining() < SEGMENT_MAGIC.len()
-        || bytes.split_to(SEGMENT_MAGIC.len()).as_ref() != SEGMENT_MAGIC
-    {
-        return None;
-    }
-    let epoch = get_u64(&mut bytes)?;
-    let count = get_u32(&mut bytes)? as usize;
-    if count > bytes.remaining() {
-        return None; // hostile count: each op needs at least one byte
-    }
+pub(crate) fn decode_segment(payload: &[u8]) -> Option<(u64, Vec<LiveOp>)> {
+    let mut r = Reader::new(payload);
+    r.magic(SEGMENT_MAGIC)?;
+    let epoch = r.u64()?;
+    // The smallest op is a tag and one length-prefixed string.
+    let count = r.count(5)?;
     let mut ops = Vec::with_capacity(count);
     for _ in 0..count {
-        let op = match get_u8(&mut bytes)? {
-            0 => LiveOp::Upsert { doc_id: get_string(&mut bytes)?, text: get_string(&mut bytes)? },
-            1 => LiveOp::Delete { doc_id: get_string(&mut bytes)? },
+        let op = match r.u8()? {
+            0 => LiveOp::Upsert { doc_id: r.string()?, text: r.string()? },
+            1 => LiveOp::Delete { doc_id: r.string()? },
             _ => return None,
         };
         ops.push(op);
     }
-    if bytes.has_remaining() {
-        return None;
-    }
+    r.finish()?;
     Some((epoch, ops))
 }
 
 /// Encode the manifest (unframed payload).
 pub(crate) fn encode_manifest(epoch: u64, cfg: &LiveConfig, segments: &[SegmentEntry]) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MANIFEST_MAGIC);
-    buf.put_u64_le(epoch);
-    buf.put_u8(match cfg.retriever {
+    let mut buf = MANIFEST_MAGIC.to_vec();
+    put_u64(&mut buf, epoch);
+    buf.push(match cfg.retriever {
         LiveRetrieverKind::Hashed => 0,
         LiveRetrieverKind::HashedHnsw => 1,
         LiveRetrieverKind::Bm25 => 2,
     });
-    buf.put_u32_le(cfg.segment_tokens as u32);
-    buf.put_u32_le(cfg.embed_dim as u32);
-    buf.put_u64_le(cfg.embed_seed);
-    buf.put_u64_le(cfg.compact_dead_fraction.to_bits());
-    buf.put_u32_le(cfg.compact_min_dead as u32);
-    buf.put_u32_le(segments.len() as u32);
+    put_u32(&mut buf, cfg.segment_tokens as u32);
+    put_u32(&mut buf, cfg.embed_dim as u32);
+    put_u64(&mut buf, cfg.embed_seed);
+    put_u64(&mut buf, cfg.compact_dead_fraction.to_bits());
+    put_u32(&mut buf, cfg.compact_min_dead as u32);
+    put_u32(&mut buf, segments.len() as u32);
     for seg in segments {
-        buf.put_u64_le(seg.epoch);
-        buf.put_u64_le(seg.len);
-        buf.put_u32_le(seg.crc);
+        put_u64(&mut buf, seg.epoch);
+        put_u64(&mut buf, seg.len);
+        put_u32(&mut buf, seg.crc);
     }
-    buf.to_vec()
+    buf
 }
 
 /// Decode a manifest payload; `None` on malformed input.
-pub(crate) fn decode_manifest(payload: Vec<u8>) -> Option<(u64, LiveConfig, Vec<SegmentEntry>)> {
-    let mut bytes = Bytes::from(payload);
-    if bytes.remaining() < MANIFEST_MAGIC.len()
-        || bytes.split_to(MANIFEST_MAGIC.len()).as_ref() != MANIFEST_MAGIC
-    {
-        return None;
-    }
-    let epoch = get_u64(&mut bytes)?;
-    let retriever = match get_u8(&mut bytes)? {
+pub(crate) fn decode_manifest(payload: &[u8]) -> Option<(u64, LiveConfig, Vec<SegmentEntry>)> {
+    let mut r = Reader::new(payload);
+    r.magic(MANIFEST_MAGIC)?;
+    let epoch = r.u64()?;
+    let retriever = match r.u8()? {
         0 => LiveRetrieverKind::Hashed,
         1 => LiveRetrieverKind::HashedHnsw,
         2 => LiveRetrieverKind::Bm25,
@@ -163,27 +148,19 @@ pub(crate) fn decode_manifest(payload: Vec<u8>) -> Option<(u64, LiveConfig, Vec<
     };
     let cfg = LiveConfig {
         retriever,
-        segment_tokens: get_u32(&mut bytes)? as usize,
-        embed_dim: get_u32(&mut bytes)? as usize,
-        embed_seed: get_u64(&mut bytes)?,
-        compact_dead_fraction: f64::from_bits(get_u64(&mut bytes)?),
-        compact_min_dead: get_u32(&mut bytes)? as usize,
+        segment_tokens: r.u32()? as usize,
+        embed_dim: r.u32()? as usize,
+        embed_seed: r.u64()?,
+        compact_dead_fraction: f64::from_bits(r.u64()?),
+        compact_min_dead: r.u32()? as usize,
     };
-    let count = get_u32(&mut bytes)? as usize;
-    if count > bytes.remaining() {
-        return None; // hostile count: each entry is 20 bytes
-    }
+    // Each entry is 20 bytes.
+    let count = r.count(20)?;
     let mut segments = Vec::with_capacity(count);
     for _ in 0..count {
-        segments.push(SegmentEntry {
-            epoch: get_u64(&mut bytes)?,
-            len: get_u64(&mut bytes)?,
-            crc: get_u32(&mut bytes)?,
-        });
+        segments.push(SegmentEntry { epoch: r.u64()?, len: r.u64()?, crc: r.u32()? });
     }
-    if bytes.has_remaining() {
-        return None;
-    }
+    r.finish()?;
     Some((epoch, cfg, segments))
 }
 
@@ -200,7 +177,7 @@ pub(crate) fn recover(
         let raw = std::fs::read(&manifest_path)?;
         let payload = crate::fsx::unframe(raw, "live-store manifest").map_err(corrupt)?;
         let (epoch, stored_cfg, segments) =
-            decode_manifest(payload).ok_or_else(|| LiveError::Corrupt(
+            decode_manifest(&payload).ok_or_else(|| LiveError::Corrupt(
                 "live-store manifest is malformed".to_string(),
             ))?;
         if stored_cfg != *cfg {
@@ -234,7 +211,7 @@ pub(crate) fn recover(
             )));
         }
         let payload = crate::fsx::unframe(framed, "live segment").map_err(corrupt)?;
-        let (epoch, ops) = decode_segment(payload)
+        let (epoch, ops) = decode_segment(&payload)
             .ok_or_else(|| LiveError::Corrupt(format!("segment {name} is malformed")))?;
         if epoch != seg.epoch {
             return Err(LiveError::Corrupt(format!(
@@ -299,32 +276,27 @@ mod tests {
             LiveOp::Delete { doc_id: "b".into() },
             LiveOp::Upsert { doc_id: "c".into(), text: String::new() },
         ];
-        let (epoch, back) = decode_segment(encode_segment(42, &ops)).expect("roundtrip");
+        let (epoch, back) = decode_segment(&encode_segment(42, &ops)).expect("roundtrip");
         assert_eq!(epoch, 42);
         assert_eq!(back, ops);
     }
 
     #[test]
     fn segment_rejects_malformed_input() {
-        assert!(decode_segment(b"garbage".to_vec()).is_none());
-        assert!(decode_segment(Vec::new()).is_none());
-        // Wrong op tag.
-        let mut buf = BytesMut::new();
-        buf.put_slice(SEGMENT_MAGIC);
-        buf.put_u64_le(1);
-        buf.put_u32_le(1);
-        buf.put_u8(9);
-        assert!(decode_segment(buf.to_vec()).is_none());
+        assert!(decode_segment(b"garbage").is_none());
+        assert!(decode_segment(b"").is_none());
+        // Wrong op tag (behind enough bytes for the count to pass).
+        let mut buf = encode_segment(1, &[LiveOp::Delete { doc_id: "x".into() }]);
+        buf[20] = 9;
+        assert!(decode_segment(&buf).is_none());
         // Hostile count with no payload behind it.
-        let mut buf = BytesMut::new();
-        buf.put_slice(SEGMENT_MAGIC);
-        buf.put_u64_le(1);
-        buf.put_u32_le(u32::MAX);
-        assert!(decode_segment(buf.to_vec()).is_none());
+        let mut buf = encode_segment(1, &[]);
+        buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_segment(&buf).is_none());
         // Trailing bytes are an error.
         let mut ok = encode_segment(1, &[LiveOp::Delete { doc_id: "x".into() }]);
         ok.push(0xFF);
-        assert!(decode_segment(ok).is_none());
+        assert!(decode_segment(&ok).is_none());
     }
 
     #[test]
@@ -335,11 +307,11 @@ mod tests {
             SegmentEntry { epoch: 2, len: 64, crc: 7 },
         ];
         let (epoch, back_cfg, back) =
-            decode_manifest(encode_manifest(2, &cfg, &segments)).expect("roundtrip");
+            decode_manifest(&encode_manifest(2, &cfg, &segments)).expect("roundtrip");
         assert_eq!(epoch, 2);
         assert_eq!(back_cfg, cfg);
         assert_eq!(back, segments);
-        assert!(decode_manifest(b"junk".to_vec()).is_none());
+        assert!(decode_manifest(b"junk").is_none());
     }
 
     #[test]

@@ -9,9 +9,12 @@
 use sage_corpus::datasets::{wiki, SizeConfig};
 use sage_corpus::training::{paraphrase_pairs, retrieval_triples, segmentation_pairs};
 use sage_embed::{DualEncoder, PairExample, SiameseEncoder, TripletExample};
-use sage_rerank::CrossScorer;
+use sage_nn::io::Reader;
 use sage_nn::BytesSerialize;
+use sage_rerank::CrossScorer;
 use sage_segment::{FeatureConfig, SegmentationModel};
+
+const MAGIC: &[u8; 8] = b"SAGEMDL1";
 
 /// Bundle of trained models shared by pipelines and baselines.
 #[derive(Debug, Clone)]
@@ -91,31 +94,27 @@ impl TrainedModels {
 
     /// Serialize all four trained models to one binary blob
     /// (`SAGEMDL1` header + segmentation + scorer + siamese + dual).
-    pub fn to_bytes(&self) -> bytes::Bytes {
-        use bytes::BufMut;
-        let mut buf = bytes::BytesMut::new();
-        buf.put_slice(b"SAGEMDL1");
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
         self.segmentation.write(&mut buf);
         self.scorer.write(&mut buf);
         self.siamese.write(&mut buf);
         self.dual.write(&mut buf);
-        buf.freeze()
+        buf
     }
 
     /// Deserialize a blob produced by [`TrainedModels::to_bytes`].
-    pub fn from_bytes(mut bytes: bytes::Bytes) -> Option<Self> {
-        use bytes::Buf;
-        if bytes.remaining() < 8 || &bytes.split_to(8)[..] != b"SAGEMDL1" {
-            return None;
-        }
-        let segmentation = SegmentationModel::read(&mut bytes)?;
-        let scorer = sage_rerank::CrossScorer::read(&mut bytes)?;
-        let siamese = SiameseEncoder::read(&mut bytes)?;
-        let dual = DualEncoder::read(&mut bytes)?;
-        if bytes.has_remaining() {
-            return None;
-        }
-        Some(Self { segmentation, scorer, siamese, dual })
+    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(bytes);
+        r.magic(MAGIC)?;
+        let models = Self {
+            segmentation: SegmentationModel::read(&mut r)?,
+            scorer: CrossScorer::read(&mut r)?,
+            siamese: SiameseEncoder::read(&mut r)?,
+            dual: DualEncoder::read(&mut r)?,
+        };
+        r.finish()?;
+        Some(models)
     }
 
     /// Save the models to a file, atomically and with an integrity
@@ -132,7 +131,7 @@ impl TrainedModels {
     /// trailer as a missing-trailer one.
     pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
         let raw = crate::fsx::unframe(std::fs::read(path)?, "SAGE model file")?;
-        Self::from_bytes(bytes::Bytes::from(raw)).ok_or_else(|| {
+        Self::from_bytes(&raw).ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed SAGE model file")
         })
     }
@@ -194,6 +193,14 @@ impl TrainedModels {
     }
 }
 
+/// The tiny-budget bundle every unit test of this crate shares: one
+/// training run per test binary.
+#[cfg(test)]
+pub(crate) fn tiny_models() -> &'static TrainedModels {
+    static M: std::sync::OnceLock<TrainedModels> = std::sync::OnceLock::new();
+    M.get_or_init(|| TrainedModels::train(TrainBudget::tiny()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,7 +220,7 @@ mod tests {
     #[test]
     fn serialization_roundtrip_preserves_behaviour() {
         let m = TrainedModels::train(TrainBudget::tiny());
-        let back = TrainedModels::from_bytes(m.to_bytes()).expect("roundtrip");
+        let back = TrainedModels::from_bytes(&m.to_bytes()).expect("roundtrip");
         assert_eq!(
             m.segmentation.score_pair("The cat sat.", "He slept."),
             back.segmentation.score_pair("The cat sat.", "He slept.")
@@ -240,8 +247,8 @@ mod tests {
 
     #[test]
     fn malformed_model_file_rejected() {
-        assert!(TrainedModels::from_bytes(bytes::Bytes::from_static(b"nope")).is_none());
-        assert!(TrainedModels::from_bytes(bytes::Bytes::from_static(b"SAGEMDL1junk")).is_none());
+        assert!(TrainedModels::from_bytes(b"nope").is_none());
+        assert!(TrainedModels::from_bytes(b"SAGEMDL1junk").is_none());
     }
 
     #[test]

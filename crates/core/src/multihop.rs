@@ -134,15 +134,9 @@ pub fn generate_two_hop_professions(n: usize, seed: u64) -> TwoHopDataset {
 mod tests {
     use super::*;
     use crate::config::{RetrieverKind, SageConfig};
-    use crate::models::{TrainBudget, TrainedModels};
+    use crate::models::tiny_models as models;
     use sage_eval::f1_match;
     use sage_llm::LlmProfile;
-    use std::sync::OnceLock;
-
-    fn models() -> &'static TrainedModels {
-        static M: OnceLock<TrainedModels> = OnceLock::new();
-        M.get_or_init(|| TrainedModels::train(TrainBudget::tiny()))
-    }
 
     fn accuracy(two_hop: bool) -> f32 {
         let ds = generate_two_hop(8, 0xB41);

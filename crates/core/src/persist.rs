@@ -15,16 +15,16 @@
 //! one, never a torn hybrid. [`RagSystem::load`] distinguishes the two
 //! corruption modes with distinct errors: a checksum mismatch (torn write
 //! / bit rot caught by the trailer) versus a structurally malformed
-//! payload. Files saved before the trailer existed still load (the
-//! trailer is detected by its magic).
+//! payload. A file without the trailer — cut short, or written before the
+//! trailer existed — does not load: [`fsx::unframe`] reports it as a
+//! missing trailer, the third distinct error.
 
 use crate::config::{RetrieverKind, SageConfig};
 use crate::fsx;
 use crate::pipeline::{AnyRetriever, RagSystem};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use sage_embed::{DualEncoder, HashedEmbedder, SiameseEncoder};
+use sage_embed::Embedder;
 use sage_llm::LlmProfile;
-use sage_nn::io::{get_string, get_u32, get_u8, put_string};
+use sage_nn::io::{put_f32, put_string, put_u32, Reader};
 use sage_nn::BytesSerialize;
 use sage_rerank::CrossScorer;
 use sage_retrieval::{Bm25Retriever, DenseRetriever, Retriever};
@@ -32,70 +32,66 @@ use sage_vecdb::{FlatIndex, VectorIndex};
 
 const MAGIC: &[u8; 8] = b"SAGESYS1";
 
-fn write_config(cfg: &SageConfig, buf: &mut BytesMut) {
-    buf.put_f32_le(cfg.segmentation_threshold);
-    buf.put_u32_le(cfg.coarse_tokens as u32);
-    buf.put_u32_le(cfg.min_k as u32);
-    buf.put_f32_le(cfg.gradient);
-    buf.put_u8(cfg.feedback_threshold);
-    buf.put_u32_le(cfg.max_feedback_rounds as u32);
-    buf.put_u32_le(cfg.candidates as u32);
-    buf.put_u8(u8::from(cfg.use_segmentation));
-    buf.put_u8(u8::from(cfg.use_rerank));
-    buf.put_u8(u8::from(cfg.use_selection));
-    buf.put_u8(u8::from(cfg.use_feedback));
-    buf.put_u32_le(cfg.naive_chunk_tokens as u32);
+fn write_config(cfg: &SageConfig, buf: &mut Vec<u8>) {
+    put_f32(buf, cfg.segmentation_threshold);
+    put_u32(buf, cfg.coarse_tokens as u32);
+    put_u32(buf, cfg.min_k as u32);
+    put_f32(buf, cfg.gradient);
+    buf.push(cfg.feedback_threshold);
+    put_u32(buf, cfg.max_feedback_rounds as u32);
+    put_u32(buf, cfg.candidates as u32);
+    buf.push(u8::from(cfg.use_segmentation));
+    buf.push(u8::from(cfg.use_rerank));
+    buf.push(u8::from(cfg.use_selection));
+    buf.push(u8::from(cfg.use_feedback));
+    put_u32(buf, cfg.naive_chunk_tokens as u32);
 }
 
-fn read_config(buf: &mut Bytes) -> Option<SageConfig> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let segmentation_threshold = buf.get_f32_le();
-    let coarse_tokens = get_u32(buf)? as usize;
-    let min_k = get_u32(buf)? as usize;
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let gradient = buf.get_f32_le();
-    let feedback_threshold = get_u8(buf)?;
-    let max_feedback_rounds = get_u32(buf)? as usize;
-    let candidates = get_u32(buf)? as usize;
-    let use_segmentation = get_u8(buf)? != 0;
-    let use_rerank = get_u8(buf)? != 0;
-    let use_selection = get_u8(buf)? != 0;
-    let use_feedback = get_u8(buf)? != 0;
-    let naive_chunk_tokens = get_u32(buf)? as usize;
+/// Fields in the order [`write_config`] puts them.
+fn read_config(r: &mut Reader<'_>) -> Option<SageConfig> {
     Some(SageConfig {
-        segmentation_threshold,
-        coarse_tokens,
-        min_k,
-        gradient,
-        feedback_threshold,
-        max_feedback_rounds,
-        candidates,
-        use_segmentation,
-        use_rerank,
-        use_selection,
-        use_feedback,
-        naive_chunk_tokens,
+        segmentation_threshold: r.f32()?,
+        coarse_tokens: r.u32()? as usize,
+        min_k: r.u32()? as usize,
+        gradient: r.f32()?,
+        feedback_threshold: r.u8()?,
+        max_feedback_rounds: r.u32()? as usize,
+        candidates: r.u32()? as usize,
+        use_segmentation: r.u8()? != 0,
+        use_rerank: r.u8()? != 0,
+        use_selection: r.u8()? != 0,
+        use_feedback: r.u8()? != 0,
+        naive_chunk_tokens: r.u32()? as usize,
     })
+}
+
+/// A dense retriever from its two persisted blobs. The embedder makes the
+/// queries and the index holds the rows, so their widths must agree: a
+/// search with any other query length panics.
+fn dense<E: Embedder + BytesSerialize>(
+    embedder: &[u8],
+    index: FlatIndex,
+) -> Option<DenseRetriever<E, FlatIndex>> {
+    let embedder = E::from_bytes(embedder)?;
+    if !index.is_empty() && embedder.dim() != index.dim() {
+        return None;
+    }
+    Some(DenseRetriever::from_parts(embedder, index))
 }
 
 impl RagSystem {
     /// Serialize the built system (without the LLM profile).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
         write_config(self.config(), &mut buf);
-        buf.put_u8(match self.retriever_kind() {
+        buf.push(match self.retriever_kind() {
             RetrieverKind::OpenAiSim => 0,
             RetrieverKind::Sbert => 1,
             RetrieverKind::Dpr => 2,
             RetrieverKind::Bm25 => 3,
         });
         // Chunk store.
-        buf.put_u32_le(self.chunks().len() as u32);
+        put_u32(&mut buf, self.chunks().len() as u32);
         for chunk in self.chunks() {
             put_string(&mut buf, chunk);
         }
@@ -103,78 +99,54 @@ impl RagSystem {
         // rebuilds from the chunk store on load).
         match self.dense_state() {
             Some((embedder_bytes, index)) => {
-                buf.put_u8(1);
-                buf.put_u32_le(embedder_bytes.len() as u32);
-                buf.put_slice(&embedder_bytes);
-                let blob = index.to_bytes();
-                buf.put_u32_le(blob.len() as u32);
-                buf.put_slice(&blob);
+                buf.push(1);
+                for blob in [embedder_bytes, index.to_bytes()] {
+                    put_u32(&mut buf, blob.len() as u32);
+                    buf.extend_from_slice(&blob);
+                }
             }
-            None => buf.put_u8(0),
+            None => buf.push(0),
         }
         // Fitted scorer.
         match self.scorer_ref() {
             Some(scorer) => {
-                buf.put_u8(1);
+                buf.push(1);
                 scorer.write(&mut buf);
             }
-            None => buf.put_u8(0),
+            None => buf.push(0),
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserialize a system saved by [`RagSystem::to_bytes`], binding it to
     /// the given reader profile.
-    pub fn from_bytes(mut bytes: Bytes, profile: LlmProfile) -> Option<Self> {
-        if bytes.remaining() < 8 || &bytes.split_to(8)[..] != MAGIC {
-            return None;
-        }
-        let config = read_config(&mut bytes)?;
-        let kind = match get_u8(&mut bytes)? {
+    pub fn from_bytes(bytes: &[u8], profile: LlmProfile) -> Option<Self> {
+        let mut r = Reader::new(bytes);
+        r.magic(MAGIC)?;
+        let config = read_config(&mut r)?;
+        let kind = match r.u8()? {
             0 => RetrieverKind::OpenAiSim,
             1 => RetrieverKind::Sbert,
             2 => RetrieverKind::Dpr,
             3 => RetrieverKind::Bm25,
             _ => return None,
         };
-        let n = get_u32(&mut bytes)? as usize;
-        // `n` is untrusted: a bit-flipped count must not pre-allocate
-        // gigabytes. Every chunk consumes at least a 4-byte length prefix,
-        // so `remaining` bounds any plausible count.
-        if n > bytes.remaining() {
-            return None;
-        }
+        // Every chunk is at least its 4-byte length prefix.
+        let n = r.count(4)?;
         let mut chunks = Vec::with_capacity(n);
         for _ in 0..n {
-            chunks.push(get_string(&mut bytes)?);
+            chunks.push(r.string()?);
         }
-        let retriever: AnyRetriever = if get_u8(&mut bytes)? == 1 {
-            let elen = get_u32(&mut bytes)? as usize;
-            if bytes.remaining() < elen {
-                return None;
-            }
-            let mut embedder_bytes = bytes.split_to(elen);
-            let ilen = get_u32(&mut bytes)? as usize;
-            if bytes.remaining() < ilen {
-                return None;
-            }
-            let index = FlatIndex::from_bytes(bytes.split_to(ilen))?;
+        let retriever: AnyRetriever = if r.u8()? == 1 {
+            let embedder = r.blob()?;
+            let index = FlatIndex::from_bytes(r.blob()?)?;
             if index.len() != chunks.len() {
                 return None;
             }
             match kind {
-                RetrieverKind::OpenAiSim => AnyRetriever::Hashed(DenseRetriever::from_parts(
-                    HashedEmbedder::read(&mut embedder_bytes)?,
-                    index,
-                )),
-                RetrieverKind::Sbert => AnyRetriever::Sbert(DenseRetriever::from_parts(
-                    SiameseEncoder::read(&mut embedder_bytes)?,
-                    index,
-                )),
-                RetrieverKind::Dpr => AnyRetriever::Dpr(DenseRetriever::from_parts(
-                    DualEncoder::read(&mut embedder_bytes)?,
-                    index,
-                )),
+                RetrieverKind::OpenAiSim => AnyRetriever::Hashed(dense(embedder, index)?),
+                RetrieverKind::Sbert => AnyRetriever::Sbert(dense(embedder, index)?),
+                RetrieverKind::Dpr => AnyRetriever::Dpr(dense(embedder, index)?),
                 RetrieverKind::Bm25 => return None,
             }
         } else {
@@ -185,14 +157,8 @@ impl RagSystem {
             bm25.index(&chunks);
             AnyRetriever::Bm25(bm25)
         };
-        let scorer = if get_u8(&mut bytes)? == 1 {
-            Some(CrossScorer::read(&mut bytes)?)
-        } else {
-            None
-        };
-        if bytes.has_remaining() {
-            return None;
-        }
+        let scorer = if r.u8()? == 1 { Some(CrossScorer::read(&mut r)?) } else { None };
+        r.finish()?;
         Some(RagSystem::from_parts(config, kind, chunks, retriever, scorer, profile))
     }
 
@@ -216,7 +182,7 @@ impl RagSystem {
     /// `"malformed ..."` when the payload itself fails to parse.
     pub fn load(path: &std::path::Path, profile: LlmProfile) -> std::io::Result<Self> {
         let raw = fsx::unframe(std::fs::read(path)?, "SAGE system file")?;
-        Self::from_bytes(Bytes::from(raw), profile).ok_or_else(|| {
+        Self::from_bytes(&raw, profile).ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed SAGE system file")
         })
     }
@@ -226,13 +192,8 @@ impl RagSystem {
 mod tests {
     use super::*;
     use crate::fsx::TRAILER_LEN;
-    use crate::models::{TrainBudget, TrainedModels};
-    use std::sync::OnceLock;
-
-    fn models() -> &'static TrainedModels {
-        static M: OnceLock<TrainedModels> = OnceLock::new();
-        M.get_or_init(|| TrainedModels::train(TrainBudget::tiny()))
-    }
+    use crate::models::{tiny_models as models, TrainedModels};
+    use sage_embed::{DualEncoder, HashedEmbedder, SiameseEncoder};
 
     fn corpus() -> Vec<String> {
         vec![
@@ -251,7 +212,7 @@ mod tests {
             LlmProfile::gpt4o_mini(),
             &corpus(),
         );
-        let back = RagSystem::from_bytes(original.to_bytes(), LlmProfile::gpt4o_mini())
+        let back = RagSystem::from_bytes(&original.to_bytes(), LlmProfile::gpt4o_mini())
             .unwrap_or_else(|| panic!("{kind:?} roundtrip failed"));
         assert_eq!(original.chunks(), back.chunks());
         let q = "What is the color of Whiskers's eyes?";
@@ -324,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn truncated_file_is_rejected_with_malformed_error() {
+    fn truncated_file_is_rejected_with_missing_trailer_error() {
         let system = RagSystem::build(
             models(),
             RetrieverKind::Bm25,
@@ -358,8 +319,8 @@ mod tests {
             &corpus(),
         );
         let blob = system.to_bytes();
-        let strong = RagSystem::from_bytes(blob.clone(), LlmProfile::gpt4()).unwrap();
-        let weak = RagSystem::from_bytes(blob, LlmProfile::unifiedqa_3b()).unwrap();
+        let strong = RagSystem::from_bytes(&blob, LlmProfile::gpt4()).unwrap();
+        let weak = RagSystem::from_bytes(&blob, LlmProfile::unifiedqa_3b()).unwrap();
         let q = "Where does Dorinwick live?";
         assert!(strong.answer_open(q).answer.text.contains("ashford"));
         assert!(!weak.answer_open(q).answer.text.is_empty());
@@ -367,10 +328,8 @@ mod tests {
 
     #[test]
     fn malformed_rejected() {
-        assert!(RagSystem::from_bytes(Bytes::from_static(b"junk"), LlmProfile::gpt4()).is_none());
-        assert!(
-            RagSystem::from_bytes(Bytes::from_static(b"SAGESYS1x"), LlmProfile::gpt4()).is_none()
-        );
+        assert!(RagSystem::from_bytes(b"junk", LlmProfile::gpt4()).is_none());
+        assert!(RagSystem::from_bytes(b"SAGESYS1x", LlmProfile::gpt4()).is_none());
     }
 
     /// `Result::expect_err` needs `T: Debug`, which `RagSystem` does not
@@ -404,11 +363,10 @@ mod tests {
         for cut in sample_positions(blob.len()) {
             // Any prefix must be rejected (or, never, accepted) without
             // panicking or allocating absurdly.
-            let _ = RagSystem::from_bytes(blob.slice(..cut), LlmProfile::gpt4o_mini());
+            let _ = RagSystem::from_bytes(&blob[..cut], LlmProfile::gpt4o_mini());
         }
         assert!(
-            RagSystem::from_bytes(blob.slice(..blob.len() - 1), LlmProfile::gpt4o_mini())
-                .is_none(),
+            RagSystem::from_bytes(&blob[..blob.len() - 1], LlmProfile::gpt4o_mini()).is_none(),
             "one missing byte must not load"
         );
     }
@@ -422,13 +380,13 @@ mod tests {
             LlmProfile::gpt4o_mini(),
             &corpus(),
         );
-        let blob = system.to_bytes().to_vec();
+        let blob = system.to_bytes();
         for pos in sample_positions(blob.len()) {
             for bit in [0, 3, 7] {
                 let mut flipped = blob.clone();
                 flipped[pos] ^= 1 << bit;
                 // Must return (Some or None), never panic or abort.
-                let _ = RagSystem::from_bytes(Bytes::from(flipped), LlmProfile::gpt4o_mini());
+                let _ = RagSystem::from_bytes(&flipped, LlmProfile::gpt4o_mini());
             }
         }
     }
@@ -441,27 +399,25 @@ mod tests {
         let mut positions: Vec<usize> = (0..64.min(blob.len())).collect();
         positions.extend((64..blob.len()).step_by((blob.len() / 8).max(1)));
         for &cut in &positions {
-            let _ = TrainedModels::from_bytes(blob.slice(..cut));
+            let _ = TrainedModels::from_bytes(&blob[..cut]);
         }
-        let raw = blob.to_vec();
         for &pos in &positions {
-            let mut flipped = raw.clone();
+            let mut flipped = blob.clone();
             flipped[pos] ^= 0x10;
-            let _ = TrainedModels::from_bytes(Bytes::from(flipped));
+            let _ = TrainedModels::from_bytes(&flipped);
         }
-        assert!(TrainedModels::from_bytes(blob.slice(..blob.len() / 2)).is_none());
+        assert!(TrainedModels::from_bytes(&blob[..blob.len() / 2]).is_none());
     }
 
     #[test]
     fn hostile_counts_are_rejected_without_allocation() {
         // A header that claims u32::MAX chunks backed by no data: the
         // count guard must reject it before `Vec::with_capacity` runs.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
+        let mut buf = MAGIC.to_vec();
         write_config(&SageConfig::sage(), &mut buf);
-        buf.put_u8(3); // RetrieverKind::Bm25
-        buf.put_u32_le(u32::MAX); // hostile chunk count
-        assert!(RagSystem::from_bytes(buf.freeze(), LlmProfile::gpt4o_mini()).is_none());
+        buf.push(3); // RetrieverKind::Bm25
+        put_u32(&mut buf, u32::MAX); // hostile chunk count
+        assert!(RagSystem::from_bytes(&buf, LlmProfile::gpt4o_mini()).is_none());
     }
 
     #[test]
@@ -477,32 +433,64 @@ mod tests {
             LlmProfile::gpt4o_mini(),
             &corpus(),
         );
-        let blob = system.to_bytes().to_vec();
-        let mut fitted = BytesMut::new();
-        system.scorer_ref().expect("the sage config fits a scorer").write(&mut fitted);
+        let blob = system.to_bytes();
+        let fitted = system.scorer_ref().expect("the sage config fits a scorer").to_bytes();
         // An unfitted scorer ends in its 12-byte embedder and an empty IDF
         // table (two zero counts), which locates the end of the MLP.
-        let mut unfitted = BytesMut::new();
-        models().scorer.write(&mut unfitted);
+        let unfitted = models().scorer.to_bytes();
         let dim_at = blob.len() - fitted.len() + unfitted.len() - 20;
         assert_eq!(blob[dim_at..dim_at + 4], 256u32.to_le_bytes());
         for dim in [1u32 << 28, u32::MAX, 255, 257, 0] {
             let mut patched = blob.clone();
             patched[dim_at..dim_at + 4].copy_from_slice(&dim.to_le_bytes());
             assert!(
-                RagSystem::from_bytes(Bytes::from(patched), LlmProfile::gpt4o_mini()).is_none(),
+                RagSystem::from_bytes(&patched, LlmProfile::gpt4o_mini()).is_none(),
                 "dim {dim} must not load"
             );
         }
-        assert!(RagSystem::from_bytes(Bytes::from(blob), LlmProfile::gpt4o_mini()).is_some());
+        assert!(RagSystem::from_bytes(&blob, LlmProfile::gpt4o_mini()).is_some());
+    }
+
+    #[test]
+    fn dense_embedder_width_must_match_the_index_rows() {
+        // Chunk store ‖ 1 ‖ elen ‖ embedder ‖ ilen ‖ index ‖ scorer: every
+        // dense embedder blob leads with a u32 that sets (hashed) or must
+        // agree with (siamese, dual: the bucket count) what it embeds into.
+        // A hashed width other than the index's rows used to load and then
+        // panic the first search with "query dim mismatch".
+        let build = |kind| {
+            RagSystem::build(models(), kind, SageConfig::sage(), LlmProfile::gpt4o_mini(), &corpus())
+        };
+        let system = build(RetrieverKind::OpenAiSim);
+        let blob = system.to_bytes();
+        let (embedder, index) = system.dense_state().expect("dense");
+        let tail = index.to_bytes().len() + 4 + system.scorer_ref().expect("fitted").to_bytes().len() + 1;
+        let dim_at = blob.len() - tail - embedder.len();
+        assert_eq!(blob[dim_at..dim_at + 4], 256u32.to_le_bytes());
+        for dim in [255u32, 257, 1, u32::MAX] {
+            let mut patched = blob.clone();
+            patched[dim_at..dim_at + 4].copy_from_slice(&dim.to_le_bytes());
+            assert!(
+                RagSystem::from_bytes(&patched, LlmProfile::gpt4o_mini()).is_none(),
+                "hashed dim {dim} over 256-wide rows must not load"
+            );
+        }
+        // All three dense kinds go through the one check: a trained
+        // encoder is as wide as its table (48), so neither loads over these
+        // 256-wide rows; an empty index has no width to disagree with.
+        let rows = || index.clone();
+        assert!(dense::<SiameseEncoder>(&models().siamese.to_bytes(), rows()).is_none());
+        assert!(dense::<DualEncoder>(&models().dual.to_bytes(), rows()).is_none());
+        assert!(dense::<HashedEmbedder>(&embedder, rows()).is_some());
+        assert!(dense::<DualEncoder>(&models().dual.to_bytes(), FlatIndex::cosine()).is_some());
     }
 
     #[test]
     fn config_roundtrip() {
         let cfg = SageConfig { min_k: 3, gradient: 0.42, use_feedback: false, ..SageConfig::sage() };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         write_config(&cfg, &mut buf);
-        let back = read_config(&mut buf.freeze()).expect("config");
+        let back = read_config(&mut Reader::new(&buf)).expect("config");
         assert_eq!(cfg, back);
     }
 }

@@ -309,7 +309,7 @@ impl RagSystem {
     }
 
     /// Persistence hook for `persist.rs`.
-    pub(crate) fn dense_state(&self) -> Option<(bytes::Bytes, &FlatIndex)> {
+    pub(crate) fn dense_state(&self) -> Option<(Vec<u8>, &FlatIndex)> {
         self.retriever.dense_state()
     }
 
@@ -416,13 +416,7 @@ impl RagSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{TrainBudget, TrainedModels};
-    use std::sync::OnceLock;
-
-    fn models() -> &'static TrainedModels {
-        static M: OnceLock<TrainedModels> = OnceLock::new();
-        M.get_or_init(|| TrainedModels::train(TrainBudget::tiny()))
-    }
+    use crate::models::tiny_models as models;
 
     fn corpus() -> Vec<String> {
         vec![

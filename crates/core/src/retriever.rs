@@ -85,7 +85,7 @@ impl AnyRetriever {
 
     /// Persistence hook: (embedder blob, flat-index ref) for dense
     /// variants; `None` for BM25 (which rebuilds from the chunk store).
-    pub(crate) fn dense_state(&self) -> Option<(bytes::Bytes, &FlatIndex)> {
+    pub(crate) fn dense_state(&self) -> Option<(Vec<u8>, &FlatIndex)> {
         use sage_nn::BytesSerialize;
         match self {
             AnyRetriever::Hashed(r) => Some((r.embedder().to_bytes(), r.index_ref())),

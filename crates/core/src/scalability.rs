@@ -197,14 +197,8 @@ pub fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::TrainBudget;
+    use crate::models::tiny_models as models;
     use sage_corpus::datasets::{triviaqa, SizeConfig};
-    use std::sync::OnceLock;
-
-    fn models() -> &'static TrainedModels {
-        static M: OnceLock<TrainedModels> = OnceLock::new();
-        M.get_or_init(|| TrainedModels::train(TrainBudget::tiny()))
-    }
 
     fn dataset() -> Dataset {
         triviaqa::generate(SizeConfig { num_docs: 20, questions_per_doc: 1, seed: 5 })

@@ -351,13 +351,7 @@ pub fn run_cell(models: &TrainedModels, cell: &ScenarioCell) -> Result<BenchRow,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::TrainBudget;
-    use std::sync::OnceLock;
-
-    fn models() -> &'static TrainedModels {
-        static M: OnceLock<TrainedModels> = OnceLock::new();
-        M.get_or_init(|| TrainedModels::train(TrainBudget::tiny()))
-    }
+    use crate::models::tiny_models as models;
 
     fn quick_cell() -> ScenarioCell {
         ScenarioCell {

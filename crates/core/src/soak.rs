@@ -549,14 +549,8 @@ impl SimState<'_> {
 mod tests {
     use super::*;
     use crate::config::{RetrieverKind, SageConfig};
-    use crate::models::{TrainBudget, TrainedModels};
+    use crate::models::tiny_models as models;
     use sage_llm::LlmProfile;
-    use std::sync::OnceLock;
-
-    fn models() -> &'static TrainedModels {
-        static M: OnceLock<TrainedModels> = OnceLock::new();
-        M.get_or_init(|| TrainedModels::train(TrainBudget::tiny()))
-    }
 
     fn system() -> RagSystem {
         RagSystem::build(

@@ -8,6 +8,7 @@
 
 use crate::features::sentence_features;
 use crate::Embedder;
+use sage_nn::io::{put_f32, put_u32, put_u64, Reader};
 use sage_nn::matrix::{dot, l2_normalize, norm};
 use sage_nn::EmbeddingTable;
 
@@ -123,26 +124,20 @@ impl DualEncoder {
 }
 
 impl sage_nn::BytesSerialize for DualEncoder {
-    fn write(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        buf.put_u32_le(self.buckets as u32);
-        buf.put_u64_le(self.seed);
-        buf.put_f32_le(self.margin);
+    fn write(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.buckets as u32);
+        put_u64(buf, self.seed);
+        put_f32(buf, self.margin);
         self.query_tower.write(buf);
         self.passage_tower.write(buf);
     }
 
-    fn read(buf: &mut bytes::Bytes) -> Option<Self> {
-        use bytes::Buf;
-        use sage_nn::io::{get_u32, get_u64};
-        let buckets = get_u32(buf)? as usize;
-        let seed = get_u64(buf)?;
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let margin = buf.get_f32_le();
-        let query_tower = EmbeddingTable::read(buf)?;
-        let passage_tower = EmbeddingTable::read(buf)?;
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let buckets = r.u32()? as usize;
+        let seed = r.u64()?;
+        let margin = r.f32()?;
+        let query_tower = EmbeddingTable::read(r)?;
+        let passage_tower = EmbeddingTable::read(r)?;
         if query_tower.buckets() != buckets || passage_tower.buckets() != buckets {
             return None;
         }

@@ -8,6 +8,7 @@
 
 use crate::features::Analysis;
 use crate::Embedder;
+use sage_nn::io::{put_u32, put_u64, Reader};
 use sage_nn::matrix::l2_normalize;
 
 /// Feature-hashed sentence encoder (unigrams + stems + bigrams).
@@ -43,16 +44,14 @@ impl HashedEmbedder {
 }
 
 impl sage_nn::BytesSerialize for HashedEmbedder {
-    fn write(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        buf.put_u32_le(self.dim as u32);
-        buf.put_u64_le(self.seed);
+    fn write(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.dim as u32);
+        put_u64(buf, self.seed);
     }
 
-    fn read(buf: &mut bytes::Bytes) -> Option<Self> {
-        use sage_nn::io::{get_u32, get_u64};
-        let dim = get_u32(buf)? as usize;
-        let seed = get_u64(buf)?;
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let dim = r.u32()? as usize;
+        let seed = r.u64()?;
         (dim > 0).then_some(Self { dim, seed })
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::features::sentence_features;
 use crate::Embedder;
+use sage_nn::io::{put_u32, put_u64, Reader};
 use sage_nn::matrix::{dot, l2_normalize, norm};
 use sage_nn::EmbeddingTable;
 
@@ -107,18 +108,16 @@ impl SiameseEncoder {
 }
 
 impl sage_nn::BytesSerialize for SiameseEncoder {
-    fn write(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        buf.put_u32_le(self.buckets as u32);
-        buf.put_u64_le(self.seed);
+    fn write(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.buckets as u32);
+        put_u64(buf, self.seed);
         self.table.write(buf);
     }
 
-    fn read(buf: &mut bytes::Bytes) -> Option<Self> {
-        use sage_nn::io::{get_u32, get_u64};
-        let buckets = get_u32(buf)? as usize;
-        let seed = get_u64(buf)?;
-        let table = EmbeddingTable::read(buf)?;
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let buckets = r.u32()? as usize;
+        let seed = r.u64()?;
+        let table = EmbeddingTable::read(r)?;
         if table.buckets() != buckets {
             return None;
         }

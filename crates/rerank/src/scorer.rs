@@ -2,6 +2,7 @@
 
 use crate::RankedChunk;
 use sage_embed::{Analysis, Embedder, HashedEmbedder};
+use sage_nn::io::{put_string, put_u32, Reader};
 use sage_nn::layer::Activation;
 use sage_nn::matrix::{cosine, Matrix};
 use sage_nn::Mlp;
@@ -265,43 +266,35 @@ impl CrossScorer {
 }
 
 impl sage_nn::BytesSerialize for CrossScorer {
-    fn write(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        use sage_nn::io::put_string;
+    fn write(&self, buf: &mut Vec<u8>) {
         self.mlp.write(buf);
         self.embedder.write(buf);
-        buf.put_u32_le(self.idf.len() as u32);
+        put_u32(buf, self.idf.len() as u32);
         for (term, &df) in self.idf.terms().iter().zip(self.idf.doc_freqs()) {
             put_string(buf, term);
-            buf.put_u32_le(df);
+            put_u32(buf, df);
         }
-        buf.put_u32_le(self.idf.num_docs());
+        put_u32(buf, self.idf.num_docs());
     }
 
-    fn read(buf: &mut bytes::Bytes) -> Option<Self> {
-        use bytes::Buf;
-        use sage_nn::io::{get_string, get_u32};
-        let mlp = Mlp::read(buf)?;
-        let embedder = HashedEmbedder::read(buf)?;
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let mlp = Mlp::read(r)?;
+        let embedder = HashedEmbedder::read(r)?;
         // The width is not a degree of freedom of the format: a corrupted
         // one would size every later embedding.
         if embedder.dim() != EMBED_DIM {
             return None;
         }
-        let n = get_u32(buf)? as usize;
-        // Untrusted count: each entry needs at least a 4-byte string
-        // length plus a 4-byte doc frequency, so bound it by the bytes
-        // actually present before allocating.
-        if n > buf.remaining() / 8 {
-            return None;
-        }
+        // Each entry is at least a 4-byte string length plus a 4-byte doc
+        // frequency.
+        let n = r.count(8)?;
         let mut terms = Vec::with_capacity(n);
         let mut dfs = Vec::with_capacity(n);
         for _ in 0..n {
-            terms.push(get_string(buf)?);
-            dfs.push(get_u32(buf)?);
+            terms.push(r.string()?);
+            dfs.push(r.u32()?);
         }
-        let num_docs = get_u32(buf)?;
+        let num_docs = r.u32()?;
         let idf = Vocab::from_parts(terms, dfs, num_docs)?;
         if mlp.in_dim() != NUM_FEATURES {
             return None;
@@ -414,21 +407,16 @@ mod tests {
 
     #[test]
     fn read_rejects_any_other_embedder_width() {
-        use bytes::{BufMut, BytesMut};
         use sage_nn::BytesSerialize;
         let scorer = CrossScorer::new(9);
-        let mut blob = BytesMut::new();
-        scorer.write(&mut blob);
-        assert!(CrossScorer::read(&mut blob.clone().freeze()).is_some());
-        // MLP ‖ dim ‖ seed ‖ IDF table: rewrite the tail with another dim.
-        let mut mlp = BytesMut::new();
-        scorer.mlp.write(&mut mlp);
+        let blob = scorer.to_bytes();
+        assert!(CrossScorer::from_bytes(&blob).is_some());
+        // MLP ‖ dim ‖ seed ‖ IDF table: patch the dim behind the MLP.
+        let dim_at = scorer.mlp.to_bytes().len();
         for dim in [1u32 << 28, u32::MAX, 255, 0] {
-            let mut patched = BytesMut::new();
-            patched.put_slice(&blob[..mlp.len()]);
-            patched.put_u32_le(dim);
-            patched.put_slice(&blob[mlp.len() + 4..]);
-            assert!(CrossScorer::read(&mut patched.freeze()).is_none(), "dim {dim}");
+            let mut patched = blob.clone();
+            patched[dim_at..dim_at + 4].copy_from_slice(&dim.to_le_bytes());
+            assert!(CrossScorer::from_bytes(&patched).is_none(), "dim {dim}");
         }
     }
 }

@@ -29,12 +29,7 @@ pub use segmenter::{FixedLengthSegmenter, Segmenter, SemanticSegmenter, Sentence
 /// the stored one is a no-op, so only changed documents pay the
 /// re-segmentation and re-embedding cost.
 pub fn fingerprint(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    sage_text::ngram::fnv1a(text.as_bytes(), 0)
 }
 
 #[cfg(test)]
@@ -43,7 +38,8 @@ mod fingerprint_tests {
 
     #[test]
     fn fingerprint_separates_texts_and_is_stable() {
-        assert_eq!(fingerprint("the cat sat"), fingerprint("the cat sat"));
+        // Feeds the live store's digest, which its soak logs print: pinned.
+        assert_eq!(fingerprint("the cat sat"), 0xA025_52C1_6CDE_A15C);
         assert_ne!(fingerprint("the cat sat"), fingerprint("the cat sat."));
         assert_ne!(fingerprint(""), fingerprint(" "));
     }

@@ -7,6 +7,7 @@
 //! MLP (Algorithm 1, line 8 updates `f_e` and `M`).
 
 use sage_embed::sentence_features;
+use sage_nn::io::{put_u32, put_u64, Reader};
 use sage_nn::layer::Activation;
 use sage_nn::matrix::Matrix;
 use sage_nn::{EmbeddingTable, Mlp};
@@ -206,25 +207,23 @@ impl SegmentationModel {
 }
 
 impl sage_nn::BytesSerialize for SegmentationModel {
-    fn write(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        buf.put_u32_le(self.buckets as u32);
-        buf.put_u32_le(self.dim as u32);
-        buf.put_u64_le(self.seed);
-        buf.put_u8(u8::from(self.feat.use_diff));
-        buf.put_u8(u8::from(self.feat.use_prod));
+    fn write(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.buckets as u32);
+        put_u32(buf, self.dim as u32);
+        put_u64(buf, self.seed);
+        buf.push(u8::from(self.feat.use_diff));
+        buf.push(u8::from(self.feat.use_prod));
         self.table.write(buf);
         self.mlp.write(buf);
     }
 
-    fn read(buf: &mut bytes::Bytes) -> Option<Self> {
-        use sage_nn::io::{get_u32, get_u64, get_u8};
-        let buckets = get_u32(buf)? as usize;
-        let dim = get_u32(buf)? as usize;
-        let seed = get_u64(buf)?;
-        let feat = FeatureConfig { use_diff: get_u8(buf)? != 0, use_prod: get_u8(buf)? != 0 };
-        let table = EmbeddingTable::read(buf)?;
-        let mlp = Mlp::read(buf)?;
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let buckets = r.u32()? as usize;
+        let dim = r.u32()? as usize;
+        let seed = r.u64()?;
+        let feat = FeatureConfig { use_diff: r.u8()? != 0, use_prod: r.u8()? != 0 };
+        let table = EmbeddingTable::read(r)?;
+        let mlp = Mlp::read(r)?;
         if table.buckets() != buckets || table.dim() != dim || mlp.in_dim() != dim * feat.blocks()
         {
             return None;

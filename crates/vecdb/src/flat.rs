@@ -10,7 +10,7 @@
 use crate::arena::Arena;
 use crate::metric::Metric;
 use crate::{Hit, VectorIndex};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use sage_nn::io::{put_f32, put_u32, Reader};
 
 /// Exact top-N index backed by one contiguous `Vec<f32>` arena.
 ///
@@ -47,45 +47,42 @@ impl FlatIndex {
 
     /// Serialize to a compact binary blob (little-endian):
     /// `[metric u8][dim u32][count u32][f32 * dim * count]`.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(9 + self.len() * self.dim() * 4);
-        buf.put_u8(match self.arena.metric() {
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(9 + self.len() * self.dim() * 4);
+        buf.push(match self.arena.metric() {
             Metric::Cosine => 0,
             Metric::Dot => 1,
             Metric::NegEuclidean => 2,
         });
-        buf.put_u32_le(self.dim() as u32);
-        buf.put_u32_le(self.len() as u32);
+        put_u32(&mut buf, self.dim() as u32);
+        put_u32(&mut buf, self.len() as u32);
         for &v in self.arena.rows().flat_map(|row| row.vector) {
-            buf.put_f32_le(v);
+            put_f32(&mut buf, v);
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserialize a blob produced by [`FlatIndex::to_bytes`]; the norms
     /// are taken again from the rows. Returns `None` on malformed input.
-    pub fn from_bytes(mut bytes: Bytes) -> Option<Self> {
-        if bytes.remaining() < 9 {
-            return None;
-        }
-        let metric = match bytes.get_u8() {
+    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(bytes);
+        let metric = match r.u8()? {
             0 => Metric::Cosine,
             1 => Metric::Dot,
             2 => Metric::NegEuclidean,
             _ => return None,
         };
-        let dim = bytes.get_u32_le() as usize;
-        let count = bytes.get_u32_le() as usize;
-        let need = dim.checked_mul(count)?.checked_mul(4)?;
-        if bytes.remaining() != need || (dim == 0 && count > 0) {
+        let dim = r.u32()? as usize;
+        let count = r.count(dim.checked_mul(4)?)?;
+        if dim == 0 && count > 0 {
             return None;
         }
         let mut index = Self::new(metric);
         index.reserve(count);
         for _ in 0..count {
-            let row: Vec<f32> = (0..dim).map(|_| bytes.get_f32_le()).collect();
-            index.arena.push(&row);
+            index.arena.push(&r.f32s(dim)?);
         }
+        r.finish()?;
         Some(index)
     }
 
@@ -198,7 +195,7 @@ mod tests {
         idx.add(vec![1.0, 2.0, 3.0]);
         idx.add(vec![-1.0, 0.5, 0.25]);
         let blob = idx.to_bytes();
-        let back = FlatIndex::from_bytes(blob).expect("roundtrip");
+        let back = FlatIndex::from_bytes(&blob).expect("roundtrip");
         assert_eq!(back.len(), 2);
         assert_eq!(back.dim(), 3);
         assert_eq!(back.vector(1), idx.vector(1));
@@ -206,12 +203,10 @@ mod tests {
 
     #[test]
     fn from_bytes_rejects_garbage() {
-        assert!(FlatIndex::from_bytes(Bytes::from_static(b"xx")).is_none());
-        assert!(FlatIndex::from_bytes(Bytes::from_static(b"\x09\x01\x00\x00\x00\x01\x00\x00\x00"))
-            .is_none());
+        assert!(FlatIndex::from_bytes(b"xx").is_none());
+        assert!(FlatIndex::from_bytes(b"\x09\x01\x00\x00\x00\x01\x00\x00\x00").is_none());
         // dim 0 with a row count: no payload to miss, but no rows either.
-        assert!(FlatIndex::from_bytes(Bytes::from_static(b"\x00\x00\x00\x00\x00\x05\x00\x00\x00"))
-            .is_none());
+        assert!(FlatIndex::from_bytes(b"\x00\x00\x00\x00\x00\x05\x00\x00\x00").is_none());
     }
 
     #[test]
@@ -221,7 +216,7 @@ mod tests {
             for i in 0..40 {
                 idx.add((0..19).map(|j| ((i * 19 + j) as f32 * 0.37).sin()).collect());
             }
-            let back = FlatIndex::from_bytes(idx.to_bytes()).expect("roundtrip");
+            let back = FlatIndex::from_bytes(&idx.to_bytes()).expect("roundtrip");
             for q in 0..5 {
                 let query: Vec<f32> = (0..19).map(|j| ((q * 7 + j) as f32 * 0.91).cos()).collect();
                 assert_eq!(back.search(&query, 7), idx.search(&query, 7), "{metric:?}");

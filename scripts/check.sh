@@ -15,8 +15,9 @@
 #
 # Byte-identity checks among the smokes: same-seed replays of the soak, the
 # shard-loss soak and the live soak (two runs, `diff`); 4-shard ask ==
-# unsharded ask; and the full scenario grid == the committed
-# BENCH_scenarios.json (one run; `cargo test` asserts the same equality).
+# unsharded ask; two `sage index` runs over one model file (`cmp`); and the
+# full scenario grid == the committed BENCH_scenarios.json (one run;
+# `cargo test` asserts the same equality).
 #
 # Every dependency is a path crate of this repository, so this runs with an
 # empty registry and no network.
@@ -84,6 +85,32 @@ if [ "${1:-}" != fast ]; then
     }
   ' "$tmp/metrics.prom"
   echo "telemetry smoke ok"
+
+  echo "=== persistence smoke (train -> index -> query over saved files)"
+  # The offline phase writes files the online phase reloads: the same
+  # models and corpus must index to the same bytes twice, the saved index
+  # must answer, and one flipped payload byte must be refused by the CRC
+  # trailer rather than parsed.
+  "$sage" train --out "$tmp/models.bin" 2> /dev/null
+  for run in a b; do
+    "$sage" index --file "$tmp/corpus.txt" --models "$tmp/models.bin" \
+      --out "$tmp/index_$run.bin" 2> /dev/null
+  done
+  cmp "$tmp/index_a.bin" "$tmp/index_b.bin" \
+    || { echo "FAIL: the same models and corpus indexed to different bytes"; exit 1; }
+  "$sage" query --index "$tmp/index_a.bin" \
+    --question "What is the color of Whiskers's eyes?" > "$tmp/query.txt" 2> /dev/null
+  grep -q green "$tmp/query.txt" || { echo "FAIL: wrong answer from the saved index"; cat "$tmp/query.txt"; exit 1; }
+  # Byte 100 is chunk text (ASCII), so 0xFF always changes it.
+  cp "$tmp/index_a.bin" "$tmp/index_flipped.bin"
+  printf '\377' | dd of="$tmp/index_flipped.bin" bs=1 seek=100 conv=notrunc 2> /dev/null
+  if "$sage" query --index "$tmp/index_flipped.bin" \
+      --question "What is the color of Whiskers's eyes?" > /dev/null 2> "$tmp/flipped.err"; then
+    echo "FAIL: a corrupted index answered"; exit 1
+  fi
+  grep -q 'checksum mismatch' "$tmp/flipped.err" \
+    || { echo "FAIL: no checksum error"; cat "$tmp/flipped.err"; exit 1; }
+  echo "persistence smoke ok"
 
   echo "=== soak smoke (deterministic overload replay)"
   # Two runs with the same seed must produce bit-identical event logs,

@@ -297,7 +297,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let m = Matrix::xavier(rows, cols, seed);
-        let back = Matrix::from_bytes(m.to_bytes()).expect("roundtrip");
+        let back = Matrix::from_bytes(&m.to_bytes()).expect("roundtrip");
         prop_assert_eq!(m, back);
     }
 
@@ -308,7 +308,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mlp = Mlp::new(&[input, hidden, 1], Activation::Tanh, Activation::Sigmoid, seed);
-        let back = Mlp::from_bytes(mlp.to_bytes()).expect("roundtrip");
+        let back = Mlp::from_bytes(&mlp.to_bytes()).expect("roundtrip");
         let x = Matrix::xavier(3, input, seed ^ 0xFF);
         prop_assert_eq!(mlp.infer(&x), back.infer(&x));
     }
@@ -320,7 +320,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let t = EmbeddingTable::new(buckets, dim, seed);
-        let back = EmbeddingTable::from_bytes(t.to_bytes()).expect("roundtrip");
+        let back = EmbeddingTable::from_bytes(&t.to_bytes()).expect("roundtrip");
         prop_assert_eq!(t.rows_flat(), back.rows_flat());
     }
 
@@ -333,9 +333,8 @@ proptest! {
         let m = Matrix::xavier(rows, cols, 1);
         let blob = m.to_bytes();
         let cut = cut.min(blob.len());
-        let truncated = blob.slice(..cut);
         // Must return None (or, for cut == len, Some) — never panic.
-        let parsed = Matrix::from_bytes(truncated);
+        let parsed = Matrix::from_bytes(&blob[..cut]);
         if cut == blob.len() {
             prop_assert!(parsed.is_some());
         } else {
