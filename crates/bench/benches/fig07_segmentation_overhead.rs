@@ -9,17 +9,14 @@
 //! Paper shape: the model saves ≈90% time and ≈99.7% money on every
 //! dataset.
 
+use sage::core::case_studies::segmentation_overhead;
 use sage::corpus::datasets::{narrativeqa, qasper, quality};
-use sage::llm::LlmSegmenter;
-use sage::prelude::*;
-use sage::segment::SemanticSegmenter;
+use sage::segment::{Segmenter, SemanticSegmenter};
 use sage_bench::{header, models, sizes};
 use std::time::Instant;
 
 fn main() {
     let models = models();
-    let gpt4_prices = PriceTable::gpt4();
-    let rtx3090_per_second = 5.3 / (24.0 * 3600.0);
 
     let articles = [
         ("QuALITY", quality::generate(sizes::quality()).documents[0].text()),
@@ -36,7 +33,6 @@ fn main() {
         ),
     );
     for (name, text) in articles {
-        let tokens = sage::text::count_tokens(&text);
         // SAGE: measured wall time (averaged over repeats for stability).
         let segmenter = SemanticSegmenter::new(models.segmentation.clone());
         let reps = 20;
@@ -44,25 +40,17 @@ fn main() {
         for _ in 0..reps {
             let _ = segmenter.segment(&text);
         }
-        let sage_time = start.elapsed() / reps;
-        let sage_cost = sage_time.as_secs_f64() * rtx3090_per_second;
-
-        // GPT-4: simulated latency + Eq.1 cost.
-        let llm_seg = LlmSegmenter::new(LlmProfile::gpt4());
-        let (_, cost, gpt4_time) = llm_seg.segment(&text);
-        let gpt4_cost = cost.dollars(gpt4_prices);
-
-        let time_saved = 1.0 - sage_time.as_secs_f64() / gpt4_time.as_secs_f64();
-        let money_saved = 1.0 - sage_cost / gpt4_cost;
+        let row = segmentation_overhead(&text, start.elapsed() / reps);
         println!(
-            "{name:<12} {tokens:>9} {:>11.4}s {:>11.1}s {:>12} {:>12} {:>9.2}% {:>9.2}%",
-            sage_time.as_secs_f64(),
-            gpt4_time.as_secs_f64(),
-            format!("${sage_cost:.7}"),
-            format!("${gpt4_cost:.4}"),
-            100.0 * time_saved,
-            100.0 * money_saved,
+            "{name:<12} {:>9} {:>11.4}s {:>11.1}s {:>12} {:>12} {:>9.2}% {:>9.2}%",
+            row.tokens,
+            row.sage_time.as_secs_f64(),
+            row.gpt4_time.as_secs_f64(),
+            format!("${:.7}", row.sage_dollars),
+            format!("${:.4}", row.gpt4_dollars),
+            100.0 * row.time_saved(),
+            100.0 * row.money_saved(),
         );
+        assert!(row.holds(), "{name}: the model must save ≥90% of the time and ≥99% of the money");
     }
-    println!("\nExpected shape: ≥90% time saved and ≥99% money saved on every article.");
 }

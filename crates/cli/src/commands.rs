@@ -204,6 +204,18 @@ fn parse_llm(name: &str) -> Result<LlmProfile, String> {
     }
 }
 
+/// `--naive [tokens]`: bare is the paper's 200-token Naive RAG budget; a
+/// value must be a positive integer.
+fn naive_tokens(flags: &Flags) -> Result<usize, String> {
+    match flags.get_or("naive", "") {
+        "" => Ok(200),
+        raw => raw
+            .parse::<std::num::NonZeroUsize>()
+            .map(std::num::NonZeroUsize::get)
+            .map_err(|_| format!("invalid value for --naive: {raw}")),
+    }
+}
+
 /// `sage segment` — show the semantic chunks of a corpus file.
 pub fn segment(flags: &Flags) -> Result<(), String> {
     flags.reject_unknown("segment", &["file", "threshold", "coarse", "naive", "models"])?;
@@ -211,8 +223,7 @@ pub fn segment(flags: &Flags) -> Result<(), String> {
     let threshold: f32 = flags.get_parse("threshold", 0.55)?;
     let coarse: usize = flags.get_parse("coarse", 400)?;
     let chunks = if flags.has("naive") {
-        let tokens: usize = flags.get_parse("naive", 200).unwrap_or(200).max(1);
-        SentenceSegmenter { max_tokens: tokens }.segment(&corpus[0])
+        SentenceSegmenter { max_tokens: naive_tokens(flags)? }.segment(&corpus[0])
     } else {
         let segmenter = SemanticSegmenter::with_params(
             resolve_models(flags)?.segmentation.clone(),
@@ -1074,6 +1085,20 @@ mod tests {
         let err = check_baseline(path, &committed, false).unwrap_err();
         assert!(err.starts_with("cannot read baseline"), "{err}");
         assert!(!std::path::Path::new(path).exists());
+    }
+
+    #[test]
+    fn naive_budget_is_200_bare_and_a_positive_integer_otherwise() {
+        let tokens = |args: &[&str]| {
+            let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            naive_tokens(&crate::args::parse_flags(&argv).unwrap())
+        };
+        assert_eq!(tokens(&["--naive"]), Ok(200));
+        assert_eq!(tokens(&["--naive", "--file", "x"]), Ok(200));
+        assert_eq!(tokens(&["--naive", "50"]), Ok(50));
+        for bad in ["abc", "0", "-3", "1.5"] {
+            assert_eq!(tokens(&["--naive", bad]), Err(format!("invalid value for --naive: {bad}")));
+        }
     }
 
     #[test]

@@ -134,6 +134,7 @@ impl Method {
                     .paragraphs
                     .iter()
                     .flat_map(|p| split_sentences(p))
+                    .map(str::to_string)
                     .collect(),
                 llm: SimLlm::new(profile),
                 keep: 12,
@@ -217,7 +218,7 @@ fn truncate_tokens(text: &str, budget: usize) -> Vec<String> {
     let mut used = 0usize;
     'outer: for paragraph in sage_text::split_paragraphs(text) {
         for sentence in split_sentences(paragraph) {
-            let t = count_tokens(&sentence);
+            let t = count_tokens(sentence);
             if used + t > budget && used > 0 {
                 break 'outer;
             }
@@ -244,7 +245,7 @@ fn flatten_coreference(text: &str) -> String {
         let mut rewritten = Vec::new();
         for sentence in split_sentences(paragraph) {
             let words: Vec<&str> = sentence.split_whitespace().collect();
-            let mut sentence_out = sentence.clone();
+            let mut sentence_out = sentence.to_string();
             if let Some(first) = words.first() {
                 let lower = first.to_lowercase();
                 if let Some(subject) = &last_subject {
@@ -348,7 +349,7 @@ pub fn recursive_summary(text: &str, budget: usize) -> Vec<String> {
                 .collect();
             keep_idx.sort_unstable();
             kept.push(
-                keep_idx.into_iter().map(|i| sentences[i].clone()).collect::<Vec<_>>().join(" "),
+                keep_idx.into_iter().map(|i| sentences[i]).collect::<Vec<_>>().join(" "),
             );
         }
         let next = kept.join("\n");

@@ -8,12 +8,15 @@
 //! * [`incomplete_chunks_case`] — Figure 10: fixed-length segmentation
 //!   splits an intro+fact pair so the pronoun-form fact cannot be used;
 //! * [`score_curves`] — Figure 5: the reranker's sorted score patterns for
-//!   a focused vs. a broad question.
+//!   a focused vs. a broad question;
+//! * [`segmentation_overhead`] — Figure 7: one article segmented by our
+//!   model against GPT-4 as the segmenter, in time and in dollars.
 
 use crate::config::{RetrieverKind, SageConfig};
 use crate::models::TrainedModels;
 use crate::pipeline::RagSystem;
 use sage_llm::LlmProfile;
+use std::time::Duration;
 
 /// One K-sweep step.
 #[derive(Debug, Clone)]
@@ -216,10 +219,74 @@ pub fn incomplete_chunks_case(models: &TrainedModels, profile: LlmProfile) -> Se
     SegmentationCase { question, gold, fixed_answer, semantic_answer, fixed_split_evidence }
 }
 
+/// One Figure 7 row: what segmenting an article cost with our model and
+/// with GPT-4 as the segmenter.
+#[derive(Debug, Clone)]
+pub struct SegmentationOverhead {
+    /// LLM tokens in the article.
+    pub tokens: usize,
+    /// Our model's wall time, as measured by the caller.
+    pub sage_time: Duration,
+    /// Simulated GPT-4 latency (generation speed; corpus in, corpus out).
+    pub gpt4_time: Duration,
+    /// `sage_time` priced at the paper's rented RTX 3090 ($5.30 a day).
+    pub sage_dollars: f64,
+    /// The GPT-4 calls priced with Eq. 1 ($10/M input + $30/M output).
+    pub gpt4_dollars: f64,
+}
+
+impl SegmentationOverhead {
+    /// Share of GPT-4's time the model saves.
+    pub fn time_saved(&self) -> f64 {
+        1.0 - self.sage_time.as_secs_f64() / self.gpt4_time.as_secs_f64()
+    }
+
+    /// Share of GPT-4's bill the model saves.
+    pub fn money_saved(&self) -> f64 {
+        1.0 - self.sage_dollars / self.gpt4_dollars
+    }
+
+    /// The paper's shape: the model saves ≥ 90 % of the time and ≥ 99 % of
+    /// the money (the paper reports ≈ 90 % and ≈ 99.7 % on every dataset).
+    pub fn holds(&self) -> bool {
+        self.time_saved() >= 0.90 && self.money_saved() >= 0.99
+    }
+}
+
+/// Figure 7 for one article. `sage_time` is the caller's measurement of
+/// `SemanticSegmenter::segment` over `text`; the GPT-4 side is modeled.
+pub fn segmentation_overhead(text: &str, sage_time: Duration) -> SegmentationOverhead {
+    const RTX3090_DOLLARS_PER_SECOND: f64 = 5.3 / (24.0 * 3600.0);
+    let (_, cost, gpt4_time) = sage_llm::LlmSegmenter::new(LlmProfile::gpt4()).segment(text);
+    SegmentationOverhead {
+        tokens: sage_text::count_tokens(text),
+        sage_time,
+        gpt4_time,
+        sage_dollars: sage_time.as_secs_f64() * RTX3090_DOLLARS_PER_SECOND,
+        gpt4_dollars: cost.dollars(sage_eval::PriceTable::gpt4()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::tiny_models as models;
+
+    #[test]
+    fn segmentation_model_saves_the_paper_s_time_and_money_on_every_dataset() {
+        use sage_corpus::datasets::{narrativeqa, qasper, quality, SizeConfig};
+        use sage_segment::{Segmenter, SemanticSegmenter};
+        let size = SizeConfig { num_docs: 1, questions_per_doc: 1, seed: 7 };
+        let segmenter = SemanticSegmenter::new(models().segmentation.clone());
+        for dataset in [quality::generate(size), narrativeqa::generate(size), qasper::generate(size)] {
+            let text = dataset.documents[0].text();
+            let start = std::time::Instant::now();
+            let chunks = segmenter.segment(&text);
+            let row = segmentation_overhead(&text, start.elapsed());
+            assert!(!chunks.is_empty());
+            assert!(row.holds(), "{row:?}: time −{:.4}, money −{:.6}", row.time_saved(), row.money_saved());
+        }
+    }
 
     #[test]
     fn noisy_sweep_correct_at_low_k() {

@@ -217,6 +217,15 @@ mod tests {
         assert_eq!(a.siamese.embed("hello town"), b.siamese.embed("hello town"));
     }
 
+    /// Every trained weight bit of the tiny bundle: a trainer refactor that
+    /// reorders one float operation changes this digest.
+    #[test]
+    fn tiny_training_bytes_are_pinned() {
+        let bytes = tiny_models().to_bytes();
+        let digest = sage_text::ngram::Fnv1a::new(0).fold(&bytes).finish();
+        assert_eq!((bytes.len(), digest), (2_565_944, 15_649_338_828_764_704_304));
+    }
+
     #[test]
     fn serialization_roundtrip_preserves_behaviour() {
         let m = TrainedModels::train(TrainBudget::tiny());

@@ -115,7 +115,7 @@ pub fn segmentation_pairs(docs: &[Document], limit: usize, seed: u64) -> Vec<(St
     let mut positives: Vec<(String, String, f32)> = Vec::new();
     let mut negatives: Vec<(String, String, f32)> = Vec::new();
     for doc in docs {
-        let paragraphs: Vec<Vec<String>> = doc
+        let paragraphs: Vec<Vec<&str>> = doc
             .paragraphs
             .iter()
             .map(|p| split_sentences(p))
@@ -123,12 +123,12 @@ pub fn segmentation_pairs(docs: &[Document], limit: usize, seed: u64) -> Vec<(St
             .collect();
         for w in paragraphs.windows(2) {
             if let (Some(last), Some(first)) = (w[0].last(), w[1].first()) {
-                negatives.push((last.clone(), first.clone(), 0.0));
+                negatives.push((last.to_string(), first.to_string(), 0.0));
             }
         }
         for para in &paragraphs {
             for w in para.windows(2) {
-                positives.push((w[0].clone(), w[1].clone(), 1.0));
+                positives.push((w[0].to_string(), w[1].to_string(), 1.0));
             }
         }
         // Random cross-paragraph negatives (Algorithm 1's "unrelated
@@ -141,9 +141,9 @@ pub fn segmentation_pairs(docs: &[Document], limit: usize, seed: u64) -> Vec<(St
                 if b >= a {
                     b += 1;
                 }
-                let sa = &paragraphs[a][rng.random_range(0..paragraphs[a].len())];
-                let sb = &paragraphs[b][rng.random_range(0..paragraphs[b].len())];
-                negatives.push((sa.clone(), sb.clone(), 0.0));
+                let sa = paragraphs[a][rng.random_range(0..paragraphs[a].len())];
+                let sb = paragraphs[b][rng.random_range(0..paragraphs[b].len())];
+                negatives.push((sa.to_string(), sb.to_string(), 0.0));
             }
         }
     }
@@ -225,7 +225,7 @@ mod tests {
         let found = docs.iter().any(|d| {
             d.paragraphs.iter().any(|p| {
                 let s = split_sentences(p);
-                s.windows(2).any(|w| &w[0] == a && &w[1] == b)
+                s.windows(2).any(|w| w[0] == a && w[1] == b)
             })
         });
         assert!(found, "positive pair not adjacent in any paragraph");

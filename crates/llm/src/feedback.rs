@@ -94,7 +94,7 @@ impl SimLlm {
                     clippy::disallowed_types,
                     reason = "intersection is counted (order-free commutative sum of usize), never enumerated into output"
                 )]
-                let stems: std::collections::HashSet<String> = tokenize(&sentence)
+                let stems: std::collections::HashSet<String> = tokenize(sentence)
                     .iter()
                     .filter(|t| !is_stopword(t))
                     .map(|t| stem(t))

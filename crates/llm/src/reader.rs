@@ -60,7 +60,7 @@ fn language_prior() -> &'static Vocab {
             for para in &doc.paragraphs {
                 for sentence in split_sentences(para) {
                     let ids: Vec<u32> =
-                        tokenize(&sentence).iter().map(|t| vocab.intern(&stem(t))).collect();
+                        tokenize(sentence).iter().map(|t| vocab.intern(&stem(t))).collect();
                     vocab.record_document(&ids);
                 }
             }
@@ -325,8 +325,8 @@ impl SimLlm {
             let mut anchors: HashSet<String> = HashSet::new();
             let mut proper = WordSet::new();
             for sentence in split_sentences(chunk) {
-                let tokens = tokenize(&sentence);
-                proper_nouns(&sentence, &mut proper);
+                let tokens = tokenize(sentence);
+                proper_nouns(sentence, &mut proper);
                 let has_entity = tokens
                     .iter()
                     .any(|t| q.entity_terms.contains(strip_possessive(t)));

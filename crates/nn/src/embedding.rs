@@ -61,17 +61,26 @@ impl EmbeddingTable {
     /// Mean-pool the rows addressed by `(bucket, sign)` features into `out`.
     /// With no features, `out` is zeroed.
     pub fn pool(&self, features: &[(u32, f32)], out: &mut [f32]) {
+        self.pool_with(out, |add| features.iter().for_each(|&(bucket, sign)| add(bucket, sign)));
+    }
+
+    /// [`pool`](Self::pool) of the features `feed` hands to its argument one
+    /// by one, in that order — for a caller that can stream them and would
+    /// otherwise collect a list only to pool it.
+    pub fn pool_with(&self, out: &mut [f32], feed: impl FnOnce(&mut dyn FnMut(u32, f32))) {
         assert_eq!(out.len(), self.dim);
         out.fill(0.0);
-        if features.is_empty() {
-            return;
-        }
-        for &(bucket, sign) in features {
+        let mut n = 0usize;
+        feed(&mut |bucket, sign| {
             for (o, &v) in out.iter_mut().zip(self.row(bucket)) {
                 *o += sign * v;
             }
+            n += 1;
+        });
+        if n == 0 {
+            return;
         }
-        let inv = 1.0 / features.len() as f32;
+        let inv = 1.0 / n as f32;
         for o in out {
             *o *= inv;
         }

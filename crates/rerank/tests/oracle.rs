@@ -188,7 +188,10 @@ fn generated_sentences_match_the_oracle_fitted_and_unfitted() {
         let sentences: Vec<String> = dataset
             .documents
             .iter()
-            .flat_map(|doc| split_sentences(&doc.text()).into_iter().take(40))
+            .flat_map(|doc| {
+                let text = doc.text();
+                split_sentences(&text).into_iter().take(40).map(str::to_string).collect::<Vec<_>>()
+            })
             .collect();
         let chunks: Vec<&str> = sentences.iter().map(String::as_str).collect();
         let mut scorer = trained();

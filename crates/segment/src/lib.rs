@@ -13,8 +13,9 @@
 //!   [`FixedLengthSegmenter`] (Figure 3-A: cuts mid-sentence),
 //!   [`SentenceSegmenter`] (Figure 3-B/C: whole sentences up to a length
 //!   budget — the paper's Naive RAG uses this at 200 tokens),
-//!   [`SemanticSegmenter`] (Figure 3-D / §IV-E: coarse ~l-token chunks
-//!   refined by the model at threshold `ss`).
+//!   [`SemanticSegmenter`] (Figure 3-D / §IV-E: each paragraph cut where
+//!   the model scores an adjacent sentence pair below the threshold `ss`,
+//!   or once a chunk has passed `l` tokens).
 
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
 

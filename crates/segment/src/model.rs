@@ -6,7 +6,7 @@
 //! means "segment here". Training updates both the embedding table and the
 //! MLP (Algorithm 1, line 8 updates `f_e` and `M`).
 
-use sage_embed::sentence_features;
+use sage_embed::Analysis;
 use sage_nn::io::{put_u32, put_u64, Reader};
 use sage_nn::layer::Activation;
 use sage_nn::matrix::Matrix;
@@ -93,77 +93,123 @@ impl SegmentationModel {
     }
 
     /// Sentence featurization for the segmentation task: the shared hashed
-    /// bag-of-features plus high-weight *leading-token* features. Sentence
-    /// openings carry most of the boundary signal (pronoun-initial
+    /// bag-of-features plus, last, high-weight *leading-token* features.
+    /// Sentence openings carry most of the boundary signal (pronoun-initial
     /// continuations vs. name-initial introductions), and making them
     /// separately addressable lets the linear layers pick that up without
     /// fighting the pooled average.
-    fn features(&self, sentence: &str) -> Vec<(u32, f32)> {
-        let mut feats = sentence_features(sentence, self.buckets, self.seed);
-        let tokens = sage_text::tokenize(sentence);
-        for (i, tok) in tokens.iter().take(2).enumerate() {
+    fn for_each_feature(&self, analysis: &mut Analysis, mut emit: impl FnMut(u32, f32)) {
+        analysis.for_each_feature(self.buckets, self.seed, &mut emit);
+        for (i, tok) in analysis.tokens.iter().take(2).enumerate() {
             let f = sage_text::hash_token(tok, self.buckets, self.seed ^ (0xF157 + i as u64));
-            feats.push((f.bucket, f.sign * 2.0));
+            emit(f.bucket, f.sign * 2.0);
         }
-        feats
     }
 
-    fn pool(&self, feats: &[(u32, f32)]) -> Vec<f32> {
-        let mut v = vec![0.0; self.dim];
-        self.table.pool(feats, &mut v);
-        v
+    /// Mean-pool an analysed sentence's features into `out` (`dim` floats),
+    /// in feature order, with no list of them in between; zeros when it has
+    /// none.
+    fn pool(&self, analysis: &mut Analysis, out: &mut [f32]) {
+        self.table.pool_with(out, |add| self.for_each_feature(analysis, add));
     }
 
-    /// Concatenate `(x₁, x₂[, x₁−x₂][, x₁·x₂])` per the feature config.
-    fn augment(&self, x1: &[f32], x2: &[f32]) -> Vec<f32> {
-        let mut input = Vec::with_capacity(self.dim * self.feat.blocks());
-        input.extend_from_slice(x1);
-        input.extend_from_slice(x2);
+    /// Write `(x₁, x₂[, x₁−x₂][, x₁·x₂])` per the feature config into `row`.
+    fn augment(&self, x1: &[f32], x2: &[f32], row: &mut [f32]) {
+        let d = self.dim;
+        row[..d].copy_from_slice(x1);
+        row[d..2 * d].copy_from_slice(x2);
+        let mut offset = 2 * d;
         if self.feat.use_diff {
-            input.extend(x1.iter().zip(x2).map(|(a, b)| a - b));
+            for ((o, a), b) in row[offset..offset + d].iter_mut().zip(x1).zip(x2) {
+                *o = a - b;
+            }
+            offset += d;
         }
         if self.feat.use_prod {
-            input.extend(x1.iter().zip(x2).map(|(a, b)| a * b));
+            for ((o, a), b) in row[offset..offset + d].iter_mut().zip(x1).zip(x2) {
+                *o = a * b;
+            }
         }
-        input
     }
 
-    /// Score an adjacent sentence pair in `[0, 1]`; below the threshold
-    /// `ss` the pair should be segmented (§IV-D).
+    /// The one scorer: pool each sentence once, then score every adjacent
+    /// pair in a single forward — `scores[i]` is for `(sentences[i],
+    /// sentences[i + 1])`. A row of a matrix product depends on no other
+    /// row, so each score has the bits it would have scored alone.
+    pub(crate) fn score_adjacent_into(&self, sentences: &[&str], scratch: &mut Scratch) {
+        let Scratch { analysis, pooled, scores } = scratch;
+        scores.clear();
+        if sentences.len() < 2 {
+            return;
+        }
+        let d = self.dim;
+        pooled.resize(sentences.len() * d, 0.0);
+        for (sentence, x) in sentences.iter().zip(pooled.chunks_exact_mut(d)) {
+            analysis.fill(sentence);
+            self.pool(analysis, x);
+        }
+        let mut input = Matrix::zeros(sentences.len() - 1, d * self.feat.blocks());
+        // Sentence i's vector and the next one's are adjacent in `pooled`.
+        for (i, pair) in pooled.windows(2 * d).step_by(d).enumerate() {
+            let (x1, x2) = pair.split_at(d);
+            self.augment(x1, x2, input.row_mut(i));
+        }
+        scores.extend_from_slice(self.mlp.infer(&input).data());
+    }
+
+    /// Score every adjacent pair of a paragraph's sentences in `[0, 1]`
+    /// (one fewer score than sentences); below the threshold `ss` the pair
+    /// should be segmented (§IV-D).
+    pub fn score_adjacent(&self, sentences: &[&str]) -> Vec<f32> {
+        let mut scratch = Scratch::default();
+        self.score_adjacent_into(sentences, &mut scratch);
+        scratch.scores
+    }
+
+    /// [`score_adjacent`](Self::score_adjacent) of two sentences.
     pub fn score_pair(&self, s1: &str, s2: &str) -> f32 {
-        let x1 = self.pool(&self.features(s1));
-        let x2 = self.pool(&self.features(s2));
-        let input = Matrix::from_row(&self.augment(&x1, &x2));
-        self.mlp.infer(&input).get(0, 0)
+        self.score_adjacent(&[s1, s2])[0]
     }
 
     /// Algorithm 1: train on `(s₁, s₂, label)` pairs with MSE, updating the
     /// embedder and the MLP jointly.
     pub fn train(&mut self, pairs: &[(String, String, f32)], lr: f32, epochs: usize) -> TrainReport {
+        // Features depend on nothing trained: one extraction per sentence
+        // serves every epoch. Pairs with a featureless side are skipped.
+        let mut analysis = Analysis::default();
+        let mut features = |sentence: &str| {
+            analysis.fill(sentence);
+            let mut feats = Vec::with_capacity(analysis.tokens.len() * 3 + 2);
+            self.for_each_feature(&mut analysis, |bucket, sign| feats.push((bucket, sign)));
+            feats
+        };
+        let examples: Vec<_> = pairs
+            .iter()
+            .map(|(s1, s2, label)| (features(s1), features(s2), *label))
+            .filter(|(f1, f2, _)| !f1.is_empty() && !f2.is_empty())
+            .collect();
+
+        let d = self.dim;
+        let (mut x1, mut x2) = (vec![0.0; d], vec![0.0; d]);
+        let (mut gx1, mut gx2) = (vec![0.0; d], vec![0.0; d]);
+        let mut input = Matrix::zeros(1, d * self.feat.blocks());
+        let mut target = Matrix::zeros(1, 1);
         let mut epoch_losses = Vec::with_capacity(epochs);
         for epoch in 0..epochs {
             // Geometric learning-rate decay stabilises the final epochs.
             let lr = lr * 0.75f32.powi(epoch as i32);
             let mut total = 0.0;
-            let mut count = 0usize;
-            for (s1, s2, label) in pairs {
-                let f1 = self.features(s1);
-                let f2 = self.features(s2);
-                if f1.is_empty() || f2.is_empty() {
-                    continue;
-                }
-                let x1 = self.pool(&f1);
-                let x2 = self.pool(&f2);
-                let input = Matrix::from_row(&self.augment(&x1, &x2));
-                let target = Matrix::from_vec(1, 1, vec![*label]);
+            for (f1, f2, label) in &examples {
+                self.table.pool(f1, &mut x1);
+                self.table.pool(f2, &mut x2);
+                self.augment(&x1, &x2, input.row_mut(0));
+                target.set(0, 0, *label);
                 let (loss, input_grad) = self.mlp.train_batch_mse(&input, &target, lr);
                 total += loss;
-                count += 1;
                 // Split the input gradient back into dL/dx₁ and dL/dx₂.
                 let g = input_grad.row(0);
-                let d = self.dim;
-                let mut gx1: Vec<f32> = g[..d].to_vec();
-                let mut gx2: Vec<f32> = g[d..2 * d].to_vec();
+                gx1.copy_from_slice(&g[..d]);
+                gx2.copy_from_slice(&g[d..2 * d]);
                 let mut offset = 2 * d;
                 if self.feat.use_diff {
                     let gd = &g[offset..offset + d];
@@ -181,10 +227,10 @@ impl SegmentationModel {
                     }
                 }
                 // Embedder update (SGD on the participating rows).
-                self.table.apply_pooled_grad(&f1, &gx1, lr);
-                self.table.apply_pooled_grad(&f2, &gx2, lr);
+                self.table.apply_pooled_grad(f1, &gx1, lr);
+                self.table.apply_pooled_grad(f2, &gx2, lr);
             }
-            epoch_losses.push(if count == 0 { 0.0 } else { total / count as f32 });
+            epoch_losses.push(if examples.is_empty() { 0.0 } else { total / examples.len() as f32 });
         }
         TrainReport { epoch_losses }
     }
@@ -195,15 +241,27 @@ impl SegmentationModel {
         if pairs.is_empty() {
             return 0.0;
         }
+        let mut scratch = Scratch::default();
         let correct = pairs
             .iter()
             .filter(|(s1, s2, label)| {
-                let pred = self.score_pair(s1, s2) >= 0.5;
-                pred == (*label >= 0.5)
+                self.score_adjacent_into(&[s1.as_str(), s2.as_str()], &mut scratch);
+                (scratch.scores[0] >= 0.5) == (*label >= 0.5)
             })
             .count();
         correct as f32 / pairs.len() as f32
     }
+}
+
+/// What [`SegmentationModel::score_adjacent_into`] reuses from call to
+/// call, and where it leaves the scores.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    analysis: Analysis,
+    /// One pooled `dim`-vector per sentence, row-major.
+    pooled: Vec<f32>,
+    /// One score per adjacent pair of the last call's sentences.
+    pub(crate) scores: Vec<f32>,
 }
 
 impl sage_nn::BytesSerialize for SegmentationModel {

@@ -1,7 +1,7 @@
 //! Segmenters — the three strategies of the paper's Figure 3 plus the
 //! semantic strategy of Figure 3-D.
 
-use crate::model::SegmentationModel;
+use crate::model::{Scratch, SegmentationModel};
 use sage_text::{count_tokens, split_paragraphs, split_sentences};
 
 /// Splits a document's text into retrieval chunks.
@@ -57,7 +57,7 @@ impl Segmenter for SentenceSegmenter {
         let mut current_tokens = 0usize;
         for paragraph in split_paragraphs(text) {
             for sentence in split_sentences(paragraph) {
-                let t = count_tokens(&sentence);
+                let t = count_tokens(sentence);
                 if current_tokens + t > self.max_tokens && !current.is_empty() {
                     chunks.push(std::mem::take(&mut current));
                     current_tokens = 0;
@@ -65,7 +65,7 @@ impl Segmenter for SentenceSegmenter {
                 if !current.is_empty() {
                     current.push(' ');
                 }
-                current.push_str(&sentence);
+                current.push_str(sentence);
                 current_tokens += t;
             }
         }
@@ -80,7 +80,7 @@ impl Segmenter for SentenceSegmenter {
     }
 }
 
-/// Figure 3-D / §IV-E: coarse-to-fine semantic segmentation.
+/// Figure 3-D / §IV-E: semantic segmentation, paragraph by paragraph.
 ///
 /// ```
 /// use sage_segment::{FeatureConfig, SegmentationModel, Segmenter, SemanticSegmenter};
@@ -93,16 +93,25 @@ impl Segmenter for SentenceSegmenter {
 /// assert!(!chunks.is_empty());
 /// ```
 ///
-/// 1. Pack whole sentences into coarse chunks of ≈`coarse_tokens` (the
-///    paper's `l`, default 400).
-/// 2. Within each coarse chunk, score every adjacent sentence pair with the
-///    trained [`SegmentationModel`]; cut where the score falls below the
-///    threshold `ss` (default 0.55).
+/// 1. Split the text into paragraphs on `'\n'` (§III-A) and each paragraph
+///    into sentences; a chunk never spans two paragraphs.
+/// 2. Score every adjacent sentence pair of the paragraph with the trained
+///    [`SegmentationModel`] — each sentence pooled once, all pairs in one
+///    forward.
+/// 3. Walk the sentences: cut before a sentence when its pair scores below
+///    the threshold `ss` (default 0.55), or when the running chunk has
+///    already passed `coarse_tokens` (the paper's `l`, default 400) —
+///    unless that sentence opens with a pronoun, which vetoes either cut.
+///
+/// So `coarse_tokens` is not an upper bound on chunk size: a chunk is cut
+/// only *after* it has passed `l`, and a run of pronoun-initial sentences
+/// keeps extending it.
 pub struct SemanticSegmenter {
     model: SegmentationModel,
     /// Segmentation score threshold `ss` (§IV-D).
     pub threshold: f32,
-    /// Coarse chunk length `l` in tokens (§IV-E).
+    /// Coarse chunk length `l` in tokens (§IV-E): a chunk that has passed
+    /// it is cut at the next sentence the pronoun guard allows.
     pub coarse_tokens: usize,
 }
 
@@ -130,54 +139,53 @@ impl SemanticSegmenter {
     fn starts_with_pronoun(sentence: &str) -> bool {
         const PRONOUNS: &[&str] =
             &["he", "she", "it", "his", "her", "its", "they", "their", "the eyes"];
-        let lower = sentence.trim_start().to_lowercase();
+        // An ASCII-case-insensitive prefix match is what lowercasing the
+        // sentence first finds: no character outside ASCII lowercases into
+        // one of these pronouns (tests/oracle.rs scans them all).
         PRONOUNS.iter().any(|p| {
-            lower.strip_prefix(p).is_some_and(|rest| {
-                rest.chars().next().is_none_or(|c| !c.is_alphanumeric())
-            })
+            sentence.as_bytes().get(..p.len()).is_some_and(|head| head.eq_ignore_ascii_case(p.as_bytes()))
+                && sentence[p.len()..].chars().next().is_none_or(|c| !c.is_alphanumeric())
         })
     }
 
-    /// Segment a list of sentences (one paragraph) at score dips, with the
-    /// coarse length `l` acting as a hard upper bound on chunk size.
-    fn refine(&self, sentences: &[String]) -> Vec<String> {
-        if sentences.is_empty() {
-            return Vec::new();
-        }
-        let mut chunks = Vec::new();
-        let mut current = sentences[0].clone();
-        let mut current_tokens = count_tokens(&sentences[0]);
-        for pair in sentences.windows(2) {
-            let score = self.model.score_pair(&pair[0], &pair[1]);
-            let guard = Self::starts_with_pronoun(&pair[1]);
+    /// Segment one paragraph's sentences at score dips into `out`: after a
+    /// sentence the chunk is cut when the model scores the pair below the
+    /// threshold, or the chunk has already passed `coarse_tokens` — unless
+    /// the next sentence opens with a pronoun.
+    fn refine(&self, sentences: &[&str], scratch: &mut Scratch, out: &mut Vec<String>) {
+        let Some((first, rest)) = sentences.split_first() else {
+            return;
+        };
+        self.model.score_adjacent_into(sentences, scratch);
+        let mut current = first.to_string();
+        let mut current_tokens = count_tokens(first);
+        for (sentence, &score) in rest.iter().zip(&scratch.scores) {
+            let tokens = count_tokens(sentence);
             let over_budget = current_tokens > self.coarse_tokens;
-            let cut = (score < self.threshold || over_budget) && !guard;
+            let cut = (score < self.threshold || over_budget) && !Self::starts_with_pronoun(sentence);
             if cut {
-                chunks.push(std::mem::take(&mut current));
-                current = pair[1].clone();
-                current_tokens = count_tokens(&pair[1]);
+                out.push(std::mem::replace(&mut current, sentence.to_string()));
+                current_tokens = tokens;
             } else {
                 current.push(' ');
-                current.push_str(&pair[1]);
-                current_tokens += count_tokens(&pair[1]);
+                current.push_str(sentence);
+                current_tokens += tokens;
             }
         }
-        chunks.push(current);
-        chunks
+        out.push(current);
     }
 }
 
 impl Segmenter for SemanticSegmenter {
     fn segment(&self, text: &str) -> Vec<String> {
         // Paragraphs split on '\n' first (paper §III-A), then the model
-        // refines within each paragraph; `coarse_tokens` caps chunk size
-        // for paragraph-free text. Cutting at paragraph borders never
+        // refines within each paragraph. Cutting at paragraph borders never
         // orphans a pronoun (writers re-introduce subjects across
         // paragraphs), while mid-paragraph cuts go through the guard.
         let mut out = Vec::new();
+        let mut scratch = Scratch::default();
         for paragraph in split_paragraphs(text) {
-            let sentences = split_sentences(paragraph);
-            out.extend(self.refine(&sentences));
+            self.refine(&split_sentences(paragraph), &mut scratch, &mut out);
         }
         out
     }

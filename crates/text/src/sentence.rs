@@ -19,75 +19,72 @@ pub fn split_paragraphs(text: &str) -> Vec<&str> {
         .collect()
 }
 
-/// Split a paragraph into sentences.
+/// Split a paragraph into sentences: each is a trimmed slice of `text`, in
+/// order, non-empty.
 ///
 /// Sentence terminators are `.`, `!`, `?` (optionally followed by closing
 /// quotes/brackets). Periods after known abbreviations, inside numbers
 /// (`3.10GHz`) or single initials (`J. Smith`) do not terminate.
-pub fn split_sentences(text: &str) -> Vec<String> {
-    let chars: Vec<char> = text.chars().collect();
+pub fn split_sentences(text: &str) -> Vec<&str> {
+    fn push<'a>(sentences: &mut Vec<&'a str>, sentence: &'a str) {
+        let trimmed = sentence.trim();
+        if !trimmed.is_empty() {
+            sentences.push(trimmed);
+        }
+    }
+    let bytes = text.as_bytes();
     let mut sentences = Vec::new();
     let mut start = 0usize;
     let mut i = 0usize;
-    while i < chars.len() {
-        let ch = chars[i];
-        if ch == '.' || ch == '!' || ch == '?' {
-            // Consume runs of terminators ("?!", "...").
-            let mut end = i + 1;
-            while end < chars.len() && matches!(chars[end], '.' | '!' | '?') {
-                end += 1;
-            }
-            // Trailing closers stay with the sentence.
-            while end < chars.len() && matches!(chars[end], '"' | '\'' | ')' | ']' | '”' | '’') {
-                end += 1;
-            }
-            let is_boundary = if ch == '.' && end == i + 1 {
-                !period_is_internal(&chars, i)
-            } else {
-                true
-            };
-            if is_boundary {
-                let sentence: String = chars[start..end].iter().collect();
-                let trimmed = sentence.trim();
-                if !trimmed.is_empty() {
-                    sentences.push(trimmed.to_string());
-                }
-                start = end;
-            }
-            i = end;
-        } else {
-            i += 1;
+    // The terminators are ASCII, so a byte scan finds them and every index
+    // below is a char boundary.
+    while let Some(offset) = bytes[i..].iter().position(|b| matches!(b, b'.' | b'!' | b'?')) {
+        i += offset;
+        // Consume runs of terminators ("?!", "...").
+        let mut end = i + 1;
+        while matches!(bytes.get(end), Some(b'.' | b'!' | b'?')) {
+            end += 1;
         }
-    }
-    if start < chars.len() {
-        let tail: String = chars[start..].iter().collect();
-        let trimmed = tail.trim();
-        if !trimmed.is_empty() {
-            sentences.push(trimmed.to_string());
+        // Trailing closers stay with the sentence.
+        while let Some(closer) =
+            text[end..].chars().next().filter(|c| matches!(c, '"' | '\'' | ')' | ']' | '”' | '’'))
+        {
+            end += closer.len_utf8();
         }
+        let lone_period = bytes[i] == b'.' && end == i + 1;
+        if !(lone_period && period_is_internal(text, i)) {
+            push(&mut sentences, &text[start..end]);
+            start = end;
+        }
+        i = end;
     }
+    push(&mut sentences, &text[start..]);
     sentences
 }
 
-/// Decide whether the period at `idx` is internal (abbreviation, number,
-/// initial) rather than a sentence boundary.
-fn period_is_internal(chars: &[char], idx: usize) -> bool {
+/// Decide whether the period at byte `idx` is internal (abbreviation,
+/// number, initial) rather than a sentence boundary.
+fn period_is_internal(text: &str, idx: usize) -> bool {
+    let bytes = text.as_bytes();
     // Number like 3.10
-    let prev_digit = idx > 0 && chars[idx - 1].is_ascii_digit();
-    let next_digit = chars.get(idx + 1).is_some_and(|c| c.is_ascii_digit());
+    let prev_digit = idx > 0 && bytes[idx - 1].is_ascii_digit();
+    let next_digit = bytes.get(idx + 1).is_some_and(u8::is_ascii_digit);
     if prev_digit && next_digit {
         return true;
     }
-    // Collect the word before the period.
-    let mut j = idx;
-    while j > 0 && (chars[j - 1].is_alphanumeric() || chars[j - 1] == '.') {
-        j -= 1;
+    // The word before the period.
+    let before = &text[..idx];
+    let word = &before[before.trim_end_matches(|c: char| c.is_alphanumeric() || c == '.').len()..];
+    // Single initial "J.", or a known abbreviation. Every target is ASCII,
+    // so only a word outside ASCII needs Unicode lowercasing to compare.
+    if word.is_ascii() {
+        (word.len() == 1 && bytes[idx - 1].is_ascii_alphabetic())
+            || ABBREVIATIONS.iter().any(|abbr| word.eq_ignore_ascii_case(abbr))
+    } else {
+        let lower = || word.chars().flat_map(char::to_lowercase);
+        (lower().count() == 1 && lower().all(|c| c.is_ascii_alphabetic()))
+            || ABBREVIATIONS.iter().any(|abbr| lower().eq(abbr.chars()))
     }
-    let word: String = chars[j..idx].iter().collect::<String>().to_lowercase();
-    if word.len() == 1 && word.chars().next().is_some_and(char::is_alphabetic) {
-        return true; // single initial "J."
-    }
-    ABBREVIATIONS.contains(&word.as_str())
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
-//! The token buffer, the in-place stemmer and `proper_nouns` against the
-//! allocating bodies they replaced, kept here verbatim as oracles.
+//! The token buffer, the in-place stemmer, `proper_nouns` and the slicing
+//! `split_sentences` against the allocating bodies they replaced, kept here
+//! verbatim as oracles.
 
 use proptest::prelude::*;
 use sage_text::{
-    is_stopword, proper_nouns, stem, stem_into, tokenize, tokenize_filtered, TokenBuf, WordSet,
+    is_stopword, proper_nouns, split_sentences, stem, stem_into, tokenize, tokenize_filtered,
+    TokenBuf, WordSet,
 };
 use std::collections::BTreeSet;
 
@@ -129,10 +131,89 @@ fn oracle_caps(text: &str) -> BTreeSet<String> {
         .collect()
 }
 
+const ABBREVIATIONS: &[&str] = &[
+    "mr", "mrs", "ms", "dr", "prof", "sr", "jr", "st", "vs", "etc", "e.g", "i.e", "fig", "eq",
+    "al", "inc", "ltd", "co", "no", "vol", "pp",
+];
+
+fn oracle_split_sentences(text: &str) -> Vec<String> {
+    let chars: Vec<char> = text.chars().collect();
+    let mut sentences = Vec::new();
+    let mut start = 0usize;
+    let mut i = 0usize;
+    while i < chars.len() {
+        let ch = chars[i];
+        if ch == '.' || ch == '!' || ch == '?' {
+            // Consume runs of terminators ("?!", "...").
+            let mut end = i + 1;
+            while end < chars.len() && matches!(chars[end], '.' | '!' | '?') {
+                end += 1;
+            }
+            // Trailing closers stay with the sentence.
+            while end < chars.len() && matches!(chars[end], '"' | '\'' | ')' | ']' | '”' | '’') {
+                end += 1;
+            }
+            let is_boundary = if ch == '.' && end == i + 1 {
+                !oracle_period_is_internal(&chars, i)
+            } else {
+                true
+            };
+            if is_boundary {
+                let sentence: String = chars[start..end].iter().collect();
+                let trimmed = sentence.trim();
+                if !trimmed.is_empty() {
+                    sentences.push(trimmed.to_string());
+                }
+                start = end;
+            }
+            i = end;
+        } else {
+            i += 1;
+        }
+    }
+    if start < chars.len() {
+        let tail: String = chars[start..].iter().collect();
+        let trimmed = tail.trim();
+        if !trimmed.is_empty() {
+            sentences.push(trimmed.to_string());
+        }
+    }
+    sentences
+}
+
+fn oracle_period_is_internal(chars: &[char], idx: usize) -> bool {
+    // Number like 3.10
+    let prev_digit = idx > 0 && chars[idx - 1].is_ascii_digit();
+    let next_digit = chars.get(idx + 1).is_some_and(|c| c.is_ascii_digit());
+    if prev_digit && next_digit {
+        return true;
+    }
+    // Collect the word before the period.
+    let mut j = idx;
+    while j > 0 && (chars[j - 1].is_alphanumeric() || chars[j - 1] == '.') {
+        j -= 1;
+    }
+    let word: String = chars[j..idx].iter().collect::<String>().to_lowercase();
+    if word.len() == 1 && word.chars().next().is_some_and(char::is_alphabetic) {
+        return true; // single initial "J."
+    }
+    ABBREVIATIONS.contains(&word.as_str())
+}
+
 /// Everything the grammar branches on: case, digits, the two intra-word
 /// marks, `_`, whitespace, punctuation, multi-char lowercase expansions
 /// (`İ`), final sigma, a titlecase digraph.
 const HOSTILE: &str = "[-a-eA-E0-2'_ .,;—İßΣσéǅ\t\n]{0,60}";
+
+/// What `split_sentences` branches on: terminators, closers, digits around
+/// periods, initials, every abbreviation in both cases, and the characters
+/// whose lowercase is (or starts with) an ASCII letter.
+const SENTENCE_PIECES: [&str; 48] = [
+    ".", ".", ". ", "!", "?", "\"", "'", ")", "]", "”", "’", " ", "  ", "0", "7", "3.1", "a", "J",
+    "\u{212A}", "İ", "ſ", "Σ", "é", "mr", "Mrs", "MS", "dr", "Prof", "sr", "JR", "st", "vs", "etc",
+    "e.g", "I.E", "fig", "Eq", "al", "inc", "LTD", "co", "no", "vol", "pp", "word", "Two words", "\t",
+    "\u{a0}",
+];
 
 /// Pieces the stemmer's steps look for, to be chained after a random head.
 const SUFFIXES: [&str; 24] = [
@@ -184,6 +265,43 @@ fn hand_picked_texts_match_the_oracles_through_one_reused_buffer() {
     }
 }
 
+/// The slices are the old `String`s, and each lies inside `text`.
+fn check_sentences(text: &str) {
+    let got = split_sentences(text);
+    assert_eq!(got, oracle_split_sentences(text), "{text:?}");
+    let range = text.as_bytes().as_ptr_range();
+    for sentence in got {
+        let s = sentence.as_bytes().as_ptr_range();
+        assert!(range.start <= s.start && s.end <= range.end, "{sentence:?} is not a slice of {text:?}");
+    }
+}
+
+#[test]
+fn hand_picked_paragraphs_split_like_the_old_splitter() {
+    for text in [
+        "",
+        " ",
+        ".",
+        "...",
+        " . ! ? ",
+        "a",
+        "I have a cat. His name is Whiskers.",
+        "Really?! Yes. Go!",
+        "Dr. Smith arrived. He sat down.  ",
+        "The CPU runs at 3.10GHz. It is fast. v1.2. 3. 4.x .5",
+        "J. Smith wrote it. We read it. İ. K. \u{212A}. ſ. é. Σ. ß.",
+        "He said \"stop.\" Then (he left.) [Gone.] “Quoted.” ‘Single.’ it's.' done",
+        "Wait... Now go.?!\"')]”’ tail",
+        "See e.g. Fig. 3 vs. eq. 4 et al. Inc. MR. Mrs. PROF. x.e.g. i.e. no. No.",
+        "etc.e.g.i.e. a.b. co.Ltd. vol.pp. 1.a a.1 １.２ ٣.٤",
+        "St\u{212A}. \u{212A}o. ſt. DŽ. ǅ. İnc. ıNC. Σ.Σ. ΟΔΟΣ. ",
+        "trailing closers only \"')]”’",
+        ".\"leading. \u{a0}nbsp.\u{a0}\u{2003}em. \ttab.\n newline.",
+    ] {
+        check_sentences(text);
+    }
+}
+
 #[test]
 fn stem_into_overwrites_its_buffer_with_the_old_stem() {
     let mut out = String::from("left over from the last word");
@@ -207,6 +325,24 @@ proptest! {
     #[test]
     fn buffer_tokens_are_the_old_tokenizer_s(text in HOSTILE) {
         check_text(&text, &mut TokenBuf::new(), &mut WordSet::new());
+    }
+
+    #[test]
+    fn sentences_are_the_old_splitter_s(
+        pieces in proptest::collection::vec(0..SENTENCE_PIECES.len() + 40, 0..40),
+        hostile in HOSTILE,
+    ) {
+        // Two thirds noise from the tokenizer's alphabet, one third pieces
+        // the splitter branches on.
+        let mut noise = hostile.chars();
+        let text: String = pieces
+            .iter()
+            .map(|&i| match SENTENCE_PIECES.get(i) {
+                Some(piece) => piece.to_string(),
+                None => noise.next().map(String::from).unwrap_or_default(),
+            })
+            .collect();
+        check_sentences(&text);
     }
 
     #[test]

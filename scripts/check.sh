@@ -15,9 +15,10 @@
 #
 # Byte-identity checks among the smokes: same-seed replays of the soak, the
 # shard-loss soak and the live soak (two runs, `diff`); 4-shard ask ==
-# unsharded ask; two `sage index` runs over one model file (`cmp`); and the
-# full scenario grid == the committed BENCH_scenarios.json (one run;
-# `cargo test` asserts the same equality).
+# unsharded ask; two `sage index` runs over one model file (`cmp`); `sage
+# segment` == the chunk listing recorded in this script; and the full
+# scenario grid == the committed BENCH_scenarios.json (one run; `cargo test`
+# asserts the same equality).
 #
 # Every dependency is a path crate of this repository, so this runs with an
 # empty registry and no network.
@@ -111,6 +112,22 @@ if [ "${1:-}" != fast ]; then
   grep -q 'checksum mismatch' "$tmp/flipped.err" \
     || { echo "FAIL: no checksum error"; cat "$tmp/flipped.err"; exit 1; }
   echo "persistence smoke ok"
+
+  echo "=== segment smoke (the chunk listing is the recorded one; a bad --naive value is refused)"
+  # The listing is what the build before the pool-once segmenter (PR 23's
+  # parent) printed for this corpus and these models, byte for byte.
+  "$sage" segment --file "$tmp/corpus.txt" --models "$tmp/models.bin" \
+    > "$tmp/segment.txt" 2> /dev/null
+  diff "$tmp/segment.txt" - <<'LISTING' || { echo "FAIL: sage segment printed a different chunk listing"; exit 1; }
+[  0] (17 tokens) Whiskers is a playful tabby cat. He has bright green eyes.
+[  1] (17 tokens) Dorinwick was well known in the region. He lives in Ashford.
+LISTING
+  if "$sage" segment --file "$tmp/corpus.txt" --naive abc > /dev/null 2> "$tmp/naive.err"; then
+    echo "FAIL: sage segment accepted --naive abc"; exit 1
+  fi
+  grep -q 'invalid value for --naive' "$tmp/naive.err" \
+    || { echo "FAIL: no 'invalid value for --naive' error"; cat "$tmp/naive.err"; exit 1; }
+  echo "segment smoke ok"
 
   echo "=== soak smoke (deterministic overload replay)"
   # Two runs with the same seed must produce bit-identical event logs,
