@@ -34,7 +34,7 @@ use crate::retriever::AnyRetriever;
 use sage_resilience::FaultPlan;
 use sage_retrieval::ScoredChunk;
 use sage_telemetry::metrics;
-use sage_vecdb::{merge_hits, Hit, ShardRouter, ShardedFlat, VectorIndex};
+use sage_vecdb::{merge_hits, Hit, ShardRouter, ShardedFlat};
 use std::time::Duration;
 
 /// System-wide sharding state: the resolved fan-out plus the partitioned
@@ -61,8 +61,9 @@ impl ShardState {
         let router = ShardRouter::new(shards);
         let fanout = Fanout::new(shards, quorum);
         let dense = retriever.flat_ref().map(|flat| {
-            let vectors: Vec<&[f32]> = (0..flat.len()).filter_map(|id| flat.vector(id)).collect();
-            ShardedFlat::build(router, vectors)
+            let mut sharded = ShardedFlat::new(router);
+            flat.for_each_row(|row| sharded.push(row));
+            sharded
         });
         Self { fanout, dense, assignment: router.assignment(chunk_count) }
     }

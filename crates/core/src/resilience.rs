@@ -89,16 +89,12 @@ impl ResilienceState {
     }
 }
 
-/// Copy every vector of a flat index into a fresh ANN tier. Flat index
-/// ids are dense (0..len), so the loop normally runs to completion; if
-/// that invariant ever breaks, stopping early keeps the already-copied
-/// prefix id-aligned rather than aborting the build.
+/// Copy every vector of a flat index, in id order, into a fresh ANN tier.
 fn hnsw_from_flat(flat: &FlatIndex) -> HnswIndex {
     let mut h = HnswIndex::cosine();
-    for id in 0..flat.len() {
-        let Some(v) = flat.vector(id) else { break };
-        h.add(v.to_vec());
-    }
+    flat.for_each_row(|row| {
+        h.add(row.to_vec());
+    });
     h
 }
 

@@ -14,9 +14,12 @@
 //! side of `sage-core`'s live-corpus writer, which holds it in a private
 //! field.
 //!
-//! Both keep their rows in one arena type (a norm per row, taken at
-//! insert) and score through one `dot`, so a (query, row) pair gets the same
-//! bits from each. Both assign sequential internal ids in insertion
+//! Each stores rows the way its search reads them — the flat scan
+//! dimension-major in blocks, so it walks only the query's non-zero
+//! dimensions; the graph walk row-major, one row at a time — with a norm per
+//! row taken at insert, and both sum in the one order of `metric::dot`, so a
+//! (query, row) pair gets the same bits from each (`tests/oracle.rs`).
+//! Both assign sequential internal ids in insertion
 //! order, which is exactly the paper's "record of the mapping between the
 //! index of each chunk in 𝕋 and its corresponding vector" (§III-A): insert
 //! chunks in order and the internal id *is* the chunk index.

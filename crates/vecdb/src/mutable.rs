@@ -8,8 +8,10 @@
 //! [`compact`](MutableIndex::compact)s — rebuilding both tiers from the
 //! survivors so the dead mass does not grow without bound.
 //!
-//! Compaction is deterministic: survivors are re-inserted in id order and
-//! the HNSW tier is rebuilt from a fresh seeded RNG, so two stores that
+//! Compaction is deterministic: survivors keep their id order (the arena
+//! moves them a block at a time and ends as the one a fresh index fed the
+//! survivors would be) and the HNSW tier is rebuilt from a fresh seeded RNG,
+//! so two stores that
 //! applied the same operations compact to bit-identical indexes. The
 //! one serving instance is a private field of `sage-core`'s `CorpusWriter`,
 //! so all mutation of it stays inside that crate's `live` module.
@@ -77,12 +79,6 @@ impl MutableIndex {
         self.hnsw.is_some()
     }
 
-    /// Borrow the vector stored at `id` (tombstoned slots included — the
-    /// arena is the authoritative record until compaction purges it).
-    pub fn vector(&self, id: usize) -> Option<&[f32]> {
-        self.flat.vector(id)
-    }
-
     /// Mark slot `id` dead. Returns `false` when `id` is out of range or
     /// already tombstoned (idempotent).
     pub fn tombstone(&mut self, id: usize) -> bool {
@@ -113,28 +109,20 @@ impl MutableIndex {
         }
     }
 
-    /// Purge tombstones: rebuild the arena (and ANN tier, from a fresh
-    /// seeded RNG) over the survivors in id order. Returns the old→new id
-    /// remap (`None` for purged slots) so callers can rewrite their own
-    /// id references. Deterministic: depends only on the surviving
-    /// vectors and their order.
+    /// Purge tombstones: close the arena up over the survivors, in id
+    /// order, and rebuild the ANN tier over them from a fresh seeded RNG.
+    /// Returns the old→new id remap (`None` for purged slots) so callers
+    /// can rewrite their own id references. Deterministic: depends only on
+    /// the surviving vectors and their order.
     pub fn compact(&mut self) -> Vec<Option<usize>> {
-        let mut remap = vec![None; self.dead.len()];
-        let mut flat = FlatIndex::new(self.metric);
-        let mut hnsw = self.hnsw.as_ref().map(|_| HnswIndex::new(self.metric, self.hnsw_cfg));
-        for (old, slot) in remap.iter_mut().enumerate() {
-            if self.dead[old] {
-                continue;
-            }
-            let Some(v) = self.flat.vector(old).map(<[f32]>::to_vec) else { continue };
-            if let Some(h) = hnsw.as_mut() {
-                h.add(v.clone());
-            }
-            *slot = Some(flat.add(v));
+        let remap = self.flat.retain(|id| !self.dead[id]);
+        if let Some(hnsw) = self.hnsw.as_mut() {
+            *hnsw = HnswIndex::new(self.metric, self.hnsw_cfg);
+            self.flat.for_each_row(|row| {
+                hnsw.add(row.to_vec());
+            });
         }
-        self.flat = flat;
-        self.hnsw = hnsw;
-        self.dead = vec![false; remap.iter().filter(|s| s.is_some()).count()];
+        self.dead = vec![false; self.flat.len()];
         self.dead_count = 0;
         remap
     }
@@ -165,7 +153,7 @@ impl VectorIndex for MutableIndex {
             return Vec::new();
         }
         let Some(hnsw) = &self.hnsw else {
-            return self.flat.search_where(query, n, |&id| !self.dead[id]);
+            return self.flat.search_where(query, n, |id| !self.dead[id]);
         };
         // The graph cannot skip slots: over-fetch by the tombstone count so
         // n live hits survive the filter even if every dead slot outranks them.

@@ -92,21 +92,19 @@ pub struct ShardedFlat {
 }
 
 impl ShardedFlat {
-    /// Partition `vectors` (indexed by global id) across `router.shards()`
-    /// cosine shards.
-    pub fn build<'a, I>(router: ShardRouter, vectors: I) -> Self
-    where
-        I: IntoIterator<Item = &'a [f32]>,
-    {
+    /// An empty partition over `router.shards()` cosine shards.
+    pub fn new(router: ShardRouter) -> Self {
         let n = router.shards() as usize;
-        let mut shards: Vec<FlatIndex> = (0..n).map(|_| FlatIndex::cosine()).collect();
-        let mut global_ids: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (id, v) in vectors.into_iter().enumerate() {
-            let s = router.route_id(id) as usize;
-            shards[s].add(v.to_vec());
-            global_ids[s].push(id);
-        }
-        Self { router, shards, global_ids }
+        Self { router, shards: vec![FlatIndex::cosine(); n], global_ids: vec![Vec::new(); n] }
+    }
+
+    /// Route the next vector — its global id is how many came before it —
+    /// to its shard.
+    pub fn push(&mut self, vector: &[f32]) {
+        let id = self.global_ids.iter().map(Vec::len).sum();
+        let s = self.router.route_id(id) as usize;
+        self.shards[s].add(vector.to_vec());
+        self.global_ids[s].push(id);
     }
 
     /// The router this partition was built with.
@@ -178,6 +176,12 @@ mod tests {
         ix
     }
 
+    fn sharded(shards: u32, vectors: &[Vec<f32>]) -> ShardedFlat {
+        let mut sharded = ShardedFlat::new(ShardRouter::new(shards));
+        vectors.iter().for_each(|v| sharded.push(v));
+        sharded
+    }
+
     #[test]
     fn routing_is_stable_and_in_range() {
         let r = ShardRouter::new(4);
@@ -205,10 +209,7 @@ mod tests {
         let flat = unsharded(&vectors);
         let q = unit(0.95);
         for n in [1u32, 2, 3, 4, 7] {
-            let sharded = ShardedFlat::build(
-                ShardRouter::new(n),
-                vectors.iter().map(Vec::as_slice),
-            );
+            let sharded = sharded(n, &vectors);
             let parts: Vec<Vec<Hit>> =
                 (0..n).map(|s| sharded.search_shard(s, &q, 5)).collect();
             assert_eq!(merge_hits(&parts, 5), flat.search(&q, 5), "N={n}");
@@ -218,8 +219,7 @@ mod tests {
     #[test]
     fn merge_is_invariant_to_part_order() {
         let vectors = corpus(40);
-        let sharded =
-            ShardedFlat::build(ShardRouter::new(4), vectors.iter().map(Vec::as_slice));
+        let sharded = sharded(4, &vectors);
         let q = unit(0.4);
         let mut parts: Vec<Vec<Hit>> = (0..4).map(|s| sharded.search_shard(s, &q, 6)).collect();
         let merged = merge_hits(&parts, 6);
@@ -232,8 +232,7 @@ mod tests {
     #[test]
     fn lost_shards_shrink_results_without_reordering() {
         let vectors = corpus(40);
-        let sharded =
-            ShardedFlat::build(ShardRouter::new(4), vectors.iter().map(Vec::as_slice));
+        let sharded = sharded(4, &vectors);
         let q = unit(1.3);
         let full: Vec<Vec<Hit>> = (0..4).map(|s| sharded.search_shard(s, &q, 8)).collect();
         let merged_full = merge_hits(&full, 8);
@@ -256,8 +255,7 @@ mod tests {
     #[test]
     fn shard_accessors() {
         let vectors = corpus(30);
-        let sharded =
-            ShardedFlat::build(ShardRouter::new(3), vectors.iter().map(Vec::as_slice));
+        let sharded = sharded(3, &vectors);
         assert_eq!(sharded.shard_count(), 3);
         let total: usize = (0..3).map(|s| sharded.shard_len(s)).sum();
         assert_eq!(total, 30, "partition must cover the corpus exactly");

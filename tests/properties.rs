@@ -484,7 +484,8 @@ proptest! {
             .map(|mut v| { v.push(1.0); v })
             .collect();
         let q = [0.5f32, -0.25, 0.8, 1.0];
-        let sharded = ShardedFlat::build(ShardRouter::new(n), vecs.iter().map(Vec::as_slice));
+        let mut sharded = ShardedFlat::new(ShardRouter::new(n));
+        vecs.iter().for_each(|v| sharded.push(v));
         let mut parts: Vec<Vec<Hit>> =
             (0..sharded.shard_count()).map(|s| sharded.search_shard(s, &q, k)).collect();
         let merged = merge_hits(&parts, k);
