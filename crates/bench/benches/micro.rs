@@ -97,13 +97,19 @@ fn bench_vecdb() {
     });
 }
 
+/// A small index and one at the repo benchmark's `ask_bm25` shape (≈ 22k
+/// chunks, top 32), where a query touches thousands of chunks.
 fn bench_bm25() {
-    let chunks = corpus_chunks(20);
-    let mut retriever = Bm25Retriever::new();
-    retriever.index(&chunks);
-    cell(&format!("bm25 query_{}_chunks", chunks.len()), || {
-        retriever.retrieve(black_box("where does the baker live in town"), 20)
-    });
+    for docs in [20, 2000] {
+        let chunks = corpus_chunks(docs);
+        let mut retriever = Bm25Retriever::new();
+        cell(&format!("bm25 index_{}_chunks", chunks.len()), || {
+            retriever.index(black_box(&chunks))
+        });
+        cell(&format!("bm25 query_{}_chunks", chunks.len()), || {
+            retriever.retrieve(black_box("where does the baker live in town"), 32)
+        });
+    }
 }
 
 fn bench_rerank() {

@@ -836,6 +836,97 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The chunk table as `(text, doc, live)` and the doc table as
+    /// `(doc, fingerprint, chunk ids)`.
+    type Tables = (Vec<(String, String, bool)>, Vec<(String, u64, Vec<u32>)>);
+
+    fn tables(w: &CorpusWriter) -> Tables {
+        let chunks =
+            w.state.chunks.iter().map(|s| (s.text.clone(), s.doc.clone(), s.live)).collect();
+        let docs = w
+            .state
+            .docs
+            .iter()
+            .map(|(id, m)| (id.clone(), m.fingerprint, m.chunks.clone()))
+            .collect();
+        (chunks, docs)
+    }
+
+    fn hit_bits(hits: &[LiveHit]) -> Vec<(String, String, u32)> {
+        hits.iter().map(|h| (h.doc_id.clone(), h.chunk.clone(), h.score.to_bits())).collect()
+    }
+
+    /// A compacted BM25 store is the store that only ever saw the
+    /// survivors: committing the surviving documents, in surviving-chunk
+    /// order, to a fresh store gives the same chunk and doc tables and the
+    /// same hits, score bits included (the compaction's full rebuild
+    /// against the fresh store's delta postings).
+    #[test]
+    fn bm25_compaction_equals_a_fresh_store_over_the_survivors() {
+        let cfg = LiveConfig {
+            retriever: LiveRetrieverKind::Bm25,
+            compact_dead_fraction: 0.2,
+            compact_min_dead: 2,
+            ..LiveConfig::default()
+        };
+        let delete = |i: usize| LiveOp::Delete { doc_id: format!("doc-{i}") };
+        let batches: Vec<Vec<LiveOp>> = vec![
+            (0..8).map(|i| doc(i, 0)).collect(),
+            vec![doc(2, 1), doc(8, 0)],
+            vec![delete(0), delete(3), doc(6, 2)],
+            vec![doc(9, 0), doc(1, 1), doc(9, 0)],
+            vec![delete(4), delete(7), doc(2, 2), doc(10, 0)],
+        ];
+        let queries = [
+            "lighthouses in the harbor town",
+            "records of town 6",
+            "Which cliffs are near town 2?",
+            "Document 9 version 0",
+            "the the the",
+            "zyzzyva",
+        ];
+        let dir = scratch("bm25_compaction_oracle");
+        let (mut w, _) = CorpusWriter::open(&dir, cfg).unwrap();
+        let mut texts: BTreeMap<String, String> = BTreeMap::new();
+        let mut compactions = 0;
+        for batch in &batches {
+            for op in batch {
+                match op {
+                    LiveOp::Upsert { doc_id, text } => texts.insert(doc_id.clone(), text.clone()),
+                    LiveOp::Delete { doc_id } => texts.remove(doc_id),
+                };
+            }
+            if !w.commit(batch).unwrap().compacted {
+                continue;
+            }
+            compactions += 1;
+            let mut survivors: Vec<(u32, &String)> =
+                w.state.docs.iter().map(|(id, m)| (m.chunks[0], id)).collect();
+            survivors.sort();
+            let fresh_ops: Vec<LiveOp> = survivors
+                .iter()
+                .map(|(_, id)| LiveOp::Upsert { doc_id: (*id).clone(), text: texts[*id].clone() })
+                .collect();
+            let fresh_dir = scratch(&format!("bm25_compaction_fresh_{compactions}"));
+            let (mut fresh, _) = CorpusWriter::open(&fresh_dir, cfg).unwrap();
+            assert!(!fresh.commit(&fresh_ops).unwrap().compacted);
+            assert_eq!(tables(&w), tables(&fresh), "compaction {compactions}");
+            assert_eq!(w.snapshot().search(queries[0], 5).len(), 5);
+            for q in queries {
+                for k in [1, 5, 100] {
+                    assert_eq!(
+                        hit_bits(&w.snapshot().search(q, k)),
+                        hit_bits(&fresh.snapshot().search(q, k)),
+                        "compaction {compactions}: {q:?} k={k}"
+                    );
+                }
+            }
+            std::fs::remove_dir_all(&fresh_dir).ok();
+        }
+        assert!(compactions >= 2, "the batches must compact at least twice: {compactions}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn bm25_and_hnsw_variants_work() {
         for kind in [LiveRetrieverKind::Bm25, LiveRetrieverKind::HashedHnsw] {

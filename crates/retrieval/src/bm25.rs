@@ -3,15 +3,20 @@
 //! Terms are stemmed but stopwords are kept — BM25's IDF term drives their
 //! weight toward zero naturally, and dropping them would distort document
 //! length normalisation.
-
-#![expect(
-    clippy::disallowed_types,
-    reason = "posting maps are accumulated in query-term order and every result list is fully sorted with an index tie-break before returning; ordering cannot leak"
-)]
+//!
+//! Layout: the postings are one `Vec` per vocabulary id (ids are dense), each
+//! a chunk-ascending list of `(chunk, term frequency)`. A chunk's term
+//! frequencies are counted by sorting its term ids and run-length counting
+//! them. A query scores into one dense `f32` per chunk, adding each query
+//! stem's contributions in stem order, remembers which chunks it touched,
+//! and keeps the best `n` of those by a selection followed by a sort of the
+//! `n` alone. The rank order is a strict total order (score descending under
+//! `total_cmp`, then chunk ascending), so the hits are exactly those a full
+//! sort would return.
 
 use crate::{Retriever, ScoredChunk};
 use sage_text::{TokenBuf, Vocab};
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 /// BM25 hyper-parameters (standard Okapi defaults).
 #[derive(Debug, Clone, Copy)]
@@ -42,8 +47,9 @@ impl Default for Bm25Params {
 pub struct Bm25Retriever {
     params: Bm25Params,
     vocab: Vocab,
-    /// term id → postings of (chunk index, term frequency).
-    postings: HashMap<u32, Vec<(u32, u32)>>,
+    /// Indexed by term id: postings of (chunk index, term frequency),
+    /// chunk-ascending.
+    postings: Vec<Vec<(u32, u32)>>,
     /// Token count per chunk.
     chunk_len: Vec<u32>,
     avg_len: f32,
@@ -71,7 +77,7 @@ impl Bm25Retriever {
         Self {
             params,
             vocab: Vocab::new(),
-            postings: HashMap::new(),
+            postings: Vec::new(),
             chunk_len: Vec::new(),
             avg_len: 0.0,
             deleted: Vec::new(),
@@ -81,17 +87,20 @@ impl Bm25Retriever {
     }
 
     /// Append the postings of `text` as the next chunk, tokenised through
-    /// `tokens`; returns its term count.
-    fn post_chunk(&mut self, text: &str, tokens: &mut TokenBuf) -> u32 {
+    /// `tokens` with `ids` as scratch; returns its term count.
+    fn post_chunk(&mut self, text: &str, tokens: &mut TokenBuf, ids: &mut Vec<u32>) -> u32 {
         let ci = self.chunk_len.len() as u32;
         tokens.fill(text);
-        let mut tf: HashMap<u32, u32> = HashMap::new();
-        tokens.for_each_stem(|term| *tf.entry(self.vocab.intern(term)).or_insert(0) += 1);
-        let ids: Vec<u32> = tf.keys().copied().collect();
-        self.vocab.record_document(&ids);
-        for (id, freq) in tf {
-            self.postings.entry(id).or_default().push((ci, freq));
+        ids.clear();
+        tokens.for_each_stem(|term| ids.push(self.vocab.intern(term)));
+        ids.sort_unstable();
+        self.postings.resize_with(self.vocab.len(), Vec::new);
+        // A run of one id is that term's frequency in this chunk.
+        for run in ids.chunk_by(|a, b| a == b) {
+            self.postings[run[0] as usize].push((ci, run.len() as u32));
         }
+        ids.dedup();
+        self.vocab.record_document(ids);
         let len = tokens.len() as u32;
         self.chunk_len.push(len);
         len
@@ -101,7 +110,7 @@ impl Bm25Retriever {
     /// delta path). Returns the new chunk's index.
     pub fn push_live_chunk(&mut self, text: &str) -> usize {
         let ci = self.chunk_len.len();
-        let len = self.post_chunk(text, &mut TokenBuf::new());
+        let len = self.post_chunk(text, &mut TokenBuf::new(), &mut Vec::new());
         self.deleted.push(false);
         self.live_total_len += u64::from(len);
         self.live_count += 1;
@@ -172,34 +181,52 @@ impl Bm25Retriever {
             return Vec::new();
         }
         sage_telemetry::metrics::BM25_SEARCHES.inc();
-        let mut scores: HashMap<u32, f32> = HashMap::new();
+        // `touched` lists the chunks a posting reached, marked in `seen`; a
+        // score may sum to zero, so `scores` cannot serve as the marker.
+        let mut scores = vec![0.0f32; self.chunk_len.len()];
+        let mut seen = vec![false; self.chunk_len.len()];
+        let mut touched: Vec<u32> = Vec::new();
         let mut tokens = TokenBuf::new();
         tokens.fill(query);
         tokens.for_each_stem(|term| {
             let Some(id) = self.vocab.get(term) else { return };
-            let Some(postings) = self.postings.get(&id) else { return };
+            let Some(postings) = self.postings.get(id as usize) else { return };
             sage_telemetry::metrics::BM25_POSTINGS_SCANNED.add(postings.len() as u64);
             let idf = self.vocab.idf(id);
             for &(chunk, tf) in postings {
-                if self.deleted[chunk as usize] || !allow(chunk as usize) {
+                let ci = chunk as usize;
+                if self.deleted[ci] || !allow(ci) {
                     continue;
                 }
                 let tf = tf as f32;
-                let len = self.chunk_len[chunk as usize] as f32;
+                let len = self.chunk_len[ci] as f32;
                 let denom =
                     tf + self.params.k1 * (1.0 - self.params.b + self.params.b * len / self.avg_len);
                 let term_score = idf * tf * (self.params.k1 + 1.0) / denom;
-                *scores.entry(chunk).or_insert(0.0) += term_score;
+                if !seen[ci] {
+                    seen[ci] = true;
+                    touched.push(chunk);
+                }
+                scores[ci] += term_score;
             }
         });
-        let mut hits: Vec<ScoredChunk> = scores
+        let mut hits: Vec<ScoredChunk> = touched
             .into_iter()
-            .map(|(chunk, score)| ScoredChunk { index: chunk as usize, score })
+            .map(|chunk| ScoredChunk { index: chunk as usize, score: scores[chunk as usize] })
             .collect();
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.index.cmp(&b.index)));
-        hits.truncate(n);
+        if hits.len() > n {
+            hits.select_nth_unstable_by(n, by_rank);
+            hits.truncate(n);
+        }
+        hits.sort_unstable_by(by_rank);
         hits
     }
+}
+
+/// Rank order of hits: score descending under `total_cmp`, then chunk
+/// index ascending. A strict total order over distinct chunks.
+fn by_rank(a: &ScoredChunk, b: &ScoredChunk) -> Ordering {
+    b.score.total_cmp(&a.score).then_with(|| a.index.cmp(&b.index))
 }
 
 impl Retriever for Bm25Retriever {
@@ -210,8 +237,9 @@ impl Retriever for Bm25Retriever {
         self.deleted.clear();
         let mut total_len = 0u64;
         let mut tokens = TokenBuf::new();
+        let mut ids = Vec::new();
         for chunk in chunks {
-            total_len += u64::from(self.post_chunk(chunk, &mut tokens));
+            total_len += u64::from(self.post_chunk(chunk, &mut tokens, &mut ids));
         }
         self.deleted.resize(chunks.len(), false);
         self.live_total_len = total_len;
@@ -235,9 +263,11 @@ impl Retriever for Bm25Retriever {
         "BM25".to_string()
     }
 
+    /// Postings (8 B a posting, plus one 24 B `Vec` header per term id),
+    /// chunk lengths, tombstones and 24 B a vocabulary term.
     fn memory_bytes(&self) -> usize {
-        let postings: usize =
-            self.postings.values().map(|p| p.capacity() * 8 + 48).sum::<usize>();
+        let postings: usize = self.postings.iter().map(|p| p.capacity() * 8).sum::<usize>()
+            + self.postings.capacity() * size_of::<Vec<(u32, u32)>>();
         postings + self.chunk_len.capacity() * 4 + self.deleted.capacity() + self.vocab.len() * 24
     }
 }
@@ -354,7 +384,7 @@ mod tests {
             assert_eq!(a.len(), b.len(), "{query}");
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.index, y.index, "{query}");
-                assert!((x.score - y.score).abs() < 1e-6, "{query}: {x:?} vs {y:?}");
+                assert_eq!(x.score.to_bits(), y.score.to_bits(), "{query}: {x:?} vs {y:?}");
             }
         }
     }
@@ -414,12 +444,12 @@ mod tests {
             }
             // Global statistics make shard scores comparable: re-sorting the
             // union with the same comparator reproduces the global ranking.
-            union.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.index.cmp(&b.index)));
+            union.sort_by(by_rank);
             union.truncate(5);
             assert_eq!(union.len(), global.len(), "{query}");
             for (u, g) in union.iter().zip(&global) {
                 assert_eq!(u.index, g.index, "{query}");
-                assert!((u.score - g.score).abs() < 1e-6, "{query}");
+                assert_eq!(u.score.to_bits(), g.score.to_bits(), "{query}");
             }
         }
         // An out-of-range shard or empty assignment yields nothing.

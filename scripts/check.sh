@@ -15,8 +15,9 @@
 #
 # Byte-identity checks among the smokes: same-seed replays of the soak, the
 # shard-loss soak and the live soak (two runs, `diff`); 4-shard ask ==
-# unsharded ask; two `sage index` runs over one model file (`cmp`); `sage
-# segment` == the chunk listing recorded in this script; and the full
+# unsharded ask, with the default retriever and with BM25; two `sage
+# index` runs over one model file (`cmp`); `sage segment` == the chunk
+# listing recorded in this script; and the full
 # scenario grid == the committed BENCH_scenarios.json (one run; `cargo test`
 # asserts the same equality).
 #
@@ -172,6 +173,25 @@ LISTING
     > "$tmp/ask_sharded.txt" 2> /dev/null
   diff -q "$tmp/ask_unsharded.txt" "$tmp/ask_sharded.txt" \
     || { echo "FAIL: 4-shard merge diverges from unsharded results"; exit 1; }
+  # The BM25 twin: each shard probe scores the shared postings through the
+  # shard filter, so answer and context (order included) must not move.
+  # Six paragraphs, so that every one of the 4 shards owns a chunk.
+  { cat "$tmp/corpus.txt"; printf '\n%s\n' \
+      'Mossy is an old tortoise. Her shell is dark green and cracked.' \
+      'The harbor town of Ashford keeps a lighthouse. Its keeper paints the door blue.' \
+      'Brone the baker lives near the mill. He bakes bread for Ashford every morning.' \
+      'Whiskers sleeps on the porch in the afternoon. His favourite toy is a red ball.'; } \
+    > "$tmp/corpus_bm25.txt"
+  for shards in 1 4; do
+    "$sage" ask \
+      --file "$tmp/corpus_bm25.txt" --question "What is the color of Whiskers's eyes?" \
+      --retriever bm25 --show-context --shards "$shards" \
+      > "$tmp/ask_bm25_$shards.txt" 2>&1
+  done
+  grep -q '^green$' "$tmp/ask_bm25_1.txt" \
+    || { echo "FAIL: wrong BM25 answer"; cat "$tmp/ask_bm25_1.txt"; exit 1; }
+  diff -q "$tmp/ask_bm25_1.txt" "$tmp/ask_bm25_4.txt" \
+    || { echo "FAIL: 4-shard BM25 merge diverges from unsharded results"; exit 1; }
   # Loss drill: kill shard 1 of 4 outright under load. Every completed
   # query must serve from the three survivors under a documented
   # shard-partial rung, with zero panics and zero errors, and the event
