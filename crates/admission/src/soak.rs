@@ -23,15 +23,8 @@ pub struct SoakConfig {
     pub qps: f64,
     /// Admission queue capacity (waiting room).
     pub capacity: usize,
-    /// Virtual servers draining the queue — per shard pool when `shards`
-    /// is above 1.
+    /// Virtual servers draining the queue.
     pub concurrency: usize,
-    /// Shard fault domains: each shard gets its own pool of `concurrency`
-    /// virtual servers, and jobs route to a pool by a stable hash of their
-    /// sequence number — so a slow shard queues its own jobs instead of
-    /// borrowing capacity from healthy shards. `1` (the default) is the
-    /// single-pool model and replays historical logs byte-for-byte.
-    pub shards: u32,
     /// Per-class early-drop ramp starts (see `AdmissionConfig`).
     pub ramp_start: [f64; Priority::COUNT],
     /// Relative class weights `[interactive, batch, background]`.
@@ -48,7 +41,6 @@ impl Default for SoakConfig {
             qps: 4.0,
             capacity: 8,
             concurrency: 2,
-            shards: 1,
             ramp_start: [1.0, 0.85, 0.70],
             class_weights: [0.5, 0.3, 0.2],
             budget: Some(QueryBudget::new(Duration::from_secs(8), 4_000)),

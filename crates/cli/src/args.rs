@@ -101,18 +101,34 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_known_ones_pass() {
-        let f = parse_flags(&argv(&["--shards", "4", "--naive", "--question", "q"])).unwrap();
-        assert!(f.reject_unknown("explain", &["question", "naive", "shards", "quorum"]).is_ok());
+        let f = parse_flags(&argv(&["--retriever", "bm25", "--naive", "--question", "q"])).unwrap();
+        assert!(f.reject_unknown("explain", &["question", "retriever", "naive"]).is_ok());
         // A typo, a removed flag and a bare unknown switch all fail, and
         // the message names the first offender and the command.
-        let typo = parse_flags(&argv(&["--shard", "4", "--concurrency", "3"])).unwrap();
+        let typo = parse_flags(&argv(&["--retriver", "bm25", "--concurrency", "3"])).unwrap();
         assert_eq!(
-            typo.reject_unknown("explain", &["question", "naive", "shards", "quorum"]),
+            typo.reject_unknown("explain", &["question", "retriever", "naive"]),
             Err("unknown flag --concurrency for `sage explain`".to_string())
         );
         let switch = parse_flags(&argv(&["--bogus"])).unwrap();
         assert!(switch.reject_unknown("demo", &[]).is_err());
         assert!(parse_flags(&[]).unwrap().reject_unknown("demo", &[]).is_ok());
+    }
+
+    #[test]
+    fn removed_sharding_flags_are_refused_by_name() {
+        type Command = fn(&Flags) -> Result<(), String>;
+        let commands: [(&str, Command); 3] = [
+            ("ask", crate::commands::ask),
+            ("soak", crate::commands::soak),
+            ("explain", crate::commands::explain),
+        ];
+        for (name, run) in commands {
+            for (flag, value) in [("shards", "4"), ("quorum", "2")] {
+                let f = parse_flags(&argv(&[&format!("--{flag}"), value])).unwrap();
+                assert_eq!(run(&f), Err(format!("unknown flag --{flag} for `sage {name}`")));
+            }
+        }
     }
 
     #[test]

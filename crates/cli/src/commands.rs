@@ -1,7 +1,7 @@
 //! CLI subcommand implementations.
 
 use crate::args::Flags;
-use sage::core::exec::{Fanout, QueryPlan};
+use sage::core::exec::QueryPlan;
 use sage::corpus::datasets::{narrativeqa, qasper, quality, SizeConfig};
 use sage::prelude::*;
 use std::sync::OnceLock;
@@ -244,9 +244,8 @@ pub fn ask(flags: &Flags) -> Result<(), String> {
     flags.reject_unknown(
         "ask",
         &[
-            "file", "question", "retriever", "llm", "naive", "show-context", "shards", "quorum",
-            "models", "resilience", "faults", "fault-seed", "hnsw", "telemetry", "trace-out",
-            "metrics-out",
+            "file", "question", "retriever", "llm", "naive", "show-context", "models",
+            "resilience", "faults", "fault-seed", "hnsw", "telemetry", "trace-out", "metrics-out",
         ],
     )?;
     let corpus = load_corpus(flags.require("file")?)?;
@@ -258,10 +257,6 @@ pub fn ask(flags: &Flags) -> Result<(), String> {
     let mut system = RagSystem::build(resolve_models(flags)?, retriever, config, profile, &corpus);
     apply_resilience(flags, &mut system)?;
     apply_telemetry(flags, &mut system);
-    let shards: u32 = flags.get_parse("shards", 1u32)?;
-    if shards > 1 {
-        system.enable_sharding(shards, parse_quorum(flags)?);
-    }
     let result = system.answer_open(question);
     println!("{}", result.answer.text);
     eprintln!(
@@ -363,9 +358,8 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
         "soak",
         &[
             "seed", "qps", "duration", "capacity", "concurrency", "deadline-ms", "token-budget",
-            "no-budget", "docs", "file", "question", "max-shed-rate", "shards", "quorum",
-            "retriever", "llm", "models", "resilience", "faults", "fault-seed", "hnsw", "telemetry",
-            "trace-out", "metrics-out",
+            "no-budget", "docs", "file", "question", "max-shed-rate", "retriever", "llm", "models",
+            "resilience", "faults", "fault-seed", "hnsw", "telemetry", "trace-out", "metrics-out",
         ],
     )?;
     let (corpus, questions, cfg) = soak_run(flags)?;
@@ -376,21 +370,14 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
         RagSystem::build(resolve_models(flags)?, retriever, SageConfig::sage(), profile, &corpus);
     apply_resilience(flags, &mut system)?;
     apply_telemetry(flags, &mut system);
-    if cfg.shards > 1 {
-        system.enable_sharding(cfg.shards, parse_quorum(flags)?);
-    }
 
     eprintln!(
-        "soak: seed {} | {:.0?} virtual @ {} qps | capacity {} | {} server(s){} | {}",
+        "soak: seed {} | {:.0?} virtual @ {} qps | capacity {} | {} server(s) | {}",
         cfg.seed,
         cfg.duration,
         cfg.qps,
         cfg.capacity,
         cfg.concurrency,
-        match system.shard_fanout() {
-            Some(f) => format!(" | {} shards (quorum {})", f.shards, f.quorum),
-            None => String::new(),
-        },
         match cfg.budget {
             Some(b) => format!("deadline {:.0?}, {} tokens", b.deadline, b.max_tokens),
             None => "no budget".to_string(),
@@ -451,7 +438,6 @@ fn soak_run(flags: &Flags) -> Result<(Vec<String>, Vec<String>, SoakConfig), Str
         qps: flags.get_parse("qps", 4.0f64)?,
         capacity: flags.get_parse("capacity", 8usize)?,
         concurrency: flags.get_parse("concurrency", 2usize)?,
-        shards: flags.get_parse("shards", 1u32)?,
         budget: if flags.has("no-budget") {
             None
         } else {
@@ -549,24 +535,12 @@ pub fn demo() -> Result<(), String> {
     Ok(())
 }
 
-/// Optional `--quorum N` (None defers to the majority default).
-fn parse_quorum(flags: &Flags) -> Result<Option<u32>, String> {
-    match flags.get("quorum") {
-        Some(q) if !q.is_empty() => {
-            q.parse::<u32>().map(Some).map_err(|_| format!("bad --quorum {q:?}: want an integer"))
-        }
-        _ => Ok(None),
-    }
-}
-
 /// `sage explain` — print the query plan a question would execute:
 /// resolved stages, the per-slot middleware order, and the rewrite each
-/// brownout rung applies. `--shards N [--quorum Q]` resolves the
-/// scatter-gather fan-out the retrieval slots would execute, exactly as
-/// [`RagSystem::enable_sharding`] would arm it. Pure plan resolution — no
-/// models are trained and no index is built.
+/// brownout rung applies. Pure plan resolution — no models are trained and
+/// no index is built.
 pub fn explain(flags: &Flags) -> Result<(), String> {
-    flags.reject_unknown("explain", &["question", "retriever", "naive", "shards", "quorum"])?;
+    flags.reject_unknown("explain", &["question", "retriever", "naive"])?;
     let retriever = parse_retriever(flags.get_or("retriever", "openai"))?;
     let config = if flags.has("naive") { SageConfig::naive_rag() } else { SageConfig::sage() };
     if let Some(q) = flags.get("question").filter(|q| !q.is_empty()) {
@@ -577,12 +551,7 @@ pub fn explain(flags: &Flags) -> Result<(), String> {
         if flags.has("naive") { "naive-rag" } else { "sage" },
         flags.get_or("retriever", "openai"),
     );
-    let mut plan = QueryPlan::for_kind(&config, retriever);
-    let shards: u32 = flags.get_parse("shards", 1u32)?;
-    if shards > 1 {
-        plan = plan.with_fanout(Fanout::new(shards, parse_quorum(flags)?));
-    }
-    print!("{}", plan.explain());
+    print!("{}", QueryPlan::for_kind(&config, retriever).explain());
     Ok(())
 }
 
@@ -854,8 +823,6 @@ USAGE:
   sage ask     --file <path> --question \"...\" [--retriever openai|sbert|dpr|bm25]
                [--llm gpt4|gpt4o-mini|gpt3.5|unifiedqa] [--naive] [--show-context]
                [--telemetry] [--trace-out <path>] [--metrics-out <path>]
-               [--shards N] [--quorum Q]   # serve through scatter-gather
-               # fan-out (merged results are identical to unsharded)
   sage eval    [--dataset quality|qasper|narrativeqa] [--method sage|naive|raptor|
                title-abstract|bm25-bert|summarize] [--docs N] [--questions M]
                [--retriever R] [--llm L] [--seed S]
@@ -866,17 +833,12 @@ USAGE:
                [--concurrency 2] [--deadline-ms 8000] [--token-budget 50000]
                [--no-budget] [--docs N | --file <path> --question \"...\"]
                [--max-shed-rate 0.9] [--faults <spec>] [--fault-seed <n>]
-               [--shards N] [--quorum Q]   # scatter-gather serving with
-               # per-shard server pools; shard faults via --resilience
-               # --faults \"shard:<idx>:<kind>[:<rate>]\" (kinds: slow|down|
-               # transient|timeout|corrupt|panic)
   sage soak --live [--live-dir <dir>] [--ops 24] [--batch 4] [--docs 16]
                [--queries 2] [--seed 42] [--retriever hashed|hnsw|bm25]
                [--crash <spec>] [--crash-seed 7]
-  sage explain [\"question\"] [--retriever R] [--naive] [--shards N] [--quorum Q]
-               # print the resolved query plan: stages, middleware order,
-               # the rewrite each brownout rung applies and (with --shards)
-               # the scatter-gather fan-out of the retrieval slots
+  sage explain [\"question\"] [--retriever R] [--naive]
+               # print the resolved query plan: stages, middleware order
+               # and the rewrite each brownout rung applies
   sage report  [--seed 42] [--qps 4] [--duration 30] [--docs N]
                [--slo <spec>] [--recorder-capacity 256] [--out <bundle>]
                [--metrics-out <path>] [--strict-slo]

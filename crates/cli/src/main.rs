@@ -13,8 +13,7 @@
 //!              [--token-budget 50000] [--no-budget]
 //!              [--docs N | --file F --question "..."]
 //!              [--faults SPEC] [--fault-seed N] [--max-shed-rate 0.9]
-//! sage explain ["question"] [--retriever R] [--naive] [--shards N]
-//!              [--quorum Q]
+//! sage explain ["question"] [--retriever R] [--naive]
 //! sage report  [--seed 42] [--qps 4] [--duration 30] [--slo SPEC]
 //!              [--out bundle.json] [--metrics-out F] [--strict-slo]
 //! sage scenarios run scenarios.toml [--filter S] [--out F] [--metrics-out F]

@@ -16,6 +16,7 @@ use crate::config::{RetrieverKind, SageConfig};
 use crate::models::TrainedModels;
 use crate::pipeline::RagSystem;
 use sage_llm::LlmProfile;
+use sage_rerank::{gradient_select, RankedChunk, SelectionConfig};
 use std::time::Duration;
 
 /// One K-sweep step.
@@ -161,6 +162,51 @@ pub fn missing_retrieval_sweep(models: &TrainedModels, profile: LlmProfile) -> C
     run_case(models, profile, corpus, question, options, correct, 15)
 }
 
+/// Figure 5: the reranker's sorted score curves for the focused (Figure 8)
+/// and the broad (Figure 9) question.
+#[derive(Debug, Clone)]
+pub struct ScoreCurves {
+    /// The focused question's curve, descending.
+    pub focused: Vec<f32>,
+    /// The broad (elimination) question's curve, descending.
+    pub broad: Vec<f32>,
+}
+
+impl ScoreCurves {
+    /// Chunks Algorithm 2 keeps from `curve` with `min_k = 1` and SAGE's
+    /// `g` and candidate cap: where the curve itself is cut, before the
+    /// configured `min_k` binds.
+    pub fn cut(curve: &[f32]) -> usize {
+        let ranked: Vec<RankedChunk> =
+            curve.iter().enumerate().map(|(index, &score)| RankedChunk { index, score }).collect();
+        let sage = SageConfig::sage();
+        let cfg = SelectionConfig {
+            min_k: 1,
+            gradient: sage.gradient,
+            max_k: sage.candidates,
+            ..SelectionConfig::default()
+        };
+        gradient_select(&ranked, cfg).len()
+    }
+
+    /// The paper's shape: the focused curve is a cliff (at most 2 chunks
+    /// kept) and the broad one a plateau (at least 5 kept).
+    pub fn holds(&self) -> bool {
+        Self::cut(&self.focused) <= 2 && Self::cut(&self.broad) >= 5
+    }
+}
+
+/// Figure 5 over the Figure 8 and Figure 9 corpora. The curves are the
+/// prelude's rerank scores, so the reader profile does not enter.
+pub fn score_curves(models: &TrainedModels) -> ScoreCurves {
+    let curve = |(corpus, question, _, _): (String, String, Vec<String>, usize)| {
+        let profile = LlmProfile::gpt4o_mini();
+        RagSystem::build(models, RetrieverKind::OpenAiSim, SageConfig::sage(), profile, &[corpus])
+            .rerank_scores(&question)
+    };
+    ScoreCurves { focused: curve(noisy_corpus()), broad: curve(elimination_corpus()) }
+}
+
 /// Figure 10 outcome: the same question answered over fixed-length chunks
 /// vs. semantic chunks.
 #[derive(Debug, Clone)]
@@ -300,6 +346,13 @@ mod tests {
         for w in cs.score_curve.windows(2) {
             assert!(w[0] >= w[1]);
         }
+    }
+
+    #[test]
+    fn focused_curve_is_a_cliff_and_broad_curve_a_plateau() {
+        let curves = score_curves(models());
+        let cuts = (ScoreCurves::cut(&curves.focused), ScoreCurves::cut(&curves.broad));
+        assert!(curves.holds(), "cuts {cuts:?} of {curves:?}");
     }
 
     #[test]

@@ -17,11 +17,10 @@ mod batch;
 mod ctx;
 mod middleware;
 mod plan;
-pub(crate) mod scatter;
 mod stages;
 
 pub(crate) use ctx::QueryCtx;
-pub use plan::{Fanout, QueryPlan, RerankMode, SelectMode, StageOp};
+pub use plan::{QueryPlan, RerankMode, SelectMode, StageOp};
 use plan::Loc;
 
 use crate::pipeline::RagSystem;
@@ -149,22 +148,16 @@ fn finalize(sys: &RagSystem, mut ctx: QueryCtx<'_>, total: Duration) -> QueryRes
 }
 
 impl RagSystem {
-    /// The query plan this system's configuration resolves to, with the
-    /// scatter-gather fan-out attached when sharded serving is on.
+    /// The query plan this system's configuration resolves to.
     pub(crate) fn resolve_plan(&self) -> QueryPlan {
-        let plan =
-            QueryPlan::resolve(&self.config, self.retriever.is_dense(), self.scorer.is_some());
-        match &self.shards {
-            Some(ss) => plan.with_fanout(ss.fanout),
-            None => plan,
-        }
+        QueryPlan::resolve(&self.config, self.retriever.is_dense(), self.scorer.is_some())
     }
 }
 
 /// Resolve the plan and assemble the fresh context for one query: plan
-/// resolution (with shard fan-out), guard arming, trace opening, and the
-/// brownout admission gate (replan once before any work so a hopeless
-/// budget walks the ladder immediately).
+/// resolution, guard arming, trace opening, and the brownout admission
+/// gate (replan once before any work so a hopeless budget walks the ladder
+/// immediately).
 fn prepare<'a>(
     sys: &'a RagSystem,
     question: &'a str,

@@ -14,7 +14,7 @@
 //! behaviour bit for bit.
 
 use crate::config::{RetrieverKind, SageConfig};
-use sage_admission::{BrownoutLevel, CostModel};
+use sage_admission::BrownoutLevel;
 
 /// How the rerank stage scores the candidate pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,33 +103,6 @@ pub(crate) enum Loc {
     Round(usize),
 }
 
-/// The scatter-gather fan-out a retrieval slot resolves to when the system
-/// is sharded: how many fault domains the lookup spans, the survivor
-/// quorum below which the query leaves the shard path for the BM25/flat
-/// fallback chain, and the per-shard virtual-clock slice whose overrun
-/// triggers a deterministic hedged re-probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fanout {
-    /// Shard fault domains the retrieval fans out across.
-    pub shards: u32,
-    /// Minimum surviving shards to serve from the shard path.
-    pub quorum: u32,
-    /// Virtual-clock budget slice per shard probe, carved from the query's
-    /// search cost; a probe whose injected delay exceeds it is hedged.
-    pub slice: std::time::Duration,
-}
-
-impl Fanout {
-    /// A fan-out over `shards` domains with the default majority quorum.
-    /// The per-probe slice is the cost model's search time — the same
-    /// deterministic constant the budget meter charges for the stage.
-    pub fn new(shards: u32, quorum: Option<u32>) -> Self {
-        let shards = shards.max(1);
-        let quorum = quorum.unwrap_or(shards / 2 + 1).clamp(1, shards);
-        Self { shards, quorum, slice: CostModel::default().search_time }
-    }
-}
-
 /// A resolved query plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
@@ -141,9 +114,6 @@ pub struct QueryPlan {
     /// with it — the loop also stops on a stable selection, an exhausted
     /// reader, or a feedback score at threshold).
     pub max_rounds: usize,
-    /// Scatter-gather fan-out for the retrieval slots (`None` = unsharded;
-    /// [`Fanout::new`] with `shards == 1` is byte-equivalent to `None`).
-    pub fanout: Option<Fanout>,
 }
 
 impl QueryPlan {
@@ -172,14 +142,7 @@ impl QueryPlan {
             prelude,
             round,
             max_rounds: if config.use_feedback { config.max_feedback_rounds } else { 1 },
-            fanout: None,
         }
-    }
-
-    /// Builder: attach a scatter-gather fan-out to the retrieval slots.
-    pub fn with_fanout(mut self, fanout: Fanout) -> Self {
-        self.fanout = Some(fanout);
-        self
     }
 
     /// [`QueryPlan::resolve`] from a retriever kind instead of a built
@@ -196,7 +159,7 @@ impl QueryPlan {
     /// The degenerate plan for [`crate::RagSystem::answer_with_chunks`]:
     /// one generation call over a caller-fixed context.
     pub fn fixed() -> Self {
-        QueryPlan { prelude: Vec::new(), round: vec![StageOp::Read], max_rounds: 1, fanout: None }
+        QueryPlan { prelude: Vec::new(), round: vec![StageOp::Read], max_rounds: 1 }
     }
 
     /// Whether the (possibly rewritten) round template still judges
@@ -270,27 +233,6 @@ impl QueryPlan {
             out.push_str(&format!("  {}\n", op.describe()));
         }
         out.push_str("  fuse\n");
-        if let Some(f) = self.fanout {
-            out.push_str(&format!(
-                "fan-out (retrieval slots): scatter-gather over {} shard fault domain(s)\n",
-                f.shards
-            ));
-            out.push_str(
-                "  per-shard k: full top-k (exact partition; merge equals unsharded)\n",
-            );
-            out.push_str(&format!(
-                "  budget slice: {:.0?} virtual per shard probe; overrun -> hedged re-probe\n",
-                f.slice
-            ));
-            out.push_str(&format!(
-                "  quorum: {}/{} survivors (below -> bm25/flat fallback chain, \
-                 shard-partial rung otherwise)\n",
-                f.quorum, f.shards
-            ));
-            out.push_str(
-                "  merge: score desc, global-id tie-break (completion-order invariant)\n",
-            );
-        }
         out.push_str(
             "middleware (per slot): budget checkpoint -> rung rewrite -> telemetry span \
              -> stage -> telemetry close -> budget settle -> rung rewrite\n",
@@ -386,20 +328,5 @@ mod tests {
         assert!(text.contains("select (gradient)"));
         assert!(text.contains("rung DropFeedback"));
         assert!(text.contains("rung FlatTopK"));
-        assert!(!text.contains("fan-out"), "unsharded plan must not render a fan-out");
-    }
-
-    #[test]
-    fn fanout_resolves_quorum_and_renders() {
-        let f = Fanout::new(4, None);
-        assert_eq!((f.shards, f.quorum), (4, 3), "default quorum is a majority");
-        assert_eq!(Fanout::new(0, None).shards, 1, "clamped to one shard");
-        assert_eq!(Fanout::new(4, Some(9)).quorum, 4, "quorum clamped to shards");
-        let plan = QueryPlan::resolve(&SageConfig::sage(), true, true).with_fanout(f);
-        let text = plan.explain();
-        assert!(text.contains("fan-out"), "{text}");
-        assert!(text.contains("4 shard fault domain(s)"), "{text}");
-        assert!(text.contains("quorum: 3/4"), "{text}");
-        assert!(text.contains("hedged re-probe"), "{text}");
     }
 }

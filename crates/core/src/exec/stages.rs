@@ -9,7 +9,6 @@
 use super::ctx::{QueryCtx, RoundAnswer};
 use super::middleware::push_event;
 use super::plan::{RerankMode, SelectMode, StageOp};
-use super::scatter::{self, Scattered};
 use super::Flow;
 use crate::pipeline::RagSystem;
 use crate::resilience::QueryGuards;
@@ -17,7 +16,7 @@ use sage_admission::BrownoutLevel;
 use sage_eval::Cost;
 use sage_llm::Answer;
 use sage_rerank::{gradient_select, RankedChunk, SelectionConfig};
-use sage_resilience::{Component, DegradeTrace, Failure, Fallback, SageError};
+use sage_resilience::{Component, DegradeTrace, Failure, Fallback};
 use sage_retrieval::{Retriever, ScoredChunk};
 use sage_vecdb::VectorIndex;
 use std::time::Duration;
@@ -78,49 +77,6 @@ fn embed(sys: &RagSystem, ctx: &mut QueryCtx<'_>) -> Flow {
     }
 }
 
-/// Fold a scatter-gather outcome into the query: survivors' merged hits
-/// (recording the `shard-partial:<m>/<N>` rung when shards were lost but
-/// quorum held), or `None` on quorum failure — after recording
-/// `quorum_rung`, the caller serves from its fallback tier.
-fn gather_scattered(
-    ctx: &mut QueryCtx<'_>,
-    outcome: Scattered,
-    quorum_rung: Fallback,
-) -> Option<Vec<ScoredChunk>> {
-    let shard_failure = |attempts: u32, delay: Duration| Failure {
-        error: SageError::ComponentFailed { component: Component::IndexSearch, attempts },
-        attempts,
-        delay,
-    };
-    match outcome {
-        Scattered::Clean(hits) => Some(hits),
-        Scattered::Partial { hits, lost, total, attempts, delay } => {
-            push_event(
-                &mut ctx.trace,
-                Component::IndexSearch,
-                Fallback::ShardPartial { lost, total },
-                shard_failure(attempts, delay),
-            );
-            Some(hits)
-        }
-        Scattered::QuorumFailed { attempts, delay, .. } => {
-            push_event(
-                &mut ctx.trace,
-                Component::IndexSearch,
-                quorum_rung,
-                shard_failure(attempts, delay),
-            );
-            None
-        }
-    }
-}
-
-/// The fault plan the scatter path probes under (no guards means no plan,
-/// which means no shard faults can fire).
-fn scatter_plan<'c>(ctx: &'c QueryCtx<'_>) -> Option<&'c sage_resilience::FaultPlan> {
-    ctx.guards.as_ref().map(|g| &g.state.config.plan)
-}
-
 fn finite_scores(hits: &[ScoredChunk]) -> bool {
     hits.iter().all(|h| h.score.is_finite())
 }
@@ -136,28 +92,6 @@ fn poison_scores(hits: &mut Vec<ScoredChunk>) {
 
 fn retrieve_dense(sys: &RagSystem, ctx: &mut QueryCtx<'_>) -> Flow {
     let n = sys.config.candidates;
-    // Sharded serving: scatter-gather replaces the monolithic
-    // (HNSW/flat) search when sharding is enabled. Quorum failure
-    // abandons the dense shard set for the sparse tier — the same
-    // DenseToBm25 rung a failed monolithic search records.
-    let scattered = ctx
-        .query_vec
-        .as_ref()
-        .and_then(|qv| scatter::scatter_dense(sys, scatter_plan(ctx), ctx.question, qv, n));
-    if let Some(outcome) = scattered {
-        let hits = gather_scattered(ctx, outcome, Fallback::DenseToBm25).unwrap_or_else(
-            || match ctx.guards.as_ref() {
-                Some(g) => g.state.bm25.retrieve(ctx.question, n),
-                // Shard faults require a plan, which requires guards —
-                // but a missing guard still serves honestly from the
-                // unsharded primary.
-                None => sys.retriever.retrieve(ctx.question, n),
-            },
-        );
-        ctx.cand_ids = hits.iter().map(|h| h.index).collect();
-        ctx.hits = hits;
-        return Flow::Continue;
-    }
     let question = ctx.question;
     let trace = &mut ctx.trace;
     let hits = match (ctx.guards.as_ref(), ctx.query_vec.as_ref()) {
@@ -241,18 +175,6 @@ fn retrieve_dense(sys: &RagSystem, ctx: &mut QueryCtx<'_>) -> Flow {
 fn retrieve_bm25(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp) -> Flow {
     let n = sys.config.candidates;
     let fallback = matches!(op, StageOp::RetrieveBm25 { fallback: true });
-    // Sharded serving on a sparse primary (never on the degraded
-    // substitution path — the fallback tier IS the degradation target
-    // and stays monolithic). Quorum failure serves the unsharded scan.
-    if !fallback {
-        if let Some(outcome) = scatter::scatter_bm25(sys, scatter_plan(ctx), ctx.question, n) {
-            let hits = gather_scattered(ctx, outcome, Fallback::ShardQuorumLost)
-                .unwrap_or_else(|| sys.retriever.retrieve(ctx.question, n));
-            ctx.cand_ids = hits.iter().map(|h| h.index).collect();
-            ctx.hits = hits;
-            return Flow::Continue;
-        }
-    }
     let hits = match (fallback, ctx.guards.as_ref()) {
         // The degraded substitution retrieves from the resilience
         // layer's BM25 tier (the primary retriever is dense and just

@@ -50,9 +50,6 @@ pub struct RagSystem {
     /// stay deterministic, and the critical section is a few arithmetic
     /// ops.
     pub(crate) admission: Option<Mutex<AdmissionQueue>>,
-    /// Runtime-only sharded-serving state (see `crate::exec::scatter`);
-    /// `None` serves from the monolithic index.
-    pub(crate) shards: Option<crate::exec::scatter::ShardState>,
 }
 
 impl RagSystem {
@@ -153,7 +150,6 @@ impl RagSystem {
             resilience: None,
             telemetry: None,
             admission: None,
-            shards: None,
         }
     }
 
@@ -177,10 +173,6 @@ impl RagSystem {
         // Fallback tiers index the same chunk store; keep them in sync.
         if let Some(state) = &mut self.resilience {
             state.reindex(&self.chunks, self.retriever.flat_ref());
-        }
-        // The shard partition covers the chunk store exactly; re-partition.
-        if let Some(ss) = &self.shards {
-            self.shards = Some(ss.rebuild(&self.retriever, self.chunks.len()));
         }
     }
 

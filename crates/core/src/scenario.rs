@@ -66,9 +66,6 @@ pub struct ScenarioCell {
     pub capacity: u64,
     /// Service concurrency.
     pub concurrency: u64,
-    /// Shard fault domains (scatter-gather serving + per-shard soak
-    /// pools); 1 = unsharded.
-    pub shards: u64,
     /// Per-query deadline budget, milliseconds.
     pub deadline_ms: u64,
     /// Per-query token budget.
@@ -88,7 +85,6 @@ impl Default for ScenarioCell {
             qps: 3,
             capacity: 8,
             concurrency: 2,
-            shards: 1,
             deadline_ms: 8_000,
             max_tokens: 4_000,
         }
@@ -121,7 +117,6 @@ fn apply(cell: &mut ScenarioCell, key: &str, raw: &str) -> Result<(), String> {
         "qps" => cell.qps = int()?,
         "capacity" => cell.capacity = int()?,
         "concurrency" => cell.concurrency = int()?,
-        "shards" => cell.shards = int()?,
         "deadline_ms" => cell.deadline_ms = int()?,
         "max_tokens" => cell.max_tokens = int()?,
         other => return Err(format!("unknown cell key `{other}`")),
@@ -289,7 +284,6 @@ fn soak_config(cell: &ScenarioCell) -> SoakConfig {
         qps: cell.qps as f64,
         capacity: cell.capacity as usize,
         concurrency: cell.concurrency as usize,
-        shards: cell.shards.max(1) as u32,
         budget: Some(QueryBudget::new(
             Duration::from_millis(cell.deadline_ms),
             cell.max_tokens,
@@ -321,9 +315,6 @@ pub fn run_cell(models: &TrainedModels, cell: &ScenarioCell) -> Result<BenchRow,
             .map_err(|e| format!("cell `{}`: bad fault spec: {e}", cell.name))?;
         system.enable_resilience(ResilienceConfig::with_plan(plan));
     }
-    if cell.shards > 1 {
-        system.enable_sharding(cell.shards as u32, None);
-    }
 
     let cfg = soak_config(cell);
     let report = run_soak(&system, &questions, &cfg);
@@ -337,7 +328,6 @@ pub fn run_cell(models: &TrainedModels, cell: &ScenarioCell) -> Result<BenchRow,
     row.push_u64("completed", report.completed as u64);
     row.push_u64("errors", report.errors as u64);
     row.push_u64("panics", report.panics as u64);
-    row.push_u64("shard_partial", report.shard_partial as u64);
     row.push_u64("browned_out", report.browned_out());
     row.push_u64("p50_sojourn_us", report.p50_sojourn.as_micros() as u64);
     row.push_u64("p99_sojourn_us", report.p99_sojourn.as_micros() as u64);
@@ -384,6 +374,14 @@ mod tests {
         // spelled in halves so a source grep for it stays empty).
         let grid = format!("[[cell]]\nname = \"waved\"\n{}_workers = 4\n", "exec");
         assert!(parse_scenarios(&grid).unwrap_err().contains("unknown cell key"));
+    }
+
+    #[test]
+    fn the_removed_shards_axis_is_refused_by_name() {
+        for grid in ["[[cell]]\nname = \"a\"\nshards = 4\n", "[defaults]\nshards = 4\n"] {
+            let err = parse_scenarios(grid).unwrap_err();
+            assert!(err.ends_with("unknown cell key `shards`"), "{err}");
+        }
     }
 
     #[test]

@@ -9,13 +9,6 @@
 //! produce bit-identical event logs and reports, which is what the
 //! `sage soak` CLI subcommand and the CI smoke step diff.
 //!
-//! With `cfg.shards > 1` the server set splits into per-shard pools
-//! (`concurrency` servers each): a job routes to its home pool by a
-//! stable hash of its sequence number, so a shard slowed by a fault plan
-//! queues its own jobs instead of silently borrowing capacity from
-//! healthy shards. `shards <= 1` is the historical single-pool model,
-//! byte-identical to the logs that predate sharding.
-//!
 //! The queue-wait → brownout coupling falls out naturally: a query's
 //! absolute deadline is fixed at arrival, so time spent waiting in the
 //! admission queue shrinks the deadline budget its pipeline run receives,
@@ -28,7 +21,6 @@ use sage_admission::{
     SoakConfig,
 };
 use sage_obs::{Outcome, QueryObs};
-use sage_vecdb::ShardRouter;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -55,9 +47,6 @@ pub struct SoakReport {
     /// Queries that panicked (isolated by the serving path). Always zero
     /// unless something is broken — the first soak invariant.
     pub panics: usize,
-    /// Completed queries served from shard survivors under a
-    /// `shard-partial:<m>/<N>` rung (sharded serving with shard faults).
-    pub shard_partial: usize,
     /// Completed queries by final brownout level (ladder order; index 0 is
     /// full fidelity).
     pub brownout: [u64; 5],
@@ -150,8 +139,8 @@ impl SoakReport {
             self.shed[2]
         ));
         out.push_str(&format!(
-            "completed {}  expired {}  errors {}  panics {}  shard-partial {}\n",
-            self.completed, self.expired, self.errors, self.panics, self.shard_partial
+            "completed {}  expired {}  errors {}  panics {}\n",
+            self.completed, self.expired, self.errors, self.panics
         ));
         out.push_str(&format!(
             "brownout none {} / drop-feedback {} / shrink-rerank {} / skip-rerank {} / flat-topk {}\n",
@@ -186,7 +175,6 @@ impl SoakReport {
         out.push_str(&format!(", \"completed\": {}", self.completed));
         out.push_str(&format!(", \"errors\": {}", self.errors));
         out.push_str(&format!(", \"panics\": {}", self.panics));
-        out.push_str(&format!(", \"shard_partial\": {}", self.shard_partial));
         out.push_str(&format!(
             ", \"brownout\": [{}, {}, {}, {}, {}]",
             self.brownout[0], self.brownout[1], self.brownout[2], self.brownout[3],
@@ -244,7 +232,6 @@ pub fn run_soak(sys: &RagSystem, questions: &[String], cfg: &SoakConfig) -> Soak
         completed: 0,
         errors: 0,
         panics: 0,
-        shard_partial: 0,
         brownout: [0; 5],
         ladder_violations: 0,
         p50_sojourn: Duration::ZERO,
@@ -263,19 +250,13 @@ pub fn run_soak(sys: &RagSystem, questions: &[String], cfg: &SoakConfig) -> Soak
         ramp_start: cfg.ramp_start,
     });
     let mut pending: VecDeque<Job> = VecDeque::new();
-    // One virtual-server pool per shard fault domain (single pool below 2
-    // shards). A job's home pool is a stable hash of its sequence number,
-    // so shard-slow faults queue their own shard's jobs.
-    let router = ShardRouter::new(cfg.shards.max(1));
-    let mut free_at: Vec<Vec<Duration>> =
-        vec![vec![Duration::ZERO; cfg.concurrency.max(1)]; router.shards() as usize];
+    let mut free_at: Vec<Duration> = vec![Duration::ZERO; cfg.concurrency.max(1)];
     let mut sojourns: Vec<Duration> = Vec::new();
 
     let mut state = SimState {
         sys,
         questions,
         base_budget: cfg.budget,
-        router,
         queue: &mut queue,
         pending: &mut pending,
         free_at: &mut free_at,
@@ -304,12 +285,10 @@ struct SimState<'a> {
     sys: &'a RagSystem,
     questions: &'a [String],
     base_budget: Option<QueryBudget>,
-    /// Routes each job to its home server pool (identity at one shard).
-    router: ShardRouter,
     queue: &'a mut AdmissionQueue,
     pending: &'a mut VecDeque<Job>,
-    /// Per-shard pools of virtual-server busy horizons.
-    free_at: &'a mut Vec<Vec<Duration>>,
+    /// Virtual-server busy horizons.
+    free_at: &'a mut Vec<Duration>,
     sojourns: &'a mut Vec<Duration>,
     report: &'a mut SoakReport,
 }
@@ -365,30 +344,27 @@ impl SimState<'_> {
         }
     }
 
-    /// The (start, home pool, slot) placement the front job would get from
-    /// the current busy horizons: home pool by stable hash of the sequence
-    /// number, then the earliest-free server within it; ties break to the
-    /// lowest slot (first minimum wins).
-    fn place(&self, job: &Job) -> (Duration, usize, usize) {
-        let home = self.router.route_id(job.seq) as usize;
-        let pool = &self.free_at[home];
-        let slot = pool
+    /// The (start, slot) placement the front job would get from the current
+    /// busy horizons: the earliest-free server; ties break to the lowest
+    /// slot (first minimum wins).
+    fn place(&self, job: &Job) -> (Duration, usize) {
+        let slot = self
+            .free_at
             .iter()
             .enumerate()
             .min_by_key(|(_, f)| **f)
             .map(|(i, _)| i)
             .unwrap_or(0);
-        (pool[slot].max(job.at), home, slot)
+        (self.free_at[slot].max(job.at), slot)
     }
 
     /// Start every pending job whose virtual start time lands before
-    /// `now`, in FIFO order. A job starts when the earliest-free server of
-    /// its *home shard's* pool is available *and* the job has arrived; its
-    /// pipeline runs to completion on this thread before the next job is
-    /// placed.
+    /// `now`, in FIFO order. A job starts when the earliest-free server is
+    /// available *and* the job has arrived; its pipeline runs to
+    /// completion on this thread before the next job is placed.
     fn dispatch_until(&mut self, now: Duration) {
         while let Some(job) = self.pending.front() {
-            let (start, home, slot) = self.place(job);
+            let (start, slot) = self.place(job);
             if start >= now {
                 break;
             }
@@ -408,7 +384,7 @@ impl SimState<'_> {
             };
             let question = &self.questions[job.seq % self.questions.len()];
             let outcome = execute_caught(self.sys, question, None, budget);
-            self.settle(job, start, home, slot, outcome);
+            self.settle(job, start, slot, outcome);
         }
     }
 
@@ -447,7 +423,6 @@ impl SimState<'_> {
         &mut self,
         job: Job,
         start: Duration,
-        home: usize,
         slot: usize,
         outcome: Result<crate::QueryResult, sage_resilience::SageError>,
     ) {
@@ -458,7 +433,7 @@ impl SimState<'_> {
             Err(_) => ERROR_SERVICE,
         };
         let finish = start + service;
-        self.free_at[home][slot] = finish;
+        self.free_at[slot] = finish;
         match outcome {
             Ok(r) => {
                 self.report.completed += 1;
@@ -470,30 +445,16 @@ impl SimState<'_> {
                 if !steps.windows(2).all(|w| w[0] < w[1]) {
                     self.report.ladder_violations += 1;
                 }
-                // A query served from shard survivors documents its rung
-                // on the done line; unsharded (or clean) runs append
-                // nothing, keeping historical logs byte-identical.
-                let rung = r
-                    .degraded
-                    .events
-                    .iter()
-                    .find(|e| e.fallback.is_shard_partial())
-                    .map(|e| format!(" rung={}", e.fallback))
-                    .unwrap_or_default();
-                if !rung.is_empty() {
-                    self.report.shard_partial += 1;
-                }
                 self.sojourns.push(finish.saturating_sub(job.at));
                 self.report.log.push(format!(
-                    "[{}] done q={} class={} waited={} service={} level={} cost={}{}",
+                    "[{}] done q={} class={} waited={} service={} level={} cost={}",
                     fmt_t(finish),
                     job.seq,
                     job.class,
                     fmt_t(wait),
                     fmt_t(service),
                     r.brownout,
-                    r.cost.input_tokens + r.cost.output_tokens,
-                    rung
+                    r.cost.input_tokens + r.cost.output_tokens
                 ));
                 self.report.obs.push(QueryObs {
                     seq: job.seq as u64,
@@ -670,50 +631,6 @@ mod tests {
         assert!(r.completed > 0);
         assert_eq!(r.browned_out(), 0);
         assert_eq!(r.expired, 0);
-    }
-
-    #[test]
-    fn one_shard_pool_matches_the_historical_model() {
-        // `shards: 1` must be the exact single-pool model: byte-identical
-        // report (log included) to a config that never mentions shards.
-        let sys = system();
-        let a = run_soak(&sys, &questions(), &quick_cfg());
-        let b = run_soak(&sys, &questions(), &SoakConfig { shards: 1, ..quick_cfg() });
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sharded_pools_replay_bit_for_bit() {
-        let sys = system();
-        let cfg = SoakConfig { shards: 4, ..quick_cfg() };
-        let a = run_soak(&sys, &questions(), &cfg);
-        let b = run_soak(&sys, &questions(), &cfg);
-        assert_eq!(a, b, "per-shard pools must stay deterministic");
-        assert!(a.completed > 0);
-        assert_eq!(a.panics, 0);
-        assert_eq!(a.shard_partial, 0, "no faults, no partial serves");
-    }
-
-    #[test]
-    fn shard_fault_surfaces_partial_rungs_without_panics() {
-        use crate::resilience::ResilienceConfig;
-        use sage_resilience::{FaultPlan, Rates};
-        let mut sys = system();
-        sys.enable_resilience(ResilienceConfig::with_plan(
-            FaultPlan::seeded(7).with_shard(1, Rates { timeout: 1.0, ..Rates::default() }),
-        ));
-        sys.enable_sharding(4, None);
-        let cfg = SoakConfig { shards: 4, ..quick_cfg() };
-        let r = run_soak(&sys, &questions(), &cfg);
-        assert_eq!(r.panics, 0, "shard loss must never panic the serving path");
-        assert!(r.completed > 0);
-        assert!(r.shard_partial > 0, "dead shard must surface partial serves: {}", r.summary());
-        assert!(
-            r.log.iter().any(|l| l.contains("rung=shard-partial:1/4")),
-            "done lines must document the rung"
-        );
-        // Determinism holds under faults too.
-        assert_eq!(r, run_soak(&sys, &questions(), &cfg));
     }
 
     #[test]

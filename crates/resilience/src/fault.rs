@@ -148,20 +148,11 @@ impl Rates {
     }
 }
 
-/// The maximum shard index a shard-scoped fault entry may target. High
-/// enough for the throughput-scaling grid (1/2/4/8 shards) with headroom;
-/// fixed so the plan stays a flat value type.
-pub const MAX_FAULT_SHARDS: usize = 16;
-
-/// A deterministic fault-injection plan over all four components, plus
-/// optional *shard-scoped* rates: `shard:<idx>:<kind>[:<rate>]` entries
-/// target one fault domain of the scatter-gather layer instead of a whole
-/// component, so a drill can take down shard 2 while its siblings serve.
+/// A deterministic fault-injection plan over all four components.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     rates: [Rates; 4],
-    shard_rates: [Rates; MAX_FAULT_SHARDS],
 }
 
 impl FaultPlan {
@@ -173,11 +164,7 @@ impl FaultPlan {
 
     /// An empty plan with the given seed.
     pub fn seeded(seed: u64) -> Self {
-        Self {
-            seed,
-            rates: [Rates::default(); 4],
-            shard_rates: [Rates::default(); MAX_FAULT_SHARDS],
-        }
+        Self { seed, rates: [Rates::default(); 4] }
     }
 
     /// Builder: set the rates for one component.
@@ -201,28 +188,9 @@ impl FaultPlan {
         self.rates[component.idx()]
     }
 
-    /// Builder: set the shard-scoped rates for one fault domain.
-    pub fn with_shard(mut self, shard: u32, rates: Rates) -> Self {
-        if let Some(slot) = self.shard_rates.get_mut(shard as usize) {
-            *slot = rates;
-        }
-        self
-    }
-
-    /// The rates configured for fault domain `shard` (zero for shards
-    /// beyond [`MAX_FAULT_SHARDS`]).
-    pub fn shard_rates(&self, shard: u32) -> Rates {
-        self.shard_rates.get(shard as usize).copied().unwrap_or_default()
-    }
-
-    /// Whether any component or shard has a nonzero fault rate.
+    /// Whether any component has a nonzero fault rate.
     pub fn is_active(&self) -> bool {
-        self.rates.iter().any(|r| r.total() > 0.0) || self.has_shard_faults()
-    }
-
-    /// Whether any shard-scoped entry is configured.
-    pub fn has_shard_faults(&self) -> bool {
-        self.shard_rates.iter().any(|r| r.total() > 0.0)
+        self.rates.iter().any(|r| r.total() > 0.0)
     }
 
     /// Deterministic per-call RNG for `(component, key, attempt)` — also
@@ -242,13 +210,6 @@ impl FaultPlan {
     pub fn parse_spec(spec: &str, seed: u64) -> Result<Self, String> {
         let mut plan = FaultPlan::seeded(seed);
         for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-            // Shard-scoped grammar: `shard:<idx>:<kind>[:<rate>]`, e.g.
-            // `shard:2:slow` or `shard:0:down:0.5`. Parsed before the
-            // component split because these entries carry no `=`.
-            if let Some(rest) = entry.strip_prefix("shard:") {
-                plan = plan.parse_shard_entry(rest, entry)?;
-                continue;
-            }
             let (comp_s, rest) = entry
                 .split_once('=')
                 .ok_or_else(|| format!("bad fault entry {entry:?}: want component=kind[:rate]"))?;
@@ -282,85 +243,15 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// One `shard:`-stripped spec entry: `<idx>:<kind>[:<rate>]`. Shard
-    /// kinds accept serving-oriented aliases on top of the component kinds:
-    /// `slow` (timeout) and `down` (transient/unavailable).
-    fn parse_shard_entry(self, rest: &str, entry: &str) -> Result<Self, String> {
-        let mut parts = rest.splitn(3, ':').map(str::trim);
-        let idx_s = parts.next().unwrap_or("");
-        let shard: u32 = idx_s
-            .parse()
-            .map_err(|_| format!("bad shard index {idx_s:?} in {entry:?}"))?;
-        if shard as usize >= MAX_FAULT_SHARDS {
-            return Err(format!("shard index {shard} out of range (max {})", MAX_FAULT_SHARDS - 1));
-        }
-        let kind_s = parts
-            .next()
-            .ok_or_else(|| format!("bad shard entry {entry:?}: want shard:<idx>:<kind>[:<rate>]"))?;
-        let kind = match kind_s {
-            "slow" => FaultKind::Timeout,
-            "down" => FaultKind::Transient,
-            other => FaultKind::parse(other).ok_or_else(|| {
-                format!("unknown shard fault kind {other:?} (slow|down|transient|timeout|corrupt|panic)")
-            })?,
-        };
-        let rate: f64 = match parts.next() {
-            Some(r) => r.parse().map_err(|_| format!("bad fault rate {r:?}"))?,
-            None => 1.0,
-        };
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("fault rate {rate} out of [0, 1]"));
-        }
-        let mut rates = self.shard_rates(shard);
-        match kind {
-            FaultKind::Transient => rates.transient += rate,
-            FaultKind::Timeout => rates.timeout += rate,
-            FaultKind::Corrupt => rates.corrupt += rate,
-            FaultKind::Panic => rates.panic += rate,
-        }
-        if rates.total() > 1.0 + 1e-9 {
-            return Err(format!("total fault mass for shard {shard} exceeds 1"));
-        }
-        Ok(self.with_shard(shard, rates))
-    }
-
     /// Decide whether the call identified by `(component, key, attempt)`
-    /// faults, and how.
+    /// faults, and how: one cumulative-mass draw in the documented order
+    /// panic → corrupt → timeout → transient.
     pub fn inject(&self, component: Component, key: &str, attempt: u32) -> Option<FaultKind> {
         let rates = self.rates[component.idx()];
         if rates.total() <= 0.0 {
             return None;
         }
-        Self::draw(rates, self.call_rng(component, key, attempt))
-    }
-
-    /// Deterministic per-probe RNG for `(shard, key, attempt)`. Mixed with
-    /// a shard-distinct constant so a shard-scoped stream never collides
-    /// with a component stream for the same key.
-    pub fn shard_rng(&self, shard: u32, key: &str, attempt: u32) -> DetRng {
-        let mut h = fnv1a(key.as_bytes(), self.seed ^ 0x5348_4152_4400_0000); // "SHARD"
-        h = h
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((u64::from(shard) << 32) | u64::from(attempt));
-        DetRng::seed_from_u64(h)
-    }
-
-    /// Decide whether the probe of fault domain `shard` identified by
-    /// `(key, attempt)` faults, and how. Attempt 1 is the hedged replica
-    /// probe — an independent draw, so a transient shard fault can clear
-    /// on the hedge exactly like a component retry.
-    pub fn inject_shard(&self, shard: u32, key: &str, attempt: u32) -> Option<FaultKind> {
-        let rates = self.shard_rates(shard);
-        if rates.total() <= 0.0 {
-            return None;
-        }
-        Self::draw(rates, self.shard_rng(shard, key, attempt))
-    }
-
-    /// One cumulative-mass draw in the documented order
-    /// panic → corrupt → timeout → transient.
-    fn draw(rates: Rates, mut rng: DetRng) -> Option<FaultKind> {
-        let u: f64 = rng.next_f64();
+        let u: f64 = self.call_rng(component, key, attempt).next_f64();
         let mut acc = rates.panic;
         if u < acc {
             return Some(FaultKind::Panic);
@@ -463,36 +354,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_specs_parse_and_reject() {
-        let plan = FaultPlan::parse_spec("shard:2:slow,shard:0:down:0.5", 9).unwrap();
-        assert_eq!(plan.shard_rates(2).timeout, 1.0, "slow aliases timeout");
-        assert_eq!(plan.shard_rates(0).transient, 0.5, "down aliases transient");
-        assert!(plan.is_active() && plan.has_shard_faults());
-        // Shard entries compose with component entries in one spec.
-        let mixed = FaultPlan::parse_spec("reader=transient:0.3,shard:1:corrupt", 0).unwrap();
-        assert_eq!(mixed.rates(Component::Reader).transient, 0.3);
-        assert_eq!(mixed.shard_rates(1).corrupt, 1.0);
-        for bad in ["shard:x:slow", "shard:1:warp", "shard:1", "shard:99:slow",
-                    "shard:1:slow:2.0", "shard:1:slow:0.7,shard:1:down:0.7"] {
-            assert!(FaultPlan::parse_spec(bad, 0).is_err(), "{bad:?} should be rejected");
+    fn removed_shard_entries_are_refused_by_name() {
+        for entry in ["shard:1:down", "shard:2:slow:0.5"] {
+            assert_eq!(
+                FaultPlan::parse_spec(entry, 0),
+                Err(format!("bad fault entry {entry:?}: want component=kind[:rate]"))
+            );
         }
-    }
-
-    #[test]
-    fn shard_injection_is_deterministic_and_scoped() {
-        let plan = FaultPlan::parse_spec("shard:1:down", 42).unwrap();
-        assert_eq!(plan.inject_shard(1, "q", 0), Some(FaultKind::Transient));
-        assert_eq!(plan.inject_shard(1, "q", 0), plan.inject_shard(1, "q", 0));
-        assert_eq!(plan.inject_shard(0, "q", 0), None, "other shards untouched");
-        assert_eq!(plan.inject(Component::IndexSearch, "q", 0), None, "components untouched");
-        // A fractional rate must let the hedged probe (attempt 1) clear
-        // faults for some keys — that's what makes hedging meaningful.
-        let flaky = FaultPlan::parse_spec("shard:1:down:0.5", 7).unwrap();
-        let recovered = (0..100).any(|i| {
-            let key = format!("q{i}");
-            flaky.inject_shard(1, &key, 0).is_some() && flaky.inject_shard(1, &key, 1).is_none()
-        });
-        assert!(recovered, "hedged probes must be independent draws");
+        // Beside a valid entry the whole spec is still refused.
+        let err = FaultPlan::parse_spec("reader=transient:0.3,shard:1:down", 0).unwrap_err();
+        assert!(err.contains("\"shard:1:down\""), "{err}");
     }
 
     #[test]

@@ -40,26 +40,11 @@ pub enum Fallback {
     /// The admission queue refused the query under load; it never entered
     /// the pipeline.
     Shed,
-    /// Scatter-gather served from survivors after losing `lost` of `total`
-    /// shards (renders as `shard-partial:<m>/<N>`); quorum still held.
-    ShardPartial {
-        /// Shards lost after the hedged probe.
-        lost: u8,
-        /// Shards fanned out to.
-        total: u8,
-    },
-    /// Shard losses fell below quorum on a sparse primary: the query was
-    /// served from the unsharded scan instead of the shard set. (Dense
-    /// primaries record [`Fallback::DenseToBm25`] on quorum failure — the
-    /// dense shard set is abandoned for the sparse tier.)
-    ShardQuorumLost,
 }
 
 impl Fallback {
-    /// All fallback kinds, in chain order (stable counter layout). The
-    /// shard-partial slot uses the zero-valued canonical instance; every
-    /// `ShardPartial { .. }` maps to that one counter regardless of fields.
-    pub const ALL: [Fallback; 13] = [
+    /// All fallback kinds, in chain order (stable counter layout).
+    pub const ALL: [Fallback; 11] = [
         Fallback::HnswToFlat,
         Fallback::DenseToBm25,
         Fallback::RerankToRetrievalOrder,
@@ -71,8 +56,6 @@ impl Fallback {
         Fallback::BrownoutSkipRerank,
         Fallback::BrownoutFlatTopK,
         Fallback::Shed,
-        Fallback::ShardPartial { lost: 0, total: 0 },
-        Fallback::ShardQuorumLost,
     ];
 
     fn idx(self) -> usize {
@@ -88,8 +71,6 @@ impl Fallback {
             Fallback::BrownoutSkipRerank => 8,
             Fallback::BrownoutFlatTopK => 9,
             Fallback::Shed => 10,
-            Fallback::ShardPartial { .. } => 11,
-            Fallback::ShardQuorumLost => 12,
         }
     }
 
@@ -107,14 +88,7 @@ impl Fallback {
             Fallback::BrownoutSkipRerank => "brownout:skip-rerank",
             Fallback::BrownoutFlatTopK => "brownout:flat-topk",
             Fallback::Shed => "shed",
-            Fallback::ShardPartial { .. } => "shard-partial",
-            Fallback::ShardQuorumLost => "shard-quorum->unsharded",
         }
-    }
-
-    /// Whether this is the shard-partial rung (any loss ratio).
-    pub fn is_shard_partial(self) -> bool {
-        matches!(self, Fallback::ShardPartial { .. })
     }
 
     /// Position on the brownout ladder (`None` for the non-brownout
@@ -132,11 +106,7 @@ impl Fallback {
 
 impl std::fmt::Display for Fallback {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            // The documented rung format carries the loss ratio.
-            Fallback::ShardPartial { lost, total } => write!(f, "shard-partial:{lost}/{total}"),
-            _ => f.write_str(self.label()),
-        }
+        f.write_str(self.label())
     }
 }
 
@@ -188,7 +158,7 @@ impl DegradeTrace {
 /// Thread-safe system-wide fallback counters (CLI "degraded mode" report).
 #[derive(Debug, Default)]
 pub struct FallbackCounters {
-    counts: [AtomicU64; 13],
+    counts: [AtomicU64; 11],
 }
 
 impl FallbackCounters {
@@ -255,24 +225,6 @@ mod tests {
         assert!(t.fired(Fallback::ReaderSecondBest));
         assert!(!t.fired(Fallback::DenseToBm25));
         assert_eq!(t.total_delay(), Duration::from_millis(300));
-    }
-
-    #[test]
-    fn shard_partial_renders_the_loss_ratio_and_shares_one_counter() {
-        let rung = Fallback::ShardPartial { lost: 1, total: 4 };
-        assert_eq!(rung.to_string(), "shard-partial:1/4");
-        assert_eq!(rung.label(), "shard-partial");
-        assert!(rung.is_shard_partial());
-        assert_eq!(rung.brownout_step(), None);
-        let c = FallbackCounters::new();
-        c.record(rung);
-        c.record(Fallback::ShardPartial { lost: 2, total: 4 });
-        assert_eq!(c.get(Fallback::ShardPartial { lost: 0, total: 0 }), 2);
-        assert_eq!(c.snapshot(), vec![("shard-partial", 2)]);
-        let mut t = DegradeTrace::new();
-        t.events.push(event(rung));
-        assert!(t.fired(rung));
-        assert!(t.events.iter().any(|e| e.fallback.is_shard_partial()));
     }
 
     #[test]

@@ -150,77 +150,6 @@ impl Bm25Retriever {
             self.live_total_len as f32 / self.live_count as f32
         };
     }
-
-    /// Retrieve over one shard of the corpus: only chunks whose entry in
-    /// `assignment` (the router's chunk→shard table) equals `shard` are
-    /// scored. Scoring keeps the *global* document frequencies and length
-    /// normaliser — shard postings are a filter over one shared index, not
-    /// per-shard statistics — so scores are comparable across shards and a
-    /// deterministic merge of every shard's results equals the unsharded
-    /// ranking exactly. Chunks beyond `assignment.len()` are treated as
-    /// unassigned and skipped.
-    pub fn retrieve_shard(
-        &self,
-        query: &str,
-        n: usize,
-        shard: u32,
-        assignment: &[u32],
-    ) -> Vec<ScoredChunk> {
-        self.retrieve_where(query, n, |ci| assignment.get(ci).copied() == Some(shard))
-    }
-
-    /// Shared scoring loop behind [`Retriever::retrieve`] (allow all) and
-    /// [`retrieve_shard`](Self::retrieve_shard) (shard filter).
-    fn retrieve_where(
-        &self,
-        query: &str,
-        n: usize,
-        allow: impl Fn(usize) -> bool,
-    ) -> Vec<ScoredChunk> {
-        if self.live_count == 0 || n == 0 {
-            return Vec::new();
-        }
-        sage_telemetry::metrics::BM25_SEARCHES.inc();
-        // `touched` lists the chunks a posting reached, marked in `seen`; a
-        // score may sum to zero, so `scores` cannot serve as the marker.
-        let mut scores = vec![0.0f32; self.chunk_len.len()];
-        let mut seen = vec![false; self.chunk_len.len()];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut tokens = TokenBuf::new();
-        tokens.fill(query);
-        tokens.for_each_stem(|term| {
-            let Some(id) = self.vocab.get(term) else { return };
-            let Some(postings) = self.postings.get(id as usize) else { return };
-            sage_telemetry::metrics::BM25_POSTINGS_SCANNED.add(postings.len() as u64);
-            let idf = self.vocab.idf(id);
-            for &(chunk, tf) in postings {
-                let ci = chunk as usize;
-                if self.deleted[ci] || !allow(ci) {
-                    continue;
-                }
-                let tf = tf as f32;
-                let len = self.chunk_len[ci] as f32;
-                let denom =
-                    tf + self.params.k1 * (1.0 - self.params.b + self.params.b * len / self.avg_len);
-                let term_score = idf * tf * (self.params.k1 + 1.0) / denom;
-                if !seen[ci] {
-                    seen[ci] = true;
-                    touched.push(chunk);
-                }
-                scores[ci] += term_score;
-            }
-        });
-        let mut hits: Vec<ScoredChunk> = touched
-            .into_iter()
-            .map(|chunk| ScoredChunk { index: chunk as usize, score: scores[chunk as usize] })
-            .collect();
-        if hits.len() > n {
-            hits.select_nth_unstable_by(n, by_rank);
-            hits.truncate(n);
-        }
-        hits.sort_unstable_by(by_rank);
-        hits
-    }
 }
 
 /// Rank order of hits: score descending under `total_cmp`, then chunk
@@ -252,7 +181,49 @@ impl Retriever for Bm25Retriever {
     }
 
     fn retrieve(&self, query: &str, n: usize) -> Vec<ScoredChunk> {
-        self.retrieve_where(query, n, |_| true)
+        if self.live_count == 0 || n == 0 {
+            return Vec::new();
+        }
+        sage_telemetry::metrics::BM25_SEARCHES.inc();
+        // `touched` lists the chunks a posting reached, marked in `seen`; a
+        // score may sum to zero, so `scores` cannot serve as the marker.
+        let mut scores = vec![0.0f32; self.chunk_len.len()];
+        let mut seen = vec![false; self.chunk_len.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut tokens = TokenBuf::new();
+        tokens.fill(query);
+        tokens.for_each_stem(|term| {
+            let Some(id) = self.vocab.get(term) else { return };
+            let Some(postings) = self.postings.get(id as usize) else { return };
+            sage_telemetry::metrics::BM25_POSTINGS_SCANNED.add(postings.len() as u64);
+            let idf = self.vocab.idf(id);
+            for &(chunk, tf) in postings {
+                let ci = chunk as usize;
+                if self.deleted[ci] {
+                    continue;
+                }
+                let tf = tf as f32;
+                let len = self.chunk_len[ci] as f32;
+                let denom =
+                    tf + self.params.k1 * (1.0 - self.params.b + self.params.b * len / self.avg_len);
+                let term_score = idf * tf * (self.params.k1 + 1.0) / denom;
+                if !seen[ci] {
+                    seen[ci] = true;
+                    touched.push(chunk);
+                }
+                scores[ci] += term_score;
+            }
+        });
+        let mut hits: Vec<ScoredChunk> = touched
+            .into_iter()
+            .map(|chunk| ScoredChunk { index: chunk as usize, score: scores[chunk as usize] })
+            .collect();
+        if hits.len() > n {
+            hits.select_nth_unstable_by(n, by_rank);
+            hits.truncate(n);
+        }
+        hits.sort_unstable_by(by_rank);
+        hits
     }
 
     fn len(&self) -> usize {
@@ -425,36 +396,6 @@ mod tests {
         r.tombstone_chunk(0);
         assert!(r.retrieve("only", 3).is_empty());
         assert_eq!(r.live_len(), 0);
-    }
-
-    #[test]
-    fn shard_retrieval_partitions_and_merges_back_to_global() {
-        let r = indexed();
-        // A 2-shard assignment splitting the corpus by chunk parity.
-        let assignment: Vec<u32> = (0..r.len() as u32).map(|i| i % 2).collect();
-        for query in ["cat eyes", "the moon", "dough town"] {
-            let global = r.retrieve(query, 5);
-            let mut union: Vec<ScoredChunk> = Vec::new();
-            for shard in 0..2 {
-                let part = r.retrieve_shard(query, 5, shard, &assignment);
-                for h in &part {
-                    assert_eq!(assignment[h.index], shard, "{query}: hit outside its shard");
-                }
-                union.extend(part);
-            }
-            // Global statistics make shard scores comparable: re-sorting the
-            // union with the same comparator reproduces the global ranking.
-            union.sort_by(by_rank);
-            union.truncate(5);
-            assert_eq!(union.len(), global.len(), "{query}");
-            for (u, g) in union.iter().zip(&global) {
-                assert_eq!(u.index, g.index, "{query}");
-                assert_eq!(u.score.to_bits(), g.score.to_bits(), "{query}");
-            }
-        }
-        // An out-of-range shard or empty assignment yields nothing.
-        assert!(r.retrieve_shard("cat", 5, 7, &assignment).is_empty());
-        assert!(r.retrieve_shard("cat", 5, 0, &[]).is_empty());
     }
 
     #[test]

@@ -147,34 +147,6 @@ pub static LIVE_SEGMENTS_DISCARDED: Counter = Counter::new(
     "sage_live_segments_discarded_total",
     "Torn or orphaned segment files discarded by live-store recovery",
 );
-/// Per-shard probes issued by scatter-gather retrieval (N per fanned-out
-/// query, plus one per hedged re-probe).
-pub static SHARD_PROBES: Counter = Counter::new(
-    "sage_shard_probes_total",
-    "Per-shard probes issued by scatter-gather retrieval (including hedges)",
-);
-/// Hedged re-probes issued after a shard exceeded its virtual-clock slice
-/// or failed its first probe.
-pub static SHARD_HEDGES: Counter = Counter::new(
-    "sage_shard_hedges_total",
-    "Hedged shard re-probes issued after a slice overrun or probe failure",
-);
-/// Shards lost for a query after the hedged probe also failed.
-pub static SHARD_LOST: Counter = Counter::new(
-    "sage_shard_lost_total",
-    "Shards lost to a query after both the probe and its hedge failed",
-);
-/// Queries served from a shard subset (the `shard-partial` degrade rung).
-pub static SHARD_PARTIAL_SERVES: Counter = Counter::new(
-    "sage_shard_partial_serves_total",
-    "Queries served from surviving shards after losing part of the fan-out",
-);
-/// Queries whose surviving shards fell below quorum and fell back to the
-/// BM25/flat chain.
-pub static SHARD_QUORUM_FAILURES: Counter = Counter::new(
-    "sage_shard_quorum_failures_total",
-    "Queries that lost shard quorum and fell back to the BM25/flat chain",
-);
 
 /// A monotonic counter family with one fixed label dimension, for metrics
 /// that split by a small closed set of values (brownout ladder steps,
@@ -266,7 +238,7 @@ pub fn labeled() -> [&'static LabeledCounter; 2] {
 }
 
 /// Every registered counter, for the exporters.
-pub fn all() -> [&'static Counter; 27] {
+pub fn all() -> [&'static Counter; 22] {
     [
         &VECDB_FLAT_DISTANCE_EVALS,
         &VECDB_FLAT_SEARCHES,
@@ -290,11 +262,6 @@ pub fn all() -> [&'static Counter; 27] {
         &LIVE_CRASHES_INJECTED,
         &LIVE_RECOVERIES,
         &LIVE_SEGMENTS_DISCARDED,
-        &SHARD_PROBES,
-        &SHARD_HEDGES,
-        &SHARD_LOST,
-        &SHARD_PARTIAL_SERVES,
-        &SHARD_QUORUM_FAILURES,
     ]
 }
 

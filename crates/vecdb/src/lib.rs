@@ -33,13 +33,11 @@ pub mod flat;
 pub mod hnsw;
 pub mod metric;
 pub mod mutable;
-pub mod shard;
 
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use mutable::MutableIndex;
 pub use metric::Metric;
-pub use shard::{merge_hits, ShardRouter, ShardedFlat};
 
 /// A search hit: internal vector id plus similarity score (higher = closer).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -14,10 +14,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sage_vecdb::{
-    merge_hits, FlatIndex, Hit, HnswConfig, HnswIndex, Metric, MutableIndex, ShardRouter,
-    ShardedFlat, VectorIndex,
-};
+use sage_vecdb::{FlatIndex, Hit, HnswConfig, HnswIndex, Metric, MutableIndex, VectorIndex};
 use std::collections::HashSet;
 
 const METRICS: [Metric; 3] = [Metric::Cosine, Metric::Dot, Metric::NegEuclidean];
@@ -496,14 +493,6 @@ fn every_index_scores_a_pair_with_the_same_bits() {
                 }
             }
         }
-    }
-    // The shards are cosine; merged, they are the unsharded scan.
-    let flat = filled(FlatIndex::cosine(), &rows);
-    let mut sharded = ShardedFlat::new(ShardRouter::new(3));
-    rows.iter().for_each(|row| sharded.push(row));
-    for query in &queries {
-        let parts: Vec<Vec<Hit>> = (0..3).map(|s| sharded.search_shard(s, query, 10)).collect();
-        assert_eq!(bits(&merge_hits(&parts, 10)), bits(&flat.search(query, 10)));
     }
 }
 

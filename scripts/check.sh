@@ -13,11 +13,10 @@
 # `#[expect(clippy::<lint>, reason = "...")]`, which fails once it suppresses
 # nothing.
 #
-# Byte-identity checks among the smokes: same-seed replays of the soak, the
-# shard-loss soak and the live soak (two runs, `diff`); 4-shard ask ==
-# unsharded ask, with the default retriever and with BM25; two `sage
-# index` runs over one model file (`cmp`); `sage segment` == the chunk
-# listing recorded in this script; and the full
+# Byte-identity checks among the smokes: same-seed replays of the soak and
+# the live soak (two runs, `diff`); two `sage index` runs over one model
+# file (`cmp`); `sage segment` and `sage ask --retriever bm25
+# --show-context` == the output recorded in this script; and the full
 # scenario grid == the committed BENCH_scenarios.json (one run; `cargo test`
 # asserts the same equality).
 #
@@ -160,59 +159,58 @@ LISTING
     || { echo "FAIL: report printed no SLO summary"; exit 1; }
   echo "report smoke ok"
 
-  echo "=== shard smoke (scatter-gather determinism + loss drill)"
-  # Scatter-gather must be invisible when healthy: the same question
-  # served through 4 shards must print the exact answer the unsharded
-  # scan does (the deterministic merge is byte-identical at every N).
-  "$sage" ask \
-    --file "$tmp/corpus.txt" --question "What is the color of Whiskers's eyes?" \
-    > "$tmp/ask_unsharded.txt" 2> /dev/null
-  "$sage" ask \
-    --file "$tmp/corpus.txt" --question "What is the color of Whiskers's eyes?" \
-    --shards 4 \
-    > "$tmp/ask_sharded.txt" 2> /dev/null
-  diff -q "$tmp/ask_unsharded.txt" "$tmp/ask_sharded.txt" \
-    || { echo "FAIL: 4-shard merge diverges from unsharded results"; exit 1; }
-  # The BM25 twin: each shard probe scores the shared postings through the
-  # shard filter, so answer and context (order included) must not move.
-  # Six paragraphs, so that every one of the 4 shards owns a chunk.
+  echo "=== BM25 ask smoke (answer and context are the recorded ones)"
+  # The one end-to-end BM25 run through the CLI. The listing (stdout and
+  # stderr together) is what the build that still had in-process sharding
+  # printed for this corpus and these models, byte for byte.
   { cat "$tmp/corpus.txt"; printf '\n%s\n' \
       'Mossy is an old tortoise. Her shell is dark green and cracked.' \
       'The harbor town of Ashford keeps a lighthouse. Its keeper paints the door blue.' \
       'Brone the baker lives near the mill. He bakes bread for Ashford every morning.' \
       'Whiskers sleeps on the porch in the afternoon. His favourite toy is a red ball.'; } \
     > "$tmp/corpus_bm25.txt"
-  for shards in 1 4; do
-    "$sage" ask \
-      --file "$tmp/corpus_bm25.txt" --question "What is the color of Whiskers's eyes?" \
-      --retriever bm25 --show-context --shards "$shards" \
-      > "$tmp/ask_bm25_$shards.txt" 2>&1
+  "$sage" ask \
+    --file "$tmp/corpus_bm25.txt" --question "What is the color of Whiskers's eyes?" \
+    --retriever bm25 --show-context --models "$tmp/models.bin" \
+    > "$tmp/ask_bm25.txt" 2>&1
+  diff "$tmp/ask_bm25.txt" - <<'LISTING' || { echo "FAIL: sage ask --retriever bm25 printed a different answer or context"; exit 1; }
+green
+confidence 0.58 | 6 chunks | 1 feedback rounds | 492 tokens | $0.000081
+  [ctx 0] Whiskers is a playful tabby cat. He has bright green eyes.
+  [ctx 5] Whiskers sleeps on the porch in the afternoon. His favourite toy is a red ball.
+  [ctx 3] The harbor town of Ashford keeps a lighthouse. Its keeper paints the door blue.
+  [ctx 2] Mossy is an old tortoise. Her shell is dark green and cracked.
+  [ctx 4] Brone the baker lives near the mill. He bakes bread for Ashford every morning.
+  [ctx 1] Dorinwick was well known in the region. He lives in Ashford.
+LISTING
+  echo "BM25 ask smoke ok"
+
+  echo "=== refusal smoke (removed sharding surfaces fail and name the input)"
+  # In-process sharding is gone: its flags, its fault grammar and its
+  # scenario axis must be refused by name, never silently ignored.
+  for command in ask soak explain; do
+    for flag in shards quorum; do
+      if "$sage" "$command" "--$flag" 4 > /dev/null 2> "$tmp/refused.err"; then
+        echo "FAIL: sage $command accepted --$flag"; exit 1
+      fi
+      grep -q "unknown flag --$flag for \`sage $command\`" "$tmp/refused.err" \
+        || { echo "FAIL: no 'unknown flag --$flag' error"; cat "$tmp/refused.err"; exit 1; }
+    done
   done
-  grep -q '^green$' "$tmp/ask_bm25_1.txt" \
-    || { echo "FAIL: wrong BM25 answer"; cat "$tmp/ask_bm25_1.txt"; exit 1; }
-  diff -q "$tmp/ask_bm25_1.txt" "$tmp/ask_bm25_4.txt" \
-    || { echo "FAIL: 4-shard BM25 merge diverges from unsharded results"; exit 1; }
-  # Loss drill: kill shard 1 of 4 outright under load. Every completed
-  # query must serve from the three survivors under a documented
-  # shard-partial rung, with zero panics and zero errors, and the event
-  # log must replay byte-for-byte.
-  "$sage" soak \
-    --seed 42 --duration 10 --qps 3 --docs 1 \
-    --shards 4 --resilience --faults "shard:1:down" \
-    > "$tmp/shard_a.log" 2> "$tmp/shard_a.err"
-  "$sage" soak \
-    --seed 42 --duration 10 --qps 3 --docs 1 \
-    --shards 4 --resilience --faults "shard:1:down" \
-    > "$tmp/shard_b.log" 2> /dev/null
-  diff -q "$tmp/shard_a.log" "$tmp/shard_b.log" \
-    || { echo "FAIL: shard-loss soak replay is not deterministic"; exit 1; }
-  grep -q 'rung=shard-partial:1/4' "$tmp/shard_a.log" \
-    || { echo "FAIL: no shard-partial rung on the survivors' answers"; exit 1; }
-  grep -q 'panics 0' "$tmp/shard_a.err" \
-    || { echo "FAIL: shard-loss soak saw panics"; exit 1; }
-  grep -q 'errors 0' "$tmp/shard_a.err" \
-    || { echo "FAIL: shard-loss soak saw errors"; exit 1; }
-  echo "shard smoke ok"
+  if "$sage" ask --file "$tmp/corpus.txt" --question "What is the color of Whiskers's eyes?" \
+      --models "$tmp/models.bin" --faults "shard:1:down" > /dev/null 2> "$tmp/refused.err"; then
+    echo "FAIL: sage ask accepted the fault entry shard:1:down"; exit 1
+  fi
+  grep -q 'bad fault entry "shard:1:down"' "$tmp/refused.err" \
+    || { echo "FAIL: the fault error does not name its entry"; cat "$tmp/refused.err"; exit 1; }
+  printf '[[cell]]\nname = "a"\nshards = 4\n' > "$tmp/shards.toml"
+  if "$sage" scenarios run "$tmp/shards.toml" --models "$tmp/models.bin" \
+      > /dev/null 2> "$tmp/refused.err"; then
+    echo "FAIL: sage scenarios accepted the shards key"; exit 1
+  fi
+  grep -q 'unknown cell key `shards`' "$tmp/refused.err" \
+    || { echo "FAIL: the scenario error does not name its key"; cat "$tmp/refused.err"; exit 1; }
+  echo "refusal smoke ok"
 
   echo "=== live-corpus smoke (crash injection + recovery drill)"
   # Mutate a store under a crash plan: every injected crash must recover

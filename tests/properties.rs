@@ -459,94 +459,6 @@ proptest! {
     }
 }
 
-// --- Sharded scatter-gather ----------------------------------------------
-//
-// The shard partition is exact (flat scan per shard, full top-k, global-id
-// tie-break), so the merged results are byte-identical to the unsharded
-// index at *every* shard count, and the merge is invariant to the order
-// shards complete in. At the system level, enabling sharding on a healthy
-// system must not change a single deterministic output field.
-
-proptest! {
-    #[test]
-    fn shard_merge_equals_unsharded_and_ignores_completion_order(
-        tails in proptest::collection::vec(
-            proptest::collection::vec(-1.0f32..1.0, 3), 1..40),
-        n in 1u32..6,
-        k in 1usize..10,
-        perm_seed in 0u64..1_000,
-    ) {
-        use sage::vecdb::{merge_hits, Hit, ShardRouter, ShardedFlat};
-        // Append a 1.0 component so every vector has nonzero norm (cosine
-        // scores stay finite and the orderings comparable).
-        let vecs: Vec<Vec<f32>> = tails
-            .into_iter()
-            .map(|mut v| { v.push(1.0); v })
-            .collect();
-        let q = [0.5f32, -0.25, 0.8, 1.0];
-        let mut sharded = ShardedFlat::new(ShardRouter::new(n));
-        vecs.iter().for_each(|v| sharded.push(v));
-        let mut parts: Vec<Vec<Hit>> =
-            (0..sharded.shard_count()).map(|s| sharded.search_shard(s, &q, k)).collect();
-        let merged = merge_hits(&parts, k);
-
-        // Unsharded ground truth over the same vectors.
-        let mut flat = FlatIndex::cosine();
-        for v in &vecs {
-            flat.add(v.clone());
-        }
-        prop_assert_eq!(&merged, &flat.search(&q, k), "sharded merge diverged at N={}", n);
-
-        // Deterministic permutation of the parts: completion order must
-        // not leak into the merged bytes.
-        let len = parts.len();
-        parts.rotate_left((perm_seed as usize) % len);
-        if len >= 2 {
-            parts.swap(0, (perm_seed as usize / 7) % len);
-        }
-        prop_assert_eq!(merge_hits(&parts, k), merged);
-    }
-}
-
-proptest! {
-    // Each case serves queries through two full pipelines; keep it small.
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn sharded_serving_is_byte_identical_to_unsharded(
-        n in 1u32..5,
-        q_idx in 0usize..3,
-    ) {
-        let questions = [
-            "What is the color of Whiskers's eyes?",
-            "Where does Dorinwick live?",
-            "What animal is Patchy?",
-        ];
-        let question = questions[q_idx];
-        let mut system = RagSystem::build(
-            shared_models(),
-            RetrieverKind::OpenAiSim,
-            SageConfig::sage(),
-            LlmProfile::gpt4o_mini(),
-            &resilience_corpus(),
-        );
-        let plain = system.answer_open(question);
-        system.enable_sharding(n, None);
-        let sharded = system.answer_open(question);
-        // Every deterministic field must match: the exact partition plus
-        // the global-id tie-break make the fan-out invisible on a healthy
-        // system — N=1 *and* every other N.
-        prop_assert_eq!(&plain.answer.text, &sharded.answer.text);
-        prop_assert_eq!(plain.answer.confidence, sharded.answer.confidence);
-        prop_assert_eq!(&plain.selected, &sharded.selected);
-        prop_assert_eq!(plain.cost.input_tokens, sharded.cost.input_tokens);
-        prop_assert_eq!(plain.cost.output_tokens, sharded.cost.output_tokens);
-        prop_assert_eq!(plain.feedback_rounds, sharded.feedback_rounds);
-        prop_assert_eq!(plain.feedback_score, sharded.feedback_score);
-        prop_assert_eq!(&plain.degraded, &sharded.degraded);
-    }
-}
-
 // --- Batches --------------------------------------------------------------
 //
 // `try_answer_batch` answers many queries on strided run-to-completion

@@ -282,68 +282,6 @@ fn hnsw_fault_degrades_to_flat_and_batch_completes() {
     assert!(counters.contains(&("hnsw->flat", questions.len() as u64)), "{counters:?}");
 }
 
-// ---------------------------------------------------------------------------
-// Shard-loss drills: a sharded system losing m of N fault domains must keep
-// serving from the survivors (with the documented `shard-partial:m/N` rung
-// in both the per-query trace and the substrate counters) for every m the
-// quorum tolerates, and walk the BM25/flat fallback chain below quorum.
-// ---------------------------------------------------------------------------
-
-/// A fault plan that deterministically kills shards `0..m` (both the probe
-/// and the hedge time out on every attempt).
-fn kill_shards(m: u32) -> FaultPlan {
-    let mut plan = FaultPlan::seeded(9);
-    for s in 0..m {
-        plan = plan.with_shard(s, Rates { timeout: 1.0, ..Rates::default() });
-    }
-    plan
-}
-
-#[test]
-fn shard_loss_drill_serves_survivors_at_every_tolerable_m() {
-    use sage::telemetry::metrics::{SHARD_LOST, SHARD_PARTIAL_SERVES};
-    // N=4 with an explicit quorum of 2: losing 1 or 2 shards must serve
-    // partial results; the rung documents exactly how many died.
-    for m in 1..=2u32 {
-        let mut system = resilient(kill_shards(m), false);
-        system.enable_telemetry();
-        system.enable_sharding(4, Some(2));
-        let partial0 = SHARD_PARTIAL_SERVES.get();
-        let lost0 = SHARD_LOST.get();
-        let r = system.answer_open(EYES_Q);
-        let rung = format!("shard-partial:{m}/4");
-        assert!(
-            r.degraded.events.iter().any(|e| e.fallback.to_string() == rung),
-            "m={m}: expected {rung} in trace {:?}",
-            r.degraded
-        );
-        assert!(!r.answer.text.is_empty(), "m={m}: survivors must still serve an answer");
-        assert!(
-            SHARD_PARTIAL_SERVES.get() > partial0,
-            "m={m}: partial serve must hit the substrate counter"
-        );
-        assert!(
-            SHARD_LOST.get() >= lost0 + u64::from(m),
-            "m={m}: every dead shard must be counted lost"
-        );
-    }
-}
-
-#[test]
-fn shard_loss_below_quorum_walks_the_fallback_chain() {
-    use sage::telemetry::metrics::SHARD_QUORUM_FAILURES;
-    // 3 of 4 shards dead with quorum 2: one survivor is not enough, so the
-    // dense primary leaves the shard path for BM25 — which still answers.
-    let mut system = resilient(kill_shards(3), false);
-    system.enable_telemetry();
-    system.enable_sharding(4, Some(2));
-    let q0 = SHARD_QUORUM_FAILURES.get();
-    let r = system.answer_open(EYES_Q);
-    assert!(r.degraded.fired(Fallback::DenseToBm25), "trace: {:?}", r.degraded);
-    assert!(r.answer.text.contains("green"), "BM25 fallback answered: {:?}", r.answer.text);
-    assert!(SHARD_QUORUM_FAILURES.get() > q0, "quorum failure must hit the substrate counter");
-}
-
 #[test]
 fn reranker_fault_degrades_to_retrieval_order() {
     let system = resilient(FaultPlan::failing(Component::Reranker, FaultKind::Corrupt), false);
