@@ -31,6 +31,10 @@ fn main() {
         cs.sage_selected,
         if cs.sage_correct { "correct" } else { "wrong" }
     );
-    println!("\nExpected shape: correct at small K, wrong answers appearing at large K;");
-    println!("SAGE selects few chunks and stays correct.");
+    assert!(
+        cs.holds(),
+        "Figure 8: correct at every K <= 10, misled at some larger K, SAGE correct with fewer chunks"
+    );
+    println!("\nFigure 8 holds: correct at every K ≤ 10, misled at a larger K; SAGE stays correct");
+    println!("with fewer chunks than that K.");
 }

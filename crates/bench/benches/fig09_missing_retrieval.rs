@@ -32,6 +32,7 @@ fn main() {
         cs.sage_selected,
         if cs.sage_correct { "correct" } else { "wrong" }
     );
-    println!("\nExpected shape: wrong at small K, correct at large K; SAGE selects many");
-    println!("chunks on the smooth curve and answers correctly.");
+    assert!(cs.holds(), "Figure 9: wrong at K = 1, correct at every K >= 6 and with SAGE");
+    println!("\nFigure 9 holds: wrong at K = 1 (evidence missing), correct at every K ≥ 6 and");
+    println!("with SAGE.");
 }

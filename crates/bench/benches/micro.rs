@@ -1,8 +1,9 @@
 //! Micro-benchmarks for the performance-critical substrates:
 //! segmentation throughput (the paper's tokens/s column), vector-index
 //! query latency (flat vs HNSW), BM25 query throughput, reranker scoring,
-//! sentence embedding, and metric computation. One row per cell: the
-//! median wall time of [`RUNS`] calls after one warm-up call.
+//! the simulated reader and judge, sentence embedding, and metric
+//! computation. One row per cell: the median wall time of [`RUNS`] calls
+//! after one warm-up call.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,6 +122,23 @@ fn bench_rerank() {
     });
 }
 
+/// The simulated reader and judge over a context of a corpus-wide query's
+/// shape (≈ 14 chunks), asked about the entity the first chunk opens with.
+fn bench_llm() {
+    let context: Vec<String> = corpus_chunks(4).into_iter().take(14).collect();
+    let name = context[0].split_whitespace().next().unwrap_or("Whiskers");
+    let question = format!("What is the color of {name}'s eyes?");
+    let llm = SimLlm::new(LlmProfile::gpt4o_mini());
+    let n = context.len();
+    cell(&format!("llm answer_open_{n}_chunks"), || {
+        llm.answer_open(black_box(&question), &context)
+    });
+    let answer = llm.answer_open(&question, &context);
+    cell(&format!("llm self_feedback_{n}_chunks"), || {
+        llm.self_feedback(black_box(&question), &context, &answer)
+    });
+}
+
 fn bench_embed() {
     use sage::embed::{Embedder, HashedEmbedder};
     let models = sage_bench::models();
@@ -146,6 +164,7 @@ fn main() {
     bench_vecdb();
     bench_bm25();
     bench_rerank();
+    bench_llm();
     bench_embed();
     bench_metrics();
 }

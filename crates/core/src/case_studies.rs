@@ -30,9 +30,20 @@ pub struct SweepPoint {
     pub correct: bool,
 }
 
+/// Which case study a [`CaseStudy`] ran, and so which shape it must show.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CaseFigure {
+    /// Figure 8: noisy retrieval.
+    NoisyRetrieval,
+    /// Figure 9: missing retrieval.
+    MissingRetrieval,
+}
+
 /// Outcome of a case study sweep plus SAGE's dynamic behaviour.
 #[derive(Debug, Clone)]
 pub struct CaseStudy {
+    /// The figure this case study reproduces.
+    pub figure: CaseFigure,
     /// The question.
     pub question: String,
     /// The options.
@@ -48,6 +59,31 @@ pub struct CaseStudy {
     /// Reranker scores of the candidates, sorted descending (the Figure
     /// 5 curve for this question).
     pub score_curve: Vec<f32>,
+}
+
+impl CaseStudy {
+    /// The paper's shape, as far as it reproduces (EXPERIMENTS.md Exp-11
+    /// and Exp-12 record the rest):
+    ///
+    /// * Figure 8: correct at every K ≤ 10 and misled at some larger K;
+    ///   SAGE is correct with fewer chunks than the first K that misled the
+    ///   reader.
+    /// * Figure 9: wrong at K = 1, where the evidence is missing, and
+    ///   correct at every K ≥ 6 and with SAGE.
+    pub fn holds(&self) -> bool {
+        match self.figure {
+            CaseFigure::NoisyRetrieval => {
+                self.sweep.iter().find(|p| !p.correct).is_some_and(|wrong| {
+                    wrong.k > 10 && self.sage_correct && self.sage_selected < wrong.k
+                })
+            }
+            CaseFigure::MissingRetrieval => {
+                self.sweep.first().is_some_and(|p| p.k == 1 && !p.correct)
+                    && self.sweep.iter().filter(|p| p.k >= 6).all(|p| p.correct)
+                    && self.sage_correct
+            }
+        }
+    }
 }
 
 /// The Figure-8 corpus: one target fact plus many same-relation
@@ -103,19 +139,22 @@ fn elimination_corpus() -> (String, String, Vec<String>, usize) {
     (corpus, question, options, 2)
 }
 
+/// The largest fixed K each sweep tries.
+const MAX_K: usize = 15;
+
 fn run_case(
+    figure: CaseFigure,
     models: &TrainedModels,
     profile: LlmProfile,
     corpus: String,
     question: String,
     options: Vec<String>,
     correct: usize,
-    max_k: usize,
 ) -> CaseStudy {
     let corpus = vec![corpus];
     // Fixed-K sweep: selection off, min_k = K.
     let mut sweep = Vec::new();
-    for k in 1..=max_k {
+    for k in 1..=MAX_K {
         let cfg = SageConfig {
             min_k: k,
             use_rerank: true,
@@ -137,6 +176,7 @@ fn run_case(
     let r = system.answer_multiple_choice(&question, &options);
     let score_curve = system.rerank_scores(&question);
     CaseStudy {
+        figure,
         question,
         options,
         correct_option: correct,
@@ -151,7 +191,7 @@ fn run_case(
 /// toward the distractor-supported option as K grows.
 pub fn noisy_retrieval_sweep(models: &TrainedModels, profile: LlmProfile) -> CaseStudy {
     let (corpus, question, options, correct) = noisy_corpus();
-    run_case(models, profile, corpus, question, options, correct, 15)
+    run_case(CaseFigure::NoisyRetrieval, models, profile, corpus, question, options, correct)
 }
 
 /// Figure 9: missing retrieval. The elimination question fails at small K
@@ -159,7 +199,7 @@ pub fn noisy_retrieval_sweep(models: &TrainedModels, profile: LlmProfile) -> Cas
 /// score curve makes gradient selection keep extending.
 pub fn missing_retrieval_sweep(models: &TrainedModels, profile: LlmProfile) -> CaseStudy {
     let (corpus, question, options, correct) = elimination_corpus();
-    run_case(models, profile, corpus, question, options, correct, 15)
+    run_case(CaseFigure::MissingRetrieval, models, profile, corpus, question, options, correct)
 }
 
 /// Figure 5: the reranker's sorted score curves for the focused (Figure 8)
@@ -222,6 +262,18 @@ pub struct SegmentationCase {
     /// Whether the fixed-length chunking separated the fact from its
     /// antecedent (diagnosed on the actual chunks).
     pub fixed_split_evidence: bool,
+}
+
+impl SegmentationCase {
+    /// The paper's shape: fixed-length chunking split the fact from its
+    /// antecedent, and the answer over those chunks misses the gold while
+    /// the answer over semantic chunks finds it (shares a word with it).
+    pub fn holds(&self) -> bool {
+        let finds = |answer: &str| {
+            answer.split_whitespace().any(|w| self.gold.split_whitespace().any(|g| g == w))
+        };
+        self.fixed_split_evidence && finds(&self.semantic_answer) && !finds(&self.fixed_answer)
+    }
 }
 
 /// Figure 10: ineffective corpus segmentation. A pronoun-form fact whose
@@ -349,6 +401,14 @@ mod tests {
     }
 
     #[test]
+    fn noisy_sweep_misleads_only_past_k_10_and_sage_stays_correct() {
+        // Figure 8's reader, as its bench runs it.
+        let cs = noisy_retrieval_sweep(models(), LlmProfile::gpt35_turbo());
+        let sage = (cs.sage_selected, cs.sage_correct);
+        assert!(cs.holds(), "{:?}; SAGE (chunks, correct) {sage:?}", cs.sweep);
+    }
+
+    #[test]
     fn focused_curve_is_a_cliff_and_broad_curve_a_plateau() {
         let curves = score_curves(models());
         let cuts = (ScoreCurves::cut(&curves.focused), ScoreCurves::cut(&curves.broad));
@@ -368,6 +428,7 @@ mod tests {
         // SAGE keeps extending on the smooth curve: selects more than the
         // default min_k.
         assert!(cs.sage_selected >= 7, "selected {}", cs.sage_selected);
+        assert!(cs.holds(), "{:?}; SAGE correct {}", cs.sweep, cs.sage_correct);
     }
 
     #[test]
@@ -379,5 +440,6 @@ mod tests {
             "semantic answer: {}",
             cs.semantic_answer
         );
+        assert!(cs.holds(), "{cs:?}");
     }
 }

@@ -408,11 +408,16 @@ fn feedback(sys: &RagSystem, ctx: &mut QueryCtx<'_>) -> Flow {
     let Some(current) = ctx.current.take() else {
         return Flow::Done;
     };
-    // Judge against the context the reader actually saw (the
-    // second-best set when the reader degraded).
-    let context: Vec<String> =
-        current.selected.iter().map(|&id| sys.chunks[id].clone()).collect();
-    let fb = sys.llm.self_feedback(ctx.question, &context, &current.answer);
+    // Judge against the context the reader actually saw: the round's own
+    // context, or the second-best set when the reader degraded.
+    let second_best: Vec<String>;
+    let context = if current.selected == ctx.selected {
+        &ctx.context
+    } else {
+        second_best = current.selected.iter().map(|&id| sys.chunks[id].clone()).collect();
+        &second_best
+    };
+    let fb = sys.llm.self_feedback(ctx.question, context, &current.answer);
     ctx.executed_feedback += 1;
     ctx.total_cost.merge(fb.cost);
     ctx.feedback_latency += fb.latency;

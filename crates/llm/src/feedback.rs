@@ -9,10 +9,10 @@
 //! neither signal dominates.
 
 use crate::prompt::prompt_tokens;
-use crate::reader::{Answer, SimLlm};
+use crate::reader::{position, sorted_distinct, Answer, SimLlm};
 use rand::Rng;
 use sage_eval::Cost;
-use sage_text::{is_stopword, split_sentences, stem, tokenize};
+use sage_text::{split_sentences, TokenBuf};
 use std::time::Duration;
 
 /// Result of one self-feedback call.
@@ -51,6 +51,29 @@ pub fn feedback_prompt(question: &str, context: &[String], answer: &str) -> Stri
     p
 }
 
+/// The stems of the content words in `tokens`, sorted and without repeats.
+fn distinct_stems(tokens: &mut TokenBuf) -> Vec<String> {
+    let mut stems = Vec::new();
+    for i in 0..tokens.len() {
+        if !tokens.is_stop(i) {
+            stems.push(tokens.with_stem(i).1.to_string());
+        }
+    }
+    sorted_distinct(stems)
+}
+
+/// Whether `stemmed` is one of `stems` that sentence `n` hits for the first
+/// time; `hit_by` holds the sentence that last hit each stem.
+fn first_hit(stems: &[String], hit_by: &mut [usize], stemmed: &str, n: usize) -> bool {
+    match position(stems, stemmed) {
+        Some(k) if hit_by[k] != n => {
+            hit_by[k] = n;
+            true
+        }
+        _ => false,
+    }
+}
+
 impl SimLlm {
     /// Run the self-feedback evaluation of Figure 6.
     pub fn self_feedback(
@@ -69,44 +92,39 @@ impl SimLlm {
         sage_telemetry::metrics::LLM_OUTPUT_TOKENS.add(output_tokens as u64);
 
         // Evidence support: does the answer text occur in a context
-        // sentence that also touches the question's content words?
-        let answer_stems: Vec<String> = tokenize(&answer.text)
-            .iter()
-            .filter(|t| !is_stopword(t))
-            .map(|t| stem(t))
-            .collect();
-        #[expect(
-            clippy::disallowed_types,
-            reason = "membership probes only (contains); the set is never iterated, so RandomState order cannot reach any output"
-        )]
-        let q_stems: std::collections::HashSet<String> = tokenize(question)
-            .iter()
-            .filter(|t| !is_stopword(t))
-            .map(|t| stem(t))
-            .collect();
+        // sentence that also touches the question's content words? Each
+        // sentence counts the distinct question stems it hits and the
+        // distinct answer stems, against the stems' last hitting sentence.
+        let mut tokens = TokenBuf::new();
+        tokens.fill(&answer.text);
+        let answer_stems = distinct_stems(&mut tokens);
+        tokens.fill(question);
+        let negation = tokens.iter().any(|t| t == "not" || t.ends_with("n't"));
+        let q_stems = distinct_stems(&mut tokens);
+        let mut q_hit_by = vec![usize::MAX; q_stems.len()];
+        let mut answer_hit_by = vec![usize::MAX; answer_stems.len()];
         let mut support = 0.0f32;
         let mut relevant_sentences = 0usize;
         let mut total_sentences = 0usize;
         for chunk in context {
             for sentence in split_sentences(chunk) {
+                let n = total_sentences;
                 total_sentences += 1;
-                #[expect(
-                    clippy::disallowed_types,
-                    reason = "intersection is counted (order-free commutative sum of usize), never enumerated into output"
-                )]
-                let stems: std::collections::HashSet<String> = tokenize(sentence)
-                    .iter()
-                    .filter(|t| !is_stopword(t))
-                    .map(|t| stem(t))
-                    .collect();
-                let q_overlap = q_stems.iter().filter(|s| stems.contains(*s)).count();
+                tokens.fill(sentence);
+                let (mut q_overlap, mut answer_hits) = (0usize, 0usize);
+                for i in 0..tokens.len() {
+                    if tokens.is_stop(i) {
+                        continue;
+                    }
+                    let (_, stemmed) = tokens.with_stem(i);
+                    q_overlap += usize::from(first_hit(&q_stems, &mut q_hit_by, stemmed, n));
+                    answer_hits +=
+                        usize::from(first_hit(&answer_stems, &mut answer_hit_by, stemmed, n));
+                }
                 if q_overlap > 0 {
                     relevant_sentences += 1;
                 }
-                if !answer_stems.is_empty()
-                    && answer_stems.iter().all(|s| stems.contains(s))
-                    && q_overlap > 0
-                {
+                if !answer_stems.is_empty() && answer_hits == answer_stems.len() && q_overlap > 0 {
                     support = support.max(0.6 + 0.4 * (q_overlap as f32 / q_stems.len().max(1) as f32));
                 }
             }
@@ -116,8 +134,6 @@ impl SimLlm {
         // the judge accepts them when the context covers the topic broadly
         // (the positives needed for elimination), not when the answer
         // itself appears near the question terms.
-        let negation =
-            tokenize(question).iter().any(|t| t == "not" || t.ends_with("n't"));
         if negation && support < 0.6 && relevant_sentences >= 4 && answer.confidence >= 0.4 {
             support = 0.7;
         }
@@ -146,7 +162,7 @@ impl SimLlm {
         } else {
             1.0 - relevant_sentences as f32 / total_sentences as f32
         };
-        let mut rng = self.call_rng_pub(&format!("fb|{question}|{}", context.len()));
+        let mut rng = self.call_rng(&format!("fb|{question}|{}", context.len()));
         let adjustment = if unanswerable || support < 0.3 {
             1
         } else if noise_ratio > 0.6 || rng.random_range(0.0..1.0) < 0.6 {

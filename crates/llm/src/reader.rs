@@ -1,9 +1,10 @@
 //! The simulated reader: candidate extraction + temperature sampling.
-
-#![expect(
-    clippy::disallowed_types,
-    reason = "sets here are membership guards and the candidate map is drained into a Vec that is fully sorted (score, then lexicographic) before any sampling; the expectations map is get()-only"
-)]
+//!
+//! A call reads its context once, into a `Reading`: one token-buffer fill
+//! per sentence, every content word stemmed once, and per sentence the score
+//! that weighs the candidates (open questions) and the options (multiple
+//! choice). Candidate phrases are keyed by integer word ranks, and only the
+//! picked one is spelled out.
 
 use crate::profile::LlmProfile;
 use crate::prompt::{mc_prompt, open_prompt, prompt_tokens};
@@ -13,10 +14,9 @@ use sage_corpus::datasets::{wiki, SizeConfig};
 use sage_eval::Cost;
 use sage_text::ngram::fnv1a;
 use sage_text::{
-    count_tokens, is_capitalized, is_stopword, proper_nouns, split_sentences, stem, tokenize, Vocab,
-    WordSet,
+    count_tokens, is_capitalized, is_stopword, proper_nouns, split_sentences, stem, stem_into,
+    tokenize, TokenBuf, Vocab, WordSet,
 };
-use std::collections::HashSet;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -69,22 +69,65 @@ fn language_prior() -> &'static Vocab {
     })
 }
 
+/// `idf / max_idf` of one stemmed word under the language prior; a word the
+/// prior never saw is as rare as a word can be (1.0).
+fn prior_ratio(stemmed: &str) -> f32 {
+    let prior = language_prior();
+    let max_idf = (1.0 + (prior.num_docs() as f32 + 0.5) / 0.5).ln();
+    let idf = match prior.get(stemmed) {
+        Some(id) => prior.idf(id),
+        None => max_idf,
+    };
+    idf / max_idf
+}
+
+/// Normalised IDF of a phrase: the mean of its words' [`prior_ratio`]s,
+/// summed in word order from 0.0 and clamped to `[0, 1]`; 0.0 for no words.
+fn idf_of(ratios: &[f32]) -> f32 {
+    if ratios.is_empty() {
+        return 0.0;
+    }
+    let total = ratios.iter().fold(0.0f32, |total, r| total + r);
+    (total / ratios.len() as f32).clamp(0.0, 1.0)
+}
+
 /// World-knowledge table: the reader knows what *kind* of phrase answers a
 /// question ("what color" expects a color, "where" expects a place) — the
-/// lexical-semantics knowledge every real LLM has. Maps question stems to
-/// the value pools they select, plus membership sets for the pools.
+/// lexical-semantics knowledge every real LLM has. Each table is sorted by
+/// key and holds a mask per key (a bit per value pool, or per relation
+/// class), so a lookup is a binary search and a kind test a bit test.
 struct TypeLexicon {
-    /// question stem → pool ids it selects.
-    expectations: std::collections::HashMap<&'static str, Vec<usize>>,
-    /// full lowercase phrases per pool.
-    phrases: Vec<HashSet<String>>,
-    /// individual tokens per pool.
-    tokens: Vec<HashSet<String>>,
-    /// Relation-synonym classes (as stem sets): "born"/"childhood" is one
+    /// Question stem → the pools it selects.
+    expectations: Vec<(String, u8)>,
+    /// Full lowercase pool phrase → the pools holding it.
+    phrases: Vec<(String, u8)>,
+    /// Token of a pool phrase → the pools holding it.
+    tokens: Vec<(String, u8)>,
+    /// Stem → its relation-synonym classes: "born"/"childhood" is one
     /// relation, "lives"/"settled" another. Lets the reader distinguish
     /// same-pool relations (both answer with a place) the way a competent
     /// LLM does.
-    relation_classes: Vec<HashSet<String>>,
+    relations: Vec<(String, u16)>,
+}
+
+/// `entries` sorted by key, equal keys merged into one mask.
+fn mask_table<M: Copy + std::ops::BitOr<Output = M>>(
+    mut entries: Vec<(String, M)>,
+) -> Vec<(String, M)> {
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    entries.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = kept.1 | later.1;
+        }
+        same
+    });
+    entries
+}
+
+/// The mask of `key` in a [`mask_table`]; empty when absent.
+fn mask_of<M: Copy + Default>(table: &[(String, M)], key: &str) -> M {
+    table.binary_search_by(|(k, _)| k.as_str().cmp(key)).map_or(M::default(), |i| table[i].1)
 }
 
 fn type_lexicon() -> &'static TypeLexicon {
@@ -102,17 +145,11 @@ fn type_lexicon() -> &'static TypeLexicon {
         ];
         let mut phrases = Vec::new();
         let mut tokens = Vec::new();
-        for pool in pools {
-            let mut ph = HashSet::new();
-            let mut tk = HashSet::new();
+        for (bit, pool) in pools.iter().enumerate() {
             for w in pool.words() {
-                ph.insert(w.to_lowercase());
-                for t in tokenize(w) {
-                    tk.insert(t);
-                }
+                phrases.push((w.to_lowercase(), 1u8 << bit));
+                tokens.extend(tokenize(w).into_iter().map(|t| (t, 1u8 << bit)));
             }
-            phrases.push(ph);
-            tokens.push(tk);
         }
         // Indices into `pools` above.
         const COLORS: usize = 0;
@@ -122,9 +159,7 @@ fn type_lexicon() -> &'static TypeLexicon {
         const TECH: usize = 4;
         const INSTRUMENTS: usize = 5;
         const ANIMALS: usize = 6;
-        let mut expectations: std::collections::HashMap<&'static str, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (stem_key, pool) in [
+        let expectations = [
             ("color", COLORS),
             ("eye", COLORS),
             ("fur", COLORS),
@@ -144,9 +179,7 @@ fn type_lexicon() -> &'static TypeLexicon {
             ("animal", ANIMALS),
             ("pet", ANIMALS),
             ("keep", ANIMALS),
-        ] {
-            expectations.entry(stem_key).or_default().push(pool);
-        }
+        ];
         let relation_surface: &[&[&str]] = &[
             &["born", "childhood"],
             &["lives", "live", "settled", "settle", "house", "town"],
@@ -158,33 +191,83 @@ fn type_lexicon() -> &'static TypeLexicon {
             &["developed", "develop", "built", "invented", "invent", "device", "workbench"],
             &["keeps", "keep", "care", "animal", "pet"],
         ];
-        let relation_classes = relation_surface
+        let relations = relation_surface
             .iter()
-            .map(|words| words.iter().map(|w| stem(w)).collect::<HashSet<String>>())
+            .enumerate()
+            .flat_map(|(bit, words)| words.iter().map(move |w| (stem(w), 1u16 << bit)))
             .collect();
-        TypeLexicon { expectations, phrases, tokens, relation_classes }
+        TypeLexicon {
+            expectations: mask_table(
+                expectations.iter().map(|&(s, pool)| (s.to_string(), 1u8 << pool)).collect(),
+            ),
+            phrases: mask_table(phrases),
+            tokens: mask_table(tokens),
+            relations: mask_table(relations),
+        }
     })
 }
 
-/// Classes (indices into `relation_classes`) touched by a stem set.
-fn relation_classes_of(stems: &HashSet<String>) -> Vec<usize> {
+/// Answer-type bonus: candidates of the expected kind are strongly
+/// preferred (a reader never answers "bright" to a color question), others
+/// are damped; with no expectation (`expected == 0`) everything is neutral.
+/// `phrase_pools` are the pools holding the whole phrase, `token_pools`
+/// those holding one of its tokens.
+fn type_bonus(expected: u8, phrase_pools: u8, token_pools: u8) -> f32 {
+    if expected == 0 {
+        1.0
+    } else if phrase_pools & expected != 0 {
+        // Exact pool member ("black", "pygmy goat"): the strongest
+        // answer-type evidence.
+        1.6
+    } else if token_pools & expected != 0 {
+        // Contains a pool token ("bright black"): plausible but less
+        // canonical than the exact member.
+        1.35
+    } else {
+        0.7
+    }
+}
+
+/// [`type_bonus`] of any phrase, read as the reader always has: lowercased,
+/// then tokenized.
+fn phrase_type_bonus(expected: u8, phrase: &str) -> f32 {
+    if expected == 0 {
+        return 1.0;
+    }
     let lex = type_lexicon();
-    lex.relation_classes
-        .iter()
-        .enumerate()
-        .filter(|(_, class)| class.iter().any(|c| stems.contains(c)))
-        .map(|(i, _)| i)
-        .collect()
+    let lower = phrase.to_lowercase();
+    let token_pools = tokenize(&lower).iter().fold(0, |m, t| m | mask_of(&lex.tokens, t));
+    type_bonus(expected, mask_of(&lex.phrases, &lower), token_pools)
+}
+
+/// [`idf_of`] any phrase: tokenized, each token stemmed.
+fn phrase_idf(phrase: &str) -> f32 {
+    let ratios: Vec<f32> = tokenize(phrase).iter().map(|t| prior_ratio(&stem(t))).collect();
+    idf_of(&ratios)
+}
+
+/// Index of `key` in a sorted list.
+pub(crate) fn position(sorted: &[String], key: &str) -> Option<usize> {
+    sorted.binary_search_by(|s| s.as_str().cmp(key)).ok()
+}
+
+/// `words` sorted and without repeats.
+pub(crate) fn sorted_distinct(mut words: Vec<String>) -> Vec<String> {
+    words.sort_unstable();
+    words.dedup();
+    words
 }
 
 /// Analysis of the question: entity terms, content stems, negation flag.
+/// Both lists are sorted and distinct; every use is a count or a
+/// membership test.
 struct QuestionInfo {
-    entity_terms: HashSet<String>,
-    content_stems: HashSet<String>,
+    entity_terms: Vec<String>,
+    content_stems: Vec<String>,
     negation: bool,
-    /// Value pools the answer is expected to come from (empty = no
+    /// Value pools the answer is expected from, a bit per pool (0 = no
     /// expectation).
-    expected_pools: Vec<usize>,
+    expected: u8,
 }
 
 fn strip_possessive(token: &str) -> &str {
@@ -192,79 +275,142 @@ fn strip_possessive(token: &str) -> &str {
 }
 
 fn analyze_question(question: &str) -> QuestionInfo {
-    let mut entity_terms = HashSet::new();
+    let mut entity_terms = Vec::new();
     for word in question.split_whitespace() {
         if is_capitalized(word) {
             let cleaned = word.trim_matches(|c: char| !c.is_alphanumeric() && c != '\'');
             let lower = cleaned.to_lowercase();
             let base = strip_possessive(&lower).to_string();
             if !base.is_empty() && !is_stopword(&base) && !base.chars().all(|c| c.is_numeric()) {
-                entity_terms.insert(base);
+                entity_terms.push(base);
             }
         }
     }
-    let mut content_stems = HashSet::new();
+    let entity_terms = sorted_distinct(entity_terms);
+    let mut content_stems = Vec::new();
     let mut negation = false;
-    for tok in tokenize(question) {
+    let mut tokens = TokenBuf::new();
+    tokens.fill(question);
+    for (i, tok) in tokens.iter().enumerate() {
         if tok == "not" || tok.ends_with("n't") {
             negation = true;
         }
-        if is_stopword(&tok) {
+        if tokens.is_stop(i) {
             continue;
         }
-        let base = strip_possessive(&tok).to_string();
-        if entity_terms.contains(&base) {
-            continue;
+        let base = strip_possessive(tok);
+        if position(&entity_terms, base).is_none() {
+            content_stems.push(stem(base));
         }
-        content_stems.insert(stem(&base));
     }
+    let content_stems = sorted_distinct(content_stems);
     let lex = type_lexicon();
-    let mut expected_pools: Vec<usize> = content_stems
-        .iter()
-        .filter_map(|s| lex.expectations.get(s.as_str()))
-        .flatten()
-        .copied()
-        .collect();
-    expected_pools.sort_unstable();
-    expected_pools.dedup();
-    QuestionInfo { entity_terms, content_stems, negation, expected_pools }
+    let expected = content_stems.iter().fold(0, |m, s| m | mask_of(&lex.expectations, s));
+    QuestionInfo { entity_terms, content_stems, negation, expected }
 }
 
-/// Answer-type bonus: candidates of the expected kind are strongly
-/// preferred (a reader never answers "bright" to a color question), others
-/// are damped; with no expectation everything is neutral.
-fn type_bonus(q: &QuestionInfo, phrase: &str) -> f32 {
-    if q.expected_pools.is_empty() {
-        return 1.0;
-    }
-    let lex = type_lexicon();
-    let lower = phrase.to_lowercase();
-    let toks = tokenize(&lower);
-    let mut bonus: f32 = 0.7;
-    for &pool in &q.expected_pools {
-        if lex.phrases[pool].contains(&lower) {
-            // Exact pool member ("black", "pygmy goat"): the strongest
-            // answer-type evidence.
-            return 1.6;
-        }
-        if toks.iter().any(|t| lex.tokens[pool].contains(t)) {
-            // Contains a pool token ("bright black"): plausible but less
-            // canonical than the exact member.
-            bonus = bonus.max(1.35);
-        }
-    }
-    bonus
+/// One context word as the reader sees it.
+struct Word {
+    /// Its lowercase text in [`Reading::text`].
+    text: (usize, usize),
+    /// Its stem in [`Reading::stems`]; empty for a stopword.
+    stem: (usize, usize),
+    /// Whether it can be answer material: a content word, not the
+    /// question's entity or content, with a letter in it.
+    eligible: bool,
 }
 
 /// One context sentence with its relevance score.
-struct ScoredSentence {
-    tokens: Vec<String>,
-    stems: HashSet<String>,
+struct Sentence {
+    /// Its words, a range of [`Reading::words`].
+    words: std::ops::Range<usize>,
     score: f32,
     /// Whether the sentence is grounded in the question's subject (entity
     /// or coreference credit). Ungrounded sentences can still support
     /// answers, but a careful reader discounts them.
     grounded: bool,
+}
+
+/// One call's reading of its context: every sentence's words, their stems
+/// and the sentence scores, each computed once.
+#[derive(Default)]
+struct Reading {
+    /// Word texts back to back.
+    text: String,
+    /// Stems back to back.
+    stems: String,
+    words: Vec<Word>,
+    sentences: Vec<Sentence>,
+}
+
+impl Reading {
+    fn word(&self, i: usize) -> &str {
+        let (start, end) = self.words[i].text;
+        &self.text[start..end]
+    }
+
+    fn stem(&self, i: usize) -> &str {
+        let (start, end) = self.words[i].stem;
+        &self.stems[start..end]
+    }
+
+    fn push_word(&mut self, token: &str, stemmed: &str, eligible: bool) {
+        let text = (self.text.len(), self.text.len() + token.len());
+        let stem = (self.stems.len(), self.stems.len() + stemmed.len());
+        self.text.push_str(token);
+        self.stems.push_str(stemmed);
+        self.words.push(Word { text, stem, eligible });
+    }
+
+    /// Whether a word of `sentence` has the stem `stemmed` (never empty).
+    fn has_stem(&self, sentence: &Sentence, stemmed: &str) -> bool {
+        sentence.words.clone().any(|i| self.stem(i) == stemmed)
+    }
+}
+
+/// A distinct eligible word, with what its candidates need of it.
+struct Ranked {
+    /// One of its occurrences in [`Reading::words`].
+    word: usize,
+    /// Whether the shortcuts below hold: an ASCII token lowercases to
+    /// itself and tokenizes to itself alone.
+    ascii: bool,
+    /// [`prior_ratio`] of its stem.
+    ratio: f32,
+    /// Its normalised IDF and type bonus as a unigram.
+    idf: f32,
+    bonus: f32,
+    /// The pools holding it as a token.
+    pools: u8,
+}
+
+/// Candidate answer phrases with scores, best first. A phrase is keyed by
+/// the ranks of its words in text order: `a << 32` for the unigram `a`,
+/// `a << 32 | (b + 1)` for the bigram `a b`. Key order is the byte order of
+/// the phrases, because every byte that can continue a token sorts after
+/// the joining space.
+struct Candidates {
+    /// An occurrence of each rank's word.
+    words: Vec<usize>,
+    /// `(key, score)`: score descending, then key ascending.
+    scored: Vec<(u64, f32)>,
+}
+
+impl Candidates {
+    fn key(a: usize, b: Option<usize>) -> u64 {
+        ((a as u64) << 32) | b.map_or(0, |b| b as u64 + 1)
+    }
+
+    /// The text of the phrase keyed `key`.
+    fn phrase(&self, reading: &Reading, key: u64) -> String {
+        let mut text = reading.word(self.words[(key >> 32) as usize]).to_string();
+        let b = key & u64::from(u32::MAX);
+        if b != 0 {
+            text.push(' ');
+            text.push_str(reading.word(self.words[b as usize - 1]));
+        }
+        text
+    }
 }
 
 /// The simulated LLM.
@@ -297,23 +443,27 @@ impl SimLlm {
 
     /// Per-call RNG: keyed by the call content, so results are independent
     /// of call order.
-    fn call_rng(&self, key: &str) -> StdRng {
+    pub(crate) fn call_rng(&self, key: &str) -> StdRng {
         StdRng::seed_from_u64(fnv1a(key.as_bytes(), self.seed))
     }
 
-    /// Crate-internal access to the per-call RNG (used by the feedback
-    /// module).
-    pub(crate) fn call_rng_pub(&self, key: &str) -> StdRng {
-        self.call_rng(key)
-    }
-
-    /// Score every context sentence. Chunk boundaries matter: pronoun
-    /// coreference credit only flows *within* a chunk (the model can link
-    /// "He has green eyes" to "Whiskers is a cat" only when both are in the
-    /// provided chunk — limitation L1's mechanism).
-    fn score_sentences(&self, q: &QuestionInfo, context: &[String]) -> Vec<ScoredSentence> {
+    /// Read and score every context sentence. Chunk boundaries matter:
+    /// pronoun coreference credit only flows *within* a chunk (the model
+    /// can link "He has green eyes" to "Whiskers is a cat" only when both
+    /// are in the provided chunk — limitation L1's mechanism).
+    fn read(&self, q: &QuestionInfo, context: &[String]) -> Reading {
         let entity_weight = self.profile.entity_weight();
-        let mut out = Vec::new();
+        // Whether each question stem is informative (rare) enough to link
+        // an anchor, and the sentence that last hit it (so a sentence
+        // counts distinct hits).
+        let informative: Vec<bool> =
+            q.content_stems.iter().map(|s| prior_ratio(s) >= 0.5).collect();
+        let mut hit_by = vec![usize::MAX; q.content_stems.len()];
+        let mut reading = Reading::default();
+        let mut tokens = TokenBuf::new();
+        let mut proper = WordSet::new();
+        let mut anchors = WordSet::new();
+        let mut base_stem = String::new();
         for chunk in context {
             let mut entity_seen = false;
             // Name-chain coreference: proper nouns introduced by sentences
@@ -322,16 +472,45 @@ impl SimLlm {
             // same name inherit subject credit. This is how a reader links
             // "Mossy is the tortoise…" to "Mossy has amber eyes" when the
             // question asks about the tortoise.
-            let mut anchors: HashSet<String> = HashSet::new();
-            let mut proper = WordSet::new();
+            anchors.clear();
             for sentence in split_sentences(chunk) {
-                let tokens = tokenize(sentence);
+                let n = reading.sentences.len();
+                let first = reading.words.len();
+                tokens.fill(sentence);
                 proper_nouns(sentence, &mut proper);
-                let has_entity = tokens
-                    .iter()
-                    .any(|t| q.entity_terms.contains(strip_possessive(t)));
-                let has_pronoun =
-                    tokens.iter().take(4).any(|t| PRONOUNS.contains(&t.as_str()));
+                let (mut has_entity, mut has_pronoun) = (false, false);
+                let (mut hits, mut informative_overlap) = (0usize, false);
+                for i in 0..tokens.len() {
+                    let stop = tokens.is_stop(i);
+                    let (token, stemmed) =
+                        if stop { (tokens.get(i), "") } else { tokens.with_stem(i) };
+                    let base = strip_possessive(token);
+                    let entity = position(&q.entity_terms, base).is_some();
+                    has_entity |= entity;
+                    has_pronoun |= i < 4 && PRONOUNS.contains(&token);
+                    let mut eligible = false;
+                    if !stop {
+                        let hit = position(&q.content_stems, stemmed);
+                        if let Some(h) = hit.filter(|&h| hit_by[h] != n) {
+                            hit_by[h] = n;
+                            hits += 1;
+                            informative_overlap |= informative[h];
+                        }
+                        // Answer material is tested on the stem of the
+                        // word without its possessive.
+                        let base_hit = if base.len() == token.len() {
+                            hit.is_some()
+                        } else {
+                            stem_into(base, &mut base_stem);
+                            position(&q.content_stems, &base_stem).is_some()
+                        };
+                        eligible = !entity
+                            && !base_hit
+                            && !PRONOUNS.contains(&token)
+                            && token.chars().any(char::is_alphabetic);
+                    }
+                    reading.push_word(token, stemmed, eligible);
+                }
                 let has_anchor = proper.iter().any(|p| anchors.contains(p));
                 let credit = if has_entity {
                     entity_seen = true;
@@ -341,31 +520,27 @@ impl SimLlm {
                 } else {
                     0.0
                 };
-                let stems: HashSet<String> =
-                    tokens.iter().filter(|t| !is_stopword(t)).map(|t| stem(t)).collect();
                 let rel = if q.content_stems.is_empty() {
                     0.0
                 } else {
-                    q.content_stems.iter().filter(|s| stems.contains(*s)).count() as f32
-                        / q.content_stems.len() as f32
+                    hits as f32 / q.content_stems.len() as f32
                 };
                 // A sentence donates its proper nouns as anchors only when
                 // it is grounded, or when it shares an *informative* (rare)
                 // content term with the question — a single generic word
                 // like "town" appearing in both templates must not link an
                 // unrelated entity to the question's subject.
-                let informative_overlap = q
-                    .content_stems
-                    .iter()
-                    .any(|qs| stems.contains(qs) && self.stem_idf_norm(qs) >= 0.5);
                 if credit > 0.0 || (rel >= 0.3 && informative_overlap) {
-                    anchors.extend(proper.iter().map(str::to_string));
+                    for p in proper.iter() {
+                        anchors.insert(p);
+                    }
                 }
                 let score = entity_weight * credit + 2.0 * rel;
-                out.push(ScoredSentence { tokens, stems, score, grounded: credit > 0.0 });
+                let words = first..reading.words.len();
+                reading.sentences.push(Sentence { words, score, grounded: credit > 0.0 });
             }
         }
-        out
+        reading
     }
 
     /// Maximum achievable sentence score (used to normalise thresholds).
@@ -379,41 +554,10 @@ impl SimLlm {
         }
     }
 
-    /// Normalised IDF of one already-stemmed term under the language prior.
-    fn stem_idf_norm(&self, stemmed: &str) -> f32 {
-        let prior = language_prior();
-        let max_idf = (1.0 + (prior.num_docs() as f32 + 0.5) / 0.5).ln();
-        match prior.get(stemmed) {
-            Some(id) => (prior.idf(id) / max_idf).clamp(0.0, 1.0),
-            None => 1.0,
-        }
-    }
-
-    fn idf_norm(&self, phrase: &str) -> f32 {
-        let prior = language_prior();
-        let max_idf = (1.0 + (prior.num_docs() as f32 + 0.5) / 0.5).ln();
-        let mut total = 0.0;
-        let mut n = 0;
-        for tok in tokenize(phrase) {
-            let s = stem(&tok);
-            let idf = match prior.get(&s) {
-                Some(id) => prior.idf(id),
-                None => max_idf,
-            };
-            total += idf / max_idf;
-            n += 1;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            (total / n as f32).clamp(0.0, 1.0)
-        }
-    }
-
     /// Extract candidate answer phrases (content unigrams/bigrams not in
     /// the question) with scores.
-    fn candidates(&self, q: &QuestionInfo, sentences: &[ScoredSentence]) -> Vec<(String, f32)> {
-        let mut best: std::collections::HashMap<String, f32> = std::collections::HashMap::new();
+    fn candidates(&self, q: &QuestionInfo, reading: &Reading) -> Candidates {
+        let lex = type_lexicon();
         // A careful reader notices when a passage is about a different
         // subject than the question asks for; ungrounded sentences are
         // discounted in proportion to the model's distractor resistance.
@@ -426,59 +570,90 @@ impl SimLlm {
         // relation* than the question asks about ("lives in Eastmere" for
         // "where was X born?") does not contain the answer. Strong readers
         // discount such sentences heavily; weak readers confuse them.
-        let q_classes = relation_classes_of(&q.content_stems);
+        let q_relations = q.content_stems.iter().fold(0, |m, s| m | mask_of(&lex.relations, s));
         let wrong_relation_damp = 1.0 - 0.75 * self.profile.distractor_resistance;
-        for s in sentences {
-            if s.score <= 0.3 {
-                continue;
+        let answering = || reading.sentences.iter().filter(|s| s.score > 0.3);
+
+        // Rank the distinct eligible words by text, and look up what a
+        // candidate needs of each word once.
+        let mut order: Vec<usize> = answering()
+            .flat_map(|s| s.words.clone())
+            .filter(|&i| reading.words[i].eligible)
+            .collect();
+        order.sort_unstable_by(|&a, &b| reading.word(a).cmp(reading.word(b)));
+        let mut rank_of = vec![0; reading.words.len()];
+        let mut ranked: Vec<Ranked> = Vec::new();
+        for (n, &i) in order.iter().enumerate() {
+            let word = reading.word(i);
+            if n == 0 || reading.word(order[n - 1]) != word {
+                let ascii = word.is_ascii();
+                let ratio = prior_ratio(reading.stem(i));
+                let pools = mask_of(&lex.tokens, word);
+                let (idf, bonus) = if ascii {
+                    let phrase_pools = mask_of(&lex.phrases, word);
+                    (idf_of(&[ratio]), type_bonus(q.expected, phrase_pools, pools))
+                } else {
+                    (phrase_idf(word), phrase_type_bonus(q.expected, word))
+                };
+                ranked.push(Ranked { word: i, ascii, ratio, idf, bonus, pools });
             }
+            rank_of[i] = ranked.len() - 1;
+        }
+
+        let mut scored: Vec<(u64, f32)> = Vec::new();
+        let mut phrase = String::new();
+        for s in answering() {
             let mut damp = if s.grounded { 1.0 } else { ungrounded_damp };
-            if !q_classes.is_empty() {
-                let s_classes = relation_classes_of(&s.stems);
-                if !s_classes.is_empty() {
-                    if s_classes.iter().any(|c| q_classes.contains(c)) {
+            if q_relations != 0 {
+                let s_relations =
+                    s.words.clone().fold(0, |m, i| m | mask_of(&lex.relations, reading.stem(i)));
+                if s_relations != 0 {
+                    if s_relations & q_relations != 0 {
                         damp *= 1.2;
                     } else {
                         damp *= wrong_relation_damp;
                     }
                 }
             }
-            // Content token positions eligible as answer material.
-            let eligible: Vec<(usize, &String)> = s
-                .tokens
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| {
-                    !is_stopword(t)
-                        && !q.entity_terms.contains(strip_possessive(t))
-                        && !q.content_stems.contains(&stem(strip_possessive(t)))
-                        && !PRONOUNS.contains(&t.as_str())
-                        && t.chars().any(|c| c.is_alphabetic())
-                })
-                .collect();
-            for (pos, (i, tok)) in eligible.iter().enumerate() {
-                let uni_score =
-                    s.score * damp * (0.4 + 0.6 * self.idf_norm(tok)) * type_bonus(q, tok);
-                let entry = best.entry((*tok).clone()).or_insert(0.0);
-                *entry = entry.max(uni_score);
+            for i in s.words.clone().filter(|&i| reading.words[i].eligible) {
+                let (ra, a) = (rank_of[i], &ranked[rank_of[i]]);
+                let uni_score = s.score * damp * (0.4 + 0.6 * a.idf) * a.bonus;
+                scored.push((Candidates::key(ra, None), uni_score));
                 // Adjacent bigram (adjacent in the original sentence).
-                if let Some((j, next)) = eligible.get(pos + 1) {
-                    if *j == i + 1 {
-                        let phrase = format!("{tok} {next}");
-                        let bi_score = s.score
-                            * damp
-                            * (0.4 + 0.6 * self.idf_norm(&phrase))
-                            * type_bonus(q, &phrase)
-                            * 1.05;
-                        let entry = best.entry(phrase).or_insert(0.0);
-                        *entry = entry.max(bi_score);
-                    }
+                if i + 1 == s.words.end || !reading.words[i + 1].eligible {
+                    continue;
                 }
+                let (rb, b) = (rank_of[i + 1], &ranked[rank_of[i + 1]]);
+                phrase.clear();
+                phrase.push_str(reading.word(i));
+                phrase.push(' ');
+                phrase.push_str(reading.word(i + 1));
+                let (idf, bonus) = if a.ascii && b.ascii {
+                    let bonus = if q.expected == 0 {
+                        1.0
+                    } else {
+                        type_bonus(q.expected, mask_of(&lex.phrases, &phrase), a.pools | b.pools)
+                    };
+                    (idf_of(&[a.ratio, b.ratio]), bonus)
+                } else {
+                    (phrase_idf(&phrase), phrase_type_bonus(q.expected, &phrase))
+                };
+                let bi_score = s.score * damp * (0.4 + 0.6 * idf) * bonus * 1.05;
+                scored.push((Candidates::key(ra, Some(rb)), bi_score));
             }
         }
-        let mut out: Vec<(String, f32)> = best.into_iter().collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
+
+        // One score per phrase: the best, merged by `max` from 0.0.
+        scored.sort_unstable_by_key(|&(key, _)| key);
+        let mut merged: Vec<(u64, f32)> = Vec::with_capacity(scored.len());
+        for (key, score) in scored {
+            match merged.last_mut() {
+                Some(last) if last.0 == key => last.1 = last.1.max(score),
+                _ => merged.push((key, 0.0f32.max(score))),
+            }
+        }
+        merged.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        Candidates { words: ranked.iter().map(|r| r.word).collect(), scored: merged }
     }
 
     /// Effective sampling temperature: grows with context size, modelling
@@ -513,23 +688,25 @@ impl SimLlm {
         let prompt = open_prompt(question, context);
         let input_tokens = prompt_tokens(&prompt);
         let q = analyze_question(question);
-        let sentences = self.score_sentences(&q, context);
-        let candidates = self.candidates(&q, &sentences);
+        let reading = self.read(&q, context);
+        let candidates = self.candidates(&q, &reading);
+        let scored = &candidates.scored;
 
-        let (text, confidence) = if candidates.is_empty()
-            || candidates[0].1 / self.max_score_for(&q) < self.profile.answer_threshold
+        let (text, confidence) = if scored.is_empty()
+            || scored[0].1 / self.max_score_for(&q) < self.profile.answer_threshold
         {
             ("unanswerable".to_string(), 0.15)
         } else {
             let mut rng = self.call_rng(&format!("open|{question}|{}", context.len()));
-            let scores: Vec<f32> = candidates.iter().map(|c| c.1).collect();
-            let t = self.effective_temperature(sentences.len());
+            let scores: Vec<f32> = scored.iter().map(|c| c.1).collect();
+            let t = self.effective_temperature(reading.sentences.len());
             let pick = self.sample_at(&scores, t, &mut rng);
             let top = scores[0];
             let second = scores.get(1).copied().unwrap_or(0.0);
             let margin = ((top - second) / top.max(1e-6)).clamp(0.0, 1.0);
             let strength = (top / self.max_score_for(&q)).clamp(0.0, 1.0);
-            (candidates[pick].0.clone(), (0.5 * margin + 0.5 * strength).clamp(0.0, 1.0))
+            let text = candidates.phrase(&reading, scored[pick].0);
+            (text, (0.5 * margin + 0.5 * strength).clamp(0.0, 1.0))
         };
 
         let output_tokens = count_tokens(&text) + 3;
@@ -543,7 +720,7 @@ impl SimLlm {
 
     /// Support score for a multiple-choice option: the best sentence that
     /// mentions (most of) the option.
-    fn option_support(&self, option: &str, sentences: &[ScoredSentence]) -> f32 {
+    fn option_support(&self, option: &str, reading: &Reading) -> f32 {
         let opt_stems: Vec<String> = tokenize(option)
             .iter()
             .filter(|t| !is_stopword(t))
@@ -553,10 +730,11 @@ impl SimLlm {
             return 0.0;
         }
         let need = opt_stems.len().div_ceil(2).max(1);
-        sentences
+        reading
+            .sentences
             .iter()
             .filter_map(|s| {
-                let hits = opt_stems.iter().filter(|o| s.stems.contains(*o)).count();
+                let hits = opt_stems.iter().filter(|o| reading.has_stem(s, o)).count();
                 if hits >= need {
                     // Full mention outranks partial mention.
                     let completeness = hits as f32 / opt_stems.len() as f32;
@@ -581,9 +759,10 @@ impl SimLlm {
         let prompt = mc_prompt(question, options, context);
         let input_tokens = prompt_tokens(&prompt);
         let q = analyze_question(question);
-        let sentences = self.score_sentences(&q, context);
+        let reading = self.read(&q, context);
         let supports: Vec<f32> =
-            options.iter().map(|o| self.option_support(o, &sentences)).collect();
+            options.iter().map(|o| self.option_support(o, &reading)).collect();
+        let temperature = self.effective_temperature(reading.sentences.len());
 
         let mut rng =
             self.call_rng(&format!("mc|{question}|{}|{}", options.len(), context.len()));
@@ -619,13 +798,13 @@ impl SimLlm {
             } else {
                 // Failed to apply elimination: falls for the best-supported
                 // (wrong) option.
-                self.sample_at(&supports, self.effective_temperature(sentences.len()), &mut rng)
+                self.sample_at(&supports, temperature, &mut rng)
             }
         } else if supports.iter().all(|s| *s == 0.0) {
             // No evidence at all: uniform guess.
             rng.random_range(0..options.len())
         } else {
-            self.sample_at(&supports, self.effective_temperature(sentences.len()), &mut rng)
+            self.sample_at(&supports, temperature, &mut rng)
         };
 
         let confidence = if q.negation {

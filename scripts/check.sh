@@ -1,8 +1,8 @@
 #!/bin/bash
 # Tier-1 gate: the checks every PR must keep green.
 #
-#   scripts/check.sh            # build + lint rules + tests + clippy + benchmark package + smokes
-#   scripts/check.sh fast       # skip the all-targets clippy and build, the benchmark package and the smokes
+#   scripts/check.sh            # build + lint rules + tests + clippy + shape benches + benchmark package + smokes
+#   scripts/check.sh fast       # skip the all-targets clippy and build, the shape benches, the benchmark package and the smokes
 #
 # The lint rules are clippy lints (clippy.toml + the root manifest's
 # [workspace.lints.clippy], DESIGN.md §9) over the 15 library crates:
@@ -52,6 +52,14 @@ if [ "${1:-}" != fast ]; then
 
   echo "=== cargo build --workspace --all-targets (every bench and example compiles)"
   cargo build --workspace --all-targets
+
+  echo "=== paper-shape benches (each asserts its figure's shape and exits non-zero when it fails)"
+  for bench in fig05_score_curves fig07_segmentation_overhead fig08_noisy_retrieval \
+               fig09_missing_retrieval fig10_incomplete_chunks; do
+    if ! err=$(cargo bench -q -p sage-bench --bench "$bench" 2>&1 > /dev/null); then
+      echo "FAIL: bench $bench"; echo "$err"; exit 1
+    fi
+  done
 
   echo "=== benchmark package (outside the workspace: builds offline, self-tests, manifest)"
   # The benchmark calls the facade from its own package, so nothing above
