@@ -6,9 +6,10 @@
 //! 10x); vector-database build and segmentation are one-time costs
 //! independent of concurrency; retrieval latency rises slightly under
 //! load; feedback/answer latency stays flat (model-bound); SAGE keeps the
-//! best F1 at every concurrency level.
+//! best F1 at every concurrency level. Each table asserts
+//! `scalability::holds` and the bench exits non-zero when it fails.
 
-use sage::core::scalability::{run_cell, ScalMethod};
+use sage::core::scalability::{holds, run_cell, CELLS};
 use sage::corpus::datasets::triviaqa;
 use sage::prelude::*;
 use sage_bench::{header, mb, models, secs, sizes};
@@ -34,15 +35,8 @@ fn main() {
                 "Feedback", "Answer", "F1"
             ),
         );
-        let cells: [(ScalMethod, usize); 6] = [
-            (ScalMethod::NaiveRag, 1),
-            (ScalMethod::Bm25NaiveRag, 1),
-            (ScalMethod::Bm25Sage, 1),
-            (ScalMethod::Sage, 1),
-            (ScalMethod::Sage, 5),
-            (ScalMethod::Sage, 10),
-        ];
-        for (method, concurrency) in cells {
+        let mut rows = Vec::with_capacity(CELLS.len());
+        for (method, concurrency) in CELLS {
             let row = run_cell(method, models, profile, &dataset, concurrency);
             let label = if concurrency == 1 {
                 row.method.to_string()
@@ -61,7 +55,14 @@ fn main() {
                 secs(row.answer_latency),
                 row.f1
             );
+            rows.push(row);
         }
+        assert!(
+            holds(&rows),
+            "{table}: SAGE has the best F1, BM25 + SAGE beats BM25 + Naive RAG, F1 and the \
+             simulated latencies are flat over concurrency, and 10x memory is under twice 1x"
+        );
     }
-    println!("\nExpected shape: SAGE best F1; offline phases constant; memory grows mildly.");
+    println!("\nTables VIII and IX hold: SAGE has the best F1 and BM25 + SAGE beats BM25 + Naive");
+    println!("RAG; F1, feedback and answer latency are flat over 1x/5x/10x; memory grows mildly.");
 }

@@ -29,6 +29,18 @@ use sage_vecdb::FlatIndex;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Give the reranker its corpus IDF table. A BM25 index over `chunks` has
+/// already built the table `fit_idf` would (the same stems, ids and
+/// document frequencies), so a BM25 system shares it; a dense one fits it.
+fn fit_scorer_idf(scorer: &mut CrossScorer, retriever: &AnyRetriever, chunks: &[String]) {
+    match retriever {
+        AnyRetriever::Bm25(bm25) => scorer.set_idf(Arc::clone(bm25.vocab())),
+        AnyRetriever::Hashed(_) | AnyRetriever::Sbert(_) | AnyRetriever::Dpr(_) => {
+            scorer.fit_idf(chunks)
+        }
+    }
+}
+
 /// A built RAG system over one corpus.
 pub struct RagSystem {
     pub(crate) config: SageConfig,
@@ -90,7 +102,7 @@ impl RagSystem {
         // 3. Reranker with corpus IDF (needed for reranking or selection).
         let scorer = if config.use_rerank || config.use_selection {
             let mut s = models.scorer.clone();
-            s.fit_idf(&chunks);
+            fit_scorer_idf(&mut s, &retriever, &chunks);
             Some(s)
         } else {
             None
@@ -158,13 +170,13 @@ impl RagSystem {
     /// the enlarged store is re-indexed from scratch (a dense retriever
     /// clears its index and re-embeds every chunk so ids stay equal to
     /// chunk positions; BM25 rebuilds its postings) before the reranker's
-    /// IDF is refitted.
+    /// IDF is refitted (or, on BM25, shared again).
     pub fn add_documents(&mut self, models: &TrainedModels, corpus: &[String]) {
         let new_chunks = Self::segment_corpus(models, &self.config, corpus);
         self.chunks.extend(new_chunks);
         self.retriever.index_chunks(&self.chunks);
         if let Some(scorer) = &mut self.scorer {
-            scorer.fit_idf(&self.chunks);
+            fit_scorer_idf(scorer, &self.retriever, &self.chunks);
         }
         self.stats.chunk_count = self.chunks.len();
         self.stats.corpus_tokens += corpus.iter().map(|d| sage_text::count_tokens(d)).sum::<usize>();

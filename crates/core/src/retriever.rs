@@ -95,3 +95,102 @@ impl AnyRetriever {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! A BM25 system's reranker shares BM25's term table instead of fitting
+    //! its own: the shared table must be the one `fit_idf` fits over the
+    //! same chunks, so scores and saved bytes stay what they were.
+
+    use super::AnyRetriever;
+    use crate::config::{RetrieverKind, SageConfig};
+    use crate::models::tiny_models as models;
+    use crate::pipeline::RagSystem;
+    use sage_corpus::datasets::{narrativeqa, triviaqa, SizeConfig};
+    use sage_corpus::Dataset;
+    use sage_llm::LlmProfile;
+    use sage_retrieval::Bm25Retriever;
+    use sage_text::Vocab;
+    use std::sync::Arc;
+
+    fn corpora() -> [Vec<String>; 2] {
+        let text = |ds: Dataset| ds.documents.iter().map(|d| d.text()).collect();
+        [
+            text(triviaqa::generate(SizeConfig { num_docs: 20, questions_per_doc: 1, seed: 5 })),
+            text(narrativeqa::generate(SizeConfig { num_docs: 2, questions_per_doc: 1, seed: 6 })),
+        ]
+    }
+
+    fn bm25_sage(corpus: &[String]) -> RagSystem {
+        let profile = LlmProfile::gpt4o_mini();
+        RagSystem::build(models(), RetrieverKind::Bm25, SageConfig::sage(), profile, corpus)
+    }
+
+    fn bm25(sys: &RagSystem) -> &Bm25Retriever {
+        match &sys.retriever {
+            AnyRetriever::Bm25(r) => r,
+            _ => panic!("a BM25 system"),
+        }
+    }
+
+    fn scorer_idf(sys: &RagSystem) -> &Arc<Vocab> {
+        sys.scorer.as_ref().expect("the SAGE config keeps a scorer").idf()
+    }
+
+    fn assert_same_table(a: &Vocab, b: &Vocab) {
+        assert_eq!(a.terms(), b.terms());
+        assert_eq!(a.doc_freqs(), b.doc_freqs());
+        assert_eq!(a.num_docs(), b.num_docs());
+    }
+
+    /// The scorer holds BM25's table itself, and it equals a fresh fit.
+    fn assert_shared_and_fitted(sys: &RagSystem) {
+        assert!(Arc::ptr_eq(scorer_idf(sys), bm25(sys).vocab()), "shared, not copied");
+        let mut fitted = models().scorer.clone();
+        fitted.fit_idf(sys.chunks());
+        assert_same_table(scorer_idf(sys), fitted.idf());
+    }
+
+    #[test]
+    fn a_bm25_build_shares_the_table_fit_idf_fits() {
+        for corpus in corpora() {
+            assert_shared_and_fitted(&bm25_sage(&corpus));
+        }
+    }
+
+    #[test]
+    fn add_documents_shares_the_rebuilt_table() {
+        for corpus in corpora() {
+            let (first, rest) = corpus.split_at(corpus.len() / 2);
+            let mut sys = bm25_sage(first);
+            let built = Arc::clone(scorer_idf(&sys));
+            sys.add_documents(models(), rest);
+            assert_shared_and_fitted(&sys);
+            assert!(scorer_idf(&sys).num_docs() > built.num_docs());
+        }
+    }
+
+    #[test]
+    fn saved_bytes_equal_those_of_a_fitted_scorer() {
+        for corpus in corpora() {
+            let mut sys = bm25_sage(&corpus);
+            let shared = sys.to_bytes();
+            let chunks = sys.chunks.clone();
+            sys.scorer.as_mut().expect("a scorer").fit_idf(&chunks);
+            assert!(!Arc::ptr_eq(scorer_idf(&sys), bm25(&sys).vocab()));
+            assert_eq!(shared, sys.to_bytes());
+        }
+    }
+
+    #[test]
+    fn a_live_chunk_leaves_the_scorer_table_unchanged() {
+        let mut sys = bm25_sage(&corpora()[0]);
+        let built = Vocab::clone(scorer_idf(&sys));
+        let AnyRetriever::Bm25(r) = &mut sys.retriever else { panic!("a BM25 system") };
+        r.push_live_chunk("Zyzzyva the heron nests above the quarry.");
+        assert!(!Arc::ptr_eq(scorer_idf(&sys), bm25(&sys).vocab()), "copied on write");
+        assert_same_table(scorer_idf(&sys), &built);
+        assert_eq!(bm25(&sys).vocab().num_docs(), built.num_docs() + 1);
+        assert!(bm25(&sys).vocab().len() > built.len(), "the new stems are BM25's alone");
+    }
+}

@@ -111,6 +111,44 @@ pub struct ScalabilityRow {
     pub f1: f32,
 }
 
+/// The cells of one table: each method at 1x, then SAGE at 5x and 10x.
+pub const CELLS: [(ScalMethod, usize); 6] = [
+    (ScalMethod::NaiveRag, 1),
+    (ScalMethod::Bm25NaiveRag, 1),
+    (ScalMethod::Bm25Sage, 1),
+    (ScalMethod::Sage, 1),
+    (ScalMethod::Sage, 5),
+    (ScalMethod::Sage, 10),
+];
+
+/// The paper's shape over the rows of one table ([`CELLS`]): SAGE's F1 is
+/// at least every other row's; BM25 + SAGE's is at least BM25 + Naive
+/// RAG's; SAGE's F1 and simulated feedback and answer latencies are the
+/// same at 1x, 5x and 10x; and host memory at 10x is under twice that at
+/// 1x.
+pub fn holds(rows: &[ScalabilityRow]) -> bool {
+    let row = |method: ScalMethod, concurrency: usize| {
+        rows.iter().find(|r| r.method == method.label() && r.concurrency == concurrency)
+    };
+    let (Some(sage), Some(bm25_sage), Some(bm25_naive)) = (
+        row(ScalMethod::Sage, 1),
+        row(ScalMethod::Bm25Sage, 1),
+        row(ScalMethod::Bm25NaiveRag, 1),
+    ) else {
+        return false;
+    };
+    let flat = [5, 10].into_iter().all(|c| {
+        row(ScalMethod::Sage, c).is_some_and(|r| {
+            r.f1 == sage.f1
+                && r.feedback_latency == sage.feedback_latency
+                && r.answer_latency == sage.answer_latency
+        })
+    });
+    let mild = row(ScalMethod::Sage, 10)
+        .is_some_and(|r| r.host_memory_bytes < 2 * sage.host_memory_bytes);
+    rows.iter().all(|r| sage.f1 >= r.f1) && bm25_sage.f1 >= bm25_naive.f1 && flat && mild
+}
+
 /// Rough parameter-memory estimate for the trained models (segmentation
 /// embedder + MLP + reranker + encoder tables), standing in for the
 /// paper's GPU-memory column.
@@ -248,6 +286,16 @@ mod tests {
         assert!(ten.segmentation_latency > Duration::ZERO);
         // F1 unaffected by concurrency (deterministic per-question).
         assert!((one.f1 - ten.f1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn both_tables_hold_at_the_tiny_budget() {
+        let ds = dataset();
+        for profile in [LlmProfile::gpt4o_mini(), LlmProfile::unifiedqa_3b()] {
+            let rows: Vec<ScalabilityRow> =
+                CELLS.iter().map(|&(m, c)| run_cell(m, models(), profile, &ds, c)).collect();
+            assert!(holds(&rows), "{rows:#?}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use sage_nn::layer::Activation;
 use sage_nn::matrix::{cosine, Matrix};
 use sage_nn::Mlp;
 use sage_text::{count_tokens, TokenBuf, Vocab, WordSet};
+use std::sync::Arc;
 
 /// Number of cross features fed to the MLP head.
 pub const NUM_FEATURES: usize = 7;
@@ -24,8 +25,9 @@ const EMBED_DIM: usize = 256;
 pub struct CrossScorer {
     mlp: Mlp,
     embedder: HashedEmbedder,
-    /// Corpus IDF statistics (fitted on the indexed chunks).
-    idf: Vocab,
+    /// Corpus IDF statistics (fitted on the indexed chunks, or shared with
+    /// a BM25 index over them).
+    idf: Arc<Vocab>,
 }
 
 /// The question's side of every pair it is scored against.
@@ -68,22 +70,36 @@ impl CrossScorer {
         Self {
             mlp: Mlp::new(&[NUM_FEATURES, 12, 1], Activation::Tanh, Activation::Sigmoid, seed),
             embedder: HashedEmbedder::new(EMBED_DIM, seed ^ 0xEE),
-            idf: Vocab::new(),
+            idf: Arc::default(),
         }
     }
 
     /// Fit IDF statistics on the chunk corpus (call once after indexing;
-    /// without it, overlap features fall back to uniform weights).
+    /// without it, overlap features fall back to uniform weights): every
+    /// stem of every chunk, stopwords included, one document per chunk.
     pub fn fit_idf(&mut self, chunks: &[String]) {
-        self.idf = Vocab::new();
+        let mut idf = Vocab::new();
         let mut tokens = TokenBuf::new();
         let mut ids = Vec::new();
         for chunk in chunks {
             tokens.fill(chunk);
             ids.clear();
-            tokens.for_each_stem(|stem| ids.push(self.idf.intern(stem)));
-            self.idf.record_document(&ids);
+            tokens.for_each_stem(|stem| ids.push(idf.intern(stem)));
+            idf.record_document(&ids);
         }
+        self.idf = Arc::new(idf);
+    }
+
+    /// Use `idf` as the corpus IDF table instead of fitting one. A BM25
+    /// index's table over the same chunks is the one [`fit_idf`](Self::fit_idf)
+    /// builds, so sharing it skips a second pass over the corpus.
+    pub fn set_idf(&mut self, idf: Arc<Vocab>) {
+        self.idf = idf;
+    }
+
+    /// The corpus IDF table.
+    pub fn idf(&self) -> &Arc<Vocab> {
+        &self.idf
     }
 
     fn idf_weight(&self, term: &str) -> f32 {
@@ -295,7 +311,7 @@ impl sage_nn::BytesSerialize for CrossScorer {
             dfs.push(r.u32()?);
         }
         let num_docs = r.u32()?;
-        let idf = Vocab::from_parts(terms, dfs, num_docs)?;
+        let idf = Arc::new(Vocab::from_parts(terms, dfs, num_docs)?);
         if mlp.in_dim() != NUM_FEATURES {
             return None;
         }

@@ -13,10 +13,17 @@
 //! `n` alone. The rank order is a strict total order (score descending under
 //! `total_cmp`, then chunk ascending), so the hits are exactly those a full
 //! sort would return.
+//!
+//! The term table is an `Arc<Vocab>` so a reranker can share it (its IDF is
+//! this table: the same stems, ids and document frequencies). Indexing
+//! writes through `Arc::make_mut`: free while the retriever owns the table
+//! alone, a copy on write once it is shared, so a sharer keeps the table it
+//! was handed.
 
 use crate::{Retriever, ScoredChunk};
 use sage_text::{TokenBuf, Vocab};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// BM25 hyper-parameters (standard Okapi defaults).
 #[derive(Debug, Clone, Copy)]
@@ -46,7 +53,7 @@ impl Default for Bm25Params {
 #[derive(Debug, Clone)]
 pub struct Bm25Retriever {
     params: Bm25Params,
-    vocab: Vocab,
+    vocab: Arc<Vocab>,
     /// Indexed by term id: postings of (chunk index, term frequency),
     /// chunk-ascending.
     postings: Vec<Vec<(u32, u32)>>,
@@ -76,7 +83,7 @@ impl Bm25Retriever {
     pub fn with_params(params: Bm25Params) -> Self {
         Self {
             params,
-            vocab: Vocab::new(),
+            vocab: Arc::default(),
             postings: Vec::new(),
             chunk_len: Vec::new(),
             avg_len: 0.0,
@@ -90,17 +97,18 @@ impl Bm25Retriever {
     /// `tokens` with `ids` as scratch; returns its term count.
     fn post_chunk(&mut self, text: &str, tokens: &mut TokenBuf, ids: &mut Vec<u32>) -> u32 {
         let ci = self.chunk_len.len() as u32;
+        let vocab = Arc::make_mut(&mut self.vocab);
         tokens.fill(text);
         ids.clear();
-        tokens.for_each_stem(|term| ids.push(self.vocab.intern(term)));
+        tokens.for_each_stem(|term| ids.push(vocab.intern(term)));
         ids.sort_unstable();
-        self.postings.resize_with(self.vocab.len(), Vec::new);
+        self.postings.resize_with(vocab.len(), Vec::new);
         // A run of one id is that term's frequency in this chunk.
         for run in ids.chunk_by(|a, b| a == b) {
             self.postings[run[0] as usize].push((ci, run.len() as u32));
         }
         ids.dedup();
-        self.vocab.record_document(ids);
+        vocab.record_document(ids);
         let len = tokens.len() as u32;
         self.chunk_len.push(len);
         len
@@ -143,6 +151,14 @@ impl Bm25Retriever {
         self.live_count as usize
     }
 
+    /// The term table: every stem indexed so far, stopwords included, with
+    /// its document frequency over every chunk posted (tombstoned ones
+    /// too). After [`Retriever::index`] it is the table
+    /// `CrossScorer::fit_idf` fits over the same chunks.
+    pub fn vocab(&self) -> &Arc<Vocab> {
+        &self.vocab
+    }
+
     fn recompute_avg_len(&mut self) {
         self.avg_len = if self.live_count == 0 {
             0.0
@@ -160,7 +176,7 @@ fn by_rank(a: &ScoredChunk, b: &ScoredChunk) -> Ordering {
 
 impl Retriever for Bm25Retriever {
     fn index(&mut self, chunks: &[String]) {
-        self.vocab = Vocab::new();
+        self.vocab = Arc::default();
         self.postings.clear();
         self.chunk_len.clear();
         self.deleted.clear();

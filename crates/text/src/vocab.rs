@@ -58,15 +58,24 @@ impl Vocab {
 
     /// Record one document's terms for document-frequency accounting.
     /// `term_ids` may contain duplicates; each distinct id counts once.
+    /// Strictly ascending ids (already sorted and deduplicated, as BM25
+    /// passes them) are counted in place, without a copy or a sort.
     pub fn record_document(&mut self, term_ids: &[u32]) {
         self.num_docs += 1;
-        let mut seen: Vec<u32> = term_ids.to_vec();
-        seen.sort_unstable();
-        seen.dedup();
-        for id in seen {
-            if let Some(df) = self.doc_freq.get_mut(id as usize) {
-                *df += 1;
+        let mut count = |ids: &[u32]| {
+            for &id in ids {
+                if let Some(df) = self.doc_freq.get_mut(id as usize) {
+                    *df += 1;
+                }
             }
+        };
+        if term_ids.is_sorted_by(|a, b| a < b) {
+            count(term_ids);
+        } else {
+            let mut seen: Vec<u32> = term_ids.to_vec();
+            seen.sort_unstable();
+            seen.dedup();
+            count(&seen);
         }
     }
 
@@ -152,6 +161,40 @@ mod tests {
         assert_eq!(v.num_docs(), 2);
         assert_eq!(v.doc_freq(cat), 2);
         assert_eq!(v.doc_freq(dog), 1);
+    }
+
+    fn three_terms() -> (Vocab, [u32; 3]) {
+        let mut v = Vocab::new();
+        let ids = [v.intern("cat"), v.intern("dog"), v.intern("owl")];
+        (v, ids)
+    }
+
+    #[test]
+    fn strictly_ascending_ids_are_counted_in_place() {
+        let (mut v, [cat, dog, owl]) = three_terms();
+        v.record_document(&[cat, dog, owl]);
+        v.record_document(&[dog]);
+        v.record_document(&[]);
+        assert_eq!(v.num_docs(), 3);
+        assert_eq!(v.doc_freqs(), &[1, 2, 1]);
+    }
+
+    #[test]
+    fn unsorted_or_repeated_ids_count_each_distinct_id_once() {
+        let (mut v, [cat, dog, owl]) = three_terms();
+        // Descending, repeated out of order, and sorted but repeated: none
+        // is strictly ascending, so each takes the copying path.
+        v.record_document(&[owl, cat, dog]);
+        v.record_document(&[dog, cat, dog, dog]);
+        v.record_document(&[cat, cat, owl]);
+        assert_eq!(v.num_docs(), 3);
+        assert_eq!(v.doc_freqs(), &[3, 2, 2]);
+        // Either path counts a document the same.
+        let (mut sorted, _) = three_terms();
+        sorted.record_document(&[cat, dog, owl]);
+        sorted.record_document(&[cat, dog]);
+        sorted.record_document(&[cat, owl]);
+        assert_eq!(sorted.doc_freqs(), v.doc_freqs());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 #
 # Byte-identity checks among the smokes: same-seed replays of the soak and
 # the live soak (two runs, `diff`); two `sage index` runs over one model
-# file (`cmp`); `sage segment` and `sage ask --retriever bm25
+# file, dense and BM25 (`cmp`); `sage segment` and `sage ask --retriever bm25
 # --show-context` == the output recorded in this script; and the full
 # scenario grid == the committed BENCH_scenarios.json (one run; `cargo test`
 # asserts the same equality).
@@ -55,7 +55,7 @@ if [ "${1:-}" != fast ]; then
 
   echo "=== paper-shape benches (each asserts its figure's shape and exits non-zero when it fails)"
   for bench in fig05_score_curves fig07_segmentation_overhead fig08_noisy_retrieval \
-               fig09_missing_retrieval fig10_incomplete_chunks; do
+               fig09_missing_retrieval fig10_incomplete_chunks table08_09_scalability; do
     if ! err=$(cargo bench -q -p sage-bench --bench "$bench" 2>&1 > /dev/null); then
       echo "FAIL: bench $bench"; echo "$err"; exit 1
     fi
@@ -97,21 +97,25 @@ if [ "${1:-}" != fast ]; then
 
   echo "=== persistence smoke (train -> index -> query over saved files)"
   # The offline phase writes files the online phase reloads: the same
-  # models and corpus must index to the same bytes twice, the saved index
-  # must answer, and one flipped payload byte must be refused by the CRC
-  # trailer rather than parsed.
+  # models and corpus must index to the same bytes twice, with the default
+  # dense retriever and with BM25 (whose reranker shares BM25's term table),
+  # each saved index must answer, and one flipped payload byte must be
+  # refused by the CRC trailer rather than parsed.
   "$sage" train --out "$tmp/models.bin" 2> /dev/null
-  for run in a b; do
-    "$sage" index --file "$tmp/corpus.txt" --models "$tmp/models.bin" \
-      --out "$tmp/index_$run.bin" 2> /dev/null
+  for retriever in openai bm25; do
+    for run in a b; do
+      "$sage" index --file "$tmp/corpus.txt" --models "$tmp/models.bin" \
+        --retriever "$retriever" --out "$tmp/index_${retriever}_$run.bin" 2> /dev/null
+    done
+    cmp "$tmp/index_${retriever}_a.bin" "$tmp/index_${retriever}_b.bin" \
+      || { echo "FAIL: the same models and corpus indexed to different $retriever bytes"; exit 1; }
+    "$sage" query --index "$tmp/index_${retriever}_a.bin" \
+      --question "What is the color of Whiskers's eyes?" > "$tmp/query.txt" 2> /dev/null
+    grep -q green "$tmp/query.txt" \
+      || { echo "FAIL: wrong answer from the saved $retriever index"; cat "$tmp/query.txt"; exit 1; }
   done
-  cmp "$tmp/index_a.bin" "$tmp/index_b.bin" \
-    || { echo "FAIL: the same models and corpus indexed to different bytes"; exit 1; }
-  "$sage" query --index "$tmp/index_a.bin" \
-    --question "What is the color of Whiskers's eyes?" > "$tmp/query.txt" 2> /dev/null
-  grep -q green "$tmp/query.txt" || { echo "FAIL: wrong answer from the saved index"; cat "$tmp/query.txt"; exit 1; }
   # Byte 100 is chunk text (ASCII), so 0xFF always changes it.
-  cp "$tmp/index_a.bin" "$tmp/index_flipped.bin"
+  cp "$tmp/index_openai_a.bin" "$tmp/index_flipped.bin"
   printf '\377' | dd of="$tmp/index_flipped.bin" bs=1 seek=100 conv=notrunc 2> /dev/null
   if "$sage" query --index "$tmp/index_flipped.bin" \
       --question "What is the color of Whiskers's eyes?" > /dev/null 2> "$tmp/flipped.err"; then
