@@ -56,6 +56,7 @@ mod result;
 mod retriever;
 pub mod scalability;
 pub mod scenario;
+mod segmentation;
 pub mod soak;
 
 pub use config::{RetrieverKind, SageConfig};

@@ -16,6 +16,7 @@ use crate::models::TrainedModels;
 use crate::resilience::{ResilienceConfig, ResilienceState};
 pub use crate::result::{BuildStats, QueryResult};
 pub use crate::retriever::AnyRetriever;
+use crate::segmentation;
 use sage_admission::{AdmissionConfig, AdmissionQueue, QueryBudget};
 use sage_embed::HashedEmbedder;
 use sage_eval::Cost;
@@ -23,7 +24,6 @@ use sage_llm::{LlmProfile, SimLlm};
 use sage_rerank::{CrossScorer, RankedChunk};
 use sage_resilience::SageError;
 use sage_retrieval::{Bm25Retriever, DenseRetriever};
-use sage_segment::{Segmenter, SemanticSegmenter, SentenceSegmenter};
 use sage_telemetry::{BuildRecord, Stage, Telemetry};
 use sage_vecdb::FlatIndex;
 use std::sync::{Arc, Mutex};
@@ -66,7 +66,8 @@ pub struct RagSystem {
 
 impl RagSystem {
     /// Build a system over `corpus` (one string per document; documents
-    /// use `'\n'` between paragraphs).
+    /// use `'\n'` between paragraphs). Documents are segmented on every
+    /// core, and their chunks kept in document order.
     pub fn build(
         models: &TrainedModels,
         kind: RetrieverKind,
@@ -74,9 +75,21 @@ impl RagSystem {
         profile: LlmProfile,
         corpus: &[String],
     ) -> Self {
+        Self::build_on(models, kind, config, profile, corpus, segmentation::workers())
+    }
+
+    /// [`build`](Self::build), segmenting on at most `workers` threads.
+    pub(crate) fn build_on(
+        models: &TrainedModels,
+        kind: RetrieverKind,
+        config: SageConfig,
+        profile: LlmProfile,
+        corpus: &[String],
+        workers: usize,
+    ) -> Self {
         // 1. Segmentation (Figure 2 (A) steps 1-2).
         let seg_start = Instant::now();
-        let chunks = Self::segment_corpus(models, &config, corpus);
+        let chunks = segmentation::segment_corpus(models, &config, corpus, workers);
         let segmentation_time = seg_start.elapsed();
 
         // 2. Index construction (steps 3-4).
@@ -121,26 +134,6 @@ impl RagSystem {
         Self::assemble(config, kind, chunks, retriever, scorer, profile, stats)
     }
 
-    /// Segment `corpus` with the strategy `config` selects: the semantic
-    /// model, or sentence-aligned chunks up to the naive token budget.
-    fn segment_corpus(
-        models: &TrainedModels,
-        config: &SageConfig,
-        corpus: &[String],
-    ) -> Vec<String> {
-        if config.use_segmentation {
-            let segmenter = SemanticSegmenter::with_params(
-                models.segmentation.clone(),
-                config.segmentation_threshold,
-                config.coarse_tokens,
-            );
-            corpus.iter().flat_map(|doc| segmenter.segment(doc)).collect()
-        } else {
-            let segmenter = SentenceSegmenter { max_tokens: config.naive_chunk_tokens };
-            corpus.iter().flat_map(|doc| segmenter.segment(doc)).collect()
-        }
-    }
-
     /// The one struct literal: every runtime-only layer starts detached.
     fn assemble(
         config: SageConfig,
@@ -170,11 +163,18 @@ impl RagSystem {
     /// the enlarged store is re-indexed from scratch (a dense retriever
     /// clears its index and re-embeds every chunk so ids stay equal to
     /// chunk positions; BM25 rebuilds its postings) before the reranker's
-    /// IDF is refitted (or, on BM25, shared again).
+    /// IDF is refitted (or, on BM25, shared again). The build stats add the
+    /// new documents' segmentation time and take the re-index time as the
+    /// index time.
     pub fn add_documents(&mut self, models: &TrainedModels, corpus: &[String]) {
-        let new_chunks = Self::segment_corpus(models, &self.config, corpus);
+        let seg_start = Instant::now();
+        let new_chunks =
+            segmentation::segment_corpus(models, &self.config, corpus, segmentation::workers());
+        self.stats.segmentation_time += seg_start.elapsed();
         self.chunks.extend(new_chunks);
+        let index_start = Instant::now();
         self.retriever.index_chunks(&self.chunks);
+        self.stats.index_time = index_start.elapsed();
         if let Some(scorer) = &mut self.scorer {
             fit_scorer_idf(scorer, &self.retriever, &self.chunks);
         }
@@ -540,6 +540,22 @@ mod tests {
             s.chunk_count,
             sys.chunks().len(),
         );
+    }
+
+    #[test]
+    fn add_documents_times_its_segmentation_and_reindex() {
+        let mut sys = RagSystem::build(
+            models(),
+            RetrieverKind::Bm25,
+            SageConfig::sage(),
+            LlmProfile::gpt4o_mini(),
+            &corpus(),
+        );
+        let built = sys.build_stats().segmentation_time;
+        sys.add_documents(models(), &corpus());
+        let stats = sys.build_stats();
+        assert!(stats.segmentation_time > built, "{:?} after {built:?}", stats.segmentation_time);
+        assert!(stats.index_time > Duration::ZERO);
     }
 
     #[test]

@@ -20,13 +20,21 @@ pub enum Activation {
 impl Activation {
     /// Apply the activation to a matrix (consumed, returned).
     pub fn forward(self, mut z: Matrix) -> Matrix {
-        match self {
-            Activation::Identity => {}
-            Activation::Relu => z.map_inplace(|v| v.max(0.0)),
-            Activation::Tanh => z.map_inplace(f32::tanh),
-            Activation::Sigmoid => z.map_inplace(|v| 1.0 / (1.0 + (-v).exp())),
+        if self != Activation::Identity {
+            z.map_inplace(|v| self.apply(v));
         }
         z
+    }
+
+    /// The activation of one value.
+    #[inline]
+    pub fn apply(self, v: f32) -> f32 {
+        match self {
+            Activation::Identity => v,
+            Activation::Relu => v.max(0.0),
+            Activation::Tanh => v.tanh(),
+            Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+        }
     }
 
     /// Derivative expressed in terms of the activation *output* `a`.
@@ -105,6 +113,28 @@ impl Linear {
         let mut z = x.matmul(&self.w);
         z.add_row_broadcast(&self.b);
         self.act.forward(z)
+    }
+
+    /// [`infer`](Self::infer) of the one row `x`, written into `out`
+    /// (cleared, then `out_dim` long) instead of a fresh matrix. Each output
+    /// sums `x[p] · w[p][j]` in `matmul`'s order — `p` ascending, zero
+    /// inputs skipped — then adds the bias and applies the activation, so
+    /// it has the bits `infer` gives that row.
+    pub fn infer_row_into(&self, x: &[f32], out: &mut Vec<f32>) {
+        assert_eq!(x.len(), self.in_dim(), "infer_row_into dim mismatch");
+        out.clear();
+        out.resize(self.out_dim(), 0.0);
+        for (p, &a) in x.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &w) in out.iter_mut().zip(self.w.row(p)) {
+                *o += a * w;
+            }
+        }
+        for (o, &b) in out.iter_mut().zip(&self.b) {
+            *o = self.act.apply(*o + b);
+        }
     }
 
     /// Backward pass. `grad_out` is dL/d(output). Accumulates dW/db and

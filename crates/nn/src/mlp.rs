@@ -56,22 +56,34 @@ impl Mlp {
         self.layers.last().unwrap().out_dim()
     }
 
-    /// Training forward pass (caches activations in each layer).
+    /// Training forward pass (caches activations in each layer); the first
+    /// layer reads `x` itself.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut a = x.clone();
-        for layer in &mut self.layers {
-            a = layer.forward(&a);
-        }
-        a
+        let mut layers = self.layers.iter_mut();
+        let first = layers.next().map_or_else(|| x.clone(), |layer| layer.forward(x));
+        layers.fold(first, |a, layer| layer.forward(&a))
     }
 
-    /// Inference-only forward pass.
+    /// Inference-only forward pass; the first layer reads `x` itself.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut a = x.clone();
-        for layer in &self.layers {
-            a = layer.infer(&a);
+        let mut layers = self.layers.iter();
+        let first = layers.next().map_or_else(|| x.clone(), |layer| layer.infer(x));
+        layers.fold(first, |a, layer| layer.infer(&a))
+    }
+
+    /// [`infer`](Self::infer) of the one row `x` with no matrix in between:
+    /// layer `i` writes its output into `bufs[i]`, one buffer per layer that
+    /// the caller keeps from call to call, and the last layer's output is
+    /// returned. Each value has the bits `infer` gives that row
+    /// ([`Linear::infer_row_into`]).
+    pub fn infer_row<'a>(&self, x: &'a [f32], bufs: &'a mut Vec<Vec<f32>>) -> &'a [f32] {
+        bufs.resize_with(self.layers.len(), Vec::new);
+        let mut input = x;
+        for (layer, out) in self.layers.iter().zip(bufs.iter_mut()) {
+            layer.infer_row_into(input, out);
+            input = out;
         }
-        a
+        input
     }
 
     /// Backpropagate `grad_out` through all layers; returns dL/d(input).

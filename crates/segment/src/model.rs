@@ -132,12 +132,15 @@ impl SegmentationModel {
         }
     }
 
-    /// The one scorer: pool each sentence once, then score every adjacent
-    /// pair in a single forward — `scores[i]` is for `(sentences[i],
-    /// sentences[i + 1])`. A row of a matrix product depends on no other
-    /// row, so each score has the bits it would have scored alone.
+    /// The one scorer: pool each sentence once, then score each adjacent
+    /// pair — `scores[i]` is for `(sentences[i], sentences[i + 1])` — by
+    /// augmenting it into one reused row and running [`Mlp::infer_row`]
+    /// into reused layer buffers, so a paragraph allocates nothing once the
+    /// scratch has grown. `infer_row` sums in `matmul`'s order, so each
+    /// score has the bits of the batched forward and of the pair scored
+    /// alone (`tests/oracle.rs` keeps both replaced paths).
     pub(crate) fn score_adjacent_into(&self, sentences: &[&str], scratch: &mut Scratch) {
-        let Scratch { analysis, pooled, scores } = scratch;
+        let Scratch { analysis, pooled, row, layers, scores } = scratch;
         scores.clear();
         if sentences.len() < 2 {
             return;
@@ -148,13 +151,13 @@ impl SegmentationModel {
             analysis.fill(sentence);
             self.pool(analysis, x);
         }
-        let mut input = Matrix::zeros(sentences.len() - 1, d * self.feat.blocks());
+        row.resize(d * self.feat.blocks(), 0.0);
         // Sentence i's vector and the next one's are adjacent in `pooled`.
-        for (i, pair) in pooled.windows(2 * d).step_by(d).enumerate() {
+        for pair in pooled.windows(2 * d).step_by(d) {
             let (x1, x2) = pair.split_at(d);
-            self.augment(x1, x2, input.row_mut(i));
+            self.augment(x1, x2, row);
+            scores.extend_from_slice(self.mlp.infer_row(row, layers));
         }
-        scores.extend_from_slice(self.mlp.infer(&input).data());
     }
 
     /// Score every adjacent pair of a paragraph's sentences in `[0, 1]`
@@ -260,6 +263,10 @@ pub(crate) struct Scratch {
     analysis: Analysis,
     /// One pooled `dim`-vector per sentence, row-major.
     pooled: Vec<f32>,
+    /// The augmented input of the pair being scored.
+    row: Vec<f32>,
+    /// One output buffer per MLP layer ([`Mlp::infer_row`]).
+    layers: Vec<Vec<f32>>,
     /// One score per adjacent pair of the last call's sentences.
     pub(crate) scores: Vec<f32>,
 }

@@ -2,12 +2,19 @@
 //! semantic strategy of Figure 3-D.
 
 use crate::model::{Scratch, SegmentationModel};
-use sage_text::{count_tokens, split_paragraphs, split_sentences};
+use sage_text::{count_tokens, split_paragraphs, split_sentences, split_sentences_into};
 
 /// Splits a document's text into retrieval chunks.
 pub trait Segmenter: Send + Sync {
     /// Segment `text` into chunks (in document order, covering all text).
     fn segment(&self, text: &str) -> Vec<String>;
+
+    /// Segment each of `docs` in turn into one list: the concatenation of
+    /// their [`segment`](Self::segment) lists. A segmenter with scratch
+    /// buffers overrides it to keep them for every document.
+    fn segment_documents(&self, docs: &[String]) -> Vec<String> {
+        docs.iter().flat_map(|doc| self.segment(doc)).collect()
+    }
 
     /// Display name for tables.
     fn name(&self) -> String;
@@ -96,12 +103,13 @@ impl Segmenter for SentenceSegmenter {
 /// 1. Split the text into paragraphs on `'\n'` (§III-A) and each paragraph
 ///    into sentences; a chunk never spans two paragraphs.
 /// 2. Score every adjacent sentence pair of the paragraph with the trained
-///    [`SegmentationModel`] — each sentence pooled once, all pairs in one
-///    forward.
+///    [`SegmentationModel`] — each sentence pooled once, every pair through
+///    the same reused buffers.
 /// 3. Walk the sentences: cut before a sentence when its pair scores below
 ///    the threshold `ss` (default 0.55), or when the running chunk has
 ///    already passed `coarse_tokens` (the paper's `l`, default 400) —
 ///    unless that sentence opens with a pronoun, which vetoes either cut.
+///    Each chunk is then built once, at its exact length.
 ///
 /// So `coarse_tokens` is not an upper bound on chunk size: a chunk is cut
 /// only *after* it has passed `l`, and a run of pronoun-initial sentences
@@ -151,41 +159,64 @@ impl SemanticSegmenter {
     /// Segment one paragraph's sentences at score dips into `out`: after a
     /// sentence the chunk is cut when the model scores the pair below the
     /// threshold, or the chunk has already passed `coarse_tokens` — unless
-    /// the next sentence opens with a pronoun.
+    /// the next sentence opens with a pronoun. A chunk is built once its
+    /// cut is known: its sentences joined by `' '`, at its exact length.
     fn refine(&self, sentences: &[&str], scratch: &mut Scratch, out: &mut Vec<String>) {
         let Some((first, rest)) = sentences.split_first() else {
             return;
         };
         self.model.score_adjacent_into(sentences, scratch);
-        let mut current = first.to_string();
+        let mut start = 0;
         let mut current_tokens = count_tokens(first);
-        for (sentence, &score) in rest.iter().zip(&scratch.scores) {
+        // `rest[i]` is `sentences[i + 1]`.
+        for (i, (sentence, &score)) in rest.iter().zip(&scratch.scores).enumerate() {
             let tokens = count_tokens(sentence);
             let over_budget = current_tokens > self.coarse_tokens;
             let cut = (score < self.threshold || over_budget) && !Self::starts_with_pronoun(sentence);
             if cut {
-                out.push(std::mem::replace(&mut current, sentence.to_string()));
+                out.push(sentences[start..=i].join(" "));
+                start = i + 1;
                 current_tokens = tokens;
             } else {
-                current.push(' ');
-                current.push_str(sentence);
                 current_tokens += tokens;
             }
         }
-        out.push(current);
+        out.push(sentences[start..].join(" "));
+    }
+
+    /// Segment `text` into `out`, with the sentence buffer and the scratch
+    /// the caller keeps from document to document.
+    fn segment_into<'a>(
+        &self,
+        text: &'a str,
+        sentences: &mut Vec<&'a str>,
+        scratch: &mut Scratch,
+        out: &mut Vec<String>,
+    ) {
+        // Paragraphs split on '\n' first (paper §III-A), then the model
+        // refines within each paragraph. Cutting at paragraph borders never
+        // orphans a pronoun (writers re-introduce subjects across
+        // paragraphs), while mid-paragraph cuts go through the guard.
+        for paragraph in split_paragraphs(text) {
+            sentences.clear();
+            split_sentences_into(paragraph, sentences);
+            self.refine(sentences, scratch, out);
+        }
     }
 }
 
 impl Segmenter for SemanticSegmenter {
     fn segment(&self, text: &str) -> Vec<String> {
-        // Paragraphs split on '\n' first (paper §III-A), then the model
-        // refines within each paragraph. Cutting at paragraph borders never
-        // orphans a pronoun (writers re-introduce subjects across
-        // paragraphs), while mid-paragraph cuts go through the guard.
         let mut out = Vec::new();
-        let mut scratch = Scratch::default();
-        for paragraph in split_paragraphs(text) {
-            self.refine(&split_sentences(paragraph), &mut scratch, &mut out);
+        self.segment_into(text, &mut Vec::new(), &mut Scratch::default(), &mut out);
+        out
+    }
+
+    /// One sentence buffer and one scratch serve every document.
+    fn segment_documents(&self, docs: &[String]) -> Vec<String> {
+        let (mut sentences, mut scratch, mut out) = (Vec::new(), Scratch::default(), Vec::new());
+        for doc in docs {
+            self.segment_into(doc, &mut sentences, &mut scratch, &mut out);
         }
         out
     }

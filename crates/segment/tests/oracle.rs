@@ -1,7 +1,8 @@
 //! `SegmentationModel::score_adjacent` and `SemanticSegmenter::segment`
-//! against the pair-at-a-time bodies they replaced, kept here verbatim as
-//! the oracle: scores are compared by bit pattern, chunk lists as
-//! `Vec<String>`.
+//! against the bodies they replaced, kept here verbatim as the oracles: the
+//! pair-at-a-time path, and the batched forward after it (one augmented
+//! `Matrix`, one `Mlp::infer`). Scores are compared by bit pattern, chunk
+//! lists as `Vec<String>`.
 
 #![allow(clippy::unwrap_used, reason = "every function here runs under a test; a blob that does not parse should fail it")]
 
@@ -102,6 +103,28 @@ impl Oracle {
         self.mlp.infer(&input).get(0, 0)
     }
 
+    /// The batched `score_adjacent_into` the one-row forward replaced: every
+    /// adjacent pair augmented into one matrix, then `Mlp::infer` as it was
+    /// (each layer in turn over the whole batch).
+    fn score_adjacent_batched(&self, sentences: &[&str]) -> Vec<f32> {
+        if sentences.len() < 2 {
+            return Vec::new();
+        }
+        let d = self.dim;
+        let pooled: Vec<f32> = sentences.iter().flat_map(|s| self.pool(&self.features(s))).collect();
+        let mut input = Matrix::zeros(sentences.len() - 1, d * self.blocks());
+        // Sentence i's vector and the next one's are adjacent in `pooled`.
+        for (i, pair) in pooled.windows(2 * d).step_by(d).enumerate() {
+            let (x1, x2) = pair.split_at(d);
+            input.row_mut(i).copy_from_slice(&self.augment(x1, x2));
+        }
+        let mut a = input;
+        for layer in self.mlp.layers() {
+            a = layer.infer(&a);
+        }
+        a.data().to_vec()
+    }
+
     fn starts_with_pronoun(sentence: &str) -> bool {
         const PRONOUNS: &[&str] =
             &["he", "she", "it", "his", "her", "its", "they", "their", "the eyes"];
@@ -184,6 +207,8 @@ fn check(model: &SegmentationModel, text: &str) {
         let sentences = split_sentences(paragraph);
         let want: Vec<f32> = sentences.windows(2).map(|p| oracle.score_pair(p[0], p[1])).collect();
         assert_eq!(bits(&model.score_adjacent(&sentences)), bits(&want), "{paragraph:?}");
+        let batched = oracle.score_adjacent_batched(&sentences);
+        assert_eq!(bits(&model.score_adjacent(&sentences)), bits(&batched), "batched: {paragraph:?}");
         for (pair, want) in sentences.windows(2).zip(&want) {
             assert_eq!(model.score_pair(pair[0], pair[1]).to_bits(), want.to_bits(), "{pair:?}");
         }
@@ -245,6 +270,11 @@ fn degenerate_paragraphs_segment_like_the_old_path() {
         assert!(model.score_adjacent(&[]).is_empty());
         assert!(model.score_adjacent(&["alone"]).is_empty());
         assert_eq!(model.score_adjacent(&["", ""]).len(), 1);
+        let oracle = Oracle::of(&model, 0.0, 0);
+        for sentences in [&["", ""][..], &["", "x.", ""], &["Alone."]] {
+            let batched = oracle.score_adjacent_batched(sentences);
+            assert_eq!(bits(&model.score_adjacent(sentences)), bits(&batched), "{sentences:?}");
+        }
     }
 }
 

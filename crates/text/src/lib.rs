@@ -3,7 +3,7 @@
 //! Text-processing substrate for the SAGE RAG framework.
 //!
 //! Every other crate in the workspace funnels raw text through this crate:
-//! the segmentation model consumes [`split_sentences`] output, the BM25 and
+//! the segmentation model consumes [`split_sentences_into`] output, the BM25 and
 //! dense retrievers consume [`tokenize`] + [`stem`] output, the metrics crate
 //! compares token streams, and the LLM cost model (paper Eq. 1) counts tokens
 //! with [`count_tokens`].
@@ -35,7 +35,7 @@ pub mod vocab;
 
 pub use ngram::{bigrams, hash_bigram, hash_token, ngrams, HashedFeature};
 pub use proper::{is_capitalized, proper_nouns, WordSet};
-pub use sentence::{split_paragraphs, split_sentences};
+pub use sentence::{split_paragraphs, split_sentences, split_sentences_into};
 pub use stem::{stem, stem_into};
 pub use stopwords::is_stopword;
 pub use token::{count_tokens, normalize, tokenize, tokenize_filtered, TokenBuf};

@@ -26,6 +26,14 @@ pub fn split_paragraphs(text: &str) -> Vec<&str> {
 /// quotes/brackets). Periods after known abbreviations, inside numbers
 /// (`3.10GHz`) or single initials (`J. Smith`) do not terminate.
 pub fn split_sentences(text: &str) -> Vec<&str> {
+    let mut sentences = Vec::new();
+    split_sentences_into(text, &mut sentences);
+    sentences
+}
+
+/// [`split_sentences`], appended to `sentences`: a caller that splits many
+/// paragraphs keeps one buffer for all of them.
+pub fn split_sentences_into<'a>(text: &'a str, sentences: &mut Vec<&'a str>) {
     fn push<'a>(sentences: &mut Vec<&'a str>, sentence: &'a str) {
         let trimmed = sentence.trim();
         if !trimmed.is_empty() {
@@ -33,7 +41,6 @@ pub fn split_sentences(text: &str) -> Vec<&str> {
         }
     }
     let bytes = text.as_bytes();
-    let mut sentences = Vec::new();
     let mut start = 0usize;
     let mut i = 0usize;
     // The terminators are ASCII, so a byte scan finds them and every index
@@ -53,13 +60,12 @@ pub fn split_sentences(text: &str) -> Vec<&str> {
         }
         let lone_period = bytes[i] == b'.' && end == i + 1;
         if !(lone_period && period_is_internal(text, i)) {
-            push(&mut sentences, &text[start..end]);
+            push(sentences, &text[start..end]);
             start = end;
         }
         i = end;
     }
-    push(&mut sentences, &text[start..]);
-    sentences
+    push(sentences, &text[start..]);
 }
 
 /// Decide whether the period at byte `idx` is internal (abbreviation,

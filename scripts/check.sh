@@ -14,7 +14,8 @@
 # nothing.
 #
 # Byte-identity checks among the smokes: same-seed replays of the soak and
-# the live soak (two runs, `diff`); two `sage index` runs over one model
+# the live soak (two runs, `diff`); a BM25 soak pinned to one core and the
+# same soak on every core (`cmp`); two `sage index` runs over one model
 # file, dense and BM25 (`cmp`); `sage segment` and `sage ask --retriever bm25
 # --show-context` == the output recorded in this script; and the full
 # scenario grid == the committed BENCH_scenarios.json (one run; `cargo test`
@@ -55,7 +56,8 @@ if [ "${1:-}" != fast ]; then
 
   echo "=== paper-shape benches (each asserts its figure's shape and exits non-zero when it fails)"
   for bench in fig05_score_curves fig07_segmentation_overhead fig08_noisy_retrieval \
-               fig09_missing_retrieval fig10_incomplete_chunks table08_09_scalability; do
+               fig09_missing_retrieval fig10_incomplete_chunks table08_09_scalability \
+               table10_feature_ablation; do
     if ! err=$(cargo bench -q -p sage-bench --bench "$bench" 2>&1 > /dev/null); then
       echo "FAIL: bench $bench"; echo "$err"; exit 1
     fi
@@ -156,6 +158,19 @@ LISTING
   grep -q ' done ' "$tmp/soak_a.log" || { echo "FAIL: soak completed nothing"; exit 1; }
   grep -q 'panics 0' "$tmp/soak_a.err" || { echo "FAIL: soak saw panics"; exit 1; }
   echo "soak smoke ok"
+
+  echo "=== core-count smoke (one core and every core build the same system)"
+  # `RagSystem::build` segments a multi-document corpus on one worker per
+  # available core; pinned to core 0 it takes the one-worker path. The BM25
+  # soak builds over four documents, so its output must not tell them apart.
+  soak_bm25=(soak --retriever bm25 --seed 42 --duration 10 --qps 3 --docs 4 --models "$tmp/models.bin")
+  taskset -c 0 "$sage" "${soak_bm25[@]}" > "$tmp/soak_one_core.log" 2> "$tmp/soak_one_core.err"
+  "$sage" "${soak_bm25[@]}" > "$tmp/soak_all_cores.log" 2> "$tmp/soak_all_cores.err"
+  cmp "$tmp/soak_one_core.log" "$tmp/soak_all_cores.log" \
+    || { echo "FAIL: the BM25 soak log differs between one core and every core"; exit 1; }
+  cmp "$tmp/soak_one_core.err" "$tmp/soak_all_cores.err" \
+    || { echo "FAIL: the BM25 soak summary differs between one core and every core"; exit 1; }
+  echo "core-count smoke ok ($(nproc) cores)"
 
   echo "=== report smoke (recorder + SLO folds over the soak's observation stream)"
   # The bundle's reconciliation section must hold (the command exits
