@@ -54,10 +54,10 @@ fn main() {
     let unguarded = build_system();
 
     let mut guarded = build_system();
-    guarded.enable_resilience(ResilienceConfig::default());
+    guarded.enable_resilience(FaultPlan::none());
 
     let mut storm = build_system();
-    storm.enable_resilience(ResilienceConfig::with_plan(storm_plan()));
+    storm.enable_resilience(storm_plan());
 
     let qs = questions();
     for q in &qs {

@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the performance-critical substrates:
 //! segmentation throughput (the paper's tokens/s column), vector-index
-//! query latency (flat vs HNSW), BM25 query throughput, reranker scoring,
+//! query latency, BM25 query throughput, reranker scoring,
 //! the simulated reader and judge, sentence embedding, and metric
 //! computation. One row per cell: the median wall time of [`RUNS`] calls
 //! after one warm-up call.
@@ -58,21 +58,16 @@ fn bench_vecdb() {
     };
     for &n in &[1_000usize, 10_000] {
         let vectors = unit_vectors(n, 64);
-        let mut flat = FlatIndex::cosine();
-        let mut hnsw = HnswIndex::cosine();
-        for v in &vectors {
-            flat.add(v.clone());
-            hnsw.add(v.clone());
-        }
         let query = vectors[n / 2].clone();
+        let mut flat = FlatIndex::cosine();
+        for v in vectors {
+            flat.add(v);
+        }
         cell(&format!("flat_top10/{n}"), || flat.search(black_box(&query), 10));
-        cell(&format!("hnsw_top10/{n}"), || hnsw.search(black_box(&query), 10));
     }
     // The repo benchmark's `ask_dense` shape (23,321 chunks x 256-d, top 32).
-    // The flat scan's cost follows the query's non-zeros (a hashed question
-    // has about ten of 256; an every-dimension query is the row-major cost),
-    // the graph walk's does not: at this size HNSW beats the scan on the
-    // dense query and loses to it on the hashed one.
+    // The flat scan's cost follows the query's non-zeros: a hashed question
+    // has about ten of 256; an every-dimension query is the row-major cost.
     let n = 23_321usize;
     let vectors = unit_vectors(n, 256);
     let dense = vectors[n / 2].clone();
@@ -82,19 +77,13 @@ fn bench_vecdb() {
     );
     let nonzeros = hashed.iter().filter(|v| **v != 0.0).count();
     let mut flat = FlatIndex::cosine();
-    let mut hnsw = HnswIndex::cosine();
     flat.reserve(n);
     for v in vectors {
-        hnsw.add(v.clone()); // ~17 s of graph build
         flat.add(v);
     }
     cell(&format!("flat_top32/{n} dense query"), || flat.search(black_box(&dense), 32));
     cell(&format!("flat_top32/{n} hashed query ({nonzeros} of 256)"), || {
         flat.search(black_box(&hashed), 32)
-    });
-    cell(&format!("hnsw_top32/{n} dense query"), || hnsw.search(black_box(&dense), 32));
-    cell(&format!("hnsw_top32/{n} hashed query ({nonzeros} of 256)"), || {
-        hnsw.search(black_box(&hashed), 32)
     });
 }
 

@@ -2,31 +2,28 @@
 //! retriever with and without SAGE, graded by ROUGE / BLEU-1 / BLEU-4 /
 //! METEOR.
 //!
-//! Paper shape to reproduce: each retriever scores higher *with* SAGE on
-//! every metric (average gains: +8.15% ROUGE, +17.27% BLEU-1, +81.51%
-//! BLEU-4, +11.89% METEOR relative).
+//! Paper shape, asserted: each retriever scores at least as high *with*
+//! SAGE on every metric (average gains: +8.15% ROUGE, +17.27% BLEU-1,
+//! +81.51% BLEU-4, +11.89% METEOR relative).
 
+use sage::core::experiment::sage_lift;
 use sage::corpus::datasets::narrativeqa;
 use sage::prelude::*;
 use sage_bench::{header, models, pct, sizes};
 
 fn main() {
-    let models = models();
     let dataset = narrativeqa::generate(sizes::narrativeqa());
-    let profile = LlmProfile::gpt4o_mini();
+    let rows = sage_lift(models(), LlmProfile::gpt4o_mini(), &dataset);
 
     header(
         "Table II: NarrativeQA, retrievers with/without SAGE (GPT-4o-mini sim)",
         &format!("{:<34} {:>8} {:>8} {:>8} {:>8}", "Model", "ROUGE", "BLEU-1", "BLEU-4", "METEOR"),
     );
-    for kind in RetrieverKind::all() {
-        for (method, label) in [
-            (Method::Sage(kind), format!("{} with SAGE", kind.label())),
-            (Method::NaiveRag(kind), format!("{} without SAGE", kind.label())),
-        ] {
-            let s = evaluate(method, models, profile, &dataset);
+    for row in &rows {
+        for (s, label) in [(&row.sage, "with"), (&row.naive, "without")] {
             println!(
-                "{label:<34} {:>8} {:>8} {:>8} {:>8}",
+                "{:<34} {:>8} {:>8} {:>8} {:>8}",
+                format!("{} {label} SAGE", row.kind.label()),
                 pct(s.rouge),
                 pct(s.bleu1),
                 pct(s.bleu4),
@@ -34,5 +31,8 @@ fn main() {
             );
         }
     }
-    println!("\nExpected shape: every retriever improves with SAGE on every metric.");
+    for row in &rows {
+        assert!(row.holds(), "{}: SAGE below naive RAG in {:?}", row.kind.label(), row.cells());
+    }
+    println!("\nTable II holds: every retriever scores at least as high with SAGE on every metric.");
 }

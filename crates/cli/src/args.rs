@@ -132,6 +132,29 @@ mod tests {
     }
 
     #[test]
+    fn removed_hnsw_flag_is_refused_by_name() {
+        type Command = fn(&Flags) -> Result<(), String>;
+        let commands: [(&str, Command); 3] = [
+            ("ask", crate::commands::ask),
+            ("query", crate::commands::query),
+            ("soak", crate::commands::soak),
+        ];
+        for (name, run) in commands {
+            let f = parse_flags(&argv(&["--hnsw"])).unwrap();
+            assert_eq!(run(&f), Err(format!("unknown flag --hnsw for `sage {name}`")));
+        }
+    }
+
+    #[test]
+    fn removed_hnsw_live_retriever_is_refused_by_name() {
+        let f = parse_flags(&argv(&["--live", "--retriever", "hnsw"])).unwrap();
+        assert_eq!(
+            crate::commands::soak(&f),
+            Err("bad --retriever \"hnsw\" for --live (hashed|bm25)".to_string())
+        );
+    }
+
+    #[test]
     fn rejects_positional_arguments() {
         assert!(parse_flags(&argv(&["oops"])).is_err());
     }

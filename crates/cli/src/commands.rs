@@ -61,8 +61,8 @@ pub fn query(flags: &Flags) -> Result<(), String> {
     flags.reject_unknown(
         "query",
         &[
-            "index", "question", "llm", "resilience", "faults", "fault-seed", "hnsw", "telemetry",
-            "trace-out", "metrics-out",
+            "index", "question", "llm", "resilience", "faults", "fault-seed", "telemetry", "trace-out",
+            "metrics-out",
         ],
     )?;
     let path = flags.require("index")?;
@@ -114,10 +114,9 @@ fn load_corpus(path: &str) -> Result<Vec<String>, String> {
 
 /// Apply the resilience flags: `--resilience` (guards with no faults),
 /// `--faults <spec>` (e.g. `reader=transient:0.5,embedder=timeout:1.0`),
-/// `--fault-seed <n>` (injection seed), `--hnsw` (serve dense retrieval
-/// through an ANN tier that degrades to the exact flat scan).
+/// `--fault-seed <n>` (injection seed).
 fn apply_resilience(flags: &Flags, system: &mut RagSystem) -> Result<(), String> {
-    if !(flags.has("resilience") || flags.has("faults") || flags.has("hnsw")) {
+    if !(flags.has("resilience") || flags.has("faults")) {
         return Ok(());
     }
     let seed: u64 = flags.get_parse("fault-seed", 0u64)?;
@@ -125,7 +124,7 @@ fn apply_resilience(flags: &Flags, system: &mut RagSystem) -> Result<(), String>
         Some(spec) if !spec.is_empty() => FaultPlan::parse_spec(spec, seed)?,
         _ => FaultPlan::none(),
     };
-    system.enable_resilience(ResilienceConfig { plan, use_hnsw: flags.has("hnsw") });
+    system.enable_resilience(plan);
     Ok(())
 }
 
@@ -245,7 +244,7 @@ pub fn ask(flags: &Flags) -> Result<(), String> {
         "ask",
         &[
             "file", "question", "retriever", "llm", "naive", "show-context", "models",
-            "resilience", "faults", "fault-seed", "hnsw", "telemetry", "trace-out", "metrics-out",
+            "resilience", "faults", "fault-seed", "telemetry", "trace-out", "metrics-out",
         ],
     )?;
     let corpus = load_corpus(flags.require("file")?)?;
@@ -348,7 +347,7 @@ pub fn eval(flags: &Flags) -> Result<(), String> {
 /// Corpus: `--file <path>` with `--question "..."` replays one question
 /// over a user corpus; otherwise a generated QuALITY-analog corpus
 /// (`--docs N`) supplies both documents and questions. Faults compose:
-/// `--faults`/`--fault-seed`/`--resilience`/`--hnsw` work exactly as in
+/// `--faults`/`--fault-seed`/`--resilience` work exactly as in
 /// `sage ask`.
 pub fn soak(flags: &Flags) -> Result<(), String> {
     if flags.has("live") {
@@ -359,7 +358,7 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
         &[
             "seed", "qps", "duration", "capacity", "concurrency", "deadline-ms", "token-budget",
             "no-budget", "docs", "file", "question", "max-shed-rate", "retriever", "llm", "models",
-            "resilience", "faults", "fault-seed", "hnsw", "telemetry", "trace-out", "metrics-out",
+            "resilience", "faults", "fault-seed", "telemetry", "trace-out", "metrics-out",
         ],
     )?;
     let (corpus, questions, cfg) = soak_run(flags)?;
@@ -475,8 +474,9 @@ fn live_soak(flags: &Flags) -> Result<(), String> {
             .map_err(|e| format!("bad --crash spec: {e}"))?,
         _ => CrashPlan::none(),
     };
-    let retriever = LiveRetrieverKind::parse(flags.get_or("retriever", "hashed"))
-        .ok_or_else(|| "bad --retriever for --live (hashed|hnsw|bm25)".to_string())?;
+    let name = flags.get_or("retriever", "hashed");
+    let retriever = LiveRetrieverKind::parse(name)
+        .ok_or_else(|| format!("bad --retriever {name:?} for --live (hashed|bm25)"))?;
     let cfg = LiveSoakConfig {
         seed,
         commits: flags.get_parse("ops", 24usize)?,
@@ -834,7 +834,7 @@ USAGE:
                [--no-budget] [--docs N | --file <path> --question \"...\"]
                [--max-shed-rate 0.9] [--faults <spec>] [--fault-seed <n>]
   sage soak --live [--live-dir <dir>] [--ops 24] [--batch 4] [--docs 16]
-               [--queries 2] [--seed 42] [--retriever hashed|hnsw|bm25]
+               [--queries 2] [--seed 42] [--retriever hashed|bm25]
                [--crash <spec>] [--crash-seed 7]
   sage explain [\"question\"] [--retriever R] [--naive]
                # print the resolved query plan: stages, middleware order
@@ -859,8 +859,6 @@ RESILIENCE (ask, query, soak):
                         (components: embedder|index|reranker|reader;
                          kinds: transient|timeout|corrupt|panic)
   --fault-seed <n>      seed for the injection stream (default 0)
-  --hnsw                serve dense retrieval through an ANN (HNSW) tier
-                        that degrades to the exact flat scan on failure
   Degraded-mode events and fallback counters are reported on stderr.
 
 TELEMETRY (ask, query, soak):

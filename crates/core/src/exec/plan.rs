@@ -44,7 +44,7 @@ pub enum SelectMode {
 pub enum StageOp {
     /// Embed the question with the dense encoder.
     Embed,
-    /// Vector search (HNSW tier, then exact flat scan) over the embedding.
+    /// Exact flat-index search over the embedding.
     RetrieveDense,
     /// Sparse inverted-index retrieval. `fallback` marks the degraded
     /// substitution spliced in when the embedder is exhausted, as opposed

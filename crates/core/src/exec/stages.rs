@@ -18,7 +18,6 @@ use sage_llm::Answer;
 use sage_rerank::{gradient_select, RankedChunk, SelectionConfig};
 use sage_resilience::{Component, DegradeTrace, Failure, Fallback};
 use sage_retrieval::{Retriever, ScoredChunk};
-use sage_vecdb::VectorIndex;
 use std::time::Duration;
 
 /// Run the stage `op` names — the executor's stage table. `op` carries
@@ -96,66 +95,25 @@ fn retrieve_dense(sys: &RagSystem, ctx: &mut QueryCtx<'_>) -> Flow {
     let trace = &mut ctx.trace;
     let hits = match (ctx.guards.as_ref(), ctx.query_vec.as_ref()) {
         (Some(g), Some(query_vec)) => {
-            if let Some(hnsw) = &g.state.hnsw {
-                let approx = g.guard(Component::IndexSearch).run(
-                    Component::IndexSearch,
-                    question,
-                    || {
-                        hnsw.search(query_vec, n)
-                            .into_iter()
-                            .map(|h| ScoredChunk { index: h.id, score: h.score })
-                            .collect::<Vec<_>>()
-                    },
-                    poison_scores,
-                    |hits| finite_scores(hits),
-                );
-                match approx {
-                    Ok(hits) => hits,
-                    Err(failure) => {
-                        push_event(
-                            trace,
-                            Component::IndexSearch,
-                            Fallback::HnswToFlat,
-                            failure,
-                        );
-                        // The exact scan is the ANN tier's fallback, not
-                        // another instance of the same failing component —
-                        // it runs unguarded so a fully-failed ANN index
-                        // still serves exact results. If even the exact
-                        // scan is unavailable the chain bottoms out at
-                        // BM25.
-                        sys.retriever
-                            .search_dense(query_vec, n)
-                            .unwrap_or_else(|| g.state.bm25.retrieve(question, n))
-                    }
-                }
-            } else {
-                let exact = g.guard(Component::IndexSearch).run(
-                    Component::IndexSearch,
-                    question,
-                    // None becomes a single NaN-scored sentinel hit,
-                    // which the validator rejects, so the guard degrades
-                    // DenseToBm25 instead of panicking inside the
-                    // guarded closure.
-                    || {
-                        sys.retriever
-                            .search_dense(query_vec, n)
-                            .unwrap_or_else(|| vec![ScoredChunk { index: 0, score: f32::NAN }])
-                    },
-                    poison_scores,
-                    |hits| finite_scores(hits),
-                );
-                match exact {
-                    Ok(hits) => hits,
-                    Err(failure) => {
-                        push_event(
-                            trace,
-                            Component::IndexSearch,
-                            Fallback::DenseToBm25,
-                            failure,
-                        );
-                        g.state.bm25.retrieve(question, n)
-                    }
+            let exact = g.guard(Component::IndexSearch).run(
+                Component::IndexSearch,
+                question,
+                // None becomes a single NaN-scored sentinel hit, which the
+                // validator rejects, so the guard degrades DenseToBm25
+                // instead of panicking inside the guarded closure.
+                || {
+                    sys.retriever
+                        .search_dense(query_vec, n)
+                        .unwrap_or_else(|| vec![ScoredChunk { index: 0, score: f32::NAN }])
+                },
+                poison_scores,
+                |hits| finite_scores(hits),
+            );
+            match exact {
+                Ok(hits) => hits,
+                Err(failure) => {
+                    push_event(trace, Component::IndexSearch, Fallback::DenseToBm25, failure);
+                    g.state.bm25.retrieve(question, n)
                 }
             }
         }

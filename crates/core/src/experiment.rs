@@ -1,6 +1,7 @@
 //! Dataset → method → metrics plumbing shared by every table/figure bench.
 
 use crate::baselines::Method;
+use crate::config::RetrieverKind;
 use crate::models::TrainedModels;
 use sage_corpus::{Dataset, QuestionKind};
 use sage_eval::{bleu, cost_efficiency, f1_match, mean, meteor, rouge_l, Cost};
@@ -126,12 +127,67 @@ pub fn evaluate(
     }
 }
 
+/// A score column of Tables II and III.
+type Column = (&'static str, fn(&MethodScores) -> f32);
+
+/// Tables II and III: one retriever on one dataset with SAGE and without it
+/// (naive RAG: 200-token sentence chunks, a fixed top-K, no feedback).
+#[derive(Debug, Clone)]
+pub struct SageLift {
+    /// The first-stage retriever.
+    pub kind: RetrieverKind,
+    /// The dataset's name.
+    pub dataset: &'static str,
+    /// Scores with SAGE.
+    pub sage: MethodScores,
+    /// Scores without SAGE.
+    pub naive: MethodScores,
+}
+
+impl SageLift {
+    /// `(metric, with SAGE, without SAGE)` for each metric the paper reports
+    /// on this dataset: accuracy on QuALITY, F1-Match on QASPER, and ROUGE,
+    /// BLEU-1, BLEU-4 and METEOR on NarrativeQA.
+    pub fn cells(&self) -> Vec<(&'static str, f32, f32)> {
+        let columns: &[Column] = match self.dataset {
+            "quality" => &[("accuracy", |s| s.accuracy)],
+            "qasper" => &[("F1", |s| s.f1)],
+            _ => &[
+                ("ROUGE", |s| s.rouge),
+                ("BLEU-1", |s| s.bleu1),
+                ("BLEU-4", |s| s.bleu4),
+                ("METEOR", |s| s.meteor),
+            ],
+        };
+        columns.iter().map(|&(name, score)| (name, score(&self.sage), score(&self.naive))).collect()
+    }
+
+    /// The paper's shape: SAGE scores at least what naive RAG does on every
+    /// metric.
+    pub fn holds(&self) -> bool {
+        self.cells().iter().all(|&(_, sage, naive)| sage >= naive)
+    }
+}
+
+/// Every retriever with and without SAGE on `dataset`, in the paper's
+/// table order.
+pub fn sage_lift(models: &TrainedModels, profile: LlmProfile, dataset: &Dataset) -> Vec<SageLift> {
+    RetrieverKind::all()
+        .into_iter()
+        .map(|kind| SageLift {
+            kind,
+            dataset: dataset.name,
+            sage: evaluate(Method::Sage(kind), models, profile, dataset),
+            naive: evaluate(Method::NaiveRag(kind), models, profile, dataset),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RetrieverKind;
     use crate::models::tiny_models as models;
-    use sage_corpus::datasets::{narrativeqa, quality, SizeConfig};
+    use sage_corpus::datasets::{narrativeqa, qasper, quality, SizeConfig};
 
     fn tiny() -> SizeConfig {
         SizeConfig { num_docs: 3, questions_per_doc: 2, seed: 15 }
@@ -201,6 +257,22 @@ mod tests {
         );
         if s.dollars > 0.0 && s.accuracy > 0.0 {
             assert!(s.efficiency() > 0.0);
+        }
+    }
+
+    /// Tables II and III at the tiny budget, on the benches' dataset sizes.
+    #[test]
+    fn sage_lifts_every_retriever_on_every_table_ii_and_iii_metric() {
+        let size = |seed| SizeConfig { num_docs: 12, questions_per_doc: 4, seed };
+        let datasets = [
+            narrativeqa::generate(size(0x2A01)),
+            quality::generate(size(0x2A02)),
+            qasper::generate(size(0x2A03)),
+        ];
+        for dataset in &datasets {
+            for row in sage_lift(models(), LlmProfile::gpt4o_mini(), dataset) {
+                assert!(row.holds(), "{} {:?}: {:?}", row.dataset, row.kind, row.cells());
+            }
         }
     }
 }

@@ -21,7 +21,7 @@
 //! * [`case_studies`] — the Figure 8/9/10 single-question drivers.
 //! * [`multihop`] — the paper's future-work §X(1): iterative multi-hop
 //!   retrieval (Baleen-style), with its own synthetic 2-hop tasks.
-//! * [`resilience`] — the serving-path fault-injection and
+//! * `resilience` — the serving-path fault-injection and
 //!   graceful-degradation layer (guarded component boundaries, retries,
 //!   per-query circuit breakers, the documented fallback chain).
 //! * [`soak`] — the deterministic overload harness: a seeded open-loop
@@ -51,7 +51,7 @@ pub mod models;
 pub mod multihop;
 pub mod persist;
 pub mod pipeline;
-pub mod resilience;
+mod resilience;
 mod result;
 mod retriever;
 pub mod scalability;
@@ -66,5 +66,4 @@ pub use live::{
 };
 pub use models::TrainedModels;
 pub use pipeline::{BuildStats, QueryResult, RagSystem};
-pub use resilience::ResilienceConfig;
 pub use soak::{run_soak, SoakReport};

@@ -7,9 +7,9 @@
 //!
 //! * only *dirty* documents are re-segmented (an upsert whose
 //!   [`sage_segment::fingerprint`] matches the stored one is a no-op);
-//! * vector inserts go to a [`MutableIndex`] (flat arena + optional HNSW
-//!   tier) and BM25 postings are appended incrementally, so commit cost
-//!   scales with the batch, not the corpus;
+//! * vector inserts go to a [`MutableIndex`] (an exact flat index with
+//!   tombstones) and BM25 postings are appended incrementally, so commit
+//!   cost scales with the batch, not the corpus;
 //! * deletes and updates tombstone old chunks; a deterministic compaction
 //!   policy (dead fraction ≥ threshold) purges them by rebuilding the
 //!   indexes over the survivors;
@@ -44,25 +44,22 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Which retriever the live store maintains. All three are model-free and
+/// Which retriever the live store maintains. Both are model-free and
 /// fully deterministic, so recovery replay reconstructs bit-identical
 /// state without trained weights on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LiveRetrieverKind {
     /// Hashed embedder over an exact flat arena.
     Hashed,
-    /// Hashed embedder over a flat arena with an HNSW tier.
-    HashedHnsw,
     /// BM25 inverted index with delta postings.
     Bm25,
 }
 
 impl LiveRetrieverKind {
-    /// Parse a CLI token ("hashed" | "hnsw" | "bm25").
+    /// Parse a CLI token ("hashed" | "bm25").
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "hashed" | "flat" => Some(Self::Hashed),
-            "hnsw" => Some(Self::HashedHnsw),
             "bm25" => Some(Self::Bm25),
             _ => None,
         }
@@ -72,7 +69,6 @@ impl LiveRetrieverKind {
     pub fn label(self) -> &'static str {
         match self {
             Self::Hashed => "hashed",
-            Self::HashedHnsw => "hnsw",
             Self::Bm25 => "bm25",
         }
     }
@@ -215,13 +211,6 @@ impl LiveState {
             LiveRetrieverKind::Hashed => LiveIndex::Dense {
                 embedder: HashedEmbedder::new(cfg.embed_dim.max(1), cfg.embed_seed),
                 index: Box::new(MutableIndex::cosine()),
-            },
-            LiveRetrieverKind::HashedHnsw => LiveIndex::Dense {
-                embedder: HashedEmbedder::new(cfg.embed_dim.max(1), cfg.embed_seed),
-                index: Box::new(MutableIndex::with_hnsw(
-                    sage_vecdb::Metric::Cosine,
-                    sage_vecdb::HnswConfig::default(),
-                )),
             },
             LiveRetrieverKind::Bm25 => LiveIndex::Bm25(Box::new(Bm25Retriever::new())),
         };
@@ -928,8 +917,8 @@ mod tests {
     }
 
     #[test]
-    fn bm25_and_hnsw_variants_work() {
-        for kind in [LiveRetrieverKind::Bm25, LiveRetrieverKind::HashedHnsw] {
+    fn bm25_and_hashed_variants_work() {
+        for kind in [LiveRetrieverKind::Bm25, LiveRetrieverKind::Hashed] {
             let dir = scratch(&format!("kind_{}", kind.label()));
             let cfg = LiveConfig { retriever: kind, ..LiveConfig::default() };
             let (mut w, _) = CorpusWriter::open(&dir, cfg).unwrap();

@@ -118,7 +118,6 @@ pub(crate) fn encode_manifest(epoch: u64, cfg: &LiveConfig, segments: &[SegmentE
     put_u64(&mut buf, epoch);
     buf.push(match cfg.retriever {
         LiveRetrieverKind::Hashed => 0,
-        LiveRetrieverKind::HashedHnsw => 1,
         LiveRetrieverKind::Bm25 => 2,
     });
     put_u32(&mut buf, cfg.segment_tokens as u32);
@@ -142,8 +141,8 @@ pub(crate) fn decode_manifest(payload: &[u8]) -> Option<(u64, LiveConfig, Vec<Se
     let epoch = r.u64()?;
     let retriever = match r.u8()? {
         0 => LiveRetrieverKind::Hashed,
-        1 => LiveRetrieverKind::HashedHnsw,
         2 => LiveRetrieverKind::Bm25,
+        // 1 was the HNSW retriever, since deleted: such a store is refused.
         _ => return None,
     };
     let cfg = LiveConfig {
@@ -312,6 +311,20 @@ mod tests {
         assert_eq!(back_cfg, cfg);
         assert_eq!(back, segments);
         assert!(decode_manifest(b"junk").is_none());
+    }
+
+    #[test]
+    fn manifest_refuses_the_removed_hnsw_retriever_byte() {
+        // The retriever byte follows the magic and the epoch. Stores
+        // written as hashed (0) or BM25 (2) keep opening; 1 (HNSW) is gone.
+        let at = MANIFEST_MAGIC.len() + 8;
+        let mut buf = encode_manifest(3, &LiveConfig::default(), &[]);
+        for (byte, kind) in [(0, LiveRetrieverKind::Hashed), (2, LiveRetrieverKind::Bm25)] {
+            buf[at] = byte;
+            assert_eq!(decode_manifest(&buf).map(|(_, cfg, _)| cfg.retriever), Some(kind));
+        }
+        buf[at] = 1;
+        assert!(decode_manifest(&buf).is_none());
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn read_config(r: &mut Reader<'_>) -> Option<SageConfig> {
 fn dense<E: Embedder + BytesSerialize>(
     embedder: &[u8],
     index: FlatIndex,
-) -> Option<DenseRetriever<E, FlatIndex>> {
+) -> Option<DenseRetriever<E>> {
     let embedder = E::from_bytes(embedder)?;
     if !index.is_empty() && embedder.dim() != index.dim() {
         return None;

@@ -13,7 +13,7 @@
 
 use crate::config::{RetrieverKind, SageConfig};
 use crate::models::TrainedModels;
-use crate::resilience::{ResilienceConfig, ResilienceState};
+use crate::resilience::ResilienceState;
 pub use crate::result::{BuildStats, QueryResult};
 pub use crate::retriever::AnyRetriever;
 use crate::segmentation;
@@ -22,7 +22,7 @@ use sage_embed::HashedEmbedder;
 use sage_eval::Cost;
 use sage_llm::{LlmProfile, SimLlm};
 use sage_rerank::{CrossScorer, RankedChunk};
-use sage_resilience::SageError;
+use sage_resilience::{FaultPlan, SageError};
 use sage_retrieval::{Bm25Retriever, DenseRetriever};
 use sage_telemetry::{BuildRecord, Stage, Telemetry};
 use sage_vecdb::FlatIndex;
@@ -96,18 +96,11 @@ impl RagSystem {
         let index_start = Instant::now();
         let mut retriever = match kind {
             RetrieverKind::Bm25 => AnyRetriever::Bm25(Bm25Retriever::new()),
-            RetrieverKind::OpenAiSim => AnyRetriever::Hashed(DenseRetriever::new(
-                HashedEmbedder::default_model(),
-                FlatIndex::cosine(),
-            )),
-            RetrieverKind::Sbert => AnyRetriever::Sbert(DenseRetriever::new(
-                models.siamese.clone(),
-                FlatIndex::cosine(),
-            )),
-            RetrieverKind::Dpr => AnyRetriever::Dpr(DenseRetriever::new(
-                models.dual.clone(),
-                FlatIndex::cosine(),
-            )),
+            RetrieverKind::OpenAiSim => {
+                AnyRetriever::Hashed(DenseRetriever::new(HashedEmbedder::default_model()))
+            }
+            RetrieverKind::Sbert => AnyRetriever::Sbert(DenseRetriever::new(models.siamese.clone())),
+            RetrieverKind::Dpr => AnyRetriever::Dpr(DenseRetriever::new(models.dual.clone())),
         };
         retriever.index_chunks(&chunks);
         let index_time = index_start.elapsed();
@@ -184,20 +177,19 @@ impl RagSystem {
             + self.chunks.iter().map(|c| c.capacity()).sum::<usize>();
         // Fallback tiers index the same chunk store; keep them in sync.
         if let Some(state) = &mut self.resilience {
-            state.reindex(&self.chunks, self.retriever.flat_ref());
+            state.reindex(&self.chunks);
         }
     }
 
     /// Turn on the serving-path resilience layer: guarded component
     /// boundaries, retries with virtual-time backoff, per-query circuit
-    /// breakers, and the documented degradation chain. Builds the fallback
-    /// tiers (BM25 postings; optionally an HNSW tier over the dense index).
+    /// breakers, and the documented degradation chain, under the fault
+    /// `plan`. Builds the BM25 fallback tier.
     ///
-    /// With `config.plan` empty and `config.use_hnsw == false`, answers are
-    /// identical to the unguarded path — the guards only add validation.
-    pub fn enable_resilience(&mut self, config: ResilienceConfig) {
-        self.resilience =
-            Some(ResilienceState::build(config, &self.chunks, self.retriever.flat_ref()));
+    /// With [`FaultPlan::none`], answers are identical to the unguarded
+    /// path — the guards only add validation.
+    pub fn enable_resilience(&mut self, plan: FaultPlan) {
+        self.resilience = Some(ResilienceState::build(plan, &self.chunks));
     }
 
     /// Whether the resilience layer is active.
@@ -597,7 +589,7 @@ mod tests {
             LlmProfile::gpt4o_mini(),
             &corpus(),
         );
-        guarded.enable_resilience(crate::resilience::ResilienceConfig::default());
+        guarded.enable_resilience(FaultPlan::none());
         assert!(guarded.resilience_enabled());
         for q in questions {
             let a = plain.answer_open(q);

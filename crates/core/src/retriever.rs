@@ -10,11 +10,11 @@ use sage_vecdb::FlatIndex;
 /// can be persisted — each variant knows how to serialize itself.
 pub enum AnyRetriever {
     /// OpenAI-analog hashed encoder + flat index.
-    Hashed(DenseRetriever<sage_embed::HashedEmbedder, FlatIndex>),
+    Hashed(DenseRetriever<sage_embed::HashedEmbedder>),
     /// SBERT-analog siamese encoder + flat index.
-    Sbert(DenseRetriever<SiameseEncoder, FlatIndex>),
+    Sbert(DenseRetriever<SiameseEncoder>),
     /// DPR-analog dual encoder + flat index.
-    Dpr(DenseRetriever<DualEncoder, FlatIndex>),
+    Dpr(DenseRetriever<DualEncoder>),
     /// BM25 inverted index.
     Bm25(Bm25Retriever),
 }
@@ -71,16 +71,6 @@ impl AnyRetriever {
     /// Whether this is a dense (embedder + vector index) variant.
     pub(crate) fn is_dense(&self) -> bool {
         !matches!(self, AnyRetriever::Bm25(_))
-    }
-
-    /// The underlying flat index of dense variants.
-    pub(crate) fn flat_ref(&self) -> Option<&FlatIndex> {
-        match self {
-            AnyRetriever::Hashed(r) => Some(r.index_ref()),
-            AnyRetriever::Sbert(r) => Some(r.index_ref()),
-            AnyRetriever::Dpr(r) => Some(r.index_ref()),
-            AnyRetriever::Bm25(_) => None,
-        }
     }
 
     /// Persistence hook: (embedder blob, flat-index ref) for dense

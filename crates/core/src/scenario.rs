@@ -34,7 +34,6 @@ use crate::config::{RetrieverKind, SageConfig};
 use crate::experiment::evaluate;
 use crate::models::TrainedModels;
 use crate::pipeline::RagSystem;
-use crate::resilience::ResilienceConfig;
 use crate::soak::run_soak;
 use sage_admission::{QueryBudget, SoakConfig};
 use sage_corpus::datasets::{narrativeqa, qasper, quality, SizeConfig};
@@ -313,7 +312,7 @@ pub fn run_cell(models: &TrainedModels, cell: &ScenarioCell) -> Result<BenchRow,
     if !cell.faults.is_empty() {
         let plan = FaultPlan::parse_spec(&cell.faults, cell.seed)
             .map_err(|e| format!("cell `{}`: bad fault spec: {e}", cell.name))?;
-        system.enable_resilience(ResilienceConfig::with_plan(plan));
+        system.enable_resilience(plan);
     }
 
     let cfg = soak_config(cell);

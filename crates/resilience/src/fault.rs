@@ -16,7 +16,7 @@ use crate::rng::DetRng;
 pub enum Component {
     /// Query embedding (the dense retriever's encoder call).
     Embedder,
-    /// Vector-index search (the ANN / flat lookup).
+    /// Vector-index search (the exact flat scan).
     IndexSearch,
     /// Second-stage reranking.
     Reranker,

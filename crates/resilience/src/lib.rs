@@ -29,10 +29,9 @@
 //!   fallbacks fired, surfaced in `QueryResult` and aggregated by
 //!   [`FallbackCounters`] for CLI reporting.
 //!
-//! The degradation chain itself (HNSW→flat, dense→BM25,
-//! rerank→retrieval-order, reader→second-best chunks) lives in
-//! `sage-core`, which owns the components; this crate is the dependency-
-//! free substrate they all share.
+//! The degradation chain itself (dense→BM25, rerank→retrieval-order,
+//! reader→second-best chunks) lives in `sage-core`, which owns the
+//! components; this crate is the dependency-free substrate they all share.
 
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
 

@@ -13,8 +13,6 @@ use std::time::Duration;
 /// The documented fallbacks of the degradation chain, in chain order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fallback {
-    /// ANN (HNSW) search failed → exact flat-index scan.
-    HnswToFlat,
     /// Dense retrieval (embedder or index) failed → BM25 sparse retrieval.
     DenseToBm25,
     /// Reranker failed → keep the first-stage retrieval order.
@@ -44,8 +42,7 @@ pub enum Fallback {
 
 impl Fallback {
     /// All fallback kinds, in chain order (stable counter layout).
-    pub const ALL: [Fallback; 11] = [
-        Fallback::HnswToFlat,
+    pub const ALL: [Fallback; 10] = [
         Fallback::DenseToBm25,
         Fallback::RerankToRetrievalOrder,
         Fallback::ReaderSecondBest,
@@ -60,24 +57,22 @@ impl Fallback {
 
     fn idx(self) -> usize {
         match self {
-            Fallback::HnswToFlat => 0,
-            Fallback::DenseToBm25 => 1,
-            Fallback::RerankToRetrievalOrder => 2,
-            Fallback::ReaderSecondBest => 3,
-            Fallback::ReaderUnanswerable => 4,
-            Fallback::PanicIsolated => 5,
-            Fallback::BrownoutDropFeedback => 6,
-            Fallback::BrownoutShrinkRerank => 7,
-            Fallback::BrownoutSkipRerank => 8,
-            Fallback::BrownoutFlatTopK => 9,
-            Fallback::Shed => 10,
+            Fallback::DenseToBm25 => 0,
+            Fallback::RerankToRetrievalOrder => 1,
+            Fallback::ReaderSecondBest => 2,
+            Fallback::ReaderUnanswerable => 3,
+            Fallback::PanicIsolated => 4,
+            Fallback::BrownoutDropFeedback => 5,
+            Fallback::BrownoutShrinkRerank => 6,
+            Fallback::BrownoutSkipRerank => 7,
+            Fallback::BrownoutFlatTopK => 8,
+            Fallback::Shed => 9,
         }
     }
 
-    /// Display label ("hnsw->flat", ...).
+    /// Display label ("dense->bm25", ...).
     pub fn label(self) -> &'static str {
         match self {
-            Fallback::HnswToFlat => "hnsw->flat",
             Fallback::DenseToBm25 => "dense->bm25",
             Fallback::RerankToRetrievalOrder => "rerank->retrieval-order",
             Fallback::ReaderSecondBest => "reader->second-best",
@@ -158,7 +153,7 @@ impl DegradeTrace {
 /// Thread-safe system-wide fallback counters (CLI "degraded mode" report).
 #[derive(Debug, Default)]
 pub struct FallbackCounters {
-    counts: [AtomicU64; 11],
+    counts: [AtomicU64; Fallback::ALL.len()],
 }
 
 impl FallbackCounters {
@@ -231,14 +226,14 @@ mod tests {
     fn counters_absorb_and_snapshot() {
         let c = FallbackCounters::new();
         let mut t = DegradeTrace::new();
-        t.events.push(event(Fallback::HnswToFlat));
-        t.events.push(event(Fallback::HnswToFlat));
         t.events.push(event(Fallback::DenseToBm25));
+        t.events.push(event(Fallback::DenseToBm25));
+        t.events.push(event(Fallback::RerankToRetrievalOrder));
         c.absorb(&t);
-        assert_eq!(c.get(Fallback::HnswToFlat), 2);
-        assert_eq!(c.get(Fallback::DenseToBm25), 1);
+        assert_eq!(c.get(Fallback::DenseToBm25), 2);
+        assert_eq!(c.get(Fallback::RerankToRetrievalOrder), 1);
         assert_eq!(c.total(), 3);
         let snap = c.snapshot();
-        assert_eq!(snap, vec![("hnsw->flat", 2), ("dense->bm25", 1)]);
+        assert_eq!(snap, vec![("dense->bm25", 2), ("rerank->retrieval-order", 1)]);
     }
 }

@@ -1,16 +1,14 @@
 //! Dense retrieval: an embedding model + a vector database (paper §II-A's
 //! "Vector Database Construction" and "Retrieval" phases).
 //!
-//! The embedder and index types are generic, so the paper's three dense
-//! retrievers are instantiations:
+//! The embedder type is generic, so the paper's three dense retrievers are
+//! instantiations over the one exact index:
 //!
 //! ```
 //! use sage_retrieval::{DenseRetriever, Retriever};
 //! use sage_embed::HashedEmbedder;
-//! use sage_vecdb::FlatIndex;
 //!
-//! let mut openai_analog =
-//!     DenseRetriever::new(HashedEmbedder::default_model(), FlatIndex::cosine());
+//! let mut openai_analog = DenseRetriever::new(HashedEmbedder::default_model());
 //! openai_analog.index(&["a chunk".to_string(), "another chunk".to_string()]);
 //! let hits = openai_analog.retrieve("which chunk?", 2);
 //! assert_eq!(hits.len(), 2);
@@ -18,19 +16,19 @@
 
 use crate::{Retriever, ScoredChunk};
 use sage_embed::Embedder;
-use sage_vecdb::VectorIndex;
+use sage_vecdb::{FlatIndex, VectorIndex};
 
-/// An embedding model paired with a vector index.
-pub struct DenseRetriever<E, I> {
+/// An embedding model paired with an exact cosine index.
+pub struct DenseRetriever<E> {
     embedder: E,
-    index: I,
+    index: FlatIndex,
     indexed: usize,
 }
 
-impl<E: Embedder, I: VectorIndex> DenseRetriever<E, I> {
-    /// Pair an embedder with an (empty) vector index.
-    pub fn new(embedder: E, index: I) -> Self {
-        Self { embedder, index, indexed: 0 }
+impl<E: Embedder> DenseRetriever<E> {
+    /// Pair an embedder with an empty exact cosine index.
+    pub fn new(embedder: E) -> Self {
+        Self { embedder, index: FlatIndex::cosine(), indexed: 0 }
     }
 
     /// Borrow the embedder (e.g. to train it before indexing).
@@ -39,16 +37,13 @@ impl<E: Embedder, I: VectorIndex> DenseRetriever<E, I> {
     }
 
     /// Borrow the vector index.
-    pub fn index_ref(&self) -> &I {
+    pub fn index_ref(&self) -> &FlatIndex {
         &self.index
     }
 
     /// Reassemble from persisted parts: an embedder and an already-built
     /// index whose ids are insertion-ordered chunk indices.
-    pub fn from_parts(embedder: E, index: I) -> Self
-    where
-        I: sage_vecdb::VectorIndex,
-    {
+    pub fn from_parts(embedder: E, index: FlatIndex) -> Self {
         let indexed = index.len();
         Self { embedder, index, indexed }
     }
@@ -76,7 +71,7 @@ impl<E: Embedder, I: VectorIndex> DenseRetriever<E, I> {
     }
 }
 
-impl<E: Embedder, I: VectorIndex> Retriever for DenseRetriever<E, I> {
+impl<E: Embedder> Retriever for DenseRetriever<E> {
     fn index(&mut self, chunks: &[String]) {
         // Rebuild from scratch: chunk ids must equal slice indices.
         self.index.clear();
@@ -114,7 +109,6 @@ impl<E: Embedder, I: VectorIndex> Retriever for DenseRetriever<E, I> {
 mod tests {
     use super::*;
     use sage_embed::HashedEmbedder;
-    use sage_vecdb::{FlatIndex, HnswIndex};
 
     fn chunks() -> Vec<String> {
         vec![
@@ -127,7 +121,7 @@ mod tests {
 
     #[test]
     fn retrieves_lexically_nearest_chunk() {
-        let mut r = DenseRetriever::new(HashedEmbedder::default_model(), FlatIndex::cosine());
+        let mut r = DenseRetriever::new(HashedEmbedder::default_model());
         r.index(&chunks());
         let hits = r.retrieve("what color are the cat's eyes?", 2);
         assert_eq!(hits[0].index, 0, "{hits:?}");
@@ -135,16 +129,8 @@ mod tests {
     }
 
     #[test]
-    fn works_with_hnsw_backend() {
-        let mut r = DenseRetriever::new(HashedEmbedder::default_model(), HnswIndex::cosine());
-        r.index(&chunks());
-        let hits = r.retrieve("rockets to the moon", 1);
-        assert_eq!(hits[0].index, 2);
-    }
-
-    #[test]
     fn reindex_resets_ids() {
-        let mut r = DenseRetriever::new(HashedEmbedder::default_model(), FlatIndex::cosine());
+        let mut r = DenseRetriever::new(HashedEmbedder::default_model());
         r.index(&chunks());
         r.index(&chunks()[..2]);
         assert_eq!(r.len(), 2);
@@ -154,7 +140,7 @@ mod tests {
 
     #[test]
     fn split_retrieval_matches_retrieve() {
-        let mut r = DenseRetriever::new(HashedEmbedder::default_model(), FlatIndex::cosine());
+        let mut r = DenseRetriever::new(HashedEmbedder::default_model());
         r.index(&chunks());
         let q = "what color are the cat's eyes?";
         let whole = r.retrieve(q, 3);
@@ -168,7 +154,7 @@ mod tests {
 
     #[test]
     fn empty_behaviour() {
-        let mut r = DenseRetriever::new(HashedEmbedder::default_model(), FlatIndex::cosine());
+        let mut r = DenseRetriever::new(HashedEmbedder::default_model());
         r.index(&[]);
         assert!(r.retrieve("anything", 3).is_empty());
         assert!(r.is_empty());

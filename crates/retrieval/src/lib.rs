@@ -7,8 +7,8 @@
 //!
 //! * [`Bm25Retriever`] — a from-scratch Okapi BM25 inverted index (the
 //!   paper's sparse baseline);
-//! * [`DenseRetriever`] — any [`sage_embed::Embedder`] paired with any
-//!   [`sage_vecdb::VectorIndex`] (OpenAI-analog / SBERT-analog /
+//! * [`DenseRetriever`] — any [`sage_embed::Embedder`] paired with an
+//!   exact [`sage_vecdb::FlatIndex`] (OpenAI-analog / SBERT-analog /
 //!   DPR-analog retrievers are all `DenseRetriever`s with different
 //!   embedders).
 //!

@@ -129,6 +129,15 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// Serialises the unit tests that flip the process-wide flag: run in
+/// parallel, one test's `set_enabled(false)` lands between another's
+/// `set_enabled(true)` and the counts it then checks.
+#[cfg(test)]
+pub(crate) fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// One corpus build observed by the hub.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildRecord {
@@ -331,6 +340,7 @@ mod tests {
 
     #[test]
     fn enabled_flag_round_trips() {
+        let _flag = flag_lock();
         let before = enabled();
         set_enabled(true);
         assert!(enabled());

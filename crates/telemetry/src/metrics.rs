@@ -63,14 +63,6 @@ pub static VECDB_FLAT_DISTANCE_EVALS: Counter = Counter::new(
 /// Flat index searches served.
 pub static VECDB_FLAT_SEARCHES: Counter =
     Counter::new("sage_vecdb_flat_searches_total", "Searches served by the flat index");
-/// Similarity evaluations during HNSW graph descent and beam search.
-pub static VECDB_HNSW_DISTANCE_EVALS: Counter = Counter::new(
-    "sage_vecdb_hnsw_distance_evals_total",
-    "Similarity evaluations performed by HNSW searches (greedy descent + beam)",
-);
-/// HNSW index searches served.
-pub static VECDB_HNSW_SEARCHES: Counter =
-    Counter::new("sage_vecdb_hnsw_searches_total", "Searches served by the HNSW index");
 /// BM25 retrievals served.
 pub static BM25_SEARCHES: Counter =
     Counter::new("sage_bm25_searches_total", "Queries served by the BM25 retriever");
@@ -238,12 +230,10 @@ pub fn labeled() -> [&'static LabeledCounter; 2] {
 }
 
 /// Every registered counter, for the exporters.
-pub fn all() -> [&'static Counter; 22] {
+pub fn all() -> [&'static Counter; 20] {
     [
         &VECDB_FLAT_DISTANCE_EVALS,
         &VECDB_FLAT_SEARCHES,
-        &VECDB_HNSW_DISTANCE_EVALS,
-        &VECDB_HNSW_SEARCHES,
         &BM25_SEARCHES,
         &BM25_POSTINGS_SCANNED,
         &DENSE_QUERY_EMBEDS,
@@ -272,6 +262,7 @@ mod tests {
     #[test]
     fn counter_gates_on_global_flag() {
         static LOCAL: Counter = Counter::new("sage_test_local_total", "test only");
+        let _flag = crate::flag_lock();
         let before = crate::enabled();
         crate::set_enabled(false);
         LOCAL.add(5);
@@ -308,6 +299,7 @@ mod tests {
 
     #[test]
     fn labeled_counters_gate_and_ignore_bad_indexes() {
+        let _flag = crate::flag_lock();
         let before = crate::enabled();
         crate::set_enabled(true);
         let start = BROWNOUT_TOTAL.get(0);

@@ -10,13 +10,11 @@
 //! as the 24 MB one), so the skipped terms are the time saved; a query with
 //! every dimension set costs what it did. The planes combine in `dot`'s
 //! own order (`metric::Plan`), so a (query, row) pair keeps the bits
-//! [`crate::HnswIndex`] gives it from its row-major arena — HNSW keeps rows
-//! because its graph walk reads one row at a time, which here is a gather
-//! of `dim` strided floats. A bounded top-N takes a scored row only if it
-//! beats the current worst. The default index for accuracy experiments; the
-//! `micro` bench quantifies where [`crate::HnswIndex`] overtakes it.
+//! [`Metric::similarity`] gives it. A bounded top-N takes a scored row only
+//! if it beats the current worst. The paper's retrieval needs exact top-N
+//! only, so this is the one index every retriever serves from.
 
-use crate::metric::{Metric, Normed, Plan, MAX_PLANES};
+use crate::metric::{norm, Metric, Plan, MAX_PLANES};
 use crate::{Hit, VectorIndex};
 use sage_nn::io::{put_f32, put_u32, Reader};
 use std::cmp::Ordering;
@@ -216,7 +214,7 @@ impl FlatIndex {
             return Vec::new();
         }
         assert_eq!(query.len(), self.dim, "query dim mismatch");
-        let query_norm = Normed::new(query).norm;
+        let query_norm = norm(query);
         let plan = Plan::new(self.metric, query);
         let mut planes = [[0.0f32; BLOCK]; MAX_PLANES];
         let mut scores = [0.0f32; BLOCK];
@@ -277,7 +275,7 @@ impl VectorIndex for FlatIndex {
         for (run, &v) in block.chunks_exact_mut(BLOCK).zip(&vector) {
             run[id % BLOCK] = v;
         }
-        self.norms.push(Normed::new(&vector).norm);
+        self.norms.push(norm(&vector));
         id
     }
 

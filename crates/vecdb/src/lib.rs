@@ -1,41 +1,32 @@
 //! # sage-vecdb
 //!
-//! The vector-database substrate (the paper uses Faiss, §VII-A). Two index
-//! types behind one [`VectorIndex`] trait:
+//! The vector-database substrate. The paper uses Faiss for exact top-N
+//! cosine search (§II-A, §III-A); this crate gives the same, from scratch,
+//! behind one [`VectorIndex`] trait:
 //!
-//! * [`FlatIndex`] — exact brute-force top-N search. The default for all
-//!   accuracy experiments (the paper's corpora fit comfortably in RAM).
-//! * [`HnswIndex`] — Hierarchical Navigable Small World approximate index,
-//!   used at TriviaQA scale (Tables VIII/IX) and in the flat-vs-ANN
-//!   micro-benchmarks.
+//! * [`FlatIndex`] — exact brute-force top-N search, rows stored
+//!   dimension-major in blocks so a scan walks only the query's non-zero
+//!   dimensions, with a norm per row taken at insert.
+//! * [`MutableIndex`] — logical deletion (tombstones + deterministic
+//!   compaction) over a flat index: the vector side of `sage-core`'s
+//!   live-corpus writer, which holds it in a private field.
 //!
-//! [`MutableIndex`] layers logical deletion (tombstones + deterministic
-//! compaction) over a flat arena with an optional HNSW tier — the vector
-//! side of `sage-core`'s live-corpus writer, which holds it in a private
-//! field.
-//!
-//! Each stores rows the way its search reads them — the flat scan
-//! dimension-major in blocks, so it walks only the query's non-zero
-//! dimensions; the graph walk row-major, one row at a time — with a norm per
-//! row taken at insert, and both sum in the one order of `metric::dot`, so a
-//! (query, row) pair gets the same bits from each (`tests/oracle.rs`).
-//! Both assign sequential internal ids in insertion
-//! order, which is exactly the paper's "record of the mapping between the
-//! index of each chunk in 𝕋 and its corresponding vector" (§III-A): insert
-//! chunks in order and the internal id *is* the chunk index.
+//! Both score a (query, row) pair with the bits [`Metric::similarity`]
+//! gives it (`tests/oracle.rs`), and both assign sequential internal ids
+//! in insertion order, which is exactly the paper's "record of the mapping
+//! between the index of each chunk in 𝕋 and its corresponding vector"
+//! (§III-A): insert chunks in order and the internal id *is* the chunk
+//! index.
 //!
 //! [`flat::FlatIndex::to_bytes`] provides a compact persistence format.
 
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
 
-mod arena;
 pub mod flat;
-pub mod hnsw;
 pub mod metric;
 pub mod mutable;
 
 pub use flat::FlatIndex;
-pub use hnsw::{HnswConfig, HnswIndex};
 pub use mutable::MutableIndex;
 pub use metric::Metric;
 
@@ -76,7 +67,7 @@ pub trait VectorIndex: Send + Sync {
     /// Vector dimensionality (0 when empty and not yet fixed).
     fn dim(&self) -> usize;
 
-    /// Approximate resident memory in bytes (vectors + graph structures).
+    /// Approximate resident memory in bytes.
     /// Backs the memory columns of the scalability tables.
     fn memory_bytes(&self) -> usize;
 }

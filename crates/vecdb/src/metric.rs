@@ -16,43 +16,29 @@ pub enum Metric {
     NegEuclidean,
 }
 
-/// A vector with its Euclidean norm taken once: at insert for a stored
-/// row, once per search for a query.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Normed<'a> {
-    pub(crate) vector: &'a [f32],
-    pub(crate) norm: f32,
-}
-
-impl<'a> Normed<'a> {
-    pub(crate) fn new(vector: &'a [f32]) -> Self {
-        Self { vector, norm: dot(vector, vector).sqrt() }
-    }
+/// A vector's Euclidean norm, summed in [`dot`]'s order: taken at insert
+/// for a stored row, once per search for a query.
+pub(crate) fn norm(vector: &[f32]) -> f32 {
+    dot(vector, vector).sqrt()
 }
 
 impl Metric {
-    /// Similarity between two equal-length vectors.
+    /// Similarity between two equal-length vectors. An index scores
+    /// through a [`Plan`] and [`Metric::finish`], which give a (query, row)
+    /// pair the bits this gives it.
     pub fn similarity(self, a: &[f32], b: &[f32]) -> f32 {
-        self.score(Normed::new(a), Normed::new(b))
-    }
-
-    /// [`Metric::similarity`] with both norms already known. Every index
-    /// scores through here or through a [`Plan`] and [`Metric::finish`], so
-    /// one (query, row) pair gets the same bits from all of them.
-    #[inline]
-    pub(crate) fn score(self, a: Normed<'_>, b: Normed<'_>) -> f32 {
-        debug_assert_eq!(a.vector.len(), b.vector.len());
+        debug_assert_eq!(a.len(), b.len());
         let sum = match self {
-            Metric::Cosine | Metric::Dot => dot(a.vector, b.vector),
+            Metric::Cosine | Metric::Dot => dot(a, b),
             Metric::NegEuclidean => {
                 let mut s = 0.0;
-                for (x, y) in a.vector.iter().zip(b.vector) {
+                for (x, y) in a.iter().zip(b) {
                     s += squared_gap(*x, *y);
                 }
                 s
             }
         };
-        self.finish(sum, a.norm, b.norm)
+        self.finish(sum, norm(a), norm(b))
     }
 
     /// The score from a pair's summed terms and its two norms.

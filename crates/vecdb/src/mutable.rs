@@ -1,23 +1,20 @@
 //! Tombstoned mutable index: the vector tier of the live-corpus writer.
 //!
 //! Deletion in an append-only vector index is logical: [`MutableIndex`]
-//! keeps every inserted vector in a [`FlatIndex`] arena (optionally
-//! shadowed by an [`HnswIndex`] ANN tier), marks deleted slots in a
-//! tombstone bitmap, skips tombstoned rows while scanning (the HNSW tier
-//! cannot, so it over-fetches and filters), and periodically
-//! [`compact`](MutableIndex::compact)s — rebuilding both tiers from the
-//! survivors so the dead mass does not grow without bound.
+//! keeps every inserted vector in a [`FlatIndex`], marks deleted slots in
+//! a tombstone bitmap, skips tombstoned rows while scanning, and
+//! periodically [`compact`](MutableIndex::compact)s — closing the index up
+//! over the survivors so the dead mass does not grow without bound.
 //!
-//! Compaction is deterministic: survivors keep their id order (the arena
+//! Compaction is deterministic: survivors keep their id order (the index
 //! moves them a block at a time and ends as the one a fresh index fed the
-//! survivors would be) and the HNSW tier is rebuilt from a fresh seeded RNG,
-//! so two stores that
-//! applied the same operations compact to bit-identical indexes. The
-//! one serving instance is a private field of `sage-core`'s `CorpusWriter`,
-//! so all mutation of it stays inside that crate's `live` module.
+//! survivors would be), so two stores that applied the same operations
+//! compact to bit-identical indexes. The one serving instance is a private
+//! field of `sage-core`'s `CorpusWriter`, so all mutation of it stays
+//! inside that crate's `live` module.
 
 use crate::metric::Metric;
-use crate::{FlatIndex, Hit, HnswConfig, HnswIndex, VectorIndex};
+use crate::{FlatIndex, Hit, VectorIndex};
 
 /// A vector index supporting logical deletion and deterministic compaction.
 ///
@@ -34,49 +31,21 @@ use crate::{FlatIndex, Hit, HnswConfig, HnswIndex, VectorIndex};
 /// ```
 #[derive(Debug, Clone)]
 pub struct MutableIndex {
-    metric: Metric,
-    /// Authoritative arena: every vector ever inserted, by id.
+    /// The rows by id, tombstoned ones included until the next compaction.
     flat: FlatIndex,
-    /// Optional ANN tier kept in lockstep with the arena.
-    hnsw: Option<HnswIndex>,
-    hnsw_cfg: HnswConfig,
     dead: Vec<bool>,
     dead_count: usize,
 }
 
 impl MutableIndex {
-    /// Exact-search index (flat arena only) with the given metric.
+    /// Empty index with the given metric.
     pub fn new(metric: Metric) -> Self {
-        Self {
-            metric,
-            flat: FlatIndex::new(metric),
-            hnsw: None,
-            hnsw_cfg: HnswConfig::default(),
-            dead: Vec::new(),
-            dead_count: 0,
-        }
+        Self { flat: FlatIndex::new(metric), dead: Vec::new(), dead_count: 0 }
     }
 
     /// Exact cosine index (the paper default).
     pub fn cosine() -> Self {
         Self::new(Metric::Cosine)
-    }
-
-    /// Index with an HNSW approximate tier alongside the exact arena.
-    pub fn with_hnsw(metric: Metric, cfg: HnswConfig) -> Self {
-        Self {
-            metric,
-            flat: FlatIndex::new(metric),
-            hnsw: Some(HnswIndex::new(metric, cfg)),
-            hnsw_cfg: cfg,
-            dead: Vec::new(),
-            dead_count: 0,
-        }
-    }
-
-    /// Whether an HNSW tier is maintained.
-    pub fn has_hnsw(&self) -> bool {
-        self.hnsw.is_some()
     }
 
     /// Mark slot `id` dead. Returns `false` when `id` is out of range or
@@ -109,19 +78,13 @@ impl MutableIndex {
         }
     }
 
-    /// Purge tombstones: close the arena up over the survivors, in id
-    /// order, and rebuild the ANN tier over them from a fresh seeded RNG.
+    /// Purge tombstones: close the index up over the survivors, in id
+    /// order.
     /// Returns the old→new id remap (`None` for purged slots) so callers
     /// can rewrite their own id references. Deterministic: depends only on
     /// the surviving vectors and their order.
     pub fn compact(&mut self) -> Vec<Option<usize>> {
         let remap = self.flat.retain(|id| !self.dead[id]);
-        if let Some(hnsw) = self.hnsw.as_mut() {
-            *hnsw = HnswIndex::new(self.metric, self.hnsw_cfg);
-            self.flat.for_each_row(|row| {
-                hnsw.add(row.to_vec());
-            });
-        }
         self.dead = vec![false; self.flat.len()];
         self.dead_count = 0;
         remap
@@ -130,9 +93,6 @@ impl MutableIndex {
 
 impl VectorIndex for MutableIndex {
     fn add(&mut self, vector: Vec<f32>) -> usize {
-        if let Some(h) = self.hnsw.as_mut() {
-            h.add(vector.clone());
-        }
         let id = self.flat.add(vector);
         debug_assert_eq!(id, self.dead.len());
         self.dead.push(false);
@@ -141,9 +101,6 @@ impl VectorIndex for MutableIndex {
 
     fn clear(&mut self) {
         self.flat.clear();
-        if let Some(h) = self.hnsw.as_mut() {
-            h.clear();
-        }
         self.dead.clear();
         self.dead_count = 0;
     }
@@ -152,15 +109,7 @@ impl VectorIndex for MutableIndex {
         if n == 0 || self.live_len() == 0 {
             return Vec::new();
         }
-        let Some(hnsw) = &self.hnsw else {
-            return self.flat.search_where(query, n, |id| !self.dead[id]);
-        };
-        // The graph cannot skip slots: over-fetch by the tombstone count so
-        // n live hits survive the filter even if every dead slot outranks them.
-        let raw = hnsw.search(query, n.saturating_add(self.dead_count));
-        let mut hits: Vec<Hit> = raw.into_iter().filter(|h| !self.dead[h.id]).collect();
-        hits.truncate(n);
-        hits
+        self.flat.search_where(query, n, |id| !self.dead[id])
     }
 
     fn len(&self) -> usize {
@@ -172,9 +121,7 @@ impl VectorIndex for MutableIndex {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.flat.memory_bytes()
-            + self.hnsw.as_ref().map_or(0, |h| h.memory_bytes())
-            + self.dead.capacity()
+        self.flat.memory_bytes() + self.dead.capacity()
     }
 }
 
@@ -265,31 +212,6 @@ mod tests {
         idx.tombstone(3);
         let remap = idx.compact();
         assert_eq!(remap, vec![Some(0), Some(1), None, None, Some(2), Some(3)]);
-    }
-
-    #[test]
-    fn hnsw_tier_stays_in_lockstep_through_compaction() {
-        let mut idx = MutableIndex::with_hnsw(Metric::Cosine, HnswConfig::default());
-        assert!(idx.has_hnsw());
-        for i in 0..30 {
-            idx.add(unit(i as f32 * 0.11));
-        }
-        for id in [0, 7, 8, 9, 22] {
-            idx.tombstone(id);
-        }
-        let remap = idx.compact();
-        // Deterministic rebuild: a second index fed the survivors directly
-        // searches identically.
-        let mut fresh = MutableIndex::with_hnsw(Metric::Cosine, HnswConfig::default());
-        for (i, slot) in remap.iter().enumerate().take(30) {
-            if slot.is_some() {
-                fresh.add(unit(i as f32 * 0.11));
-            }
-        }
-        for q in 0..5 {
-            let query = unit(q as f32 * 0.4);
-            assert_eq!(idx.search(&query, 4), fresh.search(&query, 4));
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The scan, the top-N and the approximate indexes against exact oracles.
+//! The scan, the top-N and the mutable index against exact oracles.
 //!
 //! Two oracles. For "which rows, in what order": score every row with
 //! `Metric::similarity`, sort by (score descending under `total_cmp`, id
@@ -14,8 +14,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sage_vecdb::{FlatIndex, Hit, HnswConfig, HnswIndex, Metric, MutableIndex, VectorIndex};
-use std::collections::HashSet;
+use sage_vecdb::{FlatIndex, Hit, Metric, MutableIndex, VectorIndex};
 
 const METRICS: [Metric; 3] = [Metric::Cosine, Metric::Dot, Metric::NegEuclidean];
 
@@ -428,7 +427,7 @@ fn mutable_search_equals_a_fresh_flat_index_over_the_survivors() {
 
 /// Compaction moves survivors a run at a time; what it leaves must be the
 /// index a fresh one fed the survivors is — same remap, same hits, same
-/// bits — with and without the HNSW tier, across block edges, down to none.
+/// bits — across block edges, down to none.
 #[test]
 fn compaction_equals_a_fresh_index_over_the_survivors() {
     let (dim, len) = (40, 300);
@@ -442,36 +441,27 @@ fn compaction_equals_a_fresh_index_over_the_survivors() {
         &|_| true,
     ];
     for kill in kills {
-        for with_hnsw in [false, true] {
-            let empty = || {
-                if with_hnsw {
-                    MutableIndex::with_hnsw(Metric::Cosine, HnswConfig::default())
-                } else {
-                    MutableIndex::cosine()
-                }
-            };
-            let mut index = filled(empty(), &rows);
-            (0..len).filter(|&id| kill(id)).for_each(|id| assert!(index.tombstone(id)));
-            let remap = index.compact();
-            let survivors: Vec<usize> = (0..len).filter(|&id| !kill(id)).collect();
-            let expected_remap: Vec<Option<usize>> =
-                (0..len).map(|id| survivors.iter().position(|&s| s == id)).collect();
-            assert_eq!(remap, expected_remap);
-            let live_rows: Vec<Vec<f32>> = survivors.iter().map(|&id| rows[id].clone()).collect();
-            let fresh = filled(empty(), &live_rows);
-            assert_eq!((index.len(), index.dead_count()), (survivors.len(), 0));
-            assert_eq!(index.dim(), fresh.dim(), "no survivor, no dimensionality");
-            for query in &queries {
-                assert_eq!(bits(&index.search(query, 12)), bits(&fresh.search(query, 12)));
-            }
-            // And it keeps taking rows where the survivors end — of any
-            // width once none is left.
-            let next = if survivors.is_empty() { vec![0.5; dim + 3] } else { rows[0].clone() };
-            assert_eq!(index.add(next.clone()), survivors.len());
-            let mut fresh = fresh;
-            fresh.add(next.clone());
-            assert_eq!(bits(&index.search(&next, 5)), bits(&fresh.search(&next, 5)));
+        let mut index = filled(MutableIndex::cosine(), &rows);
+        (0..len).filter(|&id| kill(id)).for_each(|id| assert!(index.tombstone(id)));
+        let remap = index.compact();
+        let survivors: Vec<usize> = (0..len).filter(|&id| !kill(id)).collect();
+        let expected_remap: Vec<Option<usize>> =
+            (0..len).map(|id| survivors.iter().position(|&s| s == id)).collect();
+        assert_eq!(remap, expected_remap);
+        let live_rows: Vec<Vec<f32>> = survivors.iter().map(|&id| rows[id].clone()).collect();
+        let fresh = filled(MutableIndex::cosine(), &live_rows);
+        assert_eq!((index.len(), index.dead_count()), (survivors.len(), 0));
+        assert_eq!(index.dim(), fresh.dim(), "no survivor, no dimensionality");
+        for query in &queries {
+            assert_eq!(bits(&index.search(query, 12)), bits(&fresh.search(query, 12)));
         }
+        // And it keeps taking rows where the survivors end — of any
+        // width once none is left.
+        let next = if survivors.is_empty() { vec![0.5; dim + 3] } else { rows[0].clone() };
+        assert_eq!(index.add(next.clone()), survivors.len());
+        let mut fresh = fresh;
+        fresh.add(next.clone());
+        assert_eq!(bits(&index.search(&next, 5)), bits(&fresh.search(&next, 5)));
     }
 }
 
@@ -481,38 +471,15 @@ fn every_index_scores_a_pair_with_the_same_bits() {
     let queries = random_vectors(32, 4, 40);
     for metric in METRICS {
         let flat = filled(FlatIndex::new(metric), &rows);
-        let hnsw = filled(HnswIndex::new(metric, HnswConfig::default()), &rows);
-        let mutable = filled(MutableIndex::with_hnsw(metric, HnswConfig::default()), &rows);
+        let mutable = filled(MutableIndex::new(metric), &rows);
         for query in &queries {
             let exact = flat.search(query, rows.len());
             let score_of = |id: usize| exact.iter().find(|h| h.id == id).map(|h| h.score.to_bits());
-            for hits in [hnsw.search(query, 10), mutable.search(query, 10)] {
-                assert_eq!(hits.len(), 10);
-                for h in hits {
-                    assert_eq!(Some(h.score.to_bits()), score_of(h.id), "{metric:?} id {}", h.id);
-                }
+            let hits = mutable.search(query, 10);
+            assert_eq!(hits.len(), 10);
+            for h in hits {
+                assert_eq!(Some(h.score.to_bits()), score_of(h.id), "{metric:?} id {}", h.id);
             }
         }
     }
-}
-
-/// The floor sits a margin under what this seeded set measures (HNSW
-/// 0.972); every input is seeded, so a drop below it is a broken index,
-/// not noise.
-#[test]
-fn approximate_indexes_keep_recall_against_the_exact_scan() {
-    let mut rows = random_vectors(41, 2000, 64);
-    rows.iter_mut().for_each(|row| sage_nn::matrix::l2_normalize(row));
-    let queries = random_vectors(42, 25, 64);
-    let flat = filled(FlatIndex::cosine(), &rows);
-    let hnsw = filled(HnswIndex::cosine(), &rows);
-    let found: usize = queries
-        .iter()
-        .map(|q| {
-            let truth: HashSet<usize> = flat.search(q, 10).into_iter().map(|h| h.id).collect();
-            hnsw.search(q, 10).iter().filter(|h| truth.contains(&h.id)).count()
-        })
-        .sum();
-    let hnsw_recall = found as f64 / (10 * queries.len()) as f64;
-    assert!(hnsw_recall >= 0.90, "HNSW recall@10 = {hnsw_recall}");
 }

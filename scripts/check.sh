@@ -55,9 +55,9 @@ if [ "${1:-}" != fast ]; then
   cargo build --workspace --all-targets
 
   echo "=== paper-shape benches (each asserts its figure's shape and exits non-zero when it fails)"
-  for bench in fig05_score_curves fig07_segmentation_overhead fig08_noisy_retrieval \
-               fig09_missing_retrieval fig10_incomplete_chunks table08_09_scalability \
-               table10_feature_ablation; do
+  for bench in table02_narrativeqa_retrievers table03_quality_qasper fig05_score_curves \
+               fig07_segmentation_overhead fig08_noisy_retrieval fig09_missing_retrieval \
+               fig10_incomplete_chunks table08_09_scalability table10_feature_ablation; do
     if ! err=$(cargo bench -q -p sage-bench --bench "$bench" 2>&1 > /dev/null); then
       echo "FAIL: bench $bench"; echo "$err"; exit 1
     fi
@@ -212,9 +212,10 @@ confidence 0.58 | 6 chunks | 1 feedback rounds | 492 tokens | $0.000081
 LISTING
   echo "BM25 ask smoke ok"
 
-  echo "=== refusal smoke (removed sharding surfaces fail and name the input)"
-  # In-process sharding is gone: its flags, its fault grammar and its
-  # scenario axis must be refused by name, never silently ignored.
+  echo "=== refusal smoke (removed sharding and HNSW surfaces fail and name the input)"
+  # In-process sharding and the HNSW tier are gone: their flags, the
+  # sharding fault grammar and scenario axis, and the HNSW live retriever
+  # must be refused by name, never silently ignored.
   for command in ask soak explain; do
     for flag in shards quorum; do
       if "$sage" "$command" "--$flag" 4 > /dev/null 2> "$tmp/refused.err"; then
@@ -237,6 +238,19 @@ LISTING
   fi
   grep -q 'unknown cell key `shards`' "$tmp/refused.err" \
     || { echo "FAIL: the scenario error does not name its key"; cat "$tmp/refused.err"; exit 1; }
+  for command in ask query soak; do
+    if "$sage" "$command" --hnsw > /dev/null 2> "$tmp/refused.err"; then
+      echo "FAIL: sage $command accepted --hnsw"; exit 1
+    fi
+    grep -q "unknown flag --hnsw for \`sage $command\`" "$tmp/refused.err" \
+      || { echo "FAIL: no 'unknown flag --hnsw' error"; cat "$tmp/refused.err"; exit 1; }
+  done
+  if "$sage" soak --live --retriever hnsw --live-dir "$tmp/hnsw-live" \
+      > /dev/null 2> "$tmp/refused.err"; then
+    echo "FAIL: sage soak --live accepted --retriever hnsw"; exit 1
+  fi
+  grep -q 'bad --retriever "hnsw" for --live' "$tmp/refused.err" \
+    || { echo "FAIL: the live retriever error does not name its input"; cat "$tmp/refused.err"; exit 1; }
   echo "refusal smoke ok"
 
   echo "=== live-corpus smoke (crash injection + recovery drill)"

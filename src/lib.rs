@@ -15,7 +15,7 @@
 //! | [`text`] | `sage-text` | tokenization, sentences, stemming, vocabulary |
 //! | [`nn`] | `sage-nn` | matrices, MLP + backprop, Adam, embedding tables |
 //! | [`embed`] | `sage-embed` | hashed / TF-IDF / siamese / dual-tower encoders |
-//! | [`vecdb`] | `sage-vecdb` | flat exact + HNSW approximate vector indexes |
+//! | [`vecdb`] | `sage-vecdb` | exact flat vector index (+ tombstoned mutable wrapper) |
 //! | [`retrieval`] | `sage-retrieval` | BM25 inverted index, dense retrievers |
 //! | [`corpus`] | `sage-corpus` | synthetic QuALITY/QASPER/NarrativeQA/TriviaQA analogs |
 //! | [`segment`] | `sage-segment` | the segmentation model (Algorithm 1) + segmenters |
@@ -96,7 +96,6 @@ pub mod prelude {
     };
     pub use sage_core::models::{TrainBudget, TrainedModels};
     pub use sage_core::pipeline::{BuildStats, QueryResult, RagSystem};
-    pub use sage_core::resilience::ResilienceConfig;
     pub use sage_core::scenario::{parse_scenarios, render_rows, run_cell, BenchRow, ScenarioCell};
     pub use sage_core::soak::{run_soak, SoakReport};
     pub use sage_corpus::datasets::SizeConfig;
@@ -114,5 +113,5 @@ pub mod prelude {
     pub use sage_retrieval::{Bm25Retriever, DenseRetriever, Retriever};
     pub use sage_segment::{SegmentationModel, Segmenter, SemanticSegmenter, SentenceSegmenter};
     pub use sage_telemetry::{HistogramSnapshot, Stage, Telemetry};
-    pub use sage_vecdb::{FlatIndex, HnswIndex, MutableIndex, VectorIndex};
+    pub use sage_vecdb::{FlatIndex, MutableIndex, VectorIndex};
 }

@@ -533,7 +533,7 @@ fn golden_equivalence_under_fault_plan() {
         );
         let plan = FaultPlan::seeded(0x601D)
             .with(Component::Reranker, Rates { corrupt: 1.0, ..Rates::default() });
-        sys.enable_resilience(ResilienceConfig::with_plan(plan));
+        sys.enable_resilience(plan);
         sys
     };
     let sys = build();
@@ -556,7 +556,7 @@ fn golden_equivalence_under_fault_plan() {
     let mut dead_reader = build();
     let plan = FaultPlan::seeded(0x601E)
         .with(Component::Reader, Rates { corrupt: 1.0, ..Rates::default() });
-    dead_reader.enable_resilience(ResilienceConfig::with_plan(plan));
+    dead_reader.enable_resilience(plan);
     let r = dead_reader.answer_open(GOLDEN_QUESTIONS[0]);
     let g = Golden::of(&r);
     assert_eq!(g.text, "unanswerable");
@@ -633,7 +633,7 @@ fn degrade_events_are_folded_into_query_traces() {
     );
     let plan = FaultPlan::seeded(0xDE6)
         .with(Component::Reranker, Rates { corrupt: 1.0, ..Rates::default() });
-    system.enable_resilience(ResilienceConfig::with_plan(plan));
+    system.enable_resilience(plan);
     let hub = system.enable_telemetry();
 
     let r = system.answer_open("What is the color of Whiskers's eyes?");

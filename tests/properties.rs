@@ -7,7 +7,7 @@ use sage::eval::{bleu, f1_match, meteor, rouge_l, Cost, PriceTable};
 use sage::rerank::{gradient_select, RankedChunk, SelectionConfig};
 use sage::segment::{Segmenter, SentenceSegmenter};
 use sage::text::{count_tokens, normalize, split_sentences, stem, tokenize};
-use sage::vecdb::{FlatIndex, HnswIndex, VectorIndex};
+use sage::vecdb::{FlatIndex, VectorIndex};
 
 /// Arbitrary "English-ish" text: words, punctuation, newlines.
 fn text_strategy() -> impl Strategy<Value = String> {
@@ -235,33 +235,6 @@ proptest! {
     }
 
     #[test]
-    fn hnsw_subset_of_valid_ids(
-        vecs in proptest::collection::vec(
-            proptest::collection::vec(-1.0f32..1.0, 4),
-            1..30,
-        ),
-        n in 1usize..10,
-    ) {
-        let vecs: Vec<Vec<f32>> = vecs
-            .into_iter()
-            .filter(|v| v.iter().map(|x| x * x).sum::<f32>() > 1e-3)
-            .collect();
-        prop_assume!(!vecs.is_empty());
-        let mut idx = HnswIndex::cosine();
-        for v in &vecs {
-            idx.add(v.clone());
-        }
-        let hits = idx.search(&vecs[0], n);
-        prop_assert!(!hits.is_empty());
-        prop_assert!(hits.len() <= n.min(vecs.len()));
-        let mut seen = std::collections::HashSet::new();
-        for h in &hits {
-            prop_assert!(h.id < vecs.len());
-            prop_assert!(seen.insert(h.id), "duplicate id {}", h.id);
-        }
-    }
-
-    #[test]
     fn cost_merge_is_additive(
         calls in proptest::collection::vec((0usize..10_000, 0usize..1_000), 0..20),
     ) {
@@ -376,7 +349,7 @@ proptest! {
 // produce identical results — including the degradation trace.
 
 use sage::prelude::{
-    Component, FaultPlan, LlmProfile, QueryResult, RagSystem, Rates, ResilienceConfig,
+    Component, FaultPlan, LlmProfile, QueryResult, RagSystem, Rates,
     RetrieverKind, SageConfig, SageError, TrainBudget, TrainedModels,
 };
 use std::sync::OnceLock;
@@ -404,7 +377,7 @@ fn build_resilient(plan: FaultPlan) -> RagSystem {
         LlmProfile::gpt4o_mini(),
         &resilience_corpus(),
     );
-    system.enable_resilience(ResilienceConfig { plan, ..ResilienceConfig::default() });
+    system.enable_resilience(plan);
     system
 }
 

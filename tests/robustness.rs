@@ -221,7 +221,7 @@ fn fault_corpus() -> Vec<String> {
     ]
 }
 
-fn resilient(plan: FaultPlan, use_hnsw: bool) -> RagSystem {
+fn resilient(plan: FaultPlan) -> RagSystem {
     let mut system = RagSystem::build(
         models(),
         RetrieverKind::OpenAiSim,
@@ -229,7 +229,7 @@ fn resilient(plan: FaultPlan, use_hnsw: bool) -> RagSystem {
         LlmProfile::gpt4o_mini(),
         &fault_corpus(),
     );
-    system.enable_resilience(ResilienceConfig { plan, use_hnsw });
+    system.enable_resilience(plan);
     system
 }
 
@@ -237,7 +237,7 @@ const EYES_Q: &str = "What is the color of Whiskers's eyes?";
 
 #[test]
 fn embedder_fault_degrades_to_bm25() {
-    let system = resilient(FaultPlan::failing(Component::Embedder, FaultKind::Transient), false);
+    let system = resilient(FaultPlan::failing(Component::Embedder, FaultKind::Transient));
     let r = system.answer_open(EYES_Q);
     assert!(r.degraded.fired(Fallback::DenseToBm25), "trace: {:?}", r.degraded);
     assert!(r.answer.text.contains("green"), "BM25 fallback answered: {:?}", r.answer.text);
@@ -245,7 +245,7 @@ fn embedder_fault_degrades_to_bm25() {
 
 #[test]
 fn flat_search_fault_degrades_to_bm25_with_virtual_delay() {
-    let system = resilient(FaultPlan::failing(Component::IndexSearch, FaultKind::Timeout), false);
+    let system = resilient(FaultPlan::failing(Component::IndexSearch, FaultKind::Timeout));
     let r = system.answer_open(EYES_Q);
     assert!(r.degraded.fired(Fallback::DenseToBm25), "trace: {:?}", r.degraded);
     assert!(
@@ -256,11 +256,10 @@ fn flat_search_fault_degrades_to_bm25_with_virtual_delay() {
 }
 
 #[test]
-fn hnsw_fault_degrades_to_flat_and_batch_completes() {
-    // Acceptance: a plan injecting 100% vector-index faults with the ANN
-    // tier enabled must complete a whole batch via the exact flat scan —
-    // zero panics, every answer intact.
-    let system = resilient(FaultPlan::failing(Component::IndexSearch, FaultKind::Transient), true);
+fn index_fault_degrades_to_bm25_and_batch_completes() {
+    // Acceptance: a plan injecting 100% vector-index faults must complete
+    // a whole batch via the BM25 tier — zero panics, every answer intact.
+    let system = resilient(FaultPlan::failing(Component::IndexSearch, FaultKind::Transient));
     let questions: Vec<String> = vec![
         EYES_Q.into(),
         "Where does Dorinwick live?".into(),
@@ -269,22 +268,21 @@ fn hnsw_fault_degrades_to_flat_and_batch_completes() {
     let results: Vec<QueryResult> = system
         .try_answer_batch(&questions, 2)
         .into_iter()
-        .map(|r| r.expect("the flat tier absorbs every fault"))
+        .map(|r| r.expect("the BM25 tier absorbs every fault"))
         .collect();
     assert_eq!(results.len(), questions.len());
     for r in &results {
-        assert!(r.degraded.fired(Fallback::HnswToFlat), "trace: {:?}", r.degraded);
-        assert!(!r.degraded.fired(Fallback::DenseToBm25), "flat tier must absorb the failure");
+        assert!(r.degraded.fired(Fallback::DenseToBm25), "trace: {:?}", r.degraded);
     }
     assert!(results[0].answer.text.contains("green"), "got {:?}", results[0].answer.text);
     assert!(results[1].answer.text.contains("ashford"), "got {:?}", results[1].answer.text);
     let counters = system.fallback_counters().expect("resilience on");
-    assert!(counters.contains(&("hnsw->flat", questions.len() as u64)), "{counters:?}");
+    assert!(counters.contains(&("dense->bm25", questions.len() as u64)), "{counters:?}");
 }
 
 #[test]
 fn reranker_fault_degrades_to_retrieval_order() {
-    let system = resilient(FaultPlan::failing(Component::Reranker, FaultKind::Corrupt), false);
+    let system = resilient(FaultPlan::failing(Component::Reranker, FaultKind::Corrupt));
     let r = system.answer_open(EYES_Q);
     assert!(r.degraded.fired(Fallback::RerankToRetrievalOrder), "trace: {:?}", r.degraded);
     assert!(r.answer.text.contains("green"), "retrieval order sufficed: {:?}", r.answer.text);
@@ -292,7 +290,7 @@ fn reranker_fault_degrades_to_retrieval_order() {
 
 #[test]
 fn reader_fault_exhausts_to_unanswerable() {
-    let system = resilient(FaultPlan::failing(Component::Reader, FaultKind::Transient), false);
+    let system = resilient(FaultPlan::failing(Component::Reader, FaultKind::Transient));
     let r = system.answer_open(EYES_Q);
     assert!(r.degraded.fired(Fallback::ReaderSecondBest), "trace: {:?}", r.degraded);
     assert!(r.degraded.fired(Fallback::ReaderUnanswerable), "trace: {:?}", r.degraded);
@@ -306,7 +304,7 @@ fn partial_reader_faults_recover_via_retry() {
     // budget; whatever happens, no panic and a well-formed answer.
     let plan = FaultPlan::seeded(11)
         .with(Component::Reader, Rates { transient: 0.4, ..Rates::default() });
-    let system = resilient(plan, false);
+    let system = resilient(plan);
     for q in [EYES_Q, "Where does Dorinwick live?", "What animal is Patchy?"] {
         let r = system.answer_open(q);
         assert!(!r.answer.text.is_empty(), "{q}");
@@ -327,7 +325,7 @@ fn injected_reader_panic_is_isolated_per_question() {
         "What is Dorinwick's profession?".into(),
         "What color is Patchy's fur?".into(),
     ];
-    let system = resilient(plan, false);
+    let system = resilient(plan);
     let results = system.try_answer_batch(&questions, 3);
     assert_eq!(results.len(), questions.len());
     let oks = results.iter().filter(|r| r.is_ok()).count();
@@ -365,7 +363,7 @@ fn multi_component_storm_still_serves() {
         .with(Component::Embedder, Rates { transient: 1.0, ..Rates::default() })
         .with(Component::Reranker, Rates { corrupt: 1.0, ..Rates::default() })
         .with(Component::Reader, Rates { timeout: 1.0, ..Rates::default() });
-    let system = resilient(plan, false);
+    let system = resilient(plan);
     let r = system.answer_open(EYES_Q);
     assert!(r.degraded.fired(Fallback::DenseToBm25));
     assert!(r.degraded.fired(Fallback::RerankToRetrievalOrder));
@@ -398,7 +396,7 @@ fn batch_admission_sheds_deterministically_and_reports() {
             LlmProfile::gpt4o_mini(),
             &fault_corpus(),
         );
-        system.enable_resilience(ResilienceConfig::default());
+        system.enable_resilience(FaultPlan::none());
         system.enable_admission(AdmissionConfig { capacity: 2, seed: 9, ..Default::default() });
         let questions: Vec<String> = soak_questions()
             .into_iter()
@@ -447,7 +445,7 @@ fn batch_admission_sheds_deterministically_and_reports() {
         LlmProfile::gpt4o_mini(),
         &fault_corpus(),
     );
-    system.enable_resilience(ResilienceConfig::default());
+    system.enable_resilience(FaultPlan::none());
     system.enable_admission(AdmissionConfig { capacity: 2, seed: 9, ..Default::default() });
     let questions: Vec<String> = soak_questions().into_iter().cycle().take(8).collect();
     let _ = system.try_answer_batch(&questions, 4);
@@ -501,7 +499,7 @@ fn soak_under_faults_never_panics_and_replays() {
             LlmProfile::gpt4o_mini(),
             &fault_corpus(),
         );
-        system.enable_resilience(ResilienceConfig { plan, ..ResilienceConfig::default() });
+        system.enable_resilience(plan);
         run_soak(&system, &soak_questions(), &cfg)
     };
     let a = run();
