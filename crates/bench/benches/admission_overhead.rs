@@ -2,9 +2,9 @@
 //! is under pressure.
 //!
 //! Two paths over the same corpus and question mix:
-//! - `budget_off` — baseline `answer_open`, no budget meter threaded
-//!   through the pipeline.
-//! - `budget_on` — `answer_open_budgeted` with a generous budget: every
+//! - `budget_off` — baseline `answer` on a bare `Request`, no budget
+//!   meter threaded through the pipeline.
+//! - `budget_on` — `answer` with a generous `Request::budget`: every
 //!   checkpoint runs (replan, charge, ladder check) but no rung is ever
 //!   taken. The acceptance target is < 5% overhead over `budget_off`.
 //!
@@ -53,11 +53,9 @@ fn main() {
         let start = Instant::now();
         for _ in 0..rounds {
             for q in &qs {
-                if budgeted {
-                    black_box(system.answer_open_budgeted(black_box(q), generous));
-                } else {
-                    black_box(system.answer_open(black_box(q)));
-                }
+                let budget = budgeted.then_some(generous);
+                black_box(system.answer(&Request { budget, ..Request::new(black_box(q)) }))
+                    .unwrap();
             }
         }
         start.elapsed().as_secs_f64() / rounds as f64
@@ -76,9 +74,9 @@ fn main() {
 
     // Sanity: a generous budget never touches the brownout ladder.
     for q in &qs {
-        let r = system.answer_open_budgeted(q, generous);
+        let r = system.answer(&Request { budget: Some(generous), ..Request::new(q) }).unwrap();
         assert_eq!(r.brownout, BrownoutLevel::None, "generous budget must not brown out");
-        assert_eq!(r.answer.text, system.answer_open(q).answer.text);
+        assert_eq!(r.answer.text, system.answer(&Request::new(q)).unwrap().answer.text);
     }
 
     // Micro readout: the admission queue's admit/release pair under zero

@@ -5,8 +5,9 @@
 //! - `inline_read` — the reader invoked directly (`SimLlm::answer_open`
 //!   over a preassembled context): the work with zero engine machinery.
 //! - `engine_read` — the same single-read work routed through the
-//!   executor (`answer_with_chunks`: plan build, context setup, slot
-//!   dispatch, middleware hooks, fuse, finalize).
+//!   executor (`answer` on a `Request` with `chunks`: the panic boundary,
+//!   plan build, context setup, slot dispatch, middleware hooks, fuse,
+//!   finalize).
 //!
 //! The delta between the two is pure engine overhead — plan
 //! construction plus per-slot dispatch — and the acceptance target is
@@ -45,9 +46,10 @@ fn build_system() -> RagSystem {
 fn main() {
     let system = build_system();
     let qs = questions();
-    // A small fixed context, as `answer_with_chunks` callers use: the
-    // engine and inline paths read exactly the same chunks.
+    // A small fixed context, as `Request::chunks` callers use: the engine
+    // and inline paths read exactly the same chunks.
     let chunk_ids: Vec<usize> = (0..system.chunks().len().min(4)).collect();
+    let over_chunks = |q| Request { chunks: Some(&chunk_ids), ..Request::new(q) };
     let context: Vec<String> = chunk_ids.iter().map(|&id| system.chunks()[id].clone()).collect();
 
     // Direct overhead readout for the acceptance target: the engine wraps
@@ -58,7 +60,7 @@ fn main() {
         for _ in 0..rounds {
             for q in &qs {
                 if engine {
-                    black_box(system.answer_with_chunks(black_box(q), &chunk_ids, None));
+                    black_box(system.answer(&over_chunks(black_box(q)))).unwrap();
                 } else {
                     black_box(system.llm().answer_open(black_box(q), &context));
                 }
@@ -82,13 +84,13 @@ fn main() {
     // read produced — the overhead buys bookkeeping, not different work.
     for q in &qs {
         let direct = system.llm().answer_open(q, &context);
-        let routed = system.answer_with_chunks(q, &chunk_ids, None);
+        let routed = system.answer(&over_chunks(q)).unwrap();
         assert_eq!(direct.text, routed.answer.text, "engine changed the answer for {q:?}");
         assert_eq!(routed.selected, chunk_ids);
     }
 
     // Micro readout: resolving the full SAGE plan from the configuration
-    // (the extra work `answer_open` does per query vs the old inlined
+    // (the extra work `answer` does per query vs the old inlined
     // control flow) — target well under a µs.
     let cfg = SageConfig::sage();
     let n = 1_000_000u64;

@@ -69,11 +69,13 @@ fn main() {
             let (cand_ids, ranked) = system.candidates(&task.item.question);
             let positions = select(&ranked);
             let chunk_ids: Vec<usize> = positions.iter().map(|&p| cand_ids[p]).collect();
-            let r = system.answer_with_chunks(
-                &task.item.question,
-                &chunk_ids,
-                Some(&task.item.options),
-            );
+            let r = system
+                .answer(&Request {
+                    options: Some(&task.item.options),
+                    chunks: Some(&chunk_ids),
+                    ..Request::new(&task.item.question)
+                })
+                .unwrap();
             total += 1;
             correct += usize::from(r.picked_option == Some(task.item.correct_option));
             kept_sum += chunk_ids.len();

@@ -1,7 +1,7 @@
 //! Resilience-layer benchmarks: the cost of guarding the serving path.
 //!
 //! Three systems over the same corpus and question mix:
-//! - `unguarded` — baseline `answer_open`, no resilience state.
+//! - `unguarded` — baseline `answer`, no resilience state.
 //! - `guarded_no_faults` — resilience enabled with an empty fault plan; the
 //!   target is < 5% overhead over `unguarded` (the guard adds one plan
 //!   lookup, one validity check, and per-query breaker/clock setup).
@@ -61,7 +61,7 @@ fn main() {
 
     let qs = questions();
     for q in &qs {
-        black_box(storm.answer_open(black_box(q)));
+        black_box(storm.answer(&Request::new(black_box(q)))).unwrap();
     }
 
     // Direct overhead readout for the acceptance target.
@@ -70,7 +70,7 @@ fn main() {
         let start = Instant::now();
         for _ in 0..rounds {
             for q in &qs {
-                black_box(system.answer_open(black_box(q)));
+                black_box(system.answer(&Request::new(black_box(q)))).unwrap();
             }
         }
         start.elapsed().as_secs_f64() / rounds as f64

@@ -1,7 +1,7 @@
 //! Telemetry-layer benchmarks: the cost of observing the serving path.
 //!
 //! Two systems over the same corpus and question mix:
-//! - `telemetry_off` — baseline `answer_open`, no telemetry hub attached
+//! - `telemetry_off` — baseline `answer`, no telemetry hub attached
 //!   and the global flag left off; counters short-circuit on one relaxed
 //!   atomic load, so this must match an uninstrumented build.
 //! - `telemetry_on` — a `Telemetry` hub attached; every query records
@@ -55,7 +55,7 @@ fn main() {
         let start = Instant::now();
         for _ in 0..rounds {
             for q in &qs {
-                black_box(system.answer_open(black_box(q)));
+                black_box(system.answer(&Request::new(black_box(q)))).unwrap();
             }
         }
         start.elapsed().as_secs_f64() / rounds as f64

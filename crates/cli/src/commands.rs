@@ -72,7 +72,7 @@ pub fn query(flags: &Flags) -> Result<(), String> {
         .map_err(|e| format!("cannot load index {path}: {e}"))?;
     apply_resilience(flags, &mut system)?;
     apply_telemetry(flags, &mut system);
-    let result = system.answer_open(question);
+    let result = system.answer(&Request::new(question)).map_err(|e| e.to_string())?;
     println!("{}", result.answer.text);
     eprintln!(
         "confidence {:.2} | {} chunks | {} tokens | ${:.6}",
@@ -256,7 +256,7 @@ pub fn ask(flags: &Flags) -> Result<(), String> {
     let mut system = RagSystem::build(resolve_models(flags)?, retriever, config, profile, &corpus);
     apply_resilience(flags, &mut system)?;
     apply_telemetry(flags, &mut system);
-    let result = system.answer_open(question);
+    let result = system.answer(&Request::new(question)).map_err(|e| e.to_string())?;
     println!("{}", result.answer.text);
     eprintln!(
         "confidence {:.2} | {} chunks | {} feedback rounds | {} tokens | ${:.6}",
@@ -529,7 +529,7 @@ pub fn demo() -> Result<(), String> {
         "Where does Dorinwick live?",
         "What is Dorinwick's profession?",
     ] {
-        let r = system.answer_open(q);
+        let r = system.answer(&Request::new(q)).map_err(|e| e.to_string())?;
         println!("Q: {q}\nA: {}\n", r.answer.text);
     }
     Ok(())

@@ -19,7 +19,7 @@
 
 use crate::config::{RetrieverKind, SageConfig};
 use crate::models::TrainedModels;
-use crate::pipeline::{QueryResult, RagSystem};
+use crate::pipeline::{QueryResult, RagSystem, Request};
 use sage_corpus::Document;
 use sage_embed::{Embedder, HashedEmbedder};
 use sage_llm::{LlmProfile, SimLlm};
@@ -172,10 +172,9 @@ impl DocSystem {
     /// Answer a question (open-ended when `options` is `None`).
     pub fn answer(&self, question: &str, options: Option<&[String]>) -> QueryResult {
         match self {
-            DocSystem::Rag(system) => match options {
-                Some(opts) => system.answer_multiple_choice(question, opts),
-                None => system.answer_open(question),
-            },
+            DocSystem::Rag(system) => {
+                crate::exec::execute(system, &Request { options, ..Request::new(question) })
+            }
             DocSystem::FixedContext { context, llm } => {
                 answer_with_context(llm, question, options, context.clone(), Duration::ZERO)
             }

@@ -14,7 +14,8 @@
 
 use crate::config::{RetrieverKind, SageConfig};
 use crate::models::TrainedModels;
-use crate::pipeline::RagSystem;
+use crate::exec::execute;
+use crate::pipeline::{RagSystem, Request};
 use sage_llm::LlmProfile;
 use sage_rerank::{gradient_select, RankedChunk, SelectionConfig};
 use std::time::Duration;
@@ -164,7 +165,7 @@ fn run_case(
             ..SageConfig::default()
         };
         let system = RagSystem::build(models, RetrieverKind::OpenAiSim, cfg, profile, &corpus);
-        let r = system.answer_multiple_choice(&question, &options);
+        let r = execute(&system, &Request { options: Some(&options), ..Request::new(&question) });
         // A reader that declines to pick is scored as the out-of-range
         // option index, i.e. incorrect, rather than aborting the sweep.
         let picked = r.picked_option.unwrap_or(options.len());
@@ -173,8 +174,8 @@ fn run_case(
     // SAGE with gradient selection (no feedback, to isolate selection).
     let sage_cfg = SageConfig { use_feedback: false, ..SageConfig::sage() };
     let system = RagSystem::build(models, RetrieverKind::OpenAiSim, sage_cfg, profile, &corpus);
-    let r = system.answer_multiple_choice(&question, &options);
-    let score_curve = system.rerank_scores(&question);
+    let r = execute(&system, &Request { options: Some(&options), ..Request::new(&question) });
+    let score_curve = system.candidates(&question).1.iter().map(|c| c.score).collect();
     CaseStudy {
         figure,
         question,
@@ -241,8 +242,9 @@ impl ScoreCurves {
 pub fn score_curves(models: &TrainedModels) -> ScoreCurves {
     let curve = |(corpus, question, _, _): (String, String, Vec<String>, usize)| {
         let profile = LlmProfile::gpt4o_mini();
-        RagSystem::build(models, RetrieverKind::OpenAiSim, SageConfig::sage(), profile, &[corpus])
-            .rerank_scores(&question)
+        let sage = SageConfig::sage();
+        let system = RagSystem::build(models, RetrieverKind::OpenAiSim, sage, profile, &[corpus]);
+        system.candidates(&question).1.iter().map(|c| c.score).collect()
     };
     ScoreCurves { focused: curve(noisy_corpus()), broad: curve(elimination_corpus()) }
 }

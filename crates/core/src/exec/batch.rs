@@ -6,7 +6,7 @@
 //! worker count and any batch size.
 
 use super::{caught, finalize, run_query};
-use crate::pipeline::RagSystem;
+use crate::pipeline::{RagSystem, Request};
 use crate::QueryResult;
 use sage_admission::{Decision, Priority};
 use sage_resilience::{Fallback, SageError};
@@ -34,7 +34,7 @@ fn fan_out(
                 s.spawn(move || {
                     (w..questions.len())
                         .step_by(workers)
-                        .map(|i| (i, caught(sys, || run_query(sys, questions[i], None, None))))
+                        .map(|i| (i, caught(sys, || run_query(sys, &Request::new(questions[i])))))
                         .collect::<Vec<_>>()
                 })
             })

@@ -85,8 +85,8 @@ pub(crate) struct QueryCtx<'a> {
     pub retrieval_latency: Duration,
 
     // --- plan shape flags ---
-    /// Fixed-context mode (`answer_with_chunks`): context preassembled,
-    /// fuse emits a bare single-read result.
+    /// Fixed-context mode (a request with `chunks`): context
+    /// preassembled, fuse emits a bare single-read result.
     pub fixed: bool,
 
     // --- telemetry anchors (owned by the middleware) ---

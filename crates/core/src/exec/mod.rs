@@ -5,9 +5,10 @@
 //! cross-cutting concerns — budget checkpoint charging, brownout plan
 //! rewrites, telemetry spans/histograms/ledger, resilience `catch_unwind`
 //! at the public boundary — applied as middleware around the stages
-//! instead of hand-stitched at each entry point. `pipeline.rs` keeps only
-//! thin plan builders over [`execute`], [`execute_fixed`],
-//! [`execute_caught`], and [`run_prelude`].
+//! instead of hand-stitched at each entry point. Every request enters
+//! through [`execute`] (behind [`crate::RagSystem::answer`], which adds
+//! the panic boundary); [`run_prelude`] serves
+//! [`crate::RagSystem::candidates`].
 //!
 //! Per-slot middleware order (load-bearing, see DESIGN.md §11):
 //! budget-before → rung rewrite → op re-fetch → telemetry-open → stage →
@@ -23,10 +24,10 @@ pub(crate) use ctx::QueryCtx;
 pub use plan::{QueryPlan, RerankMode, SelectMode, StageOp};
 use plan::Loc;
 
-use crate::pipeline::RagSystem;
+use crate::pipeline::{RagSystem, Request};
 use crate::resilience::QueryGuards;
 use crate::QueryResult;
-use sage_admission::{BudgetMeter, PlanStage, QueryBudget};
+use sage_admission::{BudgetMeter, PlanStage};
 use sage_rerank::RankedChunk;
 use sage_resilience::{Fallback, SageError};
 use sage_telemetry::Trace;
@@ -121,9 +122,11 @@ fn run_plan(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>) {
 /// no-op by construction.
 fn finalize(sys: &RagSystem, mut ctx: QueryCtx<'_>, total: Duration) -> QueryResult {
     let mut result = ctx.result.take().unwrap_or_else(|| {
-        // Unreachable: fuse always sets a result. Degrade to an honest
-        // empty result rather than panicking on the serving path.
-        QueryResult::single_read(stages::unanswerable(Duration::ZERO), None, Vec::new(), Duration::ZERO)
+        // Only a fixed context whose reader exhausted its fallbacks leaves
+        // no result: degrade to the unanswerable verdict, whose latency is
+        // the virtual backoff spent reaching it.
+        let answer = stages::unanswerable(ctx.trace.total_delay());
+        QueryResult::single_read(answer, None, Vec::new(), ctx.retrieval_latency)
     });
     result.degraded = ctx.trace;
     if let Some(state) = &sys.resilience {
@@ -154,23 +157,33 @@ impl RagSystem {
     }
 }
 
-/// Resolve the plan and assemble the fresh context for one query: plan
-/// resolution, guard arming, trace opening, and the brownout admission
-/// gate (replan once before any work so a hopeless budget walks the ladder
-/// immediately).
-fn prepare<'a>(
-    sys: &'a RagSystem,
-    question: &'a str,
-    options: Option<&'a [String]>,
-    budget: Option<QueryBudget>,
-) -> (QueryPlan, QueryCtx<'a>) {
-    let mut plan = sys.resolve_plan();
+/// Resolve the plan and assemble the fresh context for one request: plan
+/// resolution (the one-read fixed plan over a pre-assembled context when
+/// the request names its chunks), guard arming, trace opening, and the
+/// brownout admission gate (replan once before any work so a hopeless
+/// budget walks the ladder immediately).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a fixed context's assembly time is its measured retrieval latency; no control flow branches on the reading"
+)]
+fn prepare<'a>(sys: &'a RagSystem, req: &Request<'a>) -> (QueryPlan, QueryCtx<'a>) {
     let guards = sys.resilience.as_ref().map(QueryGuards::new);
-    let qt = sys.telemetry.as_ref().map(|_| Trace::start(question));
+    let qt = sys.telemetry.as_ref().map(|_| Trace::start(req.question));
     let planned_rounds =
         if sys.config.use_feedback { sys.config.max_feedback_rounds as u32 } else { 0 };
-    let bctl = budget.map(|b| BudgetMeter::new(b, sys.config.candidates, planned_rounds));
-    let mut ctx = QueryCtx::new(question, options, guards, qt, bctl, sys.config.min_k);
+    let bctl = req.budget.map(|b| BudgetMeter::new(b, sys.config.candidates, planned_rounds));
+    let mut ctx = QueryCtx::new(req.question, req.options, guards, qt, bctl, sys.config.min_k);
+    let mut plan = match req.chunks {
+        None => sys.resolve_plan(),
+        Some(ids) => {
+            let assemble_start = Instant::now();
+            ctx.fixed = true;
+            ctx.selected = ids.iter().copied().filter(|&id| id < sys.chunks.len()).collect();
+            ctx.context = ctx.selected.iter().map(|&id| sys.chunks[id].clone()).collect();
+            ctx.retrieval_latency = assemble_start.elapsed();
+            QueryPlan::fixed()
+        }
+    };
     if let Some(meter) = ctx.bctl.as_mut() {
         plan.apply_rung(middleware::checkpoint(meter, PlanStage::Start, &mut ctx.trace));
     }
@@ -184,33 +197,22 @@ fn prepare<'a>(
     clippy::disallowed_methods,
     reason = "the executor owns the query/prelude latency measurement previously inlined in pipeline.rs; no control flow branches on the readings"
 )]
-fn run_query<'a>(
-    sys: &'a RagSystem,
-    question: &'a str,
-    options: Option<&'a [String]>,
-    budget: Option<QueryBudget>,
-) -> (QueryCtx<'a>, Duration) {
-    let (mut plan, mut ctx) = prepare(sys, question, options, budget);
+fn run_query<'a>(sys: &'a RagSystem, req: &Request<'a>) -> (QueryCtx<'a>, Duration) {
+    let (mut plan, mut ctx) = prepare(sys, req);
     let query_start = Instant::now();
     run_plan(sys, &mut plan, &mut ctx);
     (ctx, query_start.elapsed())
 }
 
-/// Execute the full query plan for `question`: the one entry point behind
-/// `answer_open`, `answer_multiple_choice`, and the `*_budgeted` pair.
-pub(crate) fn execute(
-    sys: &RagSystem,
-    question: &str,
-    options: Option<&[String]>,
-    budget: Option<QueryBudget>,
-) -> QueryResult {
-    let (ctx, total) = run_query(sys, question, options, budget);
+/// Execute one request to its result: the one engine entry point.
+pub(crate) fn execute(sys: &RagSystem, req: &Request<'_>) -> QueryResult {
+    let (ctx, total) = run_query(sys, req);
     finalize(sys, ctx, total)
 }
 
 /// Run `f` with panic isolation: a panic becomes
 /// `Err(SageError::Panicked)` and is counted on the resilience ledger.
-fn caught<T>(sys: &RagSystem, f: impl FnOnce() -> T) -> Result<T, SageError> {
+pub(crate) fn caught<T>(sys: &RagSystem, f: impl FnOnce() -> T) -> Result<T, SageError> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         if let Some(state) = &sys.resilience {
             state.counters.record(Fallback::PanicIsolated);
@@ -219,51 +221,9 @@ fn caught<T>(sys: &RagSystem, f: impl FnOnce() -> T) -> Result<T, SageError> {
     })
 }
 
-/// [`execute`] with panic isolation: a panic anywhere in the pipeline
-/// becomes `Err(SageError::Panicked)`.
-pub(crate) fn execute_caught(
-    sys: &RagSystem,
-    question: &str,
-    options: Option<&[String]>,
-    budget: Option<QueryBudget>,
-) -> Result<QueryResult, SageError> {
-    caught(sys, || execute(sys, question, options, budget))
-}
-
-/// Execute the fixed-context plan: one generation call over explicit
-/// chunk ids (no retrieval, no selection, no feedback loop).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the executor owns the query/prelude latency measurement previously inlined in pipeline.rs; no control flow branches on the readings"
-)]
-pub(crate) fn execute_fixed(
-    sys: &RagSystem,
-    question: &str,
-    chunk_ids: &[usize],
-    options: Option<&[String]>,
-) -> QueryResult {
-    let mut plan = QueryPlan::fixed();
-    let qt = sys.telemetry.as_ref().map(|_| Trace::start(question));
-    let mut ctx = QueryCtx::new(question, options, None, qt, None, sys.config.min_k);
-    ctx.fixed = true;
-    let query_start = Instant::now();
-    // No retrieval runs on this path; the "retrieval" latency is the
-    // (real, measured) context-assembly time rather than a zero
-    // placeholder.
-    let assemble_start = Instant::now();
-    // The ids are the caller's: skip any the chunk store does not hold,
-    // so `selected` lists exactly the chunks the reader saw.
-    ctx.selected = chunk_ids.iter().copied().filter(|&id| id < sys.chunks.len()).collect();
-    ctx.context = ctx.selected.iter().map(|&id| sys.chunks[id].clone()).collect();
-    ctx.retrieval_latency = assemble_start.elapsed();
-    run_plan(sys, &mut plan, &mut ctx);
-    finalize(sys, ctx, query_start.elapsed())
-}
-
 /// Execute only the prelude (retrieval + rerank) unguarded and unbudgeted:
-/// the engine behind [`crate::RagSystem::candidates`] and
-/// [`crate::RagSystem::rerank_scores`]. Histogram stages still record when
-/// a hub is attached, but no span trace is kept.
+/// the engine behind [`crate::RagSystem::candidates`]. Histogram stages
+/// still record when a hub is attached, but no span trace is kept.
 pub(crate) fn run_prelude(sys: &RagSystem, question: &str) -> (Vec<usize>, Vec<RankedChunk>) {
     let mut ctx = QueryCtx::new(question, None, None, None, None, sys.config.min_k);
     run_prelude_slots(sys, &mut sys.resolve_plan(), &mut ctx);

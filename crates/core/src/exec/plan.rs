@@ -156,8 +156,9 @@ impl QueryPlan {
         Self::resolve(config, dense, scorer)
     }
 
-    /// The degenerate plan for [`crate::RagSystem::answer_with_chunks`]:
-    /// one generation call over a caller-fixed context.
+    /// The degenerate plan for a request that names its chunks
+    /// ([`crate::pipeline::Request::chunks`]): one generation call over a
+    /// caller-fixed context.
     pub fn fixed() -> Self {
         QueryPlan { prelude: Vec::new(), round: vec![StageOp::Read], max_rounds: 1 }
     }

@@ -1,7 +1,7 @@
 //! Dataset → method → metrics plumbing shared by every table/figure bench.
 
 use crate::baselines::Method;
-use crate::config::RetrieverKind;
+use crate::config::{RetrieverKind, SageConfig};
 use crate::models::TrainedModels;
 use sage_corpus::{Dataset, QuestionKind};
 use sage_eval::{bleu, cost_efficiency, f1_match, mean, meteor, rouge_l, Cost};
@@ -127,8 +127,16 @@ pub fn evaluate(
     }
 }
 
-/// A score column of Tables II and III.
+/// A score column of Tables II–IV and VI.
 type Column = (&'static str, fn(&MethodScores) -> f32);
+
+/// The metrics the paper reports on NarrativeQA.
+const NARRATIVEQA_COLUMNS: [Column; 4] = [
+    ("ROUGE", |s| s.rouge),
+    ("BLEU-1", |s| s.bleu1),
+    ("BLEU-4", |s| s.bleu4),
+    ("METEOR", |s| s.meteor),
+];
 
 /// Tables II and III: one retriever on one dataset with SAGE and without it
 /// (naive RAG: 200-token sentence chunks, a fixed top-K, no feedback).
@@ -152,12 +160,7 @@ impl SageLift {
         let columns: &[Column] = match self.dataset {
             "quality" => &[("accuracy", |s| s.accuracy)],
             "qasper" => &[("F1", |s| s.f1)],
-            _ => &[
-                ("ROUGE", |s| s.rouge),
-                ("BLEU-1", |s| s.bleu1),
-                ("BLEU-4", |s| s.bleu4),
-                ("METEOR", |s| s.meteor),
-            ],
+            _ => &NARRATIVEQA_COLUMNS,
         };
         columns.iter().map(|&(name, score)| (name, score(&self.sage), score(&self.naive))).collect()
     }
@@ -181,6 +184,110 @@ pub fn sage_lift(models: &TrainedModels, profile: LlmProfile, dataset: &Dataset)
             naive: evaluate(Method::NaiveRag(kind), models, profile, dataset),
         })
         .collect()
+}
+
+/// Table IV: naive RAG, naive RAG with each SAGE module alone, and full
+/// SAGE, with one retriever on one dataset.
+#[derive(Debug, Clone)]
+pub struct Ablation {
+    /// `(row label, scores)`: naive RAG, the three single modules, full
+    /// SAGE.
+    pub rows: [(&'static str, MethodScores); 5],
+}
+
+impl Ablation {
+    /// `(row, metric)` wherever a single module scores below naive RAG.
+    /// The paper has none; here they are recorded, not asserted.
+    pub fn below_naive(&self) -> Vec<(&'static str, &'static str)> {
+        let naive = &self.rows[0].1;
+        let mut cells = Vec::new();
+        for (label, scores) in &self.rows[1..4] {
+            for (metric, score) in NARRATIVEQA_COLUMNS {
+                if score(scores) < score(naive) {
+                    cells.push((*label, metric));
+                }
+            }
+        }
+        cells
+    }
+
+    /// The paper's shape: full SAGE scores at least what every other row
+    /// does on every metric.
+    pub fn holds(&self) -> bool {
+        let sage = &self.rows[4].1;
+        self.rows.iter().all(|(_, row)| NARRATIVEQA_COLUMNS.iter().all(|(_, s)| s(sage) >= s(row)))
+    }
+}
+
+/// Table IV's rows with `kind` on `dataset`.
+pub fn ablation(
+    models: &TrainedModels,
+    profile: LlmProfile,
+    kind: RetrieverKind,
+    dataset: &Dataset,
+) -> Ablation {
+    let methods = [
+        ("Naive RAG", Method::NaiveRag(kind)),
+        ("Naive RAG with Segmentation", Method::Custom(kind, SageConfig::naive_with_segmentation())),
+        ("Naive RAG with Selection", Method::Custom(kind, SageConfig::naive_with_selection())),
+        ("Naive RAG with Feedback", Method::Custom(kind, SageConfig::naive_with_feedback())),
+        ("SAGE", Method::Sage(kind)),
+    ];
+    Ablation { rows: methods.map(|(label, m)| (label, evaluate(m, models, profile, dataset))) }
+}
+
+/// The cells of Table VI's ordering that do not reproduce, as
+/// [`BaselineLadder::inversions`] reports them (EXPERIMENTS.md Exp-4).
+pub const TABLE_VI_GAPS: [(&str, &str, &str); 1] =
+    [("METEOR", "Recursively Summarizing Books", "BM25+BERT")];
+
+/// Table VI: the NarrativeQA baselines and SAGE, in the paper's order,
+/// weakest first.
+#[derive(Debug, Clone)]
+pub struct BaselineLadder {
+    /// `(row label, scores)`: BiDAF, BM25+BERT, Recursively Summarizing
+    /// Books, SAGE.
+    pub rows: [(&'static str, MethodScores); 4],
+}
+
+impl BaselineLadder {
+    /// `(metric, row, the row below it)` wherever a row does not score
+    /// strictly above the row below it, on ROUGE and METEOR.
+    pub fn inversions(&self) -> Vec<(&'static str, &'static str, &'static str)> {
+        let mut cells = Vec::new();
+        for (metric, score) in [NARRATIVEQA_COLUMNS[0], NARRATIVEQA_COLUMNS[3]] {
+            for pair in self.rows.windows(2) {
+                let ((below, lo), (label, hi)) = (&pair[0], &pair[1]);
+                if score(hi) <= score(lo) {
+                    cells.push((metric, *label, *below));
+                }
+            }
+        }
+        cells
+    }
+
+    /// The paper's shape, SAGE > Recursive Summarization > BM25+BERT >
+    /// BiDAF on ROUGE and METEOR, but for [`TABLE_VI_GAPS`].
+    pub fn holds(&self) -> bool {
+        self.inversions().iter().all(|cell| TABLE_VI_GAPS.contains(cell))
+    }
+}
+
+/// Table VI's rows on `dataset`.
+pub fn baseline_ladder(
+    models: &TrainedModels,
+    profile: LlmProfile,
+    dataset: &Dataset,
+) -> BaselineLadder {
+    let methods = [
+        ("BiDAF", Method::BiDaf),
+        ("BM25+BERT", Method::Bm25Bert),
+        ("Recursively Summarizing Books", Method::RecursiveSummary),
+        ("SAGE", Method::Sage(RetrieverKind::OpenAiSim)),
+    ];
+    BaselineLadder {
+        rows: methods.map(|(label, m)| (label, evaluate(m, models, profile, dataset))),
+    }
 }
 
 #[cfg(test)]
@@ -274,5 +381,17 @@ mod tests {
                 assert!(row.holds(), "{} {:?}: {:?}", row.dataset, row.kind, row.cells());
             }
         }
+    }
+
+    /// Tables IV and VI at the tiny budget, on the benches' dataset size.
+    #[test]
+    fn sage_tops_table_iv_and_table_vi_orders_its_baselines() {
+        let size = SizeConfig { num_docs: 12, questions_per_doc: 4, seed: 0x2A01 };
+        let dataset = narrativeqa::generate(size);
+        let table_iv =
+            ablation(models(), LlmProfile::gpt4o_mini(), RetrieverKind::OpenAiSim, &dataset);
+        assert!(table_iv.holds(), "{:?}", table_iv.rows);
+        let table_vi = baseline_ladder(models(), LlmProfile::unifiedqa_3b(), &dataset);
+        assert!(table_vi.holds(), "{:?}", table_vi.inversions());
     }
 }

@@ -65,5 +65,5 @@ pub use live::{
     LiveSnapshot, LiveSoakConfig, LiveSoakReport, RecoveryReport,
 };
 pub use models::TrainedModels;
-pub use pipeline::{BuildStats, QueryResult, RagSystem};
+pub use pipeline::{BuildStats, QueryResult, RagSystem, Request};
 pub use soak::{run_soak, SoakReport};

@@ -8,7 +8,8 @@
 //! (the tortoise's eyes are *amber*) — single-hop retrieval sees only the
 //! person paragraph and fails.
 
-use crate::pipeline::{QueryResult, RagSystem};
+use crate::exec::execute;
+use crate::pipeline::{QueryResult, RagSystem, Request};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sage_corpus::lexicon::{Lexicon, ANIMALS, COLORS};
@@ -77,9 +78,9 @@ pub fn generate_two_hop(n: usize, seed: u64) -> TwoHopDataset {
 /// question, hop 2 re-queries with the bridge answer appended (Baleen's
 /// "condensed retrieval" step), then answers the full question.
 pub fn answer_multihop(system: &RagSystem, task: &TwoHopTask) -> QueryResult {
-    let hop1 = system.answer_open(&task.bridge_question);
+    let hop1 = execute(system, &Request::new(&task.bridge_question));
     let bridged = task.hop2_template.replace("{bridge}", &hop1.answer.text);
-    let mut hop2 = system.answer_open(&bridged);
+    let mut hop2 = execute(system, &Request::new(&bridged));
     // Account both hops' spend.
     let mut cost = Cost::zero();
     cost.merge(hop1.cost);
@@ -92,7 +93,7 @@ pub fn answer_multihop(system: &RagSystem, task: &TwoHopTask) -> QueryResult {
 
 /// Answer the task single-hop (the ablation baseline).
 pub fn answer_singlehop(system: &RagSystem, task: &TwoHopTask) -> QueryResult {
-    system.answer_open(&task.question)
+    execute(system, &Request::new(&task.question))
 }
 
 /// A second 2-hop pattern: "What does the keeper of the {species} do for a

@@ -192,6 +192,7 @@ impl RagSystem {
 mod tests {
     use super::*;
     use crate::fsx::TRAILER_LEN;
+    use crate::pipeline::Request;
     use crate::models::{tiny_models as models, TrainedModels};
     use sage_embed::{DualEncoder, HashedEmbedder, SiameseEncoder};
 
@@ -216,8 +217,8 @@ mod tests {
             .unwrap_or_else(|| panic!("{kind:?} roundtrip failed"));
         assert_eq!(original.chunks(), back.chunks());
         let q = "What is the color of Whiskers's eyes?";
-        let a = original.answer_open(q);
-        let b = back.answer_open(q);
+        let a = original.answer(&Request::new(q)).unwrap();
+        let b = back.answer(&Request::new(q)).unwrap();
         assert_eq!(a.answer.text, b.answer.text, "{kind:?} answers must match");
         assert_eq!(a.selected, b.selected, "{kind:?} selections must match");
     }
@@ -322,8 +323,8 @@ mod tests {
         let strong = RagSystem::from_bytes(&blob, LlmProfile::gpt4()).unwrap();
         let weak = RagSystem::from_bytes(&blob, LlmProfile::unifiedqa_3b()).unwrap();
         let q = "Where does Dorinwick live?";
-        assert!(strong.answer_open(q).answer.text.contains("ashford"));
-        assert!(!weak.answer_open(q).answer.text.is_empty());
+        assert!(strong.answer(&Request::new(q)).unwrap().answer.text.contains("ashford"));
+        assert!(!weak.answer(&Request::new(q)).unwrap().answer.text.is_empty());
     }
 
     #[test]

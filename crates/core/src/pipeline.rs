@@ -1,10 +1,9 @@
 //! The SAGE pipeline (paper Figure 2): build (segment → embed → index) and
 //! query (retrieve → rerank → gradient-select → generate → self-feedback).
 //!
-//! This module owns system *construction* and the public entry points;
-//! query execution itself lives in [`crate::exec`] — every entry point
-//! here resolves a [`crate::exec::QueryPlan`] and hands it to the one
-//! deterministic executor.
+//! This module owns system *construction* and the query entry point;
+//! query execution itself lives in [`crate::exec`]: [`RagSystem::answer`]
+//! hands a [`Request`] to the one deterministic executor.
 
 #![expect(
     clippy::disallowed_methods,
@@ -38,6 +37,34 @@ fn fit_scorer_idf(scorer: &mut CrossScorer, retriever: &AnyRetriever, chunks: &[
         AnyRetriever::Hashed(_) | AnyRetriever::Sbert(_) | AnyRetriever::Dpr(_) => {
             scorer.fit_idf(chunks)
         }
+    }
+}
+
+/// One query for [`RagSystem::answer`]: the question plus the inputs that
+/// shape its plan. Set the ones needed over [`Request::new`], e.g.
+/// `Request { budget: Some(b), ..Request::new(q) }`.
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
+    /// The question to answer.
+    pub question: &'a str,
+    /// Multiple-choice options; `None` answers open-ended.
+    pub options: Option<&'a [String]>,
+    /// A deadline/token budget. The executor replans at every stage
+    /// boundary and walks the brownout ladder (drop feedback → shrink
+    /// rerank → skip rerank → flat top-k) as the budget shrinks; each rung
+    /// lands in [`QueryResult::degraded`]. Budgets charge the deterministic
+    /// [`sage_admission::CostModel`], never the wall clock.
+    pub budget: Option<QueryBudget>,
+    /// A caller-chosen context: one read over these chunk ids (no
+    /// retrieval, selection or feedback). Ids outside the chunk store are
+    /// skipped, so [`QueryResult::selected`] lists what the reader saw.
+    pub chunks: Option<&'a [usize]>,
+}
+
+impl<'a> Request<'a> {
+    /// An open-ended question with no budget, over the retrieved context.
+    pub fn new(question: &'a str) -> Self {
+        Request { question, options: None, budget: None, chunks: None }
     }
 }
 
@@ -293,10 +320,16 @@ impl RagSystem {
         }
     }
 
-    /// Answer one open-ended question with panic isolation: a panic
-    /// anywhere in the pipeline becomes `Err(SageError::Panicked)`.
+    /// Answer one request: the one query entry point. A panic anywhere in
+    /// the pipeline becomes `Err(SageError::Panicked)`.
+    pub fn answer(&self, req: &Request<'_>) -> Result<QueryResult, SageError> {
+        crate::exec::caught(self, || crate::exec::execute(self, req))
+    }
+
+    /// Answer one open-ended question: [`RagSystem::answer`] on a bare
+    /// [`Request`].
     pub fn try_answer_open(&self, question: &str) -> Result<QueryResult, SageError> {
-        crate::exec::execute_caught(self, question, None, None)
+        self.answer(&Request::new(question))
     }
 
     /// The retriever kind this system was built with.
@@ -358,54 +391,14 @@ impl RagSystem {
         &self.llm
     }
 
-    /// The sorted relevance scores of the question's candidates — the
-    /// Figure-5 curve. Uses the reranker when present, otherwise the
-    /// retriever's own scores.
-    pub fn rerank_scores(&self, question: &str) -> Vec<f32> {
-        let (_, ranked) = crate::exec::run_prelude(self, question);
-        ranked.iter().map(|r| r.score).collect()
-    }
-
     /// First-stage + rerank for a question: `(candidate chunk ids, ranked
     /// list over candidate positions)`. Lets callers plug in custom chunk
     /// selection (e.g. the flexible selector of the paper's future work)
-    /// and then answer via [`RagSystem::answer_with_chunks`].
+    /// and then answer with [`Request::chunks`]. The scores in rank order
+    /// are the Figure-5 curve: the reranker's when present, otherwise the
+    /// retriever's.
     pub fn candidates(&self, question: &str) -> (Vec<usize>, Vec<RankedChunk>) {
         crate::exec::run_prelude(self, question)
-    }
-
-    /// One generation call over an explicit set of chunk ids (no selection,
-    /// no feedback loop). `options` switches to multiple-choice mode.
-    pub fn answer_with_chunks(
-        &self,
-        question: &str,
-        chunk_ids: &[usize],
-        options: Option<&[String]>,
-    ) -> QueryResult {
-        crate::exec::execute_fixed(self, question, chunk_ids, options)
-    }
-
-    /// Answer an open-ended question.
-    pub fn answer_open(&self, question: &str) -> QueryResult {
-        crate::exec::execute(self, question, None, None)
-    }
-
-    /// Answer a multiple-choice question.
-    pub fn answer_multiple_choice(&self, question: &str, options: &[String]) -> QueryResult {
-        crate::exec::execute(self, question, Some(options), None)
-    }
-
-    /// Answer an open-ended question under a deadline/token budget. The
-    /// executor replans at every stage boundary and walks the brownout
-    /// ladder (drop feedback → shrink rerank → skip rerank → flat top-k)
-    /// as the remaining budget shrinks — each rung is applied as a rewrite
-    /// of the remaining plan, and lands in [`QueryResult::degraded`] and
-    /// the query's telemetry trace. Budget accounting charges the
-    /// deterministic [`sage_admission::CostModel`], never the wall clock,
-    /// so the same question with the same budget replays the same
-    /// decisions bit-for-bit.
-    pub fn answer_open_budgeted(&self, question: &str, budget: QueryBudget) -> QueryResult {
-        crate::exec::execute(self, question, None, Some(budget))
     }
 }
 
@@ -413,6 +406,10 @@ impl RagSystem {
 mod tests {
     use super::*;
     use crate::models::tiny_models as models;
+
+    fn build(kind: RetrieverKind, config: SageConfig, profile: LlmProfile) -> RagSystem {
+        RagSystem::build(models(), kind, config, profile, &corpus())
+    }
 
     fn corpus() -> Vec<String> {
         vec![
@@ -426,15 +423,9 @@ mod tests {
 
     #[test]
     fn sage_answers_open_question() {
-        let sys = RagSystem::build(
-            models(),
-            RetrieverKind::OpenAiSim,
-            SageConfig::sage(),
-            LlmProfile::gpt4o_mini(),
-            &corpus(),
-        );
+        let sys = build(RetrieverKind::OpenAiSim, SageConfig::sage(), LlmProfile::gpt4o_mini());
         assert!(sys.build_stats().chunk_count > 1);
-        let r = sys.answer_open("What is the color of Whiskers's eyes?");
+        let r = sys.answer(&Request::new("What is the color of Whiskers's eyes?")).unwrap();
         assert!(r.answer.text.contains("green"), "got {:?}", r.answer.text);
         assert!(!r.selected.is_empty());
         assert!(r.cost.input_tokens > 0);
@@ -444,14 +435,8 @@ mod tests {
 
     #[test]
     fn naive_rag_answers_without_feedback() {
-        let sys = RagSystem::build(
-            models(),
-            RetrieverKind::Bm25,
-            SageConfig::naive_rag(),
-            LlmProfile::gpt4o_mini(),
-            &corpus(),
-        );
-        let r = sys.answer_open("Where does Dorinwick live?");
+        let sys = build(RetrieverKind::Bm25, SageConfig::naive_rag(), LlmProfile::gpt4o_mini());
+        let r = sys.answer(&Request::new("Where does Dorinwick live?")).unwrap();
         assert_eq!(r.feedback_rounds, 0);
         assert!(r.feedback_score.is_none());
         assert!(r.answer.text.contains("ashford"), "got {:?}", r.answer.text);
@@ -459,16 +444,11 @@ mod tests {
 
     #[test]
     fn multiple_choice_path() {
-        let sys = RagSystem::build(
-            models(),
-            RetrieverKind::OpenAiSim,
-            SageConfig::sage(),
-            LlmProfile::gpt4(),
-            &corpus(),
-        );
+        let sys = build(RetrieverKind::OpenAiSim, SageConfig::sage(), LlmProfile::gpt4());
         let options: Vec<String> =
             ["orange", "green", "violet", "gray"].iter().map(|s| s.to_string()).collect();
-        let r = sys.answer_multiple_choice("What is the color of Whiskers's eyes?", &options);
+        let q = "What is the color of Whiskers's eyes?";
+        let r = sys.answer(&Request { options: Some(&options), ..Request::new(q) }).unwrap();
         assert_eq!(r.picked_option, Some(1), "answer {:?}", r.answer.text);
     }
 
@@ -505,8 +485,8 @@ mod tests {
             &big_corpus,
         );
         let q = "What is the color of Whiskers's eyes?";
-        let rs = sage.answer_open(q);
-        let rn = naive.answer_open(q);
+        let rs = sage.answer(&Request::new(q)).unwrap();
+        let rn = naive.answer(&Request::new(q)).unwrap();
         assert!(
             rs.answer.cost.input_tokens < rn.answer.cost.input_tokens,
             "sage {} vs naive {}",
@@ -517,13 +497,7 @@ mod tests {
 
     #[test]
     fn build_stats_populated() {
-        let sys = RagSystem::build(
-            models(),
-            RetrieverKind::Sbert,
-            SageConfig::sage(),
-            LlmProfile::unifiedqa_3b(),
-            &corpus(),
-        );
+        let sys = build(RetrieverKind::Sbert, SageConfig::sage(), LlmProfile::unifiedqa_3b());
         let s = sys.build_stats();
         assert!(s.corpus_tokens > 0);
         assert!(s.memory_bytes > 0);
@@ -536,13 +510,7 @@ mod tests {
 
     #[test]
     fn add_documents_times_its_segmentation_and_reindex() {
-        let mut sys = RagSystem::build(
-            models(),
-            RetrieverKind::Bm25,
-            SageConfig::sage(),
-            LlmProfile::gpt4o_mini(),
-            &corpus(),
-        );
+        let mut sys = build(RetrieverKind::Bm25, SageConfig::sage(), LlmProfile::gpt4o_mini());
         let built = sys.build_stats().segmentation_time;
         sys.add_documents(models(), &corpus());
         let stats = sys.build_stats();
@@ -554,14 +522,9 @@ mod tests {
     fn zero_feedback_rounds_degrades_to_unanswerable() {
         // Regression: `use_feedback` with `max_feedback_rounds == 0` used
         // to panic on `best.expect("at least one round ran")`.
-        let sys = RagSystem::build(
-            models(),
-            RetrieverKind::OpenAiSim,
-            SageConfig { max_feedback_rounds: 0, ..SageConfig::sage() },
-            LlmProfile::gpt4o_mini(),
-            &corpus(),
-        );
-        let r = sys.answer_open("What is the color of Whiskers's eyes?");
+        let config = SageConfig { max_feedback_rounds: 0, ..SageConfig::sage() };
+        let sys = build(RetrieverKind::OpenAiSim, config, LlmProfile::gpt4o_mini());
+        let r = sys.answer(&Request::new("What is the color of Whiskers's eyes?")).unwrap();
         assert_eq!(r.answer.text, "unanswerable");
         assert_eq!(r.feedback_rounds, 0);
         assert!(r.feedback_score.is_none());
@@ -575,25 +538,16 @@ mod tests {
             "Where does Dorinwick live?",
             "What animal is Patchy?",
         ];
-        let plain = RagSystem::build(
-            models(),
-            RetrieverKind::OpenAiSim,
-            SageConfig::sage(),
-            LlmProfile::gpt4o_mini(),
-            &corpus(),
-        );
-        let mut guarded = RagSystem::build(
-            models(),
-            RetrieverKind::OpenAiSim,
-            SageConfig::sage(),
-            LlmProfile::gpt4o_mini(),
-            &corpus(),
-        );
+        let build = || {
+            build(RetrieverKind::OpenAiSim, SageConfig::sage(), LlmProfile::gpt4o_mini())
+        };
+        let plain = build();
+        let mut guarded = build();
         guarded.enable_resilience(FaultPlan::none());
         assert!(guarded.resilience_enabled());
         for q in questions {
-            let a = plain.answer_open(q);
-            let b = guarded.answer_open(q);
+            let a = plain.answer(&Request::new(q)).unwrap();
+            let b = guarded.answer(&Request::new(q)).unwrap();
             assert_eq!(a.answer.text, b.answer.text, "{q}");
             assert_eq!(a.selected, b.selected, "{q}");
             assert_eq!(a.cost.input_tokens, b.cost.input_tokens, "{q}");
@@ -604,13 +558,7 @@ mod tests {
 
     #[test]
     fn try_answer_batch_matches_serial_answers() {
-        let sys = RagSystem::build(
-            models(),
-            RetrieverKind::Bm25,
-            SageConfig::sage(),
-            LlmProfile::gpt4o_mini(),
-            &corpus(),
-        );
+        let sys = build(RetrieverKind::Bm25, SageConfig::sage(), LlmProfile::gpt4o_mini());
         let questions: Vec<String> = [
             "What is the color of Whiskers's eyes?",
             "Where does Dorinwick live?",
@@ -622,7 +570,7 @@ mod tests {
         let batch = sys.try_answer_batch(&questions, 2);
         assert_eq!(batch.len(), questions.len());
         for (q, r) in questions.iter().zip(&batch) {
-            let serial = sys.answer_open(q);
+            let serial = sys.answer(&Request::new(q)).unwrap();
             let r = r.as_ref().expect("no faults, no panics");
             assert_eq!(r.answer.text, serial.answer.text);
         }
@@ -630,34 +578,25 @@ mod tests {
 
     #[test]
     fn answer_with_chunks_skips_ids_outside_the_chunk_store() {
-        let sys = RagSystem::build(
-            models(),
-            RetrieverKind::Bm25,
-            SageConfig::sage(),
-            LlmProfile::gpt4o_mini(),
-            &corpus(),
-        );
+        let sys = build(RetrieverKind::Bm25, SageConfig::sage(), LlmProfile::gpt4o_mini());
         let q = "What is the color of Whiskers's eyes?";
-        let r = sys.answer_with_chunks(q, &[0, usize::MAX], None);
+        let over = |ids: &[usize]| {
+            sys.answer(&Request { chunks: Some(ids), ..Request::new(q) }).unwrap()
+        };
+        let r = over(&[0, usize::MAX]);
         assert_eq!(r.selected, vec![0], "only the id actually read is reported");
-        assert_eq!(r.answer.text, sys.answer_with_chunks(q, &[0], None).answer.text);
+        assert_eq!(r.answer.text, over(&[0]).answer.text);
         // All ids unknown: the reader sees the empty context.
-        let none = sys.answer_with_chunks(q, &[usize::MAX], None);
+        let none = over(&[usize::MAX]);
         assert!(none.selected.is_empty());
-        assert_eq!(none.answer.text, sys.answer_with_chunks(q, &[], None).answer.text);
+        assert_eq!(none.answer.text, over(&[]).answer.text);
     }
 
     #[test]
     fn all_retriever_kinds_build() {
         for kind in RetrieverKind::all() {
-            let sys = RagSystem::build(
-                models(),
-                kind,
-                SageConfig::sage(),
-                LlmProfile::gpt4o_mini(),
-                &corpus(),
-            );
-            let r = sys.answer_open("Where does Dorinwick live?");
+            let sys = build(kind, SageConfig::sage(), LlmProfile::gpt4o_mini());
+            let r = sys.answer(&Request::new("Where does Dorinwick live?")).unwrap();
             assert!(!r.selected.is_empty(), "{kind:?} selected nothing");
         }
     }

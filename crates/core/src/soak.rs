@@ -14,8 +14,7 @@
 //! admission queue shrinks the deadline budget its pipeline run receives,
 //! and deeper queues push queries further down the brownout ladder.
 
-use crate::exec::execute_caught;
-use crate::pipeline::RagSystem;
+use crate::pipeline::{RagSystem, Request};
 use sage_admission::{
     arrival_plan, AdmissionConfig, AdmissionQueue, Decision, Priority, QueryBudget, ShedReason,
     SoakConfig,
@@ -383,7 +382,7 @@ impl SimState<'_> {
                 _ => None,
             };
             let question = &self.questions[job.seq % self.questions.len()];
-            let outcome = execute_caught(self.sys, question, None, budget);
+            let outcome = self.sys.answer(&Request { budget, ..Request::new(question) });
             self.settle(job, start, slot, outcome);
         }
     }

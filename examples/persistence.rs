@@ -8,7 +8,7 @@
 
 use sage::prelude::*;
 
-fn main() -> std::io::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir();
     let models_path = dir.join("sage_example_models.bin");
     let index_path = dir.join("sage_example_index.bin");
@@ -45,7 +45,7 @@ fn main() -> std::io::Result<()> {
     );
     for profile in [LlmProfile::gpt4(), LlmProfile::gpt4o_mini()] {
         let served = RagSystem::load(&index_path, profile)?;
-        let r = served.answer_open("Which instrument does Dorinwick play?");
+        let r = served.answer(&Request::new("Which instrument does Dorinwick play?"))?;
         println!("[{}] {}", profile.name, r.answer.text);
     }
 

@@ -6,7 +6,7 @@
 
 use sage::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SageError> {
     // 1. Train the models (segmentation model, reranker, encoders). All
     //    training is deterministic and runs on CPU in seconds.
     println!("training models...");
@@ -39,7 +39,8 @@ fn main() {
         stats.chunk_count, stats.corpus_tokens, stats.segmentation_time, stats.index_time
     );
 
-    // 4. Ask open-ended questions.
+    // 4. Ask open-ended questions. Every query is a `Request`; `answer`
+    //    turns a panic anywhere in the pipeline into an error.
     for question in [
         "What is the color of Whiskers's eyes?",
         "Where does Dorinwick live?",
@@ -47,7 +48,7 @@ fn main() {
         "What is the color of Patchy's eyes?",
         "Where was Dorinwick born?", // not in the corpus
     ] {
-        let r = system.answer_open(question);
+        let r = system.answer(&Request::new(question))?;
         println!(
             "Q: {question}\nA: {}  (confidence {:.2}, {} chunks, {} feedback rounds, \
              {} tokens, ${:.6})\n",
@@ -60,13 +61,15 @@ fn main() {
         );
     }
 
-    // 5. Multiple choice works too.
+    // 5. Multiple choice works too: the same request, with options.
     let options: Vec<String> =
         ["orange", "green", "violet", "gray"].iter().map(|s| s.to_string()).collect();
-    let r = system.answer_multiple_choice("What is the color of Whiskers's eyes?", &options);
+    let question = "What is the color of Whiskers's eyes?";
+    let r = system.answer(&Request { options: Some(&options), ..Request::new(question) })?;
     println!(
         "MC: picked option {} ({})",
         r.picked_option.unwrap(),
         r.answer.text
     );
+    Ok(())
 }

@@ -33,16 +33,17 @@ sage=target/release/sage
 echo "=== cargo clippy --workspace --lib -- -D warnings (the lint rules)"
 cargo clippy --workspace --lib -- -D warnings
 
-echo "=== module-size ceiling (pipeline stays a thin plan-builder layer)"
+echo "=== module-size ceiling (pipeline stays construction plus one query entry point)"
 # The stage-graph executor (core/src/exec/) owns query execution;
-# pipeline.rs must not grow back into the pre-refactor monolith.
+# pipeline.rs must not grow back into the pre-refactor monolith, nor regrow
+# a family of query methods beside `answer`.
 pipeline_lines=$(wc -l < crates/core/src/pipeline.rs)
-if [ "$pipeline_lines" -ge 700 ]; then
-  echo "FAIL: crates/core/src/pipeline.rs is $pipeline_lines lines (ceiling 700);"
+if [ "$pipeline_lines" -ge 650 ]; then
+  echo "FAIL: crates/core/src/pipeline.rs is $pipeline_lines lines (ceiling 650);"
   echo "      move execution logic into crates/core/src/exec/ instead"
   exit 1
 fi
-echo "pipeline.rs at $pipeline_lines lines (< 700)"
+echo "pipeline.rs at $pipeline_lines lines (< 650)"
 
 echo "=== cargo test -q"
 cargo test -q
@@ -57,7 +58,8 @@ if [ "${1:-}" != fast ]; then
   echo "=== paper-shape benches (each asserts its figure's shape and exits non-zero when it fails)"
   for bench in table02_narrativeqa_retrievers table03_quality_qasper fig05_score_curves \
                fig07_segmentation_overhead fig08_noisy_retrieval fig09_missing_retrieval \
-               fig10_incomplete_chunks table08_09_scalability table10_feature_ablation; do
+               fig10_incomplete_chunks table04_ablation table06_narrativeqa_baselines \
+               table08_09_scalability table10_feature_ablation; do
     if ! err=$(cargo bench -q -p sage-bench --bench "$bench" 2>&1 > /dev/null); then
       echo "FAIL: bench $bench"; echo "$err"; exit 1
     fi
@@ -126,6 +128,26 @@ if [ "${1:-}" != fast ]; then
   grep -q 'checksum mismatch' "$tmp/flipped.err" \
     || { echo "FAIL: no checksum error"; cat "$tmp/flipped.err"; exit 1; }
   echo "persistence smoke ok"
+
+  echo "=== panic smoke (an injected reader panic is an error, not a crash)"
+  # `ask` and `query` go through the one panic boundary: exit status 1,
+  # nothing on stdout, and the structured error as the last stderr line
+  # (the default panic hook's message may precede it).
+  question="What is the color of Whiskers's eyes?"
+  for command in ask query; do
+    case $command in
+      ask) input=(--file "$tmp/corpus.txt" --models "$tmp/models.bin") ;;
+      query) input=(--index "$tmp/index_openai_a.bin") ;;
+    esac
+    status=0
+    "$sage" "$command" "${input[@]}" --question "$question" --faults reader=panic:1.0 \
+      > "$tmp/panic.out" 2> "$tmp/panic.err" || status=$?
+    [ "$status" -eq 1 ] || { echo "FAIL: sage $command exited $status on an injected panic"; exit 1; }
+    [ ! -s "$tmp/panic.out" ] || { echo "FAIL: sage $command printed an answer"; exit 1; }
+    [ "$(tail -n 1 "$tmp/panic.err")" = "error: panicked: injected panic at reader for call \"$question\"" ] \
+      || { echo "FAIL: sage $command did not end on the panic error"; cat "$tmp/panic.err"; exit 1; }
+  done
+  echo "panic smoke ok"
 
   echo "=== segment smoke (the chunk listing is the recorded one; a bad --naive value is refused)"
   # The listing is what the build before the pool-once segmenter (PR 23's

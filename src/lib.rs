@@ -54,10 +54,11 @@
 //! );
 //!
 //! // Ask.
-//! let result = system.answer_open("What is the color of Whiskers's eyes?");
+//! let result = system.answer(&Request::new("What is the color of Whiskers's eyes?"))?;
 //! assert!(result.answer.text.contains("green"));
 //! println!("{} (${:.6})", result.answer.text,
 //!          result.cost.dollars(sage::eval::PriceTable::gpt4o_mini()));
+//! # Ok::<(), SageError>(())
 //! ```
 //!
 //! See `DESIGN.md` for the substitution table (what the paper used → what
@@ -95,7 +96,7 @@ pub mod prelude {
         LiveSoakConfig, LiveSoakReport,
     };
     pub use sage_core::models::{TrainBudget, TrainedModels};
-    pub use sage_core::pipeline::{BuildStats, QueryResult, RagSystem};
+    pub use sage_core::pipeline::{BuildStats, QueryResult, RagSystem, Request};
     pub use sage_core::scenario::{parse_scenarios, render_rows, run_cell, BenchRow, ScenarioCell};
     pub use sage_core::soak::{run_soak, SoakReport};
     pub use sage_corpus::datasets::SizeConfig;

@@ -83,7 +83,7 @@ fn selected_chunks_contain_evidence_for_most_answerable_questions() {
             ));
         }
         let (_, system) = built.as_ref().unwrap();
-        let r = system.answer_open(&task.item.question);
+        let r = system.answer(&Request::new(&task.item.question)).unwrap();
         let context: String =
             r.selected.iter().map(|&i| system.chunks()[i].as_str()).collect::<Vec<_>>().join(" ");
         checked += 1;
@@ -174,7 +174,7 @@ fn unanswerable_questions_honoured() {
             LlmProfile::gpt4(),
             &corpus,
         );
-        let r = system.answer_open(&task.item.question);
+        let r = system.answer(&Request::new(&task.item.question)).unwrap();
         if r.answer.text == "unanswerable" {
             abstained += 1;
         }
@@ -202,8 +202,8 @@ fn feedback_loop_spends_more_tokens_when_struggling() {
         LlmProfile::gpt4o_mini(),
         &corpus,
     );
-    let clean = system.answer_open("What is the color of Whiskers's eyes?");
-    let hopeless = system.answer_open("Where was Dorinwick born?");
+    let clean = system.answer(&Request::new("What is the color of Whiskers's eyes?")).unwrap();
+    let hopeless = system.answer(&Request::new("Where was Dorinwick born?")).unwrap();
     // The judge accepts the grounded answer and rejects the hopeless one.
     assert!(clean.feedback_score.unwrap() >= 9, "clean score {:?}", clean.feedback_score);
     assert!(hopeless.feedback_score.unwrap() < 9, "hopeless score {:?}", hopeless.feedback_score);
@@ -250,9 +250,9 @@ fn telemetry_observes_the_full_serving_path() {
     assert!(hub.builds()[0].segmentation_ns > 0);
 
     let q = "What is the color of Whiskers's eyes?";
-    let r = system.answer_open(q);
+    let r = system.answer(&Request::new(q)).unwrap();
     // Observation must not change the answer.
-    assert_eq!(r.answer.text, plain.answer_open(q).answer.text);
+    assert_eq!(r.answer.text, plain.answer(&Request::new(q)).unwrap().answer.text);
 
     // The query trace covers every serving stage.
     let jsonl = hub.traces_jsonl();
@@ -295,7 +295,8 @@ fn brownout_reconciles_trace_counters_and_ledger() {
     // planner must drop feedback (and nothing deeper).
     let before = sage::telemetry::metrics::BROWNOUT_TOTAL.total();
     let budget = QueryBudget::new(Duration::from_millis(2_500), 1_000_000);
-    let r = system.answer_open_budgeted("What is the color of Whiskers's eyes?", budget);
+    let q = "What is the color of Whiskers's eyes?";
+    let r = system.answer(&Request { budget: Some(budget), ..Request::new(q) }).unwrap();
     assert!(r.brownout > BrownoutLevel::None, "tight deadline must brown out");
     assert_eq!(r.feedback_rounds, 0, "dropped feedback still ran rounds");
 
@@ -505,14 +506,20 @@ fn golden_equivalence_executor_matches_seed_inline_path() {
             RagSystem::build(models(), kind, cfg, LlmProfile::gpt4o_mini(), &golden_corpus());
         for q in GOLDEN_QUESTIONS {
             let golden = seed_inline_path(&sys, q, None);
-            assert_eq!(Golden::of(&sys.answer_open(q)), golden, "{kind:?} open: {q}");
+            assert_eq!(
+                Golden::of(&sys.answer(&Request::new(q)).unwrap()),
+                golden,
+                "{kind:?} open: {q}"
+            );
         }
         let options: Vec<String> =
             ["orange", "green", "violet", "gray"].iter().map(|s| s.to_string()).collect();
         let q = "What is the color of Whiskers's eyes?";
         let golden = seed_inline_path(&sys, q, Some(&options));
         assert_eq!(
-            Golden::of(&sys.answer_multiple_choice(q, &options)),
+            Golden::of(
+                &sys.answer(&Request { options: Some(&options), ..Request::new(q) }).unwrap()
+            ),
             golden,
             "{kind:?} multiple-choice"
         );
@@ -539,9 +546,9 @@ fn golden_equivalence_under_fault_plan() {
     let sys = build();
     let twin = build();
     for q in GOLDEN_QUESTIONS {
-        let a = Golden::of(&sys.answer_open(q));
-        let b = Golden::of(&sys.answer_open(q));
-        let c = Golden::of(&twin.answer_open(q));
+        let a = Golden::of(&sys.answer(&Request::new(q)).unwrap());
+        let b = Golden::of(&sys.answer(&Request::new(q)).unwrap());
+        let c = Golden::of(&twin.answer(&Request::new(q)).unwrap());
         assert_eq!(a, b, "same-system replay: {q}");
         assert_eq!(a, c, "twin-system replay: {q}");
         // Every feedback round re-selects over the degraded ranking; the
@@ -557,7 +564,7 @@ fn golden_equivalence_under_fault_plan() {
     let plan = FaultPlan::seeded(0x601E)
         .with(Component::Reader, Rates { corrupt: 1.0, ..Rates::default() });
     dead_reader.enable_resilience(plan);
-    let r = dead_reader.answer_open(GOLDEN_QUESTIONS[0]);
+    let r = dead_reader.answer(&Request::new(GOLDEN_QUESTIONS[0])).unwrap();
     let g = Golden::of(&r);
     assert_eq!(g.text, "unanswerable");
     assert_eq!(g.feedback_rounds, 0);
@@ -590,12 +597,12 @@ fn golden_equivalence_under_tight_budget() {
     );
     for q in GOLDEN_QUESTIONS {
         let budget = QueryBudget::new(Duration::from_millis(2_500), 1_000_000);
-        let r = sys.answer_open_budgeted(q, budget);
+        let r = sys.answer(&Request { budget: Some(budget), ..Request::new(q) }).unwrap();
         assert_eq!(r.brownout, BrownoutLevel::DropFeedback, "{q}");
         let steps: Vec<u8> =
             r.degraded.events.iter().filter_map(|e| e.fallback.brownout_step()).collect();
         assert_eq!(steps, vec![1], "{q}");
-        let plain = no_feedback.answer_open(q);
+        let plain = no_feedback.answer(&Request::new(q)).unwrap();
         assert_eq!(r.answer.text, plain.answer.text, "{q}");
         assert_eq!(r.answer.confidence.to_bits(), plain.answer.confidence.to_bits(), "{q}");
         assert_eq!(r.cost, plain.cost, "{q}");
@@ -608,7 +615,8 @@ fn golden_equivalence_under_tight_budget() {
     // collapses to the flat min_k prefix of the first-stage order, and the
     // answer equals a direct read over exactly those chunks.
     let q = GOLDEN_QUESTIONS[0];
-    let r = sys.answer_open_budgeted(q, QueryBudget::new(Duration::from_millis(1), 1_000_000));
+    let starved = QueryBudget::new(Duration::from_millis(1), 1_000_000);
+    let r = sys.answer(&Request { budget: Some(starved), ..Request::new(q) }).unwrap();
     assert_eq!(r.brownout, BrownoutLevel::FlatTopK);
     let steps: Vec<u8> =
         r.degraded.events.iter().filter_map(|e| e.fallback.brownout_step()).collect();
@@ -616,10 +624,69 @@ fn golden_equivalence_under_tight_budget() {
     let (cand_ids, _) = sys.candidates(q);
     let flat: Vec<usize> = cand_ids[..sys.config().min_k.min(cand_ids.len())].to_vec();
     assert_eq!(r.selected, flat);
-    let direct = sys.answer_with_chunks(q, &flat, None);
+    let direct = sys.answer(&Request { chunks: Some(&flat), ..Request::new(q) }).unwrap();
     assert_eq!(r.answer.text, direct.answer.text);
     assert_eq!(r.answer.cost, direct.answer.cost);
     assert_eq!(r.cost, direct.cost);
+}
+
+/// The golden system with resilience on under `plan`.
+fn guarded(plan: FaultPlan) -> RagSystem {
+    let mut sys = RagSystem::build(
+        models(),
+        RetrieverKind::OpenAiSim,
+        SageConfig::sage(),
+        LlmProfile::gpt4o_mini(),
+        &golden_corpus(),
+    );
+    sys.enable_resilience(plan);
+    sys
+}
+
+#[test]
+fn golden_equivalence_of_a_fixed_context_under_guards_and_budget() {
+    let q = GOLDEN_QUESTIONS[0];
+    let plain = RagSystem::build(
+        models(),
+        RetrieverKind::OpenAiSim,
+        SageConfig::sage(),
+        LlmProfile::gpt4o_mini(),
+        &golden_corpus(),
+    );
+    let ids: Vec<usize> = (0..plain.chunks().len()).collect();
+    let fixed = Request { chunks: Some(&ids), ..Request::new(q) };
+    let golden = Golden::of(&plain.answer(&fixed).unwrap());
+    // Guards without faults only validate.
+    let clean = guarded(FaultPlan::none());
+    assert_eq!(Golden::of(&clean.answer(&fixed).unwrap()), golden, "guarded");
+    // A generous budget takes no rung.
+    let budgeted = Request { budget: Some(QueryBudget::generous()), ..fixed };
+    assert_eq!(Golden::of(&plain.answer(&budgeted).unwrap()), golden, "budgeted");
+
+    // An always-corrupt reader: the fixed context degrades through the
+    // reader's fallbacks to a well-formed verdict instead of panicking.
+    let plan = FaultPlan::seeded(0x601E)
+        .with(Component::Reader, Rates { corrupt: 1.0, ..Rates::default() });
+    let dead_reader = guarded(plan);
+    let r = dead_reader.answer(&fixed).unwrap();
+    assert!(r.answer.is_wellformed(), "{:?}", r.answer);
+    assert_eq!(r.answer.text, "unanswerable");
+    assert_eq!(r.answer.latency, r.degraded.total_delay());
+    let g = Golden::of(&r);
+    assert!(!g.degrade_labels.is_empty());
+    assert!(g.degrade_labels.iter().all(|l| l.starts_with("reader->")), "{:?}", g.degrade_labels);
+}
+
+#[test]
+fn try_answer_open_is_answer_on_a_bare_request() {
+    for kind in [RetrieverKind::OpenAiSim, RetrieverKind::Bm25] {
+        let (config, profile) = (SageConfig::sage(), LlmProfile::gpt4o_mini());
+        let sys = RagSystem::build(models(), kind, config, profile, &golden_corpus());
+        for q in GOLDEN_QUESTIONS {
+            let a = Golden::of(&sys.try_answer_open(q).unwrap());
+            assert_eq!(a, Golden::of(&sys.answer(&Request::new(q)).unwrap()), "{kind:?}: {q}");
+        }
+    }
 }
 
 #[test]
@@ -636,7 +703,7 @@ fn degrade_events_are_folded_into_query_traces() {
     system.enable_resilience(plan);
     let hub = system.enable_telemetry();
 
-    let r = system.answer_open("What is the color of Whiskers's eyes?");
+    let r = system.answer(&Request::new("What is the color of Whiskers's eyes?")).unwrap();
     assert!(!r.degraded.events.is_empty(), "always-corrupt reranker must degrade");
 
     // The degradation shows up inline in the same query trace, labelled

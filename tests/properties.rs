@@ -349,7 +349,7 @@ proptest! {
 // produce identical results — including the degradation trace.
 
 use sage::prelude::{
-    Component, FaultPlan, LlmProfile, QueryResult, RagSystem, Rates,
+    Component, FaultPlan, LlmProfile, QueryResult, RagSystem, Rates, Request,
     RetrieverKind, SageConfig, SageError, TrainBudget, TrainedModels,
 };
 use std::sync::OnceLock;
@@ -382,7 +382,7 @@ fn build_resilient(plan: FaultPlan) -> RagSystem {
 }
 
 /// Arbitrary per-component rates: all fault kinds except panics (which
-/// escape `answer_open` by design), total mass < 1.
+/// escape `answer` by design), total mass < 1.
 fn rates_strategy() -> impl Strategy<Value = Rates> {
     (0.0f64..0.4, 0.0f64..0.3, 0.0f64..0.3).prop_map(|(transient, timeout, corrupt)| Rates {
         panic: 0.0,
@@ -416,8 +416,8 @@ proptest! {
             .with(Component::IndexSearch, index)
             .with(Component::Reranker, reranker)
             .with(Component::Reader, reader);
-        let a = build_resilient(plan.clone()).answer_open(question);
-        let b = build_resilient(plan).answer_open(question);
+        let a = build_resilient(plan.clone()).answer(&Request::new(question)).unwrap();
+        let b = build_resilient(plan).answer(&Request::new(question)).unwrap();
         // Every deterministic field must match exactly (wall-clock
         // latencies are measurements, not outputs).
         prop_assert_eq!(&a.answer.text, &b.answer.text);
@@ -806,7 +806,7 @@ fn telemetry_traces_are_deterministic_modulo_wallclock() {
             &corpus,
         );
         let hub = system.enable_telemetry();
-        system.answer_open("What is the color of Whiskers's eyes?");
+        system.answer(&Request::new("What is the color of Whiskers's eyes?")).unwrap();
         hub.traces_jsonl()
     };
     let a = trace_of();
@@ -906,7 +906,8 @@ fn brownout_ladder_monotone_in_deadline() {
         let mut prev: Option<(BrownoutLevel, usize, u64)> = None;
         for ms in deadlines_ms {
             let budget = QueryBudget::new(Duration::from_millis(ms), 1_000_000);
-            let r = system.answer_open_budgeted(question, budget);
+            let r =
+                system.answer(&Request { budget: Some(budget), ..Request::new(question) }).unwrap();
             let cost = r.cost.input_tokens + r.cost.output_tokens;
             if let Some((level, rounds, tokens)) = prev {
                 assert!(
@@ -928,12 +929,14 @@ fn brownout_ladder_monotone_in_deadline() {
         }
         // The extremes actually differ: the tightest budget browned out,
         // the loosest did not.
-        let tight = system
-            .answer_open_budgeted(question, QueryBudget::new(Duration::from_millis(500), 1_000_000));
+        let tight = QueryBudget::new(Duration::from_millis(500), 1_000_000);
+        let tight =
+            system.answer(&Request { budget: Some(tight), ..Request::new(question) }).unwrap();
         assert!(tight.brownout > BrownoutLevel::None);
-        let loose = system.answer_open_budgeted(question, QueryBudget::generous());
+        let loose = Request { budget: Some(QueryBudget::generous()), ..Request::new(question) };
+        let loose = system.answer(&loose).unwrap();
         assert_eq!(loose.brownout, BrownoutLevel::None);
-        assert_eq!(loose.answer.text, system.answer_open(question).answer.text);
+        assert_eq!(loose.answer.text, system.answer(&Request::new(question)).unwrap().answer.text);
     }
 }
 
@@ -944,8 +947,8 @@ fn brownout_ladder_monotone_in_token_budget() {
     let token_grid = [300u64, 1_300, 2_300, 5_300, 1_000_000];
     let mut prev: Option<BrownoutLevel> = None;
     for tokens in token_grid {
-        let r = system
-            .answer_open_budgeted(question, QueryBudget::new(Duration::from_secs(120), tokens));
+        let budget = QueryBudget::new(Duration::from_secs(120), tokens);
+        let r = system.answer(&Request { budget: Some(budget), ..Request::new(question) }).unwrap();
         if let Some(level) = prev {
             assert!(
                 r.brownout <= level,

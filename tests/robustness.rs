@@ -24,7 +24,7 @@ fn build(corpus: &[String]) -> RagSystem {
 fn empty_corpus_answers_unanswerable() {
     let system = build(&[]);
     assert_eq!(system.build_stats().chunk_count, 0);
-    let r = system.answer_open("Where does anyone live?");
+    let r = system.answer(&Request::new("Where does anyone live?")).unwrap();
     assert_eq!(r.answer.text, "unanswerable");
     assert!(r.selected.is_empty());
 }
@@ -32,28 +32,28 @@ fn empty_corpus_answers_unanswerable() {
 #[test]
 fn empty_string_document() {
     let system = build(&[String::new()]);
-    let r = system.answer_open("Anything?");
+    let r = system.answer(&Request::new("Anything?")).unwrap();
     assert_eq!(r.answer.text, "unanswerable");
 }
 
 #[test]
 fn single_sentence_corpus() {
     let system = build(&["Whiskers has bright green eyes.".to_string()]);
-    let r = system.answer_open("What is the color of Whiskers's eyes?");
+    let r = system.answer(&Request::new("What is the color of Whiskers's eyes?")).unwrap();
     assert!(r.answer.text.contains("green"), "got {:?}", r.answer.text);
 }
 
 #[test]
 fn empty_question() {
     let system = build(&["Some perfectly ordinary corpus text. It has sentences.".to_string()]);
-    let r = system.answer_open("");
+    let r = system.answer(&Request::new("")).unwrap();
     assert_eq!(r.answer.text, "unanswerable");
 }
 
 #[test]
 fn punctuation_only_question() {
     let system = build(&["Some corpus text lives here.".to_string()]);
-    let r = system.answer_open("???!!!...");
+    let r = system.answer(&Request::new("???!!!...")).unwrap();
     assert_eq!(r.answer.text, "unanswerable");
 }
 
@@ -65,7 +65,7 @@ fn unicode_text_survives_the_pipeline() {
             .to_string(),
     ];
     let system = build(&corpus);
-    let r = system.answer_open("What is the color of Ünïcøde Čát's eyes?");
+    let r = system.answer(&Request::new("What is the color of Ünïcøde Čát's eyes?")).unwrap();
     // Must not panic; answering correctly is a bonus (the tokenizer
     // lowercases unicode correctly, so it usually does).
     assert!(!r.answer.text.is_empty());
@@ -95,7 +95,7 @@ fn very_long_single_paragraph_is_bounded_by_coarse_cap() {
 fn duplicate_documents_do_not_break_retrieval() {
     let doc = "Dorinwick was well known in the region. He lives in Ashford.".to_string();
     let system = build(&[doc.clone(), doc.clone(), doc]);
-    let r = system.answer_open("Where does Dorinwick live?");
+    let r = system.answer(&Request::new("Where does Dorinwick live?")).unwrap();
     assert!(r.answer.text.contains("ashford"), "got {:?}", r.answer.text);
 }
 
@@ -103,7 +103,8 @@ fn duplicate_documents_do_not_break_retrieval() {
 fn multiple_choice_with_one_option() {
     let system = build(&["Whiskers has bright green eyes.".to_string()]);
     let options = vec!["green".to_string()];
-    let r = system.answer_multiple_choice("What color are Whiskers's eyes?", &options);
+    let question = "What color are Whiskers's eyes?";
+    let r = system.answer(&Request { options: Some(&options), ..Request::new(question) }).unwrap();
     assert_eq!(r.picked_option, Some(0));
 }
 
@@ -117,7 +118,7 @@ fn min_k_larger_than_chunk_count() {
         LlmProfile::gpt4o_mini(),
         &corpus,
     );
-    let r = system.answer_open("What does the paragraph say?");
+    let r = system.answer(&Request::new("What does the paragraph say?")).unwrap();
     assert!(r.selected.len() <= system.chunks().len());
 }
 
@@ -135,11 +136,9 @@ fn answer_with_chunks_respects_explicit_ids() {
         .iter()
         .position(|c| c.contains("Patchy"))
         .expect("patchy chunk");
-    let r = system.answer_with_chunks(
-        "What is the color of Whiskers's eyes?",
-        &[patchy_chunk],
-        None,
-    );
+    let question = "What is the color of Whiskers's eyes?";
+    let ids = [patchy_chunk];
+    let r = system.answer(&Request { chunks: Some(&ids), ..Request::new(question) }).unwrap();
     assert!(
         !r.answer.text.contains("green"),
         "answer must come only from the provided chunk: {:?}",
@@ -183,7 +182,7 @@ fn all_llm_profiles_run_the_full_pipeline() {
             profile,
             &corpus,
         );
-        let r = system.answer_open("What is the color of Whiskers's eyes?");
+        let r = system.answer(&Request::new("What is the color of Whiskers's eyes?")).unwrap();
         assert!(!r.answer.text.is_empty(), "{} returned empty", profile.name);
     }
 }
@@ -192,17 +191,17 @@ fn all_llm_profiles_run_the_full_pipeline() {
 fn incremental_add_documents_extends_retrieval() {
     let mut system = build(&["Whiskers is a tabby cat. He has bright green eyes.".to_string()]);
     let before = system.build_stats().chunk_count;
-    let miss = system.answer_open("Where does Dorinwick live?");
+    let miss = system.answer(&Request::new("Where does Dorinwick live?")).unwrap();
     assert_eq!(miss.answer.text, "unanswerable");
     system.add_documents(
         models(),
         &["Dorinwick was well known in the region. He lives in Ashford.".to_string()],
     );
     assert!(system.build_stats().chunk_count > before);
-    let hit = system.answer_open("Where does Dorinwick live?");
+    let hit = system.answer(&Request::new("Where does Dorinwick live?")).unwrap();
     assert!(hit.answer.text.contains("ashford"), "got {:?}", hit.answer.text);
     // Old content still answerable.
-    let old = system.answer_open("What is the color of Whiskers's eyes?");
+    let old = system.answer(&Request::new("What is the color of Whiskers's eyes?")).unwrap();
     assert!(old.answer.text.contains("green"));
 }
 
@@ -238,7 +237,7 @@ const EYES_Q: &str = "What is the color of Whiskers's eyes?";
 #[test]
 fn embedder_fault_degrades_to_bm25() {
     let system = resilient(FaultPlan::failing(Component::Embedder, FaultKind::Transient));
-    let r = system.answer_open(EYES_Q);
+    let r = system.answer(&Request::new(EYES_Q)).unwrap();
     assert!(r.degraded.fired(Fallback::DenseToBm25), "trace: {:?}", r.degraded);
     assert!(r.answer.text.contains("green"), "BM25 fallback answered: {:?}", r.answer.text);
 }
@@ -246,7 +245,7 @@ fn embedder_fault_degrades_to_bm25() {
 #[test]
 fn flat_search_fault_degrades_to_bm25_with_virtual_delay() {
     let system = resilient(FaultPlan::failing(Component::IndexSearch, FaultKind::Timeout));
-    let r = system.answer_open(EYES_Q);
+    let r = system.answer(&Request::new(EYES_Q)).unwrap();
     assert!(r.degraded.fired(Fallback::DenseToBm25), "trace: {:?}", r.degraded);
     assert!(
         r.degraded.total_delay() > std::time::Duration::ZERO,
@@ -283,7 +282,7 @@ fn index_fault_degrades_to_bm25_and_batch_completes() {
 #[test]
 fn reranker_fault_degrades_to_retrieval_order() {
     let system = resilient(FaultPlan::failing(Component::Reranker, FaultKind::Corrupt));
-    let r = system.answer_open(EYES_Q);
+    let r = system.answer(&Request::new(EYES_Q)).unwrap();
     assert!(r.degraded.fired(Fallback::RerankToRetrievalOrder), "trace: {:?}", r.degraded);
     assert!(r.answer.text.contains("green"), "retrieval order sufficed: {:?}", r.answer.text);
 }
@@ -291,7 +290,7 @@ fn reranker_fault_degrades_to_retrieval_order() {
 #[test]
 fn reader_fault_exhausts_to_unanswerable() {
     let system = resilient(FaultPlan::failing(Component::Reader, FaultKind::Transient));
-    let r = system.answer_open(EYES_Q);
+    let r = system.answer(&Request::new(EYES_Q)).unwrap();
     assert!(r.degraded.fired(Fallback::ReaderSecondBest), "trace: {:?}", r.degraded);
     assert!(r.degraded.fired(Fallback::ReaderUnanswerable), "trace: {:?}", r.degraded);
     assert_eq!(r.answer.text, "unanswerable");
@@ -306,7 +305,7 @@ fn partial_reader_faults_recover_via_retry() {
         .with(Component::Reader, Rates { transient: 0.4, ..Rates::default() });
     let system = resilient(plan);
     for q in [EYES_Q, "Where does Dorinwick live?", "What animal is Patchy?"] {
-        let r = system.answer_open(q);
+        let r = system.answer(&Request::new(q)).unwrap();
         assert!(!r.answer.text.is_empty(), "{q}");
     }
 }
@@ -345,7 +344,7 @@ fn injected_reader_panic_is_isolated_per_question() {
     let clean = build(&fault_corpus());
     for (q, r) in questions.iter().zip(&results) {
         if let Ok(r) = r {
-            assert_eq!(r.answer.text, clean.answer_open(q).answer.text, "{q}");
+            assert_eq!(r.answer.text, clean.answer(&Request::new(q)).unwrap().answer.text, "{q}");
         }
     }
     let counters = system.fallback_counters().expect("resilience on");
@@ -353,6 +352,17 @@ fn injected_reader_panic_is_isolated_per_question() {
         counters.iter().any(|(label, n)| *label == "panic-isolated" && *n >= errs as u64),
         "{counters:?}"
     );
+}
+
+#[test]
+fn answer_reports_an_injected_reader_panic_as_an_error() {
+    // The plan of `sage ask --faults reader=panic:1.0`: `answer` is the one
+    // panic boundary, so the panic comes back as a structured error and is
+    // counted once.
+    let system = resilient(FaultPlan::parse_spec("reader=panic:1.0", 0).unwrap());
+    let r = system.answer(&Request::new(EYES_Q));
+    assert!(matches!(r, Err(SageError::Panicked { .. })), "{r:?}");
+    assert_eq!(system.fallback_counters(), Some(vec![("panic-isolated", 1)]));
 }
 
 #[test]
@@ -364,7 +374,7 @@ fn multi_component_storm_still_serves() {
         .with(Component::Reranker, Rates { corrupt: 1.0, ..Rates::default() })
         .with(Component::Reader, Rates { timeout: 1.0, ..Rates::default() });
     let system = resilient(plan);
-    let r = system.answer_open(EYES_Q);
+    let r = system.answer(&Request::new(EYES_Q)).unwrap();
     assert!(r.degraded.fired(Fallback::DenseToBm25));
     assert!(r.degraded.fired(Fallback::RerankToRetrievalOrder));
     assert!(r.degraded.fired(Fallback::ReaderUnanswerable));
@@ -464,7 +474,7 @@ fn batch_without_admission_is_unchanged() {
     let questions = soak_questions();
     let plain = build(&fault_corpus());
     let serial: Vec<String> =
-        questions.iter().map(|q| plain.answer_open(q).answer.text).collect();
+        questions.iter().map(|q| plain.answer(&Request::new(q)).unwrap().answer.text).collect();
     let mut gated = build(&fault_corpus());
     gated.enable_admission(AdmissionConfig::default());
     let batch: Vec<String> = gated
@@ -560,7 +570,7 @@ fn try_answer_batch_matches_serial() {
         "What is Dorinwick's profession?".into(),
     ];
     let serial: Vec<String> =
-        questions.iter().map(|q| system.answer_open(q).answer.text).collect();
+        questions.iter().map(|q| system.answer(&Request::new(q)).unwrap().answer.text).collect();
     for workers in [1usize, 2, 8] {
         let batch: Vec<String> = system
             .try_answer_batch(&questions, workers)
