@@ -4,7 +4,7 @@ use crate::baselines::Method;
 use crate::config::{RetrieverKind, SageConfig};
 use crate::models::TrainedModels;
 use sage_corpus::{Dataset, QuestionKind};
-use sage_eval::{bleu, cost_efficiency, f1_match, mean, meteor, rouge_l, Cost};
+use sage_eval::{bleu, f1_match, mean, meteor, rouge_l, Cost};
 use sage_llm::LlmProfile;
 
 /// Aggregated scores for one (method, dataset, profile) run.
@@ -43,7 +43,7 @@ impl MethodScores {
     /// the quality term.
     pub fn efficiency(&self) -> f64 {
         let quality = if self.accuracy > 0.0 { self.accuracy } else { self.f1 } as f64;
-        cost_efficiency(quality, self.dollars)
+        sage_eval::cost_efficiency(quality, self.dollars)
     }
 }
 
@@ -290,6 +290,45 @@ pub fn baseline_ladder(
     }
 }
 
+/// Table XI: naive RAG on three retrievers and SAGE, priced by Eq. 2.
+#[derive(Debug, Clone)]
+pub struct CostEfficiency {
+    /// `(row label, scores)`: BM25, DPR, SBERT, SAGE.
+    pub rows: [(&'static str, MethodScores); 4],
+}
+
+impl CostEfficiency {
+    /// Each row's Eq. 2 efficiency over the best row's (the best is 1.0).
+    pub fn relative(&self) -> [f64; 4] {
+        let best = self.rows.iter().map(|(_, s)| s.efficiency()).fold(0.0, f64::max);
+        self.rows.each_ref().map(|(_, s)| if best > 0.0 { s.efficiency() / best } else { 0.0 })
+    }
+
+    /// The paper's shape: SAGE's Eq. 2 efficiency is at least every
+    /// baseline's.
+    pub fn holds(&self) -> bool {
+        let sage = self.rows[3].1.efficiency();
+        self.rows.iter().all(|(_, s)| sage >= s.efficiency())
+    }
+}
+
+/// Table XI's rows on `dataset`.
+pub fn cost_efficiency(
+    models: &TrainedModels,
+    profile: LlmProfile,
+    dataset: &Dataset,
+) -> CostEfficiency {
+    let methods = [
+        ("BM25", Method::NaiveRag(RetrieverKind::Bm25)),
+        ("DPR", Method::NaiveRag(RetrieverKind::Dpr)),
+        ("SBERT", Method::NaiveRag(RetrieverKind::Sbert)),
+        ("SAGE", Method::Sage(RetrieverKind::OpenAiSim)),
+    ];
+    CostEfficiency {
+        rows: methods.map(|(label, m)| (label, evaluate(m, models, profile, dataset))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,5 +432,15 @@ mod tests {
         assert!(table_iv.holds(), "{:?}", table_iv.rows);
         let table_vi = baseline_ladder(models(), LlmProfile::unifiedqa_3b(), &dataset);
         assert!(table_vi.holds(), "{:?}", table_vi.inversions());
+    }
+
+    /// Table XI at the tiny budget, on the bench's dataset size.
+    #[test]
+    fn sage_is_the_most_cost_efficient_in_table_xi() {
+        let dataset = quality::generate(SizeConfig { num_docs: 12, questions_per_doc: 4, seed: 0x2A02 });
+        let table = cost_efficiency(models(), LlmProfile::gpt4o_mini(), &dataset);
+        let effs: Vec<(&str, f64)> = table.rows.iter().map(|(l, s)| (*l, s.efficiency())).collect();
+        assert!(table.holds(), "{effs:?}");
+        assert_eq!(table.relative()[3], 1.0, "{effs:?}");
     }
 }

@@ -321,15 +321,15 @@ pub fn run_cell(models: &TrainedModels, cell: &ScenarioCell) -> Result<BenchRow,
 
     let mut row = BenchRow::new(&cell.name);
     row.push_u64("arrivals", report.arrivals as u64);
-    row.push_u64("admitted", report.admitted as u64);
+    row.push_u64("admitted", report.admitted() as u64);
     row.push_u64("shed", report.shed_total());
-    row.push_u64("expired", report.expired as u64);
-    row.push_u64("completed", report.completed as u64);
-    row.push_u64("errors", report.errors as u64);
-    row.push_u64("panics", report.panics as u64);
+    row.push_u64("expired", report.expired() as u64);
+    row.push_u64("completed", report.completed() as u64);
+    row.push_u64("errors", report.errors() as u64);
+    row.push_u64("panics", report.panics() as u64);
     row.push_u64("browned_out", report.browned_out());
-    row.push_u64("p50_sojourn_us", report.p50_sojourn.as_micros() as u64);
-    row.push_u64("p99_sojourn_us", report.p99_sojourn.as_micros() as u64);
+    row.push_u64("p50_sojourn_us", report.p50_sojourn().as_micros() as u64);
+    row.push_u64("p99_sojourn_us", report.p99_sojourn().as_micros() as u64);
     row.push_f64("shed_rate", report.shed_rate());
     row.push_f64("accuracy", f64::from(scores.accuracy));
     row.push_f64("f1", f64::from(scores.f1));

@@ -19,7 +19,7 @@ use sage_admission::{
     arrival_plan, AdmissionConfig, AdmissionQueue, Decision, Priority, QueryBudget, ShedReason,
     SoakConfig,
 };
-use sage_obs::{Outcome, QueryObs};
+use sage_telemetry::{Outcome, QueryObs};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -28,40 +28,23 @@ use std::time::Duration;
 const ERROR_SERVICE: Duration = Duration::from_millis(10);
 
 /// What one soak run did, with enough detail to assert the overload
-/// invariants and to diff two runs for determinism.
+/// invariants and to diff two runs for determinism. Every per-outcome
+/// tally is a fold over [`obs`](Self::obs); the fields hold only what the
+/// observation stream cannot give.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoakReport {
     /// Arrivals planned by the seeded process.
     pub arrivals: usize,
-    /// Queries the admission queue accepted.
-    pub admitted: usize,
-    /// Queries shed, by priority class (stable [`Priority`] order).
-    pub shed: [u64; Priority::COUNT],
-    /// Admitted queries whose deadline expired while queued (never run).
-    pub expired: usize,
-    /// Queries that completed with a result.
-    pub completed: usize,
-    /// Queries that returned a structured error (not shed, not panic).
-    pub errors: usize,
-    /// Queries that panicked (isolated by the serving path). Always zero
-    /// unless something is broken — the first soak invariant.
-    pub panics: usize,
-    /// Completed queries by final brownout level (ladder order; index 0 is
-    /// full fidelity).
-    pub brownout: [u64; 5],
+    /// Deepest queue depth observed.
+    pub max_depth: usize,
     /// Completed queries whose brownout events were out of ladder order.
     /// Always zero — the ladder only ratchets downward in fidelity.
     pub ladder_violations: usize,
-    /// Median sojourn (arrival → virtual completion) of completed queries.
-    pub p50_sojourn: Duration,
-    /// 99th-percentile sojourn of completed queries.
-    pub p99_sojourn: Duration,
-    /// Deepest queue depth observed.
-    pub max_depth: usize,
     /// Deterministic event log, one line per arrival/start/finish.
     pub log: Vec<String>,
     /// Per-query observations in terminal-event order (shed, expiry,
-    /// completion, error) — the one stream both the flight recorder
+    /// completion, error), one per arrival offered to the queue — the one
+    /// stream the tallies below, the flight recorder
     /// (`FlightRecorder::capture_query`) and the SLO accounting
     /// (`evaluate_slo`) fold over. Virtual quantities only, so it replays
     /// bit-for-bit like the log.
@@ -69,9 +52,80 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
+    /// Observations that ended in `outcome`.
+    fn count(&self, outcome: Outcome) -> usize {
+        self.obs.iter().filter(|o| o.outcome == outcome).count()
+    }
+
+    /// Observations of completed queries.
+    fn done(&self) -> impl Iterator<Item = &QueryObs> {
+        self.obs.iter().filter(|o| o.outcome == Outcome::Done)
+    }
+
+    /// Queries the admission queue accepted: every observation but a shed
+    /// one (an empty question list offers nothing, whatever the plan).
+    pub fn admitted(&self) -> usize {
+        self.obs.len() - self.count(Outcome::Shed)
+    }
+
+    /// Queries shed, by priority class (stable [`Priority`] order).
+    pub fn shed(&self) -> [u64; Priority::COUNT] {
+        Priority::ALL.map(|class| {
+            let shed = |o: &&QueryObs| o.outcome == Outcome::Shed && o.class == class.label();
+            self.obs.iter().filter(shed).count() as u64
+        })
+    }
+
     /// Total shed across classes.
     pub fn shed_total(&self) -> u64 {
-        self.shed.iter().sum()
+        self.count(Outcome::Shed) as u64
+    }
+
+    /// Admitted queries whose deadline expired while queued (never run).
+    pub fn expired(&self) -> usize {
+        self.count(Outcome::Expired)
+    }
+
+    /// Queries that completed with a result.
+    pub fn completed(&self) -> usize {
+        self.count(Outcome::Done)
+    }
+
+    /// Queries that returned a structured error (not shed, not panic).
+    pub fn errors(&self) -> usize {
+        self.count(Outcome::Error)
+    }
+
+    /// Queries that panicked (isolated by the serving path). Always zero
+    /// unless something is broken — the first soak invariant.
+    pub fn panics(&self) -> usize {
+        self.count(Outcome::Panicked)
+    }
+
+    /// Completed queries by final brownout level (ladder order; index 0 is
+    /// full fidelity).
+    pub fn brownout(&self) -> [u64; 5] {
+        std::array::from_fn(|level| {
+            self.done().filter(|o| usize::from(o.brownout) == level).count() as u64
+        })
+    }
+
+    /// Median sojourn (arrival → virtual completion) of completed queries.
+    pub fn p50_sojourn(&self) -> Duration {
+        self.sojourn(50)
+    }
+
+    /// 99th-percentile sojourn of completed queries.
+    pub fn p99_sojourn(&self) -> Duration {
+        self.sojourn(99)
+    }
+
+    /// Element `(n - 1) * pct / 100` of the `n` sorted completed sojourns.
+    fn sojourn(&self, pct: usize) -> Duration {
+        let mut sojourns: Vec<u64> = self.done().map(|o| o.sojourn_ns).collect();
+        sojourns.sort_unstable();
+        let at = sojourns.len().saturating_sub(1) * pct / 100;
+        sojourns.get(at).map_or(Duration::ZERO, |&ns| Duration::from_nanos(ns))
     }
 
     /// Shed fraction of all arrivals (0 when nothing arrived).
@@ -84,7 +138,7 @@ impl SoakReport {
 
     /// Completed queries that browned out at least one rung.
     pub fn browned_out(&self) -> u64 {
-        self.brownout.iter().skip(1).sum()
+        self.brownout().iter().skip(1).sum()
     }
 
     /// Check the soak invariants; returns one line per violation (empty
@@ -98,8 +152,8 @@ impl SoakReport {
     ///    deadline still runs to completion).
     pub fn check_invariants(&self, cfg: &SoakConfig, max_shed_rate: f64) -> Vec<String> {
         let mut violations = Vec::new();
-        if self.panics > 0 {
-            violations.push(format!("{} queries panicked", self.panics));
+        if self.panics() > 0 {
+            violations.push(format!("{} queries panicked", self.panics()));
         }
         if self.shed_rate() > max_shed_rate {
             violations.push(format!(
@@ -115,10 +169,10 @@ impl SoakReport {
         if let Some(budget) = cfg.budget {
             let service_ceiling = Duration::from_secs(30);
             let bound = budget.deadline + service_ceiling;
-            if self.completed > 0 && self.p99_sojourn > bound {
+            let p99 = self.p99_sojourn();
+            if self.completed() > 0 && p99 > bound {
                 violations.push(format!(
-                    "p99 sojourn {:?} exceeds deadline+ceiling {:?}",
-                    self.p99_sojourn, bound
+                    "p99 sojourn {p99:?} exceeds deadline+ceiling {bound:?}"
                 ));
             }
         }
@@ -127,29 +181,32 @@ impl SoakReport {
 
     /// Multi-line human summary (the `sage soak` stderr report).
     pub fn summary(&self) -> String {
+        let (shed, brownout) = (self.shed(), self.brownout());
         let mut out = String::new();
         out.push_str(&format!(
             "arrivals {}  admitted {}  shed {} (interactive {} / batch {} / background {})\n",
             self.arrivals,
-            self.admitted,
+            self.admitted(),
             self.shed_total(),
-            self.shed[0],
-            self.shed[1],
-            self.shed[2]
+            shed[0],
+            shed[1],
+            shed[2]
         ));
         out.push_str(&format!(
             "completed {}  expired {}  errors {}  panics {}\n",
-            self.completed, self.expired, self.errors, self.panics
+            self.completed(),
+            self.expired(),
+            self.errors(),
+            self.panics()
         ));
         out.push_str(&format!(
             "brownout none {} / drop-feedback {} / shrink-rerank {} / skip-rerank {} / flat-topk {}\n",
-            self.brownout[0], self.brownout[1], self.brownout[2], self.brownout[3],
-            self.brownout[4]
+            brownout[0], brownout[1], brownout[2], brownout[3], brownout[4]
         ));
         out.push_str(&format!(
             "p50 sojourn {}  p99 sojourn {}  max depth {}\n",
-            fmt_t(self.p50_sojourn),
-            fmt_t(self.p99_sojourn),
+            fmt_t(self.p50_sojourn()),
+            fmt_t(self.p99_sojourn()),
             self.max_depth
         ));
         out
@@ -160,29 +217,29 @@ impl SoakReport {
     /// and CI parse this instead of scraping the human summary;
     /// `violations` is whatever [`SoakReport::check_invariants`] returned.
     pub fn json_summary(&self, violations: &[String]) -> String {
+        let (shed, brownout) = (self.shed(), self.brownout());
         let mut out = String::from("{\"tool\": \"soak\"");
         out.push_str(&format!(", \"arrivals\": {}", self.arrivals));
-        out.push_str(&format!(", \"admitted\": {}", self.admitted));
+        out.push_str(&format!(", \"admitted\": {}", self.admitted()));
         out.push_str(&format!(
             ", \"shed\": {{\"interactive\": {}, \"batch\": {}, \"background\": {}, \"total\": {}}}",
-            self.shed[0],
-            self.shed[1],
-            self.shed[2],
+            shed[0],
+            shed[1],
+            shed[2],
             self.shed_total()
         ));
-        out.push_str(&format!(", \"expired\": {}", self.expired));
-        out.push_str(&format!(", \"completed\": {}", self.completed));
-        out.push_str(&format!(", \"errors\": {}", self.errors));
-        out.push_str(&format!(", \"panics\": {}", self.panics));
+        out.push_str(&format!(", \"expired\": {}", self.expired()));
+        out.push_str(&format!(", \"completed\": {}", self.completed()));
+        out.push_str(&format!(", \"errors\": {}", self.errors()));
+        out.push_str(&format!(", \"panics\": {}", self.panics()));
         out.push_str(&format!(
             ", \"brownout\": [{}, {}, {}, {}, {}]",
-            self.brownout[0], self.brownout[1], self.brownout[2], self.brownout[3],
-            self.brownout[4]
+            brownout[0], brownout[1], brownout[2], brownout[3], brownout[4]
         ));
         out.push_str(&format!(", \"browned_out\": {}", self.browned_out()));
         out.push_str(&format!(", \"ladder_violations\": {}", self.ladder_violations));
-        out.push_str(&format!(", \"p50_sojourn_us\": {}", self.p50_sojourn.as_micros()));
-        out.push_str(&format!(", \"p99_sojourn_us\": {}", self.p99_sojourn.as_micros()));
+        out.push_str(&format!(", \"p50_sojourn_us\": {}", self.p50_sojourn().as_micros()));
+        out.push_str(&format!(", \"p99_sojourn_us\": {}", self.p99_sojourn().as_micros()));
         out.push_str(&format!(", \"max_depth\": {}", self.max_depth));
         out.push_str(", \"violations\": [");
         for (i, v) in violations.iter().enumerate() {
@@ -196,7 +253,8 @@ impl SoakReport {
     }
 }
 
-/// One admitted query waiting for a virtual server.
+/// One arrival: offered to the queue, then (if admitted) waiting for a
+/// virtual server.
 struct Job {
     /// Index into the arrival plan (also the log's query id).
     seq: usize,
@@ -206,6 +264,23 @@ struct Job {
     /// Absolute deadline (`at + budget.deadline`); `None` when budgets are
     /// off.
     deadline: Option<Duration>,
+}
+
+impl Job {
+    /// This query's observation, ending at `end` with `outcome` and nothing
+    /// charged; each terminal event fills in the rest.
+    fn observe(&self, end: Duration, outcome: Outcome, question: String) -> QueryObs {
+        QueryObs {
+            seq: self.seq as u64,
+            class: self.class.label(),
+            arrival_us: self.at.as_micros() as u64,
+            end_us: end.as_micros() as u64,
+            sojourn_ns: end.saturating_sub(self.at).as_nanos() as u64,
+            outcome,
+            question,
+            ..QueryObs::default()
+        }
+    }
 }
 
 /// Reader confidence as milli-units in `[0, 1000]`.
@@ -223,19 +298,10 @@ fn fmt_t(d: Duration) -> String {
 /// and returns a deterministic [`SoakReport`].
 pub fn run_soak(sys: &RagSystem, questions: &[String], cfg: &SoakConfig) -> SoakReport {
     let plan = arrival_plan(cfg);
-    let mut report = SoakReport {
+    let report = SoakReport {
         arrivals: plan.len(),
-        admitted: 0,
-        shed: [0; Priority::COUNT],
-        expired: 0,
-        completed: 0,
-        errors: 0,
-        panics: 0,
-        brownout: [0; 5],
-        ladder_violations: 0,
-        p50_sojourn: Duration::ZERO,
-        p99_sojourn: Duration::ZERO,
         max_depth: 0,
+        ladder_violations: 0,
         log: Vec::new(),
         obs: Vec::new(),
     };
@@ -243,64 +309,54 @@ pub fn run_soak(sys: &RagSystem, questions: &[String], cfg: &SoakConfig) -> Soak
         return report;
     }
 
-    let mut queue = AdmissionQueue::new(AdmissionConfig {
-        capacity: cfg.capacity,
-        seed: cfg.seed,
-        ramp_start: cfg.ramp_start,
-    });
-    let mut pending: VecDeque<Job> = VecDeque::new();
-    let mut free_at: Vec<Duration> = vec![Duration::ZERO; cfg.concurrency.max(1)];
-    let mut sojourns: Vec<Duration> = Vec::new();
-
     let mut state = SimState {
         sys,
         questions,
         base_budget: cfg.budget,
-        queue: &mut queue,
-        pending: &mut pending,
-        free_at: &mut free_at,
-        sojourns: &mut sojourns,
-        report: &mut report,
+        queue: AdmissionQueue::new(AdmissionConfig {
+            capacity: cfg.capacity,
+            seed: cfg.seed,
+            ramp_start: cfg.ramp_start,
+        }),
+        pending: VecDeque::new(),
+        free_at: vec![Duration::ZERO; cfg.concurrency.max(1)],
+        report,
     };
-
     for (seq, arrival) in plan.iter().enumerate() {
         state.dispatch_until(arrival.at);
         state.offer(seq, arrival.at, arrival.class);
     }
     // Drain: virtual time runs on until every queued job started.
     state.dispatch_until(Duration::MAX);
-
-    sojourns.sort_unstable();
-    if !sojourns.is_empty() {
-        report.p50_sojourn = sojourns[(sojourns.len() - 1) / 2];
-        report.p99_sojourn = sojourns[(sojourns.len() - 1) * 99 / 100];
-    }
-    report
+    state.report
 }
 
-/// The mutable halves of the simulation, grouped so the dispatch loop can
-/// borrow them together.
+/// The simulation: the system under test, the queue and the virtual
+/// servers, and the report being written.
 struct SimState<'a> {
     sys: &'a RagSystem,
     questions: &'a [String],
     base_budget: Option<QueryBudget>,
-    queue: &'a mut AdmissionQueue,
-    pending: &'a mut VecDeque<Job>,
+    queue: AdmissionQueue,
+    pending: VecDeque<Job>,
     /// Virtual-server busy horizons.
-    free_at: &'a mut Vec<Duration>,
-    sojourns: &'a mut Vec<Duration>,
-    report: &'a mut SoakReport,
+    free_at: Vec<Duration>,
+    report: SoakReport,
 }
 
 impl SimState<'_> {
+    /// The question job `seq` asks.
+    fn question(&self, seq: usize) -> &str {
+        &self.questions[seq % self.questions.len()]
+    }
+
     /// Offer one arrival to the admission queue.
     fn offer(&mut self, seq: usize, at: Duration, class: Priority) {
+        let job = Job { seq, at, class, deadline: self.base_budget.map(|b| at + b.deadline) };
         match self.queue.admit(class) {
             Decision::Admitted => {
-                self.report.admitted += 1;
                 self.report.max_depth = self.report.max_depth.max(self.queue.depth());
-                let deadline = self.base_budget.map(|b| at + b.deadline);
-                self.pending.push_back(Job { seq, at, class, deadline });
+                self.pending.push_back(job);
                 self.report.log.push(format!(
                     "[{}] admit q={} class={} depth={}",
                     fmt_t(at),
@@ -310,7 +366,6 @@ impl SimState<'_> {
                 ));
             }
             Decision::Shed(reason) => {
-                self.report.shed[class.idx()] += 1;
                 sage_telemetry::metrics::SHED_TOTAL.inc(class.idx());
                 let label = match reason {
                     ShedReason::QueueFull => "queue-full",
@@ -324,21 +379,7 @@ impl SimState<'_> {
                     label,
                     self.queue.depth()
                 ));
-                self.report.obs.push(QueryObs {
-                    seq: seq as u64,
-                    class: class.label(),
-                    arrival_us: at.as_micros() as u64,
-                    end_us: at.as_micros() as u64,
-                    sojourn_ns: 0,
-                    service_ns: 0,
-                    outcome: Outcome::Shed,
-                    brownout: 0,
-                    degraded: 0,
-                    deadline_missed: false,
-                    tokens: 0,
-                    confidence_milli: 0,
-                    question: label.to_string(),
-                });
+                self.report.obs.push(job.observe(at, Outcome::Shed, label.to_string()));
             }
         }
     }
@@ -381,38 +422,23 @@ impl SimState<'_> {
                 }
                 _ => None,
             };
-            let question = &self.questions[job.seq % self.questions.len()];
-            let outcome = self.sys.answer(&Request { budget, ..Request::new(question) });
+            let request = Request { budget, ..Request::new(self.question(job.seq)) };
+            let outcome = self.sys.answer(&request);
             self.settle(job, start, slot, outcome);
         }
     }
 
     /// Bookkeeping for a job whose deadline passed while it queued.
     fn expire(&mut self, job: Job, start: Duration) {
-        let wait = start.saturating_sub(job.at);
-        self.report.expired += 1;
         self.report.log.push(format!(
             "[{}] expire q={} class={} waited={}",
             fmt_t(start),
             job.seq,
             job.class,
-            fmt_t(wait)
+            fmt_t(start.saturating_sub(job.at))
         ));
-        self.report.obs.push(QueryObs {
-            seq: job.seq as u64,
-            class: job.class.label(),
-            arrival_us: job.at.as_micros() as u64,
-            end_us: start.as_micros() as u64,
-            sojourn_ns: wait.as_nanos() as u64,
-            service_ns: 0,
-            outcome: Outcome::Expired,
-            brownout: 0,
-            degraded: 0,
-            deadline_missed: true,
-            tokens: 0,
-            confidence_milli: 0,
-            question: self.questions[job.seq % self.questions.len()].clone(),
-        });
+        let obs = job.observe(start, Outcome::Expired, self.question(job.seq).to_string());
+        self.report.obs.push(QueryObs { deadline_missed: true, ..obs });
     }
 
     /// Fold one finished pipeline outcome into the simulation: advance the
@@ -426,17 +452,16 @@ impl SimState<'_> {
         outcome: Result<crate::QueryResult, sage_resilience::SageError>,
     ) {
         let wait = start.saturating_sub(job.at);
-        let question = &self.questions[job.seq % self.questions.len()];
+        let question = self.question(job.seq).to_string();
         let service = match &outcome {
             Ok(r) => r.answer_latency + r.feedback_latency + r.degraded.total_delay(),
             Err(_) => ERROR_SERVICE,
         };
         let finish = start + service;
         self.free_at[slot] = finish;
+        let service_ns = service.as_nanos() as u64;
         match outcome {
             Ok(r) => {
-                self.report.completed += 1;
-                self.report.brownout[r.brownout.idx()] += 1;
                 // Ladder order: the steps recorded on the trace must be
                 // strictly increasing.
                 let steps: Vec<u8> =
@@ -444,7 +469,7 @@ impl SimState<'_> {
                 if !steps.windows(2).all(|w| w[0] < w[1]) {
                     self.report.ladder_violations += 1;
                 }
-                self.sojourns.push(finish.saturating_sub(job.at));
+                let tokens = r.cost.input_tokens + r.cost.output_tokens;
                 self.report.log.push(format!(
                     "[{}] done q={} class={} waited={} service={} level={} cost={}",
                     fmt_t(finish),
@@ -453,31 +478,20 @@ impl SimState<'_> {
                     fmt_t(wait),
                     fmt_t(service),
                     r.brownout,
-                    r.cost.input_tokens + r.cost.output_tokens
+                    tokens
                 ));
+                let obs = job.observe(finish, Outcome::Done, question);
                 self.report.obs.push(QueryObs {
-                    seq: job.seq as u64,
-                    class: job.class.label(),
-                    arrival_us: job.at.as_micros() as u64,
-                    end_us: finish.as_micros() as u64,
-                    sojourn_ns: finish.saturating_sub(job.at).as_nanos() as u64,
-                    service_ns: service.as_nanos() as u64,
-                    outcome: Outcome::Done,
+                    service_ns,
                     brownout: r.brownout.idx() as u8,
                     degraded: r.degraded.events.len() as u32,
                     deadline_missed: job.deadline.is_some_and(|d| finish > d),
-                    tokens: r.cost.input_tokens + r.cost.output_tokens,
+                    tokens,
                     confidence_milli: confidence_milli(r.answer.confidence),
-                    question: question.clone(),
+                    ..obs
                 });
             }
             Err(e) => {
-                let panicked = matches!(e, sage_resilience::SageError::Panicked { .. });
-                if panicked {
-                    self.report.panics += 1;
-                } else {
-                    self.report.errors += 1;
-                }
                 self.report.log.push(format!(
                     "[{}] error q={} class={} err={}",
                     fmt_t(finish),
@@ -485,21 +499,11 @@ impl SimState<'_> {
                     job.class,
                     e
                 ));
-                self.report.obs.push(QueryObs {
-                    seq: job.seq as u64,
-                    class: job.class.label(),
-                    arrival_us: job.at.as_micros() as u64,
-                    end_us: finish.as_micros() as u64,
-                    sojourn_ns: finish.saturating_sub(job.at).as_nanos() as u64,
-                    service_ns: service.as_nanos() as u64,
-                    outcome: if panicked { Outcome::Panicked } else { Outcome::Error },
-                    brownout: 0,
-                    degraded: 0,
-                    deadline_missed: false,
-                    tokens: 0,
-                    confidence_milli: 0,
-                    question: question.clone(),
-                });
+                let outcome = match e {
+                    sage_resilience::SageError::Panicked { .. } => Outcome::Panicked,
+                    _ => Outcome::Error,
+                };
+                self.report.obs.push(QueryObs { service_ns, ..job.observe(finish, outcome, question) });
             }
         }
     }
@@ -552,7 +556,7 @@ mod tests {
         let a = run_soak(&sys, &questions(), &quick_cfg());
         let b = run_soak(&sys, &questions(), &quick_cfg());
         assert_eq!(a, b, "same seed must replay identically");
-        assert!(a.completed > 0);
+        assert!(a.completed() > 0);
         assert!(a.check_invariants(&quick_cfg(), 0.9).is_empty(), "{:?}", a.log);
     }
 
@@ -561,18 +565,16 @@ mod tests {
         let sys = system();
         let cfg = quick_cfg();
         let r = run_soak(&sys, &questions(), &cfg);
-        let count = |o: Outcome| r.obs.iter().filter(|x| x.outcome == o).count();
-        assert_eq!(count(Outcome::Done), r.completed);
-        assert_eq!(count(Outcome::Shed) as u64, r.shed_total());
-        assert_eq!(count(Outcome::Expired), r.expired);
-        assert_eq!(count(Outcome::Error), r.errors);
-        assert_eq!(count(Outcome::Panicked), r.panics);
+        // Every arrival ends in exactly one observation: admitted or shed.
+        assert!(r.arrivals > 0);
+        assert_eq!(r.obs.len(), r.arrivals);
+        assert_eq!(r.admitted() as u64 + r.shed_total(), r.arrivals as u64);
         // The flight recorder is a fold over the same stream: it captures
         // every observation, retains flagged ones up to capacity, and a
         // replayed run folds to the same bytes.
-        let rec_cfg = sage_obs::RecorderConfig { capacity: 8, window: 4, topk: 1 };
+        let rec_cfg = sage_telemetry::RecorderConfig { capacity: 8, window: 4, topk: 1 };
         let fold = |obs: &[QueryObs]| {
-            let mut rec = sage_obs::FlightRecorder::new(rec_cfg);
+            let mut rec = sage_telemetry::FlightRecorder::new(rec_cfg);
             for o in obs {
                 rec.capture_query(o);
             }
@@ -612,14 +614,14 @@ mod tests {
             ..SoakConfig::default()
         };
         let r = run_soak(&sys, &questions(), &cfg);
-        assert!(r.completed > 0);
+        assert!(r.completed() > 0);
         assert!(
-            r.browned_out() > 0 || r.expired > 0 || r.shed_total() > 0,
+            r.browned_out() > 0 || r.expired() > 0 || r.shed_total() > 0,
             "overload must leave a trace: {:?}",
             r.summary()
         );
         assert_eq!(r.ladder_violations, 0);
-        assert_eq!(r.panics, 0);
+        assert_eq!(r.panics(), 0);
     }
 
     #[test]
@@ -627,17 +629,18 @@ mod tests {
         let sys = system();
         let cfg = SoakConfig { budget: None, ..quick_cfg() };
         let r = run_soak(&sys, &questions(), &cfg);
-        assert!(r.completed > 0);
+        assert!(r.completed() > 0);
         assert_eq!(r.browned_out(), 0);
-        assert_eq!(r.expired, 0);
+        assert_eq!(r.expired(), 0);
     }
 
     #[test]
     fn empty_inputs_yield_empty_reports() {
         let sys = system();
         let r = run_soak(&sys, &[], &quick_cfg());
-        assert_eq!(r.completed, 0);
+        assert_eq!(r.completed(), 0);
         assert!(r.arrivals > 0, "plan still generated");
+        assert_eq!(r.admitted(), 0, "nothing is offered without questions");
         let r2 = run_soak(&sys, &questions(), &SoakConfig { qps: 0.0, ..quick_cfg() });
         assert_eq!(r2.arrivals, 0);
     }

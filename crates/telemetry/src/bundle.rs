@@ -4,19 +4,19 @@
 //! post-hoc investigation: run metadata, the soak summary, the SLO
 //! report, the flight recorder's retained traces, histogram snapshots,
 //! the counter deltas, the cost ledger, and a `reconciliation` section of
-//! named booleans that cross-check the layers against each other (the
-//! recorder against the soak report, the SLO accounting against the
-//! admission counters, the ledger against the per-query token totals).
+//! named booleans that cross-check the observation stream against the
+//! records kept apart from it (the recorder, the admission and brownout
+//! counters, the cost ledger).
 //! Tests and CI assert those booleans instead of re-deriving the
 //! arithmetic.
 //!
 //! The builder is deliberately dumb: callers push sections as
 //! pre-rendered JSON values (or via typed helpers) and the builder only
 //! guarantees well-formed assembly and stable ordering. That keeps this
-//! crate free of any knowledge about pipeline internals.
+//! module free of any knowledge about pipeline internals.
 
-use sage_telemetry::hist::HistogramSnapshot;
-use sage_telemetry::span::write_json_str;
+use crate::hist::{bucket_upper, HistogramSnapshot};
+use crate::span::write_json_str;
 
 /// Accumulates `key: value` sections and renders one JSON object.
 #[derive(Debug, Default)]
@@ -60,7 +60,7 @@ impl Bundle {
         let mut buckets = Vec::new();
         for (i, &c) in snap.counts.iter().enumerate() {
             if c > 0 {
-                buckets.push(format!("[{},{}]", sage_telemetry::hist::bucket_upper(i), c));
+                buckets.push(format!("[{},{}]", bucket_upper(i), c));
             }
         }
         self.push_raw(
@@ -97,16 +97,15 @@ impl Bundle {
 /// `reconciliation` section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reconciliation {
-    /// Recorder captures == admitted queries + shed/expired events the
-    /// soak loop offered it.
+    /// Recorder captures == observations in the stream (one per arrival).
     pub recorder_captures_match: bool,
     /// Flagged (tier-3) records retained == flagged events that survived
     /// retention arithmetic (never evicted while plain records remain).
     pub flagged_retained: bool,
-    /// SLO accounting's shed count == the admission counters' delta.
+    /// Shed observations == the admission shed counters' delta.
     pub shed_counters_match: bool,
-    /// SLO accounting's brownout count == the soak report's browned-out
-    /// query count.
+    /// Brownout rungs of completed observations == the brownout counter's
+    /// delta.
     pub brownout_counters_match: bool,
     /// Ledger token total == the sum of per-query token observations.
     pub ledger_tokens_match: bool,
@@ -160,7 +159,7 @@ mod tests {
 
     #[test]
     fn histogram_section_keeps_count_and_occupied_buckets() {
-        let h = sage_telemetry::hist::Histogram::new();
+        let h = crate::hist::Histogram::new();
         h.record(3);
         h.record(1000);
         let mut b = Bundle::new();

@@ -152,7 +152,8 @@ fn sum(builds: &[crate::BuildRecord], f: impl Fn(&crate::BuildRecord) -> u64) ->
     builds.iter().map(f).sum()
 }
 
-fn push_meta(out: &mut String, name: &str, kind: &str, help: &str) {
+/// Write one metric family's `# HELP` and `# TYPE` header lines.
+pub(crate) fn push_meta(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 

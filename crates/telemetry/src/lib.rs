@@ -1,4 +1,4 @@
-//! Observability substrate for the SAGE serving path.
+//! Observability for the SAGE serving path.
 //!
 //! The paper's evaluation is built on per-stage latency (Fig. 7, Tables
 //! VIII–IX) and per-call token cost (Table XI); this crate makes those
@@ -16,6 +16,10 @@
 //!   pipeline [`Stage`]s, convertible to simulated dollars.
 //! - [`export`] — JSONL traces, Prometheus text exposition, and a
 //!   human-readable summary table.
+//! - [`recorder`], [`slo`], [`bundle`] — the flight recorder, SLO burn-rate
+//!   alerts and the `sage report` bundle: pure folds over the soak's
+//!   [`QueryObs`] stream (`SoakReport::obs`), so a replay folds to the
+//!   same bytes.
 //!
 //! # Zero cost when off
 //!
@@ -23,23 +27,25 @@
 //! [`AtomicBool`] load and the per-query span recorder only exists when a
 //! [`Telemetry`] hub is attached to the pipeline. With telemetry disabled
 //! no allocation, formatting, or locking happens anywhere on the serving
-//! path.
+//! path. Only [`span`] reads the wall clock.
 
-#![allow(
-    clippy::disallowed_methods,
-    reason = "telemetry is the measurement layer: the one library crate that reads the wall clock"
-)]
-#![cfg_attr(test, allow(clippy::disallowed_types, reason = "tests may time and hash freely"))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
 
+pub mod bundle;
 pub mod export;
 pub mod hist;
 pub mod ledger;
 pub mod metrics;
+pub mod recorder;
+pub mod slo;
 pub mod span;
 
+pub use bundle::{Bundle, Reconciliation};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use ledger::{CostLedger, StageCost};
 pub use metrics::Counter;
+pub use recorder::{FlightRecorder, Outcome, QueryObs, RecorderConfig, RecorderStats};
+pub use slo::{evaluate_slo, Objective, SloAlert, SloReport, SloSpec};
 pub use span::{FieldValue, SpanRec, Trace};
 
 use std::collections::VecDeque;
@@ -83,17 +89,9 @@ impl Stage {
         Stage::Feedback,
     ];
 
-    /// Stable dense index for per-stage arrays.
+    /// Stable dense index for per-stage arrays: the position in [`Stage::ALL`].
     pub fn idx(self) -> usize {
-        match self {
-            Stage::Segment => 0,
-            Stage::Embed => 1,
-            Stage::Index => 2,
-            Stage::Retrieve => 3,
-            Stage::Rerank => 4,
-            Stage::Read => 5,
-            Stage::Feedback => 6,
-        }
+        self as usize
     }
 
     /// Lower-case label used in exporters and metric labels.
@@ -167,7 +165,6 @@ pub struct Telemetry {
     stage_ns: [Histogram; Stage::COUNT],
     query_ns: Histogram,
     ledger: CostLedger,
-    queries: AtomicU64,
     degrade_events: AtomicU64,
     traces: Mutex<VecDeque<Trace>>,
     traces_dropped: AtomicU64,
@@ -187,7 +184,6 @@ impl Telemetry {
             stage_ns: std::array::from_fn(|_| Histogram::new()),
             query_ns: Histogram::new(),
             ledger: CostLedger::new(),
-            queries: AtomicU64::new(0),
             degrade_events: AtomicU64::new(0),
             traces: Mutex::new(VecDeque::new()),
             traces_dropped: AtomicU64::new(0),
@@ -203,7 +199,6 @@ impl Telemetry {
     /// Record one end-to-end query latency.
     pub fn record_query(&self, d: Duration) {
         self.query_ns.record(d.as_nanos() as u64);
-        self.queries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Attribute one call's token cost to `stage`.
@@ -251,9 +246,9 @@ impl Telemetry {
         &self.ledger
     }
 
-    /// Queries finished so far.
+    /// Queries finished so far: the query histogram's observation count.
     pub fn query_count(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
+        self.query_snapshot().count()
     }
 
     /// Degradation events observed so far.

@@ -23,9 +23,10 @@
 use std::fmt::Write as _;
 
 /// Outcome of one observed query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Outcome {
     /// Completed with a result.
+    #[default]
     Done,
     /// Refused by admission control.
     Shed,
@@ -53,7 +54,7 @@ impl Outcome {
 /// One query as the serving path observed it. All quantities are virtual
 /// (simulated latencies, token counts) or structural (class, rung), so an
 /// observation stream is deterministic under a fixed seed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryObs {
     /// Sequence number within the run (arrival order).
     pub seq: u64,
@@ -156,11 +157,6 @@ impl FlightRecorder {
         Self { cfg, records: Vec::new(), stats: RecorderStats::default() }
     }
 
-    /// The sizing in effect.
-    pub fn config(&self) -> RecorderConfig {
-        self.cfg
-    }
-
     /// Capture one observation (it may be evicted immediately when the
     /// buffer is full of higher-tier records).
     pub fn capture_query(&mut self, obs: &QueryObs) {
@@ -220,16 +216,6 @@ impl FlightRecorder {
         out
     }
 
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Recorder self-accounting.
     pub fn stats(&self) -> RecorderStats {
         self.stats
@@ -248,7 +234,7 @@ impl FlightRecorder {
 }
 
 /// One record as a JSON object (no trailing newline).
-pub fn write_record_json(r: &QueryRecord, out: &mut String) {
+fn write_record_json(r: &QueryRecord, out: &mut String) {
     let o = &r.obs;
     out.push_str("{\"seq\":");
     let _ = write!(out, "{}", o.seq);
@@ -263,7 +249,7 @@ pub fn write_record_json(r: &QueryRecord, out: &mut String) {
     );
     let _ = write!(out, ",\"tokens\":{},\"confidence_milli\":{}", o.tokens, o.confidence_milli);
     out.push_str(",\"question\":");
-    sage_telemetry::span::write_json_str(&o.question, out);
+    crate::span::write_json_str(&o.question, out);
     out.push('}');
 }
 
@@ -279,13 +265,10 @@ mod tests {
             end_us: seq * 100 + service_ns / 1000,
             sojourn_ns: service_ns,
             service_ns,
-            outcome: Outcome::Done,
-            brownout: 0,
-            degraded: 0,
-            deadline_missed: false,
             tokens: 10,
             confidence_milli: 900,
             question: format!("q{seq}"),
+            ..QueryObs::default()
         }
     }
 
@@ -306,7 +289,7 @@ mod tests {
         for s in 0..4 {
             assert!(kept.contains(&s), "flagged seq {s} evicted: {kept:?}");
         }
-        assert_eq!(r.len(), 8);
+        assert_eq!(r.records().len(), 8);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! cut on the **virtual clock** (query completion offsets), so evaluation
 //! is a pure function of the observation stream and replays exactly.
 
+use crate::export::{escape_label_value, push_meta};
 use crate::recorder::{Outcome, QueryObs};
+use crate::Trace;
 
 /// One declarative SLO document: objectives plus window/alert tuning.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,12 +237,6 @@ pub struct SloReport {
     pub alerts: Vec<SloAlert>,
     /// Observations evaluated.
     pub observed: u64,
-    /// Shed events counted (for reconciliation against the admission
-    /// counters and the soak report).
-    pub shed_seen: u64,
-    /// Brownout steps beyond rung 0 counted (reconciles against the
-    /// brownout ladder counters' per-query final levels).
-    pub browned_out_seen: u64,
 }
 
 impl SloReport {
@@ -252,36 +248,34 @@ impl SloReport {
     /// Render the report's gauges as Prometheus text exposition lines
     /// (appended to the telemetry exporter's output by `sage report`).
     pub fn gauges(&self) -> String {
+        type Value = fn(&ObjectiveReport) -> String;
+        let families: [(&str, &str, &str, Value); 2] = [
+            ("sage_slo_burn_rate", "gauge", "Whole-run SLO burn rate by objective", |o| {
+                format!("{:.6}", o.run_burn())
+            }),
+            ("sage_slo_alerts_total", "counter", "Multi-window burn alerts by objective", |o| {
+                o.alerts.to_string()
+            }),
+        ];
         let mut out = String::new();
-        out.push_str("# HELP sage_slo_burn_rate Whole-run SLO burn rate by objective\n");
-        out.push_str("# TYPE sage_slo_burn_rate gauge\n");
-        for o in &self.objectives {
-            out.push_str(&format!(
-                "sage_slo_burn_rate{{objective=\"{}\"}} {:.6}\n",
-                sage_telemetry::export::escape_label_value(o.objective.label()),
-                o.run_burn()
-            ));
-        }
-        out.push_str("# HELP sage_slo_alerts_total Multi-window burn alerts by objective\n");
-        out.push_str("# TYPE sage_slo_alerts_total counter\n");
-        for o in &self.objectives {
-            out.push_str(&format!(
-                "sage_slo_alerts_total{{objective=\"{}\"}} {}\n",
-                sage_telemetry::export::escape_label_value(o.objective.label()),
-                o.alerts
-            ));
+        for (name, kind, help, value) in families {
+            push_meta(&mut out, name, kind, help);
+            for o in &self.objectives {
+                let objective = escape_label_value(o.objective.label());
+                out.push_str(&format!("{name}{{objective=\"{objective}\"}} {}\n", value(o)));
+            }
         }
         out
     }
 
     /// Record every alert as an event on a synthetic trace, so alert
     /// history travels with the JSONL trace export. The caller pushes the
-    /// returned trace into a [`sage_telemetry::Telemetry`] hub.
-    pub fn alert_trace(&self) -> Option<sage_telemetry::Trace> {
+    /// returned trace into a [`Telemetry`](crate::Telemetry) hub.
+    pub fn alert_trace(&self) -> Option<Trace> {
         if self.alerts.is_empty() {
             return None;
         }
-        let mut t = sage_telemetry::Trace::start("slo-alerts");
+        let mut t = Trace::start("slo-alerts");
         for a in &self.alerts {
             let id = t.event("slo-burn-alert");
             t.field(id, "objective", a.objective.label());
@@ -347,33 +341,20 @@ fn judge(spec: &SloSpec, objective: Objective, obs: &QueryObs) -> Option<bool> {
 /// the virtual completion clock (`end_us`), so two identical streams
 /// produce identical reports, alerts included.
 pub fn evaluate_slo(spec: &SloSpec, observations: &[QueryObs]) -> SloReport {
-    let objectives = spec.objectives();
-    let mut reports: Vec<ObjectiveReport> = objectives
-        .iter()
-        .map(|&(objective, budget)| ObjectiveReport {
-            objective,
-            total: 0,
-            bad: 0,
-            budget,
-            max_burn: 0.0,
-            alerts: 0,
+    let mut reports: Vec<ObjectiveReport> = spec
+        .objectives()
+        .into_iter()
+        .map(|(objective, budget)| {
+            ObjectiveReport { objective, budget, total: 0, bad: 0, max_burn: 0.0, alerts: 0 }
         })
         .collect();
     let mut alerts: Vec<SloAlert> = Vec::new();
-    let mut shed_seen = 0u64;
-    let mut browned_out_seen = 0u64;
 
     let horizon_us = observations.iter().map(|o| o.end_us).max().unwrap_or(0);
-    let short_us = spec.short_s * 1_000_000;
-    let long_us = spec.long_s * 1_000_000;
+    let short_us = spec.short_s.max(1).saturating_mul(1_000_000);
+    let long_us = spec.long_s.saturating_mul(1_000_000);
 
     for obs in observations {
-        if matches!(obs.outcome, Outcome::Shed | Outcome::Expired) {
-            shed_seen += 1;
-        }
-        if obs.outcome == Outcome::Done && obs.brownout > 0 {
-            browned_out_seen += 1;
-        }
         for rep in reports.iter_mut() {
             if let Some(bad) = judge(spec, rep.objective, obs) {
                 rep.total += 1;
@@ -382,11 +363,13 @@ pub fn evaluate_slo(spec: &SloSpec, observations: &[QueryObs]) -> SloReport {
         }
     }
 
-    // Walk short-window boundaries over the virtual horizon. Windows are
-    // aligned to the short width, so the grid (and therefore every alert
-    // time) is a pure function of the stream.
-    let mut end = short_us;
-    while end <= horizon_us + short_us {
+    // Walk short windows `[start, start + short)` from 0 until one covers
+    // the horizon. Windows are aligned to the short width, so the grid (and
+    // therefore every alert time) is a pure function of the stream. A
+    // window as wide as the clock saturates instead of wrapping.
+    let mut start = 0u64;
+    while start <= horizon_us {
+        let end = start.saturating_add(short_us);
         for rep in reports.iter_mut() {
             let burn_over = |from: u64, to: u64| -> f64 {
                 let mut total = 0u64;
@@ -405,7 +388,7 @@ pub fn evaluate_slo(spec: &SloSpec, observations: &[QueryObs]) -> SloReport {
                     (bad as f64 / total as f64) / rep.budget
                 }
             };
-            let short_burn = burn_over(end.saturating_sub(short_us), end);
+            let short_burn = burn_over(start, end);
             let long_burn = burn_over(end.saturating_sub(long_us), end);
             if short_burn > rep.max_burn {
                 rep.max_burn = short_burn;
@@ -415,7 +398,10 @@ pub fn evaluate_slo(spec: &SloSpec, observations: &[QueryObs]) -> SloReport {
                 alerts.push(SloAlert { at_us: end, objective: rep.objective, short_burn, long_burn });
             }
         }
-        end += short_us;
+        match start.checked_add(short_us) {
+            Some(next) => start = next,
+            None => break,
+        }
     }
     alerts.sort_by(|a, b| a.at_us.cmp(&b.at_us).then(a.objective.label().cmp(b.objective.label())));
 
@@ -424,8 +410,6 @@ pub fn evaluate_slo(spec: &SloSpec, observations: &[QueryObs]) -> SloReport {
         objectives: reports,
         alerts,
         observed: observations.len() as u64,
-        shed_seen,
-        browned_out_seen,
     }
 }
 
@@ -441,24 +425,14 @@ mod tests {
             end_us,
             sojourn_ns: sojourn_ms * 1_000_000,
             service_ns: sojourn_ms * 1_000_000,
-            outcome: Outcome::Done,
-            brownout: 0,
-            degraded: 0,
-            deadline_missed: false,
             tokens: 10,
             confidence_milli: 800,
-            question: String::new(),
+            ..QueryObs::default()
         }
     }
 
     fn shed(seq: u64, end_us: u64) -> QueryObs {
-        QueryObs {
-            outcome: Outcome::Shed,
-            sojourn_ns: 0,
-            service_ns: 0,
-            confidence_milli: 0,
-            ..done(seq, end_us, 0)
-        }
+        QueryObs { outcome: Outcome::Shed, confidence_milli: 0, ..done(seq, end_us, 0) }
     }
 
     #[test]
@@ -513,7 +487,6 @@ mod tests {
         let obs: Vec<QueryObs> = (0..100).map(|s| done(s, s * 200_000, 10)).collect();
         let r = evaluate_slo(&spec, &obs);
         assert!(!r.alerting(), "{:?}", r.alerts);
-        assert_eq!(r.shed_seen, 0);
         for o in &r.objectives {
             assert_eq!(o.bad, 0);
         }
@@ -538,7 +511,22 @@ mod tests {
             r.objectives.iter().find(|o| o.objective == Objective::Shed).unwrap();
         assert!(shed_rep.alerts > 1, "sustained burn must alert repeatedly");
         assert!(shed_rep.max_burn > 4.0);
-        assert_eq!(r.shed_seen, 60);
+        assert_eq!(shed_rep.bad, 60);
+    }
+
+    #[test]
+    fn widest_parseable_windows_still_cover_the_run_and_alert() {
+        // `short_s` and `long_s` accept up to u64::MAX / 10^6 seconds; the
+        // window grid must neither wrap past the clock nor skip the run.
+        let widest = u64::MAX / 1_000_000;
+        let spec =
+            SloSpec::parse(&format!("shed_rate=0.01,short_s={widest},long_s={widest}")).unwrap();
+        let obs: Vec<QueryObs> = (0..10).map(|s| shed(s, s * 100_000)).collect();
+        let r = evaluate_slo(&spec, &obs);
+        let shed_rep = r.objectives.iter().find(|o| o.objective == Objective::Shed).unwrap();
+        assert_eq!(shed_rep.alerts, 1, "one window covers the run: {:?}", r.alerts);
+        assert_eq!(r.alerts[0].at_us, widest * 1_000_000);
+        assert!(shed_rep.max_burn > 99.0, "{}", shed_rep.max_burn);
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! downstream consumers (and the determinism test) can strip exactly those
 //! fields and compare the remaining structure across runs.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "spans are the measurement layer: the one module of the library crates that reads the wall clock"
+)]
+
 use std::time::Instant;
 
 /// A span or event field value.

@@ -5,7 +5,7 @@
 #   scripts/check.sh fast       # skip the all-targets clippy and build, the shape benches, the benchmark package and the smokes
 #
 # The lint rules are clippy lints (clippy.toml + the root manifest's
-# [workspace.lints.clippy], DESIGN.md §9) over the 15 library crates:
+# [workspace.lints.clippy], DESIGN.md §9) over the 14 library crates:
 # print_stdout / print_stderr / dbg_macro; unwrap_used / expect_used / panic /
 # unreachable / todo / unimplemented; disallowed_types (HashMap, HashSet);
 # disallowed_methods (Instant::now, SystemTime::now);
@@ -15,9 +15,10 @@
 #
 # Byte-identity checks among the smokes: same-seed replays of the soak and
 # the live soak (two runs, `diff`); a BM25 soak pinned to one core and the
-# same soak on every core (`cmp`); two `sage index` runs over one model
-# file, dense and BM25 (`cmp`); `sage segment` and `sage ask --retriever bm25
-# --show-context` == the output recorded in this script; and the full
+# same soak on every core (`cmp`); two same-seed `sage report` bundles less
+# their wall-clock latency line (`diff`); two `sage index` runs over one
+# model file, dense and BM25 (`cmp`); `sage segment` and `sage ask --retriever
+# bm25 --show-context` == the output recorded in this script; and the full
 # scenario grid == the committed BENCH_scenarios.json (one run; `cargo test`
 # asserts the same equality).
 #
@@ -59,7 +60,7 @@ if [ "${1:-}" != fast ]; then
   for bench in table02_narrativeqa_retrievers table03_quality_qasper fig05_score_curves \
                fig07_segmentation_overhead fig08_noisy_retrieval fig09_missing_retrieval \
                fig10_incomplete_chunks table04_ablation table06_narrativeqa_baselines \
-               table08_09_scalability table10_feature_ablation; do
+               table08_09_scalability table10_feature_ablation table11_cost_efficiency; do
     if ! err=$(cargo bench -q -p sage-bench --bench "$bench" 2>&1 > /dev/null); then
       echo "FAIL: bench $bench"; echo "$err"; exit 1
     fi
@@ -196,10 +197,18 @@ LISTING
 
   echo "=== report smoke (recorder + SLO folds over the soak's observation stream)"
   # The bundle's reconciliation section must hold (the command exits
-  # nonzero otherwise) and the dashboard must reach stderr.
-  "$sage" report \
-    --seed 42 --duration 10 --qps 3 --docs 1 \
-    > "$tmp/report.json" 2> "$tmp/report.err"
+  # nonzero otherwise) and the dashboard must reach stderr. A second
+  # same-seed run, over the saved models, writes the same bundle but for
+  # its one wall-clock line.
+  report=(report --seed 42 --duration 10 --qps 3 --docs 1)
+  "$sage" "${report[@]}" > "$tmp/report_a.json" 2> "$tmp/report.err"
+  "$sage" "${report[@]}" --models "$tmp/models.bin" > "$tmp/report_b.json" 2> /dev/null
+  for run in a b; do
+    grep -v '"query_latency_ns"' "$tmp/report_$run.json" > "$tmp/report_$run.virtual"
+  done
+  diff "$tmp/report_a.virtual" "$tmp/report_b.virtual" \
+    || { echo "FAIL: two same-seed report bundles differ"; exit 1; }
+  mv "$tmp/report_a.json" "$tmp/report.json"
   grep -q '"clean": true' "$tmp/report.json" \
     || { echo "FAIL: report bundle does not reconcile"; exit 1; }
   grep -q '^=== sage telemetry' "$tmp/report.err" \

@@ -24,8 +24,7 @@
 //! | [`eval`] | `sage-eval` | ROUGE/BLEU/METEOR/F1 + Eq.1/Eq.2 cost efficiency |
 //! | [`resilience`] | `sage-resilience` | deterministic fault injection, retries, breakers |
 //! | [`admission`] | `sage-admission` | admission control, deadline budgets, brownout ladder |
-//! | [`telemetry`] | `sage-telemetry` | spans, stage histograms, cost ledger, exporters |
-//! | [`obs`] | `sage-obs` | flight recorder, SLO burn rates, the `sage report` bundle |
+//! | [`telemetry`] | `sage-telemetry` | spans, histograms, cost ledger, exporters, flight recorder, SLO burn rates, the `sage report` bundle |
 //! | [`core`] | `sage-core` | the assembled pipeline, baselines, experiment harnesses |
 //!
 //! ## Quickstart
@@ -72,7 +71,6 @@ pub use sage_embed as embed;
 pub use sage_eval as eval;
 pub use sage_llm as llm;
 pub use sage_nn as nn;
-pub use sage_obs as obs;
 pub use sage_rerank as rerank;
 pub use sage_resilience as resilience;
 pub use sage_retrieval as retrieval;
@@ -100,9 +98,6 @@ pub mod prelude {
     pub use sage_core::scenario::{parse_scenarios, render_rows, run_cell, BenchRow, ScenarioCell};
     pub use sage_core::soak::{run_soak, SoakReport};
     pub use sage_corpus::datasets::SizeConfig;
-    pub use sage_obs::{
-        evaluate_slo, FlightRecorder, Outcome, QueryObs, RecorderConfig, SloReport, SloSpec,
-    };
     pub use sage_resilience::{
         BreakerConfig, Component, CrashPlan, CrashPoint, DegradeTrace, Fallback, FaultKind,
         FaultPlan, Rates, RetryPolicy, SageError,
@@ -113,6 +108,9 @@ pub mod prelude {
     pub use sage_rerank::{gradient_select, CrossScorer, FlexibleSelector, SelectionConfig};
     pub use sage_retrieval::{Bm25Retriever, DenseRetriever, Retriever};
     pub use sage_segment::{SegmentationModel, Segmenter, SemanticSegmenter, SentenceSegmenter};
-    pub use sage_telemetry::{HistogramSnapshot, Stage, Telemetry};
+    pub use sage_telemetry::{
+        evaluate_slo, FlightRecorder, HistogramSnapshot, Outcome, QueryObs, RecorderConfig,
+        SloReport, SloSpec, Stage, Telemetry,
+    };
     pub use sage_vecdb::{FlatIndex, MutableIndex, VectorIndex};
 }

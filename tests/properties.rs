@@ -704,7 +704,7 @@ proptest! {
         window in 1usize..10,
         topk in 1usize..4,
     ) {
-        use sage::obs::{FlightRecorder, Outcome, QueryObs, RecorderConfig};
+        use sage::telemetry::{FlightRecorder, Outcome, QueryObs, RecorderConfig};
         const OUTCOMES: [Outcome; 5] =
             [Outcome::Done, Outcome::Shed, Outcome::Expired, Outcome::Error, Outcome::Panicked];
         let make = |i: usize| {
@@ -719,11 +719,11 @@ proptest! {
                 service_ns,
                 outcome: OUTCOMES[outcome],
                 brownout,
-                degraded: 0,
                 deadline_missed: missed,
                 tokens,
                 confidence_milli: 500,
                 question: format!("q{i}"),
+                ..QueryObs::default()
             }
         };
         let run = || {
@@ -737,10 +737,10 @@ proptest! {
         // Retention is a pure function of the observation stream.
         prop_assert_eq!(a.to_jsonl(), b.to_jsonl());
         // The ring never exceeds capacity and accounts for every offer.
-        prop_assert!(a.len() <= capacity);
+        prop_assert!(a.records().len() <= capacity);
         let stats = a.stats();
         prop_assert_eq!(stats.captured, stream.len() as u64);
-        prop_assert_eq!(stats.captured, a.len() as u64 + stats.evicted);
+        prop_assert_eq!(stats.captured, a.records().len() as u64 + stats.evicted);
         // Tail-based retention: flagged observations are only evicted once
         // the whole ring is flagged, so the retained flagged count is the
         // total clamped at capacity.

@@ -515,8 +515,8 @@ fn soak_under_faults_never_panics_and_replays() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "faulted soak must replay bit-for-bit");
-    assert_eq!(a.panics, 0, "log: {:?}", a.log);
-    assert!(a.completed > 0);
+    assert_eq!(a.panics(), 0, "log: {:?}", a.log);
+    assert!(a.completed() > 0);
     let violations = a.check_invariants(&cfg, 0.9);
     assert!(violations.is_empty(), "{violations:?}");
 }
@@ -543,9 +543,9 @@ fn soak_brownout_mass_is_monotone_across_budgets() {
         let mut cfg = base;
         cfg.budget = Some(QueryBudget::new(deadline, 1_000_000));
         let r = run_soak(&system, &soak_questions(), &cfg);
-        assert_eq!(r.panics, 0);
-        assert!(r.completed > 0, "log: {:?}", r.log);
-        r.brownout.iter().enumerate().map(|(idx, n)| idx as u64 * n).sum::<u64>()
+        assert_eq!(r.panics(), 0);
+        assert!(r.completed() > 0, "log: {:?}", r.log);
+        r.brownout().iter().enumerate().map(|(idx, n)| idx as u64 * n).sum::<u64>()
     };
     let tight = mass_at(std::time::Duration::from_secs(4));
     let loose = mass_at(std::time::Duration::from_secs(60));
