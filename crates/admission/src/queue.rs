@@ -194,23 +194,9 @@ impl AdmissionQueue {
         self.admitted
     }
 
-    /// Queries shed so far for one class.
-    pub fn shed_for(&self, class: Priority) -> u64 {
-        self.shed[class.idx()]
-    }
-
     /// Total queries shed across classes.
     pub fn shed_total(&self) -> u64 {
         self.shed.iter().sum()
-    }
-
-    /// `(class label, shed count)` pairs, nonzero entries only.
-    pub fn shed_snapshot(&self) -> Vec<(&'static str, u64)> {
-        Priority::ALL
-            .iter()
-            .map(|c| (c.label(), self.shed_for(*c)))
-            .filter(|(_, n)| *n > 0)
-            .collect()
     }
 }
 
@@ -303,7 +289,6 @@ mod tests {
             }
         }
         assert_eq!(q.shed_total(), 0);
-        assert!(q.shed_snapshot().is_empty());
     }
 
     #[test]

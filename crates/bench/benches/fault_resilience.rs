@@ -1,16 +1,10 @@
-//! Resilience-layer benchmarks: the cost of guarding the serving path.
+//! Resilience-layer bench: the guarded serving path under a fault storm.
 //!
-//! Three systems over the same corpus and question mix:
-//! - `unguarded` — baseline `answer`, no resilience state.
-//! - `guarded_no_faults` — resilience enabled with an empty fault plan; the
-//!   target is < 5% overhead over `unguarded` (the guard adds one plan
-//!   lookup, one validity check, and per-query breaker/clock setup).
-//! - `guarded_fault_storm` — every component faulting transiently at 30%;
-//!   one pass over the questions, whose fallback counters are reported
-//!   for context rather than gated.
-//!
-//! Prints the measured overhead of the no-fault guard against the < 5%
-//! acceptance target.
+//! Every query runs behind the guards, so there is no unguarded system to
+//! compare against. One system with every component faulting transiently
+//! at 30% answers the question mix: a warm-up pass, then timed passes. The
+//! fallback counters of the warm-up pass are reported for context rather
+//! than gated.
 
 use sage::corpus::datasets::{wiki, SizeConfig};
 use sage::prelude::*;
@@ -51,48 +45,29 @@ fn storm_plan() -> FaultPlan {
 }
 
 fn main() {
-    let unguarded = build_system();
-
-    let mut guarded = build_system();
-    guarded.enable_resilience(FaultPlan::none());
-
     let mut storm = build_system();
-    storm.enable_resilience(storm_plan());
+    storm.set_faults(storm_plan());
 
     let qs = questions();
     for q in &qs {
         black_box(storm.answer(&Request::new(black_box(q)))).unwrap();
     }
+    let parts: Vec<String> =
+        storm.fallback_counters().iter().map(|(l, n)| format!("{l}={n}")).collect();
 
-    // Direct overhead readout for the acceptance target.
-    let time = |system: &RagSystem| {
-        let rounds = 10;
-        let start = Instant::now();
-        for _ in 0..rounds {
-            for q in &qs {
-                black_box(system.answer(&Request::new(black_box(q)))).unwrap();
-            }
-        }
-        start.elapsed().as_secs_f64() / rounds as f64
-    };
-    // Warm both paths once, then measure.
-    time(&unguarded);
-    time(&guarded);
-    let base = time(&unguarded);
-    let with_guards = time(&guarded);
-    let overhead = 100.0 * (with_guards - base) / base;
-    println!(
-        "\n=== resilience overhead ===\nunguarded        {:.3} ms/batch\nguarded (clean)  {:.3} ms/batch\noverhead         {overhead:+.2}% (target < 5%)",
-        1e3 * base,
-        1e3 * with_guards,
-    );
-    if let Some(counters) = storm.fallback_counters() {
-        let parts: Vec<String> = counters.iter().map(|(l, n)| format!("{l}={n}")).collect();
-        if parts.is_empty() {
-            println!("storm fallbacks  none (all faults absorbed by retries)");
-        } else {
-            println!("storm fallbacks  {}", parts.join(" "));
+    let rounds = 10;
+    let start = Instant::now();
+    for _ in 0..rounds {
+        for q in &qs {
+            black_box(storm.answer(&Request::new(black_box(q)))).unwrap();
         }
     }
+    let per_batch = start.elapsed().as_secs_f64() / rounds as f64;
+    println!("\n=== resilience under a fault storm ===");
+    println!("storm            {:.3} ms/batch", 1e3 * per_batch);
+    if parts.is_empty() {
+        println!("storm fallbacks  none (all faults absorbed by retries)");
+    } else {
+        println!("storm fallbacks  {}", parts.join(" "));
+    }
 }
-

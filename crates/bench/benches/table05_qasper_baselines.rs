@@ -3,30 +3,25 @@
 //!
 //! Paper shape: Title+Abstract is far behind; SAGE beats BM25 and DPR by
 //! 10-16% relative on both readers.
+//!
+//! Asserted: SAGE > BM25 and SAGE > DPR, and BM25 and DPR > Title+Abstract,
+//! in F1 with either reader.
 
+use sage::core::experiment::{reader_grid, TABLE_V_METHODS};
 use sage::corpus::datasets::qasper;
-use sage::prelude::*;
 use sage_bench::{header, models, pct, sizes};
 
 fn main() {
-    let models = models();
-    let dataset = qasper::generate(sizes::qasper());
-
-    let rows: [(&str, Method); 4] = [
-        ("Title+Abstract", Method::TitleAbstract),
-        ("BM25", Method::NaiveRag(RetrieverKind::Bm25)),
-        ("DPR", Method::NaiveRag(RetrieverKind::Dpr)),
-        ("SAGE", Method::Sage(RetrieverKind::OpenAiSim)),
-    ];
+    let grid = reader_grid(models(), &TABLE_V_METHODS, &qasper::generate(sizes::qasper()));
 
     header(
         "Table V: QASPER F1-Match vs baselines",
         &format!("{:<18} {:>18} {:>22}", "Model", "GPT-3.5 F1-Match", "GPT-4o-mini F1-Match"),
     );
-    for (label, method) in rows {
-        let g35 = evaluate(method, models, LlmProfile::gpt35_turbo(), &dataset);
-        let mini = evaluate(method, models, LlmProfile::gpt4o_mini(), &dataset);
+    for (label, [g35, mini]) in &grid.rows {
         println!("{label:<18} {:>18} {:>22}", pct(g35.f1), pct(mini.f1));
     }
-    println!("\nExpected shape: SAGE > DPR ≈ BM25 >> Title+Abstract, on both readers.");
+    let gaps = grid.table_v_gaps();
+    assert!(gaps.is_empty(), "Table V does not hold: {gaps:?}");
+    println!("\nTable V holds: SAGE > BM25, DPR > Title+Abstract, on both readers.");
 }

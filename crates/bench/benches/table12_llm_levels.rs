@@ -5,30 +5,26 @@
 //! Paper shape: the GPT-4o-mini column dominates the GPT-3.5 column for
 //! every method (~+17-21% relative), and SAGE leads within each column —
 //! LLM strength matters more than the retriever.
+//!
+//! Asserted: the GPT-4o-mini column > the GPT-3.5 column for every method,
+//! and SAGE best in each column.
 
+use sage::core::experiment::{reader_grid, TABLE_XII_METHODS};
 use sage::corpus::datasets::quality;
-use sage::prelude::*;
 use sage_bench::{header, models, pct, sizes};
 
 fn main() {
-    let models = models();
-    let dataset = quality::generate(sizes::quality());
-
-    let rows: [(&str, Method); 3] = [
-        ("BM25", Method::NaiveRag(RetrieverKind::Bm25)),
-        ("DPR", Method::NaiveRag(RetrieverKind::Dpr)),
-        ("SAGE", Method::Sage(RetrieverKind::OpenAiSim)),
-    ];
+    let grid = reader_grid(models(), &TABLE_XII_METHODS, &quality::generate(sizes::quality()));
 
     header(
         "Table XII: accuracy by LLM proficiency on QuALITY",
         &format!("{:<8} {:>20} {:>24}", "Model", "GPT-3.5 Accuracy", "GPT-4o-mini Accuracy"),
     );
-    for (label, method) in rows {
-        let g35 = evaluate(method, models, LlmProfile::gpt35_turbo(), &dataset);
-        let mini = evaluate(method, models, LlmProfile::gpt4o_mini(), &dataset);
+    for (label, [g35, mini]) in &grid.rows {
         println!("{label:<8} {:>20} {:>24}", pct(g35.accuracy), pct(mini.accuracy));
     }
-    println!("\nExpected shape: GPT-4o-mini column > GPT-3.5 column for every method;");
-    println!("SAGE best within each column.");
+    let gaps = grid.table_xii_gaps();
+    assert!(gaps.is_empty(), "Table XII does not hold: {gaps:?}");
+    println!("\nTable XII holds: GPT-4o-mini > GPT-3.5 for every method;");
+    println!("SAGE best in each column.");
 }

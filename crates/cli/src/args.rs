@@ -131,8 +131,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn removed_hnsw_flag_is_refused_by_name() {
+    /// `sage ask`, `query` and `soak` refuse the removed switch `--{flag}`
+    /// by name.
+    fn assert_refused_by_name(flag: &str) {
         type Command = fn(&Flags) -> Result<(), String>;
         let commands: [(&str, Command); 3] = [
             ("ask", crate::commands::ask),
@@ -140,9 +141,19 @@ mod tests {
             ("soak", crate::commands::soak),
         ];
         for (name, run) in commands {
-            let f = parse_flags(&argv(&["--hnsw"])).unwrap();
-            assert_eq!(run(&f), Err(format!("unknown flag --hnsw for `sage {name}`")));
+            let f = parse_flags(&argv(&[&format!("--{flag}")])).unwrap();
+            assert_eq!(run(&f), Err(format!("unknown flag --{flag} for `sage {name}`")));
         }
+    }
+
+    #[test]
+    fn removed_hnsw_flag_is_refused_by_name() {
+        assert_refused_by_name("hnsw");
+    }
+
+    #[test]
+    fn removed_resilience_flag_is_refused_by_name() {
+        assert_refused_by_name("resilience");
     }
 
     #[test]

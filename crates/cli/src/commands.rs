@@ -61,7 +61,7 @@ pub fn query(flags: &Flags) -> Result<(), String> {
     flags.reject_unknown(
         "query",
         &[
-            "index", "question", "llm", "resilience", "faults", "fault-seed", "telemetry", "trace-out",
+            "index", "question", "llm", "faults", "fault-seed", "telemetry", "trace-out",
             "metrics-out",
         ],
     )?;
@@ -70,7 +70,7 @@ pub fn query(flags: &Flags) -> Result<(), String> {
     let profile = parse_llm(flags.get_or("llm", "gpt4o-mini"))?;
     let mut system = RagSystem::load(std::path::Path::new(path), profile)
         .map_err(|e| format!("cannot load index {path}: {e}"))?;
-    apply_resilience(flags, &mut system)?;
+    apply_faults(flags, &mut system)?;
     apply_telemetry(flags, &mut system);
     let result = system.answer(&Request::new(question)).map_err(|e| e.to_string())?;
     println!("{}", result.answer.text);
@@ -81,7 +81,7 @@ pub fn query(flags: &Flags) -> Result<(), String> {
         result.cost.total_tokens(),
         result.cost.dollars(profile.prices),
     );
-    report_degradation(&result.degraded, &system);
+    report_degradation(flags, &result.degraded, &system);
     report_telemetry(flags, &system, profile)?;
     Ok(())
 }
@@ -112,19 +112,14 @@ fn load_corpus(path: &str) -> Result<Vec<String>, String> {
     Ok(vec![paragraphs.join("\n")])
 }
 
-/// Apply the resilience flags: `--resilience` (guards with no faults),
-/// `--faults <spec>` (e.g. `reader=transient:0.5,embedder=timeout:1.0`),
-/// `--fault-seed <n>` (injection seed).
-fn apply_resilience(flags: &Flags, system: &mut RagSystem) -> Result<(), String> {
-    if !(flags.has("resilience") || flags.has("faults")) {
-        return Ok(());
-    }
+/// Apply the fault flags: `--faults <spec>` (e.g.
+/// `reader=transient:0.5,embedder=timeout:1.0`) with `--fault-seed <n>`
+/// (injection seed). Without `--faults` the system keeps its default plan,
+/// which injects nothing.
+fn apply_faults(flags: &Flags, system: &mut RagSystem) -> Result<(), String> {
+    let Some(spec) = flags.get("faults") else { return Ok(()) };
     let seed: u64 = flags.get_parse("fault-seed", 0u64)?;
-    let plan = match flags.get("faults") {
-        Some(spec) if !spec.is_empty() => FaultPlan::parse_spec(spec, seed)?,
-        _ => FaultPlan::none(),
-    };
-    system.enable_resilience(plan);
+    system.set_faults(FaultPlan::parse_spec(spec, seed)?);
     Ok(())
 }
 
@@ -162,16 +157,17 @@ fn report_telemetry(flags: &Flags, system: &RagSystem, profile: LlmProfile) -> R
     Ok(())
 }
 
-/// Report degraded-mode serving: the per-query trace, then the system-wide
-/// fallback counters. Prints nothing when resilience is disabled.
-fn report_degradation(trace: &DegradeTrace, system: &RagSystem) {
+/// Report degraded-mode serving: the per-query trace, then, when `--faults`
+/// was given, the system-wide fallback counters.
+fn report_degradation(flags: &Flags, trace: &DegradeTrace, system: &RagSystem) {
     for e in &trace.events {
         eprintln!(
             "degraded: {:?} -> {} after {} attempt(s) (+{:.0?} virtual delay)",
             e.component, e.fallback, e.attempts, e.delay
         );
     }
-    if let Some(counters) = system.fallback_counters() {
+    if flags.has("faults") {
+        let counters = system.fallback_counters();
         if counters.is_empty() {
             eprintln!("fallbacks: none (served on the primary path)");
         } else {
@@ -244,7 +240,7 @@ pub fn ask(flags: &Flags) -> Result<(), String> {
         "ask",
         &[
             "file", "question", "retriever", "llm", "naive", "show-context", "models",
-            "resilience", "faults", "fault-seed", "telemetry", "trace-out", "metrics-out",
+            "faults", "fault-seed", "telemetry", "trace-out", "metrics-out",
         ],
     )?;
     let corpus = load_corpus(flags.require("file")?)?;
@@ -254,7 +250,7 @@ pub fn ask(flags: &Flags) -> Result<(), String> {
     let config = if flags.has("naive") { SageConfig::naive_rag() } else { SageConfig::sage() };
 
     let mut system = RagSystem::build(resolve_models(flags)?, retriever, config, profile, &corpus);
-    apply_resilience(flags, &mut system)?;
+    apply_faults(flags, &mut system)?;
     apply_telemetry(flags, &mut system);
     let result = system.answer(&Request::new(question)).map_err(|e| e.to_string())?;
     println!("{}", result.answer.text);
@@ -271,7 +267,7 @@ pub fn ask(flags: &Flags) -> Result<(), String> {
             eprintln!("  [ctx {id}] {}", system.chunks()[id]);
         }
     }
-    report_degradation(&result.degraded, &system);
+    report_degradation(flags, &result.degraded, &system);
     report_telemetry(flags, &system, profile)?;
     Ok(())
 }
@@ -347,8 +343,7 @@ pub fn eval(flags: &Flags) -> Result<(), String> {
 /// Corpus: `--file <path>` with `--question "..."` replays one question
 /// over a user corpus; otherwise a generated QuALITY-analog corpus
 /// (`--docs N`) supplies both documents and questions. Faults compose:
-/// `--faults`/`--fault-seed`/`--resilience` work exactly as in
-/// `sage ask`.
+/// `--faults`/`--fault-seed` work exactly as in `sage ask`.
 pub fn soak(flags: &Flags) -> Result<(), String> {
     if flags.has("live") {
         return live_soak(flags);
@@ -358,7 +353,7 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
         &[
             "seed", "qps", "duration", "capacity", "concurrency", "deadline-ms", "token-budget",
             "no-budget", "docs", "file", "question", "max-shed-rate", "retriever", "llm", "models",
-            "resilience", "faults", "fault-seed", "telemetry", "trace-out", "metrics-out",
+            "faults", "fault-seed", "telemetry", "trace-out", "metrics-out",
         ],
     )?;
     let (corpus, questions, cfg) = soak_run(flags)?;
@@ -367,7 +362,7 @@ pub fn soak(flags: &Flags) -> Result<(), String> {
     let profile = parse_llm(flags.get_or("llm", "gpt4o-mini"))?;
     let mut system =
         RagSystem::build(resolve_models(flags)?, retriever, SageConfig::sage(), profile, &corpus);
-    apply_resilience(flags, &mut system)?;
+    apply_faults(flags, &mut system)?;
     apply_telemetry(flags, &mut system);
 
     eprintln!(
@@ -849,8 +844,8 @@ report, scenarios) accept --models <path> to reuse a saved bundle. A flag
 a command does not read is an error, not ignored.
 
 RESILIENCE (ask, query, soak):
-  --resilience          guard component boundaries (retry + circuit breaker)
-                        and degrade instead of failing
+  Every query runs behind guarded component boundaries (retry + circuit
+  breaker) and degrades instead of failing.
   --faults <spec>       inject deterministic faults, e.g.
                         \"reader=transient:0.5,embedder=timeout:1.0\"
                         (components: embedder|index|reranker|reader;
@@ -985,26 +980,30 @@ mod tests {
         );
         let argv = |items: &[&str]| -> Vec<String> { items.iter().map(|s| s.to_string()).collect() };
 
-        // No flags: the layer stays off.
-        let none = crate::args::parse_flags(&[]).unwrap();
-        apply_resilience(&none, &mut system).unwrap();
-        assert!(!system.resilience_enabled());
+        let q = "What is the color of Whiskers's eyes?";
 
-        // A fault spec implies resilience; counters start clean.
+        // No flags: the guards run with no faults to inject.
+        let none = crate::args::parse_flags(&[]).unwrap();
+        apply_faults(&none, &mut system).unwrap();
+        assert!(system.answer(&Request::new(q)).unwrap().degraded.is_clean());
+        assert!(system.fallback_counters().is_empty());
+
+        // A fault spec arms the guards with it.
         let f = crate::args::parse_flags(&argv(&[
             "--faults",
-            "reader=transient:0.5",
+            "reader=transient:1.0",
             "--fault-seed",
             "7",
         ]))
         .unwrap();
-        apply_resilience(&f, &mut system).unwrap();
-        assert!(system.resilience_enabled());
-        assert!(system.fallback_counters().unwrap().is_empty());
+        apply_faults(&f, &mut system).unwrap();
+        let r = system.answer(&Request::new(q)).unwrap();
+        assert_eq!(r.answer.text, "unanswerable");
+        assert_eq!(system.fallback_counters(), vec![("reader->unanswerable", 1)]);
 
         // Malformed specs surface as CLI errors, not panics.
         let bad = crate::args::parse_flags(&argv(&["--faults", "reader=warp:0.5"])).unwrap();
-        assert!(apply_resilience(&bad, &mut system).is_err());
+        assert!(apply_faults(&bad, &mut system).is_err());
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The mutable state a query plan executes over: the typed blackboard
 //! every stage function reads its input from and writes its output to.
 
-use crate::resilience::QueryGuards;
 use sage_admission::BudgetMeter;
 use sage_eval::Cost;
 use sage_llm::{Answer, FeedbackOutcome};
 use sage_rerank::RankedChunk;
-use sage_resilience::DegradeTrace;
+use sage_resilience::{DegradeTrace, Guards};
 use sage_retrieval::ScoredChunk;
 use sage_telemetry::Trace;
 use std::time::{Duration, Instant};
@@ -29,8 +28,9 @@ pub(crate) struct QueryCtx<'a> {
     pub question: &'a str,
     /// Multiple-choice options, when in that mode.
     pub options: Option<&'a [String]>,
-    /// Per-query resilience guards (`None` runs the bare primary path).
-    pub guards: Option<QueryGuards<'a>>,
+    /// This query's guards: breakers and virtual clock under the
+    /// system's fault plan.
+    pub guards: Guards<'a>,
     /// Degradation events accumulated so far.
     pub trace: DegradeTrace,
     /// The query's telemetry span trace, when a hub is attached.
@@ -111,7 +111,7 @@ impl<'a> QueryCtx<'a> {
     pub(crate) fn new(
         question: &'a str,
         options: Option<&'a [String]>,
-        guards: Option<QueryGuards<'a>>,
+        guards: Guards<'a>,
         qt: Option<Trace>,
         bctl: Option<BudgetMeter>,
         min_k: usize,

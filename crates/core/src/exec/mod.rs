@@ -3,9 +3,11 @@
 //! One deterministic executor runs every query path: a [`QueryPlan`]
 //! (resolved from the configuration) is executed slot by slot, with the
 //! cross-cutting concerns — budget checkpoint charging, brownout plan
-//! rewrites, telemetry spans/histograms/ledger, resilience `catch_unwind`
-//! at the public boundary — applied as middleware around the stages
-//! instead of hand-stitched at each entry point. Every request enters
+//! rewrites, telemetry spans/histograms/ledger, `catch_unwind` at the
+//! public boundary — applied as middleware around the stages instead of
+//! hand-stitched at each entry point. Every query runs behind its own
+//! [`Guards`] under the system's fault plan; the stages hold the
+//! validators and the fallback chain. Every request enters
 //! through [`execute`] (behind [`crate::RagSystem::answer`], which adds
 //! the panic boundary); [`run_prelude`] serves
 //! [`crate::RagSystem::candidates`].
@@ -25,11 +27,10 @@ pub use plan::{QueryPlan, RerankMode, SelectMode, StageOp};
 use plan::Loc;
 
 use crate::pipeline::{RagSystem, Request};
-use crate::resilience::QueryGuards;
 use crate::QueryResult;
 use sage_admission::{BudgetMeter, PlanStage};
 use sage_rerank::RankedChunk;
-use sage_resilience::{Fallback, SageError};
+use sage_resilience::{Fallback, Guards, SageError};
 use sage_telemetry::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -116,7 +117,7 @@ fn run_plan(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>) {
 }
 
 /// Finalize: stamp the degradation trace into the result, absorb it into
-/// the resilience counters, and flush the query's telemetry (degrade
+/// the system's fallback counters, and flush the query's telemetry (degrade
 /// events folded into the span trace, query histogram, trace ring).
 /// Shared by every path — on a clean unbudgeted query each step is a
 /// no-op by construction.
@@ -129,9 +130,7 @@ fn finalize(sys: &RagSystem, mut ctx: QueryCtx<'_>, total: Duration) -> QueryRes
         QueryResult::single_read(answer, None, Vec::new(), ctx.retrieval_latency)
     });
     result.degraded = ctx.trace;
-    if let Some(state) = &sys.resilience {
-        state.counters.absorb(&result.degraded);
-    }
+    sys.counters.absorb(&result.degraded);
     if let (Some(hub), Some(mut t)) = (&sys.telemetry, ctx.qt.take()) {
         // Fold this query's degradation events into the same trace so one
         // record explains both where time went and what fell back.
@@ -159,7 +158,7 @@ impl RagSystem {
 
 /// Resolve the plan and assemble the fresh context for one request: plan
 /// resolution (the one-read fixed plan over a pre-assembled context when
-/// the request names its chunks), guard arming, trace opening, and the
+/// the request names its chunks), fresh guards, trace opening, and the
 /// brownout admission gate (replan once before any work so a hopeless
 /// budget walks the ladder immediately).
 #[expect(
@@ -167,7 +166,7 @@ impl RagSystem {
     reason = "a fixed context's assembly time is its measured retrieval latency; no control flow branches on the reading"
 )]
 fn prepare<'a>(sys: &'a RagSystem, req: &Request<'a>) -> (QueryPlan, QueryCtx<'a>) {
-    let guards = sys.resilience.as_ref().map(QueryGuards::new);
+    let guards = Guards::new(&sys.faults);
     let qt = sys.telemetry.as_ref().map(|_| Trace::start(req.question));
     let planned_rounds =
         if sys.config.use_feedback { sys.config.max_feedback_rounds as u32 } else { 0 };
@@ -211,21 +210,22 @@ pub(crate) fn execute(sys: &RagSystem, req: &Request<'_>) -> QueryResult {
 }
 
 /// Run `f` with panic isolation: a panic becomes
-/// `Err(SageError::Panicked)` and is counted on the resilience ledger.
+/// `Err(SageError::Panicked)` and is counted on the fallback counters.
 pub(crate) fn caught<T>(sys: &RagSystem, f: impl FnOnce() -> T) -> Result<T, SageError> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
-        if let Some(state) = &sys.resilience {
-            state.counters.record(Fallback::PanicIsolated);
-        }
+        sys.counters.record(Fallback::PanicIsolated);
         SageError::from_panic(payload)
     })
 }
 
-/// Execute only the prelude (retrieval + rerank) unguarded and unbudgeted:
-/// the engine behind [`crate::RagSystem::candidates`]. Histogram stages
-/// still record when a hub is attached, but no span trace is kept.
+/// Execute only the prelude (retrieval + rerank), unbudgeted, behind fresh
+/// guards: the engine behind [`crate::RagSystem::candidates`]. Under a
+/// fault plan its fallbacks fire as a query's would, but the trace is
+/// dropped and no counter moves. Histogram stages still record when a hub
+/// is attached, but no span trace is kept.
 pub(crate) fn run_prelude(sys: &RagSystem, question: &str) -> (Vec<usize>, Vec<RankedChunk>) {
-    let mut ctx = QueryCtx::new(question, None, None, None, None, sys.config.min_k);
+    let guards = Guards::new(&sys.faults);
+    let mut ctx = QueryCtx::new(question, None, guards, None, None, sys.config.min_k);
     run_prelude_slots(sys, &mut sys.resolve_plan(), &mut ctx);
     (ctx.cand_ids, ctx.ranked)
 }

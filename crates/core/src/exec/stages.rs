@@ -11,7 +11,6 @@ use super::middleware::push_event;
 use super::plan::{RerankMode, SelectMode, StageOp};
 use super::Flow;
 use crate::pipeline::RagSystem;
-use crate::resilience::QueryGuards;
 use sage_admission::BrownoutLevel;
 use sage_eval::Cost;
 use sage_llm::Answer;
@@ -37,41 +36,28 @@ pub(crate) fn run(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp) -> Flow 
 }
 
 fn embed(sys: &RagSystem, ctx: &mut QueryCtx<'_>) -> Flow {
-    match ctx.guards.as_ref() {
-        Some(g) => {
-            let embedded = g.guard(Component::Embedder).run(
-                Component::Embedder,
-                ctx.question,
-                // None embeds as the empty vector, which the validator
-                // below rejects, so the guard degrades DenseToBm25
-                // instead of panicking inside the guarded closure.
-                || sys.retriever.embed_query(ctx.question).unwrap_or_default(),
-                |v| {
-                    for x in v.iter_mut() {
-                        *x = f32::NAN;
-                    }
-                },
-                |v| !v.is_empty() && v.iter().all(|x| x.is_finite()),
-            );
-            match embedded {
-                Ok(v) => {
-                    ctx.query_vec = Some(v);
-                    Flow::Continue
-                }
-                Err(failure) => {
-                    push_event(
-                        &mut ctx.trace,
-                        Component::Embedder,
-                        Fallback::DenseToBm25,
-                        failure,
-                    );
-                    Flow::FallbackToBm25
-                }
+    let embedded = ctx.guards.run(
+        Component::Embedder,
+        ctx.question,
+        // None embeds as the empty vector, which the validator below
+        // rejects, so the guard degrades DenseToBm25 instead of panicking
+        // inside the guarded closure.
+        || sys.retriever.embed_query(ctx.question).unwrap_or_default(),
+        |v| {
+            for x in v.iter_mut() {
+                *x = f32::NAN;
             }
-        }
-        None => {
-            ctx.query_vec = sys.retriever.embed_query(ctx.question);
+        },
+        |v| !v.is_empty() && v.iter().all(|x| x.is_finite()),
+    );
+    match embedded {
+        Ok(v) => {
+            ctx.query_vec = Some(v);
             Flow::Continue
+        }
+        Err(failure) => {
+            push_event(&mut ctx.trace, Component::Embedder, Fallback::DenseToBm25, failure);
+            Flow::FallbackToBm25
         }
     }
 }
@@ -92,38 +78,27 @@ fn poison_scores(hits: &mut Vec<ScoredChunk>) {
 fn retrieve_dense(sys: &RagSystem, ctx: &mut QueryCtx<'_>) -> Flow {
     let n = sys.config.candidates;
     let question = ctx.question;
-    let trace = &mut ctx.trace;
-    let hits = match (ctx.guards.as_ref(), ctx.query_vec.as_ref()) {
-        (Some(g), Some(query_vec)) => {
-            let exact = g.guard(Component::IndexSearch).run(
-                Component::IndexSearch,
-                question,
-                // None becomes a single NaN-scored sentinel hit, which the
-                // validator rejects, so the guard degrades DenseToBm25
-                // instead of panicking inside the guarded closure.
-                || {
-                    sys.retriever
-                        .search_dense(query_vec, n)
-                        .unwrap_or_else(|| vec![ScoredChunk { index: 0, score: f32::NAN }])
-                },
-                poison_scores,
-                |hits| finite_scores(hits),
-            );
-            match exact {
-                Ok(hits) => hits,
-                Err(failure) => {
-                    push_event(trace, Component::IndexSearch, Fallback::DenseToBm25, failure);
-                    g.state.bm25.retrieve(question, n)
-                }
-            }
-        }
-        // Unguarded path; a retriever that reports is_dense() but
-        // cannot embed or search falls back to its own entry point
-        // instead of aborting the query.
-        (_, query_vec) => match query_vec.and_then(|v| sys.retriever.search_dense(v, n)) {
-            Some(hits) => hits,
-            None => sys.retriever.retrieve(question, n),
+    let exact = ctx.guards.run(
+        Component::IndexSearch,
+        question,
+        // A missing query vector or dense index becomes a single NaN-scored
+        // sentinel hit, which the validator rejects, so the guard degrades
+        // DenseToBm25 instead of panicking inside the guarded closure.
+        || {
+            ctx.query_vec
+                .as_ref()
+                .and_then(|v| sys.retriever.search_dense(v, n))
+                .unwrap_or_else(|| vec![ScoredChunk { index: 0, score: f32::NAN }])
         },
+        poison_scores,
+        |hits| finite_scores(hits),
+    );
+    let hits = match exact {
+        Ok(hits) => hits,
+        Err(failure) => {
+            push_event(&mut ctx.trace, Component::IndexSearch, Fallback::DenseToBm25, failure);
+            sys.fallback_bm25().retrieve(question, n)
+        }
     };
     ctx.cand_ids = hits.iter().map(|h| h.index).collect();
     ctx.hits = hits;
@@ -132,13 +107,11 @@ fn retrieve_dense(sys: &RagSystem, ctx: &mut QueryCtx<'_>) -> Flow {
 
 fn retrieve_bm25(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp) -> Flow {
     let n = sys.config.candidates;
-    let fallback = matches!(op, StageOp::RetrieveBm25 { fallback: true });
-    let hits = match (fallback, ctx.guards.as_ref()) {
-        // The degraded substitution retrieves from the resilience
-        // layer's BM25 tier (the primary retriever is dense and just
-        // failed).
-        (true, Some(g)) => g.state.bm25.retrieve(ctx.question, n),
-        _ => sys.retriever.retrieve(ctx.question, n),
+    let hits = if matches!(op, StageOp::RetrieveBm25 { fallback: true }) {
+        // The degraded substitution for a dense primary that just failed.
+        sys.fallback_bm25().retrieve(ctx.question, n)
+    } else {
+        sys.retriever.retrieve(ctx.question, n)
     };
     ctx.cand_ids = hits.iter().map(|h| h.index).collect();
     ctx.hits = hits;
@@ -169,35 +142,27 @@ fn rerank(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp) -> Flow {
             };
             let texts: Vec<&str> =
                 ctx.cand_ids[..keep].iter().map(|&i| sys.chunks[i].as_str()).collect();
-            match ctx.guards.as_ref() {
-                None => scorer.rerank(ctx.question, &texts),
-                Some(g) => {
-                    let reranked = g.guard(Component::Reranker).run(
-                        Component::Reranker,
-                        ctx.question,
-                        || scorer.rerank(ctx.question, &texts),
-                        |rl| {
-                            for r in rl.iter_mut() {
-                                r.score = f32::NAN;
-                            }
-                        },
-                        |rl| {
-                            rl.len() == texts.len()
-                                && rl.iter().all(|r| r.score.is_finite())
-                        },
-                    );
-                    match reranked {
-                        Ok(rl) => rl,
-                        Err(failure) => {
-                            push_event(
-                                &mut ctx.trace,
-                                Component::Reranker,
-                                Fallback::RerankToRetrievalOrder,
-                                failure,
-                            );
-                            retrieval_order(&ctx.hits)
-                        }
+            let reranked = ctx.guards.run(
+                Component::Reranker,
+                ctx.question,
+                || scorer.rerank(ctx.question, &texts),
+                |rl| {
+                    for r in rl.iter_mut() {
+                        r.score = f32::NAN;
                     }
+                },
+                |rl| rl.len() == texts.len() && rl.iter().all(|r| r.score.is_finite()),
+            );
+            match reranked {
+                Ok(rl) => rl,
+                Err(failure) => {
+                    push_event(
+                        &mut ctx.trace,
+                        Component::Reranker,
+                        Fallback::RerankToRetrievalOrder,
+                        failure,
+                    );
+                    retrieval_order(&ctx.hits)
                 }
             }
         }
@@ -233,20 +198,18 @@ fn select(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp) -> Flow {
     Flow::Continue
 }
 
-/// One guarded generation call. `key` is the determinism handle (the
-/// question for the primary context, a derived key for the retry so the
-/// two calls draw independent fault decisions).
+/// One guarded generation call over `context`. `key` is the determinism
+/// handle (the question for the round's context, a derived key for the
+/// second-best set so the two calls draw independent fault decisions).
 fn guarded_generate(
     sys: &RagSystem,
-    question: &str,
-    options: Option<&[String]>,
+    ctx: &QueryCtx<'_>,
     context: &[String],
     key: &str,
-    g: &QueryGuards<'_>,
 ) -> Result<(Option<usize>, Answer), Failure> {
-    let guard = g.guard(Component::Reader);
-    match options {
-        Some(opts) => guard.run(
+    let question = ctx.question;
+    match ctx.options {
+        Some(opts) => ctx.guards.run(
             Component::Reader,
             key,
             || {
@@ -260,7 +223,7 @@ fn guarded_generate(
             },
             |(pick, a)| a.is_wellformed() && pick.is_some_and(|i| i < opts.len()),
         ),
-        None => guard.run(
+        None => ctx.guards.run(
             Component::Reader,
             key,
             || (None, sys.llm.answer_open(question, context)),
@@ -273,89 +236,57 @@ fn guarded_generate(
     }
 }
 
-/// The reader leg of the degradation chain. Returns `None` when both the
-/// primary and the second-best context are exhausted (the fuse stage then
-/// degrades to an unanswerable answer); otherwise the generation result
-/// plus the chunk ids actually used.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the reader leg of the degradation chain: the primary context plus the ranked list the second-best context is cut from"
-)]
-fn read_with_fallback(
-    sys: &RagSystem,
-    question: &str,
-    options: Option<&[String]>,
-    selected: Vec<usize>,
-    context: &[String],
-    ranked: &[RankedChunk],
-    cand_ids: &[usize],
-    g: &QueryGuards<'_>,
-    trace: &mut DegradeTrace,
-) -> Option<(Option<usize>, Answer, Vec<usize>)> {
-    match guarded_generate(sys, question, options, context, question, g) {
-        Ok((pick, a)) => Some((pick, a, selected)),
+/// The reader leg of the degradation chain: the round's context, then the
+/// second-best set, then `None` (the fuse stage then degrades to an
+/// unanswerable answer).
+fn read_with_fallback(sys: &RagSystem, ctx: &mut QueryCtx<'_>) -> Option<RoundAnswer> {
+    let failure = match guarded_generate(sys, ctx, &ctx.context, ctx.question) {
+        Ok((picked, answer)) => {
+            return Some(RoundAnswer { picked, answer, selected: ctx.selected.clone() })
+        }
+        Err(failure) => failure,
+    };
+    // Second-best context: the ranked list shifted down by one — drops the
+    // (possibly poisoned) top chunk while keeping the context size.
+    let alt_ids: Vec<usize> = ctx
+        .ranked
+        .iter()
+        .skip(1)
+        .take(ctx.selected.len().max(1))
+        .map(|r| ctx.cand_ids[r.index])
+        .collect();
+    if alt_ids.is_empty() {
+        // No second-best set (a fixed context ranks nothing; a single
+        // candidate has no runner-up): a read over zero chunks would only
+        // bill the reader and the judge for an empty context.
+        push_event(&mut ctx.trace, Component::Reader, Fallback::ReaderUnanswerable, failure);
+        return None;
+    }
+    push_event(&mut ctx.trace, Component::Reader, Fallback::ReaderSecondBest, failure);
+    let alt_context: Vec<String> = alt_ids.iter().map(|&id| sys.chunks[id].clone()).collect();
+    let retry_key = format!("{}\u{1f}second-best", ctx.question);
+    match guarded_generate(sys, ctx, &alt_context, &retry_key) {
+        Ok((picked, answer)) => Some(RoundAnswer { picked, answer, selected: alt_ids }),
         Err(failure) => {
-            push_event(trace, Component::Reader, Fallback::ReaderSecondBest, failure);
-            // Second-best context: the ranked list shifted down by one —
-            // drops the (possibly poisoned) top chunk while keeping the
-            // context size.
-            let alt_ids: Vec<usize> = ranked
-                .iter()
-                .skip(1)
-                .take(selected.len().max(1))
-                .map(|r| cand_ids[r.index])
-                .collect();
-            let alt_context: Vec<String> =
-                alt_ids.iter().map(|&id| sys.chunks[id].clone()).collect();
-            let retry_key = format!("{question}\u{1f}second-best");
-            match guarded_generate(sys, question, options, &alt_context, &retry_key, g) {
-                Ok((pick, a)) => Some((pick, a, alt_ids)),
-                Err(failure) => {
-                    push_event(trace, Component::Reader, Fallback::ReaderUnanswerable, failure);
-                    None
-                }
-            }
+            push_event(&mut ctx.trace, Component::Reader, Fallback::ReaderUnanswerable, failure);
+            None
         }
     }
 }
 
 fn read(sys: &RagSystem, ctx: &mut QueryCtx<'_>) -> Flow {
-    let generated = match ctx.guards.as_ref() {
-        None => {
-            let (picked, answer) = match ctx.options {
-                Some(opts) => {
-                    let (idx, a) =
-                        sys.llm.answer_multiple_choice(ctx.question, opts, &ctx.context);
-                    (Some(idx), a)
-                }
-                None => (None, sys.llm.answer_open(ctx.question, &ctx.context)),
-            };
-            Some((picked, answer, ctx.selected.clone()))
-        }
-        Some(g) => read_with_fallback(
-            sys,
-            ctx.question,
-            ctx.options,
-            ctx.selected.clone(),
-            &ctx.context,
-            &ctx.ranked,
-            &ctx.cand_ids,
-            g,
-            &mut ctx.trace,
-        ),
-    };
-    match generated {
-        Some((picked, answer, selected)) => {
-            ctx.total_cost.merge(answer.cost);
-            ctx.answer_latency += answer.latency;
-            ctx.current = Some(RoundAnswer { picked, answer, selected });
+    match read_with_fallback(sys, ctx) {
+        Some(round) => {
+            ctx.total_cost.merge(round.answer.cost);
+            ctx.answer_latency += round.answer.latency;
+            ctx.current = Some(round);
             Flow::Continue
         }
         None => {
-            // Reader exhausted both contexts. Fault decisions are keyed
-            // on the question, so further rounds would fail identically
-            // — stop here and fall back to an earlier round's answer
-            // (or the degraded unanswerable at fuse).
+            // Reader exhausted its contexts. Fault decisions are keyed on
+            // the question, so further rounds would fail identically —
+            // stop here and fall back to an earlier round's answer (or the
+            // degraded unanswerable at fuse).
             ctx.current = None;
             Flow::Done
         }

@@ -329,6 +329,99 @@ pub fn cost_efficiency(
     }
 }
 
+/// Table V's rows on QASPER, weakest first.
+pub const TABLE_V_METHODS: [(&str, Method); 4] = [
+    ("Title+Abstract", Method::TitleAbstract),
+    ("BM25", Method::NaiveRag(RetrieverKind::Bm25)),
+    ("DPR", Method::NaiveRag(RetrieverKind::Dpr)),
+    ("SAGE", Method::Sage(RetrieverKind::OpenAiSim)),
+];
+
+/// Table XII's rows on QuALITY.
+pub const TABLE_XII_METHODS: [(&str, Method); 3] = [
+    ("BM25", Method::NaiveRag(RetrieverKind::Bm25)),
+    ("DPR", Method::NaiveRag(RetrieverKind::Dpr)),
+    ("SAGE", Method::Sage(RetrieverKind::OpenAiSim)),
+];
+
+/// The column labels of [`ReaderGrid`], in column order.
+pub const GRID_READERS: [&str; 2] = ["GPT-3.5", "GPT-4o-mini"];
+
+/// Tables V and XII: a method × reader grid on one dataset, the readers
+/// being the GPT-3.5-turbo and the GPT-4o-mini analogs ([`GRID_READERS`]).
+#[derive(Debug, Clone)]
+pub struct ReaderGrid {
+    /// `(row label, [GPT-3.5 scores, GPT-4o-mini scores])`, in table order.
+    pub rows: Vec<(&'static str, [MethodScores; 2])>,
+}
+
+impl ReaderGrid {
+    /// `"higher > lower (reader)"` for each `(higher, lower)` row pair and
+    /// reader where `higher` does not score strictly above `lower` on
+    /// `metric`.
+    fn misordered(&self, metric: fn(&MethodScores) -> f32, pairs: &[(&str, &str)]) -> Vec<String> {
+        let row = |label: &str| self.rows.iter().find(|(l, _)| *l == label).map(|(_, r)| r);
+        let mut cells = Vec::new();
+        for (reader, name) in GRID_READERS.iter().enumerate() {
+            for &(higher, lower) in pairs {
+                let above = match (row(higher), row(lower)) {
+                    (Some(h), Some(l)) => metric(&h[reader]) > metric(&l[reader]),
+                    _ => false,
+                };
+                if !above {
+                    cells.push(format!("{higher} > {lower} ({name})"));
+                }
+            }
+        }
+        cells
+    }
+
+    /// Table V's shape, as the cells that fail it: in QASPER F1, SAGE above
+    /// BM25 and DPR, and both above Title+Abstract, with either reader.
+    pub fn table_v_gaps(&self) -> Vec<String> {
+        let order = [
+            ("SAGE", "BM25"),
+            ("SAGE", "DPR"),
+            ("BM25", "Title+Abstract"),
+            ("DPR", "Title+Abstract"),
+        ];
+        self.misordered(|s| s.f1, &order)
+    }
+
+    /// Table XII's shape, as the cells that fail it: in QuALITY accuracy,
+    /// the GPT-4o-mini column above the GPT-3.5 column for every method, and
+    /// SAGE best in each column.
+    pub fn table_xii_gaps(&self) -> Vec<String> {
+        let [weaker, stronger] = GRID_READERS;
+        let mut cells: Vec<String> = self
+            .rows
+            .iter()
+            .filter(|(_, [w, s])| s.accuracy <= w.accuracy)
+            .map(|(label, _)| format!("{stronger} > {weaker} ({label})"))
+            .collect();
+        cells.extend(self.misordered(|s| s.accuracy, &[("SAGE", "BM25"), ("SAGE", "DPR")]));
+        cells
+    }
+}
+
+/// Tables V and XII: every `(label, method)` row with both readers on
+/// `dataset`.
+pub fn reader_grid(
+    models: &TrainedModels,
+    methods: &[(&'static str, Method)],
+    dataset: &Dataset,
+) -> ReaderGrid {
+    let readers = [LlmProfile::gpt35_turbo(), LlmProfile::gpt4o_mini()];
+    ReaderGrid {
+        rows: methods
+            .iter()
+            .map(|&(label, m)| {
+                (label, readers.map(|profile| evaluate(m, models, profile, dataset)))
+            })
+            .collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,6 +525,17 @@ mod tests {
         assert!(table_iv.holds(), "{:?}", table_iv.rows);
         let table_vi = baseline_ladder(models(), LlmProfile::unifiedqa_3b(), &dataset);
         assert!(table_vi.holds(), "{:?}", table_vi.inversions());
+    }
+
+    /// Tables V and XII at the tiny budget, on the benches' dataset sizes.
+    #[test]
+    fn sage_leads_both_readers_in_tables_v_and_xii() {
+        let size = |seed| SizeConfig { num_docs: 12, questions_per_doc: 4, seed };
+        let table_v = reader_grid(models(), &TABLE_V_METHODS, &qasper::generate(size(0x2A03)));
+        assert_eq!(table_v.table_v_gaps(), Vec::<String>::new(), "{:?}", table_v.rows);
+        let table_xii =
+            reader_grid(models(), &TABLE_XII_METHODS, &quality::generate(size(0x2A02)));
+        assert_eq!(table_xii.table_xii_gaps(), Vec::<String>::new(), "{:?}", table_xii.rows);
     }
 
     /// Table XI at the tiny budget, on the bench's dataset size.

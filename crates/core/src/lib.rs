@@ -21,9 +21,9 @@
 //! * [`case_studies`] — the Figure 8/9/10 single-question drivers.
 //! * [`multihop`] — the paper's future-work §X(1): iterative multi-hop
 //!   retrieval (Baleen-style), with its own synthetic 2-hop tasks.
-//! * `resilience` — the serving-path fault-injection and
-//!   graceful-degradation layer (guarded component boundaries, retries,
-//!   per-query circuit breakers, the documented fallback chain).
+//! * [`exec`] — the query executor: every request runs its plan with each
+//!   component boundary behind per-query [`sage_resilience::Guards`]
+//!   (retries, circuit breakers, the documented fallback chain).
 //! * [`soak`] — the deterministic overload harness: a seeded open-loop
 //!   arrival process replayed against a built system through admission
 //!   control and per-query deadline budgets, on a virtual clock.
@@ -51,7 +51,6 @@ pub mod models;
 pub mod multihop;
 pub mod persist;
 pub mod pipeline;
-mod resilience;
 mod result;
 mod retriever;
 pub mod scalability;

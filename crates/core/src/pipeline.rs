@@ -12,20 +12,19 @@
 
 use crate::config::{RetrieverKind, SageConfig};
 use crate::models::TrainedModels;
-use crate::resilience::ResilienceState;
 pub use crate::result::{BuildStats, QueryResult};
 pub use crate::retriever::AnyRetriever;
 use crate::segmentation;
-use sage_admission::{AdmissionConfig, AdmissionQueue, QueryBudget};
+use sage_admission::QueryBudget;
 use sage_embed::HashedEmbedder;
 use sage_eval::Cost;
 use sage_llm::{LlmProfile, SimLlm};
 use sage_rerank::{CrossScorer, RankedChunk};
-use sage_resilience::{FaultPlan, SageError};
-use sage_retrieval::{Bm25Retriever, DenseRetriever};
+use sage_resilience::{FallbackCounters, FaultPlan, SageError};
+use sage_retrieval::{Bm25Retriever, DenseRetriever, Retriever};
 use sage_telemetry::{BuildRecord, Stage, Telemetry};
 use sage_vecdb::FlatIndex;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Give the reranker its corpus IDF table. A BM25 index over `chunks` has
@@ -77,18 +76,19 @@ pub struct RagSystem {
     pub(crate) scorer: Option<CrossScorer>,
     pub(crate) llm: SimLlm,
     stats: BuildStats,
-    /// Runtime-only serving-path resilience (never persisted); `None`
-    /// means guards are off and every query runs the bare primary path.
-    pub(crate) resilience: Option<ResilienceState>,
+    /// The faults injected at the guarded component boundaries every query
+    /// runs behind (runtime-only; [`FaultPlan::none`] unless
+    /// [`RagSystem::set_faults`] says otherwise).
+    pub(crate) faults: FaultPlan,
+    /// The BM25 fallback tier over `chunks`: built on the first
+    /// `dense->bm25` fallback rather than beside every dense index, and
+    /// dropped by `add_documents`.
+    fallback_bm25: OnceLock<Bm25Retriever>,
+    /// Fired-fallback totals across every query this system answered.
+    pub(crate) counters: FallbackCounters,
     /// Runtime-only telemetry hub (never persisted); `None` means no
     /// spans, histograms, or ledger entries are recorded for this system.
     pub(crate) telemetry: Option<Arc<Telemetry>>,
-    /// Runtime-only admission queue (never persisted); `None` means every
-    /// submission is accepted. A `std::sync::Mutex` rather than an atomic
-    /// design: admit decisions must see a consistent (depth, seq) pair to
-    /// stay deterministic, and the critical section is a few arithmetic
-    /// ops.
-    pub(crate) admission: Option<Mutex<AdmissionQueue>>,
 }
 
 impl RagSystem {
@@ -154,7 +154,8 @@ impl RagSystem {
         Self::assemble(config, kind, chunks, retriever, scorer, profile, stats)
     }
 
-    /// The one struct literal: every runtime-only layer starts detached.
+    /// The one struct literal: no faults, no fallback tier yet, no
+    /// telemetry hub.
     fn assemble(
         config: SageConfig,
         kind: RetrieverKind,
@@ -172,9 +173,10 @@ impl RagSystem {
             scorer,
             llm: SimLlm::new(profile),
             stats,
-            resilience: None,
+            faults: FaultPlan::none(),
+            fallback_bm25: OnceLock::new(),
+            counters: FallbackCounters::new(),
             telemetry: None,
-            admission: None,
         }
     }
 
@@ -202,32 +204,32 @@ impl RagSystem {
         self.stats.corpus_tokens += corpus.iter().map(|d| sage_text::count_tokens(d)).sum::<usize>();
         self.stats.memory_bytes = self.retriever.memory_bytes()
             + self.chunks.iter().map(|c| c.capacity()).sum::<usize>();
-        // Fallback tiers index the same chunk store; keep them in sync.
-        if let Some(state) = &mut self.resilience {
-            state.reindex(&self.chunks);
-        }
+        // The fallback tier indexed the old chunk store; the next fallback
+        // rebuilds it over the enlarged one.
+        self.fallback_bm25 = OnceLock::new();
     }
 
-    /// Turn on the serving-path resilience layer: guarded component
-    /// boundaries, retries with virtual-time backoff, per-query circuit
-    /// breakers, and the documented degradation chain, under the fault
-    /// `plan`. Builds the BM25 fallback tier.
-    ///
-    /// With [`FaultPlan::none`], answers are identical to the unguarded
-    /// path — the guards only add validation.
-    pub fn enable_resilience(&mut self, plan: FaultPlan) {
-        self.resilience = Some(ResilienceState::build(plan, &self.chunks));
-    }
-
-    /// Whether the resilience layer is active.
-    pub fn resilience_enabled(&self) -> bool {
-        self.resilience.is_some()
+    /// Inject `plan`'s faults from now on. Every query runs behind per-query
+    /// guards — validated component boundaries, retries with virtual-time
+    /// backoff, circuit breakers and the documented degradation chain —
+    /// under this plan; the default, [`FaultPlan::none`], injects nothing.
+    pub fn set_faults(&mut self, plan: FaultPlan) {
+        self.faults = plan;
     }
 
     /// Degraded-mode report: `(fallback label, fire count)` pairs, nonzero
-    /// entries only, since resilience was enabled. `None` when disabled.
-    pub fn fallback_counters(&self) -> Option<Vec<(&'static str, u64)>> {
-        self.resilience.as_ref().map(|s| s.counters.snapshot())
+    /// entries only, over every query this system has answered.
+    pub fn fallback_counters(&self) -> Vec<(&'static str, u64)> {
+        self.counters.snapshot()
+    }
+
+    /// The BM25 fallback tier over the chunk store, built on first use.
+    pub(crate) fn fallback_bm25(&self) -> &Bm25Retriever {
+        self.fallback_bm25.get_or_init(|| {
+            let mut bm25 = Bm25Retriever::new();
+            bm25.index(&self.chunks);
+            bm25
+        })
     }
 
     /// Attach a fresh telemetry hub to this system and return it. From now
@@ -270,38 +272,6 @@ impl RagSystem {
     /// The attached telemetry hub, if any.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref()
-    }
-
-    /// Turn on admission control. Batch submissions
-    /// ([`RagSystem::try_answer_batch`]) are routed through the bounded
-    /// queue as [`sage_admission::Priority::Batch`] work from then on; shed
-    /// slots surface as [`SageError::Shed`]. Shed decisions are a pure
-    /// function of the queue state and the configured seed — replaying the
-    /// same submission sequence sheds the same slots.
-    pub fn enable_admission(&mut self, config: AdmissionConfig) {
-        self.admission = Some(Mutex::new(AdmissionQueue::new(config)));
-    }
-
-    /// Admission report since [`RagSystem::enable_admission`]: admitted
-    /// total plus `(class label, shed count)` pairs (nonzero entries
-    /// only). `None` when disabled.
-    pub fn admission_report(&self) -> Option<(u64, Vec<(&'static str, u64)>)> {
-        self.admission.as_ref().map(|m| {
-            let q = Self::lock_queue(m);
-            (q.admitted_total(), q.shed_snapshot())
-        })
-    }
-
-    /// Lock the admission queue, recovering from a poisoned lock (a
-    /// panicked batch worker must not wedge the serving path — the queue's
-    /// own state is a few integers and stays internally consistent).
-    pub(crate) fn lock_queue(
-        m: &Mutex<AdmissionQueue>,
-    ) -> std::sync::MutexGuard<'_, AdmissionQueue> {
-        match m.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 
     /// Record a stage observation on the attached hub, if any.
@@ -396,7 +366,9 @@ impl RagSystem {
     /// selection (e.g. the flexible selector of the paper's future work)
     /// and then answer with [`Request::chunks`]. The scores in rank order
     /// are the Figure-5 curve: the reranker's when present, otherwise the
-    /// retriever's.
+    /// retriever's. The prelude runs behind the same guards a query does,
+    /// so under [`RagSystem::set_faults`] its fallbacks fire as a query's
+    /// would; they are neither returned nor counted.
     pub fn candidates(&self, question: &str) -> (Vec<usize>, Vec<RankedChunk>) {
         crate::exec::run_prelude(self, question)
     }
@@ -533,6 +505,9 @@ mod tests {
 
     #[test]
     fn resilience_without_faults_is_transparent() {
+        // The guards only validate: a plan with no rates, whatever its
+        // seed, serves every question on the primary path, exactly as the
+        // default plan does.
         let questions = [
             "What is the color of Whiskers's eyes?",
             "Where does Dorinwick live?",
@@ -542,18 +517,40 @@ mod tests {
             build(RetrieverKind::OpenAiSim, SageConfig::sage(), LlmProfile::gpt4o_mini())
         };
         let plain = build();
-        let mut guarded = build();
-        guarded.enable_resilience(FaultPlan::none());
-        assert!(guarded.resilience_enabled());
+        let mut reseeded = build();
+        reseeded.set_faults(FaultPlan::seeded(99));
         for q in questions {
             let a = plain.answer(&Request::new(q)).unwrap();
-            let b = guarded.answer(&Request::new(q)).unwrap();
+            let b = reseeded.answer(&Request::new(q)).unwrap();
             assert_eq!(a.answer.text, b.answer.text, "{q}");
             assert_eq!(a.selected, b.selected, "{q}");
             assert_eq!(a.cost.input_tokens, b.cost.input_tokens, "{q}");
+            assert!(a.degraded.is_clean(), "{q}: {:?}", a.degraded);
             assert!(b.degraded.is_clean(), "{q}: {:?}", b.degraded);
         }
-        assert_eq!(guarded.fallback_counters(), Some(Vec::new()));
+        assert_eq!(plain.fallback_counters(), Vec::new());
+        assert_eq!(reseeded.fallback_counters(), Vec::new());
+        assert!(plain.fallback_bm25.get().is_none(), "no fallback, no tier");
+    }
+
+    #[test]
+    fn the_fallback_tier_is_built_on_the_first_dense_fallback() {
+        use sage_resilience::{Component, FaultKind};
+        let q = "What is the color of Whiskers's eyes?";
+        let mut dense =
+            build(RetrieverKind::OpenAiSim, SageConfig::sage(), LlmProfile::gpt4o_mini());
+        dense.set_faults(FaultPlan::failing(Component::Embedder, FaultKind::Transient));
+        assert!(dense.fallback_bm25.get().is_none(), "nothing has fallen back yet");
+        let r = dense.answer(&Request::new(q)).unwrap();
+        assert!(r.answer.text.contains("green"), "got {:?}", r.answer.text);
+        let tier = dense.fallback_bm25.get().expect("dense->bm25 built the tier");
+        assert_eq!(tier.len(), dense.chunks().len());
+        assert_eq!(dense.fallback_counters(), vec![("dense->bm25", 1)]);
+        // A BM25 primary has no dense stage to fall back from.
+        let mut bm25 = build(RetrieverKind::Bm25, SageConfig::sage(), LlmProfile::gpt4o_mini());
+        bm25.set_faults(FaultPlan::failing(Component::Embedder, FaultKind::Transient));
+        bm25.answer(&Request::new(q)).unwrap();
+        assert!(bm25.fallback_bm25.get().is_none());
     }
 
     #[test]

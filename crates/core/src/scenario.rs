@@ -309,11 +309,10 @@ pub fn run_cell(models: &TrainedModels, cell: &ScenarioCell) -> Result<BenchRow,
     }
 
     let mut system = RagSystem::build(models, retriever, SageConfig::sage(), profile, &corpus);
-    if !cell.faults.is_empty() {
-        let plan = FaultPlan::parse_spec(&cell.faults, cell.seed)
-            .map_err(|e| format!("cell `{}`: bad fault spec: {e}", cell.name))?;
-        system.enable_resilience(plan);
-    }
+    system.set_faults(
+        FaultPlan::parse_spec(&cell.faults, cell.seed)
+            .map_err(|e| format!("cell `{}`: bad fault spec: {e}", cell.name))?,
+    );
 
     let cfg = soak_config(cell);
     let report = run_soak(&system, &questions, &cfg);

@@ -112,11 +112,6 @@ impl CircuitBreaker {
             inner.half_open = false;
         }
     }
-
-    /// Reset to the pristine closed state.
-    pub fn reset(&self) {
-        self.record_success();
-    }
 }
 
 #[cfg(test)]

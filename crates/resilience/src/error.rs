@@ -35,12 +35,6 @@ pub enum SageError {
         /// The pipeline stage whose budget check fired.
         stage: &'static str,
     },
-    /// The admission queue refused the query under load before it entered
-    /// the pipeline.
-    Shed {
-        /// Priority-class label of the refused query.
-        class: &'static str,
-    },
 }
 
 impl SageError {
@@ -50,9 +44,7 @@ impl SageError {
             SageError::ComponentFailed { component, .. }
             | SageError::CircuitOpen { component }
             | SageError::Corrupted { component } => Some(*component),
-            SageError::Panicked { .. }
-            | SageError::BudgetExhausted { .. }
-            | SageError::Shed { .. } => None,
+            SageError::Panicked { .. } | SageError::BudgetExhausted { .. } => None,
         }
     }
 
@@ -85,9 +77,6 @@ impl std::fmt::Display for SageError {
             SageError::Panicked { detail } => write!(f, "panicked: {detail}"),
             SageError::BudgetExhausted { stage } => {
                 write!(f, "budget exhausted at the {stage} stage")
-            }
-            SageError::Shed { class } => {
-                write!(f, "shed by admission control (class {class})")
             }
         }
     }

@@ -288,6 +288,17 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_plan_injects_no_faults() {
+        let plan = FaultPlan::none();
+        assert!(!plan.is_active());
+        for component in Component::ALL {
+            for attempt in 0..4 {
+                assert_eq!(plan.inject(component, "q", attempt), None, "{component}");
+            }
+        }
+    }
+
+    #[test]
     fn full_rate_always_faults_with_that_kind() {
         let plan = FaultPlan::failing(Component::Reader, FaultKind::Transient);
         for a in 0..4 {

@@ -1,7 +1,7 @@
 //! The boundary wrapper: fault roll → breaker check → call → validate →
 //! retry with backoff → structured failure.
 
-use crate::breaker::CircuitBreaker;
+use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::error::SageError;
 use crate::fault::{Component, FaultKind, FaultPlan};
 use crate::retry::{RetryPolicy, VirtualClock};
@@ -19,20 +19,31 @@ pub struct Failure {
     pub delay: Duration,
 }
 
-/// A guarded component boundary: shares one fault plan, retry policy,
-/// clock, and per-component breaker.
-pub struct Guard<'a> {
-    /// The fault plan consulted per attempt.
-    pub plan: &'a FaultPlan,
-    /// Retry/backoff policy.
-    pub policy: &'a RetryPolicy,
-    /// The shared virtual clock.
-    pub clock: &'a VirtualClock,
-    /// This component's breaker.
-    pub breaker: &'a CircuitBreaker,
+/// One query's guards: the fault plan, the retry policy, a fresh virtual
+/// clock and one circuit breaker per [`Component`].
+///
+/// Scoped per query, not shared across a batch: a shared breaker would make
+/// one question's degradation trace depend on which other questions ran
+/// first on the same worker pool. Per-query scoping keeps every result a
+/// pure function of `(system, fault plan, question)`.
+pub struct Guards<'a> {
+    plan: &'a FaultPlan,
+    retry: RetryPolicy,
+    clock: VirtualClock,
+    breakers: [CircuitBreaker; 4],
 }
 
-impl Guard<'_> {
+impl<'a> Guards<'a> {
+    /// Fresh guards under `plan`, with the default retry and breaker tuning.
+    pub fn new(plan: &'a FaultPlan) -> Self {
+        Self {
+            plan,
+            retry: RetryPolicy::default(),
+            clock: VirtualClock::new(),
+            breakers: std::array::from_fn(|_| CircuitBreaker::new(BreakerConfig::default())),
+        }
+    }
+
     /// Run `op` at the `component` boundary under the fault plan.
     ///
     /// * `key` identifies the call content (determinism handle).
@@ -57,10 +68,11 @@ impl Guard<'_> {
         corrupt: impl Fn(&mut T),
         valid: impl Fn(&T) -> bool,
     ) -> Result<T, Failure> {
+        let breaker = &self.breakers[component.idx()];
         let mut delay = Duration::ZERO;
-        let max_attempts = self.policy.max_attempts.max(1);
+        let max_attempts = self.retry.max_attempts.max(1);
         for attempt in 0..max_attempts {
-            if self.breaker.is_open(self.clock) {
+            if breaker.is_open(&self.clock) {
                 return Err(Failure {
                     error: SageError::CircuitOpen { component },
                     attempts: attempt,
@@ -80,8 +92,8 @@ impl Guard<'_> {
                     Err(SageError::ComponentFailed { component, attempts: attempt + 1 })
                 }
                 Some(FaultKind::Timeout) => {
-                    self.clock.advance(self.policy.timeout);
-                    delay += self.policy.timeout;
+                    self.clock.advance(self.retry.timeout);
+                    delay += self.retry.timeout;
                     Err(SageError::ComponentFailed { component, attempts: attempt + 1 })
                 }
                 Some(FaultKind::Corrupt) => {
@@ -108,14 +120,14 @@ impl Guard<'_> {
             };
             match outcome {
                 Ok(value) => {
-                    self.breaker.record_success();
+                    breaker.record_success();
                     return Ok(value);
                 }
                 Err(error) => {
-                    self.breaker.record_failure(self.clock.now());
+                    breaker.record_failure(self.clock.now());
                     if attempt + 1 < max_attempts {
                         let mut rng = self.plan.call_rng(component, key, attempt | 0x8000_0000);
-                        let backoff = self.policy.backoff(attempt, &mut rng);
+                        let backoff = self.retry.backoff(attempt, &mut rng);
                         self.clock.advance(backoff);
                         delay += backoff;
                     } else {
@@ -141,24 +153,26 @@ impl Guard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::BreakerConfig;
     use crate::fault::Rates;
-
-    fn harness(plan: FaultPlan) -> (FaultPlan, RetryPolicy, VirtualClock, CircuitBreaker) {
-        (plan, RetryPolicy::default(), VirtualClock::new(), CircuitBreaker::new(BreakerConfig::default()))
-    }
 
     fn no_corrupt(_: &mut u32) {}
     fn always_valid(_: &u32) -> bool {
         true
     }
 
+    /// Trip `component`'s breaker open at the current virtual time.
+    fn trip(g: &Guards<'_>, component: Component) {
+        for _ in 0..BreakerConfig::default().failure_threshold {
+            g.breakers[component.idx()].record_failure(g.clock.now());
+        }
+    }
+
     #[test]
     fn clean_call_passes_through_once() {
-        let (plan, policy, clock, breaker) = harness(FaultPlan::none());
-        let guard = Guard { plan: &plan, policy: &policy, clock: &clock, breaker: &breaker };
+        let plan = FaultPlan::none();
+        let g = Guards::new(&plan);
         let mut calls = 0;
-        let out = guard.run(
+        let out = g.run(
             Component::Embedder,
             "k",
             || {
@@ -170,15 +184,14 @@ mod tests {
         );
         assert_eq!(out.unwrap(), 7);
         assert_eq!(calls, 1);
-        assert_eq!(clock.now(), Duration::ZERO, "no backoff charged");
+        assert_eq!(g.clock.now(), Duration::ZERO, "no backoff charged");
     }
 
     #[test]
     fn permanent_fault_exhausts_retries_with_virtual_backoff() {
-        let (plan, policy, clock, breaker) =
-            harness(FaultPlan::failing(Component::Reader, FaultKind::Transient));
-        let guard = Guard { plan: &plan, policy: &policy, clock: &clock, breaker: &breaker };
-        let out = guard.run(Component::Reader, "k", || 1u32, no_corrupt, always_valid);
+        let plan = FaultPlan::failing(Component::Reader, FaultKind::Transient);
+        let g = Guards::new(&plan);
+        let out = g.run(Component::Reader, "k", || 1u32, no_corrupt, always_valid);
         let failure = out.unwrap_err();
         assert_eq!(
             failure.error,
@@ -186,7 +199,7 @@ mod tests {
         );
         assert_eq!(failure.attempts, 3);
         assert!(failure.delay > Duration::ZERO, "backoff was charged");
-        assert_eq!(clock.now(), failure.delay, "clock advanced by exactly the backoff");
+        assert_eq!(g.clock.now(), failure.delay, "clock advanced by exactly the backoff");
     }
 
     #[test]
@@ -201,12 +214,9 @@ mod tests {
                     && plan.inject(Component::Reader, k, 1).is_none()
             })
             .expect("some key recovers on retry");
-        let policy = RetryPolicy::default();
-        let clock = VirtualClock::new();
-        let breaker = CircuitBreaker::new(BreakerConfig::default());
-        let guard = Guard { plan: &plan, policy: &policy, clock: &clock, breaker: &breaker };
+        let g = Guards::new(&plan);
         let mut calls = 0;
-        let out = guard.run(
+        let out = g.run(
             Component::Reader,
             &key,
             || {
@@ -218,21 +228,14 @@ mod tests {
         );
         assert_eq!(out.unwrap(), 9);
         assert_eq!(calls, 1, "faulted attempts never reach the op");
-        assert!(clock.now() > Duration::ZERO, "one backoff charged");
+        assert!(g.clock.now() > Duration::ZERO, "one backoff charged");
     }
 
     #[test]
     fn corrupt_fault_is_caught_by_validation() {
-        let (plan, policy, clock, breaker) =
-            harness(FaultPlan::failing(Component::Embedder, FaultKind::Corrupt));
-        let guard = Guard { plan: &plan, policy: &policy, clock: &clock, breaker: &breaker };
-        let out = guard.run(
-            Component::Embedder,
-            "k",
-            || 5u32,
-            |v| *v = u32::MAX,
-            |v| *v != u32::MAX,
-        );
+        let plan = FaultPlan::failing(Component::Embedder, FaultKind::Corrupt);
+        let g = Guards::new(&plan);
+        let out = g.run(Component::Embedder, "k", || 5u32, |v| *v = u32::MAX, |v| *v != u32::MAX);
         assert_eq!(
             out.unwrap_err().error,
             SageError::Corrupted { component: Component::Embedder }
@@ -241,32 +244,26 @@ mod tests {
 
     #[test]
     fn undetectable_corruption_passes_validation() {
-        let (plan, policy, clock, breaker) =
-            harness(FaultPlan::failing(Component::Embedder, FaultKind::Corrupt));
-        let guard = Guard { plan: &plan, policy: &policy, clock: &clock, breaker: &breaker };
-        let out =
-            guard.run(Component::Embedder, "k", || 5u32, |_| {}, always_valid);
+        let plan = FaultPlan::failing(Component::Embedder, FaultKind::Corrupt);
+        let g = Guards::new(&plan);
+        let out = g.run(Component::Embedder, "k", || 5u32, |_| {}, always_valid);
         assert_eq!(out.unwrap(), 5, "no-op corruption is invisible");
     }
 
     #[test]
     #[should_panic(expected = "injected panic at reader")]
     fn panic_fault_propagates() {
-        let (plan, policy, clock, breaker) =
-            harness(FaultPlan::failing(Component::Reader, FaultKind::Panic));
-        let guard = Guard { plan: &plan, policy: &policy, clock: &clock, breaker: &breaker };
-        let _ = guard.run(Component::Reader, "k", || 1u32, no_corrupt, always_valid);
+        let plan = FaultPlan::failing(Component::Reader, FaultKind::Panic);
+        let _ = Guards::new(&plan).run(Component::Reader, "k", || 1u32, no_corrupt, always_valid);
     }
 
     #[test]
     fn open_breaker_fast_fails_without_calling() {
-        let (plan, policy, clock, breaker) = harness(FaultPlan::none());
-        for _ in 0..BreakerConfig::default().failure_threshold {
-            breaker.record_failure(clock.now());
-        }
-        let guard = Guard { plan: &plan, policy: &policy, clock: &clock, breaker: &breaker };
+        let plan = FaultPlan::none();
+        let g = Guards::new(&plan);
+        trip(&g, Component::IndexSearch);
         let mut calls = 0;
-        let out = guard.run(
+        let out = g.run(
             Component::IndexSearch,
             "k",
             || {
@@ -281,31 +278,42 @@ mod tests {
             SageError::CircuitOpen { component: Component::IndexSearch }
         );
         assert_eq!(calls, 0, "primary skipped while open");
+        // Only that component's breaker is open.
+        assert_eq!(g.run(Component::Reranker, "k", || 3u32, no_corrupt, always_valid), Ok(3));
     }
 
     #[test]
     fn breaker_recovers_through_half_open() {
-        let (plan, policy, clock, breaker) = harness(FaultPlan::none());
-        for _ in 0..5 {
-            breaker.record_failure(clock.now());
-        }
-        assert!(breaker.is_open(&clock));
-        clock.advance(BreakerConfig::default().cooldown + Duration::from_secs(1));
-        let guard = Guard { plan: &plan, policy: &policy, clock: &clock, breaker: &breaker };
-        let out = guard.run(Component::IndexSearch, "k", || 2u32, no_corrupt, always_valid);
+        let plan = FaultPlan::none();
+        let g = Guards::new(&plan);
+        trip(&g, Component::IndexSearch);
+        let breaker = &g.breakers[Component::IndexSearch.idx()];
+        assert!(breaker.is_open(&g.clock));
+        g.clock.advance(BreakerConfig::default().cooldown + Duration::from_secs(1));
+        let out = g.run(Component::IndexSearch, "k", || 2u32, no_corrupt, always_valid);
         assert_eq!(out.unwrap(), 2, "half-open probe succeeds and closes");
-        assert!(!breaker.is_open(&clock));
+        assert!(!breaker.is_open(&g.clock));
     }
 
     #[test]
     fn timeout_fault_charges_the_deadline() {
         let plan = FaultPlan::failing(Component::Reranker, FaultKind::Timeout);
-        let policy = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
-        let clock = VirtualClock::new();
-        let breaker = CircuitBreaker::new(BreakerConfig::default());
-        let guard = Guard { plan: &plan, policy: &policy, clock: &clock, breaker: &breaker };
-        let out = guard.run(Component::Reranker, "k", || 1u32, no_corrupt, always_valid);
+        let retry = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+        let g = Guards { retry, ..Guards::new(&plan) };
+        let out = g.run(Component::Reranker, "k", || 1u32, no_corrupt, always_valid);
         assert!(out.is_err());
-        assert_eq!(clock.now(), policy.timeout, "deadline charged on the virtual clock");
+        assert_eq!(g.clock.now(), g.retry.timeout, "deadline charged on the virtual clock");
+    }
+
+    #[test]
+    fn guards_are_independent_per_query() {
+        let plan = FaultPlan::none();
+        let a = Guards::new(&plan);
+        let b = Guards::new(&plan);
+        // Tripping one query's breaker leaves the other's closed.
+        trip(&a, Component::Embedder);
+        let embedder = Component::Embedder.idx();
+        assert!(a.breakers[embedder].is_open(&a.clock));
+        assert!(!b.breakers[embedder].is_open(&b.clock));
     }
 }

@@ -22,9 +22,10 @@
 //!   sleeping, so tests of the full retry ladder run in microseconds.
 //! * [`CircuitBreaker`] — per-component consecutive-failure breaker with
 //!   a virtual-time cooldown and half-open probing.
-//! * [`Guard`] — the boundary wrapper combining all three: consult the
-//!   breaker, roll the fault plan, run/corrupt/validate the call, retry
-//!   with backoff, and report a structured [`SageError`] when exhausted.
+//! * [`Guards`] — one query's boundary wrapper combining all three: consult
+//!   the component's breaker, roll the fault plan, run/corrupt/validate the
+//!   call, retry with backoff, and report a structured [`SageError`] when
+//!   exhausted.
 //! * [`DegradeTrace`] / [`Fallback`] — per-query record of which
 //!   fallbacks fired, surfaced in `QueryResult` and aggregated by
 //!   [`FallbackCounters`] for CLI reporting.
@@ -44,11 +45,11 @@ pub mod retry;
 pub mod rng;
 pub mod trace;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use crash::{CrashPlan, CrashPoint};
 pub use error::SageError;
 pub use fault::{Component, FaultKind, FaultPlan, Rates};
-pub use guard::{Failure, Guard};
+pub use guard::{Failure, Guards};
 pub use retry::{RetryPolicy, VirtualClock};
 pub use rng::DetRng;
 pub use trace::{DegradeEvent, DegradeTrace, Fallback, FallbackCounters};

@@ -82,11 +82,6 @@ impl VirtualClock {
     pub fn advance(&self, d: Duration) {
         self.nanos.fetch_add(d.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
     }
-
-    /// Reset to t = 0 (between test scenarios).
-    pub fn reset(&self) {
-        self.nanos.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +125,5 @@ mod tests {
         clock.advance(Duration::from_secs(3600));
         assert_eq!(clock.now(), Duration::from_secs(3600));
         assert!(wall.elapsed() < Duration::from_secs(1), "no real sleep");
-        clock.reset();
-        assert_eq!(clock.now(), Duration::ZERO);
     }
 }

@@ -35,14 +35,11 @@ pub enum Fallback {
     /// Budget brownout: gradient selection was replaced by a flat top-k
     /// prefix of the retrieval order (step 4, the ladder's floor).
     BrownoutFlatTopK,
-    /// The admission queue refused the query under load; it never entered
-    /// the pipeline.
-    Shed,
 }
 
 impl Fallback {
     /// All fallback kinds, in chain order (stable counter layout).
-    pub const ALL: [Fallback; 10] = [
+    pub const ALL: [Fallback; 9] = [
         Fallback::DenseToBm25,
         Fallback::RerankToRetrievalOrder,
         Fallback::ReaderSecondBest,
@@ -52,7 +49,6 @@ impl Fallback {
         Fallback::BrownoutShrinkRerank,
         Fallback::BrownoutSkipRerank,
         Fallback::BrownoutFlatTopK,
-        Fallback::Shed,
     ];
 
     fn idx(self) -> usize {
@@ -66,7 +62,6 @@ impl Fallback {
             Fallback::BrownoutShrinkRerank => 6,
             Fallback::BrownoutSkipRerank => 7,
             Fallback::BrownoutFlatTopK => 8,
-            Fallback::Shed => 9,
         }
     }
 
@@ -82,7 +77,6 @@ impl Fallback {
             Fallback::BrownoutShrinkRerank => "brownout:shrink-rerank",
             Fallback::BrownoutSkipRerank => "brownout:skip-rerank",
             Fallback::BrownoutFlatTopK => "brownout:flat-topk",
-            Fallback::Shed => "shed",
         }
     }
 
@@ -188,11 +182,6 @@ impl FallbackCounters {
             .filter(|(_, n)| *n > 0)
             .collect()
     }
-
-    /// Sum over all fallback kinds.
-    pub fn total(&self) -> u64 {
-        Fallback::ALL.iter().map(|f| self.get(*f)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +221,6 @@ mod tests {
         c.absorb(&t);
         assert_eq!(c.get(Fallback::DenseToBm25), 2);
         assert_eq!(c.get(Fallback::RerankToRetrievalOrder), 1);
-        assert_eq!(c.total(), 3);
         let snap = c.snapshot();
         assert_eq!(snap, vec![("dense->bm25", 2), ("rerank->retrieval-order", 1)]);
     }

@@ -18,7 +18,8 @@
 # same soak on every core (`cmp`); two same-seed `sage report` bundles less
 # their wall-clock latency line (`diff`); two `sage index` runs over one
 # model file, dense and BM25 (`cmp`); `sage segment` and `sage ask --retriever
-# bm25 --show-context` == the output recorded in this script; and the full
+# bm25 --show-context` and a dense `sage ask --faults embedder=transient:1.0
+# --show-context` == the output recorded in this script; and the full
 # scenario grid == the committed BENCH_scenarios.json (one run; `cargo test`
 # asserts the same equality).
 #
@@ -59,8 +60,9 @@ if [ "${1:-}" != fast ]; then
   echo "=== paper-shape benches (each asserts its figure's shape and exits non-zero when it fails)"
   for bench in table02_narrativeqa_retrievers table03_quality_qasper fig05_score_curves \
                fig07_segmentation_overhead fig08_noisy_retrieval fig09_missing_retrieval \
-               fig10_incomplete_chunks table04_ablation table06_narrativeqa_baselines \
-               table08_09_scalability table10_feature_ablation table11_cost_efficiency; do
+               fig10_incomplete_chunks table04_ablation table05_qasper_baselines \
+               table06_narrativeqa_baselines table08_09_scalability table10_feature_ablation \
+               table11_cost_efficiency table12_llm_levels; do
     if ! err=$(cargo bench -q -p sage-bench --bench "$bench" 2>&1 > /dev/null); then
       echo "FAIL: bench $bench"; echo "$err"; exit 1
     fi
@@ -243,10 +245,35 @@ confidence 0.58 | 6 chunks | 1 feedback rounds | 492 tokens | $0.000081
 LISTING
   echo "BM25 ask smoke ok"
 
-  echo "=== refusal smoke (removed sharding and HNSW surfaces fail and name the input)"
-  # In-process sharding and the HNSW tier are gone: their flags, the
-  # sharding fault grammar and scenario axis, and the HNSW live retriever
-  # must be refused by name, never silently ignored.
+  echo "=== dense fallback smoke (a dead embedder is served by the BM25 tier)"
+  # Every query runs behind the guards; the BM25 fallback tier is built on
+  # the first dense->bm25 fallback, and the fallbacks: line is printed
+  # because --faults was given. The listing is what the build that still
+  # had an opt-in resilience layer printed for this corpus and these
+  # models, byte for byte.
+  "$sage" ask \
+    --file "$tmp/corpus_bm25.txt" --question "What is the color of Whiskers's eyes?" \
+    --faults embedder=transient:1.0 --show-context --models "$tmp/models.bin" \
+    > "$tmp/ask_fallback.txt" 2>&1
+  diff "$tmp/ask_fallback.txt" - <<'LISTING' || { echo "FAIL: sage ask under a dead embedder printed a different listing"; exit 1; }
+green
+confidence 0.58 | 6 chunks | 1 feedback rounds | 492 tokens | $0.000081
+  [ctx 0] Whiskers is a playful tabby cat. He has bright green eyes.
+  [ctx 5] Whiskers sleeps on the porch in the afternoon. His favourite toy is a red ball.
+  [ctx 3] The harbor town of Ashford keeps a lighthouse. Its keeper paints the door blue.
+  [ctx 2] Mossy is an old tortoise. Her shell is dark green and cracked.
+  [ctx 4] Brone the baker lives near the mill. He bakes bread for Ashford every morning.
+  [ctx 1] Dorinwick was well known in the region. He lives in Ashford.
+degraded: Embedder -> dense->bm25 after 3 attempt(s) (+141ms virtual delay)
+fallbacks: dense->bm25=1
+LISTING
+  echo "dense fallback smoke ok"
+
+  echo "=== refusal smoke (removed sharding, HNSW and --resilience surfaces fail and name the input)"
+  # In-process sharding, the HNSW tier and the opt-in resilience switch are
+  # gone: their flags, the sharding fault grammar and scenario axis, and
+  # the HNSW live retriever must be refused by name, never silently
+  # ignored.
   for command in ask soak explain; do
     for flag in shards quorum; do
       if "$sage" "$command" "--$flag" 4 > /dev/null 2> "$tmp/refused.err"; then
@@ -270,11 +297,13 @@ LISTING
   grep -q 'unknown cell key `shards`' "$tmp/refused.err" \
     || { echo "FAIL: the scenario error does not name its key"; cat "$tmp/refused.err"; exit 1; }
   for command in ask query soak; do
-    if "$sage" "$command" --hnsw > /dev/null 2> "$tmp/refused.err"; then
-      echo "FAIL: sage $command accepted --hnsw"; exit 1
-    fi
-    grep -q "unknown flag --hnsw for \`sage $command\`" "$tmp/refused.err" \
-      || { echo "FAIL: no 'unknown flag --hnsw' error"; cat "$tmp/refused.err"; exit 1; }
+    for flag in hnsw resilience; do
+      if "$sage" "$command" "--$flag" > /dev/null 2> "$tmp/refused.err"; then
+        echo "FAIL: sage $command accepted --$flag"; exit 1
+      fi
+      grep -q "unknown flag --$flag for \`sage $command\`" "$tmp/refused.err" \
+        || { echo "FAIL: no 'unknown flag --$flag' error"; cat "$tmp/refused.err"; exit 1; }
+    done
   done
   if "$sage" soak --live --retriever hnsw --live-dir "$tmp/hnsw-live" \
       > /dev/null 2> "$tmp/refused.err"; then

@@ -22,7 +22,7 @@
 //! | [`rerank`] | `sage-rerank` | cross-feature reranker + gradient selection |
 //! | [`llm`] | `sage-llm` | simulated LLM readers, self-feedback judge, cost model |
 //! | [`eval`] | `sage-eval` | ROUGE/BLEU/METEOR/F1 + Eq.1/Eq.2 cost efficiency |
-//! | [`resilience`] | `sage-resilience` | deterministic fault injection, retries, breakers |
+//! | [`resilience`] | `sage-resilience` | deterministic fault injection; the per-query guards (retries, breakers) every query runs behind |
 //! | [`admission`] | `sage-admission` | admission control, deadline budgets, brownout ladder |
 //! | [`telemetry`] | `sage-telemetry` | spans, histograms, cost ledger, exporters, flight recorder, SLO burn rates, the `sage report` bundle |
 //! | [`core`] | `sage-core` | the assembled pipeline, baselines, experiment harnesses |

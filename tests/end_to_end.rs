@@ -540,7 +540,7 @@ fn golden_equivalence_under_fault_plan() {
         );
         let plan = FaultPlan::seeded(0x601D)
             .with(Component::Reranker, Rates { corrupt: 1.0, ..Rates::default() });
-        sys.enable_resilience(plan);
+        sys.set_faults(plan);
         sys
     };
     let sys = build();
@@ -563,7 +563,7 @@ fn golden_equivalence_under_fault_plan() {
     let mut dead_reader = build();
     let plan = FaultPlan::seeded(0x601E)
         .with(Component::Reader, Rates { corrupt: 1.0, ..Rates::default() });
-    dead_reader.enable_resilience(plan);
+    dead_reader.set_faults(plan);
     let r = dead_reader.answer(&Request::new(GOLDEN_QUESTIONS[0])).unwrap();
     let g = Golden::of(&r);
     assert_eq!(g.text, "unanswerable");
@@ -639,7 +639,7 @@ fn guarded(plan: FaultPlan) -> RagSystem {
         LlmProfile::gpt4o_mini(),
         &golden_corpus(),
     );
-    sys.enable_resilience(plan);
+    sys.set_faults(plan);
     sys
 }
 
@@ -700,7 +700,7 @@ fn degrade_events_are_folded_into_query_traces() {
     );
     let plan = FaultPlan::seeded(0xDE6)
         .with(Component::Reranker, Rates { corrupt: 1.0, ..Rates::default() });
-    system.enable_resilience(plan);
+    system.set_faults(plan);
     let hub = system.enable_telemetry();
 
     let r = system.answer(&Request::new("What is the color of Whiskers's eyes?")).unwrap();

@@ -377,7 +377,7 @@ fn build_resilient(plan: FaultPlan) -> RagSystem {
         LlmProfile::gpt4o_mini(),
         &resilience_corpus(),
     );
-    system.enable_resilience(plan);
+    system.set_faults(plan);
     system
 }
 
