@@ -1,9 +1,9 @@
 //! Micro-benchmarks for the performance-critical substrates:
 //! segmentation throughput (the paper's tokens/s column), vector-index
 //! query latency, BM25 query throughput, reranker scoring,
-//! the simulated reader and judge, sentence embedding, and metric
-//! computation. One row per cell: the median wall time of [`RUNS`] calls
-//! after one warm-up call.
+//! the simulated reader and judge, sentence embedding, the training step
+//! and Adam update, and metric computation. One row per cell: the median
+//! wall time of [`RUNS`] calls after one warm-up call.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,6 +138,25 @@ fn bench_embed() {
     cell("embed_sentence dual_query_48d", || models.dual.embed_query(black_box(sentence)));
 }
 
+/// One training step of the segmentation head's shape (96 → 24 → 1), and
+/// the Adam update of its 2,304 first-layer weights alone, past the step
+/// where `1 − β₁ᵗ` rounds to 1.0 (most of the head's training).
+fn bench_training() {
+    use sage::nn::layer::Activation;
+    use sage::nn::{AdamState, Mlp};
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut row = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.random_range(-1.0..1.0)).collect() };
+    let x = row(96);
+    let mut mlp = Mlp::new(&[96, 24, 1], Activation::Tanh, Activation::Sigmoid, 4);
+    cell("mlp train_row 96-24-1", || mlp.train_row(black_box(&x), 1.0, 0.05));
+    let (mut params, grads) = (row(2304), row(2304));
+    let mut adam = AdamState::new(2304);
+    for _ in 0..200 {
+        adam.update(&mut params, &grads, 1e-4);
+    }
+    cell("adam_update 2304", || adam.update(black_box(&mut params), black_box(&grads), 1e-4));
+}
+
 fn bench_metrics() {
     let candidate = "the cat has bright green eyes and sleeps all day in the sun";
     let refs = vec!["a bright green eyed cat that sleeps in the sunshine all day".to_string()];
@@ -155,5 +174,6 @@ fn main() {
     bench_rerank();
     bench_llm();
     bench_embed();
+    bench_training();
     bench_metrics();
 }

@@ -5,33 +5,34 @@
 //! Paper shape: Longformer-base weakest; SAGE+GPT-4 on top (90.10% test /
 //! 76.3% hard), with RAPTOR+GPT-4 close on the hard set — hard
 //! (elimination) questions are the hardest for retrieval methods.
+//!
+//! Asserted: Longformer < DPR < CoLISA < RAPTOR < SAGE on the test set,
+//! but for the recorded gaps (`TABLE_VII_GAPS`); the hard set is recorded,
+//! not asserted (EXPERIMENTS.md Exp-3).
 
+use sage::core::experiment::quality_ladder;
 use sage::corpus::datasets::quality;
-use sage::prelude::*;
 use sage_bench::{header, models, pct, sizes};
 
 fn main() {
-    let models = models();
     let dataset = quality::generate(sizes::quality());
-
-    // Reader strength per baseline mirrors the paper's backbone models:
-    // Longformer-base is a small LM; DeBERTaV3-large sits between; RAPTOR
-    // and SAGE ride GPT-4.
-    let rows: [(&str, Method, LlmProfile); 5] = [
-        ("Longformer-base", Method::Longformer, LlmProfile::unifiedqa_3b()),
-        ("DPR+DeBERTaV3-large", Method::DprReader, LlmProfile::gpt35_turbo()),
-        ("CoLISA (DeBERTaV3-large)", Method::Colisa, LlmProfile::gpt35_turbo()),
-        ("RAPTOR+GPT-4", Method::Raptor, LlmProfile::gpt4()),
-        ("SAGE +GPT-4", Method::Sage(RetrieverKind::OpenAiSim), LlmProfile::gpt4()),
-    ];
+    let table = quality_ladder(models(), &dataset);
 
     header(
         "Table VII: QuALITY accuracy vs baselines",
         &format!("{:<28} {:>18} {:>18}", "Model", "Accuracy (Test)", "Accuracy (Hard)"),
     );
-    for (label, method, profile) in rows {
-        let s = evaluate(method, models, profile, &dataset);
+    for (label, s) in &table.rows {
         println!("{label:<28} {:>18} {:>18}", pct(s.normal_accuracy), pct(s.hard_accuracy));
     }
-    println!("\nExpected shape: SAGE+GPT-4 highest on the test set; hard-set margins tighter.");
+    assert!(table.holds(), "Table VII: out of order at {:?}", table.inversions());
+    println!("\nTable VII holds on the test set: Longformer < DPR < CoLISA < RAPTOR < SAGE,");
+    let gaps = table.inversions();
+    println!("but for {} recorded gap(s).", gaps.len());
+    for (row, below) in gaps {
+        println!("Recorded gap (EXPERIMENTS.md Exp-3): {row} is not above {below} on the test set.");
+    }
+    for (row, below) in table.hard_inversions() {
+        println!("Recorded gap (EXPERIMENTS.md Exp-3): {row} is not above {below} on the hard set.");
+    }
 }

@@ -60,13 +60,17 @@ impl TrainBudget {
 impl TrainedModels {
     /// Train everything with the given budget. Deterministic.
     pub fn train(budget: TrainBudget) -> Self {
-        // Segmentation model on Wikipedia-analog paragraph pairs.
-        let wiki_ds =
-            wiki::generate(SizeConfig { num_docs: budget.wiki_docs, questions_per_doc: 0, seed: 0xA11CE });
-        let seg_data = segmentation_pairs(&wiki_ds.documents, budget.seg_pairs, 0xB0B);
+        // Segmentation model on Wikipedia-analog paragraph pairs. The pairs
+        // are dropped before the other three train, so they are not held
+        // beside those trainers' feature lists.
         let mut segmentation =
             SegmentationModel::new(2048, 24, 24, FeatureConfig::default(), 0x5E61);
-        segmentation.train(&seg_data, 0.05, budget.epochs);
+        {
+            let wiki_ds =
+                wiki::generate(SizeConfig { num_docs: budget.wiki_docs, questions_per_doc: 0, seed: 0xA11CE });
+            let seg_data = segmentation_pairs(&wiki_ds.documents, budget.seg_pairs, 0xB0B);
+            segmentation.train(&seg_data, 0.05, budget.epochs);
+        }
 
         // Reranker on (question, positive, negative) triples.
         let triples = retrieval_triples(budget.triples, 0xC0DE);

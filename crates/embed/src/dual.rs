@@ -65,12 +65,26 @@ impl DualEncoder {
     /// Train for `epochs` passes over the triples; returns mean loss per
     /// epoch.
     pub fn train(&mut self, triples: &[TripletExample], lr: f32, epochs: usize) -> Vec<f32> {
+        // Features depend on nothing trained: one extraction per triple
+        // serves every epoch. Triples with a featureless text teach nothing.
+        let examples: Vec<_> = triples
+            .iter()
+            .map(|t| {
+                [
+                    self.query_features(&t.query),
+                    self.passage_features(&t.positive),
+                    self.passage_features(&t.negative),
+                ]
+            })
+            .filter(|features| features.iter().all(|f| !f.is_empty()))
+            .collect();
+        let mut bufs = std::array::from_fn(|_| vec![0.0; self.query_tower.dim()]);
         let mut losses = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let mut total = 0.0;
             let mut count = 0usize;
-            for t in triples {
-                if let Some(loss) = self.train_triplet(t, lr) {
+            for features in &examples {
+                if let Some(loss) = self.train_triplet(features, lr, &mut bufs) {
                     total += loss;
                     count += 1;
                 }
@@ -80,45 +94,41 @@ impl DualEncoder {
         losses
     }
 
-    fn train_triplet(&mut self, t: &TripletExample, lr: f32) -> Option<f32> {
-        let fq = self.query_features(&t.query);
-        let fp = self.passage_features(&t.positive);
-        let fn_ = self.passage_features(&t.negative);
-        if fq.is_empty() || fp.is_empty() || fn_.is_empty() {
-            return None;
-        }
-        let dim = self.query_tower.dim();
-        let mut q = vec![0.0; dim];
-        let mut p = vec![0.0; dim];
-        let mut n = vec![0.0; dim];
-        self.query_tower.pool(&fq, &mut q);
-        self.passage_tower.pool(&fp, &mut p);
-        self.passage_tower.pool(&fn_, &mut n);
-        let (nq, np, nn) = (norm(&q), norm(&p), norm(&n));
+    /// One SGD step on the query, positive and negative feature lists, with
+    /// `bufs` as their three pooled vectors and three gradients; `None` when
+    /// a side has a zero-norm embedding.
+    fn train_triplet(
+        &mut self,
+        [fq, fp, fn_]: &[Vec<(u32, f32)>; 3],
+        lr: f32,
+        bufs: &mut [Vec<f32>; 6],
+    ) -> Option<f32> {
+        let [q, p, n, gq, gp, gn] = bufs;
+        self.query_tower.pool(fq, q);
+        self.passage_tower.pool(fp, p);
+        self.passage_tower.pool(fn_, n);
+        let (nq, np, nn) = (norm(q), norm(p), norm(n));
         if nq < 1e-8 || np < 1e-8 || nn < 1e-8 {
             return None;
         }
-        let cp = dot(&q, &p) / (nq * np);
-        let cn = dot(&q, &n) / (nq * nn);
+        let cp = dot(q, p) / (nq * np);
+        let cn = dot(q, n) / (nq * nn);
         let loss = (self.margin - cp + cn).max(0.0);
         if loss == 0.0 {
             return Some(0.0);
         }
         // d(loss)/d(cp) = -1, d(loss)/d(cn) = +1 inside the margin.
         // cos grads as in the siamese trainer.
-        let mut gq = vec![0.0; dim];
-        let mut gp = vec![0.0; dim];
-        let mut gn = vec![0.0; dim];
-        for i in 0..dim {
+        for i in 0..q.len() {
             let dcp_dq = p[i] / (nq * np) - cp * q[i] / (nq * nq);
             let dcn_dq = n[i] / (nq * nn) - cn * q[i] / (nq * nq);
             gq[i] = -dcp_dq + dcn_dq;
             gp[i] = -(q[i] / (nq * np) - cp * p[i] / (np * np));
             gn[i] = q[i] / (nq * nn) - cn * n[i] / (nn * nn);
         }
-        self.query_tower.apply_pooled_grad(&fq, &gq, lr);
-        self.passage_tower.apply_pooled_grad(&fp, &gp, lr);
-        self.passage_tower.apply_pooled_grad(&fn_, &gn, lr);
+        self.query_tower.apply_pooled_grad(fq, gq, lr);
+        self.passage_tower.apply_pooled_grad(fp, gp, lr);
+        self.passage_tower.apply_pooled_grad(fn_, gn, lr);
         Some(loss)
     }
 }

@@ -57,12 +57,20 @@ impl SiameseEncoder {
     /// Train on labelled pairs for `epochs` passes; returns the mean loss
     /// per epoch (useful for convergence tests and EXPERIMENTS.md).
     pub fn train(&mut self, pairs: &[PairExample], lr: f32, epochs: usize) -> Vec<f32> {
+        // Features depend on nothing trained: one extraction per pair serves
+        // every epoch. Pairs with a featureless side teach nothing.
+        let examples: Vec<_> = pairs
+            .iter()
+            .map(|p| (self.features(&p.a), self.features(&p.b), p.label))
+            .filter(|(fa, fb, _)| !fa.is_empty() && !fb.is_empty())
+            .collect();
+        let mut bufs = std::array::from_fn(|_| vec![0.0; self.table.dim()]);
         let mut losses = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let mut total = 0.0;
             let mut count = 0usize;
-            for p in pairs {
-                if let Some(loss) = self.train_pair(p, lr) {
+            for (fa, fb, label) in &examples {
+                if let Some(loss) = self.train_pair(fa, fb, *label, lr, &mut bufs) {
                     total += loss;
                     count += 1;
                 }
@@ -72,37 +80,36 @@ impl SiameseEncoder {
         losses
     }
 
-    /// One SGD step on a single pair; `None` when either side has no
-    /// features or a zero-norm embedding (nothing to learn from).
-    fn train_pair(&mut self, pair: &PairExample, lr: f32) -> Option<f32> {
-        let fa = self.features(&pair.a);
-        let fb = self.features(&pair.b);
-        if fa.is_empty() || fb.is_empty() {
-            return None;
-        }
-        let dim = self.table.dim();
-        let mut ea = vec![0.0; dim];
-        let mut eb = vec![0.0; dim];
-        self.table.pool(&fa, &mut ea);
-        self.table.pool(&fb, &mut eb);
-        let na = norm(&ea);
-        let nb = norm(&eb);
+    /// One SGD step on a single pair of feature lists, with `bufs` as the
+    /// two pooled vectors and their two gradients; `None` when either side
+    /// has a zero-norm embedding (nothing to learn from).
+    fn train_pair(
+        &mut self,
+        fa: &[(u32, f32)],
+        fb: &[(u32, f32)],
+        label: f32,
+        lr: f32,
+        bufs: &mut [Vec<f32>; 4],
+    ) -> Option<f32> {
+        let [ea, eb, ga, gb] = bufs;
+        self.table.pool(fa, ea);
+        self.table.pool(fb, eb);
+        let na = norm(ea);
+        let nb = norm(eb);
         if na < 1e-8 || nb < 1e-8 {
             return None;
         }
-        let c = dot(&ea, &eb) / (na * nb);
-        let err = c - pair.label;
+        let c = dot(ea, eb) / (na * nb);
+        let err = c - label;
         let loss = err * err;
         // dL/dc = 2*err ; dc/dea = eb/(na*nb) - c*ea/na²  (and symmetric).
         let dldc = 2.0 * err;
-        let mut ga = vec![0.0; dim];
-        let mut gb = vec![0.0; dim];
-        for i in 0..dim {
+        for i in 0..ea.len() {
             ga[i] = dldc * (eb[i] / (na * nb) - c * ea[i] / (na * na));
             gb[i] = dldc * (ea[i] / (na * nb) - c * eb[i] / (nb * nb));
         }
-        self.table.apply_pooled_grad(&fa, &ga, lr);
-        self.table.apply_pooled_grad(&fb, &gb, lr);
+        self.table.apply_pooled_grad(fa, ga, lr);
+        self.table.apply_pooled_grad(fb, gb, lr);
         Some(loss)
     }
 }

@@ -16,6 +16,8 @@ pub struct EmbeddingTable {
     buckets: usize,
     dim: usize,
     rows: Vec<f32>,
+    /// One row's gradient, reused by every [`apply_pooled_grad`](Self::apply_pooled_grad).
+    row_grad: Vec<f32>,
 }
 
 impl EmbeddingTable {
@@ -25,7 +27,7 @@ impl EmbeddingTable {
         let mut rng = StdRng::seed_from_u64(seed);
         let bound = 0.5 / (dim as f32).sqrt();
         let rows = (0..buckets * dim).map(|_| rng.random_range(-bound..bound)).collect();
-        Self { buckets, dim, rows }
+        Self { buckets, dim, rows, row_grad: vec![0.0; dim] }
     }
 
     /// Number of buckets.
@@ -48,7 +50,7 @@ impl EmbeddingTable {
         if buckets == 0 || dim == 0 || rows.len() != buckets.checked_mul(dim)? {
             return None;
         }
-        Some(Self { buckets, dim, rows })
+        Some(Self { buckets, dim, rows, row_grad: vec![0.0; dim] })
     }
 
     /// Borrow one row.
@@ -95,13 +97,12 @@ impl EmbeddingTable {
             return;
         }
         let inv = 1.0 / features.len() as f32;
-        let mut row_grad = vec![0.0; self.dim];
         for &(bucket, sign) in features {
-            for (rg, &g) in row_grad.iter_mut().zip(grad) {
+            for (rg, &g) in self.row_grad.iter_mut().zip(grad) {
                 *rg = sign * g * inv;
             }
             let b = bucket as usize * self.dim;
-            sgd_update(&mut self.rows[b..b + self.dim], &row_grad, lr);
+            sgd_update(&mut self.rows[b..b + self.dim], &self.row_grad, lr);
         }
     }
 }

@@ -276,12 +276,10 @@ mod tests {
         // Optimizer state is reset, but training must still work.
         let mlp = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Sigmoid, 1);
         let mut back = Mlp::from_bytes(&mlp.to_bytes()).unwrap();
-        let x = Matrix::from_vec(1, 2, vec![0.3, -0.2]);
-        let y = Matrix::from_vec(1, 1, vec![1.0]);
-        let (first, _) = back.train_batch_mse(&x, &y, 0.05);
+        let first = back.train_row(&[0.3, -0.2], 1.0, 0.05);
         let mut last = first;
         for _ in 0..50 {
-            (last, _) = back.train_batch_mse(&x, &y, 0.05);
+            last = back.train_row(&[0.3, -0.2], 1.0, 0.05);
         }
         assert!(last < first);
     }

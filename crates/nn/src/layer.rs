@@ -1,4 +1,4 @@
-//! Linear layers and activations with manual backpropagation.
+//! Linear layers and activations, with manual backpropagation of one row.
 
 use crate::matrix::Matrix;
 use crate::optim::AdamState;
@@ -55,36 +55,47 @@ impl Activation {
     }
 }
 
-/// A fully connected layer `y = act(x · W + b)` with cached forward state
-/// and Adam parameter state.
+/// A fully connected layer `y = act(x · W + b)` with Adam parameter state
+/// and the row caches of its last training step.
 #[derive(Debug, Clone)]
 pub struct Linear {
     w: Matrix,
     b: Vec<f32>,
     act: Activation,
-    grad_w: Matrix,
+    /// dL/dW of the last step: Adam's input, rewritten whole by each step.
+    grad_w: Vec<f32>,
+    /// dL/db of the last step.
     grad_b: Vec<f32>,
     adam_w: AdamState,
     adam_b: AdamState,
-    /// Cached input of the last forward pass (needed for dW).
-    cached_input: Option<Matrix>,
-    /// Cached output of the last forward pass (needed for activation grads).
-    cached_output: Option<Matrix>,
+    /// Input of the last training forward (needed for dW).
+    input: Vec<f32>,
+    /// Output of the last training forward (needed for activation grads).
+    output: Vec<f32>,
+    /// dL/d(pre-activation) of the last backward.
+    dz: Vec<f32>,
 }
 
 impl Linear {
     /// New layer with Xavier-initialised weights and zero bias.
     pub fn new(in_dim: usize, out_dim: usize, act: Activation, seed: u64) -> Self {
+        Self::with_fresh_state(Matrix::xavier(in_dim, out_dim, seed), vec![0.0; out_dim], act)
+    }
+
+    /// The layer `w`, `b`, `act` with fresh optimizer state and empty caches.
+    fn with_fresh_state(w: Matrix, b: Vec<f32>, act: Activation) -> Self {
+        let (in_dim, out_dim) = (w.rows(), w.cols());
         Self {
-            w: Matrix::xavier(in_dim, out_dim, seed),
-            b: vec![0.0; out_dim],
+            w,
+            b,
             act,
-            grad_w: Matrix::zeros(in_dim, out_dim),
+            grad_w: vec![0.0; in_dim * out_dim],
             grad_b: vec![0.0; out_dim],
             adam_w: AdamState::new(in_dim * out_dim),
             adam_b: AdamState::new(out_dim),
-            cached_input: None,
-            cached_output: None,
+            input: Vec::new(),
+            output: Vec::new(),
+            dz: Vec::new(),
         }
     }
 
@@ -96,16 +107,6 @@ impl Linear {
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
         self.w.cols()
-    }
-
-    /// Forward pass, caching input and output for the next backward call.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut z = x.matmul(&self.w);
-        z.add_row_broadcast(&self.b);
-        let a = self.act.forward(z);
-        self.cached_input = Some(x.clone());
-        self.cached_output = Some(a.clone());
-        a
     }
 
     /// Inference-only forward pass: no caches are written, `&self` suffices.
@@ -121,64 +122,54 @@ impl Linear {
     /// inputs skipped — then adds the bias and applies the activation, so
     /// it has the bits `infer` gives that row.
     pub fn infer_row_into(&self, x: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(x.len(), self.in_dim(), "infer_row_into dim mismatch");
-        out.clear();
-        out.resize(self.out_dim(), 0.0);
-        for (p, &a) in x.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            for (o, &w) in out.iter_mut().zip(self.w.row(p)) {
-                *o += a * w;
-            }
-        }
-        for (o, &b) in out.iter_mut().zip(&self.b) {
-            *o = self.act.apply(*o + b);
-        }
+        row_forward(&self.w, &self.b, self.act, x, out);
     }
 
-    /// Backward pass. `grad_out` is dL/d(output). Accumulates dW/db and
-    /// returns dL/d(input).
+    /// Training forward of the one row `x`:
+    /// [`infer_row_into`](Self::infer_row_into), keeping `x` and the output
+    /// for [`backward_row`](Self::backward_row). Returns the output.
+    pub(crate) fn forward_row(&mut self, x: &[f32]) -> &[f32] {
+        self.input.clear();
+        self.input.extend_from_slice(x);
+        row_forward(&self.w, &self.b, self.act, x, &mut self.output);
+        &self.output
+    }
+
+    /// Backward of the last [`forward_row`](Self::forward_row), then one
+    /// Adam step with learning rate `lr`. `grad_out` is dL/d(output);
+    /// dL/d(input) is written into `dx`, from the weights before the step,
+    /// each entry summing `dz[k] · w[p][k]` over `k` ascending.
     ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        #[expect(
-            clippy::expect_used,
-            reason = "training-only and documented above: calling backward before forward is a caller bug"
-        )]
-        let x = self.cached_input.as_ref().expect("backward before forward");
-        #[expect(
-            clippy::expect_used,
-            reason = "as above; both caches are written together by forward"
-        )]
-        let a = self.cached_output.as_ref().expect("backward before forward");
-        // dZ = dA * act'(A)
-        let mut dz = grad_out.clone();
-        for (g, &out) in dz.data_mut().iter_mut().zip(a.data()) {
-            *g *= self.act.derivative_from_output(out);
+    /// Each weight gradient is `0.0 + x[p] · dz[k]`, and `0.0` where
+    /// `x[p]` is exactly zero; each bias gradient is `0.0 + dz[k]`: the
+    /// bits a zeroed accumulator summing one row leaves.
+    ///
+    /// Panics when `grad_out` does not match the cached output, as before
+    /// any forward.
+    pub(crate) fn backward_row(&mut self, grad_out: &[f32], dx: &mut Vec<f32>, lr: f32) {
+        assert_eq!(grad_out.len(), self.output.len(), "backward before forward");
+        self.dz.clear();
+        self.dz.extend(
+            grad_out.iter().zip(&self.output).map(|(&g, &a)| g * self.act.derivative_from_output(a)),
+        );
+        dx.clear();
+        dx.extend((0..self.in_dim()).map(|p| {
+            self.dz.iter().zip(self.w.row(p)).fold(0.0, |acc, (&d, &w)| acc + d * w)
+        }));
+        for (g, &x) in self.grad_w.chunks_exact_mut(self.dz.len()).zip(&self.input) {
+            if x == 0.0 {
+                g.fill(0.0);
+            } else {
+                for (g, &d) in g.iter_mut().zip(&self.dz) {
+                    *g = 0.0 + x * d;
+                }
+            }
         }
-        // dW += Xᵀ·dZ ; db += colsum(dZ) ; dX = dZ·Wᵀ
-        let dw = x.transpose_matmul(&dz);
-        for (g, &d) in self.grad_w.data_mut().iter_mut().zip(dw.data()) {
-            *g += d;
+        for (g, &d) in self.grad_b.iter_mut().zip(&self.dz) {
+            *g = 0.0 + d;
         }
-        for (g, d) in self.grad_b.iter_mut().zip(dz.col_sums()) {
-            *g += d;
-        }
-        dz.matmul_transpose(&self.w)
-    }
-
-    /// Apply one Adam step with learning rate `lr` and clear gradients.
-    pub fn step(&mut self, lr: f32) {
-        self.adam_w.update(self.w.data_mut(), self.grad_w.data(), lr);
+        self.adam_w.update(self.w.data_mut(), &self.grad_w, lr);
         self.adam_b.update(&mut self.b, &self.grad_b, lr);
-        self.zero_grad();
-    }
-
-    /// Clear accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.grad_w.data_mut().fill(0.0);
-        self.grad_b.fill(0.0);
     }
 
     /// Read-only access to weights (tests / serialization).
@@ -199,21 +190,26 @@ impl Linear {
     /// Rebuild a layer from persisted parts (fresh optimizer state, empty
     /// caches). `None` when the bias length does not match the weights.
     pub fn from_parts(w: Matrix, b: Vec<f32>, act: Activation) -> Option<Self> {
-        if b.len() != w.cols() {
-            return None;
+        (b.len() == w.cols()).then(|| Self::with_fresh_state(w, b, act))
+    }
+}
+
+/// `act(x · w + b)` of the one row `x` into `out`, in `matmul`'s order
+/// ([`Linear::infer_row_into`]).
+fn row_forward(w: &Matrix, b: &[f32], act: Activation, x: &[f32], out: &mut Vec<f32>) {
+    assert_eq!(x.len(), w.rows(), "row forward dim mismatch");
+    out.clear();
+    out.resize(w.cols(), 0.0);
+    for (p, &a) in x.iter().enumerate() {
+        if a == 0.0 {
+            continue;
         }
-        let (in_dim, out_dim) = (w.rows(), w.cols());
-        Some(Self {
-            w,
-            b,
-            act,
-            grad_w: Matrix::zeros(in_dim, out_dim),
-            grad_b: vec![0.0; out_dim],
-            adam_w: AdamState::new(in_dim * out_dim),
-            adam_b: AdamState::new(out_dim),
-            cached_input: None,
-            cached_output: None,
-        })
+        for (o, &w) in out.iter_mut().zip(w.row(p)) {
+            *o += a * w;
+        }
+    }
+    for (o, &b) in out.iter_mut().zip(b) {
+        *o = act.apply(*o + b);
     }
 }
 
@@ -224,9 +220,9 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let mut l = Linear::new(3, 2, Activation::Identity, 0);
-        let x = Matrix::zeros(4, 3);
-        let y = l.forward(&x);
+        let y = l.infer(&Matrix::zeros(4, 3));
         assert_eq!((y.rows(), y.cols()), (4, 2));
+        assert_eq!(l.forward_row(&[0.0; 3]).len(), 2);
     }
 
     #[test]
@@ -245,27 +241,34 @@ mod tests {
     }
 
     /// Numerical gradient check: perturb each weight, compare the analytic
-    /// gradient against the finite-difference estimate of a scalar loss.
+    /// gradient the row step hands Adam against the finite-difference
+    /// estimate of a scalar loss.
     #[test]
     fn gradient_check_linear() {
         for act in [Activation::Identity, Activation::Tanh, Activation::Sigmoid] {
             let mut layer = Linear::new(3, 2, act, 42);
-            let x = Matrix::from_vec(2, 3, vec![0.5, -0.3, 0.8, -0.1, 0.9, 0.2]);
+            let mut probe = layer.clone();
+            let x = [0.5, -0.3, 0.8];
+            let row = |l: &Linear, x: &[f32]| {
+                let mut out = Vec::new();
+                l.infer_row_into(x, &mut out);
+                out.iter().sum::<f32>()
+            };
             // Loss = sum of outputs; dL/dY = ones.
-            let y = layer.forward(&x);
-            let ones = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
-            let dx = layer.backward(&ones);
+            layer.forward_row(&x);
+            let mut dx = Vec::new();
+            layer.backward_row(&[1.0, 1.0], &mut dx, 0.01);
 
             let eps = 1e-3;
-            // Check a few weight positions.
+            // Check a few weight positions, against the weights before the step.
             for (r, c) in [(0usize, 0usize), (1, 1), (2, 0)] {
-                let analytic = layer.grad_w.get(r, c);
-                let orig = layer.w.get(r, c);
-                layer.w.set(r, c, orig + eps);
-                let lp: f32 = layer.infer(&x).data().iter().sum();
-                layer.w.set(r, c, orig - eps);
-                let lm: f32 = layer.infer(&x).data().iter().sum();
-                layer.w.set(r, c, orig);
+                let analytic = layer.grad_w[r * 2 + c];
+                let orig = probe.w.get(r, c);
+                probe.w.set(r, c, orig + eps);
+                let lp = row(&probe, &x);
+                probe.w.set(r, c, orig - eps);
+                let lm = row(&probe, &x);
+                probe.w.set(r, c, orig);
                 let numeric = (lp - lm) / (2.0 * eps);
                 assert!(
                     (analytic - numeric).abs() < 1e-2,
@@ -273,16 +276,16 @@ mod tests {
                 );
             }
             // Check an input-gradient position numerically too.
-            let mut xp = x.clone();
-            xp.set(0, 0, x.get(0, 0) + eps);
-            let lp: f32 = layer.infer(&xp).data().iter().sum();
-            xp.set(0, 0, x.get(0, 0) - eps);
-            let lm: f32 = layer.infer(&xp).data().iter().sum();
+            let mut xp = x;
+            xp[0] = x[0] + eps;
+            let lp = row(&probe, &xp);
+            xp[0] = x[0] - eps;
+            let lm = row(&probe, &xp);
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
-                (dx.get(0, 0) - numeric).abs() < 1e-2,
-                "{act:?} dX[0,0]: analytic {} vs numeric {numeric}",
-                dx.get(0, 0)
+                (dx[0] - numeric).abs() < 1e-2,
+                "{act:?} dX[0]: analytic {} vs numeric {numeric}",
+                dx[0]
             );
         }
     }
@@ -291,15 +294,13 @@ mod tests {
     fn step_reduces_simple_loss() {
         // Fit y = 0 from a fixed input: loss should shrink.
         let mut layer = Linear::new(2, 1, Activation::Identity, 1);
-        let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
+        let mut dx = Vec::new();
         let mut first = 0.0;
         let mut last = 0.0;
         for it in 0..80 {
-            let y = layer.forward(&x);
-            let loss = y.get(0, 0) * y.get(0, 0);
-            let grad = Matrix::from_vec(1, 1, vec![2.0 * y.get(0, 0)]);
-            layer.backward(&grad);
-            layer.step(0.05);
+            let y = layer.forward_row(&[1.0, 1.0])[0];
+            let loss = y * y;
+            layer.backward_row(&[2.0 * y], &mut dx, 0.05);
             if it == 0 {
                 first = loss;
             }
@@ -313,7 +314,6 @@ mod tests {
     #[should_panic(expected = "backward before forward")]
     fn backward_requires_forward() {
         let mut l = Linear::new(2, 2, Activation::Relu, 0);
-        let g = Matrix::zeros(1, 2);
-        let _ = l.backward(&g);
+        l.backward_row(&[0.0; 2], &mut Vec::new(), 0.1);
     }
 }

@@ -1,63 +1,13 @@
 //! Loss functions. Algorithm 1 trains the segmentation model with MSE
 //! between the sigmoid score and the 0/1 same-paragraph label; the reranker
 //! uses the same objective; the dual-encoder trainer uses a margin loss
-//! built from cosine similarities (defined in `sage-embed`, using these
-//! helpers).
-
-use crate::matrix::Matrix;
+//! built from cosine similarities (defined in `sage-embed`).
 
 /// Mean squared error over all elements.
-pub fn mse_loss(pred: &Matrix, target: &Matrix) -> f32 {
-    assert_eq!(pred.rows(), target.rows());
-    assert_eq!(pred.cols(), target.cols());
-    let n = pred.data().len().max(1) as f32;
-    pred.data().iter().zip(target.data()).map(|(p, t)| (p - t) * (p - t)).sum::<f32>() / n
-}
-
-/// Gradient of [`mse_loss`] w.r.t. `pred`: `2(p - t)/n`.
-pub fn mse_loss_grad(pred: &Matrix, target: &Matrix) -> Matrix {
-    assert_eq!(pred.rows(), target.rows());
-    assert_eq!(pred.cols(), target.cols());
-    let n = pred.data().len().max(1) as f32;
-    let data = pred
-        .data()
-        .iter()
-        .zip(target.data())
-        .map(|(p, t)| 2.0 * (p - t) / n)
-        .collect();
-    Matrix::from_vec(pred.rows(), pred.cols(), data)
-}
-
-/// Binary cross-entropy over probabilities in `(0,1)`, clamped for
-/// numerical stability.
-pub fn bce_loss(pred: &Matrix, target: &Matrix) -> f32 {
-    assert_eq!(pred.data().len(), target.data().len());
-    let n = pred.data().len().max(1) as f32;
-    pred.data()
-        .iter()
-        .zip(target.data())
-        .map(|(p, t)| {
-            let p = p.clamp(1e-6, 1.0 - 1e-6);
-            -(t * p.ln() + (1.0 - t) * (1.0 - p).ln())
-        })
-        .sum::<f32>()
-        / n
-}
-
-/// Gradient of [`bce_loss`] w.r.t. `pred`.
-pub fn bce_loss_grad(pred: &Matrix, target: &Matrix) -> Matrix {
-    assert_eq!(pred.data().len(), target.data().len());
-    let n = pred.data().len().max(1) as f32;
-    let data = pred
-        .data()
-        .iter()
-        .zip(target.data())
-        .map(|(p, t)| {
-            let p = p.clamp(1e-6, 1.0 - 1e-6);
-            ((p - t) / (p * (1.0 - p))) / n
-        })
-        .collect();
-    Matrix::from_vec(pred.rows(), pred.cols(), data)
+pub fn mse_loss(pred: &[f32], target: &[f32]) -> f32 {
+    assert_eq!(pred.len(), target.len());
+    let n = pred.len().max(1) as f32;
+    pred.iter().zip(target).map(|(p, t)| (p - t) * (p - t)).sum::<f32>() / n
 }
 
 #[cfg(test)]
@@ -66,64 +16,12 @@ mod tests {
 
     #[test]
     fn mse_zero_when_equal() {
-        let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
+        let a = [1.0, 2.0, 3.0];
         assert_eq!(mse_loss(&a, &a), 0.0);
-        assert!(mse_loss_grad(&a, &a).data().iter().all(|g| *g == 0.0));
     }
 
     #[test]
     fn mse_known_value() {
-        let p = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
-        let t = Matrix::from_vec(1, 2, vec![0.0, 0.0]);
-        assert!((mse_loss(&p, &t) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mse_grad_matches_finite_difference() {
-        let p = Matrix::from_vec(1, 2, vec![0.7, -0.2]);
-        let t = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
-        let g = mse_loss_grad(&p, &t);
-        let eps = 1e-3;
-        for i in 0..2 {
-            let mut pp = p.clone();
-            pp.data_mut()[i] += eps;
-            let lp = mse_loss(&pp, &t);
-            pp.data_mut()[i] -= 2.0 * eps;
-            let lm = mse_loss(&pp, &t);
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!((g.data()[i] - numeric).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn bce_perfect_prediction_near_zero() {
-        let p = Matrix::from_vec(1, 2, vec![0.999999, 0.000001]);
-        let t = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
-        assert!(bce_loss(&p, &t) < 1e-3);
-    }
-
-    #[test]
-    fn bce_grad_matches_finite_difference() {
-        let p = Matrix::from_vec(1, 2, vec![0.6, 0.3]);
-        let t = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
-        let g = bce_loss_grad(&p, &t);
-        let eps = 1e-4;
-        for i in 0..2 {
-            let mut pp = p.clone();
-            pp.data_mut()[i] += eps;
-            let lp = bce_loss(&pp, &t);
-            pp.data_mut()[i] -= 2.0 * eps;
-            let lm = bce_loss(&pp, &t);
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!((g.data()[i] - numeric).abs() < 1e-2, "i={i}: {} vs {numeric}", g.data()[i]);
-        }
-    }
-
-    #[test]
-    fn bce_extreme_predictions_finite() {
-        let p = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
-        let t = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
-        assert!(bce_loss(&p, &t).is_finite());
-        assert!(bce_loss_grad(&p, &t).data().iter().all(|g| g.is_finite()));
+        assert!((mse_loss(&[1.0, 0.0], &[0.0, 0.0]) - 0.5).abs() < 1e-6);
     }
 }

@@ -1,6 +1,6 @@
 //! Row-major dense `f32` matrices with the handful of operations the SAGE
-//! models need: matmul (plain and transposed variants), row-broadcast adds,
-//! elementwise maps, and seeded random initialisation.
+//! models need: matmul, row-broadcast adds, elementwise maps, and seeded
+//! random initialisation.
 //!
 //! Conventions: a batch of activations is a matrix with `rows = batch size`
 //! and `cols = feature dim`. Weight matrices are `in_dim x out_dim`, so the
@@ -124,48 +124,6 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ · other` — (m x k)ᵀ·(m x n) → (k x n). Used for weight grads
-    /// (`dW = Xᵀ · dY`) without materialising the transpose.
-    pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "transpose_matmul dim mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(k, n);
-        for i in 0..m {
-            let xrow = &self.data[i * k..(i + 1) * k];
-            let yrow = &other.data[i * n..(i + 1) * n];
-            for (p, &x) in xrow.iter().enumerate() {
-                if x == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[p * n..(p + 1) * n];
-                for (o, &y) in out_row.iter_mut().zip(yrow) {
-                    *o += x * y;
-                }
-            }
-        }
-        out
-    }
-
-    /// `self · otherᵀ` — (m x k)·(n x k)ᵀ → (m x n). Used for input grads
-    /// (`dX = dY · Wᵀ`) without materialising the transpose.
-    pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_transpose dim mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (&a, &b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
-        out
-    }
-
     /// Add a row vector to every row (bias broadcast).
     pub fn add_row_broadcast(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
@@ -174,17 +132,6 @@ impl Matrix {
                 *v += b;
             }
         }
-    }
-
-    /// Column-wise sums, as a vector of length `cols` (bias gradients).
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (o, &v) in out.iter_mut().zip(self.row(r)) {
-                *o += v;
-            }
-        }
-        out
     }
 
     /// Apply `f` to every element in place.
@@ -251,45 +198,12 @@ mod tests {
     }
 
     #[test]
-    fn transposed_matmuls_agree_with_plain() {
-        let a = Matrix::xavier(4, 3, 1);
-        let b = Matrix::xavier(4, 5, 2);
-        // aᵀ·b via transpose_matmul == manual transpose then matmul
-        let mut at = Matrix::zeros(3, 4);
-        for i in 0..4 {
-            for j in 0..3 {
-                at.set(j, i, a.get(i, j));
-            }
-        }
-        let want = at.matmul(&b);
-        let got = a.transpose_matmul(&b);
-        for (x, y) in got.data().iter().zip(want.data()) {
-            assert!((x - y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn matmul_transpose_agrees_with_plain() {
-        let a = Matrix::xavier(2, 3, 3);
-        let b = Matrix::xavier(4, 3, 4);
-        let mut bt = Matrix::zeros(3, 4);
-        for i in 0..4 {
-            for j in 0..3 {
-                bt.set(j, i, b.get(i, j));
-            }
-        }
-        let want = a.matmul(&bt);
-        let got = a.matmul_transpose(&b);
-        for (x, y) in got.data().iter().zip(want.data()) {
-            assert!((x - y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn broadcast_and_colsums_roundtrip() {
         let mut m = Matrix::zeros(3, 2);
         m.add_row_broadcast(&[1.0, 2.0]);
-        assert_eq!(m.col_sums(), vec![3.0, 6.0]);
+        let col_sums: Vec<f32> =
+            (0..m.cols()).map(|c| (0..m.rows()).map(|r| m.get(r, c)).sum()).collect();
+        assert_eq!(col_sums, vec![3.0, 6.0]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! (paper Fig. 4) and of the cross-feature reranker.
 
 use crate::layer::{Activation, Linear};
-use crate::loss::{mse_loss, mse_loss_grad};
+use crate::loss::mse_loss;
 use crate::matrix::Matrix;
 
 /// A feed-forward network: hidden layers share one activation, the output
@@ -10,6 +10,9 @@ use crate::matrix::Matrix;
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
+    /// `grads[i]` is dL/d(input of layer `i`) of the last
+    /// [`train_row`](Self::train_row); the last entry is dL/d(output).
+    grads: Vec<Vec<f32>>,
 }
 
 impl Mlp {
@@ -23,7 +26,7 @@ impl Mlp {
             // Derive per-layer seeds so layers are decorrelated.
             layers.push(Linear::new(pair[0], pair[1], act, seed.wrapping_add(i as u64 * 7919)));
         }
-        Self { layers }
+        Self { layers, grads: Vec::new() }
     }
 
     /// The layers, in order (serialization).
@@ -42,7 +45,7 @@ impl Mlp {
                 return None;
             }
         }
-        Some(Self { layers })
+        Some(Self { layers, grads: Vec::new() })
     }
 
     /// Input dimensionality.
@@ -54,14 +57,6 @@ impl Mlp {
     #[expect(clippy::unwrap_used, reason = "both constructors reject an empty layer list")]
     pub fn out_dim(&self) -> usize {
         self.layers.last().unwrap().out_dim()
-    }
-
-    /// Training forward pass (caches activations in each layer); the first
-    /// layer reads `x` itself.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut layers = self.layers.iter_mut();
-        let first = layers.next().map_or_else(|| x.clone(), |layer| layer.forward(x));
-        layers.fold(first, |a, layer| layer.forward(&a))
     }
 
     /// Inference-only forward pass; the first layer reads `x` itself.
@@ -86,33 +81,36 @@ impl Mlp {
         input
     }
 
-    /// Backpropagate `grad_out` through all layers; returns dL/d(input).
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
-    }
-
-    /// Apply one Adam step on every layer and clear gradients.
-    pub fn step(&mut self, lr: f32) {
+    /// One MSE training step on the row `x` with target `y`: a forward
+    /// with the bits of [`infer_row`](Self::infer_row), a backward, and one
+    /// Adam step with learning rate `lr` on every layer. Returns the loss
+    /// *before* the step; the gradient w.r.t. `x` is then
+    /// [`input_grad`](Self::input_grad). Needs a one-output network.
+    pub fn train_row(&mut self, x: &[f32], y: f32, lr: f32) -> f32 {
+        assert_eq!(self.out_dim(), 1, "train_row fits one output");
+        let mut input = x;
         for layer in &mut self.layers {
-            layer.step(lr);
+            input = layer.forward_row(input);
         }
+        let pred = input[0];
+        let loss = mse_loss(&[pred], &[y]);
+        let n = self.layers.len();
+        self.grads.resize_with(n + 1, Vec::new);
+        self.grads[n].clear();
+        self.grads[n].push(2.0 * (pred - y));
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let (below, above) = self.grads.split_at_mut(i + 1);
+            layer.backward_row(&above[0], &mut below[i], lr);
+        }
+        loss
     }
 
-    /// One MSE training step on a batch. Returns the loss *before* the step
-    /// and the gradient w.r.t. the input batch (used by upstream encoders
-    /// that train jointly with the head, as Algorithm 1 line 8 updates both
-    /// `f_e` and `M`).
-    pub fn train_batch_mse(&mut self, x: &Matrix, y: &Matrix, lr: f32) -> (f32, Matrix) {
-        let pred = self.forward(x);
-        let loss = mse_loss(&pred, y);
-        let grad = mse_loss_grad(&pred, y);
-        let input_grad = self.backward(&grad);
-        self.step(lr);
-        (loss, input_grad)
+    /// dL/d(input) of the last [`train_row`](Self::train_row), from the
+    /// weights before its step (used by upstream encoders that train jointly
+    /// with the head, as Algorithm 1 line 8 updates both `f_e` and `M`).
+    /// Empty before the first step.
+    pub fn input_grad(&self) -> &[f32] {
+        self.grads.first().map_or(&[], Vec::as_slice)
     }
 }
 
@@ -131,24 +129,28 @@ mod tests {
 
     #[test]
     fn forward_and_infer_agree() {
-        let mut mlp = Mlp::new(&[4, 3, 2], Activation::Tanh, Activation::Identity, 9);
+        // The loss a training step returns is the squared error of the
+        // prediction `infer` makes before that step, bit for bit.
+        let mut mlp = Mlp::new(&[4, 3, 1], Activation::Tanh, Activation::Identity, 9);
         let x = Matrix::xavier(3, 4, 17);
-        let a = mlp.forward(&x);
-        let b = mlp.infer(&x);
-        assert_eq!(a, b);
+        for r in 0..x.rows() {
+            let pred = mlp.infer(&Matrix::from_row(x.row(r))).get(0, 0);
+            let loss = mlp.train_row(x.row(r), 0.25, 0.05);
+            assert_eq!(loss.to_bits(), ((pred - 0.25) * (pred - 0.25)).to_bits());
+        }
     }
 
     #[test]
     fn learns_xor() {
         // XOR is the classic non-linear sanity check for backprop.
-        let x = Matrix::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
-        let y = Matrix::from_vec(4, 1, vec![0., 1., 1., 0.]);
+        let rows = [([0., 0.], 0.), ([0., 1.], 1.), ([1., 0.], 1.), ([1., 1.], 0.)];
         let mut mlp = Mlp::new(&[2, 8, 1], Activation::Tanh, Activation::Sigmoid, 3);
         let mut loss = f32::INFINITY;
         for _ in 0..2000 {
-            (loss, _) = mlp.train_batch_mse(&x, &y, 0.05);
+            loss = rows.iter().map(|(x, y)| mlp.train_row(x, *y, 0.05)).sum::<f32>() / 4.0;
         }
         assert!(loss < 0.02, "XOR loss {loss} too high");
+        let x = Matrix::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
         let pred = mlp.infer(&x);
         assert!(pred.get(0, 0) < 0.3);
         assert!(pred.get(1, 0) > 0.7);
@@ -168,13 +170,12 @@ mod tests {
 
     #[test]
     fn input_grad_flows() {
-        // The returned input gradient must be non-zero for a non-trivial
-        // loss, since joint encoder+head training depends on it.
+        // The input gradient must be non-zero for a non-trivial loss, since
+        // joint encoder+head training depends on it.
         let mut mlp = Mlp::new(&[3, 4, 1], Activation::Tanh, Activation::Sigmoid, 1);
-        let x = Matrix::from_vec(1, 3, vec![0.3, -0.2, 0.9]);
-        let y = Matrix::from_vec(1, 1, vec![1.0]);
-        let (_, gin) = mlp.train_batch_mse(&x, &y, 0.01);
-        assert_eq!((gin.rows(), gin.cols()), (1, 3));
-        assert!(gin.data().iter().any(|g| g.abs() > 0.0));
+        assert!(mlp.input_grad().is_empty());
+        mlp.train_row(&[0.3, -0.2, 0.9], 1.0, 0.01);
+        assert_eq!(mlp.input_grad().len(), 3);
+        assert!(mlp.input_grad().iter().any(|g| g.abs() > 0.0));
     }
 }

@@ -21,19 +21,37 @@ impl AdamState {
     }
 
     /// Apply one Adam update: `params -= lr * m̂ / (sqrt(v̂) + ε)`.
+    ///
+    /// The bias correction `1 − βᵗ` rounds to exactly `1.0` from t ≈ 165
+    /// (β₁) and t ≈ 17,300 (β₂) on, where dividing by it changes no bit;
+    /// from there the step skips that division.
     pub fn update(&mut self, params: &mut [f32], grads: &[f32], lr: f32) {
         assert_eq!(params.len(), grads.len());
         assert_eq!(params.len(), self.m.len(), "AdamState sized for a different tensor");
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let mhat = self.m[i] / b1t;
-            let vhat = self.v[i] / b2t;
-            params[i] -= lr * mhat / (vhat.sqrt() + self.eps);
+        match (b1t == 1.0, b2t == 1.0) {
+            (true, true) => self.apply(params, grads, lr, |m| m, |v| v),
+            (true, false) => self.apply(params, grads, lr, |m| m, |v| v / b2t),
+            _ => self.apply(params, grads, lr, |m| m / b1t, |v| v / b2t),
+        }
+    }
+
+    /// The per-element update, with the bias corrections `mhat` and `vhat`.
+    fn apply(
+        &mut self,
+        params: &mut [f32],
+        grads: &[f32],
+        lr: f32,
+        mhat: impl Fn(f32) -> f32,
+        vhat: impl Fn(f32) -> f32,
+    ) {
+        let (beta1, beta2, eps) = (self.beta1, self.beta2, self.eps);
+        for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(&mut self.m).zip(&mut self.v) {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            *p -= lr * mhat(*m) / (vhat(*v).sqrt() + eps);
         }
     }
 }

@@ -76,10 +76,7 @@ impl FlexibleSelector {
         for _ in 0..epochs {
             let mut total = 0.0;
             for (features, label) in examples {
-                let x = Matrix::from_row(features);
-                let y = Matrix::from_vec(1, 1, vec![*label]);
-                let (loss, _) = self.mlp.train_batch_mse(&x, &y, lr);
-                total += loss;
+                total += self.mlp.train_row(features, *label, lr);
             }
             losses.push(total / examples.len().max(1) as f32);
         }

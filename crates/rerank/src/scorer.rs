@@ -247,10 +247,7 @@ impl CrossScorer {
         for _ in 0..epochs {
             let mut total = 0.0;
             for (f, label) in rows {
-                let x = Matrix::from_row(f);
-                let y = Matrix::from_vec(1, 1, vec![*label]);
-                let (loss, _) = self.mlp.train_batch_mse(&x, &y, lr);
-                total += loss;
+                total += self.mlp.train_row(f, *label, lr);
             }
             losses.push(total / rows.len().max(1) as f32);
         }

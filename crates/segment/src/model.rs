@@ -9,7 +9,6 @@
 use sage_embed::Analysis;
 use sage_nn::io::{put_u32, put_u64, Reader};
 use sage_nn::layer::Activation;
-use sage_nn::matrix::Matrix;
 use sage_nn::{EmbeddingTable, Mlp};
 
 /// Which augmented features feed the MLP (Table X ablation).
@@ -195,8 +194,7 @@ impl SegmentationModel {
         let d = self.dim;
         let (mut x1, mut x2) = (vec![0.0; d], vec![0.0; d]);
         let (mut gx1, mut gx2) = (vec![0.0; d], vec![0.0; d]);
-        let mut input = Matrix::zeros(1, d * self.feat.blocks());
-        let mut target = Matrix::zeros(1, 1);
+        let mut input = vec![0.0; d * self.feat.blocks()];
         let mut epoch_losses = Vec::with_capacity(epochs);
         for epoch in 0..epochs {
             // Geometric learning-rate decay stabilises the final epochs.
@@ -205,12 +203,10 @@ impl SegmentationModel {
             for (f1, f2, label) in &examples {
                 self.table.pool(f1, &mut x1);
                 self.table.pool(f2, &mut x2);
-                self.augment(&x1, &x2, input.row_mut(0));
-                target.set(0, 0, *label);
-                let (loss, input_grad) = self.mlp.train_batch_mse(&input, &target, lr);
-                total += loss;
+                self.augment(&x1, &x2, &mut input);
+                total += self.mlp.train_row(&input, *label, lr);
                 // Split the input gradient back into dL/dx₁ and dL/dx₂.
-                let g = input_grad.row(0);
+                let g = self.mlp.input_grad();
                 gx1.copy_from_slice(&g[..d]);
                 gx2.copy_from_slice(&g[d..2 * d]);
                 let mut offset = 2 * d;

@@ -13,7 +13,8 @@
 # `#[expect(clippy::<lint>, reason = "...")]`, which fails once it suppresses
 # nothing.
 #
-# Byte-identity checks among the smokes: same-seed replays of the soak and
+# Byte-identity checks among the smokes: the default-budget model file's
+# pinned SHA-256; same-seed replays of the soak and
 # the live soak (two runs, `diff`); a BM25 soak pinned to one core and the
 # same soak on every core (`cmp`); two same-seed `sage report` bundles less
 # their wall-clock latency line (`diff`); two `sage index` runs over one
@@ -61,8 +62,8 @@ if [ "${1:-}" != fast ]; then
   for bench in table02_narrativeqa_retrievers table03_quality_qasper fig05_score_curves \
                fig07_segmentation_overhead fig08_noisy_retrieval fig09_missing_retrieval \
                fig10_incomplete_chunks table04_ablation table05_qasper_baselines \
-               table06_narrativeqa_baselines table08_09_scalability table10_feature_ablation \
-               table11_cost_efficiency table12_llm_levels; do
+               table06_narrativeqa_baselines table07_quality_baselines table08_09_scalability \
+               table10_feature_ablation table11_cost_efficiency table12_llm_levels; do
     if ! err=$(cargo bench -q -p sage-bench --bench "$bench" 2>&1 > /dev/null); then
       echo "FAIL: bench $bench"; echo "$err"; exit 1
     fi
@@ -109,6 +110,12 @@ if [ "${1:-}" != fast ]; then
   # each saved index must answer, and one flipped payload byte must be
   # refused by the CRC trailer rather than parsed.
   "$sage" train --out "$tmp/models.bin" 2> /dev/null
+  # The default-budget models are pinned: the SHA-256 of the file the
+  # batched-step trainer wrote. A trainer change that moves one weight bit
+  # fails here.
+  models_sha=$(sha256sum "$tmp/models.bin" | cut -d ' ' -f 1)
+  [ "$models_sha" = 47389812a77e16c4a346958c744fc3810b46931d5c9651d62499e7e8999d830d ] \
+    || { echo "FAIL: sage train wrote different model bytes (sha256 $models_sha)"; exit 1; }
   for retriever in openai bm25; do
     for run in a b; do
       "$sage" index --file "$tmp/corpus.txt" --models "$tmp/models.bin" \
