@@ -43,39 +43,29 @@ impl QueryBudget {
 }
 
 /// The brownout ladder, least to most degraded. Each level implies every
-/// mitigation below it (level 3 also drops feedback, for example).
+/// mitigation below it (flat top-k also drops feedback).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BrownoutLevel {
     /// Full-fidelity pipeline.
     None,
     /// Skip the self-feedback loop: one read, no judge calls.
     DropFeedback,
-    /// Rerank only the top half of the candidate pool.
-    ShrinkRerank,
-    /// Skip reranking; keep the first-stage retrieval order.
-    SkipRerank,
-    /// Flat top-`min_k` prefix instead of gradient selection.
+    /// Skip reranking and take a flat top-`min_k` prefix of the
+    /// first-stage retrieval order instead of gradient selection.
     FlatTopK,
 }
 
 impl BrownoutLevel {
     /// All levels, ladder order.
-    pub const ALL: [BrownoutLevel; 5] = [
-        BrownoutLevel::None,
-        BrownoutLevel::DropFeedback,
-        BrownoutLevel::ShrinkRerank,
-        BrownoutLevel::SkipRerank,
-        BrownoutLevel::FlatTopK,
-    ];
+    pub const ALL: [BrownoutLevel; 3] =
+        [BrownoutLevel::None, BrownoutLevel::DropFeedback, BrownoutLevel::FlatTopK];
 
     /// Stable index (ladder position).
     pub fn idx(self) -> usize {
         match self {
             BrownoutLevel::None => 0,
             BrownoutLevel::DropFeedback => 1,
-            BrownoutLevel::ShrinkRerank => 2,
-            BrownoutLevel::SkipRerank => 3,
-            BrownoutLevel::FlatTopK => 4,
+            BrownoutLevel::FlatTopK => 2,
         }
     }
 
@@ -84,8 +74,6 @@ impl BrownoutLevel {
         match self {
             BrownoutLevel::None => "none",
             BrownoutLevel::DropFeedback => "drop-feedback",
-            BrownoutLevel::ShrinkRerank => "shrink-rerank",
-            BrownoutLevel::SkipRerank => "skip-rerank",
             BrownoutLevel::FlatTopK => "flat-topk",
         }
     }
@@ -162,19 +150,16 @@ impl CostModel {
     fn rerank_cost(&self, level: BrownoutLevel, candidates: usize) -> Duration {
         let pairs = match level {
             BrownoutLevel::None | BrownoutLevel::DropFeedback => candidates,
-            BrownoutLevel::ShrinkRerank => candidates / 2,
-            BrownoutLevel::SkipRerank | BrownoutLevel::FlatTopK => 0,
+            BrownoutLevel::FlatTopK => 0,
         };
         self.rerank_pair_time * pairs as u32
     }
 
-    /// Model tokens of one reader call at `level` (deeper levels select
-    /// smaller contexts). Also the per-read token charge.
+    /// Model tokens of one reader call at `level` (the flat prefix is
+    /// modeled as half a read). Also the per-read token charge.
     fn read_tokens_at(&self, level: BrownoutLevel) -> u64 {
         match level {
             BrownoutLevel::None | BrownoutLevel::DropFeedback => self.read_tokens,
-            BrownoutLevel::ShrinkRerank => self.read_tokens * 3 / 4,
-            BrownoutLevel::SkipRerank => self.read_tokens * 5 / 8,
             BrownoutLevel::FlatTopK => self.read_tokens / 2,
         }
     }

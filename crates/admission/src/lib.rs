@@ -17,8 +17,8 @@
 //!   deterministic [`CostModel`] at its own checkpoints, so budget
 //!   decisions never read the wall clock and replay identically.
 //! * [`BrownoutLevel`] — the brownout ladder the pipeline walks when a
-//!   budget runs short: drop feedback rounds → shrink rerank → skip rerank
-//!   → flat top-k. The meter only ever *ratchets* the level upward, and
+//!   budget runs short: drop feedback rounds → skip rerank and take a flat
+//!   top-k. The meter only ever *ratchets* the level upward, and
 //!   the planner is monotone: a smaller remaining budget never yields a
 //!   less-degraded level.
 //! * [`SoakConfig`] + [`arrival_plan`] — a seeded open-loop arrival

@@ -74,9 +74,11 @@ pub fn arrival_plan(cfg: &SoakConfig) -> Vec<Arrival> {
         // away from 1.0 so ln() stays finite.
         let u = rng.next_f64().min(0.999_999_999);
         let gap = -(1.0 - u).ln() / cfg.qps;
-        t += Duration::from_secs_f64(gap);
-        if t >= cfg.duration {
-            return plan;
+        // A gap no `Duration` holds (a vanishing rate), or one that carries
+        // the clock past `Duration::MAX`, lies beyond any window.
+        match Duration::try_from_secs_f64(gap).ok().and_then(|gap| t.checked_add(gap)) {
+            Some(next) if next < cfg.duration => t = next,
+            _ => return plan,
         }
         let class = if total > 0.0 {
             let mut roll = rng.next_f64() * total;
@@ -134,9 +136,15 @@ mod tests {
 
     #[test]
     fn degenerate_rates_yield_empty_plans() {
-        for qps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        for qps in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-300] {
             let cfg = SoakConfig { qps, ..Default::default() };
             assert!(arrival_plan(&cfg).is_empty(), "qps={qps}");
         }
+        // A window that ends near `Duration::MAX` ends its plan where the
+        // next gap would carry the clock past it, instead of overflowing.
+        let cfg = SoakConfig { duration: Duration::MAX, qps: 1e-18, ..Default::default() };
+        let plan = arrival_plan(&cfg);
+        assert!(plan.len() < 64, "got {}", plan.len());
+        assert!(plan.windows(2).all(|w| w[0].at < w[1].at));
     }
 }

@@ -844,8 +844,8 @@ report, scenarios) accept --models <path> to reuse a saved bundle. A flag
 a command does not read is an error, not ignored.
 
 RESILIENCE (ask, query, soak):
-  Every query runs behind guarded component boundaries (retry + circuit
-  breaker) and degrades instead of failing.
+  Every query runs behind guarded component boundaries (retry + a
+  per-query failure cap) and degrades instead of failing.
   --faults <spec>       inject deterministic faults, e.g.
                         \"reader=transient:0.5,embedder=timeout:1.0\"
                         (components: embedder|index|reranker|reader;
@@ -875,10 +875,10 @@ SOAK:
   to stdout (diff two runs to check determinism); the summary — sheds
   by class, brownout ladder histogram, p50/p99 sojourn — goes to
   stderr. Queue waits consume each query's deadline, so overload pushes
-  queries down the brownout ladder (drop feedback -> shrink rerank ->
-  skip rerank -> flat top-k) instead of failing them. Exits nonzero if
-  a soak invariant is violated (panics, excess shed, out-of-order
-  brownout, unbounded p99). Fault flags compose with the soak.
+  queries down the brownout ladder (drop feedback -> flat top-k)
+  instead of failing them. Exits nonzero if a soak invariant is
+  violated (panics, excess shed, out-of-order brownout, unbounded
+  p99). Fault flags compose with the soak.
 
 LIVE SOAK:
   sage soak --live drives the live-corpus writer (epoch snapshots,

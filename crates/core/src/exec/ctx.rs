@@ -28,7 +28,7 @@ pub(crate) struct QueryCtx<'a> {
     pub question: &'a str,
     /// Multiple-choice options, when in that mode.
     pub options: Option<&'a [String]>,
-    /// This query's guards: breakers and virtual clock under the
+    /// This query's guards: per-component failure counts under the
     /// system's fault plan.
     pub guards: Guards<'a>,
     /// Degradation events accumulated so far.

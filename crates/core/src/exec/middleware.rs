@@ -81,19 +81,12 @@ pub(crate) fn checkpoint(
 /// Rungs reuse the existing [`Component`] set — the resilience layer sizes
 /// its per-query guard and fault-plan arrays by `Component::COUNT`, and
 /// budget pressure is not a component fault: feedback drops attribute to
-/// the `Reader` (the calls being skipped), rerank steps to the `Reranker`,
-/// flat selection to `IndexSearch` (the stage whose order the flat prefix
-/// preserves).
+/// the `Reader` (the calls being skipped), flat selection to `IndexSearch`
+/// (the stage whose order the flat prefix preserves).
 fn record_rung(rung: BrownoutLevel, trace: &mut DegradeTrace) {
     let (component, fallback, stage) = match rung {
         BrownoutLevel::DropFeedback => {
             (Component::Reader, Fallback::BrownoutDropFeedback, "feedback")
-        }
-        BrownoutLevel::ShrinkRerank => {
-            (Component::Reranker, Fallback::BrownoutShrinkRerank, "rerank")
-        }
-        BrownoutLevel::SkipRerank => {
-            (Component::Reranker, Fallback::BrownoutSkipRerank, "rerank")
         }
         BrownoutLevel::FlatTopK => {
             (Component::IndexSearch, Fallback::BrownoutFlatTopK, "selection")
@@ -259,7 +252,7 @@ mod tests {
     #[test]
     fn a_jump_reports_every_intermediate_step() {
         // A deadline below one read forces FlatTopK straight from None;
-        // all four ladder steps must land in the trace, in ladder order.
+        // both ladder steps must land in the trace, in ladder order.
         let mut meter =
             BudgetMeter::new(QueryBudget::new(Duration::from_millis(100), u64::MAX), 20, 3);
         let mut trace = DegradeTrace::new();
@@ -267,10 +260,10 @@ mod tests {
         assert_eq!(level, BrownoutLevel::FlatTopK);
         let steps: Vec<u8> =
             trace.events.iter().filter_map(|e| e.fallback.brownout_step()).collect();
-        assert_eq!(steps, vec![1, 2, 3, 4]);
+        assert_eq!(steps, vec![1, 2]);
         // A later checkpoint at the same level reports nothing new.
         checkpoint(&mut meter, PlanStage::Read, &mut trace);
-        assert_eq!(trace.events.len(), 4);
+        assert_eq!(trace.events.len(), 2);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! A plan has a *prelude* (embed → retrieve → rerank, run once) and a
 //! *round* template (select → read → feedback, run up to `max_rounds`
 //! times), followed by the implicit fuse stage that folds the rounds into
-//! one [`crate::QueryResult`]. Brownout rung N is [`QueryPlan::apply_rung`]:
-//! a pure rewrite of the remaining ops (drop feedback, shrink or bypass
-//! rerank, flatten selection). Because [`sage_admission::BudgetMeter`]
+//! one [`crate::QueryResult`]. A brownout rung is [`QueryPlan::apply_rung`]:
+//! a pure rewrite of the remaining ops (drop feedback; bypass rerank and
+//! flatten selection). Because [`sage_admission::BudgetMeter`]
 //! ratchets monotonically, a rewrite applied at one checkpoint is exactly
 //! the decision every later checkpoint would have made inline — which is
 //! why the rewrite formulation preserves the old branch-per-call-site
@@ -21,11 +21,8 @@ use sage_admission::BrownoutLevel;
 pub enum RerankMode {
     /// Score every candidate with the cross-encoder.
     Full,
-    /// Score only the top half of the pool (brownout rung 2); the
-    /// first-stage order is the quality prior for the rest.
-    Shrunk,
-    /// Keep the first-stage retrieval order (no scorer configured, or
-    /// brownout rung 3).
+    /// Keep the first-stage retrieval order (no scorer configured, or the
+    /// flat top-k brownout rung).
     Bypass,
 }
 
@@ -34,7 +31,8 @@ pub enum RerankMode {
 pub enum SelectMode {
     /// Gradient-based chunk selection (Algorithm 2).
     Gradient,
-    /// Fixed top-`min_k` prefix (naive RAG, or brownout rung 4).
+    /// Fixed top-`min_k` prefix (naive RAG, or the flat top-k brownout
+    /// rung).
     Flat,
 }
 
@@ -84,7 +82,6 @@ impl StageOp {
         match self {
             StageOp::RetrieveBm25 { fallback: true } => "retrieve-bm25 (fallback)".to_string(),
             StageOp::Rerank(RerankMode::Full) => "rerank (full pool)".to_string(),
-            StageOp::Rerank(RerankMode::Shrunk) => "rerank (top half)".to_string(),
             StageOp::Rerank(RerankMode::Bypass) => "rerank (bypass: retrieval order)".to_string(),
             StageOp::Select(SelectMode::Gradient) => "select (gradient)".to_string(),
             StageOp::Select(SelectMode::Flat) => "select (flat top-k)".to_string(),
@@ -187,21 +184,12 @@ impl QueryPlan {
         if level >= BrownoutLevel::DropFeedback {
             self.round.retain(|op| *op != StageOp::Feedback);
         }
-        if level >= BrownoutLevel::ShrinkRerank {
-            for op in self.prelude.iter_mut() {
-                if *op == StageOp::Rerank(RerankMode::Full) {
-                    *op = StageOp::Rerank(RerankMode::Shrunk);
-                }
-            }
-        }
-        if level >= BrownoutLevel::SkipRerank {
+        if level >= BrownoutLevel::FlatTopK {
             for op in self.prelude.iter_mut() {
                 if matches!(op, StageOp::Rerank(_)) {
                     *op = StageOp::Rerank(RerankMode::Bypass);
                 }
             }
-        }
-        if level >= BrownoutLevel::FlatTopK {
             for op in self.round.iter_mut() {
                 if *op == StageOp::Select(SelectMode::Gradient) {
                     *op = StageOp::Select(SelectMode::Flat);
@@ -239,12 +227,7 @@ impl QueryPlan {
              -> stage -> telemetry close -> budget settle -> rung rewrite\n",
         );
         out.push_str("brownout rewrites:\n");
-        for level in [
-            BrownoutLevel::DropFeedback,
-            BrownoutLevel::ShrinkRerank,
-            BrownoutLevel::SkipRerank,
-            BrownoutLevel::FlatTopK,
-        ] {
+        for level in [BrownoutLevel::DropFeedback, BrownoutLevel::FlatTopK] {
             let mut rewritten = self.clone();
             rewritten.apply_rung(level);
             let delta = if rewritten == *self {
@@ -301,9 +284,8 @@ mod tests {
         plan.apply_rung(BrownoutLevel::DropFeedback);
         assert!(!plan.has_feedback());
         assert_eq!(plan.prelude[2], StageOp::Rerank(RerankMode::Full));
-        plan.apply_rung(BrownoutLevel::SkipRerank);
-        assert_eq!(plan.prelude[2], StageOp::Rerank(RerankMode::Bypass));
         plan.apply_rung(BrownoutLevel::FlatTopK);
+        assert_eq!(plan.prelude[2], StageOp::Rerank(RerankMode::Bypass));
         assert_eq!(plan.round, vec![StageOp::Select(SelectMode::Flat), StageOp::Read]);
         // Idempotent: re-applying changes nothing.
         let snapshot = plan.clone();
@@ -329,5 +311,6 @@ mod tests {
         assert!(text.contains("select (gradient)"));
         assert!(text.contains("rung DropFeedback"));
         assert!(text.contains("rung FlatTopK"));
+        assert_eq!(text.lines().filter(|l| l.trim_start().starts_with("rung ")).count(), 2);
     }
 }

@@ -126,22 +126,10 @@ fn retrieval_order(hits: &[ScoredChunk]) -> Vec<RankedChunk> {
 }
 
 fn rerank(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp) -> Flow {
-    let mode = match op {
-        StageOp::Rerank(m) => m,
-        _ => RerankMode::Bypass,
-    };
-    let scorer = sys.scorer.as_ref().filter(|_| !matches!(mode, RerankMode::Bypass));
+    let scorer = sys.scorer.as_ref().filter(|_| op == StageOp::Rerank(RerankMode::Full));
     let ranked = match scorer {
         Some(scorer) => {
-            // ShrinkRerank scores only the top half of the candidate
-            // pool (the first-stage order is the quality prior).
-            let keep = if matches!(mode, RerankMode::Shrunk) {
-                (ctx.cand_ids.len() / 2).max(1).min(ctx.cand_ids.len())
-            } else {
-                ctx.cand_ids.len()
-            };
-            let texts: Vec<&str> =
-                ctx.cand_ids[..keep].iter().map(|&i| sys.chunks[i].as_str()).collect();
+            let texts: Vec<&str> = ctx.cand_ids.iter().map(|&i| sys.chunks[i].as_str()).collect();
             let reranked = ctx.guards.run(
                 Component::Reranker,
                 ctx.question,

@@ -23,7 +23,7 @@
 //!   retrieval (Baleen-style), with its own synthetic 2-hop tasks.
 //! * [`exec`] — the query executor: every request runs its plan with each
 //!   component boundary behind per-query [`sage_resilience::Guards`]
-//!   (retries, circuit breakers, the documented fallback chain).
+//!   (retries, a consecutive-failure cap, the documented fallback chain).
 //! * [`soak`] — the deterministic overload harness: a seeded open-loop
 //!   arrival process replayed against a built system through admission
 //!   control and per-query deadline budgets, on a virtual clock.

@@ -49,8 +49,8 @@ pub struct Request<'a> {
     /// Multiple-choice options; `None` answers open-ended.
     pub options: Option<&'a [String]>,
     /// A deadline/token budget. The executor replans at every stage
-    /// boundary and walks the brownout ladder (drop feedback → shrink
-    /// rerank → skip rerank → flat top-k) as the budget shrinks; each rung
+    /// boundary and walks the brownout ladder (drop feedback → flat top-k)
+    /// as the budget shrinks; each rung
     /// lands in [`QueryResult::degraded`]. Budgets charge the deterministic
     /// [`sage_admission::CostModel`], never the wall clock.
     pub budget: Option<QueryBudget>,
@@ -211,8 +211,9 @@ impl RagSystem {
 
     /// Inject `plan`'s faults from now on. Every query runs behind per-query
     /// guards — validated component boundaries, retries with virtual-time
-    /// backoff, circuit breakers and the documented degradation chain —
-    /// under this plan; the default, [`FaultPlan::none`], injects nothing.
+    /// backoff, a consecutive-failure cap and the documented degradation
+    /// chain — under this plan; the default, [`FaultPlan::none`], injects
+    /// nothing.
     pub fn set_faults(&mut self, plan: FaultPlan) {
         self.faults = plan;
     }

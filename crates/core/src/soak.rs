@@ -16,8 +16,8 @@
 
 use crate::pipeline::{RagSystem, Request};
 use sage_admission::{
-    arrival_plan, AdmissionConfig, AdmissionQueue, Decision, Priority, QueryBudget, ShedReason,
-    SoakConfig,
+    arrival_plan, AdmissionConfig, AdmissionQueue, BrownoutLevel, Decision, Priority, QueryBudget,
+    ShedReason, SoakConfig,
 };
 use sage_telemetry::{Outcome, QueryObs};
 use std::collections::VecDeque;
@@ -104,7 +104,7 @@ impl SoakReport {
 
     /// Completed queries by final brownout level (ladder order; index 0 is
     /// full fidelity).
-    pub fn brownout(&self) -> [u64; 5] {
+    pub fn brownout(&self) -> [u64; BrownoutLevel::ALL.len()] {
         std::array::from_fn(|level| {
             self.done().filter(|o| usize::from(o.brownout) == level).count() as u64
         })
@@ -200,8 +200,8 @@ impl SoakReport {
             self.panics()
         ));
         out.push_str(&format!(
-            "brownout none {} / drop-feedback {} / shrink-rerank {} / skip-rerank {} / flat-topk {}\n",
-            brownout[0], brownout[1], brownout[2], brownout[3], brownout[4]
+            "brownout none {} / drop-feedback {} / flat-topk {}\n",
+            brownout[0], brownout[1], brownout[2]
         ));
         out.push_str(&format!(
             "p50 sojourn {}  p99 sojourn {}  max depth {}\n",
@@ -233,8 +233,8 @@ impl SoakReport {
         out.push_str(&format!(", \"errors\": {}", self.errors()));
         out.push_str(&format!(", \"panics\": {}", self.panics()));
         out.push_str(&format!(
-            ", \"brownout\": [{}, {}, {}, {}, {}]",
-            brownout[0], brownout[1], brownout[2], brownout[3], brownout[4]
+            ", \"brownout\": [{}, {}, {}]",
+            brownout[0], brownout[1], brownout[2]
         ));
         out.push_str(&format!(", \"browned_out\": {}", self.browned_out()));
         out.push_str(&format!(", \"ladder_violations\": {}", self.ladder_violations));

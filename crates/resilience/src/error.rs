@@ -14,9 +14,10 @@ pub enum SageError {
         /// Attempts made before giving up.
         attempts: u32,
     },
-    /// The component's circuit breaker was open; the primary was skipped.
+    /// The component had failed five times in a row in this query, which
+    /// opens its circuit; the primary was skipped.
     CircuitOpen {
-        /// The component whose breaker is open.
+        /// The component whose circuit is open.
         component: Component,
     },
     /// A response failed validation (truncated / corrupt payload).

@@ -29,14 +29,9 @@ impl Component {
     pub const ALL: [Component; 4] =
         [Component::Embedder, Component::IndexSearch, Component::Reranker, Component::Reader];
 
-    /// Stable index for per-component tables.
+    /// Stable index for per-component tables: the position in [`Self::ALL`].
     pub fn idx(self) -> usize {
-        match self {
-            Component::Embedder => 0,
-            Component::IndexSearch => 1,
-            Component::Reranker => 2,
-            Component::Reader => 3,
-        }
+        self as usize
     }
 
     /// Display label ("embedder", "index", ...).
@@ -126,11 +121,6 @@ pub struct Rates {
 }
 
 impl Rates {
-    /// No faults.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// 100% of calls suffer `kind`.
     pub fn always(kind: FaultKind) -> Self {
         let mut r = Self::default();

@@ -1,10 +1,10 @@
-//! The boundary wrapper: fault roll → breaker check → call → validate →
+//! The boundary wrapper: failure cap → fault roll → call → validate →
 //! retry with backoff → structured failure.
 
-use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::breaker::FailureCap;
 use crate::error::SageError;
 use crate::fault::{Component, FaultKind, FaultPlan};
-use crate::retry::{RetryPolicy, VirtualClock};
+use crate::retry::{backoff, MAX_ATTEMPTS, TIMEOUT};
 use std::time::Duration;
 
 /// Everything a failed guarded call can tell its caller (feeds a
@@ -13,35 +13,28 @@ use std::time::Duration;
 pub struct Failure {
     /// The terminal error.
     pub error: SageError,
-    /// Attempts actually made (0 when the breaker fast-failed).
+    /// Attempts actually made (fewer than three when the cap fast-failed).
     pub attempts: u32,
     /// Virtual backoff/timeout time charged.
     pub delay: Duration,
 }
 
-/// One query's guards: the fault plan, the retry policy, a fresh virtual
-/// clock and one circuit breaker per [`Component`].
+/// One query's guards: the fault plan and one consecutive-failure count
+/// per [`Component`].
 ///
-/// Scoped per query, not shared across a batch: a shared breaker would make
+/// Scoped per query, not shared across a batch: a shared count would make
 /// one question's degradation trace depend on which other questions ran
 /// first on the same worker pool. Per-query scoping keeps every result a
 /// pure function of `(system, fault plan, question)`.
 pub struct Guards<'a> {
     plan: &'a FaultPlan,
-    retry: RetryPolicy,
-    clock: VirtualClock,
-    breakers: [CircuitBreaker; 4],
+    failures: FailureCap,
 }
 
 impl<'a> Guards<'a> {
-    /// Fresh guards under `plan`, with the default retry and breaker tuning.
+    /// Fresh guards under `plan`, every failure count at zero.
     pub fn new(plan: &'a FaultPlan) -> Self {
-        Self {
-            plan,
-            retry: RetryPolicy::default(),
-            clock: VirtualClock::new(),
-            breakers: std::array::from_fn(|_| CircuitBreaker::new(BreakerConfig::default())),
-        }
+        Self { plan, failures: Default::default() }
     }
 
     /// Run `op` at the `component` boundary under the fault plan.
@@ -56,10 +49,6 @@ impl<'a> Guards<'a> {
     /// design: panic isolation is the *batch* layer's job (`catch_unwind`
     /// around each question), and the panic must travel through the whole
     /// stack to prove that layer works.
-    #[expect(
-        clippy::unreachable,
-        reason = "max_attempts >= 1 and the last attempt returns on every arm"
-    )]
     pub fn run<T>(
         &self,
         component: Component,
@@ -68,11 +57,12 @@ impl<'a> Guards<'a> {
         corrupt: impl Fn(&mut T),
         valid: impl Fn(&T) -> bool,
     ) -> Result<T, Failure> {
-        let breaker = &self.breakers[component.idx()];
         let mut delay = Duration::ZERO;
-        let max_attempts = self.retry.max_attempts.max(1);
-        for attempt in 0..max_attempts {
-            if breaker.is_open(&self.clock) {
+        // The last attempt's error is the call's: `ComponentFailed` with
+        // all three attempts, or `Corrupted`.
+        let mut error = SageError::ComponentFailed { component, attempts: MAX_ATTEMPTS };
+        for attempt in 0..MAX_ATTEMPTS {
+            if self.failures.is_open(component) {
                 return Err(Failure {
                     error: SageError::CircuitOpen { component },
                     attempts: attempt,
@@ -92,8 +82,7 @@ impl<'a> Guards<'a> {
                     Err(SageError::ComponentFailed { component, attempts: attempt + 1 })
                 }
                 Some(FaultKind::Timeout) => {
-                    self.clock.advance(self.retry.timeout);
-                    delay += self.retry.timeout;
+                    delay += TIMEOUT;
                     Err(SageError::ComponentFailed { component, attempts: attempt + 1 })
                 }
                 Some(FaultKind::Corrupt) => {
@@ -120,39 +109,27 @@ impl<'a> Guards<'a> {
             };
             match outcome {
                 Ok(value) => {
-                    breaker.record_success();
+                    self.failures.record(component, true);
                     return Ok(value);
                 }
-                Err(error) => {
-                    breaker.record_failure(self.clock.now());
-                    if attempt + 1 < max_attempts {
+                Err(e) => {
+                    self.failures.record(component, false);
+                    if attempt + 1 < MAX_ATTEMPTS {
                         let mut rng = self.plan.call_rng(component, key, attempt | 0x8000_0000);
-                        let backoff = self.retry.backoff(attempt, &mut rng);
-                        self.clock.advance(backoff);
-                        delay += backoff;
-                    } else {
-                        return Err(Failure {
-                            error: match error {
-                                SageError::Corrupted { .. } => error,
-                                _ => SageError::ComponentFailed {
-                                    component,
-                                    attempts: max_attempts,
-                                },
-                            },
-                            attempts: max_attempts,
-                            delay,
-                        });
+                        delay += backoff(attempt, &mut rng);
                     }
+                    error = e;
                 }
             }
         }
-        unreachable!("loop always returns");
+        Err(Failure { error, attempts: MAX_ATTEMPTS, delay })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::FAILURE_CAP;
     use crate::fault::Rates;
 
     fn no_corrupt(_: &mut u32) {}
@@ -160,11 +137,9 @@ mod tests {
         true
     }
 
-    /// Trip `component`'s breaker open at the current virtual time.
+    /// Bring `component` to the failure cap.
     fn trip(g: &Guards<'_>, component: Component) {
-        for _ in 0..BreakerConfig::default().failure_threshold {
-            g.breakers[component.idx()].record_failure(g.clock.now());
-        }
+        g.failures.0[component.idx()].set(FAILURE_CAP);
     }
 
     #[test]
@@ -184,7 +159,7 @@ mod tests {
         );
         assert_eq!(out.unwrap(), 7);
         assert_eq!(calls, 1);
-        assert_eq!(g.clock.now(), Duration::ZERO, "no backoff charged");
+        assert_eq!(g.failures.0[Component::Embedder.idx()].get(), 0, "nothing counted");
     }
 
     #[test]
@@ -198,8 +173,13 @@ mod tests {
             SageError::ComponentFailed { component: Component::Reader, attempts: 3 }
         );
         assert_eq!(failure.attempts, 3);
-        assert!(failure.delay > Duration::ZERO, "backoff was charged");
-        assert_eq!(g.clock.now(), failure.delay, "clock advanced by exactly the backoff");
+        // Two backoffs, 50 ms then 100 ms, each jittered by at most 20 %.
+        assert!(failure.delay >= Duration::from_millis(120), "{:?}", failure.delay);
+        assert!(failure.delay <= Duration::from_millis(180), "{:?}", failure.delay);
+        // The jitter is a pure function of the call: a replay charges the
+        // same delay to the nanosecond.
+        let again = Guards::new(&plan).run(Component::Reader, "k", || 1u32, no_corrupt, always_valid);
+        assert_eq!(again.unwrap_err().delay, failure.delay);
     }
 
     #[test]
@@ -228,7 +208,7 @@ mod tests {
         );
         assert_eq!(out.unwrap(), 9);
         assert_eq!(calls, 1, "faulted attempts never reach the op");
-        assert!(g.clock.now() > Duration::ZERO, "one backoff charged");
+        assert_eq!(g.failures.0[Component::Reader.idx()].get(), 0, "the success reset the count");
     }
 
     #[test]
@@ -259,6 +239,16 @@ mod tests {
 
     #[test]
     fn open_breaker_fast_fails_without_calling() {
+        // Five consecutive failures reach the cap.
+        let plan = FaultPlan::failing(Component::Reader, FaultKind::Transient);
+        let g = Guards::new(&plan);
+        let failed = g.run(Component::Reader, "k", || 1u32, no_corrupt, always_valid);
+        assert_eq!(failed.unwrap_err().attempts, 3);
+        let capped = g.run(Component::Reader, "k", || 1u32, no_corrupt, always_valid);
+        let capped = capped.unwrap_err();
+        assert_eq!(capped.error, SageError::CircuitOpen { component: Component::Reader });
+        assert_eq!(capped.attempts, 2, "the fifth failure caps the second call");
+
         let plan = FaultPlan::none();
         let g = Guards::new(&plan);
         trip(&g, Component::IndexSearch);
@@ -273,36 +263,22 @@ mod tests {
             no_corrupt,
             always_valid,
         );
-        assert_eq!(
-            out.unwrap_err().error,
-            SageError::CircuitOpen { component: Component::IndexSearch }
-        );
-        assert_eq!(calls, 0, "primary skipped while open");
-        // Only that component's breaker is open.
+        let failure = out.unwrap_err();
+        assert_eq!(failure.error, SageError::CircuitOpen { component: Component::IndexSearch });
+        assert_eq!((failure.attempts, failure.delay), (0, Duration::ZERO));
+        assert_eq!(calls, 0, "primary skipped at the cap");
+        // Only that component is capped.
         assert_eq!(g.run(Component::Reranker, "k", || 3u32, no_corrupt, always_valid), Ok(3));
-    }
-
-    #[test]
-    fn breaker_recovers_through_half_open() {
-        let plan = FaultPlan::none();
-        let g = Guards::new(&plan);
-        trip(&g, Component::IndexSearch);
-        let breaker = &g.breakers[Component::IndexSearch.idx()];
-        assert!(breaker.is_open(&g.clock));
-        g.clock.advance(BreakerConfig::default().cooldown + Duration::from_secs(1));
-        let out = g.run(Component::IndexSearch, "k", || 2u32, no_corrupt, always_valid);
-        assert_eq!(out.unwrap(), 2, "half-open probe succeeds and closes");
-        assert!(!breaker.is_open(&g.clock));
     }
 
     #[test]
     fn timeout_fault_charges_the_deadline() {
         let plan = FaultPlan::failing(Component::Reranker, FaultKind::Timeout);
-        let retry = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
-        let g = Guards { retry, ..Guards::new(&plan) };
+        let g = Guards::new(&plan);
         let out = g.run(Component::Reranker, "k", || 1u32, no_corrupt, always_valid);
-        assert!(out.is_err());
-        assert_eq!(g.clock.now(), g.retry.timeout, "deadline charged on the virtual clock");
+        let delay = out.unwrap_err().delay;
+        assert!(delay >= TIMEOUT * 3 + Duration::from_millis(120), "{delay:?}");
+        assert!(delay <= TIMEOUT * 3 + Duration::from_millis(180), "{delay:?}");
     }
 
     #[test]
@@ -310,10 +286,9 @@ mod tests {
         let plan = FaultPlan::none();
         let a = Guards::new(&plan);
         let b = Guards::new(&plan);
-        // Tripping one query's breaker leaves the other's closed.
+        // Capping one query's embedder leaves the other's untouched.
         trip(&a, Component::Embedder);
-        let embedder = Component::Embedder.idx();
-        assert!(a.breakers[embedder].is_open(&a.clock));
-        assert!(!b.breakers[embedder].is_open(&b.clock));
+        assert!(a.run(Component::Embedder, "k", || 1u32, no_corrupt, always_valid).is_err());
+        assert_eq!(b.run(Component::Embedder, "k", || 1u32, no_corrupt, always_valid), Ok(1));
     }
 }

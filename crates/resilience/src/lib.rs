@@ -16,16 +16,13 @@
 //! * [`CrashPlan`] — seeded crash injection at durable-write barriers
 //!   ([`CrashPoint`]: pre-tmp through pre-manifest-commit), powering the
 //!   live corpus store's recovery drills in `sage-core`.
-//! * [`RetryPolicy`] + [`VirtualClock`] — bounded attempts with
-//!   exponential backoff and deterministic jitter. Time is *virtual*:
-//!   backoff and timeout penalties accumulate on a counter instead of
-//!   sleeping, so tests of the full retry ladder run in microseconds.
-//! * [`CircuitBreaker`] — per-component consecutive-failure breaker with
-//!   a virtual-time cooldown and half-open probing.
-//! * [`Guards`] — one query's boundary wrapper combining all three: consult
-//!   the component's breaker, roll the fault plan, run/corrupt/validate the
-//!   call, retry with backoff, and report a structured [`SageError`] when
-//!   exhausted.
+//! * [`Guards`] — one query's boundary wrapper: roll the fault plan,
+//!   run/corrupt/validate the call, retry up to three attempts with
+//!   exponential backoff and deterministic jitter, and report a
+//!   structured [`SageError`] when exhausted. Backoff and timeout
+//!   penalties are *virtual*: they are summed into the failure's delay
+//!   instead of slept. A component with five consecutive failures in the
+//!   query fails fast; a success resets its count.
 //! * [`DegradeTrace`] / [`Fallback`] — per-query record of which
 //!   fallbacks fired, surfaced in `QueryResult` and aggregated by
 //!   [`FallbackCounters`] for CLI reporting.
@@ -36,21 +33,19 @@
 
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
 
-pub mod breaker;
+mod breaker;
 pub mod crash;
 pub mod error;
 pub mod fault;
 pub mod guard;
-pub mod retry;
+mod retry;
 pub mod rng;
 pub mod trace;
 
-pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use crash::{CrashPlan, CrashPoint};
 pub use error::SageError;
 pub use fault::{Component, FaultKind, FaultPlan, Rates};
 pub use guard::{Failure, Guards};
-pub use retry::{RetryPolicy, VirtualClock};
 pub use rng::DetRng;
 pub use trace::{DegradeEvent, DegradeTrace, Fallback, FallbackCounters};
 

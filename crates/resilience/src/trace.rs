@@ -27,42 +27,26 @@ pub enum Fallback {
     PanicIsolated,
     /// Budget brownout: self-feedback rounds were dropped (ladder step 1).
     BrownoutDropFeedback,
-    /// Budget brownout: the rerank candidate pool was halved (step 2).
-    BrownoutShrinkRerank,
-    /// Budget brownout: reranking was skipped entirely; the first-stage
-    /// retrieval order was kept (step 3).
-    BrownoutSkipRerank,
-    /// Budget brownout: gradient selection was replaced by a flat top-k
-    /// prefix of the retrieval order (step 4, the ladder's floor).
+    /// Budget brownout: reranking was bypassed and gradient selection was
+    /// replaced by a flat top-k prefix of the retrieval order (step 2, the
+    /// ladder's floor).
     BrownoutFlatTopK,
 }
 
 impl Fallback {
     /// All fallback kinds, in chain order (stable counter layout).
-    pub const ALL: [Fallback; 9] = [
+    pub const ALL: [Fallback; 7] = [
         Fallback::DenseToBm25,
         Fallback::RerankToRetrievalOrder,
         Fallback::ReaderSecondBest,
         Fallback::ReaderUnanswerable,
         Fallback::PanicIsolated,
         Fallback::BrownoutDropFeedback,
-        Fallback::BrownoutShrinkRerank,
-        Fallback::BrownoutSkipRerank,
         Fallback::BrownoutFlatTopK,
     ];
 
     fn idx(self) -> usize {
-        match self {
-            Fallback::DenseToBm25 => 0,
-            Fallback::RerankToRetrievalOrder => 1,
-            Fallback::ReaderSecondBest => 2,
-            Fallback::ReaderUnanswerable => 3,
-            Fallback::PanicIsolated => 4,
-            Fallback::BrownoutDropFeedback => 5,
-            Fallback::BrownoutShrinkRerank => 6,
-            Fallback::BrownoutSkipRerank => 7,
-            Fallback::BrownoutFlatTopK => 8,
-        }
+        self as usize
     }
 
     /// Display label ("dense->bm25", ...).
@@ -74,8 +58,6 @@ impl Fallback {
             Fallback::ReaderUnanswerable => "reader->unanswerable",
             Fallback::PanicIsolated => "panic-isolated",
             Fallback::BrownoutDropFeedback => "brownout:drop-feedback",
-            Fallback::BrownoutShrinkRerank => "brownout:shrink-rerank",
-            Fallback::BrownoutSkipRerank => "brownout:skip-rerank",
             Fallback::BrownoutFlatTopK => "brownout:flat-topk",
         }
     }
@@ -85,9 +67,7 @@ impl Fallback {
     pub fn brownout_step(self) -> Option<u8> {
         match self {
             Fallback::BrownoutDropFeedback => Some(1),
-            Fallback::BrownoutShrinkRerank => Some(2),
-            Fallback::BrownoutSkipRerank => Some(3),
-            Fallback::BrownoutFlatTopK => Some(4),
+            Fallback::BrownoutFlatTopK => Some(2),
             _ => None,
         }
     }

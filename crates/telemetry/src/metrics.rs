@@ -201,15 +201,14 @@ impl LabeledCounter {
     }
 }
 
-static BROWNOUT_VALUES: [AtomicU64; 4] =
-    [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+static BROWNOUT_VALUES: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
 /// Brownout-ladder steps applied by budgeted queries, by ladder stage.
 /// Indexed by `BrownoutLevel::idx() - 1` (the `None` level never fires).
 pub static BROWNOUT_TOTAL: LabeledCounter = LabeledCounter {
     name: "sage_brownout_total",
     help: "Brownout ladder steps applied to budgeted queries",
     key: "stage",
-    labels: &["drop-feedback", "shrink-rerank", "skip-rerank", "flat-topk"],
+    labels: &["drop-feedback", "flat-topk"],
     values: &BROWNOUT_VALUES,
 };
 

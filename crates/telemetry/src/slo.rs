@@ -52,7 +52,7 @@ impl Default for SloSpec {
             latency_ms: Some(30_000),
             interactive_ms: Some(15_000),
             shed_rate: Some(0.5),
-            brownout_rung: Some(3),
+            brownout_rung: Some(1),
             min_confidence_milli: Some(1),
             short_s: 5,
             long_s: 30,
@@ -103,7 +103,7 @@ impl SloSpec {
                     }
                 }
                 "brownout_rung" => {
-                    out.brownout_rung = (!off).then(|| whole(4)).transpose()?.map(|n| n as u8)
+                    out.brownout_rung = (!off).then(|| whole(2)).transpose()?.map(|n| n as u8)
                 }
                 "min_confidence" => {
                     out.min_confidence_milli =
@@ -463,7 +463,7 @@ mod tests {
             ("shed_rate=inf", "`shed_rate`"),
             ("interactive_ms=2.5", "SLO interactive_ms must be a whole number"),
             ("short_s=1e30", "SLO short_s must be a whole number"),
-            ("brownout_rung=5", "SLO brownout_rung must be a whole number in [0, 4]"),
+            ("brownout_rung=3", "SLO brownout_rung must be a whole number in [0, 2]"),
             ("min_confidence=1001", "SLO min_confidence must be a whole number in [0, 1000]"),
         ] {
             let err = SloSpec::parse(clause).unwrap_err();

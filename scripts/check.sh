@@ -19,7 +19,8 @@
 # same soak on every core (`cmp`); two same-seed `sage report` bundles less
 # their wall-clock latency line (`diff`); two `sage index` runs over one
 # model file, dense and BM25 (`cmp`); `sage segment` and `sage ask --retriever
-# bm25 --show-context` and a dense `sage ask --faults embedder=transient:1.0
+# bm25 --show-context`, a dense `sage ask --faults embedder=transient:1.0
+# --show-context` and a dense `sage ask --faults reader=transient:1.0
 # --show-context` == the output recorded in this script; and the full
 # scenario grid == the committed BENCH_scenarios.json (one run; `cargo test`
 # asserts the same equality).
@@ -63,7 +64,8 @@ if [ "${1:-}" != fast ]; then
                fig07_segmentation_overhead fig08_noisy_retrieval fig09_missing_retrieval \
                fig10_incomplete_chunks table04_ablation table05_qasper_baselines \
                table06_narrativeqa_baselines table07_quality_baselines table08_09_scalability \
-               table10_feature_ablation table11_cost_efficiency table12_llm_levels; do
+               table10_feature_ablation table11_cost_efficiency table12_llm_levels \
+               ext_retrieval_quality; do
     if ! err=$(cargo bench -q -p sage-bench --bench "$bench" 2>&1 > /dev/null); then
       echo "FAIL: bench $bench"; echo "$err"; exit 1
     fi
@@ -110,8 +112,8 @@ if [ "${1:-}" != fast ]; then
   # each saved index must answer, and one flipped payload byte must be
   # refused by the CRC trailer rather than parsed.
   "$sage" train --out "$tmp/models.bin" 2> /dev/null
-  # The default-budget models are pinned: the SHA-256 of the file the
-  # batched-step trainer wrote. A trainer change that moves one weight bit
+  # The default-budget models are pinned: the SHA-256 of the file
+  # `sage train --out` writes. A trainer change that moves one weight bit
   # fails here.
   models_sha=$(sha256sum "$tmp/models.bin" | cut -d ' ' -f 1)
   [ "$models_sha" = 47389812a77e16c4a346958c744fc3810b46931d5c9651d62499e7e8999d830d ] \
@@ -252,7 +254,7 @@ confidence 0.58 | 6 chunks | 1 feedback rounds | 492 tokens | $0.000081
 LISTING
   echo "BM25 ask smoke ok"
 
-  echo "=== dense fallback smoke (a dead embedder is served by the BM25 tier)"
+  echo "=== dense fallback smoke (a dead embedder is served by the BM25 tier; a dead reader degrades to unanswerable)"
   # Every query runs behind the guards; the BM25 fallback tier is built on
   # the first dense->bm25 fallback, and the fallbacks: line is printed
   # because --faults was given. The listing is what the build that still
@@ -273,6 +275,21 @@ confidence 0.58 | 6 chunks | 1 feedback rounds | 492 tokens | $0.000081
   [ctx 1] Dorinwick was well known in the region. He lives in Ashford.
 degraded: Embedder -> dense->bm25 after 3 attempt(s) (+141ms virtual delay)
 fallbacks: dense->bm25=1
+LISTING
+  # A dead reader spends three attempts on the primary context and two on
+  # the second-best set: the fifth consecutive failure caps the reader. The
+  # listing is what the build that still had a clocked circuit breaker
+  # printed for this corpus and these models, byte for byte.
+  "$sage" ask \
+    --file "$tmp/corpus_bm25.txt" --question "What is the color of Whiskers's eyes?" \
+    --faults reader=transient:1.0 --show-context --models "$tmp/models.bin" \
+    > "$tmp/ask_dead_reader.txt" 2>&1
+  diff "$tmp/ask_dead_reader.txt" - <<'LISTING' || { echo "FAIL: sage ask under a dead reader printed a different listing"; exit 1; }
+unanswerable
+confidence 0.00 | 0 chunks | 0 feedback rounds | 0 tokens | $0.000000
+degraded: Reader -> reader->second-best after 3 attempt(s) (+127ms virtual delay)
+degraded: Reader -> reader->unanswerable after 2 attempt(s) (+125ms virtual delay)
+fallbacks: reader->second-best=1 reader->unanswerable=1
 LISTING
   echo "dense fallback smoke ok"
 
@@ -350,7 +367,8 @@ LISTING
 
   echo "=== explain smoke (resolved plan rendering)"
   # The plan printer must show the full SAGE stage graph and the rewrite
-  # each brownout rung applies; the naive plan must not judge answers.
+  # each of the two brownout rungs applies; the naive plan must not judge
+  # answers.
   "$sage" explain "why is the sky blue" \
     > "$tmp/explain_sage.txt"
   for needle in "embed" "retrieve-dense" "select (gradient)" "feedback" \
@@ -358,6 +376,9 @@ LISTING
     grep -q "$needle" "$tmp/explain_sage.txt" \
       || { echo "FAIL: explain output missing '$needle'"; cat "$tmp/explain_sage.txt"; exit 1; }
   done
+  rungs=$(grep -c '^  rung ' "$tmp/explain_sage.txt")
+  [ "$rungs" -eq 2 ] \
+    || { echo "FAIL: explain printed $rungs rung lines, not 2"; cat "$tmp/explain_sage.txt"; exit 1; }
   "$sage" explain --naive --retriever bm25 \
     > "$tmp/explain_naive.txt"
   grep -q "retrieve-bm25" "$tmp/explain_naive.txt" \

@@ -22,7 +22,7 @@
 //! | [`rerank`] | `sage-rerank` | cross-feature reranker + gradient selection |
 //! | [`llm`] | `sage-llm` | simulated LLM readers, self-feedback judge, cost model |
 //! | [`eval`] | `sage-eval` | ROUGE/BLEU/METEOR/F1 + Eq.1/Eq.2 cost efficiency |
-//! | [`resilience`] | `sage-resilience` | deterministic fault injection; the per-query guards (retries, breakers) every query runs behind |
+//! | [`resilience`] | `sage-resilience` | deterministic fault injection; the per-query guards (retries, a failure cap) every query runs behind |
 //! | [`admission`] | `sage-admission` | admission control, deadline budgets, brownout ladder |
 //! | [`telemetry`] | `sage-telemetry` | spans, histograms, cost ledger, exporters, flight recorder, SLO burn rates, the `sage report` bundle |
 //! | [`core`] | `sage-core` | the assembled pipeline, baselines, experiment harnesses |
@@ -99,8 +99,8 @@ pub mod prelude {
     pub use sage_core::soak::{run_soak, SoakReport};
     pub use sage_corpus::datasets::SizeConfig;
     pub use sage_resilience::{
-        BreakerConfig, Component, CrashPlan, CrashPoint, DegradeTrace, Fallback, FaultKind,
-        FaultPlan, Rates, RetryPolicy, SageError,
+        Component, CrashPlan, CrashPoint, DegradeTrace, Fallback, FaultKind, FaultPlan, Rates,
+        SageError,
     };
     pub use sage_corpus::{Dataset, Document, QaItem, QaTask, QuestionKind};
     pub use sage_eval::{bleu, cost_efficiency, f1_match, meteor, rouge_l, Cost, PriceTable};

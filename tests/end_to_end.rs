@@ -620,7 +620,7 @@ fn golden_equivalence_under_tight_budget() {
     assert_eq!(r.brownout, BrownoutLevel::FlatTopK);
     let steps: Vec<u8> =
         r.degraded.events.iter().filter_map(|e| e.fallback.brownout_step()).collect();
-    assert_eq!(steps, vec![1, 2, 3, 4]);
+    assert_eq!(steps, vec![1, 2]);
     let (cand_ids, _) = sys.candidates(q);
     let flat: Vec<usize> = cand_ids[..sys.config().min_k.min(cand_ids.len())].to_vec();
     assert_eq!(r.selected, flat);

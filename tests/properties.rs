@@ -344,7 +344,7 @@ proptest! {
 // --- Resilience determinism ----------------------------------------------
 //
 // The fault plan is a pure function of (seed, component, call key, attempt)
-// and the breakers/virtual clock are scoped per query, so serving the same
+// and the guards' failure counts are scoped per query, so serving the same
 // question on two independently built systems under the same plan must
 // produce identical results — including the degradation trace.
 

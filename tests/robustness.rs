@@ -316,6 +316,40 @@ fn reader_fault_exhausts_to_unanswerable() {
 }
 
 #[test]
+fn a_dead_reader_degrades_through_a_pinned_trace() {
+    // Every attempt fails: the primary read spends its three attempts, the
+    // second-best read fails twice more, and the fifth consecutive failure
+    // makes the reader fail fast on the third. Each event's delay is the
+    // virtual backoff (plus 500 ms per timeout) charged on that boundary.
+    use std::time::Duration;
+    let failed = SageError::ComponentFailed { component: Component::Reader, attempts: 3 };
+    let open = SageError::CircuitOpen { component: Component::Reader };
+    for (spec, delays) in [
+        ("reader=transient:1.0", [126_606_392, 124_933_799].map(Duration::from_nanos)),
+        ("reader=timeout:1.0", [1_626_606_392, 1_124_933_799].map(Duration::from_nanos)),
+    ] {
+        let system = resilient(FaultPlan::parse_spec(spec, 0).unwrap());
+        let r = system.answer(&Request::new(EYES_Q)).unwrap();
+        let trace: Vec<(Fallback, SageError, u32, Duration)> = r
+            .degraded
+            .events
+            .iter()
+            .map(|e| (e.fallback, e.error.clone(), e.attempts, e.delay))
+            .collect();
+        assert_eq!(
+            trace,
+            vec![
+                (Fallback::ReaderSecondBest, failed.clone(), 3, delays[0]),
+                (Fallback::ReaderUnanswerable, open.clone(), 2, delays[1]),
+            ],
+            "{spec}"
+        );
+        assert!(r.degraded.events.iter().all(|e| e.component == Component::Reader), "{spec}");
+        assert_eq!(r.answer.text, "unanswerable", "{spec}");
+    }
+}
+
+#[test]
 fn a_failed_fixed_context_read_has_no_second_best_set() {
     // A fixed context ranks nothing, so there is no second-best set to
     // fall back to: the failed read degrades straight to unanswerable,
