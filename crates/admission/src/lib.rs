@@ -12,14 +12,13 @@
 //!   deterministic RED-style load shedding. A shed decision is a pure
 //!   function of `(seed, admission sequence number, occupancy, class)`, so
 //!   the same arrival sequence reproduces the same decisions bit-for-bit.
-//! * [`QueryBudget`] + [`BudgetMeter`] — per-query deadline and token
-//!   budgets. Time is *virtual*: the meter charges each stage from a
-//!   deterministic [`CostModel`] at its own checkpoints, so budget
-//!   decisions never read the wall clock and replay identically.
-//! * [`BrownoutLevel`] — the brownout ladder the pipeline walks when a
-//!   budget runs short: drop feedback rounds → skip rerank and take a flat
-//!   top-k. The meter only ever *ratchets* the level upward, and
-//!   the planner is monotone: a smaller remaining budget never yields a
+//! * [`QueryBudget`] — per-query deadline and token budgets. Time is
+//!   *virtual*: [`QueryBudget::plan`] compares the budget against fixed
+//!   model costs once, at admission, so budget decisions never read the
+//!   wall clock and replay identically.
+//! * [`BrownoutLevel`] — the brownout ladder a query runs at when its
+//!   budget is short: drop feedback rounds → skip rerank and take a flat
+//!   top-k. The plan is monotone: a smaller budget never yields a
 //!   less-degraded level.
 //! * [`SoakConfig`] + [`arrival_plan`] — a seeded open-loop arrival
 //!   process (exponential inter-arrivals, weighted priority classes) for
@@ -34,6 +33,6 @@ pub mod budget;
 pub mod queue;
 pub mod soak;
 
-pub use budget::{BrownoutLevel, BudgetMeter, CostModel, PlanStage, QueryBudget};
+pub use budget::{BrownoutLevel, QueryBudget};
 pub use queue::{AdmissionConfig, AdmissionQueue, Decision, Priority, ShedReason};
 pub use soak::{arrival_plan, Arrival, SoakConfig};

@@ -2,11 +2,10 @@
 //! is under pressure.
 //!
 //! Two paths over the same corpus and question mix:
-//! - `budget_off` — baseline `answer` on a bare `Request`, no budget
-//!   meter threaded through the pipeline.
-//! - `budget_on` — `answer` with a generous `Request::budget`: every
-//!   checkpoint runs (replan, charge, ladder check) but no rung is ever
-//!   taken. The acceptance target is < 5% overhead over `budget_off`.
+//! - `budget_off` — baseline `answer` on a bare `Request`, no budget.
+//! - `budget_on` — `answer` with a generous `Request::budget`: the rung
+//!   is planned once per query (`QueryBudget::plan`) but never taken.
+//!   The acceptance target is < 5% overhead over `budget_off`.
 //!
 //! Prints the measured overhead, plus a micro readout of the admission
 //! queue's admit/release fast path.
@@ -46,8 +45,8 @@ fn main() {
     let generous = QueryBudget::generous();
 
     // Direct overhead readout for the acceptance target. A generous
-    // budget must change nothing about the answers, only add checkpoint
-    // bookkeeping.
+    // budget must change nothing about the answers, only add one plan
+    // call per query.
     let time = |budgeted: bool| {
         let rounds = 10;
         let start = Instant::now();

@@ -7,8 +7,9 @@
 //! directly: per-commit time at the largest corpus must stay within a
 //! small factor of the smallest, nowhere near the corpus-size ratio.
 //!
-//! The run emits `BENCH_live_corpus.json` (one object per corpus size) so the perf trajectory ROADMAP item 5
-//! expects has a machine-readable series to track across commits.
+//! The run emits `BENCH_live_corpus.json` (one object per corpus size): a
+//! machine-readable series to track across commits, and one of the BENCH
+//! files ROADMAP item 5 tags field by field as measured or modeled.
 
 use sage::core::live::{CorpusWriter, LiveConfig, LiveOp};
 use std::hint::black_box;

@@ -1,7 +1,7 @@
 //! The mutable state a query plan executes over: the typed blackboard
 //! every stage function reads its input from and writes its output to.
 
-use sage_admission::BudgetMeter;
+use sage_admission::BrownoutLevel;
 use sage_eval::Cost;
 use sage_llm::{Answer, FeedbackOutcome};
 use sage_rerank::RankedChunk;
@@ -35,9 +35,9 @@ pub(crate) struct QueryCtx<'a> {
     pub trace: DegradeTrace,
     /// The query's telemetry span trace, when a hub is attached.
     pub qt: Option<Trace>,
-    /// Budget meter (virtual spend + ratcheted brownout level), when the
-    /// query runs under a budget.
-    pub bctl: Option<BudgetMeter>,
+    /// The brownout rung the query's budget planned at admission
+    /// ([`BrownoutLevel::None`] without a budget).
+    pub brownout: BrownoutLevel,
 
     // --- prelude outputs ---
     /// The embedded question (dense systems; `None` before embed or on
@@ -113,7 +113,6 @@ impl<'a> QueryCtx<'a> {
         options: Option<&'a [String]>,
         guards: Guards<'a>,
         qt: Option<Trace>,
-        bctl: Option<BudgetMeter>,
         min_k: usize,
     ) -> Self {
         QueryCtx {
@@ -122,7 +121,7 @@ impl<'a> QueryCtx<'a> {
             guards,
             trace: DegradeTrace::new(),
             qt,
-            bctl,
+            brownout: BrownoutLevel::None,
             query_vec: None,
             hits: Vec::new(),
             cand_ids: Vec::new(),

@@ -1,10 +1,8 @@
-//! Cross-cutting middleware applied around every executor slot: the budget
-//! checkpoints (which stage runs which [`PlanStage`] of the meter, and the
-//! one place a newly crossed brownout rung is recorded) and telemetry span
-//! and histogram recording. Both are pure observers of the stage contract:
-//! a plan run with no budget and no telemetry hub executes the identical
-//! stage sequence with every hook a no-op. What a checkpoint charges is
-//! the meter's business (`sage_admission::budget`), not this module's.
+//! Cross-cutting middleware applied around every executor slot: telemetry
+//! span and histogram recording, a pure observer of the stage contract — a
+//! plan run with no telemetry hub executes the identical stage sequence
+//! with every hook a no-op. Also the one place a planned brownout rung is
+//! recorded.
 
 #![expect(
     clippy::disallowed_methods,
@@ -13,9 +11,8 @@
 
 use super::ctx::QueryCtx;
 use super::plan::{RerankMode, StageOp};
-use super::Flow;
 use crate::pipeline::RagSystem;
-use sage_admission::{BrownoutLevel, BudgetMeter, PlanStage};
+use sage_admission::BrownoutLevel;
 use sage_resilience::{Component, DegradeEvent, DegradeTrace, Failure, Fallback, SageError};
 use sage_telemetry::{Stage, Trace};
 use std::time::{Duration, Instant};
@@ -52,91 +49,42 @@ fn elapsed(start: Option<Instant>) -> Duration {
     start.map(|t| t.elapsed()).unwrap_or(Duration::ZERO)
 }
 
-/// Run the meter's checkpoint at `stage` and record every ladder step it
-/// newly crossed — `(level before, level after]`, so a jump over several
-/// rungs reports each one: the ladder is cumulative and all of those
-/// mitigations are in effect. Returns the ratcheted level the executor
-/// rewrites the remaining plan with.
-pub(crate) fn checkpoint(
-    meter: &mut BudgetMeter,
-    stage: PlanStage,
-    trace: &mut DegradeTrace,
-) -> BrownoutLevel {
-    let before = meter.level();
-    let after = meter.checkpoint(stage);
-    for rung in BrownoutLevel::ALL.into_iter().filter(|r| before < *r && *r <= after) {
-        record_rung(rung, trace);
-    }
-    after
-}
-
-/// The single recording point for a newly crossed brownout rung: the
-/// degradation-trace entry (the same trace the fault-driven fallback chain
-/// writes to, so one report explains both) and the
-/// `sage_brownout_total{stage=...}` counter bump happen here and nowhere
-/// else. The per-query telemetry span event is derived from the trace
-/// entry in `exec::finalize`, so all three sinks stay reconciled by
-/// construction.
+/// Record every ladder step up to the planned `level` — the ladder is
+/// cumulative, so a query planned at `FlatTopK` reports both rungs, in
+/// ladder order: all of those mitigations are in effect.
+///
+/// The single recording point for a brownout rung: the degradation-trace
+/// entry (the same trace the fault-driven fallback chain writes to, so one
+/// report explains both) and the `sage_brownout_total{stage=...}` counter
+/// bump happen here and nowhere else. The per-query telemetry span event
+/// is derived from the trace entry in `exec::finalize`, so all three sinks
+/// stay reconciled by construction.
 ///
 /// Rungs reuse the existing [`Component`] set — the resilience layer sizes
 /// its per-query guard and fault-plan arrays by `Component::COUNT`, and
 /// budget pressure is not a component fault: feedback drops attribute to
 /// the `Reader` (the calls being skipped), flat selection to `IndexSearch`
 /// (the stage whose order the flat prefix preserves).
-fn record_rung(rung: BrownoutLevel, trace: &mut DegradeTrace) {
-    let (component, fallback, stage) = match rung {
-        BrownoutLevel::DropFeedback => {
-            (Component::Reader, Fallback::BrownoutDropFeedback, "feedback")
-        }
-        BrownoutLevel::FlatTopK => {
-            (Component::IndexSearch, Fallback::BrownoutFlatTopK, "selection")
-        }
-        // `None` is not a rung; nothing to record.
-        BrownoutLevel::None => return,
-    };
-    trace.events.push(DegradeEvent {
-        component,
-        fallback,
-        error: SageError::BudgetExhausted { stage },
-        attempts: 0,
-        delay: Duration::ZERO,
-    });
-    sage_telemetry::metrics::BROWNOUT_TOTAL.inc(rung.idx().saturating_sub(1));
-}
-
-/// Budget middleware, entry side: the checkpoint a stage passes before it
-/// runs.
-pub(crate) fn budget_before(ctx: &mut QueryCtx<'_>, op: StageOp) -> Option<BrownoutLevel> {
-    let meter = ctx.bctl.as_mut()?;
-    let stage = match op {
-        StageOp::Rerank(_) => PlanStage::Rerank,
-        StageOp::Select(_) => PlanStage::Select,
-        StageOp::Read => PlanStage::Read,
-        _ => return None,
-    };
-    Some(checkpoint(meter, stage, &mut ctx.trace))
-}
-
-/// Budget middleware, exit side: the post-read feedback checkpoint (the
-/// rung that decides whether the loop may still afford judging — its
-/// rewrite drops the feedback op) and the settle of a finished judge call.
-pub(crate) fn budget_after(
-    ctx: &mut QueryCtx<'_>,
-    op: StageOp,
-    flow: Flow,
-) -> Option<BrownoutLevel> {
-    let meter = ctx.bctl.as_mut()?;
-    match (op, flow) {
-        // A read that produced nothing charges nothing: the reader
-        // exhausted its fallbacks and the loop stops here.
-        (StageOp::Read, Flow::Continue) => {
-            Some(checkpoint(meter, PlanStage::Feedback, &mut ctx.trace))
-        }
-        (StageOp::Feedback, _) => {
-            meter.settle_feedback();
-            None
-        }
-        _ => None,
+pub(crate) fn record_rungs(level: BrownoutLevel, trace: &mut DegradeTrace) {
+    for rung in BrownoutLevel::ALL.into_iter().filter(|&r| r <= level) {
+        let (component, fallback, stage) = match rung {
+            BrownoutLevel::DropFeedback => {
+                (Component::Reader, Fallback::BrownoutDropFeedback, "feedback")
+            }
+            BrownoutLevel::FlatTopK => {
+                (Component::IndexSearch, Fallback::BrownoutFlatTopK, "selection")
+            }
+            // `None` is not a rung; nothing to record.
+            BrownoutLevel::None => continue,
+        };
+        trace.events.push(DegradeEvent {
+            component,
+            fallback,
+            error: SageError::BudgetExhausted { stage },
+            attempts: 0,
+            delay: Duration::ZERO,
+        });
+        sage_telemetry::metrics::BROWNOUT_TOTAL.inc(rung.idx().saturating_sub(1));
     }
 }
 
@@ -185,7 +133,7 @@ pub(crate) fn tel_before(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp) {
 /// Telemetry middleware, exit side: annotate + close the stage span,
 /// observe the stage histogram, and attribute token cost. Runs for every
 /// flow — a degraded or terminal stage still reports its timing.
-pub(crate) fn tel_after(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp, _flow: Flow) {
+pub(crate) fn tel_after(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp) {
     match op {
         StageOp::Embed => {
             span_exit(&mut ctx.qt, ctx.embed_sid.take());
@@ -251,34 +199,18 @@ mod tests {
 
     #[test]
     fn a_jump_reports_every_intermediate_step() {
-        // A deadline below one read forces FlatTopK straight from None;
+        // A deadline below one read plans FlatTopK straight from None;
         // both ladder steps must land in the trace, in ladder order.
-        let mut meter =
-            BudgetMeter::new(QueryBudget::new(Duration::from_millis(100), u64::MAX), 20, 3);
-        let mut trace = DegradeTrace::new();
-        let level = checkpoint(&mut meter, PlanStage::Start, &mut trace);
+        let level = QueryBudget::new(Duration::from_millis(100), u64::MAX).plan(20, 3);
         assert_eq!(level, BrownoutLevel::FlatTopK);
+        let mut trace = DegradeTrace::new();
+        record_rungs(level, &mut trace);
         let steps: Vec<u8> =
             trace.events.iter().filter_map(|e| e.fallback.brownout_step()).collect();
         assert_eq!(steps, vec![1, 2]);
-        // A later checkpoint at the same level reports nothing new.
-        checkpoint(&mut meter, PlanStage::Read, &mut trace);
-        assert_eq!(trace.events.len(), 2);
-    }
-
-    #[test]
-    fn generous_budget_reports_nothing() {
-        let mut meter = BudgetMeter::new(QueryBudget::generous(), 20, 3);
+        // A query planned at full fidelity reports nothing.
         let mut trace = DegradeTrace::new();
-        for stage in [
-            PlanStage::Start,
-            PlanStage::Rerank,
-            PlanStage::Select,
-            PlanStage::Read,
-            PlanStage::Feedback,
-        ] {
-            assert_eq!(checkpoint(&mut meter, stage, &mut trace), BrownoutLevel::None);
-        }
+        record_rungs(QueryBudget::generous().plan(20, 3), &mut trace);
         assert!(trace.is_clean());
     }
 }

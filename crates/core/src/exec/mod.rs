@@ -1,20 +1,18 @@
 //! The stage-graph query execution engine.
 //!
 //! One deterministic executor runs every query path: a [`QueryPlan`]
-//! (resolved from the configuration) is executed slot by slot, with the
-//! cross-cutting concerns — budget checkpoint charging, brownout plan
-//! rewrites, telemetry spans/histograms/ledger, `catch_unwind` at the
-//! public boundary — applied as middleware around the stages instead of
-//! hand-stitched at each entry point. Every query runs behind its own
-//! [`Guards`] under the system's fault plan; the stages hold the
-//! validators and the fallback chain. Every request enters
-//! through [`execute`] (behind [`crate::RagSystem::answer`], which adds
-//! the panic boundary); [`run_prelude`] serves
+//! (resolved from the configuration, and rewritten once to the brownout
+//! rung the request's budget plans at admission) is executed slot by
+//! slot, with telemetry spans/histograms/ledger applied as middleware
+//! around the stages and `catch_unwind` at the public boundary. Every
+//! query runs behind its own [`Guards`] under the system's fault plan;
+//! the stages hold the validators and the fallback chain. Every request
+//! enters through [`execute`] (behind [`crate::RagSystem::answer`], which
+//! adds the panic boundary); [`run_prelude`] serves
 //! [`crate::RagSystem::candidates`].
 //!
-//! Per-slot middleware order (load-bearing, see DESIGN.md §11):
-//! budget-before → rung rewrite → op re-fetch → telemetry-open → stage →
-//! telemetry-close → budget-after → rung rewrite.
+//! Per-slot middleware (DESIGN.md §11): telemetry-open → stage →
+//! telemetry-close.
 
 mod batch;
 mod ctx;
@@ -24,11 +22,9 @@ mod stages;
 
 pub(crate) use ctx::QueryCtx;
 pub use plan::{QueryPlan, RerankMode, SelectMode, StageOp};
-use plan::Loc;
 
 use crate::pipeline::{RagSystem, Request};
 use crate::QueryResult;
-use sage_admission::{BudgetMeter, PlanStage};
 use sage_rerank::RankedChunk;
 use sage_resilience::{Fallback, Guards, SageError};
 use sage_telemetry::Trace;
@@ -47,35 +43,21 @@ pub(crate) enum Flow {
     FallbackToBm25,
 }
 
-/// Run one slot: the full middleware sandwich around a single stage. The
-/// op is re-fetched after the budget rewrite because the checkpoint may
-/// have rewritten the very slot about to run (e.g. `Select(Gradient)` →
-/// `Select(Flat)` at the FlatTopK rung).
-fn exec_slot(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>, loc: Loc) -> Flow {
-    let op = plan.get(loc);
-    if let Some(level) = middleware::budget_before(ctx, op) {
-        plan.apply_rung(level);
-    }
-    let op = plan.get(loc);
+/// Run one slot: the telemetry middleware around a single stage.
+fn exec_slot(sys: &RagSystem, ctx: &mut QueryCtx<'_>, op: StageOp) -> Flow {
     middleware::tel_before(sys, ctx, op);
     let flow = stages::run(sys, ctx, op);
-    middleware::tel_after(sys, ctx, op, flow);
-    if let Some(level) = middleware::budget_after(ctx, op, flow) {
-        plan.apply_rung(level);
-    }
+    middleware::tel_after(sys, ctx, op);
     flow
 }
 
 /// Run the prelude slots (retrieval + rerank) of `plan` over `ctx`.
 fn run_prelude_slots(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>) {
-    let mut i = 0;
-    // Re-check the length each step: fallback splices may have rewritten
-    // the remaining prelude.
-    while i < plan.prelude.len() {
-        if exec_slot(sys, plan, ctx, Loc::Prelude(i)) == Flow::FallbackToBm25 {
+    for i in 0..plan.prelude.len() {
+        // Indexed, not iterated: a fallback splice rewrites the next slot.
+        if exec_slot(sys, ctx, plan.prelude[i]) == Flow::FallbackToBm25 {
             plan.on_bm25_fallback(i + 1);
         }
-        i += 1;
     }
 }
 
@@ -93,18 +75,14 @@ fn run_plan(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>) {
     }
     'rounds: for round in 0..plan.max_rounds {
         ctx.round = round;
-        let mut j = 0;
-        // Re-checked each step: a brownout rewrite may drop the feedback
-        // slot from the round being run.
-        while j < plan.round.len() {
-            if exec_slot(sys, plan, ctx, Loc::Round(j)) == Flow::Done {
+        for &op in &plan.round {
+            if exec_slot(sys, ctx, op) == Flow::Done {
                 break 'rounds;
             }
-            j += 1;
         }
-        // A completed round with no judging left in the plan (feedback
-        // off, or browned out by a rewrite) is final: without a score
-        // there is nothing to compare further rounds by.
+        // A completed round with no judging in the plan (feedback off, or
+        // browned out) is final: without a score there is nothing to
+        // compare further rounds by.
         if !plan.has_feedback() {
             if ctx.best.is_none() {
                 ctx.unjudged = ctx.current.take();
@@ -159,8 +137,8 @@ impl RagSystem {
 /// Resolve the plan and assemble the fresh context for one request: plan
 /// resolution (the one-read fixed plan over a pre-assembled context when
 /// the request names its chunks), fresh guards, trace opening, and the
-/// brownout admission gate (replan once before any work so a hopeless
-/// budget walks the ladder immediately).
+/// brownout rung the budget plans, applied to the whole plan before any
+/// work.
 #[expect(
     clippy::disallowed_methods,
     reason = "a fixed context's assembly time is its measured retrieval latency; no control flow branches on the reading"
@@ -168,10 +146,7 @@ impl RagSystem {
 fn prepare<'a>(sys: &'a RagSystem, req: &Request<'a>) -> (QueryPlan, QueryCtx<'a>) {
     let guards = Guards::new(&sys.faults);
     let qt = sys.telemetry.as_ref().map(|_| Trace::start(req.question));
-    let planned_rounds =
-        if sys.config.use_feedback { sys.config.max_feedback_rounds as u32 } else { 0 };
-    let bctl = req.budget.map(|b| BudgetMeter::new(b, sys.config.candidates, planned_rounds));
-    let mut ctx = QueryCtx::new(req.question, req.options, guards, qt, bctl, sys.config.min_k);
+    let mut ctx = QueryCtx::new(req.question, req.options, guards, qt, sys.config.min_k);
     let mut plan = match req.chunks {
         None => sys.resolve_plan(),
         Some(ids) => {
@@ -183,8 +158,12 @@ fn prepare<'a>(sys: &'a RagSystem, req: &Request<'a>) -> (QueryPlan, QueryCtx<'a
             QueryPlan::fixed()
         }
     };
-    if let Some(meter) = ctx.bctl.as_mut() {
-        plan.apply_rung(middleware::checkpoint(meter, PlanStage::Start, &mut ctx.trace));
+    if let Some(budget) = req.budget {
+        let rounds =
+            if sys.config.use_feedback { sys.config.max_feedback_rounds as u32 } else { 0 };
+        ctx.brownout = budget.plan(sys.config.candidates, rounds);
+        middleware::record_rungs(ctx.brownout, &mut ctx.trace);
+        plan.apply_rung(ctx.brownout);
     }
     (plan, ctx)
 }
@@ -225,7 +204,7 @@ pub(crate) fn caught<T>(sys: &RagSystem, f: impl FnOnce() -> T) -> Result<T, Sag
 /// is attached, but no span trace is kept.
 pub(crate) fn run_prelude(sys: &RagSystem, question: &str) -> (Vec<usize>, Vec<RankedChunk>) {
     let guards = Guards::new(&sys.faults);
-    let mut ctx = QueryCtx::new(question, None, guards, None, None, sys.config.min_k);
+    let mut ctx = QueryCtx::new(question, None, guards, None, sys.config.min_k);
     run_prelude_slots(sys, &mut sys.resolve_plan(), &mut ctx);
     (ctx.cand_ids, ctx.ranked)
 }

@@ -1,17 +1,13 @@
 //! The query-plan IR: the stage sequence a query will execute, resolved
 //! from the configuration up front and rewritten — never branched around —
-//! when the brownout ladder ratchets.
+//! to the brownout rung its budget plans.
 //!
 //! A plan has a *prelude* (embed → retrieve → rerank, run once) and a
 //! *round* template (select → read → feedback, run up to `max_rounds`
 //! times), followed by the implicit fuse stage that folds the rounds into
 //! one [`crate::QueryResult`]. A brownout rung is [`QueryPlan::apply_rung`]:
-//! a pure rewrite of the remaining ops (drop feedback; bypass rerank and
-//! flatten selection). Because [`sage_admission::BudgetMeter`]
-//! ratchets monotonically, a rewrite applied at one checkpoint is exactly
-//! the decision every later checkpoint would have made inline — which is
-//! why the rewrite formulation preserves the old branch-per-call-site
-//! behaviour bit for bit.
+//! a pure rewrite of the ops (drop feedback; bypass rerank and flatten
+//! selection), applied once, before the first slot runs.
 
 use crate::config::{RetrieverKind, SageConfig};
 use sage_admission::BrownoutLevel;
@@ -36,8 +32,8 @@ pub enum SelectMode {
     Flat,
 }
 
-/// One operation in a query plan. `Copy` so executor slots can re-fetch
-/// the (possibly rewritten) op cheaply at every middleware boundary.
+/// One operation in a query plan. `Copy` so the executor hands each slot
+/// its op by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageOp {
     /// Embed the question with the dense encoder.
@@ -88,16 +84,6 @@ impl StageOp {
             op => op.name().to_string(),
         }
     }
-}
-
-/// Where a slot lives in the plan, so the executor can re-fetch the op
-/// after a brownout rewrite touched the very slot it is about to run.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Loc {
-    /// Index into [`QueryPlan::prelude`].
-    Prelude(usize),
-    /// Index into [`QueryPlan::round`].
-    Round(usize),
 }
 
 /// A resolved query plan.
@@ -160,22 +146,10 @@ impl QueryPlan {
         QueryPlan { prelude: Vec::new(), round: vec![StageOp::Read], max_rounds: 1 }
     }
 
-    /// Whether the (possibly rewritten) round template still judges
-    /// answers. When it does not, the first completed round is final.
+    /// Whether the (possibly rewritten) round template judges answers.
+    /// When it does not, the first completed round is final.
     pub fn has_feedback(&self) -> bool {
         self.round.contains(&StageOp::Feedback)
-    }
-
-    /// Fetch the op at `loc`. Executed slots are never revisited, so the
-    /// only shifting rewrite (dropping feedback, the last round op) cannot
-    /// invalidate a live location; a vanished slot reads as `Fuse`, which
-    /// every middleware hook ignores.
-    pub(crate) fn get(&self, loc: Loc) -> StageOp {
-        let op = match loc {
-            Loc::Prelude(i) => self.prelude.get(i),
-            Loc::Round(i) => self.round.get(i),
-        };
-        op.copied().unwrap_or(StageOp::Fuse)
     }
 
     /// Apply brownout rung(s) up to `level` as a plan rewrite. Idempotent
@@ -223,8 +197,8 @@ impl QueryPlan {
         }
         out.push_str("  fuse\n");
         out.push_str(
-            "middleware (per slot): budget checkpoint -> rung rewrite -> telemetry span \
-             -> stage -> telemetry close -> budget settle -> rung rewrite\n",
+            "middleware (per slot): telemetry span -> stage -> telemetry close \
+             (the budget's rung is applied once, before the first slot)\n",
         );
         out.push_str("brownout rewrites:\n");
         for level in [BrownoutLevel::DropFeedback, BrownoutLevel::FlatTopK] {

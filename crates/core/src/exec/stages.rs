@@ -2,16 +2,14 @@
 //! from the [`QueryCtx`] blackboard and leaves typed outputs for the next
 //! op.
 //! Resilience guards live *inside* the stages (each stage knows its own
-//! validator and fallback), while budget and telemetry concerns stay in
-//! the middleware — a stage never touches the meter or the span trace
-//! except to append degrade events.
+//! validator and fallback), while telemetry stays in the middleware — a
+//! stage never touches the span trace except to append degrade events.
 
 use super::ctx::{QueryCtx, RoundAnswer};
 use super::middleware::push_event;
 use super::plan::{RerankMode, SelectMode, StageOp};
 use super::Flow;
 use crate::pipeline::RagSystem;
-use sage_admission::BrownoutLevel;
 use sage_eval::Cost;
 use sage_llm::Answer;
 use sage_rerank::{gradient_select, RankedChunk, SelectionConfig};
@@ -337,7 +335,6 @@ fn fuse(ctx: &mut QueryCtx<'_>) -> Flow {
         }
         return Flow::Done;
     }
-    let brownout = ctx.bctl.as_ref().map_or(BrownoutLevel::None, |m| m.level());
     let (score, answer, picked, selected) = if let Some(u) = ctx.unjudged.take() {
         // A completed round that was never judged (feedback off, or
         // browned out) is final as-is, with no score.
@@ -363,7 +360,7 @@ fn fuse(ctx: &mut QueryCtx<'_>) -> Flow {
         feedback_latency: ctx.feedback_latency,
         feedback_score: score,
         degraded: DegradeTrace::new(),
-        brownout,
+        brownout: ctx.brownout,
     });
     Flow::Done
 }

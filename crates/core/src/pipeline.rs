@@ -48,11 +48,11 @@ pub struct Request<'a> {
     pub question: &'a str,
     /// Multiple-choice options; `None` answers open-ended.
     pub options: Option<&'a [String]>,
-    /// A deadline/token budget. The executor replans at every stage
-    /// boundary and walks the brownout ladder (drop feedback → flat top-k)
-    /// as the budget shrinks; each rung
-    /// lands in [`QueryResult::degraded`]. Budgets charge the deterministic
-    /// [`sage_admission::CostModel`], never the wall clock.
+    /// A deadline/token budget. The executor plans one rung of the
+    /// brownout ladder (drop feedback → flat top-k) from it before the
+    /// first stage ([`QueryBudget::plan`]); each rung
+    /// lands in [`QueryResult::degraded`]. The plan compares the budget
+    /// with deterministic model costs, never the wall clock.
     pub budget: Option<QueryBudget>,
     /// A caller-chosen context: one read over these chunk ids (no
     /// retrieval, selection or feedback). Ids outside the chunk store are

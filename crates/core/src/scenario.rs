@@ -296,6 +296,11 @@ fn soak_config(cell: &ScenarioCell) -> SoakConfig {
 /// the method on the same dataset, and render everything into one
 /// [`BenchRow`]. All metrics are virtual-clock quantities; floats are
 /// rendered at fixed precision so the row is byte-stable.
+///
+/// Only the soak columns see the cell's fault, budget and load axes:
+/// `accuracy`, `f1` and `tokens` come from [`evaluate`] on a fresh system
+/// with no faults and no budget, so cells that differ only in those axes
+/// report the same quality and tokens.
 pub fn run_cell(models: &TrainedModels, cell: &ScenarioCell) -> Result<BenchRow, String> {
     let retriever = RetrieverKind::parse(&cell.retriever)
         .ok_or_else(|| format!("unknown retriever `{}` (openai|sbert|dpr|bm25)", cell.retriever))?;

@@ -65,7 +65,7 @@ if [ "${1:-}" != fast ]; then
                fig10_incomplete_chunks table04_ablation table05_qasper_baselines \
                table06_narrativeqa_baselines table07_quality_baselines table08_09_scalability \
                table10_feature_ablation table11_cost_efficiency table12_llm_levels \
-               ext_retrieval_quality; do
+               ext_retrieval_quality ablation_hyperparams; do
     if ! err=$(cargo bench -q -p sage-bench --bench "$bench" 2>&1 > /dev/null); then
       echo "FAIL: bench $bench"; echo "$err"; exit 1
     fi
@@ -379,6 +379,13 @@ LISTING
   rungs=$(grep -c '^  rung ' "$tmp/explain_sage.txt")
   [ "$rungs" -eq 2 ] \
     || { echo "FAIL: explain printed $rungs rung lines, not 2"; cat "$tmp/explain_sage.txt"; exit 1; }
+  # The budget's rung is planned once, before the first slot: the per-slot
+  # middleware is telemetry only, and no budget checkpoint comes back.
+  grep -q '^middleware (per slot): telemetry span -> stage -> telemetry close ' "$tmp/explain_sage.txt" \
+    || { echo "FAIL: explain middleware line is not telemetry only"; cat "$tmp/explain_sage.txt"; exit 1; }
+  if grep -q 'budget checkpoint' "$tmp/explain_sage.txt"; then
+    echo "FAIL: explain names a per-slot budget checkpoint"; exit 1
+  fi
   "$sage" explain --naive --retriever bm25 \
     > "$tmp/explain_naive.txt"
   grep -q "retrieve-bm25" "$tmp/explain_naive.txt" \

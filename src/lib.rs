@@ -82,8 +82,7 @@ pub use sage_vecdb as vecdb;
 /// The commonly used types in one import.
 pub mod prelude {
     pub use sage_admission::{
-        AdmissionConfig, AdmissionQueue, BrownoutLevel, CostModel, Priority, QueryBudget,
-        SoakConfig,
+        AdmissionConfig, AdmissionQueue, BrownoutLevel, Priority, QueryBudget, SoakConfig,
     };
     pub use sage_core::baselines::{DocSystem, Method};
     pub use sage_core::config::{RetrieverKind, SageConfig};

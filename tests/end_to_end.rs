@@ -816,7 +816,7 @@ fn scenario_cells_replay_byte_for_byte_through_the_facade() {
 fn scenario_grid_renders_the_committed_rows_byte_for_byte() {
     // The whole grid, under the models the CLI trains by default: what
     // `sage scenarios run scenarios.toml` prints is BENCH_scenarios.json.
-    // Every field is modeled (virtual clock, `CostModel` constants), so a
+    // Every field is modeled (virtual clock, model costs), so a
     // change to any of them shows up here as the row it moved;
     // re-baseline with `--out BENCH_scenarios.json` and explain the diff.
     let models = TrainedModels::train(TrainBudget::default());

@@ -881,9 +881,9 @@ proptest! {
 //
 // On a fixed system, shrinking the budget must only push queries *deeper*
 // down the brownout ladder (never shallower) and never make them more
-// expensive. Grid steps are coarse (>= 100 ms / >= 1000 tokens) because the
-// checkpoint charge at a decided level leaves small non-monotone windows
-// (<~10 ms and <~750 model-tokens) right at the planning thresholds.
+// expensive. The rung is planned once, at admission, and the plan is
+// monotone to the nanosecond and the token (`budget.rs` pins each
+// boundary), so the grids below are sparse only to keep the test fast.
 
 fn budgeted_system() -> RagSystem {
     RagSystem::build(
