@@ -551,32 +551,21 @@ pub fn explain(flags: &Flags) -> Result<(), String> {
 }
 
 /// `sage report` — run a recorded soak and emit one diagnostics bundle:
-/// the flight-recorder tail, the SLO burn-rate report, the telemetry
-/// histograms and cost ledger, and a reconciliation section proving the
-/// layers agree (recorder captures vs the observation stream, the stream's
-/// shed / brownout counts vs the admission counters, ledger tokens vs
-/// per-query observations). The bundle is one JSON object on stdout (or `--out`);
-/// the telemetry summary and the SLO summary go to stderr.
+/// every per-query observation, the soak summary with its invariant
+/// verdict, the telemetry histograms and cost ledger, and a reconciliation
+/// section proving the layers agree (the stream's shed / brownout counts
+/// vs the admission counters, ledger tokens vs per-query observations).
+/// The bundle is one JSON object on stdout (or `--out`); the telemetry
+/// summary goes to stderr.
 pub fn report(flags: &Flags) -> Result<(), String> {
     flags.reject_unknown(
         "report",
         &[
             "seed", "qps", "duration", "capacity", "concurrency", "deadline-ms", "token-budget",
-            "docs", "slo", "recorder-capacity", "out", "metrics-out", "strict-slo", "retriever",
-            "llm", "models",
+            "docs", "out", "metrics-out", "retriever", "llm", "models",
         ],
     )?;
     let (corpus, questions, cfg) = soak_run(flags)?;
-    let slo_spec = match flags.get("slo") {
-        Some(spec) if !spec.is_empty() => {
-            SloSpec::parse(spec).map_err(|e| format!("bad --slo spec: {e}"))?
-        }
-        _ => SloSpec::default(),
-    };
-    let recorder_cfg = RecorderConfig {
-        capacity: flags.get_parse("recorder-capacity", RecorderConfig::default().capacity)?,
-        ..RecorderConfig::default()
-    };
 
     let retriever = parse_retriever(flags.get_or("retriever", "openai"))?;
     let profile = parse_llm(flags.get_or("llm", "gpt4o-mini"))?;
@@ -590,79 +579,34 @@ pub fn report(flags: &Flags) -> Result<(), String> {
     let shed0: Vec<u64> = (0..Priority::COUNT).map(|i| SHED_TOTAL.get(i)).collect();
     let brownout0 = BROWNOUT_TOTAL.total();
 
-    eprintln!(
-        "report: seed {} | {:.0?} virtual @ {} qps | recorder capacity {}",
-        cfg.seed, cfg.duration, cfg.qps, recorder_cfg.capacity
-    );
+    eprintln!("report: seed {} | {:.0?} virtual @ {} qps", cfg.seed, cfg.duration, cfg.qps);
     let soak = run_soak(&system, &questions, &cfg);
-    // The recorder and the SLO accounting are two folds over the soak's
-    // one observation stream.
-    let mut recorder = FlightRecorder::new(recorder_cfg);
-    for o in &soak.obs {
-        recorder.capture_query(o);
-    }
-    let slo = evaluate_slo(&slo_spec, &soak.obs);
-    if let Some(t) = slo.alert_trace() {
-        // Alert history travels with the trace stream.
-        hub.push_trace(t);
-    }
 
     let shed_delta: u64 = (0..Priority::COUNT).map(|i| SHED_TOTAL.get(i) - shed0[i]).sum();
     let brownout_delta = BROWNOUT_TOTAL.total() - brownout0;
-    let stats = recorder.stats();
-    let flagged_total = soak.obs.iter().filter(|o| o.flagged()).count();
-    let flagged_retained = recorder.records().iter().filter(|rec| rec.obs.flagged()).count();
     let brownout_steps: u64 =
         soak.obs.iter().filter(|o| o.outcome == Outcome::Done).map(|o| u64::from(o.brownout)).sum();
     let obs_tokens: u64 = soak.obs.iter().map(|o| o.tokens).sum();
     let ledger = hub.ledger().total();
     let reconciliation = sage::telemetry::Reconciliation {
-        recorder_captures_match: stats.captured == soak.obs.len() as u64,
-        flagged_retained: flagged_retained == flagged_total.min(recorder_cfg.capacity),
         shed_counters_match: shed_delta == soak.shed_total(),
         brownout_counters_match: brownout_delta == brownout_steps,
         ledger_tokens_match: ledger.total_tokens() == obs_tokens,
     };
 
+    let mut observations = String::from("[");
+    for (i, o) in soak.obs.iter().enumerate() {
+        if i > 0 {
+            observations.push(',');
+        }
+        o.write_json(&mut observations);
+    }
+    observations.push(']');
+
     let mut bundle = sage::telemetry::Bundle::new();
-    bundle.push_raw(
-        "run",
-        format!(
-            "{{\"seed\": {}, \"qps\": {}, \"duration_s\": {}, \"capacity\": {}, \
-             \"concurrency\": {}, \"deadline_ms\": {}, \"docs\": {}}}",
-            cfg.seed,
-            cfg.qps,
-            cfg.duration.as_secs(),
-            cfg.capacity,
-            cfg.concurrency,
-            cfg.budget.map_or(0, |b| b.deadline.as_millis()),
-            corpus.len()
-        ),
-    );
+    bundle.push_raw("run", run_section(&cfg, corpus.len()));
     bundle.push_raw("soak", soak.json_summary(&soak.check_invariants(&cfg, 1.0)));
-    bundle.push_u64("recorder_captured", stats.captured);
-    bundle.push_u64("recorder_evicted", stats.evicted);
-    bundle.push_u64("recorder_windows_sealed", stats.windows_sealed);
-    bundle.push_jsonl("recorder_tail", &recorder.to_jsonl());
-    bundle.push_str("slo_summary", &slo.summary());
-    bundle.push_raw(
-        "slo_alerts",
-        format!(
-            "[{}]",
-            slo.alerts
-                .iter()
-                .map(|a| format!(
-                    "{{\"at_us\": {}, \"objective\": \"{}\", \"short_burn\": {:.4}, \
-                     \"long_burn\": {:.4}}}",
-                    a.at_us,
-                    a.objective.label(),
-                    a.short_burn,
-                    a.long_burn
-                ))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    );
+    bundle.push_raw("observations", observations);
     bundle.push_histogram("query_latency_ns", &hub.query_snapshot());
     bundle.push_u64("ledger_calls", ledger.calls);
     bundle.push_u64("ledger_tokens", ledger.total_tokens());
@@ -682,20 +626,31 @@ pub fn report(flags: &Flags) -> Result<(), String> {
         output_per_token: profile.prices.output_per_token,
     };
     if let Some(path) = flags.get("metrics-out").filter(|p| !p.is_empty()) {
-        let mut text = sage::telemetry::export::prometheus(&hub, Some(prices));
-        text.push_str(&slo.gauges());
+        let text = sage::telemetry::export::prometheus(&hub, Some(prices));
         std::fs::write(path, text).map_err(|e| format!("cannot write metrics file {path}: {e}"))?;
-        eprintln!("wrote metrics (with SLO gauges) -> {path}");
+        eprintln!("wrote metrics -> {path}");
     }
     eprint!("{}", sage::telemetry::export::summary(&hub, Some(prices)));
-    eprint!("{}", slo.summary());
     if !reconciliation.clean() {
         return Err(format!("report reconciliation failed: {}", reconciliation.to_json()));
     }
-    if slo.alerting() && flags.has("strict-slo") {
-        return Err(format!("{} SLO burn alert(s) fired", slo.alerts.len()));
-    }
     Ok(())
+}
+
+/// The bundle's `run` section: the soak's configuration and corpus size.
+/// `duration_s` keeps a fractional `--duration` (`2.5`, not `2`).
+fn run_section(cfg: &SoakConfig, docs: usize) -> String {
+    format!(
+        "{{\"seed\": {}, \"qps\": {}, \"duration_s\": {}, \"capacity\": {}, \
+         \"concurrency\": {}, \"deadline_ms\": {}, \"docs\": {}}}",
+        cfg.seed,
+        cfg.qps,
+        cfg.duration.as_secs_f64(),
+        cfg.capacity,
+        cfg.concurrency,
+        cfg.budget.map_or(0, |b| b.deadline.as_millis()),
+        docs
+    )
 }
 
 /// `sage scenarios run <grid.toml>` — execute a declarative scenario
@@ -832,8 +787,7 @@ USAGE:
                # print the resolved query plan: stages, middleware order
                # and the rewrite each brownout rung applies
   sage report  [--seed 42] [--qps 4] [--duration 30] [--docs N]
-               [--slo <spec>] [--recorder-capacity 256] [--out <bundle>]
-               [--metrics-out <path>] [--strict-slo]
+               [--out <bundle>] [--metrics-out <path>]
   sage scenarios run <grid.toml> [--filter <substr>] [--out <path>]
                [--metrics-out <path>] [--baseline <path>]
   sage demo
@@ -896,15 +850,11 @@ LIVE SOAK:
 
 OBSERVABILITY:
   sage report runs a recorded soak and emits one diagnostics bundle
-  (JSON): the flight recorder's tail-retained query records, the SLO
-  burn-rate report, latency histograms and the cost ledger, plus a
-  reconciliation section proving the layers agree. --slo takes a
-  declarative spec, e.g. \"latency_ms=250,shed_rate=0.2,burn=2\"
-  (keys: latency_ms|interactive_ms|shed_rate|brownout_rung|
-  min_confidence|short_s|long_s|burn|budget; value `off` disables an
-  objective). The one-screen dashboard (stage latency quantiles, cost
-  ledger, counters, SLO burn) goes to stderr; --metrics-out writes the
-  Prometheus dump with the SLO burn gauges appended.
+  (JSON): the soak summary and its invariant verdict, every query's
+  observation in terminal-event order, latency histograms and the cost
+  ledger, plus a reconciliation section proving the layers agree. The
+  one-screen dashboard (stage latency quantiles, cost ledger, counters)
+  goes to stderr; --metrics-out writes the Prometheus dump.
 
 SCENARIOS:
   sage scenarios run <grid.toml> executes a declarative matrix of
@@ -948,6 +898,21 @@ mod tests {
         }
         assert_eq!(parse("10").unwrap(), std::time::Duration::from_secs(10));
         assert_eq!(parse("abc").unwrap_err(), "invalid value for --duration: abc");
+    }
+
+    #[test]
+    fn run_section_keeps_fractional_durations() {
+        let section = |secs: f64| {
+            let cfg = SoakConfig {
+                duration: std::time::Duration::from_secs_f64(secs),
+                ..SoakConfig::default()
+            };
+            run_section(&cfg, 2)
+        };
+        assert!(section(2.5).contains("\"duration_s\": 2.5,"), "{}", section(2.5));
+        assert!(section(0.5).contains("\"duration_s\": 0.5,"), "{}", section(0.5));
+        assert!(section(10.0).contains("\"duration_s\": 10,"), "{}", section(10.0));
+        assert!(section(10.0).ends_with("\"docs\": 2}"), "{}", section(10.0));
     }
 
     #[test]

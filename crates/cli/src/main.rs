@@ -14,8 +14,8 @@
 //!              [--docs N | --file F --question "..."]
 //!              [--faults SPEC] [--fault-seed N] [--max-shed-rate 0.9]
 //! sage explain ["question"] [--retriever R] [--naive]
-//! sage report  [--seed 42] [--qps 4] [--duration 30] [--slo SPEC]
-//!              [--out bundle.json] [--metrics-out F] [--strict-slo]
+//! sage report  [--seed 42] [--qps 4] [--duration 30] [--docs N]
+//!              [--out bundle.json] [--metrics-out F]
 //! sage scenarios run scenarios.toml [--filter S] [--out F] [--metrics-out F]
 //!              [--baseline F]
 //! sage demo

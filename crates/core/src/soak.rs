@@ -44,10 +44,9 @@ pub struct SoakReport {
     pub log: Vec<String>,
     /// Per-query observations in terminal-event order (shed, expiry,
     /// completion, error), one per arrival offered to the queue — the one
-    /// stream the tallies below, the flight recorder
-    /// (`FlightRecorder::capture_query`) and the SLO accounting
-    /// (`evaluate_slo`) fold over. Virtual quantities only, so it replays
-    /// bit-for-bit like the log.
+    /// stream the tallies below fold over and `sage report` writes in
+    /// full. Virtual quantities only, so it replays bit-for-bit like the
+    /// log.
     pub obs: Vec<QueryObs>,
 }
 
@@ -569,27 +568,67 @@ mod tests {
         assert!(r.arrivals > 0);
         assert_eq!(r.obs.len(), r.arrivals);
         assert_eq!(r.admitted() as u64 + r.shed_total(), r.arrivals as u64);
-        // The flight recorder is a fold over the same stream: it captures
-        // every observation, retains flagged ones up to capacity, and a
-        // replayed run folds to the same bytes.
-        let rec_cfg = sage_telemetry::RecorderConfig { capacity: 8, window: 4, topk: 1 };
-        let fold = |obs: &[QueryObs]| {
-            let mut rec = sage_telemetry::FlightRecorder::new(rec_cfg);
-            for o in obs {
-                rec.capture_query(o);
-            }
-            rec
-        };
-        let rec = fold(&r.obs);
-        assert_eq!(rec.stats().captured as usize, r.obs.len());
-        let flagged = r.obs.iter().filter(|o| o.flagged()).count();
-        let retained = rec.records().iter().filter(|x| x.obs.flagged()).count();
-        assert_eq!(retained, flagged.min(rec_cfg.capacity));
-        assert_eq!(rec.to_jsonl(), fold(&run_soak(&sys, &questions(), &cfg).obs).to_jsonl());
         let js = r.json_summary(&r.check_invariants(&cfg, 0.9));
         assert!(js.starts_with("{\"tool\": \"soak\""), "{js}");
         assert!(js.contains("\"violations\": []"), "{js}");
         assert!(!js.contains('\n'), "summary must be one line");
+    }
+
+    /// A report over `obs` alone: one arrival per observation.
+    fn report_of(obs: Vec<QueryObs>) -> SoakReport {
+        SoakReport { arrivals: obs.len(), max_depth: 0, ladder_violations: 0, log: Vec::new(), obs }
+    }
+
+    fn ended(outcome: Outcome, sojourn: Duration) -> QueryObs {
+        QueryObs { outcome, sojourn_ns: sojourn.as_nanos() as u64, ..QueryObs::default() }
+    }
+
+    #[test]
+    fn invariants_report_a_panic() {
+        let r = report_of(vec![
+            ended(Outcome::Done, Duration::from_secs(1)),
+            ended(Outcome::Panicked, Duration::ZERO),
+        ]);
+        assert_eq!(r.check_invariants(&quick_cfg(), 0.9), ["1 queries panicked"]);
+    }
+
+    #[test]
+    fn invariants_report_a_shed_rate_above_the_bound() {
+        let shed = ended(Outcome::Shed, Duration::ZERO);
+        let r = report_of(vec![
+            ended(Outcome::Done, Duration::from_secs(1)),
+            shed.clone(),
+            shed.clone(),
+            shed,
+        ]);
+        assert_eq!(r.check_invariants(&quick_cfg(), 0.5), ["shed rate 0.750 exceeds bound 0.500"]);
+        assert!(r.check_invariants(&quick_cfg(), 0.75).is_empty(), "the bound is inclusive");
+    }
+
+    #[test]
+    fn invariants_bound_p99_sojourn_by_deadline_plus_ceiling() {
+        let cfg = SoakConfig {
+            budget: Some(QueryBudget::new(Duration::from_secs(8), 50_000)),
+            ..quick_cfg()
+        };
+        let at_bound = report_of(vec![ended(Outcome::Done, Duration::from_secs(38))]);
+        assert!(at_bound.check_invariants(&cfg, 0.9).is_empty());
+        let late = Duration::from_secs(38) + Duration::from_nanos(1);
+        let r = report_of(vec![ended(Outcome::Done, late)]);
+        assert_eq!(
+            r.check_invariants(&cfg, 0.9),
+            ["p99 sojourn 38.000000001s exceeds deadline+ceiling 38s"]
+        );
+        // Without budgets there is no deadline to bound the sojourn by.
+        let unbudgeted = SoakConfig { budget: None, ..cfg };
+        assert!(r.check_invariants(&unbudgeted, 0.9).is_empty());
+    }
+
+    #[test]
+    fn json_summary_escapes_violations() {
+        let r = report_of(Vec::new());
+        let js = r.json_summary(&["bad \"q\"".to_string()]);
+        assert!(js.ends_with("\"violations\": [\"bad \\\"q\\\"\"]}"), "{js}");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Diagnostics-bundle assembly for `sage report`.
 //!
 //! A bundle is one JSON object gathering everything needed for a
-//! post-hoc investigation: run metadata, the soak summary, the SLO
-//! report, the flight recorder's retained traces, histogram snapshots,
-//! the counter deltas, the cost ledger, and a `reconciliation` section of
-//! named booleans that cross-check the observation stream against the
-//! records kept apart from it (the recorder, the admission and brownout
-//! counters, the cost ledger).
+//! post-hoc investigation: run metadata, the soak summary, every
+//! per-query observation, histogram snapshots, the cost ledger, and a
+//! `reconciliation` section of named booleans that cross-check the
+//! observation stream against the records kept apart from it (the
+//! admission and brownout counters, the cost ledger).
 //! Tests and CI assert those booleans instead of re-deriving the
 //! arithmetic.
 //!
@@ -36,22 +35,9 @@ impl Bundle {
         self.sections.push((key.to_string(), json.into()));
     }
 
-    /// Add a string section (escaped here).
-    pub fn push_str(&mut self, key: &str, s: &str) {
-        let mut v = String::new();
-        write_json_str(s, &mut v);
-        self.sections.push((key.to_string(), v));
-    }
-
     /// Add an unsigned-integer section.
     pub fn push_u64(&mut self, key: &str, v: u64) {
         self.sections.push((key.to_string(), v.to_string()));
-    }
-
-    /// Add a JSONL blob as a JSON array (one element per line).
-    pub fn push_jsonl(&mut self, key: &str, jsonl: &str) {
-        let lines: Vec<&str> = jsonl.lines().filter(|l| !l.trim().is_empty()).collect();
-        self.push_raw(key, format!("[{}]", lines.join(",")));
     }
 
     /// Add a histogram snapshot as `{count, sum, buckets: [[upper, n]..]}`
@@ -97,11 +83,6 @@ impl Bundle {
 /// `reconciliation` section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reconciliation {
-    /// Recorder captures == observations in the stream (one per arrival).
-    pub recorder_captures_match: bool,
-    /// Flagged (tier-3) records retained == flagged events that survived
-    /// retention arithmetic (never evicted while plain records remain).
-    pub flagged_retained: bool,
     /// Shed observations == the admission shed counters' delta.
     pub shed_counters_match: bool,
     /// Brownout rungs of completed observations == the brownout counter's
@@ -114,9 +95,7 @@ pub struct Reconciliation {
 impl Reconciliation {
     /// All checks passed.
     pub fn clean(&self) -> bool {
-        self.recorder_captures_match
-            && self.flagged_retained
-            && self.shed_counters_match
+        self.shed_counters_match
             && self.brownout_counters_match
             && self.ledger_tokens_match
     }
@@ -124,11 +103,8 @@ impl Reconciliation {
     /// Render as a JSON object for the bundle.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"recorder_captures_match\": {}, \"flagged_retained\": {}, \
-             \"shed_counters_match\": {}, \"brownout_counters_match\": {}, \
+            "{{\"shed_counters_match\": {}, \"brownout_counters_match\": {}, \
              \"ledger_tokens_match\": {}, \"clean\": {}}}",
-            self.recorder_captures_match,
-            self.flagged_retained,
             self.shed_counters_match,
             self.brownout_counters_match,
             self.ledger_tokens_match,
@@ -144,10 +120,10 @@ mod tests {
     #[test]
     fn renders_sections_in_order() {
         let mut b = Bundle::new();
-        b.push_str("tool", "sage report");
+        b.push_raw("tool", "\"sage report\"");
         b.push_u64("seed", 42);
         b.push_raw("soak", "{\"arrivals\": 3}");
-        b.push_jsonl("traces", "{\"a\":1}\n{\"b\":2}\n");
+        b.push_raw("traces", "[{\"a\":1},{\"b\":2}]");
         let out = b.render();
         assert!(out.starts_with("{\n  \"tool\": \"sage report\""), "{out}");
         assert!(out.contains("\"seed\": 42"), "{out}");
@@ -172,8 +148,6 @@ mod tests {
     #[test]
     fn reconciliation_clean_requires_every_check() {
         let ok = Reconciliation {
-            recorder_captures_match: true,
-            flagged_retained: true,
             shed_counters_match: true,
             brownout_counters_match: true,
             ledger_tokens_match: true,

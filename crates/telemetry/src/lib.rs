@@ -16,10 +16,9 @@
 //!   pipeline [`Stage`]s, convertible to simulated dollars.
 //! - [`export`] — JSONL traces, Prometheus text exposition, and a
 //!   human-readable summary table.
-//! - [`recorder`], [`slo`], [`bundle`] — the flight recorder, SLO burn-rate
-//!   alerts and the `sage report` bundle: pure folds over the soak's
-//!   [`QueryObs`] stream (`SoakReport::obs`), so a replay folds to the
-//!   same bytes.
+//! - [`obs`], [`bundle`] — the per-query [`QueryObs`] a soak records for
+//!   every arrival (`SoakReport::obs`) and the `sage report` bundle that
+//!   writes them all, so a replay renders the same bytes.
 //!
 //! # Zero cost when off
 //!
@@ -36,16 +35,14 @@ pub mod export;
 pub mod hist;
 pub mod ledger;
 pub mod metrics;
-pub mod recorder;
-pub mod slo;
+pub mod obs;
 pub mod span;
 
 pub use bundle::{Bundle, Reconciliation};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use ledger::{CostLedger, StageCost};
 pub use metrics::Counter;
-pub use recorder::{FlightRecorder, Outcome, QueryObs, RecorderConfig, RecorderStats};
-pub use slo::{evaluate_slo, Objective, SloAlert, SloReport, SloSpec};
+pub use obs::{Outcome, QueryObs};
 pub use span::{FieldValue, SpanRec, Trace};
 
 use std::collections::VecDeque;

@@ -65,7 +65,7 @@ if [ "${1:-}" != fast ]; then
                fig10_incomplete_chunks table04_ablation table05_qasper_baselines \
                table06_narrativeqa_baselines table07_quality_baselines table08_09_scalability \
                table10_feature_ablation table11_cost_efficiency table12_llm_levels \
-               ext_retrieval_quality ablation_hyperparams; do
+               ext_retrieval_quality ablation_hyperparams ext_finetune; do
     if ! err=$(cargo bench -q -p sage-bench --bench "$bench" 2>&1 > /dev/null); then
       echo "FAIL: bench $bench"; echo "$err"; exit 1
     fi
@@ -206,11 +206,11 @@ LISTING
     || { echo "FAIL: the BM25 soak summary differs between one core and every core"; exit 1; }
   echo "core-count smoke ok ($(nproc) cores)"
 
-  echo "=== report smoke (recorder + SLO folds over the soak's observation stream)"
+  echo "=== report smoke (the bundle holds the soak's whole observation stream)"
   # The bundle's reconciliation section must hold (the command exits
-  # nonzero otherwise) and the dashboard must reach stderr. A second
-  # same-seed run, over the saved models, writes the same bundle but for
-  # its one wall-clock line.
+  # nonzero otherwise), it must carry one observation per arrival, and the
+  # dashboard must reach stderr. A second same-seed run, over the saved
+  # models, writes the same bundle but for its one wall-clock line.
   report=(report --seed 42 --duration 10 --qps 3 --docs 1)
   "$sage" "${report[@]}" > "$tmp/report_a.json" 2> "$tmp/report.err"
   "$sage" "${report[@]}" --models "$tmp/models.bin" > "$tmp/report_b.json" 2> /dev/null
@@ -224,8 +224,10 @@ LISTING
     || { echo "FAIL: report bundle does not reconcile"; exit 1; }
   grep -q '^=== sage telemetry' "$tmp/report.err" \
     || { echo "FAIL: report printed no telemetry summary"; exit 1; }
-  grep -q '^slo: ' "$tmp/report.err" \
-    || { echo "FAIL: report printed no SLO summary"; exit 1; }
+  arrivals=$(grep '^  "soak": ' "$tmp/report.json" | grep -o '"arrivals": [0-9]*' | grep -o '[0-9]*$')
+  observations=$(grep '^  "observations": ' "$tmp/report.json" | grep -o '{"seq":' | wc -l)
+  [ -n "$arrivals" ] && [ "$observations" -eq "$arrivals" ] \
+    || { echo "FAIL: report bundle holds $observations observations for ${arrivals:-?} arrivals"; exit 1; }
   echo "report smoke ok"
 
   echo "=== BM25 ask smoke (answer and context are the recorded ones)"
@@ -293,7 +295,7 @@ fallbacks: reader->second-best=1 reader->unanswerable=1
 LISTING
   echo "dense fallback smoke ok"
 
-  echo "=== refusal smoke (removed sharding, HNSW and --resilience surfaces fail and name the input)"
+  echo "=== refusal smoke (removed sharding, HNSW, --resilience and report SLO/recorder surfaces fail and name the input)"
   # In-process sharding, the HNSW tier and the opt-in resilience switch are
   # gone: their flags, the sharding fault grammar and scenario axis, and
   # the HNSW live retriever must be refused by name, never silently
@@ -335,6 +337,14 @@ LISTING
   fi
   grep -q 'bad --retriever "hnsw" for --live' "$tmp/refused.err" \
     || { echo "FAIL: the live retriever error does not name its input"; cat "$tmp/refused.err"; exit 1; }
+  # The flight recorder and the SLO engine are gone with their flags.
+  for flag in slo strict-slo recorder-capacity; do
+    if "$sage" report "--$flag" > /dev/null 2> "$tmp/refused.err"; then
+      echo "FAIL: sage report accepted --$flag"; exit 1
+    fi
+    grep -q "unknown flag --$flag for \`sage report\`" "$tmp/refused.err" \
+      || { echo "FAIL: no 'unknown flag --$flag' error"; cat "$tmp/refused.err"; exit 1; }
+  done
   echo "refusal smoke ok"
 
   echo "=== live-corpus smoke (crash injection + recovery drill)"

@@ -24,7 +24,7 @@
 //! | [`eval`] | `sage-eval` | ROUGE/BLEU/METEOR/F1 + Eq.1/Eq.2 cost efficiency |
 //! | [`resilience`] | `sage-resilience` | deterministic fault injection; the per-query guards (retries, a failure cap) every query runs behind |
 //! | [`admission`] | `sage-admission` | admission control, deadline budgets, brownout ladder |
-//! | [`telemetry`] | `sage-telemetry` | spans, histograms, cost ledger, exporters, flight recorder, SLO burn rates, the `sage report` bundle |
+//! | [`telemetry`] | `sage-telemetry` | spans, histograms, cost ledger, exporters, the per-query observation, the `sage report` bundle |
 //! | [`core`] | `sage-core` | the assembled pipeline, baselines, experiment harnesses |
 //!
 //! ## Quickstart
@@ -107,9 +107,6 @@ pub mod prelude {
     pub use sage_rerank::{gradient_select, CrossScorer, FlexibleSelector, SelectionConfig};
     pub use sage_retrieval::{Bm25Retriever, DenseRetriever, Retriever};
     pub use sage_segment::{SegmentationModel, Segmenter, SemanticSegmenter, SentenceSegmenter};
-    pub use sage_telemetry::{
-        evaluate_slo, FlightRecorder, HistogramSnapshot, Outcome, QueryObs, RecorderConfig,
-        SloReport, SloSpec, Stage, Telemetry,
-    };
+    pub use sage_telemetry::{HistogramSnapshot, Outcome, QueryObs, Stage, Telemetry};
     pub use sage_vecdb::{FlatIndex, MutableIndex, VectorIndex};
 }

@@ -688,77 +688,6 @@ fn single_sample_p99_at_the_extreme_buckets() {
     assert_eq!(histogram_snapshot_of(&[]).quantile(0.99), 0);
 }
 
-// --- flight recorder -----------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn recorder_retention_is_deterministic_and_bounded(
-        stream in proptest::collection::vec(
-            // (service_ns, outcome, brownout rung, tokens); deadline-missed
-            // derives from service_ns parity to stay within tuple arity.
-            (0u64..5_000_000, 0usize..5, 0u8..4, 0u64..10_000),
-            0..120,
-        ),
-        capacity in 1usize..24,
-        window in 1usize..10,
-        topk in 1usize..4,
-    ) {
-        use sage::telemetry::{FlightRecorder, Outcome, QueryObs, RecorderConfig};
-        const OUTCOMES: [Outcome; 5] =
-            [Outcome::Done, Outcome::Shed, Outcome::Expired, Outcome::Error, Outcome::Panicked];
-        let make = |i: usize| {
-            let (service_ns, outcome, brownout, tokens) = stream[i];
-            let missed = service_ns % 2 == 1;
-            QueryObs {
-                seq: i as u64,
-                class: ["interactive", "batch", "background"][i % 3],
-                arrival_us: i as u64 * 100,
-                end_us: i as u64 * 100 + service_ns / 1_000,
-                sojourn_ns: service_ns,
-                service_ns,
-                outcome: OUTCOMES[outcome],
-                brownout,
-                deadline_missed: missed,
-                tokens,
-                confidence_milli: 500,
-                question: format!("q{i}"),
-                ..QueryObs::default()
-            }
-        };
-        let run = || {
-            let mut rec = FlightRecorder::new(RecorderConfig { capacity, window, topk });
-            for i in 0..stream.len() {
-                rec.capture_query(&make(i));
-            }
-            rec
-        };
-        let (a, b) = (run(), run());
-        // Retention is a pure function of the observation stream.
-        prop_assert_eq!(a.to_jsonl(), b.to_jsonl());
-        // The ring never exceeds capacity and accounts for every offer.
-        prop_assert!(a.records().len() <= capacity);
-        let stats = a.stats();
-        prop_assert_eq!(stats.captured, stream.len() as u64);
-        prop_assert_eq!(stats.captured, a.records().len() as u64 + stats.evicted);
-        // Tail-based retention: flagged observations are only evicted once
-        // the whole ring is flagged, so the retained flagged count is the
-        // total clamped at capacity.
-        let flagged = |o: &QueryObs| {
-            o.outcome != Outcome::Done || o.brownout > 0 || o.degraded > 0 || o.deadline_missed
-        };
-        let flagged_total = (0..stream.len()).filter(|&i| flagged(&make(i))).count();
-        let retained_flagged =
-            a.to_jsonl().lines().filter(|l| {
-                !(l.contains("\"outcome\":\"done\"")
-                    && l.contains("\"brownout\":0")
-                    && l.contains("\"degraded\":0")
-                    && l.contains("\"deadline_missed\":false"))
-            }).count();
-        prop_assert_eq!(retained_flagged, flagged_total.min(capacity));
-    }
-}
-
 /// Blank out the digit runs after the wall-clock keys (`"start_ns":` and
 /// `"dur_ns":`) so two traces of the same run can be compared exactly.
 fn strip_wallclock(s: &str) -> String {
