@@ -15,7 +15,12 @@ use std::time::Instant;
 /// Timed calls per cell.
 const RUNS: usize = 31;
 
-fn cell<R>(name: &str, mut f: impl FnMut() -> R) {
+fn cell<R>(name: &str, f: impl FnMut() -> R) {
+    cell_per(name, 1, f);
+}
+
+/// [`cell`] divided by the `per` items one call handles.
+fn cell_per<R>(name: &str, per: usize, mut f: impl FnMut() -> R) {
     black_box(f());
     let mut secs: Vec<f64> = (0..RUNS)
         .map(|_| {
@@ -25,7 +30,7 @@ fn cell<R>(name: &str, mut f: impl FnMut() -> R) {
         })
         .collect();
     secs.sort_by(f64::total_cmp);
-    println!("{name:<40} {:>12.2} us", 1e6 * secs[RUNS / 2]);
+    println!("{name:<40} {:>12.2} us", 1e6 * secs[RUNS / 2] / per as f64);
 }
 
 fn corpus_chunks(n_docs: usize) -> Vec<String> {
@@ -102,13 +107,84 @@ fn bench_bm25() {
     }
 }
 
+/// Candidates a query reranks (the pipeline's retrieval depth).
+const PAIRS: usize = 32;
+
+/// The rerank cell at the shape a query scores: one question against
+/// [`PAIRS`] semantic chunks, per pair — over NarrativeQA chunks (`doc_qa`,
+/// several sentences each) and TriviaQA chunks (the ask workloads, about
+/// one sentence) — then each part of a pair alone over the same chunks.
 fn bench_rerank() {
+    use sage::corpus::datasets::{narrativeqa, triviaqa};
+    use sage::embed::{Analysis, HashedEmbedder, SparseEmbedding};
+    use sage::nn::layer::Activation;
+    use sage::nn::matrix::Matrix;
+    use sage::nn::Mlp;
+    use sage::text::{count_tokens, proper_nouns, StemSet, TokenBuf, WordSet};
     let models = sage_bench::models();
-    let chunks = corpus_chunks(4);
-    let refs: Vec<&str> = chunks.iter().map(String::as_str).collect();
-    cell(&format!("rerank score_{}_chunks", refs.len()), || {
-        models.scorer.rerank(black_box("What is the color of the cat's eyes?"), &refs)
-    });
+    let segmenter = SemanticSegmenter::new(models.segmentation.clone());
+    let size = SizeConfig { num_docs: 8, questions_per_doc: 1, seed: 0xBE7C };
+    let datasets = [("narrativeqa", narrativeqa::generate(size)), ("triviaqa", triviaqa::generate(size))];
+    for (name, ds) in datasets {
+        let chunks: Vec<String> =
+            ds.documents.iter().flat_map(|d| segmenter.segment(&d.text())).take(PAIRS).collect();
+        let refs: Vec<&str> = chunks.iter().map(String::as_str).collect();
+        let question = ds.tasks[0].item.question.as_str();
+        let mut analyses: Vec<Analysis> = refs.iter().map(|c| Analysis::of(c)).collect();
+        let tokens = refs.iter().map(|c| count_tokens(c)).sum::<usize>() / PAIRS;
+        let pair = |part: &str| format!("  {part} /pair");
+        cell_per(&format!("rerank {name} {PAIRS}x{tokens}tok /pair"), PAIRS, || {
+            models.scorer.rerank(black_box(question), &refs)
+        });
+        let mut buf = TokenBuf::new();
+        cell_per(&pair("TokenBuf::fill"), PAIRS, || {
+            refs.iter().for_each(|c| buf.fill(black_box(c)))
+        });
+        let mut set = WordSet::new();
+        cell_per(&pair("proper_nouns"), PAIRS, || {
+            refs.iter().for_each(|c| proper_nouns(black_box(c), &mut set))
+        });
+        cell_per(&pair("stem"), PAIRS, || {
+            for a in &mut analyses {
+                let tokens = &mut black_box(&mut *a).tokens;
+                for i in 0..tokens.len() {
+                    if !tokens.is_stop(i) {
+                        black_box(tokens.with_stem(i));
+                    }
+                }
+            }
+        });
+        let mut stems = StemSet::new();
+        cell_per(&pair("stem dedup"), PAIRS, || {
+            analyses.iter_mut().for_each(|a| stems.fill(black_box(&mut a.tokens)))
+        });
+        let embedder = HashedEmbedder::default_model();
+        let mut out = SparseEmbedding::default();
+        cell_per(&pair("embed_analysis"), PAIRS, || {
+            analyses.iter_mut().for_each(|a| embedder.embed_analysis(black_box(a), &mut out))
+        });
+        let mut q = SparseEmbedding::default();
+        embedder.embed_analysis(&mut Analysis::of(question), &mut q);
+        let embeddings: Vec<SparseEmbedding> = analyses
+            .iter_mut()
+            .map(|a| {
+                let mut e = SparseEmbedding::default();
+                embedder.embed_analysis(a, &mut e);
+                e
+            })
+            .collect();
+        cell_per(&pair("cosine"), PAIRS, || {
+            let norm = q.norm();
+            embeddings.iter().map(|e| e.cosine(black_box(q.values()), norm)).sum::<f32>()
+        });
+        cell_per(&pair("count_tokens"), PAIRS, || {
+            refs.iter().map(|c| count_tokens(black_box(c))).sum::<usize>()
+        });
+        let mlp = Mlp::new(&[7, 12, 1], Activation::Tanh, Activation::Sigmoid, 5);
+        let features = (0..PAIRS * 7).map(|i| (i % 13) as f32 / 13.0).collect();
+        let rows = Matrix::from_vec(PAIRS, 7, features);
+        cell_per(&pair(&format!("{PAIRS}x7 forward")), PAIRS, || mlp.infer(black_box(&rows)));
+    }
 }
 
 /// The simulated reader and judge over a context of a corpus-wide query's

@@ -9,7 +9,6 @@
 use crate::features::Analysis;
 use crate::Embedder;
 use sage_nn::io::{put_u32, put_u64, Reader};
-use sage_nn::matrix::l2_normalize;
 
 /// Feature-hashed sentence encoder (unigrams + stems + bigrams).
 #[derive(Debug, Clone)]
@@ -31,15 +30,119 @@ impl HashedEmbedder {
     }
 
     /// [`embed`](Embedder::embed) of an already analysed text into a
-    /// caller's vector (overwritten): the caller that also reads the tokens
-    /// analyses once, and a loop over many texts reuses both buffers.
-    pub fn embed_analysis(&self, analysis: &mut Analysis, out: &mut Vec<f32>) {
-        out.clear();
-        out.resize(self.dim, 0.0);
+    /// caller's [`SparseEmbedding`] (overwritten): the caller that also
+    /// reads the tokens analyses once, and a loop over many texts reuses
+    /// both buffers. Only the buckets the features write are touched: the
+    /// previous call's are zeroed, the new ones recorded in the mask, and
+    /// the norm and the division run over them alone. The values are
+    /// [`l2_normalize`](sage_nn::matrix::l2_normalize)'s over every bucket,
+    /// bit for bit (see [`SparseEmbedding`]).
+    pub fn embed_analysis(&self, analysis: &mut Analysis, out: &mut SparseEmbedding) {
+        let SparseEmbedding { values, written } = out;
+        if values.len() == self.dim {
+            for bucket in buckets(written) {
+                values[bucket] = 0.0;
+            }
+        } else {
+            values.clear();
+            values.resize(self.dim, 0.0);
+        }
+        written.clear();
+        written.resize(self.dim.div_ceil(64), 0);
         analysis.for_each_feature(self.dim, self.seed, |bucket, signed_weight| {
-            out[bucket as usize] += signed_weight;
+            values[bucket as usize] += signed_weight;
+            written[bucket as usize / 64] |= 1 << (bucket % 64);
         });
-        l2_normalize(out);
+        let n = out.norm();
+        if n > 0.0 {
+            for bucket in buckets(&out.written) {
+                out.values[bucket] /= n;
+            }
+        }
+    }
+}
+
+/// A hashed embedding and a mask of the buckets its features wrote (bit
+/// `b % 64` of word `b / 64`); every other bucket is `+0.0`.
+///
+/// Its sums walk the mask in ascending bucket order from `+0.0`. The dense
+/// sums of `sage_nn::matrix` add the same terms in the same order, plus an
+/// exact `±0.0` for each unwritten bucket, from `-0.0` (std's `Sum`); and
+/// `s + ±0.0 == s` for every non-zero `s`. So the two agree bit for bit, except that the
+/// dense sum is `-0.0` where every one of its terms is, and this one
+/// `+0.0`: never for a norm (a square is `+0.0` or more), and for a dot
+/// product with another hashed embedding only if the two write every
+/// bucket between them.
+#[derive(Debug, Default, Clone)]
+pub struct SparseEmbedding {
+    values: Vec<f32>,
+    written: Vec<u64>,
+}
+
+/// The set bits of `mask`, in ascending order.
+fn buckets(mask: &[u64]) -> Buckets<'_> {
+    Buckets { mask, word: 0, bits: mask.first().copied().unwrap_or(0) }
+}
+
+/// Iterator of [`buckets`]: the unvisited bits of word `word` are `bits`.
+struct Buckets<'a> {
+    mask: &'a [u64],
+    word: usize,
+    bits: u64,
+}
+
+impl Iterator for Buckets<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.mask.get(self.word)?;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.word * 64 + bit)
+    }
+}
+
+impl SparseEmbedding {
+    /// The dense vector.
+    pub fn values(&self) -> &[f32] {
+        &self.values
+    }
+
+    /// The written buckets, ascending.
+    pub fn written(&self) -> impl Iterator<Item = usize> + '_ {
+        buckets(&self.written)
+    }
+
+    /// The dense vector, by value.
+    pub fn into_values(self) -> Vec<f32> {
+        self.values
+    }
+
+    /// Σ `term(b)` over the written buckets, ascending, from `+0.0`.
+    fn sum(&self, term: impl Fn(usize) -> f32) -> f32 {
+        self.written().fold(0.0, |sum, b| sum + term(b))
+    }
+
+    /// [`norm`](sage_nn::matrix::norm) of [`values`](Self::values), bit for bit.
+    pub fn norm(&self) -> f32 {
+        self.sum(|b| self.values[b] * self.values[b]).sqrt()
+    }
+
+    /// [`cosine`](sage_nn::matrix::cosine)`(other, self.values())`, given
+    /// `other_norm` = [`norm`](sage_nn::matrix::norm)`(other)`: one walk of
+    /// the mask instead of three passes over every bucket, and the other
+    /// side's norm computed once by a caller comparing many. Bit for bit,
+    /// but for the sign of a zero dot product (see the type).
+    pub fn cosine(&self, other: &[f32], other_norm: f32) -> f32 {
+        let norm = self.norm();
+        if other_norm == 0.0 || norm == 0.0 {
+            return 0.0;
+        }
+        let dot = self.sum(|b| other[b] * self.values[b]);
+        (dot / (other_norm * norm)).clamp(-1.0, 1.0)
     }
 }
 
@@ -62,9 +165,9 @@ impl Embedder for HashedEmbedder {
     }
 
     fn embed(&self, text: &str) -> Vec<f32> {
-        let mut v = Vec::new();
+        let mut v = SparseEmbedding::default();
         self.embed_analysis(&mut Analysis::of(text), &mut v);
-        v
+        v.into_values()
     }
 
     fn name(&self) -> &'static str {

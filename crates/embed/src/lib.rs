@@ -26,7 +26,7 @@ pub mod siamese;
 
 pub use dual::{DualEncoder, TripletExample};
 pub use features::{sentence_features, Analysis};
-pub use hashed::HashedEmbedder;
+pub use hashed::{HashedEmbedder, SparseEmbedding};
 pub use siamese::{PairExample, SiameseEncoder};
 
 /// A sentence/passage embedding model. Outputs are L2-normalised so cosine

@@ -1,12 +1,15 @@
 //! `sentence_features` and `HashedEmbedder::embed` against the allocating
-//! bodies they replaced, kept here verbatim as oracles.
+//! bodies they replaced, kept here verbatim as oracles; and
+//! `embed_analysis`'s sparse zeroing, normalising and cosine against the
+//! dense computation over every bucket.
 
 #![allow(clippy::disallowed_types, reason = "tests may time and hash freely")]
 
 use proptest::prelude::*;
 use sage_corpus::datasets::{narrativeqa, triviaqa, SizeConfig};
-use sage_embed::{sentence_features, Analysis, Embedder, HashedEmbedder};
-use sage_nn::matrix::l2_normalize;
+use sage_embed::{sentence_features, Analysis, Embedder, HashedEmbedder, SparseEmbedding};
+use sage_nn::matrix::{cosine, l2_normalize, norm};
+use std::collections::BTreeSet;
 use sage_text::{bigrams, hash_token, split_sentences, stem, tokenize};
 
 fn oracle_features(text: &str, buckets: usize, seed: u64) -> Vec<(u32, f32)> {
@@ -74,6 +77,39 @@ fn check(text: &str) {
     }
 }
 
+/// One `SparseEmbedding` reused across texts and widths against the dense
+/// reference: accumulate every feature, then `l2_normalize` over every
+/// bucket. The mask must be exactly the written buckets, and the sparse
+/// norm and cosine (against the previous text's dense vector) the dense
+/// ones, bit for bit up to the sign of a zero cosine.
+fn check_sparse(texts: &[&str]) {
+    let mut out = SparseEmbedding::default();
+    let mut analysis = Analysis::default();
+    for dim in [64, 100, 256] {
+        let embedder = HashedEmbedder::new(dim, 0xEE);
+        let mut previous = vec![0.0f32; dim];
+        for text in texts {
+            let feats = sentence_features(text, dim, 0xEE);
+            let mut want = vec![0.0f32; dim];
+            for &(bucket, signed_weight) in &feats {
+                want[bucket as usize] += signed_weight;
+            }
+            l2_normalize(&mut want);
+            analysis.fill(text);
+            embedder.embed_analysis(&mut analysis, &mut out);
+            assert_eq!(bits(out.values()), bits(&want), "{text:?} at {dim}");
+            let written: BTreeSet<usize> = feats.iter().map(|&(b, _)| b as usize).collect();
+            assert_eq!(out.written().collect::<Vec<_>>(), written.into_iter().collect::<Vec<_>>());
+            assert_eq!(out.norm().to_bits(), norm(&want).to_bits(), "{text:?} at {dim}");
+            // Only the sign of a zero may differ (see `SparseEmbedding`).
+            let (got, dense) = (out.cosine(&previous, norm(&previous)), cosine(&previous, &want));
+            let same = got.to_bits() == dense.to_bits() || got == 0.0 && dense == 0.0;
+            assert!(same, "{text:?} at {dim}: {got} vs {dense}");
+            previous = want;
+        }
+    }
+}
+
 #[test]
 fn hand_picked_texts_match_the_oracle() {
     for text in [
@@ -87,6 +123,47 @@ fn hand_picked_texts_match_the_oracle() {
     ] {
         check(text);
     }
+}
+
+#[test]
+fn sparse_embedding_matches_the_dense_reference_at_every_width() {
+    // "eye" and "eyes" meet in some bucket at some width, and a two-token
+    // text whose unigrams land in one bucket with opposite signs leaves a
+    // written bucket at exactly 0.0 (found below, asserted to exist).
+    let mut texts: Vec<String> = [
+        "",
+        "Whiskers has bright green eyes and a very long tail.",
+        "the of and is",
+        "eyes eyes eyes eyes eyes eye eye eyed",
+        "ΟΔΟΣ Émile's café İstanbul",
+        "Brone sleeps.",
+    ]
+    .iter()
+    .map(|t| t.to_string())
+    .collect();
+    let words: Vec<String> = (0..400).map(|i| format!("w{i}")).collect();
+    let cancel = words
+        .iter()
+        .enumerate()
+        .flat_map(|(i, a)| words[i + 1..].iter().map(move |b| (a, b)))
+        .find(|(a, b)| {
+            let (fa, fb) = (hash_token(a, 64, 0xEE), hash_token(b, 64, 0xEE));
+            fa.bucket == fb.bucket && fa.sign != fb.sign
+        })
+        .map(|(a, b)| format!("{a} {b}"))
+        .expect("some pair of 400 words cancels in 64 buckets");
+    let mut out = SparseEmbedding::default();
+    HashedEmbedder::new(64, 0xEE).embed_analysis(&mut Analysis::of(&cancel), &mut out);
+    assert!(out.written().any(|b| out.values()[b].to_bits() == 0), "{cancel:?} cancels");
+    texts.push(cancel);
+    let size = SizeConfig { num_docs: 2, questions_per_doc: 4, seed: 20250612 };
+    for dataset in [narrativeqa::generate(size), triviaqa::generate(size)] {
+        for doc in &dataset.documents {
+            texts.extend(split_sentences(&doc.text()).iter().take(20).map(|s| s.to_string()));
+        }
+        texts.extend(dataset.tasks.iter().map(|t| t.item.question.clone()));
+    }
+    check_sparse(&texts.iter().map(String::as_str).collect::<Vec<_>>());
 }
 
 #[test]
@@ -108,11 +185,11 @@ fn generated_sentences_and_questions_match_the_oracle() {
 fn one_analysis_refilled_embeds_like_a_fresh_one() {
     let embedder = HashedEmbedder::default_model();
     let mut analysis = Analysis::default();
-    let mut out = vec![f32::NAN; 3];
+    let mut out = SparseEmbedding::default();
     for text in ["Whiskers has bright green eyes and a very long tail.", "", "Brone sleeps."] {
         analysis.fill(text);
         embedder.embed_analysis(&mut analysis, &mut out);
-        assert_eq!(bits(&out), bits(&embedder.embed(text)), "{text:?}");
+        assert_eq!(bits(out.values()), bits(&embedder.embed(text)), "{text:?}");
     }
 }
 
@@ -122,5 +199,13 @@ proptest! {
     #[test]
     fn arbitrary_text_matches_the_oracle(text in "[-a-cA-C0-1'_ .;—İΣé\n]{0,50}") {
         check(&text);
+    }
+
+    #[test]
+    fn arbitrary_texts_embed_sparse_like_dense(
+        a in "[-a-cA-C0-1'_ .;—İΣé\n]{0,50}",
+        b in "[-a-cA-C0-1'_ .;—İΣé\n]{0,50}",
+    ) {
+        check_sparse(&[&a, &b]);
     }
 }

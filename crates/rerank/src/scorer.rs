@@ -1,12 +1,12 @@
 //! The cross-feature reranking model.
 
 use crate::RankedChunk;
-use sage_embed::{Analysis, Embedder, HashedEmbedder};
+use sage_embed::{Analysis, Embedder, HashedEmbedder, SparseEmbedding};
 use sage_nn::io::{put_string, put_u32, Reader};
 use sage_nn::layer::Activation;
-use sage_nn::matrix::{cosine, Matrix};
+use sage_nn::matrix::Matrix;
 use sage_nn::Mlp;
-use sage_text::{count_tokens, TokenBuf, Vocab, WordSet};
+use sage_text::{count_tokens, StemSet, TokenBuf, Vocab, WordSet};
 use std::sync::Arc;
 
 /// Number of cross features fed to the MLP head.
@@ -21,6 +21,11 @@ const EMBED_DIM: usize = 256;
 /// each chunk once per pair into the call's [`Scratch`]. Nothing is kept
 /// per chunk between calls: on a corpus-wide index the heap peaks at its
 /// steady state after the build, so every byte stored per chunk is peak.
+/// A pair therefore does only the work its features read: the chunk's
+/// embedding is zeroed, normalised and compared over the buckets it wrote,
+/// its stems are deduplicated by hash, and the bigram search runs only for
+/// a token that can start a question bigram — each feature keeps the bits
+/// of the dense, sorted-insert computation (`tests/oracle.rs`).
 #[derive(Debug, Clone)]
 pub struct CrossScorer {
     mlp: Mlp,
@@ -33,26 +38,34 @@ pub struct CrossScorer {
 /// The question's side of every pair it is scored against.
 struct Question {
     /// Content stems in question order (duplicates included), each with its
-    /// IDF weight and whether it is that stem's first occurrence.
-    stems: Vec<(String, f32, bool)>,
+    /// [`StemSet::hash`], its IDF weight and whether it is that stem's first
+    /// occurrence.
+    stems: Vec<(u64, String, f32, bool)>,
     /// Sum of the weights, in question order.
     idf_total: f32,
     /// Distinct adjacent token pairs, sorted.
     bigrams: Vec<(String, String)>,
+    /// The first tokens of `bigrams`: a chunk token outside it starts no
+    /// question bigram, and its signature rejects most such tokens at once.
+    bigram_firsts: WordSet,
     /// Capitalised surface forms.
     caps: WordSet,
-    embedding: Vec<f32>,
+    embedding: SparseEmbedding,
+    /// `norm(embedding)`, the question's side of every cosine.
+    embedding_norm: f32,
 }
 
-/// Buffers refilled for each chunk of one call.
+/// Buffers refilled for each chunk of one call: each holds only what the
+/// chunk's features read, and each is touched only where the chunk writes.
 #[derive(Default)]
 struct Scratch {
     chunk: Analysis,
     /// The chunk's distinct content stems.
-    stems: WordSet,
+    stems: StemSet,
     /// Which of the question's bigrams the chunk contains.
     bigram_hit: Vec<bool>,
-    embedding: Vec<f32>,
+    /// The chunk's embedding, zeroed and normalised over its own buckets.
+    embedding: SparseEmbedding,
 }
 
 /// `part / whole`, 0 for an empty whole.
@@ -113,7 +126,7 @@ impl CrossScorer {
     fn analyse(&self, question: &str) -> Question {
         let mut text = Analysis::of(question);
         let tokens = &mut text.tokens;
-        let mut stems: Vec<(String, f32, bool)> = Vec::new();
+        let mut stems: Vec<(u64, String, f32, bool)> = Vec::new();
         let mut idf_total = 0.0;
         for i in 0..tokens.len() {
             if tokens.is_stop(i) {
@@ -122,17 +135,22 @@ impl CrossScorer {
             let stem = tokens.with_stem(i).1;
             let w = self.idf_weight(stem);
             idf_total += w;
-            let first = !stems.iter().any(|(seen, ..)| seen == stem);
-            stems.push((stem.to_string(), w, first));
+            let first = !stems.iter().any(|(_, seen, ..)| seen == stem);
+            stems.push((StemSet::hash(stem), stem.to_string(), w, first));
         }
         let mut bigrams: Vec<(String, String)> = (1..tokens.len())
             .map(|i| (tokens.get(i - 1).to_string(), tokens.get(i).to_string()))
             .collect();
         bigrams.sort_unstable();
         bigrams.dedup();
-        let mut embedding = Vec::new();
+        let mut bigram_firsts = WordSet::new();
+        for (first, _) in &bigrams {
+            bigram_firsts.insert(first);
+        }
+        let mut embedding = SparseEmbedding::default();
         self.embedder.embed_analysis(&mut text, &mut embedding);
-        Question { stems, idf_total, bigrams, caps: text.proper, embedding }
+        let embedding_norm = embedding.norm();
+        Question { stems, idf_total, bigrams, bigram_firsts, caps: text.proper, embedding, embedding_norm }
     }
 
     /// The cross features of one pair (see [`features`](Self::features)),
@@ -140,19 +158,14 @@ impl CrossScorer {
     fn pair_features(&self, q: &Question, chunk: &str, s: &mut Scratch) -> [f32; NUM_FEATURES] {
         s.chunk.fill(chunk);
         let tokens = &mut s.chunk.tokens;
-        s.stems.clear();
-        for i in 0..tokens.len() {
-            if !tokens.is_stop(i) {
-                s.stems.insert(tokens.with_stem(i).1);
-            }
-        }
+        s.stems.fill(tokens);
 
         // 0/1/6: question coverage and specificity.
         let mut idf_hit = 0.0;
         let mut hit = 0usize;
         let mut distinct_hit = 0usize;
-        for (stem, w, first) in &q.stems {
-            if s.stems.contains(stem) {
+        for (hash, stem, w, first) in &q.stems {
+            if s.stems.contains(*hash, stem) {
                 idf_hit += w;
                 hit += 1;
                 distinct_hit += usize::from(*first);
@@ -169,6 +182,9 @@ impl CrossScorer {
         if !q.bigrams.is_empty() {
             for i in 1..tokens.len() {
                 let pair = (tokens.get(i - 1), tokens.get(i));
+                if !q.bigram_firsts.contains(pair.0) {
+                    continue;
+                }
                 if let Ok(at) =
                     q.bigrams.binary_search_by(|(a, b)| (a.as_str(), b.as_str()).cmp(&pair))
                 {
@@ -178,9 +194,11 @@ impl CrossScorer {
         }
         let f2 = ratio(s.bigram_hit.iter().filter(|&&hit| hit).count(), q.bigrams.len());
 
-        // 3: embedding cosine (shifted from [-1,1] to [0,1]).
+        // 3: embedding cosine (shifted from [-1,1] to [0,1]; the shift maps
+        // both signs of a zero, the only bits the sparse cosine may not
+        // keep, to 0.5).
         self.embedder.embed_analysis(&mut s.chunk, &mut s.embedding);
-        let f3 = (cosine(&q.embedding, &s.embedding) + 1.0) / 2.0;
+        let f3 = (s.embedding.cosine(q.embedding.values(), q.embedding_norm) + 1.0) / 2.0;
 
         // 4: entity match — capitalised words shared (proper names).
         let f4 = ratio(q.caps.iter().filter(|w| s.chunk.proper.contains(w)).count(), q.caps.len());

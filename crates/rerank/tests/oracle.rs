@@ -1,15 +1,19 @@
 //! `CrossScorer` against the per-pair feature extraction it replaced, kept
 //! here verbatim as the oracle: features, scores and `rerank` order are
-//! compared by bit pattern.
+//! compared by bit pattern — over single sentences, multi-sentence chunks of
+//! a query's shape, and the edge cases of the sparse embedding, the hashed
+//! stem set and the signature-filtered bigram scan.
 
 #![allow(clippy::disallowed_types, reason = "tests may time and hash freely")]
 
 use sage_corpus::datasets::{narrativeqa, triviaqa, SizeConfig};
 use sage_corpus::training::retrieval_triples;
-use sage_embed::{Embedder, HashedEmbedder};
+use sage_embed::{Analysis, Embedder, HashedEmbedder, SparseEmbedding};
 use sage_nn::matrix::cosine;
 use sage_rerank::{CrossScorer, RankedChunk};
-use sage_text::{bigrams, count_tokens, split_sentences, stem, tokenize, tokenize_filtered, Vocab};
+use sage_text::{
+    bigrams, count_tokens, hash_token, split_sentences, stem, tokenize, tokenize_filtered, Vocab,
+};
 use std::collections::HashSet;
 
 const SEED: u64 = 7;
@@ -204,6 +208,111 @@ fn generated_sentences_match_the_oracle_fitted_and_unfitted() {
             for task in dataset.tasks.iter().take(5) {
                 check(&scorer, &oracle, &task.item.question, &chunks);
             }
+        }
+    }
+}
+
+/// Consecutive sentences of each document joined until a chunk holds 30
+/// LLM tokens, kept when it holds at most 40 (the NarrativeQA chunks of
+/// `doc_qa` average about 35).
+fn joined_chunks(texts: &[String]) -> Vec<String> {
+    let mut chunks = Vec::new();
+    for text in texts {
+        let mut chunk = String::new();
+        for sentence in split_sentences(text) {
+            if !chunk.is_empty() {
+                chunk.push(' ');
+            }
+            chunk.push_str(sentence);
+            let tokens = count_tokens(&chunk);
+            if tokens >= 30 {
+                if tokens <= 40 {
+                    chunks.push(std::mem::take(&mut chunk));
+                }
+                chunk.clear();
+            }
+        }
+    }
+    chunks
+}
+
+#[test]
+fn multi_sentence_chunks_match_the_oracle_fitted_and_unfitted() {
+    let size = SizeConfig { num_docs: 12, questions_per_doc: 1, seed: 20250612 };
+    for dataset in [narrativeqa::generate(size), triviaqa::generate(size)] {
+        let texts: Vec<String> = dataset.documents.iter().map(|doc| doc.text()).collect();
+        let joined = joined_chunks(&texts);
+        assert!(joined.len() >= 20, "{} chunks", joined.len());
+        let chunks: Vec<&str> = joined.iter().map(String::as_str).take(40).collect();
+        let mut scorer = trained();
+        let mut oracle = Oracle::new();
+        for fitted in [false, true] {
+            if fitted {
+                scorer.fit_idf(&joined);
+                oracle.fit_idf(&joined);
+            }
+            for task in dataset.tasks.iter().take(6) {
+                check(&scorer, &oracle, &task.item.question, &chunks);
+            }
+        }
+    }
+}
+
+#[test]
+fn edge_case_pairs_match_the_oracle_fitted_and_unfitted() {
+    // Two words whose unigrams land in one bucket of the scorer's embedder
+    // with opposite signs: the chunk "a b" writes that bucket and leaves it
+    // at exactly 0.0.
+    let words: Vec<String> = (0..400).map(|i| format!("w{i}")).collect();
+    let cancel = words
+        .iter()
+        .enumerate()
+        .flat_map(|(i, a)| words[i + 1..].iter().map(move |b| (a, b)))
+        .find(|(a, b)| {
+            let (fa, fb) = (hash_token(a, 256, SEED ^ 0xEE), hash_token(b, 256, SEED ^ 0xEE));
+            fa.bucket == fb.bucket && fa.sign != fb.sign
+        })
+        .map(|(a, b)| format!("{a} {b}"))
+        .expect("some pair of 400 words cancels in 256 buckets");
+    let mut out = SparseEmbedding::default();
+    HashedEmbedder::new(256, SEED ^ 0xEE).embed_analysis(&mut Analysis::of(&cancel), &mut out);
+    assert!(out.written().any(|b| out.values()[b].to_bits() == 0), "{cancel:?} cancels");
+    let repeated = "Whiskers eyes eyes eyed eye ".repeat(40);
+    let chunks: Vec<&str> = vec![
+        &cancel,
+        // All stopwords: no content stems, stopword-only features.
+        "the of and is it was to by",
+        // "cigar" shares "color"'s signature bit (same length, same end
+        // bytes) and is not a question bigram's first token.
+        "The cigar of Whiskers is green. A cigar, the color, the cigar.",
+        "the color of Whiskers's eyes is green; the colour of the cigar",
+        // One stem many times.
+        &repeated,
+        // Non-ASCII throughout.
+        "ΟΔΟΣ Émile's café in İstanbul — naïve Ωmega's cafés, ÉMILE.",
+        "",
+        "w0",
+    ];
+    let questions = [
+        "What is the color of Whiskers's eyes?",
+        // One token: no bigrams.
+        "Whiskers",
+        "eyes?",
+        "the of and",
+        "Where is Émile's café in İstanbul?",
+        cancel.as_str(),
+        "",
+    ];
+    let corpus: Vec<String> = chunks.iter().map(|c| c.to_string()).collect();
+    let mut scorer = trained();
+    let mut oracle = Oracle::new();
+    for fitted in [false, true] {
+        if fitted {
+            scorer.fit_idf(&corpus);
+            oracle.fit_idf(&corpus);
+        }
+        for question in questions {
+            check(&scorer, &oracle, question, &chunks);
         }
     }
 }

@@ -21,6 +21,7 @@
 //! - [`stopwords`] — a small English stopword list
 //! - [`ngram`] — n-gram extraction and stable feature hashing
 //! - [`proper`] — capitalised surface forms (entity mentions)
+//! - [`stemset`] — a text's distinct content stems, keyed by hash
 //! - [`vocab`] — string interning / vocabulary management
 
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
@@ -29,6 +30,7 @@ pub mod ngram;
 pub mod proper;
 pub mod sentence;
 pub mod stem;
+pub mod stemset;
 pub mod stopwords;
 pub mod token;
 pub mod vocab;
@@ -37,6 +39,7 @@ pub use ngram::{bigrams, hash_bigram, hash_token, ngrams, HashedFeature};
 pub use proper::{is_capitalized, proper_nouns, WordSet};
 pub use sentence::{split_paragraphs, split_sentences, split_sentences_into};
 pub use stem::{stem, stem_into};
+pub use stemset::StemSet;
 pub use stopwords::is_stopword;
 pub use token::{count_tokens, normalize, tokenize, tokenize_filtered, TokenBuf};
 pub use vocab::Vocab;

@@ -9,12 +9,25 @@ use crate::stopwords::is_stopword;
 
 /// A reusable sorted set of short strings in one `String` arena: refilling
 /// it allocates only while it is still growing, and membership is a binary
-/// search.
+/// search. A one-word signature (one bit per member, from its length and
+/// end bytes) rejects most misses before any string is compared.
 #[derive(Debug, Default, Clone)]
 pub struct WordSet {
     text: String,
     /// Byte range of each word in `text`, ordered by the word.
     spans: Vec<(usize, usize)>,
+    /// The union of the members' [`signature_bit`]s.
+    signature: u64,
+}
+
+/// The one bit of a [`WordSet`] signature that `word` sets: its length and
+/// first and last bytes, mixed by a multiply and read from the top six bits.
+fn signature_bit(word: &str) -> u64 {
+    let bytes = word.as_bytes();
+    let first = bytes.first().map_or(0, |&b| u64::from(b));
+    let last = bytes.last().map_or(0, |&b| u64::from(b));
+    let key = bytes.len() as u64 | first << 32 | last << 40;
+    1 << (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
 }
 
 impl WordSet {
@@ -27,6 +40,7 @@ impl WordSet {
     pub fn clear(&mut self) {
         self.text.clear();
         self.spans.clear();
+        self.signature = 0;
     }
 
     /// Number of distinct words.
@@ -41,7 +55,8 @@ impl WordSet {
 
     /// Whether `word` is in the set.
     pub fn contains(&self, word: &str) -> bool {
-        self.spans.binary_search_by(|&(s, e)| self.text[s..e].cmp(word)).is_ok()
+        self.signature & signature_bit(word) != 0
+            && self.spans.binary_search_by(|&(s, e)| self.text[s..e].cmp(word)).is_ok()
     }
 
     /// Add `word`; `false` when it was already there.
@@ -60,6 +75,7 @@ impl WordSet {
                 false
             }
             Err(at) => {
+                self.signature |= signature_bit(word);
                 self.spans.insert(at, (start, self.text.len()));
                 true
             }
@@ -129,6 +145,51 @@ mod tests {
     #[test]
     fn non_ascii_words_lowercase_as_str_does() {
         assert_eq!(proper("İstanbul ΟΔΟΣ Émile's"), ["i\u{307}stanbul", "émile", "οδος"]);
+    }
+
+    #[test]
+    fn a_shared_signature_bit_is_not_membership() {
+        // Same length, same end bytes: the same signature bit.
+        let mut set = WordSet::new();
+        set.insert("color");
+        assert_eq!(signature_bit("color"), signature_bit("cigar"));
+        assert!(set.contains("color") && !set.contains("cigar"));
+        assert!(!set.contains("") && !set.contains("colors"));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Over a three-letter alphabet most words of one length share
+        /// their end bytes, so the signature passes many non-members.
+        #[test]
+        fn contains_is_a_linear_scan(
+            words in proptest::collection::vec("[abc]{0,4}", 0..12),
+            probes in proptest::collection::vec("[abc]{0,4}", 0..24),
+            refill in proptest::collection::vec("[abc]{0,4}", 0..6),
+        ) {
+            let mut set = WordSet::new();
+            let mut members: Vec<String> = Vec::new();
+            for word in &words {
+                proptest::prop_assert_eq!(set.insert(word), !members.contains(word));
+                if !members.contains(word) {
+                    members.push(word.clone());
+                }
+            }
+            for probe in probes.iter().chain(&words) {
+                proptest::prop_assert_eq!(set.contains(probe), members.contains(probe), "{}", probe);
+            }
+            set.clear();
+            for probe in probes.iter().chain(&words) {
+                proptest::prop_assert!(!set.contains(probe));
+            }
+            for word in &refill {
+                set.insert(word);
+            }
+            for probe in probes.iter().chain(&words).chain(&refill) {
+                proptest::prop_assert_eq!(set.contains(probe), refill.contains(probe));
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 # `#[expect(clippy::<lint>, reason = "...")]`, which fails once it suppresses
 # nothing.
 #
-# Byte-identity checks among the smokes: the default-budget model file's
-# pinned SHA-256; same-seed replays of the soak and
+# Byte-identity checks among the smokes: the pinned SHA-256 of the
+# default-budget model file and of the dense and BM25 index files;
+# same-seed replays of the soak and
 # the live soak (two runs, `diff`); a BM25 soak pinned to one core and the
 # same soak on every core (`cmp`); two same-seed `sage report` bundles less
 # their wall-clock latency line (`diff`); two `sage index` runs over one
@@ -125,6 +126,15 @@ if [ "${1:-}" != fast ]; then
     done
     cmp "$tmp/index_${retriever}_a.bin" "$tmp/index_${retriever}_b.bin" \
       || { echo "FAIL: the same models and corpus indexed to different $retriever bytes"; exit 1; }
+    # Both saved indexes are pinned too: a change in chunk, embedding or
+    # term-table bits fails here even when two runs agree with each other.
+    index_sha=$(sha256sum "$tmp/index_${retriever}_a.bin" | cut -d ' ' -f 1)
+    case "$retriever" in
+      openai) want_sha=4f3818a53bab0d48f6826c1750a6d1c853cb4493decedc19b9d147efbdc0dcef ;;
+      bm25) want_sha=36c8f066e2c2204419b2cd1475526b7b9d712ea58a5da8c9d68c097705ef7e07 ;;
+    esac
+    [ "$index_sha" = "$want_sha" ] \
+      || { echo "FAIL: sage index wrote different $retriever bytes (sha256 $index_sha)"; exit 1; }
     "$sage" query --index "$tmp/index_${retriever}_a.bin" \
       --question "What is the color of Whiskers's eyes?" > "$tmp/query.txt" 2> /dev/null
     grep -q green "$tmp/query.txt" \
