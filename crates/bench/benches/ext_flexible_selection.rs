@@ -10,7 +10,8 @@
 use sage::corpus::datasets::quality;
 use sage::prelude::*;
 use sage::rerank::RankedChunk;
-use sage_bench::{header, models, pct, sizes};
+use sage_bench::paper::sizes;
+use sage_bench::{header, models, pct};
 
 fn main() {
     let models = models();
@@ -41,9 +42,12 @@ fn main() {
         ),
     ];
 
-    header(
-        "Extension: chunk-selection strategies on QuALITY (GPT-4o-mini sim)",
-        &format!("{:<24} {:>10} {:>18} {:>16}", "Strategy", "Accuracy", "Avg chunks kept", "Avg ctx tokens"),
+    print!(
+        "{}",
+        header(
+            "Extension: chunk-selection strategies on QuALITY (GPT-4o-mini sim)",
+            &format!("{:<24} {:>10} {:>18} {:>16}", "Strategy", "Accuracy", "Avg chunks kept", "Avg ctx tokens"),
+        )
     );
     for (name, select) in strategies {
         let mut correct = 0usize;

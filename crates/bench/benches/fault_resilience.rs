@@ -6,34 +6,10 @@
 //! fallback counters of the warm-up pass are reported for context rather
 //! than gated.
 
-use sage::corpus::datasets::{wiki, SizeConfig};
 use sage::prelude::*;
+use sage_bench::overhead::{build_system, questions};
 use std::hint::black_box;
 use std::time::Instant;
-
-fn corpus() -> Vec<String> {
-    let ds = wiki::generate(SizeConfig { num_docs: 6, questions_per_doc: 0, seed: 0xFA17 });
-    ds.documents.iter().map(|d| d.text()).collect()
-}
-
-fn questions() -> Vec<&'static str> {
-    vec![
-        "where does the baker live in town",
-        "what color are the cat's eyes",
-        "who works at the harbor",
-        "what is the name of the valley",
-    ]
-}
-
-fn build_system() -> RagSystem {
-    RagSystem::build(
-        sage_bench::models(),
-        RetrieverKind::OpenAiSim,
-        SageConfig::sage(),
-        LlmProfile::gpt4o_mini(),
-        &corpus(),
-    )
-}
 
 fn storm_plan() -> FaultPlan {
     let transient = Rates { transient: 0.3, ..Rates::default() };

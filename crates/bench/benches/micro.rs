@@ -243,7 +243,7 @@ fn bench_metrics() {
 }
 
 fn main() {
-    sage_bench::header("micro", &format!("{:<40} {:>15}", "cell", "median"));
+    print!("{}", sage_bench::header("micro", &format!("{:<40} {:>15}", "cell", "median")));
     bench_segmentation();
     bench_vecdb();
     bench_bm25();

@@ -1,13 +1,14 @@
-//! Shared plumbing for the experiment bench harness.
+//! Shared plumbing for the bench harness.
 //!
-//! Every table and figure in the paper's evaluation has one bench target in
-//! `benches/` (registered with `harness = false`), so
-//! `cargo bench --workspace` regenerates the entire evaluation. Each target
-//! prints rows in the paper's layout; EXPERIMENTS.md records the
-//! paper-vs-measured comparison.
-//!
-//! Sizes here are chosen so the full sweep runs in minutes on a laptop
-//! while keeping enough questions per cell (≥ 40) for stable percentages.
+//! The paper's evaluation is one registry, [`paper::claims`]: each table,
+//! figure and extension is a claim that computes its rows and its verdict.
+//! The `paper` bench walks it at the default training budget and prints
+//! every table and a scorecard; a tier-1 test walks it at the tiny budget.
+//! The other bench targets in `benches/` (registered with
+//! `harness = false`) time layers of the serving path and print their own
+//! readings; EXPERIMENTS.md records the paper-vs-measured comparison.
+
+pub mod paper;
 
 use sage::prelude::*;
 use std::sync::OnceLock;
@@ -21,28 +22,36 @@ pub fn models() -> &'static TrainedModels {
     })
 }
 
-/// Standard dataset sizes per analog.
-pub mod sizes {
-    use sage::prelude::SizeConfig;
+/// The fixture of the overhead benches: six wiki documents and four
+/// questions, served by one default SAGE system.
+pub mod overhead {
+    use sage::corpus::datasets::{wiki, SizeConfig};
+    use sage::prelude::*;
 
-    /// NarrativeQA analog: 12 long narratives x 4 questions.
-    pub fn narrativeqa() -> SizeConfig {
-        SizeConfig { num_docs: 12, questions_per_doc: 4, seed: 0x2A01 }
+    fn corpus() -> Vec<String> {
+        let ds = wiki::generate(SizeConfig { num_docs: 6, questions_per_doc: 0, seed: 0xFA17 });
+        ds.documents.iter().map(|d| d.text()).collect()
     }
 
-    /// QuALITY analog: 12 stories x 4 MC questions (+1 hard each).
-    pub fn quality() -> SizeConfig {
-        SizeConfig { num_docs: 12, questions_per_doc: 4, seed: 0x2A02 }
+    /// The question mix every timed pass answers.
+    pub fn questions() -> Vec<&'static str> {
+        vec![
+            "where does the baker live in town",
+            "what color are the cat's eyes",
+            "who works at the harbor",
+            "what is the name of the valley",
+        ]
     }
 
-    /// QASPER analog: 12 papers x 4 questions.
-    pub fn qasper() -> SizeConfig {
-        SizeConfig { num_docs: 12, questions_per_doc: 4, seed: 0x2A03 }
-    }
-
-    /// TriviaQA analog: one shared corpus of 150 short docs.
-    pub fn triviaqa() -> SizeConfig {
-        SizeConfig { num_docs: 150, questions_per_doc: 1, seed: 0x2A04 }
+    /// A default SAGE system over the fixture corpus.
+    pub fn build_system() -> RagSystem {
+        RagSystem::build(
+            crate::models(),
+            RetrieverKind::OpenAiSim,
+            SageConfig::sage(),
+            LlmProfile::gpt4o_mini(),
+            &corpus(),
+        )
     }
 }
 
@@ -51,19 +60,7 @@ pub fn pct(x: f32) -> String {
     format!("{:.2}%", 100.0 * x)
 }
 
-/// Print a table header with a rule.
-pub fn header(title: &str, columns: &str) {
-    println!("\n=== {title} ===");
-    println!("{columns}");
-    println!("{}", "-".repeat(columns.len().max(20)));
-}
-
-/// Megabytes with two decimals.
-pub fn mb(bytes: usize) -> String {
-    format!("{:.2} MB", bytes as f64 / (1024.0 * 1024.0))
-}
-
-/// Seconds with three decimals.
-pub fn secs(d: std::time::Duration) -> String {
-    format!("{:.3}s", d.as_secs_f64())
+/// A table header with a rule, as the lines to print before the rows.
+pub fn header(title: &str, columns: &str) -> String {
+    format!("\n=== {title} ===\n{columns}\n{}\n", "-".repeat(columns.len().max(20)))
 }

@@ -1,4 +1,4 @@
-//! Dataset → method → metrics plumbing shared by every table/figure bench.
+//! Dataset → method → metrics plumbing shared by every table/figure claim.
 
 use crate::baselines::Method;
 use crate::config::{RetrieverKind, SageConfig};

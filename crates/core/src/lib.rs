@@ -16,7 +16,7 @@
 //!   Summarizing Books, RAPTOR, and the reader baselines (BiDAF /
 //!   Longformer / CoLISA / DPR+DeBERTa analogs).
 //! * [`experiment`] — dataset → system → metrics plumbing shared by every
-//!   bench target.
+//!   claim of the paper's scorecard (`sage-bench`'s `paper` registry).
 //! * [`scalability`] — the Tables VIII/IX concurrency harness.
 //! * [`case_studies`] — the Figure 8/9/10 single-question drivers.
 //! * [`multihop`] — the paper's future-work §X(1): iterative multi-hop
