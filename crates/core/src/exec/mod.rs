@@ -101,9 +101,10 @@ fn run_plan(sys: &RagSystem, plan: &mut QueryPlan, ctx: &mut QueryCtx<'_>) {
 /// no-op by construction.
 fn finalize(sys: &RagSystem, mut ctx: QueryCtx<'_>, total: Duration) -> QueryResult {
     let mut result = ctx.result.take().unwrap_or_else(|| {
-        // Only a fixed context whose reader exhausted its fallbacks leaves
-        // no result: degrade to the unanswerable verdict, whose latency is
-        // the virtual backoff spent reaching it.
+        // Only a fixed context whose reader exhausted its fallbacks, or a
+        // request with an empty option list, leaves no result: degrade to
+        // the unanswerable verdict, whose latency is the virtual backoff
+        // spent reaching it.
         let answer = stages::unanswerable(ctx.trace.total_delay());
         QueryResult::single_read(answer, None, Vec::new(), ctx.retrieval_latency)
     });
@@ -178,7 +179,12 @@ fn prepare<'a>(sys: &'a RagSystem, req: &Request<'a>) -> (QueryPlan, QueryCtx<'a
 fn run_query<'a>(sys: &'a RagSystem, req: &Request<'a>) -> (QueryCtx<'a>, Duration) {
     let (mut plan, mut ctx) = prepare(sys, req);
     let query_start = Instant::now();
-    run_plan(sys, &mut plan, &mut ctx);
+    // A multiple-choice request with no options has nothing to pick from:
+    // no stage runs, and `finalize` answers it unanswerable with no read
+    // billed, as the reader leg does when it has no context left to try.
+    if !req.options.is_some_and(<[String]>::is_empty) {
+        run_plan(sys, &mut plan, &mut ctx);
+    }
     (ctx, query_start.elapsed())
 }
 

@@ -46,6 +46,7 @@ pub mod experiment;
 #[cfg(test)]
 mod format_goldens;
 pub mod fsx;
+mod indexing;
 pub mod live;
 pub mod models;
 pub mod multihop;
@@ -64,5 +65,5 @@ pub use live::{
     LiveSnapshot, LiveSoakConfig, LiveSoakReport, RecoveryReport,
 };
 pub use models::TrainedModels;
-pub use pipeline::{BuildStats, QueryResult, RagSystem, Request};
+pub use pipeline::{BuildPhases, BuildStats, PhaseTime, QueryResult, RagSystem, Request};
 pub use soak::{run_soak, SoakReport};

@@ -27,7 +27,7 @@ use sage_llm::LlmProfile;
 use sage_nn::io::{put_f32, put_string, put_u32, Reader};
 use sage_nn::BytesSerialize;
 use sage_rerank::CrossScorer;
-use sage_retrieval::{Bm25Retriever, DenseRetriever, Retriever};
+use sage_retrieval::DenseRetriever;
 use sage_vecdb::{FlatIndex, VectorIndex};
 
 const MAGIC: &[u8; 8] = b"SAGESYS1";
@@ -153,9 +153,7 @@ impl RagSystem {
             if kind != RetrieverKind::Bm25 {
                 return None;
             }
-            let mut bm25 = Bm25Retriever::new();
-            bm25.index(&chunks);
-            AnyRetriever::Bm25(bm25)
+            AnyRetriever::Bm25(crate::indexing::bm25_on_every_core(&chunks))
         };
         let scorer = if r.u8()? == 1 { Some(CrossScorer::read(&mut r)?) } else { None };
         r.finish()?;

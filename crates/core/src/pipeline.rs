@@ -5,39 +5,21 @@
 //! query execution itself lives in [`crate::exec`]: [`RagSystem::answer`]
 //! hands a [`Request`] to the one deterministic executor.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "this file IS the build-time latency measurement layer: segment/index stage timings feed BuildStats and the telemetry build record; no control flow branches on the readings"
-)]
-
 use crate::config::{RetrieverKind, SageConfig};
 use crate::models::TrainedModels;
-pub use crate::result::{BuildStats, QueryResult};
+pub use crate::result::{BuildPhases, BuildStats, PhaseTime, QueryResult};
 pub use crate::retriever::AnyRetriever;
-use crate::segmentation;
+use crate::{indexing, segmentation};
 use sage_admission::QueryBudget;
-use sage_embed::HashedEmbedder;
 use sage_eval::Cost;
 use sage_llm::{LlmProfile, SimLlm};
 use sage_rerank::{CrossScorer, RankedChunk};
 use sage_resilience::{FallbackCounters, FaultPlan, SageError};
-use sage_retrieval::{Bm25Retriever, DenseRetriever, Retriever};
+use sage_retrieval::Bm25Retriever;
 use sage_telemetry::{BuildRecord, Stage, Telemetry};
 use sage_vecdb::FlatIndex;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
-
-/// Give the reranker its corpus IDF table. A BM25 index over `chunks` has
-/// already built the table `fit_idf` would (the same stems, ids and
-/// document frequencies), so a BM25 system shares it; a dense one fits it.
-fn fit_scorer_idf(scorer: &mut CrossScorer, retriever: &AnyRetriever, chunks: &[String]) {
-    match retriever {
-        AnyRetriever::Bm25(bm25) => scorer.set_idf(Arc::clone(bm25.vocab())),
-        AnyRetriever::Hashed(_) | AnyRetriever::Sbert(_) | AnyRetriever::Dpr(_) => {
-            scorer.fit_idf(chunks)
-        }
-    }
-}
+use std::time::Duration;
 
 /// One query for [`RagSystem::answer`]: the question plus the inputs that
 /// shape its plan. Set the ones needed over [`Request::new`], e.g.
@@ -94,7 +76,9 @@ pub struct RagSystem {
 impl RagSystem {
     /// Build a system over `corpus` (one string per document; documents
     /// use `'\n'` between paragraphs). Documents are segmented on every
-    /// core, and their chunks kept in document order.
+    /// core, and their chunks kept in document order; the index and the
+    /// reranker's IDF table are then built on every core from one analysis
+    /// of each chunk.
     pub fn build(
         models: &TrainedModels,
         kind: RetrieverKind,
@@ -105,7 +89,7 @@ impl RagSystem {
         Self::build_on(models, kind, config, profile, corpus, segmentation::workers())
     }
 
-    /// [`build`](Self::build), segmenting on at most `workers` threads.
+    /// [`build`](Self::build) on at most `workers` threads.
     pub(crate) fn build_on(
         models: &TrainedModels,
         kind: RetrieverKind,
@@ -115,42 +99,22 @@ impl RagSystem {
         workers: usize,
     ) -> Self {
         // 1. Segmentation (Figure 2 (A) steps 1-2).
-        let seg_start = Instant::now();
-        let chunks = segmentation::segment_corpus(models, &config, corpus, workers);
-        let segmentation_time = seg_start.elapsed();
+        let segmented = segmentation::segment_corpus(models, &config, corpus, workers);
+        let chunks = segmented.chunks;
 
-        // 2. Index construction (steps 3-4).
-        let index_start = Instant::now();
-        let mut retriever = match kind {
-            RetrieverKind::Bm25 => AnyRetriever::Bm25(Bm25Retriever::new()),
-            RetrieverKind::OpenAiSim => {
-                AnyRetriever::Hashed(DenseRetriever::new(HashedEmbedder::default_model()))
-            }
-            RetrieverKind::Sbert => AnyRetriever::Sbert(DenseRetriever::new(models.siamese.clone())),
-            RetrieverKind::Dpr => AnyRetriever::Dpr(DenseRetriever::new(models.dual.clone())),
-        };
-        retriever.index_chunks(&chunks);
-        let index_time = index_start.elapsed();
+        // 2. Index construction (steps 3-4), and the corpus IDF table the
+        //    reranker needs for reranking or selection.
+        let wants_scorer = config.use_rerank || config.use_selection;
+        let (retriever, indexed) =
+            AnyRetriever::empty(kind, models).index_on(&chunks, workers, wants_scorer);
+        let scorer = indexed.idf.map(|idf| {
+            let mut scorer = models.scorer.clone();
+            scorer.set_idf(idf);
+            scorer
+        });
 
-        // 3. Reranker with corpus IDF (needed for reranking or selection).
-        let scorer = if config.use_rerank || config.use_selection {
-            let mut s = models.scorer.clone();
-            fit_scorer_idf(&mut s, &retriever, &chunks);
-            Some(s)
-        } else {
-            None
-        };
-
-        let corpus_tokens = corpus.iter().map(|d| sage_text::count_tokens(d)).sum();
-        let memory_bytes = retriever.memory_bytes()
-            + chunks.iter().map(|c| c.capacity()).sum::<usize>();
-        let stats = BuildStats {
-            chunk_count: chunks.len(),
-            segmentation_time,
-            index_time,
-            corpus_tokens,
-            memory_bytes,
-        };
+        let phases = BuildPhases { segment: segmented.time, ..indexed.phases };
+        let stats = BuildStats::new(&chunks, &retriever, segmented.corpus_tokens, phases);
         Self::assemble(config, kind, chunks, retriever, scorer, profile, stats)
     }
 
@@ -182,28 +146,36 @@ impl RagSystem {
 
     /// Incrementally add documents to a built system: new text is
     /// segmented with the same strategy, appended to the chunk store, and
-    /// the enlarged store is re-indexed from scratch (a dense retriever
-    /// clears its index and re-embeds every chunk so ids stay equal to
-    /// chunk positions; BM25 rebuilds its postings) before the reranker's
-    /// IDF is refitted (or, on BM25, shared again). The build stats add the
-    /// new documents' segmentation time and take the re-index time as the
-    /// index time.
+    /// the enlarged store is re-indexed from scratch on every core (a dense
+    /// retriever re-embeds every chunk so ids stay equal to chunk positions;
+    /// BM25 rebuilds its postings) with the reranker's IDF table rebuilt
+    /// beside it (or, on BM25, shared again). The build stats add the new
+    /// documents' segmentation and take the re-index's phases as their own.
     pub fn add_documents(&mut self, models: &TrainedModels, corpus: &[String]) {
-        let seg_start = Instant::now();
-        let new_chunks =
-            segmentation::segment_corpus(models, &self.config, corpus, segmentation::workers());
-        self.stats.segmentation_time += seg_start.elapsed();
-        self.chunks.extend(new_chunks);
-        let index_start = Instant::now();
-        self.retriever.index_chunks(&self.chunks);
-        self.stats.index_time = index_start.elapsed();
-        if let Some(scorer) = &mut self.scorer {
-            fit_scorer_idf(scorer, &self.retriever, &self.chunks);
+        self.add_documents_on(models, corpus, segmentation::workers());
+    }
+
+    /// [`add_documents`](Self::add_documents) on at most `workers` threads.
+    pub(crate) fn add_documents_on(
+        &mut self,
+        models: &TrainedModels,
+        corpus: &[String],
+        workers: usize,
+    ) {
+        let segmented = segmentation::segment_corpus(models, &self.config, corpus, workers);
+        self.chunks.extend(segmented.chunks);
+        // The retriever is rebuilt with its own embedder; its old index is
+        // freed before the new one is allocated.
+        let old = std::mem::replace(&mut self.retriever, AnyRetriever::Bm25(Bm25Retriever::new()));
+        let (retriever, indexed) = old.index_on(&self.chunks, workers, self.scorer.is_some());
+        self.retriever = retriever;
+        if let (Some(scorer), Some(idf)) = (&mut self.scorer, indexed.idf) {
+            scorer.set_idf(idf);
         }
-        self.stats.chunk_count = self.chunks.len();
-        self.stats.corpus_tokens += corpus.iter().map(|d| sage_text::count_tokens(d)).sum::<usize>();
-        self.stats.memory_bytes = self.retriever.memory_bytes()
-            + self.chunks.iter().map(|c| c.capacity()).sum::<usize>();
+        let mut phases = BuildPhases { segment: self.stats.phases.segment, ..indexed.phases };
+        phases.segment += segmented.time;
+        let corpus_tokens = self.stats.corpus_tokens + segmented.corpus_tokens;
+        self.stats = BuildStats::new(&self.chunks, &self.retriever, corpus_tokens, phases);
         // The fallback tier indexed the old chunk store; the next fallback
         // rebuilds it over the enlarged one.
         self.fallback_bm25 = OnceLock::new();
@@ -226,11 +198,7 @@ impl RagSystem {
 
     /// The BM25 fallback tier over the chunk store, built on first use.
     pub(crate) fn fallback_bm25(&self) -> &Bm25Retriever {
-        self.fallback_bm25.get_or_init(|| {
-            let mut bm25 = Bm25Retriever::new();
-            bm25.index(&self.chunks);
-            bm25
-        })
+        self.fallback_bm25.get_or_init(|| indexing::bm25_on_every_core(&self.chunks))
     }
 
     /// Attach a fresh telemetry hub to this system and return it. From now
@@ -330,15 +298,7 @@ impl RagSystem {
         profile: LlmProfile,
     ) -> Self {
         let corpus_tokens = chunks.iter().map(|c| sage_text::count_tokens(c)).sum();
-        let memory_bytes =
-            retriever.memory_bytes() + chunks.iter().map(|c| c.capacity()).sum::<usize>();
-        let stats = BuildStats {
-            chunk_count: chunks.len(),
-            segmentation_time: Duration::ZERO,
-            index_time: Duration::ZERO,
-            corpus_tokens,
-            memory_bytes,
-        };
+        let stats = BuildStats::new(&chunks, &retriever, corpus_tokens, BuildPhases::default());
         Self::assemble(config, kind, chunks, retriever, scorer, profile, stats)
     }
 
@@ -379,6 +339,7 @@ impl RagSystem {
 mod tests {
     use super::*;
     use crate::models::tiny_models as models;
+    use sage_retrieval::Retriever;
 
     fn build(kind: RetrieverKind, config: SageConfig, profile: LlmProfile) -> RagSystem {
         RagSystem::build(models(), kind, config, profile, &corpus())
@@ -479,6 +440,32 @@ mod tests {
             s.chunk_count,
             sys.chunks().len(),
         );
+    }
+
+    #[test]
+    fn each_phase_that_runs_reports_a_time_and_no_other_does() {
+        for config in [SageConfig::sage(), SageConfig::naive_rag()] {
+            for kind in RetrieverKind::all() {
+                let sys = build(kind, config, LlmProfile::gpt4o_mini());
+                let (stats, phases) = (sys.build_stats(), sys.build_stats().phases);
+                let dense = kind != RetrieverKind::Bm25;
+                let reranks = config.use_rerank || config.use_selection;
+                let ran = [
+                    (phases.segment, true),
+                    (phases.embed, dense),
+                    (phases.idf, dense && reranks),
+                    (phases.bm25, !dense),
+                ];
+                for (i, (phase, runs)) in ran.into_iter().enumerate() {
+                    let what = format!("phase {i} of {kind:?} under {config:?}");
+                    assert_eq!(phase.wall > Duration::ZERO, runs, "{what}: {phase:?}");
+                    assert_eq!(phase.busy > Duration::ZERO, runs, "{what}: {phase:?}");
+                }
+                assert_eq!(stats.segmentation_time, phases.segment.wall);
+                let index_walls = phases.embed.wall + phases.idf.wall + phases.bm25.wall;
+                assert_eq!(stats.index_time, index_walls);
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The closed set of retriever backends a [`crate::pipeline::RagSystem`]
 //! can hold.
 
-use sage_embed::{DualEncoder, SiameseEncoder};
+use crate::config::RetrieverKind;
+use crate::models::TrainedModels;
+use sage_embed::{DualEncoder, HashedEmbedder, SiameseEncoder};
 use sage_retrieval::{Bm25Retriever, DenseRetriever, Retriever, ScoredChunk};
 use sage_vecdb::FlatIndex;
 
@@ -29,12 +31,16 @@ impl AnyRetriever {
         }
     }
 
-    pub(crate) fn index_chunks(&mut self, chunks: &[String]) {
-        match self {
-            AnyRetriever::Hashed(r) => r.index(chunks),
-            AnyRetriever::Sbert(r) => r.index(chunks),
-            AnyRetriever::Dpr(r) => r.index(chunks),
-            AnyRetriever::Bm25(r) => r.index(chunks),
+    /// An empty retriever of `kind`: the OpenAI analog's default hashed
+    /// embedder, or the trained SBERT / DPR analog of `models`.
+    pub(crate) fn empty(kind: RetrieverKind, models: &TrainedModels) -> Self {
+        match kind {
+            RetrieverKind::Bm25 => AnyRetriever::Bm25(Bm25Retriever::new()),
+            RetrieverKind::OpenAiSim => {
+                AnyRetriever::Hashed(DenseRetriever::new(HashedEmbedder::default_model()))
+            }
+            RetrieverKind::Sbert => AnyRetriever::Sbert(DenseRetriever::new(models.siamese.clone())),
+            RetrieverKind::Dpr => AnyRetriever::Dpr(DenseRetriever::new(models.dual.clone())),
         }
     }
 
@@ -89,11 +95,14 @@ impl AnyRetriever {
 #[cfg(test)]
 mod tests {
     //! A BM25 system's reranker shares BM25's term table instead of fitting
-    //! its own: the shared table must be the one `fit_idf` fits over the
-    //! same chunks, so scores and saved bytes stay what they were.
+    //! its own, and a dense system's takes its table beside the rows, from
+    //! the same analysis of each chunk: either table must be the one
+    //! `fit_idf` fits over the same chunks, so scores and saved bytes stay
+    //! what they were.
 
     use super::AnyRetriever;
     use crate::config::{RetrieverKind, SageConfig};
+    use crate::indexing::chunk_ranges;
     use crate::models::tiny_models as models;
     use crate::pipeline::RagSystem;
     use sage_corpus::datasets::{narrativeqa, triviaqa, SizeConfig};
@@ -133,12 +142,17 @@ mod tests {
         assert_eq!(a.num_docs(), b.num_docs());
     }
 
-    /// The scorer holds BM25's table itself, and it equals a fresh fit.
-    fn assert_shared_and_fitted(sys: &RagSystem) {
-        assert!(Arc::ptr_eq(scorer_idf(sys), bm25(sys).vocab()), "shared, not copied");
+    /// The scorer's table equals a fresh fit.
+    fn assert_fitted(sys: &RagSystem) {
         let mut fitted = models().scorer.clone();
         fitted.fit_idf(sys.chunks());
         assert_same_table(scorer_idf(sys), fitted.idf());
+    }
+
+    /// The scorer holds BM25's table itself, and it equals a fresh fit.
+    fn assert_shared_and_fitted(sys: &RagSystem) {
+        assert!(Arc::ptr_eq(scorer_idf(sys), bm25(sys).vocab()), "shared, not copied");
+        assert_fitted(sys);
     }
 
     #[test]
@@ -169,6 +183,34 @@ mod tests {
             sys.scorer.as_mut().expect("a scorer").fit_idf(&chunks);
             assert!(!Arc::ptr_eq(scorer_idf(&sys), bm25(&sys).vocab()));
             assert_eq!(shared, sys.to_bytes());
+        }
+    }
+
+    /// A dense build, whole and grown by `add_documents`, on one range and
+    /// on three 64-chunk-aligned ranges.
+    #[test]
+    fn a_dense_build_takes_the_table_fit_idf_fits() {
+        let size = SizeConfig { num_docs: 64, questions_per_doc: 1, seed: 7 };
+        let corpus: Vec<String> = triviaqa::generate(size).documents.iter().map(|d| d.text()).collect();
+        let (first, rest) = corpus.split_at(corpus.len() / 2);
+        for kind in [RetrieverKind::OpenAiSim, RetrieverKind::Sbert, RetrieverKind::Dpr] {
+            for workers in [1, 3] {
+                let built = |corpus: &[String]| {
+                    let (config, profile) = (SageConfig::sage(), LlmProfile::gpt4o_mini());
+                    RagSystem::build_on(models(), kind, config, profile, corpus, workers)
+                };
+                let mut sys = built(&corpus);
+                assert_eq!(chunk_ranges(sys.chunks().len(), workers).len(), workers);
+                assert_fitted(&sys);
+                let mut grown = built(first);
+                grown.add_documents_on(models(), rest, workers);
+                assert_eq!(grown.chunks(), sys.chunks(), "{kind:?} at {workers} workers");
+                assert_fitted(&grown);
+                let saved = sys.to_bytes();
+                let chunks = sys.chunks.clone();
+                sys.scorer.as_mut().expect("a scorer").fit_idf(&chunks);
+                assert!(sys.to_bytes() == saved, "{kind:?} at {workers} workers: saved bytes");
+            }
         }
     }
 

@@ -3,18 +3,62 @@
 //!
 //! Segmenting a document reads only that document and the shared, immutable
 //! model, so the corpus is cut into contiguous document ranges of about equal
-//! bytes, each range is segmented on its own scoped thread, and the ranges'
-//! chunk lists are appended in range order: the chunk list — and everything
-//! built from it — is the one-worker list at any worker count.
+//! bytes, each range is segmented (and its tokens counted) on its own scoped
+//! thread, and the ranges' chunk lists are appended in range order: the chunk
+//! list — and everything built from it — is the one-worker list at any worker
+//! count. The index build that follows runs on chunk ranges in the same way
+//! ([`crate::indexing`]), through [`on_ranges`].
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "segmentation workers time themselves for BuildStats; nothing branches on the readings"
+)]
 
 use crate::config::SageConfig;
 use crate::models::TrainedModels;
+use crate::result::PhaseTime;
 use sage_segment::{Segmenter, SemanticSegmenter, SentenceSegmenter};
 use std::num::NonZeroUsize;
+use std::time::{Duration, Instant};
 
 /// One worker per core this process may run on.
 pub(crate) fn workers() -> usize {
     std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// Run `work` on each of `ranges` — the first on the caller's thread, each
+/// other on its own scoped thread — and return the results in range order.
+/// One range spawns no thread. A worker's panic is re-raised here, in range
+/// order, as the serial loop would have raised it.
+pub(crate) fn on_ranges<T: Send, R: Send>(ranges: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let mut ranges = ranges.into_iter();
+    let Some(first) = ranges.next() else {
+        return Vec::new();
+    };
+    if ranges.len() == 0 {
+        return vec![work(first)];
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ranges.map(|range| scope.spawn(move || work(range))).collect();
+        let mut results = Vec::with_capacity(handles.len() + 1);
+        results.push(work(first));
+        for handle in handles {
+            let result = handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            results.push(result);
+        }
+        results
+    })
+}
+
+/// A segmented corpus.
+pub(crate) struct Segmented {
+    /// The chunk list, in document order.
+    pub chunks: Vec<String>,
+    /// The corpus's size in LLM tokens, counted on the workers.
+    pub corpus_tokens: usize,
+    /// The wall time, and the workers' summed busy time.
+    pub time: PhaseTime,
 }
 
 /// Segment `corpus` with the strategy `config` selects — the semantic model,
@@ -25,7 +69,7 @@ pub(crate) fn segment_corpus(
     config: &SageConfig,
     corpus: &[String],
     workers: usize,
-) -> Vec<String> {
+) -> Segmented {
     if config.use_segmentation {
         let segmenter = SemanticSegmenter::with_params(
             models.segmentation.clone(),
@@ -41,34 +85,30 @@ pub(crate) fn segment_corpus(
 
 /// Segment `corpus` on at most `workers` threads, never more than one per
 /// document: each of [`byte_ranges`] goes through
-/// [`Segmenter::segment_documents`], the first on the caller's thread, and
-/// the lists are appended in range order, each chunk moved once. One range
-/// spawns no thread. A worker's panic is re-raised here, in range order,
-/// as the serial loop would have raised it.
-fn in_document_order(segmenter: &dyn Segmenter, corpus: &[String], workers: usize) -> Vec<String> {
+/// [`Segmenter::segment_documents`] on [`on_ranges`], and the lists are
+/// appended in range order, each chunk moved once.
+fn in_document_order(segmenter: &dyn Segmenter, corpus: &[String], workers: usize) -> Segmented {
+    let start = Instant::now();
     let ranges = byte_ranges(corpus, workers.min(corpus.len()));
-    let Some((&first, rest)) = ranges.split_first() else {
-        return Vec::new();
-    };
-    if rest.is_empty() {
-        return segmenter.segment_documents(first);
-    }
-    let parts: Vec<Vec<String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rest
-            .iter()
-            .map(|&range| scope.spawn(move || segmenter.segment_documents(range)))
-            .collect();
-        let mut parts = vec![segmenter.segment_documents(first)];
-        for handle in handles {
-            parts.push(handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
-        }
-        parts
+    let mut parts = on_ranges(ranges, |range| {
+        let worker_start = Instant::now();
+        let chunks = segmenter.segment_documents(range);
+        let tokens: usize = range.iter().map(|doc| sage_text::count_tokens(doc)).sum();
+        (chunks, tokens, worker_start.elapsed())
     });
-    let mut chunks = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for part in parts {
-        chunks.extend(part);
-    }
-    chunks
+    let corpus_tokens = parts.iter().map(|part| part.1).sum();
+    let busy = parts.iter().map(|part| part.2).sum::<Duration>();
+    let chunks = if parts.len() == 1 {
+        parts.swap_remove(0).0
+    } else {
+        let mut chunks = Vec::with_capacity(parts.iter().map(|part| part.0.len()).sum());
+        for (part, ..) in parts {
+            chunks.extend(part);
+        }
+        chunks
+    };
+    let time = PhaseTime { wall: start.elapsed(), busy };
+    Segmented { chunks, corpus_tokens, time }
 }
 
 /// Cut `corpus` into at most `parts` contiguous, non-empty ranges of about
@@ -101,6 +141,7 @@ mod tests {
 
     use super::{byte_ranges, segment_corpus};
     use crate::config::{RetrieverKind, SageConfig};
+    use crate::indexing::chunk_ranges;
     use crate::models::tiny_models as models;
     use crate::pipeline::RagSystem;
     use sage_corpus::datasets::{narrativeqa, triviaqa, SizeConfig};
@@ -127,10 +168,14 @@ mod tests {
         for config in [SageConfig::sage(), SageConfig::naive_rag()] {
             for corpus in corpora() {
                 let one = segment_corpus(models(), &config, &corpus, 1);
-                assert_eq!(one.is_empty(), corpus.is_empty());
+                assert_eq!(one.chunks.is_empty(), corpus.is_empty());
                 for workers in WORKERS {
                     let many = segment_corpus(models(), &config, &corpus, workers);
-                    assert_eq!(many, one, "{workers} workers over {} documents", corpus.len());
+                    let what = format!("{workers} workers over {} documents", corpus.len());
+                    assert_eq!(many.chunks, one.chunks, "{what}");
+                    assert_eq!(many.corpus_tokens, one.corpus_tokens, "{what}");
+                    let tokens: usize = corpus.iter().map(|d| sage_text::count_tokens(d)).sum();
+                    assert_eq!(many.corpus_tokens, tokens, "{what}");
                 }
             }
         }
@@ -140,7 +185,8 @@ mod tests {
     fn semantic_chunks_are_built_at_their_exact_length() {
         for corpus in corpora() {
             for workers in [1, 2] {
-                for chunk in segment_corpus(models(), &SageConfig::sage(), &corpus, workers) {
+                let segmented = segment_corpus(models(), &SageConfig::sage(), &corpus, workers);
+                for chunk in segmented.chunks {
                     assert_eq!(chunk.capacity(), chunk.len(), "{chunk:?}");
                 }
             }
@@ -161,6 +207,87 @@ mod tests {
                 assert!(saved(workers) == one, "{kind:?} at {workers} workers");
             }
         }
+    }
+
+    /// A TriviaQA corpus of many documents, cut into several 64-chunk
+    /// ranges at two workers, and a one-document NarrativeQA corpus.
+    fn index_corpora() -> [Vec<String>; 2] {
+        let text = |ds: Dataset| ds.documents.iter().map(|d| d.text()).collect();
+        [
+            text(triviaqa::generate(SizeConfig { num_docs: 64, questions_per_doc: 1, seed: 7 })),
+            text(narrativeqa::generate(SizeConfig { num_docs: 1, questions_per_doc: 1, seed: 8 })),
+        ]
+    }
+
+    /// Everything the ranged index build writes, compared with `one`'s.
+    fn assert_same_build(sys: &RagSystem, one: &RagSystem, what: &str) {
+        assert_eq!(sys.chunks(), one.chunks(), "{what}");
+        let rows = |sys: &RagSystem| sys.dense_state().map(|(_, index)| index.to_bytes());
+        assert!(rows(sys) == rows(one), "{what}: FlatIndex bytes");
+        let (idf, one_idf) = (sys.scorer_ref().map(|s| s.idf()), one.scorer_ref().map(|s| s.idf()));
+        assert_eq!(idf.map(|t| t.terms()), one_idf.map(|t| t.terms()), "{what}");
+        assert_eq!(idf.map(|t| t.doc_freqs()), one_idf.map(|t| t.doc_freqs()), "{what}");
+        assert_eq!(idf.map(|t| t.num_docs()), one_idf.map(|t| t.num_docs()), "{what}");
+        assert!(sys.to_bytes() == one.to_bytes(), "{what}: saved bytes");
+    }
+
+    #[test]
+    fn ranged_index_builds_equal_the_one_worker_build() {
+        let [many, single] = index_corpora();
+        for kind in RetrieverKind::all() {
+            for corpus in [&many, &single] {
+                let built = |workers| {
+                    let (config, profile) = (SageConfig::sage(), LlmProfile::gpt4o_mini());
+                    RagSystem::build_on(models(), kind, config, profile, corpus, workers)
+                };
+                let one = built(1);
+                let blocks = one.chunks().len().div_ceil(64);
+                if corpus.len() > 1 {
+                    assert_eq!(chunk_ranges(one.chunks().len(), 3).len(), 3, "{blocks} blocks");
+                }
+                // More workers than 64-chunk blocks, too.
+                for workers in [2, 3, blocks + 1] {
+                    let docs = corpus.len();
+                    let what = format!("{kind:?} over {docs} documents at {workers} workers");
+                    assert_same_build(&built(workers), &one, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn add_documents_after_a_split_build_equals_the_one_worker_path() {
+        let [many, _] = index_corpora();
+        let (first, rest) = many.split_at(many.len() / 2);
+        for kind in RetrieverKind::all() {
+            let grown = |workers| {
+                let (config, profile) = (SageConfig::sage(), LlmProfile::gpt4o_mini());
+                let mut sys = RagSystem::build_on(models(), kind, config, profile, first, workers);
+                sys.add_documents_on(models(), rest, workers);
+                sys
+            };
+            let one = grown(1);
+            for workers in [2, 3] {
+                assert_same_build(&grown(workers), &one, &format!("{kind:?} at {workers} workers"));
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_ranges_start_on_blocks_and_cover_the_list() {
+        for (len, parts) in [(0, 2), (63, 2), (127, 2), (128, 2), (1000, 3), (1000, 64), (200, 0)] {
+            let ranges = chunk_ranges(len, parts);
+            assert!(ranges.len() <= parts.max(1), "{len} chunks, {parts} parts: {ranges:?}");
+            let mut next = 0;
+            for range in &ranges {
+                assert!(range.start == next && range.start.is_multiple_of(64), "{range:?}");
+                assert!(range.end > range.start, "{range:?}");
+                next = range.end;
+            }
+            assert_eq!(next, len, "{len} chunks, {parts} parts: {ranges:?}");
+        }
+        assert_eq!(chunk_ranges(127, 2).len(), 1, "one range below two blocks");
+        assert_eq!(chunk_ranges(1000, 3), [0..320, 320..640, 640..1000]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! decorrelated hash seeds), trained with a margin triplet loss:
 //! `max(0, margin - cos(q, p⁺) + cos(q, p⁻))`.
 
-use crate::features::sentence_features;
+use crate::features::{sentence_features, Analysis};
 use crate::Embedder;
 use sage_nn::io::{put_f32, put_u32, put_u64, Reader};
 use sage_nn::matrix::{dot, l2_normalize, norm};
@@ -160,12 +160,14 @@ impl Embedder for DualEncoder {
         self.passage_tower.dim()
     }
 
-    fn embed(&self, text: &str) -> Vec<f32> {
-        let feats = self.passage_features(text);
-        let mut v = vec![0.0; self.passage_tower.dim()];
-        self.passage_tower.pool(&feats, &mut v);
-        l2_normalize(&mut v);
-        v
+    /// The passage tower pooled over the features, streamed in
+    /// [`sentence_features`]' order (the passage side's hash seed is the
+    /// query side's), then L2-normalised.
+    fn embed_analysed(&self, analysis: &mut Analysis, row: &mut [f32]) {
+        self.passage_tower.pool_with(row, |add| {
+            analysis.for_each_feature(self.buckets, self.seed, add)
+        });
+        l2_normalize(row);
     }
 
     fn embed_query(&self, text: &str) -> Vec<f32> {

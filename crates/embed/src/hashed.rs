@@ -9,6 +9,7 @@
 use crate::features::Analysis;
 use crate::Embedder;
 use sage_nn::io::{put_u32, put_u64, Reader};
+use sage_nn::matrix::l2_normalize;
 
 /// Feature-hashed sentence encoder (unigrams + stems + bigrams).
 #[derive(Debug, Clone)]
@@ -164,10 +165,16 @@ impl Embedder for HashedEmbedder {
         self.dim
     }
 
-    fn embed(&self, text: &str) -> Vec<f32> {
-        let mut v = SparseEmbedding::default();
-        self.embed_analysis(&mut Analysis::of(text), &mut v);
-        v.into_values()
+    /// The features summed into `row`, then [`l2_normalize`]d over every
+    /// bucket: [`embed_analysis`](Self::embed_analysis)'s values, bit for
+    /// bit (see [`SparseEmbedding`]).
+    fn embed_analysed(&self, analysis: &mut Analysis, row: &mut [f32]) {
+        assert_eq!(row.len(), self.dim, "row width");
+        row.fill(0.0);
+        analysis.for_each_feature(self.dim, self.seed, |bucket, signed_weight| {
+            row[bucket as usize] += signed_weight;
+        });
+        l2_normalize(row);
     }
 
     fn name(&self) -> &'static str {

@@ -35,8 +35,18 @@ pub trait Embedder: Send + Sync {
     /// Embedding dimensionality.
     fn dim(&self) -> usize;
 
+    /// Embed an already analysed passage into `row` (`dim()` floats,
+    /// overwritten) — what [`embed`](Self::embed) returns, bit for bit. A
+    /// loop over many passages reuses one [`Analysis`] and one row, and a
+    /// caller that also reads the tokens analyses each text once.
+    fn embed_analysed(&self, analysis: &mut Analysis, row: &mut [f32]);
+
     /// Embed a passage (or, for single-tower models, any text).
-    fn embed(&self, text: &str) -> Vec<f32>;
+    fn embed(&self, text: &str) -> Vec<f32> {
+        let mut row = vec![0.0; self.dim()];
+        self.embed_analysed(&mut Analysis::of(text), &mut row);
+        row
+    }
 
     /// Embed a query. Defaults to the passage tower; dual-tower models
     /// (DPR analog) override this.

@@ -6,7 +6,7 @@
 //! features, trained with a cosine-regression objective
 //! `(cos(e_a, e_b) - label)²` on (related, unrelated) sentence pairs.
 
-use crate::features::sentence_features;
+use crate::features::{sentence_features, Analysis};
 use crate::Embedder;
 use sage_nn::io::{put_u32, put_u64, Reader};
 use sage_nn::matrix::{dot, l2_normalize, norm};
@@ -45,13 +45,6 @@ impl SiameseEncoder {
 
     fn features(&self, text: &str) -> Vec<(u32, f32)> {
         sentence_features(text, self.buckets, self.seed)
-    }
-
-    fn pooled(&self, text: &str) -> Vec<f32> {
-        let feats = self.features(text);
-        let mut out = vec![0.0; self.table.dim()];
-        self.table.pool(&feats, &mut out);
-        out
     }
 
     /// Train on labelled pairs for `epochs` passes; returns the mean loss
@@ -137,10 +130,13 @@ impl Embedder for SiameseEncoder {
         self.table.dim()
     }
 
-    fn embed(&self, text: &str) -> Vec<f32> {
-        let mut v = self.pooled(text);
-        l2_normalize(&mut v);
-        v
+    /// The shared tower pooled over the features, streamed in
+    /// [`sentence_features`]' order, then L2-normalised.
+    fn embed_analysed(&self, analysis: &mut Analysis, row: &mut [f32]) {
+        self.table.pool_with(row, |add| {
+            analysis.for_each_feature(self.buckets, self.seed, add)
+        });
+        l2_normalize(row);
     }
 
     fn name(&self) -> &'static str {

@@ -1,13 +1,18 @@
 //! `sentence_features` and `HashedEmbedder::embed` against the allocating
-//! bodies they replaced, kept here verbatim as oracles; and
+//! bodies they replaced, kept here verbatim as oracles;
 //! `embed_analysis`'s sparse zeroing, normalising and cosine against the
-//! dense computation over every bucket.
+//! dense computation over every bucket; and every encoder's
+//! `embed_analysed` into a reused row against its replaced `embed` body.
 
 #![allow(clippy::disallowed_types, reason = "tests may time and hash freely")]
 
 use proptest::prelude::*;
 use sage_corpus::datasets::{narrativeqa, triviaqa, SizeConfig};
-use sage_embed::{sentence_features, Analysis, Embedder, HashedEmbedder, SparseEmbedding};
+use sage_embed::{
+    sentence_features, Analysis, DualEncoder, Embedder, HashedEmbedder, SiameseEncoder,
+    SparseEmbedding,
+};
+use sage_nn::EmbeddingTable;
 use sage_nn::matrix::{cosine, l2_normalize, norm};
 use std::collections::BTreeSet;
 use sage_text::{bigrams, hash_token, split_sentences, stem, tokenize};
@@ -190,6 +195,48 @@ fn one_analysis_refilled_embeds_like_a_fresh_one() {
         analysis.fill(text);
         embedder.embed_analysis(&mut analysis, &mut out);
         assert_eq!(bits(out.values()), bits(&embedder.embed(text)), "{text:?}");
+    }
+}
+
+/// The pre-`embed_analysed` body of `SiameseEncoder::embed` and of
+/// `DualEncoder::embed` (the passage tower): pool the collected features,
+/// then normalise.
+fn oracle_pooled(table: &EmbeddingTable, text: &str, buckets: usize, seed: u64) -> Vec<f32> {
+    let feats = sentence_features(text, buckets, seed);
+    let mut v = vec![0.0; table.dim()];
+    table.pool(&feats, &mut v);
+    l2_normalize(&mut v);
+    v
+}
+
+#[test]
+fn every_encoder_embeds_an_analysis_into_a_reused_row_like_its_replaced_body() {
+    let hashed = HashedEmbedder::default_model();
+    let (siamese, dual) = (SiameseEncoder::default_model(), DualEncoder::default_model());
+    // The untrained default models' towers, as their constructors seed them.
+    let siamese_table = EmbeddingTable::new(4096, 64, 0x5BE7);
+    let dual_table = EmbeddingTable::new(4096, 64, 0xD9Au64.wrapping_add(0x9E3779B9));
+    let mut analysis = Analysis::default();
+    let mut rows = [vec![f32::NAN; 256], vec![f32::NAN; 64], vec![f32::NAN; 64]];
+    let size = SizeConfig { num_docs: 2, questions_per_doc: 2, seed: 20250612 };
+    let mut texts: Vec<String> = vec![String::new(), "Whiskers' eyes — state-of-the-art".into()];
+    for dataset in [narrativeqa::generate(size), triviaqa::generate(size)] {
+        for doc in &dataset.documents {
+            texts.extend(split_sentences(&doc.text()).iter().take(30).map(|s| s.to_string()));
+        }
+    }
+    for text in &texts {
+        analysis.fill(text);
+        hashed.embed_analysed(&mut analysis, &mut rows[0]);
+        siamese.embed_analysed(&mut analysis, &mut rows[1]);
+        dual.embed_analysed(&mut analysis, &mut rows[2]);
+        assert_eq!(bits(&rows[0]), bits(&oracle_embed(text, 256, 0x0A1)), "{text:?}");
+        let want = oracle_pooled(&siamese_table, text, 4096, 0x5BE7);
+        assert_eq!(bits(&rows[1]), bits(&want), "{text:?}");
+        let want = oracle_pooled(&dual_table, text, 4096, 0xD9A);
+        assert_eq!(bits(&rows[2]), bits(&want), "{text:?}");
+        assert_eq!(bits(&siamese.embed(text)), bits(&rows[1]), "{text:?}");
+        assert_eq!(bits(&dual.embed(text)), bits(&rows[2]), "{text:?}");
     }
 }
 

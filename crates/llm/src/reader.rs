@@ -749,6 +749,10 @@ impl SimLlm {
     /// Answer a multiple-choice question; returns the chosen option index
     /// and the bookkeeping answer (text = option text). Seeded per call,
     /// so the result is independent of call order.
+    ///
+    /// # Panics
+    ///
+    /// When `options` is empty: there is no index to return.
     pub fn answer_multiple_choice(
         &self,
         question: &str,

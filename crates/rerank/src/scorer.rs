@@ -96,16 +96,16 @@ impl CrossScorer {
         let mut ids = Vec::new();
         for chunk in chunks {
             tokens.fill(chunk);
-            ids.clear();
-            tokens.for_each_stem(|stem| ids.push(idf.intern(stem)));
-            idf.record_document(&ids);
+            idf.add_document(&mut tokens, &mut ids);
         }
         self.idf = Arc::new(idf);
     }
 
-    /// Use `idf` as the corpus IDF table instead of fitting one. A BM25
-    /// index's table over the same chunks is the one [`fit_idf`](Self::fit_idf)
-    /// builds, so sharing it skips a second pass over the corpus.
+    /// Use `idf` as the corpus IDF table instead of fitting one: the table
+    /// [`fit_idf`](Self::fit_idf) builds over the same chunks, taken from a
+    /// pass that already reads every chunk — a BM25 index's own table, or
+    /// one built beside the dense rows from the same analysis of each
+    /// chunk ([`Vocab::add_document`], merged by [`Vocab::merge`]).
     pub fn set_idf(&mut self, idf: Arc<Vocab>) {
         self.idf = idf;
     }

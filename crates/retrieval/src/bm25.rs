@@ -99,19 +99,51 @@ impl Bm25Retriever {
         let ci = self.chunk_len.len() as u32;
         let vocab = Arc::make_mut(&mut self.vocab);
         tokens.fill(text);
-        ids.clear();
-        tokens.for_each_stem(|term| ids.push(vocab.intern(term)));
-        ids.sort_unstable();
+        vocab.add_document(tokens, ids);
         self.postings.resize_with(vocab.len(), Vec::new);
         // A run of one id is that term's frequency in this chunk.
         for run in ids.chunk_by(|a, b| a == b) {
             self.postings[run[0] as usize].push((ci, run.len() as u32));
         }
-        ids.dedup();
-        vocab.record_document(ids);
         let len = tokens.len() as u32;
         self.chunk_len.push(len);
         len
+    }
+
+    /// The index over consecutive chunk ranges, each indexed on its own
+    /// ([`Retriever::index`] over its slice, on any thread), in range
+    /// order. The term tables merge ([`Vocab::merge`]), a range's chunk `i`
+    /// becomes chunk `i` plus the chunks of the ranges before it, and each
+    /// of its posting lists is appended to the merged list and dropped, so
+    /// no second copy of the postings is ever whole. The result is the
+    /// index over the concatenated chunks, bit for bit.
+    pub fn from_ranges(ranges: impl IntoIterator<Item = Bm25Retriever>) -> Self {
+        let mut ranges = ranges.into_iter();
+        let Some(mut whole) = ranges.next() else {
+            return Self::new();
+        };
+        for range in ranges {
+            whole.append(range);
+        }
+        whole
+    }
+
+    /// Append `range`'s chunks after this index's own (see
+    /// [`from_ranges`](Self::from_ranges)).
+    fn append(&mut self, range: Bm25Retriever) {
+        let offset = self.chunk_len.len() as u32;
+        let vocab = Arc::make_mut(&mut self.vocab);
+        let ids = vocab.merge(Arc::unwrap_or_clone(range.vocab));
+        self.postings.resize_with(vocab.len(), Vec::new);
+        for (local, list) in range.postings.into_iter().enumerate() {
+            let merged = &mut self.postings[ids[local] as usize];
+            merged.extend(list.into_iter().map(|(chunk, tf)| (chunk + offset, tf)));
+        }
+        self.chunk_len.extend(range.chunk_len);
+        self.deleted.extend(range.deleted);
+        self.live_total_len += range.live_total_len;
+        self.live_count += range.live_count;
+        self.recompute_avg_len();
     }
 
     /// Append one chunk's postings without rebuilding (the live writer's
@@ -374,6 +406,32 @@ mod tests {
                 assert_eq!(x.score.to_bits(), y.score.to_bits(), "{query}: {x:?} vs {y:?}");
             }
         }
+    }
+
+    #[test]
+    fn ranges_merge_into_the_whole_index() {
+        let chunks = chunks();
+        let whole = indexed();
+        for cuts in [&[][..], &[2], &[1, 4], &[0, 5], &[1, 2, 3, 4]] {
+            let mut ranges = Vec::new();
+            let mut start = 0;
+            for &end in cuts.iter().chain([&chunks.len()]) {
+                let mut range = Bm25Retriever::new();
+                range.index(&chunks[start..end]);
+                ranges.push(range);
+                start = end;
+            }
+            let merged = Bm25Retriever::from_ranges(ranges);
+            assert_eq!(merged.vocab.terms(), whole.vocab.terms(), "{cuts:?}");
+            assert_eq!(merged.vocab.doc_freqs(), whole.vocab.doc_freqs(), "{cuts:?}");
+            assert_eq!(merged.vocab.num_docs(), whole.vocab.num_docs(), "{cuts:?}");
+            assert_eq!(merged.postings, whole.postings, "{cuts:?}");
+            assert_eq!(merged.chunk_len, whole.chunk_len, "{cuts:?}");
+            assert_eq!(merged.deleted, whole.deleted, "{cuts:?}");
+            assert_eq!(merged.avg_len.to_bits(), whole.avg_len.to_bits(), "{cuts:?}");
+            assert_eq!(merged.live_len(), whole.live_len(), "{cuts:?}");
+        }
+        assert!(Bm25Retriever::from_ranges([]).is_empty());
     }
 
     #[test]

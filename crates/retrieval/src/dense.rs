@@ -48,6 +48,12 @@ impl<E: Embedder> DenseRetriever<E> {
         Self { embedder, index, indexed }
     }
 
+    /// The embedder, the index dropped: to rebuild the index elsewhere and
+    /// reassemble with [`from_parts`](Self::from_parts).
+    pub fn into_embedder(self) -> E {
+        self.embedder
+    }
+
     /// Embed a query without searching — the first half of
     /// [`Retriever::retrieve`], split out so callers can guard the
     /// embedding and the index lookup as separate failure domains.

@@ -2,7 +2,11 @@
 //!
 //! The BM25 inverted index and the trainable encoders address terms by dense
 //! `u32` ids rather than strings. `Vocab` provides the bidirectional map and
-//! document-frequency bookkeeping needed for IDF weighting.
+//! document-frequency bookkeeping needed for IDF weighting. Tables built over
+//! consecutive ranges of a document stream [`merge`](Vocab::merge) into the
+//! table of the whole stream.
+
+use crate::TokenBuf;
 
 /// A growable vocabulary interning strings to dense ids, with optional
 /// document-frequency counts.
@@ -77,6 +81,53 @@ impl Vocab {
             seen.dedup();
             count(&seen);
         }
+    }
+
+    /// Intern every stem of `tokens` (stopwords included: the term stream
+    /// of BM25 and of the reranker's IDF) as one more document. `ids` is
+    /// left holding the document's term ids sorted ascending, a term once
+    /// per occurrence, so a run of one id is that term's frequency; each
+    /// distinct id counts once towards its document frequency.
+    pub fn add_document(&mut self, tokens: &mut TokenBuf, ids: &mut Vec<u32>) {
+        ids.clear();
+        tokens.for_each_stem(|term| ids.push(self.intern(term)));
+        ids.sort_unstable();
+        self.num_docs += 1;
+        for run in ids.chunk_by(|a, b| a == b) {
+            self.doc_freq[run[0] as usize] += 1;
+        }
+    }
+
+    /// Add `other` to this table as if its documents had been recorded here
+    /// after this table's own: each of its terms, in its id order, keeps the
+    /// id it has here or takes the next free one, and its document frequency
+    /// and document count add. Returns the id here of each of `other`'s
+    /// terms, indexed by its id there. So interning a stream cut into
+    /// consecutive ranges and merging the ranges' tables in order gives the
+    /// table of the whole stream: the same ids, frequencies and count.
+    pub fn merge(&mut self, other: Vocab) -> Vec<u32> {
+        let Vocab { by_term, terms, doc_freq, num_docs } = other;
+        // Its lookup table is never read: free it before this one grows.
+        drop(by_term);
+        self.num_docs += num_docs;
+        terms
+            .into_iter()
+            .zip(doc_freq)
+            .map(|(term, df)| {
+                let id = match self.by_term.get(&term) {
+                    Some(&id) => id,
+                    None => {
+                        let id = self.terms.len() as u32;
+                        self.by_term.insert(term.clone(), id);
+                        self.terms.push(term);
+                        self.doc_freq.push(0);
+                        id
+                    }
+                };
+                self.doc_freq[id as usize] += df;
+                id
+            })
+            .collect()
     }
 
     /// Number of documents recorded.
@@ -211,6 +262,95 @@ mod tests {
         }
         assert!(v.idf(rare) > v.idf(common));
         assert!(v.idf(common) >= 0.0);
+    }
+
+    /// The term stream of `docs`, one document each, interned whole.
+    fn interned(docs: &[Vec<String>]) -> Vocab {
+        let mut v = Vocab::new();
+        for doc in docs {
+            let ids: Vec<u32> = doc.iter().map(|t| v.intern(t)).collect();
+            v.record_document(&ids);
+        }
+        v
+    }
+
+    fn assert_same_table(a: &Vocab, b: &Vocab) {
+        assert_eq!(a.terms(), b.terms());
+        assert_eq!(a.doc_freqs(), b.doc_freqs());
+        assert_eq!(a.num_docs(), b.num_docs());
+    }
+
+    #[test]
+    fn add_document_interns_stems_and_sorts_ids() {
+        let mut tokens = TokenBuf::new();
+        let mut ids = Vec::new();
+        let mut v = Vocab::new();
+        tokens.fill("Cats chase cats; the dog chases.");
+        v.add_document(&mut tokens, &mut ids);
+        let (cat, chase) = (v.get("cat").expect("cat"), v.get("chase").expect("chase"));
+        assert_eq!(ids.iter().filter(|&&id| id == cat).count(), 2);
+        assert_eq!(ids.iter().filter(|&&id| id == chase).count(), 2);
+        assert!(ids.is_sorted());
+        tokens.fill("A cat.");
+        v.add_document(&mut tokens, &mut ids);
+        assert_eq!((v.num_docs(), v.doc_freq(cat), v.doc_freq(chase)), (2, 2, 1));
+        // The same documents through `intern` and `record_document`.
+        let mut by_hand = Vocab::new();
+        for text in ["Cats chase cats; the dog chases.", "A cat."] {
+            tokens.fill(text);
+            let mut doc = Vec::new();
+            tokens.for_each_stem(|stem| doc.push(by_hand.intern(stem)));
+            by_hand.record_document(&doc);
+        }
+        assert_same_table(&v, &by_hand);
+    }
+
+    #[test]
+    fn merge_returns_the_id_map() {
+        let docs = |words: &[&str]| vec![words.iter().map(|w| w.to_string()).collect()];
+        let mut v = interned(&docs(&["owl", "cat"]));
+        let map = v.merge(interned(&docs(&["dog", "owl", "dog"])));
+        assert_eq!(map, [2, 0]);
+        assert_eq!(v.terms(), ["owl", "cat", "dog"]);
+        assert_eq!((v.doc_freqs(), v.num_docs()), (&[2, 1, 1][..], 2));
+        assert_eq!(v.get("dog"), Some(2));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A stream of documents cut at random points into consecutive
+        /// ranges, each interned on its own and merged in order, is the
+        /// stream interned whole.
+        #[test]
+        fn merged_ranges_equal_serial_interning(
+            docs in proptest::collection::vec(
+                proptest::collection::vec("[abcde]{1,2}", 0..6),
+                0..24,
+            ),
+            cuts in proptest::collection::vec(0..25usize, 0..4),
+        ) {
+            let whole = interned(&docs);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(docs.len())).collect();
+            cuts.sort_unstable();
+            let mut merged = Vocab::new();
+            let mut start = 0;
+            for end in cuts.into_iter().chain([docs.len()]) {
+                let part = interned(&docs[start..end]);
+                let map = merged.merge(part.clone());
+                for (local, term) in part.terms().iter().enumerate() {
+                    proptest::prop_assert_eq!(merged.get(term), Some(map[local]));
+                }
+                start = end;
+            }
+            proptest::prop_assert_eq!(merged.terms(), whole.terms());
+            proptest::prop_assert_eq!(merged.doc_freqs(), whole.doc_freqs());
+            proptest::prop_assert_eq!(merged.num_docs(), whole.num_docs());
+            for term in whole.terms() {
+                proptest::prop_assert_eq!(merged.get(term), whole.get(term));
+            }
+            proptest::prop_assert_eq!(merged.get("zz"), None);
+        }
     }
 
     #[test]

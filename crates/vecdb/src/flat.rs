@@ -19,11 +19,14 @@ use crate::{Hit, VectorIndex};
 use sage_nn::io::{put_f32, put_u32, Reader};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Rows per block. Measured over 16,480 x 256 hashed rows (CHANGES.md,
 /// PR 24): 16 scans 45 % slower; 256 scans no faster, adds 40 % slower, and
-/// a 71-row per-document index would hold 256 KB instead of 128 KB.
-const BLOCK: usize = 64;
+/// a 71-row per-document index would hold 256 KB instead of 128 KB. A range
+/// of rows that starts at a multiple of it owns whole blocks
+/// ([`FlatIndex::rows_mut`]).
+pub const BLOCK: usize = 64;
 
 /// Heap entry whose maximum is the *worst* hit: lowest score
 /// (`total_cmp`, so NaN-safe), then highest id.
@@ -77,6 +80,42 @@ impl FlatIndex {
     /// Empty cosine index (the paper default).
     pub fn cosine() -> Self {
         Self::new(Metric::Cosine)
+    }
+
+    /// `len` all-zero rows of `dim` (the empty index when `len` is 0), to
+    /// be written in place through [`rows_mut`](Self::rows_mut).
+    pub fn zeroed(metric: Metric, dim: usize, len: usize) -> Self {
+        if len == 0 {
+            return Self::new(metric);
+        }
+        assert!(dim > 0, "cannot index empty vectors");
+        let data = vec![0.0; len.div_ceil(BLOCK) * dim * BLOCK];
+        Self { metric, dim, data, norms: vec![0.0; len] }
+    }
+
+    /// One writer per range of `ranges` — consecutive, from 0 to
+    /// [`len`](VectorIndex::len), each starting at a multiple of [`BLOCK`] —
+    /// owning that range's blocks and norms, so ranges can be written on
+    /// separate threads.
+    pub fn rows_mut(&mut self, ranges: &[Range<usize>]) -> Vec<RowsMut<'_>> {
+        let (len, dim, stride) = (self.len(), self.dim, self.stride());
+        let (mut data, mut norms) = (self.data.as_mut_slice(), self.norms.as_mut_slice());
+        let mut next = 0;
+        let writers = ranges
+            .iter()
+            .map(|range| {
+                assert!(range.start == next && range.start.is_multiple_of(BLOCK), "{range:?}");
+                next = range.end;
+                let blocks = range.end.div_ceil(BLOCK) - range.start / BLOCK;
+                let (own, rest) = std::mem::take(&mut data).split_at_mut(blocks * stride);
+                data = rest;
+                let (own_norms, rest) = std::mem::take(&mut norms).split_at_mut(range.len());
+                norms = rest;
+                RowsMut { first: range.start, dim, data: own, norms: own_norms }
+            })
+            .collect();
+        assert_eq!(next, len, "the ranges cover every row");
+        writers
     }
 
     /// Floats in one block.
@@ -257,6 +296,39 @@ impl FlatIndex {
     }
 }
 
+/// Write `row` as row `at` of `block`: element `d` into run `d`.
+fn put_row(block: &mut [f32], at: usize, row: &[f32]) {
+    for (run, &v) in block.chunks_exact_mut(BLOCK).zip(row) {
+        run[at] = v;
+    }
+}
+
+/// The rows of one range of a [`FlatIndex`] made by [`FlatIndex::zeroed`]:
+/// its blocks and its norms, borrowed apart from every other range's.
+#[derive(Debug)]
+pub struct RowsMut<'a> {
+    first: usize,
+    dim: usize,
+    data: &'a mut [f32],
+    norms: &'a mut [f32],
+}
+
+impl RowsMut<'_> {
+    /// Write the range's rows in id order: `write(id, row)` fills `row`
+    /// (`dim` floats, still holding the previous row) with row `id`, which
+    /// is stored with its norm exactly as [`VectorIndex::add`] stores it.
+    pub fn fill(self, mut write: impl FnMut(usize, &mut [f32])) {
+        let stride = self.dim * BLOCK;
+        let mut row = vec![0.0; self.dim];
+        for (at, norm_of_row) in self.norms.iter_mut().enumerate() {
+            write(self.first + at, &mut row);
+            debug_assert!(row.iter().all(|v| v.is_finite()), "rows must be finite");
+            put_row(&mut self.data[at / BLOCK * stride..][..stride], at % BLOCK, &row);
+            *norm_of_row = norm(&row);
+        }
+    }
+}
+
 impl VectorIndex for FlatIndex {
     fn add(&mut self, vector: Vec<f32>) -> usize {
         if self.dim == 0 {
@@ -271,10 +343,7 @@ impl VectorIndex for FlatIndex {
         if id.is_multiple_of(BLOCK) {
             self.data.resize(self.data.len() + stride, 0.0);
         }
-        let block = &mut self.data[id / BLOCK * stride..];
-        for (run, &v) in block.chunks_exact_mut(BLOCK).zip(&vector) {
-            run[id % BLOCK] = v;
-        }
+        put_row(&mut self.data[id / BLOCK * stride..][..stride], id % BLOCK, &vector);
         self.norms.push(norm(&vector));
         id
     }
@@ -418,6 +487,57 @@ mod tests {
             idx.add(vec![0.5; 64]);
         }
         assert_eq!(idx.memory_bytes(), reserved);
+    }
+
+    /// Rows of `dim` that differ in every element, some zero.
+    fn row(id: usize, dim: usize) -> Vec<f32> {
+        let value = |d: usize| ((id * dim + d) as f32 * 0.37).sin();
+        (0..dim).map(|d| if (id + d).is_multiple_of(5) { 0.0 } else { value(d) }).collect()
+    }
+
+    #[test]
+    fn ranges_filled_in_place_equal_the_add_loop() {
+        let dim = 19;
+        let cuts: [(usize, &[usize]); 6] = [
+            (200, &[]),
+            (200, &[64]),
+            (200, &[64, 128, 192]),
+            (192, &[128]),
+            (64, &[]),
+            (7, &[]),
+        ];
+        for (len, starts) in cuts {
+            let mut added = FlatIndex::cosine();
+            for id in 0..len {
+                added.add(row(id, dim));
+            }
+            let bounds: Vec<usize> = [0].iter().chain(starts).chain([&len]).copied().collect();
+            let ranges: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+            let mut filled = FlatIndex::zeroed(Metric::Cosine, dim, len);
+            // Fill the ranges out of order: each owns its rows alone.
+            for writer in filled.rows_mut(&ranges).into_iter().rev() {
+                writer.fill(|id, out| out.copy_from_slice(&row(id, dim)));
+            }
+            assert_eq!(filled.to_bytes(), added.to_bytes(), "{len} rows cut at {starts:?}");
+            assert_eq!(filled.norms, added.norms, "{len} rows cut at {starts:?}");
+            for q in 0..4 {
+                let query = row(1000 + q, dim);
+                let (a, b) = (filled.search(&query, 9), added.search(&query, 9));
+                let bits = |hits: &[Hit]| -> Vec<(usize, u32)> {
+                    hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+                };
+                assert_eq!(bits(&a), bits(&b), "{len} rows cut at {starts:?}");
+            }
+        }
+        let mut empty = FlatIndex::zeroed(Metric::Cosine, dim, 0);
+        assert!(empty.rows_mut(&[]).is_empty());
+        assert_eq!(empty.to_bytes(), FlatIndex::cosine().to_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "70..100")]
+    fn a_range_starting_inside_a_block_is_refused() {
+        FlatIndex::zeroed(Metric::Cosine, 3, 100).rows_mut(&[0..64, 64..70, 70..100]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod flat;
 pub mod metric;
 pub mod mutable;
 
-pub use flat::FlatIndex;
+pub use flat::{FlatIndex, RowsMut, BLOCK};
 pub use mutable::MutableIndex;
 pub use metric::Metric;
 

@@ -13,18 +13,19 @@
 # `#[expect(clippy::<lint>, reason = "...")]`, which fails once it suppresses
 # nothing.
 #
-# Byte-identity checks among the smokes: the pinned SHA-256 of the
-# default-budget model file and of the dense and BM25 index files;
-# same-seed replays of the soak and
+# Byte-identity checks among the smokes: same-seed replays of the soak and
 # the live soak (two runs, `diff`); a BM25 soak pinned to one core and the
 # same soak on every core (`cmp`); two same-seed `sage report` bundles less
-# their wall-clock latency line (`diff`); two `sage index` runs over one
-# model file, dense and BM25 (`cmp`); `sage segment` and `sage ask --retriever
-# bm25 --show-context`, a dense `sage ask --faults embedder=transient:1.0
+# their wall-clock latency line (`diff`); `sage segment` and `sage ask
+# --retriever bm25 --show-context`, a dense `sage ask --faults embedder=transient:1.0
 # --show-context` and a dense `sage ask --faults reader=transient:1.0
 # --show-context` == the output recorded in this script; and the full
 # scenario grid == the committed BENCH_scenarios.json (one run; `cargo test`
-# asserts the same equality).
+# asserts the same equality). The pinned SHA-256 of the default-budget
+# model file and of the dense and BM25 index files, and two `sage index`
+# runs per retriever compared byte for byte, are crates/cli/tests/persistence.rs,
+# run by `cargo test` against the debug `sage` and below against the
+# release one.
 #
 # Every dependency is a path crate of this repository, so this runs with an
 # empty registry and no network.
@@ -100,50 +101,17 @@ if [ "${1:-}" != fast ]; then
   ' "$tmp/metrics.prom"
   echo "telemetry smoke ok"
 
-  echo "=== persistence smoke (train -> index -> query over saved files)"
-  # The offline phase writes files the online phase reloads: the same
-  # models and corpus must index to the same bytes twice, with the default
-  # dense retriever and with BM25 (whose reranker shares BM25's term table),
-  # each saved index must answer, and one flipped payload byte must be
-  # refused by the CRC trailer rather than parsed.
+  echo "=== persistence pins against the release binary"
+  # The pinned SHA-256 of the model file and of a dense and a BM25 index,
+  # two index runs per retriever byte-equal, a saved index answering, a
+  # flipped byte refused: the test `cargo test` ran above against the
+  # debug `sage`, here against the release `sage` that ships.
+  cargo test -q --release -p sage-cli --test persistence
+
+  echo "=== saved models and index (for the smokes below)"
   "$sage" train --out "$tmp/models.bin" 2> /dev/null
-  # The default-budget models are pinned: the SHA-256 of the file
-  # `sage train --out` writes. A trainer change that moves one weight bit
-  # fails here.
-  models_sha=$(sha256sum "$tmp/models.bin" | cut -d ' ' -f 1)
-  [ "$models_sha" = 47389812a77e16c4a346958c744fc3810b46931d5c9651d62499e7e8999d830d ] \
-    || { echo "FAIL: sage train wrote different model bytes (sha256 $models_sha)"; exit 1; }
-  for retriever in openai bm25; do
-    for run in a b; do
-      "$sage" index --file "$tmp/corpus.txt" --models "$tmp/models.bin" \
-        --retriever "$retriever" --out "$tmp/index_${retriever}_$run.bin" 2> /dev/null
-    done
-    cmp "$tmp/index_${retriever}_a.bin" "$tmp/index_${retriever}_b.bin" \
-      || { echo "FAIL: the same models and corpus indexed to different $retriever bytes"; exit 1; }
-    # Both saved indexes are pinned too: a change in chunk, embedding or
-    # term-table bits fails here even when two runs agree with each other.
-    index_sha=$(sha256sum "$tmp/index_${retriever}_a.bin" | cut -d ' ' -f 1)
-    case "$retriever" in
-      openai) want_sha=4f3818a53bab0d48f6826c1750a6d1c853cb4493decedc19b9d147efbdc0dcef ;;
-      bm25) want_sha=36c8f066e2c2204419b2cd1475526b7b9d712ea58a5da8c9d68c097705ef7e07 ;;
-    esac
-    [ "$index_sha" = "$want_sha" ] \
-      || { echo "FAIL: sage index wrote different $retriever bytes (sha256 $index_sha)"; exit 1; }
-    "$sage" query --index "$tmp/index_${retriever}_a.bin" \
-      --question "What is the color of Whiskers's eyes?" > "$tmp/query.txt" 2> /dev/null
-    grep -q green "$tmp/query.txt" \
-      || { echo "FAIL: wrong answer from the saved $retriever index"; cat "$tmp/query.txt"; exit 1; }
-  done
-  # Byte 100 is chunk text (ASCII), so 0xFF always changes it.
-  cp "$tmp/index_openai_a.bin" "$tmp/index_flipped.bin"
-  printf '\377' | dd of="$tmp/index_flipped.bin" bs=1 seek=100 conv=notrunc 2> /dev/null
-  if "$sage" query --index "$tmp/index_flipped.bin" \
-      --question "What is the color of Whiskers's eyes?" > /dev/null 2> "$tmp/flipped.err"; then
-    echo "FAIL: a corrupted index answered"; exit 1
-  fi
-  grep -q 'checksum mismatch' "$tmp/flipped.err" \
-    || { echo "FAIL: no checksum error"; cat "$tmp/flipped.err"; exit 1; }
-  echo "persistence smoke ok"
+  "$sage" index --file "$tmp/corpus.txt" --models "$tmp/models.bin" \
+    --out "$tmp/index_openai_a.bin" 2> /dev/null
 
   echo "=== panic smoke (an injected reader panic is an error, not a crash)"
   # `ask` and `query` go through the one panic boundary: exit status 1,
@@ -199,8 +167,11 @@ LISTING
 
   echo "=== core-count smoke (one core and every core build the same system)"
   # `RagSystem::build` segments a multi-document corpus on one worker per
-  # available core; pinned to core 0 it takes the one-worker path. The BM25
-  # soak builds over four documents, so its output must not tell them apart.
+  # available core, and indexes it on as many 64-chunk-aligned ranges;
+  # pinned to core 0 it takes the one-worker path. The BM25 soak builds over
+  # four documents, so its output must not tell them apart. (The ranged
+  # index build at 1, 2, 3 and more workers than blocks, per retriever, is
+  # `cargo test -p sage-core --lib segmentation::`.)
   soak_bm25=(soak --retriever bm25 --seed 42 --duration 10 --qps 3 --docs 4 --models "$tmp/models.bin")
   taskset -c 0 "$sage" "${soak_bm25[@]}" > "$tmp/soak_one_core.log" 2> "$tmp/soak_one_core.err"
   "$sage" "${soak_bm25[@]}" > "$tmp/soak_all_cores.log" 2> "$tmp/soak_all_cores.err"

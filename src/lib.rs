@@ -93,7 +93,9 @@ pub mod prelude {
         LiveSoakConfig, LiveSoakReport,
     };
     pub use sage_core::models::{TrainBudget, TrainedModels};
-    pub use sage_core::pipeline::{BuildStats, QueryResult, RagSystem, Request};
+    pub use sage_core::pipeline::{
+        BuildPhases, BuildStats, PhaseTime, QueryResult, RagSystem, Request,
+    };
     pub use sage_core::scenario::{parse_scenarios, render_rows, run_cell, BenchRow, ScenarioCell};
     pub use sage_core::soak::{run_soak, SoakReport};
     pub use sage_corpus::datasets::SizeConfig;

@@ -109,6 +109,20 @@ fn multiple_choice_with_one_option() {
 }
 
 #[test]
+fn multiple_choice_with_no_options_is_unanswerable_without_a_read() {
+    let system = build(&["Whiskers has bright green eyes.".to_string()]);
+    let q = "What is the color of Whiskers's eyes?";
+    let r = system.answer(&Request { options: Some(&[]), ..Request::new(q) }).unwrap();
+    assert_eq!(r.answer.text, "unanswerable");
+    assert_eq!(r.picked_option, None);
+    assert!(r.selected.is_empty());
+    assert_eq!(r.cost.total_tokens(), 0);
+    assert_eq!(r.feedback_rounds, 0);
+    assert!(r.degraded.is_clean());
+    assert_eq!(system.fallback_counters(), Vec::new(), "no panic isolated, no fallback fired");
+}
+
+#[test]
 fn min_k_larger_than_chunk_count() {
     let corpus = vec!["One short paragraph only. It has two sentences.".to_string()];
     let system = RagSystem::build(
