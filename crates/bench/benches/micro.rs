@@ -72,7 +72,8 @@ fn bench_vecdb() {
     }
     // The repo benchmark's `ask_dense` shape (23,321 chunks x 256-d, top 32).
     // The flat scan's cost follows the query's non-zeros: a hashed question
-    // has about ten of 256; an every-dimension query is the row-major cost.
+    // streams about sixteen of the 256 columns, an every-dimension query
+    // all of them at once.
     let n = 23_321usize;
     let vectors = unit_vectors(n, 256);
     let dense = vectors[n / 2].clone();
@@ -89,6 +90,36 @@ fn bench_vecdb() {
     cell(&format!("flat_top32/{n} dense query"), || flat.search(black_box(&dense), 32));
     cell(&format!("flat_top32/{n} hashed query ({nonzeros} of 256)"), || {
         flat.search(black_box(&hashed), 32)
+    });
+    // The SBERT / DPR shape: 48-d rows, a query with every dimension set,
+    // which streams every column of the index at once.
+    let vectors = unit_vectors(n, 48);
+    let dense = vectors[n / 2].clone();
+    let mut flat = FlatIndex::cosine();
+    flat.reserve(n);
+    for v in vectors {
+        flat.add(v);
+    }
+    cell(&format!("flat_top32/{n} 48-d dense query"), || flat.search(black_box(&dense), 32));
+    // The live store's shape: a mutable index of 6,000 hashed-size rows
+    // takes 500 adds (one at a time, no reserve), loses 500 rows to
+    // tombstones and compacts.
+    let (base_rows, adds) = (6_000usize, 500usize);
+    let vectors = unit_vectors(base_rows + adds, 256);
+    let mut base = MutableIndex::cosine();
+    for v in &vectors[..base_rows] {
+        base.add(v.clone());
+    }
+    let added = &vectors[base_rows..];
+    cell(&format!("mutable {base_rows}x256 +{adds} adds, -{adds}, compact"), || {
+        let mut index = base.clone();
+        for v in added {
+            index.add(v.clone());
+        }
+        for id in (0..base_rows + adds).step_by(13).take(adds) {
+            index.tombstone(id);
+        }
+        index.compact()
     });
 }
 

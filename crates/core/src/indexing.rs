@@ -2,11 +2,11 @@
 //! core, each chunk analysed once.
 //!
 //! The chunk list is cut into consecutive ranges, one per worker, every
-//! boundary moved down to a multiple of the `FlatIndex` block
-//! ([`chunk_ranges`]: a list under two blocks stays one range), and each
+//! boundary moved down to a multiple of the `FlatIndex` tile
+//! ([`chunk_ranges`]: a list under two tiles stays one range), and each
 //! range is built on its own scoped thread ([`on_ranges`]). A dense range fills one [`Analysis`] per chunk, in
 //! reused buffers, and that one fill feeds both the chunk's row — written
-//! with its norm straight into the blocks the range owns
+//! with its norm into the range's stretch of the index's columns
 //! ([`FlatIndex::rows_mut`]) — and, when the system reranks, its stems into
 //! the range's IDF table ([`Vocab::add_document`]). A BM25 range is a BM25
 //! index over its own chunks. The ranges' term tables merge in range order
@@ -32,9 +32,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Cut `len` chunks into at most `parts` consecutive ranges of about equal
-/// length, each boundary moved down to a multiple of [`BLOCK`] so that a
-/// range owns whole `FlatIndex` blocks. Empty ranges are dropped: fewer than
-/// `2 × BLOCK` chunks make one range, no chunks none.
+/// length, each boundary moved down to a multiple of [`BLOCK`] — the start
+/// [`FlatIndex::rows_mut`] asks of a range. The alignment sets the smallest
+/// range worth a thread: empty ranges are dropped, so fewer than
+/// `2 × BLOCK` chunks make one range, built on the caller's thread (every
+/// `doc_qa` document), and no chunks none.
 pub(crate) fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.max(1);
     let mut bounds: Vec<usize> = (0..parts).map(|k| len * k / parts / BLOCK * BLOCK).collect();

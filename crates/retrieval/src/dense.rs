@@ -15,7 +15,7 @@
 //! ```
 
 use crate::{Retriever, ScoredChunk};
-use sage_embed::Embedder;
+use sage_embed::{Analysis, Embedder};
 use sage_vecdb::{FlatIndex, VectorIndex};
 
 /// An embedding model paired with an exact cosine index.
@@ -79,16 +79,15 @@ impl<E: Embedder> DenseRetriever<E> {
 
 impl<E: Embedder> Retriever for DenseRetriever<E> {
     fn index(&mut self, chunks: &[String]) {
-        // Rebuild from scratch: chunk ids must equal slice indices.
-        self.index.clear();
-        self.index.reserve(chunks.len());
-        self.indexed = 0;
-        for chunk in chunks {
-            let v = self.embedder.embed(chunk);
-            let id = self.index.add(v);
-            debug_assert_eq!(id, self.indexed);
-            self.indexed += 1;
-        }
+        // Rebuild from scratch: chunk ids must equal slice indices. Every
+        // chunk is known up front, so the rows fill whole tiles in place.
+        let mut analysis = Analysis::default();
+        let (embedder, metric) = (&self.embedder, self.index.metric());
+        self.index = FlatIndex::filled(metric, embedder.dim(), chunks.len(), |id, row| {
+            analysis.fill(&chunks[id]);
+            embedder.embed_analysed(&mut analysis, row);
+        });
+        self.indexed = chunks.len();
     }
 
     fn retrieve(&self, query: &str, n: usize) -> Vec<ScoredChunk> {

@@ -1,15 +1,17 @@
 //! Exact brute-force index: one scan of every stored row per query.
 //!
-//! Rows are kept *dimension-major in blocks of `BLOCK` rows*: a block is
-//! `dim` runs of `BLOCK` floats, run `d` holding dimension `d` of each of
-//! its rows. A scan walks only the dimensions where the query is not zero,
-//! adding `q[d] * run[d]` into a running sum per row (a *plane*), so its
-//! cost follows the query's non-zeros, not `dim` — a question embedded by
-//! the hashed embedder has about 10 of 256. The row-major scan this
-//! replaced was compute-bound (an L2-resident arena cost the same per row
-//! as the 24 MB one), so the skipped terms are the time saved; a query with
-//! every dimension set costs what it did. The planes combine in `dot`'s
-//! own order (`metric::Plan`), so a (query, row) pair keeps the bits
+//! Rows are kept *column-major*: `dim` columns of `cap` floats, column `d`
+//! holding dimension `d` of every row in id order, where the capacity
+//! `cap` is a multiple of [`BLOCK`]. A scan scores `BLOCK` rows at a time
+//! (a *tile*) and walks only the dimensions where the query is not zero,
+//! adding `q[d] * run` into a running sum per row (a *plane*), `run` being
+//! the tile's stretch of column `d`. Its cost follows the query's non-zeros,
+//! not `dim` — a question embedded by the hashed embedder sets about 16 of
+//! 256 — and it reads each of those columns front to back, one stream per
+//! non-zero. A query with every dimension set streams all `dim` columns at
+//! once, which costs somewhat more than the 64-row blocks this layout
+//! replaced (EXPERIMENTS.md). The planes combine in `dot`'s own order
+//! (`metric::Plan`), so a (query, row) pair keeps the bits
 //! [`Metric::similarity`] gives it. A bounded top-N takes a scored row only
 //! if it beats the current worst. The paper's retrieval needs exact top-N
 //! only, so this is the one index every retriever serves from.
@@ -21,10 +23,9 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-/// Rows per block. Measured over 16,480 x 256 hashed rows (CHANGES.md,
-/// PR 24): 16 scans 45 % slower; 256 scans no faster, adds 40 % slower, and
-/// a 71-row per-document index would hold 256 KB instead of 128 KB. A range
-/// of rows that starts at a multiple of it owns whole blocks
+/// Rows a scan scores at a time (a tile), and the step a column's capacity
+/// is counted in: a column holds whole tiles, zero past the final row. A
+/// range of rows that starts at a multiple of it fills whole tiles
 /// ([`FlatIndex::rows_mut`]).
 pub const BLOCK: usize = 64;
 
@@ -63,8 +64,10 @@ impl Ord for HeapHit {
 pub struct FlatIndex {
     metric: Metric,
     dim: usize,
-    /// Whole blocks of `dim * BLOCK` floats; the last one is zero past the
-    /// final row.
+    /// Rows each column has room for: a multiple of [`BLOCK`], at least the
+    /// row count.
+    cap: usize,
+    /// `dim` columns of `cap` floats, each zero past the final row.
     data: Vec<f32>,
     /// One per row: the row count.
     norms: Vec<f32>,
@@ -74,7 +77,7 @@ impl FlatIndex {
     /// Empty index with the given metric; the dimensionality is fixed by
     /// the first insert.
     pub fn new(metric: Metric) -> Self {
-        Self { metric, dim: 0, data: Vec::new(), norms: Vec::new() }
+        Self { metric, dim: 0, cap: 0, data: Vec::new(), norms: Vec::new() }
     }
 
     /// Empty cosine index (the paper default).
@@ -89,61 +92,84 @@ impl FlatIndex {
             return Self::new(metric);
         }
         assert!(dim > 0, "cannot index empty vectors");
-        let data = vec![0.0; len.div_ceil(BLOCK) * dim * BLOCK];
-        Self { metric, dim, data, norms: vec![0.0; len] }
+        let cap = len.next_multiple_of(BLOCK);
+        Self { metric, dim, cap, data: vec![0.0; dim * cap], norms: vec![0.0; len] }
+    }
+
+    /// `len` rows of `dim` written by `write` as [`RowsMut::fill`] writes
+    /// them: [`zeroed`](Self::zeroed), then one range over every row.
+    pub fn filled(
+        metric: Metric,
+        dim: usize,
+        len: usize,
+        mut write: impl FnMut(usize, &mut [f32]),
+    ) -> Self {
+        let mut index = Self::zeroed(metric, dim, len);
+        let every_row = 0..len;
+        let writers = index.rows_mut(std::slice::from_ref(&every_row));
+        writers.into_iter().for_each(|rows| rows.fill(&mut write));
+        index
+    }
+
+    /// The metric the index scores with.
+    pub fn metric(&self) -> Metric {
+        self.metric
     }
 
     /// One writer per range of `ranges` — consecutive, from 0 to
     /// [`len`](VectorIndex::len), each starting at a multiple of [`BLOCK`] —
-    /// owning that range's blocks and norms, so ranges can be written on
-    /// separate threads.
+    /// owning that range's stretch of every column and its norms, so ranges
+    /// can be written on separate threads.
     pub fn rows_mut(&mut self, ranges: &[Range<usize>]) -> Vec<RowsMut<'_>> {
-        let (len, dim, stride) = (self.len(), self.dim, self.stride());
-        let (mut data, mut norms) = (self.data.as_mut_slice(), self.norms.as_mut_slice());
         let mut next = 0;
-        let writers = ranges
+        for range in ranges {
+            assert!(range.start == next && range.start.is_multiple_of(BLOCK), "{range:?}");
+            next = range.end;
+        }
+        assert_eq!(next, self.len(), "the ranges cover every row");
+        let (dim, cap) = (self.dim, self.cap);
+        let mut norms = self.norms.as_mut_slice();
+        let mut writers: Vec<RowsMut<'_>> = ranges
             .iter()
             .map(|range| {
-                assert!(range.start == next && range.start.is_multiple_of(BLOCK), "{range:?}");
-                next = range.end;
-                let blocks = range.end.div_ceil(BLOCK) - range.start / BLOCK;
-                let (own, rest) = std::mem::take(&mut data).split_at_mut(blocks * stride);
-                data = rest;
-                let (own_norms, rest) = std::mem::take(&mut norms).split_at_mut(range.len());
+                let (own, rest) = std::mem::take(&mut norms).split_at_mut(range.len());
                 norms = rest;
-                RowsMut { first: range.start, dim, data: own, norms: own_norms }
+                RowsMut { first: range.start, dim, columns: Vec::with_capacity(dim), norms: own }
             })
             .collect();
-        assert_eq!(next, len, "the ranges cover every row");
+        let mut data = self.data.as_mut_slice();
+        for _ in 0..dim {
+            let (mut column, rest) = std::mem::take(&mut data).split_at_mut(cap);
+            data = rest;
+            for writer in &mut writers {
+                let (own, rest) = std::mem::take(&mut column).split_at_mut(writer.norms.len());
+                column = rest;
+                writer.columns.push(own);
+            }
+        }
         writers
     }
 
-    /// Floats in one block.
-    fn stride(&self) -> usize {
-        self.dim * BLOCK
-    }
-
-    /// A copy of the vector with internal id `id`: a gather of `dim`
-    /// strided floats, some twenty times a contiguous read. Whoever wants
-    /// every row wants [`FlatIndex::for_each_row`].
+    /// A copy of the vector with internal id `id`: a gather of one float
+    /// from each column, `cap` floats apart. Whoever wants every row wants
+    /// [`FlatIndex::for_each_row`].
     pub fn vector(&self, id: usize) -> Option<Vec<f32>> {
         if id >= self.len() {
             return None;
         }
-        let block = &self.data[id / BLOCK * self.stride()..][..self.stride()];
-        Some(block.chunks_exact(BLOCK).map(|run| run[id % BLOCK]).collect())
+        Some(self.columns().map(|column| column[id]).collect())
     }
 
-    /// Call `f` with every row in id order, each block transposed once into
-    /// a row-major buffer.
+    /// Call `f` with every row in id order, each tile gathered from the
+    /// columns into one row-major buffer.
     pub fn for_each_row(&self, mut f: impl FnMut(&[f32])) {
         if self.is_empty() {
             return;
         }
-        let mut rows = vec![0.0; self.stride()];
-        for (block, norms) in self.data.chunks_exact(self.stride()).zip(self.norms.chunks(BLOCK)) {
-            for (d, run) in block.chunks_exact(BLOCK).enumerate() {
-                for (row, &v) in rows.chunks_exact_mut(self.dim).zip(run) {
+        let mut rows = vec![0.0; BLOCK * self.dim];
+        for (t, norms) in self.norms.chunks(BLOCK).enumerate() {
+            for (d, column) in self.columns().enumerate() {
+                for (row, &v) in rows.chunks_exact_mut(self.dim).zip(&column[t * BLOCK..]) {
                     row[d] = v;
                 }
             }
@@ -151,9 +177,16 @@ impl FlatIndex {
         }
     }
 
-    /// Keep the rows `keep` admits, in order, moving them a run at a time,
-    /// and return the old -> new id map (`None` for a dropped row). The
-    /// result is the index a fresh one fed the survivors would be.
+    /// The columns, each `cap` floats (once a row has room: `cap > 0`).
+    fn columns(&self) -> impl Iterator<Item = &[f32]> {
+        self.data.chunks_exact(self.cap)
+    }
+
+    /// Keep the rows `keep` admits, in order, and return the old -> new id
+    /// map (`None` for a dropped row). In place: each survivor moves down
+    /// its columns, the rows freed at the end are zeroed, and the capacity
+    /// stays for the rows that come next. Rows, norms and every score are
+    /// those of a fresh index fed the survivors.
     pub(crate) fn retain(&mut self, keep: impl Fn(usize) -> bool) -> Vec<Option<usize>> {
         if self.is_empty() {
             return Vec::new();
@@ -172,26 +205,37 @@ impl FlatIndex {
             *self = Self::new(self.metric);
             return remap;
         }
-        let stride = self.stride();
-        let mut data = vec![0.0; kept.div_ceil(BLOCK) * stride];
-        // Per block: where in its runs a survivor sits, and where its
-        // dimension 0 goes.
-        let mut moves = Vec::with_capacity(BLOCK);
-        for (block, news) in self.data.chunks_exact(stride).zip(remap.chunks(BLOCK)) {
-            moves.clear();
-            moves.extend(news.iter().enumerate().filter_map(|(at, new)| {
-                new.map(|new| (at, new / BLOCK * stride + new % BLOCK))
-            }));
-            for (d, run) in block.chunks_exact(BLOCK).enumerate() {
-                for &(at, to) in &moves {
-                    data[to + d * BLOCK] = run[at];
-                }
+        // Rows before the first dropped one stay where they are; each later
+        // survivor moves down to the next free row, which it never passes.
+        let settled = remap.iter().position(Option::is_none).unwrap_or(kept);
+        let moves: Vec<usize> =
+            (settled..remap.len()).filter(|&old| remap[old].is_some()).collect();
+        let len = self.len();
+        for column in self.data.chunks_exact_mut(self.cap) {
+            for (new, &old) in (settled..).zip(&moves) {
+                column[new] = column[old];
+            }
+            column[kept..len].fill(0.0);
+        }
+        for (new, &old) in (settled..).zip(&moves) {
+            self.norms[new] = self.norms[old];
+        }
+        self.norms.truncate(kept);
+        remap
+    }
+
+    /// Move every column into room for `cap` rows: the one copy a growing
+    /// index makes.
+    fn grow(&mut self, cap: usize) {
+        let len = self.len();
+        let mut data = vec![0.0; self.dim * cap];
+        if len > 0 {
+            for (to, from) in data.chunks_exact_mut(cap).zip(self.columns()) {
+                to[..len].copy_from_slice(&from[..len]);
             }
         }
         self.data = data;
-        self.norms =
-            self.norms.iter().zip(&remap).filter_map(|(&norm, new)| new.map(|_| norm)).collect();
-        remap
+        self.cap = cap;
     }
 
     /// Serialize to a compact binary blob (little-endian), rows in id
@@ -210,9 +254,9 @@ impl FlatIndex {
     }
 
     /// Deserialize a blob produced by [`FlatIndex::to_bytes`]; the norms
-    /// are taken again from the rows. Returns `None` on malformed input,
-    /// which a value that is not finite is: the scan's skipped terms are
-    /// zero only against finite rows.
+    /// are taken again from the rows, which fill whole tiles. Returns `None`
+    /// on malformed input, which a value that is not finite is: the scan's
+    /// skipped terms are zero only against finite rows.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
         let metric = match r.u8()? {
@@ -226,17 +270,16 @@ impl FlatIndex {
         if dim == 0 && count > 0 {
             return None;
         }
-        let mut index = Self::new(metric);
-        index.reserve(count);
-        for _ in 0..count {
-            let row = r.f32s(dim)?;
-            if !row.iter().all(|v| v.is_finite()) {
-                return None;
-            }
-            index.add(row);
-        }
+        let (values, _) = r.take(count * dim * 4)?.as_chunks::<4>();
         r.finish()?;
-        Some(index)
+        if !values.iter().all(|v| f32::from_le_bytes(*v).is_finite()) {
+            return None;
+        }
+        Some(Self::filled(metric, dim, count, |id, row| {
+            for (v, bytes) in row.iter_mut().zip(&values[id * dim..]) {
+                *v = f32::from_le_bytes(*bytes);
+            }
+        }))
     }
 
     /// Exact top-N among the rows `keep` admits ([`VectorIndex::search`]
@@ -261,13 +304,11 @@ impl FlatIndex {
         // The worst score held once `n` are: below it nothing enters.
         let mut floor = f32::NEG_INFINITY;
         let mut scored = 0;
-        let blocks = self.data.chunks_exact(self.stride()).zip(self.norms.chunks(BLOCK));
-        for (b, (block, norms)) in blocks.enumerate() {
-            let (runs, _) = block.as_chunks::<BLOCK>();
-            let sums = plan.sums(runs, &mut planes);
+        for (t, norms) in self.norms.chunks(BLOCK).enumerate() {
+            let sums = plan.sums(&self.data, self.cap, t * BLOCK, &mut planes);
             self.metric.finish_run(sums, query_norm, norms, &mut scores);
             for (at, &score) in scores[..norms.len()].iter().enumerate() {
-                let id = b * BLOCK + at;
+                let id = t * BLOCK + at;
                 if !keep(id) {
                     continue;
                 }
@@ -296,35 +337,39 @@ impl FlatIndex {
     }
 }
 
-/// Write `row` as row `at` of `block`: element `d` into run `d`.
-fn put_row(block: &mut [f32], at: usize, row: &[f32]) {
-    for (run, &v) in block.chunks_exact_mut(BLOCK).zip(row) {
-        run[at] = v;
-    }
-}
-
 /// The rows of one range of a [`FlatIndex`] made by [`FlatIndex::zeroed`]:
-/// its blocks and its norms, borrowed apart from every other range's.
+/// its stretch of every column and its norms, borrowed apart from every
+/// other range's.
 #[derive(Debug)]
 pub struct RowsMut<'a> {
     first: usize,
     dim: usize,
-    data: &'a mut [f32],
+    /// Per dimension, the range's rows of that column.
+    columns: Vec<&'a mut [f32]>,
     norms: &'a mut [f32],
 }
 
 impl RowsMut<'_> {
     /// Write the range's rows in id order: `write(id, row)` fills `row`
-    /// (`dim` floats, still holding the previous row) with row `id`, which
+    /// (`dim` floats, holding an earlier row's values) with row `id`, which
     /// is stored with its norm exactly as [`VectorIndex::add`] stores it.
-    pub fn fill(self, mut write: impl FnMut(usize, &mut [f32])) {
-        let stride = self.dim * BLOCK;
-        let mut row = vec![0.0; self.dim];
-        for (at, norm_of_row) in self.norms.iter_mut().enumerate() {
-            write(self.first + at, &mut row);
-            debug_assert!(row.iter().all(|v| v.is_finite()), "rows must be finite");
-            put_row(&mut self.data[at / BLOCK * stride..][..stride], at % BLOCK, &row);
-            *norm_of_row = norm(&row);
+    /// A tile of rows is gathered row-major, then each column takes its
+    /// stretch of the tile in one run.
+    pub fn fill(mut self, mut write: impl FnMut(usize, &mut [f32])) {
+        let dim = self.dim;
+        let mut tile = vec![0.0; BLOCK * dim];
+        for (t, norms) in self.norms.chunks_mut(BLOCK).enumerate() {
+            let rows = &mut tile[..norms.len() * dim];
+            for (at, (row, norm_of_row)) in rows.chunks_exact_mut(dim).zip(norms).enumerate() {
+                write(self.first + t * BLOCK + at, row);
+                debug_assert!(row.iter().all(|v| v.is_finite()), "rows must be finite");
+                *norm_of_row = norm(row);
+            }
+            for (d, column) in self.columns.iter_mut().enumerate() {
+                for (v, row) in column[t * BLOCK..].iter_mut().zip(rows.chunks_exact(dim)) {
+                    *v = row[d];
+                }
+            }
         }
     }
 }
@@ -339,19 +384,23 @@ impl VectorIndex for FlatIndex {
         }
         assert_eq!(vector.len(), self.dim, "vector dim {} != index dim {}", vector.len(), self.dim);
         debug_assert!(vector.iter().all(|v| v.is_finite()), "rows must be finite");
-        let (id, stride) = (self.len(), self.stride());
-        if id.is_multiple_of(BLOCK) {
-            self.data.resize(self.data.len() + stride, 0.0);
+        let id = self.len();
+        if id == self.cap {
+            self.grow((2 * self.cap).max(BLOCK));
         }
-        put_row(&mut self.data[id / BLOCK * stride..][..stride], id % BLOCK, &vector);
+        for (column, &v) in self.data.chunks_exact_mut(self.cap).zip(&vector) {
+            column[id] = v;
+        }
         self.norms.push(norm(&vector));
         id
     }
 
     fn reserve(&mut self, additional: usize) {
         self.norms.reserve(additional);
-        let blocks = (self.len() + additional).div_ceil(BLOCK);
-        self.data.reserve((blocks * self.stride()).saturating_sub(self.data.len()));
+        let cap = (self.len() + additional).next_multiple_of(BLOCK);
+        if self.dim > 0 && cap > self.cap {
+            self.grow(cap);
+        }
     }
 
     fn search(&self, query: &[f32], n: usize) -> Vec<Hit> {
@@ -360,6 +409,7 @@ impl VectorIndex for FlatIndex {
 
     fn clear(&mut self) {
         self.dim = 0;
+        self.cap = 0;
         self.data.clear();
         self.norms.clear();
     }
@@ -532,6 +582,30 @@ mod tests {
         let mut empty = FlatIndex::zeroed(Metric::Cosine, dim, 0);
         assert!(empty.rows_mut(&[]).is_empty());
         assert_eq!(empty.to_bytes(), FlatIndex::cosine().to_bytes());
+    }
+
+    #[test]
+    fn retain_moves_survivors_down_in_place_and_zeroes_the_rows_it_frees() {
+        let dim = 7;
+        let mut idx = FlatIndex::cosine();
+        for id in 0..150 {
+            idx.add(row(id, dim));
+        }
+        let (cap, room) = (idx.cap, idx.data.capacity());
+        let keep = |id: usize| id % 4 != 1 && !(60..70).contains(&id);
+        let remap = idx.retain(keep);
+        let kept: Vec<usize> = (0..150).filter(|&id| keep(id)).collect();
+        assert_eq!(remap.iter().flatten().count(), kept.len());
+        assert_eq!((idx.cap, idx.data.capacity()), (cap, room), "no second index");
+        for column in idx.data.chunks_exact(cap) {
+            assert!(column[kept.len()..].iter().all(|v| v.to_bits() == 0), "a stale row");
+        }
+        let mut fresh = FlatIndex::cosine();
+        for &id in &kept {
+            fresh.add(row(id, dim));
+        }
+        assert_eq!(idx.to_bytes(), fresh.to_bytes());
+        assert_eq!(idx.norms, fresh.norms);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! behind one [`VectorIndex`] trait:
 //!
 //! * [`FlatIndex`] — exact brute-force top-N search, rows stored
-//!   dimension-major in blocks so a scan walks only the query's non-zero
-//!   dimensions, with a norm per row taken at insert.
+//!   column-major (one run per dimension over every row) so a scan streams
+//!   only the query's non-zero dimensions, with a norm per row taken at
+//!   insert.
 //! * [`MutableIndex`] — logical deletion (tombstones + deterministic
 //!   compaction) over a flat index: the vector side of `sage-core`'s
 //!   live-corpus writer, which holds it in a private field.

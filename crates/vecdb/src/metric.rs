@@ -113,7 +113,7 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// A query's side of a scan that scores many rows at once: which of its
 /// entries contribute a term, and in what order the partial sums combine.
 ///
-/// Every partial sum is a *plane* (one running sum per row of the block
+/// Every partial sum is a *plane* (one running sum per row of the tile
 /// being scored). For cosine and dot the order is [`dot`]'s, restricted to
 /// the query's non-zero entries: entry `i` still goes to lane `i % LANES`
 /// (the tail to a plane of its own) in ascending `i`, and the lanes still
@@ -185,17 +185,20 @@ impl Plan {
         Self { euclidean: false, terms, adds, planes: planes.max(1), total }
     }
 
-    /// Each row's summed terms for one block of `N` rows stored
-    /// dimension-major (`runs[d][r]` is dimension `d` of row `r`), using
-    /// `planes` as scratch.
+    /// Each row's summed terms for the `N` rows from row `first` of
+    /// `columns`, stored column-major with room for `cap` rows
+    /// (`columns[d * cap + r]` is dimension `d` of row `r`), using `planes`
+    /// as scratch.
     pub(crate) fn sums<'p, const N: usize>(
         &self,
-        runs: &[[f32; N]],
+        columns: &[f32],
+        cap: usize,
+        first: usize,
         planes: &'p mut [[f32; N]; MAX_PLANES],
     ) -> &'p [f32; N] {
         planes[..self.planes].fill([0.0; N]);
         for &(d, plane, q) in &self.terms {
-            let sums = planes[plane].iter_mut().zip(&runs[d]);
+            let sums = planes[plane].iter_mut().zip(&columns[d * cap + first..][..N]);
             if self.euclidean {
                 sums.for_each(|(s, &x)| *s += squared_gap(q, x));
             } else {

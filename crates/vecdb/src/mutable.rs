@@ -7,11 +7,11 @@
 //! over the survivors so the dead mass does not grow without bound.
 //!
 //! Compaction is deterministic: survivors keep their id order (the index
-//! moves them a block at a time and ends as the one a fresh index fed the
-//! survivors would be), so two stores that applied the same operations
-//! compact to bit-identical indexes. The one serving instance is a private
-//! field of `sage-core`'s `CorpusWriter`, so all mutation of it stays
-//! inside that crate's `live` module.
+//! moves them down its columns in place and ends with the rows and scores
+//! of a fresh index fed the survivors), so two stores that applied the
+//! same operations compact to bit-identical indexes. The one serving
+//! instance is a private field of `sage-core`'s `CorpusWriter`, so all
+//! mutation of it stays inside that crate's `live` module.
 
 use crate::metric::Metric;
 use crate::{FlatIndex, Hit, VectorIndex};
@@ -85,7 +85,8 @@ impl MutableIndex {
     /// the surviving vectors and their order.
     pub fn compact(&mut self) -> Vec<Option<usize>> {
         let remap = self.flat.retain(|id| !self.dead[id]);
-        self.dead = vec![false; self.flat.len()];
+        self.dead.clear();
+        self.dead.resize(self.flat.len(), false);
         self.dead_count = 0;
         remap
     }

@@ -483,3 +483,230 @@ fn every_index_scores_a_pair_with_the_same_bits() {
         }
     }
 }
+
+/// Queries that exercise the column layout: the empty support, one column
+/// at either end, a hashed-like scatter and every column at once.
+fn layout_queries(seed: u64, dim: usize) -> Vec<Vec<f32>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let scatter: Vec<usize> = (0..dim.min(16)).map(|_| rng.random_range(0..dim)).collect();
+    [Vec::new(), vec![0], vec![dim - 1], scatter, (0..dim).collect()]
+        .iter()
+        .enumerate()
+        .map(|(s, support)| query_on(seed + s as u64, dim, support))
+        .collect()
+}
+
+/// `index` holds `rows` (in id order): every query of [`layout_queries`]
+/// at several `n` gives the row-major scan's ids and bits, under `metric`.
+fn assert_scans_like_row_major(metric: Metric, index: &impl VectorIndex, rows: &[Vec<f32>]) {
+    assert_eq!(index.len(), rows.len());
+    if rows.is_empty() {
+        return;
+    }
+    let dim = rows[0].len();
+    let arena = row_major::Arena::new(metric, rows);
+    for (q, query) in layout_queries(rows.len() as u64, dim).iter().enumerate() {
+        for n in [1, 10, rows.len()] {
+            assert_eq!(
+                bits(&index.search(query, n)),
+                bits(&arena.top_n(query, n, 0..rows.len())),
+                "{metric:?} {} rows of {dim}, query {q}, n {n}",
+                rows.len()
+            );
+        }
+    }
+}
+
+fn row_bits(index: &FlatIndex) -> Vec<Vec<u32>> {
+    let mut walked = Vec::new();
+    index.for_each_row(|row| walked.push(row.iter().map(|v| v.to_bits()).collect()));
+    walked
+}
+
+/// `index` reads back `rows` as an index built by `add` alone does: the
+/// same `to_bytes`, the rows themselves from `for_each_row`, and the same
+/// `vector` of every id.
+fn assert_reads_like_added(index: &FlatIndex, rows: &[Vec<f32>], metric: Metric) {
+    let added = filled(FlatIndex::new(metric), rows);
+    assert_eq!(index.to_bytes(), added.to_bytes(), "{} rows", rows.len());
+    let as_bits: Vec<Vec<u32>> =
+        rows.iter().map(|row| row.iter().map(|v| v.to_bits()).collect()).collect();
+    assert_eq!(row_bits(index), as_bits, "{} rows", rows.len());
+    assert_eq!(row_bits(&added), as_bits, "{} rows", rows.len());
+    for id in 0..=rows.len() {
+        let got = index.vector(id).map(|row| row.iter().map(|v| v.to_bits()).collect());
+        assert_eq!(got.as_ref(), as_bits.get(id), "row {id} of {}", rows.len());
+        assert_eq!(index.vector(id), added.vector(id), "row {id} of {}", rows.len());
+    }
+}
+
+/// `add` with no `reserve` grows the columns 64 → 128 → 256 → 512 rows;
+/// at each edge and between them the scan and the reads are the
+/// row-major scan's and the `add` loop's.
+#[test]
+fn adds_across_three_capacity_doublings_scan_like_the_row_major_scan() {
+    let (dim, len) = (40, 300);
+    let rows = sparse_vectors(91, len, dim);
+    for metric in METRICS {
+        let mut index = FlatIndex::new(metric);
+        for (id, row) in rows.iter().enumerate() {
+            assert_eq!(index.add(row.clone()), id);
+            if [1, 63, 64, 65, 128, 129, 256, 257, 300].contains(&index.len()) {
+                assert_scans_like_row_major(metric, &index, &rows[..=id]);
+            }
+        }
+        assert_reads_like_added(&index, &rows, metric);
+    }
+}
+
+/// A `reserve` made before the dimensionality is known sizes the columns
+/// at the first `add`; adding past it grows them like an unreserved index.
+#[test]
+fn reserve_before_the_first_add_then_past_it_scans_like_the_row_major_scan() {
+    let (dim, len) = (33, 150);
+    let rows = random_vectors(92, len, dim);
+    for metric in METRICS {
+        let mut index = FlatIndex::new(metric);
+        index.reserve(100);
+        for (id, row) in rows.iter().enumerate() {
+            index.add(row.clone());
+            if [1, 100, 128, 129, 150].contains(&index.len()) {
+                assert_scans_like_row_major(metric, &index, &rows[..=id]);
+            }
+        }
+        assert_reads_like_added(&index, &rows, metric);
+    }
+}
+
+/// Compaction works in place and keeps the capacity: rows added after it
+/// land in the freed room, then grow the columns past it, and the index
+/// scans and reads like one built by `add` over the survivors and the new
+/// rows.
+#[test]
+fn rows_added_after_an_in_place_compaction_reuse_the_freed_room() {
+    let (dim, len) = (24, 200);
+    let rows = sparse_vectors(93, len + 200, dim);
+    let dies = |id: usize| id.is_multiple_of(3) || (100..140).contains(&id);
+    for metric in METRICS {
+        let mut index = filled(MutableIndex::new(metric), &rows[..len]);
+        (0..len).filter(|&id| dies(id)).for_each(|id| assert!(index.tombstone(id)));
+        let room = index.memory_bytes();
+        index.compact();
+        assert_eq!(index.memory_bytes(), room, "compaction keeps the capacity");
+        let mut live: Vec<Vec<f32>> =
+            (0..len).filter(|&id| !dies(id)).map(|id| rows[id].clone()).collect();
+        assert_scans_like_row_major(metric, &index, &live);
+        let survivors = live.len();
+        for row in &rows[len..] {
+            index.add(row.clone());
+            live.push(row.clone());
+            // The 200 rows grew the columns to 256; the 257th grows them again.
+            assert_eq!(index.memory_bytes() == room, index.len() <= 256, "{} rows", index.len());
+            if [survivors + 1, 256, 257].contains(&index.len()) {
+                assert_scans_like_row_major(metric, &index, &live);
+            }
+        }
+        assert_eq!((survivors, index.len()), (106, 306));
+        assert_scans_like_row_major(metric, &index, &live);
+        let fresh = filled(MutableIndex::new(metric), &live);
+        for query in layout_queries(94, dim) {
+            assert_eq!(bits(&index.search(&query, 20)), bits(&fresh.search(&query, 20)));
+        }
+    }
+}
+
+/// Ranges written through `rows_mut`, the last one ending inside a tile,
+/// scan like the row-major scan and read like the `add` loop.
+#[test]
+fn ranges_ending_in_a_partial_tile_scan_like_the_row_major_scan() {
+    let dim = 48;
+    for (len, cuts) in
+        [(1, vec![]), (63, vec![]), (150, vec![64]), (150, vec![128]), (257, vec![64, 192])]
+    {
+        let rows = random_vectors(95 + len as u64, len, dim);
+        let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([len]).collect();
+        let ranges: Vec<std::ops::Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+        for metric in METRICS {
+            let mut index = FlatIndex::zeroed(metric, dim, len);
+            for writer in index.rows_mut(&ranges) {
+                writer.fill(|id, row| row.copy_from_slice(&rows[id]));
+            }
+            assert_scans_like_row_major(metric, &index, &rows);
+            assert_reads_like_added(&index, &rows, metric);
+            let whole =
+                FlatIndex::filled(metric, dim, len, |id, row| row.copy_from_slice(&rows[id]));
+            assert_eq!(whole.to_bytes(), index.to_bytes(), "{len} rows");
+            let loaded = FlatIndex::from_bytes(&index.to_bytes()).expect("a well-formed blob");
+            assert_scans_like_row_major(metric, &loaded, &rows);
+            assert_reads_like_added(&loaded, &rows, metric);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Adds, tombstones, compactions and searches in any order: every
+    /// search gives the ids and bits of a fresh index over the living rows
+    /// (ids mapped back to slots) and of the row-major scan over them.
+    #[test]
+    fn a_mutable_index_under_any_operations_scans_like_a_fresh_one(
+        dim in 1usize..70,
+        ops in proptest::collection::vec((0u32..20, 0u64..1_000_000), 1..300),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut row = |dim: usize| -> Vec<f32> {
+            (0..dim)
+                .map(|_| if rng.random_range(0..3u32) == 0 { rng.random_range(-1.0f32..1.0) } else { 0.0 })
+                .collect()
+        };
+        for metric in METRICS {
+            let mut index = MutableIndex::new(metric);
+            // The slots in id order: each row and whether it is alive.
+            let mut slots: Vec<(Vec<f32>, bool)> = Vec::new();
+            for &(op, arg) in &ops {
+                match op {
+                    0..=10 => {
+                        let next = row(dim);
+                        prop_assert_eq!(index.add(next.clone()), slots.len());
+                        slots.push((next, true));
+                    }
+                    11..=14 if !slots.is_empty() => {
+                        let id = arg as usize % slots.len();
+                        prop_assert_eq!(index.tombstone(id), slots[id].1);
+                        slots[id].1 = false;
+                    }
+                    15 => {
+                        let remap = index.compact();
+                        let mut next = 0;
+                        for (old, (_, alive)) in slots.iter().enumerate() {
+                            prop_assert_eq!(remap[old], alive.then_some(next));
+                            next += usize::from(*alive);
+                        }
+                        slots.retain(|slot| slot.1);
+                    }
+                    _ => {
+                        let n = arg as usize % 40 + 1;
+                        let query = query_on(arg, dim, &[arg as usize % dim, (arg as usize / 7) % dim]);
+                        let living: Vec<usize> = (0..slots.len()).filter(|&id| slots[id].1).collect();
+                        let live_rows: Vec<Vec<f32>> = living.iter().map(|&id| slots[id].0.clone()).collect();
+                        let fresh: Vec<Hit> = filled(FlatIndex::new(metric), &live_rows)
+                            .search(&query, n)
+                            .into_iter()
+                            .map(|h| Hit { id: living[h.id], score: h.score })
+                            .collect();
+                        let got = index.search(&query, n);
+                        prop_assert_eq!(bits(&got), bits(&fresh), "{:?} dim {}", metric, dim);
+                        if !slots.is_empty() {
+                            let all: Vec<Vec<f32>> = slots.iter().map(|slot| slot.0.clone()).collect();
+                            let arena = row_major::Arena::new(metric, &all);
+                            let scanned = arena.top_n(&query, n, living.iter().copied());
+                            prop_assert_eq!(bits(&got), bits(&scanned), "{:?} dim {}", metric, dim);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -13,8 +13,8 @@
 # `#[expect(clippy::<lint>, reason = "...")]`, which fails once it suppresses
 # nothing.
 #
-# Byte-identity checks among the smokes: same-seed replays of the soak and
-# the live soak (two runs, `diff`); a BM25 soak pinned to one core and the
+# Byte-identity checks among the smokes: same-seed replays of the soak
+# (two runs, `diff`); a BM25 soak pinned to one core and the
 # same soak on every core (`cmp`); two same-seed `sage report` bundles less
 # their wall-clock latency line (`diff`); `sage segment` and `sage ask
 # --retriever bm25 --show-context`, a dense `sage ask --faults embedder=transient:1.0
@@ -23,9 +23,10 @@
 # scenario grid == the committed BENCH_scenarios.json (one run; `cargo test`
 # asserts the same equality). The pinned SHA-256 of the default-budget
 # model file and of the dense and BM25 index files, and two `sage index`
-# runs per retriever compared byte for byte, are crates/cli/tests/persistence.rs,
-# run by `cargo test` against the debug `sage` and below against the
-# release one.
+# runs per retriever compared byte for byte, are crates/cli/tests/persistence.rs;
+# the live soak's crash drill, its same-seed replay and the SHA-256 of two
+# live logs are crates/cli/tests/live.rs. `cargo test` runs both against
+# the debug `sage` and below against the release one.
 #
 # Every dependency is a path crate of this repository, so this runs with an
 # empty registry and no network.
@@ -101,12 +102,14 @@ if [ "${1:-}" != fast ]; then
   ' "$tmp/metrics.prom"
   echo "telemetry smoke ok"
 
-  echo "=== persistence pins against the release binary"
+  echo "=== persistence and live-corpus pins against the release binary"
   # The pinned SHA-256 of the model file and of a dense and a BM25 index,
   # two index runs per retriever byte-equal, a saved index answering, a
-  # flipped byte refused: the test `cargo test` ran above against the
-  # debug `sage`, here against the release `sage` that ships.
-  cargo test -q --release -p sage-cli --test persistence
+  # flipped byte refused; the live soak's crash drill (recoveries, no
+  # violation, a same-seed replay byte-equal, a reopen at the committed
+  # epoch) and both pinned live logs: the tests `cargo test` ran above
+  # against the debug `sage`, here against the release `sage` that ships.
+  cargo test -q --release -p sage-cli --test persistence --test live
 
   echo "=== saved models and index (for the smokes below)"
   "$sage" train --out "$tmp/models.bin" 2> /dev/null
@@ -321,34 +324,6 @@ LISTING
       || { echo "FAIL: no 'unknown flag --$flag' error"; cat "$tmp/refused.err"; exit 1; }
   done
   echo "refusal smoke ok"
-
-  echo "=== live-corpus smoke (crash injection + recovery drill)"
-  # Mutate a store under a crash plan: every injected crash must recover
-  # to the last committed epoch (the command exits nonzero on any live
-  # invariant violation), and two runs with the same seeds must produce
-  # byte-identical logs even in different directories — the log carries
-  # no wall-clock times or paths.
-  "$sage" soak --live \
-    --live-dir "$tmp/live_a" --ops 12 --seed 42 \
-    --crash "pre-rename:0.4,pre-manifest-commit:0.3" --crash-seed 7 \
-    > "$tmp/live_a.log" 2> "$tmp/live_a.err"
-  "$sage" soak --live \
-    --live-dir "$tmp/live_b" --ops 12 --seed 42 \
-    --crash "pre-rename:0.4,pre-manifest-commit:0.3" --crash-seed 7 \
-    > "$tmp/live_b.log" 2> /dev/null
-  diff -q "$tmp/live_a.log" "$tmp/live_b.log" \
-    || { echo "FAIL: live soak replay is not deterministic"; exit 1; }
-  grep -q '^recover ' "$tmp/live_a.log" \
-    || { echo "FAIL: crash plan injected no recovery drill"; exit 1; }
-  grep -q 'violations=0 ' "$tmp/live_a.log" \
-    || { echo "FAIL: live soak saw invariant violations"; exit 1; }
-  # Reload the survivor store: it must reopen cleanly at its last epoch.
-  "$sage" soak --live \
-    --live-dir "$tmp/live_a" --ops 0 --seed 43 \
-    > "$tmp/live_reopen.log" 2> /dev/null
-  grep -Eq '^open epoch=[1-9]' "$tmp/live_reopen.log" \
-    || { echo "FAIL: live store did not reopen at committed epoch"; cat "$tmp/live_reopen.log"; exit 1; }
-  echo "live-corpus smoke ok"
 
   echo "=== explain smoke (resolved plan rendering)"
   # The plan printer must show the full SAGE stage graph and the rewrite
