@@ -917,6 +917,51 @@ mod tests {
     }
 
     #[test]
+    fn an_update_commit_does_the_same_work_whatever_the_corpus_size() {
+        // Compaction off, so each commit is the pure delta path.
+        let cfg = LiveConfig {
+            compact_dead_fraction: 1.1,
+            compact_min_dead: usize::MAX,
+            ..LiveConfig::default()
+        };
+        let text = |d: usize, rev: usize| {
+            format!(
+                "Ledger entry {d} revision {rev}. The registry lists holding {} under section {}. \
+                 A clerk appended note {} about the transfer.",
+                d * 17 + rev,
+                d % 12,
+                rev + 1
+            )
+        };
+        let upsert = |d: usize, rev: usize| LiveOp::Upsert {
+            doc_id: format!("doc-{d:05}"),
+            text: text(d, rev),
+        };
+        for docs in [64, 256, 1024] {
+            let dir = scratch(&format!("update_{docs}"));
+            let (mut w, _) = CorpusWriter::open(&dir, cfg).unwrap();
+            let seed: Vec<LiveOp> = (0..docs).map(|d| upsert(d, 0)).collect();
+            for batch in seed.chunks(128) {
+                w.commit(batch).unwrap();
+            }
+            // Eight documents spread over the store, each with new text.
+            let update: Vec<LiveOp> = (0..8).map(|i| upsert(i * docs / 8, 1)).collect();
+            let report = w.commit(&update).unwrap();
+            let want = CommitReport {
+                epoch: report.epoch,
+                docs_upserted: 8,
+                clean_upserts: 0,
+                docs_deleted: 0,
+                chunks_indexed: 8,
+                tombstones: 8,
+                compacted: false,
+            };
+            assert_eq!(report, want, "{docs} documents");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn bm25_and_hashed_variants_work() {
         for kind in [LiveRetrieverKind::Bm25, LiveRetrieverKind::Hashed] {
             let dir = scratch(&format!("kind_{}", kind.label()));

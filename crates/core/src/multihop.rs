@@ -80,15 +80,22 @@ pub fn generate_two_hop(n: usize, seed: u64) -> TwoHopDataset {
 pub fn answer_multihop(system: &RagSystem, task: &TwoHopTask) -> QueryResult {
     let hop1 = execute(system, &Request::new(&task.bridge_question));
     let bridged = task.hop2_template.replace("{bridge}", &hop1.answer.text);
-    let mut hop2 = execute(system, &Request::new(&bridged));
-    // Account both hops' spend.
+    let hop2 = execute(system, &Request::new(&bridged));
+    // Account both hops' spend, hop 1's degrade events first.
     let mut cost = Cost::zero();
     cost.merge(hop1.cost);
     cost.merge(hop2.cost);
-    hop2.cost = cost;
-    hop2.answer_latency += hop1.answer_latency;
-    hop2.retrieval_latency += hop1.retrieval_latency;
-    hop2
+    let mut degraded = hop1.degraded;
+    degraded.events.extend(hop2.degraded.events);
+    QueryResult {
+        cost,
+        feedback_rounds: hop1.feedback_rounds + hop2.feedback_rounds,
+        retrieval_latency: hop1.retrieval_latency + hop2.retrieval_latency,
+        answer_latency: hop1.answer_latency + hop2.answer_latency,
+        feedback_latency: hop1.feedback_latency + hop2.feedback_latency,
+        degraded,
+        ..hop2
+    }
 }
 
 /// Answer the task single-hop (the ablation baseline).
@@ -138,6 +145,7 @@ mod tests {
     use crate::models::tiny_models as models;
     use sage_eval::f1_match;
     use sage_llm::LlmProfile;
+    use sage_resilience::{Component, FaultPlan, Rates};
 
     fn accuracy(two_hop: bool) -> f32 {
         let ds = generate_two_hop(8, 0xB41);
@@ -217,15 +225,44 @@ mod tests {
     #[test]
     fn multihop_accounts_both_hops() {
         let ds = generate_two_hop(2, 2);
-        let system = RagSystem::build(
-            models(),
-            RetrieverKind::OpenAiSim,
-            SageConfig { use_feedback: false, ..SageConfig::sage() },
-            LlmProfile::gpt4(),
-            &ds.corpus,
-        );
+        let build = |config| {
+            RagSystem::build(
+                models(),
+                RetrieverKind::OpenAiSim,
+                config,
+                LlmProfile::gpt4(),
+                &ds.corpus,
+            )
+        };
+        let system = build(SageConfig { use_feedback: false, ..SageConfig::sage() });
         let single = answer_singlehop(&system, &ds.tasks[0]);
         let multi = answer_multihop(&system, &ds.tasks[0]);
         assert!(multi.cost.input_tokens > single.cost.input_tokens);
+
+        // With feedback on and a corrupt reranker, every count and latency
+        // is the two hops' sum, and hop 1's degrade events come before
+        // hop 2's.
+        let mut system = build(SageConfig::sage());
+        let corrupt = Rates { corrupt: 1.0, ..Rates::default() };
+        system.set_faults(FaultPlan::seeded(0x2407).with(Component::Reranker, corrupt));
+        let task = &ds.tasks[0];
+        let hop1 = system.answer(&Request::new(&task.bridge_question)).unwrap();
+        let bridged = task.hop2_template.replace("{bridge}", &hop1.answer.text);
+        let hop2 = system.answer(&Request::new(&bridged)).unwrap();
+        let multi = answer_multihop(&system, task);
+        let mut cost = hop1.cost;
+        cost.merge(hop2.cost);
+        assert_eq!(multi.cost, cost);
+        assert!(hop1.feedback_rounds > 0, "feedback must run on hop 1");
+        assert!(!hop1.degraded.is_clean() && !hop2.degraded.is_clean());
+        assert_eq!(multi.feedback_rounds, hop1.feedback_rounds + hop2.feedback_rounds);
+        assert_eq!(multi.feedback_latency, hop1.feedback_latency + hop2.feedback_latency);
+        assert_eq!(multi.answer_latency, hop1.answer_latency + hop2.answer_latency);
+        let mut events = hop1.degraded.events.clone();
+        events.extend(hop2.degraded.events.iter().cloned());
+        assert_eq!(multi.degraded.events, events);
+        assert_eq!(multi.answer.text, hop2.answer.text);
+        assert_eq!(multi.selected, hop2.selected);
+        assert_eq!(multi.feedback_score, hop2.feedback_score);
     }
 }

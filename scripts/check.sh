@@ -16,17 +16,17 @@
 # Byte-identity checks among the smokes: same-seed replays of the soak
 # (two runs, `diff`); a BM25 soak pinned to one core and the
 # same soak on every core (`cmp`); two same-seed `sage report` bundles less
-# their wall-clock latency line (`diff`); `sage segment` and `sage ask
-# --retriever bm25 --show-context`, a dense `sage ask --faults embedder=transient:1.0
-# --show-context` and a dense `sage ask --faults reader=transient:1.0
-# --show-context` == the output recorded in this script; and the full
-# scenario grid == the committed BENCH_scenarios.json (one run; `cargo test`
-# asserts the same equality). The pinned SHA-256 of the default-budget
-# model file and of the dense and BM25 index files, and two `sage index`
-# runs per retriever compared byte for byte, are crates/cli/tests/persistence.rs;
-# the live soak's crash drill, its same-seed replay and the SHA-256 of two
-# live logs are crates/cli/tests/live.rs. `cargo test` runs both against
-# the debug `sage` and below against the release one.
+# their wall-clock latency line (`diff`); `sage segment` == the output
+# recorded in this script; and the full scenario grid == the committed
+# BENCH_scenarios.json (one run; `cargo test` asserts the same equality).
+# The pinned SHA-256 of the default-budget model file and of the dense and
+# BM25 index files, and two `sage index` runs per retriever compared byte
+# for byte, are crates/cli/tests/persistence.rs; the live soak's crash
+# drill, its same-seed replay and the SHA-256 of two live logs are
+# crates/cli/tests/live.rs; the recorded `sage ask --show-context` listings
+# (BM25, a dead embedder, a dead reader) are crates/cli/tests/ask.rs.
+# `cargo test` runs all three against the debug `sage` and below against
+# the release one.
 #
 # Every dependency is a path crate of this repository, so this runs with an
 # empty registry and no network.
@@ -102,14 +102,15 @@ if [ "${1:-}" != fast ]; then
   ' "$tmp/metrics.prom"
   echo "telemetry smoke ok"
 
-  echo "=== persistence and live-corpus pins against the release binary"
+  echo "=== persistence, live-corpus and ask pins against the release binary"
   # The pinned SHA-256 of the model file and of a dense and a BM25 index,
   # two index runs per retriever byte-equal, a saved index answering, a
   # flipped byte refused; the live soak's crash drill (recoveries, no
   # violation, a same-seed replay byte-equal, a reopen at the committed
-  # epoch) and both pinned live logs: the tests `cargo test` ran above
-  # against the debug `sage`, here against the release `sage` that ships.
-  cargo test -q --release -p sage-cli --test persistence --test live
+  # epoch) and both pinned live logs; the three recorded `ask` listings:
+  # the tests `cargo test` ran above against the debug `sage`, here
+  # against the release `sage` that ships.
+  cargo test -q --release -p sage-cli --test persistence --test live --test ask
 
   echo "=== saved models and index (for the smokes below)"
   "$sage" train --out "$tmp/models.bin" 2> /dev/null
@@ -207,71 +208,6 @@ LISTING
   [ -n "$arrivals" ] && [ "$observations" -eq "$arrivals" ] \
     || { echo "FAIL: report bundle holds $observations observations for ${arrivals:-?} arrivals"; exit 1; }
   echo "report smoke ok"
-
-  echo "=== BM25 ask smoke (answer and context are the recorded ones)"
-  # The one end-to-end BM25 run through the CLI. The listing (stdout and
-  # stderr together) is what the build that still had in-process sharding
-  # printed for this corpus and these models, byte for byte.
-  { cat "$tmp/corpus.txt"; printf '\n%s\n' \
-      'Mossy is an old tortoise. Her shell is dark green and cracked.' \
-      'The harbor town of Ashford keeps a lighthouse. Its keeper paints the door blue.' \
-      'Brone the baker lives near the mill. He bakes bread for Ashford every morning.' \
-      'Whiskers sleeps on the porch in the afternoon. His favourite toy is a red ball.'; } \
-    > "$tmp/corpus_bm25.txt"
-  "$sage" ask \
-    --file "$tmp/corpus_bm25.txt" --question "What is the color of Whiskers's eyes?" \
-    --retriever bm25 --show-context --models "$tmp/models.bin" \
-    > "$tmp/ask_bm25.txt" 2>&1
-  diff "$tmp/ask_bm25.txt" - <<'LISTING' || { echo "FAIL: sage ask --retriever bm25 printed a different answer or context"; exit 1; }
-green
-confidence 0.58 | 6 chunks | 1 feedback rounds | 492 tokens | $0.000081
-  [ctx 0] Whiskers is a playful tabby cat. He has bright green eyes.
-  [ctx 5] Whiskers sleeps on the porch in the afternoon. His favourite toy is a red ball.
-  [ctx 3] The harbor town of Ashford keeps a lighthouse. Its keeper paints the door blue.
-  [ctx 2] Mossy is an old tortoise. Her shell is dark green and cracked.
-  [ctx 4] Brone the baker lives near the mill. He bakes bread for Ashford every morning.
-  [ctx 1] Dorinwick was well known in the region. He lives in Ashford.
-LISTING
-  echo "BM25 ask smoke ok"
-
-  echo "=== dense fallback smoke (a dead embedder is served by the BM25 tier; a dead reader degrades to unanswerable)"
-  # Every query runs behind the guards; the BM25 fallback tier is built on
-  # the first dense->bm25 fallback, and the fallbacks: line is printed
-  # because --faults was given. The listing is what the build that still
-  # had an opt-in resilience layer printed for this corpus and these
-  # models, byte for byte.
-  "$sage" ask \
-    --file "$tmp/corpus_bm25.txt" --question "What is the color of Whiskers's eyes?" \
-    --faults embedder=transient:1.0 --show-context --models "$tmp/models.bin" \
-    > "$tmp/ask_fallback.txt" 2>&1
-  diff "$tmp/ask_fallback.txt" - <<'LISTING' || { echo "FAIL: sage ask under a dead embedder printed a different listing"; exit 1; }
-green
-confidence 0.58 | 6 chunks | 1 feedback rounds | 492 tokens | $0.000081
-  [ctx 0] Whiskers is a playful tabby cat. He has bright green eyes.
-  [ctx 5] Whiskers sleeps on the porch in the afternoon. His favourite toy is a red ball.
-  [ctx 3] The harbor town of Ashford keeps a lighthouse. Its keeper paints the door blue.
-  [ctx 2] Mossy is an old tortoise. Her shell is dark green and cracked.
-  [ctx 4] Brone the baker lives near the mill. He bakes bread for Ashford every morning.
-  [ctx 1] Dorinwick was well known in the region. He lives in Ashford.
-degraded: Embedder -> dense->bm25 after 3 attempt(s) (+141ms virtual delay)
-fallbacks: dense->bm25=1
-LISTING
-  # A dead reader spends three attempts on the primary context and two on
-  # the second-best set: the fifth consecutive failure caps the reader. The
-  # listing is what the build that still had a clocked circuit breaker
-  # printed for this corpus and these models, byte for byte.
-  "$sage" ask \
-    --file "$tmp/corpus_bm25.txt" --question "What is the color of Whiskers's eyes?" \
-    --faults reader=transient:1.0 --show-context --models "$tmp/models.bin" \
-    > "$tmp/ask_dead_reader.txt" 2>&1
-  diff "$tmp/ask_dead_reader.txt" - <<'LISTING' || { echo "FAIL: sage ask under a dead reader printed a different listing"; exit 1; }
-unanswerable
-confidence 0.00 | 0 chunks | 0 feedback rounds | 0 tokens | $0.000000
-degraded: Reader -> reader->second-best after 3 attempt(s) (+127ms virtual delay)
-degraded: Reader -> reader->unanswerable after 2 attempt(s) (+125ms virtual delay)
-fallbacks: reader->second-best=1 reader->unanswerable=1
-LISTING
-  echo "dense fallback smoke ok"
 
   echo "=== refusal smoke (removed sharding, HNSW, --resilience and report SLO/recorder surfaces fail and name the input)"
   # In-process sharding, the HNSW tier and the opt-in resilience switch are

@@ -655,7 +655,13 @@ fn golden_equivalence_of_a_fixed_context_under_guards_and_budget() {
     );
     let ids: Vec<usize> = (0..plain.chunks().len()).collect();
     let fixed = Request { chunks: Some(&ids), ..Request::new(q) };
-    let golden = Golden::of(&plain.answer(&fixed).unwrap());
+    let routed = plain.answer(&fixed).unwrap();
+    // The engine's fixed plan makes the very read an inline call over the
+    // same chunks makes, and reports exactly those chunks.
+    let context: Vec<String> = ids.iter().map(|&id| plain.chunks()[id].clone()).collect();
+    assert_eq!(routed.answer.text, plain.llm().answer_open(q, &context).text, "inline read");
+    assert_eq!(routed.selected, ids);
+    let golden = Golden::of(&routed);
     // Guards without faults only validate.
     let clean = guarded(FaultPlan::none());
     assert_eq!(Golden::of(&clean.answer(&fixed).unwrap()), golden, "guarded");
