@@ -25,8 +25,6 @@ pub struct SoakConfig {
     pub capacity: usize,
     /// Virtual servers draining the queue.
     pub concurrency: usize,
-    /// Per-class early-drop ramp starts (see `AdmissionConfig`).
-    pub ramp_start: [f64; Priority::COUNT],
     /// Relative class weights `[interactive, batch, background]`.
     pub class_weights: [f64; Priority::COUNT],
     /// Per-query budget; `None` serves every query at full fidelity.
@@ -41,7 +39,6 @@ impl Default for SoakConfig {
             qps: 4.0,
             capacity: 8,
             concurrency: 2,
-            ramp_start: [1.0, 0.85, 0.70],
             class_weights: [0.5, 0.3, 0.2],
             budget: Some(QueryBudget::new(Duration::from_secs(8), 4_000)),
         }

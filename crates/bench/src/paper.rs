@@ -23,7 +23,6 @@ use sage::corpus::datasets::{narrativeqa, qasper, quality, triviaqa};
 use sage::corpus::training::segmentation_pairs;
 use sage::llm::fine_tune;
 use sage::prelude::*;
-use sage::rerank::RankedChunk;
 use sage::segment::{FeatureConfig, SegmentationModel, Segmenter, SemanticSegmenter};
 use std::fmt::Write;
 use std::time::{Duration, Instant};
@@ -73,7 +72,7 @@ pub struct Claim {
 
 /// Every claim, in the paper's order: Tables II–XII, Figures 5 and 7–10,
 /// then the extensions.
-pub fn claims() -> [Claim; 20] {
+pub fn claims() -> [Claim; 19] {
     [
         Claim {
             id: "table02",
@@ -179,13 +178,6 @@ pub fn claims() -> [Claim; 20] {
             claim: "fine-tuning never lowers accuracy; 2,000 pairs close half the gap to GPT-4 \
                     for less than GPT-4 costs",
             run: ext2_finetune,
-        },
-        Claim {
-            id: "ext3_flexible",
-            artefact: "Ext-3",
-            claim: "the trained flexible selector reads fewer context tokens than gradient \
-                    selection",
-            run: ext3_flexible,
         },
         Claim {
             id: "ext4_retrieval",
@@ -758,87 +750,6 @@ fn ext2_finetune(models: &TrainedModels) -> Verdict {
         ));
     }
     Verdict { rows, holds, gaps }
-}
-
-fn ext3_flexible(models: &TrainedModels) -> Verdict {
-    let dataset = quality::generate(sizes::quality());
-    let mut flexible = models.train_flexible_selector(16, 0xF1EC);
-    // Recall-leaning operating point: dropping true evidence costs far
-    // more than keeping a borderline chunk.
-    flexible.threshold = 0.3;
-    let top = |k: usize| {
-        move |r: &[RankedChunk]| -> Vec<usize> { r.iter().take(k).map(|c| c.index).collect() }
-    };
-    // A strategy maps the ranked list to the positions it keeps.
-    type Select<'a> = &'a dyn Fn(&[RankedChunk]) -> Vec<usize>;
-    let strategies: [(&str, Select); 4] = [
-        ("Fixed top-5", &top(5)),
-        ("Fixed top-7", &top(7)),
-        ("Gradient (Algorithm 2)", &|r| {
-            gradient_select(r, SelectionConfig::default()).iter().map(|c| c.index).collect()
-        }),
-        ("Flexible (trained)", &|r| flexible.select(r, 20).iter().map(|c| c.index).collect()),
-    ];
-    let mut rows = header(
-        "Extension: chunk-selection strategies on QuALITY (GPT-4o-mini sim)",
-        &format!(
-            "{:<24} {:>10} {:>18} {:>16}",
-            "Strategy", "Accuracy", "Avg chunks kept", "Avg ctx tokens"
-        ),
-    );
-    // Per strategy: questions answered right, chunks kept, context tokens.
-    let mut sums = [[0usize; 3]; 4];
-    for (doc, document) in dataset.documents.iter().enumerate() {
-        let system = RagSystem::build(
-            models,
-            RetrieverKind::OpenAiSim,
-            SageConfig { use_feedback: false, ..SageConfig::sage() },
-            LlmProfile::gpt4o_mini(),
-            &[document.text()],
-        );
-        for task in dataset.tasks.iter().filter(|task| task.doc == doc) {
-            let (cand_ids, ranked) = system.candidates(&task.item.question);
-            for ((_, select), sum) in strategies.iter().zip(&mut sums) {
-                let chunk_ids: Vec<usize> = select(&ranked).iter().map(|&p| cand_ids[p]).collect();
-                let request = Request {
-                    options: Some(&task.item.options),
-                    chunks: Some(&chunk_ids),
-                    ..Request::new(&task.item.question)
-                };
-                let right = Some(task.item.correct_option);
-                let answer = system.answer(&request);
-                sum[0] += usize::from(answer.is_ok_and(|r| r.picked_option == right));
-                sum[1] += chunk_ids.len();
-                sum[2] += chunk_ids
-                    .iter()
-                    .map(|&id| sage::text::count_tokens(&system.chunks()[id]))
-                    .sum::<usize>();
-            }
-        }
-    }
-    let n = dataset.tasks.len().max(1) as f32;
-    // Per strategy: accuracy, chunks kept and context tokens per question.
-    let means = sums.map(|sum| sum.map(|x| x as f32 / n));
-    for ((name, _), [accuracy, kept, tokens]) in strategies.iter().zip(means) {
-        row!(rows, "{name:<24} {:>10} {kept:>18.1} {tokens:>16.0}", pct(accuracy));
-    }
-    let [_, _, gradient, learned] = means;
-    let mut gaps = Vec::new();
-    if learned[0] < gradient[0] {
-        gaps.push(format!(
-            "Ext-3: the flexible selector reads {} at {:.1} tokens, gradient {} at {:.1}",
-            pct(learned[0]),
-            learned[2],
-            pct(gradient[0]),
-            gradient[2]
-        ));
-    }
-    // `select` keeps at least the best chunk, so one a question on average
-    // is one for every question: the classifier kept none, or only one.
-    if sums[3][1] == dataset.tasks.len() {
-        gaps.push("Ext-3: the flexible selector keeps exactly one chunk a question".to_string());
-    }
-    Verdict { rows, holds: learned[2] < gradient[2], gaps }
 }
 
 fn ext4_retrieval(models: &TrainedModels) -> Verdict {

@@ -660,10 +660,7 @@ fn run_section(cfg: &SoakConfig, docs: usize) -> String {
 /// prints the differing lines and exits nonzero. Re-baselining is
 /// `--out BENCH_scenarios.json`.
 pub fn scenarios(flags: &Flags) -> Result<(), String> {
-    flags.reject_unknown(
-        "scenarios",
-        &["file", "baseline", "filter", "out", "metrics-out", "models"],
-    )?;
+    flags.reject_unknown("scenarios", &["file", "baseline", "filter", "out", "models"])?;
     let file = flags.require("file").map_err(|_| {
         "usage: sage scenarios run <scenarios.toml> [--filter S] [--out F] [--baseline F]"
             .to_string()
@@ -697,22 +694,6 @@ pub fn scenarios(flags: &Flags) -> Result<(), String> {
         eprintln!("wrote measured rows -> {path}");
     } else {
         print!("{rendered}");
-    }
-    if let Some(path) = flags.get("metrics-out").filter(|p| !p.is_empty()) {
-        let mut text = String::from(
-            "# HELP sage_scenario_value Scenario-matrix measured metrics\n# TYPE sage_scenario_value gauge\n",
-        );
-        for row in &rows {
-            let cell_label = sage::telemetry::export::escape_label_value(&row.name);
-            for (metric, value) in &row.metrics {
-                text.push_str(&format!(
-                    "sage_scenario_value{{cell=\"{cell_label}\",metric=\"{}\"}} {value}\n",
-                    sage::telemetry::export::escape_label_value(metric)
-                ));
-            }
-        }
-        std::fs::write(path, text).map_err(|e| format!("cannot write metrics file {path}: {e}"))?;
-        eprintln!("wrote scenario gauges -> {path}");
     }
 
     if let Some(path) = flags.get("baseline").filter(|p| !p.is_empty()) {
@@ -789,7 +770,7 @@ USAGE:
   sage report  [--seed 42] [--qps 4] [--duration 30] [--docs N]
                [--out <bundle>] [--metrics-out <path>]
   sage scenarios run <grid.toml> [--filter <substr>] [--out <path>]
-               [--metrics-out <path>] [--baseline <path>]
+               [--baseline <path>]
   sage demo
   sage help
 

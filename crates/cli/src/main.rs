@@ -16,8 +16,7 @@
 //! sage explain ["question"] [--retriever R] [--naive]
 //! sage report  [--seed 42] [--qps 4] [--duration 30] [--docs N]
 //!              [--out bundle.json] [--metrics-out F]
-//! sage scenarios run scenarios.toml [--filter S] [--out F] [--metrics-out F]
-//!              [--baseline F]
+//! sage scenarios run scenarios.toml [--filter S] [--out F] [--baseline F]
 //! sage demo
 //! sage help
 //! ```

@@ -139,62 +139,6 @@ impl TrainedModels {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed SAGE model file")
         })
     }
-
-    /// Train the flexible chunk selector (paper future-work SX(3)) on
-    /// ranked lists with evidence ground truth: documents are generated,
-    /// segmented, and reranked exactly as in the pipeline, and each
-    /// candidate chunk is labelled "keep" iff it contains one of the
-    /// question's gold evidence sentences.
-    pub fn train_flexible_selector(
-        &self,
-        num_docs: usize,
-        seed: u64,
-    ) -> sage_rerank::FlexibleSelector {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use sage_corpus::document::{generate_document, DocSpec};
-        use sage_corpus::qa::{elimination_item, factoid_item};
-        use sage_rerank::flexible::training_examples;
-        use sage_segment::{Segmenter, SemanticSegmenter};
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let segmenter = SemanticSegmenter::new(self.segmentation.clone());
-        let mut lists = Vec::new();
-        for doc_id in 0..num_docs {
-            let generated = generate_document(doc_id, &DocSpec::default(), &mut rng);
-            let chunks = segmenter.segment(&generated.document.text());
-            let mut scorer = self.scorer.clone();
-            scorer.fit_idf(&chunks);
-            let refs: Vec<&str> = chunks.iter().map(String::as_str).collect();
-            let mut items = Vec::new();
-            for record in generated.records.iter().filter(|r| !r.fact.spec().multi_valued) {
-                items.push(factoid_item(record, &mut rng));
-            }
-            // Broad-evidence lists too: without them the selector learns
-            // "keep one chunk" and starves elimination questions.
-            let multi: Vec<_> = generated
-                .records
-                .iter()
-                .filter(|r| r.fact.spec().multi_valued)
-                .cloned()
-                .collect();
-            if let Some(item) = elimination_item(&multi, &mut rng) {
-                items.push(item);
-            }
-            for item in items {
-                let ranked = scorer.rerank(&item.question, &refs);
-                let useful: Vec<bool> = ranked
-                    .iter()
-                    .map(|r| item.evidence.iter().any(|e| chunks[r.index].contains(e)))
-                    .collect();
-                lists.push((ranked, useful));
-            }
-        }
-        let examples = training_examples(&lists);
-        let mut selector = sage_rerank::FlexibleSelector::new(seed ^ 0xF1E);
-        selector.train(&examples, 0.05, 6);
-        selector
-    }
 }
 
 /// The tiny-budget bundle every unit test of this crate shares: one

@@ -323,9 +323,9 @@ impl RagSystem {
     }
 
     /// First-stage + rerank for a question: `(candidate chunk ids, ranked
-    /// list over candidate positions)`. Lets callers plug in custom chunk
-    /// selection (e.g. the flexible selector of the paper's future work)
-    /// and then answer with [`Request::chunks`]. The scores in rank order
+    /// list over candidate positions)`. Lets callers grade the ranking
+    /// against gold evidence, or pick chunks themselves and answer with
+    /// [`Request::chunks`]. The scores in rank order
     /// are the Figure-5 curve: the reranker's when present, otherwise the
     /// retriever's. The prelude runs behind the same guards a query does,
     /// so under [`RagSystem::set_faults`] its fallbacks fire as a query's

@@ -315,7 +315,7 @@ pub fn run_soak(sys: &RagSystem, questions: &[String], cfg: &SoakConfig) -> Soak
         queue: AdmissionQueue::new(AdmissionConfig {
             capacity: cfg.capacity,
             seed: cfg.seed,
-            ramp_start: cfg.ramp_start,
+            ..AdmissionConfig::default()
         }),
         pending: VecDeque::new(),
         free_at: vec![Duration::ZERO; cfg.concurrency.max(1)],

@@ -117,11 +117,6 @@ impl SparseEmbedding {
         buckets(&self.written)
     }
 
-    /// The dense vector, by value.
-    pub fn into_values(self) -> Vec<f32> {
-        self.values
-    }
-
     /// Σ `term(b)` over the written buckets, ascending, from `+0.0`.
     fn sum(&self, term: impl Fn(usize) -> f32) -> f32 {
         self.written().fold(0.0, |sum, b| sum + term(b))

@@ -34,19 +34,6 @@ impl Matrix {
         Self { rows: 1, cols: row.len(), data: row.to_vec() }
     }
 
-    /// Stack several equally-sized rows into a batch matrix.
-    /// Panics if rows have unequal lengths or the iterator is empty.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        assert!(!rows.is_empty(), "from_rows needs at least one row");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "all rows must have equal length");
-            data.extend_from_slice(r);
-        }
-        Self { rows: rows.len(), cols, data }
-    }
-
     /// Xavier/Glorot-uniform initialisation with a seeded RNG: values in
     /// `±sqrt(6/(rows+cols))`. Deterministic for a given seed.
     pub fn xavier(rows: usize, cols: usize, seed: u64) -> Self {

@@ -28,11 +28,9 @@
 
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, reason = "tests may time and hash freely"))]
 
-pub mod flexible;
 pub mod scorer;
 pub mod select;
 
-pub use flexible::{FlexibleSelector, NUM_SELECT_FEATURES};
 pub use scorer::CrossScorer;
 pub use select::{gradient_select, SelectionConfig};
 

@@ -159,11 +159,10 @@ pub(crate) fn push_meta(out: &mut String, name: &str, kind: &str, help: &str) {
 
 /// Escape a label value per the Prometheus text exposition format:
 /// backslash, double quote, and newline must be backslash-escaped inside
-/// the quoted label value. Every label interpolation in this module (and
-/// in downstream exporters building on it) must pass through here —
-/// today's label values are static idents, but scenario names and other
-/// user-controlled strings also travel this path.
-pub fn escape_label_value(v: &str) -> String {
+/// the quoted label value. Every label interpolation in this module must
+/// pass through here, so a label that is not a static ident cannot break
+/// the exposition grammar.
+fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {

@@ -16,12 +16,13 @@
 # Byte-identity checks among the smokes: same-seed replays of the soak
 # (two runs, `diff`); a BM25 soak pinned to one core and the
 # same soak on every core (`cmp`); two same-seed `sage report` bundles less
-# their wall-clock latency line (`diff`); `sage segment` == the output
-# recorded in this script; and the full scenario grid == the committed
-# BENCH_scenarios.json (one run; `cargo test` asserts the same equality).
-# The pinned SHA-256 of the default-budget model file and of the dense and
-# BM25 index files, and two `sage index` runs per retriever compared byte
-# for byte, are crates/cli/tests/persistence.rs; the live soak's crash
+# their wall-clock latency line (`diff`); and the full scenario grid == the
+# committed BENCH_scenarios.json (one run; `cargo test` asserts the same
+# equality). The pinned SHA-256 of the default-budget model file and of the
+# dense and BM25 index files, two `sage index` runs per retriever compared
+# byte for byte, the recorded `sage segment` listing and the exit status
+# and last stderr line of `ask` / `query` under an injected reader panic
+# are crates/cli/tests/persistence.rs; the live soak's crash
 # drill, its same-seed replay and the SHA-256 of two live logs are
 # crates/cli/tests/live.rs; the recorded `sage ask --show-context` listings
 # (BM25, a dead embedder, a dead reader) are crates/cli/tests/ask.rs.
@@ -105,53 +106,16 @@ if [ "${1:-}" != fast ]; then
   echo "=== persistence, live-corpus and ask pins against the release binary"
   # The pinned SHA-256 of the model file and of a dense and a BM25 index,
   # two index runs per retriever byte-equal, a saved index answering, a
-  # flipped byte refused; the live soak's crash drill (recoveries, no
+  # flipped byte refused, the segment listing, `ask` / `query` under an
+  # injected reader panic; the live soak's crash drill (recoveries, no
   # violation, a same-seed replay byte-equal, a reopen at the committed
   # epoch) and both pinned live logs; the three recorded `ask` listings:
   # the tests `cargo test` ran above against the debug `sage`, here
   # against the release `sage` that ships.
   cargo test -q --release -p sage-cli --test persistence --test live --test ask
 
-  echo "=== saved models and index (for the smokes below)"
+  echo "=== saved models (for the smokes below)"
   "$sage" train --out "$tmp/models.bin" 2> /dev/null
-  "$sage" index --file "$tmp/corpus.txt" --models "$tmp/models.bin" \
-    --out "$tmp/index_openai_a.bin" 2> /dev/null
-
-  echo "=== panic smoke (an injected reader panic is an error, not a crash)"
-  # `ask` and `query` go through the one panic boundary: exit status 1,
-  # nothing on stdout, and the structured error as the last stderr line
-  # (the default panic hook's message may precede it).
-  question="What is the color of Whiskers's eyes?"
-  for command in ask query; do
-    case $command in
-      ask) input=(--file "$tmp/corpus.txt" --models "$tmp/models.bin") ;;
-      query) input=(--index "$tmp/index_openai_a.bin") ;;
-    esac
-    status=0
-    "$sage" "$command" "${input[@]}" --question "$question" --faults reader=panic:1.0 \
-      > "$tmp/panic.out" 2> "$tmp/panic.err" || status=$?
-    [ "$status" -eq 1 ] || { echo "FAIL: sage $command exited $status on an injected panic"; exit 1; }
-    [ ! -s "$tmp/panic.out" ] || { echo "FAIL: sage $command printed an answer"; exit 1; }
-    [ "$(tail -n 1 "$tmp/panic.err")" = "error: panicked: injected panic at reader for call \"$question\"" ] \
-      || { echo "FAIL: sage $command did not end on the panic error"; cat "$tmp/panic.err"; exit 1; }
-  done
-  echo "panic smoke ok"
-
-  echo "=== segment smoke (the chunk listing is the recorded one; a bad --naive value is refused)"
-  # The listing is what the build before the pool-once segmenter (PR 23's
-  # parent) printed for this corpus and these models, byte for byte.
-  "$sage" segment --file "$tmp/corpus.txt" --models "$tmp/models.bin" \
-    > "$tmp/segment.txt" 2> /dev/null
-  diff "$tmp/segment.txt" - <<'LISTING' || { echo "FAIL: sage segment printed a different chunk listing"; exit 1; }
-[  0] (17 tokens) Whiskers is a playful tabby cat. He has bright green eyes.
-[  1] (17 tokens) Dorinwick was well known in the region. He lives in Ashford.
-LISTING
-  if "$sage" segment --file "$tmp/corpus.txt" --naive abc > /dev/null 2> "$tmp/naive.err"; then
-    echo "FAIL: sage segment accepted --naive abc"; exit 1
-  fi
-  grep -q 'invalid value for --naive' "$tmp/naive.err" \
-    || { echo "FAIL: no 'invalid value for --naive' error"; cat "$tmp/naive.err"; exit 1; }
-  echo "segment smoke ok"
 
   echo "=== soak smoke (deterministic overload replay)"
   # Two runs with the same seed must produce bit-identical event logs,
@@ -315,36 +279,6 @@ LISTING
     --baseline BENCH_scenarios.json > /dev/null 2> "$tmp/scen.err" \
     || { echo "FAIL: scenario rows differ from BENCH_scenarios.json"; cat "$tmp/scen.err"; exit 1; }
   echo "scenario-matrix smoke ok"
-
-  echo "=== hostile-label smoke (Prometheus escaping)"
-  # A cell name carrying a backslash must round-trip through the metrics
-  # dump as an escaped label value without breaking the exposition
-  # grammar (TOML strings reject embedded quotes, so backslash is the
-  # hostile character a grid can actually smuggle in).
-  cat > "$tmp/hostile.toml" <<'HOSTILE'
-[[cell]]
-name = "smoke\hostile"
-docs = 1
-duration_s = 4
-qps = 2
-HOSTILE
-  "$sage" scenarios run "$tmp/hostile.toml" \
-    --metrics-out "$tmp/hostile.prom" \
-    > /dev/null 2> /dev/null
-  grep -q 'cell="smoke\\\\hostile"' "$tmp/hostile.prom" \
-    || { echo "FAIL: backslash not escaped in label value"; cat "$tmp/hostile.prom"; exit 1; }
-  awk '
-    /^# TYPE / { types++ }
-    /^[a-z]/ {
-      v = $NF
-      if (v !~ /^-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$/) { print "FAIL: non-finite sample: " $0; bad = 1 }
-      if ($0 !~ /^[a-z_]+(\{[a-z_]+="([^"\\]|\\.)*"(,[a-z_]+="([^"\\]|\\.)*")*\})? /) {
-        print "FAIL: malformed series: " $0; bad = 1
-      }
-    }
-    END { if (types == 0) { print "FAIL: no # TYPE lines"; bad = 1 }; exit bad }
-  ' "$tmp/hostile.prom"
-  echo "hostile-label smoke ok"
 fi
 
 echo "=== tier-1 gate OK"

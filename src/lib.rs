@@ -106,7 +106,7 @@ pub mod prelude {
     pub use sage_corpus::{Dataset, Document, QaItem, QaTask, QuestionKind};
     pub use sage_eval::{bleu, cost_efficiency, f1_match, meteor, rouge_l, Cost, PriceTable};
     pub use sage_llm::{fine_tune, Answer, LlmProfile, SimLlm};
-    pub use sage_rerank::{gradient_select, CrossScorer, FlexibleSelector, SelectionConfig};
+    pub use sage_rerank::{gradient_select, CrossScorer, SelectionConfig};
     pub use sage_retrieval::{Bm25Retriever, DenseRetriever, Retriever};
     pub use sage_segment::{SegmentationModel, Segmenter, SemanticSegmenter, SentenceSegmenter};
     pub use sage_telemetry::{HistogramSnapshot, Outcome, QueryObs, Stage, Telemetry};
