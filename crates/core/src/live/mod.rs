@@ -6,13 +6,16 @@
 //! delete — and commits each batch as one **epoch**:
 //!
 //! * only *dirty* documents are re-segmented (an upsert whose
-//!   [`sage_segment::fingerprint`] matches the stored one is a no-op);
+//!   [`sage_segment::fingerprint`] matches the stored one is a no-op), on
+//!   every core, and so are their chunks embedded;
 //! * vector inserts go to a [`MutableIndex`] (an exact flat index with
-//!   tombstones) and BM25 postings are appended incrementally, so commit
-//!   cost scales with the batch, not the corpus;
+//!   tombstones), a batch's rows in one pass, and BM25 postings are
+//!   appended incrementally, so commit cost scales with the batch, not the
+//!   corpus;
 //! * deletes and updates tombstone old chunks; a deterministic compaction
-//!   policy (dead fraction ≥ threshold) purges them by rebuilding the
-//!   indexes over the survivors;
+//!   policy (dead fraction ≥ threshold) purges them: the vector index
+//!   closes up in place, its columns moved on every core, and BM25 is
+//!   rebuilt over the survivors;
 //! * readers hold [`LiveSnapshot`]s — cheap `Arc` clones of the state —
 //!   that stay internally consistent while the writer advances
 //!   (copy-on-write via `Arc::make_mut`).
@@ -20,26 +23,33 @@
 //! Durability: each commit appends one segment file (the op batch, framed
 //! with the shared [`crate::fsx`] CRC-32 trailer and committed
 //! tmp+fsync+rename), then atomically rewrites a manifest naming every
-//! committed segment. Recovery replays the manifest's segments through the
-//! same deterministic apply code, discards torn or orphaned files, and
+//! committed segment. The batch's segmentation and embedding run while
+//! those two files are made durable, and read only the committed state;
+//! the batch changes the state only once both are. Recovery replays the
+//! manifest's segments through the same deterministic prepare-and-apply
+//! code, discards torn or orphaned files, and
 //! provably lands on the last committed epoch — under deterministic
 //! crash-point injection ([`sage_resilience::CrashPlan`]) at all five
 //! write barriers, which the [`soak`] harness drills continuously.
 
+#[cfg(test)]
+mod oracle;
 pub mod soak;
 pub(crate) mod store;
 
 pub use soak::{run_live_soak, LiveSoakConfig, LiveSoakReport};
 pub use store::RecoveryReport;
 
-use sage_embed::{Embedder, HashedEmbedder};
+use crate::indexing::chunk_ranges;
+use crate::segmentation::{byte_ranges, on_ranges, workers};
+use sage_embed::{Analysis, Embedder, HashedEmbedder};
 use sage_resilience::{CrashPlan, CrashPoint};
 use sage_retrieval::{Bm25Retriever, Retriever};
 use sage_segment::{Segmenter, SentenceSegmenter};
 use sage_telemetry::metrics;
 use sage_telemetry::{Telemetry, Trace};
 use sage_text::ngram::Fnv1a;
-use sage_vecdb::{MutableIndex, VectorIndex};
+use sage_vecdb::{ColumnMoves, FlatIndex, MutableIndex, VectorIndex};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -193,6 +203,28 @@ enum LiveIndex {
     Bm25(Box<Bm25Retriever>),
 }
 
+/// What the apply walk will do with one op that changes the corpus (a
+/// clean upsert and a delete of an absent document change nothing).
+#[derive(Debug)]
+enum Step<'a> {
+    /// Replace or add `doc_id` with the next `chunks` prepared chunks.
+    Upsert { doc_id: &'a str, fingerprint: u64, chunks: usize },
+    /// Remove `doc_id`, which exists when the walk reaches it.
+    Delete { doc_id: &'a str },
+}
+
+/// A batch's work done by [`LiveState::prepare`] before its segment and
+/// manifest are durable: dropped unapplied when they never become so.
+#[derive(Debug)]
+struct Prepared<'a> {
+    steps: Vec<Step<'a>>,
+    clean_upserts: usize,
+    /// Every dirty upsert's chunks, in op order.
+    chunks: Vec<String>,
+    /// A dense store's rows of `chunks`, in the same order (BM25: none).
+    rows: FlatIndex,
+}
+
 /// The in-memory state one epoch describes. Cloned lazily: snapshots pin
 /// an `Arc` of it, and the writer copies-on-write only while a snapshot
 /// is held.
@@ -217,68 +249,149 @@ impl LiveState {
         Self { epoch: 0, docs: BTreeMap::new(), chunks: Vec::new(), dead: 0, index }
     }
 
-    /// Apply one op batch, advance to `epoch`, then run the deterministic
-    /// compaction policy. Identical inputs produce identical state — this
-    /// is the function both live commits and recovery replay go through.
-    fn apply_batch(&mut self, epoch: u64, ops: &[LiveOp], cfg: &LiveConfig) -> CommitReport {
+    /// The part of applying `ops` that reads the state and changes nothing:
+    /// decide every op as [`apply`](Self::apply) will meet it, then segment
+    /// the dirty texts and, for a dense store, embed their chunks, on up to
+    /// `workers` threads. The walk keeps what the batch's own earlier ops
+    /// did to each document, so an upsert repeated, or one after a delete of
+    /// the same document, decides as the apply walk will.
+    fn prepare<'a>(&self, ops: &'a [LiveOp], cfg: &LiveConfig, workers: usize) -> Prepared<'a> {
+        // A document's fingerprint as the walk reaches it, where an earlier
+        // op of the batch set it (`None`: deleted).
+        let mut overlay: BTreeMap<&str, Option<u64>> = BTreeMap::new();
+        let mut steps = Vec::with_capacity(ops.len());
+        let mut dirty: Vec<&str> = Vec::new();
+        let mut clean_upserts = 0;
+        for op in ops {
+            let doc_id = match op {
+                LiveOp::Upsert { doc_id, .. } | LiveOp::Delete { doc_id } => doc_id.as_str(),
+            };
+            let stored = match overlay.get(doc_id) {
+                Some(&fingerprint) => fingerprint,
+                None => self.docs.get(doc_id).map(|m| m.fingerprint),
+            };
+            match op {
+                LiveOp::Upsert { text, .. } => {
+                    let fingerprint = sage_segment::fingerprint(text);
+                    if stored == Some(fingerprint) {
+                        clean_upserts += 1;
+                        continue;
+                    }
+                    overlay.insert(doc_id, Some(fingerprint));
+                    dirty.push(text);
+                    steps.push(Step::Upsert { doc_id, fingerprint, chunks: 0 });
+                }
+                LiveOp::Delete { .. } => {
+                    if stored.is_some() {
+                        overlay.insert(doc_id, None);
+                        steps.push(Step::Delete { doc_id });
+                    }
+                }
+            }
+        }
+
+        let segmenter = SentenceSegmenter { max_tokens: cfg.segment_tokens.max(1) };
+        let ranges = byte_ranges(&dirty, workers.min(dirty.len()));
+        let per_range = on_ranges(ranges, |texts| {
+            texts.iter().map(|text| segmenter.segment(text)).collect::<Vec<_>>()
+        });
+        let per_doc = per_range.into_iter().flatten();
+        let upserts = steps.iter_mut().filter_map(|step| match step {
+            Step::Upsert { chunks, .. } => Some(chunks),
+            Step::Delete { .. } => None,
+        });
+        let mut chunks = Vec::new();
+        for (count, doc_chunks) in upserts.zip(per_doc) {
+            *count = doc_chunks.len();
+            chunks.extend(doc_chunks);
+        }
+
+        let rows = match &self.index {
+            LiveIndex::Dense { embedder, index } => {
+                let metric = index.as_flat().metric();
+                let mut rows = FlatIndex::zeroed(metric, embedder.dim(), chunks.len());
+                on_ranges(rows.rows_mut(&chunk_ranges(chunks.len(), workers)), |writer| {
+                    let mut analysis = Analysis::default();
+                    writer.fill(|id, row| {
+                        analysis.fill(&chunks[id]);
+                        embedder.embed_analysed(&mut analysis, row);
+                    });
+                });
+                rows
+            }
+            LiveIndex::Bm25(_) => FlatIndex::cosine(),
+        };
+        Prepared { steps, clean_upserts, chunks, rows }
+    }
+
+    /// Apply a batch [`prepare`](Self::prepare)d against this very state,
+    /// advance to `epoch`, then run the deterministic compaction policy.
+    /// The batch's chunks go into the index in one pass, then the walk
+    /// records each document and tombstones the chunks it replaces or
+    /// deletes. Identical inputs produce identical state — live commits and
+    /// recovery replay both go through `prepare` and `apply`.
+    fn apply(
+        &mut self,
+        epoch: u64,
+        prepared: Prepared<'_>,
+        cfg: &LiveConfig,
+        workers: usize,
+    ) -> CommitReport {
+        let Prepared { steps, clean_upserts, chunks, rows } = prepared;
         let mut report = CommitReport {
             epoch,
             docs_upserted: 0,
-            clean_upserts: 0,
+            clean_upserts,
             docs_deleted: 0,
-            chunks_indexed: 0,
+            chunks_indexed: chunks.len(),
             tombstones: 0,
             compacted: false,
         };
-        for op in ops {
-            match op {
-                LiveOp::Upsert { doc_id, text } => {
-                    let fp = sage_segment::fingerprint(text);
-                    if self.docs.get(doc_id).is_some_and(|m| m.fingerprint == fp) {
-                        report.clean_upserts += 1;
-                        continue;
-                    }
-                    report.tombstones += self.tombstone_doc(doc_id);
-                    let segmenter = SentenceSegmenter { max_tokens: cfg.segment_tokens.max(1) };
-                    let mut ids = Vec::new();
-                    for chunk in segmenter.segment(text) {
-                        let id = match &mut self.index {
-                            LiveIndex::Dense { embedder, index } => {
-                                index.add(embedder.embed(&chunk))
-                            }
-                            LiveIndex::Bm25(r) => r.push_live_chunk(&chunk),
-                        };
-                        self.chunks.push(ChunkSlot {
-                            text: chunk,
-                            doc: doc_id.clone(),
-                            live: true,
-                        });
-                        ids.push(id as u32);
-                    }
-                    report.chunks_indexed += ids.len();
-                    report.docs_upserted += 1;
-                    self.docs.insert(doc_id.clone(), DocMeta { fingerprint: fp, chunks: ids });
+        let mut next = self.chunks.len() as u32;
+        match &mut self.index {
+            LiveIndex::Dense { index, .. } => {
+                let first = index.append(&rows);
+                debug_assert_eq!(first, next as usize, "the index and the slot table in step");
+            }
+            LiveIndex::Bm25(r) => {
+                for chunk in &chunks {
+                    r.push_live_chunk(chunk);
                 }
-                LiveOp::Delete { doc_id } => {
-                    if self.docs.contains_key(doc_id) {
-                        report.tombstones += self.tombstone_doc(doc_id);
-                        self.docs.remove(doc_id);
+            }
+        }
+        let mut chunks = chunks.into_iter();
+        for step in steps {
+            match step {
+                Step::Upsert { doc_id, fingerprint, chunks: count } => {
+                    for text in chunks.by_ref().take(count) {
+                        self.chunks.push(ChunkSlot { text, doc: doc_id.to_string(), live: true });
+                    }
+                    let ids = (next..next + count as u32).collect();
+                    next += count as u32;
+                    report.docs_upserted += 1;
+                    let meta = DocMeta { fingerprint, chunks: ids };
+                    if let Some(old) = self.docs.insert(doc_id.to_string(), meta) {
+                        report.tombstones += self.tombstone_chunks(&old.chunks);
+                    }
+                }
+                Step::Delete { doc_id } => {
+                    if let Some(old) = self.docs.remove(doc_id) {
+                        report.tombstones += self.tombstone_chunks(&old.chunks);
                         report.docs_deleted += 1;
                     }
                 }
             }
         }
         self.epoch = epoch;
-        report.compacted = self.maybe_compact(cfg);
+        report.compacted = self.compact_if_due(cfg, workers);
         report
     }
 
-    /// Tombstone every chunk of `doc_id` (in both the slot table and the
-    /// index), returning how many were newly tombstoned.
-    fn tombstone_doc(&mut self, doc_id: &str) -> usize {
-        let ids = self.docs.get(doc_id).map(|m| m.chunks.clone()).unwrap_or_default();
+    /// Tombstone the chunks `ids` (in both the slot table and the index),
+    /// returning how many were newly tombstoned.
+    fn tombstone_chunks(&mut self, ids: &[u32]) -> usize {
         let mut n = 0;
-        for id in ids {
+        for &id in ids {
             let id = id as usize;
             if let Some(slot) = self.chunks.get_mut(id) {
                 if slot.live {
@@ -301,7 +414,7 @@ impl LiveState {
 
     /// The compaction policy: a pure function of the state's slot counts,
     /// so replay re-triggers compaction at exactly the same epochs.
-    fn maybe_compact(&mut self, cfg: &LiveConfig) -> bool {
+    fn compact_if_due(&mut self, cfg: &LiveConfig, workers: usize) -> bool {
         let total = self.chunks.len();
         if total == 0 || self.dead < cfg.compact_min_dead.max(1) {
             return false;
@@ -309,37 +422,38 @@ impl LiveState {
         if (self.dead as f64) / (total as f64) < cfg.compact_dead_fraction {
             return false;
         }
-        self.compact();
+        self.compact_on(workers);
         true
     }
 
-    /// Purge tombstones: rebuild the index over surviving chunks in id
-    /// order and renumber the slot table densely.
-    fn compact(&mut self) {
+    /// Purge tombstones and renumber the slot table densely: the vector
+    /// index closes up in place, its columns cut into up to `workers`
+    /// ranges moved on their own threads; BM25 is rebuilt over the
+    /// surviving texts in slot order.
+    fn compact_on(&mut self, workers: usize) {
         // Old id → new id for survivors, derived from the slot table; the
         // index tiers are kept in lockstep so their remaps agree.
         let mut remap: Vec<Option<u32>> = vec![None; self.chunks.len()];
-        let mut survivors: Vec<ChunkSlot> = Vec::with_capacity(self.chunks.len() - self.dead);
+        let mut kept = 0;
         for (old, slot) in self.chunks.iter().enumerate() {
             if slot.live {
-                remap[old] = Some(survivors.len() as u32);
-                survivors.push(slot.clone());
+                remap[old] = Some(kept);
+                kept += 1;
             }
         }
+        self.chunks.retain(|slot| slot.live);
         match &mut self.index {
             LiveIndex::Dense { index, .. } => {
-                index.compact();
+                index.compact_on(workers, |parts| {
+                    on_ranges(parts, ColumnMoves::run);
+                });
             }
-            LiveIndex::Bm25(r) => {
-                let texts: Vec<String> = survivors.iter().map(|s| s.text.clone()).collect();
-                r.index(&texts);
-            }
+            LiveIndex::Bm25(r) => r.index_texts(self.chunks.iter().map(|slot| slot.text.as_str())),
         }
         for meta in self.docs.values_mut() {
             meta.chunks =
                 meta.chunks.iter().filter_map(|&id| remap.get(id as usize).copied()?).collect();
         }
-        self.chunks = survivors;
         self.dead = 0;
     }
 
@@ -440,6 +554,10 @@ impl LiveSnapshot {
         self.state.docs.get(doc_id).map(|m| m.fingerprint)
     }
 }
+
+/// What making one epoch durable ends with: the segment list the new
+/// manifest commits, or the barrier that crashed (if any) and the error.
+type Durable = Result<Vec<store::SegmentEntry>, (Option<CrashPoint>, std::io::Error)>;
 
 /// The single writer of a live corpus store.
 ///
@@ -555,49 +673,67 @@ impl CorpusWriter {
     /// [`crate::fsx::commit_framed`] path, cross the pre-manifest
     /// barrier, atomically rewrite the manifest, then apply the batch to
     /// the in-memory state (copy-on-write if snapshots are held) and run
-    /// the compaction policy. A [`LiveError::CrashInjected`] return means
-    /// the disk looks exactly like a real crash at that barrier and the
-    /// in-memory state still serves the previous epoch.
+    /// the compaction policy. While a scoped thread makes the segment and
+    /// the manifest durable, this one prepares the batch from the committed
+    /// state alone (decisions, segmentation, embedding, on every core); the
+    /// batch is applied only once both files are durable. A
+    /// [`LiveError::CrashInjected`] return means the disk looks exactly like
+    /// a real crash at that barrier and the in-memory state still serves
+    /// the previous epoch: the prepared work is dropped and counted nowhere.
     pub fn commit(&mut self, ops: &[LiveOp]) -> Result<CommitReport, LiveError> {
         let epoch = self.state.epoch + 1;
         let key = format!("epoch:{epoch}:attempt:{}", self.attempt);
-        let plan = self.crash;
-        let framed = crate::fsx::frame(&store::encode_segment(epoch, ops));
-        let seg_path = self.dir.join(store::segment_name(epoch));
-
-        let mut injected: Option<CrashPoint> = None;
-        let commit_res = crate::fsx::commit_framed(&seg_path, &framed, &mut |point| {
-            if plan.crashes_at(point, &key) {
-                injected = Some(point);
-                Err(std::io::Error::other("injected crash"))
-            } else {
-                Ok(())
+        let (plan, dir, cfg, segments) = (self.crash, &self.dir, &self.cfg, &self.segments);
+        let make_durable = || -> Durable {
+            let framed = crate::fsx::frame(&store::encode_segment(epoch, ops));
+            let seg_path = dir.join(store::segment_name(epoch));
+            let mut injected: Option<CrashPoint> = None;
+            let commit_res = crate::fsx::commit_framed(&seg_path, &framed, &mut |point| {
+                if plan.crashes_at(point, &key) {
+                    injected = Some(point);
+                    Err(std::io::Error::other("injected crash"))
+                } else {
+                    Ok(())
+                }
+            });
+            if let Err(e) = commit_res {
+                return Err((injected, e));
             }
-        });
-        if let Err(e) = commit_res {
-            return Err(self.crash_or_io(injected, e));
-        }
-        if plan.crashes_at(CrashPoint::PreManifest, &key) {
-            return Err(self.crash_or_io(
-                Some(CrashPoint::PreManifest),
-                std::io::Error::other("injected crash"),
-            ));
-        }
+            if plan.crashes_at(CrashPoint::PreManifest, &key) {
+                let crash = std::io::Error::other("injected crash");
+                return Err((Some(CrashPoint::PreManifest), crash));
+            }
 
-        let mut segments = self.segments.clone();
-        segments.push(store::SegmentEntry {
-            epoch,
-            len: framed.len() as u64,
-            crc: crate::fsx::crc32(&framed),
+            let mut segments = segments.clone();
+            segments.push(store::SegmentEntry {
+                epoch,
+                len: framed.len() as u64,
+                crc: crate::fsx::crc32(&framed),
+            });
+            let manifest = crate::fsx::frame(&store::encode_manifest(epoch, cfg, &segments));
+            crate::fsx::commit_bytes(&dir.join(store::MANIFEST_NAME), &manifest)
+                .map_err(|e| (None, e))?;
+            Ok(segments)
+        };
+        let (state, workers) = (&*self.state, workers());
+        let (durable, prepared) = std::thread::scope(|scope| {
+            let writer = scope.spawn(make_durable);
+            let prepared = state.prepare(ops, cfg, workers);
+            let durable =
+                writer.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            (durable, prepared)
         });
-        let manifest = crate::fsx::frame(&store::encode_manifest(epoch, &self.cfg, &segments));
-        crate::fsx::commit_bytes(&self.dir.join(store::MANIFEST_NAME), &manifest)?;
-        self.segments = segments;
-        self.attempt = 0;
-
-        let report = Arc::make_mut(&mut self.state).apply_batch(epoch, ops, &self.cfg);
-        self.record_commit(&report, ops.len());
-        Ok(report)
+        match durable {
+            Err((injected, e)) => Err(self.crash_or_io(injected, e)),
+            Ok(segments) => {
+                self.segments = segments;
+                self.attempt = 0;
+                let state = Arc::make_mut(&mut self.state);
+                let report = state.apply(epoch, prepared, &self.cfg, workers);
+                self.record_commit(&report, ops.len());
+                Ok(report)
+            }
+        }
     }
 
     fn crash_or_io(&mut self, injected: Option<CrashPoint>, e: std::io::Error) -> LiveError {

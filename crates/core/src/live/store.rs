@@ -193,7 +193,8 @@ pub(crate) fn recover(
     };
 
     // Verify then replay every committed segment, in the order the
-    // manifest committed them.
+    // manifest committed them, through the live commit's prepare and apply.
+    let workers = crate::segmentation::workers();
     let mut listed: BTreeSet<String> = BTreeSet::new();
     for seg in &segments {
         let name = segment_name(seg.epoch);
@@ -218,7 +219,8 @@ pub(crate) fn recover(
                 seg.epoch
             )));
         }
-        state.apply_batch(epoch, &ops, cfg);
+        let prepared = state.prepare(&ops, cfg, workers);
+        state.apply(epoch, prepared, cfg, workers);
         listed.insert(name);
     }
     if state.epoch != manifest_epoch {

@@ -114,15 +114,15 @@ fn in_document_order(segmenter: &dyn Segmenter, corpus: &[String], workers: usiz
 /// Cut `corpus` into at most `parts` contiguous, non-empty ranges of about
 /// equal byte length: range `k` ends at the first document where the running
 /// byte count reaches `k / parts` of the whole.
-fn byte_ranges(corpus: &[String], parts: usize) -> Vec<&[String]> {
-    let total: usize = corpus.iter().map(String::len).sum();
+pub(crate) fn byte_ranges<T: AsRef<str>>(corpus: &[T], parts: usize) -> Vec<&[T]> {
+    let total: usize = corpus.iter().map(|doc| doc.as_ref().len()).sum();
     let mut ranges = Vec::with_capacity(parts);
     let (mut rest, mut seen) = (corpus, 0);
     for k in 1..parts {
         let goal = total * k / parts;
         let mut take = 0;
         while take < rest.len() && seen < goal {
-            seen += rest[take].len();
+            seen += rest[take].as_ref().len();
             take += 1;
         }
         let (range, tail) = rest.split_at(take);
@@ -300,6 +300,6 @@ mod tests {
         }
         let lens: Vec<usize> = byte_ranges(&docs, 2).iter().map(|r| r.len()).collect();
         assert_eq!(lens, [5, 2]);
-        assert!(byte_ranges(&[], 0).is_empty());
+        assert!(byte_ranges::<String>(&[], 0).is_empty());
     }
 }

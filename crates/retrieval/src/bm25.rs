@@ -146,6 +146,27 @@ impl Bm25Retriever {
         self.recompute_avg_len();
     }
 
+    /// [`Retriever::index`] over texts held anywhere: (re)build over
+    /// `chunks`, in order, without a slice of owned strings to borrow them
+    /// from.
+    pub fn index_texts<'a>(&mut self, chunks: impl IntoIterator<Item = &'a str>) {
+        self.vocab = Arc::default();
+        self.postings.clear();
+        self.chunk_len.clear();
+        self.deleted.clear();
+        let mut total_len = 0u64;
+        let mut tokens = TokenBuf::new();
+        let mut ids = Vec::new();
+        for chunk in chunks {
+            total_len += u64::from(self.post_chunk(chunk, &mut tokens, &mut ids));
+        }
+        let count = self.chunk_len.len();
+        self.deleted.resize(count, false);
+        self.live_total_len = total_len;
+        self.live_count = count as u32;
+        self.avg_len = if count == 0 { 0.0 } else { total_len as f32 / count as f32 };
+    }
+
     /// Append one chunk's postings without rebuilding (the live writer's
     /// delta path). Returns the new chunk's index.
     pub fn push_live_chunk(&mut self, text: &str) -> usize {
@@ -208,24 +229,7 @@ fn by_rank(a: &ScoredChunk, b: &ScoredChunk) -> Ordering {
 
 impl Retriever for Bm25Retriever {
     fn index(&mut self, chunks: &[String]) {
-        self.vocab = Arc::default();
-        self.postings.clear();
-        self.chunk_len.clear();
-        self.deleted.clear();
-        let mut total_len = 0u64;
-        let mut tokens = TokenBuf::new();
-        let mut ids = Vec::new();
-        for chunk in chunks {
-            total_len += u64::from(self.post_chunk(chunk, &mut tokens, &mut ids));
-        }
-        self.deleted.resize(chunks.len(), false);
-        self.live_total_len = total_len;
-        self.live_count = chunks.len() as u32;
-        self.avg_len = if chunks.is_empty() {
-            0.0
-        } else {
-            total_len as f32 / chunks.len() as f32
-        };
+        self.index_texts(chunks.iter().map(String::as_str));
     }
 
     fn retrieve(&self, query: &str, n: usize) -> Vec<ScoredChunk> {

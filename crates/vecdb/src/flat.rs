@@ -187,7 +187,17 @@ impl FlatIndex {
     /// its columns, the rows freed at the end are zeroed, and the capacity
     /// stays for the rows that come next. Rows, norms and every score are
     /// those of a fresh index fed the survivors.
-    pub(crate) fn retain(&mut self, keep: impl Fn(usize) -> bool) -> Vec<Option<usize>> {
+    ///
+    /// The columns are handed to `run` cut into at most `parts` ranges of
+    /// whole columns ([`ColumnMoves`]), each independent of the others, so
+    /// the caller may run them on separate threads; `run` must
+    /// [`run`](ColumnMoves::run) every one.
+    pub(crate) fn retain(
+        &mut self,
+        keep: impl Fn(usize) -> bool,
+        parts: usize,
+        run: impl FnOnce(Vec<ColumnMoves<'_>>),
+    ) -> Vec<Option<usize>> {
         if self.is_empty() {
             return Vec::new();
         }
@@ -210,13 +220,14 @@ impl FlatIndex {
         let settled = remap.iter().position(Option::is_none).unwrap_or(kept);
         let moves: Vec<usize> =
             (settled..remap.len()).filter(|&old| remap[old].is_some()).collect();
-        let len = self.len();
-        for column in self.data.chunks_exact_mut(self.cap) {
-            for (new, &old) in (settled..).zip(&moves) {
-                column[new] = column[old];
-            }
-            column[kept..len].fill(0.0);
-        }
+        let (len, cap) = (self.len(), self.cap);
+        let per_part = self.dim.div_ceil(parts.clamp(1, self.dim));
+        let parts = self
+            .data
+            .chunks_mut(per_part * cap)
+            .map(|columns| ColumnMoves { columns, cap, settled, kept, len, moves: &moves })
+            .collect();
+        run(parts);
         for (new, &old) in (settled..).zip(&moves) {
             self.norms[new] = self.norms[old];
         }
@@ -224,17 +235,61 @@ impl FlatIndex {
         remap
     }
 
-    /// Move every column into room for `cap` rows: the one copy a growing
-    /// index makes.
-    fn grow(&mut self, cap: usize) {
-        let len = self.len();
-        let mut data = vec![0.0; self.dim * cap];
-        if len > 0 {
-            for (to, from) in data.chunks_exact_mut(cap).zip(self.columns()) {
-                to[..len].copy_from_slice(&from[..len]);
-            }
+    /// Append every row of `rows` after this index's own, in one pass: the
+    /// columns grow to the capacity the same rows [`add`](VectorIndex::add)ed
+    /// one by one would leave, each column takes `rows`' run in one copy,
+    /// and each norm is `rows`' own. Rows, norms, every score and
+    /// [`memory_bytes`](VectorIndex::memory_bytes) are those of the `add`
+    /// loop.
+    pub(crate) fn append(&mut self, rows: &FlatIndex) {
+        if rows.is_empty() {
+            return;
         }
-        self.data = data;
+        if self.dim == 0 {
+            self.dim = rows.dim;
+            // Rows reserved before the dimensionality was known.
+            self.reserve(self.norms.capacity());
+        }
+        assert_eq!(rows.dim, self.dim, "rows dim {} != index dim {}", rows.dim, self.dim);
+        let (len, n) = (self.len(), rows.len());
+        let mut cap = self.cap;
+        while cap < len + n {
+            cap = (2 * cap).max(BLOCK);
+        }
+        if cap > self.cap {
+            self.grow(cap);
+        }
+        for (to, from) in self.data.chunks_exact_mut(cap).zip(rows.columns()) {
+            to[len..len + n].copy_from_slice(&from[..n]);
+        }
+        // One push per row, so the norms keep the capacity `add` leaves.
+        for &norm_of_row in &rows.norms {
+            self.norms.push(norm_of_row);
+        }
+    }
+
+    /// The norm of every row, in id order, taken when the row went in.
+    pub fn norms(&self) -> &[f32] {
+        &self.norms
+    }
+
+    /// Move every column into room for `cap` rows: the one copy a growing
+    /// index makes, inside the grown block itself, so the allocator may
+    /// extend the block where it lies and the old and the new columns are
+    /// never held apart at once.
+    fn grow(&mut self, cap: usize) {
+        let (len, old) = (self.len(), self.cap);
+        self.data.reserve_exact(self.dim * cap - self.data.len());
+        self.data.resize(self.dim * cap, 0.0);
+        // Room a `clear` kept is more than the columns ask for.
+        self.data.shrink_to_fit();
+        // From the last column down, each moves up to its new start, which
+        // is past every column still to move; what the old layout left in
+        // the room after its rows is zeroed.
+        for d in (0..self.dim).rev() {
+            self.data.copy_within(d * old..d * old + len, d * cap);
+            self.data[d * cap + len..(d + 1) * cap].fill(0.0);
+        }
         self.cap = cap;
     }
 
@@ -370,6 +425,36 @@ impl RowsMut<'_> {
                     *v = row[d];
                 }
             }
+        }
+    }
+}
+
+/// One range of whole columns of a [`FlatIndex`] that a compaction closes
+/// up (see [`MutableIndex::compact_on`](crate::MutableIndex::compact_on)),
+/// borrowed apart from every other range's.
+#[derive(Debug)]
+pub struct ColumnMoves<'a> {
+    /// Whole columns of `cap` floats each.
+    columns: &'a mut [f32],
+    cap: usize,
+    /// Rows below it do not move.
+    settled: usize,
+    /// Survivors: the rows from `kept` to `len` are zeroed.
+    kept: usize,
+    len: usize,
+    /// The old row of each survivor from `settled` on, in order.
+    moves: &'a [usize],
+}
+
+impl ColumnMoves<'_> {
+    /// Move each survivor down its column to the next free row, then zero
+    /// the rows the survivors freed.
+    pub fn run(self) {
+        for column in self.columns.chunks_exact_mut(self.cap) {
+            for (new, &old) in (self.settled..).zip(self.moves) {
+                column[new] = column[old];
+            }
+            column[self.kept..self.len].fill(0.0);
         }
     }
 }
@@ -593,7 +678,7 @@ mod tests {
         }
         let (cap, room) = (idx.cap, idx.data.capacity());
         let keep = |id: usize| id % 4 != 1 && !(60..70).contains(&id);
-        let remap = idx.retain(keep);
+        let remap = idx.retain(keep, 1, |parts| parts.into_iter().for_each(ColumnMoves::run));
         let kept: Vec<usize> = (0..150).filter(|&id| keep(id)).collect();
         assert_eq!(remap.iter().flatten().count(), kept.len());
         assert_eq!((idx.cap, idx.data.capacity()), (cap, room), "no second index");

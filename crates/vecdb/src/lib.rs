@@ -27,7 +27,7 @@ pub mod flat;
 pub mod metric;
 pub mod mutable;
 
-pub use flat::{FlatIndex, RowsMut, BLOCK};
+pub use flat::{ColumnMoves, FlatIndex, RowsMut, BLOCK};
 pub use mutable::MutableIndex;
 pub use metric::Metric;
 

@@ -14,7 +14,7 @@
 //! mutation of it stays inside that crate's `live` module.
 
 use crate::metric::Metric;
-use crate::{FlatIndex, Hit, VectorIndex};
+use crate::{ColumnMoves, FlatIndex, Hit, VectorIndex};
 
 /// A vector index supporting logical deletion and deterministic compaction.
 ///
@@ -84,11 +84,45 @@ impl MutableIndex {
     /// can rewrite their own id references. Deterministic: depends only on
     /// the surviving vectors and their order.
     pub fn compact(&mut self) -> Vec<Option<usize>> {
-        let remap = self.flat.retain(|id| !self.dead[id]);
+        self.compact_on(1, |parts| parts.into_iter().for_each(ColumnMoves::run))
+    }
+
+    /// [`compact`](Self::compact), the columns cut into at most `parts`
+    /// independent ranges handed to `run`, which must
+    /// [`run`](ColumnMoves::run) every one — on separate threads if it
+    /// likes. The index, the remap and every score are `compact`'s.
+    pub fn compact_on(
+        &mut self,
+        parts: usize,
+        run: impl FnOnce(Vec<ColumnMoves<'_>>),
+    ) -> Vec<Option<usize>> {
+        let dead = &self.dead;
+        let remap = self.flat.retain(|id| !dead[id], parts, run);
         self.dead.clear();
         self.dead.resize(self.flat.len(), false);
         self.dead_count = 0;
         remap
+    }
+
+    /// Append every row of `rows` as live slots, in one pass: the columns
+    /// grow to the capacity the same rows [`add`](VectorIndex::add)ed one by
+    /// one would leave, each column takes its run of `rows` in one copy, and
+    /// each norm is `rows`' own. Returns the id of the first. Rows, norms,
+    /// every score and [`memory_bytes`](VectorIndex::memory_bytes) are those
+    /// of the `add` loop.
+    pub fn append(&mut self, rows: &FlatIndex) -> usize {
+        let first = self.flat.len();
+        self.flat.append(rows);
+        // One push per row, so the bitmap keeps the capacity `add` leaves.
+        for _ in 0..rows.len() {
+            self.dead.push(false);
+        }
+        first
+    }
+
+    /// The rows, tombstoned ones included.
+    pub fn as_flat(&self) -> &FlatIndex {
+        &self.flat
     }
 }
 

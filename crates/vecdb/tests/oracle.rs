@@ -337,6 +337,133 @@ fn a_tombstone_filter_scans_like_the_row_major_scan_over_the_living() {
     }
 }
 
+/// `rows` as one block to append: a column-major index of their own.
+fn block(metric: Metric, rows: &[Vec<f32>]) -> FlatIndex {
+    let dim = rows.first().map_or(0, Vec::len);
+    FlatIndex::filled(metric, dim, rows.len(), |id, row| row.copy_from_slice(&rows[id]))
+}
+
+fn norm_bits(index: &FlatIndex) -> Vec<u32> {
+    index.norms().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `appended` and `added` hold the same rows: the same bytes, norms,
+/// `memory_bytes` and search bits, and the row-major scan's.
+fn assert_appended_like_added(appended: &MutableIndex, added: &MutableIndex, what: &str) {
+    let (a, b) = (appended.as_flat(), added.as_flat());
+    assert_eq!(a.to_bytes(), b.to_bytes(), "{what}");
+    assert_eq!(norm_bits(a), norm_bits(b), "{what}");
+    assert_eq!(appended.memory_bytes(), added.memory_bytes(), "{what}");
+    assert_eq!(a.memory_bytes(), b.memory_bytes(), "{what}");
+    assert_eq!((appended.len(), appended.dead_count()), (added.len(), added.dead_count()));
+    if added.is_empty() {
+        return;
+    }
+    for query in layout_queries(added.len() as u64, added.dim()) {
+        for n in [1, 10, added.len()] {
+            let (got, want) = (appended.search(&query, n), added.search(&query, n));
+            assert_eq!(bits(&got), bits(&want), "{what}, n {n}");
+        }
+    }
+}
+
+/// Blocks appended in one pass each leave the index `add` leaves row by
+/// row: across capacity doublings (one block growing the columns three
+/// times), after an in-place compaction (into the freed room, then past
+/// it) and into an empty index (fresh, and emptied by a compaction).
+#[test]
+fn a_block_appended_in_one_pass_equals_its_rows_added_one_by_one() {
+    let dim = 40;
+    let rows = sparse_vectors(96, 700, dim);
+    let dies = |id: usize| id.is_multiple_of(3) || (30..45).contains(&id);
+    for metric in METRICS {
+        // (rows before the appends, whether to compact them first, sizes).
+        let cases: [(usize, bool, &[usize]); 5] = [
+            (0, false, &[300, 1, 0, 63, 64, 200]),
+            (50, false, &[14, 1, 400]),
+            (120, true, &[10, 60, 200]),
+            (0, false, &[1]),
+            (60, true, &[]),
+        ];
+        for (before, compact, sizes) in cases {
+            let what = format!("{metric:?}: {before} rows, compacted {compact}, blocks {sizes:?}");
+            // Two indexes built alike: a clone would not keep the capacities.
+            let mut appended = filled(MutableIndex::new(metric), &rows[..before]);
+            let mut added = filled(MutableIndex::new(metric), &rows[..before]);
+            if compact {
+                for id in (0..before).filter(|&id| dies(id)) {
+                    assert!(appended.tombstone(id) && added.tombstone(id));
+                }
+                assert_eq!(appended.compact(), added.compact(), "{what}");
+            }
+            let mut next = before;
+            for &size in sizes {
+                let batch = &rows[next..next + size];
+                assert_eq!(appended.append(&block(metric, batch)), added.len(), "{what}");
+                for row in batch {
+                    added.add(row.clone());
+                }
+                next += size;
+                assert_appended_like_added(&appended, &added, &format!("{what} at {next}"));
+            }
+            // Every row killed: a compaction empties the index and a block
+            // of another width starts it again.
+            for id in 0..appended.len() {
+                assert_eq!(appended.tombstone(id), added.tombstone(id), "{what}");
+            }
+            appended.compact();
+            added.compact();
+            let wider = sparse_vectors(97, 70, dim + 5);
+            appended.append(&block(metric, &wider));
+            wider.iter().for_each(|row| {
+                added.add(row.clone());
+            });
+            assert_appended_like_added(&appended, &added, &format!("{what}, emptied"));
+        }
+    }
+}
+
+/// A compaction whose columns are cut into one, two, three or more ranges
+/// than there are columns, run in any order on threads of their own,
+/// leaves the index the serial compaction leaves.
+#[test]
+fn a_compaction_cut_into_column_ranges_equals_the_serial_one() {
+    let (dim, len) = (37, 300);
+    let rows = sparse_vectors(98, len, dim);
+    let kills: [&dyn Fn(usize) -> bool; 4] =
+        [&|id| id % 2 == 0, &|id| (60..200).contains(&id), &|id| id != 299, &|_| true];
+    for metric in METRICS {
+        for kill in kills {
+            // Built alike each time: a clone would not keep the capacities.
+            let tombstoned = || {
+                let mut index = filled(MutableIndex::new(metric), &rows);
+                (0..len).filter(|&id| kill(id)).for_each(|id| assert!(index.tombstone(id)));
+                index
+            };
+            let mut serial = tombstoned();
+            let remap = serial.compact();
+            for parts in [1, 2, 3, dim + 4] {
+                let mut split = tombstoned();
+                let mut handed = 0;
+                let split_remap = split.compact_on(parts, |ranges| {
+                    handed = ranges.len();
+                    std::thread::scope(|scope| {
+                        for range in ranges.into_iter().rev() {
+                            scope.spawn(move || range.run());
+                        }
+                    });
+                });
+                let what = format!("{metric:?} in {parts} parts");
+                assert_eq!(split_remap, remap, "{what}");
+                if !split.is_empty() {
+                    assert_eq!(handed, parts.min(dim), "{what}");
+                }
+                assert_appended_like_added(&split, &serial, &what);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -14,8 +14,9 @@
 # nothing.
 #
 # Byte-identity checks among the smokes: same-seed replays of the soak
-# (two runs, `diff`); a BM25 soak pinned to one core and the
-# same soak on every core (`cmp`); two same-seed `sage report` bundles less
+# (two runs, `diff`); a BM25 soak, and a hashed and a BM25 live soak under
+# a crash plan, each pinned to one core and on every core (`cmp`); two
+# same-seed `sage report` bundles less
 # their wall-clock latency line (`diff`); and the full scenario grid == the
 # committed BENCH_scenarios.json (one run; `cargo test` asserts the same
 # equality). The pinned SHA-256 of the default-budget model file and of the
@@ -25,9 +26,10 @@
 # are crates/cli/tests/persistence.rs; the live soak's crash
 # drill, its same-seed replay and the SHA-256 of two live logs are
 # crates/cli/tests/live.rs; the recorded `sage ask --show-context` listings
-# (BM25, a dead embedder, a dead reader) are crates/cli/tests/ask.rs.
-# `cargo test` runs all three against the debug `sage` and below against
-# the release one.
+# (BM25, a dead embedder, a dead reader) are crates/cli/tests/ask.rs; the
+# refusal of every removed flag, fault entry and scenario key is
+# crates/cli/tests/refusals.rs. `cargo test` runs all four against the
+# debug `sage` and below against the release one.
 #
 # Every dependency is a path crate of this repository, so this runs with an
 # empty registry and no network.
@@ -109,10 +111,11 @@ if [ "${1:-}" != fast ]; then
   # flipped byte refused, the segment listing, `ask` / `query` under an
   # injected reader panic; the live soak's crash drill (recoveries, no
   # violation, a same-seed replay byte-equal, a reopen at the committed
-  # epoch) and both pinned live logs; the three recorded `ask` listings:
-  # the tests `cargo test` ran above against the debug `sage`, here
-  # against the release `sage` that ships.
-  cargo test -q --release -p sage-cli --test persistence --test live --test ask
+  # epoch) and both pinned live logs; the three recorded `ask` listings;
+  # the refusal of every removed flag, fault entry and scenario key: the
+  # tests `cargo test` ran above against the debug `sage`, here against
+  # the release `sage` that ships.
+  cargo test -q --release -p sage-cli --test persistence --test live --test ask --test refusals
 
   echo "=== saved models (for the smokes below)"
   "$sage" train --out "$tmp/models.bin" 2> /dev/null
@@ -133,7 +136,7 @@ if [ "${1:-}" != fast ]; then
   grep -q 'panics 0' "$tmp/soak_a.err" || { echo "FAIL: soak saw panics"; exit 1; }
   echo "soak smoke ok"
 
-  echo "=== core-count smoke (one core and every core build the same system)"
+  echo "=== core-count smoke (one core and every core build the same system and live store)"
   # `RagSystem::build` segments a multi-document corpus on one worker per
   # available core, and indexes it on as many 64-chunk-aligned ranges;
   # pinned to core 0 it takes the one-worker path. The BM25 soak builds over
@@ -147,6 +150,27 @@ if [ "${1:-}" != fast ]; then
     || { echo "FAIL: the BM25 soak log differs between one core and every core"; exit 1; }
   cmp "$tmp/soak_one_core.err" "$tmp/soak_all_cores.err" \
     || { echo "FAIL: the BM25 soak summary differs between one core and every core"; exit 1; }
+  # A live commit prepares its batch (segmentation, embedding) on every core
+  # while its segment and manifest are made durable, appends the rows in one
+  # pass and compacts on column ranges; recovery replays through the same
+  # prepare. Hashed and BM25 stores, each under a crash plan so recovery
+  # runs: log and summary must not tell one core from every core.
+  for retriever in hashed bm25; do
+    # Batches of 192 ops index 137-153 chunks, so each embeds on two row
+    # ranges when two cores are free; every commit compacts.
+    live=(soak --live --retriever "$retriever" --ops 24 --batch 192 --docs 400 --seed 42
+          --crash pre-rename:0.3,pre-manifest-commit:0.2 --crash-seed 5)
+    taskset -c 0 "$sage" "${live[@]}" --live-dir "$tmp/live_one_$retriever" \
+      > "$tmp/live_one_core.log" 2> "$tmp/live_one_core.err"
+    "$sage" "${live[@]}" --live-dir "$tmp/live_all_$retriever" \
+      > "$tmp/live_all_cores.log" 2> "$tmp/live_all_cores.err"
+    grep -q '^recover ' "$tmp/live_one_core.log" \
+      || { echo "FAIL: the $retriever live soak recovered nothing"; exit 1; }
+    cmp "$tmp/live_one_core.log" "$tmp/live_all_cores.log" \
+      || { echo "FAIL: the $retriever live soak log differs between one core and every core"; exit 1; }
+    cmp "$tmp/live_one_core.err" "$tmp/live_all_cores.err" \
+      || { echo "FAIL: the $retriever live soak summary differs between one core and every core"; exit 1; }
+  done
   echo "core-count smoke ok ($(nproc) cores)"
 
   echo "=== report smoke (the bundle holds the soak's whole observation stream)"
@@ -172,58 +196,6 @@ if [ "${1:-}" != fast ]; then
   [ -n "$arrivals" ] && [ "$observations" -eq "$arrivals" ] \
     || { echo "FAIL: report bundle holds $observations observations for ${arrivals:-?} arrivals"; exit 1; }
   echo "report smoke ok"
-
-  echo "=== refusal smoke (removed sharding, HNSW, --resilience and report SLO/recorder surfaces fail and name the input)"
-  # In-process sharding, the HNSW tier and the opt-in resilience switch are
-  # gone: their flags, the sharding fault grammar and scenario axis, and
-  # the HNSW live retriever must be refused by name, never silently
-  # ignored.
-  for command in ask soak explain; do
-    for flag in shards quorum; do
-      if "$sage" "$command" "--$flag" 4 > /dev/null 2> "$tmp/refused.err"; then
-        echo "FAIL: sage $command accepted --$flag"; exit 1
-      fi
-      grep -q "unknown flag --$flag for \`sage $command\`" "$tmp/refused.err" \
-        || { echo "FAIL: no 'unknown flag --$flag' error"; cat "$tmp/refused.err"; exit 1; }
-    done
-  done
-  if "$sage" ask --file "$tmp/corpus.txt" --question "What is the color of Whiskers's eyes?" \
-      --models "$tmp/models.bin" --faults "shard:1:down" > /dev/null 2> "$tmp/refused.err"; then
-    echo "FAIL: sage ask accepted the fault entry shard:1:down"; exit 1
-  fi
-  grep -q 'bad fault entry "shard:1:down"' "$tmp/refused.err" \
-    || { echo "FAIL: the fault error does not name its entry"; cat "$tmp/refused.err"; exit 1; }
-  printf '[[cell]]\nname = "a"\nshards = 4\n' > "$tmp/shards.toml"
-  if "$sage" scenarios run "$tmp/shards.toml" --models "$tmp/models.bin" \
-      > /dev/null 2> "$tmp/refused.err"; then
-    echo "FAIL: sage scenarios accepted the shards key"; exit 1
-  fi
-  grep -q 'unknown cell key `shards`' "$tmp/refused.err" \
-    || { echo "FAIL: the scenario error does not name its key"; cat "$tmp/refused.err"; exit 1; }
-  for command in ask query soak; do
-    for flag in hnsw resilience; do
-      if "$sage" "$command" "--$flag" > /dev/null 2> "$tmp/refused.err"; then
-        echo "FAIL: sage $command accepted --$flag"; exit 1
-      fi
-      grep -q "unknown flag --$flag for \`sage $command\`" "$tmp/refused.err" \
-        || { echo "FAIL: no 'unknown flag --$flag' error"; cat "$tmp/refused.err"; exit 1; }
-    done
-  done
-  if "$sage" soak --live --retriever hnsw --live-dir "$tmp/hnsw-live" \
-      > /dev/null 2> "$tmp/refused.err"; then
-    echo "FAIL: sage soak --live accepted --retriever hnsw"; exit 1
-  fi
-  grep -q 'bad --retriever "hnsw" for --live' "$tmp/refused.err" \
-    || { echo "FAIL: the live retriever error does not name its input"; cat "$tmp/refused.err"; exit 1; }
-  # The flight recorder and the SLO engine are gone with their flags.
-  for flag in slo strict-slo recorder-capacity; do
-    if "$sage" report "--$flag" > /dev/null 2> "$tmp/refused.err"; then
-      echo "FAIL: sage report accepted --$flag"; exit 1
-    fi
-    grep -q "unknown flag --$flag for \`sage report\`" "$tmp/refused.err" \
-      || { echo "FAIL: no 'unknown flag --$flag' error"; cat "$tmp/refused.err"; exit 1; }
-  done
-  echo "refusal smoke ok"
 
   echo "=== explain smoke (resolved plan rendering)"
   # The plan printer must show the full SAGE stage graph and the rewrite
