@@ -2,7 +2,11 @@
 //! artifact shares.
 //!
 //! Layout: payload, then a trailer of the payload's IEEE CRC-32
-//! (little-endian) and the `SAGECRC1` magic. Commit protocol: write
+//! (little-endian) and the `SAGECRC1` magic. The CRC is slicing-by-8
+//! ([`crc32`], eight tables built at compile time) and can be continued
+//! over more bytes ([`crc32_update`]), so a file written is read once for
+//! its checksums: [`seal`] frames a payload in place and returns the
+//! framed file's CRC from the payload's. Commit protocol: write
 //! `<path>.tmp`, fsync it, rename over the target, fsync the parent
 //! directory (best-effort — not every platform lets a directory be
 //! opened). A crash at any point leaves either the previous file or the
@@ -27,28 +31,66 @@ pub const TRAILER_MAGIC: &[u8; 8] = b"SAGECRC1";
 /// [`TRAILER_MAGIC`].
 pub const TRAILER_LEN: usize = 4 + TRAILER_MAGIC.len();
 
-/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) — the checksum in the
-/// saved-file trailer. Table-driven; the table is built at compile time.
-/// Test vector: `crc32(b"123456789") == 0xCBF4_3926`.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// The slicing-by-8 tables of the IEEE CRC-32 (reflected, polynomial
+/// `0xEDB88320`), built at compile time: `TABLES[0]` is the bytewise table,
+/// and `TABLES[k][b]` is byte `b`'s entry carried `k` bytes further, so
+/// eight lookups fold eight bytes at once.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = TABLE[((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
+        k += 1;
+    }
+    tables
+};
+
+/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) — the checksum in the
+/// saved-file trailer. Slicing-by-8: eight bytes per step through
+/// [`TABLES`], the last `len % 8` one at a time.
+/// Test vector: `crc32(b"123456789") == 0xCBF4_3926`.
+pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// Continue the CRC-32 `crc` of some bytes over `data`: the CRC-32 of those
+/// bytes followed by `data`, without reading them again.
+/// `crc32_update(crc32(a), b) == crc32(a ‖ b)`, and `crc32_update(0, b)` is
+/// `crc32(b)`.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let t = &TABLES;
+    let mut crc = !crc;
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = t[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -57,9 +99,22 @@ pub fn crc32(data: &[u8]) -> u32 {
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut framed = Vec::with_capacity(payload.len() + TRAILER_LEN);
     framed.extend_from_slice(payload);
-    framed.extend_from_slice(&crc32(payload).to_le_bytes());
-    framed.extend_from_slice(TRAILER_MAGIC);
+    seal(&mut framed);
     framed
+}
+
+/// Frame the payload `buf` holds in place — append its CRC-32 and
+/// [`TRAILER_MAGIC`] — and return the CRC-32 of the framed buffer, taken by
+/// continuing the payload's over the trailer: one pass over the payload
+/// for both. (For any payload that value is the same constant, the CRC-32
+/// residue carried over the magic; it is derived, not assumed.) Room for
+/// [`TRAILER_LEN`] more bytes spares the copy a growing `Vec` makes.
+pub fn seal(buf: &mut Vec<u8>) -> u32 {
+    let body_end = buf.len();
+    let crc = crc32(buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf.extend_from_slice(TRAILER_MAGIC);
+    crc32_update(crc, &buf[body_end..])
 }
 
 /// Verify and strip the trailer of `raw`, returning the payload.

@@ -7,7 +7,8 @@
 //!
 //! * only *dirty* documents are re-segmented (an upsert whose
 //!   [`sage_segment::fingerprint`] matches the stored one is a no-op), on
-//!   every core, and so are their chunks embedded;
+//!   every core, one document range a worker, and the same worker embeds
+//!   that range's chunks;
 //! * vector inserts go to a [`MutableIndex`] (an exact flat index with
 //!   tombstones), a batch's rows in one pass, and BM25 postings are
 //!   appended incrementally, so commit cost scales with the batch, not the
@@ -23,12 +24,13 @@
 //! Durability: each commit appends one segment file (the op batch, framed
 //! with the shared [`crate::fsx`] CRC-32 trailer and committed
 //! tmp+fsync+rename), then atomically rewrites a manifest naming every
-//! committed segment. The batch's segmentation and embedding run while
-//! those two files are made durable, and read only the committed state;
-//! the batch changes the state only once both are. Recovery replays the
-//! manifest's segments through the same deterministic prepare-and-apply
-//! code, discards torn or orphaned files, and
-//! provably lands on the last committed epoch — under deterministic
+//! committed segment with its length and the CRC-32 of its framed bytes,
+//! derived from the payload's without a second pass. The batch's
+//! segmentation and embedding run while those two files are made durable,
+//! and read only the committed state; the batch changes the state only
+//! once both are. Recovery replays the manifest's segments through the
+//! same deterministic prepare-and-apply code, discards torn or orphaned
+//! files, and provably lands on the last committed epoch — under deterministic
 //! crash-point injection ([`sage_resilience::CrashPlan`]) at all five
 //! write barriers, which the [`soak`] harness drills continuously.
 
@@ -40,7 +42,6 @@ pub(crate) mod store;
 pub use soak::{run_live_soak, LiveSoakConfig, LiveSoakReport};
 pub use store::RecoveryReport;
 
-use crate::indexing::chunk_ranges;
 use crate::segmentation::{byte_ranges, on_ranges, workers};
 use sage_embed::{Analysis, Embedder, HashedEmbedder};
 use sage_resilience::{CrashPlan, CrashPoint};
@@ -213,16 +214,40 @@ enum Step<'a> {
     Delete { doc_id: &'a str },
 }
 
+/// A dirty upsert as the prepare workers see it: cut into ranges by the
+/// bytes of its text.
+#[derive(Debug)]
+struct Dirty<'a> {
+    doc_id: &'a str,
+    text: &'a str,
+}
+
+impl AsRef<str> for Dirty<'_> {
+    fn as_ref(&self) -> &str {
+        self.text
+    }
+}
+
+/// One document range's share of a batch, prepared on its own worker.
+#[derive(Debug)]
+struct Part {
+    /// Each of the range's dirty upserts' chunk count, in op order.
+    counts: Vec<usize>,
+    /// The range's chunks, in op order, as the slot table will hold them.
+    slots: Vec<ChunkSlot>,
+    /// A dense store's rows of `slots`, in the same order (BM25: none).
+    rows: FlatIndex,
+}
+
 /// A batch's work done by [`LiveState::prepare`] before its segment and
 /// manifest are durable: dropped unapplied when they never become so.
 #[derive(Debug)]
 struct Prepared<'a> {
     steps: Vec<Step<'a>>,
     clean_upserts: usize,
-    /// Every dirty upsert's chunks, in op order.
-    chunks: Vec<String>,
-    /// A dense store's rows of `chunks`, in the same order (BM25: none).
-    rows: FlatIndex,
+    /// Every dirty upsert's chunks, one part per document range, in range
+    /// order.
+    parts: Vec<Part>,
 }
 
 /// The in-memory state one epoch describes. Cloned lazily: snapshots pin
@@ -250,17 +275,20 @@ impl LiveState {
     }
 
     /// The part of applying `ops` that reads the state and changes nothing:
-    /// decide every op as [`apply`](Self::apply) will meet it, then segment
-    /// the dirty texts and, for a dense store, embed their chunks, on up to
-    /// `workers` threads. The walk keeps what the batch's own earlier ops
-    /// did to each document, so an upsert repeated, or one after a delete of
-    /// the same document, decides as the apply walk will.
+    /// decide every op as [`apply`](Self::apply) will meet it, then cut the
+    /// dirty texts into up to `workers` document ranges of about equal
+    /// bytes, each prepared on its own thread ([`prepare_range`]). The walk
+    /// keeps what the batch's own earlier ops did to each document, so an
+    /// upsert repeated, or one after a delete of the same document, decides
+    /// as the apply walk will.
+    ///
+    /// [`prepare_range`]: Self::prepare_range
     fn prepare<'a>(&self, ops: &'a [LiveOp], cfg: &LiveConfig, workers: usize) -> Prepared<'a> {
         // A document's fingerprint as the walk reaches it, where an earlier
         // op of the batch set it (`None`: deleted).
         let mut overlay: BTreeMap<&str, Option<u64>> = BTreeMap::new();
         let mut steps = Vec::with_capacity(ops.len());
-        let mut dirty: Vec<&str> = Vec::new();
+        let mut dirty: Vec<Dirty<'a>> = Vec::new();
         let mut clean_upserts = 0;
         for op in ops {
             let doc_id = match op {
@@ -278,7 +306,7 @@ impl LiveState {
                         continue;
                     }
                     overlay.insert(doc_id, Some(fingerprint));
-                    dirty.push(text);
+                    dirty.push(Dirty { doc_id, text });
                     steps.push(Step::Upsert { doc_id, fingerprint, chunks: 0 });
                 }
                 LiveOp::Delete { .. } => {
@@ -292,44 +320,51 @@ impl LiveState {
 
         let segmenter = SentenceSegmenter { max_tokens: cfg.segment_tokens.max(1) };
         let ranges = byte_ranges(&dirty, workers.min(dirty.len()));
-        let per_range = on_ranges(ranges, |texts| {
-            texts.iter().map(|text| segmenter.segment(text)).collect::<Vec<_>>()
-        });
-        let per_doc = per_range.into_iter().flatten();
+        let parts = on_ranges(ranges, |docs| self.prepare_range(docs, &segmenter));
         let upserts = steps.iter_mut().filter_map(|step| match step {
             Step::Upsert { chunks, .. } => Some(chunks),
             Step::Delete { .. } => None,
         });
-        let mut chunks = Vec::new();
-        for (count, doc_chunks) in upserts.zip(per_doc) {
-            *count = doc_chunks.len();
-            chunks.extend(doc_chunks);
+        for (count, &doc_chunks) in upserts.zip(parts.iter().flat_map(|part| &part.counts)) {
+            *count = doc_chunks;
         }
+        Prepared { steps, clean_upserts, parts }
+    }
 
+    /// One worker's share of [`prepare`](Self::prepare): segment the range's
+    /// documents, build their chunks' slots, owner names included, and, for
+    /// a dense store, embed the chunks into a block of rows of the range's
+    /// own.
+    fn prepare_range(&self, docs: &[Dirty<'_>], segmenter: &SentenceSegmenter) -> Part {
+        let mut counts = Vec::with_capacity(docs.len());
+        let mut slots = Vec::new();
+        for doc in docs {
+            let chunks = segmenter.segment(doc.text);
+            counts.push(chunks.len());
+            let owner = |text| ChunkSlot { text, doc: doc.doc_id.to_string(), live: true };
+            slots.extend(chunks.into_iter().map(owner));
+        }
         let rows = match &self.index {
             LiveIndex::Dense { embedder, index } => {
-                let metric = index.as_flat().metric();
-                let mut rows = FlatIndex::zeroed(metric, embedder.dim(), chunks.len());
-                on_ranges(rows.rows_mut(&chunk_ranges(chunks.len(), workers)), |writer| {
-                    let mut analysis = Analysis::default();
-                    writer.fill(|id, row| {
-                        analysis.fill(&chunks[id]);
-                        embedder.embed_analysed(&mut analysis, row);
-                    });
-                });
-                rows
+                let (metric, mut analysis) = (index.as_flat().metric(), Analysis::default());
+                FlatIndex::filled(metric, embedder.dim(), slots.len(), |id, row| {
+                    analysis.fill(&slots[id].text);
+                    embedder.embed_analysed(&mut analysis, row);
+                })
             }
             LiveIndex::Bm25(_) => FlatIndex::cosine(),
         };
-        Prepared { steps, clean_upserts, chunks, rows }
+        Part { counts, slots, rows }
     }
 
     /// Apply a batch [`prepare`](Self::prepare)d against this very state,
     /// advance to `epoch`, then run the deterministic compaction policy.
-    /// The batch's chunks go into the index in one pass, then the walk
-    /// records each document and tombstones the chunks it replaces or
-    /// deletes. Identical inputs produce identical state — live commits and
-    /// recovery replay both go through `prepare` and `apply`.
+    /// Each part's chunks go into the index — a dense store appends the
+    /// part's rows in one pass, a BM25 store posts the chunks — and its
+    /// slots move into the slot table, part after part in range order; then the walk records each document and tombstones the chunks
+    /// it replaces or deletes. Identical inputs produce identical state —
+    /// live commits and recovery replay both go through `prepare` and
+    /// `apply`.
     fn apply(
         &mut self,
         epoch: u64,
@@ -337,35 +372,34 @@ impl LiveState {
         cfg: &LiveConfig,
         workers: usize,
     ) -> CommitReport {
-        let Prepared { steps, clean_upserts, chunks, rows } = prepared;
+        let Prepared { steps, clean_upserts, parts } = prepared;
         let mut report = CommitReport {
             epoch,
             docs_upserted: 0,
             clean_upserts,
             docs_deleted: 0,
-            chunks_indexed: chunks.len(),
+            chunks_indexed: parts.iter().map(|part| part.slots.len()).sum(),
             tombstones: 0,
             compacted: false,
         };
         let mut next = self.chunks.len() as u32;
-        match &mut self.index {
-            LiveIndex::Dense { index, .. } => {
-                let first = index.append(&rows);
-                debug_assert_eq!(first, next as usize, "the index and the slot table in step");
-            }
-            LiveIndex::Bm25(r) => {
-                for chunk in &chunks {
-                    r.push_live_chunk(chunk);
+        for part in parts {
+            match &mut self.index {
+                LiveIndex::Dense { index, .. } => {
+                    let first = index.append(&part.rows);
+                    debug_assert_eq!(first, self.chunks.len(), "the index and the slots in step");
+                }
+                LiveIndex::Bm25(r) => {
+                    for slot in &part.slots {
+                        r.push_live_chunk(&slot.text);
+                    }
                 }
             }
+            self.chunks.extend(part.slots);
         }
-        let mut chunks = chunks.into_iter();
         for step in steps {
             match step {
                 Step::Upsert { doc_id, fingerprint, chunks: count } => {
-                    for text in chunks.by_ref().take(count) {
-                        self.chunks.push(ChunkSlot { text, doc: doc_id.to_string(), live: true });
-                    }
                     let ids = (next..next + count as u32).collect();
                     next += count as u32;
                     report.docs_upserted += 1;
@@ -451,8 +485,13 @@ impl LiveState {
             LiveIndex::Bm25(r) => r.index_texts(self.chunks.iter().map(|slot| slot.text.as_str())),
         }
         for meta in self.docs.values_mut() {
-            meta.chunks =
-                meta.chunks.iter().filter_map(|&id| remap.get(id as usize).copied()?).collect();
+            meta.chunks.retain_mut(|id| match remap.get(*id as usize).copied().flatten() {
+                Some(new) => {
+                    *id = new;
+                    true
+                }
+                None => false,
+            });
         }
         self.dead = 0;
     }
@@ -669,14 +708,17 @@ impl CorpusWriter {
 
     /// Durably commit one batch of ops as the next epoch.
     ///
-    /// Protocol: write `seg-<epoch>.sageseg` through the barriered
-    /// [`crate::fsx::commit_framed`] path, cross the pre-manifest
-    /// barrier, atomically rewrite the manifest, then apply the batch to
-    /// the in-memory state (copy-on-write if snapshots are held) and run
-    /// the compaction policy. While a scoped thread makes the segment and
-    /// the manifest durable, this one prepares the batch from the committed
-    /// state alone (decisions, segmentation, embedding, on every core); the
-    /// batch is applied only once both files are durable. A
+    /// Protocol: encode the batch straight into its framed buffer and seal
+    /// it ([`crate::fsx::seal`]: one CRC pass gives the trailer and the
+    /// manifest's record of the file), write `seg-<epoch>.sageseg` through
+    /// the barriered [`crate::fsx::commit_framed`] path, cross the
+    /// pre-manifest barrier, atomically rewrite the manifest, then apply the
+    /// batch to the in-memory state (copy-on-write if snapshots are held)
+    /// and run the compaction policy. While a scoped thread makes the
+    /// segment and the manifest durable, this one prepares the batch from
+    /// the committed state alone (decisions, then segmentation and
+    /// embedding, one document range a core); the batch is
+    /// applied only once both files are durable. A
     /// [`LiveError::CrashInjected`] return means the disk looks exactly like
     /// a real crash at that barrier and the in-memory state still serves
     /// the previous epoch: the prepared work is dropped and counted nowhere.
@@ -685,7 +727,8 @@ impl CorpusWriter {
         let key = format!("epoch:{epoch}:attempt:{}", self.attempt);
         let (plan, dir, cfg, segments) = (self.crash, &self.dir, &self.cfg, &self.segments);
         let make_durable = || -> Durable {
-            let framed = crate::fsx::frame(&store::encode_segment(epoch, ops));
+            let mut framed = store::encode_segment(epoch, ops);
+            let crc = crate::fsx::seal(&mut framed);
             let seg_path = dir.join(store::segment_name(epoch));
             let mut injected: Option<CrashPoint> = None;
             let commit_res = crate::fsx::commit_framed(&seg_path, &framed, &mut |point| {
@@ -705,12 +748,9 @@ impl CorpusWriter {
             }
 
             let mut segments = segments.clone();
-            segments.push(store::SegmentEntry {
-                epoch,
-                len: framed.len() as u64,
-                crc: crate::fsx::crc32(&framed),
-            });
-            let manifest = crate::fsx::frame(&store::encode_manifest(epoch, cfg, &segments));
+            segments.push(store::SegmentEntry { epoch, len: framed.len() as u64, crc });
+            let mut manifest = store::encode_manifest(epoch, cfg, &segments);
+            crate::fsx::seal(&mut manifest);
             crate::fsx::commit_bytes(&dir.join(store::MANIFEST_NAME), &manifest)
                 .map_err(|e| (None, e))?;
             Ok(segments)

@@ -71,9 +71,19 @@ pub(crate) fn segment_name(epoch: u64) -> String {
     format!("seg-{epoch:06}{SEGMENT_EXT}")
 }
 
-/// Encode one epoch's op batch (unframed payload).
+/// Encode one epoch's op batch (unframed payload), with room left for the
+/// trailer [`crate::fsx::seal`] appends.
 pub(crate) fn encode_segment(epoch: u64, ops: &[LiveOp]) -> Vec<u8> {
-    let mut buf = SEGMENT_MAGIC.to_vec();
+    let string = |s: &String| 4 + s.len();
+    let body: usize = ops
+        .iter()
+        .map(|op| match op {
+            LiveOp::Upsert { doc_id, text } => 1 + string(doc_id) + string(text),
+            LiveOp::Delete { doc_id } => 1 + string(doc_id),
+        })
+        .sum();
+    let mut buf = Vec::with_capacity(SEGMENT_MAGIC.len() + 12 + body + crate::fsx::TRAILER_LEN);
+    buf.extend_from_slice(SEGMENT_MAGIC);
     put_u64(&mut buf, epoch);
     put_u32(&mut buf, ops.len() as u32);
     for op in ops {
@@ -348,6 +358,102 @@ mod tests {
             other => panic!("expected corruption error, got {:?}", other.map(|_| ())),
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A store of one committed epoch, its segment's framed bytes, and
+    /// the error reopening it gives once `damage` has changed its segment
+    /// and manifest files.
+    fn reopen_after(name: &str, damage: impl FnOnce(&mut Vec<u8>, &mut Vec<u8>)) -> String {
+        let dir = scratch(name);
+        let cfg = LiveConfig::default();
+        let (mut w, _) = CorpusWriter::open(&dir, cfg).unwrap();
+        w.commit(&[LiveOp::Upsert { doc_id: "d".into(), text: "One sentence here.".into() }])
+            .unwrap();
+        drop(w);
+        let (seg, manifest) = (dir.join(segment_name(1)), dir.join(MANIFEST_NAME));
+        let (mut seg_bytes, mut manifest_bytes) =
+            (std::fs::read(&seg).unwrap(), std::fs::read(&manifest).unwrap());
+        damage(&mut seg_bytes, &mut manifest_bytes);
+        std::fs::write(&seg, &seg_bytes).unwrap();
+        std::fs::write(&manifest, &manifest_bytes).unwrap();
+        let err = match CorpusWriter::open(&dir, cfg) {
+            Err(e @ LiveError::Corrupt(_)) => e.to_string(),
+            other => panic!("{name}: expected corruption, got {:?}", other.map(|_| ())),
+        };
+        std::fs::remove_dir_all(&dir).ok();
+        err
+    }
+
+    /// Re-frame `manifest` with its one entry's CRC set to `crc`.
+    fn reframe_manifest(manifest: &mut Vec<u8>, crc: u32) {
+        let payload = crate::fsx::unframe(manifest.clone(), "test manifest").unwrap();
+        let (epoch, cfg, mut segments) = decode_manifest(&payload).unwrap();
+        segments[0].crc = crc;
+        *manifest = crate::fsx::frame(&encode_manifest(epoch, &cfg, &segments));
+    }
+
+    #[test]
+    fn damaged_segments_and_manifests_are_refused_with_the_same_messages() {
+        let mismatch = |len: usize| {
+            format!(
+                "live store corrupt: segment seg-000001.sageseg does not match its manifest \
+                 record ({len} bytes vs {len} recorded)"
+            )
+        };
+        let mut len = 0;
+        // A flipped payload byte, and a flipped byte of the trailer's CRC.
+        let err = reopen_after("flip_payload", |seg, _| {
+            len = seg.len();
+            seg[SEGMENT_MAGIC.len() + 3] ^= 0x10;
+        });
+        assert_eq!(err, mismatch(len));
+        let err = reopen_after("flip_trailer_crc", |seg, _| {
+            let at = seg.len() - crate::fsx::TRAILER_LEN;
+            seg[at + 1] ^= 0x01;
+        });
+        assert_eq!(err, mismatch(len));
+        // The manifest's `crc` field (its last four payload bytes) altered:
+        // its own trailer refuses it first…
+        let err = reopen_after("flip_manifest_crc", |_, manifest| {
+            let at = manifest.len() - crate::fsx::TRAILER_LEN - 4;
+            manifest[at] ^= 0x01;
+        });
+        let prefix = "live store corrupt: checksum mismatch in live-store manifest (stored 0x";
+        assert!(err.starts_with(prefix) && err.ends_with("): torn write or bit rot"), "{err}");
+        // …and, re-framed so that the manifest itself is sound, the segment
+        // no longer matches it.
+        let err = reopen_after("reframed_manifest_crc", |_, manifest| {
+            reframe_manifest(manifest, 0x1234_5678);
+        });
+        assert_eq!(err, mismatch(len));
+        // A flipped payload byte behind a manifest that records the damaged
+        // file: the trailer's CRC refuses it.
+        let mut want = String::new();
+        let err = reopen_after("flip_payload_reframed", |seg, manifest| {
+            seg[SEGMENT_MAGIC.len() + 3] ^= 0x10;
+            reframe_manifest(manifest, crate::fsx::crc32(seg));
+            let body_end = seg.len() - crate::fsx::TRAILER_LEN;
+            let stored = u32::from_le_bytes(seg[body_end..body_end + 4].try_into().unwrap());
+            let computed = crate::fsx::crc32(&seg[..body_end]);
+            want = format!(
+                "live store corrupt: checksum mismatch in live segment (stored {stored:#010x}, \
+                 computed {computed:#010x}): torn write or bit rot"
+            );
+        });
+        assert_eq!(err, want);
+    }
+
+    #[test]
+    fn the_segment_encoder_leaves_room_for_the_trailer_and_the_entry_crc_is_a_second_pass() {
+        let ops = [
+            LiveOp::Upsert { doc_id: "a".into(), text: "Some text. More text.".into() },
+            LiveOp::Delete { doc_id: "b".into() },
+        ];
+        let mut buf = encode_segment(5, &ops);
+        let room = buf.capacity();
+        let crc = crate::fsx::seal(&mut buf);
+        assert_eq!(buf.len(), room, "the trailer fills the room exactly");
+        assert_eq!(crc, crate::fsx::crc32(&buf));
     }
 
     #[test]

@@ -28,7 +28,9 @@
 # crates/cli/tests/live.rs; the recorded `sage ask --show-context` listings
 # (BM25, a dead embedder, a dead reader) are crates/cli/tests/ask.rs; the
 # refusal of every removed flag, fault entry and scenario key is
-# crates/cli/tests/refusals.rs. `cargo test` runs all four against the
+# crates/cli/tests/refusals.rs; the telemetry smoke (the answer, the stderr
+# summary, a retrieve span, a well-formed Prometheus dump) is
+# crates/cli/tests/telemetry.rs. `cargo test` runs all five against the
 # debug `sage` and below against the release one.
 #
 # Every dependency is a path crate of this repository, so this runs with an
@@ -77,46 +79,22 @@ if [ "${1:-}" != fast ]; then
   # API surface" would pass here and fail only at the driver.
   CARGO_TARGET_DIR=target/bench bash benchmark/run.sh --test
 
-  echo "=== telemetry smoke (exporters well-formed)"
-  tmp=$(mktemp -d)
-  trap 'rm -rf "$tmp"' EXIT
-  printf 'Whiskers is a playful tabby cat. He has bright green eyes.\n\nDorinwick was well known in the region. He lives in Ashford.\n' \
-    > "$tmp/corpus.txt"
-  "$sage" ask \
-    --file "$tmp/corpus.txt" \
-    --question "What is the color of Whiskers's eyes?" \
-    --telemetry --metrics-out "$tmp/metrics.prom" --trace-out "$tmp/trace.jsonl" \
-    > "$tmp/answer.txt" 2> "$tmp/summary.txt"
-  grep -q green "$tmp/answer.txt" || { echo "FAIL: wrong answer"; cat "$tmp/answer.txt"; exit 1; }
-  grep -q 'sage telemetry' "$tmp/summary.txt" || { echo "FAIL: no stderr summary"; exit 1; }
-  grep -q '"name":"retrieve"' "$tmp/trace.jsonl" || { echo "FAIL: no retrieve span in trace"; exit 1; }
-  # The Prometheus dump must have TYPE lines, no duplicate metric names,
-  # and finite sample values.
-  awk '
-    /^# TYPE / { types++; if (seen[$3]++) { print "FAIL: duplicate # TYPE " $3; bad = 1 } }
-    /^[a-z]/ {
-      v = $NF
-      if (v !~ /^-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$/) { print "FAIL: non-finite sample: " $0; bad = 1 }
-    }
-    END {
-      if (types == 0) { print "FAIL: no # TYPE lines"; bad = 1 }
-      exit bad
-    }
-  ' "$tmp/metrics.prom"
-  echo "telemetry smoke ok"
-
-  echo "=== persistence, live-corpus and ask pins against the release binary"
+  echo "=== persistence, live-corpus, ask and telemetry pins against the release binary"
   # The pinned SHA-256 of the model file and of a dense and a BM25 index,
   # two index runs per retriever byte-equal, a saved index answering, a
   # flipped byte refused, the segment listing, `ask` / `query` under an
   # injected reader panic; the live soak's crash drill (recoveries, no
   # violation, a same-seed replay byte-equal, a reopen at the committed
   # epoch) and both pinned live logs; the three recorded `ask` listings;
-  # the refusal of every removed flag, fault entry and scenario key: the
-  # tests `cargo test` ran above against the debug `sage`, here against
-  # the release `sage` that ships.
-  cargo test -q --release -p sage-cli --test persistence --test live --test ask --test refusals
+  # the refusal of every removed flag, fault entry and scenario key; the
+  # telemetry smoke (an answer, the stderr summary, a retrieve span, a
+  # well-formed Prometheus dump): the tests `cargo test` ran above against
+  # the debug `sage`, here against the release `sage` that ships.
+  cargo test -q --release -p sage-cli --test persistence --test live --test ask --test refusals \
+    --test telemetry
 
+  tmp=$(mktemp -d)
+  trap 'rm -rf "$tmp"' EXIT
   echo "=== saved models (for the smokes below)"
   "$sage" train --out "$tmp/models.bin" 2> /dev/null
 
@@ -150,14 +128,16 @@ if [ "${1:-}" != fast ]; then
     || { echo "FAIL: the BM25 soak log differs between one core and every core"; exit 1; }
   cmp "$tmp/soak_one_core.err" "$tmp/soak_all_cores.err" \
     || { echo "FAIL: the BM25 soak summary differs between one core and every core"; exit 1; }
-  # A live commit prepares its batch (segmentation, embedding) on every core
-  # while its segment and manifest are made durable, appends the rows in one
-  # pass and compacts on column ranges; recovery replays through the same
-  # prepare. Hashed and BM25 stores, each under a crash plan so recovery
+  # A live commit prepares its batch on every core, one document range a
+  # worker (segmentation, then embedding, and the chunk slots), while its
+  # segment and manifest are made durable; it appends each range's rows in
+  # range order and compacts on column ranges; recovery replays through the
+  # same prepare. Hashed and BM25 stores, each under a crash plan so recovery
   # runs: log and summary must not tell one core from every core.
   for retriever in hashed bm25; do
-    # Batches of 192 ops index 137-153 chunks, so each embeds on two row
-    # ranges when two cores are free; every commit compacts.
+    # Batches of 192 ops upsert dozens of documents, so each batch is
+    # segmented and embedded on two document ranges when two cores are
+    # free; every commit compacts.
     live=(soak --live --retriever "$retriever" --ops 24 --batch 192 --docs 400 --seed 42
           --crash pre-rename:0.3,pre-manifest-commit:0.2 --crash-seed 5)
     taskset -c 0 "$sage" "${live[@]}" --live-dir "$tmp/live_one_$retriever" \
