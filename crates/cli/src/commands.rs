@@ -531,7 +531,7 @@ pub fn demo() -> Result<(), String> {
 }
 
 /// `sage explain` — print the query plan a question would execute:
-/// resolved stages, the per-slot middleware order, and the rewrite each
+/// resolved stages, the telemetry each stage records, and the rewrite each
 /// brownout rung applies. Pure plan resolution — no models are trained and
 /// no index is built.
 pub fn explain(flags: &Flags) -> Result<(), String> {

@@ -17,8 +17,8 @@ impl RagSystem {
     /// is clamped to 1, and `workers > questions.len()` to the question
     /// count.
     ///
-    /// Panics are isolated per question: each query runs from `prepare` to
-    /// fuse behind its own panic boundary, so a panic anywhere in one
+    /// Panics are isolated per question: each query runs to its result
+    /// behind its own panic boundary, so a panic anywhere in one
     /// question's pipeline (an injected `panic` fault, a bug) surfaces as
     /// `Err(SageError::Panicked)` in its slot while every other question
     /// completes normally. `finalize` then runs on the caller's thread in
@@ -60,8 +60,8 @@ impl RagSystem {
                 let worker_died = || SageError::Panicked {
                     detail: "answer worker died before reporting".to_string(),
                 };
-                let (ctx, total) = run.unwrap_or_else(|| Err(worker_died()))?;
-                caught(self, || finalize(self, ctx, total))
+                let ran = run.unwrap_or_else(|| Err(worker_died()))?;
+                caught(self, || finalize(self, ran))
             })
             .collect()
     }

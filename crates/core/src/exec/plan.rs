@@ -1,98 +1,26 @@
-//! The query-plan IR: the stage sequence a query will execute, resolved
-//! from the configuration up front and rewritten — never branched around —
-//! to the brownout rung its budget plans.
-//!
-//! A plan has a *prelude* (embed → retrieve → rerank, run once) and a
-//! *round* template (select → read → feedback, run up to `max_rounds`
-//! times), followed by the implicit fuse stage that folds the rounds into
-//! one [`crate::QueryResult`]. A brownout rung is [`QueryPlan::apply_rung`]:
-//! a pure rewrite of the ops (drop feedback; bypass rerank and flatten
-//! selection), applied once, before the first slot runs.
+//! The query plan: which variant of each stage a query runs, resolved from
+//! the configuration up front and rewritten — never branched around — to
+//! the brownout rung its budget plans. The executor reads these fields and
+//! `sage explain` renders them, so what `explain` prints is what runs.
 
 use crate::config::{RetrieverKind, SageConfig};
 use sage_admission::BrownoutLevel;
 
-/// How the rerank stage scores the candidate pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RerankMode {
-    /// Score every candidate with the cross-encoder.
-    Full,
-    /// Keep the first-stage retrieval order (no scorer configured, or the
-    /// flat top-k brownout rung).
-    Bypass,
-}
-
-/// How the select stage picks the context from the ranked list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectMode {
-    /// Gradient-based chunk selection (Algorithm 2).
-    Gradient,
-    /// Fixed top-`min_k` prefix (naive RAG, or the flat top-k brownout
-    /// rung).
-    Flat,
-}
-
-/// One operation in a query plan. `Copy` so the executor hands each slot
-/// its op by value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageOp {
-    /// Embed the question with the dense encoder.
-    Embed,
-    /// Exact flat-index search over the embedding.
-    RetrieveDense,
-    /// Sparse inverted-index retrieval. `fallback` marks the degraded
-    /// substitution spliced in when the embedder is exhausted, as opposed
-    /// to a BM25-primary system's first stage.
-    RetrieveBm25 {
-        /// True when this op replaced a failed dense retrieval.
-        fallback: bool,
-    },
-    /// Cross-encoder rerank of the candidate pool.
-    Rerank(RerankMode),
-    /// Context selection over the ranked list.
-    Select(SelectMode),
-    /// One generation call over the selected context.
-    Read,
-    /// Self-feedback judgement of the round's answer.
-    Feedback,
-    /// Fold the executed rounds into the final [`crate::QueryResult`].
-    Fuse,
-}
-
-impl StageOp {
-    /// Short lowercase name for traces and `sage explain`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            StageOp::Embed => "embed",
-            StageOp::RetrieveDense => "retrieve-dense",
-            StageOp::RetrieveBm25 { .. } => "retrieve-bm25",
-            StageOp::Rerank(_) => "rerank",
-            StageOp::Select(_) => "select",
-            StageOp::Read => "read",
-            StageOp::Feedback => "feedback",
-            StageOp::Fuse => "fuse",
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            StageOp::RetrieveBm25 { fallback: true } => "retrieve-bm25 (fallback)".to_string(),
-            StageOp::Rerank(RerankMode::Full) => "rerank (full pool)".to_string(),
-            StageOp::Rerank(RerankMode::Bypass) => "rerank (bypass: retrieval order)".to_string(),
-            StageOp::Select(SelectMode::Gradient) => "select (gradient)".to_string(),
-            StageOp::Select(SelectMode::Flat) => "select (flat top-k)".to_string(),
-            op => op.name().to_string(),
-        }
-    }
-}
-
 /// A resolved query plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryPlan {
-    /// Run once, before the round loop: retrieval + rerank.
-    pub prelude: Vec<StageOp>,
-    /// The per-round template: selection, generation, judgement.
-    pub round: Vec<StageOp>,
+    /// First-stage retrieval embeds the question and searches the vector
+    /// index; BM25 otherwise.
+    pub dense: bool,
+    /// The cross-encoder scores the candidate pool; otherwise the pool keeps
+    /// its retrieval order (no scorer fitted, or the flat top-k rung).
+    pub rerank: bool,
+    /// Gradient-based chunk selection (Algorithm 2); otherwise a fixed
+    /// top-`min_k` prefix (naive RAG, or the flat top-k rung).
+    pub gradient: bool,
+    /// Self-feedback judges each round's answer; otherwise the first round
+    /// read is final.
+    pub feedback: bool,
     /// Upper bound on rounds (1 without feedback; `max_feedback_rounds`
     /// with it — the loop also stops on a stable selection, an exhausted
     /// reader, or a feedback score at threshold).
@@ -100,30 +28,15 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Resolve the plan for a configuration. `dense` selects the two-op
-    /// embed + vector-search prelude over single-op BM25; `scorer` is
-    /// whether a cross-encoder is fitted (rerank is bypassed without one).
+    /// Resolve the plan for a configuration. `dense` selects embed + vector
+    /// search over BM25; `scorer` is whether a cross-encoder is fitted
+    /// (rerank is bypassed without one).
     pub fn resolve(config: &SageConfig, dense: bool, scorer: bool) -> Self {
-        let mut prelude = if dense {
-            vec![StageOp::Embed, StageOp::RetrieveDense]
-        } else {
-            vec![StageOp::RetrieveBm25 { fallback: false }]
-        };
-        prelude.push(StageOp::Rerank(if scorer { RerankMode::Full } else { RerankMode::Bypass }));
-        let mut round = vec![
-            StageOp::Select(if config.use_selection {
-                SelectMode::Gradient
-            } else {
-                SelectMode::Flat
-            }),
-            StageOp::Read,
-        ];
-        if config.use_feedback {
-            round.push(StageOp::Feedback);
-        }
         QueryPlan {
-            prelude,
-            round,
+            dense,
+            rerank: scorer,
+            gradient: config.use_selection,
+            feedback: config.use_feedback,
             max_rounds: if config.use_feedback { config.max_feedback_rounds } else { 1 },
         }
     }
@@ -139,61 +52,48 @@ impl QueryPlan {
         Self::resolve(config, dense, scorer)
     }
 
-    /// The degenerate plan for a request that names its chunks
-    /// ([`crate::pipeline::Request::chunks`]): one generation call over a
-    /// caller-fixed context.
-    pub fn fixed() -> Self {
-        QueryPlan { prelude: Vec::new(), round: vec![StageOp::Read], max_rounds: 1 }
-    }
-
-    /// Whether the (possibly rewritten) round template judges answers.
-    /// When it does not, the first completed round is final.
-    pub fn has_feedback(&self) -> bool {
-        self.round.contains(&StageOp::Feedback)
-    }
-
     /// Apply brownout rung(s) up to `level` as a plan rewrite. Idempotent
     /// and cumulative: each rung implies the shallower ones.
     pub fn apply_rung(&mut self, level: BrownoutLevel) {
         if level >= BrownoutLevel::DropFeedback {
-            self.round.retain(|op| *op != StageOp::Feedback);
+            self.feedback = false;
         }
         if level >= BrownoutLevel::FlatTopK {
-            for op in self.prelude.iter_mut() {
-                if matches!(op, StageOp::Rerank(_)) {
-                    *op = StageOp::Rerank(RerankMode::Bypass);
-                }
-            }
-            for op in self.round.iter_mut() {
-                if *op == StageOp::Select(SelectMode::Gradient) {
-                    *op = StageOp::Select(SelectMode::Flat);
-                }
-            }
+            self.rerank = false;
+            self.gradient = false;
         }
     }
 
-    /// Splice the BM25 substitution in after the embedder was exhausted:
-    /// the op at `next` (the pending vector search) becomes a fallback
-    /// BM25 retrieval; the rest of the plan is untouched.
-    pub(crate) fn on_bm25_fallback(&mut self, next: usize) {
-        if let Some(op) = self.prelude.get_mut(next) {
-            if *op == StageOp::RetrieveDense {
-                *op = StageOp::RetrieveBm25 { fallback: true };
-            }
+    /// The stages run once (retrieval, rerank) and the stages of each round
+    /// (selection, generation, judgement), as `sage explain` names them.
+    fn stages(&self) -> (Vec<&'static str>, Vec<&'static str>) {
+        let mut prelude =
+            if self.dense { vec!["embed", "retrieve-dense"] } else { vec!["retrieve-bm25"] };
+        prelude.push(if self.rerank {
+            "rerank (full pool)"
+        } else {
+            "rerank (bypass: retrieval order)"
+        });
+        let mut round =
+            vec![if self.gradient { "select (gradient)" } else { "select (flat top-k)" }];
+        round.push("read");
+        if self.feedback {
+            round.push("feedback");
         }
+        (prelude, round)
     }
 
     /// Human-readable rendering of the plan plus the rewrite each brownout
     /// rung would apply — the body of `sage explain`.
     pub fn explain(&self) -> String {
-        let mut out = String::new();
-        out.push_str("prelude:\n");
-        for op in &self.prelude {
-            out.push_str(&format!("  {}\n", op.describe()));
+        let (prelude, round) = self.stages();
+        let mut out = String::from("prelude:\n");
+        for stage in prelude {
+            out.push_str(&format!("  {stage}\n"));
         }
         out.push_str(&format!("rounds (up to {}):\n", self.max_rounds));
-        for op in &self.round {
-            out.push_str(&format!("  {}\n", op.describe()));
+        for stage in round {
+            out.push_str(&format!("  {stage}\n"));
         }
         out.push_str("  fuse\n");
         out.push_str(
@@ -202,18 +102,13 @@ impl QueryPlan {
         );
         out.push_str("brownout rewrites:\n");
         for level in [BrownoutLevel::DropFeedback, BrownoutLevel::FlatTopK] {
-            let mut rewritten = self.clone();
+            let mut rewritten = *self;
             rewritten.apply_rung(level);
             let delta = if rewritten == *self {
                 "no change".to_string()
             } else {
-                let ops: Vec<String> = rewritten
-                    .prelude
-                    .iter()
-                    .chain(rewritten.round.iter())
-                    .map(|op| op.describe())
-                    .collect();
-                ops.join(" -> ")
+                let (prelude, round) = rewritten.stages();
+                [prelude, round].concat().join(" -> ")
             };
             out.push_str(&format!("  rung {level:?}: {delta}\n"));
         }
@@ -228,53 +123,38 @@ mod tests {
     #[test]
     fn sage_plan_has_feedback_and_gradient() {
         let plan = QueryPlan::resolve(&SageConfig::sage(), true, true);
-        assert_eq!(
-            plan.prelude,
-            vec![StageOp::Embed, StageOp::RetrieveDense, StageOp::Rerank(RerankMode::Full)]
-        );
-        assert_eq!(
-            plan.round,
-            vec![StageOp::Select(SelectMode::Gradient), StageOp::Read, StageOp::Feedback]
-        );
-        assert!(plan.has_feedback());
-        assert_eq!(plan.max_rounds, SageConfig::sage().max_feedback_rounds);
+        let max_rounds = SageConfig::sage().max_feedback_rounds;
+        let want =
+            QueryPlan { dense: true, rerank: true, gradient: true, feedback: true, max_rounds };
+        assert_eq!(plan, want);
     }
 
     #[test]
     fn naive_plan_is_flat_single_round() {
-        let cfg = SageConfig::naive_rag();
-        let plan = QueryPlan::for_kind(&cfg, RetrieverKind::Bm25);
-        assert_eq!(
-            plan.prelude,
-            vec![StageOp::RetrieveBm25 { fallback: false }, StageOp::Rerank(RerankMode::Bypass)]
-        );
-        assert_eq!(plan.round, vec![StageOp::Select(SelectMode::Flat), StageOp::Read]);
-        assert_eq!(plan.max_rounds, 1);
+        let plan = QueryPlan::for_kind(&SageConfig::naive_rag(), RetrieverKind::Bm25);
+        let want = QueryPlan {
+            dense: false,
+            rerank: false,
+            gradient: false,
+            feedback: false,
+            max_rounds: 1,
+        };
+        assert_eq!(plan, want);
     }
 
     #[test]
     fn rungs_rewrite_cumulatively() {
         let mut plan = QueryPlan::resolve(&SageConfig::sage(), true, true);
         plan.apply_rung(BrownoutLevel::DropFeedback);
-        assert!(!plan.has_feedback());
-        assert_eq!(plan.prelude[2], StageOp::Rerank(RerankMode::Full));
+        assert!(!plan.feedback);
+        assert!(plan.rerank && plan.gradient);
         plan.apply_rung(BrownoutLevel::FlatTopK);
-        assert_eq!(plan.prelude[2], StageOp::Rerank(RerankMode::Bypass));
-        assert_eq!(plan.round, vec![StageOp::Select(SelectMode::Flat), StageOp::Read]);
+        assert!(!plan.rerank && !plan.gradient && !plan.feedback);
+        assert!(plan.dense);
         // Idempotent: re-applying changes nothing.
-        let snapshot = plan.clone();
+        let snapshot = plan;
         plan.apply_rung(BrownoutLevel::FlatTopK);
         assert_eq!(plan, snapshot);
-    }
-
-    #[test]
-    fn bm25_fallback_splices_into_dense_prelude() {
-        let mut plan = QueryPlan::resolve(&SageConfig::sage(), true, true);
-        plan.on_bm25_fallback(1);
-        assert_eq!(plan.prelude[1], StageOp::RetrieveBm25 { fallback: true });
-        // The rewrite only targets a pending dense search.
-        plan.on_bm25_fallback(2);
-        assert_eq!(plan.prelude[2], StageOp::Rerank(RerankMode::Full));
     }
 
     #[test]

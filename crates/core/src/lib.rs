@@ -21,9 +21,11 @@
 //! * [`case_studies`] — the Figure 8/9/10 single-question drivers.
 //! * [`multihop`] — the paper's future-work §X(1): iterative multi-hop
 //!   retrieval (Baleen-style), with its own synthetic 2-hop tasks.
-//! * [`exec`] — the query executor: every request runs its plan with each
-//!   component boundary behind per-query [`sage_resilience::Guards`]
-//!   (retries, a consecutive-failure cap, the documented fallback chain).
+//! * [`exec`] — the query executor: one straight-line function runs every
+//!   request (retrieve → rerank → select → read → feedback → fuse) as its
+//!   [`exec::QueryPlan`] says, with each component boundary behind
+//!   per-query [`sage_resilience::Guards`] (retries, a consecutive-failure
+//!   cap, the documented fallback chain).
 //! * [`soak`] — the deterministic overload harness: a seeded open-loop
 //!   arrival process replayed against a built system through admission
 //!   control and per-query deadline budgets, on a virtual clock.

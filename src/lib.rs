@@ -86,7 +86,7 @@ pub mod prelude {
     };
     pub use sage_core::baselines::{DocSystem, Method};
     pub use sage_core::config::{RetrieverKind, SageConfig};
-    pub use sage_core::exec::{QueryPlan, RerankMode, SelectMode, StageOp};
+    pub use sage_core::exec::QueryPlan;
     pub use sage_core::experiment::{evaluate, MethodScores};
     pub use sage_core::live::{
         run_live_soak, CorpusWriter, LiveConfig, LiveOp, LiveRetrieverKind, LiveSnapshot,

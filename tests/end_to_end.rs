@@ -722,6 +722,149 @@ fn degrade_events_are_folded_into_query_traces() {
     assert!(hub.degrade_count() >= r.degraded.events.len() as u64);
 }
 
+/// The trace skeleton of one request on a freshly instrumented system: one
+/// line per span (name, `<parent>`, fields; the wall-clock `start_ns` and
+/// `dur_ns` left out), each stage's histogram count and the ledger's
+/// active stages.
+fn trace_skeleton(mut sys: RagSystem, req: &Request<'_>) -> String {
+    use sage::telemetry::FieldValue;
+    use std::fmt::Write;
+    let hub = sys.enable_telemetry();
+    sys.answer(req).unwrap();
+    let mut out = String::new();
+    hub.with_traces(|traces| {
+        for span in traces.iter().flat_map(|t| t.spans()) {
+            let parent = span.parent.map_or("-".to_string(), |p| p.to_string());
+            write!(out, "{} <{parent}>", span.name).unwrap();
+            for (key, value) in &span.fields {
+                match value {
+                    FieldValue::U64(v) => write!(out, " {key}={v}"),
+                    FieldValue::I64(v) => write!(out, " {key}={v}"),
+                    FieldValue::F64(v) => write!(out, " {key}={v}"),
+                    FieldValue::Str(v) => write!(out, " {key}={v:?}"),
+                }
+                .unwrap();
+            }
+            out.push('\n');
+        }
+    });
+    let counts: Vec<String> = Stage::ALL
+        .iter()
+        .map(|&s| format!("{}={}", s.label(), hub.stage_snapshot(s).count()))
+        .collect();
+    writeln!(out, "hist {} query={}", counts.join(" "), hub.query_count()).unwrap();
+    for (stage, c) in hub.ledger().active_stages() {
+        let (label, calls) = (stage.label(), c.calls);
+        writeln!(out, "ledger {label} calls={calls} in={} out={}", c.input_tokens, c.output_tokens)
+            .unwrap();
+    }
+    out
+}
+
+/// Which spans a query opens, how they nest and what they carry, which
+/// stage histograms it feeds and which ledger stages it bills, over the
+/// serving paths: SAGE dense, naive BM25, the dense → BM25 fallback, the
+/// reader's second-best and unanswerable fallbacks, both brownout rungs
+/// and a fixed context.
+#[test]
+fn trace_skeletons_are_pinned_per_serving_path() {
+    use std::time::Duration;
+    let golden = |kind, config| {
+        RagSystem::build(models(), kind, config, LlmProfile::gpt4o_mini(), &golden_corpus())
+    };
+    let dense = || golden(RetrieverKind::OpenAiSim, SageConfig::sage());
+    let faulted = |spec| {
+        let mut sys = dense();
+        sys.set_faults(FaultPlan::parse_spec(spec, 0).unwrap());
+        sys
+    };
+    let budgeted = |deadline_ms| Request {
+        budget: Some(QueryBudget::new(Duration::from_millis(deadline_ms), 1_000_000)),
+        ..Request::new(GOLDEN_QUESTIONS[0])
+    };
+    let ids = [0, 2];
+    let fixed = Request { chunks: Some(&ids), ..Request::new(GOLDEN_QUESTIONS[0]) };
+    let skeletons = [
+        trace_skeleton(dense(), &Request::new(GOLDEN_QUESTIONS[2])),
+        trace_skeleton(
+            golden(RetrieverKind::Bm25, SageConfig::naive_rag()),
+            &Request::new(GOLDEN_QUESTIONS[1]),
+        ),
+        trace_skeleton(faulted("embedder=transient:1.0"), &Request::new(GOLDEN_QUESTIONS[0])),
+        trace_skeleton(faulted("reader=transient:1.0"), &Request::new(GOLDEN_QUESTIONS[0])),
+        trace_skeleton(dense(), &budgeted(2_500)),
+        trace_skeleton(dense(), &budgeted(1)),
+        trace_skeleton(dense(), &fixed),
+    ];
+    for (i, (got, want)) in skeletons.iter().zip(SKELETONS).enumerate() {
+        assert_eq!(got, want, "request {i}:\n{got}");
+    }
+}
+
+/// What [`trace_skeletons_are_pinned_per_serving_path`] records, request by
+/// request.
+const SKELETONS: [&str; 7] = [
+    // SAGE dense, no faults.
+    "retrieve <-> candidates=4
+embed <0>
+rerank <-> pairs=4
+read <-> round=0 context_chunks=4 input_tokens=183 output_tokens=5
+feedback <-> score=2 adjustment=1
+hist segment=1 embed=1 index=1 retrieve=1 rerank=1 read=1 feedback=1 query=1
+ledger read calls=1 in=183 out=5
+ledger feedback calls=1 in=224 out=10
+",
+    // Naive BM25: no scorer, so no rerank span or sample.
+    "retrieve <-> candidates=1
+read <-> round=0 context_chunks=1 input_tokens=173 output_tokens=5
+hist segment=1 embed=0 index=1 retrieve=1 rerank=0 read=1 feedback=0 query=1
+ledger read calls=1 in=173 out=5
+",
+    // A dead embedder: BM25 serves inside the one retrieve span.
+    "retrieve <-> candidates=4
+embed <0>
+rerank <-> pairs=4
+read <-> round=0 context_chunks=4 input_tokens=187 output_tokens=5
+feedback <-> score=10 adjustment=-1
+degrade <-> component=\"embedder\" fallback=\"dense->bm25\" error=\"embedder failed after 3 attempt(s)\" attempts=3 virtual_delay_ns=140709675
+hist segment=1 embed=1 index=1 retrieve=1 rerank=1 read=1 feedback=1 query=1
+ledger read calls=1 in=187 out=5
+ledger feedback calls=1 in=228 out=10
+",
+    // A dead reader: second-best, then unanswerable; nothing billed.
+    "retrieve <-> candidates=4
+embed <0>
+rerank <-> pairs=4
+read <-> round=0
+degrade <-> component=\"reader\" fallback=\"reader->second-best\" error=\"reader failed after 3 attempt(s)\" attempts=3 virtual_delay_ns=126606392
+degrade <-> component=\"reader\" fallback=\"reader->unanswerable\" error=\"reader circuit breaker is open\" attempts=2 virtual_delay_ns=124933799
+hist segment=1 embed=1 index=1 retrieve=1 rerank=1 read=1 feedback=0 query=1
+",
+    // The DropFeedback rung.
+    "retrieve <-> candidates=4
+embed <0>
+rerank <-> pairs=4
+read <-> round=0 context_chunks=4 input_tokens=187 output_tokens=5
+degrade <-> component=\"reader\" fallback=\"brownout:drop-feedback\" error=\"budget exhausted at the feedback stage\" attempts=0 virtual_delay_ns=0
+hist segment=1 embed=1 index=1 retrieve=1 rerank=1 read=1 feedback=0 query=1
+ledger read calls=1 in=187 out=5
+",
+    // The FlatTopK rung: rerank bypassed, but its stage still samples.
+    "retrieve <-> candidates=4
+embed <0>
+read <-> round=0 context_chunks=4 input_tokens=187 output_tokens=5
+degrade <-> component=\"reader\" fallback=\"brownout:drop-feedback\" error=\"budget exhausted at the feedback stage\" attempts=0 virtual_delay_ns=0
+degrade <-> component=\"index\" fallback=\"brownout:flat-topk\" error=\"budget exhausted at the selection stage\" attempts=0 virtual_delay_ns=0
+hist segment=1 embed=1 index=1 retrieve=1 rerank=1 read=1 feedback=0 query=1
+ledger read calls=1 in=187 out=5
+",
+    // A fixed context: one read, no round.
+    "read <-> context_chunks=2 input_tokens=137 output_tokens=5
+hist segment=1 embed=0 index=1 retrieve=0 rerank=0 read=1 feedback=0 query=1
+ledger read calls=1 in=137 out=5
+",
+];
+
 // ---------------------------------------------------------------------------
 // Live corpus: telemetry counters reconcile with commit reports
 // ---------------------------------------------------------------------------
