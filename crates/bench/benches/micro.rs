@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sage::corpus::datasets::{wiki, SizeConfig};
+use sage::corpus::datasets::{triviaqa, wiki, SizeConfig};
 use sage::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
@@ -219,7 +219,10 @@ fn bench_rerank() {
 }
 
 /// The simulated reader and judge over a context of a corpus-wide query's
-/// shape (≈ 14 chunks), asked about the entity the first chunk opens with.
+/// shape (≈ 14 chunks), asked about the entity the first chunk opens with;
+/// then the reader over the `live_mixed` read's shape: the top 7
+/// sentence-segmented chunks a live store of 300 TriviaQA documents
+/// retrieves for one of their questions.
 fn bench_llm() {
     let context: Vec<String> = corpus_chunks(4).into_iter().take(14).collect();
     let name = context[0].split_whitespace().next().unwrap_or("Whiskers");
@@ -232,6 +235,26 @@ fn bench_llm() {
     let answer = llm.answer_open(&question, &context);
     cell(&format!("llm self_feedback_{n}_chunks"), || {
         llm.self_feedback(black_box(&question), &context, &answer)
+    });
+
+    let ds = triviaqa::generate(SizeConfig { num_docs: 300, questions_per_doc: 1, seed: 0xBE7C });
+    let dir = std::env::temp_dir().join(format!("sage-micro-live-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (mut writer, _) =
+        CorpusWriter::open(&dir, LiveConfig::default()).expect("open a live store");
+    let upserts: Vec<LiveOp> = ds
+        .documents
+        .iter()
+        .enumerate()
+        .map(|(d, doc)| LiveOp::Upsert { doc_id: format!("doc-{d}"), text: doc.text() })
+        .collect();
+    writer.commit(&upserts).expect("commit the documents");
+    let question = &ds.tasks[0].item.question;
+    let context: Vec<String> =
+        writer.snapshot().search(question, 7).into_iter().map(|h| h.chunk).collect();
+    std::fs::remove_dir_all(&dir).ok();
+    cell(&format!("llm answer_open_{}_sentence_chunks", context.len()), || {
+        llm.answer_open(black_box(question), &context)
     });
 }
 

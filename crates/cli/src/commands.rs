@@ -765,8 +765,9 @@ USAGE:
                [--queries 2] [--seed 42] [--retriever hashed|bm25]
                [--crash <spec>] [--crash-seed 7]
   sage explain [\"question\"] [--retriever R] [--naive]
-               # print the resolved query plan: stages, middleware order
-               # and the rewrite each brownout rung applies
+               # print the resolved query plan: its stages (each opens
+               # and closes its own telemetry span) and the rewrite each
+               # brownout rung applies once, before retrieval
   sage report  [--seed 42] [--qps 4] [--duration 30] [--docs N]
                [--out <bundle>] [--metrics-out <path>]
   sage scenarios run <grid.toml> [--filter <substr>] [--out <path>]

@@ -4,9 +4,9 @@
 //!
 //! - SAGE's plan lists every stage, judges its answers, and names the
 //!   rewrite each of the two brownout rungs applies.
-//! - The middleware line is telemetry only: the budget's rung is applied
-//!   once, before the first stage, and no per-stage budget checkpoint
-//!   exists.
+//! - The telemetry line: each stage opens and closes its own span, the
+//!   budget's rung is applied once, before retrieval, and no per-stage
+//!   budget checkpoint exists.
 //! - The naive plan retrieves with BM25, bypasses rerank, takes a flat
 //!   prefix and never judges, so neither rung changes it.
 //! - `explain` refuses a flag it does not read (`--concurrency`), and the
@@ -30,7 +30,7 @@ rounds (up to 3):
   read
   feedback
   fuse
-middleware (per slot): telemetry span -> stage -> telemetry close (the budget's rung is applied once, before the first slot)
+telemetry: each stage opens and closes its own span (the budget's rung is applied once, before retrieval)
 brownout rewrites:
   rung DropFeedback: embed -> retrieve-dense -> rerank (full pool) -> select (gradient) -> read
   rung FlatTopK: embed -> retrieve-dense -> rerank (bypass: retrieval order) -> select (flat top-k) -> read
@@ -45,7 +45,7 @@ rounds (up to 1):
   select (flat top-k)
   read
   fuse
-middleware (per slot): telemetry span -> stage -> telemetry close (the budget's rung is applied once, before the first slot)
+telemetry: each stage opens and closes its own span (the budget's rung is applied once, before retrieval)
 brownout rewrites:
   rung DropFeedback: no change
   rung FlatTopK: no change

@@ -50,7 +50,8 @@ pub(crate) fn execute(sys: &RagSystem, req: &Request<'_>) -> QueryResult {
 /// batch defers so its cross-query effects land in input order. The
 /// budget's rung is planned and applied to the plan before any stage runs.
 /// A request that names its chunks reads them once: no retrieval,
-/// selection or feedback.
+/// selection or feedback, so no rung either — there is nothing for one to
+/// drop.
 #[expect(
     clippy::disallowed_methods,
     reason = "the executor measures the query's latency, its retrieval's and a fixed context's assembly for QueryResult and the query histogram; no control flow branches on the readings"
@@ -67,7 +68,7 @@ fn run_query(sys: &RagSystem, req: &Request<'_>) -> Ran {
         (selected, context, start.elapsed())
     });
     let mut brownout = BrownoutLevel::None;
-    if let Some(budget) = req.budget {
+    if let Some(budget) = req.budget.filter(|_| fixed.is_none()) {
         let rounds =
             if sys.config.use_feedback { sys.config.max_feedback_rounds as u32 } else { 0 };
         brownout = budget.plan(sys.config.candidates, rounds);

@@ -97,8 +97,8 @@ impl QueryPlan {
         }
         out.push_str("  fuse\n");
         out.push_str(
-            "middleware (per slot): telemetry span -> stage -> telemetry close \
-             (the budget's rung is applied once, before the first slot)\n",
+            "telemetry: each stage opens and closes its own span \
+             (the budget's rung is applied once, before retrieval)\n",
         );
         out.push_str("brownout rewrites:\n");
         for level in [BrownoutLevel::DropFeedback, BrownoutLevel::FlatTopK] {

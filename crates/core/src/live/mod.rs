@@ -465,29 +465,32 @@ impl LiveState {
     /// ranges moved on their own threads; BM25 is rebuilt over the
     /// surviving texts in slot order.
     fn compact_on(&mut self, workers: usize) {
-        // Old id → new id for survivors, derived from the slot table; the
-        // index tiers are kept in lockstep so their remaps agree.
-        let mut remap: Vec<Option<u32>> = vec![None; self.chunks.len()];
-        let mut kept = 0;
-        for (old, slot) in self.chunks.iter().enumerate() {
-            if slot.live {
-                remap[old] = Some(kept);
-                kept += 1;
-            }
-        }
-        self.chunks.retain(|slot| slot.live);
-        match &mut self.index {
-            LiveIndex::Dense { index, .. } => {
-                index.compact_on(workers, |parts| {
-                    on_ranges(parts, ColumnMoves::run);
+        // Old id → new id for survivors. The dense index is kept in
+        // lockstep with the slot table, so the remap its compaction returns
+        // is the slot table's; BM25 has none, and the slot table gives it.
+        let remap: Vec<Option<usize>> = match &mut self.index {
+            LiveIndex::Dense { index, .. } => index.compact_on(workers, |parts| {
+                on_ranges(parts, ColumnMoves::run);
+            }),
+            LiveIndex::Bm25(_) => {
+                let mut kept = 0;
+                let remap = self.chunks.iter().map(|slot| {
+                    let new = slot.live.then_some(kept);
+                    kept += usize::from(slot.live);
+                    new
                 });
+                remap.collect()
             }
-            LiveIndex::Bm25(r) => r.index_texts(self.chunks.iter().map(|slot| slot.text.as_str())),
+        };
+        debug_assert_eq!(remap.len(), self.chunks.len(), "the index and the slot table differ");
+        self.chunks.retain(|slot| slot.live);
+        if let LiveIndex::Bm25(r) = &mut self.index {
+            r.index_texts(self.chunks.iter().map(|slot| slot.text.as_str()));
         }
         for meta in self.docs.values_mut() {
             meta.chunks.retain_mut(|id| match remap.get(*id as usize).copied().flatten() {
                 Some(new) => {
-                    *id = new;
+                    *id = new as u32;
                     true
                 }
                 None => false,

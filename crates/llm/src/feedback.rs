@@ -8,11 +8,11 @@
 //! context (1) with 40%" — which we reproduce as the tie-break prior when
 //! neither signal dominates.
 
-use crate::prompt::prompt_tokens;
+use crate::prompt::tally_tokens;
 use crate::reader::{position, sorted_distinct, Answer, SimLlm};
 use rand::Rng;
 use sage_eval::Cost;
-use sage_text::{split_sentences, TokenBuf};
+use sage_text::{split_sentences, TokenBuf, TokenTally};
 use std::time::Duration;
 
 /// Result of one self-feedback call.
@@ -30,25 +30,37 @@ pub struct FeedbackOutcome {
     pub latency: Duration,
 }
 
+const PROMPT_HEAD: &str = "Original Prompt: ";
+const CONTEXT_HEAD: &str = "\nContext:\n";
+const ANSWER_HEAD: &str = "Original Answer: ";
+const OBJECTIVE: &str = "\nObjective (O): Evaluate the original answer on a scale of 1 to 10 based \
+    on its accuracy and reasonability. Additionally, determine if the original prompt needs more \
+    related context (1) or less context (-1).\nResponse (R): Evaluation Score: [1-10]. Context \
+    Adjustment: [1, -1].";
+
 /// The Figure-6 feedback prompt (for honest token accounting).
 pub fn feedback_prompt(question: &str, context: &[String], answer: &str) -> String {
     let mut p = String::new();
-    p.push_str("Original Prompt: ");
+    p.push_str(PROMPT_HEAD);
     p.push_str(question);
-    p.push_str("\nContext:\n");
+    p.push_str(CONTEXT_HEAD);
     for c in context {
         p.push_str(c);
         p.push('\n');
     }
-    p.push_str("Original Answer: ");
+    p.push_str(ANSWER_HEAD);
     p.push_str(answer);
-    p.push_str(
-        "\nObjective (O): Evaluate the original answer on a scale of 1 to 10 based on its \
-         accuracy and reasonability. Additionally, determine if the original prompt needs more \
-         related context (1) or less context (-1).\nResponse (R): Evaluation Score: [1-10]. \
-         Context Adjustment: [1, -1].",
-    );
+    p.push_str(OBJECTIVE);
     p
+}
+
+/// `prompt_tokens(&feedback_prompt(question, context, answer))`, counted
+/// from the pieces: the question, every chunk and the answer sit between
+/// whitespace.
+pub(crate) fn feedback_prompt_tokens(question: &str, context: &[String], answer: &str) -> usize {
+    let pieces = [PROMPT_HEAD, question, CONTEXT_HEAD, ANSWER_HEAD, answer, OBJECTIVE];
+    let chunks = context.iter().map(String::as_str);
+    tally_tokens(pieces.into_iter().chain(chunks).map(TokenTally::of).sum())
 }
 
 /// The stems of the content words in `tokens`, sorted and without repeats.
@@ -82,8 +94,7 @@ impl SimLlm {
         context: &[String],
         answer: &Answer,
     ) -> FeedbackOutcome {
-        let prompt = feedback_prompt(question, context, &answer.text);
-        let input_tokens = prompt_tokens(&prompt);
+        let input_tokens = feedback_prompt_tokens(question, context, &answer.text);
         let output_tokens = 10;
         let mut cost = Cost::zero();
         cost.add_call(input_tokens, output_tokens);

@@ -1,13 +1,28 @@
 //! The simulated reader: candidate extraction + temperature sampling.
 //!
-//! A call reads its context once, into a `Reading`: one token-buffer fill
-//! per sentence, every content word stemmed once, and per sentence the score
-//! that weighs the candidates (open questions) and the options (multiple
-//! choice). Candidate phrases are keyed by integer word ranks, and only the
-//! picked one is spelled out.
+//! A call does each piece of work once:
+//!
+//! - its input tokens are counted from the prompt's pieces; no prompt is
+//!   built;
+//! - its context is read once, into a `Reading`: one token-buffer fill per
+//!   sentence, every content word stemmed once, and per sentence the score
+//!   that weighs the candidates (open questions) and the options (multiple
+//!   choice);
+//! - a sentence's proper nouns are read only when they can match an anchor
+//!   or be donated as one;
+//! - which words can be answer material is worked out only for the
+//!   sentences an open question's answer can come from;
+//! - what the reader knows of a string (the language prior's ratio of a
+//!   stem, its relation classes, the answer pools of a word or phrase) is
+//!   one probe of one table, the lexicon, built once per process; each
+//!   distinct candidate word probes it once for its stem and once as a
+//!   word.
+//!
+//! Candidate phrases are keyed by integer word ranks, and only the picked
+//! one is spelled out.
 
 use crate::profile::LlmProfile;
-use crate::prompt::{mc_prompt, open_prompt, prompt_tokens};
+use crate::prompt::{mc_prompt_tokens, open_prompt_tokens};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sage_corpus::datasets::{wiki, SizeConfig};
@@ -17,6 +32,7 @@ use sage_text::{
     count_tokens, is_capitalized, is_stopword, proper_nouns, split_sentences, stem, stem_into,
     tokenize, TokenBuf, Vocab, WordSet,
 };
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -45,44 +61,34 @@ impl Answer {
     }
 }
 
+/// An answer can come only from a sentence scoring above this.
+const ANSWERING_SCORE: f32 = 0.3;
+
 /// Subject pronouns that trigger in-chunk coreference credit.
 const PRONOUNS: &[&str] = &["he", "she", "it", "his", "her", "its", "they", "their"];
 
 /// Background IDF statistics standing in for the model's language prior:
 /// informative (rare) words make better answers than template/function
-/// words. Built once from a fixed synthetic sample.
-fn language_prior() -> &'static Vocab {
-    static PRIOR: OnceLock<Vocab> = OnceLock::new();
-    PRIOR.get_or_init(|| {
-        let ds = wiki::generate(SizeConfig { num_docs: 30, questions_per_doc: 0, seed: 0x1D1 });
-        let mut vocab = Vocab::new();
-        for doc in &ds.documents {
-            for para in &doc.paragraphs {
-                for sentence in split_sentences(para) {
-                    let ids: Vec<u32> =
-                        tokenize(sentence).iter().map(|t| vocab.intern(&stem(t))).collect();
-                    vocab.record_document(&ids);
-                }
+/// words. Built once from a fixed synthetic sample, and read only while
+/// [`lexicon`] is built.
+fn language_prior() -> Vocab {
+    let ds = wiki::generate(SizeConfig { num_docs: 30, questions_per_doc: 0, seed: 0x1D1 });
+    let mut vocab = Vocab::new();
+    for doc in &ds.documents {
+        for para in &doc.paragraphs {
+            for sentence in split_sentences(para) {
+                let ids: Vec<u32> =
+                    tokenize(sentence).iter().map(|t| vocab.intern(&stem(t))).collect();
+                vocab.record_document(&ids);
             }
         }
-        vocab
-    })
+    }
+    vocab
 }
 
-/// `idf / max_idf` of one stemmed word under the language prior; a word the
-/// prior never saw is as rare as a word can be (1.0).
-fn prior_ratio(stemmed: &str) -> f32 {
-    let prior = language_prior();
-    let max_idf = (1.0 + (prior.num_docs() as f32 + 0.5) / 0.5).ln();
-    let idf = match prior.get(stemmed) {
-        Some(id) => prior.idf(id),
-        None => max_idf,
-    };
-    idf / max_idf
-}
-
-/// Normalised IDF of a phrase: the mean of its words' [`prior_ratio`]s,
-/// summed in word order from 0.0 and clamped to `[0, 1]`; 0.0 for no words.
+/// Normalised IDF of a phrase: the mean of its words' prior ratios
+/// ([`Entry::ratio`]), summed in word order from 0.0 and clamped to
+/// `[0, 1]`; 0.0 for no words.
 fn idf_of(ratios: &[f32]) -> f32 {
     if ratios.is_empty() {
         return 0.0;
@@ -91,49 +97,104 @@ fn idf_of(ratios: &[f32]) -> f32 {
     (total / ratios.len() as f32).clamp(0.0, 1.0)
 }
 
-/// World-knowledge table: the reader knows what *kind* of phrase answers a
-/// question ("what color" expects a color, "where" expects a place) — the
-/// lexical-semantics knowledge every real LLM has. Each table is sorted by
-/// key and holds a mask per key (a bit per value pool, or per relation
-/// class), so a lookup is a binary search and a kind test a bit test.
-struct TypeLexicon {
-    /// Question stem → the pools it selects.
-    expectations: Vec<(String, u8)>,
-    /// Full lowercase pool phrase → the pools holding it.
-    phrases: Vec<(String, u8)>,
-    /// Token of a pool phrase → the pools holding it.
-    tokens: Vec<(String, u8)>,
-    /// Stem → its relation-synonym classes: "born"/"childhood" is one
-    /// relation, "lives"/"settled" another. Lets the reader distinguish
-    /// same-pool relations (both answer with a place) the way a competent
-    /// LLM does.
-    relations: Vec<(String, u16)>,
+/// Everything the reader knows of one string. A string is probed as a
+/// stem (the prior ratio, relation classes and expected pools) or as a
+/// word or phrase (the pools holding it); a string the lexicon lacks reads
+/// as [`Entry::UNKNOWN`].
+#[derive(Clone, Copy)]
+struct Entry {
+    /// `idf / max_idf` of the stem under the language prior: informative
+    /// stems read near 1.0, and a stem the prior never saw is as rare as a
+    /// stem can be (1.0).
+    ratio: f32,
+    /// The stem's relation-synonym classes, a bit per class: "born" /
+    /// "childhood" is one relation, "lives" / "settled" another. Lets the
+    /// reader distinguish same-pool relations (both answer with a place)
+    /// the way a competent LLM does.
+    relations: u16,
+    /// The value pools a question with this stem expects its answer from
+    /// ("color" expects a color, "born" a place), a bit per pool.
+    expects: u8,
+    /// The pools holding the word as a token of a pool phrase.
+    token_pools: u8,
+    /// The pools holding the whole lowercase phrase.
+    phrase_pools: u8,
 }
 
-/// `entries` sorted by key, equal keys merged into one mask.
-fn mask_table<M: Copy + std::ops::BitOr<Output = M>>(
-    mut entries: Vec<(String, M)>,
-) -> Vec<(String, M)> {
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    entries.dedup_by(|later, kept| {
-        let same = later.0 == kept.0;
-        if same {
-            kept.1 = kept.1 | later.1;
+impl Entry {
+    const UNKNOWN: Entry =
+        Entry { ratio: 1.0, relations: 0, expects: 0, token_pools: 0, phrase_pools: 0 };
+}
+
+/// The reader's lexicon: the language prior and the world-knowledge
+/// tables in one open-addressed table, so every question a call asks of a
+/// string is one probe. The world knowledge is what *kind* of phrase
+/// answers a question ("what color" expects a color, "where" a place) —
+/// the lexical-semantics knowledge every real LLM has.
+struct Lexicon {
+    /// Every key back to back: the prior's stems and the tables' strings,
+    /// each once.
+    keys: String,
+    /// Per key: its byte range in `keys` and its entry.
+    entries: Vec<(u32, u32, Entry)>,
+    /// Index into `entries` per slot, `u32::MAX` when free; a power of two
+    /// at least twice the key count, probed linearly from the key's hash.
+    slots: Vec<u32>,
+}
+
+impl Lexicon {
+    /// The slot `key` is probed from.
+    fn home(&self, key: &str) -> usize {
+        fnv1a(key.as_bytes(), 0) as usize & (self.slots.len() - 1)
+    }
+
+    /// The entry of `key`: one probe, then a linear walk over the few
+    /// keys that share its slot.
+    fn get(&self, key: &str) -> &Entry {
+        let mut at = self.home(key);
+        loop {
+            let Some(&(start, end, ref entry)) = self.entries.get(self.slots[at] as usize) else {
+                return &Entry::UNKNOWN;
+            };
+            if &self.keys[start as usize..end as usize] == key {
+                return entry;
+            }
+            at = (at + 1) & (self.slots.len() - 1);
         }
-        same
-    });
-    entries
+    }
+
+    /// The table of `entries`.
+    fn build(entries: BTreeMap<String, Entry>) -> Self {
+        let slots = vec![u32::MAX; (2 * entries.len()).next_power_of_two().max(2)];
+        let mut lex = Lexicon { keys: String::new(), entries: Vec::new(), slots };
+        for (key, entry) in entries {
+            let mut at = lex.home(&key);
+            while lex.slots[at] != u32::MAX {
+                at = (at + 1) & (lex.slots.len() - 1);
+            }
+            lex.slots[at] = lex.entries.len() as u32;
+            let start = lex.keys.len() as u32;
+            lex.keys.push_str(&key);
+            lex.entries.push((start, lex.keys.len() as u32, entry));
+        }
+        lex
+    }
 }
 
-/// The mask of `key` in a [`mask_table`]; empty when absent.
-fn mask_of<M: Copy + Default>(table: &[(String, M)], key: &str) -> M {
-    table.binary_search_by(|(k, _)| k.as_str().cmp(key)).map_or(M::default(), |i| table[i].1)
-}
-
-fn type_lexicon() -> &'static TypeLexicon {
+fn lexicon() -> &'static Lexicon {
     use sage_corpus::facts::Pool;
-    static LEX: OnceLock<TypeLexicon> = OnceLock::new();
+    static LEX: OnceLock<Lexicon> = OnceLock::new();
     LEX.get_or_init(|| {
+        let prior = language_prior();
+        let max_idf = (1.0 + (prior.num_docs() as f32 + 0.5) / 0.5).ln();
+        let ratios: Vec<f32> = (0..prior.len() as u32).map(|id| prior.idf(id) / max_idf).collect();
+        let mut entries: BTreeMap<String, Entry> = prior
+            .into_terms()
+            .into_iter()
+            .zip(ratios)
+            .map(|(term, ratio)| (term, Entry { ratio, ..Entry::UNKNOWN }))
+            .collect();
+
         let pools = [
             Pool::Colors,
             Pool::Places,
@@ -143,12 +204,12 @@ fn type_lexicon() -> &'static TypeLexicon {
             Pool::Instruments,
             Pool::Animals,
         ];
-        let mut phrases = Vec::new();
-        let mut tokens = Vec::new();
         for (bit, pool) in pools.iter().enumerate() {
             for w in pool.words() {
-                phrases.push((w.to_lowercase(), 1u8 << bit));
-                tokens.extend(tokenize(w).into_iter().map(|t| (t, 1u8 << bit)));
+                entries.entry(w.to_lowercase()).or_insert(Entry::UNKNOWN).phrase_pools |= 1 << bit;
+                for t in tokenize(w) {
+                    entries.entry(t).or_insert(Entry::UNKNOWN).token_pools |= 1 << bit;
+                }
             }
         }
         // Indices into `pools` above.
@@ -180,6 +241,9 @@ fn type_lexicon() -> &'static TypeLexicon {
             ("pet", ANIMALS),
             ("keep", ANIMALS),
         ];
+        for (key, pool) in expectations {
+            entries.entry(key.to_string()).or_insert(Entry::UNKNOWN).expects |= 1 << pool;
+        }
         let relation_surface: &[&[&str]] = &[
             &["born", "childhood"],
             &["lives", "live", "settled", "settle", "house", "town"],
@@ -191,19 +255,12 @@ fn type_lexicon() -> &'static TypeLexicon {
             &["developed", "develop", "built", "invented", "invent", "device", "workbench"],
             &["keeps", "keep", "care", "animal", "pet"],
         ];
-        let relations = relation_surface
-            .iter()
-            .enumerate()
-            .flat_map(|(bit, words)| words.iter().map(move |w| (stem(w), 1u16 << bit)))
-            .collect();
-        TypeLexicon {
-            expectations: mask_table(
-                expectations.iter().map(|&(s, pool)| (s.to_string(), 1u8 << pool)).collect(),
-            ),
-            phrases: mask_table(phrases),
-            tokens: mask_table(tokens),
-            relations: mask_table(relations),
+        for (bit, words) in relation_surface.iter().enumerate() {
+            for w in *words {
+                entries.entry(stem(w)).or_insert(Entry::UNKNOWN).relations |= 1 << bit;
+            }
         }
+        Lexicon::build(entries)
     })
 }
 
@@ -234,15 +291,16 @@ fn phrase_type_bonus(expected: u8, phrase: &str) -> f32 {
     if expected == 0 {
         return 1.0;
     }
-    let lex = type_lexicon();
+    let lex = lexicon();
     let lower = phrase.to_lowercase();
-    let token_pools = tokenize(&lower).iter().fold(0, |m, t| m | mask_of(&lex.tokens, t));
-    type_bonus(expected, mask_of(&lex.phrases, &lower), token_pools)
+    let token_pools = tokenize(&lower).iter().fold(0, |m, t| m | lex.get(t).token_pools);
+    type_bonus(expected, lex.get(&lower).phrase_pools, token_pools)
 }
 
 /// [`idf_of`] any phrase: tokenized, each token stemmed.
 fn phrase_idf(phrase: &str) -> f32 {
-    let ratios: Vec<f32> = tokenize(phrase).iter().map(|t| prior_ratio(&stem(t))).collect();
+    let lex = lexicon();
+    let ratios: Vec<f32> = tokenize(phrase).iter().map(|t| lex.get(&stem(t)).ratio).collect();
     idf_of(&ratios)
 }
 
@@ -264,10 +322,15 @@ pub(crate) fn sorted_distinct(mut words: Vec<String>) -> Vec<String> {
 struct QuestionInfo {
     entity_terms: Vec<String>,
     content_stems: Vec<String>,
+    /// Per content stem: whether it is informative (rare) enough to link
+    /// an anchor.
+    informative: Vec<bool>,
     negation: bool,
     /// Value pools the answer is expected from, a bit per pool (0 = no
     /// expectation).
     expected: u8,
+    /// The relation classes the question asks about.
+    relations: u16,
 }
 
 fn strip_possessive(token: &str) -> &str {
@@ -304,9 +367,14 @@ fn analyze_question(question: &str) -> QuestionInfo {
         }
     }
     let content_stems = sorted_distinct(content_stems);
-    let lex = type_lexicon();
-    let expected = content_stems.iter().fold(0, |m, s| m | mask_of(&lex.expectations, s));
-    QuestionInfo { entity_terms, content_stems, negation, expected }
+    let lex = lexicon();
+    let (mut informative, mut expected, mut relations) = (Vec::new(), 0, 0);
+    for entry in content_stems.iter().map(|s| lex.get(s)) {
+        informative.push(entry.ratio >= 0.5);
+        expected |= entry.expects;
+        relations |= entry.relations;
+    }
+    QuestionInfo { entity_terms, content_stems, informative, negation, expected, relations }
 }
 
 /// One context word as the reader sees it.
@@ -315,8 +383,17 @@ struct Word {
     text: (usize, usize),
     /// Its stem in [`Reading::stems`]; empty for a stopword.
     stem: (usize, usize),
+    /// Whether it is a content word (no stopword).
+    content: bool,
+    /// Whether, without its possessive, it is one of the question's entity
+    /// terms.
+    entity: bool,
+    /// Whether its stem is one of the question's content stems.
+    hit: bool,
     /// Whether it can be answer material: a content word, not the
-    /// question's entity or content, with a letter in it.
+    /// question's entity or content, with a letter in it. Worked out only
+    /// where an answer can come from: the answering sentences
+    /// ([`ANSWERING_SCORE`]) of an open question.
     eligible: bool,
 }
 
@@ -354,12 +431,50 @@ impl Reading {
         &self.stems[start..end]
     }
 
-    fn push_word(&mut self, token: &str, stemmed: &str, eligible: bool) {
+    fn push_word(&mut self, token: &str, stemmed: &str, entity: bool, hit: bool) {
         let text = (self.text.len(), self.text.len() + token.len());
         let stem = (self.stems.len(), self.stems.len() + stemmed.len());
         self.text.push_str(token);
         self.stems.push_str(stemmed);
-        self.words.push(Word { text, stem, eligible });
+        // A content word's stem is never empty.
+        let content = !stemmed.is_empty();
+        self.words.push(Word { text, stem, content, entity, hit, eligible: false });
+    }
+
+    /// Work out which words of `words` are answer material.
+    /// `base_stem` is scratch.
+    fn mark_eligible(
+        &mut self,
+        q: &QuestionInfo,
+        words: std::ops::Range<usize>,
+        base_stem: &mut String,
+    ) {
+        for i in words {
+            let (w, token) = (&self.words[i], self.word(i));
+            if !w.content || w.entity {
+                continue;
+            }
+            // Answer material is tested on the stem of the word without
+            // its possessive.
+            let base = strip_possessive(token);
+            let base_hit = if base.len() == token.len() {
+                w.hit
+            } else {
+                stem_into(base, base_stem);
+                position(&q.content_stems, base_stem).is_some()
+            };
+            // A pronoun is a stopword, so never a content word.
+            let eligible = !base_hit && token.chars().any(char::is_alphabetic);
+            self.words[i].eligible = eligible;
+        }
+    }
+
+    /// Overwrite `out` with words `i` and `i + 1`, joined by a space.
+    fn bigram(&self, i: usize, out: &mut String) {
+        out.clear();
+        out.push_str(self.word(i));
+        out.push(' ');
+        out.push_str(self.word(i + 1));
     }
 
     /// Whether a word of `sentence` has the stem `stemmed` (never empty).
@@ -375,7 +490,7 @@ struct Ranked {
     /// Whether the shortcuts below hold: an ASCII token lowercases to
     /// itself and tokenizes to itself alone.
     ascii: bool,
-    /// [`prior_ratio`] of its stem.
+    /// The prior ratio of its stem.
     ratio: f32,
     /// Its normalised IDF and type bonus as a unigram.
     idf: f32,
@@ -447,17 +562,16 @@ impl SimLlm {
         StdRng::seed_from_u64(fnv1a(key.as_bytes(), self.seed))
     }
 
-    /// Read and score every context sentence. Chunk boundaries matter:
-    /// pronoun coreference credit only flows *within* a chunk (the model
-    /// can link "He has green eyes" to "Whiskers is a cat" only when both
-    /// are in the provided chunk — limitation L1's mechanism).
-    fn read(&self, q: &QuestionInfo, context: &[String]) -> Reading {
+    /// Read and score every context sentence; for an `open` question, also
+    /// work out the answer material of the answering sentences. Chunk
+    /// boundaries matter: pronoun coreference credit only flows *within* a
+    /// chunk (the model can link "He has green eyes" to "Whiskers is a cat"
+    /// only when both are in the provided chunk — limitation L1's
+    /// mechanism).
+    fn read(&self, q: &QuestionInfo, context: &[String], open: bool) -> Reading {
         let entity_weight = self.profile.entity_weight();
-        // Whether each question stem is informative (rare) enough to link
-        // an anchor, and the sentence that last hit it (so a sentence
-        // counts distinct hits).
-        let informative: Vec<bool> =
-            q.content_stems.iter().map(|s| prior_ratio(s) >= 0.5).collect();
+        // The sentence that last hit each question stem, so a sentence
+        // counts distinct hits.
         let mut hit_by = vec![usize::MAX; q.content_stems.len()];
         let mut reading = Reading::default();
         let mut tokens = TokenBuf::new();
@@ -477,49 +591,23 @@ impl SimLlm {
                 let n = reading.sentences.len();
                 let first = reading.words.len();
                 tokens.fill(sentence);
-                proper_nouns(sentence, &mut proper);
                 let (mut has_entity, mut has_pronoun) = (false, false);
                 let (mut hits, mut informative_overlap) = (0usize, false);
                 for i in 0..tokens.len() {
                     let stop = tokens.is_stop(i);
                     let (token, stemmed) =
                         if stop { (tokens.get(i), "") } else { tokens.with_stem(i) };
-                    let base = strip_possessive(token);
-                    let entity = position(&q.entity_terms, base).is_some();
+                    let entity = position(&q.entity_terms, strip_possessive(token)).is_some();
                     has_entity |= entity;
                     has_pronoun |= i < 4 && PRONOUNS.contains(&token);
-                    let mut eligible = false;
-                    if !stop {
-                        let hit = position(&q.content_stems, stemmed);
-                        if let Some(h) = hit.filter(|&h| hit_by[h] != n) {
-                            hit_by[h] = n;
-                            hits += 1;
-                            informative_overlap |= informative[h];
-                        }
-                        // Answer material is tested on the stem of the
-                        // word without its possessive.
-                        let base_hit = if base.len() == token.len() {
-                            hit.is_some()
-                        } else {
-                            stem_into(base, &mut base_stem);
-                            position(&q.content_stems, &base_stem).is_some()
-                        };
-                        eligible = !entity
-                            && !base_hit
-                            && !PRONOUNS.contains(&token)
-                            && token.chars().any(char::is_alphabetic);
+                    let hit = if stop { None } else { position(&q.content_stems, stemmed) };
+                    if let Some(h) = hit.filter(|&h| hit_by[h] != n) {
+                        hit_by[h] = n;
+                        hits += 1;
+                        informative_overlap |= q.informative[h];
                     }
-                    reading.push_word(token, stemmed, eligible);
+                    reading.push_word(token, stemmed, entity, hit.is_some());
                 }
-                let has_anchor = proper.iter().any(|p| anchors.contains(p));
-                let credit = if has_entity {
-                    entity_seen = true;
-                    1.0
-                } else if has_anchor || (has_pronoun && (entity_seen || !anchors.is_empty())) {
-                    0.9
-                } else {
-                    0.0
-                };
                 let rel = if q.content_stems.is_empty() {
                     0.0
                 } else {
@@ -530,13 +618,37 @@ impl SimLlm {
                 // content term with the question — a single generic word
                 // like "town" appearing in both templates must not link an
                 // unrelated entity to the question's subject.
-                if credit > 0.0 || (rel >= 0.3 && informative_overlap) {
+                let overlap_donates = rel >= 0.3 && informative_overlap;
+                // Its proper nouns are read only when they can match an
+                // anchor or be donated as one.
+                let needs_proper = !anchors.is_empty()
+                    || has_entity
+                    || (has_pronoun && entity_seen)
+                    || overlap_donates;
+                if needs_proper {
+                    proper_nouns(sentence, &mut proper);
+                } else {
+                    proper.clear();
+                }
+                let has_anchor = proper.iter().any(|p| anchors.contains(p));
+                let credit = if has_entity {
+                    entity_seen = true;
+                    1.0
+                } else if has_anchor || (has_pronoun && (entity_seen || !anchors.is_empty())) {
+                    0.9
+                } else {
+                    0.0
+                };
+                if credit > 0.0 || overlap_donates {
                     for p in proper.iter() {
                         anchors.insert(p);
                     }
                 }
                 let score = entity_weight * credit + 2.0 * rel;
                 let words = first..reading.words.len();
+                if open && score > ANSWERING_SCORE {
+                    reading.mark_eligible(q, words.clone(), &mut base_stem);
+                }
                 reading.sentences.push(Sentence { words, score, grounded: credit > 0.0 });
             }
         }
@@ -557,7 +669,7 @@ impl SimLlm {
     /// Extract candidate answer phrases (content unigrams/bigrams not in
     /// the question) with scores.
     fn candidates(&self, q: &QuestionInfo, reading: &Reading) -> Candidates {
-        let lex = type_lexicon();
+        let lex = lexicon();
         // A careful reader notices when a passage is about a different
         // subject than the question asks for; ungrounded sentences are
         // discounted in proportion to the model's distractor resistance.
@@ -570,16 +682,14 @@ impl SimLlm {
         // relation* than the question asks about ("lives in Eastmere" for
         // "where was X born?") does not contain the answer. Strong readers
         // discount such sentences heavily; weak readers confuse them.
-        let q_relations = q.content_stems.iter().fold(0, |m, s| m | mask_of(&lex.relations, s));
         let wrong_relation_damp = 1.0 - 0.75 * self.profile.distractor_resistance;
-        let answering = || reading.sentences.iter().filter(|s| s.score > 0.3);
+        let answering = || reading.sentences.iter().filter(|s| s.score > ANSWERING_SCORE);
 
-        // Rank the distinct eligible words by text, and look up what a
-        // candidate needs of each word once.
-        let mut order: Vec<usize> = answering()
-            .flat_map(|s| s.words.clone())
-            .filter(|&i| reading.words[i].eligible)
-            .collect();
+        // Rank the distinct eligible words (all in answering sentences) by
+        // text, and look up what a candidate needs of each word once: one
+        // probe of its stem, one of the word.
+        let mut order: Vec<usize> =
+            (0..reading.words.len()).filter(|&i| reading.words[i].eligible).collect();
         order.sort_unstable_by(|&a, &b| reading.word(a).cmp(reading.word(b)));
         let mut rank_of = vec![0; reading.words.len()];
         let mut ranked: Vec<Ranked> = Vec::new();
@@ -587,11 +697,11 @@ impl SimLlm {
             let word = reading.word(i);
             if n == 0 || reading.word(order[n - 1]) != word {
                 let ascii = word.is_ascii();
-                let ratio = prior_ratio(reading.stem(i));
-                let pools = mask_of(&lex.tokens, word);
+                let ratio = lex.get(reading.stem(i)).ratio;
+                let entry = lex.get(word);
+                let pools = entry.token_pools;
                 let (idf, bonus) = if ascii {
-                    let phrase_pools = mask_of(&lex.phrases, word);
-                    (idf_of(&[ratio]), type_bonus(q.expected, phrase_pools, pools))
+                    (idf_of(&[ratio]), type_bonus(q.expected, entry.phrase_pools, pools))
                 } else {
                     (phrase_idf(word), phrase_type_bonus(q.expected, word))
                 };
@@ -604,11 +714,14 @@ impl SimLlm {
         let mut phrase = String::new();
         for s in answering() {
             let mut damp = if s.grounded { 1.0 } else { ungrounded_damp };
-            if q_relations != 0 {
-                let s_relations =
-                    s.words.clone().fold(0, |m, i| m | mask_of(&lex.relations, reading.stem(i)));
+            if q.relations != 0 {
+                let s_relations = s
+                    .words
+                    .clone()
+                    .filter(|&i| reading.words[i].content)
+                    .fold(0, |m, i| m | lex.get(reading.stem(i)).relations);
                 if s_relations != 0 {
-                    if s_relations & q_relations != 0 {
+                    if s_relations & q.relations != 0 {
                         damp *= 1.2;
                     } else {
                         damp *= wrong_relation_damp;
@@ -624,18 +737,20 @@ impl SimLlm {
                     continue;
                 }
                 let (rb, b) = (rank_of[i + 1], &ranked[rank_of[i + 1]]);
-                phrase.clear();
-                phrase.push_str(reading.word(i));
-                phrase.push(' ');
-                phrase.push_str(reading.word(i + 1));
                 let (idf, bonus) = if a.ascii && b.ascii {
-                    let bonus = if q.expected == 0 {
-                        1.0
+                    // A pool holding the phrase holds both its tokens, so
+                    // the phrase is probed only when some expected pool
+                    // holds both.
+                    let phrase_pools = if a.pools & b.pools & q.expected == 0 {
+                        0
                     } else {
-                        type_bonus(q.expected, mask_of(&lex.phrases, &phrase), a.pools | b.pools)
+                        reading.bigram(i, &mut phrase);
+                        lex.get(&phrase).phrase_pools
                     };
+                    let bonus = type_bonus(q.expected, phrase_pools, a.pools | b.pools);
                     (idf_of(&[a.ratio, b.ratio]), bonus)
                 } else {
+                    reading.bigram(i, &mut phrase);
                     (phrase_idf(&phrase), phrase_type_bonus(q.expected, &phrase))
                 };
                 let bi_score = s.score * damp * (0.4 + 0.6 * idf) * bonus * 1.05;
@@ -685,10 +800,9 @@ impl SimLlm {
     /// Answer an open-ended question from retrieved context chunks.
     /// Seeded per call, so the result is independent of call order.
     pub fn answer_open(&self, question: &str, context: &[String]) -> Answer {
-        let prompt = open_prompt(question, context);
-        let input_tokens = prompt_tokens(&prompt);
+        let input_tokens = open_prompt_tokens(question, context);
         let q = analyze_question(question);
-        let reading = self.read(&q, context);
+        let reading = self.read(&q, context, true);
         let candidates = self.candidates(&q, &reading);
         let scored = &candidates.scored;
 
@@ -760,10 +874,9 @@ impl SimLlm {
         context: &[String],
     ) -> (usize, Answer) {
         assert!(!options.is_empty());
-        let prompt = mc_prompt(question, options, context);
-        let input_tokens = prompt_tokens(&prompt);
+        let input_tokens = mc_prompt_tokens(question, options, context);
         let q = analyze_question(question);
-        let reading = self.read(&q, context);
+        let reading = self.read(&q, context, false);
         let supports: Vec<f32> =
             options.iter().map(|o| self.option_support(o, &reading)).collect();
         let temperature = self.effective_temperature(reading.sentences.len());
@@ -853,6 +966,12 @@ mod tests {
 
     fn ctx(chunks: &[&str]) -> Vec<String> {
         chunks.iter().map(|c| c.to_string()).collect()
+    }
+
+    #[test]
+    fn every_pronoun_is_a_stopword() {
+        // Answer material is a content word, so it is never a pronoun.
+        assert!(PRONOUNS.iter().all(|p| is_stopword(p)));
     }
 
     #[test]

@@ -705,6 +705,37 @@ fn seeded_dataset_contexts_match_the_oracle() {
     assert!(answered > 100, "only {answered} open answers were answered");
 }
 
+/// The `live_mixed` read: the top 7 sentence-segmented chunks a live
+/// store's snapshot retrieves for each TriviaQA question, options from the
+/// neighbours' gold answers.
+#[test]
+fn live_store_contexts_match_the_oracle() {
+    use sage_core::{CorpusWriter, LiveConfig, LiveOp};
+    let ds = triviaqa::generate(SizeConfig { num_docs: 60, questions_per_doc: 1, seed: 0x11FE });
+    let dir = std::env::temp_dir().join(format!("sage-llm-oracle-live-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (mut writer, _) = CorpusWriter::open(&dir, LiveConfig::default()).unwrap();
+    let upserts: Vec<LiveOp> = ds
+        .documents
+        .iter()
+        .enumerate()
+        .map(|(d, doc)| LiveOp::Upsert { doc_id: format!("doc-{d}"), text: doc.text() })
+        .collect();
+    writer.commit(&upserts).unwrap();
+    let snapshot = writer.snapshot();
+    std::fs::remove_dir_all(&dir).ok();
+    let mut answered = 0;
+    for (n, task) in ds.tasks.iter().take(24).enumerate() {
+        let hits = snapshot.search(&task.item.question, 7);
+        assert_eq!(hits.len(), 7);
+        let context: Vec<String> = hits.into_iter().map(|h| h.chunk).collect();
+        let options: Vec<String> =
+            (0..4).map(|k| ds.tasks[(n + k) % ds.tasks.len()].item.answers[0].clone()).collect();
+        answered += check(&task.item.question, &options, &context);
+    }
+    assert!(answered > 48, "only {answered} open answers were answered");
+}
+
 #[test]
 fn hand_picked_contexts_match_the_oracle() {
     let ctx = |chunks: &[&str]| -> Vec<String> { chunks.iter().map(|c| c.to_string()).collect() };
@@ -738,6 +769,9 @@ fn hand_picked_contexts_match_the_oracle() {
                 "Émile's café sells crème brûlée. Σ σ ς ǅ ß straße ﬁsh.",
             ]),
             ctx(&["Gavir is a quiet shepherd. He sang a tribal song for the moderator."]),
+            // The subject named in lowercase leaves no anchor; the pronoun
+            // sentence after it is grounded and donates "Patchy".
+            ctx(&["whiskers is a tabby cat. He has a friend, Patchy. Patchy has orange eyes."]),
             ctx(&["", " ", "...", "?!"]),
             Vec::new(),
         ] {

@@ -41,5 +41,5 @@ pub use sentence::{split_paragraphs, split_sentences, split_sentences_into};
 pub use stem::{stem, stem_into};
 pub use stemset::StemSet;
 pub use stopwords::is_stopword;
-pub use token::{count_tokens, normalize, tokenize, tokenize_filtered, TokenBuf};
+pub use token::{count_tokens, normalize, tokenize, tokenize_filtered, TokenBuf, TokenTally};
 pub use vocab::Vocab;

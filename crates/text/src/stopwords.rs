@@ -1,11 +1,13 @@
 //! A compact English stopword list.
 //!
-//! Used by retrieval scoring and the reranker's lexical-overlap features so
-//! that function words do not dominate similarity. The list is sorted so
-//! lookup is a binary search — no hashing, no allocation.
+//! Used by retrieval scoring, the reranker's lexical-overlap features and
+//! the simulated reader and judge so that function words do not dominate
+//! similarity; the tokenizer asks about every token it closes. A lookup is
+//! one probe of a table built at compile time, where every stopword has a
+//! slot of its own, then one string comparison — no search, no allocation.
 
-/// Sorted list of stopwords. Keep sorted: [`is_stopword`] binary-searches.
-const STOPWORDS: &[&str] = &[
+/// The stopwords, sorted.
+pub const STOPWORDS: &[&str] = &[
     "a", "about", "above", "after", "again", "all", "also", "am", "an", "and", "any", "are",
     "as", "at", "be", "because", "been", "before", "being", "below", "between", "both", "but",
     "by", "can", "could", "did", "do", "does", "doing", "down", "during", "each", "few", "for",
@@ -20,35 +22,74 @@ const STOPWORDS: &[&str] = &[
     "your", "yours", "yourself", "yourselves",
 ];
 
-/// A word of at most 15 bytes as one integer: its bytes big-endian and
-/// zero-padded, then its length, so integer order is the byte-string order
-/// of [`STOPWORDS`] and equal keys mean equal words.
-const fn pack(word: &[u8]) -> u128 {
-    let mut key = 0u128;
-    let mut i = 0;
-    while i < 15 {
-        key = (key << 8) | if i < word.len() { word[i] as u128 } else { 0 };
-        i += 1;
-    }
-    (key << 8) | word.len() as u128
-}
+/// Bits of the probe table's slot index: 2,048 slots, room enough for a
+/// multiplier that leaves every stopword alone in its slot.
+const SLOT_BITS: u32 = 11;
 
-/// [`STOPWORDS`] packed: the tokenizer asks about every token, and a search
-/// over integers costs a fraction of one over string slices.
-const PACKED: [u128; STOPWORDS.len()] = {
-    let mut keys = [0u128; STOPWORDS.len()];
+/// No stopword in this slot.
+const EMPTY: u8 = u8::MAX;
+
+/// The longest stopword's length: a longer word is no stopword.
+const MAX_LEN: usize = {
+    let mut max = 0;
     let mut i = 0;
-    while i < keys.len() {
-        assert!(STOPWORDS[i].len() <= 15);
-        keys[i] = pack(STOPWORDS[i].as_bytes());
+    while i < STOPWORDS.len() {
+        if STOPWORDS[i].len() > max {
+            max = STOPWORDS[i].len();
+        }
         i += 1;
     }
-    keys
+    max
 };
 
-/// Return `true` if `word` (already lowercase) is a stopword.
+/// The slot `word` probes: its length and bytes folded into one integer,
+/// spread by `multiplier` and read from the top bits. The length is part
+/// of the key, so a word and the same word with NUL bytes appended ("a",
+/// "a\0") fold differently; the string comparison after the probe decides
+/// membership either way.
+const fn slot(word: &[u8], multiplier: u64) -> usize {
+    let mut key = word.len() as u64;
+    let mut i = 0;
+    while i < word.len() {
+        key = key.rotate_left(8) ^ word[i] as u64;
+        i += 1;
+    }
+    (key.wrapping_mul(multiplier) >> (64 - SLOT_BITS)) as usize
+}
+
+/// The first odd multiplier, counting up from the golden ratio's in
+/// golden-ratio steps, under which no two stopwords share a slot, and the
+/// table it fills: each stopword's index in [`STOPWORDS`] at its slot.
+const PROBE: (u64, [u8; 1 << SLOT_BITS]) = {
+    assert!(STOPWORDS.len() < EMPTY as usize);
+    let mut multiplier = 0x9E37_79B9_7F4A_7C15u64;
+    loop {
+        let mut table = [EMPTY; 1 << SLOT_BITS];
+        let mut i = 0;
+        while i < STOPWORDS.len() {
+            let s = slot(STOPWORDS[i].as_bytes(), multiplier);
+            if table[s] != EMPTY {
+                break;
+            }
+            table[s] = i as u8;
+            i += 1;
+        }
+        if i == STOPWORDS.len() {
+            break (multiplier, table);
+        }
+        multiplier = multiplier.wrapping_add(0x9E37_79B9_7F4A_7C16);
+    }
+};
+
+/// Return `true` if `word` (already lowercase) is a stopword: one table
+/// probe, then one string comparison.
 pub fn is_stopword(word: &str) -> bool {
-    word.len() <= 15 && PACKED.binary_search(&pack(word.as_bytes())).is_ok()
+    if word.len() > MAX_LEN {
+        return false;
+    }
+    let (multiplier, table) = &PROBE;
+    let at = table[slot(word.as_bytes(), *multiplier)];
+    at != EMPTY && STOPWORDS[usize::from(at)] == word
 }
 
 #[cfg(test)]
@@ -74,7 +115,12 @@ mod tests {
         }
         assert!(!is_stopword(""));
         assert!(!is_stopword("themselvesthemselves"));
-        assert!(PACKED.windows(2).all(|w| w[0] < w[1]));
+        // Every stopword has the slot it probes to itself.
+        let (multiplier, table) = &PROBE;
+        for (i, w) in STOPWORDS.iter().enumerate() {
+            assert_eq!(usize::from(table[slot(w.as_bytes(), *multiplier)]), i, "{w}");
+        }
+        assert_eq!(table.iter().filter(|&&at| at != EMPTY).count(), STOPWORDS.len());
     }
 
     #[test]

@@ -160,24 +160,115 @@ pub fn tokenize_filtered(text: &str) -> Vec<String> {
 /// (e.g. ~5,000-token QuALITY articles). Punctuation marks count as one
 /// token each.
 pub fn count_tokens(text: &str) -> usize {
-    let mut words = 0usize;
-    let mut punct = 0usize;
-    let mut in_word = false;
-    for ch in text.chars() {
+    TokenTally::of(text).tokens()
+}
+
+/// The two terms of [`count_tokens`]: words (maximal runs of alphanumeric
+/// characters, `'` and `-`) and punctuation marks (every other character
+/// that is not whitespace).
+///
+/// Tallies of texts add when the texts are joined where no word character
+/// meets another, e.g. at whitespace: then no word spans a joint, and the
+/// sum's [`tokens`](Self::tokens) is the joined text's `count_tokens`. A
+/// prompt is counted from its pieces this way, without being built.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct TokenTally {
+    /// Words.
+    pub words: usize,
+    /// Punctuation marks.
+    pub punct: usize,
+}
+
+/// What one character of a text is to [`TokenTally`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Word,
+    Space,
+    Punct,
+}
+
+impl Class {
+    fn of(ch: char) -> Self {
         if ch.is_alphanumeric() || ch == '\'' || ch == '-' {
-            if !in_word {
-                words += 1;
-                in_word = true;
-            }
+            Class::Word
+        } else if ch.is_whitespace() {
+            Class::Space
         } else {
-            in_word = false;
-            if !ch.is_whitespace() {
-                punct += 1;
-            }
+            Class::Punct
         }
     }
-    // 4 BPE tokens per 3 words, rounded up, plus punctuation.
-    words + words.div_ceil(3) + punct
+}
+
+/// [`Class::of`] every ASCII character, so an ASCII byte is classed by one
+/// load. `char::is_whitespace` reads U+0009..=U+000D and the space as
+/// whitespace on ASCII, the vertical tab included.
+const ASCII_CLASS: [Class; 128] = {
+    let mut table = [Class::Punct; 128];
+    let mut b = 0;
+    while b < 128 {
+        let byte = b as u8;
+        if byte.is_ascii_alphanumeric() || byte == b'\'' || byte == b'-' {
+            table[b] = Class::Word;
+        } else if matches!(byte, b'\t'..=b'\r' | b' ') {
+            table[b] = Class::Space;
+        }
+        b += 1;
+    }
+    table
+};
+
+impl TokenTally {
+    /// The tally of `text`, a table load a byte while it is ASCII.
+    pub fn of(text: &str) -> Self {
+        let mut tally = Self::default();
+        let mut in_word = false;
+        let bytes = text.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            let class = match ASCII_CLASS.get(usize::from(bytes[i])) {
+                Some(&class) => {
+                    i += 1;
+                    class
+                }
+                None => {
+                    let ch = text[i..].chars().next().unwrap_or_default();
+                    i += ch.len_utf8();
+                    Class::of(ch)
+                }
+            };
+            let word = class == Class::Word;
+            tally.words += usize::from(word && !in_word);
+            tally.punct += usize::from(class == Class::Punct);
+            in_word = word;
+        }
+        tally
+    }
+
+    /// The LLM tokens of the tallied text: 4 BPE tokens per 3 words,
+    /// rounded up, plus one per punctuation mark.
+    pub fn tokens(self) -> usize {
+        self.words + self.words.div_ceil(3) + self.punct
+    }
+}
+
+impl std::ops::Add for TokenTally {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self { words: self.words + other.words, punct: self.punct + other.punct }
+    }
+}
+
+impl std::ops::AddAssign for TokenTally {
+    fn add_assign(&mut self, other: Self) {
+        *self = *self + other;
+    }
+}
+
+impl std::iter::Sum for TokenTally {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| a + b)
+    }
 }
 
 #[cfg(test)]
@@ -232,6 +323,13 @@ mod tests {
         let short = count_tokens("one two three");
         let long = count_tokens("one two three four five six");
         assert!(long > short);
+    }
+
+    #[test]
+    fn the_ascii_table_classes_as_the_char_rule_does() {
+        for (b, &class) in ASCII_CLASS.iter().enumerate() {
+            assert_eq!(class, Class::of(char::from(b as u8)), "{b:#04x}");
+        }
     }
 
     #[test]

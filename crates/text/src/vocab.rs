@@ -145,6 +145,11 @@ impl Vocab {
         &self.terms
     }
 
+    /// All interned terms in id order, the lookup table freed unread.
+    pub fn into_terms(self) -> Vec<String> {
+        self.terms
+    }
+
     /// All document frequencies in id order (serialization).
     pub fn doc_freqs(&self) -> &[u32] {
         &self.doc_freq

@@ -1,11 +1,14 @@
-//! The token buffer, the in-place stemmer, `proper_nouns` and the slicing
-//! `split_sentences` against the allocating bodies they replaced, kept here
-//! verbatim as oracles.
+//! The token buffer, the in-place stemmer, `proper_nouns`, the slicing
+//! `split_sentences` and the byte-at-a-time `count_tokens` against the
+//! bodies they replaced, kept here verbatim as oracles; the stopword probe
+//! against a linear scan of the list.
 
 use proptest::prelude::*;
+use sage_corpus::datasets::{narrativeqa, qasper, quality, triviaqa, wiki, SizeConfig};
+use sage_text::stopwords::STOPWORDS;
 use sage_text::{
-    is_stopword, proper_nouns, split_sentences, stem, stem_into, tokenize, tokenize_filtered,
-    TokenBuf, WordSet,
+    count_tokens, is_stopword, proper_nouns, split_sentences, stem, stem_into, tokenize,
+    tokenize_filtered, TokenBuf, TokenTally, WordSet,
 };
 use std::collections::BTreeSet;
 
@@ -32,6 +35,31 @@ fn oracle_tokenize(text: &str) -> Vec<String> {
         tokens.push(current);
     }
     tokens
+}
+
+fn oracle_count_tokens(text: &str) -> usize {
+    let mut words = 0usize;
+    let mut punct = 0usize;
+    let mut in_word = false;
+    for ch in text.chars() {
+        if ch.is_alphanumeric() || ch == '\'' || ch == '-' {
+            if !in_word {
+                words += 1;
+                in_word = true;
+            }
+        } else {
+            in_word = false;
+            if !ch.is_whitespace() {
+                punct += 1;
+            }
+        }
+    }
+    // 4 BPE tokens per 3 words, rounded up, plus punctuation.
+    words + words.div_ceil(3) + punct
+}
+
+fn oracle_is_stopword(word: &str) -> bool {
+    STOPWORDS.contains(&word)
 }
 
 fn is_vowel(bytes: &[u8], i: usize) -> bool {
@@ -319,8 +347,88 @@ fn stem_into_overwrites_its_buffer_with_the_old_stem() {
     }
 }
 
+/// Every token of every seeded corpus, and every text's token count.
+#[test]
+fn seeded_corpora_probe_and_count_like_the_oracles() {
+    let size = SizeConfig { num_docs: 6, questions_per_doc: 2, seed: 0x570B };
+    let mut buf = TokenBuf::new();
+    let (mut tokens, mut stops) = (0, 0);
+    for ds in [
+        narrativeqa::generate(size),
+        qasper::generate(size),
+        quality::generate(size),
+        triviaqa::generate(size),
+        wiki::generate(size),
+    ] {
+        let texts = ds.documents.iter().flat_map(|d| d.paragraphs.iter().cloned()).chain(
+            ds.tasks.iter().flat_map(|t| {
+                std::iter::once(t.item.question.clone()).chain(t.item.answers.iter().cloned())
+            }),
+        );
+        for text in texts {
+            assert_eq!(count_tokens(&text), oracle_count_tokens(&text), "{text:?}");
+            buf.fill(&text);
+            for (i, token) in buf.iter().enumerate() {
+                assert_eq!(is_stopword(token), oracle_is_stopword(token), "{token:?}");
+                assert_eq!(buf.is_stop(i), is_stopword(token));
+                tokens += 1;
+                stops += usize::from(is_stopword(token));
+            }
+        }
+    }
+    assert!(stops > 1000 && tokens > 2 * stops, "{stops} stopwords of {tokens} tokens");
+}
+
+/// Each stopword with a byte changed, cut or added: the neighbours a probe
+/// keyed without the length, or by a prefix, would confuse.
+#[test]
+fn stopwords_and_their_neighbours_probe_like_the_list() {
+    for word in STOPWORDS {
+        assert!(is_stopword(word));
+        let bytes = word.as_bytes();
+        for cut in 0..bytes.len() {
+            let (head, tail) = word.split_at(cut);
+            for probe in [head.to_string(), format!("{head}\0"), format!("{head}{}", &tail[1..])] {
+                assert_eq!(is_stopword(&probe), oracle_is_stopword(&probe), "{probe:?}");
+            }
+        }
+        for suffix in ["\0", "\0\0", "s", "é", "'s", "-"] {
+            let probe = format!("{word}{suffix}");
+            assert_eq!(is_stopword(&probe), oracle_is_stopword(&probe), "{probe:?}");
+        }
+    }
+    assert!(!is_stopword("") && !is_stopword("\0"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn the_stopword_probe_is_a_linear_scan(
+        short in "[a-z\0]{0,4}",
+        long in "[a-z\0]{9,15}",
+        wide in "[a-zéß’\0]{1,12}",
+        pick in 0..STOPWORDS.len(),
+        pad in "[\0s]{0,3}",
+    ) {
+        let near = format!("{}{pad}", STOPWORDS[pick]);
+        for word in [&short, &long, &wide, &near] {
+            prop_assert_eq!(is_stopword(word), oracle_is_stopword(word), "{:?}", word);
+        }
+    }
+
+    #[test]
+    fn tallies_count_like_the_old_body_and_add_at_whitespace(
+        head in HOSTILE,
+        tail in HOSTILE,
+        gap in "[ \t\n\u{b}\u{85}\u{a0}\u{3000}]{1,2}",
+    ) {
+        prop_assert_eq!(count_tokens(&head), oracle_count_tokens(&head), "{:?}", head);
+        let joined = format!("{head}{gap}{tail}");
+        let sum = TokenTally::of(&head) + TokenTally::of(&gap) + TokenTally::of(&tail);
+        prop_assert_eq!(sum, TokenTally::of(&joined));
+        prop_assert_eq!(sum.tokens(), oracle_count_tokens(&joined), "{:?}", joined);
+    }
 
     #[test]
     fn buffer_tokens_are_the_old_tokenizer_s(text in HOSTILE) {

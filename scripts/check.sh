@@ -1,8 +1,8 @@
 #!/bin/bash
 # Tier-1 gate: the checks every PR must keep green.
 #
-#   scripts/check.sh            # build + lint rules + tests + clippy + paper claims + benchmark package + core-count smoke
-#   scripts/check.sh fast       # skip the all-targets clippy and build, the paper claims, the benchmark package, the release CLI tests and the smoke
+#   scripts/check.sh            # build + lint rules + tests + clippy + paper claims + benchmark package + release oracles + core-count smoke
+#   scripts/check.sh fast       # skip the all-targets clippy and build, the paper claims, the benchmark package, the release CLI and oracle tests and the smoke
 #
 # The lint rules are clippy lints (clippy.toml + the root manifest's
 # [workspace.lints.clippy], DESIGN.md §9) over the 14 library crates:
@@ -83,6 +83,11 @@ if [ "${1:-}" != fast ]; then
   # the release `sage` that ships.
   cargo test -q --release -p sage-cli --test persistence --test live --test ask --test refusals \
     --test telemetry --test explain --test soak --test scenarios
+
+  echo "=== the reader's and the text kernels' oracles in release (the profile the benchmark measures)"
+  # Bit-equality of the reader, the judge, the stopword probe and the token
+  # count with the bodies they replaced, with the optimizer on.
+  cargo test -q --release -p sage-llm -p sage-text --test oracle
 
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"' EXIT

@@ -683,6 +683,29 @@ fn golden_equivalence_of_a_fixed_context_under_guards_and_budget() {
     assert!(g.degrade_labels.iter().all(|l| l.starts_with("reader->")), "{:?}", g.degrade_labels);
 }
 
+/// A fixed read has no feedback, rerank or selection to drop, so even a
+/// starving budget plans no rung for it: no trace entry, no counter, and
+/// the read an unbudgeted request makes.
+#[test]
+fn a_starved_fixed_context_plans_no_rung() {
+    use std::time::Duration;
+    let sys = RagSystem::build(
+        models(),
+        RetrieverKind::OpenAiSim,
+        SageConfig::sage(),
+        LlmProfile::gpt4o_mini(),
+        &golden_corpus(),
+    );
+    let ids = [0, 2];
+    let fixed = Request { chunks: Some(&ids), ..Request::new(GOLDEN_QUESTIONS[0]) };
+    let starved = QueryBudget::new(Duration::from_millis(1), 1_000_000);
+    let r = sys.answer(&Request { budget: Some(starved), ..fixed }).unwrap();
+    assert!(r.degraded.is_clean(), "{:?}", r.degraded.events);
+    assert_eq!(r.brownout, BrownoutLevel::None);
+    assert!(sys.fallback_counters().is_empty(), "{:?}", sys.fallback_counters());
+    assert_eq!(Golden::of(&r), Golden::of(&sys.answer(&fixed).unwrap()));
+}
+
 #[test]
 fn try_answer_open_is_answer_on_a_bare_request() {
     for kind in [RetrieverKind::OpenAiSim, RetrieverKind::Bm25] {
