@@ -15,7 +15,7 @@ use sage_resilience::DetRng;
 pub enum Priority {
     /// User-facing requests: shed only when the queue is hard-full.
     Interactive,
-    /// Bulk API traffic ([`answer_batch`-style]): sheds earlier.
+    /// Bulk API traffic (batched answering): sheds earlier.
     Batch,
     /// Best-effort maintenance traffic: first to go under pressure.
     Background,

@@ -158,11 +158,13 @@ mod tests {
 
     #[test]
     fn removed_hnsw_live_retriever_is_refused_by_name() {
-        let f = parse_flags(&argv(&["--live", "--retriever", "hnsw"])).unwrap();
-        assert_eq!(
-            crate::commands::soak(&f),
-            Err("bad --retriever \"hnsw\" for --live (hashed|bm25)".to_string())
-        );
+        for retriever in ["hnsw", "bm25"] {
+            let f = parse_flags(&argv(&["--live", "--retriever", retriever])).unwrap();
+            assert_eq!(
+                crate::commands::soak(&f),
+                Err("unknown flag --retriever for `sage soak --live`".to_string())
+            );
+        }
     }
 
     #[test]

@@ -453,10 +453,7 @@ fn soak_run(flags: &Flags) -> Result<(Vec<String>, Vec<String>, SoakConfig), Str
 fn live_soak(flags: &Flags) -> Result<(), String> {
     flags.reject_unknown(
         "soak --live",
-        &[
-            "live", "live-dir", "ops", "batch", "docs", "queries", "seed", "retriever", "crash",
-            "crash-seed",
-        ],
+        &["live", "live-dir", "ops", "batch", "docs", "queries", "seed", "crash", "crash-seed"],
     )?;
     let seed: u64 = flags.get_parse("seed", 42u64)?;
     let dir = match flags.get("live-dir") {
@@ -469,9 +466,6 @@ fn live_soak(flags: &Flags) -> Result<(), String> {
             .map_err(|e| format!("bad --crash spec: {e}"))?,
         _ => CrashPlan::none(),
     };
-    let name = flags.get_or("retriever", "hashed");
-    let retriever = LiveRetrieverKind::parse(name)
-        .ok_or_else(|| format!("bad --retriever {name:?} for --live (hashed|bm25)"))?;
     let cfg = LiveSoakConfig {
         seed,
         commits: flags.get_parse("ops", 24usize)?,
@@ -479,15 +473,14 @@ fn live_soak(flags: &Flags) -> Result<(), String> {
         doc_pool: flags.get_parse("docs", 16usize)?,
         queries_per_commit: flags.get_parse("queries", 2usize)?,
         crash,
-        live: LiveConfig { retriever, ..LiveConfig::default() },
+        live: LiveConfig::default(),
     };
     eprintln!(
-        "live soak: seed {} | {} commits x {} ops | pool {} | retriever {} | crash seed {}",
+        "live soak: seed {} | {} commits x {} ops | pool {} | crash seed {}",
         cfg.seed,
         cfg.commits,
         cfg.batch,
         cfg.doc_pool,
-        retriever.label(),
         crash.seed(),
     );
     let report = run_live_soak(&dir, &cfg).map_err(|e| format!("live soak failed: {e}"))?;
@@ -762,8 +755,7 @@ USAGE:
                [--no-budget] [--docs N | --file <path> --question \"...\"]
                [--max-shed-rate 0.9] [--faults <spec>] [--fault-seed <n>]
   sage soak --live [--live-dir <dir>] [--ops 24] [--batch 4] [--docs 16]
-               [--queries 2] [--seed 42] [--retriever hashed|bm25]
-               [--crash <spec>] [--crash-seed 7]
+               [--queries 2] [--seed 42] [--crash <spec>] [--crash-seed 7]
   sage explain [\"question\"] [--retriever R] [--naive]
                # print the resolved query plan: its stages (each opens
                # and closes its own telemetry span) and the rewrite each

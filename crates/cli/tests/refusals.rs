@@ -1,7 +1,8 @@
 //! Removed surfaces are refused by name, through the `sage` binary: the
 //! in-process sharding flags (`--shards`, `--quorum`), its fault entries
-//! and scenario key, the HNSW tier (`--hnsw`, `soak --live --retriever
-//! hnsw`), the opt-in resilience switch (`--resilience`) and `sage
+//! and scenario key, the HNSW tier (`--hnsw`), the live store's retriever
+//! choice (`soak --live --retriever hnsw|bm25`), the opt-in resilience
+//! switch (`--resilience`) and `sage
 //! report`'s SLO engine and flight recorder (`--slo`, `--strict-slo`,
 //! `--recorder-capacity`). Each must fail and name its input, never be
 //! silently ignored. One test per command.
@@ -64,12 +65,15 @@ fn soak_refuses_sharding_hnsw_resilience_and_an_hnsw_live_store() {
         assert_unknown_flag("soak", flag, None);
     }
     let dir = Scratch::new("refusals-soak");
-    let live_dir = dir.file("hnsw-live");
-    let err = refused(&["soak", "--live", "--retriever", "hnsw", "--live-dir", path(&live_dir)]);
-    assert!(
-        err.contains("bad --retriever \"hnsw\" for --live"),
-        "the live retriever error does not name its input:\n{err}"
-    );
+    for retriever in ["hnsw", "bm25"] {
+        let live_dir = dir.file(&format!("{retriever}-live"));
+        let args = ["soak", "--live", "--retriever", retriever, "--live-dir", path(&live_dir)];
+        let err = refused(&args);
+        assert!(
+            err.contains("unknown flag --retriever for `sage soak --live`"),
+            "the live retriever flag is not refused by name:\n{err}"
+        );
+    }
 }
 
 #[test]

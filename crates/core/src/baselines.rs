@@ -280,7 +280,7 @@ fn flatten_coreference(text: &str) -> String {
     out_paragraphs.join("\n")
 }
 
-/// Recursive summarization ("Recursively Summarizing Books" [49]): flatten
+/// Recursive summarization ("Recursively Summarizing Books" \[49\]): flatten
 /// coreference (the abstractive rewrite), then per 200-token window keep
 /// the most central sentences, repeating until the text fits `budget`
 /// tokens.

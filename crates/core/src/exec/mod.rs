@@ -9,9 +9,9 @@
 //! then to unanswerable. Each stage opens and closes its own telemetry
 //! span, histogram sample and ledger entry.
 //!
-//! Every request enters through [`execute`] (behind
+//! Every request enters through `execute` (behind
 //! [`crate::RagSystem::answer`], which adds the panic boundary);
-//! [`run_prelude`] serves [`crate::RagSystem::candidates`].
+//! `run_prelude` serves [`crate::RagSystem::candidates`].
 
 mod batch;
 mod plan;

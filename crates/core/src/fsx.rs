@@ -63,7 +63,7 @@ const TABLES: [[u32; 256]; 8] = {
 
 /// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) — the checksum in the
 /// saved-file trailer. Slicing-by-8: eight bytes per step through
-/// [`TABLES`], the last `len % 8` one at a time.
+/// `TABLES`, the last `len % 8` one at a time.
 /// Test vector: `crc32(b"123456789") == 0xCBF4_3926`.
 pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0, data)

@@ -63,8 +63,8 @@ pub mod soak;
 
 pub use config::{RetrieverKind, SageConfig};
 pub use live::{
-    run_live_soak, CommitReport, CorpusWriter, LiveConfig, LiveHit, LiveOp, LiveRetrieverKind,
-    LiveSnapshot, LiveSoakConfig, LiveSoakReport, RecoveryReport,
+    run_live_soak, CommitReport, CorpusWriter, LiveConfig, LiveHit, LiveOp, LiveSnapshot,
+    LiveSoakConfig, LiveSoakReport, RecoveryReport,
 };
 pub use models::TrainedModels;
 pub use pipeline::{BuildPhases, BuildStats, PhaseTime, QueryResult, RagSystem, Request};

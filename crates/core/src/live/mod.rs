@@ -9,14 +9,13 @@
 //!   [`sage_segment::fingerprint`] matches the stored one is a no-op), on
 //!   every core, one document range a worker, and the same worker embeds
 //!   that range's chunks;
-//! * vector inserts go to a [`MutableIndex`] (an exact flat index with
-//!   tombstones), a batch's rows in one pass, and BM25 postings are
-//!   appended incrementally, so commit cost scales with the batch, not the
-//!   corpus;
+//! * chunks are embedded by a [`HashedEmbedder`] (model-free, so recovery
+//!   replay needs no trained weights on disk) into a [`MutableIndex`] (an
+//!   exact flat index with tombstones), a batch's rows in one pass, so
+//!   commit cost scales with the batch, not the corpus;
 //! * deletes and updates tombstone old chunks; a deterministic compaction
 //!   policy (dead fraction ≥ threshold) purges them: the vector index
-//!   closes up in place, its columns moved on every core, and BM25 is
-//!   rebuilt over the survivors;
+//!   closes up in place, its columns moved on every core;
 //! * readers hold [`LiveSnapshot`]s — cheap `Arc` clones of the state —
 //!   that stay internally consistent while the writer advances
 //!   (copy-on-write via `Arc::make_mut`).
@@ -45,57 +44,22 @@ pub use store::RecoveryReport;
 use crate::segmentation::{byte_ranges, on_ranges, workers};
 use sage_embed::{Analysis, Embedder, HashedEmbedder};
 use sage_resilience::{CrashPlan, CrashPoint};
-use sage_retrieval::{Bm25Retriever, Retriever};
 use sage_segment::{Segmenter, SentenceSegmenter};
-use sage_telemetry::metrics;
-use sage_telemetry::{Telemetry, Trace};
 use sage_text::ngram::Fnv1a;
 use sage_vecdb::{ColumnMoves, FlatIndex, MutableIndex, VectorIndex};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Which retriever the live store maintains. Both are model-free and
-/// fully deterministic, so recovery replay reconstructs bit-identical
-/// state without trained weights on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiveRetrieverKind {
-    /// Hashed embedder over an exact flat arena.
-    Hashed,
-    /// BM25 inverted index with delta postings.
-    Bm25,
-}
-
-impl LiveRetrieverKind {
-    /// Parse a CLI token ("hashed" | "bm25").
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "hashed" | "flat" => Some(Self::Hashed),
-            "bm25" => Some(Self::Bm25),
-            _ => None,
-        }
-    }
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Hashed => "hashed",
-            Self::Bm25 => "bm25",
-        }
-    }
-}
-
 /// Configuration of the live store. Persisted in the manifest so a store
 /// always reopens with the geometry it was created with.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveConfig {
-    /// Retriever maintained by the writer.
-    pub retriever: LiveRetrieverKind,
     /// Sentence-segmenter token budget per chunk.
     pub segment_tokens: usize,
-    /// Hashed-embedder dimensionality (dense retrievers).
+    /// Hashed-embedder dimensionality.
     pub embed_dim: usize,
-    /// Hashed-embedder seed (dense retrievers).
+    /// Hashed-embedder seed.
     pub embed_seed: u64,
     /// Compact when the dead fraction reaches this threshold…
     pub compact_dead_fraction: f64,
@@ -106,7 +70,6 @@ pub struct LiveConfig {
 impl Default for LiveConfig {
     fn default() -> Self {
         Self {
-            retriever: LiveRetrieverKind::Hashed,
             segment_tokens: 64,
             embed_dim: 256,
             embed_seed: 0x0A1,
@@ -166,7 +129,7 @@ impl From<std::io::Error> for LiveError {
     }
 }
 
-/// What one committed epoch did, for logs and telemetry reconciliation.
+/// What one committed epoch did: the one record of a commit, for the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitReport {
     /// The epoch this commit produced.
@@ -196,12 +159,6 @@ struct ChunkSlot {
 struct DocMeta {
     fingerprint: u64,
     chunks: Vec<u32>,
-}
-
-#[derive(Debug, Clone)]
-enum LiveIndex {
-    Dense { embedder: HashedEmbedder, index: Box<MutableIndex> },
-    Bm25(Box<Bm25Retriever>),
 }
 
 /// What the apply walk will do with one op that changes the corpus (a
@@ -235,7 +192,7 @@ struct Part {
     counts: Vec<usize>,
     /// The range's chunks, in op order, as the slot table will hold them.
     slots: Vec<ChunkSlot>,
-    /// A dense store's rows of `slots`, in the same order (BM25: none).
+    /// The embedded rows of `slots`, in the same order.
     rows: FlatIndex,
 }
 
@@ -259,19 +216,20 @@ pub(crate) struct LiveState {
     docs: BTreeMap<String, DocMeta>,
     chunks: Vec<ChunkSlot>,
     dead: usize,
-    index: LiveIndex,
+    embedder: HashedEmbedder,
+    index: MutableIndex,
 }
 
 impl LiveState {
     fn new(cfg: &LiveConfig) -> Self {
-        let index = match cfg.retriever {
-            LiveRetrieverKind::Hashed => LiveIndex::Dense {
-                embedder: HashedEmbedder::new(cfg.embed_dim.max(1), cfg.embed_seed),
-                index: Box::new(MutableIndex::cosine()),
-            },
-            LiveRetrieverKind::Bm25 => LiveIndex::Bm25(Box::new(Bm25Retriever::new())),
-        };
-        Self { epoch: 0, docs: BTreeMap::new(), chunks: Vec::new(), dead: 0, index }
+        Self {
+            epoch: 0,
+            docs: BTreeMap::new(),
+            chunks: Vec::new(),
+            dead: 0,
+            embedder: HashedEmbedder::new(cfg.embed_dim.max(1), cfg.embed_seed),
+            index: MutableIndex::cosine(),
+        }
     }
 
     /// The part of applying `ops` that reads the state and changes nothing:
@@ -332,9 +290,8 @@ impl LiveState {
     }
 
     /// One worker's share of [`prepare`](Self::prepare): segment the range's
-    /// documents, build their chunks' slots, owner names included, and, for
-    /// a dense store, embed the chunks into a block of rows of the range's
-    /// own.
+    /// documents, build their chunks' slots, owner names included, and embed
+    /// the chunks into a block of rows of the range's own.
     fn prepare_range(&self, docs: &[Dirty<'_>], segmenter: &SentenceSegmenter) -> Part {
         let mut counts = Vec::with_capacity(docs.len());
         let mut slots = Vec::new();
@@ -344,25 +301,20 @@ impl LiveState {
             let owner = |text| ChunkSlot { text, doc: doc.doc_id.to_string(), live: true };
             slots.extend(chunks.into_iter().map(owner));
         }
-        let rows = match &self.index {
-            LiveIndex::Dense { embedder, index } => {
-                let (metric, mut analysis) = (index.as_flat().metric(), Analysis::default());
-                FlatIndex::filled(metric, embedder.dim(), slots.len(), |id, row| {
-                    analysis.fill(&slots[id].text);
-                    embedder.embed_analysed(&mut analysis, row);
-                })
-            }
-            LiveIndex::Bm25(_) => FlatIndex::cosine(),
-        };
+        let (metric, mut analysis) = (self.index.as_flat().metric(), Analysis::default());
+        let rows = FlatIndex::filled(metric, self.embedder.dim(), slots.len(), |id, row| {
+            analysis.fill(&slots[id].text);
+            self.embedder.embed_analysed(&mut analysis, row);
+        });
         Part { counts, slots, rows }
     }
 
     /// Apply a batch [`prepare`](Self::prepare)d against this very state,
     /// advance to `epoch`, then run the deterministic compaction policy.
-    /// Each part's chunks go into the index — a dense store appends the
-    /// part's rows in one pass, a BM25 store posts the chunks — and its
-    /// slots move into the slot table, part after part in range order; then the walk records each document and tombstones the chunks
-    /// it replaces or deletes. Identical inputs produce identical state —
+    /// Each part's rows go into the index in one pass and its slots move
+    /// into the slot table, part after part in range order; then the walk
+    /// records each document and tombstones the chunks it replaces or
+    /// deletes. Identical inputs produce identical state —
     /// live commits and recovery replay both go through `prepare` and
     /// `apply`.
     fn apply(
@@ -384,17 +336,8 @@ impl LiveState {
         };
         let mut next = self.chunks.len() as u32;
         for part in parts {
-            match &mut self.index {
-                LiveIndex::Dense { index, .. } => {
-                    let first = index.append(&part.rows);
-                    debug_assert_eq!(first, self.chunks.len(), "the index and the slots in step");
-                }
-                LiveIndex::Bm25(r) => {
-                    for slot in &part.slots {
-                        r.push_live_chunk(&slot.text);
-                    }
-                }
-            }
+            let first = self.index.append(&part.rows);
+            debug_assert_eq!(first, self.chunks.len(), "the index and the slots in step");
             self.chunks.extend(part.slots);
         }
         for step in steps {
@@ -405,12 +348,12 @@ impl LiveState {
                     report.docs_upserted += 1;
                     let meta = DocMeta { fingerprint, chunks: ids };
                     if let Some(old) = self.docs.insert(doc_id.to_string(), meta) {
-                        report.tombstones += self.tombstone_chunks(&old.chunks);
+                        report.tombstones += self.tombstone_ids(&old.chunks);
                     }
                 }
                 Step::Delete { doc_id } => {
                     if let Some(old) = self.docs.remove(doc_id) {
-                        report.tombstones += self.tombstone_chunks(&old.chunks);
+                        report.tombstones += self.tombstone_ids(&old.chunks);
                         report.docs_deleted += 1;
                     }
                 }
@@ -423,7 +366,7 @@ impl LiveState {
 
     /// Tombstone the chunks `ids` (in both the slot table and the index),
     /// returning how many were newly tombstoned.
-    fn tombstone_chunks(&mut self, ids: &[u32]) -> usize {
+    fn tombstone_ids(&mut self, ids: &[u32]) -> usize {
         let mut n = 0;
         for &id in ids {
             let id = id as usize;
@@ -434,14 +377,7 @@ impl LiveState {
                     n += 1;
                 }
             }
-            match &mut self.index {
-                LiveIndex::Dense { index, .. } => {
-                    index.tombstone(id);
-                }
-                LiveIndex::Bm25(r) => {
-                    r.tombstone_chunk(id);
-                }
-            }
+            self.index.tombstone(id);
         }
         n
     }
@@ -462,31 +398,16 @@ impl LiveState {
 
     /// Purge tombstones and renumber the slot table densely: the vector
     /// index closes up in place, its columns cut into up to `workers`
-    /// ranges moved on their own threads; BM25 is rebuilt over the
-    /// surviving texts in slot order.
+    /// ranges moved on their own threads.
     fn compact_on(&mut self, workers: usize) {
-        // Old id → new id for survivors. The dense index is kept in
-        // lockstep with the slot table, so the remap its compaction returns
-        // is the slot table's; BM25 has none, and the slot table gives it.
-        let remap: Vec<Option<usize>> = match &mut self.index {
-            LiveIndex::Dense { index, .. } => index.compact_on(workers, |parts| {
-                on_ranges(parts, ColumnMoves::run);
-            }),
-            LiveIndex::Bm25(_) => {
-                let mut kept = 0;
-                let remap = self.chunks.iter().map(|slot| {
-                    let new = slot.live.then_some(kept);
-                    kept += usize::from(slot.live);
-                    new
-                });
-                remap.collect()
-            }
-        };
+        // Old id → new id for survivors. The index is kept in lockstep with
+        // the slot table, so the remap its compaction returns is the slot
+        // table's.
+        let remap = self.index.compact_on(workers, |parts| {
+            on_ranges(parts, ColumnMoves::run);
+        });
         debug_assert_eq!(remap.len(), self.chunks.len(), "the index and the slot table differ");
         self.chunks.retain(|slot| slot.live);
-        if let LiveIndex::Bm25(r) = &mut self.index {
-            r.index_texts(self.chunks.iter().map(|slot| slot.text.as_str()));
-        }
         for meta in self.docs.values_mut() {
             meta.chunks.retain_mut(|id| match remap.get(*id as usize).copied().flatten() {
                 Some(new) => {
@@ -500,26 +421,18 @@ impl LiveState {
     }
 
     fn search(&self, query: &str, n: usize) -> Vec<LiveHit> {
-        let raw: Vec<(usize, f32)> = match &self.index {
-            LiveIndex::Dense { embedder, index } => index
-                .search(&embedder.embed_query(query), n)
-                .into_iter()
-                .map(|h| (h.id, h.score))
-                .collect(),
-            LiveIndex::Bm25(r) => {
-                r.retrieve(query, n).into_iter().map(|s| (s.index, s.score)).collect()
-            }
-        };
-        raw.into_iter()
-            .filter_map(|(id, score)| {
-                let slot = self.chunks.get(id)?;
+        self.index
+            .search(&self.embedder.embed_query(query), n)
+            .into_iter()
+            .filter_map(|hit| {
+                let slot = self.chunks.get(hit.id)?;
                 if !slot.live {
                     return None;
                 }
                 Some(LiveHit {
                     doc_id: slot.doc.clone(),
                     chunk: slot.text.clone(),
-                    score,
+                    score: hit.score,
                 })
             })
             .collect()
@@ -552,7 +465,7 @@ pub struct LiveHit {
     pub doc_id: String,
     /// Chunk text.
     pub chunk: String,
-    /// Similarity score under the configured retriever.
+    /// Cosine similarity of the chunk to the query.
     pub score: f32,
 }
 
@@ -629,7 +542,6 @@ pub struct CorpusWriter {
     /// Commit attempts for the *next* epoch; folded into the crash key so
     /// a fractional crash plan lets a deterministic retry succeed.
     attempt: u32,
-    telemetry: Telemetry,
 }
 
 impl CorpusWriter {
@@ -650,17 +562,6 @@ impl CorpusWriter {
         std::fs::create_dir_all(dir)?;
         let mut state = LiveState::new(&cfg);
         let recovered = store::recover(dir, &mut state, &cfg)?;
-        metrics::LIVE_RECOVERIES.inc();
-        metrics::LIVE_SEGMENTS_DISCARDED.add(recovered.report.orphans_discarded as u64);
-        let telemetry = Telemetry::new();
-        let mut trace = Trace::start("live-recovery");
-        let span = trace.enter("live-recover");
-        trace.field(span, "epoch", recovered.report.epoch);
-        trace.field(span, "segments_replayed", recovered.report.segments_replayed);
-        trace.field(span, "orphans_discarded", recovered.report.orphans_discarded);
-        trace.event("live-recovery");
-        trace.exit(span);
-        telemetry.push_trace(trace);
         Ok((
             Self {
                 dir: dir.to_path_buf(),
@@ -669,7 +570,6 @@ impl CorpusWriter {
                 state: Arc::new(state),
                 segments: recovered.segments,
                 attempt: 0,
-                telemetry,
             },
             recovered.report,
         ))
@@ -702,11 +602,6 @@ impl CorpusWriter {
     /// retry of the same epoch.
     pub fn set_commit_attempt(&mut self, attempt: u32) {
         self.attempt = attempt;
-    }
-
-    /// The telemetry hub collecting commit/compaction/recovery traces.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Durably commit one batch of ops as the next epoch.
@@ -772,9 +667,7 @@ impl CorpusWriter {
                 self.segments = segments;
                 self.attempt = 0;
                 let state = Arc::make_mut(&mut self.state);
-                let report = state.apply(epoch, prepared, &self.cfg, workers);
-                self.record_commit(&report, ops.len());
-                Ok(report)
+                Ok(state.apply(epoch, prepared, &self.cfg, workers))
             }
         }
     }
@@ -783,40 +676,10 @@ impl CorpusWriter {
         match injected {
             Some(point) => {
                 self.attempt += 1;
-                metrics::LIVE_CRASHES_INJECTED.inc();
-                let mut trace = Trace::start("live-crash");
-                let span = trace.enter("live-commit");
-                trace.field(span, "barrier", point.label());
-                trace.event("live-crash-injected");
-                trace.exit(span);
-                self.telemetry.push_trace(trace);
                 LiveError::CrashInjected(point)
             }
             None => LiveError::Io(e),
         }
-    }
-
-    fn record_commit(&mut self, report: &CommitReport, ops: usize) {
-        metrics::LIVE_COMMITS.inc();
-        metrics::LIVE_DOCS_UPSERTED.add(report.docs_upserted as u64);
-        metrics::LIVE_DOCS_DELETED.add(report.docs_deleted as u64);
-        metrics::LIVE_CHUNKS_INDEXED.add(report.chunks_indexed as u64);
-        metrics::LIVE_TOMBSTONES.add(report.tombstones as u64);
-        if report.compacted {
-            metrics::LIVE_COMPACTIONS.inc();
-        }
-        let mut trace = Trace::start(format!("live-epoch-{}", report.epoch));
-        let span = trace.enter("live-commit");
-        trace.field(span, "epoch", report.epoch);
-        trace.field(span, "ops", ops);
-        trace.field(span, "chunks_indexed", report.chunks_indexed);
-        trace.field(span, "tombstones", report.tombstones);
-        trace.event("live-epoch-commit");
-        if report.compacted {
-            trace.event("live-compaction");
-        }
-        trace.exit(span);
-        self.telemetry.push_trace(trace);
     }
 }
 
@@ -1004,97 +867,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The chunk table as `(text, doc, live)` and the doc table as
-    /// `(doc, fingerprint, chunk ids)`.
-    type Tables = (Vec<(String, String, bool)>, Vec<(String, u64, Vec<u32>)>);
-
-    fn tables(w: &CorpusWriter) -> Tables {
-        let chunks =
-            w.state.chunks.iter().map(|s| (s.text.clone(), s.doc.clone(), s.live)).collect();
-        let docs = w
-            .state
-            .docs
-            .iter()
-            .map(|(id, m)| (id.clone(), m.fingerprint, m.chunks.clone()))
-            .collect();
-        (chunks, docs)
-    }
-
-    fn hit_bits(hits: &[LiveHit]) -> Vec<(String, String, u32)> {
-        hits.iter().map(|h| (h.doc_id.clone(), h.chunk.clone(), h.score.to_bits())).collect()
-    }
-
-    /// A compacted BM25 store is the store that only ever saw the
-    /// survivors: committing the surviving documents, in surviving-chunk
-    /// order, to a fresh store gives the same chunk and doc tables and the
-    /// same hits, score bits included (the compaction's full rebuild
-    /// against the fresh store's delta postings).
-    #[test]
-    fn bm25_compaction_equals_a_fresh_store_over_the_survivors() {
-        let cfg = LiveConfig {
-            retriever: LiveRetrieverKind::Bm25,
-            compact_dead_fraction: 0.2,
-            compact_min_dead: 2,
-            ..LiveConfig::default()
-        };
-        let delete = |i: usize| LiveOp::Delete { doc_id: format!("doc-{i}") };
-        let batches: Vec<Vec<LiveOp>> = vec![
-            (0..8).map(|i| doc(i, 0)).collect(),
-            vec![doc(2, 1), doc(8, 0)],
-            vec![delete(0), delete(3), doc(6, 2)],
-            vec![doc(9, 0), doc(1, 1), doc(9, 0)],
-            vec![delete(4), delete(7), doc(2, 2), doc(10, 0)],
-        ];
-        let queries = [
-            "lighthouses in the harbor town",
-            "records of town 6",
-            "Which cliffs are near town 2?",
-            "Document 9 version 0",
-            "the the the",
-            "zyzzyva",
-        ];
-        let dir = scratch("bm25_compaction_oracle");
-        let (mut w, _) = CorpusWriter::open(&dir, cfg).unwrap();
-        let mut texts: BTreeMap<String, String> = BTreeMap::new();
-        let mut compactions = 0;
-        for batch in &batches {
-            for op in batch {
-                match op {
-                    LiveOp::Upsert { doc_id, text } => texts.insert(doc_id.clone(), text.clone()),
-                    LiveOp::Delete { doc_id } => texts.remove(doc_id),
-                };
-            }
-            if !w.commit(batch).unwrap().compacted {
-                continue;
-            }
-            compactions += 1;
-            let mut survivors: Vec<(u32, &String)> =
-                w.state.docs.iter().map(|(id, m)| (m.chunks[0], id)).collect();
-            survivors.sort();
-            let fresh_ops: Vec<LiveOp> = survivors
-                .iter()
-                .map(|(_, id)| LiveOp::Upsert { doc_id: (*id).clone(), text: texts[*id].clone() })
-                .collect();
-            let fresh_dir = scratch(&format!("bm25_compaction_fresh_{compactions}"));
-            let (mut fresh, _) = CorpusWriter::open(&fresh_dir, cfg).unwrap();
-            assert!(!fresh.commit(&fresh_ops).unwrap().compacted);
-            assert_eq!(tables(&w), tables(&fresh), "compaction {compactions}");
-            assert_eq!(w.snapshot().search(queries[0], 5).len(), 5);
-            for q in queries {
-                for k in [1, 5, 100] {
-                    assert_eq!(
-                        hit_bits(&w.snapshot().search(q, k)),
-                        hit_bits(&fresh.snapshot().search(q, k)),
-                        "compaction {compactions}: {q:?} k={k}"
-                    );
-                }
-            }
-            std::fs::remove_dir_all(&fresh_dir).ok();
-        }
-        assert!(compactions >= 2, "the batches must compact at least twice: {compactions}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn an_update_commit_does_the_same_work_whatever_the_corpus_size() {
         // Compaction off, so each commit is the pure delta path.
@@ -1138,35 +910,5 @@ mod tests {
             assert_eq!(report, want, "{docs} documents");
             std::fs::remove_dir_all(&dir).ok();
         }
-    }
-
-    #[test]
-    fn bm25_and_hashed_variants_work() {
-        for kind in [LiveRetrieverKind::Bm25, LiveRetrieverKind::Hashed] {
-            let dir = scratch(&format!("kind_{}", kind.label()));
-            let cfg = LiveConfig { retriever: kind, ..LiveConfig::default() };
-            let (mut w, _) = CorpusWriter::open(&dir, cfg).unwrap();
-            w.commit(&[doc(1, 0), doc(2, 0)]).unwrap();
-            w.commit(&[doc(1, 1)]).unwrap();
-            let hits = w.snapshot().search("lighthouses near the harbor", 3);
-            assert!(!hits.is_empty(), "{kind:?}");
-            let digest = w.digest();
-            drop(w);
-            let (w2, _) = CorpusWriter::open(&dir, cfg).unwrap();
-            assert_eq!(w2.digest(), digest, "{kind:?}");
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-
-    #[test]
-    fn commit_traces_carry_epoch_events() {
-        let dir = scratch("traces");
-        let (mut w, _) = CorpusWriter::open(&dir, LiveConfig::default()).unwrap();
-        w.commit(&[doc(1, 0)]).unwrap();
-        w.telemetry().with_traces(|traces| {
-            assert!(traces.iter().any(|t| t.label() == "live-recovery"));
-            assert!(traces.iter().any(|t| t.label() == "live-epoch-1"));
-        });
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,19 +1,19 @@
 //! The batch apply, split into [`LiveState::prepare`] and
 //! [`LiveState::apply`], against the serial `apply_batch` it replaced: that
-//! body and the helpers it called are kept below verbatim, and both paths
-//! take the same batches — at 1, 2, 3 and 64 workers, for a hashed and a
-//! BM25 store — through repeated upserts, an upsert → delete → upsert of one
-//! document, clean re-sends, deletes of unknown documents, an empty batch
-//! and compactions (down to an empty index, too). After every batch the two
-//! states must hold the same digest, `CommitReport`, slot and document
-//! tables and index (`FlatIndex::to_bytes`, norms and `memory_bytes`; a BM25
-//! index's term table, tombstones and `memory_bytes`), and answer every
-//! query with the same hits, score bits included.
+//! body and the helpers it called are kept below verbatim but for their
+//! BM25 arms (the BM25 store is gone), and both paths take the same batches
+//! — at 1, 2, 3 and 64 workers — through repeated upserts, an upsert →
+//! delete → upsert of one document, clean re-sends, deletes of unknown
+//! documents, an empty batch and compactions (down to an empty index, too).
+//! After every batch the two states must hold the same digest,
+//! `CommitReport`, slot and document tables and index
+//! (`FlatIndex::to_bytes`, norms and `memory_bytes`), and answer every query
+//! with the same hits, score bits included.
 
 use super::*;
 
 /// `LiveState::apply_batch` and the helpers it called, before the apply
-/// was split in two: bodies unchanged.
+/// was split in two: bodies unchanged but for their BM25 arms.
 impl LiveState {
     /// Apply one op batch, advance to `epoch`, then run the deterministic
     /// compaction policy. Identical inputs produce identical state — this
@@ -40,12 +40,7 @@ impl LiveState {
                     let segmenter = SentenceSegmenter { max_tokens: cfg.segment_tokens.max(1) };
                     let mut ids = Vec::new();
                     for chunk in segmenter.segment(text) {
-                        let id = match &mut self.index {
-                            LiveIndex::Dense { embedder, index } => {
-                                index.add(embedder.embed(&chunk))
-                            }
-                            LiveIndex::Bm25(r) => r.push_live_chunk(&chunk),
-                        };
+                        let id = self.index.add(self.embedder.embed(&chunk));
                         self.chunks.push(ChunkSlot {
                             text: chunk,
                             doc: doc_id.clone(),
@@ -85,14 +80,7 @@ impl LiveState {
                     n += 1;
                 }
             }
-            match &mut self.index {
-                LiveIndex::Dense { index, .. } => {
-                    index.tombstone(id);
-                }
-                LiveIndex::Bm25(r) => {
-                    r.tombstone_chunk(id);
-                }
-            }
+            self.index.tombstone(id);
         }
         n
     }
@@ -124,15 +112,7 @@ impl LiveState {
                 survivors.push(slot.clone());
             }
         }
-        match &mut self.index {
-            LiveIndex::Dense { index, .. } => {
-                index.compact();
-            }
-            LiveIndex::Bm25(r) => {
-                let texts: Vec<String> = survivors.iter().map(|s| s.text.clone()).collect();
-                r.index(&texts);
-            }
-        }
+        self.index.compact();
         for meta in self.docs.values_mut() {
             meta.chunks =
                 meta.chunks.iter().filter_map(|&id| remap.get(id as usize).copied()?).collect();
@@ -221,26 +201,10 @@ fn tables(state: &LiveState) -> (Slots, Docs, usize) {
 /// Everything the index holds that a reader or the next batch can tell
 /// apart.
 fn index_of(state: &LiveState) -> (Vec<u8>, Vec<u32>, usize, String) {
-    match &state.index {
-        LiveIndex::Dense { index, .. } => {
-            let flat = index.as_flat();
-            let norms = flat.norms().iter().map(|v| v.to_bits()).collect();
-            let dead = format!("{} dead of {}", index.dead_count(), index.len());
-            (flat.to_bytes(), norms, index.memory_bytes(), dead)
-        }
-        LiveIndex::Bm25(r) => {
-            let vocab = r.vocab();
-            let deleted: Vec<bool> = (0..r.len()).map(|i| r.is_deleted(i)).collect();
-            let table = format!(
-                "{:?} {:?} {} docs, {} live, {deleted:?}",
-                vocab.terms(),
-                vocab.doc_freqs(),
-                vocab.num_docs(),
-                r.live_len()
-            );
-            (Vec::new(), Vec::new(), r.memory_bytes(), table)
-        }
-    }
+    let (index, flat) = (&state.index, state.index.as_flat());
+    let norms = flat.norms().iter().map(|v| v.to_bits()).collect();
+    let dead = format!("{} dead of {}", index.dead_count(), index.len());
+    (flat.to_bytes(), norms, index.memory_bytes(), dead)
 }
 
 fn hits(state: &LiveState) -> Vec<(String, String, u32)> {
@@ -256,32 +220,30 @@ fn hits(state: &LiveState) -> Vec<(String, String, u32)> {
 
 #[test]
 fn prepare_then_apply_equals_the_serial_apply_at_every_worker_count() {
-    for retriever in [LiveRetrieverKind::Hashed, LiveRetrieverKind::Bm25] {
-        let cfg = LiveConfig { retriever, ..LiveConfig::default() };
-        for workers in [1, 2, 3, 64] {
-            let (mut serial, mut split) = (LiveState::new(&cfg), LiveState::new(&cfg));
-            let mut compactions = 0;
-            for (at, ops) in batches().iter().enumerate() {
-                let what = format!("{retriever:?} at {workers} workers, batch {at}");
-                let epoch = at as u64 + 1;
-                let want = serial.apply_batch(epoch, ops, &cfg);
-                let prepared = split.prepare(ops, &cfg, workers);
-                if at == 0 && workers <= 3 {
-                    let parts = prepared.parts.len();
-                    assert_eq!(parts, workers, "{what}: the first batch cut into {parts} ranges");
-                }
-                let got = split.apply(epoch, prepared, &cfg, workers);
-                assert_eq!(got, want, "{what}");
-                assert_eq!(split.epoch, serial.epoch, "{what}");
-                assert_eq!(split.digest(), serial.digest(), "{what}");
-                assert_eq!(tables(&split), tables(&serial), "{what}");
-                assert!(index_of(&split) == index_of(&serial), "{what}: the index");
-                assert_eq!(hits(&split), hits(&serial), "{what}");
-                compactions += usize::from(want.compacted);
+    let cfg = LiveConfig::default();
+    for workers in [1, 2, 3, 64] {
+        let (mut serial, mut split) = (LiveState::new(&cfg), LiveState::new(&cfg));
+        let mut compactions = 0;
+        for (at, ops) in batches().iter().enumerate() {
+            let what = format!("{workers} workers, batch {at}");
+            let epoch = at as u64 + 1;
+            let want = serial.apply_batch(epoch, ops, &cfg);
+            let prepared = split.prepare(ops, &cfg, workers);
+            if at == 0 && workers <= 3 {
+                let parts = prepared.parts.len();
+                assert_eq!(parts, workers, "{what}: the first batch cut into {parts} ranges");
             }
-            assert!(compactions >= 2, "{retriever:?}: {compactions} compactions");
-            assert_eq!(serial.chunks.len(), split.chunks.len());
+            let got = split.apply(epoch, prepared, &cfg, workers);
+            assert_eq!(got, want, "{what}");
+            assert_eq!(split.epoch, serial.epoch, "{what}");
+            assert_eq!(split.digest(), serial.digest(), "{what}");
+            assert_eq!(tables(&split), tables(&serial), "{what}");
+            assert!(index_of(&split) == index_of(&serial), "{what}: the index");
+            assert_eq!(hits(&split), hits(&serial), "{what}");
+            compactions += usize::from(want.compacted);
         }
+        assert!(compactions >= 2, "{workers} workers: {compactions} compactions");
+        assert_eq!(serial.chunks.len(), split.chunks.len());
     }
 }
 

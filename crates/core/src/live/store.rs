@@ -8,8 +8,10 @@
 //!   code the live writer uses, so replayed and live state are
 //!   bit-identical.
 //! * `MANIFEST.sageman` — the commit record (magic `SAGEMAN1`): the last
-//!   committed epoch, the store's [`LiveConfig`], and for every committed
-//!   segment its epoch, framed length, and CRC-32. The manifest is
+//!   committed epoch, a retriever byte (0: the hashed store; 1 and 2 were
+//!   the HNSW and BM25 stores, since deleted, and are refused), the store's
+//!   [`LiveConfig`], and for every committed segment its epoch, framed
+//!   length, and CRC-32. The manifest is
 //!   rewritten atomically *after* the segment is durable, so a crash
 //!   between the two leaves an orphaned segment the manifest never
 //!   mentions — recovery discards it.
@@ -21,7 +23,7 @@
 //! the manifest only ever names durable segments), replays them in epoch
 //! order, and deletes stray `.tmp` scratch files and unlisted segments.
 
-use super::{LiveConfig, LiveError, LiveOp, LiveRetrieverKind, LiveState};
+use super::{LiveConfig, LiveError, LiveOp, LiveState};
 use sage_nn::io::{put_string, put_u32, put_u64, Reader};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -38,6 +40,9 @@ pub(crate) const MANIFEST_NAME: &str = "MANIFEST.sageman";
 /// File-name extension of segment files.
 const SEGMENT_EXT: &str = ".sageseg";
 
+/// The manifest's retriever byte: the hashed store, the one kind left.
+const HASHED: u8 = 0;
+
 /// One committed segment as the manifest records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SegmentEntry {
@@ -49,7 +54,8 @@ pub(crate) struct SegmentEntry {
     pub crc: u32,
 }
 
-/// What [`recover`] found and did while reopening a store.
+/// What recovery found and did while reopening a store
+/// ([`CorpusWriter::open`](super::CorpusWriter::open)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// The last committed epoch the store recovered to (0 = fresh store).
@@ -126,10 +132,7 @@ pub(crate) fn decode_segment(payload: &[u8]) -> Option<(u64, Vec<LiveOp>)> {
 pub(crate) fn encode_manifest(epoch: u64, cfg: &LiveConfig, segments: &[SegmentEntry]) -> Vec<u8> {
     let mut buf = MANIFEST_MAGIC.to_vec();
     put_u64(&mut buf, epoch);
-    buf.push(match cfg.retriever {
-        LiveRetrieverKind::Hashed => 0,
-        LiveRetrieverKind::Bm25 => 2,
-    });
+    buf.push(HASHED);
     put_u32(&mut buf, cfg.segment_tokens as u32);
     put_u32(&mut buf, cfg.embed_dim as u32);
     put_u64(&mut buf, cfg.embed_seed);
@@ -149,14 +152,10 @@ pub(crate) fn decode_manifest(payload: &[u8]) -> Option<(u64, LiveConfig, Vec<Se
     let mut r = Reader::new(payload);
     r.magic(MANIFEST_MAGIC)?;
     let epoch = r.u64()?;
-    let retriever = match r.u8()? {
-        0 => LiveRetrieverKind::Hashed,
-        2 => LiveRetrieverKind::Bm25,
-        // 1 was the HNSW retriever, since deleted: such a store is refused.
-        _ => return None,
-    };
+    if r.u8()? != HASHED {
+        return None;
+    }
     let cfg = LiveConfig {
-        retriever,
         segment_tokens: r.u32()? as usize,
         embed_dim: r.u32()? as usize,
         embed_seed: r.u64()?,
@@ -192,9 +191,7 @@ pub(crate) fn recover(
         if stored_cfg != *cfg {
             return Err(LiveError::Corrupt(format!(
                 "live store was created with a different config \
-                 (stored retriever {}, requested {})",
-                stored_cfg.retriever.label(),
-                cfg.retriever.label()
+                 (stored {stored_cfg:?}, requested {cfg:?})"
             )));
         }
         (epoch, segments)
@@ -312,7 +309,7 @@ mod tests {
 
     #[test]
     fn manifest_roundtrip() {
-        let cfg = LiveConfig { retriever: LiveRetrieverKind::Bm25, ..LiveConfig::default() };
+        let cfg = LiveConfig { segment_tokens: 40, embed_seed: 9, ..LiveConfig::default() };
         let segments = vec![
             SegmentEntry { epoch: 1, len: 120, crc: 0xDEAD_BEEF },
             SegmentEntry { epoch: 2, len: 64, crc: 7 },
@@ -328,15 +325,16 @@ mod tests {
     #[test]
     fn manifest_refuses_the_removed_hnsw_retriever_byte() {
         // The retriever byte follows the magic and the epoch. Stores
-        // written as hashed (0) or BM25 (2) keep opening; 1 (HNSW) is gone.
+        // written as hashed (0) keep opening; 1 (HNSW) and 2 (BM25) are gone.
         let at = MANIFEST_MAGIC.len() + 8;
         let mut buf = encode_manifest(3, &LiveConfig::default(), &[]);
-        for (byte, kind) in [(0, LiveRetrieverKind::Hashed), (2, LiveRetrieverKind::Bm25)] {
+        assert_eq!(buf[at], 0);
+        let decoded = decode_manifest(&buf).map(|(_, cfg, _)| cfg);
+        assert_eq!(decoded, Some(LiveConfig::default()));
+        for byte in [1, 2] {
             buf[at] = byte;
-            assert_eq!(decode_manifest(&buf).map(|(_, cfg, _)| cfg.retriever), Some(kind));
+            assert!(decode_manifest(&buf).is_none(), "retriever byte {byte}");
         }
-        buf[at] = 1;
-        assert!(decode_manifest(&buf).is_none());
     }
 
     #[test]
@@ -462,7 +460,7 @@ mod tests {
         let (mut w, _) = CorpusWriter::open(&dir, LiveConfig::default()).unwrap();
         w.commit(&[LiveOp::Upsert { doc_id: "d".into(), text: "One sentence.".into() }]).unwrap();
         drop(w);
-        let other = LiveConfig { retriever: LiveRetrieverKind::Bm25, ..LiveConfig::default() };
+        let other = LiveConfig { embed_dim: 128, ..LiveConfig::default() };
         match CorpusWriter::open(&dir, other) {
             Err(LiveError::Corrupt(msg)) => assert!(msg.contains("different config"), "{msg}"),
             other => panic!("expected config mismatch, got {:?}", other.map(|_| ())),

@@ -98,6 +98,10 @@ impl RagSystem {
         corpus: &[String],
         workers: usize,
     ) -> Self {
+        // The reader first: a process's first one builds the lexicon, whose
+        // scratch would otherwise sit on top of the index's resident bytes.
+        let llm = SimLlm::new(profile);
+
         // 1. Segmentation (Figure 2 (A) steps 1-2).
         let segmented = segmentation::segment_corpus(models, &config, corpus, workers);
         let chunks = segmented.chunks;
@@ -115,7 +119,7 @@ impl RagSystem {
 
         let phases = BuildPhases { segment: segmented.time, ..indexed.phases };
         let stats = BuildStats::new(&chunks, &retriever, segmented.corpus_tokens, phases);
-        Self::assemble(config, kind, chunks, retriever, scorer, profile, stats)
+        Self::assemble(config, kind, chunks, retriever, scorer, llm, stats)
     }
 
     /// The one struct literal: no faults, no fallback tier yet, no
@@ -126,7 +130,7 @@ impl RagSystem {
         chunks: Vec<String>,
         retriever: AnyRetriever,
         scorer: Option<CrossScorer>,
-        profile: LlmProfile,
+        llm: SimLlm,
         stats: BuildStats,
     ) -> Self {
         Self {
@@ -135,7 +139,7 @@ impl RagSystem {
             chunks,
             retriever,
             scorer,
-            llm: SimLlm::new(profile),
+            llm,
             stats,
             faults: FaultPlan::none(),
             fallback_bm25: OnceLock::new(),
@@ -299,7 +303,7 @@ impl RagSystem {
     ) -> Self {
         let corpus_tokens = chunks.iter().map(|c| sage_text::count_tokens(c)).sum();
         let stats = BuildStats::new(&chunks, &retriever, corpus_tokens, BuildPhases::default());
-        Self::assemble(config, kind, chunks, retriever, scorer, profile, stats)
+        Self::assemble(config, kind, chunks, retriever, scorer, SimLlm::new(profile), stats)
     }
 
     /// The chunk store.

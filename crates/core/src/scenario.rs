@@ -232,7 +232,7 @@ impl BenchRow {
     }
 
     /// Append a fixed-precision float metric (4 decimal places — enough
-    /// for scores in [0,1], and byte-stable).
+    /// for scores in \[0, 1\], and byte-stable).
     pub fn push_f64(&mut self, key: &str, v: f64) {
         self.metrics.push((key.to_string(), format!("{v:.4}")));
     }

@@ -17,7 +17,7 @@
 use crate::pipeline::{RagSystem, Request};
 use sage_admission::{
     arrival_plan, AdmissionConfig, AdmissionQueue, BrownoutLevel, Decision, Priority, QueryBudget,
-    ShedReason, SoakConfig,
+    SoakConfig,
 };
 use sage_telemetry::{Outcome, QueryObs};
 use std::collections::VecDeque;
@@ -366,10 +366,7 @@ impl SimState<'_> {
             }
             Decision::Shed(reason) => {
                 sage_telemetry::metrics::SHED_TOTAL.inc(class.idx());
-                let label = match reason {
-                    ShedReason::QueueFull => "queue-full",
-                    ShedReason::EarlyDrop => "early-drop",
-                };
+                let label = reason.label();
                 self.report.log.push(format!(
                     "[{}] shed q={} class={} reason={} depth={}",
                     fmt_t(at),

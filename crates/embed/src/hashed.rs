@@ -36,7 +36,7 @@ impl HashedEmbedder {
     /// both buffers. Only the buckets the features write are touched: the
     /// previous call's are zeroed, the new ones recorded in the mask, and
     /// the norm and the division run over them alone. The values are
-    /// [`l2_normalize`](sage_nn::matrix::l2_normalize)'s over every bucket,
+    /// [`l2_normalize`]'s over every bucket,
     /// bit for bit (see [`SparseEmbedding`]).
     pub fn embed_analysis(&self, analysis: &mut Analysis, out: &mut SparseEmbedding) {
         let SparseEmbedding { values, written } = out;

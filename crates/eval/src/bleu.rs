@@ -1,4 +1,4 @@
-//! Sentence-level BLEU-n with brevity penalty [36], add-ε smoothing for
+//! Sentence-level BLEU-n with brevity penalty \[36\], add-ε smoothing for
 //! higher orders (standard practice when grading short answers, where raw
 //! BLEU-4 would be zero almost everywhere — note the paper's BLEU-4
 //! columns sit around 1%).

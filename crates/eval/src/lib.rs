@@ -4,9 +4,9 @@
 //! (§II-B/§II-C):
 //!
 //! * [`rouge_l`] — ROUGE-L F-measure (NarrativeQA tables);
-//! * [`bleu`] — smoothed sentence-level BLEU-n with brevity penalty
+//! * [`bleu`](mod@bleu) — smoothed sentence-level BLEU-n with brevity penalty
 //!   (BLEU-1 and BLEU-4 columns);
-//! * [`meteor`] — METEOR-lite: stem-aware unigram alignment with a
+//! * [`meteor`](mod@meteor) — METEOR-lite: stem-aware unigram alignment with a
 //!   fragmentation penalty;
 //! * [`f1_match`] — token-level F1 (QASPER / TriviaQA "F1-Match");
 //! * [`cost::Cost`] — Eq. 1 token pricing and Eq. 2 cost-efficiency.
@@ -34,7 +34,7 @@ pub use stats::{bootstrap_mean_ci, MeanCi};
 use sage_text::tokenize;
 
 /// Token-level F1 between a candidate and the best-matching reference — the
-/// paper's "F1-Match" metric [38].
+/// paper's "F1-Match" metric \[38\].
 ///
 /// ```
 /// use sage_eval::f1_match;

@@ -1,4 +1,4 @@
-//! METEOR-lite [3]: unigram alignment with exact + stem matching, a
+//! METEOR-lite \[3\]: unigram alignment with exact + stem matching, a
 //! recall-weighted harmonic mean, and a fragmentation penalty. (Full METEOR
 //! also uses WordNet synonymy; a synonym lexicon adds nothing on the
 //! synthetic corpus, whose paraphrases vary by morphology and order.)

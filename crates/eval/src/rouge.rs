@@ -1,4 +1,4 @@
-//! ROUGE-L: longest-common-subsequence F-measure [28].
+//! ROUGE-L: longest-common-subsequence F-measure \[28\].
 
 use sage_text::tokenize;
 

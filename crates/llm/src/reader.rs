@@ -14,9 +14,9 @@
 //!   sentences an open question's answer can come from;
 //! - what the reader knows of a string (the language prior's ratio of a
 //!   stem, its relation classes, the answer pools of a word or phrase) is
-//!   one probe of one table, the lexicon, built once per process; each
-//!   distinct candidate word probes it once for its stem and once as a
-//!   word.
+//!   one probe of one table, the lexicon, built once per process, by its
+//!   first `SimLlm::new`; each distinct candidate word probes it once for
+//!   its stem and once as a word.
 //!
 //! Candidate phrases are keyed by integer word ranks, and only the picked
 //! one is spelled out.
@@ -546,8 +546,10 @@ pub struct SimLlm {
 }
 
 impl SimLlm {
-    /// A reader with the given profile and a default seed.
+    /// A reader with the given profile and a default seed. The process's
+    /// first reader builds the lexicon, so no call pays for it.
     pub fn new(profile: LlmProfile) -> Self {
+        lexicon();
         Self { profile, seed: 0x51A9E }
     }
 

@@ -17,8 +17,8 @@ const EMBED_DIM: usize = 256;
 
 /// A trainable cross-encoder-style reranker over engineered features.
 ///
-/// Each text is analysed once: the question once per call (a [`Question`]),
-/// each chunk once per pair into the call's [`Scratch`]. Nothing is kept
+/// Each text is analysed once: the question once per call (a `Question`),
+/// each chunk once per pair into the call's `Scratch`. Nothing is kept
 /// per chunk between calls: on a corpus-wide index the heap peaks at its
 /// steady state after the build, so every byte stored per chunk is peak.
 /// A pair therefore does only the work its features read: the chunk's

@@ -15,9 +15,8 @@
 //! sort would return.
 //!
 //! The term table is an `Arc<Vocab>` so a reranker can share it (its IDF is
-//! this table: the same stems, ids and document frequencies). Indexing
-//! writes through `Arc::make_mut`: free while the retriever owns the table
-//! alone, a copy on write once it is shared, so a sharer keeps the table it
+//! this table: the same stems, ids and document frequencies). The index is
+//! built once: a rebuild starts a new table, so a sharer keeps the table it
 //! was handed.
 
 use crate::{Retriever, ScoredChunk};
@@ -40,16 +39,8 @@ impl Default for Bm25Params {
     }
 }
 
-/// BM25 retriever with an inverted index.
-///
-/// Supports two indexing modes: [`Retriever::index`] (full rebuild) and the
-/// delta path used by `sage-core`'s live-corpus writer —
-/// [`push_live_chunk`](Self::push_live_chunk) appends postings for one new
-/// chunk and [`tombstone_chunk`](Self::tombstone_chunk) logically deletes
-/// one. Tombstoned chunks are skipped at retrieval and excluded from the
-/// average-length normaliser; their postings (and document-frequency
-/// contributions) linger until the writer compacts with a full rebuild
-/// over the survivors.
+/// BM25 retriever with an inverted index, built by [`Retriever::index`] or
+/// merged from ranges by [`from_ranges`](Self::from_ranges).
 #[derive(Debug, Clone)]
 pub struct Bm25Retriever {
     params: Bm25Params,
@@ -60,11 +51,6 @@ pub struct Bm25Retriever {
     /// Token count per chunk.
     chunk_len: Vec<u32>,
     avg_len: f32,
-    /// Tombstone bitmap for the delta path (all-live after a full rebuild).
-    deleted: Vec<bool>,
-    /// Token count summed over live chunks (drives `avg_len`).
-    live_total_len: u64,
-    live_count: u32,
 }
 
 impl Default for Bm25Retriever {
@@ -87,15 +73,12 @@ impl Bm25Retriever {
             postings: Vec::new(),
             chunk_len: Vec::new(),
             avg_len: 0.0,
-            deleted: Vec::new(),
-            live_total_len: 0,
-            live_count: 0,
         }
     }
 
     /// Append the postings of `text` as the next chunk, tokenised through
-    /// `tokens` with `ids` as scratch; returns its term count.
-    fn post_chunk(&mut self, text: &str, tokens: &mut TokenBuf, ids: &mut Vec<u32>) -> u32 {
+    /// `tokens` with `ids` as scratch.
+    fn post_chunk(&mut self, text: &str, tokens: &mut TokenBuf, ids: &mut Vec<u32>) {
         let ci = self.chunk_len.len() as u32;
         let vocab = Arc::make_mut(&mut self.vocab);
         tokens.fill(text);
@@ -105,9 +88,7 @@ impl Bm25Retriever {
         for run in ids.chunk_by(|a, b| a == b) {
             self.postings[run[0] as usize].push((ci, run.len() as u32));
         }
-        let len = tokens.len() as u32;
-        self.chunk_len.push(len);
-        len
+        self.chunk_len.push(tokens.len() as u32);
     }
 
     /// The index over consecutive chunk ranges, each indexed on its own
@@ -125,6 +106,7 @@ impl Bm25Retriever {
         for range in ranges {
             whole.append(range);
         }
+        whole.set_avg_len();
         whole
     }
 
@@ -140,84 +122,21 @@ impl Bm25Retriever {
             merged.extend(list.into_iter().map(|(chunk, tf)| (chunk + offset, tf)));
         }
         self.chunk_len.extend(range.chunk_len);
-        self.deleted.extend(range.deleted);
-        self.live_total_len += range.live_total_len;
-        self.live_count += range.live_count;
-        self.recompute_avg_len();
     }
 
-    /// [`Retriever::index`] over texts held anywhere: (re)build over
-    /// `chunks`, in order, without a slice of owned strings to borrow them
-    /// from.
-    pub fn index_texts<'a>(&mut self, chunks: impl IntoIterator<Item = &'a str>) {
-        self.vocab = Arc::default();
-        self.postings.clear();
-        self.chunk_len.clear();
-        self.deleted.clear();
-        let mut total_len = 0u64;
-        let mut tokens = TokenBuf::new();
-        let mut ids = Vec::new();
-        for chunk in chunks {
-            total_len += u64::from(self.post_chunk(chunk, &mut tokens, &mut ids));
-        }
+    /// The mean chunk length, summed in `u64` and divided once (0 over no
+    /// chunks).
+    fn set_avg_len(&mut self) {
+        let total: u64 = self.chunk_len.iter().map(|&len| u64::from(len)).sum();
         let count = self.chunk_len.len();
-        self.deleted.resize(count, false);
-        self.live_total_len = total_len;
-        self.live_count = count as u32;
-        self.avg_len = if count == 0 { 0.0 } else { total_len as f32 / count as f32 };
+        self.avg_len = if count == 0 { 0.0 } else { total as f32 / count as f32 };
     }
 
-    /// Append one chunk's postings without rebuilding (the live writer's
-    /// delta path). Returns the new chunk's index.
-    pub fn push_live_chunk(&mut self, text: &str) -> usize {
-        let ci = self.chunk_len.len();
-        let len = self.post_chunk(text, &mut TokenBuf::new(), &mut Vec::new());
-        self.deleted.push(false);
-        self.live_total_len += u64::from(len);
-        self.live_count += 1;
-        self.recompute_avg_len();
-        ci
-    }
-
-    /// Logically delete chunk `index`: it stops being retrieved and stops
-    /// contributing to length normalisation. Idempotent; returns `false`
-    /// when `index` is out of range or already tombstoned. Postings stay
-    /// until the owner rebuilds over the survivors ([`Retriever::index`]).
-    pub fn tombstone_chunk(&mut self, index: usize) -> bool {
-        if index >= self.deleted.len() || self.deleted[index] {
-            return false;
-        }
-        self.deleted[index] = true;
-        self.live_total_len -= u64::from(self.chunk_len[index]);
-        self.live_count -= 1;
-        self.recompute_avg_len();
-        true
-    }
-
-    /// Whether chunk `index` is tombstoned.
-    pub fn is_deleted(&self, index: usize) -> bool {
-        self.deleted.get(index).copied().unwrap_or(false)
-    }
-
-    /// Number of live (non-tombstoned) chunks.
-    pub fn live_len(&self) -> usize {
-        self.live_count as usize
-    }
-
-    /// The term table: every stem indexed so far, stopwords included, with
-    /// its document frequency over every chunk posted (tombstoned ones
-    /// too). After [`Retriever::index`] it is the table
-    /// `CrossScorer::fit_idf` fits over the same chunks.
+    /// The term table: every stem indexed, stopwords included, with its
+    /// document frequency. It is the table `CrossScorer::fit_idf` fits over
+    /// the same chunks.
     pub fn vocab(&self) -> &Arc<Vocab> {
         &self.vocab
-    }
-
-    fn recompute_avg_len(&mut self) {
-        self.avg_len = if self.live_count == 0 {
-            0.0
-        } else {
-            self.live_total_len as f32 / self.live_count as f32
-        };
     }
 }
 
@@ -229,11 +148,19 @@ fn by_rank(a: &ScoredChunk, b: &ScoredChunk) -> Ordering {
 
 impl Retriever for Bm25Retriever {
     fn index(&mut self, chunks: &[String]) {
-        self.index_texts(chunks.iter().map(String::as_str));
+        self.vocab = Arc::default();
+        self.postings.clear();
+        self.chunk_len.clear();
+        let mut tokens = TokenBuf::new();
+        let mut ids = Vec::new();
+        for chunk in chunks {
+            self.post_chunk(chunk, &mut tokens, &mut ids);
+        }
+        self.set_avg_len();
     }
 
     fn retrieve(&self, query: &str, n: usize) -> Vec<ScoredChunk> {
-        if self.live_count == 0 || n == 0 {
+        if self.chunk_len.is_empty() || n == 0 {
             return Vec::new();
         }
         sage_telemetry::metrics::BM25_SEARCHES.inc();
@@ -251,9 +178,6 @@ impl Retriever for Bm25Retriever {
             let idf = self.vocab.idf(id);
             for &(chunk, tf) in postings {
                 let ci = chunk as usize;
-                if self.deleted[ci] {
-                    continue;
-                }
                 let tf = tf as f32;
                 let len = self.chunk_len[ci] as f32;
                 let denom =
@@ -287,11 +211,11 @@ impl Retriever for Bm25Retriever {
     }
 
     /// Postings (8 B a posting, plus one 24 B `Vec` header per term id),
-    /// chunk lengths, tombstones and 24 B a vocabulary term.
+    /// chunk lengths and 24 B a vocabulary term.
     fn memory_bytes(&self) -> usize {
         let postings: usize = self.postings.iter().map(|p| p.capacity() * 8).sum::<usize>()
             + self.postings.capacity() * size_of::<Vec<(u32, u32)>>();
-        postings + self.chunk_len.capacity() * 4 + self.deleted.capacity() + self.vocab.len() * 24
+        postings + self.chunk_len.capacity() * 4 + self.vocab.len() * 24
     }
 }
 
@@ -393,26 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_path_matches_full_rebuild() {
-        let mut full = Bm25Retriever::new();
-        full.index(&chunks());
-        let mut delta = Bm25Retriever::new();
-        for chunk in chunks() {
-            delta.push_live_chunk(&chunk);
-        }
-        assert_eq!(delta.len(), full.len());
-        for query in ["cat eyes", "the moon", "rocket", "dough town"] {
-            let a = full.retrieve(query, 5);
-            let b = delta.retrieve(query, 5);
-            assert_eq!(a.len(), b.len(), "{query}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.index, y.index, "{query}");
-                assert_eq!(x.score.to_bits(), y.score.to_bits(), "{query}: {x:?} vs {y:?}");
-            }
-        }
-    }
-
-    #[test]
     fn ranges_merge_into_the_whole_index() {
         let chunks = chunks();
         let whole = indexed();
@@ -431,57 +335,8 @@ mod tests {
             assert_eq!(merged.vocab.num_docs(), whole.vocab.num_docs(), "{cuts:?}");
             assert_eq!(merged.postings, whole.postings, "{cuts:?}");
             assert_eq!(merged.chunk_len, whole.chunk_len, "{cuts:?}");
-            assert_eq!(merged.deleted, whole.deleted, "{cuts:?}");
             assert_eq!(merged.avg_len.to_bits(), whole.avg_len.to_bits(), "{cuts:?}");
-            assert_eq!(merged.live_len(), whole.live_len(), "{cuts:?}");
         }
         assert!(Bm25Retriever::from_ranges([]).is_empty());
-    }
-
-    #[test]
-    fn tombstoned_chunks_are_not_retrieved() {
-        let mut r = indexed();
-        assert_eq!(r.retrieve("eyes", 5)[0].index, 0);
-        assert!(r.tombstone_chunk(0));
-        assert!(!r.tombstone_chunk(0), "idempotent");
-        assert!(!r.tombstone_chunk(99), "bounds-checked");
-        assert_eq!(r.live_len(), 4);
-        assert!(r.is_deleted(0));
-        let hits = r.retrieve("cat eyes", 5);
-        assert!(hits.iter().all(|h| h.index != 0), "{hits:?}");
-    }
-
-    #[test]
-    fn tombstones_leave_length_normalisation_to_live_chunks() {
-        let mut r = Bm25Retriever::new();
-        r.push_live_chunk("green eyes");
-        let long = r.push_live_chunk(
-            "green eyes and a very long trailing description of many unrelated things in the \
-             garden near the fence by the road",
-        );
-        r.push_live_chunk("unrelated harbor town");
-        r.tombstone_chunk(long);
-        // avg_len is now over the two short live chunks only.
-        let hits = r.retrieve("green eyes", 3);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].index, 0);
-    }
-
-    #[test]
-    fn all_tombstoned_returns_empty() {
-        let mut r = Bm25Retriever::new();
-        r.push_live_chunk("only chunk");
-        r.tombstone_chunk(0);
-        assert!(r.retrieve("only", 3).is_empty());
-        assert_eq!(r.live_len(), 0);
-    }
-
-    #[test]
-    fn full_rebuild_clears_tombstones() {
-        let mut r = indexed();
-        r.tombstone_chunk(0);
-        r.index(&chunks());
-        assert_eq!(r.live_len(), 5);
-        assert_eq!(r.retrieve("eyes", 5)[0].index, 0);
     }
 }

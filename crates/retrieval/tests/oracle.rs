@@ -1,8 +1,8 @@
 //! `Bm25Retriever` against the hash-map index and full sort it replaced,
 //! kept here verbatim as the oracle ([`hashmap`]): hits are compared as
 //! `(chunk index, score bits)`, so every id, its rank and its score's bits
-//! must agree — over seeded corpora, the live delta path with tombstones,
-//! and arbitrary text. The oracle's `allow` filter is always `|_| true`.
+//! must agree — over seeded corpora and arbitrary text, on full builds.
+//! The oracle's `allow` filter is always `|_| true`.
 
 #![allow(clippy::disallowed_types, reason = "the oracle is the hash-map index")]
 
@@ -11,7 +11,7 @@ use sage_corpus::datasets::{narrativeqa, triviaqa, SizeConfig};
 use sage_retrieval::{Bm25Retriever, Retriever, ScoredChunk};
 use sage_text::split_sentences;
 
-/// `sage-retrieval/src/bm25.rs` before PR 25: the index, the delta path and
+/// `sage-retrieval/src/bm25.rs` before PR 25: the index and
 /// `retrieve_where`, bodies unchanged (`index` is inherent here rather than
 /// a `Retriever` impl).
 mod hashmap {
@@ -74,35 +74,6 @@ mod hashmap {
             let len = tokens.len() as u32;
             self.chunk_len.push(len);
             len
-        }
-
-        pub fn push_live_chunk(&mut self, text: &str) -> usize {
-            let ci = self.chunk_len.len();
-            let len = self.post_chunk(text, &mut TokenBuf::new());
-            self.deleted.push(false);
-            self.live_total_len += u64::from(len);
-            self.live_count += 1;
-            self.recompute_avg_len();
-            ci
-        }
-
-        pub fn tombstone_chunk(&mut self, index: usize) -> bool {
-            if index >= self.deleted.len() || self.deleted[index] {
-                return false;
-            }
-            self.deleted[index] = true;
-            self.live_total_len -= u64::from(self.chunk_len[index]);
-            self.live_count -= 1;
-            self.recompute_avg_len();
-            true
-        }
-
-        fn recompute_avg_len(&mut self) {
-            self.avg_len = if self.live_count == 0 {
-                0.0
-            } else {
-                self.live_total_len as f32 / self.live_count as f32
-            };
         }
 
         pub fn retrieve_where(
@@ -180,17 +151,7 @@ fn indexed(chunks: &[String]) -> (Bm25Retriever, hashmap::Bm25Retriever) {
     (new, old)
 }
 
-/// Both indexes over `chunks`, through the live delta path.
-fn pushed(chunks: &[String]) -> (Bm25Retriever, hashmap::Bm25Retriever) {
-    let mut new = Bm25Retriever::new();
-    let mut old = hashmap::Bm25Retriever::new();
-    for chunk in chunks {
-        assert_eq!(new.push_live_chunk(chunk), old.push_live_chunk(chunk));
-    }
-    (new, old)
-}
-
-/// The `n` the issue names: none, one, a few, the pipeline's candidates,
+/// The `n` to check: none, one, a few, the pipeline's candidates,
 /// every chunk, and past the end.
 fn ns(len: usize) -> [usize; 6] {
     [0, 1, 5, 32, len, len + 7]
@@ -234,28 +195,6 @@ fn seeded_corpora_keep_every_hit_and_its_bits() {
         let (new, old) = indexed(&chunks);
         for q in &questions {
             check(&new, &old, q);
-        }
-    }
-}
-
-#[test]
-fn live_store_with_tombstones_keeps_every_hit_and_its_bits() {
-    for (chunks, questions) in datasets() {
-        let (mut new, mut old) = pushed(&chunks);
-        for i in (0..chunks.len()).step_by(3) {
-            assert!(new.tombstone_chunk(i));
-            assert!(old.tombstone_chunk(i));
-        }
-        for q in &questions {
-            let hits = check(&new, &old, q);
-            assert!(hits.iter().all(|h| h.index % 3 != 0), "{q:?}: a tombstone was retrieved");
-        }
-        for i in 0..chunks.len() {
-            new.tombstone_chunk(i);
-            old.tombstone_chunk(i);
-        }
-        for q in &questions {
-            assert!(check(&new, &old, q).is_empty(), "{q:?}");
         }
     }
 }
@@ -321,14 +260,9 @@ proptest! {
     fn arbitrary_text_keeps_every_hit_and_its_bits(
         chunks in proptest::collection::vec(HOSTILE, 0..40),
         queries in proptest::collection::vec(HOSTILE, 1..4),
-        dead in proptest::collection::vec(0usize..40, 0..12),
-        live in 0u32..2,
         n in 0usize..45,
     ) {
-        let (mut new, mut old) = if live == 1 { pushed(&chunks) } else { indexed(&chunks) };
-        for &i in &dead {
-            prop_assert_eq!(new.tombstone_chunk(i), old.tombstone_chunk(i));
-        }
+        let (new, old) = indexed(&chunks);
         for q in &queries {
             prop_assert_eq!(bits(&new.retrieve(q, n)), bits(&old.retrieve_where(q, n, |_| true)));
         }

@@ -216,7 +216,7 @@ impl Telemetry {
     }
 
     /// Store a finished query trace. The ring keeps the most recent
-    /// [`TRACE_CAP`] traces: past that, each push drops (and counts) the
+    /// `TRACE_CAP` traces: past that, each push drops (and counts) the
     /// oldest, so a long-lived process holds a bounded number of span
     /// trees.
     pub fn push_trace(&self, t: Trace) {

@@ -96,50 +96,6 @@ pub static LLM_INPUT_TOKENS: Counter =
 /// Output (completion) tokens produced by all LLM calls.
 pub static LLM_OUTPUT_TOKENS: Counter =
     Counter::new("sage_llm_output_tokens_total", "Completion tokens produced by LLM calls");
-/// Epochs committed by the live-corpus writer.
-pub static LIVE_COMMITS: Counter =
-    Counter::new("sage_live_commits_total", "Epochs committed by the live-corpus writer");
-/// Documents upserted (added or updated) through the live writer.
-pub static LIVE_DOCS_UPSERTED: Counter = Counter::new(
-    "sage_live_docs_upserted_total",
-    "Documents upserted (added or updated) through the live-corpus writer",
-);
-/// Documents deleted through the live writer.
-pub static LIVE_DOCS_DELETED: Counter = Counter::new(
-    "sage_live_docs_deleted_total",
-    "Documents deleted through the live-corpus writer",
-);
-/// Chunks indexed by live upserts (dirty-document re-segmentation only).
-pub static LIVE_CHUNKS_INDEXED: Counter = Counter::new(
-    "sage_live_chunks_indexed_total",
-    "Chunks indexed by live upserts (only dirty documents are re-segmented)",
-);
-/// Chunks tombstoned by live updates and deletes.
-pub static LIVE_TOMBSTONES: Counter = Counter::new(
-    "sage_live_tombstones_total",
-    "Chunks tombstoned by live-corpus updates and deletes",
-);
-/// Tombstone-purging compactions run by the live writer.
-pub static LIVE_COMPACTIONS: Counter = Counter::new(
-    "sage_live_compactions_total",
-    "Tombstone-purging index compactions run by the live-corpus writer",
-);
-/// Crashes injected at commit write barriers (recovery drills).
-pub static LIVE_CRASHES_INJECTED: Counter = Counter::new(
-    "sage_live_crashes_injected_total",
-    "Crashes injected at live-commit write barriers by crash plans",
-);
-/// Successful recoveries of the live store to its last committed epoch.
-pub static LIVE_RECOVERIES: Counter = Counter::new(
-    "sage_live_recoveries_total",
-    "Recoveries of the live-corpus store to its last committed epoch",
-);
-/// Torn or orphaned segment files discarded during recovery.
-pub static LIVE_SEGMENTS_DISCARDED: Counter = Counter::new(
-    "sage_live_segments_discarded_total",
-    "Torn or orphaned segment files discarded by live-store recovery",
-);
-
 /// A monotonic counter family with one fixed label dimension, for metrics
 /// that split by a small closed set of values (brownout ladder steps,
 /// admission priority classes). Kept out of [`all`] — the exporters emit
@@ -229,7 +185,7 @@ pub fn labeled() -> [&'static LabeledCounter; 2] {
 }
 
 /// Every registered counter, for the exporters.
-pub fn all() -> [&'static Counter; 20] {
+pub fn all() -> [&'static Counter; 11] {
     [
         &VECDB_FLAT_DISTANCE_EVALS,
         &VECDB_FLAT_SEARCHES,
@@ -242,15 +198,6 @@ pub fn all() -> [&'static Counter; 20] {
         &LLM_FEEDBACK_CALLS,
         &LLM_INPUT_TOKENS,
         &LLM_OUTPUT_TOKENS,
-        &LIVE_COMMITS,
-        &LIVE_DOCS_UPSERTED,
-        &LIVE_DOCS_DELETED,
-        &LIVE_CHUNKS_INDEXED,
-        &LIVE_TOMBSTONES,
-        &LIVE_COMPACTIONS,
-        &LIVE_CRASHES_INJECTED,
-        &LIVE_RECOVERIES,
-        &LIVE_SEGMENTS_DISCARDED,
     ]
 }
 

@@ -4,7 +4,7 @@
 //!
 //! Every other crate in the workspace funnels raw text through this crate:
 //! the segmentation model consumes [`split_sentences_into`] output, the BM25 and
-//! dense retrievers consume [`tokenize`] + [`stem`] output, the metrics crate
+//! dense retrievers consume [`tokenize`] + [`stem`](fn@stem) output, the metrics crate
 //! compares token streams, and the LLM cost model (paper Eq. 1) counts tokens
 //! with [`count_tokens`].
 //!
@@ -17,7 +17,7 @@
 //! - [`token`] — word tokenization and LLM-style token counting
 //! - [`sentence`] — sentence and paragraph splitting (paper §III-A splits
 //!   paragraphs on `'\n'` before fine-grained segmentation)
-//! - [`stem`] — a Porter-style suffix stripper used by BM25 and METEOR
+//! - [`stem`](mod@stem) — a Porter-style suffix stripper used by BM25 and METEOR
 //! - [`stopwords`] — a small English stopword list
 //! - [`ngram`] — n-gram extraction and stable feature hashing
 //! - [`proper`] — capitalised surface forms (entity mentions)

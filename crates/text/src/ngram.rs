@@ -1,6 +1,6 @@
 //! N-gram extraction and stable feature hashing.
 //!
-//! The hashed sentence encoder ([`sage-embed`]'s OpenAI-analog) and the
+//! The hashed sentence encoder (`sage-embed`'s OpenAI-analog) and the
 //! trainable encoders all map token n-grams into a fixed number of feature
 //! buckets with [`hash_token`], an FNV-1a implementation. FNV is implemented
 //! inline (8 lines) rather than pulled in as a dependency, and — critically

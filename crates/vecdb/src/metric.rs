@@ -24,7 +24,7 @@ pub(crate) fn norm(vector: &[f32]) -> f32 {
 
 impl Metric {
     /// Similarity between two equal-length vectors. An index scores
-    /// through a [`Plan`] and [`Metric::finish`], which give a (query, row)
+    /// through a `Plan` and `Metric::finish`, which give a (query, row)
     /// pair the bits this gives it.
     pub fn similarity(self, a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());

@@ -1,8 +1,8 @@
 #!/bin/bash
 # Tier-1 gate: the checks every PR must keep green.
 #
-#   scripts/check.sh            # build + lint rules + tests + clippy + paper claims + benchmark package + release oracles + core-count smoke
-#   scripts/check.sh fast       # skip the all-targets clippy and build, the paper claims, the benchmark package, the release CLI and oracle tests and the smoke
+#   scripts/check.sh            # build + lint rules + tests + clippy + rustdoc + paper claims + benchmark package + release oracles + core-count smoke
+#   scripts/check.sh fast       # skip the all-targets clippy and build, rustdoc, the paper claims, the benchmark package, the release CLI and oracle tests and the smoke
 #
 # The lint rules are clippy lints (clippy.toml + the root manifest's
 # [workspace.lints.clippy], DESIGN.md §9) over the 14 library crates:
@@ -14,8 +14,8 @@
 # nothing.
 #
 # The smokes left here are the ones `cargo test` cannot make: a BM25 soak,
-# and a hashed and a BM25 live soak under a crash plan, each pinned to one
-# core with `taskset` and on every core (`cmp`). Every other end-to-end
+# and a live soak under a crash plan, each pinned to one core with
+# `taskset` and on every core (`cmp`). Every other end-to-end
 # check is a test of crates/cli/tests/ that `cargo test` runs against the
 # debug `sage` and below against the release one: persistence.rs (the
 # pinned SHA-256 of the default-budget model file and of the dense and BM25
@@ -66,6 +66,9 @@ if [ "${1:-}" != fast ]; then
   echo "=== cargo build --workspace --all-targets (every bench and example compiles)"
   cargo build --workspace --all-targets
 
+  echo "=== cargo doc --workspace --no-deps (no broken, private or ambiguous doc link)"
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
   echo "=== paper claims (every table and figure at the default budget; exits non-zero when a claim FAILS)"
   # The one run of Table X: it trains 20 models of its own, too slow for the tiny-budget test.
   if ! err=$(cargo bench -q -p sage-bench --bench paper 2>&1 > /dev/null); then
@@ -112,25 +115,22 @@ if [ "${1:-}" != fast ]; then
   # worker (segmentation, then embedding, and the chunk slots), while its
   # segment and manifest are made durable; it appends each range's rows in
   # range order and compacts on column ranges; recovery replays through the
-  # same prepare. Hashed and BM25 stores, each under a crash plan so recovery
-  # runs: log and summary must not tell one core from every core.
-  for retriever in hashed bm25; do
-    # Batches of 192 ops upsert dozens of documents, so each batch is
-    # segmented and embedded on two document ranges when two cores are
-    # free; every commit compacts.
-    live=(soak --live --retriever "$retriever" --ops 24 --batch 192 --docs 400 --seed 42
-          --crash pre-rename:0.3,pre-manifest-commit:0.2 --crash-seed 5)
-    taskset -c 0 "$sage" "${live[@]}" --live-dir "$tmp/live_one_$retriever" \
-      > "$tmp/live_one_core.log" 2> "$tmp/live_one_core.err"
-    "$sage" "${live[@]}" --live-dir "$tmp/live_all_$retriever" \
-      > "$tmp/live_all_cores.log" 2> "$tmp/live_all_cores.err"
-    grep -q '^recover ' "$tmp/live_one_core.log" \
-      || { echo "FAIL: the $retriever live soak recovered nothing"; exit 1; }
-    cmp "$tmp/live_one_core.log" "$tmp/live_all_cores.log" \
-      || { echo "FAIL: the $retriever live soak log differs between one core and every core"; exit 1; }
-    cmp "$tmp/live_one_core.err" "$tmp/live_all_cores.err" \
-      || { echo "FAIL: the $retriever live soak summary differs between one core and every core"; exit 1; }
-  done
+  # same prepare. Under a crash plan, so recovery runs, log and summary must
+  # not tell one core from every core. Batches of 192 ops upsert dozens of
+  # documents, so each batch is segmented and embedded on two document
+  # ranges when two cores are free; every commit compacts.
+  live=(soak --live --ops 24 --batch 192 --docs 400 --seed 42
+        --crash pre-rename:0.3,pre-manifest-commit:0.2 --crash-seed 5)
+  taskset -c 0 "$sage" "${live[@]}" --live-dir "$tmp/live_one" \
+    > "$tmp/live_one_core.log" 2> "$tmp/live_one_core.err"
+  "$sage" "${live[@]}" --live-dir "$tmp/live_all" \
+    > "$tmp/live_all_cores.log" 2> "$tmp/live_all_cores.err"
+  grep -q '^recover ' "$tmp/live_one_core.log" \
+    || { echo "FAIL: the live soak recovered nothing"; exit 1; }
+  cmp "$tmp/live_one_core.log" "$tmp/live_all_cores.log" \
+    || { echo "FAIL: the live soak log differs between one core and every core"; exit 1; }
+  cmp "$tmp/live_one_core.err" "$tmp/live_all_cores.err" \
+    || { echo "FAIL: the live soak summary differs between one core and every core"; exit 1; }
   echo "core-count smoke ok ($(nproc) cores)"
 fi
 

@@ -89,8 +89,8 @@ pub mod prelude {
     pub use sage_core::exec::QueryPlan;
     pub use sage_core::experiment::{evaluate, MethodScores};
     pub use sage_core::live::{
-        run_live_soak, CorpusWriter, LiveConfig, LiveOp, LiveRetrieverKind, LiveSnapshot,
-        LiveSoakConfig, LiveSoakReport,
+        run_live_soak, CorpusWriter, LiveConfig, LiveOp, LiveSnapshot, LiveSoakConfig,
+        LiveSoakReport,
     };
     pub use sage_core::models::{TrainBudget, TrainedModels};
     pub use sage_core::pipeline::{

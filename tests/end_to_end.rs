@@ -889,79 +889,6 @@ ledger read calls=1 in=137 out=5
 ];
 
 // ---------------------------------------------------------------------------
-// Live corpus: telemetry counters reconcile with commit reports
-// ---------------------------------------------------------------------------
-
-#[test]
-fn live_corpus_metrics_reconcile_with_commit_reports() {
-    use sage::core::live::{CorpusWriter, LiveConfig, LiveError, LiveOp};
-    use sage::resilience::{CrashPlan, CrashPoint};
-    use sage::telemetry::metrics;
-
-    sage::telemetry::set_enabled(true);
-    let before = (
-        metrics::LIVE_COMMITS.get(),
-        metrics::LIVE_DOCS_UPSERTED.get(),
-        metrics::LIVE_DOCS_DELETED.get(),
-        metrics::LIVE_CHUNKS_INDEXED.get(),
-        metrics::LIVE_TOMBSTONES.get(),
-        metrics::LIVE_COMPACTIONS.get(),
-        metrics::LIVE_CRASHES_INJECTED.get(),
-        metrics::LIVE_RECOVERIES.get(),
-    );
-
-    let dir = std::env::temp_dir().join("sage_e2e_live_metrics");
-    std::fs::remove_dir_all(&dir).ok();
-    let cfg = LiveConfig { compact_dead_fraction: 0.2, compact_min_dead: 1, ..LiveConfig::default() };
-    let plan = CrashPlan::always(CrashPoint::PreRename);
-
-    let (mut w, _) = CorpusWriter::open(&dir, cfg).unwrap();
-    let reports = [
-        w.commit(&[
-            LiveOp::Upsert { doc_id: "a".into(), text: "First doc one sentence.".into() },
-            LiveOp::Upsert { doc_id: "b".into(), text: "Second doc another sentence.".into() },
-        ])
-        .unwrap(),
-        w.commit(&[
-            LiveOp::Upsert { doc_id: "a".into(), text: "First doc, now revised text.".into() },
-            LiveOp::Delete { doc_id: "b".into() },
-        ])
-        .unwrap(),
-    ];
-    drop(w);
-
-    // One injected crash and its recovery drill.
-    let (mut w, _) = CorpusWriter::open_with_crash_plan(&dir, cfg, plan).unwrap();
-    let crashed = w.commit(&[LiveOp::Delete { doc_id: "a".into() }]);
-    assert!(matches!(crashed, Err(LiveError::CrashInjected(_))));
-    drop(w);
-    let (w, _) = CorpusWriter::open(&dir, cfg).unwrap();
-    assert_eq!(w.epoch(), 2);
-    drop(w);
-    std::fs::remove_dir_all(&dir).ok();
-
-    // Counters are process-global and monotonic, so reconcile with >=:
-    // deltas must cover at least everything the reports account for.
-    let committed: u64 = reports.len() as u64;
-    let upserted: u64 = reports.iter().map(|r| r.docs_upserted as u64).sum();
-    let deleted: u64 = reports.iter().map(|r| r.docs_deleted as u64).sum();
-    let chunks: u64 = reports.iter().map(|r| r.chunks_indexed as u64).sum();
-    let tombstones: u64 = reports.iter().map(|r| r.tombstones as u64).sum();
-    let compactions: u64 = reports.iter().filter(|r| r.compacted).count() as u64;
-    assert!(upserted >= 3 && deleted >= 1 && tombstones >= 1, "workload sanity");
-
-    assert!(metrics::LIVE_COMMITS.get() - before.0 >= committed);
-    assert!(metrics::LIVE_DOCS_UPSERTED.get() - before.1 >= upserted);
-    assert!(metrics::LIVE_DOCS_DELETED.get() - before.2 >= deleted);
-    assert!(metrics::LIVE_CHUNKS_INDEXED.get() - before.3 >= chunks);
-    assert!(metrics::LIVE_TOMBSTONES.get() - before.4 >= tombstones);
-    assert!(metrics::LIVE_COMPACTIONS.get() - before.5 >= compactions);
-    assert!(metrics::LIVE_CRASHES_INJECTED.get() - before.6 >= 1);
-    // Every open is a recovery: initial, crash-plan reopen, final reopen.
-    assert!(metrics::LIVE_RECOVERIES.get() - before.7 >= 3);
-}
-
-// ---------------------------------------------------------------------------
 // Observability: scenario replay, the committed rows, and SLO reconciliation
 // ---------------------------------------------------------------------------
 
